@@ -2,6 +2,7 @@
 //! attestation protocol (supporting data for Table III).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use watz_crypto::aes::Aes;
 use watz_crypto::cmac::AesCmac;
 use watz_crypto::ecdh::EphemeralKeyPair;
 use watz_crypto::ecdsa::SigningKey;
@@ -29,6 +30,30 @@ fn bench_crypto(c: &mut Criterion) {
         let cipher = AesGcm128::new(&[2u8; 16]);
         let data = vec![0u8; 1 << 20];
         b.iter(|| cipher.encrypt(&[0u8; 12], std::hint::black_box(&data), b""));
+    });
+
+    g.bench_function("gcm_decrypt_1mb", |b| {
+        let cipher = AesGcm128::new(&[2u8; 16]);
+        let (ct, tag) = cipher.encrypt(&[0u8; 12], &vec![0u8; 1 << 20], b"");
+        b.iter(|| cipher.decrypt(&[0u8; 12], std::hint::black_box(&ct), b"", &tag));
+    });
+
+    // The two kernels under the GCM number, and its per-session fixed cost.
+    // One AES block is one CTR keystream block; GHASH alone is a GCM call
+    // whose megabyte is all AAD (no CTR work beyond the tag's one block).
+    g.bench_function("aes128_block", |b| {
+        let aes = Aes::new_128(&[2u8; 16]);
+        b.iter(|| aes.encrypt(std::hint::black_box(&[0u8; 16])));
+    });
+
+    g.bench_function("ghash_1mb", |b| {
+        let cipher = AesGcm128::new(&[2u8; 16]);
+        let data = vec![0u8; 1 << 20];
+        b.iter(|| cipher.encrypt(&[0u8; 12], b"", std::hint::black_box(&data)));
+    });
+
+    g.bench_function("gcm_key_setup", |b| {
+        b.iter(|| AesGcm128::new(std::hint::black_box(&[2u8; 16])));
     });
 
     g.bench_function("ecdsa_sign", |b| {

@@ -2,12 +2,13 @@
 //!
 //! Runs one PolyBench kernel through the execution-engine ladder — tree
 //! interpreter, unfused flat, fused flat, and the register engine — one
-//! generator scalar multiplication through both P-256 paths, and one
-//! fleet worker-scaling round (1 vs 4 verifier workers), then asserts
-//! the optimised paths actually win by a comfortable margin. A
-//! regression in the flat engine, the fusion pass, the register pass,
-//! the fixed-base table or the fleet scheduler fails the build loudly,
-//! without waiting for the minutes-scale full bench suite.
+//! generator scalar multiplication through both P-256 paths, AES-GCM
+//! against SHA-256 over the same MiB, and one fleet worker-scaling round
+//! (1 vs 4 verifier workers), then asserts the optimised paths actually
+//! win by a comfortable margin. A regression in the flat engine, the
+//! fusion pass, the register pass, the fixed-base table, the GCM tables or
+//! the fleet scheduler fails the build loudly, without waiting for the
+//! minutes-scale full bench suite.
 //!
 //! Set `WATZ_SMOKE_SWEEP=1` to additionally sweep the whole PolyBench
 //! suite across unfused/fused/register engines and print the per-kernel
@@ -16,7 +17,11 @@
 
 use std::time::{Duration, Instant};
 
+use watz_crypto::ecdsa::SigningKey;
+use watz_crypto::fortuna::Fortuna;
+use watz_crypto::gcm::AesGcm128;
 use watz_crypto::p256::{AffinePoint, U256};
+use watz_crypto::sha256::Sha256;
 use watz_fleet::{FleetSim, FleetSimConfig, FleetStats};
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
 use watz_wasm::ProfileMode;
@@ -232,6 +237,41 @@ fn main() {
     let p256_speedup = t_generic.as_secs_f64() / t_fixed.as_secs_f64();
     println!("p256 k*G: fixed {t_fixed:?}  generic {t_generic:?}  speedup {p256_speedup:.2}x");
 
+    // --- Crypto: AES-GCM against SHA-256, and GCM key setup against one
+    // ECDSA verify. Each gate is a ratio of two timings taken back to back
+    // in this process, so a slow or busy host moves both sides together.
+    let blob = vec![0x5au8; 1 << 20];
+    let gcm = AesGcm128::new(&[7u8; 16]);
+    // Two passes over the MiB per sample keep every sample above 5 ms.
+    let t_gcm = median(5, || {
+        for _ in 0..2 {
+            std::hint::black_box(gcm.encrypt(&[1u8; 12], std::hint::black_box(&blob), b""));
+        }
+    });
+    let t_sha = median(5, || {
+        for _ in 0..2 {
+            std::hint::black_box(Sha256::digest(std::hint::black_box(&blob)));
+        }
+    });
+    let gcm_vs_sha = t_sha.as_secs_f64() / t_gcm.as_secs_f64();
+    let t_setup = median(5, || {
+        for _ in 0..1000 {
+            std::hint::black_box(AesGcm128::new(std::hint::black_box(&[7u8; 16])));
+        }
+    }) / 1000;
+    let signer = SigningKey::generate(&mut Fortuna::from_seed(b"bench-smoke"));
+    let digest = Sha256::digest(b"message");
+    let sig = signer.sign_deterministic(&digest);
+    let t_verify = median(5, || {
+        std::hint::black_box(signer.verifying_key().verify(&digest, &sig));
+    });
+    let setup_share = t_setup.as_secs_f64() / t_verify.as_secs_f64();
+    println!(
+        "gcm 1 MiB: {:.0} MB/s = {gcm_vs_sha:.2}x sha256  key setup {t_setup:?} = {:.3}% of an ecdsa verify ({t_verify:?})",
+        2.0 * blob.len() as f64 / 1e6 / t_gcm.as_secs_f64(),
+        setup_share * 100.0
+    );
+
     // --- Profiling must be free when off: the default instances above
     // run the NoProfile dispatch loops, so they must not be slower than
     // the counting loop beyond timer noise. A failure here means the
@@ -292,6 +332,20 @@ fn main() {
     assert!(
         p256_speedup > 1.8,
         "fixed-base table no longer clearly beats double-and-add ({p256_speedup:.2}x)"
+    );
+
+    // Bitwise GHASH over byte-wise AES ran at 0.19x SHA-256; the table
+    // forms run at ~0.9x. And the per-key GHASH table must stay a 4 KiB,
+    // sub-microsecond build: a 64 KiB table would hash faster but every
+    // fleet session pays the setup once, beside ~1 ms of P-256.
+    assert!(
+        gcm_vs_sha >= 0.4,
+        "AES-GCM fell back towards the bit-at-a-time forms ({gcm_vs_sha:.2}x SHA-256 throughput)"
+    );
+    assert!(
+        setup_share < 0.01,
+        "AesGcm128::new costs {:.2}% of an ECDSA verify; the per-key table outgrew its budget",
+        setup_share * 100.0
     );
 
     // --- Static analysis: the verifier must pass the optimised code and

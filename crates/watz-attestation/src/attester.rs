@@ -237,17 +237,28 @@ impl Attester {
     /// Returns [`RaError::DecryptFailed`] if the AEAD tag does not verify,
     /// or [`RaError::BadState`] out of order.
     pub fn handle_msg3(&mut self, msg3: &Msg3) -> Result<(Vec<u8>, StepTimings), RaError> {
+        self.handle_msg3_owned(msg3.clone())
+    }
+
+    /// [`Attester::handle_msg3`] for a caller that owns the message (it just
+    /// parsed it off the wire): the ciphertext buffer is decrypted in place
+    /// and becomes the returned secret, so no second blob-sized buffer exists.
+    ///
+    /// # Errors
+    ///
+    /// As [`Attester::handle_msg3`].
+    pub fn handle_msg3_owned(&mut self, msg3: Msg3) -> Result<(Vec<u8>, StepTimings), RaError> {
         let mut t = StepTimings::default();
         let State::AwaitMsg3 { keys } = std::mem::replace(&mut self.state, State::Done) else {
             return Err(RaError::BadState("handle_msg3"));
         };
-        let plaintext = timed!(t, symmetric, {
-            let cipher = AesGcm128::new(&keys.ke);
-            cipher
-                .decrypt(&msg3.iv, &msg3.ciphertext, b"", &msg3.tag)
+        let mut blob = msg3.ciphertext;
+        timed!(t, symmetric, {
+            AesGcm128::new(&keys.ke)
+                .decrypt_in_place(&msg3.iv, &mut blob, b"", &msg3.tag)
                 .map_err(|_| RaError::DecryptFailed)
         })?;
-        Ok((plaintext, t))
+        Ok((blob, t))
     }
 
     /// True once the protocol has completed (or aborted).
@@ -540,7 +551,7 @@ impl AttestClient<'_> {
         let raw3 = recv_reply(&conn, recv_timeout, &mut last_frame)?;
         let msg3 = Msg3::from_bytes(&raw3).map_err(AttemptError::Garbled)?;
         let (secret, _t) = attester
-            .handle_msg3(&msg3)
+            .handle_msg3_owned(msg3)
             .map_err(classify_protocol_error)?;
         Ok(secret)
     }

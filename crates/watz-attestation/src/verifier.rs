@@ -269,8 +269,10 @@ impl Verifier {
         }
 
         self.state = State::Attested { keys };
-        let secret = self.config.policy.secret_blob.clone();
-        let msg3 = self.build_msg3_with(&secret, &mut t)?;
+        // Borrow the blob through the shared policy: an `Arc` bump, not a
+        // copy of the whole secret per session.
+        let policy = Arc::clone(&self.config.policy);
+        let msg3 = self.build_msg3_with(&policy.secret_blob, &mut t)?;
         Ok((msg3, t))
     }
 
@@ -294,10 +296,12 @@ impl Verifier {
         self.iv_counter += 1;
         let mut iv = [0u8; 12];
         iv[4..].copy_from_slice(&self.iv_counter.to_be_bytes());
-        let (ciphertext, tag) = timed!(
+        // The one copy of the payload is the buffer msg3 ships in.
+        let mut ciphertext = payload.to_vec();
+        let tag = timed!(
             *t,
             symmetric,
-            AesGcm128::new(&keys.ke).encrypt(&iv, payload, b"")
+            AesGcm128::new(&keys.ke).encrypt_in_place(&iv, &mut ciphertext, b"")
         );
         Ok(Msg3 {
             iv,

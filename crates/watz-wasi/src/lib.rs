@@ -266,16 +266,16 @@ impl WasiEnv {
             let Ok(msg3) = Msg3::from_bytes(&raw) else {
                 return Ok(err_codes::PROTOCOL);
             };
-            let Ok((plaintext, _)) = session.attester.handle_msg3(&msg3) else {
+            let Ok((plaintext, _)) = session.attester.handle_msg3_owned(msg3) else {
                 return Ok(err_codes::PROTOCOL);
             };
             session.received = Some(plaintext);
         }
-        let data = session.received.clone().expect("just set");
+        let data = session.received.as_deref().expect("just set");
         if data.len() > buf_len as usize {
             return Ok(err_codes::BUFFER_TOO_SMALL);
         }
-        memory.write_bytes(buf_ptr as u32, &data)?;
+        memory.write_bytes(buf_ptr as u32, data)?;
         Ok(data.len() as i32)
     }
 
