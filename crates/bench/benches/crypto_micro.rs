@@ -8,7 +8,7 @@ use watz_crypto::ecdh::EphemeralKeyPair;
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
-use watz_crypto::p256::{AffinePoint, U256};
+use watz_crypto::p256::{curve, AffinePoint, U256};
 use watz_crypto::sha256::Sha256;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -79,16 +79,39 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| EphemeralKeyPair::generate(std::hint::black_box(&mut rng)));
     });
 
-    // Generator scalar multiplication, both paths: the precomputed
-    // fixed-base table (used by keygen/sign/ECDHE) against the generic
-    // double-and-add it replaced.
+    g.bench_function("ecdh_shared", |b| {
+        let mut rng = Fortuna::from_seed(b"bench");
+        let local = EphemeralKeyPair::generate(&mut rng);
+        let peer = EphemeralKeyPair::generate(&mut rng).public_bytes();
+        b.iter(|| local.diffie_hellman(std::hint::black_box(&peer)));
+    });
+
+    // What the four operations above are made of. One Montgomery multiply
+    // serves both moduli; an inversion is a 4-bit-window Fermat ladder of
+    // ~305 of them; k*G is <= 64 mixed additions from the generator table,
+    // k*P is 256 doublings and <= 64 general additions over a 15-entry
+    // table built per call. Both scalar multiplications include the
+    // inversion that takes the result back to affine.
     let k = U256::from_hex("bce6faada7179e84f3b9cac2fc632551ffffffff00000000ffffffffffffffff");
+    let (fp, fn_) = (curve::fp(), curve::fn_());
+    g.bench_function("p256_field_mul", |b| {
+        let (x, y) = (fp.to_mont(&curve::gx()), fp.to_mont(&curve::gy()));
+        b.iter(|| fp.mul(std::hint::black_box(&x), std::hint::black_box(&y)));
+    });
+    g.bench_function("p256_field_inv", |b| {
+        let x = fp.to_mont(&curve::gx());
+        b.iter(|| fp.inv(std::hint::black_box(&x)));
+    });
+    g.bench_function("p256_scalar_inv", |b| {
+        let x = fn_.to_mont(&curve::gx());
+        b.iter(|| fn_.inv(std::hint::black_box(&x)));
+    });
     g.bench_function("p256_mul_g_fixed_base", |b| {
         b.iter(|| AffinePoint::mul_base(std::hint::black_box(&k)));
     });
-    g.bench_function("p256_mul_g_double_and_add", |b| {
-        let g_point = AffinePoint::generator();
-        b.iter(|| g_point.mul_scalar(std::hint::black_box(&k)));
+    g.bench_function("p256_mul_point_windowed", |b| {
+        let point = AffinePoint::mul_base(&U256::from_hex("c0ffee"));
+        b.iter(|| point.mul_scalar(std::hint::black_box(&k)));
     });
 
     g.finish();

@@ -6,7 +6,7 @@
 
 use crate::fortuna::Fortuna;
 use crate::hmac::hmac_sha256;
-use crate::p256::{self, curve, AffinePoint, U256};
+use crate::p256::{curve, AffinePoint, U256};
 use crate::{CryptoError, Result};
 
 /// An ECDSA signature: the pair `(r, s)`, each 32 bytes.
@@ -114,9 +114,9 @@ impl SigningKey {
 
     /// Signs a 32-byte digest.
     ///
-    /// The nonce is derived deterministically RFC 6979-style; `rng` supplies
-    /// extra entropy mixed into the derivation (pass a fresh Fortuna for
-    /// randomized signatures, or rely on determinism for reproducibility).
+    /// Signing is fully deterministic (RFC 6979): this is
+    /// [`SigningKey::sign_deterministic`], and `_rng` is ignored. The
+    /// parameter is kept so existing call sites compile unchanged.
     #[must_use]
     pub fn sign(&self, digest: &[u8; 32], _rng: &mut Fortuna) -> Signature {
         self.sign_deterministic(digest)
@@ -127,6 +127,7 @@ impl SigningKey {
     pub fn sign_deterministic(&self, digest: &[u8; 32]) -> Signature {
         let fn_ = curve::fn_();
         let z = fn_.reduce(U256::from_be_bytes(digest));
+        let d = fn_.to_mont(&self.d);
         let mut nonce_gen = Rfc6979::new(&self.d.to_be_bytes(), digest);
         loop {
             let k = nonce_gen.next_nonce();
@@ -138,10 +139,10 @@ impl SigningKey {
             if r.is_zero() {
                 continue;
             }
-            // s = k^-1 (z + r d) mod n
-            let rd = fn_.mul(&r, &self.d);
-            let sum = fn_.add(&z, &rd);
-            let s = fn_.mul(&fn_.inv(&k), &sum);
+            // s = k^-1 (z + r d) mod n. Only d and k^-1 are in Montgomery
+            // form, so each product with a plain operand comes out plain.
+            let sum = fn_.add(&z, &fn_.mul(&r, &d));
+            let s = fn_.mul(&fn_.inv(&fn_.to_mont(&k)), &sum);
             if s.is_zero() {
                 continue;
             }
@@ -199,13 +200,11 @@ impl VerifyingKey {
         }
         let fn_ = curve::fn_();
         let z = fn_.reduce(U256::from_be_bytes(digest));
-        let w = fn_.inv(&sig.s);
+        // w = s^-1 in Montgomery form, so u1 and u2 come out plain.
+        let w = fn_.inv(&fn_.to_mont(&sig.s));
         let u1 = fn_.mul(&z, &w);
         let u2 = fn_.mul(&sig.r, &w);
-        let point = p256::mul_base_jacobian(&u1)
-            .add(&self.point.to_jacobian().mul_scalar(&u2))
-            .to_affine();
-        match point {
+        match self.point.mul_base_add(&u1, &u2) {
             AffinePoint::Infinity => false,
             AffinePoint::Point { x, .. } => fn_.reduce(x) == sig.r,
         }
@@ -227,25 +226,26 @@ impl Rfc6979 {
         let mut k = [0u8; 32];
         let mut v = [1u8; 32];
 
-        // K = HMAC(K, V || 0x00 || x || h)
-        let mut msg = Vec::with_capacity(97);
-        msg.extend_from_slice(&v);
-        msg.push(0x00);
-        msg.extend_from_slice(private_key);
-        msg.extend_from_slice(&h_reduced);
-        k = hmac_sha256(&k, &msg);
-        v = hmac_sha256(&k, &v);
-
-        // K = HMAC(K, V || 0x01 || x || h)
-        let mut msg = Vec::with_capacity(97);
-        msg.extend_from_slice(&v);
-        msg.push(0x01);
-        msg.extend_from_slice(private_key);
-        msg.extend_from_slice(&h_reduced);
-        k = hmac_sha256(&k, &msg);
-        v = hmac_sha256(&k, &v);
+        // K = HMAC(K, V || 0x00 || x || h), then the same with 0x01.
+        let mut msg = [0u8; 97];
+        msg[33..65].copy_from_slice(private_key);
+        msg[65..].copy_from_slice(&h_reduced);
+        for round in 0..2 {
+            msg[..32].copy_from_slice(&v);
+            msg[32] = round;
+            k = hmac_sha256(&k, &msg);
+            v = hmac_sha256(&k, &v);
+        }
 
         Rfc6979 { k, v }
+    }
+
+    /// K = HMAC(K, V || 0x00); V = HMAC(K, V) — the step between candidates.
+    fn rekey(&mut self) {
+        let mut msg = [0u8; 33];
+        msg[..32].copy_from_slice(&self.v);
+        self.k = hmac_sha256(&self.k, &msg);
+        self.v = hmac_sha256(&self.k, &self.v);
     }
 
     fn next_nonce(&mut self) -> U256 {
@@ -253,20 +253,12 @@ impl Rfc6979 {
         loop {
             self.v = hmac_sha256(&self.k, &self.v);
             let candidate = U256::from_be_bytes(&self.v);
+            // Rekey either way: a rejected candidate, or a possible retry
+            // by the caller.
+            self.rekey();
             if !candidate.is_zero() && candidate.lt(&n) {
-                // Prepare for a possible retry by the caller.
-                let mut msg = Vec::with_capacity(33);
-                msg.extend_from_slice(&self.v);
-                msg.push(0x00);
-                self.k = hmac_sha256(&self.k, &msg);
-                self.v = hmac_sha256(&self.k, &self.v);
                 return candidate;
             }
-            let mut msg = Vec::with_capacity(33);
-            msg.extend_from_slice(&self.v);
-            msg.push(0x00);
-            self.k = hmac_sha256(&self.k, &msg);
-            self.v = hmac_sha256(&self.k, &self.v);
         }
     }
 }
@@ -376,6 +368,24 @@ mod tests {
         let sig = key.sign_deterministic(&digest);
         let decoded = Signature::from_bytes(&sig.to_bytes()).unwrap();
         assert_eq!(decoded, sig);
+    }
+
+    #[test]
+    fn verify_rejects_when_the_sum_is_infinity() {
+        // Q = -G and z = r make u1·G + u2·Q = (z/s)·(G - G) = ∞ for any s.
+        let AffinePoint::Point { x, y } = AffinePoint::generator() else {
+            panic!()
+        };
+        let neg_g = AffinePoint::Point {
+            x,
+            y: curve::fp().neg(&y),
+        };
+        let key = VerifyingKey::from_point(neg_g).unwrap();
+        let digest = Sha256::digest(b"any message");
+        let r = curve::fn_().reduce(U256::from_be_bytes(&digest));
+        for s in [U256::ONE, r, U256::from_hex("123456789abcdef")] {
+            assert!(!key.verify(&digest, &Signature { r, s }));
+        }
     }
 
     // RFC 6979 appendix A.2.5, P-256 + SHA-256, message "sample".

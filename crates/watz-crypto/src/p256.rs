@@ -1,15 +1,38 @@
-//! NIST P-256 (secp256r1) arithmetic: 256-bit integers, prime-field ops,
-//! and Jacobian-coordinate group operations.
+//! NIST P-256 (secp256r1) arithmetic: 256-bit integers, Montgomery modular
+//! arithmetic under the field prime and the group order, and
+//! Jacobian-coordinate group operations.
 //!
 //! The paper selects secp256r1 "as recommended by the NIST" for both the
 //! attestation key pair (ECDSA) and the session keys (ECDHE). This module is
 //! the shared arithmetic core for [`crate::ecdsa`] and [`crate::ecdh`].
 //!
-//! The implementation favours auditability over speed: modular reduction is
-//! a generic 2^256-fold (`x = hi·2^256 + lo ≡ hi·(2^256 mod m) + lo`), which
-//! works for any modulus in `(2^255, 2^256)` and is validated by group-law
-//! and curve-equation tests rather than trusting transcribed magic-number
-//! reduction schedules.
+//! # Representation
+//!
+//! There is one modular multiplication, [`Modulus::mul`]: a 4-limb CIOS
+//! Montgomery product `a·b·R⁻¹ mod m` with `R = 2^256`, serving both the
+//! field prime `p` ([`curve::fp`]) and the group order `n` ([`curve::fn_`]).
+//! Its two constants (`-m⁻¹ mod 2^64` and `R² mod m`) are computed by
+//! [`Modulus::new`], not transcribed. A residue `a` is in *Montgomery form*
+//! when it is stored as `a·R mod m`; products of Montgomery-form values stay
+//! in Montgomery form, and the product of one Montgomery-form and one plain
+//! value is plain.
+//!
+//! * Plain integers at every boundary: [`U256`] scalars, [`AffinePoint`]
+//!   coordinates, wire encodings, signatures.
+//! * Montgomery form inside: [`JacobianPoint`] coordinates and the generator
+//!   table. Values enter in [`AffinePoint::to_jacobian`] and leave in
+//!   [`JacobianPoint::to_affine`]; scalars mod `n` enter with
+//!   [`Modulus::to_mont`] around the one inversion ECDSA needs.
+//!
+//! # Side channels
+//!
+//! Scalar multiplication, exponentiation and the final conditional
+//! subtractions are variable-time (window digits index tables and zero
+//! digits skip work), as the bit-serial code they replace was. The simulated
+//! TEE makes no constant-time claim.
+
+#[cfg(test)]
+mod oracle;
 
 /// A 256-bit unsigned integer, four little-endian `u64` limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +72,23 @@ impl U256 {
     ///
     /// Panics on invalid hex; intended for compile-time constants and tests.
     #[must_use]
-    pub fn from_hex(s: &str) -> Self {
+    pub const fn from_hex(s: &str) -> Self {
+        let s = s.as_bytes();
         assert!(s.len() <= 64, "hex too long");
-        let mut bytes = [0u8; 32];
-        let padded = format!("{s:0>64}");
-        for i in 0..32 {
-            bytes[i] = u8::from_str_radix(&padded[2 * i..2 * i + 2], 16).expect("invalid hex");
+        let mut limbs = [0u64; 4];
+        let mut i = 0;
+        while i < s.len() {
+            let c = s[s.len() - 1 - i];
+            let digit = match c {
+                b'0'..=b'9' => c - b'0',
+                b'a'..=b'f' => c - b'a' + 10,
+                b'A'..=b'F' => c - b'A' + 10,
+                _ => panic!("invalid hex"),
+            };
+            limbs[i / 16] |= (digit as u64) << ((i % 16) * 4);
+            i += 1;
         }
-        U256::from_be_bytes(&bytes)
+        U256(limbs)
     }
 
     /// True if the value is zero.
@@ -65,33 +97,18 @@ impl U256 {
         self.0 == [0; 4]
     }
 
-    /// True if the lowest bit is set.
-    #[must_use]
-    pub fn is_odd(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
-
-    /// Returns bit `i` (0 = least significant).
-    #[must_use]
-    pub fn bit(&self, i: usize) -> bool {
-        (self.0[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Number of significant bits.
-    #[must_use]
-    pub fn bits(&self) -> usize {
-        for i in (0..4).rev() {
-            if self.0[i] != 0 {
-                return 64 * i + (64 - self.0[i].leading_zeros() as usize);
-            }
-        }
-        0
+    /// Radix-16 digit `w` (0 = least significant), the window index of every
+    /// table in this module.
+    fn nibble(&self, w: usize) -> usize {
+        ((self.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize
     }
 
     /// `self < other`.
     #[must_use]
-    pub fn lt(&self, other: &U256) -> bool {
-        for i in (0..4).rev() {
+    pub const fn lt(&self, other: &U256) -> bool {
+        let mut i = 4;
+        while i > 0 {
+            i -= 1;
             if self.0[i] != other.0[i] {
                 return self.0[i] < other.0[i];
             }
@@ -101,212 +118,273 @@ impl U256 {
 
     /// Wrapping addition; returns (sum, carry).
     #[must_use]
-    pub fn adc(&self, other: &U256) -> (U256, bool) {
+    pub const fn adc(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for (i, o) in out.iter_mut().enumerate() {
+        let mut carry = false;
+        let mut i = 0;
+        while i < 4 {
             let (s1, c1) = self.0[i].overflowing_add(other.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            *o = s2;
-            carry = u64::from(c1) + u64::from(c2);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
+            out[i] = s2;
+            carry = c1 | c2;
+            i += 1;
         }
-        (U256(out), carry != 0)
+        (U256(out), carry)
     }
 
     /// Wrapping subtraction; returns (difference, borrow).
     #[must_use]
-    pub fn sbb(&self, other: &U256) -> (U256, bool) {
+    pub const fn sbb(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
-        for (i, o) in out.iter_mut().enumerate() {
+        let mut borrow = false;
+        let mut i = 0;
+        while i < 4 {
             let (d1, b1) = self.0[i].overflowing_sub(other.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *o = d2;
-            borrow = u64::from(b1) + u64::from(b2);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            out[i] = d2;
+            borrow = b1 | b2;
+            i += 1;
         }
-        (U256(out), borrow != 0)
-    }
-
-    /// Full 256×256 → 512-bit multiplication (lo, hi).
-    #[must_use]
-    pub fn widening_mul(&self, other: &U256) -> (U256, U256) {
-        let mut t = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let cur =
-                    u128::from(t[i + j]) + u128::from(self.0[i]) * u128::from(other.0[j]) + carry;
-                t[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            t[i + 4] = carry as u64;
-        }
-        (
-            U256([t[0], t[1], t[2], t[3]]),
-            U256([t[4], t[5], t[6], t[7]]),
-        )
+        (U256(out), borrow)
     }
 }
 
-/// Modular arithmetic context for a modulus `m` with `2^255 < m < 2^256`.
+/// `a + b·c + d` as (low, high) words. Cannot overflow:
+/// `(2^64-1)² + 2·(2^64-1) = 2^128 - 1`.
+#[inline(always)]
+fn mac(a: u64, b: u64, c: u64, d: u64) -> (u64, u64) {
+    let t = u128::from(a) + u128::from(b) * u128::from(c) + u128::from(d);
+    (t as u64, (t >> 64) as u64)
+}
+
+/// Montgomery arithmetic context for an odd modulus `m` with
+/// `2^255 < m < 2^256`, `R = 2^256`.
 #[derive(Debug, Clone, Copy)]
 pub struct Modulus {
     /// The modulus itself.
     pub m: U256,
-    /// `2^256 mod m`, used for the fold-based reduction.
-    pub r: U256,
+    /// `-m⁻¹ mod 2^64`.
+    n0: u64,
+    /// `R² mod m`: multiplying by it converts into Montgomery form.
+    r2: U256,
+    /// `R mod m`: the Montgomery form of 1.
+    one: U256,
 }
 
 impl Modulus {
-    /// Creates a context; computes `r = 2^256 - m` (valid because `m > 2^255`).
+    /// Creates a context, computing the Montgomery constants from `m`.
     #[must_use]
-    pub fn new(m: U256) -> Self {
-        // 2^256 - m == wrapping negation of m.
-        let (r, _) = U256::ZERO.sbb(&m);
-        Modulus { m, r }
-    }
-
-    /// Reduces a value already known to be `< 2^256` into `[0, m)`.
-    #[must_use]
-    pub fn reduce(&self, mut x: U256) -> U256 {
-        while !x.lt(&self.m) {
-            let (d, _) = x.sbb(&self.m);
-            x = d;
+    pub const fn new(m: U256) -> Self {
+        assert!(m.0[0] & 1 == 1 && m.0[3] >> 63 == 1);
+        // Newton iteration on the 2-adic inverse: an odd m0 is its own
+        // inverse mod 8, and each step doubles the number of correct bits.
+        let m0 = m.0[0];
+        let mut inv = m0;
+        let mut i = 0;
+        while i < 5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+            i += 1;
         }
-        x
+        // R mod m = 2^256 - m (because m > 2^255), the wrapping negation.
+        let (one, _) = U256::ZERO.sbb(&m);
+        let mut ctx = Modulus {
+            m,
+            n0: inv.wrapping_neg(),
+            r2: one,
+            one,
+        };
+        // R² mod m = R·2^256 mod m: double R mod m 256 times.
+        let mut i = 0;
+        while i < 256 {
+            ctx.r2 = ctx.add(&ctx.r2, &ctx.r2);
+            i += 1;
+        }
+        ctx
     }
 
-    /// `(a + b) mod m`, inputs must be `< m`.
+    /// Reduces a value `< 2^256` into `[0, m)`; one subtraction suffices
+    /// because `m > 2^255`.
     #[must_use]
-    pub fn add(&self, a: &U256, b: &U256) -> U256 {
+    pub fn reduce(&self, x: U256) -> U256 {
+        if x.lt(&self.m) {
+            x
+        } else {
+            x.sbb(&self.m).0
+        }
+    }
+
+    /// `(a + b) mod m`, inputs must be `< m` (either form, both the same).
+    #[must_use]
+    pub const fn add(&self, a: &U256, b: &U256) -> U256 {
         let (sum, carry) = a.adc(b);
         if carry || !sum.lt(&self.m) {
-            let (d, _) = sum.sbb(&self.m);
-            d
+            sum.sbb(&self.m).0
         } else {
             sum
         }
     }
 
-    /// `(a - b) mod m`, inputs must be `< m`.
+    /// `(a - b) mod m`, inputs must be `< m` (either form, both the same).
     #[must_use]
     pub fn sub(&self, a: &U256, b: &U256) -> U256 {
         let (diff, borrow) = a.sbb(b);
         if borrow {
-            let (d, _) = diff.adc(&self.m);
-            d
+            diff.adc(&self.m).0
         } else {
             diff
         }
     }
 
-    /// `(a * b) mod m`.
+    /// `(-a) mod m`.
     #[must_use]
-    pub fn mul(&self, a: &U256, b: &U256) -> U256 {
-        let (lo, hi) = a.widening_mul(b);
-        self.reduce_wide(lo, hi)
+    pub fn neg(&self, a: &U256) -> U256 {
+        self.sub(&U256::ZERO, a)
     }
 
-    /// `a² mod m`.
+    /// Montgomery product `a·b·R⁻¹ mod m` (CIOS), fully reduced. One input
+    /// must be `< m`; the other may be any 256-bit value.
+    ///
+    /// Montgomery-form operands give a Montgomery-form product; one
+    /// Montgomery-form and one plain operand give a plain product.
+    #[must_use]
+    pub fn mul(&self, a: &U256, b: &U256) -> U256 {
+        let (a, b, m) = (&a.0, &b.0, &self.m.0);
+        // Running sum, < 2m < 2^257 after every round: t[4] is 0 or 1.
+        let mut t = [0u64; 5];
+        for &bi in b {
+            let mut c = 0;
+            for j in 0..4 {
+                (t[j], c) = mac(t[j], a[j], bi, c);
+            }
+            let (t4, hi) = t[4].overflowing_add(c);
+            // Add q·m with q chosen to clear the low word, then shift down.
+            let q = t[0].wrapping_mul(self.n0);
+            let (_, mut c) = mac(t[0], q, m[0], 0);
+            for j in 1..4 {
+                (t[j - 1], c) = mac(t[j], q, m[j], c);
+            }
+            let (t3, lo) = t4.overflowing_add(c);
+            t[3] = t3;
+            t[4] = u64::from(hi) + u64::from(lo);
+        }
+        let r = U256([t[0], t[1], t[2], t[3]]);
+        if t[4] != 0 || !r.lt(&self.m) {
+            r.sbb(&self.m).0
+        } else {
+            r
+        }
+    }
+
+    /// Montgomery square `a²·R⁻¹ mod m`.
     #[must_use]
     pub fn sqr(&self, a: &U256) -> U256 {
         self.mul(a, a)
     }
 
-    /// Reduces a 512-bit value `hi·2^256 + lo` modulo `m` by repeated folding:
-    /// `hi·2^256 + lo ≡ hi·r + lo (mod m)` where `r = 2^256 mod m`.
+    /// Converts a plain integer into Montgomery form (reducing it if it is
+    /// not `< m`).
     #[must_use]
-    pub fn reduce_wide(&self, mut lo: U256, mut hi: U256) -> U256 {
-        while !hi.is_zero() {
-            let (prod_lo, prod_hi) = hi.widening_mul(&self.r);
-            let (sum, carry) = lo.adc(&prod_lo);
-            lo = sum;
-            // carry feeds back into the high half (carry < 2, prod_hi small).
-            let (new_hi, overflow) = prod_hi.adc(&U256([u64::from(carry), 0, 0, 0]));
-            debug_assert!(!overflow);
-            hi = new_hi;
-        }
-        self.reduce(lo)
+    pub fn to_mont(&self, a: &U256) -> U256 {
+        self.mul(a, &self.r2)
     }
 
-    /// `base^exp mod m` by square-and-multiply.
+    /// Converts a Montgomery-form residue back to the plain integer.
+    #[must_use]
+    pub fn from_mont(&self, a: &U256) -> U256 {
+        self.mul(a, &U256::ONE)
+    }
+
+    /// `base^exp` for a Montgomery-form `base`, in Montgomery form, by a
+    /// 4-bit fixed window (`exp` is a plain integer).
     #[must_use]
     pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
-        let mut result = self.reduce(U256::ONE);
-        let base = self.reduce(*base);
-        let nbits = exp.bits();
-        for i in (0..nbits).rev() {
-            result = self.sqr(&result);
-            if exp.bit(i) {
-                result = self.mul(&result, &base);
+        let mut table = [self.one; 16];
+        for d in 1..16 {
+            table[d] = self.mul(&table[d - 1], base);
+        }
+        let mut acc = self.one;
+        for w in (0..64).rev() {
+            for _ in 0..4 {
+                acc = self.sqr(&acc);
+            }
+            let d = exp.nibble(w);
+            if d != 0 {
+                acc = self.mul(&acc, &table[d]);
             }
         }
-        result
+        acc
     }
 
-    /// Modular inverse via Fermat's little theorem (`m` must be prime).
+    /// Inverse of a Montgomery-form residue, in Montgomery form, via
+    /// Fermat's little theorem (`m` must be prime; zero maps to zero).
     #[must_use]
     pub fn inv(&self, a: &U256) -> U256 {
-        let (m_minus_2, _) = self.m.sbb(&U256([2, 0, 0, 0]));
-        self.pow(a, &m_minus_2)
-    }
-
-    /// `(-a) mod m`.
-    #[must_use]
-    pub fn neg(&self, a: &U256) -> U256 {
-        if a.is_zero() {
-            U256::ZERO
-        } else {
-            let (d, _) = self.m.sbb(a);
-            d
-        }
+        self.pow(a, &self.m.sbb(&U256([2, 0, 0, 0])).0)
     }
 }
 
-/// Curve parameters for P-256.
+/// Curve parameters for P-256, as plain integers.
 pub mod curve {
     use super::{Modulus, U256};
-    use std::sync::OnceLock;
+
+    const P: U256 =
+        U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
+    const N: U256 =
+        U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
+    const B: U256 =
+        U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
+    const GX: U256 =
+        U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
+    const GY: U256 =
+        U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
+    static FP: Modulus = Modulus::new(P);
+    static FN: Modulus = Modulus::new(N);
 
     /// Field prime `p`.
-    pub fn p() -> U256 {
-        U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
+    #[must_use]
+    pub const fn p() -> U256 {
+        P
     }
 
     /// Group order `n`.
-    pub fn n() -> U256 {
-        U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+    #[must_use]
+    pub const fn n() -> U256 {
+        N
     }
 
     /// Curve coefficient `b` (`a` is `p - 3`).
-    pub fn b() -> U256 {
-        U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
+    #[must_use]
+    pub const fn b() -> U256 {
+        B
     }
 
     /// Base point x-coordinate.
-    pub fn gx() -> U256 {
-        U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296")
+    #[must_use]
+    pub const fn gx() -> U256 {
+        GX
     }
 
     /// Base point y-coordinate.
-    pub fn gy() -> U256 {
-        U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5")
+    #[must_use]
+    pub const fn gy() -> U256 {
+        GY
     }
 
-    /// Field modulus context (cached).
+    /// Field modulus context.
+    #[must_use]
     pub fn fp() -> &'static Modulus {
-        static FP: OnceLock<Modulus> = OnceLock::new();
-        FP.get_or_init(|| Modulus::new(p()))
+        &FP
     }
 
-    /// Order modulus context (cached).
+    /// Order modulus context.
+    #[must_use]
     pub fn fn_() -> &'static Modulus {
-        static FN: OnceLock<Modulus> = OnceLock::new();
-        FN.get_or_init(|| Modulus::new(n()))
+        &FN
     }
 }
 
-/// A point on P-256 in affine coordinates, or the point at infinity.
+/// A point on P-256 in affine coordinates (plain integers), or the point at
+/// infinity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AffinePoint {
     /// The identity element.
@@ -337,10 +415,11 @@ impl AffinePoint {
             AffinePoint::Infinity => true,
             AffinePoint::Point { x, y } => {
                 let fp = curve::fp();
-                let y2 = fp.sqr(y);
-                let x3 = fp.mul(&fp.sqr(x), x);
-                let three_x = fp.add(&fp.add(x, x), x);
-                let rhs = fp.add(&fp.sub(&x3, &three_x), &curve::b());
+                let (x, y) = (fp.to_mont(x), fp.to_mont(y));
+                let y2 = fp.sqr(&y);
+                let x3 = fp.mul(&fp.sqr(&x), &x);
+                let three_x = fp.add(&fp.add(&x, &x), &x);
+                let rhs = fp.add(&fp.sub(&x3, &three_x), &fp.to_mont(&curve::b()));
                 y2 == rhs
             }
         }
@@ -388,20 +467,22 @@ impl AffinePoint {
         Ok(point)
     }
 
-    /// Converts to Jacobian coordinates.
+    /// Converts to Jacobian coordinates (into Montgomery form).
     #[must_use]
     pub fn to_jacobian(&self) -> JacobianPoint {
+        let fp = curve::fp();
         match self {
             AffinePoint::Infinity => JacobianPoint::infinity(),
             AffinePoint::Point { x, y } => JacobianPoint {
-                x: *x,
-                y: *y,
-                z: U256::ONE,
+                x: fp.to_mont(x),
+                y: fp.to_mont(y),
+                z: fp.one,
             },
         }
     }
 
-    /// Scalar multiplication `k · self`.
+    /// Scalar multiplication `k · self` (4-bit window, see
+    /// [`JacobianPoint::mul_scalar`]) — the ECDH shared-secret path.
     #[must_use]
     pub fn mul_scalar(&self, k: &U256) -> AffinePoint {
         self.to_jacobian().mul_scalar(k).to_affine()
@@ -410,21 +491,32 @@ impl AffinePoint {
     /// Fixed-base scalar multiplication `k · G` via the precomputed
     /// generator table — the hot path of keygen, signing and ECDHE.
     ///
-    /// Falls back to the same group law as [`AffinePoint::mul_scalar`]
-    /// semantically: `AffinePoint::mul_base(k) == G.mul_scalar(k)` for all
-    /// `k`, but runs in ~64 mixed additions instead of ~256 doublings plus
-    /// ~128 general additions.
+    /// `AffinePoint::mul_base(k) == G.mul_scalar(k)` for all `k`, in at most
+    /// 64 mixed additions and no doubling.
     #[must_use]
     pub fn mul_base(k: &U256) -> AffinePoint {
-        mul_base_jacobian(k).to_affine()
+        GeneratorTable::get().mul(k).to_affine()
+    }
+
+    /// `u1 · G + u2 · self`, the ECDSA verification sum: the table-driven
+    /// `u1 · G` and the windowed `u2 · self` joined by one general addition
+    /// (which handles equal, opposite and infinite operands) and converted
+    /// to affine once.
+    #[must_use]
+    pub fn mul_base_add(&self, u1: &U256, u2: &U256) -> AffinePoint {
+        GeneratorTable::get()
+            .mul(u1)
+            .add(&self.to_jacobian().mul_scalar(u2))
+            .to_affine()
     }
 }
 
-/// Fixed-base `k · G` in Jacobian form (used directly by ECDSA verify to
-/// fold the `u1·G + u2·Q` sum without an intermediate affine conversion).
-#[must_use]
-pub fn mul_base_jacobian(k: &U256) -> JacobianPoint {
-    GeneratorTable::get().mul(k)
+/// A finite affine point with Montgomery-form coordinates: a generator-table
+/// entry, the second operand of a mixed addition.
+#[derive(Debug, Clone, Copy)]
+struct MontAffine {
+    x: U256,
+    y: U256,
 }
 
 /// Precomputed windowed table for the generator: radix-16 decomposition,
@@ -432,10 +524,10 @@ pub fn mul_base_jacobian(k: &U256) -> JacobianPoint {
 ///
 /// A 256-bit scalar splits into 64 hex digits, so `k · G` is the sum of at
 /// most 64 table entries — no doublings at all. Entries are stored affine
-/// (one Montgomery batch inversion at build time) so each accumulation is a
-/// cheap mixed addition.
+/// in Montgomery form (one batch inversion at build time, 60 KiB) so each
+/// accumulation is a cheap mixed addition.
 struct GeneratorTable {
-    points: Vec<AffinePoint>,
+    points: Vec<MontAffine>,
 }
 
 impl GeneratorTable {
@@ -466,7 +558,7 @@ impl GeneratorTable {
     fn mul(&self, k: &U256) -> JacobianPoint {
         let mut acc = JacobianPoint::infinity();
         for w in 0..64 {
-            let d = ((k.0[w / 16] >> ((w % 16) * 4)) & 0xf) as usize;
+            let d = k.nibble(w);
             if d != 0 {
                 acc = acc.add_affine(&self.points[w * 15 + d - 1]);
             }
@@ -476,19 +568,19 @@ impl GeneratorTable {
 }
 
 /// Converts a batch of Jacobian points (all finite) to affine with a single
-/// field inversion (Montgomery's trick).
-fn batch_to_affine(points: &[JacobianPoint]) -> Vec<AffinePoint> {
+/// field inversion (Montgomery's trick), staying in Montgomery form.
+fn batch_to_affine(points: &[JacobianPoint]) -> Vec<MontAffine> {
     let fp = curve::fp();
     // prefix[i] = z_0 · z_1 · … · z_i
     let mut prefix = Vec::with_capacity(points.len());
-    let mut acc = U256::ONE;
+    let mut acc = fp.one;
     for p in points {
         debug_assert!(!p.is_infinity());
         acc = fp.mul(&acc, &p.z);
         prefix.push(acc);
     }
     let mut suffix_inv = fp.inv(&acc); // (z_0 · … · z_{n-1})^-1
-    let mut out = vec![AffinePoint::Infinity; points.len()];
+    let mut out = Vec::with_capacity(points.len());
     for i in (0..points.len()).rev() {
         let zinv = if i == 0 {
             suffix_inv
@@ -497,32 +589,33 @@ fn batch_to_affine(points: &[JacobianPoint]) -> Vec<AffinePoint> {
         };
         suffix_inv = fp.mul(&suffix_inv, &points[i].z);
         let zinv2 = fp.sqr(&zinv);
-        out[i] = AffinePoint::Point {
+        out.push(MontAffine {
             x: fp.mul(&points[i].x, &zinv2),
             y: fp.mul(&points[i].y, &fp.mul(&zinv2, &zinv)),
-        };
+        });
     }
+    out.reverse();
     out
 }
 
-/// A point in Jacobian projective coordinates (`x/z²`, `y/z³`).
+/// A point in Jacobian projective coordinates (`x/z²`, `y/z³`), every
+/// coordinate in Montgomery form.
 #[derive(Debug, Clone, Copy)]
 pub struct JacobianPoint {
-    /// Projective X.
-    pub x: U256,
-    /// Projective Y.
-    pub y: U256,
-    /// Projective Z (zero encodes infinity).
-    pub z: U256,
+    x: U256,
+    y: U256,
+    /// Zero encodes infinity.
+    z: U256,
 }
 
 impl JacobianPoint {
     /// The identity element.
     #[must_use]
     pub fn infinity() -> Self {
+        let one = curve::fp().one;
         JacobianPoint {
-            x: U256::ONE,
-            y: U256::ONE,
+            x: one,
+            y: one,
             z: U256::ZERO,
         }
     }
@@ -608,20 +701,20 @@ impl JacobianPoint {
         }
     }
 
-    /// Mixed addition with an affine point (`z₂ = 1`), saving four
+    /// Mixed addition with a table entry (`z₂ = 1`), saving four
     /// multiplications and a squaring over the general [`JacobianPoint::add`].
-    #[must_use]
-    pub fn add_affine(&self, other: &AffinePoint) -> JacobianPoint {
-        let AffinePoint::Point { x: x2, y: y2 } = other else {
-            return *self;
-        };
-        if self.is_infinity() {
-            return other.to_jacobian();
-        }
+    fn add_affine(&self, other: &MontAffine) -> JacobianPoint {
         let fp = curve::fp();
+        if self.is_infinity() {
+            return JacobianPoint {
+                x: other.x,
+                y: other.y,
+                z: fp.one,
+            };
+        }
         let z1z1 = fp.sqr(&self.z);
-        let u2 = fp.mul(x2, &z1z1);
-        let s2 = fp.mul(&fp.mul(y2, &self.z), &z1z1);
+        let u2 = fp.mul(&other.x, &z1z1);
+        let s2 = fp.mul(&fp.mul(&other.y, &self.z), &z1z1);
         let h = fp.sub(&u2, &self.x);
         let r = fp.sub(&s2, &self.y);
         if h.is_zero() {
@@ -643,21 +736,33 @@ impl JacobianPoint {
         }
     }
 
-    /// Scalar multiplication by double-and-add (MSB first).
+    /// Scalar multiplication by a 4-bit fixed window, MSB first: a 15-entry
+    /// table of small multiples, then four doublings and at most one general
+    /// addition per hex digit of `k`.
     #[must_use]
     pub fn mul_scalar(&self, k: &U256) -> JacobianPoint {
+        let mut table = [*self; 16]; // table[d] = d · self, table[0] unused
+        for d in 2..16 {
+            table[d] = if d % 2 == 0 {
+                table[d / 2].double()
+            } else {
+                table[d - 1].add(self)
+            };
+        }
         let mut acc = JacobianPoint::infinity();
-        let nbits = k.bits();
-        for i in (0..nbits).rev() {
-            acc = acc.double();
-            if k.bit(i) {
-                acc = acc.add(self);
+        for w in (0..64).rev() {
+            for _ in 0..4 {
+                acc = acc.double();
+            }
+            let d = k.nibble(w);
+            if d != 0 {
+                acc = acc.add(&table[d]);
             }
         }
         acc
     }
 
-    /// Converts back to affine coordinates.
+    /// Converts back to affine coordinates (out of Montgomery form).
     #[must_use]
     pub fn to_affine(&self) -> AffinePoint {
         if self.is_infinity() {
@@ -666,22 +771,59 @@ impl JacobianPoint {
         let fp = curve::fp();
         let zinv = fp.inv(&self.z);
         let zinv2 = fp.sqr(&zinv);
-        let zinv3 = fp.mul(&zinv2, &zinv);
         AffinePoint::Point {
-            x: fp.mul(&self.x, &zinv2),
-            y: fp.mul(&self.y, &zinv3),
+            x: fp.from_mont(&fp.mul(&self.x, &zinv2)),
+            y: fp.from_mont(&fp.mul(&self.y, &fp.mul(&zinv2, &zinv))),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, FoldModulus};
     use super::*;
+
+    /// Deterministic xorshift64 word stream.
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    fn small(v: u64) -> U256 {
+        U256([v, 0, 0, 0])
+    }
+
+    fn mont_affine(p: &AffinePoint) -> MontAffine {
+        let AffinePoint::Point { x, y } = p else {
+            panic!("table entries are finite")
+        };
+        let fp = curve::fp();
+        MontAffine {
+            x: fp.to_mont(x),
+            y: fp.to_mont(y),
+        }
+    }
 
     #[test]
     fn u256_roundtrip_bytes() {
         let v = U256::from_hex("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
         assert_eq!(U256::from_be_bytes(&v.to_be_bytes()), v);
+    }
+
+    #[test]
+    fn from_hex_pads_short_strings_and_accepts_both_cases() {
+        assert_eq!(U256::from_hex(""), U256::ZERO);
+        assert_eq!(U256::from_hex("deadBEEF"), small(0xdead_beef));
+        assert_eq!(
+            U256::from_hex("10000000000000000"),
+            U256([0, 1, 0, 0]),
+            "digit 17 lands in the second limb"
+        );
+        assert_eq!(curve::p().to_be_bytes()[..4], [0xff; 4]);
     }
 
     #[test]
@@ -693,56 +835,156 @@ mod tests {
         let (diff, borrow) = sum.sbb(&b);
         assert!(!borrow);
         assert_eq!(diff, a);
+        // Carry and borrow ripple through every limb.
+        let max = U256([u64::MAX; 4]);
+        assert_eq!(max.adc(&U256::ONE), (U256::ZERO, true));
+        assert_eq!(U256::ZERO.sbb(&U256::ONE), (max, true));
     }
 
     #[test]
     fn u256_mul_small() {
-        let a = U256([7, 0, 0, 0]);
-        let b = U256([6, 0, 0, 0]);
-        let (lo, hi) = a.widening_mul(&b);
-        assert_eq!(lo, U256([42, 0, 0, 0]));
+        let (lo, hi) = oracle::widening_mul(&small(7), &small(6));
+        assert_eq!(lo, small(42));
         assert!(hi.is_zero());
     }
 
     #[test]
     fn u256_mul_carries_into_high() {
         let max = U256([u64::MAX; 4]);
-        let (lo, hi) = max.widening_mul(&max);
+        let (lo, hi) = oracle::widening_mul(&max, &max);
         // (2^256 - 1)^2 = 2^512 - 2^257 + 1
-        assert_eq!(lo, U256([1, 0, 0, 0]));
+        assert_eq!(lo, small(1));
         assert_eq!(hi, U256([u64::MAX - 1, u64::MAX, u64::MAX, u64::MAX]));
     }
 
     #[test]
     fn modulus_reduce_wide_agrees_with_naive() {
         let fp = curve::fp();
-        // x mod p for x slightly above p.
-        let (above, _) = fp.m.adc(&U256([12345, 0, 0, 0]));
-        assert_eq!(fp.reduce(above), U256([12345, 0, 0, 0]));
+        // x mod p for x slightly above p, by both reductions.
+        let (above, _) = fp.m.adc(&small(12345));
+        assert_eq!(fp.reduce(above), small(12345));
+        assert_eq!(
+            FoldModulus::p().reduce_wide(above, U256::ZERO),
+            small(12345)
+        );
+        assert_eq!(
+            fp.reduce(U256([u64::MAX; 4])),
+            FoldModulus::p().r.sbb(&U256::ONE).0
+        );
+    }
+
+    /// `n0` and `R²` against values derived without `Modulus::new`: the
+    /// defining congruence for `n0`, the fold oracle's `(R mod m)²` for
+    /// `R²`, and the constants other P-256 implementations publish.
+    #[test]
+    fn montgomery_constants_match_independent_derivation() {
+        for (ctx, fold, n0, r2) in [
+            (
+                curve::fp(),
+                FoldModulus::p(),
+                1u64,
+                "00000004fffffffdfffffffffffffffefffffffbffffffff0000000000000003",
+            ),
+            (
+                curve::fn_(),
+                FoldModulus::n(),
+                0xccd1_c8aa_ee00_bc4f,
+                "66e12d94f3d956202845b2392b6bec594699799c49bd6fa683244c95be79eea2",
+            ),
+        ] {
+            assert_eq!(ctx.m.0[0].wrapping_mul(ctx.n0), u64::MAX, "m·n0 ≡ -1");
+            assert_eq!(ctx.n0, n0);
+            assert_eq!(ctx.one, fold.r);
+            assert_eq!(ctx.r2, fold.sqr(&fold.r));
+            assert_eq!(ctx.r2, U256::from_hex(r2));
+        }
+    }
+
+    /// Checks every Montgomery operation on the pair `(a, b)` of plain
+    /// residues against the fold arithmetic.
+    fn check_pair(ctx: &Modulus, fold: &FoldModulus, a: &U256, b: &U256) {
+        let (am, bm) = (ctx.to_mont(a), ctx.to_mont(b));
+        assert_eq!(ctx.from_mont(&am), *a, "round trip");
+        if let (unreduced, false) = a.adc(&ctx.m) {
+            assert_eq!(ctx.to_mont(&unreduced), am, "a + m < 2^256 reduces to a");
+        }
+        assert_eq!(am, fold.mul(a, &fold.r), "to_mont is a·R");
+        assert_eq!(ctx.from_mont(&ctx.mul(&am, &bm)), fold.mul(a, b));
+        assert_eq!(ctx.mul(a, &bm), fold.mul(a, b), "plain × Montgomery");
+        assert_eq!(ctx.from_mont(&ctx.sqr(&am)), fold.sqr(a));
+        assert_eq!(ctx.from_mont(&ctx.add(&am, &bm)), fold.add(a, b));
+        assert_eq!(ctx.from_mont(&ctx.sub(&am, &bm)), fold.sub(a, b));
+        assert_eq!(ctx.add(a, b), fold.add(a, b));
+        assert_eq!(ctx.sub(a, b), fold.sub(a, b));
+        assert_eq!(ctx.neg(a), fold.sub(&U256::ZERO, a));
+    }
+
+    fn check_inv(ctx: &Modulus, fold: &FoldModulus, a: &U256) {
+        let am = ctx.to_mont(a);
+        let inv = ctx.inv(&am);
+        assert_eq!(ctx.from_mont(&inv), fold.inv(a));
+        let expected = if a.is_zero() { U256::ZERO } else { ctx.one };
+        assert_eq!(ctx.mul(&am, &inv), expected);
+    }
+
+    #[test]
+    fn montgomery_ops_match_fold_oracle() {
+        for (ctx, fold) in [
+            (curve::fp(), FoldModulus::p()),
+            (curve::fn_(), FoldModulus::n()),
+        ] {
+            let m = ctx.m;
+            let edges = [
+                U256::ZERO,
+                U256::ONE,
+                small(2),
+                m.sbb(&U256::ONE).0,
+                m.sbb(&small(2)).0,
+                U256([0, 0, 0, 1 << 63]),
+                fold.r,
+                fold.reduce(U256([u64::MAX; 4])),
+            ];
+            for a in &edges {
+                check_inv(ctx, &fold, a);
+                for b in &edges {
+                    check_pair(ctx, &fold, a, b);
+                }
+            }
+            let mut next = xorshift(0x9e37_79b9_7f4a_7c15 ^ m.0[0]);
+            for _ in 0..1000 {
+                let a = fold.reduce(U256([next(), next(), next(), next()]));
+                let b = fold.reduce(U256([next(), next(), next(), next()]));
+                check_pair(ctx, &fold, &a, &b);
+                check_inv(ctx, &fold, &a);
+            }
+        }
     }
 
     #[test]
     fn field_mul_matches_pow() {
         let fp = curve::fp();
-        let a = U256::from_hex("deadbeef");
-        let a2 = fp.mul(&a, &a);
-        let a2_pow = fp.pow(&a, &U256([2, 0, 0, 0]));
-        assert_eq!(a2, a2_pow);
+        let a = fp.to_mont(&U256::from_hex("deadbeef"));
+        assert_eq!(fp.mul(&a, &a), fp.pow(&a, &small(2)));
+        assert_eq!(fp.pow(&a, &U256::ZERO), fp.one);
+        assert_eq!(fp.pow(&a, &small(17)), {
+            let a16 = (0..4).fold(a, |x, _| fp.sqr(&x));
+            fp.mul(&a16, &a)
+        });
     }
 
     #[test]
     fn field_inverse() {
         let fp = curve::fp();
-        let a = U256::from_hex("123456789abcdef123456789abcdef");
+        let a = fp.to_mont(&U256::from_hex("123456789abcdef123456789abcdef"));
         let inv = fp.inv(&a);
-        assert_eq!(fp.mul(&a, &inv), U256::ONE);
+        assert_eq!(fp.from_mont(&fp.mul(&a, &inv)), U256::ONE);
     }
 
     #[test]
     fn order_inverse() {
         let fn_ = curve::fn_();
-        let a = U256::from_hex("abcdef0102030405");
-        assert_eq!(fn_.mul(&a, &fn_.inv(&a)), U256::ONE);
+        let a = fn_.to_mont(&U256::from_hex("abcdef0102030405"));
+        assert_eq!(fn_.from_mont(&fn_.mul(&a, &fn_.inv(&a))), U256::ONE);
     }
 
     #[test]
@@ -773,7 +1015,7 @@ mod tests {
         let b = g.add(&g2).to_affine(); // G + 2G
         assert_eq!(a, b);
         assert!(a.is_on_curve());
-        let c = g.mul_scalar(&U256([3, 0, 0, 0])).to_affine();
+        let c = g.mul_scalar(&small(3)).to_affine();
         assert_eq!(a, c);
     }
 
@@ -811,18 +1053,15 @@ mod tests {
 
     #[test]
     fn mul_base_matches_double_and_add() {
-        // Deterministic xorshift64 scalars: table path vs generic path.
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        // Deterministic xorshift64 scalars: table path and window path
+        // against the bit-serial oracle.
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         let g = AffinePoint::generator();
         for _ in 0..16 {
             let k = U256([next(), next(), next(), next()]);
-            assert_eq!(AffinePoint::mul_base(&k), g.mul_scalar(&k));
+            let expected = oracle::mul_scalar(&g, &k);
+            assert_eq!(AffinePoint::mul_base(&k), expected);
+            assert_eq!(g.mul_scalar(&k), expected);
         }
     }
 
@@ -832,7 +1071,7 @@ mod tests {
         assert_eq!(AffinePoint::mul_base(&U256::ZERO), AffinePoint::Infinity);
         assert_eq!(AffinePoint::mul_base(&U256::ONE), g);
         assert_eq!(
-            AffinePoint::mul_base(&U256([2, 0, 0, 0])),
+            AffinePoint::mul_base(&small(2)),
             g.to_jacobian().double().to_affine()
         );
         // n·G = ∞ through the table path too.
@@ -844,16 +1083,122 @@ mod tests {
         assert_eq!(AffinePoint::mul_base(&max), g.mul_scalar(&max));
     }
 
+    /// The scalars that stress a radix-16 window: the ends of the range and
+    /// of the group order, every single bit, and digit patterns that are all
+    /// additions, all skips, or alternate between them.
+    fn window_edge_scalars() -> Vec<U256> {
+        let n = curve::n();
+        let mut scalars = vec![
+            U256::ZERO,
+            U256::ONE,
+            small(2),
+            small(15),
+            small(16),
+            n.sbb(&U256::ONE).0,
+            n,
+            n.adc(&U256::ONE).0,
+            U256([u64::MAX; 4]),
+        ];
+        for word in [
+            0xf0f0_f0f0_f0f0_f0f0u64,
+            0x0f0f_0f0f_0f0f_0f0f,
+            0x1010_1010_1010_1010,
+            0x0101_0101_0101_0101,
+            0xffff_ffff_0000_0000,
+        ] {
+            scalars.push(U256([word; 4]));
+        }
+        for i in 0..256 {
+            let mut limbs = [0u64; 4];
+            limbs[i / 64] = 1 << (i % 64);
+            scalars.push(U256(limbs));
+        }
+        scalars
+    }
+
+    #[test]
+    fn windowed_paths_match_bit_serial_oracle() {
+        let g = AffinePoint::generator();
+        let mut next = xorshift(0x0123_4567_89ab_cdef);
+        let seeded = oracle::mul_scalar(&g, &U256([next(), next(), next(), next()]));
+        let scalars = window_edge_scalars();
+        for point in [g, oracle::mul_scalar(&g, &small(5)), seeded] {
+            assert!(point.is_on_curve());
+            for k in &scalars {
+                let expected = oracle::mul_scalar(&point, k);
+                assert_eq!(point.mul_scalar(k), expected, "k = {k:?}");
+                if point == g {
+                    assert_eq!(AffinePoint::mul_base(k), expected, "k = {k:?}");
+                }
+            }
+        }
+        for k in &scalars {
+            assert_eq!(AffinePoint::Infinity.mul_scalar(k), AffinePoint::Infinity);
+        }
+    }
+
+    /// The ECDSA verification sum `u1·G + u2·Q` where its final addition
+    /// meets equal operands, opposite operands and an infinite operand.
+    #[test]
+    fn verify_sum_edge_cases() {
+        let g = AffinePoint::generator();
+        let AffinePoint::Point { x: gx, y: gy } = g else {
+            panic!()
+        };
+        let neg_g = AffinePoint::Point {
+            x: gx,
+            y: curve::fp().neg(&gy),
+        };
+        let fold_n = FoldModulus::n();
+        let mut next = xorshift(0xfeed_f00d_dead_beef);
+        for _ in 0..8 {
+            let u = fold_n.reduce(U256([next(), next(), next(), next()]));
+            let v = fold_n.reduce(U256([next(), next(), next(), next()]));
+            // Q = G, u1 = u2: both halves are the same point (doubling).
+            assert_eq!(
+                g.mul_base_add(&u, &u),
+                oracle::mul_scalar(&g, &fold_n.add(&u, &u))
+            );
+            // Q = -G, u1 = u2: the halves cancel.
+            assert_eq!(neg_g.mul_base_add(&u, &u), AffinePoint::Infinity);
+            // Q = qG in general: u1·G + u2·Q = (u1 + u2·q)·G.
+            let q = fold_n.reduce(U256([next(), next(), next(), next()]));
+            let point = oracle::mul_scalar(&g, &q);
+            let sum = fold_n.add(&u, &fold_n.mul(&v, &q));
+            assert_eq!(point.mul_base_add(&u, &v), oracle::mul_scalar(&g, &sum));
+            // One half infinite.
+            assert_eq!(
+                point.mul_base_add(&U256::ZERO, &v),
+                oracle::mul_scalar(&point, &v)
+            );
+            assert_eq!(
+                point.mul_base_add(&u, &U256::ZERO),
+                oracle::mul_scalar(&g, &u)
+            );
+        }
+        assert_eq!(
+            g.mul_base_add(&U256::ZERO, &U256::ZERO),
+            AffinePoint::Infinity
+        );
+    }
+
+    #[test]
+    fn generator_table_stays_within_64_kib() {
+        let table = GeneratorTable::get();
+        assert_eq!(table.points.len(), 64 * 15);
+        assert!(std::mem::size_of_val(&table.points[..]) <= 64 << 10);
+    }
+
     #[test]
     fn add_affine_matches_general_add() {
         let g = AffinePoint::generator();
         let p = g.to_jacobian().double(); // 2G, z != 1
-        let q5 = g.mul_scalar(&U256([5, 0, 0, 0]));
-        let mixed = p.add_affine(&q5).to_affine();
+        let q5 = g.mul_scalar(&small(5));
+        let mixed = p.add_affine(&mont_affine(&q5)).to_affine();
         let general = p.add(&q5.to_jacobian()).to_affine();
         assert_eq!(mixed, general);
         // Doubling case: P + P with P affine.
-        let two_g = g.to_jacobian().add_affine(&g).to_affine();
+        let two_g = g.to_jacobian().add_affine(&mont_affine(&g)).to_affine();
         assert_eq!(two_g, g.to_jacobian().double().to_affine());
         // Inverse case: 2G + (-2G) = ∞.
         let AffinePoint::Point { x, y } = p.to_affine() else {
@@ -863,18 +1208,19 @@ mod tests {
             x,
             y: curve::fp().neg(&y),
         };
-        assert!(p.add_affine(&neg).is_infinity());
-        // Infinity operands.
-        assert_eq!(JacobianPoint::infinity().add_affine(&q5).to_affine(), q5);
+        assert!(p.add_affine(&mont_affine(&neg)).is_infinity());
+        // Infinite accumulator.
         assert_eq!(
-            p.add_affine(&AffinePoint::Infinity).to_affine(),
-            p.to_affine()
+            JacobianPoint::infinity()
+                .add_affine(&mont_affine(&q5))
+                .to_affine(),
+            q5
         );
     }
 
     #[test]
     fn point_encoding_roundtrip() {
-        let g5 = AffinePoint::generator().mul_scalar(&U256([5, 0, 0, 0]));
+        let g5 = AffinePoint::generator().mul_scalar(&small(5));
         let bytes = g5.to_bytes();
         let decoded = AffinePoint::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, g5);

@@ -1,15 +1,19 @@
 //! Known-answer tests for the cryptographic primitives, against published
 //! vectors: FIPS 197 (AES), the NIST GCM reference vectors, RFC 4493
 //! (AES-CMAC), FIPS 180-4 / NIST examples (SHA-256) and RFC 4231
-//! (HMAC-SHA256). The SP 800-108 CMAC-mode KDF (the paper's SGX-style
+//! (HMAC-SHA256), RFC 5903 (P-256 ECDH) and RFC 6979 (deterministic
+//! ECDSA). The SP 800-108 CMAC-mode KDF (the paper's SGX-style
 //! derivation) is checked structurally against the KAT-verified CMAC.
 
 use watz_crypto::aes::Aes;
 use watz_crypto::cmac::{aes_cmac, AesCmac};
+use watz_crypto::ecdh::EphemeralKeyPair;
+use watz_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
 use watz_crypto::hmac::hmac_sha256;
 use watz_crypto::kdf::{derive_kdk, derive_key, derive_session_keys};
+use watz_crypto::p256::{curve, AffinePoint, U256};
 use watz_crypto::sha256::Sha256;
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -273,4 +277,142 @@ fn kdf_session_keys_are_pinned() {
     let keys = derive_session_keys(&secret);
     assert_eq!(keys.km, unhex16("89eeccc2b0a8bcc83384889431ea318f"));
     assert_eq!(keys.ke, unhex16("728c9c3e4c48b1890f3d6a8bce1a865e"));
+}
+
+// ---------------------------------------------------------------------------
+// P-256 ECDH (RFC 5903 section 8.1) and ECDSA (RFC 6979 appendix A.2.5)
+// ---------------------------------------------------------------------------
+
+fn point(x: &str, y: &str) -> AffinePoint {
+    AffinePoint::Point {
+        x: U256::from_hex(x),
+        y: U256::from_hex(y),
+    }
+}
+
+#[test]
+fn ecdh_rfc5903_256_bit_random_ecp_group() {
+    let i = U256::from_hex("c88f01f510d9ac3f70a292daa2316de544e9aab8afe84049c62a9c57862d1433");
+    let r = U256::from_hex("c6ef9c5d78ae012a011164acb397ce2088685d8f06bf9be0b283ab46476bee53");
+    let gi = point(
+        "dad0b65394221cf9b051e1feca5787d098dfe637fc90b9ef945d0c3772581180",
+        "5271a0461cdb8252d61f1c456fa3e59ab1f45b33accf5f58389e0577b8990bb3",
+    );
+    let gr = point(
+        "d12dfb5289c8d4f81208b70270398c342296970a0bccb74c736fc7554494bf63",
+        "56fbf3ca366cc23e8157854c13c58d6aac23f046ada30f8353e74f33039872ab",
+    );
+    let shared = point(
+        "d6840f6b42f6edafd13116e0e12565202fef8e9ece7dce03812464d04b9442de",
+        "522bde0af0d8585b8def9c183b5ae38f50235206a8674ecb5d98edb20eb153a2",
+    );
+    assert_eq!(AffinePoint::mul_base(&i), gi);
+    assert_eq!(AffinePoint::mul_base(&r), gr);
+    // Each side decodes the other's wire encoding, as `diffie_hellman` does.
+    let from_wire = |p: &AffinePoint| AffinePoint::from_bytes(&p.to_bytes()).unwrap();
+    assert_eq!(from_wire(&gr).mul_scalar(&i), shared);
+    assert_eq!(from_wire(&gi).mul_scalar(&r), shared);
+}
+
+#[test]
+fn ecdh_rejects_off_curve_and_out_of_range_peer_keys() {
+    let local = EphemeralKeyPair::generate(&mut Fortuna::from_seed(b"kat ecdh"));
+    let invalid = Err(watz_crypto::CryptoError::InvalidPoint);
+
+    let mut off_curve = AffinePoint::generator().to_bytes();
+    off_curve[40] ^= 0x10;
+    assert_eq!(local.diffie_hellman(&off_curve), invalid);
+
+    // (0, sqrt(b)) is on the curve; x = p names the same residue and must be
+    // refused by the range check, not reduced into it.
+    let fp = curve::fp();
+    let (p_plus_1, _) = curve::p().adc(&U256::ONE);
+    let exp = U256([
+        p_plus_1.0[0] >> 2 | p_plus_1.0[1] << 62,
+        p_plus_1.0[1] >> 2 | p_plus_1.0[2] << 62,
+        p_plus_1.0[2] >> 2 | p_plus_1.0[3] << 62,
+        p_plus_1.0[3] >> 2,
+    ]);
+    let y = fp.from_mont(&fp.pow(&fp.to_mont(&curve::b()), &exp));
+    let mut peer = [0u8; 64];
+    peer[32..].copy_from_slice(&y.to_be_bytes());
+    assert!(
+        local.diffie_hellman(&peer).is_ok(),
+        "x = 0 is a valid point"
+    );
+    peer[..32].copy_from_slice(&curve::p().to_be_bytes());
+    assert_eq!(local.diffie_hellman(&peer), invalid);
+
+    let mut peer = AffinePoint::generator().to_bytes();
+    peer[32..].copy_from_slice(&[0xff; 32]);
+    assert_eq!(local.diffie_hellman(&peer), invalid);
+}
+
+/// Signs `message` with the RFC 6979 A.2.5 key, checks `(r, s)` and that
+/// `r` is the x-coordinate of `k·G`, then that verification accepts the
+/// signature and rejects it with any one of 160 single-bit changes.
+fn check_rfc6979(message: &[u8], k: &str, r: &str, s: &str) {
+    let key = SigningKey::from_scalar(U256::from_hex(
+        "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721",
+    ))
+    .unwrap();
+    let public = key.verifying_key().to_bytes();
+    assert_eq!(
+        public.to_vec(),
+        unhex(
+            "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6\
+             7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299"
+        )
+    );
+    let digest = Sha256::digest(message);
+    let sig = key.sign_deterministic(&digest);
+    assert_eq!(sig.r, U256::from_hex(r));
+    assert_eq!(sig.s, U256::from_hex(s));
+    let AffinePoint::Point { x, .. } = AffinePoint::mul_base(&U256::from_hex(k)) else {
+        panic!("k·G is finite")
+    };
+    assert_eq!(x, sig.r, "here x(k·G) < n, so r is x itself");
+
+    let verify = |public: &[u8; 64], digest: &[u8; 32], sig: &[u8; 64]| match (
+        VerifyingKey::from_bytes(public),
+        Signature::from_bytes(sig),
+    ) {
+        (Ok(key), Ok(sig)) => key.verify(digest, &sig),
+        _ => false,
+    };
+    let sig = sig.to_bytes();
+    assert!(verify(&public, &digest, &sig));
+    for byte in 0..64 {
+        let bit = 1 << (byte % 8);
+        let (mut bad_sig, mut bad_public) = (sig, public);
+        bad_sig[byte] ^= bit;
+        bad_public[byte] ^= bit;
+        assert!(!verify(&public, &digest, &bad_sig), "r||s byte {byte}");
+        assert!(!verify(&bad_public, &digest, &sig), "public byte {byte}");
+    }
+    for byte in 0..32 {
+        let mut bad_digest = digest;
+        bad_digest[byte] ^= 1 << (byte % 8);
+        assert!(!verify(&public, &bad_digest, &sig), "digest byte {byte}");
+    }
+}
+
+#[test]
+fn ecdsa_rfc6979_p256_sha256_sample() {
+    check_rfc6979(
+        b"sample",
+        "a6e3c57dd01abe90086538398355dd4c3b17aa873382b0f24d6129493d8aad60",
+        "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716",
+        "f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8",
+    );
+}
+
+#[test]
+fn ecdsa_rfc6979_p256_sha256_test() {
+    check_rfc6979(
+        b"test",
+        "d16b6ae827f17175e040871a1c7ec3500192c4c92677336ec2537acaee0008e0",
+        "f1abb023518351cd71d881567b1ea663ed3efcf6c5132b354f28d3b0b7d38367",
+        "019f4113742a2b14bd25926b49c649155f267e60d3814b4c0cc84250e46f0083",
+    );
 }

@@ -270,6 +270,10 @@ impl FleetStats {
 /// The four phases itemize verifier-side session latency the same way
 /// the engine's `ExecProfile` itemizes kernel time: where a session's
 /// wall clock actually went between accept and the final verdict.
+///
+/// A verifier's store is a sliding window: [`PhaseStats::merge`] keeps the
+/// most recent [`PHASE_WINDOW`] to `2 * PHASE_WINDOW` samples per phase, so
+/// a long-lived verifier's memory does not grow with the sessions served.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
     /// Accept (admission to a worker) → `msg0` arrival.
@@ -295,12 +299,13 @@ impl PhaseStats {
             && self.msg2_to_msg3.is_empty()
     }
 
-    /// Merges another snapshot into this one (shard/worker aggregation).
+    /// Merges another snapshot into this one (shard/worker aggregation),
+    /// dropping the oldest samples beyond the window.
     pub fn merge(&mut self, other: &PhaseStats) {
-        self.accept_to_msg0.extend_from_slice(&other.accept_to_msg0);
-        self.msg0_to_msg1.extend_from_slice(&other.msg0_to_msg1);
-        self.msg1_to_msg2.extend_from_slice(&other.msg1_to_msg2);
-        self.msg2_to_msg3.extend_from_slice(&other.msg2_to_msg3);
+        push_recent(&mut self.accept_to_msg0, &other.accept_to_msg0);
+        push_recent(&mut self.msg0_to_msg1, &other.msg0_to_msg1);
+        push_recent(&mut self.msg1_to_msg2, &other.msg1_to_msg2);
+        push_recent(&mut self.msg2_to_msg3, &other.msg2_to_msg3);
     }
 
     /// `(name, samples)` pairs in handshake order, for reporting.
@@ -313,6 +318,22 @@ impl PhaseStats {
             ("msg2→msg3", &self.msg2_to_msg3),
         ]
     }
+}
+
+/// Samples per phase a merged [`PhaseStats`] always retains (it holds up to
+/// twice as many, so trimming is amortized over a window's worth of merges).
+pub const PHASE_WINDOW: usize = 2048;
+
+/// Appends `src` to `dst`; once they would exceed `2 * PHASE_WINDOW`, only
+/// the most recent `PHASE_WINDOW` of the two together are kept. Trimming
+/// before the append means `dst` never holds more than the bound, even
+/// transiently.
+fn push_recent(dst: &mut Vec<u64>, src: &[u64]) {
+    let src = &src[src.len().saturating_sub(PHASE_WINDOW)..];
+    if dst.len() + src.len() > 2 * PHASE_WINDOW {
+        dst.drain(..dst.len() + src.len() - PHASE_WINDOW);
+    }
+    dst.extend_from_slice(src);
 }
 
 /// p50/p95/p99 of unsorted microsecond samples; `None` when empty.
@@ -1084,6 +1105,32 @@ mod tests {
             names,
             ["accept→msg0", "msg0→msg1", "msg1→msg2", "msg2→msg3"]
         );
+    }
+
+    #[test]
+    fn phase_stats_merge_keeps_a_bounded_recent_window() {
+        let mut store = PhaseStats::default();
+        let mut next = 0u64;
+        // Sweep-sized merges, then one snapshot larger than the window.
+        for batch in [1usize, 3, 48]
+            .iter()
+            .cycle()
+            .take(3000)
+            .copied()
+            .chain([5000])
+        {
+            let mut sweep = PhaseStats::default();
+            sweep.msg0_to_msg1.extend(next..next + batch as u64);
+            next += batch as u64;
+            store.merge(&sweep);
+            let kept = &store.msg0_to_msg1;
+            assert!(kept.len() <= 2 * PHASE_WINDOW);
+            assert!(kept.len() >= (next as usize).min(PHASE_WINDOW));
+            // The newest samples, contiguous and in arrival order.
+            let first = next - kept.len() as u64;
+            assert!(kept.iter().copied().eq(first..next));
+        }
+        assert!(store.accept_to_msg0.is_empty());
     }
 
     #[test]
