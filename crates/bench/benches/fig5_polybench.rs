@@ -1,9 +1,9 @@
 //! Fig 5: PolyBench/C, normalized against native execution in the REE.
 //! Paper: Wasm ~1.34x native on average; TEE ~= REE for both native and
 //! Wasm (TrustZone adds no compute slowdown). The Wasm columns run
-//! `ExecMode::Aot` — the flattened pre-resolved engine (`watz_wasm::flat`),
-//! the portable stand-in for WAMR's AOT mode. Our Wasm/native ratio is
-//! larger than the paper's (no native codegen) — see EXPERIMENTS.md.
+//! `ExecMode::Aot` — the register engine (`watz_wasm::reg`), the portable
+//! stand-in for WAMR's AOT mode. Our Wasm/native ratio is larger than the
+//! paper's (no native codegen) — see EXPERIMENTS.md.
 
 use std::time::Instant;
 use watz_bench::{header, reps, scale};
@@ -14,7 +14,7 @@ use workloads::polybench;
 fn main() {
     header(
         "Fig 5: PolyBench/C normalized run time",
-        "Wasm ~1.34x native; TEE ~ REE (wasm mode: flat AOT engine)",
+        "Wasm ~1.34x native; TEE ~ REE (wasm mode: register engine)",
     );
     let n = scale(24);
     let r = reps(3);
@@ -73,5 +73,5 @@ fn main() {
         );
     }
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    println!("  geomean-ish average Wasm-TEE slowdown: {mean:.2}x (paper: 1.34x with native AOT; wasm mode: flat engine)");
+    println!("  geomean-ish average Wasm-TEE slowdown: {mean:.2}x (paper: 1.34x with native AOT; wasm mode: register engine)");
 }

@@ -11,14 +11,15 @@
 //!
 //! Guest-MIPS columns pair the committed per-kernel times (recorded once,
 //! with a `host` block naming the machine) with live retired-instruction
-//! counts; instret parity across all four engine rungs is asserted while
-//! generating, so the report doubles as a correctness check.
+//! counts; instret parity between the tree oracle and the register engine
+//! (unfused and fused) is asserted while generating, so the report doubles
+//! as a correctness check.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
-use watz_wasm::{ExecProfile, ProfileMode};
+use watz_wasm::{EngineConfig, ExecProfile, ProfileMode};
 
 // --- Minimal JSON reader (the harness has no serde; the BENCH files ---
 // --- are flat arrays of objects with string/number/array fields).   ---
@@ -256,39 +257,32 @@ fn parse_json(text: &str) -> Result<Json, String> {
 
 // --- Live engine profiling -------------------------------------------
 
-const RUNGS: [(&str, ExecMode, bool, bool); 4] = [
-    ("tree", ExecMode::Interpreted, false, false),
-    ("unfused", ExecMode::Aot, false, false),
-    ("fused", ExecMode::Aot, true, false),
-    ("register", ExecMode::Aot, true, true),
+/// `(label, mode, fuse)`: the oracle, then the register engine without
+/// and with superinstruction fusion.
+const RUNGS: [(&str, ExecMode, bool); 3] = [
+    ("tree", ExecMode::Interpreted, true),
+    ("register-unfused", ExecMode::Aot, false),
+    ("register", ExecMode::Aot, true),
 ];
 
 /// Runs `kernel(n)` with counting enabled on one rung.
-fn profile_rung(
-    module: &watz_wasm::Module,
-    mode: ExecMode,
-    fuse: bool,
-    reg: bool,
-    n: i32,
-) -> ExecProfile {
-    let mut inst = Instance::instantiate_with_profile(
-        module,
-        mode,
+fn profile_rung(module: &watz_wasm::Module, mode: ExecMode, fuse: bool, n: i32) -> ExecProfile {
+    let config = EngineConfig {
         fuse,
-        reg,
-        ProfileMode::Count,
-        &mut NoHost,
-    )
-    .expect("kernel instantiates");
+        profile: ProfileMode::Count,
+        ..EngineConfig::default()
+    };
+    let mut inst =
+        Instance::instantiate_with(module, mode, config, &mut NoHost).expect("kernel instantiates");
     inst.invoke(&mut NoHost, "kernel", &[Value::I32(n)])
         .expect("kernel runs");
     *inst.profile().expect("counting profile exists")
 }
 
-/// Profiles one kernel on all four rungs and asserts instret parity —
+/// Profiles one kernel on all three rungs and asserts instret parity —
 /// the report generator doubles as a correctness check.
-fn profile_ladder(name: &str, module: &watz_wasm::Module, n: i32) -> [ExecProfile; 4] {
-    let profiles = RUNGS.map(|(_, mode, fuse, reg)| profile_rung(module, mode, fuse, reg, n));
+fn profile_rungs(name: &str, module: &watz_wasm::Module, n: i32) -> [ExecProfile; 3] {
+    let profiles = RUNGS.map(|(_, mode, fuse)| profile_rung(module, mode, fuse, n));
     for ((label, ..), p) in RUNGS.iter().zip(&profiles) {
         assert_eq!(
             p.instret, profiles[0].instret,
@@ -378,19 +372,17 @@ fn parse_time(token: &str) -> Option<f64> {
 }
 
 /// Per-kernel absolute times from a `WATZ_SMOKE_SWEEP` report line:
-/// `<kernel> unfused <t> fused <t> reg <t> fuse <x> reg <x>`.
-fn parse_sweep_line(line: &str) -> Option<(String, [f64; 3])> {
+/// `<kernel> reg-unfused <t> reg <t> fuse <x>`. Sweeps recorded while the
+/// stack-form rungs existed (`<kernel> unfused <t> fused <t> reg <t> …`)
+/// do not match and are skipped.
+fn parse_sweep_line(line: &str) -> Option<(String, [f64; 2])> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() < 7 || tokens.get(1) != Some(&"unfused") {
+    if tokens.len() < 5 || tokens.get(1) != Some(&"reg-unfused") {
         return None;
     }
     Some((
         tokens[0].to_string(),
-        [
-            parse_time(tokens[2])?,
-            parse_time(tokens[4])?,
-            parse_time(tokens[6])?,
-        ],
+        [parse_time(tokens[2])?, parse_time(tokens[4])?],
     ))
 }
 
@@ -515,53 +507,53 @@ fn main() {
         .unwrap();
     }
 
-    // --- Live per-kernel ladder profile (deterministic counts). ---
-    writeln!(w, "\n## Engine ladder: guest-instruction accounting").unwrap();
+    // --- Live per-kernel, per-rung profile (deterministic counts). ---
+    writeln!(w, "\n## Engines: guest-instruction accounting").unwrap();
     writeln!(w).unwrap();
     writeln!(
         w,
         "Live counters over the PolyBench suite at n={PROFILE_N}, `WATZ_PROFILE`-style\n\
          counting on every rung. **instret** (retired guest instructions) is asserted\n\
-         identical across tree/unfused/fused/register while generating this table —\n\
-         the ladder optimizes host dispatches per guest instruction, never the guest\n\
-         instruction stream itself. `ops/instr` is host dispatches divided by instret."
+         identical across the tree oracle and the register engine, unfused and fused,\n\
+         while generating this table — lowering optimizes host dispatches per guest\n\
+         instruction, never the guest instruction stream itself. `ops/instr` is host\n\
+         dispatches divided by instret."
     )
     .unwrap();
     writeln!(w).unwrap();
     writeln!(
         w,
-        "| kernel | instret | loads | stores | backedges | tree ops/instr | unfused | fused | register |"
+        "| kernel | instret | loads | stores | backedges | tree ops/instr | register-unfused | register |"
     )
     .unwrap();
-    writeln!(w, "|---|---|---|---|---|---|---|---|---|").unwrap();
+    writeln!(w, "|---|---|---|---|---|---|---|---|").unwrap();
 
     let suite: Vec<_> = workloads::polybench::suite().into_iter().collect();
-    let mut ladder_profiles = Vec::new();
+    let mut rung_profiles = Vec::new();
     for kernel in &suite {
         let wasm = minic::compile(kernel.minic).expect("kernel compiles");
         let module = watz_wasm::load(&wasm).expect("kernel loads");
-        let profiles = profile_ladder(kernel.name, &module, PROFILE_N);
+        let profiles = profile_rungs(kernel.name, &module, PROFILE_N);
         let p0 = &profiles[0];
         writeln!(
             w,
-            "| {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            "| {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.2} |",
             kernel.name,
             p0.instret,
             p0.loads(),
             p0.stores(),
-            profiles[3].backedges,
+            profiles[2].backedges,
             profiles[0].ops_per_instr(),
             profiles[1].ops_per_instr(),
             profiles[2].ops_per_instr(),
-            profiles[3].ops_per_instr(),
         )
         .unwrap();
-        ladder_profiles.push(profiles);
+        rung_profiles.push(profiles);
     }
     let dispatch_compression = geomean(
-        ladder_profiles
+        rung_profiles
             .iter()
-            .map(|p| p[0].ops_per_instr() / p[3].ops_per_instr()),
+            .map(|p| p[0].ops_per_instr() / p[2].ops_per_instr()),
     );
     writeln!(w).unwrap();
     writeln!(
@@ -584,11 +576,13 @@ fn main() {
          elision, and the independent IR verifier all on (the `WATZ_VERIFY_IR=1`\n\
          configuration). **proven** is memory accesses the interval/subsumption\n\
          analysis discharged; **elided** is proven accesses actually rewritten to\n\
-         check-free opcodes (flat + register forms counted separately);\n\
-         **obligations** is check-free opcodes whose proof the verifier re-derived\n\
-         from scratch before accepting the code. Counts are exact properties of the\n\
-         kernels, so this table is machine-independent and drift-gated like the rest\n\
-         of the report."
+         check-free opcodes; **obligations** is check-free opcodes whose proof the\n\
+         verifier re-derived from scratch before accepting the code. The analysis\n\
+         runs over the register form only — the one form that executes — so the\n\
+         access, proven and elided columns count register-form sites (922 accesses,\n\
+         120 proven and 46 elided while the stack-form flat code was analysed as\n\
+         well). Counts are exact properties of the kernels, so this table is\n\
+         machine-independent and drift-gated like the rest of the report."
     )
     .unwrap();
     writeln!(w).unwrap();
@@ -604,16 +598,12 @@ fn main() {
     for kernel in &suite {
         let wasm = minic::compile(kernel.minic).expect("kernel compiles");
         let module = watz_wasm::load(&wasm).expect("kernel loads");
-        let inst = Instance::instantiate_with_analysis(
-            &module,
-            ExecMode::Aot,
-            true,
-            true,
-            true,
-            true,
-            &mut NoHost,
-        )
-        .unwrap_or_else(|e| panic!("IR verifier rejected {}: {e}", kernel.name));
+        let config = EngineConfig {
+            verify: true,
+            ..EngineConfig::default()
+        };
+        let inst = Instance::instantiate_with(&module, ExecMode::Aot, config, &mut NoHost)
+            .unwrap_or_else(|e| panic!("IR verifier rejected {}: {e}", kernel.name));
         let a = inst.range_stats().expect("analysis ran");
         let v = inst.verify_stats().expect("verification ran");
         writeln!(
@@ -669,7 +659,7 @@ fn main() {
             }
         });
         if let Some((entry, times)) = sweep {
-            writeln!(w, "\n## Engine ladder: time and guest MIPS (n={SWEEP_N})").unwrap();
+            writeln!(w, "\n## Register engine: time and guest MIPS (n={SWEEP_N})").unwrap();
             writeln!(w).unwrap();
             writeln!(
                 w,
@@ -691,30 +681,28 @@ fn main() {
             writeln!(w).unwrap();
             writeln!(
                 w,
-                "| kernel | instret | unfused | fused | register | unfused MIPS | fused MIPS | register MIPS |"
+                "| kernel | instret | register-unfused | register | register-unfused MIPS | register MIPS |"
             )
             .unwrap();
-            writeln!(w, "|---|---|---|---|---|---|---|---|").unwrap();
-            for (name, [t_unfused, t_fused, t_reg]) in &times {
+            writeln!(w, "|---|---|---|---|---|---|").unwrap();
+            for (name, [t_unfused, t_reg]) in &times {
                 let Some(kernel) = suite.iter().find(|k| k.name == name) else {
                     continue;
                 };
                 let wasm = minic::compile(kernel.minic).expect("kernel compiles");
                 let module = watz_wasm::load(&wasm).expect("kernel loads");
                 // Counts are rung-independent (parity asserted above), so
-                // one counted register-engine run prices all three rungs.
-                let p = profile_rung(&module, ExecMode::Aot, true, true, SWEEP_N);
+                // one counted run prices both columns.
+                let p = profile_rung(&module, ExecMode::Aot, true, SWEEP_N);
                 let mips = |t: f64| p.instret as f64 / t / 1e6;
                 writeln!(
                     w,
-                    "| {} | {} | {} | {} | {} | {:.0} | {:.0} | {:.0} |",
+                    "| {} | {} | {} | {} | {:.0} | {:.0} |",
                     name,
                     p.instret,
                     fmt_secs(*t_unfused),
-                    fmt_secs(*t_fused),
                     fmt_secs(*t_reg),
                     mips(*t_unfused),
-                    mips(*t_fused),
                     mips(*t_reg),
                 )
                 .unwrap();

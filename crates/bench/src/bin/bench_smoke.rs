@@ -1,20 +1,20 @@
 //! `bench-smoke`: a seconds-scale hot-path regression gate for CI.
 //!
-//! Runs one PolyBench kernel through the execution-engine ladder — tree
-//! interpreter, unfused flat, fused flat, and the register engine — one
+//! Runs one PolyBench kernel through the tree interpreter and the register
+//! engine (unfused and fused), one
 //! scalar multiplication through both P-256 paths (generator table and
 //! 4-bit window) with the field inversion they share, AES-GCM
 //! against SHA-256 over the same MiB, and one fleet worker-scaling round
 //! (1 vs 4 verifier workers), then asserts the optimised paths actually
-//! win by a comfortable margin. A regression in the flat engine, the
-//! fusion pass, the register pass, the fixed-base table, the GCM tables or
+//! win by a comfortable margin. A regression in the register engine, the
+//! fusion pass, the fixed-base table, the GCM tables or
 //! the fleet scheduler fails the build loudly, without waiting for the
 //! minutes-scale full bench suite.
 //!
 //! Set `WATZ_SMOKE_SWEEP=1` to additionally sweep the whole PolyBench
-//! suite across unfused/fused/register engines and print the per-kernel
-//! ratios plus their geomeans (used to record the optimisation
-//! trajectory in `BENCH_fig5_polybench.json`).
+//! suite across the unfused and fused register engine and print the
+//! per-kernel times plus the geomean fusion ratio (used to record the
+//! optimisation trajectory in `BENCH_fig5_polybench.json`).
 
 use std::time::{Duration, Instant};
 
@@ -25,7 +25,7 @@ use watz_crypto::p256::{curve, AffinePoint, U256};
 use watz_crypto::sha256::Sha256;
 use watz_fleet::{FleetSim, FleetSimConfig, FleetStats};
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
-use watz_wasm::ProfileMode;
+use watz_wasm::{EngineConfig, ProfileMode};
 
 fn median(reps: usize, mut f: impl FnMut()) -> Duration {
     let mut samples: Vec<Duration> = (0..reps)
@@ -39,11 +39,17 @@ fn median(reps: usize, mut f: impl FnMut()) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// Instantiates on the flat engine with fusion and the register pass
-/// explicitly on/off.
-fn engine(module: &watz_wasm::Module, fuse: bool, reg: bool) -> Instance {
-    Instance::instantiate_with_engine(module, ExecMode::Aot, fuse, reg, &mut NoHost)
-        .expect("kernel instantiates")
+/// Instantiates `module` under an explicit engine configuration.
+fn engine(module: &watz_wasm::Module, mode: ExecMode, config: EngineConfig) -> Instance {
+    Instance::instantiate_with(module, mode, config, &mut NoHost).expect("kernel instantiates")
+}
+
+/// The production configuration with the fusion pass on or off.
+fn fusion(fuse: bool) -> EngineConfig {
+    EngineConfig {
+        fuse,
+        ..EngineConfig::default()
+    }
 }
 
 fn time_kernel(inst: &mut Instance, n: i32, reps: usize) -> Duration {
@@ -61,20 +67,16 @@ fn time_kernel(inst: &mut Instance, n: i32, reps: usize) -> Duration {
 fn dump_exec_profiles(module: &watz_wasm::Module, n: i32) {
     eprintln!("--- per-rung execution profiles for the failed gate (n={n}) ---");
     let rungs = [
-        ("tree", ExecMode::Interpreted, false, false),
-        ("unfused", ExecMode::Aot, false, false),
-        ("fused", ExecMode::Aot, true, false),
-        ("register", ExecMode::Aot, true, true),
+        ("tree", ExecMode::Interpreted, true),
+        ("register-unfused", ExecMode::Aot, false),
+        ("register", ExecMode::Aot, true),
     ];
-    for (label, mode, fuse, reg) in rungs {
-        let Ok(mut inst) = Instance::instantiate_with_profile(
-            module,
-            mode,
-            fuse,
-            reg,
-            ProfileMode::Count,
-            &mut NoHost,
-        ) else {
+    for (label, mode, fuse) in rungs {
+        let config = EngineConfig {
+            profile: ProfileMode::Count,
+            ..fusion(fuse)
+        };
+        let Ok(mut inst) = Instance::instantiate_with(module, mode, config, &mut NoHost) else {
             eprintln!("  {label}: failed to instantiate");
             continue;
         };
@@ -113,113 +115,86 @@ fn sweep_suite() {
     // is comparable with `BENCH_fig5_polybench.json`.
     let n = watz_bench::scale(24) as i32;
     let r = watz_bench::reps(7);
-    println!("=== unfused vs fused vs register flat engine, full PolyBench suite (n={n}) ===");
+    println!("=== unfused vs fused register engine, full PolyBench suite (n={n}) ===");
     let mut log_fuse = 0.0f64;
-    let mut log_reg = 0.0f64;
     let mut count = 0usize;
     for kernel in workloads::polybench::suite() {
         let wasm = minic::compile(kernel.minic).expect("kernel compiles");
         let module = watz_wasm::load(&wasm).expect("kernel loads");
-        let mut unfused = engine(&module, false, false);
-        let mut fused = engine(&module, true, false);
-        let mut reg = engine(&module, true, true);
+        let mut unfused = engine(&module, ExecMode::Aot, fusion(false));
+        let mut reg = engine(&module, ExecMode::Aot, fusion(true));
         let args = [Value::I32(n)];
         let out_unfused = unfused.invoke(&mut NoHost, "kernel", &args).unwrap();
-        let out_fused = fused.invoke(&mut NoHost, "kernel", &args).unwrap();
         let out_reg = reg.invoke(&mut NoHost, "kernel", &args).unwrap();
         assert_eq!(
-            out_fused, out_unfused,
+            out_reg, out_unfused,
             "fusion changes {} results",
             kernel.name
         );
-        assert_eq!(
-            out_reg, out_fused,
-            "register engine changes {} results",
-            kernel.name
-        );
         assert!(
-            reg.reg_stats().is_some(),
+            reg.reg_stats().is_some() && unfused.reg_stats().is_some(),
             "register pass fell back on {}",
             kernel.name
         );
         let t_unfused = time_kernel(&mut unfused, n, r);
-        let t_fused = time_kernel(&mut fused, n, r);
         let t_reg = time_kernel(&mut reg, n, r);
-        let fuse_ratio = t_unfused.as_secs_f64() / t_fused.as_secs_f64();
-        let reg_ratio = t_fused.as_secs_f64() / t_reg.as_secs_f64();
+        let fuse_ratio = t_unfused.as_secs_f64() / t_reg.as_secs_f64();
         log_fuse += fuse_ratio.ln();
-        log_reg += reg_ratio.ln();
         count += 1;
         println!(
-            "  {:<18} unfused {:>10.2?}  fused {:>10.2?}  reg {:>10.2?}  fuse {fuse_ratio:.2}x  reg {reg_ratio:.2}x",
-            kernel.name, t_unfused, t_fused, t_reg
+            "  {:<18} reg-unfused {:>10.2?}  reg {:>10.2?}  fuse {fuse_ratio:.2}x",
+            kernel.name, t_unfused, t_reg
         );
     }
     let geo_fuse = (log_fuse / count as f64).exp();
-    let geo_reg = (log_reg / count as f64).exp();
-    println!("  geomean over {count} kernels: fusion {geo_fuse:.2}x, register {geo_reg:.2}x");
+    println!("  geomean over {count} kernels: fusion {geo_fuse:.2}x");
 }
 
 fn main() {
     println!("{}", watz_bench::host_info());
 
-    // --- Wasm: one mid-size kernel across the whole engine ladder. ---
+    // --- Wasm: one mid-size kernel on the oracle and the register engine. ---
     let kernel = workloads::polybench::by_name("gemm").expect("gemm in suite");
     let wasm = minic::compile(kernel.minic).expect("kernel compiles");
     let module = watz_wasm::load(&wasm).expect("kernel loads");
     let n = 16i32;
 
-    let mut reg = engine(&module, true, true);
-    let mut flat = engine(&module, true, false);
-    let mut unfused = engine(&module, false, false);
-    let mut tree = Instance::instantiate(&module, ExecMode::Interpreted, &mut NoHost).unwrap();
+    let mut reg = engine(&module, ExecMode::Aot, fusion(true));
+    let mut unfused = engine(&module, ExecMode::Aot, fusion(false));
+    let mut tree = engine(&module, ExecMode::Interpreted, EngineConfig::default());
     let args = [Value::I32(n)];
     let out_reg = reg.invoke(&mut NoHost, "kernel", &args).unwrap();
-    let out_flat = flat.invoke(&mut NoHost, "kernel", &args).unwrap();
     let out_unfused = unfused.invoke(&mut NoHost, "kernel", &args).unwrap();
     let out_tree = tree.invoke(&mut NoHost, "kernel", &args).unwrap();
-    assert_eq!(out_flat, out_tree, "engines disagree on gemm({n})");
-    assert_eq!(out_flat, out_unfused, "fusion changes gemm({n}) results");
-    assert_eq!(
-        out_reg, out_flat,
-        "register engine changes gemm({n}) results"
-    );
-    let stats = flat.fusion_stats().expect("flat instance reports stats");
+    assert_eq!(out_reg, out_tree, "engines disagree on gemm({n})");
+    assert_eq!(out_reg, out_unfused, "fusion changes gemm({n}) results");
+    let stats = reg.fusion_stats().expect("Aot instance reports stats");
     assert!(stats.total() > 0, "fusion emitted nothing for gemm");
     assert_eq!(
         unfused.fusion_stats().map(|s| s.total()),
         Some(0),
         "unfused instance must not fuse"
     );
-    let rstats = reg.reg_stats().expect("register instance reports stats");
-    for (name, count) in rstats.counts() {
-        assert!(count > 0, "register counter '{name}' is zero for gemm");
+    for inst in [&reg, &unfused] {
+        let rstats = inst.reg_stats().expect("register instance reports stats");
+        for (name, count) in rstats.counts() {
+            assert!(count > 0, "register counter '{name}' is zero for gemm");
+        }
     }
-    assert!(
-        flat.reg_stats().is_none(),
-        "stack-form instance must not report register stats"
-    );
+    let rstats = reg.reg_stats().expect("register instance reports stats");
 
     let t_reg = time_kernel(&mut reg, n, 5);
-    let t_flat = time_kernel(&mut flat, n, 5);
     let t_unfused = time_kernel(&mut unfused, n, 5);
-    let t_tree = median(5, || {
-        std::hint::black_box(
-            tree.invoke(&mut NoHost, "kernel", &[Value::I32(n)])
-                .unwrap(),
-        );
-    });
-    let wasm_speedup = t_tree.as_secs_f64() / t_flat.as_secs_f64();
-    let fuse_speedup = t_unfused.as_secs_f64() / t_flat.as_secs_f64();
-    let reg_speedup = t_flat.as_secs_f64() / t_reg.as_secs_f64();
-    println!("gemm({n}): flat {t_flat:?}  tree {t_tree:?}  speedup {wasm_speedup:.2}x");
+    let t_tree = time_kernel(&mut tree, n, 5);
+    let wasm_speedup = t_tree.as_secs_f64() / t_reg.as_secs_f64();
+    let fuse_speedup = t_unfused.as_secs_f64() / t_reg.as_secs_f64();
     println!(
-        "gemm({n}): fused {t_flat:?}  unfused {t_unfused:?}  fusion speedup {fuse_speedup:.2}x  ({} superinstructions)",
-        stats.total()
+        "gemm({n}): reg {t_reg:?}  tree {t_tree:?}  speedup {wasm_speedup:.2}x  ({} stack ops eliminated, {} gets forwarded)",
+        rstats.stack_ops_eliminated, rstats.gets_forwarded
     );
     println!(
-        "gemm({n}): reg {t_reg:?}  fused {t_flat:?}  register speedup {reg_speedup:.2}x  ({} stack ops eliminated, {} gets forwarded)",
-        rstats.stack_ops_eliminated, rstats.gets_forwarded
+        "gemm({n}): reg {t_reg:?}  reg-unfused {t_unfused:?}  fusion speedup {fuse_speedup:.2}x  ({} superinstructions)",
+        stats.total()
     );
 
     // --- Crypto: the structure of P-256 on one Montgomery multiply. Every
@@ -314,15 +289,11 @@ fn main() {
     // the counting loop beyond timer noise. A failure here means the
     // zero-overhead-when-off monomorphization leaked counting work into
     // the default path.
-    let mut reg_counted = Instance::instantiate_with_profile(
-        &module,
-        ExecMode::Aot,
-        true,
-        true,
-        ProfileMode::Count,
-        &mut NoHost,
-    )
-    .expect("profiled instance");
+    let counting = EngineConfig {
+        profile: ProfileMode::Count,
+        ..EngineConfig::default()
+    };
+    let mut reg_counted = engine(&module, ExecMode::Aot, counting);
     let t_counted = time_kernel(&mut reg_counted, n, 5);
     let profile = reg_counted.profile().expect("counting profile exists");
     println!(
@@ -332,12 +303,11 @@ fn main() {
         profile.ops_per_instr()
     );
 
-    // Gates: generous margins below the measured ratios (~3.9x flat vs
-    // tree, ~1.4x fused vs unfused, ~1.4x register vs fused) so CI noise
-    // does not flake, but a real regression (the flat engine falling back
-    // to scanning, the fusion pass stopping to fire, the register pass
-    // falling back to the stack form or slowing the dispatch loop) trips
-    // them.
+    // Gates: generous margins below the measured ratios (7-11x register
+    // vs tree, 2.1-2.3x fused vs unfused on the register engine) so CI noise
+    // does not flake, but a real regression (the register pass falling
+    // back to the interpreter or slowing the dispatch loop, the fusion
+    // pass stopping to fire) trips them.
     // Engine-gate failures dump per-rung execution profiles first
     // (instret, dispatch ops, class mix), so the CI log localizes the
     // regression without a rerun.
@@ -348,16 +318,14 @@ fn main() {
         }
     };
     gate(
-        wasm_speedup > 1.3,
-        &format!("flat engine no longer clearly beats the tree interpreter ({wasm_speedup:.2}x)"),
+        wasm_speedup > 3.0,
+        &format!(
+            "register engine no longer clearly beats the tree interpreter ({wasm_speedup:.2}x)"
+        ),
     );
     gate(
-        fuse_speedup > 1.0,
-        &format!("superinstruction fusion regressed the flat engine ({fuse_speedup:.2}x)"),
-    );
-    gate(
-        reg_speedup > 1.1,
-        &format!("register allocation regressed the fused engine ({reg_speedup:.2}x)"),
+        fuse_speedup > 1.3,
+        &format!("superinstruction fusion regressed the register engine ({fuse_speedup:.2}x)"),
     );
     gate(
         t_reg.as_secs_f64() <= t_counted.as_secs_f64() * 1.05,
@@ -401,28 +369,15 @@ fn main() {
 
     // --- Static analysis: the verifier must pass the optimised code and
     // the range analysis must actually discharge bounds checks on gemm.
-    // Both instances run with WATZ_VERIFY_IR semantics forced on, so the
-    // smoke gate exercises the verifier even when CI env steps don't.
-    let mut reg_elided = Instance::instantiate_with_analysis(
-        &module,
-        ExecMode::Aot,
-        true,
-        true,
-        true,
-        true,
-        &mut NoHost,
-    )
-    .expect("verifier accepts the elided gemm lowering");
-    let mut reg_unelided = Instance::instantiate_with_analysis(
-        &module,
-        ExecMode::Aot,
-        true,
-        true,
-        false,
-        true,
-        &mut NoHost,
-    )
-    .expect("verifier accepts the unelided gemm lowering");
+    // Both instances run with the verifier forced on, so the smoke gate
+    // exercises it even when CI env steps don't.
+    let verified = |elide| EngineConfig {
+        elide,
+        verify: true,
+        ..EngineConfig::default()
+    };
+    let mut reg_elided = engine(&module, ExecMode::Aot, verified(true));
+    let mut reg_unelided = engine(&module, ExecMode::Aot, verified(false));
     let vstats = reg_elided.verify_stats().expect("verification ran");
     assert!(vstats.funcs > 0, "verifier saw no functions for gemm");
     assert!(

@@ -4,13 +4,14 @@
 //! kernels, and elision must never change results.
 
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
+use watz_wasm::EngineConfig;
 
 fn compile(minic_src: &str) -> watz_wasm::Module {
     let wasm = minic::compile(minic_src).expect("kernel compiles");
     watz_wasm::load(&wasm).expect("kernel loads")
 }
 
-/// Every kernel, on every rung, verifies with zero findings; the range
+/// Every kernel verifies with zero findings, fused and unfused; the range
 /// analysis proves accesses on at least half the suite; elision-on and
 /// elision-off agree bit-for-bit.
 #[test]
@@ -21,44 +22,28 @@ fn polybench_verifies_and_proves() {
     let mut suite_stats = watz_wasm::RangeStats::default();
     for kernel in workloads::polybench::suite() {
         let module = compile(kernel.minic);
-        // All four ladder rungs verify (tree oracle has no compiled IR;
-        // its stand-in is the unfused, unregistered flat form).
-        for (fuse, reg) in [(false, false), (true, false), (true, true)] {
-            let inst = Instance::instantiate_with_analysis(
-                &module,
-                ExecMode::Aot,
+        let verified = |fuse, elide| {
+            let config = EngineConfig {
                 fuse,
-                reg,
-                true,
-                true,
-                &mut NoHost,
-            )
-            .unwrap_or_else(|e| panic!("{} (fuse={fuse} reg={reg}): {e}", kernel.name));
-            let vstats = inst.verify_stats().expect("verification ran");
-            assert!(vstats.funcs > 0, "{}: nothing verified", kernel.name);
-        }
+                elide,
+                verify: true,
+                ..EngineConfig::default()
+            };
+            Instance::instantiate_with(&module, ExecMode::Aot, config, &mut NoHost)
+                .unwrap_or_else(|e| panic!("{} (fuse={fuse} elide={elide}): {e}", kernel.name))
+        };
+        // The unfused lowering verifies too (the tree oracle has no
+        // compiled IR to verify).
+        let vstats = verified(false, true)
+            .verify_stats()
+            .expect("verification ran");
+        assert!(vstats.funcs > 0, "{}: nothing verified", kernel.name);
 
         // Elision on vs off: identical results, and the same proofs.
-        let mut on = Instance::instantiate_with_analysis(
-            &module,
-            ExecMode::Aot,
-            true,
-            true,
-            true,
-            true,
-            &mut NoHost,
-        )
-        .expect("elision-on instance");
-        let mut off = Instance::instantiate_with_analysis(
-            &module,
-            ExecMode::Aot,
-            true,
-            true,
-            false,
-            true,
-            &mut NoHost,
-        )
-        .expect("elision-off instance");
+        let mut on = verified(true, true);
+        let mut off = verified(true, false);
+        let vstats = on.verify_stats().expect("verification ran");
+        assert!(vstats.reg_ops > 0, "{}: no register code", kernel.name);
         let args = [Value::I32(n)];
         let out_on = on.invoke(&mut NoHost, "kernel", &args).unwrap();
         let out_off = off.invoke(&mut NoHost, "kernel", &args).unwrap();

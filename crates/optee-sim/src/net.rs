@@ -550,6 +550,16 @@ impl Connection {
         Ok(())
     }
 
+    /// Closes the receive half only (`shutdown(SHUT_RD)`): from now on the
+    /// peer's sends fail exactly as if this end had hung up, while this end
+    /// can still send. Lets a client order "stop listening" strictly before
+    /// its last message instead of racing the peer's reply with a drop.
+    pub fn shutdown_recv(&mut self) {
+        // The replacement's sender is dropped on the spot, so local
+        // receives report a disconnect as well.
+        self.rx = bounded(1).1;
+    }
+
     /// True once an injected disconnect has killed this endpoint.
     fn fault_killed(&self) -> bool {
         self.faults
@@ -991,5 +1001,23 @@ mod tests {
             TryRecv::Message(b"last words".to_vec())
         );
         assert_eq!(server.try_recv_detailed(), TryRecv::Disconnected);
+    }
+
+    #[test]
+    fn shutdown_recv_fails_the_peers_sends_but_not_ours() {
+        let net = Network::new();
+        let listener = net.listen(7011).unwrap();
+        let mut client = net.connect(7011).unwrap();
+        let server = listener.accept().unwrap();
+        client.shutdown_recv();
+        client.send(b"last words").unwrap();
+        assert_eq!(
+            server.try_recv_detailed(),
+            TryRecv::Message(b"last words".to_vec())
+        );
+        // The client is still connected, but nothing can reach it.
+        assert_eq!(server.try_recv_detailed(), TryRecv::Empty);
+        assert!(server.send(b"reply").is_err());
+        assert_eq!(client.try_recv_detailed(), TryRecv::Disconnected);
     }
 }

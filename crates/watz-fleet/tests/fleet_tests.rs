@@ -621,15 +621,18 @@ fn crash_at_every_handshake_phase_lands_in_disconnected() {
 
     // Phase 3: hang up right after sending msg2 — the appraisal verdict
     // has nowhere to go, so the session must be re-accounted as a
-    // disconnect rather than counted served.
+    // disconnect rather than counted served. The reply path is closed
+    // before msg2 goes out: a plain drop after the send races the worker's
+    // verdict, and a verdict that wins that race was delivered.
     let mut rng = Fortuna::from_seed(b"crash-after-msg2");
-    let c = os.network().connect(7647).unwrap();
+    let mut c = os.network().connect(7647).unwrap();
     let (mut attester, msg0) = Attester::start(&mut rng);
     c.send(&msg0.to_bytes()).unwrap();
     let msg1 = Msg1::from_bytes(&c.recv().unwrap()).unwrap();
     let (msg2, _) = attester
         .attest(&msg1, &pinned, &service, &measurement())
         .unwrap();
+    c.shutdown_recv();
     c.send(&msg2.to_bytes()).unwrap();
     drop(c);
 

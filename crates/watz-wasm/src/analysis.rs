@@ -1,11 +1,10 @@
-//! Intra-function value-range analysis over the lowered IRs, feeding
-//! bounds-check elision on the flat and register engines.
+//! Intra-function value-range analysis over the register form, feeding
+//! bounds-check elision on the register engine.
 //!
 //! # What the analysis computes
 //!
-//! A single forward walk per function body tracks, for every operand
-//! (stack slot on the flat engine, frame slot on the register engine), a
-//! **value number**: a hash-consed symbolic name such that two operands
+//! A single forward walk per function body tracks, for every frame slot,
+//! a **value number**: a hash-consed symbolic name such that two operands
 //! with the same value number are guaranteed to hold the same bits at
 //! runtime. On top of the value numbers the walk keeps two facts:
 //!
@@ -33,30 +32,29 @@
 //!    nothing can shrink a memory — and conditional branches only leave
 //!    a region, never enter it.
 //!
-//! Proven accesses are rewritten to the check-free opcode forms
-//! ([`crate::flat::FlatOp::LoadNC`] and friends on the flat engine, the
-//! `*N` forms on the register engine). The rewrite is re-proven from
-//! scratch by [`crate::verify`] on every verified instantiation: the
-//! verifier runs this same deterministic analysis over the *rewritten*
-//! body and refuses any check-free opcode it cannot prove, so the
-//! optimization can never outrun the analysis.
+//! Proven accesses are rewritten to the check-free `*N` opcode forms of
+//! [`crate::reg::RegOp`]. The rewrite is re-proven from scratch by
+//! [`crate::verify`] on every verified instantiation: the verifier runs
+//! this same deterministic analysis over the *rewritten* body and refuses
+//! any check-free opcode it cannot prove, so the optimization can never
+//! outrun the analysis.
 //!
-//! Set `WATZ_NO_ELIDE=1` to keep every access on the checked path (the
-//! analysis still runs for stats when requested explicitly).
+//! Set `WATZ_NO_ELIDE=1` (or [`crate::exec::EngineConfig::elide`] off) to
+//! keep every access on the checked path; the proofs are still computed
+//! and counted.
 
 use std::collections::HashMap;
 
-use crate::flat::{self, BinOpKind, FlatFunc, FlatOp, LoadKind, StoreKind};
+use crate::flat::{BinOpKind, LoadKind, StoreKind};
 use crate::reg::{RegFunc, RegOp};
 
 /// Counters for the value-range analysis and the bounds-check elision it
-/// feeds, summed over the flat and register forms of a module. Exposed
+/// feeds, summed over a module's register-form bodies. Exposed
 /// like [`crate::FusionStats`] via
 /// [`Instance::range_stats`](crate::exec::Instance::range_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RangeStats {
-    /// Function bodies analyzed (flat and register forms counted
-    /// separately).
+    /// Function bodies analyzed.
     pub funcs: u64,
     /// Memory-access sites examined (loads, stores, and the fused forms
     /// carrying an access).
@@ -99,13 +97,6 @@ impl RangeStats {
         self.proven_subsumed += other.proven_subsumed;
         self.elided += other.elided;
     }
-}
-
-/// True when the `WATZ_NO_ELIDE` environment switch (any non-empty value
-/// other than `0`) disables bounds-check elision, keeping the fully
-/// checked engines reachable for bisection.
-pub(crate) fn elision_disabled_by_env() -> bool {
-    std::env::var_os("WATZ_NO_ELIDE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"))
 }
 
 /// The in-bounds verdict for one memory-access site.
@@ -345,367 +336,6 @@ impl Covered {
     }
 }
 
-/// Marks every jump target in a flat body (region starts for the walk).
-fn flat_targets(code: &[FlatOp]) -> Vec<bool> {
-    let mut t = vec![false; code.len()];
-    let mut mark = |x: u32| {
-        if let Some(b) = t.get_mut(x as usize) {
-            *b = true;
-        }
-    };
-    for op in code {
-        match op {
-            FlatOp::Jump { target }
-            | FlatOp::JumpIfZero { target }
-            | FlatOp::JumpIfNonZero { target }
-            | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. }
-            | FlatOp::FusedCmpBrZ { target, .. }
-            | FlatOp::FusedCmpBrNZ { target, .. }
-            | FlatOp::FusedCmpBrLLZ { target, .. }
-            | FlatOp::FusedCmpBrLLNZ { target, .. }
-            | FlatOp::FusedCmpBrLKZ { target, .. }
-            | FlatOp::FusedCmpBrLKNZ { target, .. }
-            | FlatOp::FusedCmpBrSLZ { target, .. }
-            | FlatOp::FusedCmpBrSLNZ { target, .. } => mark(*target),
-            FlatOp::BrTable { entries } => {
-                for e in entries.iter() {
-                    mark(e.target);
-                }
-            }
-            _ => {}
-        }
-    }
-    t
-}
-
-/// Runs the range analysis over one flat body, returning the in-bounds
-/// verdict per pc: `None` for ops that are not memory accesses (or are
-/// unreachable), `Some(proof)` for each access site.
-///
-/// `heights` are the verified entry heights
-/// ([`crate::verify::flat_entry_heights`]); `None` marks unreachable ops,
-/// which are skipped — they cannot execute, so they need no proof.
-///
-/// The walk is deterministic: running it over a body whose proven
-/// accesses were rewritten to check-free forms reproduces the same
-/// verdicts, which is what lets the verifier re-check every elision.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn flat_proofs(
-    f: &FlatFunc,
-    heights: &[Option<u32>],
-    ctx: &crate::verify::ModuleCtx<'_>,
-) -> Vec<Option<Proof>> {
-    let min_mem = ctx.min_mem;
-    let n = f.code.len();
-    let mut proofs: Vec<Option<Proof>> = vec![None; n];
-    let is_target = flat_targets(&f.code);
-    let mut vals = Vals::new();
-    let mut covered = Covered::default();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut locals: Vec<u32> = (0..f.n_locals).map(|_| vals.fresh()).collect();
-    let mut live = true;
-
-    for pc in 0..n {
-        if is_target[pc] {
-            // A new region: every fact is path-dependent, so reset to
-            // unknowns at the verified entry height.
-            match heights[pc] {
-                Some(h) => {
-                    stack.clear();
-                    stack.extend((0..h).map(|_| vals.fresh()));
-                    locals = (0..f.n_locals).map(|_| vals.fresh()).collect();
-                    covered.clear();
-                    live = true;
-                }
-                None => live = false,
-            }
-        }
-        if !live {
-            continue;
-        }
-        // The body is verified before analysis, so stack traffic cannot
-        // underflow; the fallbacks keep the walk total regardless.
-        macro_rules! pop {
-            () => {
-                stack.pop().unwrap_or_else(|| vals.fresh())
-            };
-        }
-        macro_rules! lidx {
-            ($i:expr) => {
-                locals.get(*$i as usize).copied().unwrap_or(0)
-            };
-        }
-        macro_rules! lset {
-            ($i:expr, $v:expr) => {
-                if let Some(slot) = locals.get_mut(*$i as usize) {
-                    *slot = $v;
-                }
-            };
-        }
-        macro_rules! access {
-            ($vn:expr, $off:expr, $w:expr, $checked:expr) => {{
-                proofs[pc] = Some(covered.access(&vals, $vn, $off, $w, min_mem, $checked));
-            }};
-        }
-        match &f.code[pc] {
-            // Region-ending control flow.
-            FlatOp::Unreachable | FlatOp::Jump { .. } | FlatOp::Br { .. } | FlatOp::Return => {
-                live = false
-            }
-            FlatOp::BrTable { .. } => {
-                let _ = pop!();
-                live = false;
-            }
-            // Conditional exits: the fall-through path keeps its facts
-            // (the branch only ever leaves the region).
-            FlatOp::JumpIfZero { .. } | FlatOp::JumpIfNonZero { .. } | FlatOp::BrIf { .. } => {
-                let _ = pop!();
-            }
-            FlatOp::FusedCmpBrZ { .. } | FlatOp::FusedCmpBrNZ { .. } => {
-                let _ = pop!();
-                let _ = pop!();
-            }
-            FlatOp::FusedCmpBrLLZ { .. }
-            | FlatOp::FusedCmpBrLLNZ { .. }
-            | FlatOp::FusedCmpBrLKZ { .. }
-            | FlatOp::FusedCmpBrLKNZ { .. } => {}
-            FlatOp::FusedCmpBrSLZ { .. } | FlatOp::FusedCmpBrSLNZ { .. } => {
-                let _ = pop!();
-            }
-
-            // Calls: arguments consumed, results unknown; locals and the
-            // coverage map survive (a callee can only grow memory).
-            FlatOp::CallLocal { func } | FlatOp::CallImport { func } => {
-                let (np, nr) = ctx.call_arity(*func).unwrap_or((0, 0));
-                for _ in 0..np {
-                    let _ = pop!();
-                }
-                stack.extend((0..nr).map(|_| vals.fresh()));
-            }
-            FlatOp::CallIndirect { type_idx } => {
-                let (np, nr) = ctx.type_arity(*type_idx).unwrap_or((0, 0));
-                let _ = pop!();
-                for _ in 0..np {
-                    let _ = pop!();
-                }
-                stack.extend((0..nr).map(|_| vals.fresh()));
-            }
-
-            FlatOp::Drop => {
-                let _ = pop!();
-            }
-            FlatOp::Select => {
-                let _ = pop!();
-                let _ = pop!();
-                let _ = pop!();
-                stack.push(vals.fresh());
-            }
-            FlatOp::LocalGet(i) => stack.push(lidx!(i)),
-            FlatOp::LocalSet(i) => {
-                let v = pop!();
-                lset!(i, v);
-            }
-            FlatOp::LocalTee(i) => {
-                let v = *stack.last().unwrap_or(&0);
-                lset!(i, v);
-            }
-            FlatOp::GlobalGet(_) => stack.push(vals.fresh()),
-            FlatOp::GlobalSet(_) => {
-                let _ = pop!();
-            }
-
-            FlatOp::MemorySize => stack.push(vals.fresh()),
-            FlatOp::MemoryGrow => {
-                let _ = pop!();
-                stack.push(vals.fresh());
-            }
-            FlatOp::MemoryCopy | FlatOp::MemoryFill => {
-                let _ = pop!();
-                let _ = pop!();
-                let _ = pop!();
-            }
-
-            FlatOp::Const(bits) => {
-                let vn = vals.konst(*bits);
-                stack.push(vn);
-            }
-
-            FlatOp::FusedBinopLL { a, b, op } => {
-                let vn = vals.bin(*op, lidx!(a), lidx!(b));
-                stack.push(vn);
-            }
-            FlatOp::FusedBinopLK { a, k, op } => {
-                let kk = vals.konst(*k);
-                let vn = vals.bin(*op, lidx!(a), kk);
-                stack.push(vn);
-            }
-            FlatOp::FusedBinopLLSet { a, b, op, dst } => {
-                let vn = vals.bin(*op, lidx!(a), lidx!(b));
-                lset!(dst, vn);
-            }
-            FlatOp::FusedBinopLKSet { a, k, op, dst } => {
-                let kk = vals.konst(u64::from(*k));
-                let vn = vals.bin(*op, lidx!(a), kk);
-                lset!(dst, vn);
-            }
-            FlatOp::FusedBinopSL { b, op } => {
-                let a = pop!();
-                let vn = vals.bin(*op, a, lidx!(b));
-                stack.push(vn);
-            }
-            FlatOp::FusedBinopSLSet { b, op, dst } => {
-                let a = pop!();
-                let vn = vals.bin(*op, a, lidx!(b));
-                lset!(dst, vn);
-            }
-            FlatOp::FusedBinopSet { op, dst } => {
-                let b = pop!();
-                let a = pop!();
-                let vn = vals.bin(*op, a, b);
-                lset!(dst, vn);
-            }
-            FlatOp::FusedBinopKS { k, op } => {
-                let a = pop!();
-                let kk = vals.konst(*k);
-                let vn = vals.bin(*op, a, kk);
-                stack.push(vn);
-            }
-            FlatOp::LocalCopy { src, dst } => {
-                let v = lidx!(src);
-                lset!(dst, v);
-            }
-
-            FlatOp::FusedScaleAdd { k } => {
-                let idx = pop!();
-                let base = pop!();
-                let vn = vals.scale_add(base, idx, *k);
-                stack.push(vn);
-            }
-            FlatOp::FusedIdxLAdd { z, k } => {
-                let part = pop!();
-                let base = pop!();
-                let vn = vals.idx_l_add(base, part, lidx!(z), *k);
-                stack.push(vn);
-            }
-
-            // Access sites. Every checked access widens the region's
-            // coverage — it either traps or proves the address — and a
-            // check-free access contributes only when its proof holds.
-            FlatOp::FusedLoadL { addr, offset, kind } => {
-                access!(lidx!(addr), *offset, load_width(*kind), true);
-                stack.push(vals.fresh());
-            }
-            FlatOp::FusedStoreL { offset, kind, .. } => {
-                let addr = pop!();
-                access!(addr, *offset, store_width(*kind), true);
-            }
-            FlatOp::FusedAddLoad { offset, kind } => {
-                let b = pop!();
-                let a = pop!();
-                let vn = vals.bin(BinOpKind::I32Add, a, b);
-                access!(vn, *offset, load_width(*kind), true);
-                stack.push(vals.fresh());
-            }
-            FlatOp::FusedScaleAddLoad { k, offset, kind } => {
-                let idx = pop!();
-                let base = pop!();
-                let vn = vals.scale_add(base, idx, *k);
-                access!(vn, *offset, load_width(*kind), true);
-                stack.push(vals.fresh());
-            }
-            FlatOp::FusedIdxLAddLoad { z, k, offset, kind } => {
-                let part = pop!();
-                let base = pop!();
-                let vn = vals.idx_l_add(base, part, lidx!(z), *k);
-                access!(vn, *offset, load_width(*kind), true);
-                stack.push(vals.fresh());
-            }
-            FlatOp::FusedBinopStore { offset, kind, .. } => {
-                let _ = pop!();
-                let _ = pop!();
-                let addr = pop!();
-                access!(addr, *offset, store_width(*kind), true);
-            }
-            FlatOp::FusedBinopSLStore { offset, kind, .. } => {
-                let _ = pop!();
-                let addr = pop!();
-                access!(addr, *offset, store_width(*kind), true);
-            }
-            FlatOp::FusedBinopLLStore { offset, kind, .. } => {
-                let addr = pop!();
-                access!(addr, *offset, store_width(*kind), true);
-            }
-            FlatOp::LoadNC { kind, offset } => {
-                let addr = pop!();
-                access!(addr, *offset, load_width(*kind), false);
-                stack.push(vals.fresh());
-            }
-            FlatOp::StoreNC { kind, offset } => {
-                let _ = pop!();
-                let addr = pop!();
-                access!(addr, *offset, store_width(*kind), false);
-            }
-
-            op => {
-                if let Some((kind, offset)) = flat::load_kind(op) {
-                    let addr = pop!();
-                    access!(addr, offset, load_width(kind), true);
-                    stack.push(vals.fresh());
-                } else if let Some((kind, offset)) = flat::store_kind(op) {
-                    let _ = pop!();
-                    let addr = pop!();
-                    access!(addr, offset, store_width(kind), true);
-                } else if let Some(bk) = flat::binop_kind(op) {
-                    let b = pop!();
-                    let a = pop!();
-                    let vn = vals.bin(bk, a, b);
-                    stack.push(vn);
-                } else {
-                    // The remaining straight-line ops (unops, tests,
-                    // conversions) rewrite the top of stack to an
-                    // untracked value.
-                    let _ = pop!();
-                    stack.push(vals.fresh());
-                }
-            }
-        }
-    }
-    proofs
-}
-
-/// Rewrites every proven plain load/store of a flat body to its
-/// check-free twin, accumulating [`RangeStats`]. `proofs` must come from
-/// [`flat_proofs`] over this same body (the caller computes them first —
-/// the module context borrows the function list this body lives in).
-pub(crate) fn apply_flat_elision(
-    f: &mut FlatFunc,
-    proofs: &[Option<Proof>],
-    rewrite: bool,
-    stats: &mut RangeStats,
-) {
-    stats.funcs += 1;
-    for (pc, op) in f.code.iter_mut().enumerate() {
-        let Some(proof) = proofs[pc] else { continue };
-        stats.accesses += 1;
-        match proof {
-            Proof::Unproven => continue,
-            Proof::Interval => stats.proven_interval += 1,
-            Proof::Subsumed => stats.proven_subsumed += 1,
-        }
-        if !rewrite {
-            continue;
-        }
-        if let Some((kind, offset)) = flat::load_kind(op) {
-            *op = FlatOp::LoadNC { kind, offset };
-            stats.elided += 1;
-        } else if let Some((kind, offset)) = flat::store_kind(op) {
-            *op = FlatOp::StoreNC { kind, offset };
-            stats.elided += 1;
-        }
-    }
-}
-
 /// Marks every jump target in a register body.
 fn reg_targets(code: &[RegOp]) -> Vec<bool> {
     let mut t = vec![false; code.len()];
@@ -735,9 +365,15 @@ fn reg_targets(code: &[RegOp]) -> Vec<bool> {
     t
 }
 
-/// Runs the range analysis over one register body. Same contract as
-/// [`flat_proofs`]; the register form needs no entry heights — every
-/// frame slot resets to an unknown at each region start.
+/// Runs the range analysis over one register body, returning the
+/// in-bounds verdict per pc: `None` for ops that are not memory accesses
+/// (or sit in a region no fall-through reaches), `Some(proof)` for each
+/// access site. Every frame slot resets to an unknown at each region
+/// start.
+///
+/// The walk is deterministic: running it over a body whose proven
+/// accesses were rewritten to check-free forms reproduces the same
+/// verdicts, which is what lets the verifier re-check every elision.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
     let n = f.code.len();

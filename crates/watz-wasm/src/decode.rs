@@ -39,7 +39,16 @@ pub enum DecodeError {
     FuncCodeMismatch,
     /// Malformed constant expression.
     BadConstExpr,
+    /// A function declares more than [`MAX_FUNC_LOCALS`] parameters plus
+    /// locals.
+    TooManyLocals,
 }
+
+/// Most parameters plus declared locals one function may have — the limit
+/// mainstream engines use. Local groups are run-length encoded, so without
+/// a cap a few bytes of code section request gigabytes of locals before
+/// validation ever sees the module.
+pub const MAX_FUNC_LOCALS: usize = 50_000;
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -59,6 +68,9 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "function and code section counts differ")
             }
             DecodeError::BadConstExpr => write!(f, "malformed constant expression"),
+            DecodeError::TooManyLocals => {
+                write!(f, "function has more than {MAX_FUNC_LOCALS} locals")
+            }
         }
     }
 }
@@ -599,10 +611,21 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
                     let body_size = r.u32()? as usize;
                     let body_end = r.pos + body_size;
                     let n_local_groups = r.u32()? as usize;
+                    // An out-of-range type index is validation's finding.
+                    let n_params = module
+                        .types
+                        .get(type_idx as usize)
+                        .map_or(0, |t| t.params.len());
                     let mut locals = Vec::new();
                     for _ in 0..n_local_groups {
                         let n = r.u32()? as usize;
                         let ty = r.val_type()?;
+                        let total = n_params
+                            .checked_add(locals.len())
+                            .and_then(|have| have.checked_add(n));
+                        if total.is_none_or(|t| t > MAX_FUNC_LOCALS) {
+                            return Err(DecodeError::TooManyLocals);
+                        }
                         locals.extend(std::iter::repeat_n(ty, n));
                     }
                     let code = r.expr()?;
@@ -681,6 +704,38 @@ mod tests {
         bytes.extend_from_slice(&[3, 1, 0]); // empty function section
         bytes.extend_from_slice(&[1, 1, 0]); // empty type section
         assert_eq!(decode(&bytes), Err(DecodeError::BadSectionOrder(1)));
+    }
+
+    /// One `(i32) -> ()` function whose body declares a single group of
+    /// `n` i32 locals.
+    fn module_with_locals(n: u32) -> Vec<u8> {
+        let mut body = vec![1]; // one local group
+        crate::leb128::write_u32(&mut body, n);
+        body.extend_from_slice(&[0x7f, 0x0b]); // i32, end
+        let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+        bytes.extend_from_slice(&[1, 5, 1, 0x60, 1, 0x7f, 0]); // type (i32) -> ()
+        bytes.extend_from_slice(&[3, 2, 1, 0]); // one function of type 0
+        bytes.extend_from_slice(&[10, body.len() as u8 + 2, 1, body.len() as u8]);
+        bytes.extend_from_slice(&body);
+        bytes
+    }
+
+    #[test]
+    fn locals_bomb_rejected_before_allocating() {
+        // ~30 bytes asking for 4 Gi locals: must fail here, not allocate.
+        let bytes = module_with_locals(u32::MAX);
+        assert!(bytes.len() < 40);
+        assert_eq!(decode(&bytes), Err(DecodeError::TooManyLocals));
+        // The parameter counts against the same cap.
+        let over = module_with_locals(MAX_FUNC_LOCALS as u32);
+        assert_eq!(decode(&over), Err(DecodeError::TooManyLocals));
+    }
+
+    #[test]
+    fn locals_at_the_limit_load() {
+        let bytes = module_with_locals(MAX_FUNC_LOCALS as u32 - 1);
+        let module = crate::load(&bytes).expect("param + locals == limit loads");
+        assert_eq!(module.funcs[0].locals.len(), MAX_FUNC_LOCALS - 1);
     }
 
     #[test]

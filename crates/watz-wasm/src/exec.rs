@@ -1,50 +1,46 @@
 //! Execution: instantiation, the tree-walking interpreter, and dispatch to
-//! the flat engine.
+//! the register engine.
 //!
 //! WAMR (the runtime WaTZ embeds) offers interpreted, JIT and AOT execution;
 //! WaTZ uses AOT, reporting it "on average 28× faster than with
-//! interpretation" (§III). We reproduce the *mode structure* portably as a
-//! five-stage story:
+//! interpretation" (§III). We reproduce the *mode structure* portably with
+//! two executors:
 //!
 //! 1. **Tree-walking interpreter** ([`ExecMode::Interpreted`]): executes the
 //!    structured instruction sequence directly, re-discovering each block's
 //!    `end`/`else` by scanning forward at runtime, over an enum-tagged
 //!    [`Value`] stack — the classic naive interpreter, kept as the
-//!    differential oracle.
-//! 2. **Pre-resolved side tables** (the original `Aot` implementation, now
-//!    retired): same walker, but branch targets resolved once at load time.
-//!    It removed the scanning, not the tagging or the structured dispatch.
-//! 3. **Flattened engine** ([`ExecMode::Aot`], [`crate::flat`]): function
-//!    bodies are lowered at load time to a flat linear opcode array where
-//!    every branch is an absolute jump with its stack fix-up inlined, and
-//!    the operand stack is untagged 64-bit slots. This is the portable
-//!    analogue of WAMR's AOT step — translate once, run on a representation
-//!    built for execution rather than decoding.
-//! 4. **Superinstruction fusion** (on by default for [`ExecMode::Aot`]): a
-//!    load-time peephole pass over the flat code rewrites common adjacent
-//!    windows — local/const operand feeds, sinks into locals or memory,
-//!    array-address tails, compare-and-branch sequences — into single fused
-//!    opcodes with direct frame-slot addressing (see [`crate::flat`]).
-//!    `WATZ_NO_FUSE=1` or [`Instance::instantiate_with_fusion`] disables
-//!    just this pass (stage 5 still applies to the unfused code; combine
-//!    with `WATZ_NO_REG=1` — or use [`Instance::instantiate_with_engine`]
-//!    with both flags off — to pin the bare stage-3 engine).
-//! 5. **Register allocation** (on by default for [`ExecMode::Aot`],
-//!    [`crate::reg`]): an abstract-stack simulation rewrites the (fused)
-//!    flat code so every op carries explicit source/destination frame-slot
-//!    indices — `local.get`s forward into their consumers, intermediates
-//!    live at fixed slots, and the dispatch loop never pushes or pops an
-//!    operand stack (stack-polymorphic edges keep explicit move fix-ups).
-//!    `WATZ_NO_REG=1` or [`Instance::instantiate_with_engine`] pins the
-//!    stack-form stage-4 engine; counters are exposed as
-//!    [`crate::reg::RegStats`].
+//!    differential oracle and as the one fallback executor.
+//! 2. **Register engine** ([`ExecMode::Aot`], [`crate::reg`]): the portable
+//!    analogue of WAMR's AOT step — translate once at load time, run on a
+//!    representation built for execution rather than decoding. Three
+//!    load-time passes produce its code:
+//!    * [`crate::flat`] lowers every body to a flat linear IR where each
+//!      branch is an absolute jump with its stack fix-up inlined and
+//!      operands are untagged 64-bit slots;
+//!    * a peephole pass fuses common adjacent windows of that IR —
+//!      local/const operand feeds, sinks into locals or memory,
+//!      array-address tails, compare-and-branch sequences — into single
+//!      superinstructions (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`]
+//!      switches just this pass off, for bisection);
+//!    * an abstract-stack simulation rewrites the (fused) IR so every op
+//!      carries explicit source/destination frame-slot indices —
+//!      `local.get`s forward into their consumers, intermediates live at
+//!      fixed slots, and the dispatch loop never pushes or pops an operand
+//!      stack ([`crate::reg::RegStats`] reports what the pass did).
 //!
-//! All live engines share one semantics (identical results *and* identical
-//! traps) and are differentially tested against each other across the full
-//! PolyBench/speedtest/Genann suites plus randomized MiniC kernels, in
-//! every fused/unfused × register/stack combination. Because our engines
-//! stop short of native code generation, the speedup over interpretation
-//! is smaller than WAMR's 28× (see EXPERIMENTS.md for measured ratios).
+//! The flat IR is never executed. An `Aot` instance that ends up without a
+//! register program — [`EngineConfig::reg`] off, or a function whose frame
+//! exceeds the register form's `u16` slot encoding — keeps its structured
+//! bodies and runs on the tree interpreter instead.
+//!
+//! Both executors share one semantics (identical results, identical traps
+//! and identical retired-instruction counts) and are differentially tested
+//! against each other across the full PolyBench/speedtest/Genann suites
+//! plus randomized MiniC kernels, fused and unfused, with bounds-check
+//! elision on and off. Because the register engine stops short of native
+//! code generation, the speedup over interpretation is smaller than WAMR's
+//! 28× (see EXPERIMENTS.md for measured ratios).
 
 use std::collections::HashMap;
 
@@ -201,9 +197,73 @@ impl std::error::Error for Trap {}
 pub enum ExecMode {
     /// Naive structured interpretation (branch targets found by scanning).
     Interpreted,
-    /// Ahead-of-time lowering to the flattened engine: absolute jumps,
-    /// inlined immediates, untagged operand slots (see [`crate::flat`]).
+    /// Ahead-of-time lowering to the register engine (see [`crate::reg`]).
+    /// An instance left without a register program ([`EngineConfig::reg`]
+    /// off, or a frame past the `u16` slot encoding) runs on the
+    /// interpreter instead.
     Aot,
+}
+
+/// What [`ExecMode::Aot`] instantiation does besides lowering. The
+/// lowering passes are ignored in [`ExecMode::Interpreted`]; `profile`
+/// applies to both modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineConfig {
+    /// Run the superinstruction fusion pass over the flat IR.
+    pub fuse: bool,
+    /// Lower the flat IR to register form and execute it; when off the
+    /// flat IR is still built (and fused) but the instance runs on the
+    /// tree interpreter.
+    pub reg: bool,
+    /// Rewrite accesses the range analysis proved in bounds to check-free
+    /// opcodes (proofs are computed and counted either way).
+    pub elide: bool,
+    /// Run the independent IR verifier over the compiled code before the
+    /// instance can execute.
+    pub verify: bool,
+    /// Whether the instance maintains an [`ExecProfile`].
+    pub profile: ProfileMode,
+}
+
+impl Default for EngineConfig {
+    /// The production configuration: every pass on, no verifier run, no
+    /// counting.
+    fn default() -> Self {
+        EngineConfig {
+            fuse: true,
+            reg: true,
+            elide: true,
+            verify: false,
+            profile: ProfileMode::Off,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The production configuration adjusted by the crate's four
+    /// environment switches, each on for any non-empty value other than
+    /// `0`: `WATZ_NO_FUSE` and `WATZ_NO_ELIDE` turn their pass off,
+    /// `WATZ_VERIFY_IR` and `WATZ_PROFILE` turn verification and counting
+    /// on. This is the only place the crate reads the environment.
+    #[must_use]
+    pub fn from_env() -> Self {
+        Self::from_lookup(|name| std::env::var_os(name))
+    }
+
+    fn from_lookup(var: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
+        let on = |name| var(name).is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
+        EngineConfig {
+            fuse: !on("WATZ_NO_FUSE"),
+            elide: !on("WATZ_NO_ELIDE"),
+            verify: on("WATZ_VERIFY_IR"),
+            profile: if on("WATZ_PROFILE") {
+                ProfileMode::Count
+            } else {
+                ProfileMode::Off
+            },
+            ..EngineConfig::default()
+        }
+    }
 }
 
 /// The embedder interface: resolves and executes imported functions.
@@ -270,8 +330,8 @@ impl Memory {
         Self::grow_raw(&mut self.data, max_pages, delta)
     }
 
-    /// [`Memory::grow`] on raw contents: the dispatch loops cache the data
-    /// vec locally (see [`Memory::take_data`]) and grow it in place.
+    /// [`Memory::grow`] on raw contents: the register dispatch loop caches
+    /// the data vec locally (see [`Memory::take_data`]) and grows it in place.
     pub(crate) fn grow_raw(data: &mut Vec<u8>, max_pages: u32, delta: u32) -> i32 {
         let old = (data.len() / PAGE_SIZE) as u32;
         let Some(new) = old.checked_add(delta) else {
@@ -289,8 +349,8 @@ impl Memory {
         self.max_pages
     }
 
-    /// Moves the contents out, leaving the memory empty. The execution
-    /// engines hold the contents locally for a whole dispatch loop (one
+    /// Moves the contents out, leaving the memory empty. The register
+    /// engine holds the contents locally for a whole dispatch loop (one
     /// borrow per run instead of one per load/store) and hand them back —
     /// via [`Memory::put_data`] — on exit (every `Ok`/`Trap` path) and
     /// around host calls, the only points where the embedder can observe
@@ -429,9 +489,9 @@ pub(crate) fn nc_store(mem: &mut [u8], base: i32, offset: u32, bytes: &[u8]) {
 
 /// Guards the host-call boundary: a [`HostEnv`] returning a result count
 /// other than the import's declared arity would silently diverge the
-/// engines (stale slots in the register engine, corrupted operand-stack
-/// height in the stack engines), so every engine turns the mismatch into
-/// the same [`Trap::Host`] instead.
+/// engines (stale slots in the register engine, a wrong operand-stack
+/// height in the interpreter), so both turn the mismatch into the same
+/// [`Trap::Host`] instead.
 pub(crate) fn check_host_results(
     module: &str,
     name: &str,
@@ -523,7 +583,7 @@ pub struct Instance {
     types: Vec<FuncType>,
     funcs: Vec<FuncDef>,
     bodies: Vec<PreparedFunc>,
-    /// Flat code, prepared at instantiation for [`ExecMode::Aot`].
+    /// Compiled code, prepared at instantiation for [`ExecMode::Aot`].
     flat: Option<flat::FlatModule>,
     memory: Memory,
     globals: Vec<Value>,
@@ -534,14 +594,15 @@ pub struct Instance {
     /// [`ProfileMode::Count`]; `None` keeps the unprofiled hot path.
     profile: Option<Box<ExecProfile>>,
     /// Verifier counters when the compiled IR was verified at
-    /// instantiation (`WATZ_VERIFY_IR` or the explicit entry point).
+    /// instantiation ([`EngineConfig::verify`]).
     verify: Option<crate::verify::VerifyStats>,
 }
 
 impl Instance {
     /// Instantiates a validated module: allocates memory/table, applies data
     /// and element segments, prepares code for the chosen mode and runs the
-    /// start function (if any).
+    /// start function (if any). The engine configuration is
+    /// [`EngineConfig::from_env`].
     ///
     /// # Errors
     ///
@@ -552,66 +613,16 @@ impl Instance {
         mode: ExecMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_with_engine(
-            module,
-            mode,
-            !flat::fusion_disabled_by_env(),
-            !crate::reg::reg_disabled_by_env(),
-            host,
-        )
+        Self::instantiate_with(module, mode, EngineConfig::from_env(), host)
     }
 
-    /// [`Instance::instantiate`] with explicit control over superinstruction
-    /// fusion in the flat engine (`fuse` is ignored in
-    /// [`ExecMode::Interpreted`]). The register pass follows the
-    /// `WATZ_NO_REG` environment switch.
-    ///
-    /// `instantiate` follows the `WATZ_NO_FUSE` environment switch; this
-    /// entry point exists for fused-vs-unfused A/B comparison and
-    /// bisection.
+    /// [`Instance::instantiate_with`] with `fuse`, `reg` and `profile`
+    /// spelled out and the rest from the environment. Exists only because
+    /// `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Instance::instantiate`].
-    pub fn instantiate_with_fusion(
-        module: &Module,
-        mode: ExecMode,
-        fuse: bool,
-        host: &mut dyn HostEnv,
-    ) -> Result<Self, Trap> {
-        Self::instantiate_with_engine(module, mode, fuse, !crate::reg::reg_disabled_by_env(), host)
-    }
-
-    /// [`Instance::instantiate`] with explicit control over both flat-engine
-    /// passes: superinstruction fusion (`fuse`) and register allocation
-    /// (`reg`). Both are ignored in [`ExecMode::Interpreted`]. This is the
-    /// full A/B matrix entry point — `WATZ_NO_FUSE`/`WATZ_NO_REG` reach the
-    /// same combinations without code changes.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Instance::instantiate`].
-    pub fn instantiate_with_engine(
-        module: &Module,
-        mode: ExecMode,
-        fuse: bool,
-        reg: bool,
-        host: &mut dyn HostEnv,
-    ) -> Result<Self, Trap> {
-        Self::instantiate_with_profile(module, mode, fuse, reg, ProfileMode::from_env(), host)
-    }
-
-    /// [`Instance::instantiate_with_engine`] with explicit control over
-    /// execution profiling. [`ProfileMode::Count`] maintains an
-    /// [`ExecProfile`] (retired guest instructions, dispatch ops,
-    /// per-class histogram, back edges, traps) readable via
-    /// [`Instance::profile`]; [`ProfileMode::Off`] — the default, and
-    /// what every other entry point selects unless `WATZ_PROFILE` is set
-    /// — runs the unchanged unprofiled dispatch loops.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Instance::instantiate`].
+    /// Same contract as [`Instance::instantiate_with`].
     pub fn instantiate_with_profile(
         module: &Module,
         mode: ExecMode,
@@ -620,31 +631,22 @@ impl Instance {
         profile: ProfileMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_inner(
-            module,
-            mode,
+        let config = EngineConfig {
             fuse,
             reg,
-            !crate::analysis::elision_disabled_by_env(),
-            crate::verify::strict(),
             profile,
-            host,
-        )
+            ..EngineConfig::from_env()
+        };
+        Self::instantiate_with(module, mode, config, host)
     }
 
-    /// [`Instance::instantiate_with_engine`] with explicit control over the
-    /// static-analysis passes: `elide` enables the bounds-check-elision
-    /// rewrite (range-analysis proofs are still computed and counted when it
-    /// is off), and `verify` runs the independent IR verifier over every
-    /// compiled rung before the instance can execute. The environment
-    /// switches `WATZ_NO_ELIDE` / `WATZ_VERIFY_IR` reach the same
-    /// combinations without code changes.
+    /// [`Instance::instantiate_with`] with `fuse`, `reg`, `elide` and
+    /// `verify` spelled out and the rest from the environment. Exists only
+    /// because `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Instance::instantiate`], plus
-    /// [`Trap::Instantiation`] when `verify` is set and the compiled IR
-    /// fails verification.
+    /// Same contract as [`Instance::instantiate_with`].
     pub fn instantiate_with_analysis(
         module: &Module,
         mode: ExecMode,
@@ -654,33 +656,57 @@ impl Instance {
         verify: bool,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_inner(
-            module,
-            mode,
+        let config = EngineConfig {
             fuse,
             reg,
             elide,
             verify,
-            ProfileMode::from_env(),
-            host,
-        )
+            ..EngineConfig::from_env()
+        };
+        Self::instantiate_with(module, mode, config, host)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn instantiate_inner(
+    /// [`Instance::instantiate`] under an explicit [`EngineConfig`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Instance::instantiate`], plus
+    /// [`Trap::Instantiation`] when `config.verify` is set and the compiled
+    /// IR fails verification.
+    pub fn instantiate_with(
         module: &Module,
         mode: ExecMode,
-        fuse: bool,
-        reg: bool,
-        elide: bool,
-        verify: bool,
-        profile: ProfileMode,
+        config: EngineConfig,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
         let memory = module
             .memories
             .first()
             .map_or_else(|| Memory::new(0, Some(0)), |l| Memory::new(l.min, l.max));
+
+        // The AOT preparation step: lower every body to the flat IR once,
+        // at load time, fuse it and rewrite it to register form (whichever
+        // of those passes are on).
+        let flat = match mode {
+            ExecMode::Aot => Some(flat::FlatModule::compile_full(
+                module,
+                config.fuse,
+                config.reg,
+                config.elide,
+            )?),
+            ExecMode::Interpreted => None,
+        };
+
+        // Independent re-verification of everything the lowering pipeline
+        // produced: abstract interpretation from the compiled bodies alone,
+        // no shared state with the lowering code above.
+        let verify_stats = match &flat {
+            Some(fm) if config.verify => Some(
+                crate::verify::verify_module(fm, &module.types)
+                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
+            ),
+            _ => None,
+        };
 
         let mut funcs = Vec::with_capacity(module.func_count());
         for imp in &module.func_imports {
@@ -690,15 +716,17 @@ impl Instance {
                 type_idx: imp.type_idx,
             });
         }
+        // Only the tree interpreter walks the structured bodies; an
+        // instance with a register program would double its code memory by
+        // keeping them (func_type() needs just the type index).
+        let on_interpreter = flat.as_ref().is_none_or(|fm| fm.reg.is_none());
         let mut bodies = Vec::with_capacity(module.funcs.len());
         for f in &module.funcs {
             funcs.push(FuncDef::Local { body: bodies.len() });
-            // Aot instances execute flat code only; keeping the structured
-            // bodies would double per-instance code memory for nothing
-            // (func_type() needs just the type index).
-            let (locals, code) = match mode {
-                ExecMode::Interpreted => (f.locals.clone(), f.code.clone()),
-                ExecMode::Aot => (Vec::new(), Vec::new()),
+            let (locals, code) = if on_interpreter {
+                (f.locals.clone(), f.code.clone())
+            } else {
+                (Vec::new(), Vec::new())
             };
             bodies.push(PreparedFunc {
                 type_idx: f.type_idx,
@@ -706,26 +734,6 @@ impl Instance {
                 code,
             });
         }
-
-        // The AOT preparation step: lower every body to flat code once, at
-        // load time (replacing the old end/else side tables), then run the
-        // superinstruction fusion pass and the register-allocation pass
-        // unless they are switched off.
-        let flat = match mode {
-            ExecMode::Aot => Some(flat::FlatModule::compile_full(module, fuse, reg, elide)?),
-            ExecMode::Interpreted => None,
-        };
-
-        // Independent re-verification of everything the lowering pipeline
-        // produced: abstract interpretation from the flat bodies alone, no
-        // shared state with the lowering code above.
-        let verify_stats = match &flat {
-            Some(fm) if verify => Some(
-                crate::verify::verify_module(fm, &module.types)
-                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
-            ),
-            _ => None,
-        };
 
         let globals = module
             .globals
@@ -767,7 +775,7 @@ impl Instance {
                 .map(|e| (e.name.clone(), (e.kind, e.index)))
                 .collect(),
             mode,
-            profile: match profile {
+            profile: match config.profile {
                 ProfileMode::Count => Some(Box::default()),
                 ProfileMode::Off => None,
             },
@@ -801,30 +809,30 @@ impl Instance {
     /// interpreted instances; all-zero when fusion was disabled).
     #[must_use]
     pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
-        self.flat.as_ref().map(flat::FlatModule::fusion_stats)
+        self.flat.as_ref().map(|fm| fm.fusion)
     }
 
-    /// Register-allocation counts from the flat lowering (`None` for
-    /// interpreted instances and when the register pass is disabled or
-    /// fell back to the stack-form engine).
+    /// Register-allocation counts (`None` when the instance has no
+    /// register program and therefore runs on the tree interpreter:
+    /// [`ExecMode::Interpreted`], [`EngineConfig::reg`] off, or a frame
+    /// past the `u16` slot encoding).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        self.flat.as_ref().and_then(flat::FlatModule::reg_stats)
+        self.flat.as_ref()?.reg.as_ref().map(|prog| prog.stats)
     }
 
     /// Verifier counters from instantiation-time IR verification (`None`
-    /// for interpreted instances and when verification was not requested —
-    /// neither `WATZ_VERIFY_IR` nor [`Instance::instantiate_with_analysis`]
-    /// with `verify` set).
+    /// for interpreted instances and when [`EngineConfig::verify`] was
+    /// off).
     #[must_use]
     pub fn verify_stats(&self) -> Option<crate::verify::VerifyStats> {
         self.verify
     }
 
-    /// Range-analysis counters from the flat lowering (`None` for
-    /// interpreted instances). Proof counts are maintained even when the
-    /// elision rewrite itself is off (`WATZ_NO_ELIDE`), so A/B runs can
-    /// confirm the same accesses were proven.
+    /// Range-analysis counters over the register program (`None` for
+    /// interpreted instances, all-zero without a register program). Proof
+    /// counts are maintained even when the elision rewrite itself is off,
+    /// so A/B runs can confirm the same accesses were proven.
     #[must_use]
     pub fn range_stats(&self) -> Option<crate::analysis::RangeStats> {
         self.flat.as_ref().map(|f| f.analysis)
@@ -847,7 +855,7 @@ impl Instance {
     }
 
     /// Live execution counters, when the instance was created with
-    /// [`ProfileMode::Count`] (or `WATZ_PROFILE` was set). Counters
+    /// [`ProfileMode::Count`]. Counters
     /// accumulate across invocations, including the start function.
     #[must_use]
     pub fn profile(&self) -> Option<&ExecProfile> {
@@ -916,35 +924,20 @@ impl Instance {
         args: &[Value],
         _depth: usize,
     ) -> Result<Vec<Value>, Trap> {
-        // Aot instances run on the flat engine — register form when the
-        // register pass prepared one, stack form otherwise; the structured
-        // bodies below are only walked in Interpreted mode.
-        if let Some(flat) = &self.flat {
-            return if flat.reg.is_some() {
-                crate::reg::run(
-                    flat,
-                    &self.types,
-                    &self.table,
-                    &mut self.memory,
-                    &mut self.globals,
-                    host,
-                    func_idx,
-                    args,
-                    self.profile.as_deref_mut(),
-                )
-            } else {
-                flat::run(
-                    flat,
-                    &self.types,
-                    &self.table,
-                    &mut self.memory,
-                    &mut self.globals,
-                    host,
-                    func_idx,
-                    args,
-                    self.profile.as_deref_mut(),
-                )
-            };
+        // An instance with a register program runs on the register engine;
+        // every other instance holds structured bodies and walks them.
+        if let Some(flat) = self.flat.as_ref().filter(|fm| fm.reg.is_some()) {
+            return crate::reg::run(
+                flat,
+                &self.types,
+                &self.table,
+                &mut self.memory,
+                &mut self.globals,
+                host,
+                func_idx,
+                args,
+                self.profile.as_deref_mut(),
+            );
         }
         match &self.funcs[func_idx as usize] {
             FuncDef::Import { module, name, .. } => {
@@ -1802,4 +1795,40 @@ pub(crate) fn trunc_f64_to_u64(a: f64) -> Result<u64, Trap> {
         return Err(Trap::BadConversion);
     }
     Ok(t as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engine_config_env_parsing() {
+        const ALL: [&str; 4] = [
+            "WATZ_NO_FUSE",
+            "WATZ_NO_ELIDE",
+            "WATZ_VERIFY_IR",
+            "WATZ_PROFILE",
+        ];
+        let with = |names: &[&str], value: &str| {
+            EngineConfig::from_lookup(|k| names.contains(&k).then(|| value.into()))
+        };
+        // Unset, empty and "0" all leave the production configuration.
+        let base = EngineConfig::default();
+        assert_eq!(base.profile, ProfileMode::Off);
+        assert_eq!(with(&[], "1"), base);
+        assert_eq!(with(&ALL, ""), base);
+        assert_eq!(with(&ALL, "0"), base);
+        // Any other value sets a switch, and each moves only its own field.
+        let (fuse, elide) = (false, false);
+        assert_eq!(with(&ALL[..1], "1"), EngineConfig { fuse, ..base });
+        assert_eq!(with(&ALL[1..2], "yes"), EngineConfig { elide, ..base });
+        let verify = true;
+        assert_eq!(with(&ALL[2..3], "1"), EngineConfig { verify, ..base });
+        let profile = ProfileMode::Count;
+        assert_eq!(with(&ALL[3..], "1"), EngineConfig { profile, ..base });
+        assert!(
+            with(&ALL, "1").reg,
+            "no switch turns the register engine off"
+        );
+    }
 }

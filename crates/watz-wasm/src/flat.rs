@@ -1,27 +1,27 @@
-//! The flattened, pre-resolved execution engine behind [`ExecMode::Aot`].
+//! The flat lowering IR between structured Wasm and the register engine.
 //!
 //! At load time every function body is lowered from its structured
-//! `Vec<Instr>` form into a flat linear array of `FlatOp`s:
+//! `Vec<Instr>` form into a flat linear array of `FlatOp`s, the form
+//! [`crate::reg`] consumes. Nothing executes it:
 //!
 //! * `block`/`loop`/`if`/`else`/`end` disappear — every branch becomes an
-//!   absolute jump target computed once, during lowering (this subsumes the
-//!   old per-function `end`/`else` side tables);
+//!   absolute jump target computed once, during lowering;
 //! * branches that discard operand-stack values carry the `keep`/`height`
-//!   stack fix-up as immediates, so no label stack exists at run time;
+//!   stack fix-up as immediates, so no label stack survives lowering;
 //! * immediates (memory offsets, constants, call targets) are inlined, and
 //!   constants of all four value types collapse into one raw-bits `Const`;
-//! * the operand stack is untagged 64-bit slots (`Slot`): validation
-//!   already guarantees types, so the enum tag the tree-walking interpreter
-//!   carries on every value is dead weight on the hot path. Locals live at
-//!   the base of the same stack, so a guest call is a frame-pointer bump,
-//!   not a `Vec<Value>` allocation.
+//! * operands are untagged 64-bit slots (`Slot`): validation already
+//!   guarantees types, so the enum tag the tree-walking interpreter
+//!   carries on every value is dead weight past this point. The slot
+//!   conversions and the operator semantics on slots (`apply_binop`,
+//!   `do_load`, `do_store`) live here and are what the register dispatch
+//!   loop calls.
 //!
 //! # Superinstruction fusion
 //!
 //! After lowering, a peephole pass rewrites common adjacent sequences into
-//! fused superinstructions that execute with direct frame-slot addressing
-//! and no intermediate operand-stack traffic, collapsing 2–4 dispatch-loop
-//! iterations into one:
+//! fused superinstructions with direct frame-slot operands, so the
+//! register pass turns 2–4 source ops into one dispatch:
 //!
 //! | pattern | fused form |
 //! |---|---|
@@ -44,57 +44,40 @@
 //! *covers* a jump target — every branch destination stays the first op of
 //! a window, so after compaction each old target maps 1:1 to a new index.
 //! All absolute jumps, `br_table` entries and their `keep`/`height`
-//! fix-ups are re-pointed through that map, and a load-time check
-//! ([`check_jump_targets`]) verifies every remapped target lands on a real
-//! instruction before the code is ever executed. Because fused windows are
-//! straight-line (no branch in or out mid-window), operand-stack heights
-//! at window boundaries are unchanged and the `keep`/`height` immediates
-//! remain valid.
+//! fix-ups are re-pointed through that map; a jump into the middle of a
+//! window is a lowering error. Because fused windows are straight-line
+//! (no branch in or out mid-window), operand-stack heights at window
+//! boundaries are unchanged and the `keep`/`height` immediates remain
+//! valid.
 //!
-//! The pass can be disabled with the `WATZ_NO_FUSE` environment switch
-//! (any non-empty value other than `0`), or per-instance via
-//! [`Instance::instantiate_with_fusion`], keeping the unfused flat engine
-//! reachable for bisection. Per-kind emission counts are reported through
+//! The pass can be disabled with the `WATZ_NO_FUSE` environment switch or
+//! [`EngineConfig::fuse`], keeping unfused lowering reachable for
+//! bisection. Per-kind emission counts are reported through
 //! [`FusionStats`].
 //!
-//! # Register allocation on top
+//! # What the register pass relies on
 //!
-//! The (fused) flat code is lowered one step further by [`crate::reg`]
-//! into register form, which eliminates the operand stack from hot
-//! dispatch entirely. The key invariant this module maintains for that
-//! pass is the **entry-height table**: [`lower`] records, for every flat
-//! op it emits, the operand-stack height at the op's entry (before its
-//! own pops) — heights are compile-time constants under validation, which
-//! is exactly what lets the register pass pin the value "at height `h`"
-//! to the fixed frame slot `n_locals + h`. Fusion carries the table
-//! through compaction (a window inherits its first op's entry height;
-//! windows are straight-line, so that is the fused op's entry height
-//! too). The register pass re-points every jump through its own old→new
-//! map and re-validates the result, mirroring [`check_jump_targets`]
-//! here. `WATZ_NO_REG=1` (or [`Instance::instantiate_with_engine`]) pins
-//! the stack-form engine in this module.
+//! The key invariant this module maintains for [`crate::reg`] is the
+//! **entry-height table**: [`lower`] records, for every flat op it emits,
+//! the operand-stack height at the op's entry (before its own pops) —
+//! heights are compile-time constants under validation, which is exactly
+//! what lets the register pass pin the value "at height `h`" to the fixed
+//! frame slot `n_locals + h`. Fusion carries the table through compaction
+//! (a window inherits its first op's entry height; windows are
+//! straight-line, so that is the fused op's entry height too). The
+//! register pass bounds-checks every flat jump target it consumes,
+//! re-points it through its own old→new map and re-validates the result.
 //!
-//! Semantics (including every trap) are identical to the structured
-//! tree-walking interpreter in [`crate::exec`], which serves as the
-//! differential oracle: the PolyBench/speedtest/Genann suites and the
-//! randomized MiniC property tests assert bit-identical results and
-//! identical traps across all engines, in every fused/unfused ×
-//! register/stack combination.
+//! The structural invariants of the IR (jump targets, entry heights,
+//! index ranges) are re-derived independently by [`crate::verify`].
 //!
-//! [`Instance::instantiate_with_engine`]: crate::exec::Instance::instantiate_with_engine
-//!
-//! [`ExecMode::Aot`]: crate::exec::ExecMode
-//! [`Instance::instantiate_with_fusion`]: crate::exec::Instance::instantiate_with_fusion
+//! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
 
-use crate::exec::{
-    trunc_f32_to_i32_s, trunc_f32_to_i64_s, trunc_f32_to_u32, trunc_f32_to_u64, trunc_f64_to_i32_s,
-    trunc_f64_to_i64_s, trunc_f64_to_u32, trunc_f64_to_u64, wasm_fmax32, wasm_fmax64, wasm_fmin32,
-    wasm_fmin64, HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH,
-};
+use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
 use crate::instr::Instr;
 use crate::module::{FuncBody, Module};
-use crate::profile::{OpClass, ProfOp, Profiler};
-use crate::types::{BlockType, FuncType, ValType};
+use crate::profile::{OpClass, ProfOp};
+use crate::types::{BlockType, ValType};
 
 /// An untagged 64-bit operand-stack slot.
 ///
@@ -476,8 +459,9 @@ pub(crate) enum StoreKind {
     I64S32,
 }
 
-/// Performs a fused load at `base + offset` on a raw memory slice (the
-/// dispatch loops cache the memory contents locally — see [`run`]).
+/// Performs a load at `base + offset` on a raw memory slice (the register
+/// dispatch loop caches the memory contents locally — see
+/// [`crate::reg::run`]).
 ///
 /// # Errors
 ///
@@ -527,52 +511,6 @@ pub(crate) fn do_store(
     v: Slot,
 ) -> Result<(), Trap> {
     use crate::exec::mem_store as st;
-    match kind {
-        StoreKind::I32 | StoreKind::F32 => st(mem, base, offset, &(v as u32).to_le_bytes()),
-        StoreKind::I64 | StoreKind::F64 => st(mem, base, offset, &v.to_le_bytes()),
-        StoreKind::I32S8 | StoreKind::I64S8 => st(mem, base, offset, &[(v & 0xff) as u8]),
-        StoreKind::I32S16 | StoreKind::I64S16 => st(mem, base, offset, &(v as u16).to_le_bytes()),
-        StoreKind::I64S32 => st(mem, base, offset, &(v as u32).to_le_bytes()),
-    }
-}
-
-/// Performs a check-free load at `base + offset`: the elision pass
-/// proved the access in bounds, so there is no trap path (see
-/// [`crate::exec::nc_load`]).
-#[inline]
-pub(crate) fn do_load_nc(kind: LoadKind, mem: &[u8], base: i32, offset: u32) -> Slot {
-    use crate::exec::nc_load as ld;
-    match kind {
-        LoadKind::I32 => from_i32(i32::from_le_bytes(ld(mem, base, offset))),
-        LoadKind::I64 => from_i64(i64::from_le_bytes(ld(mem, base, offset))),
-        LoadKind::F32 => u64::from(u32::from_le_bytes(ld(mem, base, offset))),
-        LoadKind::F64 => u64::from_le_bytes(ld(mem, base, offset)),
-        LoadKind::I32L8S => {
-            let b: [u8; 1] = ld(mem, base, offset);
-            from_i32(i32::from(b[0] as i8))
-        }
-        LoadKind::I32L8U | LoadKind::I64L8U => {
-            let b: [u8; 1] = ld(mem, base, offset);
-            u64::from(b[0])
-        }
-        LoadKind::I32L16S => from_i32(i32::from(i16::from_le_bytes(ld(mem, base, offset)))),
-        LoadKind::I32L16U | LoadKind::I64L16U => {
-            u64::from(u16::from_le_bytes(ld(mem, base, offset)))
-        }
-        LoadKind::I64L8S => {
-            let b: [u8; 1] = ld(mem, base, offset);
-            from_i64(i64::from(b[0] as i8))
-        }
-        LoadKind::I64L16S => from_i64(i64::from(i16::from_le_bytes(ld(mem, base, offset)))),
-        LoadKind::I64L32S => from_i64(i64::from(i32::from_le_bytes(ld(mem, base, offset)))),
-        LoadKind::I64L32U => u64::from(u32::from_le_bytes(ld(mem, base, offset))),
-    }
-}
-
-/// Performs a check-free store of raw slot `v` at `base + offset`.
-#[inline]
-pub(crate) fn do_store_nc(kind: StoreKind, mem: &mut [u8], base: i32, offset: u32, v: Slot) {
-    use crate::exec::nc_store as st;
     match kind {
         StoreKind::I32 | StoreKind::F32 => st(mem, base, offset, &(v as u32).to_le_bytes()),
         StoreKind::I64 | StoreKind::F64 => st(mem, base, offset, &v.to_le_bytes()),
@@ -1004,20 +942,6 @@ pub(crate) enum FlatOp {
     I64Extend8S,
     I64Extend16S,
     I64Extend32S,
-
-    /// A plain load whose address the range analysis proved in bounds:
-    /// same stack effect as the checked form, no trap path. Only the
-    /// elision pass emits this, and the verifier re-derives the proof
-    /// ([`crate::verify::VerifyError::UnprovenCheckFree`]).
-    LoadNC {
-        kind: LoadKind,
-        offset: u32,
-    },
-    /// A plain store whose address the range analysis proved in bounds.
-    StoreNC {
-        kind: StoreKind,
-        offset: u32,
-    },
 }
 
 /// Per-kind counts of superinstructions emitted by the fusion pass over a
@@ -1116,13 +1040,6 @@ impl FusionStats {
         self.cmp_br += other.cmp_br;
         self.eqz_br += other.eqz_br;
     }
-}
-
-/// True when the `WATZ_NO_FUSE` environment switch (any non-empty value
-/// other than `0`) disables the fusion pass, keeping the unfused flat
-/// engine reachable for bisection.
-pub(crate) fn fusion_disabled_by_env() -> bool {
-    std::env::var_os("WATZ_NO_FUSE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"))
 }
 
 /// Maps a plain flat opcode to its fusable binary-operator kind.
@@ -1271,7 +1188,8 @@ pub(crate) struct FlatFunc {
     pub(crate) result_types: Box<[ValType]>,
     pub(crate) code: Box<[FlatOp]>,
     /// Retirement metadata, 1:1 with `code` (built at lowering; read
-    /// only by the counting dispatch loop and the register pass).
+    /// only by the register pass, which folds it into its own table —
+    /// the verifier checks just the length).
     pub(crate) prof: Box<[ProfOp]>,
 }
 
@@ -1282,8 +1200,9 @@ pub(crate) enum FlatFuncDef {
     Local(FlatFunc),
 }
 
-/// A module lowered to flat code, ready for [`run`] (or, when the
-/// register pass ran, for [`crate::reg::run`]).
+/// A module's compiled code: the flat IR of every function, plus the
+/// register program [`crate::reg::run`] executes when the register pass
+/// ran.
 #[derive(Debug)]
 pub(crate) struct FlatModule {
     pub(crate) funcs: Vec<FlatFuncDef>,
@@ -1291,38 +1210,43 @@ pub(crate) struct FlatModule {
     pub(crate) global_types: Box<[ValType]>,
     pub(crate) fusion: FusionStats,
     /// Register-form code (one per local function), present when the
-    /// register-allocation pass ran and succeeded for every function.
+    /// register-allocation pass ran and every frame fit its slot encoding.
     pub(crate) reg: Option<crate::reg::RegProgram>,
     /// The memory's minimum size in bytes — the floor every in-bounds
     /// proof is anchored to (linear memory never shrinks).
     pub(crate) min_mem: u64,
-    /// Range-analysis and bounds-check-elision counters.
+    /// Range-analysis and bounds-check-elision counters (register form).
     pub(crate) analysis: crate::analysis::RangeStats,
 }
 
 impl FlatModule {
     /// Lowers every function body of a validated module; `fuse` controls
     /// the superinstruction peephole pass, `reg` the register-allocation
-    /// pass on top of it, and `elide` the bounds-check elision rewrite.
-    /// Elision runs strictly after the register pass (which consumes the
-    /// original checked bodies), then rewrites the flat and register forms
-    /// independently.
+    /// pass on top of it, and `elide` the bounds-check elision rewrite of
+    /// the register code.
+    ///
+    /// The register program is all-or-nothing per module (a register
+    /// frame cannot call into the interpreter): one function whose frame
+    /// exceeds the `u16` slot encoding leaves the module without one.
     ///
     /// # Errors
     ///
     /// Returns [`Trap::Instantiation`] when the module is malformed (a
-    /// truncated/unbalanced body, out-of-range indices) — lowering never
-    /// panics, even on input that skipped validation.
+    /// truncated/unbalanced body, out-of-range indices) or a lowering pass
+    /// breaks one of its own invariants — lowering never panics, even on
+    /// input that skipped validation.
     pub(crate) fn compile_full(
         module: &Module,
         fuse: bool,
         reg: bool,
         elide: bool,
     ) -> Result<FlatModule, Trap> {
+        use crate::reg::LowerError;
         let mut funcs = Vec::with_capacity(module.func_count());
         let mut func_type_idx = Vec::with_capacity(module.func_count());
-        let mut reg_funcs: Vec<Option<crate::reg::RegFunc>> =
-            Vec::with_capacity(module.func_count());
+        // Indexed like `funcs`: `None` for every import.
+        let mut reg_funcs =
+            reg.then(|| module.func_imports.iter().map(|_| None).collect::<Vec<_>>());
         for imp in &module.func_imports {
             let ty = module
                 .types
@@ -1335,93 +1259,44 @@ impl FlatModule {
                 n_results: ty.results.len(),
             }));
             func_type_idx.push(imp.type_idx);
-            reg_funcs.push(None);
         }
         let mut fusion = FusionStats::default();
         let mut reg_stats = crate::reg::RegStats::default();
-        // The register pass is all-or-nothing per module (the two frame
-        // layouts cannot call each other): if any function cannot be
-        // register-lowered (e.g. a frame too large for the u16 slot
-        // encoding), the whole module stays on the stack-form engine.
-        let mut reg_ok = reg;
         for body in &module.funcs {
             let (func, heights) = lower(module, body, fuse, &mut fusion)?;
-            if reg_ok {
+            if let Some(rfs) = &mut reg_funcs {
                 match crate::reg::lower_func(&func, &heights, module, &mut reg_stats) {
-                    Ok(rf) => reg_funcs.push(Some(rf)),
-                    Err(_) => reg_ok = false,
+                    Ok(rf) => rfs.push(Some(rf)),
+                    Err(LowerError::FrameTooLarge) => reg_funcs = None,
+                    Err(LowerError::Malformed(trap)) => return Err(trap),
                 }
             }
             funcs.push(FlatFuncDef::Local(func));
             func_type_idx.push(body.type_idx);
         }
-        let global_types = module
-            .globals
-            .iter()
-            .map(|g| g.ty.val_type)
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let mut reg = if reg_ok {
-            Some(crate::reg::RegProgram {
-                funcs: reg_funcs.into_boxed_slice(),
-                stats: reg_stats,
-            })
-        } else {
-            None
-        };
         let min_mem = module
             .memories
             .first()
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
-        // Bounds-check elision, strictly after the register pass: the
-        // register lowering consumes the original checked flat bodies,
-        // then each form is analyzed and rewritten independently. The
-        // entry heights come from the verifier's own walk so elision and
-        // verification always agree on reachability.
         let mut analysis = crate::analysis::RangeStats::default();
-        for i in 0..funcs.len() {
-            let proofs = {
-                let ctx = crate::verify::ModuleCtx {
-                    funcs: &funcs,
-                    types: &module.types,
-                    global_types: &global_types,
-                    min_mem,
-                };
-                let FlatFuncDef::Local(f) = &funcs[i] else {
-                    continue;
-                };
-                let heights = crate::verify::flat_entry_heights(f, &ctx, i as u32)
-                    .map_err(|e| bad(&format!("IR self-check failed: {e}")))?;
-                crate::analysis::flat_proofs(f, &heights, &ctx)
-            };
-            if let FlatFuncDef::Local(f) = &mut funcs[i] {
-                crate::analysis::apply_flat_elision(f, &proofs, elide, &mut analysis);
-            }
-        }
-        if let Some(prog) = &mut reg {
-            for rf in prog.funcs.iter_mut().flatten() {
+        let reg = reg_funcs.map(|mut rfs| {
+            for rf in rfs.iter_mut().flatten() {
                 crate::analysis::elide_reg(rf, min_mem, elide, &mut analysis);
             }
-        }
+            crate::reg::RegProgram {
+                funcs: rfs.into_boxed_slice(),
+                stats: reg_stats,
+            }
+        });
         Ok(FlatModule {
             funcs,
             func_type_idx: func_type_idx.into_boxed_slice(),
-            global_types,
+            global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
             fusion,
             reg,
             min_mem,
             analysis,
         })
-    }
-
-    /// Superinstruction counts emitted while lowering this module.
-    pub(crate) fn fusion_stats(&self) -> FusionStats {
-        self.fusion
-    }
-
-    /// Register-allocation counts, when the register pass ran.
-    pub(crate) fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        self.reg.as_ref().map(|p| p.stats)
     }
 }
 
@@ -1820,12 +1695,9 @@ pub(crate) fn lower(
     if !ctrl.is_empty() {
         return Err(bad("truncated body: unbalanced control (missing end)"));
     }
-    debug_assert_eq!(ops.len(), heights.len());
-    debug_assert_eq!(ops.len(), prof.len());
-    // Under WATZ_VERIFY_IR the length parity holds in release builds
-    // too: the arrays are consumed 1:1 by the dispatch loops and the
-    // register pass, so a skew is an unconditional lowering bug.
-    if crate::verify::strict() && (ops.len() != heights.len() || ops.len() != prof.len()) {
+    // The arrays are consumed 1:1 by the fusion and register passes, so
+    // a skew is an unconditional lowering bug.
+    if ops.len() != heights.len() || ops.len() != prof.len() {
         return Err(bad("lowering produced skewed ops/heights/prof arrays"));
     }
     let (code, heights, prof) = if fuse {
@@ -1833,7 +1705,6 @@ pub(crate) fn lower(
     } else {
         (ops, heights, prof)
     };
-    check_jump_targets(&code)?;
     Ok((
         FlatFunc {
             n_params: n_params as u32,
@@ -1845,45 +1716,6 @@ pub(crate) fn lower(
         },
         heights,
     ))
-}
-
-/// The load-time flat-code validator: every absolute jump target (and
-/// every `br_table` entry) must land on a real instruction. Runs on both
-/// the fused and unfused paths before any code is executed, so a lowering
-/// or remap bug surfaces as an instantiation error, not a runtime panic.
-fn check_jump_targets(code: &[FlatOp]) -> Result<(), Trap> {
-    let n = code.len() as u32;
-    let check = |t: u32| {
-        if t < n {
-            Ok(())
-        } else {
-            Err(bad("jump target out of bounds"))
-        }
-    };
-    for op in code {
-        match op {
-            FlatOp::Jump { target }
-            | FlatOp::JumpIfZero { target }
-            | FlatOp::JumpIfNonZero { target }
-            | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. }
-            | FlatOp::FusedCmpBrZ { target, .. }
-            | FlatOp::FusedCmpBrNZ { target, .. }
-            | FlatOp::FusedCmpBrLLZ { target, .. }
-            | FlatOp::FusedCmpBrLLNZ { target, .. }
-            | FlatOp::FusedCmpBrLKZ { target, .. }
-            | FlatOp::FusedCmpBrLKNZ { target, .. }
-            | FlatOp::FusedCmpBrSLZ { target, .. }
-            | FlatOp::FusedCmpBrSLNZ { target, .. } => check(*target)?,
-            FlatOp::BrTable { entries } => {
-                for e in entries.iter() {
-                    check(e.target)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 /// The peephole fusion pass: rewrites adjacent-op windows into fused
@@ -1943,8 +1775,9 @@ fn fuse_ops(
         // A fused window retires every guest op it swallowed, inclusively
         // at fetch. The binop-set forms exclude their trailing `local.set`
         // from the fetch-time weight: the binop may trap (div/rem), and
-        // the oracle would not have dispatched the set, so the dispatch
-        // arms retire it separately once the binop succeeds. All other
+        // the oracle would not have dispatched the set, so the register
+        // pass attaches its weight to the next op on the fall-through
+        // path, reached only once the binop succeeded. All other
         // windows never extend past a trap point, making fetch-time
         // retirement exact even on trapping inputs.
         let deferred_set = matches!(
@@ -1965,10 +1798,7 @@ fn fuse_ops(
         i += consumed;
     }
     old2new[n] = out.len() as u32;
-    debug_assert_eq!(out.len(), heights_out.len());
-    debug_assert_eq!(out.len(), prof_out.len());
-    // Release-mode twin of the asserts above, under WATZ_VERIFY_IR.
-    if crate::verify::strict() && (out.len() != heights_out.len() || out.len() != prof_out.len()) {
+    if out.len() != heights_out.len() || out.len() != prof_out.len() {
         return Err(bad("fusion produced skewed ops/heights/prof arrays"));
     }
 
@@ -2031,9 +1861,9 @@ enum BinopFollow {
 /// (MiniC's truthiness normalization emits exactly these chains).
 ///
 /// A trap-capable binop (`div`/`rem`) may only sink into a `local.set`:
-/// the set's retirement is deferred until the division succeeds (see the
-/// `FusedBinopLLSet`/`FusedBinopLKSet` dispatch arms), so
-/// inclusive-at-fetch instret stays exact on trapping inputs. Store and
+/// the set's retirement is deferred until the division succeeds (see
+/// `deferred_set` in [`crate::reg::lower_func`]), so inclusive-at-fetch
+/// instret stays exact on trapping inputs. Store and
 /// branch follows would put a second trap point or a control transfer
 /// after the division, which the deferred-suffix scheme does not cover.
 fn binop_follow(
@@ -2556,812 +2386,14 @@ fn map_simple(instr: &Instr) -> Result<(FlatOp, usize, usize), Trap> {
     })
 }
 
-/// Saved caller state for a guest-level call inside the flat engine.
-struct Frame<'a> {
-    func: &'a FlatFunc,
-    pc: usize,
-    base: usize,
-}
-
-/// Invokes function `func_idx` on the flat engine.
-///
-/// The linear-memory contents are moved out of [`Memory`] for the whole
-/// dispatch loop (one borrow per run, not one per load/store) and moved
-/// back on exit; host calls and `memory.grow` — the only operations that
-/// can observe or change the mapping — restore it around the boundary.
-///
-/// # Errors
-///
-/// Returns exactly the traps the tree-walking interpreter would.
-#[allow(clippy::too_many_arguments)] // One borrow per disjoint Instance field.
-pub(crate) fn run(
-    flat: &FlatModule,
-    types: &[FuncType],
-    table: &[Option<u32>],
-    memory: &mut Memory,
-    globals: &mut [Value],
-    host: &mut dyn HostEnv,
-    func_idx: u32,
-    args: &[Value],
-    profile: Option<&mut crate::profile::ExecProfile>,
-) -> Result<Vec<Value>, Trap> {
-    let entry = match &flat.funcs[func_idx as usize] {
-        FlatFuncDef::Import(imp) => {
-            let results = host.call(&imp.module, &imp.name, memory, args)?;
-            crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
-            return Ok(results);
-        }
-        FlatFuncDef::Local(f) => f,
-    };
-    let mut mem = memory.take_data();
-    // Monomorphise the dispatch loop per profile mode: the `NoProfile`
-    // instantiation is the unchanged hot path (every counting statement
-    // is compile-time dead), the `ExecProfile` one counts.
-    let result = match profile {
-        Some(p) => run_loop(
-            flat, types, table, &mut mem, memory, globals, host, entry, args, p,
-        ),
-        None => run_loop(
-            flat,
-            types,
-            table,
-            &mut mem,
-            memory,
-            globals,
-            host,
-            entry,
-            args,
-            &mut crate::profile::NoProfile,
-        ),
-    };
-    memory.put_data(mem);
-    result
-}
-
-/// The flat engine's dispatch loop, operating on the cached memory vec.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_loop<P: Profiler>(
-    flat: &FlatModule,
-    types: &[FuncType],
-    table: &[Option<u32>],
-    mem: &mut Vec<u8>,
-    memory: &mut Memory,
-    globals: &mut [Value],
-    host: &mut dyn HostEnv,
-    entry: &FlatFunc,
-    args: &[Value],
-    prof: &mut P,
-) -> Result<Vec<Value>, Trap> {
-    let mut stack: Vec<Slot> = Vec::with_capacity(64);
-    for v in args {
-        stack.push(slot_from_value(*v));
-    }
-    stack.resize(entry.n_locals as usize, 0);
-
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut cur: &FlatFunc = entry;
-    let mut base: usize = 0;
-    let mut pc: usize = 0;
-
-    macro_rules! pop {
-        () => {
-            stack.pop().expect("validated")
-        };
-    }
-    macro_rules! top {
-        () => {
-            stack.last_mut().expect("validated")
-        };
-    }
-    // In-place unary op: rewrites the top of stack.
-    macro_rules! unop {
-        ($as:ident, $from:ident, $f:expr) => {{
-            let t = top!();
-            *t = $from($f($as(*t)));
-        }};
-    }
-    // In-place binary op: pops b, rewrites a in place.
-    macro_rules! binop {
-        ($as:ident, $from:ident, $f:expr) => {{
-            let b = $as(pop!());
-            let t = top!();
-            *t = $from($f($as(*t), b));
-        }};
-    }
-    macro_rules! relop {
-        ($as:ident, $f:expr) => {{
-            let b = $as(pop!());
-            let t = top!();
-            *t = u64::from($f($as(*t), b));
-        }};
-    }
-    macro_rules! load {
-        ($off:expr, $n:expr, $conv:expr) => {{
-            let t = top!();
-            let addr = as_i32(*t);
-            let bytes: [u8; $n] = crate::exec::mem_load(mem, addr, $off)?;
-            *t = $conv(bytes);
-        }};
-    }
-    macro_rules! store {
-        ($off:expr, $conv:expr) => {{
-            let v = pop!();
-            let addr = as_i32(pop!());
-            crate::exec::mem_store(mem, addr, $off, &$conv(v))?;
-        }};
-    }
-    // Taken-branch hook: `pc` is already past the op, so `target < pc`
-    // is exactly "at or before this op" — a loop back edge.
-    macro_rules! backedge {
-        ($target:expr) => {
-            if P::ENABLED && ($target as usize) < pc {
-                prof.backedge();
-            }
-        };
-    }
-    // Branch stack fix-up + jump: keep the top `keep` slots, reset the
-    // operand stack to height `height` above this frame's operand base.
-    macro_rules! do_br {
-        ($target:expr, $keep:expr, $height:expr) => {{
-            backedge!($target);
-            let dest = base + cur.n_locals as usize + $height as usize;
-            let keep = $keep as usize;
-            let src = stack.len() - keep;
-            if src != dest {
-                stack.copy_within(src.., dest);
-                stack.truncate(dest + keep);
-            }
-            pc = $target as usize;
-        }};
-    }
-    macro_rules! call_local {
-        ($callee:expr) => {{
-            let callee: &FlatFunc = $callee;
-            if frames.len() + 1 >= MAX_CALL_DEPTH {
-                return Err(Trap::CallStackExhausted);
-            }
-            let new_base = stack.len() - callee.n_params as usize;
-            stack.resize(new_base + callee.n_locals as usize, 0);
-            frames.push(Frame {
-                func: cur,
-                pc,
-                base,
-            });
-            cur = callee;
-            base = new_base;
-            pc = 0;
-        }};
-    }
-    macro_rules! call_import {
-        ($imp:expr) => {{
-            let imp: &FlatImport = $imp;
-            let split = stack.len() - imp.params.len();
-            let host_args: Vec<Value> = imp
-                .params
-                .iter()
-                .zip(&stack[split..])
-                .map(|(ty, s)| value_from_slot(*ty, *s))
-                .collect();
-            stack.truncate(split);
-            // The host sees (and may grow) the real memory: hand the
-            // cached contents back for the duration of the call.
-            memory.put_data(std::mem::take(mem));
-            let call_result = host.call(&imp.module, &imp.name, memory, &host_args);
-            *mem = memory.take_data();
-            let results = call_result?;
-            crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
-            stack.extend(results.into_iter().map(slot_from_value));
-        }};
-    }
-
-    loop {
-        let op = &cur.code[pc];
-        // Retirement is inclusive at fetch: the op's full guest-op weight
-        // counts before it executes (and so before it can trap).
-        if P::ENABLED {
-            prof.retire(&cur.prof[pc]);
-        }
-        pc += 1;
-        match op {
-            FlatOp::Unreachable => return Err(Trap::Unreachable),
-            FlatOp::Jump { target } => {
-                backedge!(*target);
-                pc = *target as usize;
-            }
-            FlatOp::JumpIfZero { target } => {
-                if as_u32(pop!()) == 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::JumpIfNonZero { target } => {
-                if as_u32(pop!()) != 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::Br {
-                target,
-                keep,
-                height,
-            } => do_br!(*target, *keep, *height),
-            FlatOp::BrIf {
-                target,
-                keep,
-                height,
-            } => {
-                if as_u32(pop!()) != 0 {
-                    do_br!(*target, *keep, *height);
-                }
-            }
-            FlatOp::BrTable { entries } => {
-                let i = as_u32(pop!()) as usize;
-                let e = entries[i.min(entries.len() - 1)];
-                do_br!(e.target, e.keep, e.height);
-            }
-            FlatOp::Return => {
-                let n = cur.n_results as usize;
-                let rs = stack.len() - n;
-                if rs != base {
-                    stack.copy_within(rs.., base);
-                    stack.truncate(base + n);
-                }
-                match frames.pop() {
-                    Some(fr) => {
-                        cur = fr.func;
-                        pc = fr.pc;
-                        base = fr.base;
-                    }
-                    None => {
-                        return Ok(cur
-                            .result_types
-                            .iter()
-                            .zip(&stack[base..])
-                            .map(|(ty, s)| value_from_slot(*ty, *s))
-                            .collect());
-                    }
-                }
-            }
-            FlatOp::CallLocal { func } => {
-                let FlatFuncDef::Local(callee) = &flat.funcs[*func as usize] else {
-                    unreachable!("resolved at lowering")
-                };
-                call_local!(callee);
-            }
-            FlatOp::CallImport { func } => {
-                let FlatFuncDef::Import(imp) = &flat.funcs[*func as usize] else {
-                    unreachable!("resolved at lowering")
-                };
-                call_import!(imp);
-            }
-            FlatOp::CallIndirect { type_idx } => {
-                let i = as_u32(pop!()) as usize;
-                let slot = *table.get(i).ok_or(Trap::TableOutOfBounds)?;
-                let f = slot.ok_or(Trap::UndefinedTableElement)?;
-                let actual = &types[flat.func_type_idx[f as usize] as usize];
-                let expected = &types[*type_idx as usize];
-                if actual != expected {
-                    return Err(Trap::IndirectTypeMismatch);
-                }
-                match &flat.funcs[f as usize] {
-                    FlatFuncDef::Import(imp) => call_import!(imp),
-                    FlatFuncDef::Local(callee) => call_local!(callee),
-                }
-            }
-
-            FlatOp::Drop => {
-                pop!();
-            }
-            FlatOp::Select => {
-                let c = as_u32(pop!());
-                let b = pop!();
-                if c == 0 {
-                    *top!() = b;
-                }
-            }
-
-            FlatOp::LocalGet(i) => {
-                let v = stack[base + *i as usize];
-                stack.push(v);
-            }
-            FlatOp::LocalSet(i) => stack[base + *i as usize] = pop!(),
-            FlatOp::LocalTee(i) => {
-                let v = *stack.last().expect("validated");
-                stack[base + *i as usize] = v;
-            }
-            FlatOp::GlobalGet(i) => stack.push(slot_from_value(globals[*i as usize])),
-            FlatOp::GlobalSet(i) => {
-                globals[*i as usize] = value_from_slot(flat.global_types[*i as usize], pop!());
-            }
-
-            FlatOp::I32Load(off) => load!(*off, 4, |b| from_i32(i32::from_le_bytes(b))),
-            FlatOp::I64Load(off) => load!(*off, 8, |b| from_i64(i64::from_le_bytes(b))),
-            FlatOp::F32Load(off) => load!(*off, 4, |b| u64::from(u32::from_le_bytes(b))),
-            FlatOp::F64Load(off) => load!(*off, 8, u64::from_le_bytes),
-            FlatOp::I32Load8S(off) => {
-                load!(*off, 1, |b: [u8; 1]| from_i32(i32::from(b[0] as i8)))
-            }
-            FlatOp::I32Load8U(off) => load!(*off, 1, |b: [u8; 1]| u64::from(b[0])),
-            FlatOp::I32Load16S(off) => {
-                load!(*off, 2, |b| from_i32(i32::from(i16::from_le_bytes(b))))
-            }
-            FlatOp::I32Load16U(off) => load!(*off, 2, |b| u64::from(u16::from_le_bytes(b))),
-            FlatOp::I64Load8S(off) => {
-                load!(*off, 1, |b: [u8; 1]| from_i64(i64::from(b[0] as i8)))
-            }
-            FlatOp::I64Load8U(off) => load!(*off, 1, |b: [u8; 1]| u64::from(b[0])),
-            FlatOp::I64Load16S(off) => {
-                load!(*off, 2, |b| from_i64(i64::from(i16::from_le_bytes(b))))
-            }
-            FlatOp::I64Load16U(off) => load!(*off, 2, |b| u64::from(u16::from_le_bytes(b))),
-            FlatOp::I64Load32S(off) => {
-                load!(*off, 4, |b| from_i64(i64::from(i32::from_le_bytes(b))))
-            }
-            FlatOp::I64Load32U(off) => load!(*off, 4, |b| u64::from(u32::from_le_bytes(b))),
-
-            FlatOp::I32Store(off) => store!(*off, |v| (v as u32).to_le_bytes()),
-            FlatOp::I64Store(off) => store!(*off, |v: u64| v.to_le_bytes()),
-            FlatOp::F32Store(off) => store!(*off, |v| (v as u32).to_le_bytes()),
-            FlatOp::F64Store(off) => store!(*off, |v: u64| v.to_le_bytes()),
-            FlatOp::I32Store8(off) => store!(*off, |v| [(v & 0xff) as u8]),
-            FlatOp::I32Store16(off) => store!(*off, |v| (v as u16).to_le_bytes()),
-            FlatOp::I64Store8(off) => store!(*off, |v| [(v & 0xff) as u8]),
-            FlatOp::I64Store16(off) => store!(*off, |v| (v as u16).to_le_bytes()),
-            FlatOp::I64Store32(off) => store!(*off, |v| (v as u32).to_le_bytes()),
-
-            FlatOp::LoadNC { kind, offset } => {
-                let t = top!();
-                let addr = as_i32(*t);
-                *t = do_load_nc(*kind, mem, addr, *offset);
-            }
-            FlatOp::StoreNC { kind, offset } => {
-                let v = pop!();
-                let addr = as_i32(pop!());
-                do_store_nc(*kind, mem, addr, *offset, v);
-            }
-
-            FlatOp::MemorySize => stack.push(from_i32((mem.len() / crate::PAGE_SIZE) as i32)),
-            FlatOp::MemoryGrow => {
-                let t = top!();
-                let delta = as_u32(*t);
-                *t = from_i32(Memory::grow_raw(mem, memory.max_pages(), delta));
-            }
-            FlatOp::MemoryCopy => {
-                let len = as_u32(pop!());
-                let src = as_u32(pop!());
-                let dst = as_u32(pop!());
-                let mem_len = mem.len() as u64;
-                if u64::from(src) + u64::from(len) > mem_len
-                    || u64::from(dst) + u64::from(len) > mem_len
-                {
-                    return Err(Trap::MemoryOutOfBounds);
-                }
-                mem.copy_within(src as usize..(src + len) as usize, dst as usize);
-            }
-            FlatOp::MemoryFill => {
-                let len = as_u32(pop!());
-                let val = as_u32(pop!()) as u8;
-                let dst = as_u32(pop!());
-                if u64::from(dst) + u64::from(len) > mem.len() as u64 {
-                    return Err(Trap::MemoryOutOfBounds);
-                }
-                mem[dst as usize..(dst + len) as usize].fill(val);
-            }
-
-            FlatOp::Const(v) => stack.push(*v),
-
-            FlatOp::FusedBinopLL { a, b, op } => {
-                let x = stack[base + *a as usize];
-                let y = stack[base + *b as usize];
-                stack.push(apply_binop(*op, x, y)?);
-            }
-            FlatOp::FusedBinopLK { a, k, op } => {
-                let x = stack[base + *a as usize];
-                stack.push(apply_binop(*op, x, *k)?);
-            }
-            FlatOp::FusedBinopLLSet { a, b, op, dst } => {
-                let r = apply_binop(*op, stack[base + *a as usize], stack[base + *b as usize])?;
-                // The trailing `local.set` retires only once the binop
-                // succeeded — fetch-time weight excludes it (see fuse_ops).
-                if P::ENABLED {
-                    prof.retire_tail(OpClass::Local, 1);
-                }
-                stack[base + *dst as usize] = r;
-            }
-            FlatOp::FusedBinopLKSet { a, k, op, dst } => {
-                let r = apply_binop(*op, stack[base + *a as usize], u64::from(*k))?;
-                if P::ENABLED {
-                    prof.retire_tail(OpClass::Local, 1);
-                }
-                stack[base + *dst as usize] = r;
-            }
-            FlatOp::FusedBinopSL { b, op } => {
-                let y = stack[base + *b as usize];
-                let t = top!();
-                *t = apply_binop(*op, *t, y)?;
-            }
-            FlatOp::FusedBinopSLSet { b, op, dst } => {
-                let x = pop!();
-                let r = apply_binop(*op, x, stack[base + *b as usize])?;
-                if P::ENABLED {
-                    prof.retire_tail(OpClass::Local, 1);
-                }
-                stack[base + *dst as usize] = r;
-            }
-            FlatOp::FusedBinopSLStore {
-                b,
-                op,
-                offset,
-                kind,
-            } => {
-                let x = pop!();
-                let v = apply_binop(*op, x, stack[base + *b as usize])?;
-                let addr = as_i32(pop!());
-                do_store(*kind, mem, addr, *offset, v)?;
-            }
-            FlatOp::FusedBinopLLStore {
-                a,
-                b,
-                op,
-                offset,
-                kind,
-            } => {
-                let v = apply_binop(*op, stack[base + *a as usize], stack[base + *b as usize])?;
-                let addr = as_i32(pop!());
-                do_store(*kind, mem, addr, *offset, v)?;
-            }
-            FlatOp::FusedBinopSet { op, dst } => {
-                let b = pop!();
-                let a = pop!();
-                let r = apply_binop(*op, a, b)?;
-                if P::ENABLED {
-                    prof.retire_tail(OpClass::Local, 1);
-                }
-                stack[base + *dst as usize] = r;
-            }
-            FlatOp::LocalCopy { src, dst } => {
-                stack[base + *dst as usize] = stack[base + *src as usize];
-            }
-            FlatOp::FusedLoadL { addr, offset, kind } => {
-                let a = as_i32(stack[base + *addr as usize]);
-                stack.push(do_load(*kind, mem, a, *offset)?);
-            }
-            FlatOp::FusedStoreL { val, offset, kind } => {
-                let a = as_i32(pop!());
-                do_store(*kind, mem, a, *offset, stack[base + *val as usize])?;
-            }
-            FlatOp::FusedAddLoad { offset, kind } => {
-                let b = pop!();
-                let t = top!();
-                let a = as_i32(*t).wrapping_add(as_i32(b));
-                *t = do_load(*kind, mem, a, *offset)?;
-            }
-            FlatOp::FusedBinopKS { k, op } => {
-                let t = top!();
-                *t = apply_binop(*op, *t, *k)?;
-            }
-            FlatOp::FusedScaleAdd { k } => {
-                let idx = as_i32(pop!());
-                let t = top!();
-                *t = from_i32(as_i32(*t).wrapping_add(idx.wrapping_mul(*k as i32)));
-            }
-            FlatOp::FusedScaleAddLoad { k, offset, kind } => {
-                let idx = as_i32(pop!());
-                let t = top!();
-                let addr = as_i32(*t).wrapping_add(idx.wrapping_mul(*k as i32));
-                *t = do_load(*kind, mem, addr, *offset)?;
-            }
-            FlatOp::FusedIdxLAdd { z, k } => {
-                let zv = as_i32(stack[base + *z as usize]);
-                let partial = as_i32(pop!());
-                let t = top!();
-                let idx = partial.wrapping_add(zv).wrapping_mul(*k as i32);
-                *t = from_i32(as_i32(*t).wrapping_add(idx));
-            }
-            FlatOp::FusedIdxLAddLoad { z, k, offset, kind } => {
-                let zv = as_i32(stack[base + *z as usize]);
-                let partial = as_i32(pop!());
-                let t = top!();
-                let idx = partial.wrapping_add(zv).wrapping_mul(*k as i32);
-                let addr = as_i32(*t).wrapping_add(idx);
-                *t = do_load(*kind, mem, addr, *offset)?;
-            }
-            FlatOp::FusedBinopStore { op, offset, kind } => {
-                let b = pop!();
-                let a = pop!();
-                let v = apply_binop(*op, a, b)?;
-                let addr = as_i32(pop!());
-                do_store(*kind, mem, addr, *offset, v)?;
-            }
-            FlatOp::FusedCmpBrZ { op, target } => {
-                let b = pop!();
-                let a = pop!();
-                if as_u32(apply_binop(*op, a, b)?) == 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrNZ { op, target } => {
-                let b = pop!();
-                let a = pop!();
-                if as_u32(apply_binop(*op, a, b)?) != 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrLLZ { a, b, op, target } => {
-                let x = stack[base + *a as usize];
-                let y = stack[base + *b as usize];
-                if as_u32(apply_binop(*op, x, y)?) == 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrLLNZ { a, b, op, target } => {
-                let x = stack[base + *a as usize];
-                let y = stack[base + *b as usize];
-                if as_u32(apply_binop(*op, x, y)?) != 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrLKZ { a, k, op, target } => {
-                let x = stack[base + *a as usize];
-                if as_u32(apply_binop(*op, x, u64::from(*k))?) == 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrLKNZ { a, k, op, target } => {
-                let x = stack[base + *a as usize];
-                if as_u32(apply_binop(*op, x, u64::from(*k))?) != 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrSLZ { b, op, target } => {
-                let x = pop!();
-                if as_u32(apply_binop(*op, x, stack[base + *b as usize])?) == 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            FlatOp::FusedCmpBrSLNZ { b, op, target } => {
-                let x = pop!();
-                if as_u32(apply_binop(*op, x, stack[base + *b as usize])?) != 0 {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-
-            FlatOp::I32Eqz => {
-                let t = top!();
-                *t = u64::from(as_u32(*t) == 0);
-            }
-            FlatOp::I64Eqz => {
-                let t = top!();
-                *t = u64::from(*t == 0);
-            }
-            FlatOp::I32Eq => relop!(as_i32, |a, b| a == b),
-            FlatOp::I32Ne => relop!(as_i32, |a, b| a != b),
-            FlatOp::I32LtS => relop!(as_i32, |a, b| a < b),
-            FlatOp::I32LtU => relop!(as_u32, |a, b| a < b),
-            FlatOp::I32GtS => relop!(as_i32, |a, b| a > b),
-            FlatOp::I32GtU => relop!(as_u32, |a, b| a > b),
-            FlatOp::I32LeS => relop!(as_i32, |a, b| a <= b),
-            FlatOp::I32LeU => relop!(as_u32, |a, b| a <= b),
-            FlatOp::I32GeS => relop!(as_i32, |a, b| a >= b),
-            FlatOp::I32GeU => relop!(as_u32, |a, b| a >= b),
-            FlatOp::I64Eq => relop!(as_i64, |a, b| a == b),
-            FlatOp::I64Ne => relop!(as_i64, |a, b| a != b),
-            FlatOp::I64LtS => relop!(as_i64, |a, b| a < b),
-            FlatOp::I64LtU => relop!(as_u64, |a, b| a < b),
-            FlatOp::I64GtS => relop!(as_i64, |a, b| a > b),
-            FlatOp::I64GtU => relop!(as_u64, |a, b| a > b),
-            FlatOp::I64LeS => relop!(as_i64, |a, b| a <= b),
-            FlatOp::I64LeU => relop!(as_u64, |a, b| a <= b),
-            FlatOp::I64GeS => relop!(as_i64, |a, b| a >= b),
-            FlatOp::I64GeU => relop!(as_u64, |a, b| a >= b),
-            FlatOp::F32Eq => relop!(as_f32, |a, b| a == b),
-            FlatOp::F32Ne => relop!(as_f32, |a, b| a != b),
-            FlatOp::F32Lt => relop!(as_f32, |a, b| a < b),
-            FlatOp::F32Gt => relop!(as_f32, |a, b| a > b),
-            FlatOp::F32Le => relop!(as_f32, |a, b| a <= b),
-            FlatOp::F32Ge => relop!(as_f32, |a, b| a >= b),
-            FlatOp::F64Eq => relop!(as_f64, |a, b| a == b),
-            FlatOp::F64Ne => relop!(as_f64, |a, b| a != b),
-            FlatOp::F64Lt => relop!(as_f64, |a, b| a < b),
-            FlatOp::F64Gt => relop!(as_f64, |a, b| a > b),
-            FlatOp::F64Le => relop!(as_f64, |a, b| a <= b),
-            FlatOp::F64Ge => relop!(as_f64, |a, b| a >= b),
-
-            FlatOp::I32Clz => unop!(as_i32, from_i32, |a: i32| a.leading_zeros() as i32),
-            FlatOp::I32Ctz => unop!(as_i32, from_i32, |a: i32| a.trailing_zeros() as i32),
-            FlatOp::I32Popcnt => unop!(as_i32, from_i32, |a: i32| a.count_ones() as i32),
-            FlatOp::I32Add => binop!(as_i32, from_i32, i32::wrapping_add),
-            FlatOp::I32Sub => binop!(as_i32, from_i32, i32::wrapping_sub),
-            FlatOp::I32Mul => binop!(as_i32, from_i32, i32::wrapping_mul),
-            FlatOp::I32DivS => {
-                let b = as_i32(pop!());
-                let t = top!();
-                *t = from_i32(i32_div_s(as_i32(*t), b)?);
-            }
-            FlatOp::I32DivU => {
-                let b = as_u32(pop!());
-                let t = top!();
-                *t = u64::from(i32_div_u(as_u32(*t), b)?);
-            }
-            FlatOp::I32RemS => {
-                let b = as_i32(pop!());
-                let t = top!();
-                *t = from_i32(i32_rem_s(as_i32(*t), b)?);
-            }
-            FlatOp::I32RemU => {
-                let b = as_u32(pop!());
-                let t = top!();
-                *t = u64::from(i32_rem_u(as_u32(*t), b)?);
-            }
-            FlatOp::I32And => binop!(as_i32, from_i32, |a, b| a & b),
-            FlatOp::I32Or => binop!(as_i32, from_i32, |a, b| a | b),
-            FlatOp::I32Xor => binop!(as_i32, from_i32, |a, b| a ^ b),
-            FlatOp::I32Shl => binop!(as_i32, from_i32, |a: i32, b: i32| a.wrapping_shl(b as u32)),
-            FlatOp::I32ShrS => binop!(as_i32, from_i32, |a: i32, b: i32| a.wrapping_shr(b as u32)),
-            FlatOp::I32ShrU => binop!(as_u32, from_i32, |a: u32, b: u32| a.wrapping_shr(b) as i32),
-            FlatOp::I32Rotl => {
-                binop!(as_i32, from_i32, |a: i32, b: i32| a
-                    .rotate_left(b as u32 % 32))
-            }
-            FlatOp::I32Rotr => {
-                binop!(as_i32, from_i32, |a: i32, b: i32| a
-                    .rotate_right(b as u32 % 32))
-            }
-
-            FlatOp::I64Clz => unop!(as_i64, from_i64, |a: i64| i64::from(a.leading_zeros())),
-            FlatOp::I64Ctz => unop!(as_i64, from_i64, |a: i64| i64::from(a.trailing_zeros())),
-            FlatOp::I64Popcnt => unop!(as_i64, from_i64, |a: i64| i64::from(a.count_ones())),
-            FlatOp::I64Add => binop!(as_i64, from_i64, i64::wrapping_add),
-            FlatOp::I64Sub => binop!(as_i64, from_i64, i64::wrapping_sub),
-            FlatOp::I64Mul => binop!(as_i64, from_i64, i64::wrapping_mul),
-            FlatOp::I64DivS => {
-                let b = as_i64(pop!());
-                let t = top!();
-                *t = from_i64(i64_div_s(as_i64(*t), b)?);
-            }
-            FlatOp::I64DivU => {
-                let b = pop!();
-                let t = top!();
-                *t = i64_div_u(*t, b)?;
-            }
-            FlatOp::I64RemS => {
-                let b = as_i64(pop!());
-                let t = top!();
-                *t = from_i64(i64_rem_s(as_i64(*t), b)?);
-            }
-            FlatOp::I64RemU => {
-                let b = pop!();
-                let t = top!();
-                *t = i64_rem_u(*t, b)?;
-            }
-            FlatOp::I64And => binop!(as_i64, from_i64, |a, b| a & b),
-            FlatOp::I64Or => binop!(as_i64, from_i64, |a, b| a | b),
-            FlatOp::I64Xor => binop!(as_i64, from_i64, |a, b| a ^ b),
-            FlatOp::I64Shl => binop!(as_i64, from_i64, |a: i64, b: i64| a.wrapping_shl(b as u32)),
-            FlatOp::I64ShrS => binop!(as_i64, from_i64, |a: i64, b: i64| a.wrapping_shr(b as u32)),
-            FlatOp::I64ShrU => binop!(
-                as_u64,
-                from_i64,
-                |a: u64, b: u64| (a.wrapping_shr(b as u32)) as i64
-            ),
-            FlatOp::I64Rotl => binop!(as_i64, from_i64, |a: i64, b: i64| a
-                .rotate_left((b as u32) % 64)),
-            FlatOp::I64Rotr => binop!(as_i64, from_i64, |a: i64, b: i64| a
-                .rotate_right((b as u32) % 64)),
-
-            FlatOp::F32Abs => unop!(as_f32, from_f32, f32::abs),
-            FlatOp::F32Neg => unop!(as_f32, from_f32, |a: f32| -a),
-            FlatOp::F32Ceil => unop!(as_f32, from_f32, f32::ceil),
-            FlatOp::F32Floor => unop!(as_f32, from_f32, f32::floor),
-            FlatOp::F32Trunc => unop!(as_f32, from_f32, f32::trunc),
-            FlatOp::F32Nearest => unop!(as_f32, from_f32, f32::round_ties_even),
-            FlatOp::F32Sqrt => unop!(as_f32, from_f32, f32::sqrt),
-            FlatOp::F32Add => binop!(as_f32, from_f32, |a, b| a + b),
-            FlatOp::F32Sub => binop!(as_f32, from_f32, |a, b| a - b),
-            FlatOp::F32Mul => binop!(as_f32, from_f32, |a, b| a * b),
-            FlatOp::F32Div => binop!(as_f32, from_f32, |a, b| a / b),
-            FlatOp::F32Min => binop!(as_f32, from_f32, wasm_fmin32),
-            FlatOp::F32Max => binop!(as_f32, from_f32, wasm_fmax32),
-            FlatOp::F32Copysign => binop!(as_f32, from_f32, f32::copysign),
-
-            FlatOp::F64Abs => unop!(as_f64, from_f64, f64::abs),
-            FlatOp::F64Neg => unop!(as_f64, from_f64, |a: f64| -a),
-            FlatOp::F64Ceil => unop!(as_f64, from_f64, f64::ceil),
-            FlatOp::F64Floor => unop!(as_f64, from_f64, f64::floor),
-            FlatOp::F64Trunc => unop!(as_f64, from_f64, f64::trunc),
-            FlatOp::F64Nearest => unop!(as_f64, from_f64, f64::round_ties_even),
-            FlatOp::F64Sqrt => unop!(as_f64, from_f64, f64::sqrt),
-            FlatOp::F64Add => binop!(as_f64, from_f64, |a, b| a + b),
-            FlatOp::F64Sub => binop!(as_f64, from_f64, |a, b| a - b),
-            FlatOp::F64Mul => binop!(as_f64, from_f64, |a, b| a * b),
-            FlatOp::F64Div => binop!(as_f64, from_f64, |a, b| a / b),
-            FlatOp::F64Min => binop!(as_f64, from_f64, wasm_fmin64),
-            FlatOp::F64Max => binop!(as_f64, from_f64, wasm_fmax64),
-            FlatOp::F64Copysign => binop!(as_f64, from_f64, f64::copysign),
-
-            FlatOp::I32WrapI64 => {
-                let t = top!();
-                *t = from_i32(as_i64(*t) as i32);
-            }
-            FlatOp::I32TruncF32S => {
-                let t = top!();
-                *t = from_i32(trunc_f32_to_i32_s(as_f32(*t))?);
-            }
-            FlatOp::I32TruncF32U => {
-                let t = top!();
-                *t = u64::from(trunc_f32_to_u32(as_f32(*t))?);
-            }
-            FlatOp::I32TruncF64S => {
-                let t = top!();
-                *t = from_i32(trunc_f64_to_i32_s(as_f64(*t))?);
-            }
-            FlatOp::I32TruncF64U => {
-                let t = top!();
-                *t = u64::from(trunc_f64_to_u32(as_f64(*t))?);
-            }
-            FlatOp::I64ExtendI32S => {
-                let t = top!();
-                *t = from_i64(i64::from(as_i32(*t)));
-            }
-            FlatOp::I64ExtendI32U => {
-                let t = top!();
-                *t = u64::from(as_u32(*t));
-            }
-            FlatOp::I64TruncF32S => {
-                let t = top!();
-                *t = from_i64(trunc_f32_to_i64_s(as_f32(*t))?);
-            }
-            FlatOp::I64TruncF32U => {
-                let t = top!();
-                *t = trunc_f32_to_u64(as_f32(*t))?;
-            }
-            FlatOp::I64TruncF64S => {
-                let t = top!();
-                *t = from_i64(trunc_f64_to_i64_s(as_f64(*t))?);
-            }
-            FlatOp::I64TruncF64U => {
-                let t = top!();
-                *t = trunc_f64_to_u64(as_f64(*t))?;
-            }
-            FlatOp::F32ConvertI32S => unop!(as_i32, from_f32, |a: i32| a as f32),
-            FlatOp::F32ConvertI32U => unop!(as_u32, from_f32, |a: u32| a as f32),
-            FlatOp::F32ConvertI64S => unop!(as_i64, from_f32, |a: i64| a as f32),
-            FlatOp::F32ConvertI64U => unop!(as_u64, from_f32, |a: u64| a as f32),
-            FlatOp::F32DemoteF64 => unop!(as_f64, from_f32, |a: f64| a as f32),
-            FlatOp::F64ConvertI32S => unop!(as_i32, from_f64, f64::from),
-            FlatOp::F64ConvertI32U => unop!(as_u32, from_f64, f64::from),
-            FlatOp::F64ConvertI64S => unop!(as_i64, from_f64, |a: i64| a as f64),
-            FlatOp::F64ConvertI64U => unop!(as_u64, from_f64, |a: u64| a as f64),
-            FlatOp::F64PromoteF32 => unop!(as_f32, from_f64, f64::from),
-            // Reinterprets are no-ops on raw slots (i32/f32 both occupy the
-            // low 32 bits; i64/f64 the full slot).
-            FlatOp::I32ReinterpretF32
-            | FlatOp::I64ReinterpretF64
-            | FlatOp::F32ReinterpretI32
-            | FlatOp::F64ReinterpretI64 => {}
-            FlatOp::I32Extend8S => unop!(as_i32, from_i32, |a: i32| i32::from(a as i8)),
-            FlatOp::I32Extend16S => unop!(as_i32, from_i32, |a: i32| i32::from(a as i16)),
-            FlatOp::I64Extend8S => unop!(as_i64, from_i64, |a: i64| i64::from(a as i8)),
-            FlatOp::I64Extend16S => unop!(as_i64, from_i64, |a: i64| i64::from(a as i16)),
-            FlatOp::I64Extend32S => unop!(as_i64, from_i64, |a: i64| i64::from(a as i32)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::exec::{ExecMode, Instance, NoHost};
+    use crate::exec::{EngineConfig, ExecMode, Instance, NoHost};
     use crate::instr::Instr as I;
+    use crate::profile::ProfileMode;
+    use crate::reg::tests::{agreed_outcome, assert_matrix_agrees, engine_matrix, unvalidated};
     use crate::types::BlockType;
 
     fn run_both(bytes: &[u8], name: &str, args: &[Value]) -> [Result<Vec<Value>, Trap>; 2] {
@@ -3532,7 +2564,7 @@ mod tests {
     #[test]
     fn branch_discards_excess_operands() {
         // A br out of a block with extra values on the stack must keep only
-        // the label arity; the flat engine encodes the fix-up statically.
+        // the label arity; the flat lowering encodes the fix-up statically.
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[], &[ValType::I32]);
         let f = b.add_func(
@@ -3582,66 +2614,10 @@ mod tests {
         assert_eq!(flat.unwrap(), vec![Value::I32(5)]);
     }
 
-    /// The flat-engine A/B matrix: (label, fuse, reg) for every
-    /// fused/unfused × register/stack combination.
-    const ENGINE_MATRIX: [(&str, bool, bool); 4] = [
-        ("fused+register", true, true),
-        ("fused", true, false),
-        ("unfused+register", false, true),
-        ("unfused", false, false),
-    ];
-
-    /// Runs an export on the oracle and on the flat engine in every
-    /// fused/unfused × register/stack combination; all five must agree on
-    /// results AND traps. Register instances must not silently fall back
-    /// to the stack form.
-    fn run_matrix(
-        bytes: &[u8],
-        name: &str,
-        args: &[Value],
-    ) -> Vec<(&'static str, Result<Vec<Value>, Trap>)> {
-        let module = crate::load(bytes).unwrap();
-        let mut out = Vec::new();
-        let mut interp =
-            Instance::instantiate(&module, ExecMode::Interpreted, &mut NoHost).unwrap();
-        out.push(("oracle", interp.invoke(&mut NoHost, name, args)));
-        for (label, fuse, reg) in ENGINE_MATRIX {
-            let mut inst =
-                Instance::instantiate_with_engine(&module, ExecMode::Aot, fuse, reg, &mut NoHost)
-                    .unwrap();
-            assert_eq!(
-                inst.reg_stats().is_some(),
-                reg,
-                "{label}: register pass availability mismatch"
-            );
-            out.push((label, inst.invoke(&mut NoHost, name, args)));
-        }
-        out
-    }
-
-    fn assert_matrix_agrees(bytes: &[u8], name: &str, args: &[Value], ctx: &str) {
-        let outcomes = run_matrix(bytes, name, args);
-        let (_, oracle) = &outcomes[0];
-        for (label, outcome) in &outcomes[1..] {
-            assert_eq!(
-                oracle, outcome,
-                "{ctx}: {label} engine diverges from oracle"
-            );
-        }
-    }
-
-    /// The oracle's outcome for an export (for pinning exact semantics;
-    /// parity with the engine matrix is asserted separately).
-    fn oracle_outcome(bytes: &[u8], name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
-        let module = crate::load(bytes).unwrap();
-        let mut interp =
-            Instance::instantiate(&module, ExecMode::Interpreted, &mut NoHost).unwrap();
-        interp.invoke(&mut NoHost, name, args)
-    }
-
     #[test]
     fn flat_op_size_does_not_regress() {
-        // The whole code array is walked on every dispatch. The floor is
+        // Every instance keeps its flat code resident (the verifier
+        // re-walks it), so the op size is per-instance memory. The floor is
         // set by `BrTable`'s fat `Box<[BrEntry]>` (16 bytes + tag = 24);
         // fused variants must fit inside it — constants that do not fit a
         // u32 stay in the plain `FusedBinopLK`/`Const` forms instead of
@@ -3653,25 +2629,7 @@ mod tests {
     fn truncated_body_is_an_error_not_a_panic() {
         // A body whose control is unbalanced (missing `End`) must surface
         // as an instantiation error even though it skipped validation.
-        let module = Module {
-            types: vec![FuncType {
-                params: vec![],
-                results: vec![],
-            }],
-            func_imports: vec![],
-            funcs: vec![FuncBody {
-                type_idx: 0,
-                locals: vec![],
-                code: vec![I::Block(BlockType::Empty), I::Nop],
-            }],
-            tables: vec![],
-            memories: vec![],
-            globals: vec![],
-            exports: vec![],
-            start: None,
-            elems: vec![],
-            data: vec![],
-        };
+        let module = unvalidated(vec![I::Block(BlockType::Empty), I::Nop]);
         let err = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap_err();
         match err {
             Trap::Instantiation(msg) => assert!(msg.contains("flat lowering"), "{msg}"),
@@ -3696,25 +2654,7 @@ mod tests {
             ),
         ];
         for (what, code) in cases {
-            let module = Module {
-                types: vec![FuncType {
-                    params: vec![],
-                    results: vec![],
-                }],
-                func_imports: vec![],
-                funcs: vec![FuncBody {
-                    type_idx: 0,
-                    locals: vec![],
-                    code,
-                }],
-                tables: vec![],
-                memories: vec![],
-                globals: vec![],
-                exports: vec![],
-                start: None,
-                elems: vec![],
-                data: vec![],
-            };
+            let module = unvalidated(code);
             let err = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost);
             assert!(
                 matches!(err, Err(Trap::Instantiation(_))),
@@ -3757,15 +2697,14 @@ mod tests {
         b.export_func("sum", f);
         let module = crate::load(&b.build()).unwrap();
         let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
-        let stats = flat.fusion_stats();
+        let stats = flat.fusion;
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
         assert_eq!(stats.binop_ll_set, 1, "{stats:?}");
         assert_eq!(stats.binop_lk_set, 1, "{stats:?}");
         let unfused = FlatModule::compile_full(&module, false, false, true).unwrap();
-        assert_eq!(unfused.fusion_stats().total(), 0);
+        assert_eq!(unfused.fusion.total(), 0);
         // And the fused loop still computes the same sum.
-        assert_matrix_agrees(&b.build(), "sum", &[Value::I32(10)], "sum loop");
-        let oracle = oracle_outcome(&b.build(), "sum", &[Value::I32(10)]);
+        let oracle = agreed_outcome(&b.build(), "sum", &[Value::I32(10)], "sum loop");
         assert_eq!(oracle.unwrap(), vec![Value::I32(45)]);
     }
 
@@ -3804,7 +2743,7 @@ mod tests {
             let bytes = b.build();
             // Even parities loop until i >= n (returning n); odd parities
             // invert the test and exit on the first iteration (returning
-            // 0) — either way all three engines must agree.
+            // 0) — either way every configuration must agree.
             assert_matrix_agrees(&bytes, "f", &[Value::I32(3)], &format!("eqz chain {n_eqz}"));
         }
     }
@@ -3813,7 +2752,7 @@ mod tests {
     fn fused_div_traps_match_oracle() {
         // `local.get; local.get; div` fuses to FusedBinopLL(Div): the
         // INT_MIN/-1 overflow, the /0 trap and the INT_MIN%-1 == 0
-        // non-trap must be bit-identical to the oracle in both flat modes.
+        // non-trap must be bit-identical to the oracle, fused and unfused.
         for (op, name) in [
             (I::I32DivS, "div_s"),
             (I::I32RemS, "rem_s"),
@@ -3889,11 +2828,11 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
-        assert_eq!(flat.fusion_stats().binop_lk_set, 1, "LKSet must fuse");
+        assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
         }
-        let oracle = oracle_outcome(&bytes, "divk", &[Value::I32(i32::MIN)]);
+        let oracle = agreed_outcome(&bytes, "divk", &[Value::I32(i32::MIN)], "pinned case");
         assert_eq!(oracle.unwrap_err(), Trap::IntegerOverflow);
     }
 
@@ -3901,7 +2840,7 @@ mod tests {
     fn div_in_fused_set_window_retires_exactly() {
         // The same LKSet shape as above, profiled: the trap point sits
         // mid-window (`get; const; div; set` fuses, the set's retirement
-        // deferred until the div succeeds). On trap every rung must
+        // deferred until the div succeeds). On trap every engine must
         // retire exactly the oracle's 3 guest ops (get, const, div —
         // inclusive of the trapping div); on success all 5 (plus the
         // trailing re-get of the local).
@@ -3923,25 +2862,21 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
-        assert_eq!(flat.fusion_stats().binop_lk_set, 1, "LKSet must fuse");
+        assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
         {
-            for (label, mode, fuse, reg) in [
-                ("oracle", ExecMode::Interpreted, true, true),
-                ("flat", ExecMode::Aot, false, false),
-                ("fused", ExecMode::Aot, true, false),
-                ("register", ExecMode::Aot, true, true),
+            for (label, mode, fuse) in [
+                ("oracle", ExecMode::Interpreted, true),
+                ("register unfused", ExecMode::Aot, false),
+                ("register", ExecMode::Aot, true),
             ] {
-                let mut inst = Instance::instantiate_with_profile(
-                    &module,
-                    mode,
+                let cfg = EngineConfig {
                     fuse,
-                    reg,
-                    crate::profile::ProfileMode::Count,
-                    &mut NoHost,
-                )
-                .unwrap();
+                    profile: ProfileMode::Count,
+                    ..EngineConfig::default()
+                };
+                let mut inst = Instance::instantiate_with(&module, mode, cfg, &mut NoHost).unwrap();
                 let outcome = inst.invoke(&mut NoHost, "divk", &[Value::I32(arg)]);
                 assert_eq!(outcome.is_err(), expect_trap, "{label} divk({arg})");
                 let p = inst.profile().expect("counting instance profiles");
@@ -3988,7 +2923,7 @@ mod tests {
             );
         }
         // -1 reads as u32::MAX: firmly out of range, must take the default.
-        let oracle = oracle_outcome(&bytes, "route", &[Value::I32(-1)]);
+        let oracle = agreed_outcome(&bytes, "route", &[Value::I32(-1)], "pinned case");
         assert_eq!(oracle.unwrap(), vec![Value::I32(20)]);
     }
 
@@ -4022,7 +2957,7 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
-        let stats = flat.fusion_stats();
+        let stats = flat.fusion;
         assert!(stats.load_l + stats.add_load + stats.idx_load > 0 || stats.store_l > 0);
         for addr in [0, 65520, 65529, 65536, -1, i32::MAX] {
             assert_matrix_agrees(&bytes, "load", &[Value::I32(addr)], &format!("load {addr}"));
@@ -4033,7 +2968,7 @@ mod tests {
                 &format!("store {addr}"),
             );
         }
-        let oracle = oracle_outcome(&bytes, "load", &[Value::I32(65536)]);
+        let oracle = agreed_outcome(&bytes, "load", &[Value::I32(65536)], "pinned case");
         assert_eq!(oracle.unwrap_err(), Trap::MemoryOutOfBounds);
     }
 
@@ -4055,7 +2990,7 @@ mod tests {
                 &format!("grow {delta}"),
             );
         }
-        let oracle = oracle_outcome(&bytes, "grow", &[Value::I32(1000)]);
+        let oracle = agreed_outcome(&bytes, "grow", &[Value::I32(1000)], "pinned case");
         assert_eq!(oracle.unwrap(), vec![Value::I32(-1)]);
     }
 
@@ -4063,9 +2998,9 @@ mod tests {
     fn host_result_arity_mismatch_traps_identically_in_every_engine() {
         // A HostEnv that violates its declared result arity must raise
         // the same Host trap in every engine, instead of silently reading
-        // stale slots (register form) or corrupting the operand stack
-        // (stack forms).
-        use crate::exec::HostEnv;
+        // stale slots (register engine) or running on with a wrong
+        // operand-stack height (interpreter).
+        use crate::exec::{HostEnv, Memory};
         struct BadHost;
         impl HostEnv for BadHost {
             fn call(
@@ -4091,16 +3026,13 @@ mod tests {
             let mut outcomes = Vec::new();
             let mut interp = Instance::instantiate(&module, ExecMode::Interpreted, &mut BadHost)
                 .expect("no start function, instantiation cannot call the host");
-            outcomes.push(("oracle", interp.invoke(&mut BadHost, export, &[])));
-            for (label, fuse, reg) in ENGINE_MATRIX {
-                let mut inst = Instance::instantiate_with_engine(
-                    &module,
-                    ExecMode::Aot,
-                    fuse,
-                    reg,
-                    &mut BadHost,
-                )
-                .unwrap();
+            outcomes.push((
+                "oracle".to_string(),
+                interp.invoke(&mut BadHost, export, &[]),
+            ));
+            for (label, cfg) in engine_matrix() {
+                let mut inst =
+                    Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut BadHost).unwrap();
                 outcomes.push((label, inst.invoke(&mut BadHost, export, &[])));
             }
             for (label, outcome) in outcomes {

@@ -11,22 +11,23 @@
 //!   checking algorithm ([`validate`]);
 //! * an **executor** with two modes ([`exec`]):
 //!   [`ExecMode::Interpreted`] walks structured opcodes and discovers branch
-//!   targets by scanning, like a naive interpreter, while [`ExecMode::Aot`]
-//!   runs the flattened pre-resolved engine: bodies lowered at load time to
-//!   a linear opcode array with absolute jumps, inlined immediates and an
-//!   untagged 64-bit operand stack, peephole-fused into superinstructions
-//!   ([`flat`], [`FusionStats`]; disable with `WATZ_NO_FUSE=1`), then
-//!   register-allocated so every op addresses fixed frame slots and the
-//!   dispatch loop moves no operand stack at all ([`reg`], [`RegStats`];
-//!   disable with `WATZ_NO_REG=1`) — the stand-in for WAMR's AOT mode (the
-//!   real thing emits native code; ours stays portable, so the AOT/interp
-//!   gap is smaller than the paper's 28x, as documented in
-//!   EXPERIMENTS.md);
+//!   targets by scanning, like a naive interpreter — the reference
+//!   implementation and the fallback — while [`ExecMode::Aot`] runs the
+//!   register engine: bodies lowered at load time to a flat linear IR with
+//!   absolute jumps, inlined immediates and untagged 64-bit operands,
+//!   peephole-fused into superinstructions ([`flat`], [`FusionStats`];
+//!   disable with `WATZ_NO_FUSE=1`), then register-allocated so every op
+//!   addresses fixed frame slots and the dispatch loop moves no operand
+//!   stack at all ([`reg`], [`RegStats`]) — the stand-in for WAMR's AOT
+//!   mode (the real thing emits native code; ours stays portable, so the
+//!   AOT/interp gap is smaller than the paper's 28x, as documented in
+//!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch, and its
+//!   `from_env` is the crate's only read of the environment;
 //! * an independent **IR verifier** and value-range **analysis** ([`verify`],
-//!   [`analysis`]): abstract interpretation over the compiled rungs that
+//!   [`analysis`]): abstract interpretation over the compiled code that
 //!   re-proves every lowering invariant (`WATZ_VERIFY_IR=1` makes it a
 //!   hard instantiation gate, [`VerifyStats`]) and proves memory accesses
-//!   in bounds so the flat and register engines can run them check-free
+//!   in bounds so the register engine can run them check-free
 //!   (`WATZ_NO_ELIDE=1` disables the rewrite, [`RangeStats`]);
 //! * an **encoder** and a programmatic **builder** ([`encode`], [`builder`])
 //!   used by the MiniC compiler (the reproduction's stand-in for WASI-SDK)
@@ -76,7 +77,7 @@ pub mod verify;
 
 pub use analysis::RangeStats;
 pub use decode::DecodeError;
-pub use exec::{ExecMode, HostEnv, Instance, NoHost, Trap, Value};
+pub use exec::{EngineConfig, ExecMode, HostEnv, Instance, NoHost, Trap, Value};
 pub use flat::FusionStats;
 pub use module::Module;
 pub use profile::{ExecProfile, ProfileMode};

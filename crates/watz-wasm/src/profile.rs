@@ -1,7 +1,7 @@
-//! Execution profiling for the engine ladder: retired-guest-instruction
-//! accounting (`instret`), host dispatch counts, a per-opcode-class
-//! histogram, loop back-edge counts and trap counts, shared by all four
-//! engine rungs.
+//! Execution profiling: retired-guest-instruction accounting (`instret`),
+//! host dispatch counts, a per-opcode-class histogram, loop back-edge
+//! counts and trap counts, shared by the tree interpreter and the register
+//! engine.
 //!
 //! # Zero overhead when off
 //!
@@ -11,26 +11,26 @@
 //! [`NoProfile`] (a zero-sized type whose `ENABLED` constant is `false`,
 //! so every counting statement is dead code the compiler deletes) and
 //! once with [`ExecProfile`] (the counting build). Selecting
-//! [`ProfileMode::Count`] — via `Instance::instantiate_with_profile` or
-//! the `WATZ_PROFILE` environment variable — merely routes `invoke`
-//! through the counting instantiation; the default loop is bit-identical
-//! to the pre-profiling code. `bench_smoke` gates this invariant by
-//! timing gemm with profiling off against a build of record.
+//! [`ProfileMode::Count`] — via `EngineConfig::profile` or the
+//! `WATZ_PROFILE` environment variable — merely routes `invoke` through
+//! the counting instantiation; the default loop is bit-identical to the
+//! pre-profiling code. `bench_smoke` gates this invariant by timing gemm
+//! with profiling off against the counting loop.
 //!
 //! # Instret is a correctness invariant
 //!
 //! `instret` counts *retired guest instructions*: every structured
 //! opcode the tree oracle dispatches except the shape-only ones
 //! (`block`/`loop`/`end`/`else`/`nop`, which the flat lowering erases).
-//! The flat, fused and register engines execute fewer host ops than
-//! that, so each lowered op carries a [`ProfOp`] weight — how many
-//! guest instructions it retires — computed at lowering time. Counting
-//! is *inclusive at fetch*: an op's full weight retires when it is
-//! dispatched, before it can trap, and the fusion pass never extends a
-//! window past a trap-capable div/rem, so all four rungs retire exactly
-//! the same count for the same input — including programs that trap,
-//! up to and including the trapping instruction. The differential suite
-//! pins this.
+//! The register engine executes fewer host ops than that, so each lowered
+//! op carries a [`ProfOp`] weight — how many guest instructions it
+//! retires — computed at lowering time and merged through the fusion and
+//! register passes. Counting is *inclusive at fetch*: an op's full weight
+//! retires when it is dispatched, before it can trap, and the fusion pass
+//! never extends a window past a trap-capable div/rem, so both executors
+//! retire exactly the same count for the same input — including programs
+//! that trap, up to and including the trapping instruction. The
+//! differential suite pins this.
 
 use crate::instr::Instr;
 
@@ -79,7 +79,7 @@ impl OpClass {
 ///
 /// Shape-only opcodes (`block`/`loop`/`end`/`else`/`nop`) weigh 0: the
 /// flat lowering erases them, so counting them in the tree oracle would
-/// break cross-rung instret parity.
+/// break cross-engine instret parity.
 #[must_use]
 pub fn classify(instr: &Instr) -> (OpClass, u32) {
     use Instr::{
@@ -198,7 +198,7 @@ pub fn classify(instr: &Instr) -> (OpClass, u32) {
 ///
 /// Built once at lowering time; the fusion and register passes merge
 /// the metadata of every source op a window absorbs, so retire-at-fetch
-/// stays exact across rungs.
+/// stays exact on the register engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfOp {
     /// Guest instructions retired when this op is dispatched.
@@ -258,25 +258,13 @@ pub enum ProfileMode {
     Count,
 }
 
-impl ProfileMode {
-    /// Reads `WATZ_PROFILE`: any non-empty value other than `0` turns
-    /// counting on.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("WATZ_PROFILE") {
-            Ok(v) if !v.is_empty() && v != "0" => ProfileMode::Count,
-            _ => ProfileMode::Off,
-        }
-    }
-}
-
 /// Counters retired by a profiled execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecProfile {
-    /// Retired guest instructions — identical across all engine rungs
-    /// for the same input (the cross-rung invariant).
+    /// Retired guest instructions — identical on the interpreter and the
+    /// register engine for the same input (the cross-engine invariant).
     pub instret: u64,
-    /// Host dispatch-loop iterations (per-rung; *not* an invariant —
+    /// Host dispatch-loop iterations (per-engine; *not* an invariant —
     /// this is exactly what fusion and register allocation shrink).
     pub host_ops: u64,
     /// Taken loop back edges (a fuel-style progress measure).
@@ -307,7 +295,7 @@ impl ExecProfile {
     }
 
     /// Host dispatch ops per retired guest instruction (1.0 for the
-    /// tree/flat rungs, < 1.0 once fusion/regalloc batch guest work).
+    /// tree interpreter, < 1.0 once fusion/regalloc batch guest work).
     #[must_use]
     pub fn ops_per_instr(&self) -> f64 {
         if self.instret == 0 {
@@ -366,11 +354,6 @@ pub trait Profiler {
     /// counts the host dispatch).
     fn retire1(&mut self, cls: OpClass, weight: u32);
 
-    /// Retires deferred guest work from an op already dispatched (no
-    /// host dispatch counted): e.g. the trailing `local.set` of a fused
-    /// binop-set window, paid only once the binop succeeded.
-    fn retire_tail(&mut self, cls: OpClass, weight: u32);
-
     /// Records a taken loop back edge.
     fn backedge(&mut self);
 }
@@ -387,9 +370,6 @@ impl Profiler for NoProfile {
 
     #[inline(always)]
     fn retire1(&mut self, _cls: OpClass, _weight: u32) {}
-
-    #[inline(always)]
-    fn retire_tail(&mut self, _cls: OpClass, _weight: u32) {}
 
     #[inline(always)]
     fn backedge(&mut self) {}
@@ -410,12 +390,6 @@ impl Profiler for ExecProfile {
     #[inline]
     fn retire1(&mut self, cls: OpClass, weight: u32) {
         self.host_ops += 1;
-        self.instret += u64::from(weight);
-        self.class_counts[cls as usize] += u64::from(weight);
-    }
-
-    #[inline]
-    fn retire_tail(&mut self, cls: OpClass, weight: u32) {
         self.instret += u64::from(weight);
         self.class_counts[cls as usize] += u64::from(weight);
     }
@@ -474,11 +448,5 @@ mod tests {
         assert_eq!(p.stores(), 1);
         let total: u64 = p.class_counts.iter().sum();
         assert_eq!(total, p.instret);
-    }
-
-    #[test]
-    fn profile_mode_env_parsing() {
-        // from_env reads the live environment; just pin the default.
-        assert_eq!(ProfileMode::default(), ProfileMode::Off);
     }
 }

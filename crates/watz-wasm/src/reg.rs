@@ -1,11 +1,10 @@
-//! Register-form execution: the flat engine lowered one step further, so
-//! the hot dispatch loop never pushes or pops an operand stack.
+//! The register engine behind [`ExecMode::Aot`]: flat IR lowered one step
+//! further, so the hot dispatch loop never pushes or pops an operand stack.
 //!
-//! [`crate::flat`] already turned structured bodies into a linear opcode
-//! array, but its executor still shuffles a runtime operand stack:
-//! `local.get` pushes a copy, every operator pops its inputs and pushes its
-//! result, and the stack pointer moves on almost every dispatch. Validation
-//! makes all of that motion statically known — at any program point the
+//! [`crate::flat`] turns structured bodies into a linear opcode array that
+//! still *describes* a runtime operand stack: `local.get` pushes a copy,
+//! every operator pops its inputs and pushes its result. Validation makes
+//! all of that motion statically known — at any program point the
 //! operand-stack *height* is a compile-time constant, so the value "at
 //! height `h`" can live in the fixed frame slot `n_locals + h` instead.
 //!
@@ -38,34 +37,31 @@
 //! [`check_jump_targets`] verifies every remapped target lands on a real
 //! instruction before the code ever runs.
 //!
-//! The pass is all-or-nothing per module: if any function cannot be
-//! register-lowered (e.g. a frame too large for the `u16` slot encoding),
-//! the whole module stays on the stack-form flat engine — the two frame
-//! layouts cannot call each other. `WATZ_NO_REG=1` (any non-empty value
-//! other than `0`) pins the stack-form engine for bisection;
-//! [`RegStats`] reports what the pass did.
+//! **Fallback.** Slot operands are `u16`. A function whose frame (locals
+//! plus operand positions) does not fit is reported as
+//! [`LowerError::FrameTooLarge`], and because a register frame cannot call
+//! into another executor the whole module then gets no register program
+//! and runs on the tree interpreter in [`crate::exec`] — the one fallback,
+//! which is also the reference implementation. Every other lowering
+//! failure is a defect and fails instantiation. [`RegStats`] reports what
+//! the pass did.
 //!
-//! Semantics (including every trap) are identical to the stack-form flat
-//! engine and the tree-walking oracle; the differential suites run all
-//! engines in every fused/unfused × register/stack combination.
+//! Semantics (every result, every trap, every retired-instruction count)
+//! are identical to the tree-walking oracle; the differential suites run
+//! both, fused and unfused, with elision on and off.
+//!
+//! [`ExecMode::Aot`]: crate::exec::ExecMode::Aot
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
-    apply_binop, as_f32, as_f64, as_i32, as_i64, as_u32, as_u64, bad, binop_kind, do_load,
-    do_store, from_f32, from_f64, from_i32, from_i64, load_kind, slot_from_value, store_kind,
+    apply_binop, as_f32, as_f64, as_i32, as_i64, as_u32, as_u64, binop_kind, do_load, do_store,
+    from_f32, from_f64, from_i32, from_i64, load_kind, slot_from_value, store_kind,
     value_from_slot, BinOpKind, FlatFunc, FlatFuncDef, FlatModule, FlatOp, LoadKind, Slot,
     StoreKind,
 };
 use crate::module::Module;
 use crate::profile::{OpClass, ProfOp, Profiler};
 use crate::types::{FuncType, ValType};
-
-/// True when the `WATZ_NO_REG` environment switch (any non-empty value
-/// other than `0`) disables the register pass, keeping the stack-form flat
-/// engine reachable for bisection.
-pub(crate) fn reg_disabled_by_env() -> bool {
-    std::env::var_os("WATZ_NO_REG").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"))
-}
 
 /// Counters from the register-allocation pass over a whole module,
 /// reported by [`Instance::reg_stats`](crate::exec::Instance::reg_stats).
@@ -106,8 +102,8 @@ impl RegStats {
     }
 }
 
-/// A fusable one-operand operator (everything the flat engine expresses as
-/// a rewrite of the stack top). Variants mirror the spec's instruction
+/// A fusable one-operand operator (everything the flat IR expresses as a
+/// rewrite of the stack top). Variants mirror the spec's instruction
 /// names; the four reinterpret casts are identities on raw slots and never
 /// reach the register code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -928,17 +924,34 @@ struct Lowerer<'a> {
     stats: &'a mut RegStats,
 }
 
-fn slot16(idx: usize) -> Result<u16, Trap> {
-    u16::try_from(idx).map_err(|_| bad("register lowering: frame exceeds u16 slots"))
+/// Why a function has no register form.
+#[derive(Debug)]
+pub(crate) enum LowerError {
+    /// The frame (locals plus operand positions) does not fit the `u16`
+    /// slot encoding. Not a defect: the module runs on the tree
+    /// interpreter instead.
+    FrameTooLarge,
+    /// An invariant of the lowering pipeline does not hold — input that
+    /// skipped validation, or a bug in an earlier pass. Instantiation
+    /// fails with the carried [`Trap::Instantiation`].
+    Malformed(Trap),
+}
+
+fn bad(msg: &str) -> LowerError {
+    LowerError::Malformed(crate::flat::bad(msg))
+}
+
+fn slot16(idx: usize) -> Result<u16, LowerError> {
+    u16::try_from(idx).map_err(|_| LowerError::FrameTooLarge)
 }
 
 impl Lowerer<'_> {
-    fn canon(&self, pos: usize) -> Result<u16, Trap> {
+    fn canon(&self, pos: usize) -> Result<u16, LowerError> {
         slot16(self.n_locals + pos)
     }
 
     /// The slot currently holding the value at stack position `pos`.
-    fn slot_of(&self, pos: usize) -> Result<u16, Trap> {
+    fn slot_of(&self, pos: usize) -> Result<u16, LowerError> {
         match self.vstack[pos] {
             Src::Canon => self.canon(pos),
             Src::Fwd(s) => Ok(s),
@@ -946,7 +959,7 @@ impl Lowerer<'_> {
     }
 
     /// Pops the top operand, returning the slot its value lives in.
-    fn pop(&mut self) -> Result<u16, Trap> {
+    fn pop(&mut self) -> Result<u16, LowerError> {
         let pos = self
             .vstack
             .len()
@@ -959,7 +972,7 @@ impl Lowerer<'_> {
     }
 
     /// Pushes a canonical operand, returning the slot to write it to.
-    fn push(&mut self) -> Result<u16, Trap> {
+    fn push(&mut self) -> Result<u16, LowerError> {
         let s = self.canon(self.vstack.len())?;
         self.vstack.push(Src::Canon);
         self.max_height = self.max_height.max(self.vstack.len());
@@ -974,7 +987,7 @@ impl Lowerer<'_> {
 
     /// Flushes every forwarded entry except the top `keep_top` to its
     /// canonical slot (branch/call edges need canonical state).
-    fn flush_below(&mut self, keep_top: usize) -> Result<(), Trap> {
+    fn flush_below(&mut self, keep_top: usize) -> Result<(), LowerError> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if let Src::Fwd(s) = self.vstack[pos] {
@@ -986,14 +999,14 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn flush_all(&mut self) -> Result<(), Trap> {
+    fn flush_all(&mut self) -> Result<(), LowerError> {
         self.flush_below(0)
     }
 
     /// Before a write to local slot `local`: any pending operand still
     /// forwarded from that local (except the top `keep_top`, which the
     /// writing op itself consumes) must be copied out first.
-    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), Trap> {
+    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), LowerError> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if self.vstack[pos] == Src::Fwd(local) {
@@ -1007,7 +1020,7 @@ impl Lowerer<'_> {
 
     /// Validates and converts a local index carried by a (possibly
     /// unvalidated) flat op.
-    fn local(&self, idx: u32) -> Result<u16, Trap> {
+    fn local(&self, idx: u32) -> Result<u16, LowerError> {
         if (idx as usize) < self.n_locals {
             slot16(idx as usize)
         } else {
@@ -1017,7 +1030,7 @@ impl Lowerer<'_> {
 }
 
 /// Marks every jump target in (possibly fused) flat code.
-fn mark_targets(ops: &[FlatOp]) -> Result<Vec<bool>, Trap> {
+fn mark_targets(ops: &[FlatOp]) -> Result<Vec<bool>, LowerError> {
     let mut is_target = vec![false; ops.len() + 1];
     let mut mark = |t: u32| {
         is_target
@@ -1054,7 +1067,7 @@ fn mark_targets(ops: &[FlatOp]) -> Result<Vec<bool>, Trap> {
 /// The load-time register-code validator: every absolute jump target (and
 /// every `br_table` entry) must land on a real instruction after the
 /// old→new remap.
-fn check_jump_targets(code: &[RegOp]) -> Result<(), Trap> {
+fn check_jump_targets(code: &[RegOp]) -> Result<(), LowerError> {
     let n = code.len() as u32;
     let check = |t: u32| {
         if t < n {
@@ -1093,17 +1106,17 @@ fn check_jump_targets(code: &[RegOp]) -> Result<(), Trap> {
 ///
 /// # Errors
 ///
-/// Returns [`Trap::Instantiation`] when the function cannot be
-/// register-lowered (frame larger than the `u16` slot encoding, or an
-/// invariant violated by malformed input); the caller falls back to the
-/// stack-form engine for the whole module.
+/// [`LowerError::FrameTooLarge`] when the frame outgrows the `u16` slot
+/// encoding (the caller leaves the module on the interpreter), and
+/// [`LowerError::Malformed`] when an invariant is violated (the caller
+/// fails instantiation).
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     f: &FlatFunc,
     heights: &[u32],
     module: &Module,
     stats: &mut RegStats,
-) -> Result<RegFunc, Trap> {
+) -> Result<RegFunc, LowerError> {
     let ops = &f.code;
     let n = ops.len();
     if heights.len() != n {
@@ -1144,7 +1157,7 @@ pub(crate) fn lower_func(
     }
 
     // The arity of a call target, for arg/result placement.
-    let call_arity = |func: u32| -> Result<(usize, usize), Trap> {
+    let call_arity = |func: u32| -> Result<(usize, usize), LowerError> {
         let ty_idx = module
             .func_type_idx(func)
             .ok_or_else(|| bad("call target out of range"))?;
@@ -1647,9 +1660,7 @@ pub(crate) fn lower_func(
     old2new[n] = lo.out.len() as u32;
     // Every body ends on a terminator (flat lowering closes with Return),
     // which always emits, so no weight can be left pending.
-    debug_assert_eq!(rprof.len(), lo.out.len());
-    debug_assert_eq!(pending, ProfOp::zero());
-    if crate::verify::strict() && (rprof.len() != lo.out.len() || pending != ProfOp::zero()) {
+    if rprof.len() != lo.out.len() || pending != ProfOp::zero() {
         return Err(bad("register lowering produced skewed code/prof arrays"));
     }
 
@@ -1706,8 +1717,7 @@ struct Frame<'a> {
 ///
 /// # Errors
 ///
-/// Returns exactly the traps the stack-form flat engine (and the
-/// tree-walking oracle) would.
+/// Returns exactly the traps the tree-walking oracle would.
 #[allow(clippy::too_many_arguments)] // One borrow per disjoint Instance field.
 pub(crate) fn run(
     flat: &FlatModule,
@@ -2333,48 +2343,96 @@ fn run_loop<P: Profiler>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::exec::{ExecMode, Instance, NoHost};
+    use crate::exec::{EngineConfig, ExecMode, Instance, NoHost};
     use crate::instr::Instr as I;
+    use crate::profile::ProfileMode;
     use crate::types::BlockType;
 
-    /// Runs an export on the oracle and the register engine (fused and
-    /// unfused); the register instances must actually be register-lowered.
-    fn run_reg_vs_oracle(
-        bytes: &[u8],
-        name: &str,
-        args: &[Value],
-    ) -> Vec<Result<Vec<Value>, Trap>> {
-        let module = crate::load(bytes).unwrap();
+    /// The register-engine A/B matrix: fused/unfused × elision on/off ×
+    /// counting off/on, over the production configuration.
+    pub(crate) fn engine_matrix() -> Vec<(String, EngineConfig)> {
         let mut out = Vec::new();
-        let mut interp =
-            Instance::instantiate(&module, ExecMode::Interpreted, &mut NoHost).unwrap();
-        out.push(interp.invoke(&mut NoHost, name, args));
         for fuse in [true, false] {
-            let mut inst =
-                Instance::instantiate_with_engine(&module, ExecMode::Aot, fuse, true, &mut NoHost)
-                    .unwrap();
-            assert!(
-                inst.reg_stats().is_some(),
-                "register pass unexpectedly fell back (fuse={fuse})"
-            );
-            out.push(inst.invoke(&mut NoHost, name, args));
+            for elide in [true, false] {
+                for profile in [ProfileMode::Off, ProfileMode::Count] {
+                    let cfg = EngineConfig {
+                        fuse,
+                        elide,
+                        profile,
+                        ..EngineConfig::default()
+                    };
+                    out.push((format!("{cfg:?}"), cfg));
+                }
+            }
         }
         out
     }
 
-    fn assert_reg_agrees(bytes: &[u8], name: &str, args: &[Value], ctx: &str) {
-        let outcomes = run_reg_vs_oracle(bytes, name, args);
-        assert_eq!(outcomes[0], outcomes[1], "{ctx}: fused register engine");
-        assert_eq!(outcomes[0], outcomes[2], "{ctx}: unfused register engine");
+    /// Runs an export on the oracle and on the register engine in every
+    /// [`engine_matrix`] configuration; all must agree on results AND
+    /// traps, and the counting runs on instret too. Register instances
+    /// must not silently fall back to the interpreter.
+    fn run_matrix(
+        bytes: &[u8],
+        name: &str,
+        args: &[Value],
+    ) -> Vec<(String, Result<Vec<Value>, Trap>)> {
+        let module = crate::load(bytes).unwrap();
+        let counting = EngineConfig {
+            profile: ProfileMode::Count,
+            ..EngineConfig::default()
+        };
+        let mut interp =
+            Instance::instantiate_with(&module, ExecMode::Interpreted, counting, &mut NoHost)
+                .unwrap();
+        let mut out = vec![("oracle".to_string(), interp.invoke(&mut NoHost, name, args))];
+        let instret = interp.profile().expect("counting oracle").instret;
+        for (label, cfg) in engine_matrix() {
+            let mut inst =
+                Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
+            assert!(
+                inst.reg_stats().is_some(),
+                "{label}: fell back to the interpreter"
+            );
+            let outcome = inst.invoke(&mut NoHost, name, args);
+            if let Some(p) = inst.profile() {
+                assert_eq!(p.instret, instret, "{label}: instret diverges from oracle");
+            }
+            out.push((label, outcome));
+        }
+        out
+    }
+
+    /// [`run_matrix`] with the parity assertion; returns the outcome every
+    /// configuration agreed on.
+    pub(crate) fn agreed_outcome(
+        bytes: &[u8],
+        name: &str,
+        args: &[Value],
+        ctx: &str,
+    ) -> Result<Vec<Value>, Trap> {
+        let mut outcomes = run_matrix(bytes, name, args);
+        let (_, oracle) = outcomes.swap_remove(0);
+        for (label, outcome) in &outcomes {
+            assert_eq!(
+                &oracle, outcome,
+                "{ctx}: {label} engine diverges from oracle"
+            );
+        }
+        oracle
+    }
+
+    pub(crate) fn assert_matrix_agrees(bytes: &[u8], name: &str, args: &[Value], ctx: &str) {
+        let _ = agreed_outcome(bytes, name, args, ctx);
     }
 
     #[test]
     fn reg_op_size_does_not_regress() {
         // The whole code array is walked on every dispatch; the ceiling is
-        // the same 24 bytes the flat engine holds (set by `BrTable`'s fat
+        // the same 24 bytes a flat op takes (set by `BrTable`'s fat
         // `Box<[RegBrEntry]>`).
         assert!(std::mem::size_of::<RegOp>() <= 24);
     }
@@ -2402,10 +2460,7 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        assert_reg_agrees(&bytes, "f", &[Value::I32(10)], "set hazard");
-        let out = run_reg_vs_oracle(&bytes, "f", &[Value::I32(10)])
-            .swap_remove(1)
-            .unwrap();
+        let out = agreed_outcome(&bytes, "f", &[Value::I32(10)], "set hazard").unwrap();
         assert_eq!(out, vec![Value::I32(21)]);
     }
 
@@ -2430,10 +2485,8 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        assert_reg_agrees(&bytes, "f", &[Value::I32(7), Value::I32(5)], "tee hazard");
-        let out = run_reg_vs_oracle(&bytes, "f", &[Value::I32(7), Value::I32(5)])
-            .swap_remove(1)
-            .unwrap();
+        let out =
+            agreed_outcome(&bytes, "f", &[Value::I32(7), Value::I32(5)], "tee hazard").unwrap();
         assert_eq!(out, vec![Value::I32(17)]); // (7 + 5) + 5
     }
 
@@ -2463,10 +2516,7 @@ mod tests {
         b.export_func("f", f);
         let bytes = b.build();
         for (arg, want) in [(1, 142), (0, 147)] {
-            assert_reg_agrees(&bytes, "f", &[Value::I32(arg)], "br_if moves");
-            let out = run_reg_vs_oracle(&bytes, "f", &[Value::I32(arg)])
-                .swap_remove(1)
-                .unwrap();
+            let out = agreed_outcome(&bytes, "f", &[Value::I32(arg)], "br_if moves").unwrap();
             assert_eq!(out, vec![Value::I32(want)], "arg {arg}");
         }
     }
@@ -2496,10 +2546,7 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        assert_reg_agrees(&bytes, "f", &[Value::I32(30), Value::I32(12)], "call");
-        let out = run_reg_vs_oracle(&bytes, "f", &[Value::I32(30), Value::I32(12)])
-            .swap_remove(1)
-            .unwrap();
+        let out = agreed_outcome(&bytes, "f", &[Value::I32(30), Value::I32(12)], "call").unwrap();
         assert_eq!(out, vec![Value::I32(1018)]);
     }
 
@@ -2532,10 +2579,7 @@ mod tests {
         );
         b.export_func("sum", f);
         let bytes = b.build();
-        assert_reg_agrees(&bytes, "sum", &[Value::I32(10)], "recursion");
-        let out = run_reg_vs_oracle(&bytes, "sum", &[Value::I32(10)])
-            .swap_remove(1)
-            .unwrap();
+        let out = agreed_outcome(&bytes, "sum", &[Value::I32(10)], "recursion").unwrap();
         assert_eq!(out, vec![Value::I32(55)]);
     }
 
@@ -2557,59 +2601,118 @@ mod tests {
         );
         b.export_func("f", f);
         let module = crate::load(&b.build()).unwrap();
+        let production = EngineConfig::default();
         let inst =
-            Instance::instantiate_with_engine(&module, ExecMode::Aot, true, true, &mut NoHost)
-                .unwrap();
+            Instance::instantiate_with(&module, ExecMode::Aot, production, &mut NoHost).unwrap();
         let stats = inst.reg_stats().expect("register pass ran");
         assert!(stats.funcs > 0, "{stats:?}");
         assert!(stats.frame_slots > 0, "{stats:?}");
         assert!(stats.moves_inserted > 0, "{stats:?}");
         assert!(stats.stack_ops_eliminated > 0, "{stats:?}");
-        // And the stack-form instance reports nothing.
-        let stack_form =
-            Instance::instantiate_with_engine(&module, ExecMode::Aot, true, false, &mut NoHost)
-                .unwrap();
-        assert!(stack_form.reg_stats().is_none());
+        // Without the pass the flat IR is still lowered and fused, but the
+        // instance reports no register program (and runs on the oracle).
+        let no_reg = EngineConfig {
+            reg: false,
+            ..production
+        };
+        let mut oracle_run =
+            Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
+        assert!(oracle_run.reg_stats().is_none());
+        assert_eq!(oracle_run.fusion_stats(), inst.fusion_stats());
+        assert_eq!(
+            oracle_run.invoke(&mut NoHost, "f", &[Value::I32(5)]),
+            Ok(vec![Value::I32(15)])
+        );
     }
 
-    #[test]
-    fn unlowerable_function_falls_back_to_the_stack_engine() {
-        // A local index past the frame skips validation but must not
-        // produce register code: the whole module falls back (reg_stats
-        // absent) instead of erroring or mis-addressing slots.
-        use crate::module::{FuncBody, Module};
-        let module = Module {
+    /// A single `() -> ()` function with `code` as its body, handed to the
+    /// engine without validation.
+    pub(crate) fn unvalidated(code: Vec<I>) -> Module {
+        Module {
             types: vec![FuncType {
                 params: vec![],
                 results: vec![],
             }],
-            func_imports: vec![],
-            funcs: vec![FuncBody {
+            funcs: vec![crate::module::FuncBody {
                 type_idx: 0,
                 locals: vec![],
-                code: vec![I::LocalGet(9), I::Drop, I::End],
+                code,
             }],
-            tables: vec![],
-            memories: vec![],
-            globals: vec![],
-            exports: vec![],
-            start: None,
-            elems: vec![],
-            data: vec![],
-        };
-        // Verification is off: the IR verifier (correctly) rejects this
-        // deliberately un-validated module outright, which is covered by
-        // the verifier's own negative tests; here the subject is fallback.
-        let inst = Instance::instantiate_with_analysis(
+            ..Module::default()
+        }
+    }
+
+    #[test]
+    fn lowering_defect_fails_instantiation_instead_of_falling_back() {
+        // A local index past the frame skips validation. The register pass
+        // must report it: demoting the module to the interpreter would
+        // hide the defect behind a slower engine that nothing reports.
+        let module = unvalidated(vec![I::LocalGet(9), I::Drop, I::End]);
+        let err = Instance::instantiate_with(
             &module,
             ExecMode::Aot,
-            true,
-            true,
-            true,
-            false,
+            EngineConfig::default(),
             &mut NoHost,
         )
-        .unwrap();
-        assert!(inst.reg_stats().is_none(), "must fall back to stack form");
+        .unwrap_err();
+        match err {
+            Trap::Instantiation(msg) => {
+                assert!(msg.contains("local index out of range"), "{msg}");
+            }
+            other => panic!("expected Instantiation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_frame_runs_on_the_oracle_with_full_parity() {
+        // 50 000 locals under a 16 000-deep operand stack: a valid module
+        // whose frame cannot be addressed by u16 slots. It must load in
+        // Aot, carry no register program, and match the interpreter on
+        // result, trap text and instret.
+        const DEPTH: usize = 16_000;
+        let n_locals = crate::decode::MAX_FUNC_LOCALS - 1;
+        let mut code = vec![I::I32Const(7), I::LocalSet(n_locals as u32)];
+        code.extend(std::iter::repeat_n(I::I32Const(1), DEPTH));
+        code.extend(std::iter::repeat_n(I::I32Add, DEPTH - 1));
+        code.extend([
+            I::LocalGet(n_locals as u32),
+            I::I32Add,
+            I::LocalGet(0),
+            I::I32DivS,
+            I::End,
+        ]);
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let f = b.add_func(ty, &vec![ValType::I32; n_locals], code);
+        b.export_func("f", f);
+        let module = crate::load(&b.build()).expect("oversized-frame module validates");
+
+        let cfg = EngineConfig {
+            verify: true,
+            profile: ProfileMode::Count,
+            ..EngineConfig::default()
+        };
+        let mut aot = Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
+        assert_eq!(aot.mode(), ExecMode::Aot);
+        assert!(aot.reg_stats().is_none(), "frame cannot fit u16 slots");
+        assert!(aot.fusion_stats().is_some(), "the flat IR is still lowered");
+        let mut interp =
+            Instance::instantiate_with(&module, ExecMode::Interpreted, cfg, &mut NoHost).unwrap();
+        for (arg, want) in [(1, Some(DEPTH as i32 + 7)), (-3, Some(-5335)), (0, None)] {
+            let got = aot.invoke(&mut NoHost, "f", &[Value::I32(arg)]);
+            let reference = interp.invoke(&mut NoHost, "f", &[Value::I32(arg)]);
+            assert_eq!(
+                got.as_ref().map_err(ToString::to_string),
+                reference.as_ref().map_err(ToString::to_string),
+                "f({arg})"
+            );
+            assert_eq!(got.ok(), want.map(|v| vec![Value::I32(v)]), "f({arg})");
+            assert_eq!(
+                aot.profile().expect("counting").instret,
+                interp.profile().expect("counting").instret,
+                "f({arg}) instret"
+            );
+        }
+        assert_eq!(aot.profile().expect("counting").traps, 1);
     }
 }

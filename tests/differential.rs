@@ -1,130 +1,100 @@
-//! Differential testing of the execution-engine ladder: for every
-//! PolyBench kernel in the suite — and for two corpora of randomized
-//! MiniC kernels — the tree-walking interpreter (`ExecMode::Interpreted`,
-//! the oracle), the unfused flat engine, the fused flat engine and the
-//! register engine must agree bit-for-bit, and traps must be reported
-//! identically in every engine. `WATZ_NO_FUSE=1` / `WATZ_NO_REG=1` pin
-//! the earlier rungs via the same `instantiate` path (CI runs those
-//! combinations too).
+//! Differential testing of the two executors: for every PolyBench kernel
+//! in the suite — and for two corpora of randomized MiniC kernels — the
+//! tree-walking interpreter (`ExecMode::Interpreted`, the oracle) and the
+//! register engine must agree bit-for-bit, fused and unfused, with
+//! bounds-check elision on and off, with counting off and on; traps must
+//! be reported identically and both must retire the same instruction
+//! count. `WATZ_NO_FUSE=1` reaches unfused lowering through the default
+//! `instantiate` path (CI runs that combination too).
 
 use watz::runtime::{AppConfig, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Instance, NoHost, Value};
-use watz::wasm::ProfileMode;
+use watz::wasm::{EngineConfig, ProfileMode};
 
 const N: i32 = 12;
 
-/// The engine ladder as `(label, fuse, reg)` triples for the flat engine.
-const LADDER: [(&str, bool, bool); 3] = [
-    ("flat", false, false),
-    ("fused", true, false),
-    ("register", true, true),
-];
+/// Every register-engine configuration a case runs under: fused/unfused ×
+/// elision on/off × counting off/on, each behind the IR verifier as a
+/// hard instantiation gate.
+fn engine_matrix() -> Vec<(String, EngineConfig)> {
+    let mut out = Vec::new();
+    for fuse in [true, false] {
+        for elide in [true, false] {
+            for profile in [ProfileMode::Off, ProfileMode::Count] {
+                let cfg = EngineConfig {
+                    fuse,
+                    reg: true,
+                    elide,
+                    verify: true,
+                    profile,
+                };
+                out.push((format!("{cfg:?}"), cfg));
+            }
+        }
+    }
+    out
+}
 
-/// Runs an export on the oracle plus the whole flat-engine ladder,
-/// returning `(label, outcome)` pairs (trap text on failure, so both
-/// results and traps participate in the parity assertion).
+/// Runs an export on the oracle plus the register engine in every
+/// [`engine_matrix`] configuration, returning `(label, outcome)` pairs
+/// (trap text on failure, so both results and traps participate in the
+/// parity assertion).
 ///
-/// Every rung also re-runs with profiling on ([`ProfileMode::Count`]),
-/// asserting the retired-guest-instruction invariant: all four rungs must
-/// retire the same instret for the same input — including on traps, where
-/// the count runs up to and including the trapping instruction.
-fn run_ladder(
+/// Counting runs also assert the retired-guest-instruction invariant:
+/// both executors must retire the same instret for the same input —
+/// including on traps, where the count runs up to and including the
+/// trapping instruction.
+fn run_matrix(
     module: &watz::wasm::Module,
     name: &str,
     args: &[Value],
-) -> Vec<(&'static str, Result<Vec<Value>, String>)> {
-    let mut out = Vec::new();
-    let mut instret: Vec<(&'static str, u64)> = Vec::new();
+) -> Vec<(String, Result<Vec<Value>, String>)> {
+    let run = |inst: &mut Instance| {
+        inst.invoke(&mut NoHost, name, args)
+            .map_err(|e| e.to_string())
+    };
     let mut interp = Instance::instantiate(module, ExecMode::Interpreted, &mut NoHost).unwrap();
-    out.push((
-        "oracle",
-        interp
-            .invoke(&mut NoHost, name, args)
-            .map_err(|e| e.to_string()),
-    ));
-    {
-        let mut prof_inst = Instance::instantiate_with_profile(
-            module,
-            ExecMode::Interpreted,
-            true,
-            true,
-            ProfileMode::Count,
-            &mut NoHost,
-        )
-        .unwrap();
-        let profiled = prof_inst
-            .invoke(&mut NoHost, name, args)
-            .map_err(|e| e.to_string());
-        assert_eq!(out[0].1, profiled, "oracle diverges with profiling on");
-        let p = prof_inst.profile().expect("counting instance profiles");
-        assert_eq!(p.traps, u64::from(profiled.is_err()), "oracle trap count");
-        instret.push(("oracle", p.instret));
-    }
-    for (label, fuse, reg) in LADDER {
-        let mut inst =
-            Instance::instantiate_with_engine(module, ExecMode::Aot, fuse, reg, &mut NoHost)
-                .unwrap();
-        assert_eq!(
+    let mut out = vec![("oracle".to_string(), run(&mut interp))];
+    let counting = EngineConfig {
+        profile: ProfileMode::Count,
+        ..EngineConfig::default()
+    };
+    let mut counted =
+        Instance::instantiate_with(module, ExecMode::Interpreted, counting, &mut NoHost).unwrap();
+    assert_eq!(
+        out[0].1,
+        run(&mut counted),
+        "oracle diverges with profiling on"
+    );
+    let oracle = *counted.profile().expect("counting instance profiles");
+    assert_eq!(
+        oracle.traps,
+        u64::from(out[0].1.is_err()),
+        "oracle trap count"
+    );
+    for (label, cfg) in engine_matrix() {
+        let mut inst = Instance::instantiate_with(module, ExecMode::Aot, cfg, &mut NoHost)
+            .unwrap_or_else(|e| panic!("{label}: IR verification rejected a lowered module: {e}"));
+        assert!(
             inst.reg_stats().is_some(),
-            reg,
-            "{label}: register pass availability mismatch"
+            "{label}: fell back to the interpreter"
         );
-        let outcome = inst
-            .invoke(&mut NoHost, name, args)
-            .map_err(|e| e.to_string());
-        let mut prof_inst = Instance::instantiate_with_profile(
-            module,
-            ExecMode::Aot,
-            fuse,
-            reg,
-            ProfileMode::Count,
-            &mut NoHost,
-        )
-        .unwrap();
-        let profiled = prof_inst
-            .invoke(&mut NoHost, name, args)
-            .map_err(|e| e.to_string());
-        assert_eq!(outcome, profiled, "{label}: diverges with profiling on");
-        let p = prof_inst.profile().expect("counting instance profiles");
-        assert_eq!(p.traps, u64::from(profiled.is_err()), "{label} trap count");
-        instret.push((label, p.instret));
-        out.push((label, outcome));
-    }
-    // Verified rungs: the independent IR verifier is a hard
-    // instantiation gate here (not just under WATZ_VERIFY_IR=1), and
-    // bounds-check elision must change neither results nor traps.
-    for (label, elide) in [
-        ("register+verify", true),
-        ("register+verify-noelide", false),
-    ] {
-        let mut inst = Instance::instantiate_with_analysis(
-            module,
-            ExecMode::Aot,
-            true,
-            true,
-            elide,
-            true,
-            &mut NoHost,
-        )
-        .unwrap_or_else(|e| panic!("{label}: IR verification rejected a lowered module: {e}"));
         let vs = inst.verify_stats().expect("verification ran");
         assert!(vs.funcs > 0, "{label}: nothing verified");
         let rs = inst.range_stats().expect("analysis stats available");
-        if !elide {
+        if !cfg.elide {
             assert_eq!(rs.elided, 0, "{label}: elision-off must not rewrite");
         }
-        out.push((
-            label,
-            inst.invoke(&mut NoHost, name, args)
-                .map_err(|e| e.to_string()),
-        ));
-    }
-    for (label, n) in &instret[1..] {
-        assert_eq!(
-            instret[0].1, *n,
-            "instret parity broken: oracle retired {} but {label} retired {n}",
-            instret[0].1
-        );
+        let outcome = run(&mut inst);
+        if let Some(p) = inst.profile() {
+            assert_eq!(p.traps, u64::from(outcome.is_err()), "{label} trap count");
+            assert_eq!(
+                p.instret, oracle.instret,
+                "instret parity broken: oracle retired {} but {label} retired {}",
+                oracle.instret, p.instret
+            );
+        }
+        out.push((label, outcome));
     }
     out
 }
@@ -135,7 +105,7 @@ fn all_polybench_kernels_agree_across_engines() {
         let wasm = watz::compiler::compile(kernel.minic)
             .unwrap_or_else(|e| panic!("{} failed to compile: {e:?}", kernel.name));
         let module = watz::wasm::load(&wasm).unwrap();
-        let outcomes = run_ladder(&module, "kernel", &[Value::I32(N)]);
+        let outcomes = run_matrix(&module, "kernel", &[Value::I32(N)]);
         let oracle = outcomes[0]
             .1
             .as_ref()
@@ -158,34 +128,73 @@ fn all_polybench_kernels_agree_across_engines() {
 
 #[test]
 fn default_engine_follows_env_switches() {
-    // The explicit-matrix tests above pin every engine combination
-    // regardless of the environment; this test is what the CI
-    // `WATZ_NO_FUSE=1` / `WATZ_NO_REG=1` bisection steps actually gate —
-    // the *default* `Instance::instantiate` path must honour the
-    // switches, or bisecting with them silently tests the wrong engine.
+    // The explicit-matrix tests above pin every configuration regardless
+    // of the environment; this test is what the CI `WATZ_NO_FUSE=1`
+    // bisection step actually gates — the *default* `Instance::instantiate`
+    // path must honour the switch, or bisecting with it silently tests the
+    // wrong lowering. No switch takes the register engine away.
     let no_fuse =
         std::env::var_os("WATZ_NO_FUSE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
-    let no_reg =
-        std::env::var_os("WATZ_NO_REG").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
     let wasm = watz::compiler::compile("int twice(int a) { return a + a; }").unwrap();
     let module = watz::wasm::load(&wasm).unwrap();
     let mut inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap();
-    let fused = inst.fusion_stats().expect("flat instance reports stats");
+    let fused = inst.fusion_stats().expect("Aot instance reports stats");
     assert_eq!(
         fused.total() == 0,
         no_fuse,
         "default fusion state must follow WATZ_NO_FUSE"
     );
-    assert_eq!(
-        inst.reg_stats().is_none(),
-        no_reg,
-        "default register state must follow WATZ_NO_REG"
+    assert!(
+        inst.reg_stats().is_some(),
+        "the default engine is always the register engine"
     );
     assert_eq!(
         inst.invoke(&mut NoHost, "twice", &[Value::I32(21)])
             .unwrap(),
         vec![Value::I32(42)]
     );
+}
+
+#[test]
+fn every_corpus_module_gets_a_register_program() {
+    // The interpreter fallback exists for frames past the u16 slot
+    // encoding; no module of any benchmark or test corpus may need it.
+    let mut corpus: Vec<(String, String)> = watz::bench_workloads::polybench::suite()
+        .into_iter()
+        .map(|k| (k.name.to_string(), k.minic.to_string()))
+        .collect();
+    corpus.push((
+        "minisql".into(),
+        watz::bench_workloads::speedtest::MINISQL_GUEST.into(),
+    ));
+    corpus.push((
+        "genann".into(),
+        watz::bench_workloads::genann_guest::source(),
+    ));
+    let mut rng = XorShift(0x5eed_cafe_f00d_d00d);
+    for case in 0..40 {
+        corpus.push((format!("random {case}"), gen_kernel(&mut rng)));
+    }
+    let mut rng = XorShift(0xf05e_d00d_5eed_0001);
+    for case in 0..24 {
+        corpus.push((format!("fusable {case}"), gen_fusable_kernel(&mut rng)));
+    }
+    for (name, src) in corpus {
+        let wasm = watz::compiler::compile(&src)
+            .unwrap_or_else(|e| panic!("{name} failed to compile: {e:?}"));
+        let module = watz::wasm::load(&wasm).unwrap();
+        let inst = Instance::instantiate_with(
+            &module,
+            ExecMode::Aot,
+            EngineConfig::default(),
+            &mut NoHost,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            inst.reg_stats().is_some(),
+            "{name} fell back to the interpreter"
+        );
+    }
 }
 
 #[test]
@@ -229,8 +238,8 @@ fn trap_parity_across_exec_modes() {
 // emits MiniC programs (arithmetic, bitwise ops, shifts, comparisons,
 // if/else, bounded loops, including trap-prone division/remainder), each
 // compiled once and executed in both modes. The tree interpreter is the
-// oracle: the flat engine must produce identical results AND identical
-// traps for every program.
+// oracle: the register engine must produce identical results AND
+// identical traps for every program.
 // ---------------------------------------------------------------------------
 
 struct XorShift(u64);
@@ -327,10 +336,10 @@ fn gen_kernel(rng: &mut XorShift) -> String {
 // Fusable-shape corpus: generators biased toward the exact adjacent-op
 // windows the superinstruction fusion pass rewrites — tight local
 // arithmetic loops, 1-D and 2-D array load/compute/store kernels, pointer
-// derefs and truthy while-loops. Every program runs on the oracle, the
-// fused flat engine and the unfused flat engine (results + traps must be
-// identical), and the aggregated `FusionStats` must show every fused
-// opcode kind emitted at least once across the corpus.
+// derefs and truthy while-loops. Every program runs on the oracle and the
+// register engine, fused and unfused (results + traps must be identical),
+// and the aggregated `FusionStats` must show every fused opcode kind
+// emitted at least once across the corpus.
 // ---------------------------------------------------------------------------
 
 /// Emits one kernel covering every fusable window, with randomized
@@ -406,96 +415,30 @@ fn fusable_corpus_covers_every_superinstruction_with_parity() {
             .unwrap_or_else(|e| panic!("case {case} failed to compile: {e:?}\n{src}"));
         let module = watz::wasm::load(&wasm).unwrap();
         let args = [Value::I32(rng.next() as i32), Value::I32(rng.next() as i32)];
-        let mut outcomes: Vec<(&str, Result<Vec<Value>, String>)> = Vec::new();
-        let mut interp =
-            Instance::instantiate(&module, ExecMode::Interpreted, &mut NoHost).unwrap();
-        outcomes.push((
-            "oracle",
-            interp
-                .invoke(&mut NoHost, "kernel", &args)
-                .map_err(|e| e.to_string()),
-        ));
-        // The full fused/unfused × register/stack matrix, with the
-        // aggregated pass counters collected from the primary engines.
-        for (label, fuse, reg) in [
-            ("fused+register", true, true),
-            ("fused", true, false),
-            ("unfused+register", false, true),
-            ("unfused", false, false),
-        ] {
-            let mut inst =
-                Instance::instantiate_with_engine(&module, ExecMode::Aot, fuse, reg, &mut NoHost)
-                    .unwrap();
-            let stats = inst.fusion_stats().expect("flat instance reports stats");
-            if fuse {
-                if reg {
-                    total.merge(&stats);
-                }
-            } else {
-                assert_eq!(stats.total(), 0, "case {case}: unfused instance fused");
-            }
-            if reg {
-                let rstats = inst.reg_stats().expect("register instance reports stats");
-                if fuse {
-                    reg_total.merge(&rstats);
-                }
-            } else {
-                assert!(
-                    inst.reg_stats().is_none(),
-                    "case {case}: stack-form instance reports register stats"
-                );
-            }
-            outcomes.push((
-                label,
-                inst.invoke(&mut NoHost, "kernel", &args)
-                    .map_err(|e| e.to_string()),
-            ));
-        }
-        // The same matrix with profiling on: every rung must retire the
-        // same guest-instruction count (traps included — the corpus'
-        // division statements trap on some random inputs).
-        let mut retired: Vec<(&str, u64)> = Vec::new();
-        for (label, mode, fuse, reg) in [
-            ("oracle", ExecMode::Interpreted, true, true),
-            ("fused+register", ExecMode::Aot, true, true),
-            ("fused", ExecMode::Aot, true, false),
-            ("unfused+register", ExecMode::Aot, false, true),
-            ("unfused", ExecMode::Aot, false, false),
-        ] {
-            let mut inst = Instance::instantiate_with_profile(
-                &module,
-                mode,
-                fuse,
-                reg,
-                ProfileMode::Count,
-                &mut NoHost,
-            )
-            .unwrap();
-            let outcome = inst
-                .invoke(&mut NoHost, "kernel", &args)
-                .map_err(|e| e.to_string());
+        // Parity (results, traps, instret) across the whole matrix, then
+        // the pass counters from the production configuration.
+        let outcomes = run_matrix(&module, "kernel", &args);
+        for (label, outcome) in &outcomes[1..] {
             assert_eq!(
-                outcomes[0].1, outcome,
-                "case {case}: {label} diverges with profiling on:\n{src}"
-            );
-            retired.push((label, inst.profile().expect("profiled instance").instret));
-        }
-        for (label, n) in &retired[1..] {
-            assert_eq!(
-                retired[0].1, *n,
-                "case {case}: instret parity broken between oracle and {label}:\n{src}"
+                &outcomes[0].1, outcome,
+                "case {case}: {label} diverges from oracle:\n{src}"
             );
         }
         if outcomes[0].1.is_err() {
             traps += 1;
         }
-        for k in 1..outcomes.len() {
-            assert_eq!(
-                outcomes[0].1, outcomes[k].1,
-                "case {case}: {} engine diverges from oracle:\n{src}",
-                outcomes[k].0
-            );
-        }
+        let instantiate = |fuse| {
+            let cfg = EngineConfig {
+                fuse,
+                ..EngineConfig::default()
+            };
+            Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap()
+        };
+        let fused = instantiate(true);
+        total.merge(&fused.fusion_stats().expect("Aot instance reports stats"));
+        reg_total.merge(&fused.reg_stats().expect("register instance reports stats"));
+        let unfused = instantiate(false).fusion_stats().expect("stats");
+        assert_eq!(unfused.total(), 0, "case {case}: unfused instance fused");
     }
     // The corpus must actually exercise both passes: every fused opcode
     // kind and every register counter fires at least once, and not every
@@ -521,8 +464,8 @@ fn trap_edges_agree_across_engines() {
     // allocation could silently break: signed division overflow,
     // division/remainder by zero, and the INT_MIN % -1 == 0 non-trap,
     // each driven through compiled guests across the oracle and the whole
-    // flat-engine ladder (these windows fuse into superinstructions and
-    // then gain register operands).
+    // register-engine matrix (these windows fuse into superinstructions
+    // and then gain register operands).
     let rt = WatzRuntime::new_device(b"trap-edges").unwrap();
     let sources = [
         ("div", "int div(int a, int b) { return a / b; }"),
@@ -540,7 +483,7 @@ fn trap_edges_agree_across_engines() {
         let wasm = watz::compiler::compile(src).unwrap();
         let module = watz::wasm::load(&wasm).unwrap();
         for (a, b) in cases {
-            let outcomes = run_ladder(&module, name, &[Value::I32(a), Value::I32(b)]);
+            let outcomes = run_matrix(&module, name, &[Value::I32(a), Value::I32(b)]);
             for (label, outcome) in &outcomes[1..] {
                 assert_eq!(
                     &outcomes[0].1, outcome,
@@ -573,8 +516,8 @@ fn randomized_minic_kernels_agree_across_engines() {
         let arg_a = rng.next() as i32;
         let arg_b = rng.next() as i32;
         // Results on success, trap text on failure: both must match
-        // across the oracle and the whole flat-engine ladder.
-        let outcomes = run_ladder(&module, "kernel", &[Value::I32(arg_a), Value::I32(arg_b)]);
+        // across the oracle and the whole register-engine matrix.
+        let outcomes = run_matrix(&module, "kernel", &[Value::I32(arg_a), Value::I32(arg_b)]);
         if outcomes[0].1.is_err() {
             traps += 1;
         }

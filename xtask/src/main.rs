@@ -1,11 +1,11 @@
 //! Repo-local task runner (`cargo run -p xtask -- lint`).
 //!
-//! `lint` enforces two offline rules CI gates on, beyond what clippy
+//! `lint` enforces three offline rules CI gates on, beyond what clippy
 //! covers:
 //!
 //! 1. **No `.unwrap()` / `.expect(` in the hot dispatch loops** — the
-//!    tree interpreter's `exec_body`, and `run_loop` in the flat and
-//!    register engines. A panic there is a guest-reachable crash of the
+//!    tree interpreter's `exec_body` and the register engine's
+//!    `run_loop`. A panic there is a guest-reachable crash of the
 //!    whole runtime, so every use must be individually justified in the
 //!    allowlist (`xtask/lint-allow.txt`).
 //! 2. **No narrowing `as` casts in the wire-format parsers** — the
@@ -14,8 +14,12 @@
 //!    truncation of an attacker-controlled length or index is exactly
 //!    how wire parsers go wrong; conversions must be `try_from` or
 //!    explicitly allowlisted (e.g. masking the low byte).
+//! 3. **`watz-wasm` reads the environment in one function** — every
+//!    `std::env::` under `crates/watz-wasm/src` sits inside
+//!    `EngineConfig::from_env`, so a switch cannot grow a second reader
+//!    that parses it differently.
 //!
-//! Both scans work on comment- and string-stripped source so matches in
+//! All scans work on comment- and string-stripped source so matches in
 //! docs or literals don't count, and `#[cfg(test)]` modules are out of
 //! scope. Findings are compared against `xtask/lint-allow.txt`: lines of
 //! `file-suffix|needle`, where a finding is allowed when its file path
@@ -38,11 +42,14 @@ fn main() -> ExitCode {
 }
 
 /// The dispatch-loop scan targets: `(file, function name)`.
-const DISPATCH_LOOPS: [(&str, &str); 3] = [
+const DISPATCH_LOOPS: [(&str, &str); 2] = [
     ("crates/watz-wasm/src/exec.rs", "fn exec_body"),
-    ("crates/watz-wasm/src/flat.rs", "fn run_loop"),
     ("crates/watz-wasm/src/reg.rs", "fn run_loop"),
 ];
+
+/// The one function of `watz-wasm` allowed to name `std::env::`:
+/// `(source directory, file, function name)`.
+const ENV_READER: (&str, &str, &str) = ("crates/watz-wasm/src", "exec.rs", "fn from_env");
 
 /// The wire-parser cast-scan targets.
 const WIRE_PARSERS: [&str; 2] = [
@@ -109,6 +116,44 @@ fn lint() -> ExitCode {
         });
     }
 
+    let (env_dir, env_file, env_fn) = ENV_READER;
+    let mut env_reads = 0usize;
+    let mut sources: Vec<PathBuf> = std::fs::read_dir(root.join(env_dir))
+        .unwrap_or_else(|e| panic!("{env_dir} unreadable: {e}"))
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .collect();
+    sources.sort();
+    for path in sources {
+        let src = read(&path);
+        let stripped = strip_comments_and_strings(&src);
+        let check = |s: &str| {
+            s.contains("std::env::")
+                .then(|| format!("`std::env::` outside `{env_fn}` in {env_file}"))
+        };
+        let mut all = Vec::new();
+        scan_lines(&src, &stripped, 0, stripped.len(), &path, &mut all, check);
+        let mut inside = Vec::new();
+        if path.ends_with(env_file) {
+            if let Some((start, end)) = fn_body_span(&stripped, env_fn) {
+                scan_lines(&src, &stripped, start, end, &path, &mut inside, check);
+            }
+        }
+        env_reads += inside.len();
+        findings.extend(
+            all.into_iter()
+                .filter(|f| !inside.iter().any(|i| i.line_no == f.line_no)),
+        );
+    }
+    if env_reads == 0 {
+        findings.push(Finding {
+            file: root.join(env_dir).join(env_file),
+            line_no: 0,
+            line: String::new(),
+            what: format!("`{env_fn}` reads no `std::env::` (did the reader move?)"),
+        });
+    }
+
     let mut used = vec![false; allowlist.len()];
     let mut fatal = 0usize;
     for f in &findings {
@@ -139,10 +184,11 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s))",
+            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s); {} env read(s), all in `{env_fn}`)",
             findings.len(),
             DISPATCH_LOOPS.len(),
-            WIRE_PARSERS.len()
+            WIRE_PARSERS.len(),
+            env_reads
         );
         ExitCode::SUCCESS
     } else {
