@@ -4,10 +4,11 @@
 //! engine (unfused and fused), one
 //! scalar multiplication through both P-256 paths (generator table and
 //! 4-bit window) with the field inversion they share, AES-GCM
-//! against SHA-256 over the same MiB, and one fleet worker-scaling round
+//! against SHA-256 over the same MiB, the load-time compile of Fig 4's
+//! 1 MB module against its decode + validate, and one fleet worker-scaling round
 //! (1 vs 4 verifier workers), then asserts the optimised paths actually
 //! win by a comfortable margin. A regression in the register engine, the
-//! fusion pass, the fixed-base table, the GCM tables or
+//! fusion pass, the fixed-base table, the GCM tables, the compile passes or
 //! the fleet scheduler fails the build loudly, without waiting for the
 //! minutes-scale full bench suite.
 //!
@@ -365,6 +366,35 @@ fn main() {
         setup_share < 0.01,
         "AesGcm128::new costs {:.2}% of an ECDSA verify; the per-key table outgrew its budget",
         setup_share * 100.0
+    );
+
+    // --- Load-time compilation must stay proportionate to what it reads.
+    // On Fig 4's 1 MB module, instantiation (lower, fuse, register pass,
+    // range analysis, on the default configuration) against decoding plus
+    // validating the same bytes: a ratio of two timings taken back to back
+    // in this process. ~2x as recorded; it was ~6x while the analysis
+    // value-numbered every op of a module that has no memory access.
+    let app = watz_bench::fig4_app(1);
+    let app_module = watz_wasm::load(&app).expect("fig4 module loads");
+    let instantiate = || engine(&app_module, ExecMode::Aot, EngineConfig::default());
+    std::hint::black_box(instantiate()); // first touch of the allocator's pages
+    let t_load = median(5, || {
+        std::hint::black_box(watz_wasm::load(std::hint::black_box(&app)).expect("loads"));
+    });
+    let t_instantiate = median(5, || {
+        std::hint::black_box(instantiate());
+    });
+    let compile_ratio = t_instantiate.as_secs_f64() / t_load.as_secs_f64();
+    let passes = instantiate().compile_times().expect("Aot instance");
+    println!(
+        "fig4 1 MB ({} bytes): decode+validate {t_load:?}  instantiate {t_instantiate:?} ({compile_ratio:.2}x)  passes {passes:?}",
+        app.len()
+    );
+    assert!(
+        compile_ratio <= 3.5,
+        "instantiating the fig4 1 MB module costs {compile_ratio:.2}x its decode + validate \
+         ({t_instantiate:?} vs {t_load:?}); a load-time pass stopped being linear in what it \
+         needs to look at: {passes:?}"
     );
 
     // --- Static analysis: the verifier must pass the optimised code and

@@ -51,6 +51,32 @@ pub fn fmt(d: Duration) -> String {
     }
 }
 
+/// Fig 4's synthetic application, mirroring the paper's loop-unrolling
+/// generator: `target_mb * 100` functions of 1200 unrolled
+/// `i64.const; i64.add` pairs each (~4.7 KB of code per function, so the
+/// "1 MB" point is 474 KB on disk), the last one exported as `main`.
+#[must_use]
+pub fn fig4_app(target_mb: usize) -> Vec<u8> {
+    use watz_wasm::instr::Instr;
+    let mut b = watz_wasm::builder::ModuleBuilder::new();
+    let ty = b.add_type(&[], &[watz_wasm::types::ValType::I64]);
+    let per_func = 1200;
+    let mut main_idx = 0;
+    for f in 0..target_mb * 100 {
+        let mut code = Vec::with_capacity(per_func * 2 + 2);
+        code.push(Instr::I64Const(f as i64));
+        for k in 0..per_func {
+            code.push(Instr::I64Const(k as i64));
+            code.push(Instr::I64Add);
+        }
+        code.push(Instr::End);
+        main_idx = b.add_func(ty, &[], code);
+    }
+    b.export_func("main", main_idx);
+    b.add_memory(1, None);
+    b.build()
+}
+
 /// Prints a bench header.
 pub fn header(title: &str, paper: &str) {
     println!("\n=== {title} ===");

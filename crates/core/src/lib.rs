@@ -148,6 +148,10 @@ pub struct StartupBreakdown {
     pub loading: Duration,
     /// Instantiation (AOT prep, memory/data/table init).
     pub instantiate: Duration,
+    /// The load-time compilation passes inside `instantiate`, pass by pass
+    /// (all zero for an interpreted app). Not a phase: [`Self::total`]
+    /// counts `instantiate` only.
+    pub compile: watz_wasm::CompileTimes,
     /// First entry into guest code (filled by the first `invoke`).
     pub execution: Duration,
 }
@@ -301,6 +305,7 @@ impl WatzRuntime {
             let mut env = env;
             let instance = Instance::instantiate(&module, config.mode, &mut env)?;
             breakdown.instantiate = t.elapsed();
+            breakdown.compile = instance.compile_times().unwrap_or_default();
 
             let app = WatzApp {
                 instance,

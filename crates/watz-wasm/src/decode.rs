@@ -89,11 +89,26 @@ impl From<LebError> for DecodeError {
 struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
+    /// End of the section being decoded (of the input, between sections).
+    end: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(input: &'a [u8]) -> Self {
-        Reader { input, pos: 0 }
+        Reader {
+            input,
+            pos: 0,
+            end: input.len(),
+        }
+    }
+
+    /// The capacity to reserve for `count` elements about to be decoded.
+    /// A wire count is unvalidated, but every element takes at least one
+    /// byte, so one above the bytes left in the section is a lie the
+    /// element loop will report; reserving for it would let a 30-byte
+    /// module ask for gigabytes first.
+    fn capacity(&self, count: usize) -> usize {
+        count.min(self.end.saturating_sub(self.pos))
     }
 
     fn byte(&mut self) -> Result<u8, DecodeError> {
@@ -207,9 +222,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes a function body's instruction sequence up to and including
-    /// the terminating `End` of the outermost frame.
-    fn expr(&mut self) -> Result<Vec<Instr>, DecodeError> {
-        let mut code = Vec::new();
+    /// the terminating `End` of the outermost frame; `size_hint` sizes the
+    /// vector up front.
+    fn expr(&mut self, size_hint: usize) -> Result<Vec<Instr>, DecodeError> {
+        let mut code = Vec::with_capacity(size_hint);
         let mut depth: u32 = 0;
         loop {
             let instr = self.instr()?;
@@ -243,7 +259,7 @@ impl<'a> Reader<'a> {
             0x0d => BrIf(self.u32()?),
             0x0e => {
                 let count = self.u32()? as usize;
-                let mut targets = Vec::with_capacity(count);
+                let mut targets = Vec::with_capacity(self.capacity(count));
                 for _ in 0..count {
                     targets.push(self.u32()?);
                 }
@@ -473,6 +489,7 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
         if section_end > r.input.len() {
             return Err(DecodeError::UnexpectedEof);
         }
+        r.end = section_end;
 
         if id != 0 && id != 12 {
             if id <= last_section_id {
@@ -497,12 +514,12 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
                         return Err(DecodeError::BadConstExpr);
                     }
                     let n_params = r.u32()? as usize;
-                    let mut params = Vec::with_capacity(n_params);
+                    let mut params = Vec::with_capacity(r.capacity(n_params));
                     for _ in 0..n_params {
                         params.push(r.val_type()?);
                     }
                     let n_results = r.u32()? as usize;
-                    let mut results = Vec::with_capacity(n_results);
+                    let mut results = Vec::with_capacity(r.capacity(n_results));
                     for _ in 0..n_results {
                         results.push(r.val_type()?);
                     }
@@ -591,7 +608,7 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
                     }
                     let offset = r.const_expr()?;
                     let n = r.u32()? as usize;
-                    let mut funcs = Vec::with_capacity(n);
+                    let mut funcs = Vec::with_capacity(r.capacity(n));
                     for _ in 0..n {
                         funcs.push(r.u32()?);
                     }
@@ -628,7 +645,8 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
                         }
                         locals.extend(std::iter::repeat_n(ty, n));
                     }
-                    let code = r.expr()?;
+                    // Instructions average about two bytes in real code.
+                    let code = r.expr(r.capacity(body_end.saturating_sub(r.pos)) / 2)?;
                     if r.pos != body_end {
                         return Err(DecodeError::SectionSize { id: 10 });
                     }
@@ -729,6 +747,49 @@ mod tests {
         // The parameter counts against the same cap.
         let over = module_with_locals(MAX_FUNC_LOCALS as u32);
         assert_eq!(decode(&over), Err(DecodeError::TooManyLocals));
+    }
+
+    /// `sections` behind the module header.
+    fn module_of(sections: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+        for s in sections {
+            bytes.extend_from_slice(s);
+        }
+        bytes
+    }
+
+    /// A count of 0xFFFF_FFFF, as LEB128.
+    const BOMB: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
+
+    #[test]
+    fn count_bombs_are_errors_not_allocations() {
+        // Four ~30-byte modules, each claiming 4 Gi elements where the
+        // decoder used to reserve for the claim before reading one: the
+        // process died of a 16 GiB allocation instead of returning.
+        let br_table = module_of(&[
+            &[1, 4, 1, 0x60, 0, 0], // type () -> ()
+            &[3, 2, 1, 0],          // one function of type 0
+            &[10, 9, 1, 7, 0, 0x0e],
+            &BOMB, // br_table with 4 Gi targets
+        ]);
+        let params = module_of(&[&[1, 7, 1, 0x60], &BOMB]);
+        let results = module_of(&[&[1, 8, 1, 0x60, 0], &BOMB]);
+        let elem_funcs = module_of(&[&[9, 10, 1, 0, 0x41, 0, 0x0b], &BOMB]);
+        for (what, bytes) in [
+            ("br_table targets", br_table),
+            ("type params", params),
+            ("type results", results),
+            ("element funcs", elem_funcs),
+        ] {
+            assert!(bytes.len() <= 31, "{what}: {} bytes", bytes.len());
+            assert_eq!(decode(&bytes), Err(DecodeError::UnexpectedEof), "{what}");
+        }
+        // What is reserved is bounded by the bytes left in the section.
+        let mut r = Reader::new(&[0; 40]);
+        r.pos = 8;
+        r.end = 24;
+        assert_eq!(r.capacity(u32::MAX as usize), 16);
+        assert_eq!(r.capacity(3), 3);
     }
 
     #[test]

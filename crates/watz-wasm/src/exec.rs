@@ -838,6 +838,13 @@ impl Instance {
         self.flat.as_ref().map(|f| f.analysis)
     }
 
+    /// Wall time of each load-time compilation pass (`None` for
+    /// interpreted instances; a pass that did not run reads zero).
+    #[must_use]
+    pub fn compile_times(&self) -> Option<flat::CompileTimes> {
+        self.flat.as_ref().map(|f| f.times)
+    }
+
     /// Re-runs the independent IR verifier over this instance's compiled
     /// code and returns fresh counters; `None` for interpreted instances
     /// (there is no compiled IR to verify).

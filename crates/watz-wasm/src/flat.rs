@@ -57,7 +57,7 @@
 //!
 //! # What the register pass relies on
 //!
-//! The key invariant this module maintains for [`crate::reg`] is the
+//! The first invariant this module maintains for [`crate::reg`] is the
 //! **entry-height table**: [`lower`] records, for every flat op it emits,
 //! the operand-stack height at the op's entry (before its own pops) —
 //! heights are compile-time constants under validation, which is exactly
@@ -65,8 +65,11 @@
 //! frame slot `n_locals + h`. Fusion carries the table through compaction
 //! (a window inherits its first op's entry height; windows are
 //! straight-line, so that is the fused op's entry height too). The
-//! register pass bounds-checks every flat jump target it consumes,
-//! re-points it through its own old→new map and re-validates the result.
+//! second is the **jump-target set**: [`lower`] flags every target once
+//! (rejecting any past the end), and fusion, then the register pass, carry
+//! the flags through their old→new maps instead of rescanning the code.
+//! Both tables, the retirement metadata and every pass's working buffers
+//! live in the one `CompileScratch` a compile owns.
 //!
 //! The structural invariants of the IR (jump targets, entry heights,
 //! index ranges) are re-derived independently by [`crate::verify`].
@@ -78,6 +81,7 @@ use crate::instr::Instr;
 use crate::module::{FuncBody, Module};
 use crate::profile::{OpClass, ProfOp};
 use crate::types::{BlockType, ValType};
+use std::time::{Duration, Instant};
 
 /// An untagged 64-bit operand-stack slot.
 ///
@@ -311,6 +315,13 @@ pub(crate) enum BinOpKind {
 }
 
 impl BinOpKind {
+    /// Whether the operator takes two i32 operands to an i32 result (the
+    /// first fifteen variants and the ten i32 comparisons).
+    pub(crate) fn is_i32(self) -> bool {
+        let i = self as u8;
+        i <= Self::I32Rotr as u8 || (Self::I32Eq as u8..=Self::I32GeU as u8).contains(&i)
+    }
+
     /// Whether the operator can trap (integer `div`/`rem`).
     ///
     /// Retired-instruction counting is inclusive at fetch, so exact
@@ -1187,9 +1198,10 @@ pub(crate) struct FlatFunc {
     pub(crate) n_results: u32,
     pub(crate) result_types: Box<[ValType]>,
     pub(crate) code: Box<[FlatOp]>,
-    /// Retirement metadata, 1:1 with `code` (built at lowering; read
-    /// only by the register pass, which folds it into its own table —
-    /// the verifier checks just the length).
+    /// Retirement metadata, 1:1 with `code`, of a module compiled without
+    /// the register pass (the verifier checks the length). The register
+    /// pass folds it into its own table straight from the compile
+    /// scratch, so a module with a register program keeps none.
     pub(crate) prof: Box<[ProfOp]>,
 }
 
@@ -1217,7 +1229,61 @@ pub(crate) struct FlatModule {
     pub(crate) min_mem: u64,
     /// Range-analysis and bounds-check-elision counters (register form).
     pub(crate) analysis: crate::analysis::RangeStats,
+    /// Where the compile time went, pass by pass.
+    pub(crate) times: CompileTimes,
 }
+
+/// Wall time of each load-time compilation pass, summed over a module's
+/// function bodies: the split of Fig 4's "instantiate" bar. Exposed via
+/// [`Instance::compile_times`](crate::exec::Instance::compile_times).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompileTimes {
+    /// Structured bodies to flat code.
+    pub lower: Duration,
+    /// The superinstruction peephole pass.
+    pub fuse: Duration,
+    /// Flat code to register form ([`crate::reg`]).
+    pub reg: Duration,
+    /// Range analysis and bounds-check elision ([`crate::analysis`]).
+    pub analysis: Duration,
+}
+
+/// The buffers every pass of [`FlatModule::compile_full`] works in, owned
+/// by one compile and reused for each function body, so the passes
+/// allocate only what the compiled module keeps.
+///
+/// After [`lower`] (and [`fuse_ops`]) it holds the body in flight: `ops`,
+/// with each op's operand-stack **entry height** (the height before the op
+/// pops anything — what the register pass places each value by), its
+/// retirement metadata and the jump-target flags. The target set is
+/// computed once, by [`lower`], and each later pass carries it through its
+/// own old→new remap instead of rescanning the code.
+#[derive(Default)]
+pub(crate) struct CompileScratch {
+    pub(crate) ops: Vec<FlatOp>,
+    /// Entry height of each op, 1:1 with `ops`.
+    pub(crate) heights: Vec<u32>,
+    /// Retirement metadata of each op, 1:1 with `ops`.
+    pub(crate) prof: Vec<ProfOp>,
+    /// Whether some branch lands on `ops[i]`; one flag more than `ops`
+    /// (the end position).
+    pub(crate) is_target: Vec<bool>,
+    /// Fusion's output side (swapped with `ops` when the pass is done).
+    fused: Vec<FlatOp>,
+    /// The old→new index map of the pass that is compacting (fusion, then
+    /// the register pass).
+    pub(crate) old2new: Vec<u32>,
+    ctrl: Vec<Ctrl>,
+    /// Branches waiting for the end of their target frame, as linked
+    /// lists through this arena: `(op index, br_table slot, next)`. The
+    /// slot is `u32::MAX` for non-table ops.
+    patches: Vec<(u32, u32, u32)>,
+    pub(crate) reg: crate::reg::RegScratch,
+    pub(crate) range: crate::analysis::RangeScratch,
+}
+
+/// End of a patch list in [`CompileScratch::patches`].
+const NO_PATCH: u32 = u32::MAX;
 
 impl FlatModule {
     /// Lowers every function body of a validated module; `fuse` controls
@@ -1227,7 +1293,8 @@ impl FlatModule {
     ///
     /// The register program is all-or-nothing per module (a register
     /// frame cannot call into the interpreter): one function whose frame
-    /// exceeds the `u16` slot encoding leaves the module without one.
+    /// exceeds the `u16` slot encoding compiles the module as with `reg`
+    /// off.
     ///
     /// # Errors
     ///
@@ -1242,11 +1309,11 @@ impl FlatModule {
         elide: bool,
     ) -> Result<FlatModule, Trap> {
         use crate::reg::LowerError;
-        let mut funcs = Vec::with_capacity(module.func_count());
-        let mut func_type_idx = Vec::with_capacity(module.func_count());
+        let n_funcs = module.func_count();
+        let mut funcs = Vec::with_capacity(n_funcs);
+        let mut func_type_idx = Vec::with_capacity(n_funcs);
         // Indexed like `funcs`: `None` for every import.
-        let mut reg_funcs =
-            reg.then(|| module.func_imports.iter().map(|_| None).collect::<Vec<_>>());
+        let mut reg_funcs = Vec::with_capacity(if reg { n_funcs } else { 0 });
         for imp in &module.func_imports {
             let ty = module
                 .types
@@ -1259,43 +1326,79 @@ impl FlatModule {
                 n_results: ty.results.len(),
             }));
             func_type_idx.push(imp.type_idx);
-        }
-        let mut fusion = FusionStats::default();
-        let mut reg_stats = crate::reg::RegStats::default();
-        for body in &module.funcs {
-            let (func, heights) = lower(module, body, fuse, &mut fusion)?;
-            if let Some(rfs) = &mut reg_funcs {
-                match crate::reg::lower_func(&func, &heights, module, &mut reg_stats) {
-                    Ok(rf) => rfs.push(Some(rf)),
-                    Err(LowerError::FrameTooLarge) => reg_funcs = None,
-                    Err(LowerError::Malformed(trap)) => return Err(trap),
-                }
+            if reg {
+                reg_funcs.push(None);
             }
-            funcs.push(FlatFuncDef::Local(func));
-            func_type_idx.push(body.type_idx);
         }
         let min_mem = module
             .memories
             .first()
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
+        let mut fusion = FusionStats::default();
+        let mut reg_stats = crate::reg::RegStats::default();
         let mut analysis = crate::analysis::RangeStats::default();
-        let reg = reg_funcs.map(|mut rfs| {
-            for rf in rfs.iter_mut().flatten() {
-                crate::analysis::elide_reg(rf, min_mem, elide, &mut analysis);
+        let mut times = CompileTimes::default();
+        let mut scratch = CompileScratch::default();
+        // One clock read per pass boundary; the end of a body is the start
+        // of the next.
+        let mut mark = Instant::now();
+        let mut lap = |total: &mut Duration| {
+            let now = Instant::now();
+            *total += now - mark;
+            mark = now;
+        };
+        for body in &module.funcs {
+            let mut func = lower(module, body, &mut scratch)?;
+            lap(&mut times.lower);
+            if fuse {
+                fuse_ops(&mut scratch, &mut fusion)?;
             }
-            crate::reg::RegProgram {
-                funcs: rfs.into_boxed_slice(),
-                stats: reg_stats,
+            func.code = scratch.ops.drain(..).collect();
+            lap(if fuse {
+                &mut times.fuse
+            } else {
+                &mut times.lower
+            });
+            if reg {
+                let mut rf =
+                    match crate::reg::lower_func(&func, module, &mut scratch, &mut reg_stats) {
+                        Ok(rf) => rf,
+                        // Rare (a frame past 65 535 slots) and final: start
+                        // over for the tree oracle.
+                        Err(LowerError::FrameTooLarge) => {
+                            return Self::compile_full(module, fuse, false, elide)
+                        }
+                        Err(LowerError::Malformed(trap)) => return Err(trap),
+                    };
+                lap(&mut times.reg);
+                crate::analysis::elide_reg(
+                    &mut rf,
+                    min_mem,
+                    elide,
+                    &scratch.reg.is_target,
+                    &mut scratch.range,
+                    &mut analysis,
+                );
+                lap(&mut times.analysis);
+                reg_funcs.push(Some(rf));
+            } else {
+                func.prof = scratch.prof.as_slice().into();
             }
-        });
+            funcs.push(FlatFuncDef::Local(func));
+            func_type_idx.push(body.type_idx);
+        }
         Ok(FlatModule {
             funcs,
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
             fusion,
-            reg,
+            reg: reg.then(|| crate::reg::RegProgram {
+                funcs: reg_funcs.into_boxed_slice(),
+                stats: reg_stats,
+            }),
             min_mem,
             analysis,
+            times,
         })
     }
 }
@@ -1316,9 +1419,9 @@ struct Ctrl {
     branch_arity: usize,
     /// Branch target for loops (known immediately).
     loop_target: u32,
-    /// Ops whose target is this frame's end: `(op index, br_table slot)`;
-    /// slot is `u32::MAX` for non-table ops.
-    patches: Vec<(u32, u32)>,
+    /// Head of the list of ops whose target is this frame's end (an index
+    /// into [`CompileScratch::patches`], or [`NO_PATCH`]).
+    patches: u32,
     /// The `JumpIfZero` of an `if`, waiting for its else/end position.
     else_patch: Option<u32>,
     /// The remainder of this frame is statically unreachable.
@@ -1351,11 +1454,9 @@ fn set_target(op: &mut FlatOp, slot: u32, target: u32) {
     }
 }
 
-/// Lowers one function body to flat code (then fuses it, when enabled).
-///
-/// Returns the lowered function plus the operand-stack **entry height** of
-/// every emitted op (the height before the op pops anything), which the
-/// register pass consumes to place each value in a fixed frame slot.
+/// Lowers one function body to flat code, left in `scratch` (`ops`,
+/// `heights`, `prof`, `is_target`; see [`CompileScratch`]). The returned
+/// function has its signature filled in and no code yet.
 ///
 /// # Errors
 ///
@@ -1367,9 +1468,8 @@ fn set_target(op: &mut FlatOp, slot: u32, target: u32) {
 pub(crate) fn lower(
     module: &Module,
     body: &FuncBody,
-    fuse: bool,
-    fusion: &mut FusionStats,
-) -> Result<(FlatFunc, Vec<u32>), Trap> {
+    scratch: &mut CompileScratch,
+) -> Result<FlatFunc, Trap> {
     let ty = module
         .types
         .get(body.type_idx as usize)
@@ -1378,24 +1478,34 @@ pub(crate) fn lower(
     let n_results = ty.results.len();
     let n_imports = module.func_imports.len() as u32;
 
-    let mut ops: Vec<FlatOp> = Vec::with_capacity(body.code.len());
-    // Operand-stack entry height of each op in `ops`, kept 1:1.
-    let mut heights: Vec<u32> = Vec::with_capacity(body.code.len());
-    // Retirement metadata of each op in `ops`, kept 1:1 (synthetic ops
-    // that replace erased structure — the else-jump, the function-final
-    // return — weigh 0 so instret matches the tree oracle exactly).
-    let mut prof: Vec<ProfOp> = Vec::with_capacity(body.code.len());
-    let mut ctrl: Vec<Ctrl> = vec![Ctrl {
+    // `heights` and `prof` are kept 1:1 with `ops` (synthetic ops that
+    // replace erased structure — the else-jump, the function-final return
+    // — weigh 0 so instret matches the tree oracle exactly).
+    let CompileScratch {
+        ops,
+        heights,
+        prof,
+        is_target,
+        ctrl,
+        patches,
+        ..
+    } = scratch;
+    ops.clear();
+    heights.clear();
+    prof.clear();
+    ctrl.clear();
+    patches.clear();
+    ctrl.push(Ctrl {
         is_loop: false,
         label_height: 0,
         params: 0,
         results: n_results,
         branch_arity: n_results,
         loop_target: 0,
-        patches: Vec::new(),
+        patches: NO_PATCH,
         else_patch: None,
         unreachable: false,
-    }];
+    });
     let mut height: usize = 0;
     // Nesting depth of skipped (statically unreachable) blocks.
     let mut skip: usize = 0;
@@ -1444,7 +1554,8 @@ pub(crate) fn lower(
                 },
             };
             if !ctrl[idx].is_loop {
-                ctrl[idx].patches.push((ops.len() as u32, u32::MAX));
+                patches.push((ops.len() as u32, u32::MAX, ctrl[idx].patches));
+                ctrl[idx].patches = patches.len() as u32 - 1;
             }
             // Entry height includes the already-popped condition.
             heights.push((height + usize::from($conditional)) as u32);
@@ -1465,8 +1576,10 @@ pub(crate) fn lower(
                 // (validation guarantees params == results in that case).
                 set_target(&mut ops[ep as usize], u32::MAX, end_pos);
             }
-            for (op_idx, slot) in frame.patches {
+            let mut next = frame.patches;
+            while let Some(&(op_idx, slot, link)) = patches.get(next as usize) {
                 set_target(&mut ops[op_idx as usize], slot, end_pos);
+                next = link;
             }
             height = frame.label_height + frame.results;
             if ctrl.is_empty() {
@@ -1541,7 +1654,7 @@ pub(crate) fn lower(
                     results,
                     branch_arity: results,
                     loop_target: 0,
-                    patches: Vec::new(),
+                    patches: NO_PATCH,
                     else_patch: None,
                     unreachable: false,
                 });
@@ -1555,7 +1668,7 @@ pub(crate) fn lower(
                     results,
                     branch_arity: params,
                     loop_target: ops.len() as u32,
-                    patches: Vec::new(),
+                    patches: NO_PATCH,
                     else_patch: None,
                     unreachable: false,
                 });
@@ -1574,7 +1687,7 @@ pub(crate) fn lower(
                     results,
                     branch_arity: results,
                     loop_target: 0,
-                    patches: Vec::new(),
+                    patches: NO_PATCH,
                     else_patch: Some(ep),
                     unreachable: false,
                 });
@@ -1587,7 +1700,8 @@ pub(crate) fn lower(
                 prof.push(ProfOp::zero());
                 ops.push(FlatOp::Jump { target: 0 });
                 let frame = ctrl.last_mut().ok_or_else(|| bad("else outside a frame"))?;
-                frame.patches.push((jmp, u32::MAX));
+                patches.push((jmp, u32::MAX, frame.patches));
+                frame.patches = patches.len() as u32 - 1;
                 let ep = frame
                     .else_patch
                     .take()
@@ -1611,7 +1725,6 @@ pub(crate) fn lower(
                 height = sub_height!(1); // index
                 let op_idx = ops.len() as u32;
                 let mut entries = Vec::with_capacity(targets.len() + 1);
-                let mut pending: Vec<(usize, u32)> = Vec::new();
                 for (slot, d) in targets.iter().chain(std::iter::once(default)).enumerate() {
                     let idx = (ctrl.len() - 1)
                         .checked_sub(*d as usize)
@@ -1630,11 +1743,9 @@ pub(crate) fn lower(
                             keep,
                             height: h,
                         });
-                        pending.push((idx, slot as u32));
+                        patches.push((op_idx, slot as u32, ctrl[idx].patches));
+                        ctrl[idx].patches = patches.len() as u32 - 1;
                     }
-                }
-                for (frame_idx, slot) in pending {
-                    ctrl[frame_idx].patches.push((op_idx, slot));
                 }
                 heights.push((height + 1) as u32); // entry includes the index
                 prof.push(ProfOp::of(OpClass::Control, 1));
@@ -1700,78 +1811,80 @@ pub(crate) fn lower(
     if ops.len() != heights.len() || ops.len() != prof.len() {
         return Err(bad("lowering produced skewed ops/heights/prof arrays"));
     }
-    let (code, heights, prof) = if fuse {
-        fuse_ops(ops, heights, prof, fusion)?
-    } else {
-        (ops, heights, prof)
-    };
-    Ok((
-        FlatFunc {
-            n_params: n_params as u32,
-            n_locals: (n_params + body.locals.len()) as u32,
-            n_results: n_results as u32,
-            result_types: ty.results.clone().into_boxed_slice(),
-            code: code.into_boxed_slice(),
-            prof: prof.into_boxed_slice(),
-        },
-        heights,
-    ))
+    mark_targets(ops, is_target)?;
+    Ok(FlatFunc {
+        n_params: n_params as u32,
+        n_locals: (n_params + body.locals.len()) as u32,
+        n_results: n_results as u32,
+        result_types: ty.results.clone().into_boxed_slice(),
+        code: Box::default(),
+        prof: Box::default(),
+    })
 }
 
-/// The peephole fusion pass: rewrites adjacent-op windows into fused
-/// superinstructions, then re-points every jump through the old→new index
-/// map. Entry heights travel with the ops (a fused window inherits the
-/// height of its first op — windows are straight-line, so that is the
-/// fused op's entry height too).
-///
-/// A window may only swallow ops that are **not** jump targets — branch
-/// destinations always stay window starts, which is what makes the remap
-/// a plain index lookup (see the module docs for the invariant).
-/// A lowered body after fusion: ops, entry heights, and retirement
-/// metadata, index-aligned.
-type FusedBody = (Vec<FlatOp>, Vec<u32>, Vec<ProfOp>);
-
-fn fuse_ops(
-    ops: Vec<FlatOp>,
-    heights: Vec<u32>,
-    prof: Vec<ProfOp>,
-    fusion: &mut FusionStats,
-) -> Result<FusedBody, Trap> {
-    let n = ops.len();
-    let mut is_target = vec![false; n + 1];
-    for op in &ops {
+/// Flags every jump target of freshly lowered code in `is_target` (one
+/// flag per op plus the end position), rejecting targets past the end.
+fn mark_targets(ops: &[FlatOp], is_target: &mut Vec<bool>) -> Result<(), Trap> {
+    is_target.clear();
+    is_target.resize(ops.len() + 1, false);
+    let mut mark = |t: u32| {
+        is_target
+            .get_mut(t as usize)
+            .map(|b| *b = true)
+            .ok_or_else(|| bad("jump target out of bounds"))
+    };
+    for op in ops {
         match op {
             FlatOp::Jump { target }
             | FlatOp::JumpIfZero { target }
             | FlatOp::JumpIfNonZero { target }
             | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. } => {
-                *is_target
-                    .get_mut(*target as usize)
-                    .ok_or_else(|| bad("jump target out of bounds"))? = true;
-            }
+            | FlatOp::BrIf { target, .. } => mark(*target)?,
             FlatOp::BrTable { entries } => {
                 for e in entries.iter() {
-                    *is_target
-                        .get_mut(e.target as usize)
-                        .ok_or_else(|| bad("br_table target out of bounds"))? = true;
+                    mark(e.target)?;
                 }
             }
             _ => {}
         }
     }
+    Ok(())
+}
 
-    let mut out = Vec::with_capacity(n);
-    let mut heights_out = Vec::with_capacity(n);
-    let mut prof_out = Vec::with_capacity(n);
+/// The peephole fusion pass over the body in `scratch`: rewrites
+/// adjacent-op windows into fused superinstructions, then re-points every
+/// jump through the old→new index map. Entry heights travel with the ops
+/// (a fused window inherits the height of its first op — windows are
+/// straight-line, so that is the fused op's entry height too), and so do
+/// the jump-target flags.
+///
+/// A window may only swallow ops that are **not** jump targets — branch
+/// destinations always stay window starts, which is what makes the remap
+/// a plain index lookup (see the module docs for the invariant).
+fn fuse_ops(scratch: &mut CompileScratch, fusion: &mut FusionStats) -> Result<(), Trap> {
+    let CompileScratch {
+        ops,
+        heights,
+        prof,
+        is_target,
+        fused: out,
+        old2new,
+        ..
+    } = scratch;
+    let n = ops.len();
+    out.clear();
     // old index -> new index; `u32::MAX` marks an op swallowed into the
     // middle of a window (never a legal jump target).
-    let mut old2new = vec![u32::MAX; n + 1];
+    old2new.clear();
+    old2new.resize(n + 1, u32::MAX);
     let mut i = 0;
     while i < n {
-        old2new[i] = out.len() as u32;
-        heights_out.push(heights[i]);
-        let consumed = fuse_at(&ops, &is_target, i, &mut out, fusion);
+        // A window never grows, so the side tables compact in place:
+        // `new <= i`, and everything at or past `i` is still unread.
+        let new = out.len();
+        old2new[i] = new as u32;
+        heights[new] = heights[i];
+        let consumed = fuse_at(ops, is_target, i, out, fusion);
         // A fused window retires every guest op it swallowed, inclusively
         // at fetch. The binop-set forms exclude their trailing `local.set`
         // from the fetch-time weight: the binop may trap (div/rem), and
@@ -1794,15 +1907,20 @@ fn fuse_ops(
         for p in &prof[i + 1..end] {
             window.merge(p);
         }
-        prof_out.push(window);
+        prof[new] = window;
+        // Only a window start can be a target (`fuse_at` swallows no
+        // other), so the flags of the swallowed ops are already clear.
+        is_target.swap(new, i);
         i += consumed;
     }
-    old2new[n] = out.len() as u32;
-    if out.len() != heights_out.len() || out.len() != prof_out.len() {
-        return Err(bad("fusion produced skewed ops/heights/prof arrays"));
-    }
+    let len = out.len();
+    old2new[n] = len as u32;
+    heights.truncate(len);
+    prof.truncate(len);
+    is_target.swap(len, n);
+    is_target.truncate(len + 1);
 
-    for op in &mut out {
+    for op in out.iter_mut() {
         let remap = |t: &mut u32| {
             let nt = old2new[*t as usize];
             if nt == u32::MAX {
@@ -1833,7 +1951,8 @@ fn fuse_ops(
             _ => {}
         }
     }
-    Ok((out, heights_out, prof_out))
+    std::mem::swap(ops, out);
+    Ok(())
 }
 
 /// What follows a fusable binop inside a window, deciding the fused form.
@@ -2612,6 +2731,20 @@ mod tests {
         let [interp, flat] = run_both(&bytes, "f", &[]);
         assert_eq!(interp.unwrap(), vec![Value::I32(5)]);
         assert_eq!(flat.unwrap(), vec![Value::I32(5)]);
+    }
+
+    #[test]
+    fn is_i32_covers_exactly_the_i32_ranges() {
+        use BinOpKind as B;
+        for op in [B::I32Add, B::I32DivS, B::I32Rotr, B::I32Eq, B::I32GeU] {
+            assert!(op.is_i32(), "{op:?}");
+        }
+        for op in [B::I64Add, B::I64Rotr, B::F32Add, B::F64Copysign] {
+            assert!(!op.is_i32(), "{op:?}");
+        }
+        for op in [B::I64Eq, B::I64GeU, B::F32Eq, B::F64Ge] {
+            assert!(!op.is_i32(), "{op:?}");
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod verify;
 pub use analysis::RangeStats;
 pub use decode::DecodeError;
 pub use exec::{EngineConfig, ExecMode, HostEnv, Instance, NoHost, Trap, Value};
-pub use flat::FusionStats;
+pub use flat::{CompileTimes, FusionStats};
 pub use module::Module;
 pub use profile::{ExecProfile, ProfileMode};
 pub use reg::RegStats;

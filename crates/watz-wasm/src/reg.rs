@@ -34,8 +34,8 @@
 //! **Jump-remap re-validation:** lowering inserts fix-up `Move`s in front
 //! of fall-through jump-target ops, so every flat-code index is re-pointed
 //! through an old→new map (the same discipline as the fusion pass), and
-//! [`check_jump_targets`] verifies every remapped target lands on a real
-//! instruction before the code ever runs.
+//! the remapped target set is checked to lie inside the code before it
+//! ever runs.
 //!
 //! **Fallback.** Slot operands are `u16`. A function whose frame (locals
 //! plus operand positions) does not fit is reported as
@@ -56,8 +56,8 @@ use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
     apply_binop, as_f32, as_f64, as_i32, as_i64, as_u32, as_u64, binop_kind, do_load, do_store,
     from_f32, from_f64, from_i32, from_i64, load_kind, slot_from_value, store_kind,
-    value_from_slot, BinOpKind, FlatFunc, FlatFuncDef, FlatModule, FlatOp, LoadKind, Slot,
-    StoreKind,
+    value_from_slot, BinOpKind, CompileScratch, FlatFunc, FlatFuncDef, FlatModule, FlatOp,
+    LoadKind, Slot, StoreKind,
 };
 use crate::module::Module;
 use crate::profile::{OpClass, ProfOp, Profiler};
@@ -713,6 +713,26 @@ pub(crate) enum RegOp {
     },
 }
 
+impl RegOp {
+    /// Whether this is a check-free memory access (an elision output
+    /// carrying a proof obligation).
+    pub(crate) fn is_check_free(&self) -> bool {
+        matches!(
+            self,
+            RegOp::LoadI32N { .. }
+                | RegOp::LoadF64N { .. }
+                | RegOp::StoreI32N { .. }
+                | RegOp::StoreF64N { .. }
+                | RegOp::ScaleAddLoadI32N { .. }
+                | RegOp::ScaleAddLoadF64N { .. }
+                | RegOp::IdxLAddLoadI32N { .. }
+                | RegOp::IdxLAddLoadF64N { .. }
+                | RegOp::AddStoreF64N { .. }
+                | RegOp::MulStoreF64N { .. }
+        )
+    }
+}
+
 /// A function lowered to register form.
 #[derive(Debug)]
 pub(crate) struct RegFunc {
@@ -914,11 +934,24 @@ enum Src {
     Fwd(u16),
 }
 
+/// The register pass's share of the compile scratch
+/// ([`crate::flat::CompileScratch`]): the abstract stack, and the
+/// jump-target flags of the body it lowered last, which the range analysis
+/// reads. (The code and its retirement table are built in the vectors the
+/// [`RegFunc`] keeps.)
+#[derive(Default)]
+pub(crate) struct RegScratch {
+    vstack: Vec<Src>,
+    /// Whether some branch lands on `code[pc]` of the register body; one
+    /// flag more than ops (the end position).
+    pub(crate) is_target: Vec<bool>,
+}
+
 /// The per-function lowering state: the emitted code plus the abstract
 /// stack tracking where each pending operand value lives.
 struct Lowerer<'a> {
     out: Vec<RegOp>,
-    vstack: Vec<Src>,
+    vstack: &'a mut Vec<Src>,
     n_locals: usize,
     max_height: usize,
     stats: &'a mut RegStats,
@@ -1029,80 +1062,12 @@ impl Lowerer<'_> {
     }
 }
 
-/// Marks every jump target in (possibly fused) flat code.
-fn mark_targets(ops: &[FlatOp]) -> Result<Vec<bool>, LowerError> {
-    let mut is_target = vec![false; ops.len() + 1];
-    let mut mark = |t: u32| {
-        is_target
-            .get_mut(t as usize)
-            .map(|b| *b = true)
-            .ok_or_else(|| bad("jump target out of bounds"))
-    };
-    for op in ops {
-        match op {
-            FlatOp::Jump { target }
-            | FlatOp::JumpIfZero { target }
-            | FlatOp::JumpIfNonZero { target }
-            | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. }
-            | FlatOp::FusedCmpBrZ { target, .. }
-            | FlatOp::FusedCmpBrNZ { target, .. }
-            | FlatOp::FusedCmpBrLLZ { target, .. }
-            | FlatOp::FusedCmpBrLLNZ { target, .. }
-            | FlatOp::FusedCmpBrLKZ { target, .. }
-            | FlatOp::FusedCmpBrLKNZ { target, .. }
-            | FlatOp::FusedCmpBrSLZ { target, .. }
-            | FlatOp::FusedCmpBrSLNZ { target, .. } => mark(*target)?,
-            FlatOp::BrTable { entries } => {
-                for e in entries.iter() {
-                    mark(e.target)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(is_target)
-}
-
-/// The load-time register-code validator: every absolute jump target (and
-/// every `br_table` entry) must land on a real instruction after the
-/// old→new remap.
-fn check_jump_targets(code: &[RegOp]) -> Result<(), LowerError> {
-    let n = code.len() as u32;
-    let check = |t: u32| {
-        if t < n {
-            Ok(())
-        } else {
-            Err(bad("register jump target out of bounds"))
-        }
-    };
-    for op in code {
-        match op {
-            RegOp::Jump { target }
-            | RegOp::BrIf { target, .. }
-            | RegOp::BrMoves { target, .. }
-            | RegOp::BrIfMoves { target, .. }
-            | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrK { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
-            | RegOp::CmpBrLtSNZ { target, .. } => check(*target)?,
-            RegOp::BrTable { entries, .. } => {
-                for e in entries.iter() {
-                    check(e.target)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Lowers one (fused) flat function to register form.
-///
-/// `heights` is the operand-stack entry height of every flat op, recorded
-/// during the structural lowering — it re-seeds the abstract stack at
+/// Lowers one (fused) flat function to register form. `scratch` still
+/// holds what the flat passes recorded beside `f.code`: the operand-stack
+/// entry height of every flat op — it re-seeds the abstract stack at
 /// dynamically-unreachable fall-through code where no simulation state
-/// survives.
+/// survives —, the retirement metadata, and the jump-target flags, which
+/// are carried through the old→new map into `scratch.reg.is_target`.
 ///
 /// # Errors
 ///
@@ -1113,27 +1078,39 @@ fn check_jump_targets(code: &[RegOp]) -> Result<(), LowerError> {
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     f: &FlatFunc,
-    heights: &[u32],
     module: &Module,
+    scratch: &mut CompileScratch,
     stats: &mut RegStats,
 ) -> Result<RegFunc, LowerError> {
     let ops = &f.code;
     let n = ops.len();
-    if heights.len() != n {
-        return Err(bad("register lowering: height table out of sync"));
+    let CompileScratch {
+        heights,
+        prof,
+        is_target,
+        old2new,
+        reg: RegScratch {
+            vstack,
+            is_target: reg_targets,
+        },
+        ..
+    } = scratch;
+    if heights.len() != n || prof.len() != n || is_target.len() != n + 1 {
+        return Err(bad("register lowering: flat side tables out of sync"));
     }
-    let is_target = mark_targets(ops)?;
     let n_locals = f.n_locals as usize;
     let n_results = f.n_results as usize;
 
+    vstack.clear();
     let mut lo = Lowerer {
         out: Vec::with_capacity(n),
-        vstack: Vec::new(),
+        vstack,
         n_locals,
         max_height: 0,
         stats,
     };
-    let mut old2new = vec![0u32; n + 1];
+    old2new.clear();
+    old2new.resize(n + 1, 0);
     // The previous op ended its basic block: the abstract stack must be
     // re-seeded from the recorded entry height (canonical by convention —
     // every edge into a target flushes first).
@@ -1195,7 +1172,7 @@ pub(crate) fn lower_func(
             }
         }
         old2new[i] = lo.out.len() as u32;
-        pending.merge(&f.prof[i]);
+        pending.merge(&prof[i]);
         // Binop-set forms retire their trailing `local.set` only after
         // the (possibly trapping) binop succeeds: its weight joins
         // `pending` after this op's sync, attaching to the next emission
@@ -1664,9 +1641,17 @@ pub(crate) fn lower_func(
         return Err(bad("register lowering produced skewed code/prof arrays"));
     }
 
-    // Re-point every jump through the old→new map, then re-validate.
-    let mut code = lo.out;
-    for op in &mut code {
+    // Re-point the target flags, then every jump, through the old→new map.
+    // A target can only miss the code by being its end position.
+    reg_targets.clear();
+    reg_targets.resize(lo.out.len() + 1, false);
+    for (old, _) in is_target.iter().enumerate().filter(|(_, &t)| t) {
+        reg_targets[old2new[old] as usize] = true;
+    }
+    if reg_targets[lo.out.len()] {
+        return Err(bad("register jump target out of bounds"));
+    }
+    for op in lo.out.iter_mut() {
         let remap = |t: &mut u32| {
             *t = old2new[*t as usize];
         };
@@ -1687,7 +1672,6 @@ pub(crate) fn lower_func(
             _ => {}
         }
     }
-    check_jump_targets(&code)?;
 
     slot16(n_locals + lo.max_height)?; // the whole frame must stay u16-addressable
     let frame_size = (n_locals + lo.max_height) as u32;
@@ -1701,7 +1685,7 @@ pub(crate) fn lower_func(
         n_results: f.n_results,
         frame_size,
         result_types: f.result_types.clone(),
-        code: code.into_boxed_slice(),
+        code: lo.out.into_boxed_slice(),
         prof: rprof.into_boxed_slice(),
     })
 }

@@ -833,24 +833,6 @@ fn check_flat_heights(f: &FlatFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<()
     Ok(())
 }
 
-/// Whether a register opcode is a check-free memory access (an elision
-/// output carrying a proof obligation).
-fn reg_is_nc(op: &RegOp) -> bool {
-    matches!(
-        op,
-        RegOp::LoadI32N { .. }
-            | RegOp::LoadF64N { .. }
-            | RegOp::StoreI32N { .. }
-            | RegOp::StoreF64N { .. }
-            | RegOp::ScaleAddLoadI32N { .. }
-            | RegOp::ScaleAddLoadF64N { .. }
-            | RegOp::IdxLAddLoadI32N { .. }
-            | RegOp::IdxLAddLoadF64N { .. }
-            | RegOp::AddStoreF64N { .. }
-            | RegOp::MulStoreF64N { .. }
-    )
-}
-
 /// Dense bitset over frame slots, one per pc in the dataflow.
 type Bits = Box<[u64]>;
 
@@ -1436,7 +1418,9 @@ pub(crate) fn verify_module(
     for (i, def) in flat.funcs.iter().enumerate() {
         let fidx = i as u32;
         let FlatFuncDef::Local(f) = def else { continue };
-        if f.code.len() != f.prof.len() {
+        // The register pass folds the flat retirement table into its own
+        // (checked with the register body below) and keeps none.
+        if flat.reg.is_none() && f.code.len() != f.prof.len() {
             return Err(VerifyError::LengthMismatch { func: fidx });
         }
         stats.branch_targets += check_flat_indices(f, &ctx, fidx)?;
@@ -1444,6 +1428,8 @@ pub(crate) fn verify_module(
         stats.funcs += 1;
         stats.flat_ops += f.code.len() as u64;
     }
+    let mut range = analysis::RangeScratch::default();
+    let mut is_target = Vec::new();
     if let Some(prog) = &flat.reg {
         if prog.funcs.len() != flat.funcs.len() {
             return Err(VerifyError::LengthMismatch {
@@ -1456,14 +1442,18 @@ pub(crate) fn verify_module(
             stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
             stats.funcs += 1;
             stats.reg_ops += f.code.len() as u64;
-            if f.code.iter().any(reg_is_nc) {
-                let proofs = analysis::reg_proofs(f, ctx.min_mem);
+            if f.code.iter().any(RegOp::is_check_free) {
+                analysis::reg_targets(&f.code, &mut is_target);
+                let proofs = analysis::reg_proofs(f, ctx.min_mem, &is_target, &mut range);
                 for (pc, op) in f.code.iter().enumerate() {
-                    if !reg_is_nc(op) {
+                    if !op.is_check_free() {
                         continue;
                     }
                     stats.obligations += 1;
-                    if !proofs[pc].is_some_and(analysis::Proof::is_proven) {
+                    let proven = proofs
+                        .binary_search_by_key(&(pc as u32), |site| site.0)
+                        .is_ok_and(|i| proofs[i].1.is_proven());
+                    if !proven {
                         return Err(VerifyError::UnprovenCheckFree {
                             func: fidx,
                             pc: pc as u32,
@@ -1539,6 +1529,7 @@ mod tests {
             reg: None,
             min_mem,
             analysis: crate::RangeStats::default(),
+            times: crate::CompileTimes::default(),
         }
     }
 
@@ -2099,7 +2090,7 @@ mod tests {
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
             assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
             assert!(
-                !reg_sites(&on, reg_is_nc).is_empty(),
+                !reg_sites(&on, RegOp::is_check_free).is_empty(),
                 "{name}: no register check-free ops"
             );
             let stats = verify_module(&on, &module.types).expect("elided module verifies");
@@ -2108,7 +2099,7 @@ mod tests {
             let off = FlatModule::compile_full(&module, true, true, false).unwrap();
             assert_eq!(off.analysis.elided, 0, "{name}");
             assert_eq!(off.analysis.proven(), on.analysis.proven(), "{name}");
-            assert!(reg_sites(&off, reg_is_nc).is_empty(), "{name}");
+            assert!(reg_sites(&off, RegOp::is_check_free).is_empty(), "{name}");
             verify_module(&off, &module.types).expect("unelided module verifies");
 
             for n in [0, 1, 2, 7] {
@@ -2431,7 +2422,7 @@ mod tests {
                 }
             }
             "reg-nc-offset-bomb" => {
-                let sites = reg_sites(fm, reg_is_nc);
+                let sites = reg_sites(fm, RegOp::is_check_free);
                 if let Some((fi, pc)) = pick(&sites, rng) {
                     *reg_nc_offset_mut(&mut reg_body_mut(fm, fi).code[pc])
                         .expect("site is check-free") += 70_000;
