@@ -437,11 +437,22 @@ fn main() {
         out_unelided, out_reg,
         "elision-off compile changes gemm({n})"
     );
-    let t_elide = time_kernel(&mut reg_elided, n, 5);
-    let t_noelide = time_kernel(&mut reg_unelided, n, 5);
-    let elide_ratio = t_noelide.as_secs_f64() / t_elide.as_secs_f64();
+    // Eleven rounds, each timing one elided and one checked invoke back
+    // to back: a busy neighbour slows a whole round, so the ratio is taken
+    // within a round and the gate reads its median over the rounds (the
+    // true difference is under 1 %; the 10 % margin is for the dispatch
+    // loop regressing, not for noise).
+    let once = |inst: &mut Instance| time_kernel(inst, n, 1).as_secs_f64();
+    let mut rounds: Vec<[f64; 2]> = (0..11)
+        .map(|_| [once(&mut reg_elided), once(&mut reg_unelided)])
+        .collect();
+    rounds.sort_by(|a, b| (a[0] / a[1]).total_cmp(&(b[0] / b[1])));
+    let [t_elide, t_noelide] = rounds[rounds.len() / 2];
+    let elide_cost = t_elide / t_noelide;
     println!(
-        "gemm({n}): elided {t_elide:?}  checked {t_noelide:?}  ratio {elide_ratio:.2}x  ({} proven: {} interval + {} subsumed, {} elided, {} verify obligations)",
+        "gemm({n}): elided {:?}  checked {:?}  elided/checked {elide_cost:.2}x, median of 11 paired rounds  ({} proven: {} interval + {} subsumed, {} elided, {} verify obligations)",
+        Duration::from_secs_f64(t_elide),
+        Duration::from_secs_f64(t_noelide),
         astats.proven(),
         astats.proven_interval,
         astats.proven_subsumed,
@@ -449,9 +460,9 @@ fn main() {
         vstats.obligations
     );
     gate(
-        t_elide.as_secs_f64() <= t_noelide.as_secs_f64() * 1.10,
+        elide_cost <= 1.10,
         &format!(
-            "bounds-check elision made gemm slower ({t_elide:?} elided vs {t_noelide:?} checked); \
+            "bounds-check elision made gemm slower (elided/checked {elide_cost:.2}x in the median round); \
              the check-free opcodes regressed the dispatch loop"
         ),
     );

@@ -908,7 +908,7 @@ pub(crate) fn elide_reg(
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::flat::FlatModule;
+    use crate::flat::CompiledModule;
     use crate::instr::Instr;
     use crate::profile::ProfOp;
     use crate::reg::RegBrEntry;
@@ -947,7 +947,7 @@ mod tests {
     fn assert_module_matches_oracle(name: &str, bytes: &[u8], scratch: &mut RangeScratch) {
         let module = crate::load(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (fuse, elide) in [(true, true), (true, false), (false, true)] {
-            let fm = FlatModule::compile_full(&module, fuse, true, elide).expect("compiles");
+            let fm = CompiledModule::compile_full(&module, fuse, true, elide).expect("compiles");
             let prog = fm.reg.as_ref().expect("register program");
             for (i, f) in prog.funcs.iter().enumerate() {
                 let Some(f) = f else { continue };
@@ -962,7 +962,7 @@ mod tests {
 
     fn range_stats(bytes: &[u8]) -> RangeStats {
         let module = crate::load(bytes).expect("loads");
-        FlatModule::compile_full(&module, true, true, true)
+        CompiledModule::compile_full(&module, true, true, true)
             .expect("compiles")
             .analysis
     }

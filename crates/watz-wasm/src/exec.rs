@@ -29,10 +29,11 @@
 //!      fixed slots, and the dispatch loop never pushes or pops an operand
 //!      stack ([`crate::reg::RegStats`] reports what the pass did).
 //!
-//! The flat IR is never executed. An `Aot` instance that ends up without a
-//! register program — [`EngineConfig::reg`] off, or a function whose frame
-//! exceeds the register form's `u16` slot encoding — keeps its structured
-//! bodies and runs on the tree interpreter instead.
+//! The flat IR is never executed and never kept: it is scratch of the
+//! load-time compile, and an instance holds the register program only. An
+//! `Aot` instance that ends up without one — [`EngineConfig::reg`] off, or
+//! a function whose frame exceeds the register form's `u16` slot encoding —
+//! keeps its structured bodies and runs on the tree interpreter instead.
 //!
 //! Both executors share one semantics (identical results, identical traps
 //! and identical retired-instruction counts) and are differentially tested
@@ -212,14 +213,14 @@ pub struct EngineConfig {
     /// Run the superinstruction fusion pass over the flat IR.
     pub fuse: bool,
     /// Lower the flat IR to register form and execute it; when off the
-    /// flat IR is still built (and fused) but the instance runs on the
-    /// tree interpreter.
+    /// flat IR is still built (and fused), then dropped, and the instance
+    /// runs on the tree interpreter.
     pub reg: bool,
     /// Rewrite accesses the range analysis proved in bounds to check-free
     /// opcodes (proofs are computed and counted either way).
     pub elide: bool,
-    /// Run the independent IR verifier over the compiled code before the
-    /// instance can execute.
+    /// Run the independent IR verifier over the register program before
+    /// the instance can execute.
     pub verify: bool,
     /// Whether the instance maintains an [`ExecProfile`].
     pub profile: ProfileMode,
@@ -311,9 +312,16 @@ pub struct Memory {
 impl Memory {
     /// Creates a memory with `min` pages, growable to `max` pages.
     #[must_use]
+    #[allow(clippy::slow_vector_initialization)] // the slow form is the point
     pub fn new(min: u32, max: Option<u32>) -> Self {
+        // Written here, not left to `vec![0; n]`: that asks the allocator
+        // for zeroed memory, which is resident only if the chunk happens to
+        // be a recycled one, so an instance's footprint would depend on what
+        // the heap did before it. A TA's heap is committed memory; so is this.
+        let mut data = Vec::new();
+        data.resize(min as usize * PAGE_SIZE, 0);
         Memory {
-            data: vec![0; min as usize * PAGE_SIZE],
+            data,
             max_pages: max.unwrap_or(DEFAULT_MAX_PAGES),
         }
     }
@@ -583,8 +591,9 @@ pub struct Instance {
     types: Vec<FuncType>,
     funcs: Vec<FuncDef>,
     bodies: Vec<PreparedFunc>,
-    /// Compiled code, prepared at instantiation for [`ExecMode::Aot`].
-    flat: Option<flat::FlatModule>,
+    /// What the load-time compile left, for [`ExecMode::Aot`]: the register
+    /// program (when there is one), its tables and the pass statistics.
+    compiled: Option<flat::CompiledModule>,
     memory: Memory,
     globals: Vec<Value>,
     table: Vec<Option<u32>>,
@@ -686,9 +695,9 @@ impl Instance {
 
         // The AOT preparation step: lower every body to the flat IR once,
         // at load time, fuse it and rewrite it to register form (whichever
-        // of those passes are on).
-        let flat = match mode {
-            ExecMode::Aot => Some(flat::FlatModule::compile_full(
+        // of those passes are on); only the register form is kept.
+        let compiled = match mode {
+            ExecMode::Aot => Some(flat::CompiledModule::compile_full(
                 module,
                 config.fuse,
                 config.reg,
@@ -697,12 +706,12 @@ impl Instance {
             ExecMode::Interpreted => None,
         };
 
-        // Independent re-verification of everything the lowering pipeline
-        // produced: abstract interpretation from the compiled bodies alone,
+        // Independent re-verification of what the lowering pipeline left to
+        // execute: abstract interpretation from the register bodies alone,
         // no shared state with the lowering code above.
-        let verify_stats = match &flat {
-            Some(fm) if config.verify => Some(
-                crate::verify::verify_module(fm, &module.types)
+        let verify_stats = match &compiled {
+            Some(cm) if config.verify => Some(
+                crate::verify::verify_module(cm, &module.types)
                     .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
             ),
             _ => None,
@@ -719,7 +728,7 @@ impl Instance {
         // Only the tree interpreter walks the structured bodies; an
         // instance with a register program would double its code memory by
         // keeping them (func_type() needs just the type index).
-        let on_interpreter = flat.as_ref().is_none_or(|fm| fm.reg.is_none());
+        let on_interpreter = compiled.as_ref().is_none_or(|cm| cm.reg.is_none());
         let mut bodies = Vec::with_capacity(module.funcs.len());
         for f in &module.funcs {
             funcs.push(FuncDef::Local { body: bodies.len() });
@@ -765,7 +774,7 @@ impl Instance {
             types: module.types.clone(),
             funcs,
             bodies,
-            flat,
+            compiled,
             memory,
             globals,
             table,
@@ -809,7 +818,7 @@ impl Instance {
     /// interpreted instances; all-zero when fusion was disabled).
     #[must_use]
     pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
-        self.flat.as_ref().map(|fm| fm.fusion)
+        self.compiled.as_ref().map(|cm| cm.fusion)
     }
 
     /// Register-allocation counts (`None` when the instance has no
@@ -818,7 +827,7 @@ impl Instance {
     /// past the `u16` slot encoding).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        self.flat.as_ref()?.reg.as_ref().map(|prog| prog.stats)
+        self.compiled.as_ref()?.reg.as_ref().map(|prog| prog.stats)
     }
 
     /// Verifier counters from instantiation-time IR verification (`None`
@@ -835,19 +844,20 @@ impl Instance {
     /// so A/B runs can confirm the same accesses were proven.
     #[must_use]
     pub fn range_stats(&self) -> Option<crate::analysis::RangeStats> {
-        self.flat.as_ref().map(|f| f.analysis)
+        self.compiled.as_ref().map(|cm| cm.analysis)
     }
 
     /// Wall time of each load-time compilation pass (`None` for
     /// interpreted instances; a pass that did not run reads zero).
     #[must_use]
     pub fn compile_times(&self) -> Option<flat::CompileTimes> {
-        self.flat.as_ref().map(|f| f.times)
+        self.compiled.as_ref().map(|cm| cm.times)
     }
 
-    /// Re-runs the independent IR verifier over this instance's compiled
-    /// code and returns fresh counters; `None` for interpreted instances
-    /// (there is no compiled IR to verify).
+    /// Re-runs the independent IR verifier over this instance's register
+    /// program and returns fresh counters; `None` for interpreted instances
+    /// (nothing was compiled). An [`ExecMode::Aot`] instance without a
+    /// register program verifies trivially, with all-zero counters.
     ///
     /// # Errors
     ///
@@ -856,9 +866,9 @@ impl Instance {
     pub fn verify_ir(
         &self,
     ) -> Option<Result<crate::verify::VerifyStats, crate::verify::VerifyError>> {
-        self.flat
+        self.compiled
             .as_ref()
-            .map(|fm| crate::verify::verify_module(fm, &self.types))
+            .map(|cm| crate::verify::verify_module(cm, &self.types))
     }
 
     /// Live execution counters, when the instance was created with
@@ -933,9 +943,9 @@ impl Instance {
     ) -> Result<Vec<Value>, Trap> {
         // An instance with a register program runs on the register engine;
         // every other instance holds structured bodies and walks them.
-        if let Some(flat) = self.flat.as_ref().filter(|fm| fm.reg.is_some()) {
+        if let Some(cm) = self.compiled.as_ref().filter(|cm| cm.reg.is_some()) {
             return crate::reg::run(
-                flat,
+                cm,
                 &self.types,
                 &self.table,
                 &mut self.memory,

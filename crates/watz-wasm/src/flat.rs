@@ -1,8 +1,11 @@
 //! The flat lowering IR between structured Wasm and the register engine.
 //!
 //! At load time every function body is lowered from its structured
-//! `Vec<Instr>` form into a flat linear array of `FlatOp`s, the form
-//! [`crate::reg`] consumes. Nothing executes it:
+//! `Vec<Instr>` form into a flat linear stream of `FlatOp`s, the form
+//! [`crate::reg`] consumes. Nothing executes it and nothing keeps it: the
+//! stream lives in the one [`CompileScratch`] a compile owns, between
+//! [`lower`], [`fuse_ops`] and [`crate::reg::lower_func`], and the next
+//! body overwrites it.
 //!
 //! * `block`/`loop`/`if`/`else`/`end` disappear — every branch becomes an
 //!   absolute jump target computed once, during lowering;
@@ -10,12 +13,18 @@
 //!   stack fix-up as immediates, so no label stack survives lowering;
 //! * immediates (memory offsets, constants, call targets) are inlined, and
 //!   constants of all four value types collapse into one raw-bits `Const`;
+//! * the numeric and memory instructions collapse into five classes that
+//!   carry the operator vocabulary the register code uses too —
+//!   `Unop(`[`UnOpKind`]`)`, `Binop(`[`BinOpKind`]`)`,
+//!   `Load { `[`LoadKind`]` }`, `Store { `[`StoreKind`]` }` and one
+//!   `Reinterpret` — so `map_simple` is the only per-instruction table and
+//!   an op's stack effect follows from its class;
 //! * operands are untagged 64-bit slots (`Slot`): validation already
 //!   guarantees types, so the enum tag the tree-walking interpreter
 //!   carries on every value is dead weight past this point. The slot
-//!   conversions and the operator semantics on slots (`apply_binop`,
-//!   `do_load`, `do_store`) live here and are what the register dispatch
-//!   loop calls.
+//!   conversions and the operator semantics on slots (`apply_unop`,
+//!   `apply_binop`, `do_load`, `do_store`) live here and are what the
+//!   register dispatch loop calls.
 //!
 //! # Superinstruction fusion
 //!
@@ -69,15 +78,16 @@
 //! (rejecting any past the end), and fusion, then the register pass, carry
 //! the flags through their old→new maps instead of rescanning the code.
 //! Both tables, the retirement metadata and every pass's working buffers
-//! live in the one `CompileScratch` a compile owns.
+//! live beside the ops in the `CompileScratch`.
 //!
-//! The structural invariants of the IR (jump targets, entry heights,
-//! index ranges) are re-derived independently by [`crate::verify`].
+//! [`crate::verify`] checks the register code this pipeline ends in, not
+//! the flat stream: what it would say about a form that cannot execute is
+//! implied by what it says about the form that does.
 //!
 //! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
 
 use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
-use crate::instr::Instr;
+use crate::instr::{Instr, MemArg};
 use crate::module::{FuncBody, Module};
 use crate::profile::{OpClass, ProfOp};
 use crate::types::{BlockType, ValType};
@@ -433,6 +443,128 @@ pub(crate) fn apply_binop(op: BinOpKind, a: Slot, b: Slot) -> Result<Slot, Trap>
     })
 }
 
+/// A one-operand operator (everything that rewrites the stack top).
+/// Variants mirror the spec's instruction names; the four reinterpret casts
+/// are identities on raw slots, lower to [`FlatOp::Reinterpret`] and never
+/// reach the register code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub(crate) enum UnOpKind {
+    I32Eqz,
+    I64Eqz,
+    I32Clz,
+    I32Ctz,
+    I32Popcnt,
+    I64Clz,
+    I64Ctz,
+    I64Popcnt,
+    F32Abs,
+    F32Neg,
+    F32Ceil,
+    F32Floor,
+    F32Trunc,
+    F32Nearest,
+    F32Sqrt,
+    F64Abs,
+    F64Neg,
+    F64Ceil,
+    F64Floor,
+    F64Trunc,
+    F64Nearest,
+    F64Sqrt,
+    I32WrapI64,
+    I32TruncF32S,
+    I32TruncF32U,
+    I32TruncF64S,
+    I32TruncF64U,
+    I64ExtendI32S,
+    I64ExtendI32U,
+    I64TruncF32S,
+    I64TruncF32U,
+    I64TruncF64S,
+    I64TruncF64U,
+    F32ConvertI32S,
+    F32ConvertI32U,
+    F32ConvertI64S,
+    F32ConvertI64U,
+    F32DemoteF64,
+    F64ConvertI32S,
+    F64ConvertI32U,
+    F64ConvertI64S,
+    F64ConvertI64U,
+    F64PromoteF32,
+    I32Extend8S,
+    I32Extend16S,
+    I64Extend8S,
+    I64Extend16S,
+    I64Extend32S,
+}
+
+/// Applies a one-operand operator to a raw slot.
+///
+/// # Errors
+///
+/// Exactly the traps the corresponding plain opcode raises (the float→int
+/// truncations).
+#[inline]
+pub(crate) fn apply_unop(op: UnOpKind, s: Slot) -> Result<Slot, Trap> {
+    use crate::exec::{
+        trunc_f32_to_i32_s, trunc_f32_to_i64_s, trunc_f32_to_u32, trunc_f32_to_u64,
+        trunc_f64_to_i32_s, trunc_f64_to_i64_s, trunc_f64_to_u32, trunc_f64_to_u64,
+    };
+    use UnOpKind as U;
+    Ok(match op {
+        U::I32Eqz => u64::from(as_u32(s) == 0),
+        U::I64Eqz => u64::from(s == 0),
+        U::I32Clz => from_i32(as_i32(s).leading_zeros() as i32),
+        U::I32Ctz => from_i32(as_i32(s).trailing_zeros() as i32),
+        U::I32Popcnt => from_i32(as_i32(s).count_ones() as i32),
+        U::I64Clz => from_i64(i64::from(as_i64(s).leading_zeros())),
+        U::I64Ctz => from_i64(i64::from(as_i64(s).trailing_zeros())),
+        U::I64Popcnt => from_i64(i64::from(as_i64(s).count_ones())),
+        U::F32Abs => from_f32(as_f32(s).abs()),
+        U::F32Neg => from_f32(-as_f32(s)),
+        U::F32Ceil => from_f32(as_f32(s).ceil()),
+        U::F32Floor => from_f32(as_f32(s).floor()),
+        U::F32Trunc => from_f32(as_f32(s).trunc()),
+        U::F32Nearest => from_f32(as_f32(s).round_ties_even()),
+        U::F32Sqrt => from_f32(as_f32(s).sqrt()),
+        U::F64Abs => from_f64(as_f64(s).abs()),
+        U::F64Neg => from_f64(-as_f64(s)),
+        U::F64Ceil => from_f64(as_f64(s).ceil()),
+        U::F64Floor => from_f64(as_f64(s).floor()),
+        U::F64Trunc => from_f64(as_f64(s).trunc()),
+        U::F64Nearest => from_f64(as_f64(s).round_ties_even()),
+        U::F64Sqrt => from_f64(as_f64(s).sqrt()),
+        U::I32WrapI64 => from_i32(as_i64(s) as i32),
+        U::I32TruncF32S => from_i32(trunc_f32_to_i32_s(as_f32(s))?),
+        U::I32TruncF32U => u64::from(trunc_f32_to_u32(as_f32(s))?),
+        U::I32TruncF64S => from_i32(trunc_f64_to_i32_s(as_f64(s))?),
+        U::I32TruncF64U => u64::from(trunc_f64_to_u32(as_f64(s))?),
+        U::I64ExtendI32S => from_i64(i64::from(as_i32(s))),
+        U::I64ExtendI32U => u64::from(as_u32(s)),
+        U::I64TruncF32S => from_i64(trunc_f32_to_i64_s(as_f32(s))?),
+        U::I64TruncF32U => trunc_f32_to_u64(as_f32(s))?,
+        U::I64TruncF64S => from_i64(trunc_f64_to_i64_s(as_f64(s))?),
+        U::I64TruncF64U => trunc_f64_to_u64(as_f64(s))?,
+        U::F32ConvertI32S => from_f32(as_i32(s) as f32),
+        U::F32ConvertI32U => from_f32(as_u32(s) as f32),
+        U::F32ConvertI64S => from_f32(as_i64(s) as f32),
+        U::F32ConvertI64U => from_f32(as_u64(s) as f32),
+        U::F32DemoteF64 => from_f32(as_f64(s) as f32),
+        U::F64ConvertI32S => from_f64(f64::from(as_i32(s))),
+        U::F64ConvertI32U => from_f64(f64::from(as_u32(s))),
+        U::F64ConvertI64S => from_f64(as_i64(s) as f64),
+        U::F64ConvertI64U => from_f64(as_u64(s) as f64),
+        U::F64PromoteF32 => from_f64(f64::from(as_f32(s))),
+        U::I32Extend8S => from_i32(i32::from(as_i32(s) as i8)),
+        U::I32Extend16S => from_i32(i32::from(as_i32(s) as i16)),
+        U::I64Extend8S => from_i64(i64::from(as_i64(s) as i8)),
+        U::I64Extend16S => from_i64(i64::from(as_i64(s) as i16)),
+        U::I64Extend32S => from_i64(i64::from(as_i64(s) as i32)),
+    })
+}
+
 /// The width/extension shape of a fused load. Variants mirror the spec's
 /// load instruction names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -545,7 +677,7 @@ pub(crate) struct BrEntry {
 /// the `Br*` forms encode the operand-stack fix-up a structured branch
 /// performs (keep the top `keep` values, reset to operand height `height`).
 #[derive(Debug, Clone)]
-#[allow(missing_docs)] // Numeric variants mirror the spec's instruction names 1:1.
+#[allow(missing_docs)] // The plain variants mirror the spec's instruction names.
 pub(crate) enum FlatOp {
     Unreachable,
     /// Unconditional jump, no stack fix-up needed.
@@ -598,30 +730,16 @@ pub(crate) enum FlatOp {
     GlobalGet(u32),
     GlobalSet(u32),
 
-    I32Load(u32),
-    I64Load(u32),
-    F32Load(u32),
-    F64Load(u32),
-    I32Load8S(u32),
-    I32Load8U(u32),
-    I32Load16S(u32),
-    I32Load16U(u32),
-    I64Load8S(u32),
-    I64Load8U(u32),
-    I64Load16S(u32),
-    I64Load16U(u32),
-    I64Load32S(u32),
-    I64Load32U(u32),
-
-    I32Store(u32),
-    I64Store(u32),
-    F32Store(u32),
-    F64Store(u32),
-    I32Store8(u32),
-    I32Store16(u32),
-    I64Store8(u32),
-    I64Store16(u32),
-    I64Store32(u32),
+    /// Any of the 14 loads: pops the address, pushes the loaded value.
+    Load {
+        kind: LoadKind,
+        offset: u32,
+    },
+    /// Any of the 9 stores: pops the value, then the address.
+    Store {
+        kind: StoreKind,
+        offset: u32,
+    },
 
     MemorySize,
     MemoryGrow,
@@ -651,7 +769,7 @@ pub(crate) enum FlatOp {
         dst: u32,
     },
     /// Fused `local.get a; const k; binop; local.set dst`. The constant is
-    /// stored as a zero-extended `u32` to keep `FlatOp` at 16 bytes; the
+    /// stored as a zero-extended `u32` to keep `FlatOp` at 24 bytes; the
     /// fusion pass only emits this form when the slot fits.
     FusedBinopLKSet {
         a: u32,
@@ -820,139 +938,14 @@ pub(crate) enum FlatOp {
         target: u32,
     },
 
-    I32Eqz,
-    I32Eq,
-    I32Ne,
-    I32LtS,
-    I32LtU,
-    I32GtS,
-    I32GtU,
-    I32LeS,
-    I32LeU,
-    I32GeS,
-    I32GeU,
-    I64Eqz,
-    I64Eq,
-    I64Ne,
-    I64LtS,
-    I64LtU,
-    I64GtS,
-    I64GtU,
-    I64LeS,
-    I64LeU,
-    I64GeS,
-    I64GeU,
-    F32Eq,
-    F32Ne,
-    F32Lt,
-    F32Gt,
-    F32Le,
-    F32Ge,
-    F64Eq,
-    F64Ne,
-    F64Lt,
-    F64Gt,
-    F64Le,
-    F64Ge,
-
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I32Add,
-    I32Sub,
-    I32Mul,
-    I32DivS,
-    I32DivU,
-    I32RemS,
-    I32RemU,
-    I32And,
-    I32Or,
-    I32Xor,
-    I32Shl,
-    I32ShrS,
-    I32ShrU,
-    I32Rotl,
-    I32Rotr,
-
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    I64Add,
-    I64Sub,
-    I64Mul,
-    I64DivS,
-    I64DivU,
-    I64RemS,
-    I64RemU,
-    I64And,
-    I64Or,
-    I64Xor,
-    I64Shl,
-    I64ShrS,
-    I64ShrU,
-    I64Rotl,
-    I64Rotr,
-
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F32Add,
-    F32Sub,
-    F32Mul,
-    F32Div,
-    F32Min,
-    F32Max,
-    F32Copysign,
-
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    F64Add,
-    F64Sub,
-    F64Mul,
-    F64Div,
-    F64Min,
-    F64Max,
-    F64Copysign,
-
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32ReinterpretF32,
-    I64ReinterpretF64,
-    F32ReinterpretI32,
-    F64ReinterpretI64,
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
+    /// Any one-operand numeric operator: rewrites the stack top.
+    Unop(UnOpKind),
+    /// Any two-operand numeric or relational operator: pops two, pushes
+    /// one.
+    Binop(BinOpKind),
+    /// Any of the four reinterpret casts — an identity on raw slots, kept
+    /// only so the value's retirement weight has an op to ride on.
+    Reinterpret,
 }
 
 /// Per-kind counts of superinstructions emitted by the fusion pass over a
@@ -1053,135 +1046,10 @@ impl FusionStats {
     }
 }
 
-/// Maps a plain flat opcode to its fusable binary-operator kind.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn binop_kind(op: &FlatOp) -> Option<BinOpKind> {
-    use BinOpKind as B;
-    use FlatOp as F;
-    Some(match op {
-        F::I32Add => B::I32Add,
-        F::I32Sub => B::I32Sub,
-        F::I32Mul => B::I32Mul,
-        F::I32DivS => B::I32DivS,
-        F::I32DivU => B::I32DivU,
-        F::I32RemS => B::I32RemS,
-        F::I32RemU => B::I32RemU,
-        F::I32And => B::I32And,
-        F::I32Or => B::I32Or,
-        F::I32Xor => B::I32Xor,
-        F::I32Shl => B::I32Shl,
-        F::I32ShrS => B::I32ShrS,
-        F::I32ShrU => B::I32ShrU,
-        F::I32Rotl => B::I32Rotl,
-        F::I32Rotr => B::I32Rotr,
-        F::I64Add => B::I64Add,
-        F::I64Sub => B::I64Sub,
-        F::I64Mul => B::I64Mul,
-        F::I64DivS => B::I64DivS,
-        F::I64DivU => B::I64DivU,
-        F::I64RemS => B::I64RemS,
-        F::I64RemU => B::I64RemU,
-        F::I64And => B::I64And,
-        F::I64Or => B::I64Or,
-        F::I64Xor => B::I64Xor,
-        F::I64Shl => B::I64Shl,
-        F::I64ShrS => B::I64ShrS,
-        F::I64ShrU => B::I64ShrU,
-        F::I64Rotl => B::I64Rotl,
-        F::I64Rotr => B::I64Rotr,
-        F::F32Add => B::F32Add,
-        F::F32Sub => B::F32Sub,
-        F::F32Mul => B::F32Mul,
-        F::F32Div => B::F32Div,
-        F::F32Min => B::F32Min,
-        F::F32Max => B::F32Max,
-        F::F32Copysign => B::F32Copysign,
-        F::F64Add => B::F64Add,
-        F::F64Sub => B::F64Sub,
-        F::F64Mul => B::F64Mul,
-        F::F64Div => B::F64Div,
-        F::F64Min => B::F64Min,
-        F::F64Max => B::F64Max,
-        F::F64Copysign => B::F64Copysign,
-        F::I32Eq => B::I32Eq,
-        F::I32Ne => B::I32Ne,
-        F::I32LtS => B::I32LtS,
-        F::I32LtU => B::I32LtU,
-        F::I32GtS => B::I32GtS,
-        F::I32GtU => B::I32GtU,
-        F::I32LeS => B::I32LeS,
-        F::I32LeU => B::I32LeU,
-        F::I32GeS => B::I32GeS,
-        F::I32GeU => B::I32GeU,
-        F::I64Eq => B::I64Eq,
-        F::I64Ne => B::I64Ne,
-        F::I64LtS => B::I64LtS,
-        F::I64LtU => B::I64LtU,
-        F::I64GtS => B::I64GtS,
-        F::I64GtU => B::I64GtU,
-        F::I64LeS => B::I64LeS,
-        F::I64LeU => B::I64LeU,
-        F::I64GeS => B::I64GeS,
-        F::I64GeU => B::I64GeU,
-        F::F32Eq => B::F32Eq,
-        F::F32Ne => B::F32Ne,
-        F::F32Lt => B::F32Lt,
-        F::F32Gt => B::F32Gt,
-        F::F32Le => B::F32Le,
-        F::F32Ge => B::F32Ge,
-        F::F64Eq => B::F64Eq,
-        F::F64Ne => B::F64Ne,
-        F::F64Lt => B::F64Lt,
-        F::F64Gt => B::F64Gt,
-        F::F64Le => B::F64Le,
-        F::F64Ge => B::F64Ge,
-        _ => return None,
-    })
-}
-
-/// Maps a plain load opcode to its fused `(kind, offset)` pair.
-pub(crate) fn load_kind(op: &FlatOp) -> Option<(LoadKind, u32)> {
-    use FlatOp as F;
-    Some(match op {
-        F::I32Load(o) => (LoadKind::I32, *o),
-        F::I64Load(o) => (LoadKind::I64, *o),
-        F::F32Load(o) => (LoadKind::F32, *o),
-        F::F64Load(o) => (LoadKind::F64, *o),
-        F::I32Load8S(o) => (LoadKind::I32L8S, *o),
-        F::I32Load8U(o) => (LoadKind::I32L8U, *o),
-        F::I32Load16S(o) => (LoadKind::I32L16S, *o),
-        F::I32Load16U(o) => (LoadKind::I32L16U, *o),
-        F::I64Load8S(o) => (LoadKind::I64L8S, *o),
-        F::I64Load8U(o) => (LoadKind::I64L8U, *o),
-        F::I64Load16S(o) => (LoadKind::I64L16S, *o),
-        F::I64Load16U(o) => (LoadKind::I64L16U, *o),
-        F::I64Load32S(o) => (LoadKind::I64L32S, *o),
-        F::I64Load32U(o) => (LoadKind::I64L32U, *o),
-        _ => return None,
-    })
-}
-
-/// Maps a plain store opcode to its fused `(kind, offset)` pair.
-pub(crate) fn store_kind(op: &FlatOp) -> Option<(StoreKind, u32)> {
-    use FlatOp as F;
-    Some(match op {
-        F::I32Store(o) => (StoreKind::I32, *o),
-        F::I64Store(o) => (StoreKind::I64, *o),
-        F::F32Store(o) => (StoreKind::F32, *o),
-        F::F64Store(o) => (StoreKind::F64, *o),
-        F::I32Store8(o) => (StoreKind::I32S8, *o),
-        F::I32Store16(o) => (StoreKind::I32S16, *o),
-        F::I64Store8(o) => (StoreKind::I64S8, *o),
-        F::I64Store16(o) => (StoreKind::I64S16, *o),
-        F::I64Store32(o) => (StoreKind::I64S32, *o),
-        _ => return None,
-    })
-}
-
 /// An imported function, with its signature pre-split for slot/Value
 /// conversion at the host boundary.
 #[derive(Debug)]
-pub(crate) struct FlatImport {
+pub(crate) struct ImportedFunc {
     pub(crate) module: String,
     pub(crate) name: String,
     pub(crate) params: Box<[ValType]>,
@@ -1189,35 +1057,14 @@ pub(crate) struct FlatImport {
     pub(crate) n_results: usize,
 }
 
-/// A lowered local function.
+/// What an instance keeps of a load-time compile: the register program
+/// [`crate::reg::run`] executes (when the register pass ran), the tables it
+/// indexes, and the pass statistics. No flat code — that is scratch.
 #[derive(Debug)]
-pub(crate) struct FlatFunc {
-    pub(crate) n_params: u32,
-    /// Params + declared locals.
-    pub(crate) n_locals: u32,
-    pub(crate) n_results: u32,
-    pub(crate) result_types: Box<[ValType]>,
-    pub(crate) code: Box<[FlatOp]>,
-    /// Retirement metadata, 1:1 with `code`, of a module compiled without
-    /// the register pass (the verifier checks the length). The register
-    /// pass folds it into its own table straight from the compile
-    /// scratch, so a module with a register program keeps none.
-    pub(crate) prof: Box<[ProfOp]>,
-}
-
-/// One entry in the function index space.
-#[derive(Debug)]
-pub(crate) enum FlatFuncDef {
-    Import(FlatImport),
-    Local(FlatFunc),
-}
-
-/// A module's compiled code: the flat IR of every function, plus the
-/// register program [`crate::reg::run`] executes when the register pass
-/// ran.
-#[derive(Debug)]
-pub(crate) struct FlatModule {
-    pub(crate) funcs: Vec<FlatFuncDef>,
+pub(crate) struct CompiledModule {
+    /// The imported functions: function indices `0..imports.len()`.
+    pub(crate) imports: Box<[ImportedFunc]>,
+    /// Type index of every function, imports first.
     pub(crate) func_type_idx: Box<[u32]>,
     pub(crate) global_types: Box<[ValType]>,
     pub(crate) fusion: FusionStats,
@@ -1248,8 +1095,8 @@ pub struct CompileTimes {
     pub analysis: Duration,
 }
 
-/// The buffers every pass of [`FlatModule::compile_full`] works in, owned
-/// by one compile and reused for each function body, so the passes
+/// The buffers every pass of [`CompiledModule::compile_full`] works in,
+/// owned by one compile and reused for each function body, so the passes
 /// allocate only what the compiled module keeps.
 ///
 /// After [`lower`] (and [`fuse_ops`]) it holds the body in flight: `ops`,
@@ -1285,16 +1132,18 @@ pub(crate) struct CompileScratch {
 /// End of a patch list in [`CompileScratch::patches`].
 const NO_PATCH: u32 = u32::MAX;
 
-impl FlatModule {
-    /// Lowers every function body of a validated module; `fuse` controls
-    /// the superinstruction peephole pass, `reg` the register-allocation
-    /// pass on top of it, and `elide` the bounds-check elision rewrite of
-    /// the register code.
+impl CompiledModule {
+    /// Compiles every function body of a validated module: lowering to the
+    /// flat stream, then `fuse` controls the superinstruction peephole
+    /// pass, `reg` the register-allocation pass on top of it, and `elide`
+    /// the bounds-check elision rewrite of the register code. With `reg`
+    /// off the flat stream is still lowered and fused (the fusion counts
+    /// and pass times are reported) and then dropped.
     ///
     /// The register program is all-or-nothing per module (a register
     /// frame cannot call into the interpreter): one function whose frame
-    /// exceeds the `u16` slot encoding compiles the module as with `reg`
-    /// off.
+    /// exceeds the `u16` slot encoding leaves the module without one, as
+    /// with `reg` off.
     ///
     /// # Errors
     ///
@@ -1305,26 +1154,26 @@ impl FlatModule {
     pub(crate) fn compile_full(
         module: &Module,
         fuse: bool,
-        reg: bool,
+        mut reg: bool,
         elide: bool,
-    ) -> Result<FlatModule, Trap> {
+    ) -> Result<CompiledModule, Trap> {
         use crate::reg::LowerError;
         let n_funcs = module.func_count();
-        let mut funcs = Vec::with_capacity(n_funcs);
+        let mut imports = Vec::with_capacity(module.func_imports.len());
         let mut func_type_idx = Vec::with_capacity(n_funcs);
-        // Indexed like `funcs`: `None` for every import.
+        // Indexed like the function space: `None` for every import.
         let mut reg_funcs = Vec::with_capacity(if reg { n_funcs } else { 0 });
         for imp in &module.func_imports {
             let ty = module
                 .types
                 .get(imp.type_idx as usize)
                 .ok_or_else(|| bad("import type index out of range"))?;
-            funcs.push(FlatFuncDef::Import(FlatImport {
+            imports.push(ImportedFunc {
                 module: imp.module.clone(),
                 name: imp.name.clone(),
                 params: ty.params.clone().into_boxed_slice(),
                 n_results: ty.results.len(),
-            }));
+            });
             func_type_idx.push(imp.type_idx);
             if reg {
                 reg_funcs.push(None);
@@ -1348,47 +1197,43 @@ impl FlatModule {
             mark = now;
         };
         for body in &module.funcs {
-            let mut func = lower(module, body, &mut scratch)?;
+            lower(module, body, &mut scratch)?;
             lap(&mut times.lower);
             if fuse {
                 fuse_ops(&mut scratch, &mut fusion)?;
+                lap(&mut times.fuse);
             }
-            func.code = scratch.ops.drain(..).collect();
-            lap(if fuse {
-                &mut times.fuse
-            } else {
-                &mut times.lower
-            });
-            if reg {
-                let mut rf =
-                    match crate::reg::lower_func(&func, module, &mut scratch, &mut reg_stats) {
-                        Ok(rf) => rf,
-                        // Rare (a frame past 65 535 slots) and final: start
-                        // over for the tree oracle.
-                        Err(LowerError::FrameTooLarge) => {
-                            return Self::compile_full(module, fuse, false, elide)
-                        }
-                        Err(LowerError::Malformed(trap)) => return Err(trap),
-                    };
-                lap(&mut times.reg);
-                crate::analysis::elide_reg(
-                    &mut rf,
-                    min_mem,
-                    elide,
-                    &scratch.reg.is_target,
-                    &mut scratch.range,
-                    &mut analysis,
-                );
-                lap(&mut times.analysis);
-                reg_funcs.push(Some(rf));
-            } else {
-                func.prof = scratch.prof.as_slice().into();
-            }
-            funcs.push(FlatFuncDef::Local(func));
             func_type_idx.push(body.type_idx);
+            if !reg {
+                continue;
+            }
+            match crate::reg::lower_func(module, body, &mut scratch, &mut reg_stats) {
+                Ok(mut rf) => {
+                    lap(&mut times.reg);
+                    crate::analysis::elide_reg(
+                        &mut rf,
+                        min_mem,
+                        elide,
+                        &scratch.reg.is_target,
+                        &mut scratch.range,
+                        &mut analysis,
+                    );
+                    lap(&mut times.analysis);
+                    reg_funcs.push(Some(rf));
+                }
+                // Rare (a frame past 65 535 slots) and final: the module
+                // runs on the tree oracle, so the bodies left only feed
+                // the fusion counts.
+                Err(LowerError::FrameTooLarge) => {
+                    lap(&mut times.reg);
+                    reg = false;
+                    analysis = crate::analysis::RangeStats::default();
+                }
+                Err(LowerError::Malformed(trap)) => return Err(trap),
+            }
         }
-        Ok(FlatModule {
-            funcs,
+        Ok(CompiledModule {
+            imports: imports.into_boxed_slice(),
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
             fusion,
@@ -1455,8 +1300,7 @@ fn set_target(op: &mut FlatOp, slot: u32, target: u32) {
 }
 
 /// Lowers one function body to flat code, left in `scratch` (`ops`,
-/// `heights`, `prof`, `is_target`; see [`CompileScratch`]). The returned
-/// function has its signature filled in and no code yet.
+/// `heights`, `prof`, `is_target`; see [`CompileScratch`]).
 ///
 /// # Errors
 ///
@@ -1469,13 +1313,13 @@ pub(crate) fn lower(
     module: &Module,
     body: &FuncBody,
     scratch: &mut CompileScratch,
-) -> Result<FlatFunc, Trap> {
-    let ty = module
+) -> Result<(), Trap> {
+    let n_results = module
         .types
         .get(body.type_idx as usize)
-        .ok_or_else(|| bad("function type index out of range"))?;
-    let n_params = ty.params.len();
-    let n_results = ty.results.len();
+        .ok_or_else(|| bad("function type index out of range"))?
+        .results
+        .len();
     let n_imports = module.func_imports.len() as u32;
 
     // `heights` and `prof` are kept 1:1 with `ops` (synthetic ops that
@@ -1811,15 +1655,7 @@ pub(crate) fn lower(
     if ops.len() != heights.len() || ops.len() != prof.len() {
         return Err(bad("lowering produced skewed ops/heights/prof arrays"));
     }
-    mark_targets(ops, is_target)?;
-    Ok(FlatFunc {
-        n_params: n_params as u32,
-        n_locals: (n_params + body.locals.len()) as u32,
-        n_results: n_results as u32,
-        result_types: ty.results.clone().into_boxed_slice(),
-        code: Box::default(),
-        prof: Box::default(),
-    })
+    mark_targets(ops, is_target)
 }
 
 /// Flags every jump target of freshly lowered code in `is_target` (one
@@ -1994,19 +1830,14 @@ fn binop_follow(
     if !free(j) {
         return (BinopFollow::None, 0);
     }
-    if kind.traps() {
-        return match &ops[j] {
-            FlatOp::LocalSet(dst) => (BinopFollow::Set(*dst), 1),
-            _ => (BinopFollow::None, 0),
-        };
-    }
     match &ops[j] {
         FlatOp::LocalSet(dst) => (BinopFollow::Set(*dst), 1),
+        _ if kind.traps() => (BinopFollow::None, 0),
         FlatOp::JumpIfZero { target } => (BinopFollow::BrZ(*target), 1),
         FlatOp::JumpIfNonZero { target } => (BinopFollow::BrNZ(*target), 1),
-        FlatOp::I32Eqz => {
+        FlatOp::Unop(UnOpKind::I32Eqz) => {
             let mut n = 1usize;
-            while free(j + n) && matches!(ops[j + n], FlatOp::I32Eqz) {
+            while free(j + n) && matches!(ops[j + n], FlatOp::Unop(UnOpKind::I32Eqz)) {
                 n += 1;
             }
             if !free(j + n) {
@@ -2021,10 +1852,8 @@ fn binop_follow(
                 _ => (BinopFollow::None, 0),
             }
         }
-        other => match store_kind(other) {
-            Some((kind, offset)) => (BinopFollow::Store(kind, offset), 1),
-            None => (BinopFollow::None, 0),
-        },
+        FlatOp::Store { kind, offset } => (BinopFollow::Store(*kind, *offset), 1),
+        _ => (BinopFollow::None, 0),
     }
 }
 
@@ -2039,6 +1868,7 @@ fn fuse_at(
     out: &mut Vec<FlatOp>,
     s: &mut FusionStats,
 ) -> usize {
+    use BinOpKind::{I32Add, I32Mul};
     // `ops[j]` may be swallowed into the current window only if no jump
     // lands on it.
     let free = |j: usize| j < ops.len() && !is_target[j];
@@ -2047,7 +1877,7 @@ fn fuse_at(
             let a = *a;
             match &ops[i + 1] {
                 FlatOp::LocalGet(b) if free(i + 2) => {
-                    if let Some(op) = binop_kind(&ops[i + 2]) {
+                    if let FlatOp::Binop(op) = ops[i + 2] {
                         let b = *b;
                         let (follow, extra) = binop_follow(ops, free, i + 3, op);
                         match follow {
@@ -2086,10 +1916,10 @@ fn fuse_at(
                     }
                 }
                 FlatOp::Const(k) if free(i + 2) => {
-                    if let Some(op) = binop_kind(&ops[i + 2]) {
+                    if let FlatOp::Binop(op) = ops[i + 2] {
                         let k = *k;
                         // The sink/branch forms store the constant as a
-                        // zero-extended u32 (to keep `FlatOp` at 16
+                        // zero-extended u32 (to keep `FlatOp` at 24
                         // bytes); wider slots keep the plain LK form.
                         if let Ok(k32) = u32::try_from(k) {
                             let (follow, extra) = binop_follow(ops, free, i + 3, op);
@@ -2132,34 +1962,34 @@ fn fuse_at(
                     out.push(FlatOp::LocalCopy { src: a, dst: *dst });
                     return 2;
                 }
-                next => {
-                    if let Some((kind, offset)) = load_kind(next) {
-                        s.load_l += 1;
-                        out.push(FlatOp::FusedLoadL {
-                            addr: a,
-                            offset,
-                            kind,
-                        });
-                        return 2;
-                    }
-                    if let Some((kind, offset)) = store_kind(next) {
-                        s.store_l += 1;
-                        out.push(FlatOp::FusedStoreL {
-                            val: a,
-                            offset,
-                            kind,
-                        });
-                        return 2;
-                    }
+                &FlatOp::Load { kind, offset } => {
+                    s.load_l += 1;
+                    out.push(FlatOp::FusedLoadL {
+                        addr: a,
+                        offset,
+                        kind,
+                    });
+                    return 2;
+                }
+                &FlatOp::Store { kind, offset } => {
+                    s.store_l += 1;
+                    out.push(FlatOp::FusedStoreL {
+                        val: a,
+                        offset,
+                        kind,
+                    });
+                    return 2;
+                }
+                &FlatOp::Binop(op) => {
                     // 2-D array-address tail: `local.get z; i32.add;
                     // const k; i32.mul; i32.add [; load]`.
-                    if matches!(next, FlatOp::I32Add) && free(i + 2) && free(i + 3) && free(i + 4) {
-                        if let (FlatOp::Const(k), FlatOp::I32Mul, FlatOp::I32Add) =
+                    if op == I32Add && free(i + 2) && free(i + 3) && free(i + 4) {
+                        if let (FlatOp::Const(k), FlatOp::Binop(I32Mul), FlatOp::Binop(I32Add)) =
                             (&ops[i + 2], &ops[i + 3], &ops[i + 4])
                         {
                             if let Ok(k32) = u32::try_from(*k) {
                                 if free(i + 5) {
-                                    if let Some((kind, offset)) = load_kind(&ops[i + 5]) {
+                                    if let FlatOp::Load { kind, offset } = ops[i + 5] {
                                         s.idx_load += 1;
                                         out.push(FlatOp::FusedIdxLAddLoad {
                                             z: a,
@@ -2178,75 +2008,74 @@ fn fuse_at(
                     }
                     // `local.get b; binop` with the left operand already
                     // on the stack: the SL family.
-                    if let Some(op) = binop_kind(next) {
-                        let (follow, extra) = binop_follow(ops, free, i + 2, op);
-                        match follow {
-                            BinopFollow::Set(dst) => {
-                                s.binop_sl_set += 1;
-                                out.push(FlatOp::FusedBinopSLSet { b: a, op, dst });
-                                return 2 + extra;
-                            }
-                            BinopFollow::Store(kind, offset) => {
-                                s.binop_store += 1;
-                                out.push(FlatOp::FusedBinopSLStore {
-                                    b: a,
-                                    op,
-                                    offset,
-                                    kind,
-                                });
-                                return 2 + extra;
-                            }
-                            BinopFollow::BrZ(target) => {
-                                s.cmp_br += 1;
-                                out.push(FlatOp::FusedCmpBrSLZ { b: a, op, target });
-                                return 2 + extra;
-                            }
-                            BinopFollow::BrNZ(target) => {
-                                s.cmp_br += 1;
-                                out.push(FlatOp::FusedCmpBrSLNZ { b: a, op, target });
-                                return 2 + extra;
-                            }
-                            BinopFollow::None => {
-                                s.binop_sl += 1;
-                                out.push(FlatOp::FusedBinopSL { b: a, op });
-                                return 2;
-                            }
+                    let (follow, extra) = binop_follow(ops, free, i + 2, op);
+                    match follow {
+                        BinopFollow::Set(dst) => {
+                            s.binop_sl_set += 1;
+                            out.push(FlatOp::FusedBinopSLSet { b: a, op, dst });
+                            return 2 + extra;
                         }
-                    }
-                }
-            }
-        }
-        FlatOp::Const(k) if free(i + 1) => {
-            // 1-D array-address tail: `const k; i32.mul; i32.add [; load]`.
-            if matches!(ops[i + 1], FlatOp::I32Mul) && free(i + 2) {
-                if let (FlatOp::I32Add, Ok(k32)) = (&ops[i + 2], u32::try_from(*k)) {
-                    if free(i + 3) {
-                        if let Some((kind, offset)) = load_kind(&ops[i + 3]) {
-                            s.idx_load += 1;
-                            out.push(FlatOp::FusedScaleAddLoad {
-                                k: k32,
+                        BinopFollow::Store(kind, offset) => {
+                            s.binop_store += 1;
+                            out.push(FlatOp::FusedBinopSLStore {
+                                b: a,
+                                op,
                                 offset,
                                 kind,
                             });
-                            return 4;
+                            return 2 + extra;
+                        }
+                        BinopFollow::BrZ(target) => {
+                            s.cmp_br += 1;
+                            out.push(FlatOp::FusedCmpBrSLZ { b: a, op, target });
+                            return 2 + extra;
+                        }
+                        BinopFollow::BrNZ(target) => {
+                            s.cmp_br += 1;
+                            out.push(FlatOp::FusedCmpBrSLNZ { b: a, op, target });
+                            return 2 + extra;
+                        }
+                        BinopFollow::None => {
+                            s.binop_sl += 1;
+                            out.push(FlatOp::FusedBinopSL { b: a, op });
+                            return 2;
                         }
                     }
-                    s.idx_addr += 1;
-                    out.push(FlatOp::FusedScaleAdd { k: k32 });
-                    return 3;
                 }
+                _ => {}
             }
-            if let Some(op) = binop_kind(&ops[i + 1]) {
+        }
+        FlatOp::Const(k) if free(i + 1) => {
+            if let FlatOp::Binop(op) = ops[i + 1] {
+                // 1-D array-address tail: `const k; i32.mul; i32.add [; load]`.
+                if op == I32Mul && free(i + 2) {
+                    if let (FlatOp::Binop(I32Add), Ok(k32)) = (&ops[i + 2], u32::try_from(*k)) {
+                        if free(i + 3) {
+                            if let FlatOp::Load { kind, offset } = ops[i + 3] {
+                                s.idx_load += 1;
+                                out.push(FlatOp::FusedScaleAddLoad {
+                                    k: k32,
+                                    offset,
+                                    kind,
+                                });
+                                return 4;
+                            }
+                        }
+                        s.idx_addr += 1;
+                        out.push(FlatOp::FusedScaleAdd { k: k32 });
+                        return 3;
+                    }
+                }
                 s.binop_ks += 1;
                 out.push(FlatOp::FusedBinopKS { k: *k, op });
                 return 2;
             }
         }
-        FlatOp::I32Eqz if free(i + 1) => {
+        FlatOp::Unop(UnOpKind::I32Eqz) if free(i + 1) => {
             // Bare truthiness chain: fold `eqzⁿ; jump-if` into the jump
             // with the polarity flipped per inversion.
             let mut n = 1usize;
-            while free(i + n) && matches!(ops[i + n], FlatOp::I32Eqz) {
+            while free(i + n) && matches!(ops[i + n], FlatOp::Unop(UnOpKind::I32Eqz)) {
                 n += 1;
             }
             if free(i + n) {
@@ -2271,49 +2100,49 @@ fn fuse_at(
                 }
             }
         }
-        lead => {
-            if let Some(op) = binop_kind(lead) {
-                let (follow, extra) = binop_follow(ops, free, i + 1, op);
-                match follow {
-                    BinopFollow::Set(dst) => {
-                        s.binop_set += 1;
-                        out.push(FlatOp::FusedBinopSet { op, dst });
-                        return 1 + extra;
-                    }
-                    BinopFollow::Store(kind, offset) => {
-                        s.binop_store += 1;
-                        out.push(FlatOp::FusedBinopStore { op, offset, kind });
-                        return 1 + extra;
-                    }
-                    BinopFollow::BrZ(target) => {
-                        s.cmp_br += 1;
-                        out.push(FlatOp::FusedCmpBrZ { op, target });
-                        return 1 + extra;
-                    }
-                    BinopFollow::BrNZ(target) => {
-                        s.cmp_br += 1;
-                        out.push(FlatOp::FusedCmpBrNZ { op, target });
-                        return 1 + extra;
-                    }
-                    BinopFollow::None => {
-                        if op == BinOpKind::I32Add && free(i + 1) {
-                            if let Some((lk, offset)) = load_kind(&ops[i + 1]) {
-                                s.add_load += 1;
-                                out.push(FlatOp::FusedAddLoad { offset, kind: lk });
-                                return 2;
-                            }
+        &FlatOp::Binop(op) => {
+            let (follow, extra) = binop_follow(ops, free, i + 1, op);
+            match follow {
+                BinopFollow::Set(dst) => {
+                    s.binop_set += 1;
+                    out.push(FlatOp::FusedBinopSet { op, dst });
+                    return 1 + extra;
+                }
+                BinopFollow::Store(kind, offset) => {
+                    s.binop_store += 1;
+                    out.push(FlatOp::FusedBinopStore { op, offset, kind });
+                    return 1 + extra;
+                }
+                BinopFollow::BrZ(target) => {
+                    s.cmp_br += 1;
+                    out.push(FlatOp::FusedCmpBrZ { op, target });
+                    return 1 + extra;
+                }
+                BinopFollow::BrNZ(target) => {
+                    s.cmp_br += 1;
+                    out.push(FlatOp::FusedCmpBrNZ { op, target });
+                    return 1 + extra;
+                }
+                BinopFollow::None => {
+                    if op == I32Add && free(i + 1) {
+                        if let FlatOp::Load { kind, offset } = ops[i + 1] {
+                            s.add_load += 1;
+                            out.push(FlatOp::FusedAddLoad { offset, kind });
+                            return 2;
                         }
                     }
                 }
             }
         }
+        _ => {}
     }
     out.push(ops[i].clone());
     1
 }
 
 /// Maps a non-control instruction to its flat opcode and stack effect
-/// `(pops, pushes)`.
+/// `(pops, pushes)`. This is the one per-instruction table of the compile
+/// pipeline; the effect follows from the opcode's class.
 ///
 /// # Errors
 ///
@@ -2321,188 +2150,209 @@ fn fuse_at(
 /// position (malformed input; control flow is lowered structurally).
 #[allow(clippy::too_many_lines)]
 fn map_simple(instr: &Instr) -> Result<(FlatOp, usize, usize), Trap> {
+    use BinOpKind as B;
     use FlatOp as F;
     use Instr as I;
-    Ok(match instr {
-        I::Drop => (F::Drop, 1, 0),
-        I::Select => (F::Select, 3, 1),
-        I::LocalGet(i) => (F::LocalGet(*i), 0, 1),
-        I::LocalSet(i) => (F::LocalSet(*i), 1, 0),
-        I::LocalTee(i) => (F::LocalTee(*i), 1, 1),
-        I::GlobalGet(i) => (F::GlobalGet(*i), 0, 1),
-        I::GlobalSet(i) => (F::GlobalSet(*i), 1, 0),
+    use UnOpKind as U;
+    let load = |kind, m: &MemArg| F::Load {
+        kind,
+        offset: m.offset,
+    };
+    let store = |kind, m: &MemArg| F::Store {
+        kind,
+        offset: m.offset,
+    };
+    let op = match instr {
+        I::Drop => F::Drop,
+        I::Select => F::Select,
+        I::LocalGet(i) => F::LocalGet(*i),
+        I::LocalSet(i) => F::LocalSet(*i),
+        I::LocalTee(i) => F::LocalTee(*i),
+        I::GlobalGet(i) => F::GlobalGet(*i),
+        I::GlobalSet(i) => F::GlobalSet(*i),
 
-        I::I32Load(m) => (F::I32Load(m.offset), 1, 1),
-        I::I64Load(m) => (F::I64Load(m.offset), 1, 1),
-        I::F32Load(m) => (F::F32Load(m.offset), 1, 1),
-        I::F64Load(m) => (F::F64Load(m.offset), 1, 1),
-        I::I32Load8S(m) => (F::I32Load8S(m.offset), 1, 1),
-        I::I32Load8U(m) => (F::I32Load8U(m.offset), 1, 1),
-        I::I32Load16S(m) => (F::I32Load16S(m.offset), 1, 1),
-        I::I32Load16U(m) => (F::I32Load16U(m.offset), 1, 1),
-        I::I64Load8S(m) => (F::I64Load8S(m.offset), 1, 1),
-        I::I64Load8U(m) => (F::I64Load8U(m.offset), 1, 1),
-        I::I64Load16S(m) => (F::I64Load16S(m.offset), 1, 1),
-        I::I64Load16U(m) => (F::I64Load16U(m.offset), 1, 1),
-        I::I64Load32S(m) => (F::I64Load32S(m.offset), 1, 1),
-        I::I64Load32U(m) => (F::I64Load32U(m.offset), 1, 1),
+        I::I32Load(m) => load(LoadKind::I32, m),
+        I::I64Load(m) => load(LoadKind::I64, m),
+        I::F32Load(m) => load(LoadKind::F32, m),
+        I::F64Load(m) => load(LoadKind::F64, m),
+        I::I32Load8S(m) => load(LoadKind::I32L8S, m),
+        I::I32Load8U(m) => load(LoadKind::I32L8U, m),
+        I::I32Load16S(m) => load(LoadKind::I32L16S, m),
+        I::I32Load16U(m) => load(LoadKind::I32L16U, m),
+        I::I64Load8S(m) => load(LoadKind::I64L8S, m),
+        I::I64Load8U(m) => load(LoadKind::I64L8U, m),
+        I::I64Load16S(m) => load(LoadKind::I64L16S, m),
+        I::I64Load16U(m) => load(LoadKind::I64L16U, m),
+        I::I64Load32S(m) => load(LoadKind::I64L32S, m),
+        I::I64Load32U(m) => load(LoadKind::I64L32U, m),
 
-        I::I32Store(m) => (F::I32Store(m.offset), 2, 0),
-        I::I64Store(m) => (F::I64Store(m.offset), 2, 0),
-        I::F32Store(m) => (F::F32Store(m.offset), 2, 0),
-        I::F64Store(m) => (F::F64Store(m.offset), 2, 0),
-        I::I32Store8(m) => (F::I32Store8(m.offset), 2, 0),
-        I::I32Store16(m) => (F::I32Store16(m.offset), 2, 0),
-        I::I64Store8(m) => (F::I64Store8(m.offset), 2, 0),
-        I::I64Store16(m) => (F::I64Store16(m.offset), 2, 0),
-        I::I64Store32(m) => (F::I64Store32(m.offset), 2, 0),
+        I::I32Store(m) => store(StoreKind::I32, m),
+        I::I64Store(m) => store(StoreKind::I64, m),
+        I::F32Store(m) => store(StoreKind::F32, m),
+        I::F64Store(m) => store(StoreKind::F64, m),
+        I::I32Store8(m) => store(StoreKind::I32S8, m),
+        I::I32Store16(m) => store(StoreKind::I32S16, m),
+        I::I64Store8(m) => store(StoreKind::I64S8, m),
+        I::I64Store16(m) => store(StoreKind::I64S16, m),
+        I::I64Store32(m) => store(StoreKind::I64S32, m),
 
-        I::MemorySize => (F::MemorySize, 0, 1),
-        I::MemoryGrow => (F::MemoryGrow, 1, 1),
-        I::MemoryCopy => (F::MemoryCopy, 3, 0),
-        I::MemoryFill => (F::MemoryFill, 3, 0),
+        I::MemorySize => F::MemorySize,
+        I::MemoryGrow => F::MemoryGrow,
+        I::MemoryCopy => F::MemoryCopy,
+        I::MemoryFill => F::MemoryFill,
 
-        I::I32Const(v) => (F::Const(from_i32(*v)), 0, 1),
-        I::I64Const(v) => (F::Const(from_i64(*v)), 0, 1),
-        I::F32Const(v) => (F::Const(from_f32(*v)), 0, 1),
-        I::F64Const(v) => (F::Const(from_f64(*v)), 0, 1),
+        I::I32Const(v) => F::Const(from_i32(*v)),
+        I::I64Const(v) => F::Const(from_i64(*v)),
+        I::F32Const(v) => F::Const(from_f32(*v)),
+        I::F64Const(v) => F::Const(from_f64(*v)),
 
-        I::I32Eqz => (F::I32Eqz, 1, 1),
-        I::I32Eq => (F::I32Eq, 2, 1),
-        I::I32Ne => (F::I32Ne, 2, 1),
-        I::I32LtS => (F::I32LtS, 2, 1),
-        I::I32LtU => (F::I32LtU, 2, 1),
-        I::I32GtS => (F::I32GtS, 2, 1),
-        I::I32GtU => (F::I32GtU, 2, 1),
-        I::I32LeS => (F::I32LeS, 2, 1),
-        I::I32LeU => (F::I32LeU, 2, 1),
-        I::I32GeS => (F::I32GeS, 2, 1),
-        I::I32GeU => (F::I32GeU, 2, 1),
-        I::I64Eqz => (F::I64Eqz, 1, 1),
-        I::I64Eq => (F::I64Eq, 2, 1),
-        I::I64Ne => (F::I64Ne, 2, 1),
-        I::I64LtS => (F::I64LtS, 2, 1),
-        I::I64LtU => (F::I64LtU, 2, 1),
-        I::I64GtS => (F::I64GtS, 2, 1),
-        I::I64GtU => (F::I64GtU, 2, 1),
-        I::I64LeS => (F::I64LeS, 2, 1),
-        I::I64LeU => (F::I64LeU, 2, 1),
-        I::I64GeS => (F::I64GeS, 2, 1),
-        I::I64GeU => (F::I64GeU, 2, 1),
-        I::F32Eq => (F::F32Eq, 2, 1),
-        I::F32Ne => (F::F32Ne, 2, 1),
-        I::F32Lt => (F::F32Lt, 2, 1),
-        I::F32Gt => (F::F32Gt, 2, 1),
-        I::F32Le => (F::F32Le, 2, 1),
-        I::F32Ge => (F::F32Ge, 2, 1),
-        I::F64Eq => (F::F64Eq, 2, 1),
-        I::F64Ne => (F::F64Ne, 2, 1),
-        I::F64Lt => (F::F64Lt, 2, 1),
-        I::F64Gt => (F::F64Gt, 2, 1),
-        I::F64Le => (F::F64Le, 2, 1),
-        I::F64Ge => (F::F64Ge, 2, 1),
+        I::I32Eqz => F::Unop(U::I32Eqz),
+        I::I32Eq => F::Binop(B::I32Eq),
+        I::I32Ne => F::Binop(B::I32Ne),
+        I::I32LtS => F::Binop(B::I32LtS),
+        I::I32LtU => F::Binop(B::I32LtU),
+        I::I32GtS => F::Binop(B::I32GtS),
+        I::I32GtU => F::Binop(B::I32GtU),
+        I::I32LeS => F::Binop(B::I32LeS),
+        I::I32LeU => F::Binop(B::I32LeU),
+        I::I32GeS => F::Binop(B::I32GeS),
+        I::I32GeU => F::Binop(B::I32GeU),
+        I::I64Eqz => F::Unop(U::I64Eqz),
+        I::I64Eq => F::Binop(B::I64Eq),
+        I::I64Ne => F::Binop(B::I64Ne),
+        I::I64LtS => F::Binop(B::I64LtS),
+        I::I64LtU => F::Binop(B::I64LtU),
+        I::I64GtS => F::Binop(B::I64GtS),
+        I::I64GtU => F::Binop(B::I64GtU),
+        I::I64LeS => F::Binop(B::I64LeS),
+        I::I64LeU => F::Binop(B::I64LeU),
+        I::I64GeS => F::Binop(B::I64GeS),
+        I::I64GeU => F::Binop(B::I64GeU),
+        I::F32Eq => F::Binop(B::F32Eq),
+        I::F32Ne => F::Binop(B::F32Ne),
+        I::F32Lt => F::Binop(B::F32Lt),
+        I::F32Gt => F::Binop(B::F32Gt),
+        I::F32Le => F::Binop(B::F32Le),
+        I::F32Ge => F::Binop(B::F32Ge),
+        I::F64Eq => F::Binop(B::F64Eq),
+        I::F64Ne => F::Binop(B::F64Ne),
+        I::F64Lt => F::Binop(B::F64Lt),
+        I::F64Gt => F::Binop(B::F64Gt),
+        I::F64Le => F::Binop(B::F64Le),
+        I::F64Ge => F::Binop(B::F64Ge),
 
-        I::I32Clz => (F::I32Clz, 1, 1),
-        I::I32Ctz => (F::I32Ctz, 1, 1),
-        I::I32Popcnt => (F::I32Popcnt, 1, 1),
-        I::I32Add => (F::I32Add, 2, 1),
-        I::I32Sub => (F::I32Sub, 2, 1),
-        I::I32Mul => (F::I32Mul, 2, 1),
-        I::I32DivS => (F::I32DivS, 2, 1),
-        I::I32DivU => (F::I32DivU, 2, 1),
-        I::I32RemS => (F::I32RemS, 2, 1),
-        I::I32RemU => (F::I32RemU, 2, 1),
-        I::I32And => (F::I32And, 2, 1),
-        I::I32Or => (F::I32Or, 2, 1),
-        I::I32Xor => (F::I32Xor, 2, 1),
-        I::I32Shl => (F::I32Shl, 2, 1),
-        I::I32ShrS => (F::I32ShrS, 2, 1),
-        I::I32ShrU => (F::I32ShrU, 2, 1),
-        I::I32Rotl => (F::I32Rotl, 2, 1),
-        I::I32Rotr => (F::I32Rotr, 2, 1),
+        I::I32Clz => F::Unop(U::I32Clz),
+        I::I32Ctz => F::Unop(U::I32Ctz),
+        I::I32Popcnt => F::Unop(U::I32Popcnt),
+        I::I32Add => F::Binop(B::I32Add),
+        I::I32Sub => F::Binop(B::I32Sub),
+        I::I32Mul => F::Binop(B::I32Mul),
+        I::I32DivS => F::Binop(B::I32DivS),
+        I::I32DivU => F::Binop(B::I32DivU),
+        I::I32RemS => F::Binop(B::I32RemS),
+        I::I32RemU => F::Binop(B::I32RemU),
+        I::I32And => F::Binop(B::I32And),
+        I::I32Or => F::Binop(B::I32Or),
+        I::I32Xor => F::Binop(B::I32Xor),
+        I::I32Shl => F::Binop(B::I32Shl),
+        I::I32ShrS => F::Binop(B::I32ShrS),
+        I::I32ShrU => F::Binop(B::I32ShrU),
+        I::I32Rotl => F::Binop(B::I32Rotl),
+        I::I32Rotr => F::Binop(B::I32Rotr),
 
-        I::I64Clz => (F::I64Clz, 1, 1),
-        I::I64Ctz => (F::I64Ctz, 1, 1),
-        I::I64Popcnt => (F::I64Popcnt, 1, 1),
-        I::I64Add => (F::I64Add, 2, 1),
-        I::I64Sub => (F::I64Sub, 2, 1),
-        I::I64Mul => (F::I64Mul, 2, 1),
-        I::I64DivS => (F::I64DivS, 2, 1),
-        I::I64DivU => (F::I64DivU, 2, 1),
-        I::I64RemS => (F::I64RemS, 2, 1),
-        I::I64RemU => (F::I64RemU, 2, 1),
-        I::I64And => (F::I64And, 2, 1),
-        I::I64Or => (F::I64Or, 2, 1),
-        I::I64Xor => (F::I64Xor, 2, 1),
-        I::I64Shl => (F::I64Shl, 2, 1),
-        I::I64ShrS => (F::I64ShrS, 2, 1),
-        I::I64ShrU => (F::I64ShrU, 2, 1),
-        I::I64Rotl => (F::I64Rotl, 2, 1),
-        I::I64Rotr => (F::I64Rotr, 2, 1),
+        I::I64Clz => F::Unop(U::I64Clz),
+        I::I64Ctz => F::Unop(U::I64Ctz),
+        I::I64Popcnt => F::Unop(U::I64Popcnt),
+        I::I64Add => F::Binop(B::I64Add),
+        I::I64Sub => F::Binop(B::I64Sub),
+        I::I64Mul => F::Binop(B::I64Mul),
+        I::I64DivS => F::Binop(B::I64DivS),
+        I::I64DivU => F::Binop(B::I64DivU),
+        I::I64RemS => F::Binop(B::I64RemS),
+        I::I64RemU => F::Binop(B::I64RemU),
+        I::I64And => F::Binop(B::I64And),
+        I::I64Or => F::Binop(B::I64Or),
+        I::I64Xor => F::Binop(B::I64Xor),
+        I::I64Shl => F::Binop(B::I64Shl),
+        I::I64ShrS => F::Binop(B::I64ShrS),
+        I::I64ShrU => F::Binop(B::I64ShrU),
+        I::I64Rotl => F::Binop(B::I64Rotl),
+        I::I64Rotr => F::Binop(B::I64Rotr),
 
-        I::F32Abs => (F::F32Abs, 1, 1),
-        I::F32Neg => (F::F32Neg, 1, 1),
-        I::F32Ceil => (F::F32Ceil, 1, 1),
-        I::F32Floor => (F::F32Floor, 1, 1),
-        I::F32Trunc => (F::F32Trunc, 1, 1),
-        I::F32Nearest => (F::F32Nearest, 1, 1),
-        I::F32Sqrt => (F::F32Sqrt, 1, 1),
-        I::F32Add => (F::F32Add, 2, 1),
-        I::F32Sub => (F::F32Sub, 2, 1),
-        I::F32Mul => (F::F32Mul, 2, 1),
-        I::F32Div => (F::F32Div, 2, 1),
-        I::F32Min => (F::F32Min, 2, 1),
-        I::F32Max => (F::F32Max, 2, 1),
-        I::F32Copysign => (F::F32Copysign, 2, 1),
+        I::F32Abs => F::Unop(U::F32Abs),
+        I::F32Neg => F::Unop(U::F32Neg),
+        I::F32Ceil => F::Unop(U::F32Ceil),
+        I::F32Floor => F::Unop(U::F32Floor),
+        I::F32Trunc => F::Unop(U::F32Trunc),
+        I::F32Nearest => F::Unop(U::F32Nearest),
+        I::F32Sqrt => F::Unop(U::F32Sqrt),
+        I::F32Add => F::Binop(B::F32Add),
+        I::F32Sub => F::Binop(B::F32Sub),
+        I::F32Mul => F::Binop(B::F32Mul),
+        I::F32Div => F::Binop(B::F32Div),
+        I::F32Min => F::Binop(B::F32Min),
+        I::F32Max => F::Binop(B::F32Max),
+        I::F32Copysign => F::Binop(B::F32Copysign),
 
-        I::F64Abs => (F::F64Abs, 1, 1),
-        I::F64Neg => (F::F64Neg, 1, 1),
-        I::F64Ceil => (F::F64Ceil, 1, 1),
-        I::F64Floor => (F::F64Floor, 1, 1),
-        I::F64Trunc => (F::F64Trunc, 1, 1),
-        I::F64Nearest => (F::F64Nearest, 1, 1),
-        I::F64Sqrt => (F::F64Sqrt, 1, 1),
-        I::F64Add => (F::F64Add, 2, 1),
-        I::F64Sub => (F::F64Sub, 2, 1),
-        I::F64Mul => (F::F64Mul, 2, 1),
-        I::F64Div => (F::F64Div, 2, 1),
-        I::F64Min => (F::F64Min, 2, 1),
-        I::F64Max => (F::F64Max, 2, 1),
-        I::F64Copysign => (F::F64Copysign, 2, 1),
+        I::F64Abs => F::Unop(U::F64Abs),
+        I::F64Neg => F::Unop(U::F64Neg),
+        I::F64Ceil => F::Unop(U::F64Ceil),
+        I::F64Floor => F::Unop(U::F64Floor),
+        I::F64Trunc => F::Unop(U::F64Trunc),
+        I::F64Nearest => F::Unop(U::F64Nearest),
+        I::F64Sqrt => F::Unop(U::F64Sqrt),
+        I::F64Add => F::Binop(B::F64Add),
+        I::F64Sub => F::Binop(B::F64Sub),
+        I::F64Mul => F::Binop(B::F64Mul),
+        I::F64Div => F::Binop(B::F64Div),
+        I::F64Min => F::Binop(B::F64Min),
+        I::F64Max => F::Binop(B::F64Max),
+        I::F64Copysign => F::Binop(B::F64Copysign),
 
-        I::I32WrapI64 => (F::I32WrapI64, 1, 1),
-        I::I32TruncF32S => (F::I32TruncF32S, 1, 1),
-        I::I32TruncF32U => (F::I32TruncF32U, 1, 1),
-        I::I32TruncF64S => (F::I32TruncF64S, 1, 1),
-        I::I32TruncF64U => (F::I32TruncF64U, 1, 1),
-        I::I64ExtendI32S => (F::I64ExtendI32S, 1, 1),
-        I::I64ExtendI32U => (F::I64ExtendI32U, 1, 1),
-        I::I64TruncF32S => (F::I64TruncF32S, 1, 1),
-        I::I64TruncF32U => (F::I64TruncF32U, 1, 1),
-        I::I64TruncF64S => (F::I64TruncF64S, 1, 1),
-        I::I64TruncF64U => (F::I64TruncF64U, 1, 1),
-        I::F32ConvertI32S => (F::F32ConvertI32S, 1, 1),
-        I::F32ConvertI32U => (F::F32ConvertI32U, 1, 1),
-        I::F32ConvertI64S => (F::F32ConvertI64S, 1, 1),
-        I::F32ConvertI64U => (F::F32ConvertI64U, 1, 1),
-        I::F32DemoteF64 => (F::F32DemoteF64, 1, 1),
-        I::F64ConvertI32S => (F::F64ConvertI32S, 1, 1),
-        I::F64ConvertI32U => (F::F64ConvertI32U, 1, 1),
-        I::F64ConvertI64S => (F::F64ConvertI64S, 1, 1),
-        I::F64ConvertI64U => (F::F64ConvertI64U, 1, 1),
-        I::F64PromoteF32 => (F::F64PromoteF32, 1, 1),
-        I::I32ReinterpretF32 => (F::I32ReinterpretF32, 1, 1),
-        I::I64ReinterpretF64 => (F::I64ReinterpretF64, 1, 1),
-        I::F32ReinterpretI32 => (F::F32ReinterpretI32, 1, 1),
-        I::F64ReinterpretI64 => (F::F64ReinterpretI64, 1, 1),
-        I::I32Extend8S => (F::I32Extend8S, 1, 1),
-        I::I32Extend16S => (F::I32Extend16S, 1, 1),
-        I::I64Extend8S => (F::I64Extend8S, 1, 1),
-        I::I64Extend16S => (F::I64Extend16S, 1, 1),
-        I::I64Extend32S => (F::I64Extend32S, 1, 1),
+        I::I32WrapI64 => F::Unop(U::I32WrapI64),
+        I::I32TruncF32S => F::Unop(U::I32TruncF32S),
+        I::I32TruncF32U => F::Unop(U::I32TruncF32U),
+        I::I32TruncF64S => F::Unop(U::I32TruncF64S),
+        I::I32TruncF64U => F::Unop(U::I32TruncF64U),
+        I::I64ExtendI32S => F::Unop(U::I64ExtendI32S),
+        I::I64ExtendI32U => F::Unop(U::I64ExtendI32U),
+        I::I64TruncF32S => F::Unop(U::I64TruncF32S),
+        I::I64TruncF32U => F::Unop(U::I64TruncF32U),
+        I::I64TruncF64S => F::Unop(U::I64TruncF64S),
+        I::I64TruncF64U => F::Unop(U::I64TruncF64U),
+        I::F32ConvertI32S => F::Unop(U::F32ConvertI32S),
+        I::F32ConvertI32U => F::Unop(U::F32ConvertI32U),
+        I::F32ConvertI64S => F::Unop(U::F32ConvertI64S),
+        I::F32ConvertI64U => F::Unop(U::F32ConvertI64U),
+        I::F32DemoteF64 => F::Unop(U::F32DemoteF64),
+        I::F64ConvertI32S => F::Unop(U::F64ConvertI32S),
+        I::F64ConvertI32U => F::Unop(U::F64ConvertI32U),
+        I::F64ConvertI64S => F::Unop(U::F64ConvertI64S),
+        I::F64ConvertI64U => F::Unop(U::F64ConvertI64U),
+        I::F64PromoteF32 => F::Unop(U::F64PromoteF32),
+        I::I32ReinterpretF32
+        | I::I64ReinterpretF64
+        | I::F32ReinterpretI32
+        | I::F64ReinterpretI64 => F::Reinterpret,
+        I::I32Extend8S => F::Unop(U::I32Extend8S),
+        I::I32Extend16S => F::Unop(U::I32Extend16S),
+        I::I64Extend8S => F::Unop(U::I64Extend8S),
+        I::I64Extend16S => F::Unop(U::I64Extend16S),
+        I::I64Extend32S => F::Unop(U::I64Extend32S),
 
         _ => return Err(bad("control instruction in a simple position")),
-    })
+    };
+    let (pops, pushes) = match op {
+        F::LocalGet(_) | F::GlobalGet(_) | F::MemorySize | F::Const(_) => (0, 1),
+        F::Drop | F::LocalSet(_) | F::GlobalSet(_) => (1, 0),
+        F::LocalTee(_) | F::Load { .. } | F::MemoryGrow | F::Unop(_) | F::Reinterpret => (1, 1),
+        F::Store { .. } => (2, 0),
+        F::Binop(_) => (2, 1),
+        F::Select => (3, 1),
+        F::MemoryCopy | F::MemoryFill => (3, 0),
+        _ => return Err(bad("fused or control op in a simple position")),
+    };
+    Ok((op, pops, pushes))
 }
 
 #[cfg(test)]
@@ -2747,14 +2597,101 @@ mod tests {
         }
     }
 
+    /// Decodes the one-instruction body `op [memarg]; end`.
+    fn decode_one(op: u8, memarg: bool) -> I {
+        let mut body = vec![0x00, op]; // no locals
+        if memarg {
+            body.extend([0x00, 0x00]); // align, offset
+        }
+        body.push(0x0b);
+        let mut bytes = b"\0asm\x01\0\0\0".to_vec();
+        bytes.extend([1, 4, 1, 0x60, 0, 0]); // type section: () -> ()
+        bytes.extend([3, 2, 1, 0]); // function section
+        bytes.extend([10, body.len() as u8 + 2, 1, body.len() as u8]);
+        bytes.extend(body);
+        let module = crate::decode::decode(&bytes).unwrap_or_else(|e| panic!("{op:#x}: {e}"));
+        module.funcs[0].code[0].clone()
+    }
+
+    /// The `(pops, pushes)` shapes under which the validator types `instr`,
+    /// found by trying every operand and result type on the body
+    /// `local.get 0 .. local.get pops-1; instr; end`.
+    fn validated_shapes(instr: &I) -> Vec<(usize, usize)> {
+        const TYPES: [ValType; 4] = [ValType::I32, ValType::I64, ValType::F32, ValType::F64];
+        let mut shapes = Vec::new();
+        for (pops, pushes) in [(1, 1), (2, 1), (2, 0)] {
+            let validates = (0..4usize.pow(pops as u32 + pushes as u32)).any(|mut combo| {
+                let mut pick = || {
+                    let t = TYPES[combo % 4];
+                    combo /= 4;
+                    t
+                };
+                let params: Vec<ValType> = (0..pops).map(|_| pick()).collect();
+                let results: Vec<ValType> = (0..pushes).map(|_| pick()).collect();
+                let mut b = ModuleBuilder::new();
+                b.add_memory(1, None);
+                let ty = b.add_type(&params, &results);
+                let mut code: Vec<I> = (0..pops as u32).map(I::LocalGet).collect();
+                code.extend([instr.clone(), I::End]);
+                b.add_func(ty, &[], code);
+                crate::validate::validate(b.module()).is_ok()
+            });
+            if validates {
+                shapes.push((pops, pushes));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn map_simple_classes_agree_with_the_validator() {
+        // `map_simple` is the pipeline's only per-instruction table, and an
+        // op's stack effect follows from the class it assigns. Pin it
+        // against the validator's independent typing of every numeric
+        // opcode and every load and store, and check the retirement
+        // classifier still knows each one.
+        let numeric = (0x45..=0xC4u8).map(|op| (op, false));
+        let memory = (0x28..=0x3Eu8).map(|op| (op, true));
+        let mut seen = 0;
+        for (opcode, memarg) in numeric.chain(memory) {
+            let instr = decode_one(opcode, memarg);
+            let (op, pops, pushes) = map_simple(&instr).unwrap();
+            let (class_effect, prof_classes): (_, &[OpClass]) = match op {
+                FlatOp::Unop(_) => (
+                    (1, 1),
+                    &[OpClass::Arith, OpClass::Compare, OpClass::Convert],
+                ),
+                FlatOp::Binop(_) => ((2, 1), &[OpClass::Arith, OpClass::Compare]),
+                FlatOp::Load { offset: 0, .. } => ((1, 1), &[OpClass::Load]),
+                FlatOp::Store { offset: 0, .. } => ((2, 0), &[OpClass::Store]),
+                FlatOp::Reinterpret => ((1, 1), &[OpClass::Convert]),
+                other => panic!("{instr:?} lowers to {other:?}, not a numeric or memory class"),
+            };
+            assert_eq!((pops, pushes), class_effect, "{instr:?}");
+            assert_eq!(
+                validated_shapes(&instr),
+                [class_effect],
+                "{instr:?}: validator and lowering disagree on the stack effect"
+            );
+            let (cls, weight) = crate::profile::classify(&instr);
+            assert!(
+                weight == 1 && prof_classes.contains(&cls),
+                "{instr:?}: classified {cls:?} weight {weight}"
+            );
+            assert_eq!(ProfOp::of_instr(&instr), ProfOp::of(cls, 1), "{instr:?}");
+            seen += 1;
+        }
+        assert_eq!(seen, 128 + 23);
+    }
+
     #[test]
     fn flat_op_size_does_not_regress() {
-        // Every instance keeps its flat code resident (the verifier
-        // re-walks it), so the op size is per-instance memory. The floor is
-        // set by `BrTable`'s fat `Box<[BrEntry]>` (16 bytes + tag = 24);
-        // fused variants must fit inside it — constants that do not fit a
-        // u32 stay in the plain `FusedBinopLK`/`Const` forms instead of
-        // growing the enum.
+        // The compile scratch holds a body's worth of these twice over
+        // (`ops` and fusion's output side), so the op size is what a
+        // launch's first touches cost. The floor is set by `BrTable`'s fat
+        // `Box<[BrEntry]>` (16 bytes + tag = 24); fused variants must fit
+        // inside it — constants that do not fit a u32 stay in the plain
+        // `FusedBinopLK`/`Const` forms instead of growing the enum.
         assert_eq!(std::mem::size_of::<FlatOp>(), 24);
     }
 
@@ -2829,12 +2766,12 @@ mod tests {
         );
         b.export_func("sum", f);
         let module = crate::load(&b.build()).unwrap();
-        let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
+        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
         let stats = flat.fusion;
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
         assert_eq!(stats.binop_ll_set, 1, "{stats:?}");
         assert_eq!(stats.binop_lk_set, 1, "{stats:?}");
-        let unfused = FlatModule::compile_full(&module, false, false, true).unwrap();
+        let unfused = CompiledModule::compile_full(&module, false, false, true).unwrap();
         assert_eq!(unfused.fusion.total(), 0);
         // And the fused loop still computes the same sum.
         let oracle = agreed_outcome(&b.build(), "sum", &[Value::I32(10)], "sum loop");
@@ -2960,7 +2897,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
+        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
         assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
@@ -2994,7 +2931,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
+        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
         assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
@@ -3089,7 +3026,7 @@ mod tests {
         b.export_func("store", store);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = FlatModule::compile_full(&module, true, false, true).unwrap();
+        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
         let stats = flat.fusion;
         assert!(stats.load_l + stats.add_load + stats.idx_load > 0 || stats.store_l > 0);
         for addr in [0, 65520, 65529, 65536, -1, i32::MAX] {

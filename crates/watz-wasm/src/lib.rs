@@ -18,14 +18,15 @@
 //!   peephole-fused into superinstructions ([`flat`], [`FusionStats`];
 //!   disable with `WATZ_NO_FUSE=1`), then register-allocated so every op
 //!   addresses fixed frame slots and the dispatch loop moves no operand
-//!   stack at all ([`reg`], [`RegStats`]) — the stand-in for WAMR's AOT
+//!   stack at all ([`reg`], [`RegStats`]); the flat form is compile-time
+//!   scratch, an instance keeps the register code only — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
 //!   AOT/interp gap is smaller than the paper's 28x, as documented in
 //!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch, and its
 //!   `from_env` is the crate's only read of the environment;
 //! * an independent **IR verifier** and value-range **analysis** ([`verify`],
-//!   [`analysis`]): abstract interpretation over the compiled code that
-//!   re-proves every lowering invariant (`WATZ_VERIFY_IR=1` makes it a
+//!   [`analysis`]): abstract interpretation over the register code that
+//!   re-proves every invariant the engine relies on (`WATZ_VERIFY_IR=1` makes it a
 //!   hard instantiation gate, [`VerifyStats`]) and proves memory accesses
 //!   in bounds so the register engine can run them check-free
 //!   (`WATZ_NO_ELIDE=1` disables the rewrite, [`RangeStats`]);

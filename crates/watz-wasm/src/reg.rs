@@ -1,9 +1,12 @@
 //! The register engine behind [`ExecMode::Aot`]: flat IR lowered one step
 //! further, so the hot dispatch loop never pushes or pops an operand stack.
 //!
-//! [`crate::flat`] turns structured bodies into a linear opcode array that
-//! still *describes* a runtime operand stack: `local.get` pushes a copy,
-//! every operator pops its inputs and pushes its result. Validation makes
+//! [`crate::flat`] turns a structured body into a linear opcode stream, in
+//! the compile's scratch buffers, that still *describes* a runtime operand
+//! stack: `local.get` pushes a copy, every operator pops its inputs and
+//! pushes its result. This pass reads that stream where it lies and emits
+//! the only code an instance keeps, over the same operator vocabulary
+//! ([`UnOpKind`], [`BinOpKind`], [`LoadKind`], [`StoreKind`]). Validation makes
 //! all of that motion statically known — at any program point the
 //! operand-stack *height* is a compile-time constant, so the value "at
 //! height `h`" can live in the fixed frame slot `n_locals + h` instead.
@@ -41,8 +44,9 @@
 //! plus operand positions) does not fit is reported as
 //! [`LowerError::FrameTooLarge`], and because a register frame cannot call
 //! into another executor the whole module then gets no register program
-//! and runs on the tree interpreter in [`crate::exec`] — the one fallback,
-//! which is also the reference implementation. Every other lowering
+//! (the compile drops the bodies lowered so far and skips this pass for the
+//! rest) and runs on the tree interpreter in [`crate::exec`] — the one
+//! fallback, which is also the reference implementation. Every other lowering
 //! failure is a defect and fails instantiation. [`RegStats`] reports what
 //! the pass did.
 //!
@@ -54,12 +58,11 @@
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
-    apply_binop, as_f32, as_f64, as_i32, as_i64, as_u32, as_u64, binop_kind, do_load, do_store,
-    from_f32, from_f64, from_i32, from_i64, load_kind, slot_from_value, store_kind,
-    value_from_slot, BinOpKind, CompileScratch, FlatFunc, FlatFuncDef, FlatModule, FlatOp,
-    LoadKind, Slot, StoreKind,
+    apply_binop, apply_unop, as_f64, as_i32, as_u32, do_load, do_store, from_f64, from_i32,
+    slot_from_value, value_from_slot, BinOpKind, CompileScratch, CompiledModule, FlatOp, LoadKind,
+    Slot, StoreKind, UnOpKind,
 };
-use crate::module::Module;
+use crate::module::{FuncBody, Module};
 use crate::profile::{OpClass, ProfOp, Profiler};
 use crate::types::{FuncType, ValType};
 
@@ -100,186 +103,6 @@ impl RegStats {
         self.moves_inserted += other.moves_inserted;
         self.stack_ops_eliminated += other.stack_ops_eliminated;
     }
-}
-
-/// A fusable one-operand operator (everything the flat IR expresses as a
-/// rewrite of the stack top). Variants mirror the spec's instruction
-/// names; the four reinterpret casts are identities on raw slots and never
-/// reach the register code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub(crate) enum UnOpKind {
-    I32Eqz,
-    I64Eqz,
-    I32Clz,
-    I32Ctz,
-    I32Popcnt,
-    I64Clz,
-    I64Ctz,
-    I64Popcnt,
-    F32Abs,
-    F32Neg,
-    F32Ceil,
-    F32Floor,
-    F32Trunc,
-    F32Nearest,
-    F32Sqrt,
-    F64Abs,
-    F64Neg,
-    F64Ceil,
-    F64Floor,
-    F64Trunc,
-    F64Nearest,
-    F64Sqrt,
-    I32WrapI64,
-    I32TruncF32S,
-    I32TruncF32U,
-    I32TruncF64S,
-    I32TruncF64U,
-    I64ExtendI32S,
-    I64ExtendI32U,
-    I64TruncF32S,
-    I64TruncF32U,
-    I64TruncF64S,
-    I64TruncF64U,
-    F32ConvertI32S,
-    F32ConvertI32U,
-    F32ConvertI64S,
-    F32ConvertI64U,
-    F32DemoteF64,
-    F64ConvertI32S,
-    F64ConvertI32U,
-    F64ConvertI64S,
-    F64ConvertI64U,
-    F64PromoteF32,
-    I32Extend8S,
-    I32Extend16S,
-    I64Extend8S,
-    I64Extend16S,
-    I64Extend32S,
-}
-
-/// Applies a one-operand operator to a raw slot.
-///
-/// # Errors
-///
-/// Exactly the traps the corresponding plain opcode raises (the float→int
-/// truncations).
-#[inline]
-fn apply_unop(op: UnOpKind, s: Slot) -> Result<Slot, Trap> {
-    use crate::exec::{
-        trunc_f32_to_i32_s, trunc_f32_to_i64_s, trunc_f32_to_u32, trunc_f32_to_u64,
-        trunc_f64_to_i32_s, trunc_f64_to_i64_s, trunc_f64_to_u32, trunc_f64_to_u64,
-    };
-    use UnOpKind as U;
-    Ok(match op {
-        U::I32Eqz => u64::from(as_u32(s) == 0),
-        U::I64Eqz => u64::from(s == 0),
-        U::I32Clz => from_i32(as_i32(s).leading_zeros() as i32),
-        U::I32Ctz => from_i32(as_i32(s).trailing_zeros() as i32),
-        U::I32Popcnt => from_i32(as_i32(s).count_ones() as i32),
-        U::I64Clz => from_i64(i64::from(as_i64(s).leading_zeros())),
-        U::I64Ctz => from_i64(i64::from(as_i64(s).trailing_zeros())),
-        U::I64Popcnt => from_i64(i64::from(as_i64(s).count_ones())),
-        U::F32Abs => from_f32(as_f32(s).abs()),
-        U::F32Neg => from_f32(-as_f32(s)),
-        U::F32Ceil => from_f32(as_f32(s).ceil()),
-        U::F32Floor => from_f32(as_f32(s).floor()),
-        U::F32Trunc => from_f32(as_f32(s).trunc()),
-        U::F32Nearest => from_f32(as_f32(s).round_ties_even()),
-        U::F32Sqrt => from_f32(as_f32(s).sqrt()),
-        U::F64Abs => from_f64(as_f64(s).abs()),
-        U::F64Neg => from_f64(-as_f64(s)),
-        U::F64Ceil => from_f64(as_f64(s).ceil()),
-        U::F64Floor => from_f64(as_f64(s).floor()),
-        U::F64Trunc => from_f64(as_f64(s).trunc()),
-        U::F64Nearest => from_f64(as_f64(s).round_ties_even()),
-        U::F64Sqrt => from_f64(as_f64(s).sqrt()),
-        U::I32WrapI64 => from_i32(as_i64(s) as i32),
-        U::I32TruncF32S => from_i32(trunc_f32_to_i32_s(as_f32(s))?),
-        U::I32TruncF32U => u64::from(trunc_f32_to_u32(as_f32(s))?),
-        U::I32TruncF64S => from_i32(trunc_f64_to_i32_s(as_f64(s))?),
-        U::I32TruncF64U => u64::from(trunc_f64_to_u32(as_f64(s))?),
-        U::I64ExtendI32S => from_i64(i64::from(as_i32(s))),
-        U::I64ExtendI32U => u64::from(as_u32(s)),
-        U::I64TruncF32S => from_i64(trunc_f32_to_i64_s(as_f32(s))?),
-        U::I64TruncF32U => trunc_f32_to_u64(as_f32(s))?,
-        U::I64TruncF64S => from_i64(trunc_f64_to_i64_s(as_f64(s))?),
-        U::I64TruncF64U => trunc_f64_to_u64(as_f64(s))?,
-        U::F32ConvertI32S => from_f32(as_i32(s) as f32),
-        U::F32ConvertI32U => from_f32(as_u32(s) as f32),
-        U::F32ConvertI64S => from_f32(as_i64(s) as f32),
-        U::F32ConvertI64U => from_f32(as_u64(s) as f32),
-        U::F32DemoteF64 => from_f32(as_f64(s) as f32),
-        U::F64ConvertI32S => from_f64(f64::from(as_i32(s))),
-        U::F64ConvertI32U => from_f64(f64::from(as_u32(s))),
-        U::F64ConvertI64S => from_f64(as_i64(s) as f64),
-        U::F64ConvertI64U => from_f64(as_u64(s) as f64),
-        U::F64PromoteF32 => from_f64(f64::from(as_f32(s))),
-        U::I32Extend8S => from_i32(i32::from(as_i32(s) as i8)),
-        U::I32Extend16S => from_i32(i32::from(as_i32(s) as i16)),
-        U::I64Extend8S => from_i64(i64::from(as_i64(s) as i8)),
-        U::I64Extend16S => from_i64(i64::from(as_i64(s) as i16)),
-        U::I64Extend32S => from_i64(i64::from(as_i64(s) as i32)),
-    })
-}
-
-/// Maps a plain flat opcode to its one-operand operator kind.
-#[allow(clippy::too_many_lines)]
-fn unop_kind(op: &FlatOp) -> Option<UnOpKind> {
-    use FlatOp as F;
-    use UnOpKind as U;
-    Some(match op {
-        F::I32Eqz => U::I32Eqz,
-        F::I64Eqz => U::I64Eqz,
-        F::I32Clz => U::I32Clz,
-        F::I32Ctz => U::I32Ctz,
-        F::I32Popcnt => U::I32Popcnt,
-        F::I64Clz => U::I64Clz,
-        F::I64Ctz => U::I64Ctz,
-        F::I64Popcnt => U::I64Popcnt,
-        F::F32Abs => U::F32Abs,
-        F::F32Neg => U::F32Neg,
-        F::F32Ceil => U::F32Ceil,
-        F::F32Floor => U::F32Floor,
-        F::F32Trunc => U::F32Trunc,
-        F::F32Nearest => U::F32Nearest,
-        F::F32Sqrt => U::F32Sqrt,
-        F::F64Abs => U::F64Abs,
-        F::F64Neg => U::F64Neg,
-        F::F64Ceil => U::F64Ceil,
-        F::F64Floor => U::F64Floor,
-        F::F64Trunc => U::F64Trunc,
-        F::F64Nearest => U::F64Nearest,
-        F::F64Sqrt => U::F64Sqrt,
-        F::I32WrapI64 => U::I32WrapI64,
-        F::I32TruncF32S => U::I32TruncF32S,
-        F::I32TruncF32U => U::I32TruncF32U,
-        F::I32TruncF64S => U::I32TruncF64S,
-        F::I32TruncF64U => U::I32TruncF64U,
-        F::I64ExtendI32S => U::I64ExtendI32S,
-        F::I64ExtendI32U => U::I64ExtendI32U,
-        F::I64TruncF32S => U::I64TruncF32S,
-        F::I64TruncF32U => U::I64TruncF32U,
-        F::I64TruncF64S => U::I64TruncF64S,
-        F::I64TruncF64U => U::I64TruncF64U,
-        F::F32ConvertI32S => U::F32ConvertI32S,
-        F::F32ConvertI32U => U::F32ConvertI32U,
-        F::F32ConvertI64S => U::F32ConvertI64S,
-        F::F32ConvertI64U => U::F32ConvertI64U,
-        F::F32DemoteF64 => U::F32DemoteF64,
-        F::F64ConvertI32S => U::F64ConvertI32S,
-        F::F64ConvertI32U => U::F64ConvertI32U,
-        F::F64ConvertI64S => U::F64ConvertI64S,
-        F::F64ConvertI64U => U::F64ConvertI64U,
-        F::F64PromoteF32 => U::F64PromoteF32,
-        F::I32Extend8S => U::I32Extend8S,
-        F::I32Extend16S => U::I32Extend16S,
-        F::I64Extend8S => U::I64Extend8S,
-        F::I64Extend16S => U::I64Extend16S,
-        F::I64Extend32S => U::I64Extend32S,
-        _ => return None,
-    })
 }
 
 /// One `br_table` arm in register form: absolute target plus a static
@@ -750,10 +573,10 @@ pub(crate) struct RegFunc {
 }
 
 /// A module's register-form code, carried by
-/// [`FlatModule`](crate::flat::FlatModule) when the pass ran.
+/// [`CompiledModule`] when the pass ran.
 #[derive(Debug)]
 pub(crate) struct RegProgram {
-    /// Indexed like the flat function space; `None` for imports.
+    /// Indexed like the function space; `None` for imports.
     pub(crate) funcs: Box<[Option<RegFunc>]>,
     pub(crate) stats: RegStats,
 }
@@ -1062,12 +885,12 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lowers one (fused) flat function to register form. `scratch` still
-/// holds what the flat passes recorded beside `f.code`: the operand-stack
-/// entry height of every flat op — it re-seeds the abstract stack at
-/// dynamically-unreachable fall-through code where no simulation state
-/// survives —, the retirement metadata, and the jump-target flags, which
-/// are carried through the old→new map into `scratch.reg.is_target`.
+/// Lowers the (fused) flat body in `scratch.ops` — `body`'s — to register
+/// form. `scratch` holds what the flat passes recorded beside the ops: the
+/// operand-stack entry height of every flat op — it re-seeds the abstract
+/// stack at dynamically-unreachable fall-through code where no simulation
+/// state survives —, the retirement metadata, and the jump-target flags,
+/// which are carried through the old→new map into `scratch.reg.is_target`.
 ///
 /// # Errors
 ///
@@ -1077,14 +900,17 @@ impl Lowerer<'_> {
 /// fails instantiation).
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
-    f: &FlatFunc,
     module: &Module,
+    body: &FuncBody,
     scratch: &mut CompileScratch,
     stats: &mut RegStats,
 ) -> Result<RegFunc, LowerError> {
-    let ops = &f.code;
-    let n = ops.len();
+    let ty = module
+        .types
+        .get(body.type_idx as usize)
+        .ok_or_else(|| bad("function type index out of range"))?;
     let CompileScratch {
+        ops,
         heights,
         prof,
         is_target,
@@ -1095,11 +921,13 @@ pub(crate) fn lower_func(
         },
         ..
     } = scratch;
+    let n = ops.len();
     if heights.len() != n || prof.len() != n || is_target.len() != n + 1 {
         return Err(bad("register lowering: flat side tables out of sync"));
     }
-    let n_locals = f.n_locals as usize;
-    let n_results = f.n_results as usize;
+    let n_params = ty.params.len();
+    let n_locals = n_params + body.locals.len();
+    let n_results = ty.results.len();
 
     vstack.clear();
     let mut lo = Lowerer {
@@ -1601,32 +1429,27 @@ pub(crate) fn lower_func(
 
             // Reinterpret casts are identities on raw slots: no code, the
             // value stays wherever it lives.
-            FlatOp::I32ReinterpretF32
-            | FlatOp::I64ReinterpretF64
-            | FlatOp::F32ReinterpretI32
-            | FlatOp::F64ReinterpretI64 => {}
-
-            plain => {
-                if let Some(op) = binop_kind(plain) {
-                    let b = lo.pop()?;
-                    let a = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(sel_binop(op, a, b, dst));
-                } else if let Some(op) = unop_kind(plain) {
-                    let src = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(RegOp::Unop { op, src, dst });
-                } else if let Some((kind, offset)) = load_kind(plain) {
-                    let addr = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(sel_load(kind, addr, offset, dst));
-                } else if let Some((kind, offset)) = store_kind(plain) {
-                    let val = lo.pop()?;
-                    let addr = lo.pop()?;
-                    lo.out.push(sel_store(kind, addr, val, offset));
-                } else {
-                    return Err(bad("register lowering: unhandled flat op"));
-                }
+            FlatOp::Reinterpret => {}
+            FlatOp::Binop(op) => {
+                let b = lo.pop()?;
+                let a = lo.pop()?;
+                let dst = lo.push()?;
+                lo.out.push(sel_binop(*op, a, b, dst));
+            }
+            FlatOp::Unop(op) => {
+                let src = lo.pop()?;
+                let dst = lo.push()?;
+                lo.out.push(RegOp::Unop { op: *op, src, dst });
+            }
+            FlatOp::Load { kind, offset } => {
+                let addr = lo.pop()?;
+                let dst = lo.push()?;
+                lo.out.push(sel_load(*kind, addr, *offset, dst));
+            }
+            FlatOp::Store { kind, offset } => {
+                let val = lo.pop()?;
+                let addr = lo.pop()?;
+                lo.out.push(sel_store(*kind, addr, val, *offset));
             }
         }
         sync_prof!();
@@ -1680,11 +1503,11 @@ pub(crate) fn lower_func(
     stats.frame_slots += u64::from(frame_size);
 
     Ok(RegFunc {
-        n_params: f.n_params,
-        n_locals: f.n_locals,
-        n_results: f.n_results,
+        n_params: n_params as u32,
+        n_locals: n_locals as u32,
+        n_results: n_results as u32,
         frame_size,
-        result_types: f.result_types.clone(),
+        result_types: ty.results.clone().into_boxed_slice(),
         code: lo.out.into_boxed_slice(),
         prof: rprof.into_boxed_slice(),
     })
@@ -1704,7 +1527,7 @@ struct Frame<'a> {
 /// Returns exactly the traps the tree-walking oracle would.
 #[allow(clippy::too_many_arguments)] // One borrow per disjoint Instance field.
 pub(crate) fn run(
-    flat: &FlatModule,
+    cm: &CompiledModule,
     types: &[FuncType],
     table: &[Option<u32>],
     memory: &mut Memory,
@@ -1714,8 +1537,8 @@ pub(crate) fn run(
     args: &[Value],
     profile: Option<&mut crate::profile::ExecProfile>,
 ) -> Result<Vec<Value>, Trap> {
-    let prog = flat.reg.as_ref().expect("register program prepared");
-    if let FlatFuncDef::Import(imp) = &flat.funcs[func_idx as usize] {
+    let prog = cm.reg.as_ref().expect("register program prepared");
+    if let Some(imp) = cm.imports.get(func_idx as usize) {
         let results = host.call(&imp.module, &imp.name, memory, args)?;
         crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
         return Ok(results);
@@ -1729,11 +1552,11 @@ pub(crate) fn run(
     // is erased entirely — the default hot path gains no work.
     let result = match profile {
         Some(p) => run_loop(
-            prog, flat, types, table, &mut mem, memory, globals, host, entry, args, p,
+            prog, cm, types, table, &mut mem, memory, globals, host, entry, args, p,
         ),
         None => run_loop(
             prog,
-            flat,
+            cm,
             types,
             table,
             &mut mem,
@@ -1755,7 +1578,7 @@ pub(crate) fn run(
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn run_loop<P: Profiler>(
     prog: &RegProgram,
-    flat: &FlatModule,
+    cm: &CompiledModule,
     types: &[FuncType],
     table: &[Option<u32>],
     mem: &mut Vec<u8>,
@@ -1809,9 +1632,7 @@ fn run_loop<P: Profiler>(
     }
     macro_rules! call_import {
         ($func:expr, $off:expr) => {{
-            let FlatFuncDef::Import(imp) = &flat.funcs[$func as usize] else {
-                unreachable!("resolved at lowering")
-            };
+            let imp = &cm.imports[$func as usize];
             let abase = base + $off as usize;
             let host_args: Vec<Value> = imp
                 .params
@@ -1824,10 +1645,7 @@ fn run_loop<P: Profiler>(
             let call_result = host.call(&imp.module, &imp.name, memory, &host_args);
             *mem = memory.take_data();
             let results = call_result?;
-            let declared = types[flat.func_type_idx[$func as usize] as usize]
-                .results
-                .len();
-            crate::exec::check_host_results(&imp.module, &imp.name, results.len(), declared)?;
+            crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
             for (k, v) in results.into_iter().enumerate() {
                 stack[abase + k] = slot_from_value(v);
             }
@@ -1945,19 +1763,14 @@ fn run_loop<P: Profiler>(
                 let i = as_u32(r!(*idx)) as usize;
                 let slot = *table.get(i).ok_or(Trap::TableOutOfBounds)?;
                 let f = slot.ok_or(Trap::UndefinedTableElement)?;
-                let actual = &types[flat.func_type_idx[f as usize] as usize];
+                let actual = &types[cm.func_type_idx[f as usize] as usize];
                 let expected = &types[*type_idx as usize];
                 if actual != expected {
                     return Err(Trap::IndirectTypeMismatch);
                 }
-                match &flat.funcs[f as usize] {
-                    FlatFuncDef::Import(_) => call_import!(f, *off),
-                    FlatFuncDef::Local(_) => {
-                        let callee = prog.funcs[f as usize]
-                            .as_ref()
-                            .expect("local function register-lowered");
-                        call_local!(callee, *off);
-                    }
+                match &prog.funcs[f as usize] {
+                    Some(callee) => call_local!(callee, *off),
+                    None => call_import!(f, *off),
                 }
             }
 
@@ -1973,8 +1786,7 @@ fn run_loop<P: Profiler>(
             RegOp::Const { bits, dst } => r!(*dst) = *bits,
             RegOp::GlobalGet { idx, dst } => r!(*dst) = slot_from_value(globals[*idx as usize]),
             RegOp::GlobalSet { idx, src } => {
-                globals[*idx as usize] =
-                    value_from_slot(flat.global_types[*idx as usize], r!(*src));
+                globals[*idx as usize] = value_from_slot(cm.global_types[*idx as usize], r!(*src));
             }
 
             RegOp::Load {
@@ -2652,7 +2464,9 @@ pub(crate) mod tests {
         // 50 000 locals under a 16 000-deep operand stack: a valid module
         // whose frame cannot be addressed by u16 slots. It must load in
         // Aot, carry no register program, and match the interpreter on
-        // result, trap text and instret.
+        // result, trap text and instret. The compile gives up the register
+        // program at `f` and goes on: the bodies on either side of it
+        // still count towards the fusion statistics.
         const DEPTH: usize = 16_000;
         let n_locals = crate::decode::MAX_FUNC_LOCALS - 1;
         let mut code = vec![I::I32Const(7), I::LocalSet(n_locals as u32)];
@@ -2665,9 +2479,12 @@ pub(crate) mod tests {
             I::I32DivS,
             I::End,
         ]);
+        let double = vec![I::LocalGet(0), I::LocalGet(0), I::I32Add, I::End];
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        b.add_func(ty, &[], double.clone());
         let f = b.add_func(ty, &vec![ValType::I32; n_locals], code);
+        b.add_func(ty, &[], double);
         b.export_func("f", f);
         let module = crate::load(&b.build()).expect("oversized-frame module validates");
 
@@ -2679,7 +2496,17 @@ pub(crate) mod tests {
         let mut aot = Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
         assert_eq!(aot.mode(), ExecMode::Aot);
         assert!(aot.reg_stats().is_none(), "frame cannot fit u16 slots");
-        assert!(aot.fusion_stats().is_some(), "the flat IR is still lowered");
+        let no_reg = EngineConfig { reg: false, ..cfg };
+        let never_tried =
+            Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
+        assert_eq!(aot.fusion_stats().map(|s| s.binop_ll), Some(2));
+        assert_eq!(aot.fusion_stats(), never_tried.fusion_stats());
+        assert_eq!(aot.range_stats(), never_tried.range_stats());
+        // Nothing executes but the tree oracle, so there is nothing to
+        // verify, at instantiation or on demand.
+        let verified = aot.verify_ir().expect("compiled").expect("verifies");
+        assert_eq!(verified, crate::VerifyStats::default());
+        assert_eq!(aot.verify_stats(), Some(verified));
         let mut interp =
             Instance::instantiate_with(&module, ExecMode::Interpreted, cfg, &mut NoHost).unwrap();
         for (arg, want) in [(1, Some(DEPTH as i32 + 7)), (-3, Some(-5335)), (0, None)] {

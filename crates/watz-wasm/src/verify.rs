@@ -1,39 +1,33 @@
-//! Independent verifier for the lowered IRs.
+//! Independent verifier for the register code an instance executes.
 //!
 //! Every compiled module can be re-checked, opcode by opcode, against the
-//! invariants the register pass and the register engine rely on —
-//! **without reusing any lowering code**. The verifier keeps its own stack-effect table for the flat IR
-//! and its own read/write model for the register IR, so a bug in the
-//! lowering (or a hostile mutation of a lowered body) is caught by a
-//! second, structurally different derivation of the same facts.
-//!
-//! # Flat-form invariants
-//!
-//! An abstract interpretation over [`crate::flat::FlatOp`] computes the
-//! operand-stack height at every reachable pc (a worklist fixpoint, since
-//! branches can join):
-//!
-//! - every jump target is in bounds and every edge into a pc agrees on
-//!   the entry height;
-//! - `Br`/`BrIf`/`br_table` `keep`/`height` immediates fit the abstract
-//!   stack (`keep <= h`, `height + keep <= h`);
-//! - `br_table` entry lists are non-empty (the dispatch loop indexes
-//!   `entries[i.min(len - 1)]`);
-//! - no opcode pops below an empty stack; `Return` finds `n_results`
-//!   values; the body cannot fall off the end past a non-terminator;
-//! - every local, global, function, and type index is in range —
-//!   including the packed fields of the fused superinstructions.
+//! invariants the register engine relies on — **without reusing any
+//! lowering code**. The verifier keeps its own read/write model of the
+//! register IR, so a bug in the lowering (or a hostile mutation of a
+//! lowered body) is caught by a second, structurally different derivation
+//! of the same facts. The flat stream the register pass consumes is
+//! compile-time scratch ([`crate::flat`]) and is not verified: nothing can
+//! execute it, and every property of it that bears on execution — branch
+//! targets, value transfers that fit the frame, index ranges, a value on
+//! every path to its use — is a property of the register code below.
 //!
 //! # Register-form invariants
 //!
 //! - every frame-slot operand is `< frame_size`, every jump target in
-//!   bounds, `br_table` lists non-empty;
+//!   bounds, `br_table` lists non-empty (the dispatch loop indexes
+//!   `entries[i.min(len - 1)]`), branch value transfers (`src`/`dst` ×
+//!   `keep`) inside the frame;
+//! - every global, function and type index is in range, and a call names
+//!   the kind of function its opcode says (`CallLocal` a local one,
+//!   `CallImport` an import);
 //! - `Return{src}` and call frame bases leave room for the values they
 //!   move (`src + n_results <= frame_size`, `base + max(params,
-//!   results) <= frame_size`);
+//!   results) <= frame_size`), and a body's own signature is the one its
+//!   declared type gives its callers;
 //! - a definite-assignment dataflow (bitset per pc, intersection at
 //!   joins) proves no op reads a frame slot that some path never wrote;
-//!   calls clobber every slot from the callee's frame base up.
+//!   calls clobber every slot from the callee's frame base up; the body
+//!   cannot fall off the end past a non-terminator.
 //!
 //! # Check-free proof obligations
 //!
@@ -49,14 +43,14 @@
 //! across the differential corpus in CI.
 
 use crate::analysis;
-use crate::flat::{FlatFunc, FlatFuncDef, FlatModule, FlatOp};
+use crate::flat::CompiledModule;
 use crate::reg::{RegFunc, RegOp};
 use crate::types::{FuncType, ValType};
 
 /// A well-formedness violation found in a lowered body.
 ///
-/// `func` is the function index (flat index space, imports included) and
-/// `pc` the opcode index inside the body.
+/// `func` is the function index (imports included) and `pc` the opcode
+/// index inside the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum VerifyError {
@@ -69,31 +63,6 @@ pub enum VerifyError {
         /// The out-of-range target.
         target: u32,
     },
-    /// Two edges into the same pc disagree on the operand-stack height.
-    HeightMismatch {
-        /// Function index.
-        func: u32,
-        /// Opcode index whose entry height conflicts.
-        pc: u32,
-        /// Height established by the first edge seen.
-        expected: u32,
-        /// Height implied by the conflicting edge.
-        found: u32,
-    },
-    /// An opcode pops more values than the abstract stack holds.
-    StackUnderflow {
-        /// Function index.
-        func: u32,
-        /// Opcode index.
-        pc: u32,
-    },
-    /// A branch `keep`/`height` fix-up does not fit the abstract stack.
-    BadKeep {
-        /// Function index.
-        func: u32,
-        /// Opcode index.
-        pc: u32,
-    },
     /// A `br_table` has no entries (the dispatch loop indexes
     /// `entries[i.min(len - 1)]`, so an empty list cannot execute).
     TruncatedBrTable {
@@ -103,7 +72,8 @@ pub enum VerifyError {
         pc: u32,
     },
     /// Per-function arrays disagree in length (code vs. retirement
-    /// metadata, or an inconsistent frame layout).
+    /// metadata), the frame layout is inconsistent, or the body's
+    /// signature is not its declared type's.
     LengthMismatch {
         /// Function index.
         func: u32,
@@ -114,15 +84,6 @@ pub enum VerifyError {
         func: u32,
         /// Opcode index of the last op.
         pc: u32,
-    },
-    /// A local index (including fused-field immediates) is out of range.
-    BadLocalIndex {
-        /// Function index.
-        func: u32,
-        /// Opcode index.
-        pc: u32,
-        /// The out-of-range local index.
-        index: u32,
     },
     /// A global index is out of range.
     BadGlobalIndex {
@@ -202,24 +163,6 @@ impl std::fmt::Display for VerifyError {
             E::JumpOutOfBounds { func, pc, target } => {
                 write!(f, "func {func} pc {pc}: jump target {target} out of bounds")
             }
-            E::HeightMismatch {
-                func,
-                pc,
-                expected,
-                found,
-            } => write!(
-                f,
-                "func {func} pc {pc}: entry height mismatch (expected {expected}, found {found})"
-            ),
-            E::StackUnderflow { func, pc } => {
-                write!(f, "func {func} pc {pc}: operand stack underflow")
-            }
-            E::BadKeep { func, pc } => {
-                write!(
-                    f,
-                    "func {func} pc {pc}: branch keep/height fix-up exceeds stack"
-                )
-            }
             E::TruncatedBrTable { func, pc } => {
                 write!(f, "func {func} pc {pc}: br_table with no entries")
             }
@@ -228,9 +171,6 @@ impl std::fmt::Display for VerifyError {
             }
             E::MissingTerminator { func, pc } => {
                 write!(f, "func {func} pc {pc}: body can fall off the end")
-            }
-            E::BadLocalIndex { func, pc, index } => {
-                write!(f, "func {func} pc {pc}: local index {index} out of range")
             }
             E::BadGlobalIndex { func, pc, index } => {
                 write!(f, "func {func} pc {pc}: global index {index} out of range")
@@ -273,10 +213,11 @@ impl std::error::Error for VerifyError {}
 /// [`Instance::verify_stats`](crate::exec::Instance::verify_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyStats {
-    /// Function bodies verified (flat and register forms counted
-    /// separately).
+    /// Function bodies verified.
     pub funcs: u64,
-    /// Flat opcodes checked.
+    /// Always 0: the flat stream is compile-time scratch and is not
+    /// verified. Exists only because `benchmark/` reads it; goes with the
+    /// next benchmark PR.
     pub flat_ops: u64,
     /// Register opcodes checked.
     pub reg_ops: u64,
@@ -311,526 +252,36 @@ impl VerifyStats {
 }
 
 /// The module-level facts a body is verified against.
-pub(crate) struct ModuleCtx<'a> {
-    /// The function index space (imports and locals).
-    pub(crate) funcs: &'a [FlatFuncDef],
+struct ModuleCtx<'a> {
+    /// Function indices below this are imports.
+    n_imports: usize,
+    /// Type index of every function, imports first.
+    func_type_idx: &'a [u32],
     /// The module's type section.
-    pub(crate) types: &'a [FuncType],
+    types: &'a [FuncType],
     /// Declared globals.
-    pub(crate) global_types: &'a [ValType],
+    global_types: &'a [ValType],
     /// The memory's minimum size in bytes — the floor `mem.len()` never
     /// goes below, which anchors every in-bounds proof.
-    pub(crate) min_mem: u64,
+    min_mem: u64,
 }
 
 impl ModuleCtx<'_> {
     /// `(params, results)` of a function index, `None` if out of range.
-    pub(crate) fn call_arity(&self, func: u32) -> Option<(u32, u32)> {
-        Some(match self.funcs.get(func as usize)? {
-            FlatFuncDef::Import(imp) => (imp.params.len() as u32, imp.n_results as u32),
-            FlatFuncDef::Local(f) => (f.n_params, f.n_results),
-        })
+    fn call_arity(&self, func: u32) -> Option<(u32, u32)> {
+        self.type_arity(*self.func_type_idx.get(func as usize)?)
     }
 
     /// Whether a function index is an import, `None` if out of range.
-    pub(crate) fn is_import(&self, func: u32) -> Option<bool> {
-        Some(matches!(
-            self.funcs.get(func as usize)?,
-            FlatFuncDef::Import(_)
-        ))
+    fn is_import(&self, func: u32) -> Option<bool> {
+        ((func as usize) < self.func_type_idx.len()).then_some((func as usize) < self.n_imports)
     }
 
     /// `(params, results)` of a type index, `None` if out of range.
-    pub(crate) fn type_arity(&self, ti: u32) -> Option<(u32, u32)> {
+    fn type_arity(&self, ti: u32) -> Option<(u32, u32)> {
         let t = self.types.get(ti as usize)?;
         Some((t.params.len() as u32, t.results.len() as u32))
     }
-}
-
-/// Stack effect `(pops, pushes)` of a non-control flat opcode. This
-/// table is the verifier's own — it deliberately does not reuse the
-/// lowering's opcode classification, so the two derivations check each
-/// other.
-#[allow(clippy::too_many_lines)]
-fn flat_effect(op: &FlatOp) -> (u32, u32) {
-    use FlatOp as F;
-    match op {
-        F::Drop => (1, 0),
-        F::Select => (3, 1),
-        F::LocalGet(_) => (0, 1),
-        F::LocalSet(_) => (1, 0),
-        F::LocalTee(_) => (1, 1),
-        F::GlobalGet(_) => (0, 1),
-        F::GlobalSet(_) => (1, 0),
-
-        F::I32Load(_)
-        | F::I64Load(_)
-        | F::F32Load(_)
-        | F::F64Load(_)
-        | F::I32Load8S(_)
-        | F::I32Load8U(_)
-        | F::I32Load16S(_)
-        | F::I32Load16U(_)
-        | F::I64Load8S(_)
-        | F::I64Load8U(_)
-        | F::I64Load16S(_)
-        | F::I64Load16U(_)
-        | F::I64Load32S(_)
-        | F::I64Load32U(_) => (1, 1),
-        F::I32Store(_)
-        | F::I64Store(_)
-        | F::F32Store(_)
-        | F::F64Store(_)
-        | F::I32Store8(_)
-        | F::I32Store16(_)
-        | F::I64Store8(_)
-        | F::I64Store16(_)
-        | F::I64Store32(_) => (2, 0),
-
-        F::MemorySize => (0, 1),
-        F::MemoryGrow => (1, 1),
-        F::MemoryCopy | F::MemoryFill => (3, 0),
-        F::Const(_) => (0, 1),
-
-        F::FusedBinopLL { .. } | F::FusedBinopLK { .. } => (0, 1),
-        F::FusedBinopLLSet { .. } | F::FusedBinopLKSet { .. } | F::LocalCopy { .. } => (0, 0),
-        F::FusedBinopSL { .. } | F::FusedBinopKS { .. } => (1, 1),
-        F::FusedBinopSLSet { .. } => (1, 0),
-        F::FusedBinopSLStore { .. } => (2, 0),
-        F::FusedBinopLLStore { .. } => (1, 0),
-        F::FusedBinopSet { .. } => (2, 0),
-        F::FusedLoadL { .. } => (0, 1),
-        F::FusedStoreL { .. } => (1, 0),
-        F::FusedAddLoad { .. } => (2, 1),
-        F::FusedScaleAdd { .. } | F::FusedScaleAddLoad { .. } => (2, 1),
-        F::FusedIdxLAdd { .. } | F::FusedIdxLAddLoad { .. } => (2, 1),
-        F::FusedBinopStore { .. } => (3, 0),
-
-        F::I32Eqz | F::I64Eqz => (1, 1),
-        F::I32Eq
-        | F::I32Ne
-        | F::I32LtS
-        | F::I32LtU
-        | F::I32GtS
-        | F::I32GtU
-        | F::I32LeS
-        | F::I32LeU
-        | F::I32GeS
-        | F::I32GeU
-        | F::I64Eq
-        | F::I64Ne
-        | F::I64LtS
-        | F::I64LtU
-        | F::I64GtS
-        | F::I64GtU
-        | F::I64LeS
-        | F::I64LeU
-        | F::I64GeS
-        | F::I64GeU
-        | F::F32Eq
-        | F::F32Ne
-        | F::F32Lt
-        | F::F32Gt
-        | F::F32Le
-        | F::F32Ge
-        | F::F64Eq
-        | F::F64Ne
-        | F::F64Lt
-        | F::F64Gt
-        | F::F64Le
-        | F::F64Ge => (2, 1),
-
-        F::I32Add
-        | F::I32Sub
-        | F::I32Mul
-        | F::I32DivS
-        | F::I32DivU
-        | F::I32RemS
-        | F::I32RemU
-        | F::I32And
-        | F::I32Or
-        | F::I32Xor
-        | F::I32Shl
-        | F::I32ShrS
-        | F::I32ShrU
-        | F::I32Rotl
-        | F::I32Rotr
-        | F::I64Add
-        | F::I64Sub
-        | F::I64Mul
-        | F::I64DivS
-        | F::I64DivU
-        | F::I64RemS
-        | F::I64RemU
-        | F::I64And
-        | F::I64Or
-        | F::I64Xor
-        | F::I64Shl
-        | F::I64ShrS
-        | F::I64ShrU
-        | F::I64Rotl
-        | F::I64Rotr
-        | F::F32Add
-        | F::F32Sub
-        | F::F32Mul
-        | F::F32Div
-        | F::F32Min
-        | F::F32Max
-        | F::F32Copysign
-        | F::F64Add
-        | F::F64Sub
-        | F::F64Mul
-        | F::F64Div
-        | F::F64Min
-        | F::F64Max
-        | F::F64Copysign => (2, 1),
-
-        F::I32Clz
-        | F::I32Ctz
-        | F::I32Popcnt
-        | F::I64Clz
-        | F::I64Ctz
-        | F::I64Popcnt
-        | F::F32Abs
-        | F::F32Neg
-        | F::F32Ceil
-        | F::F32Floor
-        | F::F32Trunc
-        | F::F32Nearest
-        | F::F32Sqrt
-        | F::F64Abs
-        | F::F64Neg
-        | F::F64Ceil
-        | F::F64Floor
-        | F::F64Trunc
-        | F::F64Nearest
-        | F::F64Sqrt
-        | F::I32WrapI64
-        | F::I32TruncF32S
-        | F::I32TruncF32U
-        | F::I32TruncF64S
-        | F::I32TruncF64U
-        | F::I64ExtendI32S
-        | F::I64ExtendI32U
-        | F::I64TruncF32S
-        | F::I64TruncF32U
-        | F::I64TruncF64S
-        | F::I64TruncF64U
-        | F::F32ConvertI32S
-        | F::F32ConvertI32U
-        | F::F32ConvertI64S
-        | F::F32ConvertI64U
-        | F::F32DemoteF64
-        | F::F64ConvertI32S
-        | F::F64ConvertI32U
-        | F::F64ConvertI64S
-        | F::F64ConvertI64U
-        | F::F64PromoteF32
-        | F::I32ReinterpretF32
-        | F::I64ReinterpretF64
-        | F::F32ReinterpretI32
-        | F::F64ReinterpretI64
-        | F::I32Extend8S
-        | F::I32Extend16S
-        | F::I64Extend8S
-        | F::I64Extend16S
-        | F::I64Extend32S => (1, 1),
-
-        // Control ops never reach the effect table (handled inline by
-        // the walker); treat them as no-ops if they do.
-        F::Unreachable
-        | F::Jump { .. }
-        | F::JumpIfZero { .. }
-        | F::JumpIfNonZero { .. }
-        | F::Br { .. }
-        | F::BrIf { .. }
-        | F::BrTable { .. }
-        | F::Return
-        | F::CallLocal { .. }
-        | F::CallImport { .. }
-        | F::CallIndirect { .. }
-        | F::FusedCmpBrZ { .. }
-        | F::FusedCmpBrNZ { .. }
-        | F::FusedCmpBrLLZ { .. }
-        | F::FusedCmpBrLLNZ { .. }
-        | F::FusedCmpBrLKZ { .. }
-        | F::FusedCmpBrLKNZ { .. }
-        | F::FusedCmpBrSLZ { .. }
-        | F::FusedCmpBrSLNZ { .. } => (0, 0),
-    }
-}
-
-/// Linear index/bounds checks over every flat opcode, reachable or not
-/// (garbage in dead code is still rejected). Returns the number of
-/// branch edges seen, for [`VerifyStats`].
-#[allow(clippy::too_many_lines)]
-fn check_flat_indices(f: &FlatFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, VerifyError> {
-    use FlatOp as F;
-    let n = f.code.len() as u32;
-    let nl = f.n_locals;
-    let mut edges = 0u64;
-    for (pc, op) in f.code.iter().enumerate() {
-        let pc = pc as u32;
-        let target_ok = |edges: &mut u64, t: u32| {
-            *edges += 1;
-            if t < n {
-                Ok(())
-            } else {
-                Err(VerifyError::JumpOutOfBounds {
-                    func: fidx,
-                    pc,
-                    target: t,
-                })
-            }
-        };
-        let local_ok = |i: u32| {
-            if i < nl {
-                Ok(())
-            } else {
-                Err(VerifyError::BadLocalIndex {
-                    func: fidx,
-                    pc,
-                    index: i,
-                })
-            }
-        };
-        match op {
-            F::Jump { target }
-            | F::JumpIfZero { target }
-            | F::JumpIfNonZero { target }
-            | F::Br { target, .. }
-            | F::BrIf { target, .. }
-            | F::FusedCmpBrZ { target, .. }
-            | F::FusedCmpBrNZ { target, .. } => target_ok(&mut edges, *target)?,
-            F::BrTable { entries } => {
-                if entries.is_empty() {
-                    return Err(VerifyError::TruncatedBrTable { func: fidx, pc });
-                }
-                for e in entries.iter() {
-                    target_ok(&mut edges, e.target)?;
-                }
-            }
-            F::CallLocal { func } if ctx.is_import(*func) != Some(false) => {
-                return Err(VerifyError::BadFuncIndex {
-                    func: fidx,
-                    pc,
-                    index: *func,
-                });
-            }
-            F::CallImport { func } if ctx.is_import(*func) != Some(true) => {
-                return Err(VerifyError::BadFuncIndex {
-                    func: fidx,
-                    pc,
-                    index: *func,
-                });
-            }
-            F::CallIndirect { type_idx } if ctx.type_arity(*type_idx).is_none() => {
-                return Err(VerifyError::BadTypeIndex {
-                    func: fidx,
-                    pc,
-                    index: *type_idx,
-                });
-            }
-            F::LocalGet(i) | F::LocalSet(i) | F::LocalTee(i) => local_ok(*i)?,
-            F::GlobalGet(i) | F::GlobalSet(i) if (*i as usize) >= ctx.global_types.len() => {
-                return Err(VerifyError::BadGlobalIndex {
-                    func: fidx,
-                    pc,
-                    index: *i,
-                });
-            }
-            F::FusedBinopLL { a, b, .. } | F::FusedBinopLLStore { a, b, .. } => {
-                local_ok(*a)?;
-                local_ok(*b)?;
-            }
-            F::FusedBinopLK { a, .. } => local_ok(*a)?,
-            F::FusedBinopLLSet { a, b, dst, .. } => {
-                local_ok(*a)?;
-                local_ok(*b)?;
-                local_ok(*dst)?;
-            }
-            F::FusedBinopLKSet { a, dst, .. } => {
-                local_ok(*a)?;
-                local_ok(*dst)?;
-            }
-            F::FusedBinopSL { b, .. } | F::FusedBinopSLStore { b, .. } => local_ok(*b)?,
-            F::FusedBinopSLSet { b, dst, .. } => {
-                local_ok(*b)?;
-                local_ok(*dst)?;
-            }
-            F::FusedBinopSet { dst, .. } => local_ok(*dst)?,
-            F::LocalCopy { src, dst } => {
-                local_ok(*src)?;
-                local_ok(*dst)?;
-            }
-            F::FusedLoadL { addr, .. } => local_ok(*addr)?,
-            F::FusedStoreL { val, .. } => local_ok(*val)?,
-            F::FusedIdxLAdd { z, .. } | F::FusedIdxLAddLoad { z, .. } => local_ok(*z)?,
-            F::FusedCmpBrLLZ { a, b, target, .. } | F::FusedCmpBrLLNZ { a, b, target, .. } => {
-                local_ok(*a)?;
-                local_ok(*b)?;
-                target_ok(&mut edges, *target)?;
-            }
-            F::FusedCmpBrLKZ { a, target, .. } | F::FusedCmpBrLKNZ { a, target, .. } => {
-                local_ok(*a)?;
-                target_ok(&mut edges, *target)?;
-            }
-            F::FusedCmpBrSLZ { b, target, .. } | F::FusedCmpBrSLNZ { b, target, .. } => {
-                local_ok(*b)?;
-                target_ok(&mut edges, *target)?;
-            }
-            _ => {}
-        }
-    }
-    Ok(edges)
-}
-
-/// Worklist fixpoint over one flat body: derives the operand-stack
-/// entry height of every reachable pc while checking underflow, branch
-/// fix-ups, and height consistency at joins.
-#[allow(clippy::too_many_lines)]
-fn check_flat_heights(f: &FlatFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<(), VerifyError> {
-    use FlatOp as F;
-    let n = f.code.len();
-    let mut entry: Vec<Option<u32>> = vec![None; n];
-    let mut work: Vec<usize> = Vec::new();
-    if n > 0 {
-        entry[0] = Some(0);
-        work.push(0);
-    }
-    while let Some(pc) = work.pop() {
-        let h = entry[pc].expect("worklist pcs have a height");
-        let err_pc = pc as u32;
-        let underflow = || VerifyError::StackUnderflow {
-            func: fidx,
-            pc: err_pc,
-        };
-        // Records an edge `pc -> t` entering at height `th`; targets are
-        // already bounds-checked by the linear pass.
-        let flow = |entry: &mut Vec<Option<u32>>, work: &mut Vec<usize>, t: u32, th: u32| {
-            let t = t as usize;
-            match entry[t] {
-                None => {
-                    entry[t] = Some(th);
-                    work.push(t);
-                    Ok(())
-                }
-                Some(prev) if prev == th => Ok(()),
-                Some(prev) => Err(VerifyError::HeightMismatch {
-                    func: fidx,
-                    pc: t as u32,
-                    expected: prev,
-                    found: th,
-                }),
-            }
-        };
-        // `keep`/`height` fix-up legality against stack height `h`.
-        let fixup = |h: u32, keep: u32, height: u32| {
-            if keep > h {
-                return Err(underflow());
-            }
-            if height.checked_add(keep).is_none_or(|hk| hk > h) {
-                return Err(VerifyError::BadKeep {
-                    func: fidx,
-                    pc: err_pc,
-                });
-            }
-            Ok(height + keep)
-        };
-        // Fallthrough to `pc + 1` at height `th`; off the end means the
-        // body is missing a terminator.
-        macro_rules! fall {
-            ($th:expr) => {{
-                if pc + 1 >= n {
-                    return Err(VerifyError::MissingTerminator {
-                        func: fidx,
-                        pc: err_pc,
-                    });
-                }
-                flow(&mut entry, &mut work, (pc + 1) as u32, $th)?;
-            }};
-        }
-        match &f.code[pc] {
-            F::Unreachable => {}
-            F::Jump { target } => flow(&mut entry, &mut work, *target, h)?,
-            F::JumpIfZero { target } | F::JumpIfNonZero { target } => {
-                let h1 = h.checked_sub(1).ok_or_else(underflow)?;
-                flow(&mut entry, &mut work, *target, h1)?;
-                fall!(h1);
-            }
-            F::Br {
-                target,
-                keep,
-                height,
-            } => {
-                let th = fixup(h, *keep, *height)?;
-                flow(&mut entry, &mut work, *target, th)?;
-            }
-            F::BrIf {
-                target,
-                keep,
-                height,
-            } => {
-                let h1 = h.checked_sub(1).ok_or_else(underflow)?;
-                let th = fixup(h1, *keep, *height)?;
-                flow(&mut entry, &mut work, *target, th)?;
-                fall!(h1);
-            }
-            F::BrTable { entries } => {
-                let h1 = h.checked_sub(1).ok_or_else(underflow)?;
-                for e in entries.iter() {
-                    let th = fixup(h1, e.keep, e.height)?;
-                    flow(&mut entry, &mut work, e.target, th)?;
-                }
-            }
-            F::Return => {
-                if h < f.n_results {
-                    return Err(underflow());
-                }
-            }
-            F::CallLocal { func } | F::CallImport { func } => {
-                let (np, nr) = ctx.call_arity(*func).ok_or(VerifyError::BadFuncIndex {
-                    func: fidx,
-                    pc: err_pc,
-                    index: *func,
-                })?;
-                let h1 = h.checked_sub(np).ok_or_else(underflow)?;
-                fall!(h1 + nr);
-            }
-            F::CallIndirect { type_idx } => {
-                let (np, nr) = ctx.type_arity(*type_idx).ok_or(VerifyError::BadTypeIndex {
-                    func: fidx,
-                    pc: err_pc,
-                    index: *type_idx,
-                })?;
-                let h1 = h.checked_sub(np + 1).ok_or_else(underflow)?;
-                fall!(h1 + nr);
-            }
-            F::FusedCmpBrZ { target, .. } | F::FusedCmpBrNZ { target, .. } => {
-                let h1 = h.checked_sub(2).ok_or_else(underflow)?;
-                flow(&mut entry, &mut work, *target, h1)?;
-                fall!(h1);
-            }
-            F::FusedCmpBrLLZ { target, .. }
-            | F::FusedCmpBrLLNZ { target, .. }
-            | F::FusedCmpBrLKZ { target, .. }
-            | F::FusedCmpBrLKNZ { target, .. } => {
-                flow(&mut entry, &mut work, *target, h)?;
-                fall!(h);
-            }
-            F::FusedCmpBrSLZ { target, .. } | F::FusedCmpBrSLNZ { target, .. } => {
-                let h1 = h.checked_sub(1).ok_or_else(underflow)?;
-                flow(&mut entry, &mut work, *target, h1)?;
-                fall!(h1);
-            }
-            op => {
-                let (pops, pushes) = flat_effect(op);
-                let h1 = h.checked_sub(pops).ok_or_else(underflow)?;
-                fall!(h1 + pushes);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Dense bitset over frame slots, one per pc in the dataflow.
@@ -863,15 +314,12 @@ fn bit_meet(dst: &mut [u64], src: &[u64]) -> bool {
     changed
 }
 
-/// Verifies one register body: frame-slot bounds, jump targets, call
-/// frame bases, and the definite-assignment dataflow (no read of a
-/// frame slot some path never wrote). Returns the branch-edge count.
+/// Verifies one register body: frame-slot bounds, jump targets, index
+/// ranges, call frame bases, and the definite-assignment dataflow (no
+/// read of a frame slot some path never wrote). Returns the branch-edge
+/// count.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn verify_reg_func(
-    f: &RegFunc,
-    ctx: &ModuleCtx<'_>,
-    fidx: u32,
-) -> Result<u64, VerifyError> {
+fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, VerifyError> {
     use RegOp as R;
     let n = f.code.len();
     let fs = f.frame_size;
@@ -1009,10 +457,18 @@ pub(crate) fn verify_reg_func(
                 slot_ok(u32::from(*src))?;
                 slot_ok(u32::from(*dst))?;
             }
-            R::Const { dst, .. } | R::GlobalGet { dst, .. } | R::MemorySize { dst } => {
-                slot_ok(u32::from(*dst))?
+            R::Const { dst, .. } | R::MemorySize { dst } => slot_ok(u32::from(*dst))?,
+            // `dst` of a get, `src` of a set.
+            R::GlobalGet { idx, dst: slot } | R::GlobalSet { idx, src: slot } => {
+                if *idx as usize >= ctx.global_types.len() {
+                    return Err(VerifyError::BadGlobalIndex {
+                        func: fidx,
+                        pc,
+                        index: *idx,
+                    });
+                }
+                slot_ok(u32::from(*slot))?;
             }
-            R::GlobalSet { src, .. } => slot_ok(u32::from(*src))?,
             R::Load { addr, dst, .. }
             | R::LoadI32R { addr, dst, .. }
             | R::LoadF64R { addr, dst, .. }
@@ -1401,64 +857,67 @@ pub(crate) fn verify_reg_func(
     Ok(edges)
 }
 
-/// Verifies every body of a compiled module — the structure of the flat
-/// IR, the register form (when present), and the in-bounds proof
-/// obligation of every check-free register opcode.
+/// Verifies every register body of a compiled module and the in-bounds
+/// proof obligation of every check-free opcode. A module without a
+/// register program runs on the tree oracle and has nothing to verify.
 pub(crate) fn verify_module(
-    flat: &FlatModule,
+    cm: &CompiledModule,
     types: &[FuncType],
 ) -> Result<VerifyStats, VerifyError> {
     let ctx = ModuleCtx {
-        funcs: &flat.funcs,
+        n_imports: cm.imports.len(),
+        func_type_idx: &cm.func_type_idx,
         types,
-        global_types: &flat.global_types,
-        min_mem: flat.min_mem,
+        global_types: &cm.global_types,
+        min_mem: cm.min_mem,
     };
     let mut stats = VerifyStats::default();
-    for (i, def) in flat.funcs.iter().enumerate() {
-        let fidx = i as u32;
-        let FlatFuncDef::Local(f) = def else { continue };
-        // The register pass folds the flat retirement table into its own
-        // (checked with the register body below) and keeps none.
-        if flat.reg.is_none() && f.code.len() != f.prof.len() {
-            return Err(VerifyError::LengthMismatch { func: fidx });
-        }
-        stats.branch_targets += check_flat_indices(f, &ctx, fidx)?;
-        check_flat_heights(f, &ctx, fidx)?;
-        stats.funcs += 1;
-        stats.flat_ops += f.code.len() as u64;
+    let Some(prog) = &cm.reg else {
+        return Ok(stats);
+    };
+    if prog.funcs.len() != cm.func_type_idx.len() {
+        return Err(VerifyError::LengthMismatch {
+            func: prog.funcs.len() as u32,
+        });
     }
     let mut range = analysis::RangeScratch::default();
     let mut is_target = Vec::new();
-    if let Some(prog) = &flat.reg {
-        if prog.funcs.len() != flat.funcs.len() {
-            return Err(VerifyError::LengthMismatch {
-                func: prog.funcs.len() as u32,
-            });
+    for (i, rf) in prog.funcs.iter().enumerate() {
+        let fidx = i as u32;
+        // Exactly the imports lack a body: the dispatch loop takes a
+        // missing one for a host call.
+        if rf.is_none() != (i < cm.imports.len()) {
+            return Err(VerifyError::LengthMismatch { func: fidx });
         }
-        for (i, rf) in prog.funcs.iter().enumerate() {
-            let fidx = i as u32;
-            let Some(f) = rf else { continue };
-            stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
-            stats.funcs += 1;
-            stats.reg_ops += f.code.len() as u64;
-            if f.code.iter().any(RegOp::is_check_free) {
-                analysis::reg_targets(&f.code, &mut is_target);
-                let proofs = analysis::reg_proofs(f, ctx.min_mem, &is_target, &mut range);
-                for (pc, op) in f.code.iter().enumerate() {
-                    if !op.is_check_free() {
-                        continue;
-                    }
-                    stats.obligations += 1;
-                    let proven = proofs
-                        .binary_search_by_key(&(pc as u32), |site| site.0)
-                        .is_ok_and(|i| proofs[i].1.is_proven());
-                    if !proven {
-                        return Err(VerifyError::UnprovenCheckFree {
-                            func: fidx,
-                            pc: pc as u32,
-                        });
-                    }
+        let Some(f) = rf else { continue };
+        // Callers place arguments and read results by the declared type.
+        let declared = types.get(cm.func_type_idx[i] as usize);
+        if !declared.is_some_and(|t| {
+            t.params.len() == f.n_params as usize
+                && t.results.len() == f.n_results as usize
+                && t.results[..] == f.result_types[..]
+        }) {
+            return Err(VerifyError::LengthMismatch { func: fidx });
+        }
+        stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
+        stats.funcs += 1;
+        stats.reg_ops += f.code.len() as u64;
+        if f.code.iter().any(RegOp::is_check_free) {
+            analysis::reg_targets(&f.code, &mut is_target);
+            let proofs = analysis::reg_proofs(f, ctx.min_mem, &is_target, &mut range);
+            for (pc, op) in f.code.iter().enumerate() {
+                if !op.is_check_free() {
+                    continue;
+                }
+                stats.obligations += 1;
+                let proven = proofs
+                    .binary_search_by_key(&(pc as u32), |site| site.0)
+                    .is_ok_and(|i| proofs[i].1.is_proven());
+                if !proven {
+                    return Err(VerifyError::UnprovenCheckFree {
+                        func: fidx,
+                        pc: pc as u32,
+                    });
                 }
             }
         }
@@ -1479,18 +938,6 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
     // ---- hand-built IR helpers --------------------------------------
-
-    fn ffunc(n_params: u32, n_locals: u32, n_results: u32, code: Vec<FlatOp>) -> FlatFunc {
-        let prof = vec![ProfOp::zero(); code.len()].into_boxed_slice();
-        FlatFunc {
-            n_params,
-            n_locals,
-            n_results,
-            result_types: vec![ValType::I32; n_results as usize].into(),
-            code: code.into_boxed_slice(),
-            prof,
-        }
-    }
 
     fn rfunc(
         n_params: u32,
@@ -1513,151 +960,41 @@ mod tests {
 
     fn ctx() -> ModuleCtx<'static> {
         ModuleCtx {
-            funcs: &[],
+            n_imports: 0,
+            func_type_idx: &[],
             types: &[],
             global_types: &[],
             min_mem: 65536,
         }
     }
 
-    fn bare_module(funcs: Vec<FlatFuncDef>, min_mem: u64) -> FlatModule {
-        FlatModule {
-            funcs,
-            func_type_idx: Box::new([]),
+    /// A module of local functions with the given register bodies, and the
+    /// type section (one all-i32 type per body) it is verified against.
+    fn bare_module(funcs: Vec<RegFunc>, min_mem: u64) -> (CompiledModule, Vec<FuncType>) {
+        let types = funcs
+            .iter()
+            .map(|f| FuncType {
+                params: vec![ValType::I32; f.n_params as usize],
+                results: f.result_types.to_vec(),
+            })
+            .collect();
+        let cm = CompiledModule {
+            imports: Box::new([]),
+            func_type_idx: (0..funcs.len() as u32).collect(),
             global_types: Box::new([]),
             fusion: crate::FusionStats::default(),
-            reg: None,
+            reg: Some(crate::reg::RegProgram {
+                funcs: funcs.into_iter().map(Some).collect(),
+                stats: crate::RegStats::default(),
+            }),
             min_mem,
             analysis: crate::RangeStats::default(),
             times: crate::CompileTimes::default(),
-        }
+        };
+        (cm, types)
     }
 
     // ---- negative corpus: every error variant, hand-crafted ---------
-
-    #[test]
-    fn rejects_flat_index_violations() {
-        use FlatOp as F;
-        let c = ctx();
-        let f = ffunc(0, 0, 0, vec![F::Jump { target: 9 }, F::Return]);
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::JumpOutOfBounds { target: 9, .. })
-        ));
-
-        let f = ffunc(
-            0,
-            0,
-            0,
-            vec![
-                F::Const(0),
-                F::BrTable {
-                    entries: Vec::new().into_boxed_slice(),
-                },
-                F::Return,
-            ],
-        );
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::TruncatedBrTable { pc: 1, .. })
-        ));
-
-        let f = ffunc(0, 1, 0, vec![F::LocalGet(3), F::Drop, F::Return]);
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::BadLocalIndex { index: 3, .. })
-        ));
-
-        let f = ffunc(0, 0, 0, vec![F::GlobalGet(0), F::Drop, F::Return]);
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::BadGlobalIndex { index: 0, .. })
-        ));
-
-        let f = ffunc(0, 0, 0, vec![F::CallLocal { func: 5 }, F::Return]);
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::BadFuncIndex { index: 5, .. })
-        ));
-
-        let f = ffunc(
-            0,
-            0,
-            0,
-            vec![F::Const(0), F::CallIndirect { type_idx: 9 }, F::Return],
-        );
-        assert!(matches!(
-            check_flat_indices(&f, &c, 0),
-            Err(VerifyError::BadTypeIndex { index: 9, .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_flat_stack_violations() {
-        use FlatOp as F;
-        let c = ctx();
-        // Drop on an empty stack.
-        let f = ffunc(0, 0, 0, vec![F::Drop, F::Return]);
-        assert!(matches!(
-            check_flat_heights(&f, &c, 0),
-            Err(VerifyError::StackUnderflow { pc: 0, .. })
-        ));
-
-        // Return without its result value.
-        let f = ffunc(0, 0, 1, vec![F::Return]);
-        assert!(matches!(
-            check_flat_heights(&f, &c, 0),
-            Err(VerifyError::StackUnderflow { pc: 0, .. })
-        ));
-
-        // keep/height fix-up that does not fit the abstract stack.
-        let f = ffunc(
-            0,
-            0,
-            0,
-            vec![
-                F::Const(1),
-                F::Br {
-                    target: 0,
-                    keep: 1,
-                    height: 1,
-                },
-            ],
-        );
-        assert!(matches!(
-            check_flat_heights(&f, &c, 0),
-            Err(VerifyError::BadKeep { pc: 1, .. })
-        ));
-
-        // Two edges into pc 0 disagreeing on the entry height.
-        let f = ffunc(
-            0,
-            0,
-            0,
-            vec![
-                F::Const(1),
-                F::Const(1),
-                F::JumpIfZero { target: 0 },
-                F::Return,
-            ],
-        );
-        assert!(matches!(
-            check_flat_heights(&f, &c, 0),
-            Err(VerifyError::HeightMismatch {
-                pc: 0,
-                expected: 0,
-                found: 1,
-                ..
-            })
-        ));
-
-        // Execution falling off the end of the body.
-        let f = ffunc(0, 0, 0, vec![F::Const(1)]);
-        assert!(matches!(
-            check_flat_heights(&f, &c, 0),
-            Err(VerifyError::MissingTerminator { pc: 0, .. })
-        ));
-    }
 
     #[test]
     fn rejects_reg_frame_violations() {
@@ -1702,6 +1039,27 @@ mod tests {
             Err(VerifyError::TruncatedBrTable { pc: 0, .. })
         ));
 
+        // A branch value transfer longer than the frame.
+        let f = rfunc(
+            0,
+            1,
+            0,
+            1,
+            vec![
+                R::BrMoves {
+                    target: 1,
+                    src: 0,
+                    dst: 0,
+                    keep: 1025,
+                },
+                R::Return { src: 0 },
+            ],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0),
+            Err(VerifyError::SlotOutOfFrame { slot: 1024, .. })
+        ));
+
         let f = rfunc(0, 0, 1, 2, vec![R::Return { src: 2 }]);
         assert!(matches!(
             verify_reg_func(&f, &c, 0),
@@ -1739,12 +1097,40 @@ mod tests {
             Err(VerifyError::BadTypeIndex { index: 9, .. })
         ));
 
+        // A global index past the (empty) global section: the dispatch
+        // loop indexes `globals[idx]` unchecked.
+        let f = rfunc(
+            0,
+            0,
+            0,
+            1,
+            vec![R::GlobalGet { idx: 0, dst: 0 }, R::Return { src: 0 }],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0),
+            Err(VerifyError::BadGlobalIndex { index: 0, .. })
+        ));
+        let f = rfunc(
+            0,
+            1,
+            0,
+            1,
+            vec![R::GlobalSet { idx: 3, src: 0 }, R::Return { src: 0 }],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0),
+            Err(VerifyError::BadGlobalIndex { index: 3, .. })
+        ));
+
         // A call whose frame base leaves no room for the arguments.
-        let callee = ffunc(2, 2, 1, vec![FlatOp::Const(0), FlatOp::Return]);
-        let defs = [FlatFuncDef::Local(callee)];
+        let callee_ty = [FuncType {
+            params: vec![ValType::I32; 2],
+            results: vec![ValType::I32],
+        }];
         let c2 = ModuleCtx {
-            funcs: &defs,
-            types: &[],
+            n_imports: 0,
+            func_type_idx: &[0],
+            types: &callee_ty,
             global_types: &[],
             min_mem: 0,
         };
@@ -1818,18 +1204,34 @@ mod tests {
 
     #[test]
     fn rejects_skewed_metadata_and_unproven_checkfree() {
-        // code/prof length skew surfaces at the module level.
-        let mut f = ffunc(0, 0, 0, vec![FlatOp::Return]);
-        f.prof = Box::new([]);
-        let fm = bare_module(vec![FlatFuncDef::Local(f)], 65536);
+        // A body whose signature is not its declared type's, and a program
+        // that does not cover the function space, surface at the module
+        // level.
+        let ret = || rfunc(0, 0, 1, 1, vec![RegOp::Return { src: 0 }]);
+        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        cm.reg.as_mut().unwrap().funcs[0]
+            .as_mut()
+            .unwrap()
+            .n_results = 0;
         assert!(matches!(
-            verify_module(&fm, &[]),
+            verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 0 })
+        ));
+        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        cm.reg.as_mut().unwrap().funcs = Box::new([None]);
+        assert!(matches!(
+            verify_module(&cm, &types),
+            Err(VerifyError::LengthMismatch { func: 0 })
+        ));
+        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        cm.func_type_idx = Box::new([0, 0]);
+        assert!(matches!(
+            verify_module(&cm, &types),
+            Err(VerifyError::LengthMismatch { func: 1 })
         ));
 
         // A check-free load whose in-bounds proof cannot be re-derived.
         let checkfree = |offset: u32| {
-            let flat = ffunc(0, 0, 1, vec![FlatOp::Const(0), FlatOp::Return]);
             let reg = rfunc(
                 0,
                 0,
@@ -1845,42 +1247,44 @@ mod tests {
                     RegOp::Return { src: 1 },
                 ],
             );
-            let mut fm = bare_module(vec![FlatFuncDef::Local(flat)], 65536);
-            fm.reg = Some(crate::reg::RegProgram {
-                funcs: Box::new([Some(reg)]),
-                stats: crate::RegStats::default(),
-            });
-            fm
+            bare_module(vec![reg], 65536)
         };
+        let (cm, types) = checkfree(70_000);
         assert!(matches!(
-            verify_module(&checkfree(70_000), &[]),
+            verify_module(&cm, &types),
             Err(VerifyError::UnprovenCheckFree { func: 0, pc: 1 })
         ));
 
         // The same shape with a provable constant address verifies.
-        let stats = verify_module(&checkfree(0), &[]).expect("interval proof re-derived");
+        let (cm, types) = checkfree(0);
+        let stats = verify_module(&cm, &types).expect("interval proof re-derived");
         assert_eq!(stats.obligations, 1);
     }
 
     // ---- corpus modules for the mutation harness --------------------
 
-    /// i32 kernel exercising every flat/register shape the mutation
-    /// operators attack: a constant-address load (interval proof), a
+    /// i32 kernel exercising every register shape the mutation operators
+    /// attack: a constant-address load (interval proof), a
     /// store-then-reload loop (subsumption proof), a three-way
-    /// `br_table`, a value-carrying `br_if`, a direct call, and a
-    /// global round-trip.
+    /// `br_table`, a value-carrying `br_if`, a direct call, two indirect
+    /// ones (one of a `() -> ()` type, so nothing downstream depends on
+    /// its arity), and a global round-trip.
     fn mix_module() -> Module {
         use Instr as I;
         let mut b = ModuleBuilder::new();
         let bin = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
         let un = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let void = b.add_type(&[], &[]);
         b.add_memory(1, Some(1));
+        b.add_table(2, Some(2));
         b.add_global(ValType::I32, true, I::I32Const(0));
         let helper = b.add_func(
             bin,
             &[],
             vec![I::LocalGet(0), I::LocalGet(1), I::I32Add, I::End],
         );
+        let nop = b.add_func(void, &[], vec![I::End]);
+        b.add_elems(0, &[helper, nop]);
         let m = MemArg {
             align: 2,
             offset: 0,
@@ -1947,7 +1351,7 @@ mod tests {
                 I::End,
                 // A value-carrying conditional branch with a scratch
                 // value beneath it, so the taken edge needs a real
-                // keep/height fix-up (flat BrIf{keep: 1}).
+                // value transfer (`BrIfMoves { keep: 1 }`).
                 I::Block(BlockType::Value(ValType::I32)),
                 I::LocalGet(2),
                 I::LocalGet(2),
@@ -1958,11 +1362,25 @@ mod tests {
                 I::I32Const(99),
                 I::End,
                 I::LocalSet(2),
-                // acc = add(acc, n), then round-trip through the global.
+                // acc = add(acc, n), directly and through the table, then
+                // round-trip through the global.
                 I::LocalGet(2),
                 I::LocalGet(0),
                 I::Call(helper),
                 I::LocalSet(2),
+                I::LocalGet(2),
+                I::LocalGet(0),
+                I::I32Const(0),
+                I::CallIndirect {
+                    type_idx: bin,
+                    table: 0,
+                },
+                I::LocalSet(2),
+                I::I32Const(1),
+                I::CallIndirect {
+                    type_idx: void,
+                    table: 0,
+                },
                 I::LocalGet(2),
                 I::GlobalSet(0),
                 I::GlobalGet(0),
@@ -2045,7 +1463,11 @@ mod tests {
             .index
     }
 
-    fn run_engine(fm: &FlatModule, module: &Module, args: &[Value]) -> Result<Vec<Value>, Trap> {
+    fn run_engine(
+        fm: &CompiledModule,
+        module: &Module,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
         let lim = module.memories.first();
         let mut memory = Memory::new(lim.map_or(0, |l| l.min), lim.and_then(|l| l.max));
         let mut globals: Vec<Value> = module.globals.iter().map(|g| const_val(&g.init)).collect();
@@ -2086,7 +1508,7 @@ mod tests {
     #[test]
     fn corpus_elides_and_reverifies() {
         for (name, module) in [("mix", mix_module()), ("axpy", axpy_module())] {
-            let on = FlatModule::compile_full(&module, true, true, true).unwrap();
+            let on = CompiledModule::compile_full(&module, true, true, true).unwrap();
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
             assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
             assert!(
@@ -2096,7 +1518,7 @@ mod tests {
             let stats = verify_module(&on, &module.types).expect("elided module verifies");
             assert!(stats.obligations >= 1, "{name}: {stats:?}");
 
-            let off = FlatModule::compile_full(&module, true, true, false).unwrap();
+            let off = CompiledModule::compile_full(&module, true, true, false).unwrap();
             assert_eq!(off.analysis.elided, 0, "{name}");
             assert_eq!(off.analysis.proven(), on.analysis.proven(), "{name}");
             assert!(reg_sites(&off, RegOp::is_check_free).is_empty(), "{name}");
@@ -2111,7 +1533,7 @@ mod tests {
             }
         }
         // The mix preamble is the interval case specifically.
-        let fm = FlatModule::compile_full(&mix_module(), true, true, true).unwrap();
+        let fm = CompiledModule::compile_full(&mix_module(), true, true, true).unwrap();
         assert!(fm.analysis.proven_interval > 0, "{:?}", fm.analysis);
         assert!(fm.analysis.proven_subsumed > 0, "{:?}", fm.analysis);
     }
@@ -2135,21 +1557,7 @@ mod tests {
         }
     }
 
-    fn flat_sites(fm: &FlatModule, pred: impl Fn(&FlatOp) -> bool) -> Vec<(usize, usize)> {
-        let mut v = Vec::new();
-        for (fi, def) in fm.funcs.iter().enumerate() {
-            if let FlatFuncDef::Local(f) = def {
-                for (pc, op) in f.code.iter().enumerate() {
-                    if pred(op) {
-                        v.push((fi, pc));
-                    }
-                }
-            }
-        }
-        v
-    }
-
-    fn reg_sites(fm: &FlatModule, pred: impl Fn(&RegOp) -> bool) -> Vec<(usize, usize)> {
+    fn reg_sites(fm: &CompiledModule, pred: impl Fn(&RegOp) -> bool) -> Vec<(usize, usize)> {
         let mut v = Vec::new();
         if let Some(prog) = &fm.reg {
             for (fi, rf) in prog.funcs.iter().enumerate() {
@@ -2165,57 +1573,10 @@ mod tests {
         v
     }
 
-    fn flat_body_mut(fm: &mut FlatModule, fi: usize) -> &mut FlatFunc {
-        match &mut fm.funcs[fi] {
-            FlatFuncDef::Local(f) => f,
-            FlatFuncDef::Import(_) => unreachable!("sites only name local functions"),
-        }
-    }
-
-    fn reg_body_mut(fm: &mut FlatModule, fi: usize) -> &mut RegFunc {
+    fn reg_body_mut(fm: &mut CompiledModule, fi: usize) -> &mut RegFunc {
         fm.reg.as_mut().expect("register program present").funcs[fi]
             .as_mut()
             .expect("sites only name lowered functions")
-    }
-
-    fn flat_has_target(op: &FlatOp) -> bool {
-        use FlatOp as F;
-        matches!(
-            op,
-            F::Jump { .. }
-                | F::JumpIfZero { .. }
-                | F::JumpIfNonZero { .. }
-                | F::Br { .. }
-                | F::BrIf { .. }
-                | F::FusedCmpBrZ { .. }
-                | F::FusedCmpBrNZ { .. }
-                | F::FusedCmpBrLLZ { .. }
-                | F::FusedCmpBrLLNZ { .. }
-                | F::FusedCmpBrLKZ { .. }
-                | F::FusedCmpBrLKNZ { .. }
-                | F::FusedCmpBrSLZ { .. }
-                | F::FusedCmpBrSLNZ { .. }
-        )
-    }
-
-    fn flat_target_mut(op: &mut FlatOp) -> Option<&mut u32> {
-        use FlatOp as F;
-        match op {
-            F::Jump { target }
-            | F::JumpIfZero { target }
-            | F::JumpIfNonZero { target }
-            | F::Br { target, .. }
-            | F::BrIf { target, .. }
-            | F::FusedCmpBrZ { target, .. }
-            | F::FusedCmpBrNZ { target, .. }
-            | F::FusedCmpBrLLZ { target, .. }
-            | F::FusedCmpBrLLNZ { target, .. }
-            | F::FusedCmpBrLKZ { target, .. }
-            | F::FusedCmpBrLKNZ { target, .. }
-            | F::FusedCmpBrSLZ { target, .. }
-            | F::FusedCmpBrSLNZ { target, .. } => Some(target),
-            _ => None,
-        }
     }
 
     fn reg_has_target(op: &RegOp) -> bool {
@@ -2265,11 +1626,9 @@ mod tests {
         }
     }
 
-    fn callee_max_arity(fm: &FlatModule, func: u32) -> u32 {
-        match &fm.funcs[func as usize] {
-            FlatFuncDef::Import(imp) => (imp.params.len() as u32).max(imp.n_results as u32),
-            FlatFuncDef::Local(f) => f.n_params.max(f.n_results),
-        }
+    fn callee_max_arity(fm: &CompiledModule, types: &[FuncType], func: u32) -> usize {
+        let ty = &types[fm.func_type_idx[func as usize] as usize];
+        ty.params.len().max(ty.results.len())
     }
 
     fn pick(v: &[(usize, usize)], rng: &mut Rng) -> Option<(usize, usize)> {
@@ -2282,7 +1641,8 @@ mod tests {
 
     /// `(operator, must_reject)`. Every structural operator produces a
     /// value that is out of range *by construction* (targets past the
-    /// body, slots past the frame, offsets past `min_mem`), so a sound
+    /// body, slots past the frame, indices past their section, offsets
+    /// past `min_mem`), so a sound
     /// verifier must reject it; `reg-prof-tweak` only touches retirement
     /// metadata the engine never reads on the result path, so a sound
     /// verifier must accept it and execution must stay bit-equal to the
@@ -2291,10 +1651,10 @@ mod tests {
     /// behavior silently changes, which would make the harness flaky
     /// rather than a soundness proof.
     const OPERATORS: [(&str, bool); 11] = [
-        ("flat-retarget-oob", true),
-        ("flat-keep-bomb", true),
-        ("flat-table-empty", true),
-        ("flat-local-oob", true),
+        ("reg-global-oob", true),
+        ("reg-keep-bomb", true),
+        ("reg-func-oob", true),
+        ("reg-type-oob", true),
         ("reg-slot-oob", true),
         ("reg-retarget-oob", true),
         ("reg-return-src-bomb", true),
@@ -2305,27 +1665,21 @@ mod tests {
     ];
 
     #[allow(clippy::too_many_lines)]
-    fn apply_mutation(fm: &mut FlatModule, rng: &mut Rng) -> Option<(&'static str, bool)> {
+    fn apply_mutation(
+        fm: &mut CompiledModule,
+        types: &[FuncType],
+        rng: &mut Rng,
+    ) -> Option<(&'static str, bool)> {
         let (name, must_reject) = OPERATORS[rng.below(OPERATORS.len() as u64) as usize];
         let applied = match name {
-            "flat-retarget-oob" => {
-                let sites = flat_sites(fm, flat_has_target);
-                if let Some((fi, pc)) = pick(&sites, rng) {
-                    let f = flat_body_mut(fm, fi);
-                    let oob = f.code.len() as u32 + 1 + rng.below(7) as u32;
-                    *flat_target_mut(&mut f.code[pc]).expect("site has a target") = oob;
-                    true
-                } else {
-                    false
-                }
-            }
-            "flat-keep-bomb" => {
-                let sites = flat_sites(fm, |op| {
-                    matches!(op, FlatOp::Br { .. } | FlatOp::BrIf { .. })
+            "reg-global-oob" => {
+                let sites = reg_sites(fm, |op| {
+                    matches!(op, RegOp::GlobalGet { .. } | RegOp::GlobalSet { .. })
                 });
                 if let Some((fi, pc)) = pick(&sites, rng) {
-                    match &mut flat_body_mut(fm, fi).code[pc] {
-                        FlatOp::Br { keep, .. } | FlatOp::BrIf { keep, .. } => *keep += 1024,
+                    let oob = fm.global_types.len() as u32 + rng.below(3) as u32;
+                    match &mut reg_body_mut(fm, fi).code[pc] {
+                        RegOp::GlobalGet { idx, .. } | RegOp::GlobalSet { idx, .. } => *idx = oob,
                         _ => unreachable!(),
                     }
                     true
@@ -2333,22 +1687,62 @@ mod tests {
                     false
                 }
             }
-            "flat-table-empty" => {
-                let sites = flat_sites(fm, |op| matches!(op, FlatOp::BrTable { .. }));
+            "reg-keep-bomb" => {
+                let sites = reg_sites(fm, |op| {
+                    matches!(
+                        op,
+                        RegOp::BrMoves { .. } | RegOp::BrIfMoves { .. } | RegOp::BrTable { .. }
+                    )
+                });
                 if let Some((fi, pc)) = pick(&sites, rng) {
-                    if let FlatOp::BrTable { entries } = &mut flat_body_mut(fm, fi).code[pc] {
-                        *entries = Vec::new().into_boxed_slice();
+                    match &mut reg_body_mut(fm, fi).code[pc] {
+                        RegOp::BrMoves { keep, .. } | RegOp::BrIfMoves { keep, .. } => {
+                            *keep += 1024;
+                        }
+                        RegOp::BrTable { entries, .. } => {
+                            let arm = rng.below(entries.len() as u64) as usize;
+                            entries[arm].keep += 1024;
+                        }
+                        _ => unreachable!(),
                     }
                     true
                 } else {
                     false
                 }
             }
-            "flat-local-oob" => {
-                let sites = flat_sites(fm, |_| true);
+            "reg-func-oob" => {
+                let sites = reg_sites(fm, |op| {
+                    matches!(op, RegOp::CallLocal { .. } | RegOp::CallImport { .. })
+                });
                 if let Some((fi, pc)) = pick(&sites, rng) {
-                    let f = flat_body_mut(fm, fi);
-                    f.code[pc] = FlatOp::LocalGet(f.n_locals + 1 + rng.below(3) as u32);
+                    let oob = fm.func_type_idx.len() as u32 + rng.below(3) as u32;
+                    let wrong_kind = rng.below(2) == 0;
+                    let op = &mut reg_body_mut(fm, fi).code[pc];
+                    *op = match *op {
+                        // The same index under the other opcode names the
+                        // wrong kind of function.
+                        RegOp::CallLocal { func, base } if wrong_kind => {
+                            RegOp::CallImport { func, base }
+                        }
+                        RegOp::CallImport { func, base } if wrong_kind => {
+                            RegOp::CallLocal { func, base }
+                        }
+                        RegOp::CallLocal { base, .. } => RegOp::CallLocal { func: oob, base },
+                        RegOp::CallImport { base, .. } => RegOp::CallImport { func: oob, base },
+                        _ => unreachable!(),
+                    };
+                    true
+                } else {
+                    false
+                }
+            }
+            "reg-type-oob" => {
+                let sites = reg_sites(fm, |op| matches!(op, RegOp::CallIndirect { .. }));
+                if let Some((fi, pc)) = pick(&sites, rng) {
+                    if let RegOp::CallIndirect { type_idx, .. } = &mut reg_body_mut(fm, fi).code[pc]
+                    {
+                        *type_idx = types.len() as u32 + rng.below(3) as u32;
+                    }
                     true
                 } else {
                     false
@@ -2393,7 +1787,7 @@ mod tests {
                 // callee with `base == frame_size` is legal.
                 let sites = reg_sites(fm, |op| match op {
                     RegOp::CallLocal { func, .. } | RegOp::CallImport { func, .. } => {
-                        callee_max_arity(fm, *func) > 0
+                        callee_max_arity(fm, types, *func) > 0
                     }
                     _ => false,
                 });
@@ -2450,13 +1844,9 @@ mod tests {
         use VerifyError as E;
         match e {
             E::JumpOutOfBounds { .. } => "JumpOutOfBounds",
-            E::HeightMismatch { .. } => "HeightMismatch",
-            E::StackUnderflow { .. } => "StackUnderflow",
-            E::BadKeep { .. } => "BadKeep",
             E::TruncatedBrTable { .. } => "TruncatedBrTable",
             E::LengthMismatch { .. } => "LengthMismatch",
             E::MissingTerminator { .. } => "MissingTerminator",
-            E::BadLocalIndex { .. } => "BadLocalIndex",
             E::BadGlobalIndex { .. } => "BadGlobalIndex",
             E::BadFuncIndex { .. } => "BadFuncIndex",
             E::BadTypeIndex { .. } => "BadTypeIndex",
@@ -2468,7 +1858,7 @@ mod tests {
         }
     }
 
-    /// The soundness pin: every deterministic mutant of the lowered IR
+    /// The soundness pin: every deterministic mutant of the register code
     /// either fails verification, or passes *and* executes bit-equal to
     /// the tree-walking oracle on the register engine. No mutant may
     /// pass the verifier and diverge.
@@ -2481,14 +1871,15 @@ mod tests {
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for (mi, (name, module)) in corpus.iter().enumerate() {
             let oracles: Vec<Vec<Value>> = arg_set.iter().map(|a| oracle(module, a)).collect();
-            let pristine = FlatModule::compile_full(module, true, true, true).unwrap();
+            let pristine = CompiledModule::compile_full(module, true, true, true).unwrap();
             let stats = verify_module(&pristine, &module.types).expect("pristine module verifies");
             assert!(stats.obligations > 0, "{name}: no check-free ops to attack");
 
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (mi as u64 + 1));
             for _ in 0..250 {
-                let mut fm = FlatModule::compile_full(module, true, true, true).unwrap();
-                let Some((op_name, must_reject)) = apply_mutation(&mut fm, &mut rng) else {
+                let mut fm = CompiledModule::compile_full(module, true, true, true).unwrap();
+                let Some((op_name, must_reject)) = apply_mutation(&mut fm, &module.types, &mut rng)
+                else {
                     continue;
                 };
                 *fired.entry(op_name).or_insert(0) += 1;
