@@ -25,7 +25,7 @@ fn main() {
         "    one warm-up load, then the median of {loads_per_size} loads per size; lower..analysis split \"instantiate\""
     );
     println!(
-        "  {:<6} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>7} {:>9} {:>9}   total",
+        "  {:<6} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>9} {:>9}   total",
         "size",
         "bytes",
         "transition",
@@ -36,7 +36,6 @@ fn main() {
         "instantiate",
         "exec",
         "lower",
-        "fuse",
         "register",
         "analysis",
     );
@@ -73,7 +72,7 @@ fn main() {
             format!("{:.1}%", 100.0 * col(f).as_secs_f64() / total.as_secs_f64())
         };
         println!(
-            "  {:<6} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>7} {:>9} {:>9}   {}",
+            "  {:<6} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>9} {:>9}   {}",
             format!("{mb} MB"),
             app_bytes.len(),
             pct(|b| b.transition),
@@ -84,7 +83,6 @@ fn main() {
             pct(|b| b.instantiate),
             pct(|b| b.execution),
             pct(|b| b.compile.lower),
-            pct(|b| b.compile.fuse),
             pct(|b| b.compile.reg),
             pct(|b| b.compile.analysis),
             watz_bench::fmt(total),

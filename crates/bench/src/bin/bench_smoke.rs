@@ -7,8 +7,8 @@
 //! against SHA-256 over the same MiB, the load-time compile of Fig 4's
 //! 1 MB module against its decode + validate, and one fleet worker-scaling round
 //! (1 vs 4 verifier workers), then asserts the optimised paths actually
-//! win by a comfortable margin. A regression in the register engine, the
-//! fusion pass, the fixed-base table, the GCM tables, the compile passes or
+//! win by a comfortable margin. A regression in the register engine, its
+//! fusion rules, the fixed-base table, the GCM tables, the compile passes or
 //! the fleet scheduler fails the build loudly, without waiting for the
 //! minutes-scale full bench suite.
 //!
@@ -45,7 +45,7 @@ fn engine(module: &watz_wasm::Module, mode: ExecMode, config: EngineConfig) -> I
     Instance::instantiate_with(module, mode, config, &mut NoHost).expect("kernel instantiates")
 }
 
-/// The production configuration with the fusion pass on or off.
+/// The production configuration with the fusion rules on or off.
 fn fusion(fuse: bool) -> EngineConfig {
     EngineConfig {
         fuse,
@@ -369,11 +369,12 @@ fn main() {
     );
 
     // --- Load-time compilation must stay proportionate to what it reads.
-    // On Fig 4's 1 MB module, instantiation (lower, fuse, register pass,
-    // range analysis, on the default configuration) against decoding plus
-    // validating the same bytes: a ratio of two timings taken back to back
-    // in this process. ~2x as recorded; it was ~6x while the analysis
-    // value-numbered every op of a module that has no memory access.
+    // On Fig 4's 1 MB module, instantiation (flat lowering, register pass
+    // with its fusion rules, range analysis, on the default configuration)
+    // against decoding plus validating the same bytes: a ratio of two
+    // timings taken back to back in this process. ~2x as recorded; it was
+    // ~6x while the analysis value-numbered every op of a module that has
+    // no memory access.
     let app = watz_bench::fig4_app(1);
     let app_module = watz_wasm::load(&app).expect("fig4 module loads");
     let instantiate = || engine(&app_module, ExecMode::Aot, EngineConfig::default());
@@ -393,8 +394,8 @@ fn main() {
     assert!(
         compile_ratio <= 3.5,
         "instantiating the fig4 1 MB module costs {compile_ratio:.2}x its decode + validate \
-         ({t_instantiate:?} vs {t_load:?}); a load-time pass stopped being linear in what it \
-         needs to look at: {passes:?}"
+         ({t_instantiate:?} vs {t_load:?}); one of the three load-time passes (lower, \
+         register, analysis) stopped being linear in what it needs to look at: {passes:?}"
     );
 
     // --- Static analysis: the verifier must pass the optimised code and

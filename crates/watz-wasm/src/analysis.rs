@@ -1092,7 +1092,7 @@ mod tests {
         }
         assert_eq!(
             (suite.accesses, suite.proven(), suite.elided),
-            (461, 50, 37),
+            (461, 70, 50),
             "PolyBench suite: {:?}",
             suite.counts()
         );
@@ -1120,7 +1120,7 @@ mod tests {
         }
         assert_eq!(
             (set.proven(), set.elided),
-            (850, 629),
+            (1190, 850),
             "cold_start module set: {:?}",
             set.counts()
         );

@@ -13,21 +13,21 @@
 //!    differential oracle and as the one fallback executor.
 //! 2. **Register engine** ([`ExecMode::Aot`], [`crate::reg`]): the portable
 //!    analogue of WAMR's AOT step — translate once at load time, run on a
-//!    representation built for execution rather than decoding. Three
+//!    representation built for execution rather than decoding. Two
 //!    load-time passes produce its code:
 //!    * [`crate::flat`] lowers every body to a flat linear IR where each
 //!      branch is an absolute jump with its stack fix-up inlined and
 //!      operands are untagged 64-bit slots;
-//!    * a peephole pass fuses common adjacent windows of that IR —
-//!      local/const operand feeds, sinks into locals or memory,
-//!      array-address tails, compare-and-branch sequences — into single
-//!      superinstructions (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`]
-//!      switches just this pass off, for bisection);
-//!    * an abstract-stack simulation rewrites the (fused) IR so every op
-//!      carries explicit source/destination frame-slot indices —
-//!      `local.get`s forward into their consumers, intermediates live at
-//!      fixed slots, and the dispatch loop never pushes or pops an operand
-//!      stack ([`crate::reg::RegStats`] reports what the pass did).
+//!    * an abstract-stack simulation rewrites that IR so every op carries
+//!      explicit source/destination frame-slot indices — `local.get`s
+//!      forward into their consumers, intermediates live at fixed slots,
+//!      and the dispatch loop never pushes or pops an operand stack — and,
+//!      reading ahead over the same tokens, joins five shapes into single
+//!      superinstructions: a constant right operand, a sink into a local or
+//!      memory, compare-and-branch, and the two array-address tails
+//!      (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`] switches just those
+//!      rules off, for bisection; [`crate::reg::RegStats`] and
+//!      [`crate::FusionStats`] report what the pass did).
 //!
 //! The flat IR is never executed and never kept: it is scratch of the
 //! load-time compile, and an instance holds the register program only. An
@@ -210,11 +210,13 @@ pub enum ExecMode {
 /// applies to both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Run the superinstruction fusion pass over the flat IR.
+    /// Let the register pass join adjacent flat ops into superinstructions
+    /// (its fusion rules, see [`crate::reg`]); operand forwarding is not a
+    /// rule and stays on. Nothing to act on when `reg` is off.
     pub fuse: bool,
     /// Lower the flat IR to register form and execute it; when off the
-    /// flat IR is still built (and fused), then dropped, and the instance
-    /// runs on the tree interpreter.
+    /// flat IR is still built, then dropped, and the instance runs on the
+    /// tree interpreter.
     pub reg: bool,
     /// Rewrite accesses the range analysis proved in bounds to check-free
     /// opcodes (proofs are computed and counted either way).
@@ -694,8 +696,8 @@ impl Instance {
             .map_or_else(|| Memory::new(0, Some(0)), |l| Memory::new(l.min, l.max));
 
         // The AOT preparation step: lower every body to the flat IR once,
-        // at load time, fuse it and rewrite it to register form (whichever
-        // of those passes are on); only the register form is kept.
+        // at load time, and rewrite it to register form (when that pass is
+        // on); only the register form is kept.
         let compiled = match mode {
             ExecMode::Aot => Some(flat::CompiledModule::compile_full(
                 module,
@@ -802,7 +804,7 @@ impl Instance {
         }
 
         if let Some(start) = module.start {
-            instance.call_function(host, start, &[], 0)?;
+            instance.call_function(host, start, &[])?;
         }
 
         Ok(instance)
@@ -814,8 +816,9 @@ impl Instance {
         self.mode
     }
 
-    /// Superinstruction counts from the flat lowering (`None` for
-    /// interpreted instances; all-zero when fusion was disabled).
+    /// Superinstruction counts from the register pass's fusion rules
+    /// (`None` for interpreted instances; all-zero when fusion was
+    /// disabled or the instance has no register program).
     #[must_use]
     pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
         self.compiled.as_ref().map(|cm| cm.fusion)
@@ -917,7 +920,7 @@ impl Instance {
                 "argument mismatch for '{name}'"
             )));
         }
-        let result = self.call_function(host, idx, args, 0);
+        let result = self.call_function(host, idx, args);
         if result.is_err() {
             if let Some(p) = &mut self.profile {
                 p.traps += 1;
@@ -939,7 +942,6 @@ impl Instance {
         host: &mut dyn HostEnv,
         func_idx: u32,
         args: &[Value],
-        _depth: usize,
     ) -> Result<Vec<Value>, Trap> {
         // An instance with a register program runs on the register engine;
         // every other instance holds structured bodies and walks them.

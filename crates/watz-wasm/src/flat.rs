@@ -4,8 +4,8 @@
 //! `Vec<Instr>` form into a flat linear stream of `FlatOp`s, the form
 //! [`crate::reg`] consumes. Nothing executes it and nothing keeps it: the
 //! stream lives in the one [`CompileScratch`] a compile owns, between
-//! [`lower`], [`fuse_ops`] and [`crate::reg::lower_func`], and the next
-//! body overwrites it.
+//! [`lower`] and [`crate::reg::lower_func`], and the next body overwrites
+//! it.
 //!
 //! * `block`/`loop`/`if`/`else`/`end` disappear — every branch becomes an
 //!   absolute jump target computed once, during lowering;
@@ -26,43 +26,10 @@
 //!   `apply_binop`, `do_load`, `do_store`) live here and are what the
 //!   register dispatch loop calls.
 //!
-//! # Superinstruction fusion
-//!
-//! After lowering, a peephole pass rewrites common adjacent sequences into
-//! fused superinstructions with direct frame-slot operands, so the
-//! register pass turns 2–4 source ops into one dispatch:
-//!
-//! | pattern | fused form |
-//! |---|---|
-//! | `local.get a; local.get b; binop` | [`FlatOp::FusedBinopLL`] |
-//! | `local.get a; const k; binop` | [`FlatOp::FusedBinopLK`] |
-//! | `local.get a; local.get b; binop; local.set d` | [`FlatOp::FusedBinopLLSet`] |
-//! | `local.get a; const k; binop; local.set d` | [`FlatOp::FusedBinopLKSet`] |
-//! | `binop; local.set d` (operands on the stack) | [`FlatOp::FusedBinopSet`] |
-//! | `local.get s; local.set d` | [`FlatOp::LocalCopy`] |
-//! | `local.get a; load` | [`FlatOp::FusedLoadL`] |
-//! | `local.get v; store` (address on the stack) | [`FlatOp::FusedStoreL`] |
-//! | `i32.add; load` (address computed on the stack) | [`FlatOp::FusedAddLoad`] |
-//!
-//! `binop` is any two-operand numeric or relational operator
-//! ([`BinOpKind`]); trapping operators (`div`/`rem`) keep their exact trap
-//! semantics inside the fused forms. Matching is greedy
-//! (longest-window-first) and purely local.
-//!
-//! **Jump-remap invariant:** a fusion window never *starts past* or
-//! *covers* a jump target — every branch destination stays the first op of
-//! a window, so after compaction each old target maps 1:1 to a new index.
-//! All absolute jumps, `br_table` entries and their `keep`/`height`
-//! fix-ups are re-pointed through that map; a jump into the middle of a
-//! window is a lowering error. Because fused windows are straight-line
-//! (no branch in or out mid-window), operand-stack heights at window
-//! boundaries are unchanged and the `keep`/`height` immediates remain
-//! valid.
-//!
-//! The pass can be disabled with the `WATZ_NO_FUSE` environment switch or
-//! [`EngineConfig::fuse`], keeping unfused lowering reachable for
-//! bisection. Per-kind emission counts are reported through
-//! [`FusionStats`].
+//! The stream is one token per guest instruction and stays that way:
+//! superinstructions are formed by the register pass as it reads the
+//! tokens (see [`crate::reg`]), so there is no second vocabulary here and
+//! no pass that rewrites the stream.
 //!
 //! # What the register pass relies on
 //!
@@ -71,20 +38,16 @@
 //! the operand-stack height at the op's entry (before its own pops) —
 //! heights are compile-time constants under validation, which is exactly
 //! what lets the register pass pin the value "at height `h`" to the fixed
-//! frame slot `n_locals + h`. Fusion carries the table through compaction
-//! (a window inherits its first op's entry height; windows are
-//! straight-line, so that is the fused op's entry height too). The
-//! second is the **jump-target set**: [`lower`] flags every target once
-//! (rejecting any past the end), and fusion, then the register pass, carry
-//! the flags through their old→new maps instead of rescanning the code.
+//! frame slot `n_locals + h`. The second is the **jump-target set**:
+//! [`lower`] flags every target once (rejecting any past the end), and the
+//! register pass carries the flags through its old→new map instead of
+//! rescanning the code — and never lets an op absorb a flagged token.
 //! Both tables, the retirement metadata and every pass's working buffers
 //! live beside the ops in the `CompileScratch`.
 //!
 //! [`crate::verify`] checks the register code this pipeline ends in, not
 //! the flat stream: what it would say about a form that cannot execute is
 //! implied by what it says about the form that does.
-//!
-//! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
 
 use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
 use crate::instr::{Instr, MemArg};
@@ -239,9 +202,8 @@ fn i64_rem_u(a: u64, b: u64) -> Result<u64, Trap> {
     Ok(a % b)
 }
 
-/// A fusable two-operand numeric or relational operator, shared by every
-/// fused superinstruction form. Variants mirror the spec's instruction
-/// names 1:1. (`Hash` feeds the value-numbering keys in
+/// A two-operand numeric or relational operator. Variants mirror the
+/// spec's instruction names 1:1. (`Hash` feeds the value-numbering keys in
 /// [`crate::analysis`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -336,8 +298,9 @@ impl BinOpKind {
     ///
     /// Retired-instruction counting is inclusive at fetch, so exact
     /// cross-rung instret parity on trapping inputs requires that a
-    /// trap-capable binop is always the *last* guest op of its fused
-    /// window — [`binop_follow`] refuses to extend past one.
+    /// trap-capable binop is always the *last* guest op a register op
+    /// retires at fetch — the register pass's follow rule refuses to
+    /// extend past one.
     pub(crate) fn traps(self) -> bool {
         matches!(
             self,
@@ -353,14 +316,13 @@ impl BinOpKind {
     }
 }
 
-/// Applies a fusable binary operator to two raw slots.
+/// Applies a binary operator to two raw slots.
 ///
 /// # Errors
 ///
 /// Exactly the traps the corresponding plain opcode raises (`div`/`rem`
 /// route through the shared helpers above).
 #[inline]
-#[allow(clippy::too_many_lines)]
 pub(crate) fn apply_binop(op: BinOpKind, a: Slot, b: Slot) -> Result<Slot, Trap> {
     use BinOpKind as B;
     Ok(match op {
@@ -565,8 +527,8 @@ pub(crate) fn apply_unop(op: UnOpKind, s: Slot) -> Result<Slot, Trap> {
     })
 }
 
-/// The width/extension shape of a fused load. Variants mirror the spec's
-/// load instruction names.
+/// The width/extension shape of a load. Variants mirror the spec's load
+/// instruction names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub(crate) enum LoadKind {
@@ -586,7 +548,7 @@ pub(crate) enum LoadKind {
     I64L32U,
 }
 
-/// The width shape of a fused store. Variants mirror the spec's store
+/// The width shape of a store. Variants mirror the spec's store
 /// instruction names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
@@ -639,8 +601,8 @@ pub(crate) fn do_load(kind: LoadKind, mem: &[u8], base: i32, offset: u32) -> Res
     })
 }
 
-/// Performs a fused store of raw slot `v` at `base + offset` on a raw
-/// memory slice.
+/// Performs a store of raw slot `v` at `base + offset` on a raw memory
+/// slice.
 ///
 /// # Errors
 ///
@@ -749,195 +711,6 @@ pub(crate) enum FlatOp {
     /// All four constant forms, pre-encoded as a raw slot.
     Const(u64),
 
-    /// Fused `local.get a; local.get b; binop`: pushes `op(local[a], local[b])`.
-    FusedBinopLL {
-        a: u32,
-        b: u32,
-        op: BinOpKind,
-    },
-    /// Fused `local.get a; const k; binop`: pushes `op(local[a], k)`.
-    FusedBinopLK {
-        a: u32,
-        k: u64,
-        op: BinOpKind,
-    },
-    /// Fused `local.get a; local.get b; binop; local.set dst`.
-    FusedBinopLLSet {
-        a: u32,
-        b: u32,
-        op: BinOpKind,
-        dst: u32,
-    },
-    /// Fused `local.get a; const k; binop; local.set dst`. The constant is
-    /// stored as a zero-extended `u32` to keep `FlatOp` at 24 bytes; the
-    /// fusion pass only emits this form when the slot fits.
-    FusedBinopLKSet {
-        a: u32,
-        k: u32,
-        op: BinOpKind,
-        dst: u32,
-    },
-    /// Fused `local.get b; binop` with the **left** operand already on the
-    /// stack: rewrites the top of stack to `op(top, local[b])` (the
-    /// `i*n + j` index shape).
-    FusedBinopSL {
-        b: u32,
-        op: BinOpKind,
-    },
-    /// [`FlatOp::FusedBinopSL`] followed by `local.set dst`.
-    FusedBinopSLSet {
-        b: u32,
-        op: BinOpKind,
-        dst: u32,
-    },
-    /// [`FlatOp::FusedBinopSL`] followed by a store (address beneath the
-    /// left operand on the stack).
-    FusedBinopSLStore {
-        b: u32,
-        op: BinOpKind,
-        offset: u32,
-        kind: StoreKind,
-    },
-    /// Fused `local.get a; local.get b; binop; store`: computes
-    /// `op(local[a], local[b])` and stores it at the address popped from
-    /// the stack.
-    FusedBinopLLStore {
-        a: u32,
-        b: u32,
-        op: BinOpKind,
-        offset: u32,
-        kind: StoreKind,
-    },
-    /// Fused `binop; local.set dst`: operands popped from the stack, the
-    /// result sunk straight into a frame slot.
-    FusedBinopSet {
-        op: BinOpKind,
-        dst: u32,
-    },
-    /// Fused `local.get src; local.set dst`: a frame-slot copy with no
-    /// operand-stack traffic.
-    LocalCopy {
-        src: u32,
-        dst: u32,
-    },
-    /// Fused `local.get addr; load`: loads from `local[addr] + offset`.
-    FusedLoadL {
-        addr: u32,
-        offset: u32,
-        kind: LoadKind,
-    },
-    /// Fused `local.get val; store`: stores `local[val]` at the address
-    /// popped from the stack (plus `offset`).
-    FusedStoreL {
-        val: u32,
-        offset: u32,
-        kind: StoreKind,
-    },
-    /// Fused `i32.add; load`: pops two i32 address parts, loads from their
-    /// wrapping sum plus `offset` (the dominant array-indexing shape).
-    FusedAddLoad {
-        offset: u32,
-        kind: LoadKind,
-    },
-    /// Fused `const k; binop`: pops one operand, pushes `op(a, k)` (the
-    /// index-scaling / increment shape where the left operand is already
-    /// on the stack).
-    FusedBinopKS {
-        k: u64,
-        op: BinOpKind,
-    },
-    /// Fused `const k; i32.mul; i32.add`: pops an index, rewrites the base
-    /// beneath it to `base + idx*k` — the element-scaling tail of every
-    /// array address (`k` kept as a fitting u32).
-    FusedScaleAdd {
-        k: u32,
-    },
-    /// [`FlatOp::FusedScaleAdd`] plus the trailing load: pops an index,
-    /// rewrites the base to `mem[base + idx*k + offset]`.
-    FusedScaleAddLoad {
-        k: u32,
-        offset: u32,
-        kind: LoadKind,
-    },
-    /// Fused `local.get z; i32.add; const k; i32.mul; i32.add`: pops a
-    /// partial index, rewrites the base beneath it to
-    /// `base + (partial + local[z])*k` — the 2-D row-column address tail.
-    FusedIdxLAdd {
-        z: u32,
-        k: u32,
-    },
-    /// [`FlatOp::FusedIdxLAdd`] plus the trailing load.
-    FusedIdxLAddLoad {
-        z: u32,
-        k: u32,
-        offset: u32,
-        kind: LoadKind,
-    },
-    /// Fused `binop; store`: computes `op(a, b)` from the stack and stores
-    /// it at the address popped beneath (plus `offset`).
-    FusedBinopStore {
-        op: BinOpKind,
-        offset: u32,
-        kind: StoreKind,
-    },
-    /// Fused `binop; jump-if-zero` (also absorbs `binop; i32.eqz;
-    /// jump-if-non-zero`): jumps when the result is zero.
-    FusedCmpBrZ {
-        op: BinOpKind,
-        target: u32,
-    },
-    /// Fused `binop; jump-if-non-zero` (also absorbs `binop; i32.eqz;
-    /// jump-if-zero`): jumps when the result is non-zero.
-    FusedCmpBrNZ {
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrZ`] with both operands from frame slots — the
-    /// `local.get i; local.get n; relop; i32.eqz; br_if` loop-exit shape,
-    /// five dispatches collapsed into one.
-    FusedCmpBrLLZ {
-        a: u32,
-        b: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrNZ`] with both operands from frame slots.
-    FusedCmpBrLLNZ {
-        a: u32,
-        b: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrZ`] with a frame slot and an inline constant
-    /// (zero-extended `u32`, like [`FlatOp::FusedBinopLKSet`]).
-    FusedCmpBrLKZ {
-        a: u32,
-        k: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrNZ`] with a frame slot and an inline constant.
-    FusedCmpBrLKNZ {
-        a: u32,
-        k: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrZ`] with the left operand on the stack and the
-    /// right from a frame slot.
-    FusedCmpBrSLZ {
-        b: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-    /// [`FlatOp::FusedCmpBrNZ`] with the left operand on the stack and the
-    /// right from a frame slot.
-    FusedCmpBrSLNZ {
-        b: u32,
-        op: BinOpKind,
-        target: u32,
-    },
-
     /// Any one-operand numeric operator: rewrites the stack top.
     Unop(UnOpKind),
     /// Any two-operand numeric or relational operator: pops two, pushes
@@ -948,48 +721,33 @@ pub(crate) enum FlatOp {
     Reinterpret,
 }
 
-/// Per-kind counts of superinstructions emitted by the fusion pass over a
-/// whole module, reported by
-/// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats).
+/// Per-rule counts of the superinstructions the register pass formed over
+/// a whole module (see the fusion rules in [`crate::reg`]), reported by
+/// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats). A kind
+/// names what was joined, never where an operand came from: operands
+/// always come from the abstract stack. Each emitted superinstruction
+/// counts once, under its sink when it has one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
-    /// `local.get; local.get; binop` windows fused.
-    pub binop_ll: u64,
-    /// `local.get; const; binop` windows fused.
-    pub binop_lk: u64,
-    /// `local.get; local.get; binop; local.set` windows fused.
-    pub binop_ll_set: u64,
-    /// `local.get; const; binop; local.set` windows fused.
-    pub binop_lk_set: u64,
-    /// `binop; local.set` sinks fused (operands from the stack).
+    /// `const k; binop` pairs that took `k` as an inline right operand and
+    /// left the result on the stack.
+    pub binop_k: u64,
+    /// `binop; local.set` — the result sunk straight into the local.
     pub binop_set: u64,
-    /// `local.get; local.set` frame-slot copies fused.
-    pub local_copy: u64,
-    /// `local.get; load` windows fused.
-    pub load_l: u64,
-    /// `local.get; store` windows fused.
-    pub store_l: u64,
-    /// `i32.add; load` address-computation windows fused.
-    pub add_load: u64,
-    /// `const; binop` windows fused (left operand on the stack).
-    pub binop_ks: u64,
-    /// `local.get; binop` windows fused (left operand on the stack).
-    pub binop_sl: u64,
-    /// `local.get; binop; local.set` windows fused (left operand on the
-    /// stack).
-    pub binop_sl_set: u64,
-    /// `binop; store` sinks fused (any operand source).
+    /// `binop; store` — the result sunk into memory.
     pub binop_store: u64,
-    /// Array-address tails fused without a trailing load
-    /// (`const; i32.mul; i32.add`, with or without the row `local.get;
+    /// `i32.add; load` — the address sum folded into the load.
+    pub add_load: u64,
+    /// Array-address tails joined without a trailing load
+    /// (`const k; i32.mul; i32.add`, with or without the row `local.get;
     /// i32.add` prefix).
     pub idx_addr: u64,
-    /// Array-address tails fused **with** the trailing load.
+    /// Array-address tails joined **with** the trailing load.
     pub idx_load: u64,
-    /// Compare-and-branch windows fused (all operand sources, both
-    /// polarities, `i32.eqz` inversions absorbed).
+    /// `binop; jump-if` compare-and-branch (both polarities, `i32.eqz`
+    /// inversions absorbed).
     pub cmp_br: u64,
-    /// Bare `i32.eqz; jump-if` pairs rewritten into the inverted jump.
+    /// Bare `i32.eqz; jump-if` chains folded into the inverted jump.
     pub eqz_br: u64,
 }
 
@@ -1002,21 +760,12 @@ impl FusionStats {
 
     /// Per-kind `(name, count)` pairs, for coverage assertions and logs.
     #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 17] {
+    pub fn counts(&self) -> [(&'static str, u64); 8] {
         [
-            ("binop_ll", self.binop_ll),
-            ("binop_lk", self.binop_lk),
-            ("binop_ll_set", self.binop_ll_set),
-            ("binop_lk_set", self.binop_lk_set),
+            ("binop_k", self.binop_k),
             ("binop_set", self.binop_set),
-            ("local_copy", self.local_copy),
-            ("load_l", self.load_l),
-            ("store_l", self.store_l),
-            ("add_load", self.add_load),
-            ("binop_ks", self.binop_ks),
-            ("binop_sl", self.binop_sl),
-            ("binop_sl_set", self.binop_sl_set),
             ("binop_store", self.binop_store),
+            ("add_load", self.add_load),
             ("idx_addr", self.idx_addr),
             ("idx_load", self.idx_load),
             ("cmp_br", self.cmp_br),
@@ -1026,19 +775,10 @@ impl FusionStats {
 
     /// Accumulates another module's counts into this one.
     pub fn merge(&mut self, other: &FusionStats) {
-        self.binop_ll += other.binop_ll;
-        self.binop_lk += other.binop_lk;
-        self.binop_ll_set += other.binop_ll_set;
-        self.binop_lk_set += other.binop_lk_set;
+        self.binop_k += other.binop_k;
         self.binop_set += other.binop_set;
-        self.local_copy += other.local_copy;
-        self.load_l += other.load_l;
-        self.store_l += other.store_l;
-        self.add_load += other.add_load;
-        self.binop_ks += other.binop_ks;
-        self.binop_sl += other.binop_sl;
-        self.binop_sl_set += other.binop_sl_set;
         self.binop_store += other.binop_store;
+        self.add_load += other.add_load;
         self.idx_addr += other.idx_addr;
         self.idx_load += other.idx_load;
         self.cmp_br += other.cmp_br;
@@ -1087,9 +827,7 @@ pub(crate) struct CompiledModule {
 pub struct CompileTimes {
     /// Structured bodies to flat code.
     pub lower: Duration,
-    /// The superinstruction peephole pass.
-    pub fuse: Duration,
-    /// Flat code to register form ([`crate::reg`]).
+    /// Flat code to register form, fusion rules included ([`crate::reg`]).
     pub reg: Duration,
     /// Range analysis and bounds-check elision ([`crate::analysis`]).
     pub analysis: Duration,
@@ -1099,12 +837,12 @@ pub struct CompileTimes {
 /// owned by one compile and reused for each function body, so the passes
 /// allocate only what the compiled module keeps.
 ///
-/// After [`lower`] (and [`fuse_ops`]) it holds the body in flight: `ops`,
-/// with each op's operand-stack **entry height** (the height before the op
-/// pops anything — what the register pass places each value by), its
-/// retirement metadata and the jump-target flags. The target set is
-/// computed once, by [`lower`], and each later pass carries it through its
-/// own old→new remap instead of rescanning the code.
+/// After [`lower`] it holds the body in flight: `ops`, with each op's
+/// operand-stack **entry height** (the height before the op pops anything —
+/// what the register pass places each value by), its retirement metadata
+/// and the jump-target flags. The target set is computed once, by
+/// [`lower`], and the register pass carries it through its old→new remap
+/// instead of rescanning the code.
 #[derive(Default)]
 pub(crate) struct CompileScratch {
     pub(crate) ops: Vec<FlatOp>,
@@ -1115,11 +853,6 @@ pub(crate) struct CompileScratch {
     /// Whether some branch lands on `ops[i]`; one flag more than `ops`
     /// (the end position).
     pub(crate) is_target: Vec<bool>,
-    /// Fusion's output side (swapped with `ops` when the pass is done).
-    fused: Vec<FlatOp>,
-    /// The old→new index map of the pass that is compacting (fusion, then
-    /// the register pass).
-    pub(crate) old2new: Vec<u32>,
     ctrl: Vec<Ctrl>,
     /// Branches waiting for the end of their target frame, as linked
     /// lists through this arena: `(op index, br_table slot, next)`. The
@@ -1134,11 +867,11 @@ const NO_PATCH: u32 = u32::MAX;
 
 impl CompiledModule {
     /// Compiles every function body of a validated module: lowering to the
-    /// flat stream, then `fuse` controls the superinstruction peephole
-    /// pass, `reg` the register-allocation pass on top of it, and `elide`
-    /// the bounds-check elision rewrite of the register code. With `reg`
-    /// off the flat stream is still lowered and fused (the fusion counts
-    /// and pass times are reported) and then dropped.
+    /// flat stream, then `reg` controls the register pass over it, `fuse`
+    /// that pass's fusion rules, and `elide` the bounds-check elision
+    /// rewrite of the register code. With `reg` off the flat stream is
+    /// still lowered (malformed bodies are reported, the pass is timed) and
+    /// then dropped; `fuse` and `elide` have nothing to act on.
     ///
     /// The register program is all-or-nothing per module (a register
     /// frame cannot call into the interpreter): one function whose frame
@@ -1199,15 +932,19 @@ impl CompiledModule {
         for body in &module.funcs {
             lower(module, body, &mut scratch)?;
             lap(&mut times.lower);
-            if fuse {
-                fuse_ops(&mut scratch, &mut fusion)?;
-                lap(&mut times.fuse);
-            }
             func_type_idx.push(body.type_idx);
             if !reg {
                 continue;
             }
-            match crate::reg::lower_func(module, body, &mut scratch, &mut reg_stats) {
+            let lowered = crate::reg::lower_func(
+                module,
+                body,
+                &mut scratch,
+                fuse,
+                &mut reg_stats,
+                &mut fusion,
+            );
+            match lowered {
                 Ok(mut rf) => {
                     lap(&mut times.reg);
                     crate::analysis::elide_reg(
@@ -1222,11 +959,12 @@ impl CompiledModule {
                     reg_funcs.push(Some(rf));
                 }
                 // Rare (a frame past 65 535 slots) and final: the module
-                // runs on the tree oracle, so the bodies left only feed
-                // the fusion counts.
+                // runs on the tree oracle and comes out as a `reg = false`
+                // compile would.
                 Err(LowerError::FrameTooLarge) => {
                     lap(&mut times.reg);
                     reg = false;
+                    fusion = FusionStats::default();
                     analysis = crate::analysis::RangeStats::default();
                 }
                 Err(LowerError::Malformed(trap)) => return Err(trap),
@@ -1687,459 +1425,6 @@ fn mark_targets(ops: &[FlatOp], is_target: &mut Vec<bool>) -> Result<(), Trap> {
     Ok(())
 }
 
-/// The peephole fusion pass over the body in `scratch`: rewrites
-/// adjacent-op windows into fused superinstructions, then re-points every
-/// jump through the old→new index map. Entry heights travel with the ops
-/// (a fused window inherits the height of its first op — windows are
-/// straight-line, so that is the fused op's entry height too), and so do
-/// the jump-target flags.
-///
-/// A window may only swallow ops that are **not** jump targets — branch
-/// destinations always stay window starts, which is what makes the remap
-/// a plain index lookup (see the module docs for the invariant).
-fn fuse_ops(scratch: &mut CompileScratch, fusion: &mut FusionStats) -> Result<(), Trap> {
-    let CompileScratch {
-        ops,
-        heights,
-        prof,
-        is_target,
-        fused: out,
-        old2new,
-        ..
-    } = scratch;
-    let n = ops.len();
-    out.clear();
-    // old index -> new index; `u32::MAX` marks an op swallowed into the
-    // middle of a window (never a legal jump target).
-    old2new.clear();
-    old2new.resize(n + 1, u32::MAX);
-    let mut i = 0;
-    while i < n {
-        // A window never grows, so the side tables compact in place:
-        // `new <= i`, and everything at or past `i` is still unread.
-        let new = out.len();
-        old2new[i] = new as u32;
-        heights[new] = heights[i];
-        let consumed = fuse_at(ops, is_target, i, out, fusion);
-        // A fused window retires every guest op it swallowed, inclusively
-        // at fetch. The binop-set forms exclude their trailing `local.set`
-        // from the fetch-time weight: the binop may trap (div/rem), and
-        // the oracle would not have dispatched the set, so the register
-        // pass attaches its weight to the next op on the fall-through
-        // path, reached only once the binop succeeded. All other
-        // windows never extend past a trap point, making fetch-time
-        // retirement exact even on trapping inputs.
-        let deferred_set = matches!(
-            out.last(),
-            Some(
-                FlatOp::FusedBinopLLSet { .. }
-                    | FlatOp::FusedBinopLKSet { .. }
-                    | FlatOp::FusedBinopSLSet { .. }
-                    | FlatOp::FusedBinopSet { .. }
-            )
-        );
-        let mut window = prof[i];
-        let end = i + consumed - usize::from(deferred_set);
-        for p in &prof[i + 1..end] {
-            window.merge(p);
-        }
-        prof[new] = window;
-        // Only a window start can be a target (`fuse_at` swallows no
-        // other), so the flags of the swallowed ops are already clear.
-        is_target.swap(new, i);
-        i += consumed;
-    }
-    let len = out.len();
-    old2new[n] = len as u32;
-    heights.truncate(len);
-    prof.truncate(len);
-    is_target.swap(len, n);
-    is_target.truncate(len + 1);
-
-    for op in out.iter_mut() {
-        let remap = |t: &mut u32| {
-            let nt = old2new[*t as usize];
-            if nt == u32::MAX {
-                return Err(bad("jump into the middle of a fused window"));
-            }
-            *t = nt;
-            Ok(())
-        };
-        match op {
-            FlatOp::Jump { target }
-            | FlatOp::JumpIfZero { target }
-            | FlatOp::JumpIfNonZero { target }
-            | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. }
-            | FlatOp::FusedCmpBrZ { target, .. }
-            | FlatOp::FusedCmpBrNZ { target, .. }
-            | FlatOp::FusedCmpBrLLZ { target, .. }
-            | FlatOp::FusedCmpBrLLNZ { target, .. }
-            | FlatOp::FusedCmpBrLKZ { target, .. }
-            | FlatOp::FusedCmpBrLKNZ { target, .. }
-            | FlatOp::FusedCmpBrSLZ { target, .. }
-            | FlatOp::FusedCmpBrSLNZ { target, .. } => remap(target)?,
-            FlatOp::BrTable { entries } => {
-                for e in entries.iter_mut() {
-                    remap(&mut e.target)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    std::mem::swap(ops, out);
-    Ok(())
-}
-
-/// What follows a fusable binop inside a window, deciding the fused form.
-enum BinopFollow {
-    /// Nothing fusable: the binop result stays on the stack.
-    None,
-    /// `local.set dst` — sink the result into a frame slot.
-    Set(u32),
-    /// `store` — sink the result into memory (address beneath on the stack).
-    Store(StoreKind, u32),
-    /// Jump when the result is zero (`jump-if-zero`, or `i32.eqz;
-    /// jump-if-non-zero` absorbed).
-    BrZ(u32),
-    /// Jump when the result is non-zero.
-    BrNZ(u32),
-}
-
-/// Classifies the ops following a binop `kind` at `ops[j - 1]`; returns
-/// the follower and how many extra ops it swallows.
-///
-/// A chain of `i32.eqz` between the binop and a conditional jump is
-/// absorbed by flipping the jump's polarity per inversion: the chain's
-/// value is consumed only by the zero-test, so `v; eqzⁿ; jump-if-non-zero`
-/// is `jump when v == 0` for odd `n` and `jump when v != 0` for even `n`
-/// (MiniC's truthiness normalization emits exactly these chains).
-///
-/// A trap-capable binop (`div`/`rem`) may only sink into a `local.set`:
-/// the set's retirement is deferred until the division succeeds (see
-/// `deferred_set` in [`crate::reg::lower_func`]), so inclusive-at-fetch
-/// instret stays exact on trapping inputs. Store and
-/// branch follows would put a second trap point or a control transfer
-/// after the division, which the deferred-suffix scheme does not cover.
-fn binop_follow(
-    ops: &[FlatOp],
-    free: impl Fn(usize) -> bool,
-    j: usize,
-    kind: BinOpKind,
-) -> (BinopFollow, usize) {
-    if !free(j) {
-        return (BinopFollow::None, 0);
-    }
-    match &ops[j] {
-        FlatOp::LocalSet(dst) => (BinopFollow::Set(*dst), 1),
-        _ if kind.traps() => (BinopFollow::None, 0),
-        FlatOp::JumpIfZero { target } => (BinopFollow::BrZ(*target), 1),
-        FlatOp::JumpIfNonZero { target } => (BinopFollow::BrNZ(*target), 1),
-        FlatOp::Unop(UnOpKind::I32Eqz) => {
-            let mut n = 1usize;
-            while free(j + n) && matches!(ops[j + n], FlatOp::Unop(UnOpKind::I32Eqz)) {
-                n += 1;
-            }
-            if !free(j + n) {
-                return (BinopFollow::None, 0);
-            }
-            let odd = n % 2 == 1;
-            match &ops[j + n] {
-                FlatOp::JumpIfNonZero { target } if odd => (BinopFollow::BrZ(*target), n + 1),
-                FlatOp::JumpIfNonZero { target } => (BinopFollow::BrNZ(*target), n + 1),
-                FlatOp::JumpIfZero { target } if odd => (BinopFollow::BrNZ(*target), n + 1),
-                FlatOp::JumpIfZero { target } => (BinopFollow::BrZ(*target), n + 1),
-                _ => (BinopFollow::None, 0),
-            }
-        }
-        FlatOp::Store { kind, offset } => (BinopFollow::Store(*kind, *offset), 1),
-        _ => (BinopFollow::None, 0),
-    }
-}
-
-/// Tries to fuse a window starting at `ops[i]`; pushes exactly one op onto
-/// `out` and returns how many input ops it consumed. Greedy: the longest
-/// matching window wins.
-#[allow(clippy::too_many_lines)]
-fn fuse_at(
-    ops: &[FlatOp],
-    is_target: &[bool],
-    i: usize,
-    out: &mut Vec<FlatOp>,
-    s: &mut FusionStats,
-) -> usize {
-    use BinOpKind::{I32Add, I32Mul};
-    // `ops[j]` may be swallowed into the current window only if no jump
-    // lands on it.
-    let free = |j: usize| j < ops.len() && !is_target[j];
-    match &ops[i] {
-        FlatOp::LocalGet(a) if free(i + 1) => {
-            let a = *a;
-            match &ops[i + 1] {
-                FlatOp::LocalGet(b) if free(i + 2) => {
-                    if let FlatOp::Binop(op) = ops[i + 2] {
-                        let b = *b;
-                        let (follow, extra) = binop_follow(ops, free, i + 3, op);
-                        match follow {
-                            BinopFollow::Set(dst) => {
-                                s.binop_ll_set += 1;
-                                out.push(FlatOp::FusedBinopLLSet { a, b, op, dst });
-                                return 3 + extra;
-                            }
-                            BinopFollow::Store(kind, offset) => {
-                                s.binop_store += 1;
-                                out.push(FlatOp::FusedBinopLLStore {
-                                    a,
-                                    b,
-                                    op,
-                                    offset,
-                                    kind,
-                                });
-                                return 3 + extra;
-                            }
-                            BinopFollow::BrZ(target) => {
-                                s.cmp_br += 1;
-                                out.push(FlatOp::FusedCmpBrLLZ { a, b, op, target });
-                                return 3 + extra;
-                            }
-                            BinopFollow::BrNZ(target) => {
-                                s.cmp_br += 1;
-                                out.push(FlatOp::FusedCmpBrLLNZ { a, b, op, target });
-                                return 3 + extra;
-                            }
-                            BinopFollow::None => {
-                                s.binop_ll += 1;
-                                out.push(FlatOp::FusedBinopLL { a, b, op });
-                                return 3;
-                            }
-                        }
-                    }
-                }
-                FlatOp::Const(k) if free(i + 2) => {
-                    if let FlatOp::Binop(op) = ops[i + 2] {
-                        let k = *k;
-                        // The sink/branch forms store the constant as a
-                        // zero-extended u32 (to keep `FlatOp` at 24
-                        // bytes); wider slots keep the plain LK form.
-                        if let Ok(k32) = u32::try_from(k) {
-                            let (follow, extra) = binop_follow(ops, free, i + 3, op);
-                            match follow {
-                                BinopFollow::Set(dst) => {
-                                    s.binop_lk_set += 1;
-                                    out.push(FlatOp::FusedBinopLKSet { a, k: k32, op, dst });
-                                    return 3 + extra;
-                                }
-                                BinopFollow::BrZ(target) => {
-                                    s.cmp_br += 1;
-                                    out.push(FlatOp::FusedCmpBrLKZ {
-                                        a,
-                                        k: k32,
-                                        op,
-                                        target,
-                                    });
-                                    return 3 + extra;
-                                }
-                                BinopFollow::BrNZ(target) => {
-                                    s.cmp_br += 1;
-                                    out.push(FlatOp::FusedCmpBrLKNZ {
-                                        a,
-                                        k: k32,
-                                        op,
-                                        target,
-                                    });
-                                    return 3 + extra;
-                                }
-                                BinopFollow::Store(..) | BinopFollow::None => {}
-                            }
-                        }
-                        s.binop_lk += 1;
-                        out.push(FlatOp::FusedBinopLK { a, k, op });
-                        return 3;
-                    }
-                }
-                FlatOp::LocalSet(dst) => {
-                    s.local_copy += 1;
-                    out.push(FlatOp::LocalCopy { src: a, dst: *dst });
-                    return 2;
-                }
-                &FlatOp::Load { kind, offset } => {
-                    s.load_l += 1;
-                    out.push(FlatOp::FusedLoadL {
-                        addr: a,
-                        offset,
-                        kind,
-                    });
-                    return 2;
-                }
-                &FlatOp::Store { kind, offset } => {
-                    s.store_l += 1;
-                    out.push(FlatOp::FusedStoreL {
-                        val: a,
-                        offset,
-                        kind,
-                    });
-                    return 2;
-                }
-                &FlatOp::Binop(op) => {
-                    // 2-D array-address tail: `local.get z; i32.add;
-                    // const k; i32.mul; i32.add [; load]`.
-                    if op == I32Add && free(i + 2) && free(i + 3) && free(i + 4) {
-                        if let (FlatOp::Const(k), FlatOp::Binop(I32Mul), FlatOp::Binop(I32Add)) =
-                            (&ops[i + 2], &ops[i + 3], &ops[i + 4])
-                        {
-                            if let Ok(k32) = u32::try_from(*k) {
-                                if free(i + 5) {
-                                    if let FlatOp::Load { kind, offset } = ops[i + 5] {
-                                        s.idx_load += 1;
-                                        out.push(FlatOp::FusedIdxLAddLoad {
-                                            z: a,
-                                            k: k32,
-                                            offset,
-                                            kind,
-                                        });
-                                        return 6;
-                                    }
-                                }
-                                s.idx_addr += 1;
-                                out.push(FlatOp::FusedIdxLAdd { z: a, k: k32 });
-                                return 5;
-                            }
-                        }
-                    }
-                    // `local.get b; binop` with the left operand already
-                    // on the stack: the SL family.
-                    let (follow, extra) = binop_follow(ops, free, i + 2, op);
-                    match follow {
-                        BinopFollow::Set(dst) => {
-                            s.binop_sl_set += 1;
-                            out.push(FlatOp::FusedBinopSLSet { b: a, op, dst });
-                            return 2 + extra;
-                        }
-                        BinopFollow::Store(kind, offset) => {
-                            s.binop_store += 1;
-                            out.push(FlatOp::FusedBinopSLStore {
-                                b: a,
-                                op,
-                                offset,
-                                kind,
-                            });
-                            return 2 + extra;
-                        }
-                        BinopFollow::BrZ(target) => {
-                            s.cmp_br += 1;
-                            out.push(FlatOp::FusedCmpBrSLZ { b: a, op, target });
-                            return 2 + extra;
-                        }
-                        BinopFollow::BrNZ(target) => {
-                            s.cmp_br += 1;
-                            out.push(FlatOp::FusedCmpBrSLNZ { b: a, op, target });
-                            return 2 + extra;
-                        }
-                        BinopFollow::None => {
-                            s.binop_sl += 1;
-                            out.push(FlatOp::FusedBinopSL { b: a, op });
-                            return 2;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        FlatOp::Const(k) if free(i + 1) => {
-            if let FlatOp::Binop(op) = ops[i + 1] {
-                // 1-D array-address tail: `const k; i32.mul; i32.add [; load]`.
-                if op == I32Mul && free(i + 2) {
-                    if let (FlatOp::Binop(I32Add), Ok(k32)) = (&ops[i + 2], u32::try_from(*k)) {
-                        if free(i + 3) {
-                            if let FlatOp::Load { kind, offset } = ops[i + 3] {
-                                s.idx_load += 1;
-                                out.push(FlatOp::FusedScaleAddLoad {
-                                    k: k32,
-                                    offset,
-                                    kind,
-                                });
-                                return 4;
-                            }
-                        }
-                        s.idx_addr += 1;
-                        out.push(FlatOp::FusedScaleAdd { k: k32 });
-                        return 3;
-                    }
-                }
-                s.binop_ks += 1;
-                out.push(FlatOp::FusedBinopKS { k: *k, op });
-                return 2;
-            }
-        }
-        FlatOp::Unop(UnOpKind::I32Eqz) if free(i + 1) => {
-            // Bare truthiness chain: fold `eqzⁿ; jump-if` into the jump
-            // with the polarity flipped per inversion.
-            let mut n = 1usize;
-            while free(i + n) && matches!(ops[i + n], FlatOp::Unop(UnOpKind::I32Eqz)) {
-                n += 1;
-            }
-            if free(i + n) {
-                let odd = n % 2 == 1;
-                let fold = match &ops[i + n] {
-                    FlatOp::JumpIfNonZero { target } if odd => {
-                        Some(FlatOp::JumpIfZero { target: *target })
-                    }
-                    FlatOp::JumpIfNonZero { target } => {
-                        Some(FlatOp::JumpIfNonZero { target: *target })
-                    }
-                    FlatOp::JumpIfZero { target } if odd => {
-                        Some(FlatOp::JumpIfNonZero { target: *target })
-                    }
-                    FlatOp::JumpIfZero { target } => Some(FlatOp::JumpIfZero { target: *target }),
-                    _ => None,
-                };
-                if let Some(op) = fold {
-                    s.eqz_br += 1;
-                    out.push(op);
-                    return n + 1;
-                }
-            }
-        }
-        &FlatOp::Binop(op) => {
-            let (follow, extra) = binop_follow(ops, free, i + 1, op);
-            match follow {
-                BinopFollow::Set(dst) => {
-                    s.binop_set += 1;
-                    out.push(FlatOp::FusedBinopSet { op, dst });
-                    return 1 + extra;
-                }
-                BinopFollow::Store(kind, offset) => {
-                    s.binop_store += 1;
-                    out.push(FlatOp::FusedBinopStore { op, offset, kind });
-                    return 1 + extra;
-                }
-                BinopFollow::BrZ(target) => {
-                    s.cmp_br += 1;
-                    out.push(FlatOp::FusedCmpBrZ { op, target });
-                    return 1 + extra;
-                }
-                BinopFollow::BrNZ(target) => {
-                    s.cmp_br += 1;
-                    out.push(FlatOp::FusedCmpBrNZ { op, target });
-                    return 1 + extra;
-                }
-                BinopFollow::None => {
-                    if op == I32Add && free(i + 1) {
-                        if let FlatOp::Load { kind, offset } = ops[i + 1] {
-                            s.add_load += 1;
-                            out.push(FlatOp::FusedAddLoad { offset, kind });
-                            return 2;
-                        }
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-    out.push(ops[i].clone());
-    1
-}
-
 /// Maps a non-control instruction to its flat opcode and stack effect
 /// `(pops, pushes)`. This is the one per-instruction table of the compile
 /// pipeline; the effect follows from the opcode's class.
@@ -2350,7 +1635,7 @@ fn map_simple(instr: &Instr) -> Result<(FlatOp, usize, usize), Trap> {
         F::Binop(_) => (2, 1),
         F::Select => (3, 1),
         F::MemoryCopy | F::MemoryFill => (3, 0),
-        _ => return Err(bad("fused or control op in a simple position")),
+        _ => return Err(bad("control op in a simple position")),
     };
     Ok((op, pops, pushes))
 }
@@ -2686,13 +1971,11 @@ mod tests {
 
     #[test]
     fn flat_op_size_does_not_regress() {
-        // The compile scratch holds a body's worth of these twice over
-        // (`ops` and fusion's output side), so the op size is what a
-        // launch's first touches cost. The floor is set by `BrTable`'s fat
-        // `Box<[BrEntry]>` (16 bytes + tag = 24); fused variants must fit
-        // inside it — constants that do not fit a u32 stay in the plain
-        // `FusedBinopLK`/`Const` forms instead of growing the enum.
-        assert_eq!(std::mem::size_of::<FlatOp>(), 24);
+        // The compile scratch holds a body's worth of these, so the op
+        // size is what a launch's first touches cost. `BrTable`'s fat
+        // `Box<[BrEntry]>` (16 bytes + tag) sets it; no other token may
+        // push it further.
+        assert!(std::mem::size_of::<FlatOp>() <= 24);
     }
 
     #[test]
@@ -2735,7 +2018,8 @@ mod tests {
 
     #[test]
     fn fusion_emits_expected_superinstructions() {
-        // sum-loop: cond fuses to a cmp-branch, the body to LL/LK sinks.
+        // sum-loop: the exit test joins its branch, both updates sink into
+        // their locals (one with the constant inline).
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
         let f = b.add_func(
@@ -2766,13 +2050,23 @@ mod tests {
         );
         b.export_func("sum", f);
         let module = crate::load(&b.build()).unwrap();
-        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
-        let stats = flat.fusion;
+        let fused = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let stats = fused.fusion;
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
-        assert_eq!(stats.binop_ll_set, 1, "{stats:?}");
-        assert_eq!(stats.binop_lk_set, 1, "{stats:?}");
-        let unfused = CompiledModule::compile_full(&module, false, false, true).unwrap();
+        assert_eq!(stats.binop_set, 2, "{stats:?}");
+        assert_eq!(stats.total(), 3, "{stats:?}");
+        let code = &fused.reg.as_ref().unwrap().funcs[0].as_ref().unwrap().code;
+        assert_eq!(
+            code.len(),
+            6,
+            "exit, two updates, back-edge, result: {code:?}"
+        );
+        let unfused = CompiledModule::compile_full(&module, false, true, true).unwrap();
         assert_eq!(unfused.fusion.total(), 0);
+        // Fusion belongs to the register pass: without it nothing is
+        // counted, whatever `fuse` says.
+        let no_reg = CompiledModule::compile_full(&module, true, false, true).unwrap();
+        assert_eq!(no_reg.fusion.total(), 0);
         // And the fused loop still computes the same sum.
         let oracle = agreed_outcome(&b.build(), "sum", &[Value::I32(10)], "sum loop");
         assert_eq!(oracle.unwrap(), vec![Value::I32(45)]);
@@ -2820,9 +2114,10 @@ mod tests {
 
     #[test]
     fn fused_div_traps_match_oracle() {
-        // `local.get; local.get; div` fuses to FusedBinopLL(Div): the
-        // INT_MIN/-1 overflow, the /0 trap and the INT_MIN%-1 == 0
-        // non-trap must be bit-identical to the oracle, fused and unfused.
+        // `local.get; local.get; div` reads both operands straight from
+        // the locals: the INT_MIN/-1 overflow, the /0 trap and the
+        // INT_MIN%-1 == 0 non-trap must be bit-identical to the oracle,
+        // fused and unfused.
         for (op, name) in [
             (I::I32DivS, "div_s"),
             (I::I32RemS, "rem_s"),
@@ -2878,8 +2173,9 @@ mod tests {
 
     #[test]
     fn fused_lk_div_overflow_traps() {
-        // `local.get; const -1; i32.div_s; local.set` fuses to
-        // FusedBinopLKSet; INT_MIN / -1 must still trap with overflow.
+        // `local.get; const -1; i32.div_s; local.set` becomes one op with
+        // the constant inline and the local as destination; INT_MIN / -1
+        // must still trap with overflow.
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
         let f = b.add_func(
@@ -2897,8 +2193,8 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
-        assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
+        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
         }
@@ -2908,7 +2204,7 @@ mod tests {
 
     #[test]
     fn div_in_fused_set_window_retires_exactly() {
-        // The same LKSet shape as above, profiled: the trap point sits
+        // The same set-sink shape as above, profiled: the trap point sits
         // mid-window (`get; const; div; set` fuses, the set's retirement
         // deferred until the div succeeds). On trap every engine must
         // retire exactly the oracle's 3 guest ops (get, const, div —
@@ -2931,8 +2227,8 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
-        assert_eq!(flat.fusion.binop_lk_set, 1, "LKSet must fuse");
+        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
         {
@@ -2999,8 +2295,8 @@ mod tests {
 
     #[test]
     fn fused_load_store_oob_traps_match() {
-        // `local.get; load` / `local.get; store` fuse to the direct
-        // frame-slot addressing path; out-of-bounds must still trap with
+        // `local.get; load` / `local.get; store` address memory straight
+        // from the locals' frame slots; out-of-bounds must still trap with
         // MemoryOutOfBounds in every engine, including offset overflow.
         use crate::instr::MemArg;
         let mut b = ModuleBuilder::new();
@@ -3026,9 +2322,13 @@ mod tests {
         b.export_func("store", store);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let flat = CompiledModule::compile_full(&module, true, false, true).unwrap();
-        let stats = flat.fusion;
-        assert!(stats.load_l + stats.add_load + stats.idx_load > 0 || stats.store_l > 0);
+        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let stats = compiled.reg.as_ref().unwrap().stats;
+        assert_eq!(
+            (stats.gets_forwarded, stats.moves_inserted),
+            (3, 0),
+            "every access reads its local in place: {stats:?}"
+        );
         for addr in [0, 65520, 65529, 65536, -1, i32::MAX] {
             assert_matrix_agrees(&bytes, "load", &[Value::I32(addr)], &format!("load {addr}"));
             assert_matrix_agrees(

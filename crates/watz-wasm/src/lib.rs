@@ -14,12 +14,13 @@
 //!   targets by scanning, like a naive interpreter — the reference
 //!   implementation and the fallback — while [`ExecMode::Aot`] runs the
 //!   register engine: bodies lowered at load time to a flat linear IR with
-//!   absolute jumps, inlined immediates and untagged 64-bit operands,
-//!   peephole-fused into superinstructions ([`flat`], [`FusionStats`];
-//!   disable with `WATZ_NO_FUSE=1`), then register-allocated so every op
-//!   addresses fixed frame slots and the dispatch loop moves no operand
-//!   stack at all ([`reg`], [`RegStats`]); the flat form is compile-time
-//!   scratch, an instance keeps the register code only — the stand-in for WAMR's AOT
+//!   absolute jumps, inlined immediates and untagged 64-bit operands
+//!   ([`flat`]), then register-allocated so every op addresses fixed frame
+//!   slots and the dispatch loop moves no operand stack at all, the same
+//!   pass joining common adjacent shapes into superinstructions ([`reg`],
+//!   [`RegStats`], [`FusionStats`]; `WATZ_NO_FUSE=1` turns the joining
+//!   off); the flat form is compile-time scratch, an instance keeps the
+//!   register code only — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
 //!   AOT/interp gap is smaller than the paper's 28x, as documented in
 //!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch, and its

@@ -24,10 +24,10 @@
 //! (`block`/`loop`/`end`/`else`/`nop`, which the flat lowering erases).
 //! The register engine executes fewer host ops than that, so each lowered
 //! op carries a [`ProfOp`] weight — how many guest instructions it
-//! retires — computed at lowering time and merged through the fusion and
-//! register passes. Counting is *inclusive at fetch*: an op's full weight
-//! retires when it is dispatched, before it can trap, and the fusion pass
-//! never extends a window past a trap-capable div/rem, so both executors
+//! retires — computed at lowering time and merged by the register pass.
+//! Counting is *inclusive at fetch*: an op's full weight retires when it
+//! is dispatched, before it can trap, and no fusion rule retires anything
+//! past a trap-capable div/rem at that op's fetch, so both executors
 //! retire exactly the same count for the same input — including programs
 //! that trap, up to and including the trapping instruction. The
 //! differential suite pins this.
@@ -196,9 +196,9 @@ pub fn classify(instr: &Instr) -> (OpClass, u32) {
 /// Retirement metadata for one lowered (flat or register) op: how many
 /// guest instructions it retires and how they split across classes.
 ///
-/// Built once at lowering time; the fusion and register passes merge
-/// the metadata of every source op a window absorbs, so retire-at-fetch
-/// stays exact on the register engine.
+/// Built once at lowering time; the register pass merges the metadata of
+/// every source op a register op stands for, so retire-at-fetch stays
+/// exact on the register engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfOp {
     /// Guest instructions retired when this op is dispatched.
@@ -233,7 +233,7 @@ impl ProfOp {
         Self::of(cls, weight)
     }
 
-    /// Absorbs another op's retirement into this one (window fusion).
+    /// Absorbs another op's retirement into this one.
     pub fn merge(&mut self, other: &ProfOp) {
         self.weight += other.weight;
         for (a, b) in self.cls.iter_mut().zip(other.cls.iter()) {

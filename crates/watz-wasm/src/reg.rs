@@ -12,21 +12,41 @@
 //! height `h`" can live in the fixed frame slot `n_locals + h` instead.
 //!
 //! The register pass exploits exactly that: an **abstract-stack
-//! simulation** walks each (fused) flat body once at load time and rewrites
-//! every op to carry explicit source/destination frame-slot indices.
-//! Locals, intermediates and fused temporaries all live in one flat `u64`
-//! frame; a [`RegOp`] reads its operands from slots and writes its result
-//! to a slot, and the dispatch loop maintains nothing but a program counter
-//! and a frame base.
+//! simulation** walks each flat body once at load time and rewrites every
+//! op to carry explicit source/destination frame-slot indices. Locals and
+//! intermediates all live in one flat `u64` frame; a [`RegOp`] reads its
+//! operands from slots and writes its result to a slot, and the dispatch
+//! loop maintains nothing but a program counter and a frame base.
 //!
-//! Two further rewrites fall out of the simulation:
+//! Three further rewrites fall out of the simulation:
 //!
 //! * **Copy forwarding** — a `local.get` emits *no code at all*: the
 //!   abstract stack records that this operand lives in the local's slot,
 //!   and the consumer reads it from there directly. A later write to that
 //!   local while the forwarded value is still pending inserts a `Move` to
 //!   the value's canonical slot first (the classic interpreter-regalloc
-//!   hazard), which the simulation detects exactly.
+//!   hazard), which the simulation detects exactly. Forwarding is why no
+//!   op needs to say where an operand came from: a local, a constant's
+//!   slot and an intermediate are all just slots.
+//! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
+//!   the tokens that follow it and emits one superinstruction for the
+//!   group, under one rule per shape:
+//!
+//!   | at | tokens joined | register op |
+//!   |---|---|---|
+//!   | `const k` | `i32.mul; i32.add [; load]` (1-D address tail) | `ScaleAdd` / `ScaleAddLoad*` |
+//!   | `const k` | the adjacent `binop` (`k` its right operand), then its follow | `BinopK`, `AddI32K`, `CmpBrK` |
+//!   | `local.get z` | `i32.add; const k; i32.mul; i32.add [; load]` (2-D tail) | `IdxLAdd` / `IdxLAddLoad*` |
+//!   | `binop` | its follow: `local.set`, a store, `i32.eqzⁿ; jump-if`, or a load after `i32.add` | the binop writing the local, `BinopStore`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
+//!   | `i32.eqz` | `i32.eqzⁿ; jump-if` (no binop in front) | `BrIf` with the polarity folded |
+//!
+//!   A trap-capable binop (`div`/`rem`) sinks only into a `local.set`,
+//!   whose retirement is deferred until the division succeeds. **No rule
+//!   joins a token a jump lands on** ([`crate::flat::lower`]'s target
+//!   flags): every branch destination stays the first token of a register
+//!   op, which is what makes the jump remap below a plain index lookup.
+//!   `WATZ_NO_FUSE=1` switches exactly these rules off (forwarding stays),
+//!   for bisection; [`FusionStats`] counts what each rule joined.
 //! * **Stack-polymorphic edges keep explicit fix-ups** — branches that
 //!   transfer values (`br`/`br_if` with results, `br_table` arms) become
 //!   jumps carrying a static `src → dst × keep` block copy, calls require
@@ -35,10 +55,10 @@
 //!   frame base.
 //!
 //! **Jump-remap re-validation:** lowering inserts fix-up `Move`s in front
-//! of fall-through jump-target ops, so every flat-code index is re-pointed
-//! through an old→new map (the same discipline as the fusion pass), and
-//! the remapped target set is checked to lie inside the code before it
-//! ever runs.
+//! of fall-through jump-target ops and emits one op for several tokens, so
+//! every flat-code index is re-pointed through an old→new map; a target
+//! that is not the first token of a register op, or lies past the code, is
+//! an instantiation error before anything runs.
 //!
 //! **Fallback.** Slot operands are `u16`. A function whose frame (locals
 //! plus operand positions) does not fit is reported as
@@ -55,15 +75,16 @@
 //! both, fused and unfused, with elision on and off.
 //!
 //! [`ExecMode::Aot`]: crate::exec::ExecMode::Aot
+//! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
     apply_binop, apply_unop, as_f64, as_i32, as_u32, do_load, do_store, from_f64, from_i32,
-    slot_from_value, value_from_slot, BinOpKind, CompileScratch, CompiledModule, FlatOp, LoadKind,
-    Slot, StoreKind, UnOpKind,
+    slot_from_value, value_from_slot, BinOpKind, CompileScratch, CompiledModule, FlatOp,
+    FusionStats, LoadKind, Slot, StoreKind, UnOpKind,
 };
 use crate::module::{FuncBody, Module};
-use crate::profile::{OpClass, ProfOp, Profiler};
+use crate::profile::{ProfOp, Profiler};
 use crate::types::{FuncType, ValType};
 
 /// Counters from the register-allocation pass over a whole module,
@@ -758,13 +779,16 @@ enum Src {
 }
 
 /// The register pass's share of the compile scratch
-/// ([`crate::flat::CompileScratch`]): the abstract stack, and the
-/// jump-target flags of the body it lowered last, which the range analysis
-/// reads. (The code and its retirement table are built in the vectors the
-/// [`RegFunc`] keeps.)
+/// ([`crate::flat::CompileScratch`]): the abstract stack, the flat→register
+/// index map, and the jump-target flags of the body it lowered last, which
+/// the range analysis reads. (The code and its retirement table are built
+/// in the vectors the [`RegFunc`] keeps.)
 #[derive(Default)]
 pub(crate) struct RegScratch {
     vstack: Vec<Src>,
+    /// Register index of each flat op that starts a register op;
+    /// [`ABSORBED`] for a token a fusion rule joined to its predecessor.
+    old2new: Vec<u32>,
     /// Whether some branch lands on `code[pc]` of the register body; one
     /// flag more than ops (the end position).
     pub(crate) is_target: Vec<bool>,
@@ -841,15 +865,23 @@ impl Lowerer<'_> {
         self.stats.moves_inserted += 1;
     }
 
+    /// Copies the forwarded value at stack position `pos` out of local
+    /// slot `from` into its canonical slot, which the frame must then hold.
+    fn spill(&mut self, pos: usize, from: u16) -> Result<(), LowerError> {
+        let dst = self.canon(pos)?;
+        self.emit_move(from, dst);
+        self.vstack[pos] = Src::Canon;
+        self.max_height = self.max_height.max(pos + 1);
+        Ok(())
+    }
+
     /// Flushes every forwarded entry except the top `keep_top` to its
     /// canonical slot (branch/call edges need canonical state).
     fn flush_below(&mut self, keep_top: usize) -> Result<(), LowerError> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if let Src::Fwd(s) = self.vstack[pos] {
-                let dst = self.canon(pos)?;
-                self.emit_move(s, dst);
-                self.vstack[pos] = Src::Canon;
+                self.spill(pos, s)?;
             }
         }
         Ok(())
@@ -866,9 +898,7 @@ impl Lowerer<'_> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if self.vstack[pos] == Src::Fwd(local) {
-                let dst = self.canon(pos)?;
-                self.emit_move(local, dst);
-                self.vstack[pos] = Src::Canon;
+                self.spill(pos, local)?;
             }
         }
         Ok(())
@@ -885,12 +915,107 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lowers the (fused) flat body in `scratch.ops` — `body`'s — to register
-/// form. `scratch` holds what the flat passes recorded beside the ops: the
+/// [`RegScratch::old2new`] entry of a flat op that a fusion rule joined to
+/// the register op of an earlier token: nothing may jump to it.
+const ABSORBED: u32 = u32::MAX;
+
+/// Where a binop's result goes, read off the tokens that follow it.
+enum Follow {
+    /// Nothing joinable: the result is pushed.
+    Push,
+    /// `local.set`: the result is written straight to the local.
+    Set(u32),
+    /// `store`: the result is the value stored (address beneath it).
+    Store(StoreKind, u32),
+    /// `i32.eqzⁿ; jump-if`: the result is only tested.
+    Br { jump_if: bool, target: u32 },
+    /// `load` after `i32.add`: the result is only the address.
+    Load(LoadKind, u32),
+}
+
+/// The fusion rules' view of the flat stream past the op being lowered.
+struct Ahead<'a> {
+    ops: &'a [FlatOp],
+    is_target: &'a [bool],
+    fuse: bool,
+}
+
+impl Ahead<'_> {
+    /// `ops[j]` when a rule may join it to an earlier op: fusion is on and
+    /// no jump lands on it (a target must stay the start of a register op).
+    fn at(&self, j: usize) -> Option<&FlatOp> {
+        if self.fuse && self.is_target.get(j) == Some(&false) {
+            self.ops.get(j)
+        } else {
+            None
+        }
+    }
+
+    /// Reads `i32.eqzⁿ; jump-if` at `ops[j..]`: whether the jump is taken
+    /// on a non-zero value *entering* the chain (each inversion flips the
+    /// polarity; MiniC's truthiness normalization emits these chains), its
+    /// target, and the tokens read.
+    fn cond_jump(&self, j: usize) -> Option<(bool, u32, usize)> {
+        let mut n = 0;
+        while let Some(FlatOp::Unop(UnOpKind::I32Eqz)) = self.at(j + n) {
+            n += 1;
+        }
+        let (jump_if, target) = match self.at(j + n)? {
+            FlatOp::JumpIfZero { target } => (false, *target),
+            FlatOp::JumpIfNonZero { target } => (true, *target),
+            _ => return None,
+        };
+        Some((jump_if ^ (n % 2 == 1), target, n + 1))
+    }
+
+    /// Classifies the tokens following a binop `op` at `ops[j - 1]`;
+    /// returns the follow and how many tokens it takes.
+    ///
+    /// A trap-capable binop (`div`/`rem`) sinks only into a `local.set`:
+    /// the set's retirement is deferred until the division succeeds (see
+    /// `deferred_set` in [`lower_func`]), so inclusive-at-fetch instret
+    /// stays exact on trapping inputs. A store or branch would put a second
+    /// trap point or a control transfer after the division, which the
+    /// deferred-suffix scheme does not cover.
+    fn follow(&self, j: usize, op: BinOpKind) -> (Follow, usize) {
+        match self.at(j) {
+            Some(FlatOp::LocalSet(dst)) => (Follow::Set(*dst), 1),
+            _ if op.traps() => (Follow::Push, 0),
+            Some(&FlatOp::Store { kind, offset }) => (Follow::Store(kind, offset), 1),
+            Some(&FlatOp::Load { kind, offset }) if op == BinOpKind::I32Add => {
+                (Follow::Load(kind, offset), 1)
+            }
+            _ => match self.cond_jump(j) {
+                Some((jump_if, target, n)) => (Follow::Br { jump_if, target }, n),
+                None => (Follow::Push, 0),
+            },
+        }
+    }
+
+    /// Reads `i32.mul; i32.add [; load]` at `ops[j..]` — an array-address
+    /// tail past its `const k`: the trailing load, and the tokens read.
+    fn scale_tail(&self, j: usize) -> Option<(Option<(LoadKind, u32)>, usize)> {
+        let Some(FlatOp::Binop(BinOpKind::I32Mul)) = self.at(j) else {
+            return None;
+        };
+        let Some(FlatOp::Binop(BinOpKind::I32Add)) = self.at(j + 1) else {
+            return None;
+        };
+        Some(match self.at(j + 2) {
+            Some(&FlatOp::Load { kind, offset }) => (Some((kind, offset)), 3),
+            _ => (None, 2),
+        })
+    }
+}
+
+/// Lowers the flat body in `scratch.ops` — `body`'s — to register form.
+/// `scratch` holds what [`crate::flat::lower`] recorded beside the ops: the
 /// operand-stack entry height of every flat op — it re-seeds the abstract
 /// stack at dynamically-unreachable fall-through code where no simulation
 /// state survives —, the retirement metadata, and the jump-target flags,
 /// which are carried through the old→new map into `scratch.reg.is_target`.
+/// `fuse` turns the fusion rules on (see the module docs); what they
+/// joined is counted in `fusion`.
 ///
 /// # Errors
 ///
@@ -903,7 +1028,9 @@ pub(crate) fn lower_func(
     module: &Module,
     body: &FuncBody,
     scratch: &mut CompileScratch,
+    fuse: bool,
     stats: &mut RegStats,
+    fusion: &mut FusionStats,
 ) -> Result<RegFunc, LowerError> {
     let ty = module
         .types
@@ -914,11 +1041,12 @@ pub(crate) fn lower_func(
         heights,
         prof,
         is_target,
-        old2new,
-        reg: RegScratch {
-            vstack,
-            is_target: reg_targets,
-        },
+        reg:
+            RegScratch {
+                vstack,
+                old2new,
+                is_target: reg_targets,
+            },
         ..
     } = scratch;
     let n = ops.len();
@@ -938,7 +1066,12 @@ pub(crate) fn lower_func(
         stats,
     };
     old2new.clear();
-    old2new.resize(n + 1, 0);
+    old2new.resize(n + 1, ABSORBED);
+    let ahead = Ahead {
+        ops,
+        is_target,
+        fuse,
+    };
     // The previous op ended its basic block: the abstract stack must be
     // re-seeded from the recorded entry height (canonical by convention —
     // every edge into a target flushes first).
@@ -973,7 +1106,8 @@ pub(crate) fn lower_func(
         Ok((ty.params.len(), ty.results.len()))
     };
 
-    for i in 0..n {
+    let mut i = 0;
+    while i < n {
         if terminated {
             lo.vstack.clear();
             lo.vstack.resize(heights[i] as usize, Src::Canon);
@@ -1000,18 +1134,14 @@ pub(crate) fn lower_func(
             }
         }
         old2new[i] = lo.out.len() as u32;
-        pending.merge(&prof[i]);
-        // Binop-set forms retire their trailing `local.set` only after
-        // the (possibly trapping) binop succeeds: its weight joins
+        // Flat ops this iteration lowers: `ops[i]` plus what a fusion rule
+        // joins to it.
+        let mut used = 1;
+        // A binop sunk into a `local.set` retires the set only after the
+        // (possibly trapping) binop succeeds: the set's weight joins
         // `pending` after this op's sync, attaching to the next emission
         // on the fall-through path (or a carrier move at a join).
-        let deferred_set = matches!(
-            &ops[i],
-            FlatOp::FusedBinopLLSet { .. }
-                | FlatOp::FusedBinopLKSet { .. }
-                | FlatOp::FusedBinopSLSet { .. }
-                | FlatOp::FusedBinopSet { .. }
-        );
+        let mut deferred_set = false;
 
         match &ops[i] {
             FlatOp::Unreachable => {
@@ -1023,21 +1153,12 @@ pub(crate) fn lower_func(
                 lo.out.push(RegOp::Jump { target: *target });
                 terminated = true;
             }
-            FlatOp::JumpIfZero { target } => {
+            FlatOp::JumpIfZero { target } | FlatOp::JumpIfNonZero { target } => {
                 lo.flush_below(1)?;
                 let cond = lo.pop()?;
                 lo.out.push(RegOp::BrIf {
                     cond,
-                    jump_if: false,
-                    target: *target,
-                });
-            }
-            FlatOp::JumpIfNonZero { target } => {
-                lo.flush_below(1)?;
-                let cond = lo.pop()?;
-                lo.out.push(RegOp::BrIf {
-                    cond,
-                    jump_if: true,
+                    jump_if: matches!(&ops[i], FlatOp::JumpIfNonZero { .. }),
                     target: *target,
                 });
             }
@@ -1186,11 +1307,40 @@ pub(crate) fn lower_func(
             }
 
             FlatOp::LocalGet(idx) => {
-                let s = lo.local(*idx)?;
-                lo.vstack.push(Src::Fwd(s));
-                lo.max_height = lo.max_height.max(lo.vstack.len());
-                lo.stats.gets_forwarded += 1;
-                lo.stats.stack_ops_eliminated += 1;
+                let z = lo.local(*idx)?;
+                // The 2-D address tail `local.get z; i32.add; const k;
+                // i32.mul; i32.add [; load]`: base + (part + z)*k.
+                let tail = match (ahead.at(i + 1), ahead.at(i + 2)) {
+                    (Some(FlatOp::Binop(BinOpKind::I32Add)), Some(&FlatOp::Const(k))) => {
+                        u32::try_from(k).ok().zip(ahead.scale_tail(i + 3))
+                    }
+                    _ => None,
+                };
+                if let Some((k, (load, tail_len))) = tail {
+                    used = 3 + tail_len;
+                    let part = lo.pop()?;
+                    let base = lo.pop()?;
+                    let dst = lo.push()?;
+                    lo.out.push(if let Some((kind, offset)) = load {
+                        fusion.idx_load += 1;
+                        sel_idx_l_add_load(base, part, z, k, kind, offset, dst)
+                    } else {
+                        fusion.idx_addr += 1;
+                        RegOp::IdxLAdd {
+                            base,
+                            part,
+                            z,
+                            k,
+                            dst,
+                        }
+                    });
+                } else {
+                    // Forwarded: the operand stays in the local's slot and
+                    // takes a frame slot of its own only if it is spilled.
+                    lo.vstack.push(Src::Fwd(z));
+                    lo.stats.gets_forwarded += 1;
+                    lo.stats.stack_ops_eliminated += 1;
+                }
             }
             FlatOp::LocalSet(idx) => {
                 let dst = lo.local(*idx)?;
@@ -1247,199 +1397,123 @@ pub(crate) fn lower_func(
                 });
             }
 
-            FlatOp::Const(v) => {
-                let dst = lo.push()?;
-                lo.out.push(RegOp::Const { bits: *v, dst });
-            }
-
-            FlatOp::FusedBinopLL { a, b, op } => {
-                let (a, b) = (lo.local(*a)?, lo.local(*b)?);
-                let dst = lo.push()?;
-                lo.out.push(sel_binop(*op, a, b, dst));
-            }
-            FlatOp::FusedBinopLK { a, k, op } => {
-                let a = lo.local(*a)?;
-                let dst = lo.push()?;
-                lo.out.push(sel_binop_k(*op, a, *k, dst));
-            }
-            FlatOp::FusedBinopLLSet { a, b, op, dst } => {
-                let (a, b) = (lo.local(*a)?, lo.local(*b)?);
-                let dst = lo.local(*dst)?;
-                lo.guard_local_write(dst, 0)?;
-                lo.out.push(sel_binop(*op, a, b, dst));
-            }
-            FlatOp::FusedBinopLKSet { a, k, op, dst } => {
-                let a = lo.local(*a)?;
-                let dst = lo.local(*dst)?;
-                lo.guard_local_write(dst, 0)?;
-                lo.out.push(sel_binop_k(*op, a, u64::from(*k), dst));
-            }
-            FlatOp::FusedBinopSL { b, op } => {
-                let b = lo.local(*b)?;
-                let a = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(sel_binop(*op, a, b, dst));
-            }
-            FlatOp::FusedBinopSLSet { b, op, dst } => {
-                let b = lo.local(*b)?;
-                let a = lo.pop()?;
-                let dst = lo.local(*dst)?;
-                lo.guard_local_write(dst, 0)?;
-                lo.out.push(sel_binop(*op, a, b, dst));
-            }
-            FlatOp::FusedBinopSLStore {
-                b,
-                op,
-                offset,
-                kind,
-            } => {
-                let b = lo.local(*b)?;
-                let a = lo.pop()?;
-                let addr = lo.pop()?;
-                lo.out
-                    .push(sel_binop_store(*op, *kind, a, b, addr, *offset));
-            }
-            FlatOp::FusedBinopLLStore {
-                a,
-                b,
-                op,
-                offset,
-                kind,
-            } => {
-                let (a, b) = (lo.local(*a)?, lo.local(*b)?);
-                let addr = lo.pop()?;
-                lo.out
-                    .push(sel_binop_store(*op, *kind, a, b, addr, *offset));
-            }
-            FlatOp::FusedBinopSet { op, dst } => {
-                let b = lo.pop()?;
-                let a = lo.pop()?;
-                let dst = lo.local(*dst)?;
-                lo.guard_local_write(dst, 0)?;
-                lo.out.push(sel_binop(*op, a, b, dst));
-            }
-            FlatOp::LocalCopy { src, dst } => {
-                let (src, dst) = (lo.local(*src)?, lo.local(*dst)?);
-                if src != dst {
-                    lo.guard_local_write(dst, 0)?;
-                    lo.emit_move(src, dst);
+            FlatOp::Const(k) => {
+                let k = *k;
+                let k32 = u32::try_from(k).ok();
+                if let Some((k, (load, tail_len))) = k32.zip(ahead.scale_tail(i + 1)) {
+                    // The 1-D address tail `const k; i32.mul; i32.add
+                    // [; load]`: base + idx*k.
+                    used = 1 + tail_len;
+                    let idx = lo.pop()?;
+                    let base = lo.pop()?;
+                    let dst = lo.push()?;
+                    lo.out.push(if let Some((kind, offset)) = load {
+                        fusion.idx_load += 1;
+                        sel_scale_add_load(base, idx, k, kind, offset, dst)
+                    } else {
+                        fusion.idx_addr += 1;
+                        RegOp::ScaleAdd { base, idx, k, dst }
+                    });
+                } else if let Some(&FlatOp::Binop(op)) = ahead.at(i + 1) {
+                    // `const k; binop`: `k` is the inline right operand.
+                    // The register code has no constant form of the store
+                    // and address sinks, and `CmpBrK` holds a `u32`.
+                    let (follow, follow_len) = ahead.follow(i + 2, op);
+                    match (follow, k32) {
+                        (Follow::Set(dst), _) => {
+                            fusion.binop_set += 1;
+                            used = 2 + follow_len;
+                            deferred_set = true;
+                            let a = lo.pop()?;
+                            let dst = lo.local(dst)?;
+                            lo.guard_local_write(dst, 0)?;
+                            lo.out.push(sel_binop_k(op, a, k, dst));
+                        }
+                        (Follow::Br { jump_if, target }, Some(k)) => {
+                            fusion.cmp_br += 1;
+                            used = 2 + follow_len;
+                            lo.flush_below(1)?;
+                            let a = lo.pop()?;
+                            lo.out.push(RegOp::CmpBrK {
+                                op,
+                                a,
+                                k,
+                                jump_if,
+                                target,
+                            });
+                        }
+                        _ => {
+                            fusion.binop_k += 1;
+                            used = 2;
+                            let a = lo.pop()?;
+                            let dst = lo.push()?;
+                            lo.out.push(sel_binop_k(op, a, k, dst));
+                        }
+                    }
+                } else {
+                    let dst = lo.push()?;
+                    lo.out.push(RegOp::Const { bits: k, dst });
                 }
-            }
-            FlatOp::FusedLoadL { addr, offset, kind } => {
-                let addr = lo.local(*addr)?;
-                let dst = lo.push()?;
-                lo.out.push(sel_load(*kind, addr, *offset, dst));
-            }
-            FlatOp::FusedStoreL { val, offset, kind } => {
-                let val = lo.local(*val)?;
-                let addr = lo.pop()?;
-                lo.out.push(sel_store(*kind, addr, val, *offset));
-            }
-            FlatOp::FusedAddLoad { offset, kind } => {
-                let idx = lo.pop()?;
-                let base = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out
-                    .push(sel_scale_add_load(base, idx, 1, *kind, *offset, dst));
-            }
-            FlatOp::FusedBinopKS { k, op } => {
-                let a = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(sel_binop_k(*op, a, *k, dst));
-            }
-            FlatOp::FusedScaleAdd { k } => {
-                let idx = lo.pop()?;
-                let base = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(RegOp::ScaleAdd {
-                    base,
-                    idx,
-                    k: *k,
-                    dst,
-                });
-            }
-            FlatOp::FusedScaleAddLoad { k, offset, kind } => {
-                let idx = lo.pop()?;
-                let base = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out
-                    .push(sel_scale_add_load(base, idx, *k, *kind, *offset, dst));
-            }
-            FlatOp::FusedIdxLAdd { z, k } => {
-                let z = lo.local(*z)?;
-                let part = lo.pop()?;
-                let base = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(RegOp::IdxLAdd {
-                    base,
-                    part,
-                    z,
-                    k: *k,
-                    dst,
-                });
-            }
-            FlatOp::FusedIdxLAddLoad { z, k, offset, kind } => {
-                let z = lo.local(*z)?;
-                let part = lo.pop()?;
-                let base = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out
-                    .push(sel_idx_l_add_load(base, part, z, *k, *kind, *offset, dst));
-            }
-            FlatOp::FusedBinopStore { op, offset, kind } => {
-                let b = lo.pop()?;
-                let a = lo.pop()?;
-                let addr = lo.pop()?;
-                lo.out
-                    .push(sel_binop_store(*op, *kind, a, b, addr, *offset));
-            }
-            FlatOp::FusedCmpBrZ { op, target } | FlatOp::FusedCmpBrNZ { op, target } => {
-                lo.flush_below(2)?;
-                let b = lo.pop()?;
-                let a = lo.pop()?;
-                let jump_if = matches!(&ops[i], FlatOp::FusedCmpBrNZ { .. });
-                lo.out.push(sel_cmp_br(*op, a, b, jump_if, *target));
-            }
-            FlatOp::FusedCmpBrLLZ { a, b, op, target }
-            | FlatOp::FusedCmpBrLLNZ { a, b, op, target } => {
-                lo.flush_all()?;
-                let (a, b) = (lo.local(*a)?, lo.local(*b)?);
-                let jump_if = matches!(&ops[i], FlatOp::FusedCmpBrLLNZ { .. });
-                lo.out.push(sel_cmp_br(*op, a, b, jump_if, *target));
-            }
-            FlatOp::FusedCmpBrLKZ { a, k, op, target }
-            | FlatOp::FusedCmpBrLKNZ { a, k, op, target } => {
-                lo.flush_all()?;
-                let a = lo.local(*a)?;
-                lo.out.push(RegOp::CmpBrK {
-                    op: *op,
-                    a,
-                    k: *k,
-                    jump_if: matches!(&ops[i], FlatOp::FusedCmpBrLKNZ { .. }),
-                    target: *target,
-                });
-            }
-            FlatOp::FusedCmpBrSLZ { b, op, target } | FlatOp::FusedCmpBrSLNZ { b, op, target } => {
-                lo.flush_below(1)?;
-                let b = lo.local(*b)?;
-                let a = lo.pop()?;
-                let jump_if = matches!(&ops[i], FlatOp::FusedCmpBrSLNZ { .. });
-                lo.out.push(sel_cmp_br(*op, a, b, jump_if, *target));
             }
 
             // Reinterpret casts are identities on raw slots: no code, the
             // value stays wherever it lives.
             FlatOp::Reinterpret => {}
             FlatOp::Binop(op) => {
+                let op = *op;
+                let (follow, follow_len) = ahead.follow(i + 1, op);
+                used = 1 + follow_len;
+                if matches!(follow, Follow::Br { .. }) {
+                    lo.flush_below(2)?;
+                }
                 let b = lo.pop()?;
                 let a = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(sel_binop(*op, a, b, dst));
+                let reg_op = match follow {
+                    Follow::Push => sel_binop(op, a, b, lo.push()?),
+                    Follow::Set(dst) => {
+                        fusion.binop_set += 1;
+                        deferred_set = true;
+                        let dst = lo.local(dst)?;
+                        lo.guard_local_write(dst, 0)?;
+                        sel_binop(op, a, b, dst)
+                    }
+                    Follow::Store(kind, offset) => {
+                        fusion.binop_store += 1;
+                        sel_binop_store(op, kind, a, b, lo.pop()?, offset)
+                    }
+                    Follow::Br { jump_if, target } => {
+                        fusion.cmp_br += 1;
+                        sel_cmp_br(op, a, b, jump_if, target)
+                    }
+                    Follow::Load(kind, offset) => {
+                        fusion.add_load += 1;
+                        sel_scale_add_load(a, b, 1, kind, offset, lo.push()?)
+                    }
+                };
+                lo.out.push(reg_op);
             }
             FlatOp::Unop(op) => {
-                let src = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(RegOp::Unop { op: *op, src, dst });
+                // A bare truthiness chain `i32.eqzⁿ; jump-if` (no binop in
+                // front to take it as a follow) folds into the jump.
+                let fold = match op {
+                    UnOpKind::I32Eqz => ahead.cond_jump(i + 1),
+                    _ => None,
+                };
+                if let Some((jump_if, target, jump_len)) = fold {
+                    fusion.eqz_br += 1;
+                    used = 1 + jump_len;
+                    lo.flush_below(1)?;
+                    let cond = lo.pop()?;
+                    lo.out.push(RegOp::BrIf {
+                        cond,
+                        jump_if: !jump_if,
+                        target,
+                    });
+                } else {
+                    let src = lo.pop()?;
+                    let dst = lo.push()?;
+                    lo.out.push(RegOp::Unop { op: *op, src, dst });
+                }
             }
             FlatOp::Load { kind, offset } => {
                 let addr = lo.pop()?;
@@ -1452,10 +1526,17 @@ pub(crate) fn lower_func(
                 lo.out.push(sel_store(*kind, addr, val, *offset));
             }
         }
+        // Everything lowered here retires at the first op emitted for it,
+        // except a deferred set.
+        let retired = i + used - usize::from(deferred_set);
+        for p in &prof[i..retired] {
+            pending.merge(p);
+        }
         sync_prof!();
         if deferred_set {
-            pending.merge(&ProfOp::of(OpClass::Local, 1));
+            pending.merge(&prof[retired]);
         }
+        i += used;
     }
     old2new[n] = lo.out.len() as u32;
     // Every body ends on a terminator (flat lowering closes with Return),
@@ -1465,7 +1546,9 @@ pub(crate) fn lower_func(
     }
 
     // Re-point the target flags, then every jump, through the old→new map.
-    // A target can only miss the code by being its end position.
+    // A flagged target can only miss the code by being its end position
+    // (`Ahead::at` never lets a rule absorb one); a jump whose target is
+    // not the start of a register op is a lowering defect all the same.
     reg_targets.clear();
     reg_targets.resize(lo.out.len() + 1, false);
     for (old, _) in is_target.iter().enumerate().filter(|(_, &t)| t) {
@@ -1475,8 +1558,12 @@ pub(crate) fn lower_func(
         return Err(bad("register jump target out of bounds"));
     }
     for op in lo.out.iter_mut() {
-        let remap = |t: &mut u32| {
-            *t = old2new[*t as usize];
+        let remap = |t: &mut u32| match old2new.get(*t as usize) {
+            Some(&new) if new != ABSORBED => {
+                *t = new;
+                Ok(())
+            }
+            _ => Err(bad("jump into the middle of a fused window")),
         };
         match op {
             RegOp::Jump { target }
@@ -1486,10 +1573,10 @@ pub(crate) fn lower_func(
             | RegOp::CmpBr { target, .. }
             | RegOp::CmpBrK { target, .. }
             | RegOp::CmpBrLtSZ { target, .. }
-            | RegOp::CmpBrLtSNZ { target, .. } => remap(target),
+            | RegOp::CmpBrLtSNZ { target, .. } => remap(target)?,
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter_mut() {
-                    remap(&mut e.target);
+                    remap(&mut e.target)?;
                 }
             }
             _ => {}
@@ -2388,7 +2475,7 @@ pub(crate) mod tests {
             &[ValType::I32],
             vec![
                 I::LocalGet(0),
-                I::LocalSet(1), // LocalCopy -> Move
+                I::LocalSet(1), // forwarded get -> Move
                 I::LocalGet(1),
                 I::I32Const(3),
                 I::I32Mul,
@@ -2405,8 +2492,9 @@ pub(crate) mod tests {
         assert!(stats.frame_slots > 0, "{stats:?}");
         assert!(stats.moves_inserted > 0, "{stats:?}");
         assert!(stats.stack_ops_eliminated > 0, "{stats:?}");
-        // Without the pass the flat IR is still lowered and fused, but the
-        // instance reports no register program (and runs on the oracle).
+        // Without the pass the flat IR is still lowered, but the instance
+        // reports no register program and no fusion (and runs on the
+        // oracle).
         let no_reg = EngineConfig {
             reg: false,
             ..production
@@ -2414,7 +2502,8 @@ pub(crate) mod tests {
         let mut oracle_run =
             Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
         assert!(oracle_run.reg_stats().is_none());
-        assert_eq!(oracle_run.fusion_stats(), inst.fusion_stats());
+        assert_eq!(inst.fusion_stats().map(|s| s.binop_k), Some(1));
+        assert_eq!(oracle_run.fusion_stats(), Some(FusionStats::default()));
         assert_eq!(
             oracle_run.invoke(&mut NoHost, "f", &[Value::I32(5)]),
             Ok(vec![Value::I32(15)])
@@ -2465,8 +2554,8 @@ pub(crate) mod tests {
         // whose frame cannot be addressed by u16 slots. It must load in
         // Aot, carry no register program, and match the interpreter on
         // result, trap text and instret. The compile gives up the register
-        // program at `f` and goes on: the bodies on either side of it
-        // still count towards the fusion statistics.
+        // program at `f`, and with it what the pass counted in the body
+        // before: the module comes out as a `reg = false` compile would.
         const DEPTH: usize = 16_000;
         let n_locals = crate::decode::MAX_FUNC_LOCALS - 1;
         let mut code = vec![I::I32Const(7), I::LocalSet(n_locals as u32)];
@@ -2479,7 +2568,7 @@ pub(crate) mod tests {
             I::I32DivS,
             I::End,
         ]);
-        let double = vec![I::LocalGet(0), I::LocalGet(0), I::I32Add, I::End];
+        let double = vec![I::LocalGet(0), I::I32Const(2), I::I32Mul, I::End];
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
         b.add_func(ty, &[], double.clone());
@@ -2499,7 +2588,7 @@ pub(crate) mod tests {
         let no_reg = EngineConfig { reg: false, ..cfg };
         let never_tried =
             Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
-        assert_eq!(aot.fusion_stats().map(|s| s.binop_ll), Some(2));
+        assert_eq!(aot.fusion_stats(), Some(FusionStats::default()));
         assert_eq!(aot.fusion_stats(), never_tried.fusion_stats());
         assert_eq!(aot.range_stats(), never_tried.range_stats());
         // Nothing executes but the tree oracle, so there is nothing to
@@ -2525,5 +2614,354 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(aot.profile().expect("counting").traps, 1);
+    }
+
+    /// Compiles `bytes` to register code as lowering leaves it (no
+    /// elision rewrite), fusion rules on or off.
+    fn compiled(bytes: &[u8], fuse: bool) -> CompiledModule {
+        let module = crate::load(bytes).unwrap();
+        CompiledModule::compile_full(&module, fuse, true, false).unwrap()
+    }
+
+    /// The register code of local function `idx`.
+    fn code_of(cm: &CompiledModule, idx: usize) -> &[RegOp] {
+        &cm.reg.as_ref().unwrap().funcs[idx].as_ref().unwrap().code
+    }
+
+    /// The variant name of every op, for shape assertions.
+    fn names(code: &[RegOp]) -> Vec<String> {
+        let name = |op| {
+            let text = format!("{op:?}");
+            text.split([' ', '{'])
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        };
+        code.iter().map(name).collect()
+    }
+
+    #[test]
+    fn a_frame_is_the_slots_it_writes() {
+        // Both operands are read from their locals in place; only the sum
+        // takes an operand slot.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![I::LocalGet(0), I::LocalGet(1), I::I32Add, I::End],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        for fuse in [true, false] {
+            let cm = compiled(&bytes, fuse);
+            let func = cm.reg.as_ref().unwrap().funcs[0].as_ref().unwrap();
+            assert_eq!(func.frame_size, func.n_locals + 1, "fuse = {fuse}");
+        }
+        let args = [Value::I32(40), Value::I32(2)];
+        let out = agreed_outcome(&bytes, "f", &args, "frame").unwrap();
+        assert_eq!(out, vec![Value::I32(42)]);
+    }
+
+    /// What consumes the binop's result in [`fusion_rule_table`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Sink {
+        Push,
+        Set,
+        Store,
+        BrZero,
+        BrNonZero,
+    }
+
+    /// Where an operand of the binop comes from in [`fusion_rule_table`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Operand {
+        Local,
+        Stack,
+        Const(i32),
+    }
+
+    /// Pushes param `local` as `from` says: forwarded, through a
+    /// value-preserving round trip that leaves it in an operand slot, or
+    /// replaced by a constant. Returns the register ops that costs.
+    fn operand(code: &mut Vec<I>, from: Operand, local: u32) -> usize {
+        match from {
+            Operand::Local => code.push(I::LocalGet(local)),
+            Operand::Stack => {
+                code.extend([I::LocalGet(local), I::I64ExtendI32S, I::I32WrapI64]);
+                return 2;
+            }
+            Operand::Const(k) => code.push(I::I32Const(k)),
+        }
+        0
+    }
+
+    #[test]
+    fn fusion_rule_table() {
+        // Every sink x left source x right source, for a plain and two
+        // trap-capable operators: one register op where a rule applies,
+        // the generic pair where none does (constant + store, trap-capable
+        // operator + store or branch), and full parity with the oracle —
+        // results, traps and instret, `INT_MIN / -1`, `/ 0` and `% 0`
+        // included, where a set sink must retire its `local.set` only when
+        // the division succeeds.
+        let sinks = [
+            Sink::Push,
+            Sink::Set,
+            Sink::Store,
+            Sink::BrZero,
+            Sink::BrNonZero,
+        ];
+        let rights = [
+            Operand::Local,
+            Operand::Stack,
+            Operand::Const(3),
+            Operand::Const(-1),
+            Operand::Const(0),
+        ];
+        for (instr, traps) in [(I::I32Sub, false), (I::I32DivS, true), (I::I32RemS, true)] {
+            for sink in sinks {
+                for left in [Operand::Local, Operand::Stack] {
+                    for right in rights {
+                        let ctx = format!("{instr:?} {left:?} {right:?} -> {sink:?}");
+                        let constant = matches!(right, Operand::Const(_));
+                        let mut code = Vec::new();
+                        let mut want = Vec::new();
+                        match sink {
+                            Sink::Store => {
+                                code.push(I::I32Const(16));
+                                want.push("Const");
+                            }
+                            Sink::BrNonZero => code.push(I::Block(BlockType::Empty)),
+                            _ => {}
+                        }
+                        let spilled = operand(&mut code, left, 0) + operand(&mut code, right, 1);
+                        want.extend(std::iter::repeat_n("Unop", spilled));
+                        code.push(instr.clone());
+                        want.push(match (&instr, constant) {
+                            (_, true) => "BinopK",
+                            (I::I32Sub, false) => "SubI32",
+                            _ => "Binop",
+                        });
+                        // `(joined, second)`: the op a rule makes of the
+                        // binop and its sink, and the sink's own op
+                        // where no rule applies. A set sink changes
+                        // only the binop's destination.
+                        let br = if constant { "CmpBrK" } else { "CmpBr" };
+                        let (tail, sink_ops): (&[&str], _) = match sink {
+                            Sink::Push => (&["Return"], None),
+                            Sink::Set => {
+                                code.extend([I::LocalSet(2), I::LocalGet(2)]);
+                                (&["Move", "Return"], None)
+                            }
+                            Sink::Store => {
+                                let m = crate::instr::MemArg::new(2, 0);
+                                code.extend([I::I32Store(m), I::I32Const(16), I::I32Load(m)]);
+                                (
+                                    &["Const", "LoadI32R", "Return"],
+                                    Some(("BinopStore", "StoreI32R")),
+                                )
+                            }
+                            Sink::BrZero => {
+                                code.extend([
+                                    I::If(BlockType::Value(ValType::I32)),
+                                    I::I32Const(1),
+                                    I::Else,
+                                    I::I32Const(2),
+                                    I::End,
+                                ]);
+                                (&["Const", "Jump", "Const", "Return"], Some((br, "BrIf")))
+                            }
+                            Sink::BrNonZero => {
+                                code.extend([
+                                    I::BrIf(0),
+                                    I::I32Const(1),
+                                    I::Return,
+                                    I::End,
+                                    I::I32Const(2),
+                                ]);
+                                (&["Const", "Return", "Const", "Return"], Some((br, "BrIf")))
+                            }
+                        };
+                        if let Some((joined, second)) = sink_ops {
+                            if traps || (constant && sink == Sink::Store) {
+                                want.push(second);
+                            } else {
+                                *want.last_mut().unwrap() = joined;
+                            }
+                        }
+                        want.extend(tail);
+                        code.push(I::End);
+
+                        let mut b = ModuleBuilder::new();
+                        b.add_memory(1, None);
+                        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+                        let f = b.add_func(ty, &[ValType::I32], code);
+                        b.export_func("f", f);
+                        let bytes = b.build();
+                        let cm = compiled(&bytes, true);
+                        let code = code_of(&cm, 0);
+                        assert_eq!(names(code), want, "{ctx}: {code:?}");
+                        for op in code {
+                            if let RegOp::CmpBr { jump_if, .. } | RegOp::CmpBrK { jump_if, .. } = op
+                            {
+                                assert_eq!(*jump_if, sink == Sink::BrNonZero, "{ctx}");
+                            }
+                            if let RegOp::SubI32 { dst, .. }
+                            | RegOp::Binop { dst, .. }
+                            | RegOp::BinopK { dst, .. } = op
+                            {
+                                assert_eq!(*dst == 2, sink == Sink::Set, "{ctx}: {op:?}");
+                            }
+                        }
+                        for (x, y) in [(7, 3), (i32::MIN, -1), (-9, 0), (0, 5)] {
+                            let args = [Value::I32(x), Value::I32(y)];
+                            assert_matrix_agrees(&bytes, "f", &args, &format!("{ctx} f({x},{y})"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_constant_compares_then_branches() {
+        // `CmpBrK` holds a `u32`: a constant past it still goes inline
+        // into the comparison, and the branch stays its own op.
+        let big = 1i64 << 40;
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I64], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::LocalGet(0),
+                I::I64Const(big),
+                I::I64Eq,
+                I::If(BlockType::Value(ValType::I32)),
+                I::I32Const(1),
+                I::Else,
+                I::I32Const(2),
+                I::End,
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        let cm = compiled(&bytes, true);
+        assert_eq!(names(code_of(&cm, 0))[..2], ["BinopK", "BrIf"]);
+        assert_eq!((cm.fusion.binop_k, cm.fusion.cmp_br), (1, 0));
+        for (arg, want) in [(big, 1), (big + 1, 2), (0, 2)] {
+            let out = agreed_outcome(&bytes, "f", &[Value::I64(arg)], "wide k").unwrap();
+            assert_eq!(out, vec![Value::I32(want)], "f({arg})");
+        }
+    }
+
+    /// `x + y` sunk into local 2 — except that the early exit of the block
+    /// lands on the `local.set`, between the binop and its sink.
+    fn target_between_binop_and_set() -> Vec<u8> {
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[ValType::I32],
+            vec![
+                I::Block(BlockType::Value(ValType::I32)),
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::BrIf(0), // y != 0: leave with x alone
+                I::LocalGet(1),
+                I::I32Add,
+                I::End,
+                I::LocalSet(2),
+                I::LocalGet(2),
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        b.build()
+    }
+
+    // Were `Ahead::at` to ignore the target flags, the bodies of the next
+    // two tests would fuse across the landing site and the branch into it
+    // would have no register op to go to.
+
+    #[test]
+    fn set_sink_stops_at_a_jump_target() {
+        let bytes = target_between_binop_and_set();
+        let cm = compiled(&bytes, true);
+        assert_eq!(cm.fusion.binop_set, 0, "{:?}", code_of(&cm, 0));
+        for (x, y, want) in [(5, 0, 5), (5, 9, 5), (-1, 0, -1)] {
+            let args = [Value::I32(x), Value::I32(y)];
+            let out = agreed_outcome(&bytes, "f", &args, "target at the set").unwrap();
+            assert_eq!(out, vec![Value::I32(want)], "f({x},{y})");
+        }
+    }
+
+    #[test]
+    fn address_tail_stops_at_a_jump_target() {
+        // `base + idx*k` where `k` arrives over two paths: the block's end
+        // (the early exit's target) sits between `const 4` and `i32.mul`.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::Block(BlockType::Value(ValType::I32)),
+                I::I32Const(9),
+                I::LocalGet(1),
+                I::BrIf(0), // idx != 0: scale by 9
+                I::Drop,
+                I::I32Const(4),
+                I::End,
+                I::I32Mul,
+                I::I32Add,
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        let cm = compiled(&bytes, true);
+        assert_eq!(
+            (cm.fusion.idx_addr, cm.fusion.binop_k),
+            (0, 0),
+            "{:?}",
+            code_of(&cm, 0)
+        );
+        for (base, idx, want) in [(100, 0, 100), (100, 2, 118), (-4, 1, 5)] {
+            let args = [Value::I32(base), Value::I32(idx)];
+            let out = agreed_outcome(&bytes, "f", &args, "target inside the tail").unwrap();
+            assert_eq!(out, vec![Value::I32(want)], "f({base},{idx})");
+        }
+    }
+
+    #[test]
+    fn branch_into_an_absorbed_token_fails_instantiation() {
+        // The flags and the jumps come from the same pass, so they cannot
+        // disagree; if they ever did, the jump remap must refuse rather
+        // than send the branch to a neighbouring op. Drop the flag on the
+        // `local.set` the early exit lands on and the binop absorbs it.
+        let module = crate::load(&target_between_binop_and_set()).unwrap();
+        let body = &module.funcs[0];
+        let mut scratch = CompileScratch::default();
+        crate::flat::lower(&module, body, &mut scratch).unwrap();
+        let set = scratch
+            .ops
+            .iter()
+            .position(|op| matches!(op, FlatOp::LocalSet(2)))
+            .unwrap();
+        assert!(scratch.is_target[set]);
+        scratch.is_target[set] = false;
+        let (mut stats, mut fusion) = (RegStats::default(), FusionStats::default());
+        let err = lower_func(&module, body, &mut scratch, true, &mut stats, &mut fusion);
+        match err {
+            Err(LowerError::Malformed(Trap::Instantiation(msg))) => {
+                assert!(msg.contains("middle of a fused window"), "{msg}");
+            }
+            other => panic!("expected a lowering defect, got {other:?}"),
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! register engine must agree bit-for-bit, fused and unfused, with
 //! bounds-check elision on and off, with counting off and on; traps must
 //! be reported identically and both must retire the same instruction
-//! count. `WATZ_NO_FUSE=1` reaches unfused lowering through the default
-//! `instantiate` path (CI runs that combination too).
+//! count. `WATZ_NO_FUSE=1` reaches register lowering with the fusion rules
+//! off through the default `instantiate` path (CI runs that combination
+//! too).
 
 use watz::runtime::{AppConfig, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Instance, NoHost, Value};
@@ -135,7 +136,9 @@ fn default_engine_follows_env_switches() {
     // wrong lowering. No switch takes the register engine away.
     let no_fuse =
         std::env::var_os("WATZ_NO_FUSE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
-    let wasm = watz::compiler::compile("int twice(int a) { return a + a; }").unwrap();
+    // `a * 2` takes its constant inline (a fusion rule); `a + a` would be
+    // operand forwarding only, which no switch turns off.
+    let wasm = watz::compiler::compile("int twice(int a) { return a * 2; }").unwrap();
     let module = watz::wasm::load(&wasm).unwrap();
     let mut inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap();
     let fused = inst.fusion_stats().expect("Aot instance reports stats");
@@ -334,15 +337,15 @@ fn gen_kernel(rng: &mut XorShift) -> String {
 
 // ---------------------------------------------------------------------------
 // Fusable-shape corpus: generators biased toward the exact adjacent-op
-// windows the superinstruction fusion pass rewrites — tight local
-// arithmetic loops, 1-D and 2-D array load/compute/store kernels, pointer
-// derefs and truthy while-loops. Every program runs on the oracle and the
-// register engine, fused and unfused (results + traps must be identical),
-// and the aggregated `FusionStats` must show every fused opcode kind
-// emitted at least once across the corpus.
+// shapes the register pass's fusion rules join — tight local arithmetic
+// loops, 1-D and 2-D array load/compute/store kernels, pointer derefs and
+// truthy while-loops. Every program runs on the oracle and the register
+// engine, fused and unfused (results + traps must be identical), and the
+// aggregated `FusionStats` must show every rule applied at least once
+// across the corpus.
 // ---------------------------------------------------------------------------
 
-/// Emits one kernel covering every fusable window, with randomized
+/// Emits one kernel covering every fusion rule, with randomized
 /// constants, operators and filler statements for variety.
 fn gen_fusable_kernel(rng: &mut XorShift) -> String {
     let ops = ["+", "-", "*", "&", "|", "^"];
@@ -362,10 +365,10 @@ fn gen_fusable_kernel(rng: &mut XorShift) -> String {
         rng.below(100) as i64 - 50,
         rng.below(100) as i64 + 1,
     );
-    // store_l (array store of a plain local) + binop_lk_set loop step +
-    // binop_store via an LL-valued store.
+    // Array store of a plain local (forwarded, no rule), binop_set loop
+    // step with the constant inline, binop_store of a sum of two locals.
     src.push_str("for (i = 0; i < n; i = i + 1) { A[i] = v0; B[i] = v1 + i; }\n");
-    // add_load (simple-index load), cmp_br (loop exits), sl shapes.
+    // idx_load (1-D tail), cmp_br (loop exits), stack-left operands.
     src.push_str(&format!(
         "for (i = 0; i < n; i = i + 1) {{ A[i] = A[i] {o1} B[i]; v0 = v0 {o2} A[(i + j) & (n - 1)]; }}\n"
     ));
@@ -376,12 +379,15 @@ fn gen_fusable_kernel(rng: &mut XorShift) -> String {
          A[(i * 4 + j) & (n - 1)] = A[(i * 4 + j) & (n - 1)] {o3} v1;\n\
          }}\n}}\n"
     ));
-    // load_l / store_l through a pointer deref.
+    // Load / store through a pointer deref (the address forwarded).
     src.push_str(&format!(
         "int* p = A + (v3 & {k2});\nv2 = v2 {o4} *p;\n*p = v2;\n"
     ));
-    // eqz_br (truthy while), binop_sl_set, local_copy, binop_set,
-    // binop_lk, binop_ks, binop_ll.
+    // add_load: a shift-scaled byte offset added to the base, no
+    // `const; i32.mul` for an address tail to take.
+    src.push_str("v2 = v2 + *(int*)((int)A + ((v3 & 3) << 2));\n");
+    // eqz_br (truthy while), binop_set from the stack, a local-to-local
+    // copy, binop_k, operands from two locals.
     src.push_str("t = 5;\nwhile (t) { t = t - 1; v3 = (v0 * v1) + v3; }\n");
     src.push_str("v1 = v0;\n");
     src.push_str(&format!("v0 = (v0 + v1) - (v2 {o1} v3);\n"));
@@ -440,9 +446,9 @@ fn fusable_corpus_covers_every_superinstruction_with_parity() {
         let unfused = instantiate(false).fusion_stats().expect("stats");
         assert_eq!(unfused.total(), 0, "case {case}: unfused instance fused");
     }
-    // The corpus must actually exercise both passes: every fused opcode
-    // kind and every register counter fires at least once, and not every
-    // program traps.
+    // The corpus must actually exercise the pass: every fusion rule and
+    // every register counter fires at least once, and not every program
+    // traps.
     for (name, count) in total.counts() {
         assert!(
             count > 0,
@@ -464,8 +470,8 @@ fn trap_edges_agree_across_engines() {
     // allocation could silently break: signed division overflow,
     // division/remainder by zero, and the INT_MIN % -1 == 0 non-trap,
     // each driven through compiled guests across the oracle and the whole
-    // register-engine matrix (these windows fuse into superinstructions
-    // and then gain register operands).
+    // register-engine matrix (these shapes become superinstructions with
+    // register operands).
     let rt = WatzRuntime::new_device(b"trap-edges").unwrap();
     let sources = [
         ("div", "int div(int a, int b) { return a / b; }"),

@@ -1,4 +1,11 @@
-//! Repo-local task runner (`cargo run -p xtask -- lint`).
+//! Repo-local task runner (`cargo run -p xtask -- lint`, `-- loc`).
+//!
+//! `loc` prints the code-line count ROADMAP's "least code" aim is judged
+//! by: per crate under `crates/`, and per source file of `watz-wasm`, the
+//! lines of `src/` that still hold something after the lint's comment and
+//! string stripping and outside every `#[cfg(test)]` item (test-only module
+//! files included). Deleting comments, or moving code into tests, does not
+//! move it.
 //!
 //! `lint` enforces three offline rules CI gates on, beyond what clippy
 //! covers:
@@ -34,8 +41,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint | loc");
             ExitCode::FAILURE
         }
     }
@@ -105,15 +113,22 @@ fn lint() -> ExitCode {
     for file in WIRE_PARSERS {
         let path = root.join(file);
         let src = read(&path);
-        let stripped = strip_comments_and_strings(&src);
-        // Unit tests at the file tail are out of scope.
-        let end = stripped.find("#[cfg(test)]").unwrap_or(stripped.len());
-        scan_lines(&src, &stripped, 0, end, &path, &mut findings, |s| {
-            NARROWING
-                .iter()
-                .find(|n| s.contains(**n))
-                .map(|n| format!("narrowing `{n}` cast in a wire parser"))
-        });
+        // Unit tests are out of scope.
+        let (stripped, _) = blank_test_items(strip_comments_and_strings(&src));
+        scan_lines(
+            &src,
+            &stripped,
+            0,
+            stripped.len(),
+            &path,
+            &mut findings,
+            |s| {
+                NARROWING
+                    .iter()
+                    .find(|n| s.contains(**n))
+                    .map(|n| format!("narrowing `{n}` cast in a wire parser"))
+            },
+        );
     }
 
     let (env_dir, env_file, env_fn) = ENV_READER;
@@ -195,6 +210,105 @@ fn lint() -> ExitCode {
         eprintln!("lint: {fatal} finding(s); justify in xtask/lint-allow.txt or fix");
         ExitCode::FAILURE
     }
+}
+
+/// Prints non-test, non-comment code lines per crate and per `watz-wasm`
+/// source file.
+fn loc() -> ExitCode {
+    let root = repo_root();
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap_or_else(|e| panic!("crates/ unreadable: {e}"))
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.join("src").is_dir())
+        .collect();
+    crates.sort();
+    println!("loc: code lines under crates/*/src (no comments, blanks, string bodies or #[cfg(test)] items)");
+    let mut total = 0usize;
+    for krate in crates {
+        let src_dir = krate.join("src");
+        let mut files = Vec::new();
+        rust_files(&src_dir, &mut files);
+        files.sort();
+        let mut test_only: Vec<PathBuf> = Vec::new();
+        let mut counts = Vec::new();
+        for path in &files {
+            let (code, test_mods) = blank_test_items(strip_comments_and_strings(&read(path)));
+            // `#[cfg(test)] mod name;` in `a/b.rs` is `a/b/name.rs`; in a
+            // `lib.rs`, `main.rs` or `mod.rs` it sits beside the file.
+            let stem = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or_default();
+            let dir = match stem {
+                "lib" | "main" | "mod" => path.parent().unwrap_or(&src_dir).to_path_buf(),
+                _ => path.with_extension(""),
+            };
+            test_only.extend(test_mods.iter().map(|m| dir.join(format!("{m}.rs"))));
+            let lines = code.lines().filter(|l| !l.trim().is_empty()).count();
+            counts.push((path, lines));
+        }
+        counts.retain(|(path, _)| !test_only.contains(path));
+        let sum: usize = counts.iter().map(|(_, n)| n).sum();
+        total += sum;
+        let name = krate.strip_prefix(&root).unwrap_or(&krate).display();
+        println!("  {name:<28} {sum:>6}");
+        if krate.ends_with("watz-wasm") {
+            for (path, n) in counts {
+                let file = path.strip_prefix(&src_dir).unwrap_or(path).display();
+                println!("    {file:<26} {n:>6}");
+            }
+        }
+    }
+    println!("  {:<28} {total:>6}", "crates/ total");
+    ExitCode::SUCCESS
+}
+
+/// Collects every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{} unreadable: {e}", dir.display()));
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Blanks every `#[cfg(test)]` item of comment/string-stripped source
+/// (offsets and line structure kept): a braced item up to its matching
+/// brace, a `mod name;` declaration up to the semicolon. Returns the text
+/// and the names of the modules so declared, whose files are test-only.
+fn blank_test_items(stripped: String) -> (String, Vec<String>) {
+    const ATTR: &str = "#[cfg(test)]";
+    let mut spans = Vec::new();
+    let mut test_mods = Vec::new();
+    let mut from = 0usize;
+    while let Some(at) = stripped[from..].find(ATTR).map(|rel| from + rel) {
+        let item = &stripped[at + ATTR.len()..];
+        let end = match (item.find('{'), item.find(';')) {
+            (brace, Some(semi)) if brace.is_none_or(|b| semi < b) => {
+                if let Some((_, name)) = item[..semi].rsplit_once("mod ") {
+                    test_mods.push(name.trim().to_string());
+                }
+                at + ATTR.len() + semi + 1
+            }
+            _ => fn_body_span(&stripped[at..], ATTR).map_or(stripped.len(), |(_, end)| at + end),
+        };
+        spans.push(at..end);
+        from = end;
+    }
+    let mut out = stripped.into_bytes();
+    for span in spans {
+        for b in &mut out[span] {
+            if *b != b'\n' {
+                *b = b' ';
+            }
+        }
+    }
+    let out = String::from_utf8(out).expect("blanking ASCII-replaces whole items");
+    (out, test_mods)
 }
 
 fn repo_root() -> PathBuf {
