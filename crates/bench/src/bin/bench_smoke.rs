@@ -398,6 +398,39 @@ fn main() {
          register, analysis) stopped being linear in what it needs to look at: {passes:?}"
     );
 
+    // --- A relaunch must skip what its first launch computed. The same
+    // module through `WatzRuntime::load`, twice per freshly booted runtime:
+    // the second launch finds the artifact resident and has the secure
+    // copy, the hash and the instance left (~0.1x as recorded). A ratio of
+    // launch pairs taken back to back; the warm-up pair is dropped.
+    let roomy = watz_runtime::AppConfig {
+        heap_bytes: optee_sim::TA_HEAP_CAP,
+        mode: ExecMode::Aot,
+    };
+    let mut pairs: Vec<_> = (0..6)
+        .map(|_| {
+            let rt = watz_runtime::WatzRuntime::new_device(b"smoke-relaunch").expect("boots");
+            let launch = || rt.load(&app, &roomy).expect("launches").startup_breakdown();
+            let (first, again) = (launch(), launch());
+            let ratio = again.total().as_secs_f64() / first.total().as_secs_f64();
+            (ratio, first, again)
+        })
+        .skip(1)
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (relaunch_ratio, first, again) = pairs[pairs.len() / 2];
+    println!(
+        "fig4 1 MB launch {:?}  relaunch {:?} ({relaunch_ratio:.2}x)",
+        first.total(),
+        again.total()
+    );
+    assert!(
+        !first.cached && again.cached && relaunch_ratio <= 0.35,
+        "relaunching the fig4 1 MB module costs {relaunch_ratio:.2}x its first launch; the \
+         resident artifact was missed or instance creation grew.\n first launch: {first:?}\n \
+         relaunch: {again:?}"
+    );
+
     // --- Static analysis: the verifier must pass the optimised code and
     // the range analysis must actually discharge bounds checks on gemm.
     // Both instances run with the verifier forced on, so the smoke gate

@@ -344,3 +344,336 @@ fn parallel_attesters_all_served_and_counted() {
     let stats = server.shutdown();
     assert_eq!((stats.served, stats.rejected), (CLIENTS as u64, 0));
 }
+
+// ---------------------------------------------------------------------------
+// The artifact cache: a relaunch starts from the resident artifact, and
+// shares with the first launch the code and nothing a guest can change.
+// ---------------------------------------------------------------------------
+
+/// `int f() { return <k>; }`: modules of one length that differ in one byte.
+fn constant_module(k: i32) -> Vec<u8> {
+    assert!((0..64).contains(&k), "one LEB128 byte");
+    minic::compile(&format!("int f() {{ return {k}; }}")).unwrap()
+}
+
+fn launch(rt: &WatzRuntime, wasm: &[u8], mode: ExecMode) -> watz_runtime::WatzApp {
+    let config = AppConfig {
+        mode,
+        ..AppConfig::default()
+    };
+    rt.load(wasm, &config).unwrap()
+}
+
+#[test]
+fn relaunch_starts_from_the_resident_artifact() {
+    let rt = runtime();
+    let wasm = constant_module(42);
+    let mut first = launch(&rt, &wasm, ExecMode::Aot);
+    let resident = rt.os().exec_bytes_allocated();
+    assert_eq!(resident, wasm.len());
+    let mut again = launch(&rt, &wasm, ExecMode::Aot);
+    assert_eq!(
+        rt.os().exec_bytes_allocated(),
+        resident,
+        "N apps of one module share one set of executable pages"
+    );
+
+    let (b1, b2) = (first.startup_breakdown(), again.startup_breakdown());
+    assert!(!b1.cached && b2.cached);
+    assert!(b1.compile != watz_wasm::CompileTimes::default());
+    assert_eq!(
+        b2.compile,
+        watz_wasm::CompileTimes::default(),
+        "the compile is reported by the launch that paid it"
+    );
+    // Measured on every launch, from the bytes of that launch.
+    assert!(b2.hashing > Duration::ZERO);
+    assert_eq!(first.measurement(), Sha256::digest(&wasm));
+    assert_eq!(again.measurement(), first.measurement());
+    assert!(std::sync::Arc::ptr_eq(
+        first.instance().artifact(),
+        again.instance().artifact()
+    ));
+    assert_eq!(first.reg_stats(), again.reg_stats());
+    assert_eq!(first.fusion_stats(), again.fusion_stats());
+    assert_eq!(first.invoke("f", &[]).unwrap(), vec![Value::I32(42)]);
+    assert_eq!(again.invoke("f", &[]).unwrap(), vec![Value::I32(42)]);
+
+    // A fresh runtime is the cold path.
+    let cold = launch(&runtime(), &wasm, ExecMode::Aot);
+    assert!(!cold.startup_breakdown().cached);
+}
+
+#[test]
+fn apps_of_one_artifact_share_no_mutable_state() {
+    use watz_wasm::builder::ModuleBuilder;
+    use watz_wasm::instr::{Instr, MemArg};
+    use watz_wasm::types::ValType::I32;
+
+    // One page growable to four, "seed" at 16, a mutable global at 5.
+    let mut b = ModuleBuilder::new();
+    b.add_memory(1, Some(4)).add_data(16, b"seed");
+    let g = b.add_global(I32, true, Instr::I32Const(5));
+    let nullary = b.add_type(&[], &[I32]);
+    let unary = b.add_type(&[I32], &[I32]);
+    let binary = b.add_type(&[I32, I32], &[I32]);
+    let bump = b.add_func(
+        nullary,
+        &[],
+        vec![
+            Instr::GlobalGet(g),
+            Instr::I32Const(1),
+            Instr::I32Add,
+            Instr::GlobalSet(g),
+            Instr::GlobalGet(g),
+            Instr::End,
+        ],
+    );
+    let poke = b.add_func(
+        binary,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I32Store(MemArg::align(2)),
+            Instr::I32Const(0),
+            Instr::End,
+        ],
+    );
+    let peek = b.add_func(
+        unary,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I32Load(MemArg::align(2)),
+            Instr::End,
+        ],
+    );
+    let grow = b.add_func(
+        unary,
+        &[],
+        vec![Instr::LocalGet(0), Instr::MemoryGrow, Instr::End],
+    );
+    let pages = b.add_func(nullary, &[], vec![Instr::MemorySize, Instr::End]);
+    for (name, f) in [
+        ("bump", bump),
+        ("poke", poke),
+        ("peek", peek),
+        ("grow", grow),
+        ("pages", pages),
+    ] {
+        b.export_func(name, f);
+    }
+    let wasm = b.build();
+    let seed = i32::from_le_bytes(*b"seed");
+    let i = Value::I32;
+
+    for mode in [ExecMode::Aot, ExecMode::Interpreted] {
+        let rt = runtime();
+        let mut a = launch(&rt, &wasm, mode);
+        let mut b = launch(&rt, &wasm, mode);
+        assert!(b.startup_breakdown().cached, "{mode:?}");
+
+        // Global writes.
+        assert_eq!(a.invoke("bump", &[]).unwrap(), vec![i(6)]);
+        assert_eq!(a.invoke("bump", &[]).unwrap(), vec![i(7)]);
+        assert_eq!(b.invoke("bump", &[]).unwrap(), vec![i(6)], "{mode:?}");
+
+        // Memory writes, over the data segment and beside it.
+        a.invoke("poke", &[i(16), i(-1)]).unwrap();
+        a.invoke("poke", &[i(1024), i(99)]).unwrap();
+        assert_eq!(b.invoke("peek", &[i(16)]).unwrap(), vec![i(seed)]);
+        assert_eq!(b.invoke("peek", &[i(1024)]).unwrap(), vec![i(0)]);
+
+        // memory.grow.
+        assert_eq!(a.invoke("grow", &[i(2)]).unwrap(), vec![i(1)]);
+        assert_eq!(a.invoke("pages", &[]).unwrap(), vec![i(3)]);
+        assert_eq!(b.invoke("pages", &[]).unwrap(), vec![i(1)], "{mode:?}");
+        assert!(a.read_memory(65536, 4).is_ok() && b.read_memory(65536, 4).is_err());
+
+        // A third launch, after all of that: the segment is applied again,
+        // the global starts over, the memory is its declared size.
+        let mut c = launch(&rt, &wasm, mode);
+        assert!(c.startup_breakdown().cached);
+        assert_eq!(c.invoke("peek", &[i(16)]).unwrap(), vec![i(seed)]);
+        assert_eq!(c.invoke("bump", &[]).unwrap(), vec![i(6)]);
+        assert_eq!(c.invoke("pages", &[]).unwrap(), vec![i(1)]);
+    }
+}
+
+#[test]
+fn one_flipped_bit_or_the_other_mode_is_another_artifact() {
+    let rt = runtime();
+    let (w40, w41) = (constant_module(40), constant_module(41));
+    assert_eq!(w40.len(), w41.len());
+    let flipped: u32 = w40
+        .iter()
+        .zip(&w41)
+        .map(|(a, b)| (a ^ b).count_ones())
+        .sum();
+    assert_eq!(flipped, 1, "the two byte strings differ in one bit");
+
+    // Two measurements, two artifacts, two answers.
+    let mut a = launch(&rt, &w40, ExecMode::Aot);
+    let mut b = launch(&rt, &w41, ExecMode::Aot);
+    assert!(!a.startup_breakdown().cached && !b.startup_breakdown().cached);
+    assert_ne!(a.measurement(), b.measurement());
+    assert!(!std::sync::Arc::ptr_eq(
+        a.instance().artifact(),
+        b.instance().artifact()
+    ));
+    assert_eq!(a.invoke("f", &[]).unwrap(), vec![Value::I32(40)]);
+    assert_eq!(b.invoke("f", &[]).unwrap(), vec![Value::I32(41)]);
+
+    // The other mode misses too, and is the other engine.
+    let mut t = launch(&rt, &w40, ExecMode::Interpreted);
+    assert!(!t.startup_breakdown().cached);
+    assert!(t.reg_stats().is_none() && a.reg_stats().is_some());
+    assert_eq!(t.invoke("f", &[]).unwrap(), vec![Value::I32(40)]);
+    assert_eq!(rt.os().exec_bytes_allocated(), 3 * w40.len());
+
+    // All three stay resident side by side: each relaunch finds its own.
+    for (wasm, mode, first, answer) in [
+        (&w40, ExecMode::Aot, &a, 40),
+        (&w41, ExecMode::Aot, &b, 41),
+        (&w40, ExecMode::Interpreted, &t, 40),
+    ] {
+        let mut again = launch(&rt, wasm, mode);
+        assert!(again.startup_breakdown().cached, "{mode:?} {answer}");
+        assert!(std::sync::Arc::ptr_eq(
+            first.instance().artifact(),
+            again.instance().artifact()
+        ));
+        assert_eq!(again.measurement(), first.measurement());
+        assert_eq!(again.invoke("f", &[]).unwrap(), vec![Value::I32(answer)]);
+    }
+    assert_eq!(rt.os().exec_bytes_allocated(), 3 * w40.len());
+}
+
+#[test]
+fn a_failed_launch_is_never_a_cache_hit() {
+    use watz_wasm::builder::ModuleBuilder;
+    use watz_wasm::instr::Instr;
+
+    let rt = runtime();
+    let config = AppConfig::default();
+
+    // Malformed bytes: the same error twice, nothing resident.
+    let errors: Vec<String> = (0..2)
+        .map(|_| match rt.load(b"\0asm but not really", &config) {
+            Err(e @ WatzError::Load(_)) => e.to_string(),
+            other => panic!("expected a load error, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(errors[0], errors[1]);
+    assert_eq!(rt.os().exec_bytes_allocated(), 0);
+
+    // A start function that traps fails that launch — every launch —
+    // whether or not the artifact behind it was already there.
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[], &[]);
+    let start = b.add_func(ty, &[], vec![Instr::Unreachable, Instr::End]);
+    b.set_start(start);
+    let trapping = b.build();
+    for attempt in 0..3 {
+        assert!(
+            matches!(
+                rt.load(&trapping, &config),
+                Err(WatzError::Trap(watz_wasm::Trap::Unreachable))
+            ),
+            "attempt {attempt}"
+        );
+    }
+
+    // None of which disturbs a good module's entry.
+    let good = constant_module(7);
+    assert!(!launch(&rt, &good, ExecMode::Aot).startup_breakdown().cached);
+    assert!(rt.load(&trapping, &config).is_err());
+    let mut again = launch(&rt, &good, ExecMode::Aot);
+    assert!(again.startup_breakdown().cached);
+    assert_eq!(again.invoke("f", &[]).unwrap(), vec![Value::I32(7)]);
+}
+
+#[test]
+fn full_executable_pages_evict_idle_artifacts_oldest_launch_first() {
+    let rt = runtime();
+    let os = rt.os().clone();
+    let len = constant_module(0).len();
+    // Room for three of the one-constant modules and a half.
+    let held = os
+        .alloc_executable(optee_sim::TA_HEAP_CAP - (3 * len + len / 2))
+        .unwrap();
+    let cached = |k: i32| {
+        launch(&rt, &constant_module(k), ExecMode::Aot)
+            .startup_breakdown()
+            .cached
+    };
+
+    let live = launch(&rt, &constant_module(1), ExecMode::Aot);
+    assert!(!cached(2) && !cached(3));
+    assert_eq!(os.exec_bytes_allocated(), held.len() + 3 * len);
+    // 2 is launched again, which leaves 3 the least recently launched of
+    // the idle entries; 1 is older still, but an app runs on it.
+    assert!(cached(2));
+    assert!(!cached(4), "a fourth module needs room");
+    assert_eq!(os.exec_bytes_allocated(), held.len() + 3 * len);
+    assert!(cached(1) && cached(2) && cached(4));
+    assert!(!cached(3), "3 was the one dropped");
+
+    // A module the room cannot hold even with every idle entry gone.
+    let mut big = String::new();
+    for i in 0..60 {
+        big.push_str(&format!("int g{i}(int x) {{ return x * {i} + 1; }}\n"));
+    }
+    let big = minic::compile(&big).unwrap();
+    assert!(big.len() > 4 * len);
+    assert!(matches!(
+        rt.load(&big, &AppConfig::default()),
+        Err(WatzError::Tee(TeeError::OutOfMemory { .. }))
+    ));
+    assert!(cached(1), "the entry with a live app is never dropped");
+    assert_eq!(os.exec_bytes_allocated(), held.len() + len);
+
+    drop((live, rt));
+    assert_eq!(os.exec_bytes_allocated(), held.len());
+}
+
+#[test]
+fn concurrent_launches_share_artifacts_and_agree() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 6;
+    let rt = runtime();
+    let modules: Vec<(i32, Vec<u8>)> = [11, 22, 33]
+        .into_iter()
+        .map(|k| (k, constant_module(k)))
+        .collect();
+    // Everyone's first launch is of a module nobody has compiled yet, and
+    // they start together: racing first launches of the same bytes.
+    let gate = std::sync::Barrier::new(THREADS);
+    let hits: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (rt, modules, gate) = (rt.clone(), &modules, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    let mut hits = 0;
+                    for round in 0..ROUNDS {
+                        let (k, wasm) = &modules[(t + round) % modules.len()];
+                        let mut app = launch(&rt, wasm, ExecMode::Aot);
+                        hits += usize::from(app.startup_breakdown().cached);
+                        assert_eq!(app.measurement(), Sha256::digest(wasm));
+                        assert_eq!(app.invoke("f", &[]).unwrap(), vec![Value::I32(*k)]);
+                    }
+                    hits
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    // Every launch after a module's first few is a hit (how many of the
+    // racing first launches miss is up to the scheduler) ...
+    assert!(hits >= THREADS * (ROUNDS - modules.len()), "{hits} hits");
+    // ... and whoever lost a race gave its pages back: one set per module.
+    let distinct: usize = modules.iter().map(|(_, w)| w.len()).sum();
+    assert_eq!(rt.os().exec_bytes_allocated(), distinct);
+}

@@ -77,20 +77,18 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
+        // Whole blocks are read where they lie.
+        let (blocks, rest) = data.split_at(data.len() - data.len() % BLOCK_LEN);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
@@ -114,52 +112,90 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// The compression function over every 64-byte block of `blocks` (whose
+/// length is a multiple of [`BLOCK_LEN`]).
+///
+/// The message schedule is a 16-word window extended in place — `W[t]`
+/// overwrites `W[t-16]`, its last reader — and a round writes only two of
+/// the eight working variables, so eight rounds with the names rotated one
+/// place each stand for the textbook's shuffle without moving anything.
+/// `ch` and `maj` are in their three-operation forms.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+        let before = [a, b, c, d, e, f, g, h];
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        // `W[i]` of the first sixteen rounds: the block itself.
+        macro_rules! loaded {
+            ($i:expr) => {
+                w[$i]
+            };
         }
+        // `W[t]` of a later round, `t = i (mod 16)`, written over `W[t-16]`.
+        macro_rules! extended {
+            ($i:expr) => {{
+                let (w15, w2) = (w[($i + 1) & 15], w[($i + 14) & 15]);
+                w[$i] = w[$i]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[($i + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+                w[$i]
+            }};
+        }
+        // One round with the working variables in the named roles.
+        macro_rules! round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $k:expr, $w:expr) => {
+                let t1 = $h
+                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                    .wrapping_add($g ^ ($e & ($f ^ $g)))
+                    .wrapping_add($k)
+                    .wrapping_add($w);
+                $d = $d.wrapping_add(t1);
+                $h = t1
+                    .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                    .wrapping_add(($a & $b) | ($c & ($a | $b)));
+            };
+        }
+        // Rounds `t + i .. t + i + 8`, after which every name is back in
+        // its own role.
+        macro_rules! eight_rounds {
+            ($w:ident, $t:expr, $i:expr) => {
+                round!(a b c d e f g h, K[$t + $i], $w!($i));
+                round!(h a b c d e f g, K[$t + $i + 1], $w!($i + 1));
+                round!(g h a b c d e f, K[$t + $i + 2], $w!($i + 2));
+                round!(f g h a b c d e, K[$t + $i + 3], $w!($i + 3));
+                round!(e f g h a b c d, K[$t + $i + 4], $w!($i + 4));
+                round!(d e f g h a b c, K[$t + $i + 5], $w!($i + 5));
+                round!(c d e f g h a b, K[$t + $i + 6], $w!($i + 6));
+                round!(b c d e f g h a, K[$t + $i + 7], $w!($i + 7));
+            };
+        }
+        eight_rounds!(loaded, 0, 0);
+        eight_rounds!(loaded, 0, 8);
+        eight_rounds!(extended, 16, 0);
+        eight_rounds!(extended, 16, 8);
+        eight_rounds!(extended, 32, 0);
+        eight_rounds!(extended, 32, 8);
+        eight_rounds!(extended, 48, 0);
+        eight_rounds!(extended, 48, 8);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        a = a.wrapping_add(before[0]);
+        b = b.wrapping_add(before[1]);
+        c = c.wrapping_add(before[2]);
+        d = d.wrapping_add(before[3]);
+        e = e.wrapping_add(before[4]);
+        f = f.wrapping_add(before[5]);
+        g = g.wrapping_add(before[6]);
+        h = h.wrapping_add(before[7]);
     }
+    *state = [a, b, c, d, e, f, g, h];
 }
 
 #[cfg(test)]
@@ -206,6 +242,159 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// FIPS 180-4 section 6.2.2 as written — a 64-word schedule, then 64
+    /// rounds that shuffle all eight working variables: the routine
+    /// [`compress`] replaced, kept as its oracle.
+    fn compress_textbook(state: &mut [u32; 8], block: &[u8]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// A whole digest on the oracle, padding laid out by hand, so nothing
+    /// of [`Sha256::update`] or [`Sha256::finalize`] is shared either.
+    fn textbook_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % BLOCK_LEN != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(BLOCK_LEN) {
+            compress_textbook(&mut state, block);
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (o, word) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    #[test]
+    fn constants_are_the_roots_of_the_first_primes() {
+        // `compress` and its oracle read the same tables, so the tables get
+        // a check of their own, from their definition (FIPS 180-4 section
+        // 4.2.2 and 5.3.3): the first 32 fractional bits of the cube roots
+        // of the first 64 primes, and of the square roots of the first 8.
+        let primes: Vec<u32> = (2u32..)
+            .filter(|n| (2..*n).all(|d| n % d != 0))
+            .take(64)
+            .collect();
+        let frac32 = |x: f64| (x.fract() * 4_294_967_296.0) as u32;
+        for (k, p) in K.iter().zip(&primes) {
+            assert_eq!(*k, frac32(f64::from(*p).cbrt()), "K for prime {p}");
+        }
+        for (h, p) in H0.iter().zip(&primes) {
+            assert_eq!(*h, frac32(f64::from(*p).sqrt()), "H0 for prime {p}");
+        }
+    }
+
+    #[test]
+    fn compress_matches_the_textbook_on_random_states_and_block_runs() {
+        // The routine itself, not a digest: chaining values other than H0,
+        // and runs of 0 to 5 blocks in one call against one call per block.
+        let mut rng = XorShift(0x5a17_ab1e_0dd5_eed5);
+        for case in 0..200 {
+            let blocks = rng.bytes((case % 6) * BLOCK_LEN);
+            let mut fast: [u32; 8] = std::array::from_fn(|_| rng.next() as u32);
+            let mut slow = fast;
+            compress(&mut fast, &blocks);
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                compress_textbook(&mut slow, block);
+            }
+            assert_eq!(fast, slow, "case {case}: {} blocks", case % 6);
+        }
+    }
+
+    #[test]
+    fn every_length_to_300_matches_the_textbook() {
+        // Crosses every padding case several times over: a length byte
+        // that fits the last block, one that spills, exact multiples.
+        let data = XorShift(0x0dd_ba11).bytes(300);
+        for len in 0..=data.len() {
+            assert_eq!(
+                Sha256::digest(&data[..len]),
+                textbook_digest(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_update_splits_match_the_textbook() {
+        // Pieces of 0 to 199 bytes: the buffered head, the in-place run of
+        // whole blocks and the buffered tail of `update` in every mix.
+        let mut rng = XorShift(0xfeed_5eed_cafe_0001);
+        for case in 0..300 {
+            let len = (rng.next() % 1500) as usize;
+            let data = rng.bytes(len);
+            let mut h = Sha256::new();
+            let mut rest = &data[..];
+            let mut pieces = Vec::new();
+            while !rest.is_empty() {
+                let take = (rng.next() % 200).min(rest.len() as u64) as usize;
+                h.update(&rest[..take]);
+                pieces.push(take);
+                rest = &rest[take..];
+            }
+            assert_eq!(
+                h.finalize(),
+                textbook_digest(&data),
+                "case {case}: {len} bytes as {pieces:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,13 @@
-//! Execution: instantiation, the tree-walking interpreter, and dispatch to
-//! the register engine.
+//! Execution: instances, the tree-walking interpreter, and dispatch to the
+//! register engine.
+//!
+//! An [`Instance`] is an `Arc` of an immutable [`Artifact`] — everything
+//! the load-time work below produces, a pure function of (bytes, mode,
+//! [`EngineConfig`]) — plus the state its guest can change: linear memory,
+//! globals and, when counting, an [`ExecProfile`]. Every constructor goes
+//! through [`Instance::from_artifact`]; `instantiate*` build an artifact
+//! of their own first, an embedder that launches the same bytes again
+//! (the WaTZ runtime) keeps the artifact and calls it directly.
 //!
 //! WAMR (the runtime WaTZ embeds) offers interpreted, JIT and AOT execution;
 //! WaTZ uses AOT, reporting it "on average 28× faster than with
@@ -30,8 +38,8 @@
 //!      [`crate::FusionStats`] report what the pass did).
 //!
 //! The flat IR is never executed and never kept: it is scratch of the
-//! load-time compile, and an instance holds the register program only. An
-//! `Aot` instance that ends up without one — [`EngineConfig::reg`] off, or
+//! load-time compile, and an artifact holds the register program only. An
+//! `Aot` artifact that ends up without one — [`EngineConfig::reg`] off, or
 //! a function whose frame exceeds the register form's `u16` slot encoding —
 //! keeps its structured bodies and runs on the tree interpreter instead.
 //!
@@ -43,13 +51,14 @@
 //! code generation, the speedup over interpretation is smaller than WAMR's
 //! 28× (see EXPERIMENTS.md for measured ratios).
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
+use crate::artifact::Artifact;
 use crate::flat;
 use crate::instr::Instr;
 use crate::module::{ExportKind, Module};
 use crate::profile::{classify, ExecProfile, NoProfile, ProfileMode, Profiler};
-use crate::types::{BlockType, FuncType, ValType};
+use crate::types::ValType;
 use crate::PAGE_SIZE;
 
 /// Maximum call depth before a `CallStackExhausted` trap.
@@ -194,7 +203,7 @@ impl std::fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Execution mode for an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Naive structured interpretation (branch targets found by scanning).
     Interpreted,
@@ -208,7 +217,7 @@ pub enum ExecMode {
 /// What [`ExecMode::Aot`] instantiation does besides lowering. The
 /// lowering passes are ignored in [`ExecMode::Interpreted`]; `profile`
 /// applies to both modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
     /// Let the register pass join adjacent flat ops into superinstructions
     /// (its fusion rules, see [`crate::reg`]); operand forwarding is not a
@@ -555,25 +564,6 @@ fn scan_block(code: &[Instr], opener_pc: usize) -> (usize, Option<usize>) {
     unreachable!("validated code has matching end");
 }
 
-#[derive(Debug)]
-struct PreparedFunc {
-    type_idx: u32,
-    locals: Vec<ValType>,
-    code: Vec<Instr>,
-}
-
-#[derive(Debug)]
-enum FuncDef {
-    Import {
-        module: String,
-        name: String,
-        type_idx: u32,
-    },
-    Local {
-        body: usize,
-    },
-}
-
 /// Runtime label on the control stack.
 #[derive(Debug, Clone, Copy)]
 struct Label {
@@ -587,26 +577,21 @@ struct Label {
     is_loop: bool,
 }
 
-/// An instantiated module ready to execute.
+/// An instantiated module ready to execute: a shared [`Artifact`] plus the
+/// state this instance's guest can change.
 #[derive(Debug)]
 pub struct Instance {
-    types: Vec<FuncType>,
-    funcs: Vec<FuncDef>,
-    bodies: Vec<PreparedFunc>,
-    /// What the load-time compile left, for [`ExecMode::Aot`]: the register
-    /// program (when there is one), its tables and the pass statistics.
-    compiled: Option<flat::CompiledModule>,
+    /// Code, tables and everything else fixed at compile time; shared with
+    /// every other instance of the same artifact and never written.
+    artifact: Arc<Artifact>,
+    /// Linear memory: the artifact's minimum size with its data segments
+    /// applied, then whatever the guest stored and grew.
     memory: Memory,
+    /// The globals, starting from the artifact's initial values.
     globals: Vec<Value>,
-    table: Vec<Option<u32>>,
-    exports: HashMap<String, (ExportKind, u32)>,
-    mode: ExecMode,
-    /// Live counters when the instance was created with
+    /// Live counters when the artifact was built with
     /// [`ProfileMode::Count`]; `None` keeps the unprofiled hot path.
     profile: Option<Box<ExecProfile>>,
-    /// Verifier counters when the compiled IR was verified at
-    /// instantiation ([`EngineConfig::verify`]).
-    verify: Option<crate::verify::VerifyStats>,
 }
 
 impl Instance {
@@ -677,7 +662,9 @@ impl Instance {
         Self::instantiate_with(module, mode, config, host)
     }
 
-    /// [`Instance::instantiate`] under an explicit [`EngineConfig`].
+    /// [`Instance::instantiate`] under an explicit [`EngineConfig`]: builds
+    /// an [`Artifact`] no other instance shares, then
+    /// [`Instance::from_artifact`].
     ///
     /// # Errors
     ///
@@ -690,130 +677,54 @@ impl Instance {
         config: EngineConfig,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        let memory = module
-            .memories
-            .first()
+        Self::from_artifact(Arc::new(Artifact::new(module, mode, config)?), host)
+    }
+
+    /// Creates an instance of a prepared module: a fresh memory with the
+    /// data segments applied, the globals at their initial values, then
+    /// the start function (if any). Nothing here depends on how many other
+    /// instances the artifact has, or writes to it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Trap::Instantiation`] for an out-of-bounds data segment,
+    /// or any trap raised by the start function. Both are errors of this
+    /// instance; the artifact stays good for the next one.
+    pub fn from_artifact(artifact: Arc<Artifact>, host: &mut dyn HostEnv) -> Result<Self, Trap> {
+        let memory = artifact
+            .memory
             .map_or_else(|| Memory::new(0, Some(0)), |l| Memory::new(l.min, l.max));
-
-        // The AOT preparation step: lower every body to the flat IR once,
-        // at load time, and rewrite it to register form (when that pass is
-        // on); only the register form is kept.
-        let compiled = match mode {
-            ExecMode::Aot => Some(flat::CompiledModule::compile_full(
-                module,
-                config.fuse,
-                config.reg,
-                config.elide,
-            )?),
-            ExecMode::Interpreted => None,
-        };
-
-        // Independent re-verification of what the lowering pipeline left to
-        // execute: abstract interpretation from the register bodies alone,
-        // no shared state with the lowering code above.
-        let verify_stats = match &compiled {
-            Some(cm) if config.verify => Some(
-                crate::verify::verify_module(cm, &module.types)
-                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
-            ),
-            _ => None,
-        };
-
-        let mut funcs = Vec::with_capacity(module.func_count());
-        for imp in &module.func_imports {
-            funcs.push(FuncDef::Import {
-                module: imp.module.clone(),
-                name: imp.name.clone(),
-                type_idx: imp.type_idx,
-            });
-        }
-        // Only the tree interpreter walks the structured bodies; an
-        // instance with a register program would double its code memory by
-        // keeping them (func_type() needs just the type index).
-        let on_interpreter = compiled.as_ref().is_none_or(|cm| cm.reg.is_none());
-        let mut bodies = Vec::with_capacity(module.funcs.len());
-        for f in &module.funcs {
-            funcs.push(FuncDef::Local { body: bodies.len() });
-            let (locals, code) = if on_interpreter {
-                (f.locals.clone(), f.code.clone())
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            bodies.push(PreparedFunc {
-                type_idx: f.type_idx,
-                locals,
-                code,
-            });
-        }
-
-        let globals = module
-            .globals
-            .iter()
-            .map(|g| match g.init {
-                Instr::I32Const(v) => Value::I32(v),
-                Instr::I64Const(v) => Value::I64(v),
-                Instr::F32Const(v) => Value::F32(v),
-                Instr::F64Const(v) => Value::F64(v),
-                _ => unreachable!("validated initializer"),
-            })
-            .collect();
-
-        let mut table = vec![None; module.tables.first().map_or(0, |t| t.min as usize)];
-        for elem in &module.elems {
-            let Instr::I32Const(offset) = elem.offset else {
-                unreachable!("validated offset")
-            };
-            let offset = offset as usize;
-            if offset + elem.funcs.len() > table.len() {
-                return Err(Trap::Instantiation("element segment out of bounds".into()));
-            }
-            for (i, f) in elem.funcs.iter().enumerate() {
-                table[offset + i] = Some(*f);
-            }
-        }
-
         let mut instance = Instance {
-            types: module.types.clone(),
-            funcs,
-            bodies,
-            compiled,
             memory,
-            globals,
-            table,
-            exports: module
-                .exports
-                .iter()
-                .map(|e| (e.name.clone(), (e.kind, e.index)))
-                .collect(),
-            mode,
-            profile: match config.profile {
+            globals: artifact.globals.clone(),
+            profile: match artifact.profile {
                 ProfileMode::Count => Some(Box::default()),
                 ProfileMode::Off => None,
             },
-            verify: verify_stats,
+            artifact,
         };
-
-        for data in &module.data {
-            let Instr::I32Const(offset) = data.offset else {
-                unreachable!("validated offset")
-            };
+        for (offset, bytes) in &instance.artifact.data {
             instance
                 .memory
-                .write_bytes(offset as u32, &data.bytes)
+                .write_bytes(*offset, bytes)
                 .map_err(|_| Trap::Instantiation("data segment out of bounds".into()))?;
         }
-
-        if let Some(start) = module.start {
+        if let Some(start) = instance.artifact.start {
             instance.call_function(host, start, &[])?;
         }
-
         Ok(instance)
+    }
+
+    /// The artifact this instance executes.
+    #[must_use]
+    pub fn artifact(&self) -> &Arc<Artifact> {
+        &self.artifact
     }
 
     /// The execution mode this instance was prepared for.
     #[must_use]
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        self.artifact.mode
     }
 
     /// Superinstruction counts from the register pass's fusion rules
@@ -821,7 +732,7 @@ impl Instance {
     /// disabled or the instance has no register program).
     #[must_use]
     pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
-        self.compiled.as_ref().map(|cm| cm.fusion)
+        self.artifact.compiled.as_ref().map(|cm| cm.fusion)
     }
 
     /// Register-allocation counts (`None` when the instance has no
@@ -830,7 +741,8 @@ impl Instance {
     /// past the `u16` slot encoding).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        self.compiled.as_ref()?.reg.as_ref().map(|prog| prog.stats)
+        let cm = self.artifact.compiled.as_ref()?;
+        cm.reg.as_ref().map(|prog| prog.stats)
     }
 
     /// Verifier counters from instantiation-time IR verification (`None`
@@ -838,7 +750,7 @@ impl Instance {
     /// off).
     #[must_use]
     pub fn verify_stats(&self) -> Option<crate::verify::VerifyStats> {
-        self.verify
+        self.artifact.verify
     }
 
     /// Range-analysis counters over the register program (`None` for
@@ -847,14 +759,14 @@ impl Instance {
     /// so A/B runs can confirm the same accesses were proven.
     #[must_use]
     pub fn range_stats(&self) -> Option<crate::analysis::RangeStats> {
-        self.compiled.as_ref().map(|cm| cm.analysis)
+        self.artifact.compiled.as_ref().map(|cm| cm.analysis)
     }
 
     /// Wall time of each load-time compilation pass (`None` for
     /// interpreted instances; a pass that did not run reads zero).
     #[must_use]
     pub fn compile_times(&self) -> Option<flat::CompileTimes> {
-        self.compiled.as_ref().map(|cm| cm.times)
+        self.artifact.compile_times()
     }
 
     /// Re-runs the independent IR verifier over this instance's register
@@ -869,9 +781,10 @@ impl Instance {
     pub fn verify_ir(
         &self,
     ) -> Option<Result<crate::verify::VerifyStats, crate::verify::VerifyError>> {
-        self.compiled
+        let art = &*self.artifact;
+        art.compiled
             .as_ref()
-            .map(|cm| crate::verify::verify_module(cm, &self.types))
+            .map(|cm| crate::verify::verify_module(cm, &art.types))
     }
 
     /// Live execution counters, when the instance was created with
@@ -906,6 +819,7 @@ impl Instance {
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         let (kind, idx) = *self
+            .artifact
             .exports
             .get(name)
             .ok_or_else(|| Trap::Instantiation(format!("no export '{name}'")))?;
@@ -914,7 +828,7 @@ impl Instance {
                 "export '{name}' is not a function"
             )));
         }
-        let ty = self.func_type(idx).clone();
+        let ty = self.artifact.func_type(idx);
         if ty.params.len() != args.len() || ty.params.iter().zip(args).any(|(p, a)| *p != a.ty()) {
             return Err(Trap::Instantiation(format!(
                 "argument mismatch for '{name}'"
@@ -929,27 +843,20 @@ impl Instance {
         result
     }
 
-    fn func_type(&self, func_idx: u32) -> &FuncType {
-        let type_idx = match &self.funcs[func_idx as usize] {
-            FuncDef::Import { type_idx, .. } => *type_idx,
-            FuncDef::Local { body } => self.bodies[*body].type_idx,
-        };
-        &self.types[type_idx as usize]
-    }
-
     fn call_function(
         &mut self,
         host: &mut dyn HostEnv,
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        // An instance with a register program runs on the register engine;
-        // every other instance holds structured bodies and walks them.
-        if let Some(cm) = self.compiled.as_ref().filter(|cm| cm.reg.is_some()) {
+        let art = &*self.artifact;
+        // An artifact with a register program runs on the register engine;
+        // every other one holds structured bodies, walked here.
+        if let Some(cm) = art.compiled.as_ref().filter(|cm| cm.reg.is_some()) {
             return crate::reg::run(
                 cm,
-                &self.types,
-                &self.table,
+                &art.types,
+                &art.table,
                 &mut self.memory,
                 &mut self.globals,
                 host,
@@ -958,48 +865,26 @@ impl Instance {
                 self.profile.as_deref_mut(),
             );
         }
-        match &self.funcs[func_idx as usize] {
-            FuncDef::Import { module, name, .. } => {
-                let (module, name) = (module.clone(), name.clone());
-                let declared = self.func_type(func_idx).results.len();
-                let results = host.call(&module, &name, &mut self.memory, args)?;
-                check_host_results(&module, &name, results.len(), declared)?;
-                Ok(results)
-            }
-            FuncDef::Local { body } => {
-                let body_idx = *body;
-                let mut locals: Vec<Value> = args.to_vec();
-                for ty in &self.bodies[body_idx].locals {
-                    locals.push(Value::zero(*ty));
-                }
-                // Take the profile out for the duration of the walk so the
-                // generic loop can borrow it alongside `&mut self`.
-                match self.profile.take() {
-                    Some(mut p) => {
-                        let result = self.exec_body(host, body_idx, locals, &mut *p);
-                        self.profile = Some(p);
-                        result
-                    }
-                    None => self.exec_body(host, body_idx, locals, &mut NoProfile),
-                }
-            }
+        if let Some(imp) = art.imports.get(func_idx as usize) {
+            let declared = art.types[imp.type_idx as usize].results.len();
+            let results = host.call(&imp.module, &imp.name, &mut self.memory, args)?;
+            check_host_results(&imp.module, &imp.name, results.len(), declared)?;
+            return Ok(results);
         }
-    }
-
-    /// Resolves the `(end, else)` targets of the opener at `pc` by scanning
-    /// (the tree interpreter's naive runtime discovery).
-    fn block_targets(&self, body_idx: usize, pc: usize) -> (usize, Option<usize>) {
-        scan_block(&self.bodies[body_idx].code, pc)
-    }
-
-    fn block_arities(&self, bt: BlockType) -> (usize, usize) {
-        match bt {
-            BlockType::Empty => (0, 0),
-            BlockType::Value(_) => (0, 1),
-            BlockType::Func(idx) => {
-                let ty = &self.types[idx as usize];
-                (ty.params.len(), ty.results.len())
+        let body_idx = func_idx as usize - art.imports.len();
+        let mut locals: Vec<Value> = args.to_vec();
+        for ty in &art.bodies[body_idx].locals {
+            locals.push(Value::zero(*ty));
+        }
+        // Take the profile out for the duration of the walk so the
+        // generic loop can borrow it alongside `&mut self`.
+        match self.profile.take() {
+            Some(mut p) => {
+                let result = self.exec_body(host, body_idx, locals, &mut *p);
+                self.profile = Some(p);
+                result
             }
+            None => self.exec_body(host, body_idx, locals, &mut NoProfile),
         }
     }
 
@@ -1016,10 +901,17 @@ impl Instance {
         mut locals: Vec<Value>,
         prof: &mut P,
     ) -> Result<Vec<Value>, Trap> {
-        let mut result_arity = self.types[self.bodies[body_idx].type_idx as usize]
+        let Instance {
+            artifact,
+            memory,
+            globals,
+            ..
+        } = self;
+        let art: &Artifact = artifact;
+        let mut result_arity = art.types[art.bodies[body_idx].type_idx as usize]
             .results
             .len();
-        let mut code_len = self.bodies[body_idx].code.len();
+        let mut code_len = art.bodies[body_idx].code.len();
         let mut stack: Vec<Value> = Vec::with_capacity(32);
         let mut labels: Vec<Label> = Vec::with_capacity(8);
         let mut pc: usize = 0;
@@ -1038,15 +930,12 @@ impl Instance {
 
         macro_rules! enter_function {
             ($f:expr, $n_params:expr) => {{
-                let callee_body = match &self.funcs[$f as usize] {
-                    FuncDef::Local { body } => *body,
-                    FuncDef::Import { .. } => unreachable!("imports handled by caller"),
-                };
+                let callee_body = $f as usize - art.imports.len();
                 if frames.len() + 1 >= MAX_CALL_DEPTH {
                     return Err(Trap::CallStackExhausted);
                 }
                 let mut new_locals: Vec<Value> = stack.split_off(stack.len() - $n_params);
-                for ty in &self.bodies[callee_body].locals {
+                for ty in &art.bodies[callee_body].locals {
                     new_locals.push(Value::zero(*ty));
                 }
                 frames.push(Frame {
@@ -1061,10 +950,10 @@ impl Instance {
                 locals = new_locals;
                 pc = 0;
                 stack_base = stack.len();
-                result_arity = self.types[self.bodies[callee_body].type_idx as usize]
+                result_arity = art.types[art.bodies[callee_body].type_idx as usize]
                     .results
                     .len();
-                code_len = self.bodies[callee_body].code.len();
+                code_len = art.bodies[callee_body].code.len();
                 continue;
             }};
         }
@@ -1083,7 +972,7 @@ impl Instance {
                         pc = frame.pc;
                         stack_base = frame.stack_base;
                         result_arity = frame.result_arity;
-                        code_len = self.bodies[body_idx].code.len();
+                        code_len = art.bodies[body_idx].code.len();
                         continue;
                     }
                     None => return Ok(stack),
@@ -1095,7 +984,7 @@ impl Instance {
             ($pc:expr) => {
                 // Clone is cheap for all but BrTable; BrTable is cloned only
                 // when executed.
-                self.bodies[body_idx].code[$pc].clone()
+                art.bodies[body_idx].code[$pc].clone()
             };
         }
 
@@ -1122,7 +1011,7 @@ impl Instance {
         macro_rules! load {
             ($m:expr, $n:expr, $conv:expr) => {{
                 let base = stack.pop().expect("validated").as_i32();
-                let bytes: [u8; $n] = self.memory.load(base, $m.offset)?;
+                let bytes: [u8; $n] = memory.load(base, $m.offset)?;
                 stack.push($conv(bytes));
             }};
         }
@@ -1130,7 +1019,7 @@ impl Instance {
             ($m:expr, $as:ident, $conv:expr) => {{
                 let v = stack.pop().expect("validated").$as();
                 let base = stack.pop().expect("validated").as_i32();
-                self.memory.store(base, $m.offset, &$conv(v))?;
+                memory.store(base, $m.offset, &$conv(v))?;
             }};
         }
 
@@ -1171,8 +1060,8 @@ impl Instance {
                 Instr::Unreachable => return Err(Trap::Unreachable),
                 Instr::Nop => {}
                 Instr::Block(bt) => {
-                    let (end, _) = self.block_targets(body_idx, pc - 1);
-                    let (params, results) = self.block_arities(bt);
+                    let (end, _) = scan_block(&art.bodies[body_idx].code, pc - 1);
+                    let (params, results) = art.block_arities(bt);
                     labels.push(Label {
                         target: end + 1,
                         arity: results,
@@ -1181,7 +1070,7 @@ impl Instance {
                     });
                 }
                 Instr::Loop(bt) => {
-                    let (params, _) = self.block_arities(bt);
+                    let (params, _) = art.block_arities(bt);
                     labels.push(Label {
                         target: pc, // re-enter just after the Loop opcode
                         arity: params,
@@ -1191,8 +1080,8 @@ impl Instance {
                 }
                 Instr::If(bt) => {
                     let cond = stack.pop().expect("validated").as_i32();
-                    let (end, else_pc) = self.block_targets(body_idx, pc - 1);
-                    let (params, results) = self.block_arities(bt);
+                    let (end, else_pc) = scan_block(&art.bodies[body_idx].code, pc - 1);
+                    let (params, results) = art.block_arities(bt);
                     if cond != 0 {
                         labels.push(Label {
                             target: end + 1,
@@ -1237,13 +1126,12 @@ impl Instance {
                 }
                 Instr::Return => leave_function!(),
                 Instr::Call(f) => {
-                    let ty = self.func_type(f);
+                    let ty = art.func_type(f);
                     let (n_params, n_results) = (ty.params.len(), ty.results.len());
-                    if let FuncDef::Import { module, name, .. } = &self.funcs[f as usize] {
-                        let (module, name) = (module.clone(), name.clone());
+                    if let Some(imp) = art.imports.get(f as usize) {
                         let args: Vec<Value> = stack.split_off(stack.len() - n_params);
-                        let results = host.call(&module, &name, &mut self.memory, &args)?;
-                        check_host_results(&module, &name, results.len(), n_results)?;
+                        let results = host.call(&imp.module, &imp.name, memory, &args)?;
+                        check_host_results(&imp.module, &imp.name, results.len(), n_results)?;
                         stack.extend(results);
                     } else {
                         enter_function!(f, n_params);
@@ -1251,18 +1139,17 @@ impl Instance {
                 }
                 Instr::CallIndirect { type_idx, .. } => {
                     let i = stack.pop().expect("validated").as_u32() as usize;
-                    let slot = *self.table.get(i).ok_or(Trap::TableOutOfBounds)?;
+                    let slot = *art.table.get(i).ok_or(Trap::TableOutOfBounds)?;
                     let f = slot.ok_or(Trap::UndefinedTableElement)?;
-                    let expected = &self.types[type_idx as usize];
-                    if self.func_type(f) != expected {
+                    let expected = &art.types[type_idx as usize];
+                    if art.func_type(f) != expected {
                         return Err(Trap::IndirectTypeMismatch);
                     }
                     let (n_params, n_results) = (expected.params.len(), expected.results.len());
-                    if let FuncDef::Import { module, name, .. } = &self.funcs[f as usize] {
-                        let (module, name) = (module.clone(), name.clone());
+                    if let Some(imp) = art.imports.get(f as usize) {
                         let args: Vec<Value> = stack.split_off(stack.len() - n_params);
-                        let results = host.call(&module, &name, &mut self.memory, &args)?;
-                        check_host_results(&module, &name, results.len(), n_results)?;
+                        let results = host.call(&imp.module, &imp.name, memory, &args)?;
+                        check_host_results(&imp.module, &imp.name, results.len(), n_results)?;
                         stack.extend(results);
                     } else {
                         enter_function!(f, n_params);
@@ -1280,9 +1167,9 @@ impl Instance {
                 Instr::LocalGet(i) => stack.push(locals[i as usize]),
                 Instr::LocalSet(i) => locals[i as usize] = stack.pop().expect("validated"),
                 Instr::LocalTee(i) => locals[i as usize] = *stack.last().expect("validated"),
-                Instr::GlobalGet(i) => stack.push(self.globals[i as usize]),
+                Instr::GlobalGet(i) => stack.push(globals[i as usize]),
                 Instr::GlobalSet(i) => {
-                    self.globals[i as usize] = stack.pop().expect("validated");
+                    globals[i as usize] = stack.pop().expect("validated");
                 }
 
                 Instr::I32Load(m) => load!(m, 4, |b| Value::I32(i32::from_le_bytes(b))),
@@ -1330,22 +1217,22 @@ impl Instance {
                 Instr::I64Store32(m) => {
                     store!(m, as_i64, |v: i64| (v as u32).to_le_bytes())
                 }
-                Instr::MemorySize => stack.push(Value::I32(self.memory.size_pages() as i32)),
+                Instr::MemorySize => stack.push(Value::I32(memory.size_pages() as i32)),
                 Instr::MemoryGrow => {
                     let delta = stack.pop().expect("validated").as_u32();
-                    stack.push(Value::I32(self.memory.grow(delta)));
+                    stack.push(Value::I32(memory.grow(delta)));
                 }
                 Instr::MemoryCopy => {
                     let len = stack.pop().expect("validated").as_u32();
                     let src = stack.pop().expect("validated").as_u32();
                     let dst = stack.pop().expect("validated").as_u32();
-                    let mem_len = self.memory.data.len() as u64;
+                    let mem_len = memory.data.len() as u64;
                     if u64::from(src) + u64::from(len) > mem_len
                         || u64::from(dst) + u64::from(len) > mem_len
                     {
                         return Err(Trap::MemoryOutOfBounds);
                     }
-                    self.memory
+                    memory
                         .data
                         .copy_within(src as usize..(src + len) as usize, dst as usize);
                 }
@@ -1353,10 +1240,10 @@ impl Instance {
                     let len = stack.pop().expect("validated").as_u32();
                     let val = stack.pop().expect("validated").as_i32() as u8;
                     let dst = stack.pop().expect("validated").as_u32();
-                    if u64::from(dst) + u64::from(len) > self.memory.data.len() as u64 {
+                    if u64::from(dst) + u64::from(len) > memory.data.len() as u64 {
                         return Err(Trap::MemoryOutOfBounds);
                     }
-                    self.memory.data[dst as usize..(dst + len) as usize].fill(val);
+                    memory.data[dst as usize..(dst + len) as usize].fill(val);
                 }
 
                 Instr::I32Const(v) => stack.push(Value::I32(v)),

@@ -797,7 +797,7 @@ pub(crate) struct ImportedFunc {
     pub(crate) n_results: usize,
 }
 
-/// What an instance keeps of a load-time compile: the register program
+/// What an artifact keeps of a load-time compile: the register program
 /// [`crate::reg::run`] executes (when the register pass ran), the tables it
 /// indexes, and the pass statistics. No flat code — that is scratch.
 #[derive(Debug)]

@@ -24,7 +24,10 @@
 //!   mode (the real thing emits native code; ours stays portable, so the
 //!   AOT/interp gap is smaller than the paper's 28x, as documented in
 //!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch, and its
-//!   `from_env` is the crate's only read of the environment;
+//!   `from_env` is the crate's only read of the environment. What all of
+//!   that produces is one immutable, shareable [`Artifact`] ([`artifact`]);
+//!   an [`Instance`] is an `Arc` of it plus memory, globals and counters,
+//!   so launching the same bytes again costs instance creation only;
 //! * an independent **IR verifier** and value-range **analysis** ([`verify`],
 //!   [`analysis`]): abstract interpretation over the register code that
 //!   re-proves every invariant the engine relies on (`WATZ_VERIFY_IR=1` makes it a
@@ -63,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod artifact;
 pub mod builder;
 pub mod decode;
 pub mod encode;
@@ -78,6 +82,7 @@ pub mod validate;
 pub mod verify;
 
 pub use analysis::RangeStats;
+pub use artifact::Artifact;
 pub use decode::DecodeError;
 pub use exec::{EngineConfig, ExecMode, HostEnv, Instance, NoHost, Trap, Value};
 pub use flat::{CompileTimes, FusionStats};

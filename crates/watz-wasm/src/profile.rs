@@ -249,7 +249,7 @@ impl Default for ProfOp {
 }
 
 /// Whether an instance counts execution events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProfileMode {
     /// No counting; dispatch loops are the unchanged hot path.
     #[default]

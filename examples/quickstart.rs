@@ -43,4 +43,17 @@ fn main() {
         "startup: loading {:?}, hashing {:?}, instantiate {:?}",
         b.loading, b.hashing, b.instantiate
     );
+
+    // 6. Launching the same bytes again starts from the artifact the first
+    //    launch left resident: measured again, not decoded, validated or
+    //    compiled again.
+    let again = runtime
+        .load(&wasm, &AppConfig::default())
+        .expect("relaunch");
+    let r = again.startup_breakdown();
+    assert!(r.cached && !b.cached && again.measurement() == app.measurement());
+    println!(
+        "relaunch: loading {:?}, hashing {:?}, instantiate {:?}",
+        r.loading, r.hashing, r.instantiate
+    );
 }

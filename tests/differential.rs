@@ -6,7 +6,11 @@
 //! be reported identically and both must retire the same instruction
 //! count. `WATZ_NO_FUSE=1` reaches register lowering with the fusion rules
 //! off through the default `instantiate` path (CI runs that combination
-//! too).
+//! too). The last test is the same property across launches: a relaunch
+//! from the runtime's resident artifact is the first launch again, under
+//! whichever `WATZ_*` switches the process runs with.
+
+use std::sync::Arc;
 
 use watz::runtime::{AppConfig, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Instance, NoHost, Value};
@@ -538,4 +542,112 @@ fn randomized_minic_kernels_agree_across_engines() {
     // the property is vacuous.
     assert!(traps > 0, "corpus produced no trapping programs");
     assert!(traps < PROGRAMS, "corpus produced only trapping programs");
+}
+
+/// An export and its arguments.
+type Call = (&'static str, Vec<Value>);
+
+#[test]
+fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
+    // One runtime, every module of the benchmark corpus launched twice:
+    // the second launch finds the artifact resident and must be
+    // indistinguishable from the first in everything but its start-up
+    // cost — results, traps, and (under `WATZ_PROFILE=1`) every counter.
+    // Under `WATZ_VERIFY_IR=1` the resident artifact is a verified one;
+    // under `WATZ_NO_FUSE=1` an unfused one.
+    let env = EngineConfig::from_env();
+    let n = |v| vec![Value::I32(v)];
+    let mut corpus: Vec<(String, Vec<u8>, Vec<Call>)> = watz::bench_workloads::polybench::suite()
+        .into_iter()
+        .map(|k| {
+            let wasm = watz::compiler::compile(k.minic).unwrap();
+            (k.name.to_string(), wasm, vec![("kernel", n(N))])
+        })
+        .collect();
+    let minisql = watz::compiler::compile_with_options(
+        watz::bench_workloads::speedtest::MINISQL_GUEST,
+        &watz::compiler::Options {
+            min_pages: 256,
+            max_pages: None,
+        },
+    )
+    .unwrap();
+    let mut sql_calls = vec![("setup", n(50))];
+    for exp in watz::bench_workloads::speedtest::experiments() {
+        sql_calls.push(("run_exp", vec![Value::I32(exp.id as i32), Value::I32(50)]));
+    }
+    corpus.push(("minisql".into(), minisql, sql_calls));
+    let genann = watz::compiler::compile(&watz::bench_workloads::genann_guest::source()).unwrap();
+    corpus.push(("genann".into(), genann, vec![("buf_alloc", n(4))]));
+    let div = watz::compiler::compile("int div(int a, int b) { return a / b; }").unwrap();
+    let args = |a, b| vec![Value::I32(a), Value::I32(b)];
+    corpus.push((
+        "div".into(),
+        div,
+        vec![
+            ("div", args(7, 2)),
+            ("div", args(1, 0)),
+            ("div", args(i32::MIN, -1)),
+            ("nope", vec![]),
+        ],
+    ));
+
+    let rt = WatzRuntime::new_device(b"relaunch-parity").unwrap();
+    let config = AppConfig {
+        heap_bytes: watz::optee::TA_HEAP_CAP,
+        mode: ExecMode::Aot,
+    };
+    let mut traps = 0;
+    for (name, wasm, calls) in &corpus {
+        let before = rt.os().exec_bytes_allocated();
+        let mut first = rt.load(wasm, &config).unwrap();
+        let resident = rt.os().exec_bytes_allocated();
+        assert_eq!(resident, before + wasm.len(), "{name}");
+        let mut again = rt.load(wasm, &config).unwrap();
+        assert_eq!(rt.os().exec_bytes_allocated(), resident, "{name}");
+        assert!(!first.startup_breakdown().cached, "{name}");
+        assert!(again.startup_breakdown().cached, "{name}");
+        assert_eq!(first.measurement(), again.measurement(), "{name}");
+        assert!(
+            Arc::ptr_eq(first.instance().artifact(), again.instance().artifact()),
+            "{name}"
+        );
+
+        for (export, args) in calls {
+            let a = first.invoke(export, args).map_err(|e| e.to_string());
+            let b = again.invoke(export, args).map_err(|e| e.to_string());
+            assert_eq!(a, b, "{name}: {export}{args:?}");
+            traps += usize::from(a.is_err());
+        }
+        let (p1, p2) = (first.instance().profile(), again.instance().profile());
+        assert_eq!(p1.is_some(), env.profile == ProfileMode::Count, "{name}");
+        assert_eq!(p1, p2, "{name}: counters differ on relaunch");
+        if let Some(p) = p1 {
+            assert!(p.instret > 0, "{name}: nothing counted");
+        }
+
+        // What was compiled is what the environment asked for, once.
+        let fused = first.fusion_stats().expect("Aot app");
+        assert_eq!(fused.total() == 0, !env.fuse, "{name}");
+        assert_eq!(again.fusion_stats(), Some(fused), "{name}");
+        assert!(first.reg_stats().is_some(), "{name}: no register program");
+        let verified = first.instance().verify_stats();
+        assert_eq!(verified.is_some(), env.verify, "{name}");
+        assert_eq!(again.instance().verify_stats(), verified, "{name}");
+        // Asked again, the verifier says the same of both instances, and
+        // the same as it said before the artifact became resident.
+        let v1 = first
+            .instance()
+            .verify_ir()
+            .expect("Aot")
+            .expect("verifies");
+        let v2 = again
+            .instance()
+            .verify_ir()
+            .expect("Aot")
+            .expect("verifies");
+        assert_eq!(v1, v2, "{name}");
+        assert!(v1.reg_ops > 0 && verified.is_none_or(|v| v == v1), "{name}");
+    }
+    assert_eq!(traps, 3, "the trapping calls trapped, on both launches");
 }

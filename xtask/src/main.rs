@@ -24,7 +24,10 @@
 //! 3. **`watz-wasm` reads the environment in one function** — every
 //!    `std::env::` under `crates/watz-wasm/src` sits inside
 //!    `EngineConfig::from_env`, so a switch cannot grow a second reader
-//!    that parses it differently.
+//!    that parses it differently. `watz-runtime` (`crates/core/src`) keys
+//!    its artifact cache on that function's result and is held to the same
+//!    rule with nothing allowed: it calls `from_env`, it never reads a
+//!    `WATZ_*` variable itself.
 //!
 //! All scans work on comment- and string-stripped source so matches in
 //! docs or literals don't count, and `#[cfg(test)]` modules are out of
@@ -58,6 +61,11 @@ const DISPATCH_LOOPS: [(&str, &str); 2] = [
 /// The one function of `watz-wasm` allowed to name `std::env::`:
 /// `(source directory, file, function name)`.
 const ENV_READER: (&str, &str, &str) = ("crates/watz-wasm/src", "exec.rs", "fn from_env");
+
+/// Source directories scanned for `std::env::` beside [`ENV_READER`]'s,
+/// with no function exempt: crates that take the switches from
+/// `EngineConfig::from_env()`.
+const ENV_CALLERS: [&str; 1] = ["crates/core/src"];
 
 /// The wire-parser cast-scan targets.
 const WIRE_PARSERS: [&str; 2] = [
@@ -133,12 +141,12 @@ fn lint() -> ExitCode {
 
     let (env_dir, env_file, env_fn) = ENV_READER;
     let mut env_reads = 0usize;
-    let mut sources: Vec<PathBuf> = std::fs::read_dir(root.join(env_dir))
-        .unwrap_or_else(|e| panic!("{env_dir} unreadable: {e}"))
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
+    let mut sources = Vec::new();
+    for dir in [env_dir].into_iter().chain(ENV_CALLERS) {
+        rust_files(&root.join(dir), &mut sources);
+    }
     sources.sort();
+    let reader = root.join(env_dir).join(env_file);
     for path in sources {
         let src = read(&path);
         let stripped = strip_comments_and_strings(&src);
@@ -149,7 +157,7 @@ fn lint() -> ExitCode {
         let mut all = Vec::new();
         scan_lines(&src, &stripped, 0, stripped.len(), &path, &mut all, check);
         let mut inside = Vec::new();
-        if path.ends_with(env_file) {
+        if path == reader {
             if let Some((start, end)) = fn_body_span(&stripped, env_fn) {
                 scan_lines(&src, &stripped, start, end, &path, &mut inside, check);
             }
@@ -199,11 +207,12 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s); {} env read(s), all in `{env_fn}`)",
+            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s); {} env read(s), all in `{env_fn}`, none in {})",
             findings.len(),
             DISPATCH_LOOPS.len(),
             WIRE_PARSERS.len(),
-            env_reads
+            env_reads,
+            ENV_CALLERS.join(", ")
         );
         ExitCode::SUCCESS
     } else {
