@@ -619,11 +619,16 @@ impl VerifierServer {
                     stats.rejected += 1;
                     continue;
                 };
-                match platform.enter_secure(|| verifier.handle_msg2(&msg2)) {
-                    Ok((msg3, _)) => {
-                        let _ = conn.send(&msg3.to_bytes());
-                        stats.served += 1;
-                    }
+                // One secure-world entry for the appraisal and the release:
+                // each record leaves as soon as it is sealed, so the attester
+                // opens record k while record k + 1 is sealed here. A failed
+                // send ends the session.
+                let released = platform.enter_secure(|| {
+                    verifier.appraise(&msg2)?;
+                    verifier.release(|record| conn.send_owned(record.into_bytes()).is_ok())
+                });
+                match released {
+                    Ok(_) => stats.served += 1,
                     Err(_) => {
                         let _ = conn.send(APPRAISAL_FAILED);
                         stats.rejected += 1;

@@ -474,10 +474,20 @@ impl Connection {
     /// Returns [`TeeError::Net`] if the peer hung up (or an injected
     /// disconnect killed this endpoint).
     pub fn send(&self, data: &[u8]) -> Result<(), TeeError> {
+        self.send_owned(data.to_vec())
+    }
+
+    /// [`Connection::send`] for a message the caller is done with: the
+    /// buffer itself is delivered, not a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Connection::send`].
+    pub fn send_owned(&self, data: Vec<u8>) -> Result<(), TeeError> {
         match &self.faults {
             None => self
                 .tx
-                .send(data.to_vec())
+                .send(data)
                 .map_err(|_| TeeError::Net("peer disconnected".into())),
             Some(hook) => self.send_faulty(hook, data),
         }
@@ -486,9 +496,10 @@ impl Connection {
     /// The faulted send path: draws one decision per fault class in a
     /// fixed order (disconnect, drop, corrupt, duplicate, delay) so the
     /// schedule depends only on `(seed, connection, seq)`, then applies
-    /// whatever fired. Corruption mutates a copy; the caller's buffer is
-    /// never touched.
-    fn send_faulty(&self, hook: &FaultHook, data: &[u8]) -> Result<(), TeeError> {
+    /// whatever fired. Corruption mutates the message this endpoint owns:
+    /// [`Connection::send`] copied it, [`Connection::send_owned`] was given
+    /// it.
+    fn send_faulty(&self, hook: &FaultHook, mut payload: Vec<u8>) -> Result<(), TeeError> {
         if hook.dead.load(Ordering::Relaxed) {
             return Err(TeeError::Net("peer disconnected".into()));
         }
@@ -517,7 +528,6 @@ impl Connection {
             hook.record(seq, FaultKind::Drop);
             return Ok(());
         }
-        let mut payload = data.to_vec();
         if corrupt && !payload.is_empty() {
             for _ in 0..plan.corrupt_bytes {
                 let r = xorshift64(&mut g.state);
@@ -685,6 +695,26 @@ mod tests {
         assert_eq!(server.recv().unwrap(), b"msg0");
         server.send(b"msg1").unwrap();
         assert_eq!(client.recv().unwrap(), b"msg1");
+    }
+
+    #[test]
+    fn send_owned_delivers_the_buffer_and_faults_like_send() {
+        let net = Network::new();
+        let (client, server) = faulted_pair(&net, 7012);
+        client.send_owned(b"moved".to_vec()).unwrap();
+        assert_eq!(server.recv().unwrap(), b"moved");
+        drop(server);
+        assert!(client.send_owned(b"nobody".to_vec()).is_err());
+
+        net.install_fault_plan(FaultPlan::new(2).corrupt_rate(1.0, 3));
+        let (by_ref, server_a) = faulted_pair(&net, 7013);
+        net.install_fault_plan(FaultPlan::new(2).corrupt_rate(1.0, 3));
+        let (owned, server_b) = faulted_pair(&net, 7014);
+        by_ref.send(&[0u8; 32]).unwrap();
+        owned.send_owned(vec![0u8; 32]).unwrap();
+        let got = server_b.recv().unwrap();
+        assert_ne!(got, [0u8; 32]);
+        assert_eq!(got, server_a.recv().unwrap(), "same plan, same faults");
     }
 
     #[test]

@@ -219,7 +219,14 @@ fn watz_transcript(s: usize) -> Vec<Term> {
         Term::Exp(a.clone()),
         Term::sign(evidence, "A"),
         Term::hash(Term::pair(km, Term::atom("content2"))),
-        // msg3 := enc(blob, Ke)
+        // msg3 := enc(blob, Ke). On the wire the blob is a sequence of
+        // records, each sealed under this one `Ke` with its place and a
+        // final flag in the nonce (`watz_attestation::wire`); a passive
+        // attacker learns from n ciphertexts under one key what it learns
+        // from one, so the term stands for the whole sequence and the
+        // model is unchanged. Reordering and truncation are an active
+        // attacker's moves, out of this model's scope and covered by the
+        // record suites.
         Term::enc(Term::Atom(format!("blob{s}")), ke),
     ]
 }

@@ -19,7 +19,9 @@ use watz_crypto::sha256::Sha256;
 use crate::evidence::session_anchor;
 use crate::service::AttestationService;
 use crate::timed;
-use crate::wire::{Msg0, Msg1, Msg2, Msg3, APPRAISAL_FAILED, INTEGRITY_FAILED, SERVER_BUSY};
+use crate::wire::{
+    msg3_iv, Msg0, Msg1, Msg2, Msg3, APPRAISAL_FAILED, INTEGRITY_FAILED, SERVER_BUSY,
+};
 use crate::{RaError, StepTimings};
 
 enum State {
@@ -28,8 +30,8 @@ enum State {
     /// Handshake done; session keys derived, anchor known. The hosted Wasm
     /// application may now collect a quote (`wasi_ra_collect_quote`).
     Handshaken { keys: SessionKeys, anchor: [u8; 32] },
-    /// `msg2` sent, waiting for the secret blob.
-    AwaitMsg3 { keys: SessionKeys },
+    /// `msg2` sent, waiting for record `next` of the secret blob.
+    AwaitMsg3 { keys: SessionKeys, next: u64 },
     /// Protocol completed.
     Done,
 }
@@ -203,7 +205,7 @@ impl Attester {
             msg2.mac = timed!(t, symmetric, AesCmac::new(&keys.km).mac(&content));
             msg2
         });
-        self.state = State::AwaitMsg3 { keys };
+        self.state = State::AwaitMsg3 { keys, next: 1 };
         Ok((msg2, t))
     }
 
@@ -230,35 +232,107 @@ impl Attester {
         Ok((msg2, t))
     }
 
-    /// Handles `msg3`: decrypts and returns the secret blob.
+    /// Handles one `msg3` record: checks its place, verifies, decrypts and
+    /// returns its plaintext. [`Attester::is_done`] afterwards says whether
+    /// it was the final record — of a blob released whole, the only one.
     ///
     /// # Errors
     ///
-    /// Returns [`RaError::DecryptFailed`] if the AEAD tag does not verify,
-    /// or [`RaError::BadState`] out of order.
+    /// Returns [`RaError::DecryptFailed`] if the record is not the next one
+    /// of this session or its AEAD tag does not verify, or
+    /// [`RaError::BadState`] out of order. Either ends the session.
     pub fn handle_msg3(&mut self, msg3: &Msg3) -> Result<(Vec<u8>, StepTimings), RaError> {
-        self.handle_msg3_owned(msg3.clone())
+        let mut t = StepTimings::default();
+        let mut record = msg3.ciphertext().to_vec();
+        self.open_record(&msg3.iv(), &msg3.tag(), &mut record, &mut t)?;
+        Ok((record, t))
     }
 
-    /// [`Attester::handle_msg3`] for a caller that owns the message (it just
-    /// parsed it off the wire): the ciphertext buffer is decrypted in place
-    /// and becomes the returned secret, so no second blob-sized buffer exists.
+    /// Opens one record in place. The nonce must be exactly the expected
+    /// counter with the final flag clear or set — checked before the
+    /// ciphertext is touched — and the tag must verify before any plaintext
+    /// exists. A final record completes the session, any other advances
+    /// the counter, and every failure leaves the session [`State::Done`]:
+    /// there is no resynchronisation.
+    fn open_record(
+        &mut self,
+        iv: &[u8; 12],
+        tag: &[u8; 16],
+        data: &mut [u8],
+        t: &mut StepTimings,
+    ) -> Result<(), RaError> {
+        let State::AwaitMsg3 { keys, next } = std::mem::replace(&mut self.state, State::Done)
+        else {
+            return Err(RaError::BadState("handle_msg3"));
+        };
+        let last = *iv == msg3_iv(next, true);
+        if !last && *iv != msg3_iv(next, false) {
+            return Err(RaError::DecryptFailed);
+        }
+        timed!(*t, symmetric, {
+            AesGcm128::new(&keys.ke)
+                .decrypt_in_place(iv, data, b"", tag)
+                .map_err(|_| RaError::DecryptFailed)
+        })?;
+        if !last {
+            self.state = State::AwaitMsg3 {
+                keys,
+                next: next + 1,
+            };
+        }
+        Ok(())
+    }
+
+    /// Receives the secret blob off `conn`: records until the final one,
+    /// each opened in the frame it arrived in while the verifier seals the
+    /// next, concatenated only once verified. The whole secret or an error
+    /// — a failure of any kind (transport, verdict marker, parse, record
+    /// order, tag) ends the session and drops what had accumulated.
     ///
     /// # Errors
     ///
-    /// As [`Attester::handle_msg3`].
-    pub fn handle_msg3_owned(&mut self, msg3: Msg3) -> Result<(Vec<u8>, StepTimings), RaError> {
+    /// A classified [`AttemptError`], as [`AttestClient::attempt`].
+    pub fn receive_blob(
+        &mut self,
+        conn: &Connection,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, AttemptError> {
+        self.receive_records(conn, timeout, &mut FrameEcho::default())
+    }
+
+    fn receive_records(
+        &mut self,
+        conn: &Connection,
+        timeout: Duration,
+        echo: &mut FrameEcho,
+    ) -> Result<Vec<u8>, AttemptError> {
+        // Out of order: say so now rather than after waiting for a frame.
+        if !matches!(self.state, State::AwaitMsg3 { .. }) {
+            return Err(AttemptError::Fatal(RaError::BadState("receive_blob")));
+        }
         let mut t = StepTimings::default();
-        let State::AwaitMsg3 { keys } = std::mem::replace(&mut self.state, State::Done) else {
-            return Err(RaError::BadState("handle_msg3"));
-        };
-        let mut blob = msg3.ciphertext;
-        timed!(t, symmetric, {
-            AesGcm128::new(&keys.ke)
-                .decrypt_in_place(&msg3.iv, &mut blob, b"", &msg3.tag)
-                .map_err(|_| RaError::DecryptFailed)
-        })?;
-        Ok((blob, t))
+        let mut blob = Vec::new();
+        loop {
+            let opened = recv_reply(conn, timeout, echo).and_then(|frame| {
+                let mut msg3 = Msg3::from_vec(frame).map_err(AttemptError::Garbled)?;
+                let (iv, tag) = (msg3.iv(), msg3.tag());
+                self.open_record(&iv, &tag, msg3.ciphertext_mut(), &mut t)
+                    .map_err(classify_protocol_error)?;
+                Ok(msg3)
+            });
+            match opened {
+                Ok(record) => blob.extend_from_slice(record.ciphertext()),
+                Err(e) => {
+                    // A later call must not resume mid-sequence and pass a
+                    // suffix off as the blob.
+                    self.state = State::Done;
+                    return Err(e);
+                }
+            }
+            if self.is_done() {
+                return Ok(blob);
+            }
+        }
     }
 
     /// True once the protocol has completed (or aborted).
@@ -529,12 +603,12 @@ impl AttestClient<'_> {
             .map_err(|_| AttemptError::Refused)?;
         let (mut attester, mut msg0) = Attester::start(rng);
         msg0.attempt = attempt;
-        let mut last_frame: Option<Vec<u8>> = None;
+        let mut echo = FrameEcho::default();
         if conn.send(&msg0.to_bytes()).is_err() {
-            return Err(classify_send_failure(&conn, &mut last_frame));
+            return Err(classify_send_failure(&conn, &mut echo));
         }
 
-        let raw1 = recv_reply(&conn, recv_timeout, &mut last_frame)?;
+        let raw1 = recv_reply(&conn, recv_timeout, &mut echo)?;
         let msg1 = Msg1::from_bytes(&raw1).map_err(AttemptError::Garbled)?;
         let (msg2, _t) = attester
             .attest(
@@ -545,15 +619,10 @@ impl AttestClient<'_> {
             )
             .map_err(classify_protocol_error)?;
         if conn.send(&msg2.to_bytes()).is_err() {
-            return Err(classify_send_failure(&conn, &mut last_frame));
+            return Err(classify_send_failure(&conn, &mut echo));
         }
 
-        let raw3 = recv_reply(&conn, recv_timeout, &mut last_frame)?;
-        let msg3 = Msg3::from_bytes(&raw3).map_err(AttemptError::Garbled)?;
-        let (secret, _t) = attester
-            .handle_msg3_owned(msg3)
-            .map_err(classify_protocol_error)?;
-        Ok(secret)
+        attester.receive_records(&conn, recv_timeout, &mut echo)
     }
 
     /// The resilient entry point: runs [`AttestClient::attempt`] under
@@ -600,8 +669,8 @@ impl AttestClient<'_> {
 /// [`SERVER_BUSY`] *before* hanging up, and that frame is still buffered
 /// on our end of the connection. Drain it so a shed session reports
 /// [`AttemptError::Busy`] (back off) rather than a generic send failure.
-fn classify_send_failure(conn: &Connection, last_frame: &mut Option<Vec<u8>>) -> AttemptError {
-    match recv_reply(conn, Duration::ZERO, last_frame) {
+fn classify_send_failure(conn: &Connection, echo: &mut FrameEcho) -> AttemptError {
+    match recv_reply(conn, Duration::ZERO, echo) {
         Err(
             verdict @ (AttemptError::Busy
             | AttemptError::IntegrityRejected
@@ -611,13 +680,42 @@ fn classify_send_failure(conn: &Connection, last_frame: &mut Option<Vec<u8>>) ->
     }
 }
 
+/// What [`recv_reply`] keeps of the previous frame to recognise its
+/// re-delivery: the length and the leading [`FrameEcho::HEAD`] bytes, so
+/// remembering a 64 KiB record costs no copy of it. Every handshake frame
+/// is shorter than that and compared whole. In a `msg3` record the prefix
+/// holds the IV and the GCM tag: a frame that agrees on both either is the
+/// same authenticated record or was forged to look like it, and skipping a
+/// frame can stall a session but never release anything.
+#[derive(Default)]
+struct FrameEcho {
+    len: usize,
+    head: Vec<u8>,
+}
+
+impl FrameEcho {
+    const HEAD: usize = 256;
+
+    /// Whether `frame` repeats the remembered one; remembers it if not.
+    fn repeats(&mut self, frame: &[u8]) -> bool {
+        let head = &frame[..frame.len().min(Self::HEAD)];
+        if !self.head.is_empty() && self.len == frame.len() && self.head == head {
+            return true;
+        }
+        self.len = frame.len();
+        self.head.clear();
+        self.head.extend_from_slice(head);
+        false
+    }
+}
+
 /// Receives the next meaningful frame: maps transport failures into the
 /// taxonomy, recognises the service's single-byte verdict markers, and
 /// skips a consecutive duplicate of the previous frame.
 fn recv_reply(
     conn: &Connection,
     timeout: Duration,
-    last_frame: &mut Option<Vec<u8>>,
+    echo: &mut FrameEcho,
 ) -> Result<Vec<u8>, AttemptError> {
     loop {
         let frame = match conn.recv_detailed(timeout) {
@@ -634,10 +732,9 @@ fn recv_reply(
         if frame == APPRAISAL_FAILED {
             return Err(AttemptError::Rejected);
         }
-        if last_frame.as_deref() == Some(frame.as_slice()) {
+        if echo.repeats(&frame) {
             continue; // duplicate delivery: discard and wait for the next
         }
-        *last_frame = Some(frame.clone());
         return Ok(frame);
     }
 }
@@ -669,6 +766,30 @@ mod retry_tests {
             ..policy.clone()
         };
         assert_ne!(other.backoff(4), policy.backoff(4), "seed moves the jitter");
+    }
+
+    #[test]
+    fn frame_echo_recognises_a_redelivery_by_length_and_head() {
+        let mut echo = FrameEcho::default();
+        assert!(!echo.repeats(b""), "nothing precedes the first frame");
+        assert!(!echo.repeats(b""), "an empty frame is never a repeat");
+        assert!(!echo.repeats(b"msg1"));
+        assert!(echo.repeats(b"msg1") && echo.repeats(b"msg1"));
+        assert!(!echo.repeats(b"msg2"), "same length, other bytes");
+        assert!(!echo.repeats(b"msg"), "a prefix is another frame");
+        // Records: same length, told apart by the IV and tag up front.
+        let record = |k: u8| [vec![0xa3, 0, 0, 0, k], vec![7; 70_000]].concat();
+        assert!(!echo.repeats(&record(1)));
+        assert!(echo.repeats(&record(1)));
+        assert!(!echo.repeats(&record(2)));
+        assert!(!echo.repeats(&record(1)), "not consecutive, not a repeat");
+        // Past the head a difference goes unseen: by then the GCM tag in
+        // the head has bound the bytes, and a skipped frame releases nothing.
+        let mut forged = record(1);
+        forged[FrameEcho::HEAD] ^= 1;
+        assert!(echo.repeats(&forged));
+        forged[FrameEcho::HEAD - 1] ^= 1;
+        assert!(!echo.repeats(&forged));
     }
 
     #[test]

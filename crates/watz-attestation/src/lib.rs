@@ -11,7 +11,8 @@
 //! msg2 := content2 || MAC_Km(content2)
 //!         content2 := Ga || evidence || SIGN_A(evidence)
 //!         evidence := (anchor || A || ...)   anchor := HASH(Ga || Gv)
-//! msg3 := iv || AES-GCM_Ke(data)
+//! msg3 := iv || AES-GCM_Ke(data)      one record; the blob is one or more,
+//!         iv := final? || record no.   see [`wire`]
 //! ```
 //!
 //! Security requirements reproduced (§IV): mutual key establishment

@@ -17,7 +17,7 @@ use watz_crypto::sha256::Sha256;
 
 use crate::evidence::session_anchor;
 use crate::timed;
-use crate::wire::{Msg0, Msg1, Msg2, Msg3};
+use crate::wire::{msg3_iv, Msg0, Msg1, Msg2, Msg3, MSG3_RECORD_LEN};
 use crate::{RaError, StepTimings};
 
 /// The shared, immutable appraisal state: endorsements, reference
@@ -198,17 +198,18 @@ impl Verifier {
         Ok((msg1, t))
     }
 
-    /// Handles `msg2`: performs the full appraisal — MAC, session-key echo,
-    /// anchor binding, endorsement lookup, evidence signature, reference
-    /// measurement, version gate.
+    /// Appraises `msg2` — MAC, session-key echo, anchor binding,
+    /// endorsement lookup, evidence signature, reference measurement,
+    /// version gate — and releases nothing yet.
     ///
-    /// On success the verifier is ready to release the secret via
-    /// [`Verifier::build_msg3`].
+    /// On success the verifier is ready to release the secret, whole
+    /// ([`Verifier::handle_msg2`] does both) or as a record sequence
+    /// ([`Verifier::release`]).
     ///
     /// # Errors
     ///
     /// Returns the specific [`RaError`] for the first failed check.
-    pub fn handle_msg2(&mut self, msg2: &Msg2) -> Result<(Msg3, StepTimings), RaError> {
+    pub fn appraise(&mut self, msg2: &Msg2) -> Result<StepTimings, RaError> {
         let mut t = StepTimings::default();
         let State::AwaitMsg2 { ga, gv, keys } = std::mem::replace(&mut self.state, State::Done)
         else {
@@ -269,45 +270,86 @@ impl Verifier {
         }
 
         self.state = State::Attested { keys };
+        Ok(t)
+    }
+
+    /// Handles `msg2`: [`Verifier::appraise`], then the whole secret as one
+    /// final record — the lock-step form, for callers that pass messages
+    /// by hand (record length is the sender's choice).
+    ///
+    /// # Errors
+    ///
+    /// As [`Verifier::appraise`].
+    pub fn handle_msg2(&mut self, msg2: &Msg2) -> Result<(Msg3, StepTimings), RaError> {
+        let mut t = self.appraise(msg2)?;
         // Borrow the blob through the shared policy: an `Arc` bump, not a
         // copy of the whole secret per session.
         let policy = Arc::clone(&self.config.policy);
-        let msg3 = self.build_msg3_with(&policy.secret_blob, &mut t)?;
+        let msg3 = self.build_msg3_with(&policy.secret_blob, true, &mut t)?;
         Ok((msg3, t))
     }
 
-    /// Encrypts an arbitrary payload under the session encryption key
-    /// (usable only after successful appraisal).
+    /// Releases the secret as records of at most [`MSG3_RECORD_LEN`]
+    /// plaintext bytes, handing each to `sink` the moment it is sealed, so
+    /// a sink that sends lets the transport and the attester work on record
+    /// *k* while record *k + 1* is being sealed. An empty secret is one
+    /// empty final record. Stops when `sink` returns `false`; `Ok(true)`
+    /// means the final record was taken.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RaError::BadState`] before attestation succeeded.
+    pub fn release(&mut self, mut sink: impl FnMut(Msg3) -> bool) -> Result<bool, RaError> {
+        let policy = Arc::clone(&self.config.policy);
+        let mut t = StepTimings::default();
+        let mut rest = policy.secret_blob.as_slice();
+        loop {
+            let (record, tail) = rest.split_at(rest.len().min(MSG3_RECORD_LEN));
+            let last = tail.is_empty();
+            if !sink(self.build_msg3_with(record, last, &mut t)?) {
+                return Ok(false);
+            }
+            if last {
+                return Ok(true);
+            }
+            rest = tail;
+        }
+    }
+
+    /// Encrypts an arbitrary payload under the session encryption key as
+    /// one final record (usable only after successful appraisal).
     ///
     /// # Errors
     ///
     /// Returns [`RaError::BadState`] before attestation succeeded.
     pub fn build_msg3(&mut self, payload: &[u8]) -> Result<Msg3, RaError> {
         let mut t = StepTimings::default();
-        self.build_msg3_with(payload, &mut t)
+        self.build_msg3_with(payload, true, &mut t)
     }
 
-    fn build_msg3_with(&mut self, payload: &[u8], t: &mut StepTimings) -> Result<Msg3, RaError> {
+    /// Seals one record straight into its frame.
+    fn build_msg3_with(
+        &mut self,
+        payload: &[u8],
+        last: bool,
+        t: &mut StepTimings,
+    ) -> Result<Msg3, RaError> {
         let State::Attested { keys } = &self.state else {
             return Err(RaError::BadState("build_msg3"));
         };
-        // Deterministic per-session IV counter; session keys are fresh, so
-        // (key, iv) pairs never repeat.
+        // The nonce is the record's place in the session ([`msg3_iv`]);
+        // session keys are fresh, so (key, iv) pairs never repeat.
         self.iv_counter += 1;
-        let mut iv = [0u8; 12];
-        iv[4..].copy_from_slice(&self.iv_counter.to_be_bytes());
-        // The one copy of the payload is the buffer msg3 ships in.
-        let mut ciphertext = payload.to_vec();
+        let iv = msg3_iv(self.iv_counter, last);
+        // The one copy of the payload is the frame msg3 ships in.
+        let mut msg3 = Msg3::new(iv, [0; 16], payload);
         let tag = timed!(
             *t,
             symmetric,
-            AesGcm128::new(&keys.ke).encrypt_in_place(&iv, &mut ciphertext, b"")
+            AesGcm128::new(&keys.ke).encrypt_in_place(&iv, msg3.ciphertext_mut(), b"")
         );
-        Ok(Msg3 {
-            iv,
-            ciphertext,
-            tag,
-        })
+        msg3.set_tag(tag);
+        Ok(msg3)
     }
 
     /// True once attestation succeeded.
@@ -568,9 +610,55 @@ mod tests {
         let (msg1, _) = verifier.handle_msg0(&msg0, &mut vrng).unwrap();
         let (msg2, _) = attester.attest(&msg1, &pk, &svc, &measurement()).unwrap();
         let (mut msg3, _) = verifier.handle_msg2(&msg2).unwrap();
-        msg3.ciphertext[0] ^= 1;
+        msg3.ciphertext_mut()[0] ^= 1;
         let err = attester.handle_msg3(&msg3).unwrap_err();
         assert_eq!(err, RaError::DecryptFailed);
+    }
+
+    #[test]
+    fn records_match_the_one_shot_oracle() {
+        // The record path against `AesGcm128`'s allocating one-shot calls,
+        // which share no loop with it: every record is AES-GCM of its slice
+        // under `msg3_iv(k, last)`, and the concatenated plaintexts are what
+        // one `decrypt` of an independently sealed copy of the blob returns.
+        let (_os, svc) = device(b"device");
+        let blob: Vec<u8> = (0..3 * MSG3_RECORD_LEN + 77)
+            .map(|i| ((i * 31) >> 3) as u8)
+            .collect();
+        let (mut verifier, pk) = verifier_for(&svc, &blob);
+        let (mut attester, msg0) = Attester::start(&mut Fortuna::from_seed(b"a"));
+        let (msg1, _) = verifier
+            .handle_msg0(&msg0, &mut Fortuna::from_seed(b"v"))
+            .unwrap();
+        let (msg2, _) = attester.attest(&msg1, &pk, &svc, &measurement()).unwrap();
+        verifier.appraise(&msg2).unwrap();
+        let State::Attested { keys } = &verifier.state else {
+            panic!("appraised");
+        };
+        let oracle = AesGcm128::new(&keys.ke);
+        let (sealed, sealed_tag) = oracle.encrypt(&[0x5a; 12], &blob, b"");
+
+        let mut records = Vec::new();
+        let complete = verifier.release(|record| {
+            records.push(record);
+            true
+        });
+        assert_eq!((complete, records.len()), (Ok(true), 4));
+        let mut plain = Vec::new();
+        for (k, (record, slice)) in records.iter().zip(blob.chunks(MSG3_RECORD_LEN)).enumerate() {
+            let iv = msg3_iv(k as u64 + 1, k == 3);
+            let (ciphertext, tag) = oracle.encrypt(&iv, slice, b"");
+            assert_eq!(record.iv(), iv);
+            assert_eq!((record.ciphertext(), record.tag()), (&ciphertext[..], tag));
+            plain.extend(attester.handle_msg3(record).unwrap().0);
+        }
+        assert!(attester.is_done());
+        assert_eq!(
+            plain,
+            oracle
+                .decrypt(&[0x5a; 12], &sealed, b"", &sealed_tag)
+                .unwrap()
+        );
     }
 
     #[test]
@@ -580,11 +668,7 @@ mod tests {
         let mut arng = Fortuna::from_seed(b"a");
         let (mut attester, _msg0) = Attester::start(&mut arng);
         // msg3 before msg1:
-        let bogus = Msg3 {
-            iv: [0; 12],
-            ciphertext: vec![],
-            tag: [0; 16],
-        };
+        let bogus = Msg3::new([0; 12], [0; 16], &[]);
         assert!(matches!(
             attester.handle_msg3(&bogus),
             Err(RaError::BadState(_))

@@ -2,6 +2,48 @@
 //!
 //! Fixed layouts with a one-byte tag, so a corrupted or reordered message
 //! is caught at parse time rather than by cryptography alone.
+//!
+//! # `msg3` is a sequence of records
+//!
+//! The secret blob travels as one or more `msg3` frames, each an ordinary
+//! AES-GCM message under `Ke` with its own tag:
+//!
+//! ```text
+//! frame := TAG_MSG3 | iv (12) | tag (16) | ciphertext
+//! iv    := flag (1) | 0 0 0 | counter (8, big-endian)
+//! ```
+//!
+//! `counter` is the record's place in the session (1, 2, 3, ...) and `flag`
+//! is 1 on the final record and 0 on every other. How the blob is cut is the
+//! sender's choice: a verifier that hands messages over by hand
+//! (`Verifier::handle_msg2`) sends it whole as record 1 with the flag set,
+//! one that owns a connection (`Verifier::release`) cuts it every
+//! [`MSG3_RECORD_LEN`] bytes so that it seals record *k + 1* while record
+//! *k* is in flight and the attester opens record *k − 1*. An empty blob is
+//! one empty final record.
+//!
+//! The attester (`Attester::handle_msg3`, `Attester::receive_blob`) keeps
+//! the counter it expects next. **Before the tag**, touching no ciphertext:
+//! the IV must be exactly that counter with the flag byte 0 or 1 and the
+//! three bytes between zero. **Then** the tag is verified over the whole
+//! ciphertext, and only then is the record decrypted. A final record ends
+//! the session, any other advances the counter, and the blob is handed on
+//! (to the caller, to the guest) only when the final record has verified.
+//!
+//! The nonce is an input to the tag, so a record is authentic only at its
+//! own place with its own flag. Someone who owns the wire can therefore
+//! only make the session fail: a record moved, repeated or taken from
+//! another place carries a counter the attester does not expect; one
+//! dropped makes its successor unexpected; a final flag set early or
+//! cleared late changes the nonce under a tag that no longer verifies, so
+//! the blob can be neither cut short nor continued; a record of another
+//! session was sealed under another `Ke`; and after the final record
+//! nothing more is read. Every failure — these, a transport error, a
+//! verdict marker, a frame that does not parse — ends the session for good
+//! and discards the records opened so far: there is no resynchronisation,
+//! and a fresh attestation is the only retry. (The construction is STREAM,
+//! Hoang et al., CRYPTO 2015, with the segment counter and last-segment bit
+//! in the nonce.)
 
 use crate::evidence::{Evidence, EVIDENCE_LEN};
 use crate::RaError;
@@ -187,48 +229,110 @@ impl Msg2 {
     }
 }
 
-/// `msg3`: the confidential payload (secret blob), AES-GCM encrypted under
-/// `Ke`.
+/// Plaintext bytes per `msg3` record when a verifier releases a blob as a
+/// record sequence (see the module documentation). A constant, not a knob:
+/// swept at 32 / 64 / 128 / 256 KiB on the 2 MiB `blob_provision` session,
+/// 64 KiB was best or tied; 256 KiB loses about a tenth to the first and
+/// last record, which nothing overlaps. Never below 64 KiB, so a 64 KiB
+/// secret stays one frame.
+pub const MSG3_RECORD_LEN: usize = 64 * 1024;
+
+/// Bytes of a `msg3` frame in front of the ciphertext: tag byte, IV, GCM tag.
+pub const MSG3_HEADER_LEN: usize = 1 + 12 + 16;
+
+/// The AES-GCM nonce of record `counter` (1, 2, 3, ... within a session):
+/// the final flag in byte 0, the counter big-endian in bytes 4..12.
+#[must_use]
+pub fn msg3_iv(counter: u64, last: bool) -> [u8; 12] {
+    let mut iv = [0u8; 12];
+    iv[0] = u8::from(last);
+    iv[4..].copy_from_slice(&counter.to_be_bytes());
+    iv
+}
+
+/// `msg3`: one record of the confidential payload (secret blob), AES-GCM
+/// encrypted under `Ke`. Held as the frame it travels in
+/// (`TAG_MSG3 | iv | tag | ciphertext`), so sealing writes the wire bytes,
+/// [`Msg3::into_bytes`] and [`Msg3::from_vec`] move them, and opening
+/// decrypts them where they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Msg3 {
-    /// AES-GCM initialisation vector.
-    pub iv: [u8; 12],
-    /// Ciphertext of the secret blob.
-    pub ciphertext: Vec<u8>,
-    /// AES-GCM authentication tag.
-    pub tag: [u8; 16],
+    /// At least [`MSG3_HEADER_LEN`] bytes, the first of them `TAG_MSG3`.
+    frame: Vec<u8>,
 }
 
 impl Msg3 {
-    /// Serializes the message.
+    /// Assembles a message from its parts (one copy of `ciphertext`).
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 12 + 16 + self.ciphertext.len());
-        out.push(TAG_MSG3);
-        out.extend_from_slice(&self.iv);
-        out.extend_from_slice(&self.tag);
-        out.extend_from_slice(&self.ciphertext);
-        out
+    pub fn new(iv: [u8; 12], tag: [u8; 16], ciphertext: &[u8]) -> Self {
+        let mut frame = Vec::with_capacity(MSG3_HEADER_LEN + ciphertext.len());
+        frame.push(TAG_MSG3);
+        frame.extend_from_slice(&iv);
+        frame.extend_from_slice(&tag);
+        frame.extend_from_slice(ciphertext);
+        Msg3 { frame }
     }
 
-    /// Parses the message.
+    /// The AES-GCM initialisation vector ([`msg3_iv`]).
+    #[must_use]
+    pub fn iv(&self) -> [u8; 12] {
+        self.frame[1..13].try_into().expect("12 bytes")
+    }
+
+    /// The AES-GCM authentication tag.
+    #[must_use]
+    pub fn tag(&self) -> [u8; 16] {
+        self.frame[13..MSG3_HEADER_LEN]
+            .try_into()
+            .expect("16 bytes")
+    }
+
+    pub(crate) fn set_tag(&mut self, tag: [u8; 16]) {
+        self.frame[13..MSG3_HEADER_LEN].copy_from_slice(&tag);
+    }
+
+    /// Ciphertext of this record of the secret blob.
+    #[must_use]
+    pub fn ciphertext(&self) -> &[u8] {
+        &self.frame[MSG3_HEADER_LEN..]
+    }
+
+    /// The ciphertext, writable: sealed and opened in place.
+    pub fn ciphertext_mut(&mut self) -> &mut [u8] {
+        &mut self.frame[MSG3_HEADER_LEN..]
+    }
+
+    /// Serializes the message (a copy; [`Msg3::into_bytes`] moves).
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.frame.clone()
+    }
+
+    /// The message as its wire frame, without a copy.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.frame
+    }
+
+    /// Parses the message (a copy; [`Msg3::from_vec`] moves).
     ///
     /// # Errors
     ///
     /// Returns [`RaError::Malformed`] for wrong tag or truncated input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RaError> {
-        if bytes.len() < 1 + 12 + 16 || bytes[0] != TAG_MSG3 {
+        Self::from_vec(bytes.to_vec())
+    }
+
+    /// Parses a frame the caller owns, keeping its allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Msg3::from_bytes`].
+    pub fn from_vec(frame: Vec<u8>) -> Result<Self, RaError> {
+        if frame.len() < MSG3_HEADER_LEN || frame[0] != TAG_MSG3 {
             return Err(RaError::Malformed("msg3"));
         }
-        let mut iv = [0u8; 12];
-        let mut tag = [0u8; 16];
-        iv.copy_from_slice(&bytes[1..13]);
-        tag.copy_from_slice(&bytes[13..29]);
-        Ok(Msg3 {
-            iv,
-            tag,
-            ciphertext: bytes[29..].to_vec(),
-        })
+        Ok(Msg3 { frame })
     }
 }
 
@@ -303,21 +407,17 @@ mod tests {
 
     #[test]
     fn msg3_roundtrip() {
-        let m = Msg3 {
-            iv: [1; 12],
-            ciphertext: vec![1, 2, 3, 4, 5],
-            tag: [2; 16],
-        };
+        let m = Msg3::new([1; 12], [2; 16], &[1, 2, 3, 4, 5]);
         assert_eq!(Msg3::from_bytes(&m.to_bytes()).unwrap(), m);
+        assert_eq!(Msg3::from_vec(m.clone().into_bytes()).unwrap(), m);
+        assert_eq!((m.iv(), m.tag()), ([1; 12], [2; 16]));
+        assert_eq!(m.ciphertext(), [1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn msg3_empty_payload() {
-        let m = Msg3 {
-            iv: [0; 12],
-            ciphertext: vec![],
-            tag: [0; 16],
-        };
+        let m = Msg3::new([0; 12], [0; 16], &[]);
+        assert_eq!(m.to_bytes().len(), MSG3_HEADER_LEN);
         assert_eq!(Msg3::from_bytes(&m.to_bytes()).unwrap(), m);
     }
 

@@ -11,7 +11,7 @@
 //!
 //! The invariants are the ones a hostile network is allowed to test:
 //! decoders never panic, always return a typed [`RaError`], and never
-//! allocate past the input (`msg3.ciphertext.len()` is bounded by the
+//! allocate past the input (`msg3.ciphertext().len()` is bounded by the
 //! frame length). The seed is fixed so a failure replays byte-for-byte.
 
 use watz_attestation::evidence::{Evidence, EVIDENCE_LEN};
@@ -94,11 +94,7 @@ fn valid_frames(rng: &mut XorShift64) -> Vec<(&'static str, Vec<u8>)> {
     rng.fill(&mut iv);
     rng.fill(&mut tag);
     rng.fill(&mut ciphertext);
-    let msg3 = Msg3 {
-        iv,
-        ciphertext,
-        tag,
-    };
+    let msg3 = Msg3::new(iv, tag, &ciphertext);
 
     vec![
         ("msg0", msg0.to_bytes()),
@@ -128,10 +124,10 @@ fn decode_all(name: &str, frame: &[u8]) -> usize {
         Ok(m) => {
             accepted += 1;
             assert!(
-                m.ciphertext.len() <= frame.len(),
+                m.ciphertext().len() <= frame.len(),
                 "{name}: msg3 ciphertext ({} bytes) over-allocated past the \
                  {}-byte input",
-                m.ciphertext.len(),
+                m.ciphertext().len(),
                 frame.len()
             );
         }

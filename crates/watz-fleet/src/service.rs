@@ -33,6 +33,14 @@
 //! queued sessions exactly where the paper's single-session design pays
 //! it per attester.
 //!
+//! A worker releases each secret whole, as one final `msg3` record
+//! (`Verifier::handle_msg2` inside the batch), not as the record sequence
+//! `watz_runtime::VerifierServer` sends: fleet secrets are provisioning
+//! tokens of about a kilobyte, one record either way. A worker that seals a
+//! multi-megabyte blob inline stalls its sweep for as long as the AES-GCM
+//! takes, with or without records; releasing large blobs from a fleet
+//! worker (off the sweep, record by record) is out of scope here.
+//!
 //! **Observability** mirrors the engine's zero-overhead-when-off
 //! discipline ([`watz_wasm::profile`](../../watz-wasm/src/profile.rs)):
 //! each session records phase timestamps (accept→msg0→msg1→msg2→msg3)

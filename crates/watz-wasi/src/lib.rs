@@ -24,8 +24,10 @@
 //!   (`wasi_ra_collect_quote`);
 //! * `ra_dispose_quote(quote)` (`wasi_ra_dispose_quote`);
 //! * `ra_send_quote(ctx, quote)` — sends msg2 (`wasi_ra_net_send_quote`);
-//! * `ra_receive_data(ctx, buf_ptr, buf_len) -> len` — receives and decrypts
-//!   the msg3 secret blob (`wasi_ra_net_receive_data`);
+//! * `ra_receive_data(ctx, buf_ptr, buf_len) -> len` — receives the msg3
+//!   record sequence, opening each record as it arrives, and copies the
+//!   secret blob out once its final record has verified; a buffer that is
+//!   too small is told so and may retry (`wasi_ra_net_receive_data`);
 //! * `ra_dispose(ctx)` (`wasi_ra_net_dispose`).
 //!
 //! Return codes: non-negative on success, [`err_codes`] constants (< 0) on
@@ -36,11 +38,12 @@
 
 use std::sync::Arc;
 
-use optee_sim::{net::Connection, time, TrustedOs};
-use watz_attestation::attester::Attester;
+use optee_sim::net::{Connection, RECV_TIMEOUT};
+use optee_sim::{time, TrustedOs};
+use watz_attestation::attester::{AttemptError, Attester};
 use watz_attestation::evidence::Evidence;
 use watz_attestation::service::AttestationService;
-use watz_attestation::wire::{Msg1, Msg3};
+use watz_attestation::wire::Msg1;
 use watz_crypto::fortuna::Fortuna;
 use watz_wasm::exec::{HostEnv, Memory, Trap, Value};
 
@@ -148,11 +151,13 @@ impl WasiEnv {
     }
 
     fn ra_handshake(&mut self, memory: &Memory, port: i32, key_ptr: i32) -> Result<i32, Trap> {
-        let Ok(port) = u16::try_from(port) else {
+        // Guest integers are signed: a negative one is refused here, not
+        // reinterpreted as a large unsigned address or length.
+        let (Ok(port), Ok(key_ptr)) = (u16::try_from(port), u32::try_from(key_ptr)) else {
             return Ok(err_codes::FAIL);
         };
         let mut pinned = [0u8; 64];
-        pinned.copy_from_slice(memory.read_bytes(key_ptr as u32, 64)?);
+        pinned.copy_from_slice(memory.read_bytes(key_ptr, 64)?);
 
         // Socket traffic leaves the secure world through the supplicant:
         // model the world switches around each transfer.
@@ -189,11 +194,14 @@ impl WasiEnv {
     }
 
     fn ra_anchor(&mut self, memory: &mut Memory, ctx: i32, out_ptr: i32) -> Result<i32, Trap> {
+        let Ok(out_ptr) = u32::try_from(out_ptr) else {
+            return Ok(err_codes::FAIL);
+        };
         let Some(session) = self.session(ctx) else {
             return Ok(err_codes::BAD_HANDLE);
         };
         let anchor = session.anchor;
-        memory.write_bytes(out_ptr as u32, &anchor)?;
+        memory.write_bytes(out_ptr, &anchor)?;
         Ok(0)
     }
 
@@ -254,28 +262,32 @@ impl WasiEnv {
         buf_ptr: i32,
         buf_len: i32,
     ) -> Result<i32, Trap> {
+        // Before anything is received: `-1 as usize` would pass the length
+        // check below and let the whole secret be written past the buffer.
+        let (Ok(buf_ptr), Ok(buf_len)) = (u32::try_from(buf_ptr), usize::try_from(buf_len)) else {
+            return Ok(err_codes::FAIL);
+        };
         let platform = self.os.platform().clone();
         let Some(session) = self.session(ctx) else {
             return Ok(err_codes::BAD_HANDLE);
         };
         if session.received.is_none() {
-            let raw = match platform.enter_secure(|| session.conn.recv()) {
-                Ok(r) => r,
-                Err(_) => return Ok(err_codes::NET),
-            };
-            let Ok(msg3) = Msg3::from_bytes(&raw) else {
-                return Ok(err_codes::PROTOCOL);
-            };
-            let Ok((plaintext, _)) = session.attester.handle_msg3_owned(msg3) else {
-                return Ok(err_codes::PROTOCOL);
-            };
-            session.received = Some(plaintext);
+            // One secure-world entry for the whole record sequence. The
+            // secret reaches the secure buffer only once its final record
+            // has verified; any failure ends the session.
+            let blob = platform
+                .enter_secure(|| session.attester.receive_blob(&session.conn, RECV_TIMEOUT));
+            match blob {
+                Ok(blob) => session.received = Some(blob),
+                Err(AttemptError::Timeout | AttemptError::PeerClosed) => return Ok(err_codes::NET),
+                Err(_) => return Ok(err_codes::PROTOCOL),
+            }
         }
         let data = session.received.as_deref().expect("just set");
-        if data.len() > buf_len as usize {
+        if data.len() > buf_len {
             return Ok(err_codes::BUFFER_TOO_SMALL);
         }
-        memory.write_bytes(buf_ptr as u32, data)?;
+        memory.write_bytes(buf_ptr, data)?;
         Ok(data.len() as i32)
     }
 
