@@ -74,6 +74,18 @@ fn bench_crypto(c: &mut Criterion) {
         });
     });
 
+    g.bench_function("ecdsa_verify_comb", |b| {
+        let mut rng = Fortuna::from_seed(b"bench");
+        let key = SigningKey::generate(&mut rng);
+        let digest = Sha256::digest(b"message");
+        let sig = key.sign_deterministic(&digest);
+        let comb = key.verifying_key().comb_table();
+        b.iter(|| {
+            key.verifying_key()
+                .verify_with(&comb, std::hint::black_box(&digest), &sig)
+        });
+    });
+
     g.bench_function("ecdhe_keygen", |b| {
         let mut rng = Fortuna::from_seed(b"bench");
         b.iter(|| EphemeralKeyPair::generate(std::hint::black_box(&mut rng)));
@@ -86,17 +98,24 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| local.diffie_hellman(std::hint::black_box(&peer)));
     });
 
-    // What the four operations above are made of. One Montgomery multiply
-    // serves both moduli; an inversion is a 4-bit-window Fermat ladder of
-    // ~305 of them; k*G is <= 64 mixed additions from the generator table,
-    // k*P is 256 doublings and <= 64 general additions over a 15-entry
-    // table built per call. Both scalar multiplications include the
-    // inversion that takes the result back to affine.
+    // What the operations above are made of. Under p, multiply and square
+    // reduce with p's limbs as constants and an inversion is p - 2's
+    // addition chain (255 squarings, 12 multiplies); under n, a generic
+    // CIOS multiply and a 4-bit-window Fermat ladder of ~320 of them. k*G is
+    // <= 64 mixed additions from the generator table, k*P is 256 doublings
+    // and <= 64 general additions over a 15-entry table built per call,
+    // and a comb verify replaces the latter with 64 doublings and <= 64
+    // mixed additions over a 15-entry table built once per key. Both
+    // scalar multiplications include the inversion back to affine.
     let k = U256::from_hex("bce6faada7179e84f3b9cac2fc632551ffffffff00000000ffffffffffffffff");
     let (fp, fn_) = (curve::fp(), curve::fn_());
     g.bench_function("p256_field_mul", |b| {
         let (x, y) = (fp.to_mont(&curve::gx()), fp.to_mont(&curve::gy()));
         b.iter(|| fp.mul(std::hint::black_box(&x), std::hint::black_box(&y)));
+    });
+    g.bench_function("p256_field_sqr", |b| {
+        let x = fp.to_mont(&curve::gx());
+        b.iter(|| fp.sqr(std::hint::black_box(&x)));
     });
     g.bench_function("p256_field_inv", |b| {
         let x = fp.to_mont(&curve::gx());
@@ -112,6 +131,10 @@ fn bench_crypto(c: &mut Criterion) {
     g.bench_function("p256_mul_point_windowed", |b| {
         let point = AffinePoint::mul_base(&U256::from_hex("c0ffee"));
         b.iter(|| point.mul_scalar(std::hint::black_box(&k)));
+    });
+    g.bench_function("p256_comb_build", |b| {
+        let key = *SigningKey::generate(&mut Fortuna::from_seed(b"bench")).verifying_key();
+        b.iter(|| std::hint::black_box(&key).comb_table());
     });
 
     g.finish();

@@ -99,7 +99,9 @@ impl Attester {
     ///
     /// This is the tail end of `wasi_ra_net_handshake`; the application then
     /// collects a quote for the anchor and sends it via
-    /// [`Attester::build_msg2`].
+    /// [`Attester::build_msg2`]. The verifier's signature is checked with a
+    /// 4-bit window; a device that will talk to the same verifier again
+    /// uses [`Attester::handle_msg1_with`].
     ///
     /// # Errors
     ///
@@ -109,6 +111,34 @@ impl Attester {
         &mut self,
         msg1: &Msg1,
         pinned_verifier_key: &[u8; 64],
+    ) -> Result<([u8; 32], StepTimings), RaError> {
+        self.handshake(msg1, pinned_verifier_key, None)
+    }
+
+    /// [`Attester::handle_msg1`], checking the verifier's signature with
+    /// the comb table `service` keeps for the pinned key (built by the
+    /// first session with that verifier, or the first after a session
+    /// pinned another; it about halves every later check). The same
+    /// checks in the same order: the pinned key is
+    /// matched before any cryptography, so a mismatch builds nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Attester::handle_msg1`].
+    pub fn handle_msg1_with(
+        &mut self,
+        msg1: &Msg1,
+        pinned_verifier_key: &[u8; 64],
+        service: &AttestationService,
+    ) -> Result<([u8; 32], StepTimings), RaError> {
+        self.handshake(msg1, pinned_verifier_key, Some(service))
+    }
+
+    fn handshake(
+        &mut self,
+        msg1: &Msg1,
+        pinned_verifier_key: &[u8; 64],
+        combs: Option<&AttestationService>,
     ) -> Result<([u8; 32], StepTimings), RaError> {
         let mut t = StepTimings::default();
         let State::AwaitMsg1 { session } = std::mem::replace(&mut self.state, State::Done) else {
@@ -142,7 +172,13 @@ impl Attester {
             let mut h = Sha256::new();
             h.update(&msg1.gv);
             h.update(&self.ga);
-            verifier_key.verify(&h.finalize(), &sig)
+            let digest = h.finalize();
+            match combs {
+                Some(service) => {
+                    verifier_key.verify_with(&service.pinned_comb(&verifier_key), &digest, &sig)
+                }
+                None => verifier_key.verify(&digest, &sig),
+            }
         });
         if !sig_ok {
             return Err(RaError::BadSignature);
@@ -209,8 +245,8 @@ impl Attester {
         Ok((msg2, t))
     }
 
-    /// Convenience: `handle_msg1` + `collect_quote` + `build_msg2` in one
-    /// step, for callers that do not need the WASI-RA phase separation.
+    /// Convenience: `handle_msg1_with` + `collect_quote` + `build_msg2` in
+    /// one step, for callers that do not need the WASI-RA phase separation.
     ///
     /// # Errors
     ///
@@ -222,7 +258,7 @@ impl Attester {
         service: &AttestationService,
         measurement: &[u8; 32],
     ) -> Result<(Msg2, StepTimings), RaError> {
-        let (_anchor, mut t) = self.handle_msg1(msg1, pinned_verifier_key)?;
+        let (_anchor, mut t) = self.handle_msg1_with(msg1, pinned_verifier_key, service)?;
         let (evidence, t2) = self.collect_quote(service, measurement)?;
         let (msg2, t3) = self.build_msg2(evidence)?;
         t.memory += t2.memory + t3.memory;

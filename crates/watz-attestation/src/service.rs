@@ -6,10 +6,18 @@
 //! the key materials from being exposed to the TAs in the user space."
 //! User space (the WaTZ runtime TA) submits claims and receives signed
 //! evidence; the private key never crosses the boundary.
+//!
+//! Being the device's one long-lived attestation object, the service also
+//! keeps the comb table of the verifier identity its apps pin (public
+//! data), so that every session after a device's first with a verifier
+//! checks that verifier's `msg1` signature at comb speed.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use optee_sim::TrustedOs;
-use watz_crypto::ecdsa::SigningKey;
+use watz_crypto::ecdsa::{SigningKey, VerifyingKey};
 use watz_crypto::fortuna::Fortuna;
+use watz_crypto::p256::CombTable;
 
 use crate::evidence::Evidence;
 use crate::WATZ_VERSION;
@@ -18,6 +26,12 @@ use crate::WATZ_VERSION;
 pub struct AttestationService {
     key: SigningKey,
     version: u32,
+    /// The comb table of the last pinned verifier key a session checked
+    /// (960 B), replaced when a session pins another. Every caller pins one
+    /// verifier; a device alternating between two loses nothing against the
+    /// windowed check, since a build plus a comb verify costs about one
+    /// windowed verify.
+    pinned: Mutex<Option<(VerifyingKey, Arc<CombTable>)>>,
 }
 
 impl std::fmt::Debug for AttestationService {
@@ -41,6 +55,7 @@ impl AttestationService {
         AttestationService {
             key,
             version: WATZ_VERSION,
+            pinned: Mutex::default(),
         }
     }
 
@@ -86,6 +101,32 @@ impl AttestationService {
             attestation_pubkey,
             signature,
         }
+    }
+
+    /// The comb table of a verifier key an app on this device pins: kept
+    /// from the last session if that pinned the same key, else built now
+    /// and kept instead. Callers pass the key only once `msg1` has named
+    /// exactly the pinned bytes and they have parsed (range and on-curve
+    /// checks): see [`crate::attester::Attester::handle_msg1_with`].
+    pub(crate) fn pinned_comb(&self, key: &VerifyingKey) -> Arc<CombTable> {
+        // The slot is only ever empty or whole, so a guard poisoned by a
+        // panicking holder is safe to take back.
+        let mut pinned = self.pinned.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*pinned {
+            Some((k, comb)) if k == key => Arc::clone(comb),
+            _ => {
+                let comb = Arc::new(key.comb_table());
+                *pinned = Some((*key, Arc::clone(&comb)));
+                comb
+            }
+        }
+    }
+
+    /// The pinned key holding the comb, if any.
+    #[cfg(test)]
+    pub(crate) fn pinned_key(&self) -> Option<[u8; 64]> {
+        let pinned = self.pinned.lock().unwrap_or_else(PoisonError::into_inner);
+        pinned.as_ref().map(|(k, _)| k.to_bytes())
     }
 }
 
@@ -138,6 +179,31 @@ mod tests {
         let mut ev = svc.issue_evidence([1; 32], [2; 32]);
         ev.attestation_pubkey = other.public_key();
         assert!(ev.verify_signature().is_err());
+    }
+
+    #[test]
+    fn the_pinned_comb_is_kept_for_its_key_and_replaced_for_another() {
+        let svc = AttestationService::install(&os_for(b"device"));
+        let signers: Vec<SigningKey> = (0u8..2)
+            .map(|i| SigningKey::generate(&mut Fortuna::from_seed(&[i])))
+            .collect();
+        let key = |i: usize| *signers[i].verifying_key();
+        assert_eq!(svc.pinned_key(), None);
+        let first = svc.pinned_comb(&key(0));
+        assert_eq!(svc.pinned_key(), Some(key(0).to_bytes()));
+        // The same key hands back the same table.
+        assert!(Arc::ptr_eq(&first, &svc.pinned_comb(&key(0))));
+        // Alternating keys replace the one table each time, and each
+        // table verifies for its own key and for no other.
+        let digest = [7u8; 32];
+        for i in [1, 0, 1] {
+            let comb = svc.pinned_comb(&key(i));
+            assert_eq!(svc.pinned_key(), Some(key(i).to_bytes()));
+            assert!(!Arc::ptr_eq(&first, &comb));
+            let sig = signers[i].sign_deterministic(&digest);
+            assert!(key(i).verify_with(&comb, &digest, &sig));
+            assert!(!key(1 - i).verify_with(&comb, &digest, &sig));
+        }
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! allowed to issue evidence) and **reference values** (trusted code
 //! measurements), per the RATS terminology the paper follows (§II).
 
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use watz_crypto::cmac::AesCmac;
 use watz_crypto::ecdh::EphemeralKeyPair;
-use watz_crypto::ecdsa::SigningKey;
+use watz_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
 use watz_crypto::kdf::{derive_session_keys, SessionKeys};
+use watz_crypto::p256::CombTable;
 use watz_crypto::sha256::Sha256;
 
 use crate::evidence::session_anchor;
@@ -20,16 +21,32 @@ use crate::timed;
 use crate::wire::{msg3_iv, Msg0, Msg1, Msg2, Msg3, MSG3_RECORD_LEN};
 use crate::{RaError, StepTimings};
 
-/// The shared, immutable appraisal state: endorsements, reference
-/// values and the provisioning payload. Kept behind an [`Arc`] so that
-/// cloning a [`VerifierConfig`] per session (fleet services spawn one
-/// `Verifier` per attester) stays O(1) regardless of fleet size.
+/// The shared appraisal state: endorsements, reference values and the
+/// provisioning payload. Kept behind an [`Arc`] so that cloning a
+/// [`VerifierConfig`] per session (fleet services spawn one `Verifier` per
+/// attester) stays O(1) regardless of fleet size. Immutable but for the
+/// comb table each endorsement fills in once.
 #[derive(Clone, Default)]
 struct AppraisalPolicy {
-    /// Endorsed attestation keys, kept in a hash set: the lookup during
+    /// Endorsed attestation keys, kept in a hash map: the lookup during
     /// appraisal must stay O(1) in the endorsement count — a linear scan
     /// here is O(fleet) per session and O(fleet²) per fleet round.
-    endorsed_devices: HashSet<[u8; 64]>,
+    ///
+    /// Each key's value is the comb table of that key, built by the
+    /// device's first appraisal that reaches the signature check and
+    /// shared by every later one through the policy's [`Arc`]. A key that
+    /// never attests never gets one, so endorsing stays O(1).
+    ///
+    /// Memory: an endorsement that never attested costs its map entry
+    /// (64 B key + an empty `OnceLock`); one that has attested adds its
+    /// 960 B table, kept for the policy's lifetime. The tables are bounded
+    /// by this list, which the operator writes — a key must pass the
+    /// lookup and parse before anything is built for it, so traffic alone
+    /// cannot add one — at ≈ 1 KiB per endorsed device that has attested
+    /// (≈ 100 MB for 100 000). That is accepted: the list is already
+    /// O(fleet), and the table saves ~40 µs of every later appraisal of
+    /// that device.
+    endorsed_devices: HashMap<[u8; 64], OnceLock<CombTable>>,
     reference_measurements: Vec<[u8; 32]>,
     secret_blob: Vec<u8>,
 }
@@ -66,10 +83,14 @@ impl VerifierConfig {
     }
 
     /// Registers a device's public attestation key as endorsed
-    /// (idempotent: endorsing the same key twice keeps one entry).
+    /// (idempotent: endorsing the same key twice keeps one entry). O(1):
+    /// the key is not even parsed until the device first attests.
     #[must_use]
     pub fn endorse_device(mut self, key: [u8; 64]) -> Self {
-        Arc::make_mut(&mut self.policy).endorsed_devices.insert(key);
+        Arc::make_mut(&mut self.policy)
+            .endorsed_devices
+            .entry(key)
+            .or_default();
         self
     }
 
@@ -238,17 +259,33 @@ impl Verifier {
 
         // Endorsement: is this a known device? One hash lookup, however
         // large the endorsement list.
-        if !self
+        let evidence = &msg2.evidence;
+        let Some(comb) = self
             .config
             .policy
             .endorsed_devices
-            .contains(&msg2.evidence.attestation_pubkey)
-        {
+            .get(&evidence.attestation_pubkey)
+        else {
             return Err(RaError::UnknownDevice);
-        }
+        };
 
-        // Hardware genuineness: evidence signature.
-        timed!(t, asymmetric, msg2.evidence.verify_signature())?;
+        // Hardware genuineness: evidence signature, with the comb of the
+        // endorsed key the evidence names. The same checks and errors as
+        // `Evidence::verify_signature`, and the comb is built only from a
+        // key that passed them (range and on-curve).
+        timed!(t, asymmetric, {
+            let key = VerifyingKey::from_bytes(&evidence.attestation_pubkey)?;
+            let sig =
+                Signature::from_bytes(&evidence.signature).map_err(|_| RaError::BadSignature)?;
+            let comb = comb.get_or_init(|| {
+                #[cfg(test)]
+                tests::note_comb_build(&key);
+                key.comb_table()
+            });
+            if !key.verify_with(comb, &evidence.signed_digest(), &sig) {
+                return Err(RaError::BadSignature);
+            }
+        });
 
         // Software trustworthiness: the claim must match a reference value.
         if !self
@@ -365,7 +402,35 @@ mod tests {
     use crate::attester::Attester;
     use crate::service::AttestationService;
     use optee_sim::TrustedOs;
+    use std::sync::{Barrier, Mutex};
     use tz_hal::{Platform, PlatformConfig};
+
+    /// Every comb the endorsement registry built, by key, in this test
+    /// binary.
+    static COMB_BUILDS: Mutex<Vec<[u8; 64]>> = Mutex::new(Vec::new());
+
+    pub(super) fn note_comb_build(key: &VerifyingKey) {
+        COMB_BUILDS.lock().unwrap().push(key.to_bytes());
+    }
+
+    fn comb_builds(key: &[u8; 64]) -> usize {
+        COMB_BUILDS
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|k| *k == key)
+            .count()
+    }
+
+    /// The endorsed keys holding a comb table.
+    fn keys_with_tables(config: &VerifierConfig) -> Vec<[u8; 64]> {
+        let devices = &config.policy.endorsed_devices;
+        devices
+            .iter()
+            .filter(|(_, comb)| comb.get().is_some())
+            .map(|(k, _)| *k)
+            .collect()
+    }
 
     fn device(seed: &[u8]) -> (TrustedOs, AttestationService) {
         let platform = Platform::new(PlatformConfig {
@@ -415,6 +480,102 @@ mod tests {
         let secret = run_protocol(&svc, &mut verifier, &pk).unwrap();
         assert_eq!(secret, b"launch codes");
         assert!(verifier.is_attested());
+        assert_eq!(
+            svc.pinned_key(),
+            Some(pk),
+            "the device keeps the pin's comb"
+        );
+    }
+
+    #[test]
+    fn an_endorsed_key_gets_its_comb_at_its_first_appraisal_only() {
+        let (_os, svc) = device(b"comb-first-appraisal");
+        let (_os2, idle) = device(b"comb-never-attests");
+        let (verifier, pk) = verifier_for(&svc, b"secret");
+        let config = verifier.config.clone().endorse_device(idle.public_key());
+        assert!(
+            keys_with_tables(&config).is_empty(),
+            "endorsing builds nothing"
+        );
+        for _ in 0..3 {
+            let mut verifier = Verifier::new(config.clone());
+            assert_eq!(run_protocol(&svc, &mut verifier, &pk).unwrap(), b"secret");
+        }
+        assert_eq!(keys_with_tables(&config), vec![svc.public_key()]);
+        assert_eq!(comb_builds(&svc.public_key()), 1);
+        assert_eq!(comb_builds(&idle.public_key()), 0);
+        // Re-endorsing keeps the table; a rogue is turned away at the
+        // lookup, before anything is built for it.
+        let config = config.endorse_device(svc.public_key());
+        assert_eq!(keys_with_tables(&config), vec![svc.public_key()]);
+        let (_os3, rogue) = device(b"comb-rogue");
+        let mut verifier = Verifier::new(config.clone());
+        let err = run_protocol(&rogue, &mut verifier, &pk).unwrap_err();
+        assert_eq!(err, RaError::UnknownDevice);
+        assert_eq!(comb_builds(&rogue.public_key()), 0);
+    }
+
+    #[test]
+    fn eight_threads_appraising_one_device_build_its_comb_once() {
+        let (_os, svc) = device(b"comb-eight-threads");
+        let (verifier, pk) = verifier_for(&svc, b"secret");
+        let config = verifier.config.clone();
+        let at_msg2 = Barrier::new(8);
+        std::thread::scope(|s| {
+            for i in 0u8..8 {
+                let (svc, config, at_msg2) = (&svc, &config, &at_msg2);
+                s.spawn(move || {
+                    let mut verifier = Verifier::new(config.clone());
+                    let (mut attester, msg0) = Attester::start(&mut Fortuna::from_seed(&[i]));
+                    let mut vrng = Fortuna::from_seed(&[i, 1]);
+                    let (msg1, _) = verifier.handle_msg0(&msg0, &mut vrng).unwrap();
+                    let (msg2, _) = attester.attest(&msg1, &pk, svc, &measurement()).unwrap();
+                    at_msg2.wait();
+                    let (msg3, _) = verifier.handle_msg2(&msg2).unwrap();
+                    assert_eq!(attester.handle_msg3(&msg3).unwrap().0, b"secret");
+                });
+            }
+        });
+        assert_eq!(comb_builds(&svc.public_key()), 1);
+        assert_eq!(keys_with_tables(&config), vec![svc.public_key()]);
+        assert_eq!(svc.pinned_key(), Some(pk));
+    }
+
+    #[test]
+    fn an_attesting_fleet_holds_one_comb_per_attested_device() {
+        // The registry's memory: one table (960 B, pinned by the p256 test
+        // `comb_table_is_960_bytes_and_knows_its_point`) per endorsed
+        // device that has attested, however many sessions it runs; none
+        // for an endorsed device that stays away or for a rogue.
+        let fleet: Vec<_> = (0u8..8).map(|i| device(&[b'f', i])).collect();
+        let (_os, idle) = device(b"fleet-idle");
+        let (_os2, rogue) = device(b"fleet-rogue");
+        let identity = SigningKey::generate(&mut Fortuna::from_seed(b"verifier identity"));
+        let mut config = VerifierConfig::new(identity)
+            .trust_measurement(measurement())
+            .with_secret(b"secret".to_vec())
+            .endorse_device(idle.public_key());
+        for (_, svc) in &fleet {
+            config = config.endorse_device(svc.public_key());
+        }
+        let pk = config.identity_public_key();
+        for _ in 0..2 {
+            for (_, svc) in &fleet {
+                let mut verifier = Verifier::new(config.clone());
+                assert_eq!(run_protocol(svc, &mut verifier, &pk).unwrap(), b"secret");
+            }
+            let mut verifier = Verifier::new(config.clone());
+            let err = run_protocol(&rogue, &mut verifier, &pk).unwrap_err();
+            assert_eq!(err, RaError::UnknownDevice);
+        }
+        let mut attested: Vec<[u8; 64]> = fleet.iter().map(|(_, svc)| svc.public_key()).collect();
+        attested.sort_unstable();
+        let mut tables = keys_with_tables(&config);
+        tables.sort_unstable();
+        assert_eq!(tables, attested);
+        for key in &attested {
+            assert_eq!(comb_builds(key), 1);
+        }
     }
 
     #[test]
@@ -473,6 +634,46 @@ mod tests {
             with_10k < with_one * 4 + std::time::Duration::from_millis(50),
             "10k endorsements must not slow appraisal ({with_10k:?} vs {with_one:?})"
         );
+
+        // Only the device that attested holds a comb. None of the 10k keys
+        // is a curve point: evidence naming one passes the lookup and fails
+        // exactly as the plain signature check does, leaving no table.
+        assert_eq!(keys_with_tables(&config), vec![svc.public_key()]);
+        for i in [0u32, 4_999, 9_999] {
+            let mut key = [0u8; 64];
+            key[..4].copy_from_slice(&i.to_be_bytes());
+            key[63] = 0xA5;
+            let (appraisal, plain) = appraise_naming(&svc, &config, &pk, key);
+            assert_eq!(Err(appraisal), plain);
+            assert_eq!(
+                plain,
+                Err(RaError::Crypto(watz_crypto::CryptoError::InvalidPoint))
+            );
+        }
+        assert_eq!(keys_with_tables(&config), vec![svc.public_key()]);
+    }
+
+    /// Runs a session whose evidence names `key` instead of the device's
+    /// own, re-MAC'd by the attester so that it reaches the endorsement
+    /// lookup; returns the appraisal's error beside what the plain
+    /// signature check says of that evidence.
+    fn appraise_naming(
+        svc: &AttestationService,
+        config: &VerifierConfig,
+        pinned: &[u8; 64],
+        key: [u8; 64],
+    ) -> (RaError, Result<(), RaError>) {
+        let mut verifier = Verifier::new(config.clone());
+        let (mut attester, msg0) = Attester::start(&mut Fortuna::from_seed(b"a"));
+        let (msg1, _) = verifier
+            .handle_msg0(&msg0, &mut Fortuna::from_seed(b"v"))
+            .unwrap();
+        attester.handle_msg1(&msg1, pinned).unwrap();
+        let (mut evidence, _) = attester.collect_quote(svc, &measurement()).unwrap();
+        evidence.attestation_pubkey = key;
+        let plain = evidence.verify_signature();
+        let (msg2, _) = attester.build_msg2(evidence).unwrap();
+        (verifier.appraise(&msg2).unwrap_err(), plain)
     }
 
     #[test]
@@ -493,16 +694,20 @@ mod tests {
     #[test]
     fn pinned_key_mismatch_aborts_attester() {
         let (_os, svc) = device(b"device");
-        let (mut verifier, _real_pk) = verifier_for(&svc, b"secret");
-        let wrong_pin = [0x42u8; 64];
-        let mut arng = Fortuna::from_seed(b"a");
-        let mut vrng = Fortuna::from_seed(b"v");
-        let (mut attester, msg0) = Attester::start(&mut arng);
-        let (msg1, _) = verifier.handle_msg0(&msg0, &mut vrng).unwrap();
-        let err = attester
-            .attest(&msg1, &wrong_pin, &svc, &measurement())
-            .unwrap_err();
-        assert_eq!(err, RaError::VerifierKeyMismatch);
+        // Garbage, and another verifier's perfectly valid key.
+        let other = SigningKey::generate(&mut Fortuna::from_seed(b"other verifier"));
+        for wrong_pin in [[0x42u8; 64], other.verifying_key().to_bytes()] {
+            let (mut verifier, _real_pk) = verifier_for(&svc, b"secret");
+            let mut arng = Fortuna::from_seed(b"a");
+            let mut vrng = Fortuna::from_seed(b"v");
+            let (mut attester, msg0) = Attester::start(&mut arng);
+            let (msg1, _) = verifier.handle_msg0(&msg0, &mut vrng).unwrap();
+            let err = attester
+                .attest(&msg1, &wrong_pin, &svc, &measurement())
+                .unwrap_err();
+            assert_eq!(err, RaError::VerifierKeyMismatch);
+            assert_eq!(svc.pinned_key(), None, "a mismatch builds nothing");
+        }
     }
 
     #[test]

@@ -350,7 +350,8 @@ fn ecdh_rejects_off_curve_and_out_of_range_peer_keys() {
 
 /// Signs `message` with the RFC 6979 A.2.5 key, checks `(r, s)` and that
 /// `r` is the x-coordinate of `k·G`, then that verification accepts the
-/// signature and rejects it with any one of 160 single-bit changes.
+/// signature and rejects it with any one of 160 single-bit changes — by the
+/// window and, with the same answer every time, by the key's comb.
 fn check_rfc6979(message: &[u8], k: &str, r: &str, s: &str) {
     let key = SigningKey::from_scalar(U256::from_hex(
         "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721",
@@ -377,7 +378,12 @@ fn check_rfc6979(message: &[u8], k: &str, r: &str, s: &str) {
         VerifyingKey::from_bytes(public),
         Signature::from_bytes(sig),
     ) {
-        (Ok(key), Ok(sig)) => key.verify(digest, &sig),
+        (Ok(key), Ok(sig)) => {
+            let windowed = key.verify(digest, &sig);
+            let comb = key.verify_with(&key.comb_table(), digest, &sig);
+            assert_eq!(comb, windowed, "comb and window disagree");
+            windowed
+        }
         _ => false,
     };
     let sig = sig.to_bytes();
@@ -414,5 +420,47 @@ fn ecdsa_rfc6979_p256_sha256_test() {
         "d16b6ae827f17175e040871a1c7ec3500192c4c92677336ec2537acaee0008e0",
         "f1abb023518351cd71d881567b1ea663ed3efcf6c5132b354f28d3b0b7d38367",
         "019f4113742a2b14bd25926b49c649155f267e60d3814b4c0cc84250e46f0083",
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin for P-256: 200 seeded keygen / ECDHE / ECDH / sign /
+// verify transcripts, hashed. The constant was recorded on the commit
+// before the field reduction was specialised to p and the comb added.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn p256_transcripts_are_pinned() {
+    let mut rng = Fortuna::from_seed(b"p256 transcript");
+    let mut h = Sha256::new();
+    for i in 0u32..200 {
+        let signer = SigningKey::generate(&mut rng);
+        let (a, b) = (
+            EphemeralKeyPair::generate(&mut rng),
+            EphemeralKeyPair::generate(&mut rng),
+        );
+        let shared = a.diffie_hellman(&b.public_bytes()).unwrap();
+        assert_eq!(shared, b.diffie_hellman(&a.public_bytes()).unwrap());
+        let digest = Sha256::digest(&i.to_le_bytes());
+        let sig = signer.sign_deterministic(&digest);
+        let key = signer.verifying_key();
+        let mut other = digest;
+        other[i as usize % 32] ^= 1 << (i % 8);
+        assert!(key.verify(&digest, &sig));
+        assert!(!key.verify(&other, &sig));
+        let public = key.to_bytes();
+        for part in [
+            &public[..],
+            &a.public_bytes(),
+            &b.public_bytes(),
+            &shared,
+            &sig.to_bytes(),
+        ] {
+            h.update(part);
+        }
+    }
+    assert_eq!(
+        h.finalize(),
+        unhex32("a266c589b076fe8a835d51fcb08fbd905e42c98fc2fee19ee9a19bcb398ea8d2")
     );
 }

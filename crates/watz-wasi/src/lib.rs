@@ -179,7 +179,7 @@ impl WasiEnv {
         let Ok(msg1) = Msg1::from_bytes(&raw) else {
             return Ok(err_codes::PROTOCOL);
         };
-        let anchor = match attester.handle_msg1(&msg1, &pinned) {
+        let anchor = match attester.handle_msg1_with(&msg1, &pinned, &self.service) {
             Ok((anchor, _)) => anchor,
             Err(_) => return Ok(err_codes::PROTOCOL),
         };
