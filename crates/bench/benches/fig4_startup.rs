@@ -16,23 +16,31 @@ fn median(mut samples: Vec<Duration>) -> Duration {
 }
 
 /// One table row: each phase's share of the median total, then the total.
-fn row(label: &str, bytes: usize, loads: &[StartupBreakdown]) {
+/// With `us`, each phase's median in microseconds follows its share.
+fn row(label: &str, bytes: usize, loads: &[StartupBreakdown], us: bool) {
     let col = |f: fn(&StartupBreakdown) -> Duration| median(loads.iter().map(f).collect());
     let total = col(StartupBreakdown::total);
     let pct = |f: fn(&StartupBreakdown) -> Duration| {
         format!("{:.1}%", 100.0 * col(f).as_secs_f64() / total.as_secs_f64())
     };
+    let phase = |f: fn(&StartupBreakdown) -> Duration| {
+        if us {
+            format!("{} {}us", pct(f), col(f).as_micros())
+        } else {
+            pct(f)
+        }
+    };
     println!(
-        "  {:<10} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>9} {:>9}   {}",
+        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7} {:>9} {:>9}   {}",
         label,
         bytes,
-        pct(|b| b.transition),
-        pct(|b| b.memory_allocation),
-        pct(|b| b.hashing),
-        pct(|b| b.init),
-        pct(|b| b.loading),
-        pct(|b| b.instantiate),
-        pct(|b| b.execution),
+        phase(|b| b.transition),
+        phase(|b| b.memory_allocation),
+        phase(|b| b.hashing),
+        phase(|b| b.init),
+        phase(|b| b.loading),
+        phase(|b| b.instantiate),
+        phase(|b| b.execution),
         pct(|b| b.compile.lower),
         pct(|b| b.compile.reg),
         pct(|b| b.compile.analysis),
@@ -53,12 +61,15 @@ fn main() {
         "    and of the {loads_per_size} relaunches that followed them (artifact resident); lower..analysis split \"instantiate\""
     );
     println!(
-        "  {:<10} {:>10} {:>11} {:>10} {:>8} {:>6} {:>8} {:>12} {:>6} | {:>7} {:>9} {:>9}   total",
+        "    relaunch rows add each phase's median in us, and their hash/recall is the recall: the secure copy compared with the resident bytes"
+    );
+    println!(
+        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7} {:>9} {:>9}   total",
         "size",
         "bytes",
         "transition",
         "mem alloc",
-        "hashing",
+        "hash/recall",
         "init",
         "loading",
         "instantiate",
@@ -94,7 +105,7 @@ fn main() {
             again.push(launch(&rt).expect("launched once already"));
         }
         assert!(first.iter().all(|b| !b.cached) && again.iter().all(|b| b.cached));
-        row(&format!("{mb} MB"), app_bytes.len(), &first);
-        row("  relaunch", app_bytes.len(), &again);
+        row(&format!("{mb} MB"), app_bytes.len(), &first, false);
+        row("  relaunch", app_bytes.len(), &again, true);
     }
 }

@@ -7,6 +7,12 @@
 //! by nothing else: there is no size to set. Every app launched from an entry
 //! holds a share of those pages; an entry whose pages nobody else holds has
 //! no live app and may be dropped to make room.
+//!
+//! An entry also keeps the exact bytes its measurement was computed from
+//! (the secure copy of its first launch), so a relaunch can prove its bytes
+//! are those bytes and [`ArtifactCache::recall`] their measurement instead
+//! of hashing again. Those bytes are the module's length, which
+//! [`ArtifactCache::reserve`] already charges against the ceiling.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +21,8 @@ use optee_sim::{ExecPages, TeeError, TrustedOs};
 use watz_wasm::{Artifact, EngineConfig, ExecMode};
 
 /// What an artifact is a pure function of. The measurement stands for the
-/// bytes: it is recomputed from the secure copy on every launch.
+/// bytes: the SHA-256 of the entry's bytes, computed once, on the launch
+/// that first brought them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Key {
     pub(crate) measurement: [u8; 32],
@@ -23,11 +30,23 @@ pub(crate) struct Key {
     pub(crate) config: EngineConfig,
 }
 
+/// What a recall finds its candidates by: the length of a secure copy, and
+/// the mode and configuration of its launch.
+type Shape = (usize, ExecMode, EngineConfig);
+
+/// At most this many resident byte strings are compared per recall, so no
+/// set of resident modules makes a launch cost more than its hash plus
+/// this many compares.
+const RECALL_CANDIDATES: usize = 2;
+
 /// A resident artifact and the executable pages accounted to it.
 pub(crate) type Resident = (Arc<Artifact>, Arc<ExecPages>);
 
 struct Entry {
     artifact: Arc<Artifact>,
+    /// The bytes the measurement is the SHA-256 of; one buffer per
+    /// measurement, shared by its entries in every mode and configuration.
+    bytes: Arc<[u8]>,
     /// Held by this entry and by every live app launched from it.
     pages: Arc<ExecPages>,
     /// [`ArtifactCache::launches`] when this entry was last handed out.
@@ -48,15 +67,48 @@ impl Entry {
 #[derive(Default)]
 pub(crate) struct ArtifactCache {
     entries: HashMap<Key, Entry>,
+    /// Per shape, the measurements of its most recently launched entries,
+    /// newest first: all that a recall compares against.
+    recent: HashMap<Shape, Vec<[u8; 32]>>,
     /// Launches served so far, hits and inserts alike: the recency clock.
     launches: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Candidates compared by this thread's recalls so far.
+    static COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl ArtifactCache {
+    /// The measurement of `secure_copy`, if it is byte for byte the bytes of
+    /// one of the [`RECALL_CANDIDATES`] most recently launched entries of
+    /// its length, mode and configuration: that entry's measurement is the
+    /// SHA-256 of those bytes. `None` means the launch hashes.
+    pub(crate) fn recall(
+        &self,
+        secure_copy: &[u8],
+        mode: ExecMode,
+        config: EngineConfig,
+    ) -> Option<[u8; 32]> {
+        let recent = self.recent.get(&(secure_copy.len(), mode, config))?;
+        recent.iter().copied().find(|&measurement| {
+            #[cfg(test)]
+            COMPARED.with(|n| n.set(n.get() + 1));
+            let key = Key {
+                measurement,
+                mode,
+                config,
+            };
+            *self.entries[&key].bytes == *secure_copy
+        })
+    }
+
     /// The resident artifact for `key`, if there is one.
     pub(crate) fn lookup(&mut self, key: &Key) -> Option<Resident> {
         let entry = self.entries.get_mut(key)?;
         self.launches += 1;
+        remember(&mut self.recent, key, entry.bytes.len());
         Some(entry.launch(self.launches))
     }
 
@@ -79,20 +131,43 @@ impl ArtifactCache {
                 .filter(|(_, e)| Arc::strong_count(&e.pages) == 1)
                 .min_by_key(|(_, e)| e.last_launch)
                 .map(|(key, _)| *key);
-            match idle {
-                Some(key) => self.entries.remove(&key),
-                None => return Err(refused),
+            let Some(key) = idle else {
+                return Err(refused);
             };
+            let shape = (self.entries[&key].bytes.len(), key.mode, key.config);
+            self.entries.remove(&key);
+            if let Some(recent) = self.recent.get_mut(&shape) {
+                recent.retain(|m| *m != key.measurement);
+                if recent.is_empty() {
+                    self.recent.remove(&shape);
+                }
+            }
         }
     }
 
-    /// Makes a freshly built artifact resident under `key` and returns what
-    /// to launch from. If a racing launch of the same key got there first,
-    /// that is its entry: `artifact` and `pages` are dropped.
-    pub(crate) fn insert(&mut self, key: Key, artifact: Artifact, pages: ExecPages) -> Resident {
+    /// Makes a freshly built artifact resident under `key`, with the
+    /// `bytes` it was measured and compiled from, and returns what to
+    /// launch from. If a racing launch of the same key got there first,
+    /// that is its entry: `artifact`, `bytes` and `pages` are dropped.
+    pub(crate) fn insert(
+        &mut self,
+        key: Key,
+        artifact: Artifact,
+        bytes: Arc<[u8]>,
+        pages: ExecPages,
+    ) -> Resident {
         self.launches += 1;
+        // An entry of this measurement in another mode or configuration
+        // already holds these bytes: keep one buffer.
+        let bytes = self
+            .entries
+            .iter()
+            .find(|(k, e)| k.measurement == key.measurement && e.bytes == bytes)
+            .map_or(bytes, |(_, e)| Arc::clone(&e.bytes));
+        remember(&mut self.recent, &key, bytes.len());
         let entry = self.entries.entry(key).or_insert_with(|| Entry {
             artifact: Arc::new(artifact),
+            bytes,
             pages: Arc::new(pages),
             last_launch: 0,
         });
@@ -100,9 +175,19 @@ impl ArtifactCache {
     }
 }
 
+/// Puts `key`'s measurement first among the recent ones of its shape.
+fn remember(recent: &mut HashMap<Shape, Vec<[u8; 32]>>, key: &Key, len: usize) {
+    let recent = recent.entry((len, key.mode, key.config)).or_default();
+    recent.retain(|m| *m != key.measurement);
+    recent.insert(0, key.measurement);
+    recent.truncate(RECALL_CANDIDATES);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use watz_crypto::sha256::Sha256;
     use watz_wasm::exec::{Instance, NoHost};
     use watz_wasm::ProfileMode;
 
@@ -113,10 +198,11 @@ mod tests {
             .clone()
     }
 
-    fn artifact(src: &str, mode: ExecMode, config: EngineConfig) -> (Artifact, usize) {
+    /// An artifact and the bytes it was compiled from.
+    fn artifact(src: &str, mode: ExecMode, config: EngineConfig) -> (Artifact, Arc<[u8]>) {
         let wasm = minic::compile(src).unwrap();
         let module = watz_wasm::load(&wasm).unwrap();
-        (Artifact::new(&module, mode, config).unwrap(), wasm.len())
+        (Artifact::new(&module, mode, config).unwrap(), wasm.into())
     }
 
     const SRC: &str = "int f(int a) { return a * 2; }";
@@ -161,10 +247,10 @@ mod tests {
         let mut len = 0;
         for key in &keys {
             assert!(cache.lookup(key).is_none(), "{key:?} hit before its insert");
-            let (art, n) = artifact(SRC, key.mode, key.config);
-            len = n;
-            let pages = cache.reserve(&os, n).unwrap();
-            residents.push(cache.insert(*key, art, pages));
+            let (art, bytes) = artifact(SRC, key.mode, key.config);
+            len = bytes.len();
+            let pages = cache.reserve(&os, len).unwrap();
+            residents.push(cache.insert(*key, art, bytes, pages));
         }
         // All six coexist, each under its own pages, each found again as
         // itself.
@@ -201,13 +287,14 @@ mod tests {
             config: EngineConfig::default(),
         };
         // Both launches missed and compiled; the lock orders their inserts.
-        let (first, len) = artifact(SRC, key.mode, key.config);
+        let (first, bytes) = artifact(SRC, key.mode, key.config);
         let (second, _) = artifact(SRC, key.mode, key.config);
+        let len = bytes.len();
         let first_pages = cache.reserve(&os, len).unwrap();
         let second_pages = cache.reserve(&os, len).unwrap();
         assert_eq!(os.exec_bytes_allocated(), 2 * len);
-        let (won, _) = cache.insert(key, first, first_pages);
-        let (adopted, _) = cache.insert(key, second, second_pages);
+        let (won, _) = cache.insert(key, first, Arc::clone(&bytes), first_pages);
+        let (adopted, _) = cache.insert(key, second, bytes, second_pages);
         assert!(Arc::ptr_eq(&won, &adopted));
         assert_eq!(os.exec_bytes_allocated(), len);
     }
@@ -227,9 +314,9 @@ mod tests {
             config: EngineConfig::default(),
         };
         let add = |cache: &mut ArtifactCache, n: u8| {
-            let (art, _) = artifact(SRC, ExecMode::Aot, EngineConfig::default());
+            let (art, bytes) = artifact(SRC, ExecMode::Aot, EngineConfig::default());
             let pages = cache.reserve(&os, LEN)?;
-            Ok::<Resident, TeeError>(cache.insert(key(n), art, pages))
+            Ok::<Resident, TeeError>(cache.insert(key(n), art, bytes, pages))
         };
         let live = add(&mut cache, 1).unwrap(); // an app of module 1 stays up
         drop(add(&mut cache, 2).unwrap());
@@ -250,5 +337,133 @@ mod tests {
         assert_eq!(os.exec_bytes_allocated(), held.len() + LEN);
         drop((cache, live));
         assert_eq!(os.exec_bytes_allocated(), held.len());
+    }
+
+    /// Makes `bytes` resident under their SHA-256 (with an artifact of
+    /// [`SRC`]: the cache never reads what it holds) on `len` pages.
+    fn launch_first(cache: &mut ArtifactCache, os: &TrustedOs, bytes: Vec<u8>, len: usize) {
+        let (mode, config) = (ExecMode::Aot, EngineConfig::default());
+        let key = Key {
+            measurement: Sha256::digest(&bytes),
+            mode,
+            config,
+        };
+        let (art, _) = artifact(SRC, mode, config);
+        let pages = cache.reserve(os, len).unwrap();
+        drop(cache.insert(key, art, bytes.into(), pages));
+    }
+
+    /// Whether `bytes` are recalled, checked against their SHA-256, and how
+    /// many candidates that compared.
+    fn recall(cache: &ArtifactCache, bytes: &[u8], mode: ExecMode) -> (bool, usize) {
+        let before = COMPARED.with(Cell::get);
+        let recalled = cache.recall(bytes, mode, EngineConfig::default());
+        if let Some(measurement) = recalled {
+            assert_eq!(measurement, Sha256::digest(bytes));
+        }
+        (recalled.is_some(), COMPARED.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn a_recall_compares_at_most_two_candidates_most_recently_launched_first() {
+        let os = os();
+        let mut cache = ArtifactCache::default();
+        // Byte strings of one length, apart only in their last byte.
+        let variant = |last: u8| {
+            let mut bytes = vec![0x5a; 4096];
+            bytes[4095] = last;
+            bytes
+        };
+        for last in 0..8 {
+            launch_first(&mut cache, &os, variant(last), 4096);
+        }
+        let aot = ExecMode::Aot;
+        assert_eq!(
+            recall(&cache, &variant(8), aot),
+            (false, 2),
+            "a ninth hashes"
+        );
+        assert_eq!(recall(&cache, &variant(7), aot), (true, 1), "newest first");
+        assert_eq!(recall(&cache, &variant(6), aot), (true, 2));
+        assert_eq!(recall(&cache, &variant(0), aot), (false, 2), "no scan");
+        // The launch that hashed finds its entry, which is now the newest.
+        let key = Key {
+            measurement: Sha256::digest(&variant(0)),
+            mode: aot,
+            config: EngineConfig::default(),
+        };
+        assert!(cache.lookup(&key).is_some());
+        assert_eq!(recall(&cache, &variant(0), aot), (true, 1));
+        assert_eq!(recall(&cache, &variant(7), aot), (true, 2));
+        assert_eq!(recall(&cache, &variant(6), aot), (false, 2));
+        // Another length or mode has no candidates at all.
+        assert_eq!(recall(&cache, &variant(7)[1..], aot), (false, 0));
+        let interpreted = ExecMode::Interpreted;
+        assert_eq!(recall(&cache, &variant(7), interpreted), (false, 0));
+    }
+
+    #[test]
+    fn an_evicted_entry_is_never_recalled() {
+        let os = os();
+        let mut cache = ArtifactCache::default();
+        const LEN: usize = 1 << 20;
+        let _held = os.alloc_executable(optee_sim::TA_HEAP_CAP - LEN).unwrap();
+        launch_first(&mut cache, &os, vec![1; 64], LEN);
+        assert_eq!(recall(&cache, &[1; 64], ExecMode::Aot), (true, 1));
+        // The ceiling holds one entry: the second evicts the first.
+        launch_first(&mut cache, &os, vec![2; 64], LEN);
+        assert_eq!(recall(&cache, &[1; 64], ExecMode::Aot), (false, 1));
+        assert_eq!(recall(&cache, &[2; 64], ExecMode::Aot), (true, 1));
+        // And a third of another length leaves no candidate of the first.
+        launch_first(&mut cache, &os, vec![3; 65], LEN);
+        assert_eq!(recall(&cache, &[2; 64], ExecMode::Aot), (false, 0));
+        assert_eq!(cache.recent.len(), 1);
+    }
+
+    #[test]
+    fn eight_threads_relaunching_one_module_share_one_artifact_and_one_buffer() {
+        let rt = crate::WatzRuntime::new_device(b"cache-unit").unwrap();
+        let wasm = minic::compile(SRC).unwrap();
+        let launch = |mode| {
+            let config = crate::AppConfig {
+                mode,
+                ..crate::AppConfig::default()
+            };
+            let app = rt.load(&wasm, &config).unwrap();
+            (Arc::clone(app.instance().artifact()), app.measurement())
+        };
+        let gate = std::sync::Barrier::new(8);
+        let launched: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        (0..4).map(|_| launch(ExecMode::Aot)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        let measurement = Sha256::digest(&wasm);
+        for (artifact, m) in &launched {
+            assert!(Arc::ptr_eq(artifact, &launched[0].0));
+            assert_eq!(*m, measurement);
+        }
+        {
+            let cache = rt.cache();
+            let entry = cache.entries.values().next().unwrap();
+            assert_eq!(cache.entries.len(), 1);
+            assert_eq!(*entry.bytes, *wasm);
+            assert_eq!(Arc::strong_count(&entry.bytes), 1, "one buffer");
+        }
+        // The other mode is another entry on the same buffer.
+        assert_eq!(launch(ExecMode::Interpreted).1, measurement);
+        let cache = rt.cache();
+        let buffers: Vec<_> = cache.entries.values().map(|e| &e.bytes).collect();
+        assert_eq!(buffers.len(), 2);
+        assert!(Arc::ptr_eq(buffers[0], buffers[1]));
     }
 }

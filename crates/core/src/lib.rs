@@ -10,8 +10,9 @@
 //! 2. **memory allocation** — a shared buffer carries the bytecode across
 //!    worlds; the TA charges its heap and copies the bytes into secure
 //!    memory;
-//! 3. **hashing** — that copy is measured (SHA-256) for later evidence,
-//!    on every launch;
+//! 3. **hashing** — that copy is measured (SHA-256) for later evidence; a
+//!    relaunch instead proves the copy equal to the resident bytes that
+//!    measurement was computed from, and recalls it;
 //! 4. **init** — runtime environment and WASI host setup;
 //! 5. **loading** — decoding + validating the module (with the compile,
 //!    the dominant phase of a first launch);
@@ -27,9 +28,13 @@
 //! configuration), and a **relaunch** — bytes this runtime has launched
 //! before — skips decode, validation and compile and creates its instance
 //! straight from the resident artifact
-//! ([`StartupBreakdown::cached`]). It never skips the secure copy, the
-//! hash of that copy, the heap charges or instance creation, so two apps
-//! of one module share code and nothing a guest can write. A resident
+//! ([`StartupBreakdown::cached`]). Each artifact keeps the exact bytes it
+//! was measured from, and a relaunch compares its secure copy with them,
+//! byte for byte, instead of hashing it again: equal bytes have that
+//! measurement, their SHA-256, so evidence embeds the same value either
+//! way. It never skips the secure copy, the heap charges or instance
+//! creation, so two apps of one module share code and nothing a guest can
+//! write, and it never compares or uses the shared buffer. A resident
 //! artifact owns the executable pages the paper's patched allocator hands
 //! out for its code, so residency is bounded by that allocator's 27 MB
 //! ceiling and by nothing else; when a first launch cannot get its pages,
@@ -164,7 +169,9 @@ pub struct StartupBreakdown {
     pub transition: Duration,
     /// Shared buffer, secure copy, heap charge, executable pages.
     pub memory_allocation: Duration,
-    /// SHA-256 measurement of the bytecode.
+    /// The measurement of the bytecode: the recall (the secure copy
+    /// compared with at most two resident byte strings of its length), and
+    /// on a miss the SHA-256 of the secure copy.
     pub hashing: Duration,
     /// Runtime environment and WASI setup.
     pub init: Duration,
@@ -284,10 +291,11 @@ impl WatzRuntime {
     ///
     /// Follows the paper's pipeline: the bytecode travels through a shared
     /// buffer (9 MB cap!), is copied into secure memory and measured — on
-    /// every launch, from that copy. A first launch then decodes, validates
-    /// and compiles it, and the artifact stays resident under its
-    /// measurement; a relaunch of the same bytes (same mode, same
-    /// [`EngineConfig::from_env`]) starts from the resident artifact. Both
+    /// every launch, from that copy. A first launch hashes it, decodes,
+    /// validates and compiles it, and the artifact stays resident under its
+    /// measurement with the bytes; a relaunch of the same bytes (same mode,
+    /// same [`EngineConfig::from_env`]) finds them equal to the resident
+    /// ones, recalls their measurement and starts from the artifact. Both
     /// create a new instance: memory, data segments, globals, start
     /// function. Returns the running app with the Fig 4 phase breakdown
     /// attached ([`StartupBreakdown::cached`] tells which launch it was).
@@ -332,14 +340,18 @@ impl WatzRuntime {
             let t = Instant::now();
             let heap = self.os.create_ta_heap(config.heap_bytes)?;
             heap.charge(wasm_bytes.len() * 2)?;
-            let secure_copy: Vec<u8> = shared.with(<[u8]>::to_vec);
+            let secure_copy: Arc<[u8]> = shared.with(|bytes| Arc::from(bytes));
             breakdown.memory_allocation = t.elapsed() + staging;
 
             // Phase: hashing — the measurement future evidence embeds, and
             // the cache key. Always of the secure copy: the shared buffer
-            // stays writable by the normal world.
+            // stays writable by the normal world. Bytes equal to a resident
+            // entry's have that entry's measurement, their SHA-256, so only
+            // bytes no entry holds are hashed.
+            let engine = EngineConfig::from_env();
             let t = Instant::now();
-            let measurement = Sha256::digest(&secure_copy);
+            let recalled = self.cache().recall(&secure_copy, config.mode, engine);
+            let measurement = recalled.unwrap_or_else(|| Sha256::digest(&secure_copy));
             breakdown.hashing = t.elapsed();
 
             // Phase: init — runtime environment + WASI host functions.
@@ -351,10 +363,10 @@ impl WatzRuntime {
             let key = Key {
                 measurement,
                 mode: config.mode,
-                config: EngineConfig::from_env(),
+                config: engine,
             };
             let (artifact, exec_pages) =
-                self.resident_artifact(key, &secure_copy, &mut breakdown)?;
+                self.resident_artifact(key, secure_copy, &mut breakdown)?;
 
             // Charge the guest's linear memory against the TA heap.
             heap.charge(artifact.min_memory_pages() as usize * watz_wasm::PAGE_SIZE)?;
@@ -384,12 +396,12 @@ impl WatzRuntime {
 
     /// The artifact to launch `key` from: the resident one, or — a first
     /// launch — decoded, validated and compiled from `secure_copy` and made
-    /// resident. Fills `cached`, `loading`, `compile` and the compile's
-    /// share of `instantiate`. Nothing that fails here is kept.
+    /// resident with it. Fills `cached`, `loading`, `compile` and the
+    /// compile's share of `instantiate`. Nothing that fails here is kept.
     fn resident_artifact(
         &self,
         key: Key,
-        secure_copy: &[u8],
+        secure_copy: Arc<[u8]>,
         breakdown: &mut StartupBreakdown,
     ) -> Result<Resident, WatzError> {
         let t = Instant::now();
@@ -399,19 +411,20 @@ impl WatzRuntime {
             return Ok(resident);
         }
         let exec_pages = self.cache().reserve(&self.os, secure_copy.len())?;
-        let module = watz_wasm::load(secure_copy)?;
+        let module = watz_wasm::load(&secure_copy)?;
         breakdown.loading = t.elapsed();
 
         let t = Instant::now();
         let artifact = Artifact::new(&module, key.mode, key.config)?;
         breakdown.compile = artifact.compile_times().unwrap_or_default();
-        let resident = self.cache().insert(key, artifact, exec_pages);
+        let resident = self.cache().insert(key, artifact, secure_copy, exec_pages);
         breakdown.instantiate = t.elapsed();
         Ok(resident)
     }
 
     /// The cache, locked for one call: never across a compile or guest
-    /// code, so launches only ever wait for a map operation.
+    /// code, so launches only ever wait for a map operation or a recall's
+    /// (at most two) compares.
     fn cache(&self) -> MutexGuard<'_, ArtifactCache> {
         self.cache
             .lock()

@@ -386,10 +386,15 @@ fn relaunch_starts_from_the_resident_artifact() {
         watz_wasm::CompileTimes::default(),
         "the compile is reported by the launch that paid it"
     );
-    // Measured on every launch, from the bytes of that launch.
-    assert!(b2.hashing > Duration::ZERO);
+    // Every launch's measurement is the SHA-256 of its own bytes: hashed on
+    // the first launch, recalled on a relaunch whose bytes equal, byte for
+    // byte, the ones the resident measurement was hashed from.
+    assert!(
+        b2.hashing > Duration::ZERO,
+        "the recall is timed as hashing"
+    );
     assert_eq!(first.measurement(), Sha256::digest(&wasm));
-    assert_eq!(again.measurement(), first.measurement());
+    assert_eq!(again.measurement(), Sha256::digest(&wasm));
     assert!(std::sync::Arc::ptr_eq(
         first.instance().artifact(),
         again.instance().artifact()
@@ -636,6 +641,85 @@ fn full_executable_pages_evict_idle_artifacts_oldest_launch_first() {
 
     drop((live, rt));
     assert_eq!(os.exec_bytes_allocated(), held.len());
+}
+
+/// A module whose `f` returns `k + data[4096] + data[8191]` of an 8 KiB
+/// data segment, the module's last section: `k` is near the start of the
+/// bytes, `mid` in the middle (past the first 4 KiB), `last` the last byte.
+fn segment_module(k: i32, mid: u8, last: u8) -> Vec<u8> {
+    use watz_wasm::builder::ModuleBuilder;
+    use watz_wasm::instr::{Instr, MemArg};
+    use watz_wasm::types::ValType::I32;
+    let mut data = vec![0; 8192];
+    (data[4096], data[8191]) = (mid, last);
+    let mut b = ModuleBuilder::new();
+    b.add_memory(1, None).add_data(0, &data);
+    let ty = b.add_type(&[], &[I32]);
+    let load = |at| [Instr::I32Const(at), Instr::I32Load8U(MemArg::align(0))];
+    let mut body = vec![Instr::I32Const(k)];
+    body.extend(load(4096));
+    body.push(Instr::I32Add);
+    body.extend(load(8191));
+    body.extend([Instr::I32Add, Instr::End]);
+    let f = b.add_func(ty, &[], body);
+    b.export_func("f", f);
+    b.build()
+}
+
+#[test]
+fn one_byte_variants_relaunched_interleaved_each_get_their_own_measurement() {
+    let base = segment_module(0, 0, 0);
+    let variants = [
+        (segment_module(1, 0, 0), 1),
+        (segment_module(0, 2, 0), 2),
+        (segment_module(0, 0, 3), 3),
+    ];
+    let edits: Vec<usize> = variants
+        .iter()
+        .map(|(wasm, _)| {
+            assert_eq!(wasm.len(), base.len());
+            let diff: Vec<usize> = (0..base.len()).filter(|&i| wasm[i] != base[i]).collect();
+            assert_eq!(diff.len(), 1, "one byte from the base");
+            diff[0]
+        })
+        .collect();
+    assert!(edits[0] < 64, "near the start: {edits:?}");
+    assert!(edits[1] > 4096 && edits[1] < base.len() - 1, "{edits:?}");
+    assert_eq!(edits[2], base.len() - 1, "the last byte");
+
+    // 50 launches each, in an order that has relaunches recall their bytes
+    // from the two newest residents and relaunches that miss them and hash.
+    let rt = runtime();
+    let mut launched = [false; 3];
+    for v in [0, 1, 0, 2, 1, 2].repeat(25) {
+        let (wasm, answer) = &variants[v];
+        let mut app = launch(&rt, wasm, ExecMode::Aot);
+        assert_eq!(app.startup_breakdown().cached, launched[v]);
+        launched[v] = true;
+        assert_eq!(app.measurement(), Sha256::digest(wasm), "variant {v}");
+        assert_eq!(app.invoke("f", &[]).unwrap(), vec![Value::I32(*answer)]);
+    }
+}
+
+#[test]
+fn an_evicted_module_is_measured_again_and_answers_the_same() {
+    let rt = runtime();
+    let (w5, w6) = (constant_module(5), constant_module(6));
+    // Room for one of the one-constant modules.
+    let _held = rt
+        .os()
+        .alloc_executable(optee_sim::TA_HEAP_CAP - (w5.len() + w5.len() / 2))
+        .unwrap();
+    let mut first = launch(&rt, &w5, ExecMode::Aot);
+    assert_eq!(first.invoke("f", &[]).unwrap(), vec![Value::I32(5)]);
+    drop(first);
+    assert!(!launch(&rt, &w6, ExecMode::Aot).startup_breakdown().cached);
+    // 6 took 5's pages, so 5 is a first launch again, hashed again.
+    let mut again = launch(&rt, &w5, ExecMode::Aot);
+    assert!(!again.startup_breakdown().cached);
+    assert_eq!(again.measurement(), Sha256::digest(&w5));
+    assert_eq!(again.invoke("f", &[]).unwrap(), vec![Value::I32(5)]);
+    assert!(launch(&rt, &w5, ExecMode::Aot).startup_breakdown().cached);
 }
 
 #[test]

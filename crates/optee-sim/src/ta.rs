@@ -77,11 +77,10 @@ impl TaAuthority {
     #[must_use]
     pub fn sign(&self, uuid: &str, image: &[u8]) -> SignedTa {
         let digest = Self::digest(uuid, image);
-        let mut rng = Fortuna::from_seed(b"ta-signing-nonce");
         SignedTa {
             uuid: uuid.to_string(),
             image: image.to_vec(),
-            signature: self.key.sign(&digest, &mut rng).to_bytes(),
+            signature: self.key.sign(&digest).to_bytes(),
         }
     }
 

@@ -177,7 +177,6 @@ impl ChainBuilder {
     /// Signs every stage and produces the final chain.
     #[must_use]
     pub fn build(&self) -> BootChain {
-        let mut rng = Fortuna::from_seed(b"chain-build-rng");
         let mut images = Vec::with_capacity(self.stages.len());
         for (i, (name, payload)) in self.stages.iter().enumerate() {
             let next_stage_key = if i + 1 < self.stages.len() {
@@ -196,7 +195,7 @@ impl ChainBuilder {
             } else {
                 &self.stage_keys[i - 1]
             };
-            image.signature = signer.sign(&image.digest(), &mut rng).to_bytes();
+            image.signature = signer.sign(&image.digest()).to_bytes();
             images.push(image);
         }
         BootChain {
@@ -309,7 +308,7 @@ mod tests {
             signature: [0; 64],
             next_stage_key: chain.stages[1].next_stage_key,
         };
-        evil.signature = attacker_key.sign(&evil.digest(), &mut rng).to_bytes();
+        evil.signature = attacker_key.sign(&evil.digest()).to_bytes();
         chain.stages[1] = evil;
         assert!(matches!(
             verify_chain(&fuses, &chain),

@@ -115,13 +115,10 @@ impl SigningKey {
         &self.public
     }
 
-    /// Signs a 32-byte digest.
-    ///
-    /// Signing is fully deterministic (RFC 6979): this is
-    /// [`SigningKey::sign_deterministic`], and `_rng` is ignored. The
-    /// parameter is kept so existing call sites compile unchanged.
+    /// Signs a 32-byte digest. Signing is fully deterministic (RFC 6979):
+    /// this is [`SigningKey::sign_deterministic`].
     #[must_use]
-    pub fn sign(&self, digest: &[u8; 32], _rng: &mut Fortuna) -> Signature {
+    pub fn sign(&self, digest: &[u8; 32]) -> Signature {
         self.sign_deterministic(digest)
     }
 

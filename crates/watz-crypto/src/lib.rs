@@ -33,7 +33,7 @@
 //! let mut prng = Fortuna::from_seed(b"master key verification blob");
 //! let key = SigningKey::generate(&mut prng);
 //! let digest = Sha256::digest(b"wasm bytecode");
-//! let sig = key.sign(&digest, &mut prng);
+//! let sig = key.sign(&digest);
 //! assert!(key.verifying_key().verify(&digest, &sig));
 //! ```
 
