@@ -45,7 +45,8 @@
 //! Hosted applications talk to the world through WASI and attest through
 //! WASI-RA ([`watz_wasi`]); the [`VerifierServer`] provides the relying
 //! party side as a background service (listener in the normal world,
-//! appraisal in the secure world — Fig 2).
+//! appraisal in the secure world — Fig 2), the `watz-fleet` verifier with
+//! one worker.
 //!
 //! # Quickstart
 //!
@@ -72,18 +73,16 @@
 
 mod cache;
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cache::{ArtifactCache, Key, Resident};
 use optee_sim::{ExecPages, TaHeap, TeeError, TrustedOs};
 use tz_hal::{Platform, PlatformConfig};
 use watz_attestation::service::AttestationService;
-use watz_attestation::verifier::{Verifier, VerifierConfig};
-use watz_attestation::wire::{Msg0, Msg2, APPRAISAL_FAILED};
+use watz_attestation::verifier::VerifierConfig;
 use watz_crypto::sha256::Sha256;
+use watz_fleet::{FleetConfig, FleetStats, FleetVerifier};
 use watz_wasi::WasiEnv;
 use watz_wasm::exec::{ExecMode, Instance, Trap, Value};
 use watz_wasm::{Artifact, EngineConfig};
@@ -550,141 +549,46 @@ impl WatzApp {
     }
 }
 
-/// Per-outcome session accounting for a [`VerifierServer`].
+/// The relying party of Fig 2 as a background service: listener in the
+/// normal world, appraisal and release in the secure world.
 ///
-/// Every session the server answered with a verdict lands in exactly one
-/// bucket: `served` for a delivered `msg3`, `rejected` for the
-/// appraisal-failed marker — whether appraisal ran and failed or the
-/// message never parsed. (Sessions whose peer vanished mid-handshake are
-/// in neither.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Sessions that passed appraisal and received `msg3`.
-    pub served: u64,
-    /// Sessions answered with the appraisal-failed marker (malformed
-    /// message or failed appraisal).
-    pub rejected: u64,
-}
-
-/// A background verifier service: normal-world listener + secure-world
-/// appraisal (Fig 2's right-hand side).
-///
-/// One listener thread, one blocking session at a time — faithful to the
-/// paper's relying party. For fleet-scale concurrent appraisal, use the
-/// `watz-fleet` crate's worker-pool service instead.
+/// A [`FleetVerifier`] with one worker: each session is a non-blocking
+/// state machine with a deadline, so a stalled attester does not hold up
+/// the next one; a passing session's secret leaves as `msg3` records, each
+/// sent the moment it is sealed; failures are answered with
+/// `INTEGRITY_FAILED` when tamper-evident and `APPRAISAL_FAILED`
+/// otherwise, and every session lands in one [`FleetStats`] bucket. For
+/// more workers, spawn the [`FleetVerifier`] directly.
+#[derive(Debug)]
 pub struct VerifierServer {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<ServerStats>>,
-    port: u16,
-    os: TrustedOs,
-}
-
-impl std::fmt::Debug for VerifierServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VerifierServer {{ port: {} }}", self.port)
-    }
+    fleet: FleetVerifier,
 }
 
 impl VerifierServer {
     /// Spawns the server on `port` of the OS's loopback network.
     ///
-    /// Each accepted connection runs one attestation session; appraisal
-    /// happens inside the secure world (world-switch costs included when
-    /// the platform injects latency).
-    ///
     /// # Errors
     ///
     /// Returns [`WatzError::Tee`] if the port is taken.
     pub fn spawn(os: &TrustedOs, config: VerifierConfig, port: u16) -> Result<Self, WatzError> {
-        let listener = os.network().listen(port)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
-        let platform = os.platform().clone();
-        let mut rng = os.kernel_prng("verifier-session");
-
-        let handle = std::thread::spawn(move || {
-            let mut stats = ServerStats::default();
-            while !stop.load(Ordering::SeqCst) {
-                let Ok(conn) = listener.accept_timeout(optee_sim::net::DEFAULT_ACCEPT_POLL) else {
-                    continue;
-                };
-                let mut verifier = Verifier::new(config.clone());
-                // msg0 -> msg1
-                let Ok(raw0) = conn.recv() else { continue };
-                let Ok(msg0) = Msg0::from_bytes(&raw0) else {
-                    let _ = conn.send(APPRAISAL_FAILED);
-                    stats.rejected += 1;
-                    continue;
-                };
-                let reply = platform.enter_secure(|| verifier.handle_msg0(&msg0, &mut rng));
-                let Ok((msg1, _)) = reply else {
-                    let _ = conn.send(APPRAISAL_FAILED);
-                    stats.rejected += 1;
-                    continue;
-                };
-                if conn.send(&msg1.to_bytes()).is_err() {
-                    continue;
-                }
-                // msg2 -> msg3 (appraisal)
-                let Ok(raw2) = conn.recv() else { continue };
-                let Ok(msg2) = Msg2::from_bytes(&raw2) else {
-                    let _ = conn.send(APPRAISAL_FAILED);
-                    stats.rejected += 1;
-                    continue;
-                };
-                // One secure-world entry for the appraisal and the release:
-                // each record leaves as soon as it is sealed, so the attester
-                // opens record k while record k + 1 is sealed here. A failed
-                // send ends the session.
-                let released = platform.enter_secure(|| {
-                    verifier.appraise(&msg2)?;
-                    verifier.release(|record| conn.send_owned(record.into_bytes()).is_ok())
-                });
-                match released {
-                    Ok(_) => stats.served += 1,
-                    Err(_) => {
-                        let _ = conn.send(APPRAISAL_FAILED);
-                        stats.rejected += 1;
-                    }
-                }
-            }
-            stats
-        });
-
-        Ok(VerifierServer {
-            shutdown,
-            handle: Some(handle),
-            port,
-            os: os.clone(),
-        })
+        let one_worker = FleetConfig {
+            workers: 1,
+            ..FleetConfig::default()
+        };
+        let fleet = FleetVerifier::spawn(os, config, one_worker, port).map_err(TeeError::from)?;
+        Ok(VerifierServer { fleet })
     }
 
     /// The port the server listens on.
     #[must_use]
     pub fn port(&self) -> u16 {
-        self.port
+        self.fleet.port()
     }
 
-    /// Stops the server and returns the per-outcome session accounting
-    /// (served alongside rejected — failed sessions are no longer silently
-    /// dropped).
-    pub fn shutdown(mut self) -> ServerStats {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.os.network().unbind(self.port);
-        self.handle
-            .take()
-            .map(|h| h.join().unwrap_or_default())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for VerifierServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.os.network().unbind(self.port);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stops accepting, drains the sessions in flight (bounded by their
+    /// deadline) and returns the per-outcome accounting.
+    pub fn shutdown(self) -> FleetStats {
+        self.fleet.shutdown()
     }
 }
 

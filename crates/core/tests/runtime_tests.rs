@@ -302,9 +302,9 @@ fn sandboxed_apps_cannot_see_each_other() {
 
 #[test]
 fn parallel_attesters_all_served_and_counted() {
-    // Eight protocol-level attesters hit the single-session VerifierServer
-    // concurrently. Sessions serialize at the listener, but every one must
-    // be served and the stats must add up.
+    // Eight protocol-level attesters hit the VerifierServer concurrently.
+    // Its one worker interleaves their sessions; every one must be served
+    // and the stats must add up.
     use watz_attestation::attester::Attester;
     use watz_attestation::wire::{Msg1, Msg3};
 

@@ -1,11 +1,15 @@
 //! Negative-path attestation against the networked [`VerifierServer`]:
-//! tampered evidence, evidence from a device with the wrong seed, and a
-//! stale (replayed) session must all be rejected at the server, and none
-//! may count as a served session.
+//! tampered evidence, evidence from a device with the wrong seed, a stale
+//! (replayed) session and bytes that do not parse must all be turned away
+//! at the server, none may count as a served session, and each gets the
+//! marker and the bucket its failure calls for: tamper-evident failures
+//! `INTEGRITY_FAILED`, an unendorsed device `APPRAISAL_FAILED`; a failed
+//! appraisal is `rejected`, a frame that does not parse `malformed`.
 
-use watz_attestation::attester::Attester;
-use watz_attestation::wire::APPRAISAL_FAILED as REJECTED;
-use watz_attestation::wire::{Msg0, Msg1, Msg2};
+use std::time::{Duration, Instant};
+
+use watz_attestation::attester::{AttestClient, Attester};
+use watz_attestation::wire::{Msg1, Msg2, APPRAISAL_FAILED, INTEGRITY_FAILED};
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::sha256::Sha256;
@@ -44,10 +48,11 @@ fn tampered_evidence_rejected_by_server() {
     // Flip one bit of the claim inside the (signed, MAC'd) evidence.
     msg2.evidence.claim[0] ^= 1;
     conn.send(&msg2.to_bytes()).unwrap();
-    assert_eq!(conn.recv().unwrap(), REJECTED);
+    assert_eq!(conn.recv().unwrap(), INTEGRITY_FAILED);
     let stats = server.shutdown();
     assert_eq!(stats.served, 0, "tampered session must not count");
     assert_eq!(stats.rejected, 1, "it must be counted as rejected");
+    assert_eq!(stats.malformed, 0);
 }
 
 #[test]
@@ -70,9 +75,9 @@ fn forged_evidence_signature_rejected_by_server() {
     let (msg2, _) = attester.build_msg2(evidence).unwrap();
 
     conn.send(&msg2.to_bytes()).unwrap();
-    assert_eq!(conn.recv().unwrap(), REJECTED);
+    assert_eq!(conn.recv().unwrap(), INTEGRITY_FAILED);
     let stats = server.shutdown();
-    assert_eq!((stats.served, stats.rejected), (0, 1));
+    assert_eq!((stats.served, stats.rejected, stats.malformed), (0, 1, 0));
 }
 
 #[test]
@@ -92,10 +97,11 @@ fn wrong_device_seed_rejected_by_server() {
         .attest(&msg1, &pinned, rogue.attestation_service(), &measurement())
         .unwrap();
 
+    // Honest evidence from a device nobody endorsed: not tamper-evident.
     conn.send(&msg2.to_bytes()).unwrap();
-    assert_eq!(conn.recv().unwrap(), REJECTED);
+    assert_eq!(conn.recv().unwrap(), APPRAISAL_FAILED);
     let stats = server.shutdown();
-    assert_eq!((stats.served, stats.rejected), (0, 1));
+    assert_eq!((stats.served, stats.rejected, stats.malformed), (0, 1, 0));
 }
 
 #[test]
@@ -119,7 +125,10 @@ fn stale_session_replay_rejected_by_server() {
     let raw2 = msg2.to_bytes();
     conn.send(&raw2).unwrap();
     let reply = conn.recv().unwrap();
-    assert_ne!(reply, REJECTED, "honest session must succeed");
+    assert!(
+        reply != INTEGRITY_FAILED && reply != APPRAISAL_FAILED,
+        "honest session must succeed"
+    );
 
     // Replay both captured messages in a fresh session.
     let replay = rt.os().network().connect(7404).unwrap();
@@ -127,11 +136,12 @@ fn stale_session_replay_rejected_by_server() {
     let msg1_b = Msg1::from_bytes(&replay.recv().unwrap()).unwrap();
     assert_ne!(msg1_b.gv, msg1.gv, "server must use a fresh session key");
     replay.send(&raw2).unwrap();
-    assert_eq!(replay.recv().unwrap(), REJECTED);
+    assert_eq!(replay.recv().unwrap(), INTEGRITY_FAILED);
 
     let stats = server.shutdown();
     assert_eq!(stats.served, 1, "only the honest session counts as served");
     assert_eq!(stats.rejected, 1, "the replay counts as rejected");
+    assert_eq!(stats.malformed, 0);
 }
 
 #[test]
@@ -141,14 +151,14 @@ fn garbage_bytes_rejected_by_server() {
 
     let conn = rt.os().network().connect(7405).unwrap();
     conn.send(b"not a protocol message").unwrap();
-    assert_eq!(conn.recv().unwrap(), REJECTED);
+    assert_eq!(conn.recv().unwrap(), INTEGRITY_FAILED);
 
-    // A malformed msg2 after a valid msg0 is also rejected.
+    // A malformed msg2 after a valid msg0 is also malformed.
     let conn2 = rt.os().network().connect(7405).unwrap();
     let mut arng = Fortuna::from_seed(b"g");
     let (_attester, msg0) = Attester::start(&mut arng);
     conn2.send(&msg0.to_bytes()).unwrap();
-    let _msg1 = Msg0::from_bytes(&conn2.recv().unwrap()).err(); // ignore parse
+    Msg1::from_bytes(&conn2.recv().unwrap()).unwrap();
     let bogus2 = {
         let mut b = Msg2 {
             ga: [0; 64],
@@ -162,7 +172,36 @@ fn garbage_bytes_rejected_by_server() {
         b
     };
     conn2.send(&bogus2).unwrap();
-    assert_eq!(conn2.recv().unwrap(), REJECTED);
+    assert_eq!(conn2.recv().unwrap(), INTEGRITY_FAILED);
     let stats = server.shutdown();
-    assert_eq!((stats.served, stats.rejected), (0, 2));
+    assert_eq!((stats.served, stats.rejected, stats.malformed), (0, 0, 2));
+}
+
+#[test]
+fn a_stalled_attester_does_not_delay_the_next_session() {
+    // The first attester sends msg0 and then nothing. The next one is
+    // served within its 1 s reply timeout, long before the stalled
+    // session's deadline, let alone a 10 s receive timeout.
+    let rt = WatzRuntime::new_device(b"stall-device").unwrap();
+    let (server, pinned) = server_for(&rt, 7406);
+
+    let stalled = rt.os().network().connect(7406).unwrap();
+    let (_attester, msg0) = Attester::start(&mut Fortuna::from_seed(b"staller"));
+    stalled.send(&msg0.to_bytes()).unwrap();
+
+    let client = AttestClient {
+        net: rt.os().network(),
+        port: 7406,
+        service: rt.attestation_service(),
+        measurement: measurement(),
+        pinned_verifier_key: pinned,
+    };
+    let t = Instant::now();
+    let got = client.attempt(0, Duration::from_secs(1), &mut Fortuna::from_seed(b"next"));
+    assert_eq!(got, Ok(b"the secret".to_vec()), "after {:?}", t.elapsed());
+
+    drop(stalled);
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.disconnected), (1, 1));
+    assert_eq!(stats.accepted, stats.completed());
 }

@@ -80,7 +80,7 @@ pub fn dataset_with(per_class: usize) -> Vec<Sample> {
 /// Serializes the dataset as CSV (the on-disk format the paper's benchmark
 /// reads and replicates to hit its 100 kB–1 MB breakpoints).
 #[must_use]
-pub fn to_csv(samples: &[Sample]) -> String {
+fn to_csv(samples: &[Sample]) -> String {
     let mut out = String::new();
     for s in samples {
         out.push_str(&format!(

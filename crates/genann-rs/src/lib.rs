@@ -99,12 +99,7 @@ impl Genann {
 
     /// Number of weights for the given topology.
     #[must_use]
-    pub fn weight_count(
-        inputs: usize,
-        hidden_layers: usize,
-        hidden: usize,
-        outputs: usize,
-    ) -> usize {
+    fn weight_count(inputs: usize, hidden_layers: usize, hidden: usize, outputs: usize) -> usize {
         if hidden_layers == 0 {
             (inputs + 1) * outputs
         } else {
@@ -115,7 +110,7 @@ impl Genann {
     }
 
     /// Re-randomizes the weights from a seed (xorshift, range ±0.5).
-    pub fn randomize(&mut self, seed: u64) {
+    fn randomize(&mut self, seed: u64) {
         let mut state = seed.max(1);
         for w in &mut self.weights {
             // xorshift64*
@@ -125,12 +120,6 @@ impl Genann {
             let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
             *w = (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
         }
-    }
-
-    /// Total number of weights.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Runs a forward pass, returning the output activations.

@@ -34,7 +34,7 @@ mod parser;
 mod storage;
 
 pub use executor::QueryResult;
-pub use parser::{parse, Statement};
+use parser::parse;
 pub use storage::{ColumnType, Table, Value};
 
 use std::collections::HashMap;
@@ -99,23 +99,6 @@ impl Database {
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, DbError> {
         let stmt = parse(sql)?;
         executor::execute(self, &stmt)
-    }
-
-    /// Executes a pre-parsed statement (skips re-parsing in hot loops).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DbError`] for execution failures.
-    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult, DbError> {
-        executor::execute(self, stmt)
-    }
-
-    /// Names of all tables.
-    #[must_use]
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Number of live rows in a table.
@@ -309,7 +292,7 @@ mod tests {
         db.execute("CREATE TABLE t(a INT)").unwrap();
         let stmt = parse("INSERT INTO t VALUES (7)").unwrap();
         for _ in 0..10 {
-            db.execute_statement(&stmt).unwrap();
+            executor::execute(&mut db, &stmt).unwrap();
         }
         assert_eq!(db.row_count("t"), Some(10));
     }

@@ -36,14 +36,6 @@ impl Value {
             (_, Text(_)) => Ordering::Less,
         }
     }
-
-    /// True for exact SQL equality (used by predicates).
-    #[must_use]
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        !matches!(self, Value::Null)
-            && !matches!(other, Value::Null)
-            && self.compare(other) == Ordering::Equal
-    }
 }
 
 impl std::fmt::Display for Value {
@@ -279,8 +271,15 @@ mod tests {
 
     #[test]
     fn null_never_sql_equal() {
-        assert!(!Value::Null.sql_eq(&Value::Null));
-        assert!(!Value::Null.sql_eq(&Value::Int(0)));
-        assert!(Value::Int(3).sql_eq(&Value::Real(3.0)));
+        // Equality as a predicate sees it: NULL equals nothing, itself
+        // included, and an INT equals the REAL of the same value.
+        let mut db = crate::Database::new();
+        db.execute("CREATE TABLE t(a INT, r REAL)").unwrap();
+        db.execute("INSERT INTO t VALUES (NULL, 3.0)").unwrap();
+        db.execute("INSERT INTO t VALUES (0, 3.0)").unwrap();
+        let mut rows = |sql: &str| db.execute(sql).unwrap().rows.len();
+        assert_eq!(rows("SELECT a FROM t WHERE a = NULL"), 0);
+        assert_eq!(rows("SELECT a FROM t WHERE a = 0"), 1);
+        assert_eq!(rows("SELECT a FROM t WHERE r = 3"), 2);
     }
 }

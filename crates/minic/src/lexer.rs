@@ -73,7 +73,7 @@ pub enum Tok {
 
 /// Lexer error with location.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// 1-based source line.
     pub line: u32,
     /// Human-readable description.

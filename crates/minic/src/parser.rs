@@ -7,7 +7,7 @@ use crate::lexer::{Tok, Token};
 
 /// Parse error with location.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// 1-based source line.
     pub line: u32,
     /// Human-readable description.

@@ -100,7 +100,6 @@ pub struct TrustedOs {
 #[derive(Debug)]
 struct OsInner {
     platform: Platform,
-    ta_authority: TaAuthority,
     network: Arc<net::Network>,
     /// Seed for the kernel attestation service, derived from the secure
     /// MKVB. Private: user space (TAs) can never read it.
@@ -128,7 +127,6 @@ impl TrustedOs {
         Ok(TrustedOs {
             inner: Arc::new(OsInner {
                 platform,
-                ta_authority: TaAuthority::new(b"op-tee vendor signing key"),
                 network: Arc::new(net::Network::new()),
                 kernel_attestation_seed,
                 exec_pages_allocated: AtomicUsize::new(0),
@@ -140,26 +138,6 @@ impl TrustedOs {
     #[must_use]
     pub fn platform(&self) -> &Platform {
         &self.inner.platform
-    }
-
-    /// The TA signing authority (for provisioning test TAs).
-    #[must_use]
-    pub fn ta_authority(&self) -> &TaAuthority {
-        &self.inner.ta_authority
-    }
-
-    /// Loads (verifies) a signed trusted application.
-    ///
-    /// Stock OP-TEE refuses unsigned TAs — this is the restriction that
-    /// motivates WaTZ's Wasm sandbox (§II: "every TA \[must\] be signed to be
-    /// trusted and executable in the trusted world").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::Ta`] if the signature does not verify.
-    pub fn load_ta(&self, ta: &SignedTa) -> Result<ta::LoadedTa, TeeError> {
-        let loaded = self.inner.ta_authority.verify(ta)?;
-        Ok(loaded)
     }
 
     /// Allocates executable pages for AOT code.

@@ -23,19 +23,18 @@ use crate::TeeError;
 /// Default receive timeout.
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long a polling server blocks in one `accept_timeout` call before
-/// re-checking its shutdown flag. Shared by [`watz_runtime`]'s
-/// `VerifierServer` and the `watz-fleet` acceptor so every server polls at
-/// the same cadence (callers may still override it per service).
+/// How long the `watz-fleet` acceptor blocks in one accept before it
+/// re-checks its stop flag: a liveness backstop, not a poll cadence, since
+/// the accept wakes at once on a connection or when the port is unbound.
 pub const DEFAULT_ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Default accept backlog of [`Network::listen`]: how many established but
+/// Accept backlog of [`Network::listen`]: how many established but
 /// not-yet-accepted connections a listener buffers before further
 /// [`Network::connect`] calls block. Sized for fleet-scale connect storms
 /// (hundreds of devices dialling one verifier at once) — a backlog of 16,
 /// as previously hard-coded, made a 96-device storm serialize on the
 /// acceptor and polluted client-observed latency percentiles.
-pub const DEFAULT_ACCEPT_BACKLOG: usize = 1024;
+const ACCEPT_BACKLOG: usize = 1024;
 
 type Channel = (Sender<Vec<u8>>, Receiver<Vec<u8>>);
 
@@ -285,42 +284,28 @@ impl Network {
         *self.fault.lock() = None;
     }
 
-    /// A snapshot of every fault injected since the log was last drained.
-    #[must_use]
-    pub fn fault_log(&self) -> Vec<FaultEvent> {
-        self.fault_log.lock().clone()
-    }
-
-    /// Drains and returns the fault log.
+    /// Drains and returns every fault injected since the log was last
+    /// drained.
     #[must_use]
     pub fn take_fault_log(&self) -> Vec<FaultEvent> {
         std::mem::take(&mut *self.fault_log.lock())
     }
 
-    /// Binds a listener on `port` with the default accept backlog
-    /// ([`DEFAULT_ACCEPT_BACKLOG`]).
+    /// Binds a listener on `port` buffering at most
+    /// `ACCEPT_BACKLOG` (1024) established but not-yet-accepted
+    /// connections; while the backlog is full, further
+    /// [`Network::connect`] calls block until the listener accepts (the
+    /// loopback analogue of a full SYN queue).
     ///
     /// # Errors
     ///
     /// Returns [`TeeError::Net`] if the port is already bound.
     pub fn listen(&self, port: u16) -> Result<Listener, TeeError> {
-        self.listen_with_backlog(port, DEFAULT_ACCEPT_BACKLOG)
-    }
-
-    /// Binds a listener on `port` buffering at most `backlog` established
-    /// but not-yet-accepted connections; while the backlog is full,
-    /// further [`Network::connect`] calls block until the listener
-    /// accepts (the loopback analogue of a full SYN queue).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::Net`] if the port is already bound.
-    pub fn listen_with_backlog(&self, port: u16, backlog: usize) -> Result<Listener, TeeError> {
         let mut listeners = self.listeners.lock();
         if listeners.contains_key(&port) {
             return Err(TeeError::Net(format!("port {port} already bound")));
         }
-        let (tx, rx) = bounded(backlog.max(1));
+        let (tx, rx) = bounded(ACCEPT_BACKLOG);
         listeners.insert(port, tx);
         Ok(Listener { accept_rx: rx })
     }
@@ -419,19 +404,7 @@ impl Listener {
     ///
     /// Returns [`TeeError::Net`] on timeout.
     pub fn accept(&self) -> Result<Connection, TeeError> {
-        self.accept_timeout(RECV_TIMEOUT)
-    }
-
-    /// Accepts with a caller-chosen timeout (used by polling servers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::Net`] on timeout or when the port has been
-    /// unbound, with distinguishable messages; use
-    /// [`Listener::accept_detailed`] to branch on the cause without
-    /// string matching.
-    pub fn accept_timeout(&self, timeout: Duration) -> Result<Connection, TeeError> {
-        self.accept_detailed(timeout).map_err(|e| match e {
+        self.accept_detailed(RECV_TIMEOUT).map_err(|e| match e {
             RecvError::TimedOut => TeeError::Net("accept timed out".into()),
             RecvError::Disconnected => TeeError::Net("listener closed (port unbound)".into()),
         })
@@ -793,22 +766,29 @@ mod tests {
     }
 
     #[test]
-    fn tiny_backlog_blocks_connects_until_accepted() {
-        // listen_with_backlog caps the pending-connection buffer; a
-        // third dial blocks until the acceptor drains, then completes.
+    fn a_full_backlog_blocks_connects_until_accepted() {
+        // The backlog caps the pending-connection buffer: the dial after
+        // it fills blocks until the acceptor drains, then completes.
         let net = std::sync::Arc::new(Network::new());
-        let listener = net.listen_with_backlog(7007, 2).unwrap();
+        let listener = net.listen(7007).unwrap();
+        let dials = ACCEPT_BACKLOG + 2;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
         let storming = {
             let net = std::sync::Arc::clone(&net);
             std::thread::spawn(move || {
-                for _ in 0..4 {
-                    net.connect(7007).unwrap();
-                }
+                let conns: Vec<Connection> =
+                    (0..dials).map(|_| net.connect(7007).unwrap()).collect();
+                done_tx.send(conns.len()).unwrap();
             })
         };
-        for _ in 0..4 {
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a dial past the backlog must wait for an accept"
+        );
+        for _ in 0..dials {
             listener.accept().unwrap();
         }
+        assert_eq!(done_rx.recv(), Ok(dials));
         storming.join().unwrap();
     }
 
@@ -889,7 +869,7 @@ mod tests {
         assert!(client.faults.is_none() && server.faults.is_none());
         client.send(b"clean").unwrap();
         assert_eq!(server.recv().unwrap(), b"clean");
-        assert!(net.fault_log().is_empty());
+        assert!(net.take_fault_log().is_empty());
     }
 
     #[test]
@@ -903,7 +883,7 @@ mod tests {
             Err(RecvError::TimedOut),
             "dropped frame must never arrive"
         );
-        let log = net.fault_log();
+        let log = net.take_fault_log();
         assert_eq!(log.len(), 1);
         assert_eq!(
             log[0],
@@ -927,7 +907,7 @@ mod tests {
         assert_eq!(got.len(), sent.len());
         assert_ne!(got, sent, "corruption must change the payload");
         assert!(net
-            .fault_log()
+            .take_fault_log()
             .iter()
             .any(|e| e.kind == FaultKind::Corrupt && e.conn == 0));
     }
@@ -940,7 +920,7 @@ mod tests {
         client.send(b"twin").unwrap();
         assert_eq!(server.recv().unwrap(), b"twin");
         assert_eq!(server.recv().unwrap(), b"twin");
-        assert_eq!(net.fault_log()[0].kind, FaultKind::Duplicate);
+        assert_eq!(net.take_fault_log()[0].kind, FaultKind::Duplicate);
     }
 
     #[test]
@@ -950,7 +930,7 @@ mod tests {
         let (client, server) = faulted_pair(&net, 7104);
         client.send(b"slow").unwrap();
         assert_eq!(server.recv().unwrap(), b"slow");
-        assert_eq!(net.fault_log()[0].kind, FaultKind::Delay);
+        assert_eq!(net.take_fault_log()[0].kind, FaultKind::Delay);
     }
 
     #[test]
@@ -971,7 +951,7 @@ mod tests {
             server.recv_detailed(Duration::from_millis(100)),
             Err(RecvError::Disconnected)
         );
-        let log = net.fault_log();
+        let log = net.take_fault_log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, FaultKind::Disconnect);
     }
@@ -1013,7 +993,7 @@ mod tests {
         assert_eq!(clean_server.recv().unwrap(), b"through");
         // The already-dialled connection keeps its hook.
         faulted.send(b"gone").unwrap();
-        assert_eq!(net.fault_log().len(), 1);
+        assert_eq!(net.take_fault_log().len(), 1);
     }
 
     #[test]

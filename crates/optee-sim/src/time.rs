@@ -12,7 +12,7 @@ use tz_hal::Platform;
 /// Nanosecond monotonic timestamp as seen from the **normal world**
 /// (`clock_gettime(CLOCK_MONOTONIC)` in the paper).
 #[must_use]
-pub fn ree_clock_ns() -> u64 {
+fn ree_clock_ns() -> u64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);

@@ -49,7 +49,7 @@ pub enum Term {
 impl Term {
     /// Atom constructor.
     #[must_use]
-    pub fn atom(name: &str) -> Term {
+    fn atom(name: &str) -> Term {
         Term::Atom(name.to_string())
     }
 
@@ -90,26 +90,26 @@ impl Term {
 
 /// The intruder's knowledge set with Dolev–Yao closure.
 #[derive(Debug, Default, Clone)]
-pub struct Knowledge {
+struct Knowledge {
     facts: BTreeSet<Term>,
 }
 
 impl Knowledge {
     /// Empty knowledge.
     #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Adds an observed term and recomputes the closure.
-    pub fn learn(&mut self, t: Term) {
+    fn learn(&mut self, t: Term) {
         self.facts.insert(t);
         self.close();
     }
 
     /// True if the intruder can derive `t`.
     #[must_use]
-    pub fn derives(&self, t: &Term) -> bool {
+    fn derives(&self, t: &Term) -> bool {
         if self.facts.contains(t) {
             return true;
         }

@@ -142,7 +142,7 @@ pub fn verify_chain(efuses: &EFuses, chain: &BootChain) -> Result<(), BootError>
 
 /// A signing authority used to *build* chains (OEM side, not on-device).
 #[derive(Debug)]
-pub struct ChainBuilder {
+struct ChainBuilder {
     oem_key: SigningKey,
     stage_keys: Vec<SigningKey>,
     stages: Vec<(String, Vec<u8>)>,
@@ -151,7 +151,7 @@ pub struct ChainBuilder {
 impl ChainBuilder {
     /// Creates a builder with a deterministic OEM key from `seed`.
     #[must_use]
-    pub fn new(seed: &[u8]) -> Self {
+    fn new(seed: &[u8]) -> Self {
         let mut rng = Fortuna::from_seed(seed);
         ChainBuilder {
             oem_key: SigningKey::generate(&mut rng),
@@ -162,12 +162,12 @@ impl ChainBuilder {
 
     /// SHA-256 hash of the OEM public key, to be fused into the device.
     #[must_use]
-    pub fn oem_key_hash(&self) -> [u8; 32] {
+    fn oem_key_hash(&self) -> [u8; 32] {
         Sha256::digest(&self.oem_key.verifying_key().to_bytes())
     }
 
     /// Appends a stage with the given name and payload.
-    pub fn stage(&mut self, name: &str, payload: &[u8]) -> &mut Self {
+    fn stage(&mut self, name: &str, payload: &[u8]) -> &mut Self {
         let mut rng = Fortuna::from_seed(format!("stage-key:{name}").as_bytes());
         self.stage_keys.push(SigningKey::generate(&mut rng));
         self.stages.push((name.to_string(), payload.to_vec()));
@@ -176,7 +176,7 @@ impl ChainBuilder {
 
     /// Signs every stage and produces the final chain.
     #[must_use]
-    pub fn build(&self) -> BootChain {
+    fn build(&self) -> BootChain {
         let mut images = Vec::with_capacity(self.stages.len());
         for (i, (name, payload)) in self.stages.iter().enumerate() {
             let next_stage_key = if i + 1 < self.stages.len() {

@@ -30,7 +30,7 @@ impl std::fmt::Display for FuseError {
 impl std::error::Error for FuseError {}
 
 /// Number of hardware monotonic counters in the modelled bank.
-pub const MONOTONIC_COUNTERS: usize = 4;
+const MONOTONIC_COUNTERS: usize = 4;
 
 /// The simulated eFuse bank.
 #[derive(Debug)]

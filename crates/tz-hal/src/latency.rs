@@ -32,11 +32,11 @@ pub struct Policy {
 }
 
 /// Paper-measured enter latency (Fig 3b).
-pub const PAPER_ENTER_SECURE_NS: u64 = 86_000;
+const PAPER_ENTER_SECURE_NS: u64 = 86_000;
 /// Paper-measured leave latency (Fig 3b).
-pub const PAPER_LEAVE_SECURE_NS: u64 = 20_000;
+const PAPER_LEAVE_SECURE_NS: u64 = 20_000;
 /// Paper-measured secure time-query latency (Fig 3a, native TA).
-pub const PAPER_SECURE_TIME_QUERY_NS: u64 = 10_000;
+const PAPER_SECURE_TIME_QUERY_NS: u64 = 10_000;
 
 impl Policy {
     /// No injection at all (functional tests).
@@ -57,12 +57,6 @@ impl Policy {
             leave_secure_ns: PAPER_LEAVE_SECURE_NS,
             secure_time_query_ns: PAPER_SECURE_TIME_QUERY_NS,
         }
-    }
-
-    /// True if any event injects a non-zero delay.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enter_secure_ns != 0 || self.leave_secure_ns != 0 || self.secure_time_query_ns != 0
     }
 
     /// The delay configured for `event`.
@@ -106,7 +100,7 @@ mod tests {
     #[test]
     fn disabled_injects_nothing() {
         let p = Policy::disabled();
-        assert!(!p.is_enabled());
+        assert_eq!(p.delay(Event::EnterSecure), Duration::ZERO);
         let start = Instant::now();
         p.inject(Event::EnterSecure);
         assert!(start.elapsed() < Duration::from_millis(1));

@@ -44,8 +44,8 @@ pub mod boot;
 pub mod efuse;
 pub mod latency;
 pub mod rot;
-pub mod shmem;
-pub mod smc;
+mod shmem;
+mod smc;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -162,7 +162,7 @@ impl Platform {
 
     /// Whether a verified secure boot has completed.
     #[must_use]
-    pub fn is_secure_booted(&self) -> bool {
+    fn is_secure_booted(&self) -> bool {
         self.inner.secure_booted.load(Ordering::SeqCst)
     }
 
@@ -225,12 +225,6 @@ impl Platform {
     /// platform cap (9 MB by default, matching the patched OP-TEE limit).
     pub fn alloc_shared(&self, len: usize) -> Result<SharedBuffer, SharedMemoryError> {
         self.inner.shmem.alloc(len)
-    }
-
-    /// The configured shared-memory cap in bytes.
-    #[must_use]
-    pub fn shared_memory_cap(&self) -> usize {
-        self.inner.shmem.cap()
     }
 }
 

@@ -90,11 +90,6 @@ impl SharedBuffer {
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         f(&self.data.lock())
     }
-
-    /// Runs `f` with a mutable view of the whole buffer.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.data.lock())
-    }
 }
 
 /// Registry of shared buffers for one platform.
@@ -112,12 +107,6 @@ impl Registry {
             cap,
             next_id: AtomicU64::new(1),
         }
-    }
-
-    /// The per-buffer size cap in bytes.
-    #[must_use]
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Allocates and registers a zeroed buffer of `len` bytes.

@@ -434,7 +434,7 @@ pub enum AttemptError {
 impl AttemptError {
     /// True for faults where a fresh handshake has a chance of succeeding.
     #[must_use]
-    pub fn is_retryable(&self) -> bool {
+    fn is_retryable(&self) -> bool {
         !matches!(self, AttemptError::Rejected | AttemptError::Fatal(_))
     }
 }
@@ -566,7 +566,7 @@ impl RetryPolicy {
     /// `min(base * 2^(n-1), max)` scaled by a jitter factor in
     /// `[0.5, 1.0)` drawn deterministically from `(jitter_seed, n)`.
     #[must_use]
-    pub fn backoff(&self, failed_attempts: u32) -> Duration {
+    fn backoff(&self, failed_attempts: u32) -> Duration {
         let exp = failed_attempts.saturating_sub(1).min(16);
         let raw = self
             .base_backoff

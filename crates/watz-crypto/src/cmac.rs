@@ -6,7 +6,7 @@
 use crate::aes::{load_be, Aes};
 
 /// CMAC output length in bytes.
-pub const MAC_LEN: usize = 16;
+pub(crate) const MAC_LEN: usize = 16;
 
 /// AES-CMAC instance keyed with a 128-bit key. Blocks are big-endian
 /// `u128`s, the form the block cipher takes.

@@ -43,12 +43,6 @@ impl EphemeralKeyPair {
         self.public.to_bytes()
     }
 
-    /// The public point.
-    #[must_use]
-    pub fn public_point(&self) -> &AffinePoint {
-        &self.public
-    }
-
     /// Computes the shared secret with a peer public key.
     ///
     /// Returns the 32-byte big-endian x-coordinate of the shared point.

@@ -163,7 +163,7 @@ impl VerifyingKey {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidPoint`] for infinity or off-curve points.
-    pub fn from_point(point: AffinePoint) -> Result<Self> {
+    fn from_point(point: AffinePoint) -> Result<Self> {
         if point == AffinePoint::Infinity || !point.is_on_curve() {
             return Err(CryptoError::InvalidPoint);
         }

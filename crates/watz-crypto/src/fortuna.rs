@@ -41,7 +41,7 @@ impl Fortuna {
     }
 
     /// Mixes additional seed material into the generator state.
-    pub fn reseed(&mut self, seed: &[u8]) {
+    fn reseed(&mut self, seed: &[u8]) {
         let mut h = Sha256::new();
         h.update(&self.key);
         h.update(seed);

@@ -31,10 +31,10 @@ use crate::aes::{load_be, Aes};
 use crate::{ct_eq, CryptoError, Result};
 
 /// GCM authentication tag length in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 /// Recommended IV length in bytes (96 bits).
-pub const IV_LEN: usize = 12;
+pub(crate) const IV_LEN: usize = 12;
 
 /// Bytes encrypted and then hashed per pass of `encrypt_in_place`: small
 /// enough to still be in the L1 data cache for the second touch.

@@ -18,7 +18,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// Incremental HMAC-SHA256.
 #[derive(Debug, Clone)]
-pub struct HmacSha256 {
+struct HmacSha256 {
     inner: Sha256,
     opad_key: [u8; BLOCK_LEN],
 }

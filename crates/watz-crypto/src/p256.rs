@@ -622,13 +622,13 @@ impl AffinePoint {
 
     /// Converts to Jacobian coordinates (into Montgomery form).
     #[must_use]
-    pub fn to_jacobian(&self) -> JacobianPoint {
+    pub(crate) fn to_jacobian(self) -> JacobianPoint {
         let fp = curve::fp();
         match self {
             AffinePoint::Infinity => JacobianPoint::infinity(),
             AffinePoint::Point { x, y } => JacobianPoint {
-                x: fp.to_mont(x),
-                y: fp.to_mont(y),
+                x: fp.to_mont(&x),
+                y: fp.to_mont(&y),
                 z: fp.one,
             },
         }
@@ -826,7 +826,7 @@ fn batch_to_affine(points: &[JacobianPoint]) -> Vec<MontAffine> {
 /// A point in Jacobian projective coordinates (`x/z²`, `y/z³`), every
 /// coordinate in Montgomery form.
 #[derive(Debug, Clone, Copy)]
-pub struct JacobianPoint {
+pub(crate) struct JacobianPoint {
     x: U256,
     y: U256,
     /// Zero encodes infinity.
@@ -836,7 +836,7 @@ pub struct JacobianPoint {
 impl JacobianPoint {
     /// The identity element.
     #[must_use]
-    pub fn infinity() -> Self {
+    fn infinity() -> Self {
         let one = curve::fp().one;
         JacobianPoint {
             x: one,
@@ -847,7 +847,7 @@ impl JacobianPoint {
 
     /// True if this is the identity.
     #[must_use]
-    pub fn is_infinity(&self) -> bool {
+    fn is_infinity(&self) -> bool {
         self.z.is_zero()
     }
 
@@ -989,7 +989,7 @@ impl JacobianPoint {
 
     /// Converts back to affine coordinates (out of Montgomery form).
     #[must_use]
-    pub fn to_affine(&self) -> AffinePoint {
+    fn to_affine(self) -> AffinePoint {
         if self.is_infinity() {
             return AffinePoint::Infinity;
         }

@@ -1,17 +1,19 @@
 //! **watz-fleet**: attestation as a service, at fleet scale.
 //!
-//! The paper's relying party (Fig 2) appraises one attester at a time; the
-//! [`watz_runtime`] `VerifierServer` mirrors that faithfully — one listener
-//! thread, one blocking session per accepted connection. This crate scales
-//! the same four-message protocol to fleets:
+//! The paper's relying party (Fig 2) appraises one attester at a time.
+//! This crate runs the same four-message protocol for fleets, and it is the
+//! repository's one verifier session loop: `watz_runtime`'s
+//! `VerifierServer` is a [`FleetVerifier`] with one worker.
 //!
-//! * [`service`] — a concurrent verifier service: a configurable worker
-//!   pool drains accepted connections from a shared queue, every
-//!   Msg0→Msg3 session runs as an explicit non-blocking state machine
-//!   (a slow or stalled attester never blocks the fleet), and queued
-//!   `msg2`s are appraised in **batches** so one secure-world entry
-//!   amortises across many sessions. Per-outcome statistics
-//!   (served / rejected / malformed / timed-out) are first-class.
+//! * [`service`] — a concurrent verifier service: an acceptor dispatches
+//!   connections round-robin onto per-worker admission channels, every
+//!   Msg0→Msg3 session runs as an explicit non-blocking state machine with
+//!   a deadline (a slow or stalled attester never blocks the others), and
+//!   queued `msg0`s and `msg2`s are handled in **batches** so one
+//!   secure-world entry amortises across many sessions. A passing
+//!   session's secret leaves as `msg3` records, each sent the moment it is
+//!   sealed. Every session ends in one outcome bucket (served / rejected /
+//!   malformed / timed-out / disconnected / shed).
 //! * [`sim`] — a sharded device registry and simulator: boot N simulated
 //!   devices across K shards (each shard its own `TrustedOs`/`Network`),
 //!   drive them through concurrent attestation sessions, and report

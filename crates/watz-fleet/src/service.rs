@@ -29,17 +29,20 @@
 //! first, staging every `msg0` and `msg2` that arrived, then run each
 //! stage's whole batch inside **one** [`Platform::enter_secure`]
 //! ([`prepare_msg1_batch`] for the challenge derivation, [`appraise_batch`]
-//! for the evidence appraisal) — amortising the world-switch cost across
-//! queued sessions exactly where the paper's single-session design pays
-//! it per attester.
+//! for the evidence appraisal and the release) — amortising the
+//! world-switch cost across queued sessions exactly where the paper's
+//! single-session design pays it per attester.
 //!
-//! A worker releases each secret whole, as one final `msg3` record
-//! (`Verifier::handle_msg2` inside the batch), not as the record sequence
-//! `watz_runtime::VerifierServer` sends: fleet secrets are provisioning
-//! tokens of about a kilobyte, one record either way. A worker that seals a
-//! multi-megabyte blob inline stalls its sweep for as long as the AES-GCM
-//! takes, with or without records; releasing large blobs from a fleet
-//! worker (off the sweep, record by record) is out of scope here.
+//! The release happens in the appraisal's entry: each passing session's
+//! secret leaves as `msg3` records of at most `MSG3_RECORD_LEN` bytes
+//! (`Verifier::release`), and each record is moved onto the connection the
+//! moment it is sealed, so the attester opens record *k* while record
+//! *k + 1* is sealed here. A secret of up to one record length is one
+//! final record, the frame `Verifier::handle_msg2` would build. While a
+//! worker releases a multi-megabyte blob its other sessions wait, and a
+//! peer that stops reading blocks the worker once the connection's 64
+//! in-flight frames (4 MiB) are queued; a fleet that provisions such blobs
+//! wants more than one worker.
 //!
 //! **Observability** mirrors the engine's zero-overhead-when-off
 //! discipline ([`watz_wasm::profile`](../../watz-wasm/src/profile.rs)):
@@ -57,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Select, Sender, TryRecvError};
-use optee_sim::net::{Connection, RecvError, TryRecv, DEFAULT_ACCEPT_BACKLOG, DEFAULT_ACCEPT_POLL};
+use optee_sim::net::{Connection, RecvError, TryRecv, DEFAULT_ACCEPT_POLL};
 use optee_sim::{TeeError, TrustedOs};
 use parking_lot::Mutex;
 use tz_hal::Platform;
@@ -74,13 +77,6 @@ pub struct FleetConfig {
     /// Worker threads, each owning its own admission channel and
     /// sessions (the acceptor dispatches round-robin).
     pub workers: usize,
-    /// Upper bound on one blocking accept before the acceptor re-checks
-    /// its stop flag — a liveness backstop, not a poll cadence: the
-    /// accept wakes immediately on a connection or on port unbind.
-    pub accept_poll: Duration,
-    /// Listener backlog: established-but-unaccepted connections buffered
-    /// before further `connect`s block (sized for connect storms).
-    pub accept_backlog: usize,
     /// Per-session deadline: a session that makes no progress for this
     /// long is evicted and counted as timed out.
     pub session_timeout: Duration,
@@ -100,8 +96,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 4,
-            accept_poll: DEFAULT_ACCEPT_POLL,
-            accept_backlog: DEFAULT_ACCEPT_BACKLOG,
             session_timeout: Duration::from_secs(2),
             max_sessions_per_worker: 64,
             max_queued_per_worker: 256,
@@ -112,8 +106,7 @@ impl Default for FleetConfig {
 impl FleetConfig {
     /// Rejects configurations that would misbehave silently: a service
     /// with zero workers or a zero session cap can never make progress,
-    /// a zero deadline evicts every session on its first sweep, and a
-    /// zero backlog cannot accept a single connection.
+    /// and a zero deadline evicts every session on its first sweep.
     ///
     /// # Errors
     ///
@@ -124,9 +117,6 @@ impl FleetConfig {
         }
         if self.session_timeout.is_zero() {
             return Err(ConfigError::ZeroSessionTimeout);
-        }
-        if self.accept_backlog == 0 {
-            return Err(ConfigError::ZeroBacklog);
         }
         if self.max_sessions_per_worker == 0 {
             return Err(ConfigError::ZeroSessionCap);
@@ -142,8 +132,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `session_timeout == 0`: every session would be evicted instantly.
     ZeroSessionTimeout,
-    /// `accept_backlog == 0`: no connection could ever be established.
-    ZeroBacklog,
     /// `max_sessions_per_worker == 0`: workers could never admit anyone.
     ZeroSessionCap,
 }
@@ -155,7 +143,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroSessionTimeout => {
                 write!(f, "fleet config: session_timeout must be non-zero")
             }
-            ConfigError::ZeroBacklog => write!(f, "fleet config: accept_backlog must be >= 1"),
             ConfigError::ZeroSessionCap => {
                 write!(f, "fleet config: max_sessions_per_worker must be >= 1")
             }
@@ -280,7 +267,7 @@ impl FleetStats {
 /// wall clock actually went between accept and the final verdict.
 ///
 /// A verifier's store is a sliding window: [`PhaseStats::merge`] keeps the
-/// most recent [`PHASE_WINDOW`] to `2 * PHASE_WINDOW` samples per phase, so
+/// most recent `PHASE_WINDOW` (2048) to `2 * PHASE_WINDOW` samples per phase, so
 /// a long-lived verifier's memory does not grow with the sessions served.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
@@ -330,7 +317,7 @@ impl PhaseStats {
 
 /// Samples per phase a merged [`PhaseStats`] always retains (it holds up to
 /// twice as many, so trimming is amortized over a window's worth of merges).
-pub const PHASE_WINDOW: usize = 2048;
+const PHASE_WINDOW: usize = 2048;
 
 /// Appends `src` to `dst`; once they would exceed `2 * PHASE_WINDOW`, only
 /// the most recent `PHASE_WINDOW` of the two together are kept. Trimming
@@ -405,6 +392,30 @@ impl StatsInner {
         verdict_bucket.fetch_sub(1, Ordering::SeqCst);
         self.disconnected.fetch_add(1, Ordering::SeqCst);
     }
+
+    /// Answers a frame that failed to parse: `malformed`, and
+    /// tamper-evident, so [`INTEGRITY_FAILED`].
+    fn answer_malformed(&self, conn: &Connection) {
+        self.malformed.fetch_add(1, Ordering::SeqCst);
+        self.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
+        let _ = conn.send(INTEGRITY_FAILED);
+    }
+
+    /// Answers a failed protocol step: `rejected`, with [`INTEGRITY_FAILED`]
+    /// when the failure is tamper-evident and [`APPRAISAL_FAILED`]
+    /// otherwise; a peer already gone is re-booked as `disconnected`.
+    fn answer_rejected(&self, conn: &Connection, e: &RaError) {
+        self.rejected.fetch_add(1, Ordering::SeqCst);
+        let reply = if is_integrity_failure(e) {
+            self.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
+            INTEGRITY_FAILED
+        } else {
+            APPRAISAL_FAILED
+        };
+        if conn.send(reply).is_err() {
+            self.undeliverable(&self.rejected);
+        }
+    }
 }
 
 /// True for appraisal failures that are tamper-evident — what an injected
@@ -422,19 +433,31 @@ fn is_integrity_failure(e: &RaError) -> bool {
     )
 }
 
-/// Appraises a batch of `msg2`s inside a single secure-world entry.
+/// Appraises a batch of `msg2`s and releases the secret of every session
+/// that passes, all inside a single secure-world entry.
+///
+/// Each record of a passing session goes to `sink`, with the session's
+/// index in `batch`, the moment it is sealed; every passing session hands
+/// it at least one (an empty secret is one empty final record), and a
+/// `false` from the sink stops that session's release. Per session, the
+/// result is the appraisal's error or whether the final record was taken.
 ///
 /// This is the batched path [`FleetVerifier`] workers use; it is public
-/// so benches and tests can measure the amortisation directly (one
+/// so tests can measure the amortisation directly (one
 /// [`Platform::enter_secure`] regardless of batch size).
 pub fn appraise_batch(
     platform: &Platform,
     batch: Vec<(&mut Verifier, &Msg2)>,
-) -> Vec<Result<Msg3, RaError>> {
+    mut sink: impl FnMut(usize, Msg3) -> bool,
+) -> Vec<Result<bool, RaError>> {
     platform.enter_secure(|| {
         batch
             .into_iter()
-            .map(|(verifier, msg2)| verifier.handle_msg2(msg2).map(|(msg3, _)| msg3))
+            .enumerate()
+            .map(|(i, (verifier, msg2))| {
+                verifier.appraise(msg2)?;
+                verifier.release(|record| sink(i, record))
+            })
             .collect()
     })
 }
@@ -596,9 +619,7 @@ fn worker_loop(mut ctx: WorkerCtx) {
                         // completed session not yet in the stats.
                         Phase::AwaitMsg0 => {
                             let Ok(msg0) = Msg0::from_bytes(&raw) else {
-                                ctx.stats.malformed.fetch_add(1, Ordering::SeqCst);
-                                ctx.stats.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
-                                let _ = session.conn.send(INTEGRITY_FAILED);
+                                ctx.stats.answer_malformed(&session.conn);
                                 session.done = true;
                                 continue;
                             };
@@ -615,9 +636,7 @@ fn worker_loop(mut ctx: WorkerCtx) {
                         }
                         Phase::AwaitMsg2 => {
                             let Ok(msg2) = Msg2::from_bytes(&raw) else {
-                                ctx.stats.malformed.fetch_add(1, Ordering::SeqCst);
-                                ctx.stats.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
-                                let _ = session.conn.send(INTEGRITY_FAILED);
+                                ctx.stats.answer_malformed(&session.conn);
                                 session.done = true;
                                 continue;
                             };
@@ -689,35 +708,36 @@ fn worker_loop(mut ctx: WorkerCtx) {
                         }
                     }
                     Err(e) => {
-                        ctx.stats.rejected.fetch_add(1, Ordering::SeqCst);
-                        let reply = if is_integrity_failure(&e) {
-                            ctx.stats.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
-                            INTEGRITY_FAILED
-                        } else {
-                            APPRAISAL_FAILED
-                        };
-                        if session.conn.send(reply).is_err() {
-                            ctx.stats.undeliverable(&ctx.stats.rejected);
-                        }
+                        ctx.stats.answer_rejected(&session.conn, &e);
                         session.done = true;
                     }
                 }
             }
         }
 
-        // Batched appraisal: all msg2s staged this sweep share one
-        // secure-world entry via `appraise_batch`. One pass pulls each
-        // staged msg2 out next to its own session's verifier, so nothing
-        // depends on index bookkeeping.
+        // Batched appraisal and release: all msg2s staged this sweep share
+        // one secure-world entry via `appraise_batch`. One pass pulls each
+        // staged msg2 out next to its own session's verifier, and the
+        // session's connection to the same position in `conns`, which is
+        // the index the sink is handed.
         if staged > 0 {
             let mut batch_sessions = take_staged(&mut sessions, |s| s.pending_msg2.take());
-            let outcomes = appraise_batch(
-                &ctx.platform,
-                batch_sessions
-                    .iter_mut()
-                    .map(|(s, msg2)| (&mut s.verifier, &*msg2))
-                    .collect(),
-            );
+            let (batch, conns): (Vec<_>, Vec<_>) = batch_sessions
+                .iter_mut()
+                .map(|(s, msg2)| ((&mut s.verifier, &*msg2), &s.conn))
+                .unzip();
+            // `served` is bumped before a session's first record leaves
+            // (observer ordering). A record that cannot be delivered ends
+            // the sealing: the peer was gone, and a hangup after msg2 is
+            // re-booked as disconnected, not served.
+            let mut releasing = None;
+            let outcomes = appraise_batch(&ctx.platform, batch, |i, record| {
+                if releasing != Some(i) {
+                    releasing = Some(i);
+                    ctx.stats.served.fetch_add(1, Ordering::SeqCst);
+                }
+                conns[i].send_owned(record.into_bytes()).is_ok()
+            });
             ctx.stats.appraisal_batches.fetch_add(1, Ordering::SeqCst);
             ctx.stats
                 .appraised
@@ -726,30 +746,10 @@ fn worker_loop(mut ctx: WorkerCtx) {
             // batch at once, so one timestamp covers the batch.
             let verdict_at = Instant::now();
             for ((session, _), outcome) in batch_sessions.iter_mut().zip(outcomes) {
-                // The verdict bucket is still bumped before the reply
-                // (observer ordering); if the reply cannot be delivered
-                // the peer was already gone, so the session is re-booked
-                // as disconnected — a hangup after msg2 must not count as
-                // served.
                 match outcome {
-                    Ok(msg3) => {
-                        ctx.stats.served.fetch_add(1, Ordering::SeqCst);
-                        if session.conn.send(&msg3.to_bytes()).is_err() {
-                            ctx.stats.undeliverable(&ctx.stats.served);
-                        }
-                    }
-                    Err(e) => {
-                        ctx.stats.rejected.fetch_add(1, Ordering::SeqCst);
-                        let reply = if is_integrity_failure(&e) {
-                            ctx.stats.corrupt_rejected.fetch_add(1, Ordering::SeqCst);
-                            INTEGRITY_FAILED
-                        } else {
-                            APPRAISAL_FAILED
-                        };
-                        if session.conn.send(reply).is_err() {
-                            ctx.stats.undeliverable(&ctx.stats.rejected);
-                        }
-                    }
+                    Ok(true) => {}
+                    Ok(false) => ctx.stats.undeliverable(&ctx.stats.served),
+                    Err(e) => ctx.stats.answer_rejected(&session.conn, &e),
                 }
                 // A verdict went out either way; both count as msg3 time.
                 if let Some(msg2_at) = session.msg2_at {
@@ -847,10 +847,7 @@ impl FleetVerifier {
         port: u16,
     ) -> Result<Self, SpawnError> {
         fleet.validate().map_err(SpawnError::Config)?;
-        let listener = os
-            .network()
-            .listen_with_backlog(port, fleet.accept_backlog)
-            .map_err(SpawnError::Net)?;
+        let listener = os.network().listen(port).map_err(SpawnError::Net)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
 
@@ -884,7 +881,6 @@ impl FleetVerifier {
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
             let loads = loads.clone();
-            let accept_poll = fleet.accept_poll;
             // A worker saturates once it owes this many uncompleted
             // sessions; beyond it the acceptor sheds instead of queueing.
             let shed_at = fleet
@@ -893,7 +889,7 @@ impl FleetVerifier {
             std::thread::spawn(move || {
                 let mut next = 0usize;
                 loop {
-                    match listener.accept_detailed(accept_poll) {
+                    match listener.accept_detailed(DEFAULT_ACCEPT_POLL) {
                         Ok(conn) => {
                             stats.accepted.fetch_add(1, Ordering::SeqCst);
                             if loads[next].load(Ordering::SeqCst) >= shed_at {
@@ -1069,13 +1065,6 @@ mod tests {
             ),
             (
                 FleetConfig {
-                    accept_backlog: 0,
-                    ..FleetConfig::default()
-                },
-                ConfigError::ZeroBacklog,
-            ),
-            (
-                FleetConfig {
                     max_sessions_per_worker: 0,
                     ..FleetConfig::default()
                 },
@@ -1139,15 +1128,5 @@ mod tests {
             assert!(kept.iter().copied().eq(first..next));
         }
         assert!(store.accept_to_msg0.is_empty());
-    }
-
-    #[test]
-    fn default_config_uses_shared_accept_poll() {
-        let config = FleetConfig::default();
-        assert_eq!(config.accept_poll, DEFAULT_ACCEPT_POLL);
-        assert_eq!(config.accept_backlog, DEFAULT_ACCEPT_BACKLOG);
-        assert!(config.workers >= 1);
-        assert!(config.max_sessions_per_worker >= 1);
-        assert!(config.session_timeout > Duration::ZERO);
     }
 }

@@ -561,7 +561,6 @@ impl FleetSim {
             session_timeout: self.config.session_timeout,
             max_sessions_per_worker: self.config.max_sessions_per_worker,
             max_queued_per_worker: self.config.max_queued_per_worker,
-            ..FleetConfig::default()
         };
         let verifiers: Vec<FleetVerifier> = self
             .shards
@@ -708,7 +707,6 @@ impl FleetSim {
             session_timeout: self.config.session_timeout,
             max_sessions_per_worker: self.config.max_sessions_per_worker,
             max_queued_per_worker: self.config.max_queued_per_worker,
-            ..FleetConfig::default()
         };
         let mut verifier = FleetVerifier::spawn(&shard.os, base, fleet_config, self.config.port)
             .expect("open-loop verifier port free");

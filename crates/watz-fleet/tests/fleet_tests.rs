@@ -9,7 +9,7 @@ use tz_hal::{Platform, PlatformConfig};
 use watz_attestation::attester::Attester;
 use watz_attestation::service::AttestationService;
 use watz_attestation::verifier::{Verifier, VerifierConfig};
-use watz_attestation::wire::{Msg1, Msg2, Msg3, INTEGRITY_FAILED};
+use watz_attestation::wire::{Msg1, Msg2, Msg3, INTEGRITY_FAILED, MSG3_RECORD_LEN};
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::sha256::Sha256;
@@ -374,40 +374,102 @@ fn worker_scaling_is_not_negative() {
 
 #[test]
 fn batched_appraisal_uses_one_world_switch() {
-    // Eight mid-session verifiers, eight msg2s, one enter_secure.
+    // Eight mid-session verifiers, eight msg2s, one enter_secure for all
+    // the appraisals and all the releases. Each release is one record,
+    // byte for byte the frame `handle_msg2` builds for a twin verifier in
+    // the same session state.
     let os = booted_os(b"fleet-batch-device");
     let service = AttestationService::install(&os);
     let (config, pinned) = verifier_config_for(&[&service]);
 
+    let mut frames = Vec::new();
     let mut sessions: Vec<(Verifier, Msg2)> = (0..8)
         .map(|i| {
             let mut arng = Fortuna::from_seed(format!("batch-attester-{i}").as_bytes());
-            let mut vrng = Fortuna::from_seed(format!("batch-verifier-{i}").as_bytes());
+            let vseed = format!("batch-verifier-{i}");
             let (mut attester, msg0) = Attester::start(&mut arng);
             let mut verifier = Verifier::new(config.clone());
-            let (msg1, _) = verifier.handle_msg0(&msg0, &mut vrng).unwrap();
+            let mut twin = Verifier::new(config.clone());
+            let (msg1, _) = verifier
+                .handle_msg0(&msg0, &mut Fortuna::from_seed(vseed.as_bytes()))
+                .unwrap();
+            twin.handle_msg0(&msg0, &mut Fortuna::from_seed(vseed.as_bytes()))
+                .unwrap();
             let (msg2, _) = attester
                 .attest(&msg1, &pinned, &service, &measurement())
                 .unwrap();
+            frames.push(vec![twin.handle_msg2(&msg2).unwrap().0.into_bytes()]);
             (verifier, msg2)
         })
         .collect();
 
     let platform = os.platform();
     let enters_before = platform.transition_stats().enters();
+    let mut records = vec![Vec::new(); 8];
     let outcomes = appraise_batch(
         platform,
         sessions.iter_mut().map(|(v, m)| (v, &*m)).collect(),
+        |i, record| {
+            records[i].push(record.into_bytes());
+            true
+        },
     );
     let enters_after = platform.transition_stats().enters();
 
-    assert_eq!(outcomes.len(), 8);
-    assert!(outcomes.iter().all(Result::is_ok), "all appraisals succeed");
+    assert_eq!(outcomes, vec![Ok(true); 8], "all appraised and released");
     assert_eq!(
         enters_after - enters_before,
         1,
         "the whole batch shares a single secure-world entry"
     );
+    assert_eq!(records, frames);
+}
+
+#[test]
+fn a_refused_record_stops_that_release_only() {
+    // A sink that refuses session 1's first record: session 1 reports an
+    // unfinished release and gets no second record; the sessions around
+    // it still receive their whole secret, a 3-record blob each.
+    let os = booted_os(b"fleet-refused-record-device");
+    let service = AttestationService::install(&os);
+    let (config, pinned) = verifier_config_for(&[&service]);
+    let secret = vec![0x5a; 2 * MSG3_RECORD_LEN + 1];
+    let config = config.with_secret(secret.clone());
+
+    let mut sessions: Vec<(Attester, Verifier, Msg2)> = (0..3)
+        .map(|i| {
+            let mut arng = Fortuna::from_seed(format!("refused-attester-{i}").as_bytes());
+            let (mut attester, msg0) = Attester::start(&mut arng);
+            let mut verifier = Verifier::new(config.clone());
+            let (msg1, _) = verifier
+                .handle_msg0(&msg0, &mut Fortuna::from_seed(&[i]))
+                .unwrap();
+            let (msg2, _) = attester
+                .attest(&msg1, &pinned, &service, &measurement())
+                .unwrap();
+            (attester, verifier, msg2)
+        })
+        .collect();
+
+    let mut records: Vec<Vec<Msg3>> = vec![Vec::new(); 3];
+    let outcomes = appraise_batch(
+        os.platform(),
+        sessions.iter_mut().map(|(_, v, m)| (v, &*m)).collect(),
+        |i, record| {
+            records[i].push(record);
+            i != 1
+        },
+    );
+    assert_eq!(outcomes, [Ok(true), Ok(false), Ok(true)]);
+    assert_eq!(records.iter().map(Vec::len).collect::<Vec<_>>(), [3, 1, 3]);
+    for i in [0, 2] {
+        let attester = &mut sessions[i].0;
+        let got: Vec<u8> = records[i]
+            .iter()
+            .flat_map(|r| attester.handle_msg3(r).unwrap().0)
+            .collect();
+        assert_eq!(got, secret);
+    }
 }
 
 #[test]
@@ -680,13 +742,6 @@ fn degenerate_fleet_config_is_rejected_at_spawn() {
                 ..FleetConfig::default()
             },
             ConfigError::ZeroSessionTimeout,
-        ),
-        (
-            FleetConfig {
-                accept_backlog: 0,
-                ..FleetConfig::default()
-            },
-            ConfigError::ZeroBacklog,
         ),
         (
             FleetConfig {

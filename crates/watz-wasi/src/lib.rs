@@ -63,9 +63,9 @@ pub mod err_codes {
 
 /// WASI errno values (subset).
 mod errno {
-    pub const SUCCESS: i32 = 0;
-    pub const BADF: i32 = 8;
-    pub const NOSYS: i32 = 52;
+    pub(crate) const SUCCESS: i32 = 0;
+    pub(crate) const BADF: i32 = 8;
+    pub(crate) const NOSYS: i32 = 52;
 }
 
 struct RaSession {
@@ -88,7 +88,6 @@ pub struct WasiEnv {
     stdout: Vec<u8>,
     sessions: Vec<Option<RaSession>>,
     quotes: Vec<Option<Evidence>>,
-    exit_code: Option<i32>,
 }
 
 impl std::fmt::Debug for WasiEnv {
@@ -116,7 +115,6 @@ impl WasiEnv {
             stdout: Vec::new(),
             sessions: Vec::new(),
             quotes: Vec::new(),
-            exit_code: None,
         }
     }
 
@@ -129,12 +127,6 @@ impl WasiEnv {
     /// Takes and clears the captured output.
     pub fn take_stdout(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.stdout)
-    }
-
-    /// The exit code passed to `proc_exit`, if the guest exited.
-    #[must_use]
-    pub fn exit_code(&self) -> Option<i32> {
-        self.exit_code
     }
 
     /// The measurement this environment embeds in quotes.
@@ -378,10 +370,7 @@ impl HostEnv for WasiEnv {
                 memory.write_bytes(buf, &bytes)?;
                 Ok(vec![Value::I32(errno::SUCCESS)])
             }
-            ("wasi_snapshot_preview1", "proc_exit") => {
-                self.exit_code = Some(i(0));
-                Err(Trap::Exit(i(0)))
-            }
+            ("wasi_snapshot_preview1", "proc_exit") => Err(Trap::Exit(i(0))),
             ("wasi_snapshot_preview1", "args_sizes_get" | "environ_sizes_get") => {
                 memory.write_bytes(i(0) as u32, &0u32.to_le_bytes())?;
                 memory.write_bytes(i(1) as u32, &0u32.to_le_bytes())?;

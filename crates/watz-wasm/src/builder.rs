@@ -146,12 +146,6 @@ impl ModuleBuilder {
     pub fn build(&self) -> Vec<u8> {
         encode(&self.module)
     }
-
-    /// Finishes, returning the in-memory module.
-    #[must_use]
-    pub fn into_module(self) -> Module {
-        self.module
-    }
 }
 
 #[cfg(test)]

@@ -220,7 +220,7 @@ fn encode_mem_arg(out: &mut Vec<u8>, m: &MemArg) {
 
 /// Encodes a single instruction.
 #[allow(clippy::too_many_lines)]
-pub fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
+fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
     use Instr::*;
     match instr {
         Unreachable => out.push(0x00),

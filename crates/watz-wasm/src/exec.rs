@@ -69,7 +69,7 @@ use crate::PAGE_SIZE;
 pub const MAX_CALL_DEPTH: usize = 200;
 
 /// Hard cap on memory growth (pages) when a module declares no maximum.
-pub const DEFAULT_MAX_PAGES: u32 = 1024; // 64 MiB
+const DEFAULT_MAX_PAGES: u32 = 1024; // 64 MiB
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -339,7 +339,7 @@ impl Memory {
 
     /// Current size in pages.
     #[must_use]
-    pub fn size_pages(&self) -> u32 {
+    fn size_pages(&self) -> u32 {
         (self.data.len() / PAGE_SIZE) as u32
     }
 
@@ -390,11 +390,6 @@ impl Memory {
     #[must_use]
     pub fn data(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Raw mutable view of the memory contents.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
     }
 
     /// Reads `len` bytes at `addr`.

@@ -134,12 +134,6 @@ impl Module {
             .find(|e| e.name == name && e.kind == kind)
             .map(|e| e.index)
     }
-
-    /// Total size in bytes of all data segments (rough code+data footprint).
-    #[must_use]
-    pub fn data_size(&self) -> usize {
-        self.data.iter().map(|d| d.bytes.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 use crate::instr::Instr;
 
 /// Number of opcode classes in the histogram.
-pub const N_CLASSES: usize = 12;
+pub(crate) const N_CLASSES: usize = 12;
 
 /// Coarse opcode classes for the retired-instruction histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,7 +17,7 @@
 //! bounded by OP-TEE's memory ceiling).
 
 /// Time steps for the iterative stencil kernels.
-pub const TSTEPS: usize = 4;
+const TSTEPS: usize = 4;
 
 /// A PolyBench kernel: name, MiniC source, native implementation.
 pub struct Kernel {

@@ -7,7 +7,7 @@
 //! files included). Deleting comments, or moving code into tests, does not
 //! move it.
 //!
-//! `lint` enforces three offline rules CI gates on, beyond what clippy
+//! `lint` enforces four offline rules CI gates on, beyond what clippy
 //! covers:
 //!
 //! 1. **No `.unwrap()` / `.expect(` in the hot dispatch loops** — the
@@ -28,6 +28,12 @@
 //!    its artifact cache on that function's result and is held to the same
 //!    rule with nothing allowed: it calls `from_env`, it never reads a
 //!    `WATZ_*` variable itself.
+//! 4. **No dead `pub`** — every `pub` item (`fn`, type, `const`, `static`,
+//!    `mod`) of non-test code under `crates/*/src` is named in some other
+//!    `.rs` file of the repository: another crate, a test, a bench, an
+//!    example or `benchmark/`. A name-level match is enough. An item nobody
+//!    else names is made private or `pub(crate)`, deleted, or allowlisted
+//!    with the reason it stays public.
 //!
 //! All scans work on comment- and string-stripped source so matches in
 //! docs or literals don't count, and `#[cfg(test)]` modules are out of
@@ -37,6 +43,7 @@
 //! Unused allowlist entries are reported as failures too, so the list
 //! can only shrink.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -177,6 +184,8 @@ fn lint() -> ExitCode {
         });
     }
 
+    let pub_items = dead_pub(&root, &mut findings);
+
     let mut used = vec![false; allowlist.len()];
     let mut fatal = 0usize;
     for f in &findings {
@@ -207,7 +216,7 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted use(s) across {} dispatch loop(s) and {} wire parser(s); {} env read(s), all in `{env_fn}`, none in {})",
+            "lint: ok ({} allowlisted finding(s) across {} dispatch loop(s), {} wire parser(s) and {pub_items} `pub` item(s); {} env read(s), all in `{env_fn}`, none in {})",
             findings.len(),
             DISPATCH_LOOPS.len(),
             WIRE_PARSERS.len(),
@@ -219,6 +228,135 @@ fn lint() -> ExitCode {
         eprintln!("lint: {fatal} finding(s); justify in xtask/lint-allow.txt or fix");
         ExitCode::FAILURE
     }
+}
+
+/// What may stand between `pub` and an item keyword (`pub const fn`,
+/// `pub unsafe fn`, `pub extern "C" fn`).
+const QUALIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
+
+/// The item keywords the dead-`pub` check follows to a name.
+const ITEM_KEYWORDS: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+];
+
+/// Rule 4: every `pub` item of non-test code under `crates/*/src` is named
+/// in at least one other `.rs` file of the repository (comments and
+/// strings do not count). Reports the rest and returns how many items were
+/// checked.
+fn dead_pub(root: &Path, findings: &mut Vec<Finding>) -> usize {
+    let mut files = Vec::new();
+    rust_files(root, &mut files);
+    files.sort();
+    let stripped: Vec<String> = files
+        .iter()
+        .map(|p| strip_comments_and_strings(&read(p)))
+        .collect();
+    let names: Vec<HashSet<&str>> = stripped
+        .iter()
+        .map(|s| identifiers(s).map(|(_, w)| w).collect())
+        .collect();
+    let crates = root.join("crates");
+    let mut declaring = Vec::new();
+    let mut test_only = Vec::new();
+    for (i, path) in files.iter().enumerate() {
+        let in_src = path.strip_prefix(&crates).is_ok_and(|rel| {
+            rel.components()
+                .nth(1)
+                .is_some_and(|c| c.as_os_str() == "src")
+        });
+        if in_src {
+            let (code, mods) = blank_test_items(stripped[i].clone());
+            test_only.extend(test_module_files(path, &mods));
+            declaring.push((i, code));
+        }
+    }
+    let mut checked = 0usize;
+    for (i, code) in declaring {
+        let path = &files[i];
+        if test_only.contains(path) {
+            continue;
+        }
+        let src = read(path);
+        for (at, name) in pub_items(&code) {
+            checked += 1;
+            if names
+                .iter()
+                .enumerate()
+                .any(|(j, n)| j != i && n.contains(name))
+            {
+                continue;
+            }
+            let line_no = code[..at].matches('\n').count() + 1;
+            findings.push(Finding {
+                file: path.clone(),
+                line_no,
+                line: src.lines().nth(line_no - 1).unwrap_or("").to_string(),
+                what: format!("`pub` item `{name}` is named in no other file"),
+            });
+        }
+    }
+    checked
+}
+
+/// The `pub` items of stripped source: the offset of each `pub` and the
+/// item's name. `pub(crate)` and narrower, `pub use` and fields are not
+/// items this check follows.
+fn pub_items(code: &str) -> Vec<(usize, &str)> {
+    let words: Vec<(usize, &str)> = identifiers(code).collect();
+    let mut items = Vec::new();
+    for (k, &(at, word)) in words.iter().enumerate() {
+        if word != "pub" || code[at + 3..].trim_start().starts_with('(') {
+            continue;
+        }
+        let mut rest = words[k + 1..].iter().map(|&(_, w)| w).peekable();
+        while rest
+            .next_if(|w| QUALIFIERS.contains(w) && *w != "const")
+            .is_some()
+        {}
+        let Some(mut keyword) = rest.next() else {
+            continue;
+        };
+        if keyword == "const" && rest.peek() == Some(&"fn") {
+            keyword = "fn";
+            rest.next();
+        }
+        if !ITEM_KEYWORDS.contains(&keyword) {
+            continue;
+        }
+        rest.next_if_eq(&"mut");
+        if let Some(name) = rest.next() {
+            items.push((at, name));
+        }
+    }
+    items
+}
+
+/// The identifier-like words of stripped source, with their offsets.
+fn identifiers(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    let bytes = code.as_bytes();
+    let is_ident = |b: u8| b == b'_' || b.is_ascii_alphanumeric();
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        while i < bytes.len() && !is_ident(bytes[i]) {
+            i += 1;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident(bytes[i]) {
+            i += 1;
+        }
+        (start < i).then(|| (start, &code[start..i]))
+    })
+}
+
+/// The files of the modules `path` declares `#[cfg(test)] mod name;`: in
+/// `a/b.rs` that is `a/b/name.rs`, in a `lib.rs`, `main.rs` or `mod.rs` it
+/// sits beside the file.
+fn test_module_files<'a>(path: &Path, mods: &'a [String]) -> impl Iterator<Item = PathBuf> + 'a {
+    let dir = match path.file_stem().and_then(|s| s.to_str()) {
+        Some("lib" | "main" | "mod") => path.parent().unwrap_or(path).to_path_buf(),
+        _ => path.with_extension(""),
+    };
+    mods.iter().map(move |m| dir.join(format!("{m}.rs")))
 }
 
 /// Prints non-test, non-comment code lines per crate and per `watz-wasm`
@@ -242,17 +380,7 @@ fn loc() -> ExitCode {
         let mut counts = Vec::new();
         for path in &files {
             let (code, test_mods) = blank_test_items(strip_comments_and_strings(&read(path)));
-            // `#[cfg(test)] mod name;` in `a/b.rs` is `a/b/name.rs`; in a
-            // `lib.rs`, `main.rs` or `mod.rs` it sits beside the file.
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default();
-            let dir = match stem {
-                "lib" | "main" | "mod" => path.parent().unwrap_or(&src_dir).to_path_buf(),
-                _ => path.with_extension(""),
-            };
-            test_only.extend(test_mods.iter().map(|m| dir.join(format!("{m}.rs"))));
+            test_only.extend(test_module_files(path, &test_mods));
             let lines = code.lines().filter(|l| !l.trim().is_empty()).count();
             counts.push((path, lines));
         }
@@ -272,39 +400,43 @@ fn loc() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Collects every `.rs` file under `dir`, recursively.
+/// Collects every `.rs` file under `dir`, recursively, except under
+/// build-output (`target`) and hidden directories.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries =
         std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{} unreadable: {e}", dir.display()));
     for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
         if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
+            if name != "target" && !name.starts_with('.') {
+                rust_files(&path, out);
+            }
+        } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
 }
 
 /// Blanks every `#[cfg(test)]` item of comment/string-stripped source
-/// (offsets and line structure kept): a braced item up to its matching
-/// brace, a `mod name;` declaration up to the semicolon. Returns the text
-/// and the names of the modules so declared, whose files are test-only.
+/// (offsets and line structure kept), each up to where [`item_end`] puts
+/// it. Returns the text and the names of the modules declared
+/// `#[cfg(test)] mod name;`, whose files are test-only.
 fn blank_test_items(stripped: String) -> (String, Vec<String>) {
     const ATTR: &str = "#[cfg(test)]";
     let mut spans = Vec::new();
     let mut test_mods = Vec::new();
     let mut from = 0usize;
     while let Some(at) = stripped[from..].find(ATTR).map(|rel| from + rel) {
-        let item = &stripped[at + ATTR.len()..];
-        let end = match (item.find('{'), item.find(';')) {
-            (brace, Some(semi)) if brace.is_none_or(|b| semi < b) => {
-                if let Some((_, name)) = item[..semi].rsplit_once("mod ") {
-                    test_mods.push(name.trim().to_string());
-                }
-                at + ATTR.len() + semi + 1
+        let start = at + ATTR.len();
+        let end = start + item_end(&stripped[start..]);
+        if let Some(decl) = stripped[start..end].trim().strip_suffix(';') {
+            if let [.., "mod", name] = decl.split_whitespace().collect::<Vec<_>>()[..] {
+                test_mods.push(name.to_string());
             }
-            _ => fn_body_span(&stripped[at..], ATTR).map_or(stripped.len(), |(_, end)| at + end),
-        };
+        }
         spans.push(at..end);
         from = end;
     }
@@ -318,6 +450,36 @@ fn blank_test_items(stripped: String) -> (String, Vec<String>) {
     }
     let out = String::from_utf8(out).expect("blanking ASCII-replaces whole items");
     (out, test_mods)
+}
+
+/// Length of the item, field or statement at the head of stripped source
+/// `s`: through the first `;` or `,` outside any bracket, or through the
+/// `}` that closes the first brace block, or up to a closer of the
+/// enclosing scope (a last field without a comma). Angle brackets hide a
+/// `,` (`HashMap<K, V>`) and nothing else; `->` and `=>` close none.
+fn item_end(s: &str) -> usize {
+    let b = s.as_bytes();
+    let (mut depth, mut angle) = (0usize, 0usize);
+    for (i, &c) in b.iter().enumerate() {
+        match c {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' if depth == 0 => return i,
+            b')' | b']' | b'}' => {
+                depth -= 1;
+                if depth == 0 && c == b'}' {
+                    return i + 1;
+                }
+            }
+            b'<' if depth == 0 => angle += 1,
+            b'>' if depth == 0 && !matches!(b.get(i.wrapping_sub(1)), Some(b'-' | b'=')) => {
+                angle = angle.saturating_sub(1);
+            }
+            b';' if depth == 0 => return i + 1,
+            b',' if depth == 0 && angle == 0 => return i + 1,
+            _ => {}
+        }
+    }
+    s.len()
 }
 
 fn repo_root() -> PathBuf {
@@ -497,4 +659,72 @@ fn strip_comments_and_strings(src: &str) -> String {
         }
     }
     String::from_utf8(out).expect("stripping preserves UTF-8 only when input is ASCII-punctuated")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lines of `src` that still hold code once its test items are
+    /// blanked, trimmed, and the test-only module names.
+    fn kept(src: &str) -> (Vec<String>, Vec<String>) {
+        let (code, mods) = blank_test_items(strip_comments_and_strings(src));
+        assert_eq!(code.len(), src.len(), "offsets are kept");
+        let lines = code
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .map(String::from)
+            .collect();
+        (lines, mods)
+    }
+
+    #[test]
+    fn a_test_field_ends_at_its_comma() {
+        let src = "struct A {\n    x: u8,\n    #[cfg(test)]\n    seen: HashMap<u8, Vec<u8>>,\n    y: u8,\n}\nimpl A {\n    fn f(&self) {}\n}\n";
+        let (lines, mods) = kept(src);
+        assert_eq!(
+            lines,
+            [
+                "struct A {",
+                "x: u8,",
+                "y: u8,",
+                "}",
+                "impl A {",
+                "fn f(&self) {}",
+                "}"
+            ]
+        );
+        assert!(mods.is_empty());
+        // The last field, without a comma, ends at the struct's brace.
+        let (lines, _) =
+            kept("struct B {\n    x: u8,\n    #[cfg(test)]\n    seen: u8\n}\nfn g() {}\n");
+        assert_eq!(lines, ["struct B {", "x: u8,", "}", "fn g() {}"]);
+    }
+
+    #[test]
+    fn a_test_fn_with_parameters_ends_at_its_body() {
+        let src = "#[cfg(test)]\n#[allow(dead_code)]\nfn helper<A, B>(a: A, b: B) -> Vec<u8> {\n    let v = vec![0, 1];\n    v\n}\nfn real(x: u8) -> u8 {\n    x\n}\n";
+        let (lines, _) = kept(src);
+        assert_eq!(lines, ["fn real(x: u8) -> u8 {", "x", "}"]);
+    }
+
+    #[test]
+    fn a_test_mod_declaration_ends_at_its_semicolon() {
+        let src = "mod real;\n#[cfg(test)]\nmod oracle;\n\nfn f() {\n    g();\n}\n";
+        let (lines, mods) = kept(src);
+        assert_eq!(lines, ["mod real;", "fn f() {", "g();", "}"]);
+        assert_eq!(mods, ["oracle"]);
+    }
+
+    #[test]
+    fn an_attributed_statement_ends_at_its_semicolon() {
+        let src = "fn f(n: &Cell<u8>) -> u8 {\n    #[cfg(test)]\n    COUNT.with(|c| c.set(c.get() + 1));\n    let x = { 1 };\n    x\n}\n";
+        let (lines, mods) = kept(src);
+        assert_eq!(
+            lines,
+            ["fn f(n: &Cell<u8>) -> u8 {", "let x = { 1 };", "x", "}"]
+        );
+        assert!(mods.is_empty());
+    }
 }
