@@ -3,8 +3,10 @@
 //! WaTZ extends OP-TEE (§V); this crate models the OP-TEE surface the paper
 //! touches:
 //!
-//! * **Trusted applications** must be signed with the OS vendor key to run
-//!   ([`ta`]) — the very restriction WaTZ's Wasm sandbox relaxes;
+//! * **Trusted applications**: OP-TEE runs only TAs signed with the OS
+//!   vendor key — the very restriction WaTZ's Wasm sandbox relaxes. The
+//!   WaTZ runtime is the one signed TA, and unsigned Wasm applications run
+//!   inside it; this model does not verify TA signatures;
 //! * **GlobalPlatform-ish services**: time ([`time`]), per-TA heap
 //!   accounting with the paper's patched **27 MB** ceiling, and the
 //!   *executable page allocation* syscall the authors added so AOT code can
@@ -31,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod net;
-pub mod ta;
 pub mod time;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,8 +40,6 @@ use std::sync::Arc;
 
 use tz_hal::{Platform, World};
 use watz_crypto::fortuna::Fortuna;
-
-pub use ta::{SignedTa, TaAuthority, TaError};
 
 /// The paper's patched per-TA heap ceiling: "we modified \[OP-TEE\] to allow
 /// up to 27 MB. Pushing further the memory limits leads to OP-TEE
@@ -60,8 +59,6 @@ pub enum TeeError {
     },
     /// The OS was asked to do something requiring a booted secure world.
     NotBooted,
-    /// TA verification failed.
-    Ta(TaError),
     /// Networking failure (connection refused, peer gone).
     Net(String),
 }
@@ -77,19 +74,12 @@ impl std::fmt::Display for TeeError {
                 "TEE_ERROR_OUT_OF_MEMORY: requested {requested} bytes, {available} available"
             ),
             TeeError::NotBooted => write!(f, "secure world not booted"),
-            TeeError::Ta(e) => write!(f, "trusted application error: {e}"),
             TeeError::Net(msg) => write!(f, "supplicant network error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for TeeError {}
-
-impl From<TaError> for TeeError {
-    fn from(e: TaError) -> Self {
-        TeeError::Ta(e)
-    }
-}
 
 /// A booted trusted OS instance. Cloning shares the same OS.
 #[derive(Debug, Clone)]

@@ -418,9 +418,7 @@ impl RangeScratch {
             | R::BrIf { .. }
             | R::BrIfMoves { .. }
             | R::CmpBr { .. }
-            | R::CmpBrK { .. }
             | R::CmpBrLtSZ { .. }
-            | R::CmpBrLtSNZ { .. }
             | R::GlobalSet { .. }
             | R::MemoryCopy { .. }
             | R::MemoryFill { .. }
@@ -430,10 +428,7 @@ impl RangeScratch {
             | R::StoreI32N { .. }
             | R::StoreF64N { .. }
             | R::AddStoreF64 { .. }
-            | R::MulStoreF64 { .. }
-            | R::AddStoreF64N { .. }
-            | R::MulStoreF64N { .. }
-            | R::BinopStore { .. } => {}
+            | R::AddStoreF64N { .. } => {}
 
             // Calls clobber every slot from the callee's frame base up
             // (the callee reuses that region); the coverage survives.
@@ -453,21 +448,16 @@ impl RangeScratch {
             | R::AddF64 { dst, .. }
             | R::SubF64 { dst, .. }
             | R::MulF64 { dst, .. }
-            | R::DivF64 { dst, .. }
             | R::Load { dst, .. }
             | R::LoadI32R { dst, .. }
             | R::LoadF64R { dst, .. }
             | R::LoadI32N { dst, .. }
             | R::LoadF64N { dst, .. }
-            | R::ScaleAddLoad { dst, .. }
             | R::ScaleAddLoadI32 { dst, .. }
             | R::ScaleAddLoadF64 { dst, .. }
             | R::ScaleAddLoadI32N { dst, .. }
             | R::ScaleAddLoadF64N { dst, .. }
-            | R::IdxLAddLoad { dst, .. }
-            | R::IdxLAddLoadI32 { dst, .. }
             | R::IdxLAddLoadF64 { dst, .. }
-            | R::IdxLAddLoadI32N { dst, .. }
             | R::IdxLAddLoadF64N { dst, .. } => self.kill(*dst),
 
             R::Move { src, dst } => {
@@ -481,7 +471,6 @@ impl RangeScratch {
             R::Binop { op, a, b, dst } => self.def_bin(*op, *a, |s| s.read(*b), *dst),
             R::BinopK { op, a, k, dst } => self.def_bin(*op, *a, |s| s.konst(*k), *dst),
             R::AddI32 { a, b, dst } => self.def_bin(BinOpKind::I32Add, *a, |s| s.read(*b), *dst),
-            R::SubI32 { a, b, dst } => self.def_bin(BinOpKind::I32Sub, *a, |s| s.read(*b), *dst),
             R::MulI32 { a, b, dst } => self.def_bin(BinOpKind::I32Mul, *a, |s| s.read(*b), *dst),
             R::AddI32K { a, k, dst } => {
                 self.def_bin(BinOpKind::I32Add, *a, |s| s.konst(u64::from(*k)), *dst);
@@ -548,9 +537,6 @@ fn access_of(op: &RegOp) -> Option<Access> {
         } => (Addr::Slot(addr), offset, load_width(kind)),
         R::Store {
             kind, addr, offset, ..
-        }
-        | R::BinopStore {
-            kind, addr, offset, ..
         } => (Addr::Slot(addr), offset, store_width(kind)),
         R::LoadI32R { addr, offset, .. }
         | R::StoreI32R { addr, offset, .. }
@@ -559,19 +545,9 @@ fn access_of(op: &RegOp) -> Option<Access> {
         R::LoadF64R { addr, offset, .. }
         | R::StoreF64R { addr, offset, .. }
         | R::AddStoreF64 { addr, offset, .. }
-        | R::MulStoreF64 { addr, offset, .. }
         | R::LoadF64N { addr, offset, .. }
         | R::StoreF64N { addr, offset, .. }
-        | R::AddStoreF64N { addr, offset, .. }
-        | R::MulStoreF64N { addr, offset, .. } => (Addr::Slot(addr), offset, 8),
-        R::ScaleAddLoad {
-            base,
-            idx,
-            k,
-            kind,
-            offset,
-            ..
-        } => (Addr::ScaleAdd { base, idx, k }, offset, load_width(kind)),
+        | R::AddStoreF64N { addr, offset, .. } => (Addr::Slot(addr), offset, 8),
         R::ScaleAddLoadI32 {
             base,
             idx,
@@ -600,31 +576,6 @@ fn access_of(op: &RegOp) -> Option<Access> {
             offset,
             ..
         } => (Addr::ScaleAdd { base, idx, k }, offset, 8),
-        R::IdxLAddLoad {
-            base,
-            part,
-            z,
-            k,
-            kind,
-            offset,
-            ..
-        } => (Addr::IdxLAdd { base, part, z, k }, offset, load_width(kind)),
-        R::IdxLAddLoadI32 {
-            base,
-            part,
-            z,
-            k,
-            offset,
-            ..
-        }
-        | R::IdxLAddLoadI32N {
-            base,
-            part,
-            z,
-            k,
-            offset,
-            ..
-        } => (Addr::IdxLAdd { base, part, z, k }, offset, 4),
         R::IdxLAddLoadF64 {
             base,
             part,
@@ -668,9 +619,7 @@ pub(crate) fn reg_targets(code: &[RegOp], is_target: &mut Vec<bool>) {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrK { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
-            | RegOp::CmpBrLtSNZ { target, .. } => mark(*target),
+            | RegOp::CmpBrLtSZ { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
                     mark(e.target);
@@ -865,21 +814,6 @@ pub(crate) fn elide_reg(
                 offset,
                 dst,
             },
-            RegOp::IdxLAddLoadI32 {
-                base,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            } => RegOp::IdxLAddLoadI32N {
-                base,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            },
             RegOp::IdxLAddLoadF64 {
                 base,
                 part,
@@ -896,7 +830,6 @@ pub(crate) fn elide_reg(
                 dst,
             },
             RegOp::AddStoreF64 { a, b, addr, offset } => RegOp::AddStoreF64N { a, b, addr, offset },
-            RegOp::MulStoreF64 { a, b, addr, offset } => RegOp::MulStoreF64N { a, b, addr, offset },
             _ => continue,
         };
         *op = nc;
@@ -1092,7 +1025,7 @@ mod tests {
         }
         assert_eq!(
             (suite.accesses, suite.proven(), suite.elided),
-            (461, 70, 50),
+            (461, 70, 70),
             "PolyBench suite: {:?}",
             suite.counts()
         );
@@ -1120,7 +1053,7 @@ mod tests {
         }
         assert_eq!(
             (set.proven(), set.elided),
-            (1190, 850),
+            (1190, 1190),
             "cold_start module set: {:?}",
             set.counts()
         );
@@ -1209,7 +1142,12 @@ mod tests {
                     dst,
                 },
                 6 => RegOp::AddI32 { a, b, dst },
-                7 => RegOp::SubI32 { a, b, dst },
+                7 => RegOp::Binop {
+                    op: B::I32Sub,
+                    a,
+                    b,
+                    dst,
+                },
                 8 => RegOp::MulI32 { a, b, dst },
                 9 => RegOp::AddI32K { a, k, dst },
                 10 => RegOp::Binop {
@@ -1304,18 +1242,15 @@ mod tests {
                     addr: a,
                     offset,
                 },
-                29 => RegOp::MulStoreF64N {
+                29 => RegOp::AddStoreF64N {
                     a: fa,
                     b: fb,
                     addr: a,
                     offset,
                 },
-                30 => RegOp::BinopStore {
-                    op,
-                    a,
-                    b,
+                30 => RegOp::StoreI32N {
                     addr: z,
-                    kind: StoreKind::I32,
+                    val: a,
                     offset,
                 },
                 31 => match r.below(3) {
@@ -1333,16 +1268,15 @@ mod tests {
                         offset,
                         dst: fd,
                     },
-                    _ => RegOp::ScaleAddLoad {
+                    _ => RegOp::ScaleAddLoadF64 {
                         base: a,
                         idx: b,
                         k,
-                        kind: r.pick(&LOADS),
                         offset,
-                        dst: ld,
+                        dst: fd,
                     },
                 },
-                32 => match r.below(3) {
+                32 => match r.below(2) {
                     0 => RegOp::IdxLAddLoadF64 {
                         base: a,
                         part: b,
@@ -1351,22 +1285,13 @@ mod tests {
                         offset,
                         dst: fd,
                     },
-                    1 => RegOp::IdxLAddLoadI32N {
+                    _ => RegOp::IdxLAddLoadF64N {
                         base: a,
                         part: b,
                         z,
                         k,
                         offset,
-                        dst,
-                    },
-                    _ => RegOp::IdxLAddLoad {
-                        base: a,
-                        part: b,
-                        z,
-                        k,
-                        kind: r.pick(&LOADS),
-                        offset,
-                        dst: ld,
+                        dst: fd,
                     },
                 },
                 33 => RegOp::CallLocal {
@@ -1388,12 +1313,15 @@ mod tests {
                     jump_if: true,
                     target,
                 },
-                37 => RegOp::CmpBrK {
-                    op,
-                    a,
-                    k,
-                    jump_if: false,
-                    target,
+                37 => match r.below(2) {
+                    0 => RegOp::CmpBr {
+                        op,
+                        a,
+                        b,
+                        jump_if: false,
+                        target,
+                    },
+                    _ => RegOp::CmpBrLtSZ { a, b, target },
                 },
                 38 => RegOp::BrTable {
                     idx: a,

@@ -157,9 +157,7 @@ fn reg_targets(code: &[RegOp]) -> Vec<bool> {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrK { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
-            | RegOp::CmpBrLtSNZ { target, .. } => mark(*target),
+            | RegOp::CmpBrLtSZ { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
                     mark(e.target);
@@ -227,9 +225,7 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             RegOp::BrIf { .. }
             | RegOp::BrIfMoves { .. }
             | RegOp::CmpBr { .. }
-            | RegOp::CmpBrK { .. }
-            | RegOp::CmpBrLtSZ { .. }
-            | RegOp::CmpBrLtSNZ { .. } => {}
+            | RegOp::CmpBrLtSZ { .. } => {}
 
             // Calls clobber every slot from the callee's frame base up
             // (the callee reuses that region); the coverage map survives.
@@ -271,10 +267,6 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.bin(BinOpKind::I32Add, s!(a), s!(b));
                 sset!(dst, v);
             }
-            RegOp::SubI32 { a, b, dst } => {
-                let v = vals.bin(BinOpKind::I32Sub, s!(a), s!(b));
-                sset!(dst, v);
-            }
             RegOp::MulI32 { a, b, dst } => {
                 let v = vals.bin(BinOpKind::I32Mul, s!(a), s!(b));
                 sset!(dst, v);
@@ -284,10 +276,7 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.bin(BinOpKind::I32Add, s!(a), kk);
                 sset!(dst, v);
             }
-            RegOp::AddF64 { dst, .. }
-            | RegOp::SubF64 { dst, .. }
-            | RegOp::MulF64 { dst, .. }
-            | RegOp::DivF64 { dst, .. } => {
+            RegOp::AddF64 { dst, .. } | RegOp::SubF64 { dst, .. } | RegOp::MulF64 { dst, .. } => {
                 let v = vals.fresh();
                 sset!(dst, v);
             }
@@ -391,32 +380,6 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.fresh();
                 sset!(dst, v);
             }
-            RegOp::ScaleAddLoad {
-                base,
-                idx,
-                k,
-                kind,
-                offset,
-                dst,
-            } => {
-                let vn = vals.scale_add(s!(base), s!(idx), *k);
-                access!(vn, *offset, load_width(*kind), true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::IdxLAddLoadI32 {
-                base,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            } => {
-                let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
-                access!(vn, *offset, 4, true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
             RegOp::IdxLAddLoadF64 {
                 base,
                 part,
@@ -427,19 +390,6 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             } => {
                 let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
                 access!(vn, *offset, 8, true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::IdxLAddLoadI32N {
-                base,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            } => {
-                let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
-                access!(vn, *offset, 4, false);
                 let v = vals.fresh();
                 sset!(dst, v);
             }
@@ -456,29 +406,8 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.fresh();
                 sset!(dst, v);
             }
-            RegOp::IdxLAddLoad {
-                base,
-                part,
-                z,
-                k,
-                kind,
-                offset,
-                dst,
-            } => {
-                let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
-                access!(vn, *offset, load_width(*kind), true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::AddStoreF64 { addr, offset, .. } | RegOp::MulStoreF64 { addr, offset, .. } => {
-                access!(s!(addr), *offset, 8, true);
-            }
-            RegOp::AddStoreF64N { addr, offset, .. } | RegOp::MulStoreF64N { addr, offset, .. } => {
-                access!(s!(addr), *offset, 8, false);
-            }
-            RegOp::BinopStore {
-                addr, kind, offset, ..
-            } => access!(s!(addr), *offset, store_width(*kind), true),
+            RegOp::AddStoreF64 { addr, offset, .. } => access!(s!(addr), *offset, 8, true),
+            RegOp::AddStoreF64N { addr, offset, .. } => access!(s!(addr), *offset, 8, false),
         }
     }
     proofs

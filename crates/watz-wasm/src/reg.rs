@@ -35,11 +35,16 @@
 //!   | at | tokens joined | register op |
 //!   |---|---|---|
 //!   | `const k` | `i32.mul; i32.add [; load]` (1-D address tail) | `ScaleAdd` / `ScaleAddLoad*` |
-//!   | `const k` | the adjacent `binop` (`k` its right operand), then its follow | `BinopK`, `AddI32K`, `CmpBrK` |
-//!   | `local.get z` | `i32.add; const k; i32.mul; i32.add [; load]` (2-D tail) | `IdxLAdd` / `IdxLAddLoad*` |
-//!   | `binop` | its follow: `local.set`, a store, `i32.eqzⁿ; jump-if`, or a load after `i32.add` | the binop writing the local, `BinopStore`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
+//!   | `const k` | the adjacent `binop` (`k` its right operand) [; `local.set`] | `BinopK` / `AddI32K` |
+//!   | `local.get z` | `i32.add; const k; i32.mul; i32.add [; 64-bit load]` (2-D tail) | `IdxLAdd` / `IdxLAddLoadF64` |
+//!   | `binop` | its follow: `local.set`, `f64.store` after `f64.add`, `i32.eqzⁿ; jump-if`, or a load after `i32.add` | the binop writing the local, `AddStoreF64`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
 //!   | `i32.eqz` | `i32.eqzⁿ; jump-if` (no binop in front) | `BrIf` with the polarity folded |
 //!
+//!   A load joins a rule only at full width (`i32`/`f32` → `*I32`,
+//!   `i64`/`f64` → `*F64`); the narrow, extending loads stay their own op.
+//!   Each joined shape carries at least 1 % of the dispatches of PolyBench
+//!   or of the speedtest guest (the ledger in `reg/ledger.rs` enforces
+//!   this); every other shape lowers to the generic ops, one per token.
 //!   A trap-capable binop (`div`/`rem`) sinks only into a `local.set`,
 //!   whose retirement is deferred until the division succeeds. **No rule
 //!   joins a token a jump lands on** ([`crate::flat::lower`]'s target
@@ -86,6 +91,9 @@ use crate::flat::{
 use crate::module::{FuncBody, Module};
 use crate::profile::{ProfOp, Profiler};
 use crate::types::{FuncType, ValType};
+
+#[cfg(test)]
+mod ledger;
 
 /// Counters from the register-allocation pass over a whole module,
 /// reported by [`Instance::reg_stats`](crate::exec::Instance::reg_stats).
@@ -277,19 +285,16 @@ pub(crate) enum RegOp {
     },
 
     // -- Specialized forms of the generic ops above, selected at lowering
-    // time for the operators and access widths that dominate numeric
-    // kernels: they skip the second-level `BinOpKind`/`LoadKind` dispatch
-    // the generic arms pay. Semantics are bit-identical to the generic
-    // forms (same wrapping/IEEE behaviour, same traps — the specialized
-    // operators cannot trap).
+    // time for the operators and access widths that dominate the guest
+    // suites: they skip the second-level `BinOpKind`/`LoadKind` dispatch
+    // the generic arms pay. Each one (with its check-free twin) carries at
+    // least 1 % of the dispatches of PolyBench or of the speedtest guest,
+    // which the ledger in `reg/ledger.rs` pins; the plain loads and stores
+    // are kept with the elision that rewrites them. Semantics are
+    // bit-identical to the generic forms (same wrapping/IEEE behaviour,
+    // same traps — the specialized operators cannot trap).
     /// `frame[dst] = frame[a] +ₙ frame[b]` (i32 wrapping).
     AddI32 {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    /// `frame[dst] = frame[a] -ₙ frame[b]` (i32 wrapping).
-    SubI32 {
         a: u16,
         b: u16,
         dst: u16,
@@ -324,12 +329,6 @@ pub(crate) enum RegOp {
         b: u16,
         dst: u16,
     },
-    /// `frame[dst] = frame[a] / frame[b]` (f64).
-    DivF64 {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
     /// `frame[dst] = mem[frame[addr] + offset]` as i32.
     LoadI32R {
         addr: u16,
@@ -354,7 +353,7 @@ pub(crate) enum RegOp {
         val: u16,
         offset: u32,
     },
-    /// [`RegOp::ScaleAddLoad`] specialized to an i32 load.
+    /// [`RegOp::ScaleAdd`] plus the trailing 4-byte load (i32 or f32).
     ScaleAddLoadI32 {
         base: u16,
         idx: u16,
@@ -362,7 +361,7 @@ pub(crate) enum RegOp {
         offset: u32,
         dst: u16,
     },
-    /// [`RegOp::ScaleAddLoad`] specialized to an f64 load.
+    /// [`RegOp::ScaleAdd`] plus the trailing 8-byte load (i64 or f64).
     ScaleAddLoadF64 {
         base: u16,
         idx: u16,
@@ -370,16 +369,7 @@ pub(crate) enum RegOp {
         offset: u32,
         dst: u16,
     },
-    /// [`RegOp::IdxLAddLoad`] specialized to an i32 load.
-    IdxLAddLoadI32 {
-        base: u16,
-        part: u16,
-        z: u16,
-        k: u32,
-        offset: u32,
-        dst: u16,
-    },
-    /// [`RegOp::IdxLAddLoad`] specialized to an f64 load.
+    /// [`RegOp::IdxLAdd`] plus the trailing 8-byte load (i64 or f64).
     IdxLAddLoadF64 {
         base: u16,
         part: u16,
@@ -391,14 +381,6 @@ pub(crate) enum RegOp {
     /// `mem[frame[addr] + offset] = frame[a] + frame[b]` (f64, full-width
     /// store) — the `C[x] = C[x] + …` accumulation sink.
     AddStoreF64 {
-        a: u16,
-        b: u16,
-        addr: u16,
-        offset: u32,
-    },
-    /// `mem[frame[addr] + offset] = frame[a] * frame[b]` (f64, full-width
-    /// store) — the `C[x] = C[x] * β` scaling sink.
-    MulStoreF64 {
         a: u16,
         b: u16,
         addr: u16,
@@ -449,15 +431,6 @@ pub(crate) enum RegOp {
         offset: u32,
         dst: u16,
     },
-    /// [`RegOp::IdxLAddLoadI32`] with a statically proven bound.
-    IdxLAddLoadI32N {
-        base: u16,
-        part: u16,
-        z: u16,
-        k: u32,
-        offset: u32,
-        dst: u16,
-    },
     /// [`RegOp::IdxLAddLoadF64`] with a statically proven bound.
     IdxLAddLoadF64N {
         base: u16,
@@ -474,13 +447,6 @@ pub(crate) enum RegOp {
         addr: u16,
         offset: u32,
     },
-    /// [`RegOp::MulStoreF64`] with a statically proven bound.
-    MulStoreF64N {
-        a: u16,
-        b: u16,
-        addr: u16,
-        offset: u32,
-    },
     /// Jumps when `!(frame[a] <ₛ frame[b])` (i32) — the dominant
     /// loop-exit shape.
     CmpBrLtSZ {
@@ -488,34 +454,11 @@ pub(crate) enum RegOp {
         b: u16,
         target: u32,
     },
-    /// Jumps when `frame[a] <ₛ frame[b]` (i32).
-    CmpBrLtSNZ {
-        a: u16,
-        b: u16,
-        target: u32,
-    },
-    /// `op(frame[a], frame[b])` stored at `mem[frame[addr] + offset]`.
-    BinopStore {
-        op: BinOpKind,
-        a: u16,
-        b: u16,
-        addr: u16,
-        kind: StoreKind,
-        offset: u32,
-    },
     /// Jumps when `op(frame[a], frame[b])`'s truthiness equals `jump_if`.
     CmpBr {
         op: BinOpKind,
         a: u16,
         b: u16,
-        jump_if: bool,
-        target: u32,
-    },
-    /// [`RegOp::CmpBr`] with an inline constant right operand.
-    CmpBrK {
-        op: BinOpKind,
-        a: u16,
-        k: u32,
         jump_if: bool,
         target: u32,
     },
@@ -527,15 +470,6 @@ pub(crate) enum RegOp {
         k: u32,
         dst: u16,
     },
-    /// [`RegOp::ScaleAdd`] plus the trailing load.
-    ScaleAddLoad {
-        base: u16,
-        idx: u16,
-        k: u32,
-        kind: LoadKind,
-        offset: u32,
-        dst: u16,
-    },
     /// `frame[dst] = frame[base] + (frame[part] + frame[z])*k` (2-D
     /// row-column address tail).
     IdxLAdd {
@@ -543,16 +477,6 @@ pub(crate) enum RegOp {
         part: u16,
         z: u16,
         k: u32,
-        dst: u16,
-    },
-    /// [`RegOp::IdxLAdd`] plus the trailing load.
-    IdxLAddLoad {
-        base: u16,
-        part: u16,
-        z: u16,
-        k: u32,
-        kind: LoadKind,
-        offset: u32,
         dst: u16,
     },
 }
@@ -569,10 +493,8 @@ impl RegOp {
                 | RegOp::StoreF64N { .. }
                 | RegOp::ScaleAddLoadI32N { .. }
                 | RegOp::ScaleAddLoadF64N { .. }
-                | RegOp::IdxLAddLoadI32N { .. }
                 | RegOp::IdxLAddLoadF64N { .. }
                 | RegOp::AddStoreF64N { .. }
-                | RegOp::MulStoreF64N { .. }
         )
     }
 }
@@ -608,12 +530,10 @@ fn sel_binop(op: BinOpKind, a: u16, b: u16, dst: u16) -> RegOp {
     use BinOpKind as B;
     match op {
         B::I32Add => RegOp::AddI32 { a, b, dst },
-        B::I32Sub => RegOp::SubI32 { a, b, dst },
         B::I32Mul => RegOp::MulI32 { a, b, dst },
         B::F64Add => RegOp::AddF64 { a, b, dst },
         B::F64Sub => RegOp::SubF64 { a, b, dst },
         B::F64Mul => RegOp::MulF64 { a, b, dst },
-        B::F64Div => RegOp::DivF64 { a, b, dst },
         _ => RegOp::Binop { op, a, b, dst },
     }
 }
@@ -630,14 +550,33 @@ fn sel_binop_k(op: BinOpKind, a: u16, k: u64, dst: u16) -> RegOp {
     }
 }
 
-/// Picks the specialized load form. On raw slots an f32 load equals an
-/// i32 load (4 bytes, zero-extended) and an i64 load equals an f64 load
-/// (full slot), so two specialized forms cover the four full-width kinds.
-fn sel_load(kind: LoadKind, addr: u16, offset: u32, dst: u16) -> RegOp {
+/// The width of a full-width load. On raw slots an f32 load equals an i32
+/// load (4 bytes, zero-extended) and an i64 load equals an f64 load (the
+/// full slot), so two specialized forms cover the four full-width kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Width {
+    /// `i32`/`f32`: the `*I32` forms.
+    W32,
+    /// `i64`/`f64`: the `*F64` forms.
+    W64,
+}
+
+/// `kind`'s width, `None` for the narrow, extending loads: they keep the
+/// generic [`RegOp::Load`] and join no fusion rule.
+fn width(kind: LoadKind) -> Option<Width> {
     match kind {
-        LoadKind::I32 | LoadKind::F32 => RegOp::LoadI32R { addr, offset, dst },
-        LoadKind::I64 | LoadKind::F64 => RegOp::LoadF64R { addr, offset, dst },
-        _ => RegOp::Load {
+        LoadKind::I32 | LoadKind::F32 => Some(Width::W32),
+        LoadKind::I64 | LoadKind::F64 => Some(Width::W64),
+        _ => None,
+    }
+}
+
+/// Picks the specialized load form.
+fn sel_load(kind: LoadKind, addr: u16, offset: u32, dst: u16) -> RegOp {
+    match width(kind) {
+        Some(Width::W32) => RegOp::LoadI32R { addr, offset, dst },
+        Some(Width::W64) => RegOp::LoadF64R { addr, offset, dst },
+        None => RegOp::Load {
             kind,
             addr,
             offset,
@@ -663,109 +602,38 @@ fn sel_store(kind: StoreKind, addr: u16, val: u16, offset: u32) -> RegOp {
     }
 }
 
-/// Picks the specialized scaled-index load form.
-fn sel_scale_add_load(base: u16, idx: u16, k: u32, kind: LoadKind, offset: u32, dst: u16) -> RegOp {
-    match kind {
-        LoadKind::I32 | LoadKind::F32 => RegOp::ScaleAddLoadI32 {
+/// Picks the scaled-index load form of a full-width load.
+fn sel_scale_add_load(base: u16, idx: u16, k: u32, w: Width, offset: u32, dst: u16) -> RegOp {
+    match w {
+        Width::W32 => RegOp::ScaleAddLoadI32 {
             base,
             idx,
             k,
             offset,
             dst,
         },
-        LoadKind::I64 | LoadKind::F64 => RegOp::ScaleAddLoadF64 {
+        Width::W64 => RegOp::ScaleAddLoadF64 {
             base,
             idx,
             k,
             offset,
             dst,
-        },
-        _ => RegOp::ScaleAddLoad {
-            base,
-            idx,
-            k,
-            kind,
-            offset,
-            dst,
-        },
-    }
-}
-
-/// Picks the specialized 2-D scaled-index load form.
-#[allow(clippy::too_many_arguments)]
-fn sel_idx_l_add_load(
-    base: u16,
-    part: u16,
-    z: u16,
-    k: u32,
-    kind: LoadKind,
-    offset: u32,
-    dst: u16,
-) -> RegOp {
-    match kind {
-        LoadKind::I32 | LoadKind::F32 => RegOp::IdxLAddLoadI32 {
-            base,
-            part,
-            z,
-            k,
-            offset,
-            dst,
-        },
-        LoadKind::I64 | LoadKind::F64 => RegOp::IdxLAddLoadF64 {
-            base,
-            part,
-            z,
-            k,
-            offset,
-            dst,
-        },
-        _ => RegOp::IdxLAddLoad {
-            base,
-            part,
-            z,
-            k,
-            kind,
-            offset,
-            dst,
-        },
-    }
-}
-
-/// Picks the specialized compute-and-store form.
-fn sel_binop_store(
-    op: BinOpKind,
-    kind: StoreKind,
-    a: u16,
-    b: u16,
-    addr: u16,
-    offset: u32,
-) -> RegOp {
-    match (op, kind) {
-        (BinOpKind::F64Add, StoreKind::F64) => RegOp::AddStoreF64 { a, b, addr, offset },
-        (BinOpKind::F64Mul, StoreKind::F64) => RegOp::MulStoreF64 { a, b, addr, offset },
-        _ => RegOp::BinopStore {
-            op,
-            a,
-            b,
-            addr,
-            kind,
-            offset,
         },
     }
 }
 
 /// Picks the specialized compare-and-branch form (the `i < n` loop exit).
 fn sel_cmp_br(op: BinOpKind, a: u16, b: u16, jump_if: bool, target: u32) -> RegOp {
-    match (op, jump_if) {
-        (BinOpKind::I32LtS, false) => RegOp::CmpBrLtSZ { a, b, target },
-        (BinOpKind::I32LtS, true) => RegOp::CmpBrLtSNZ { a, b, target },
-        _ => RegOp::CmpBr {
+    if op == BinOpKind::I32LtS && !jump_if {
+        RegOp::CmpBrLtSZ { a, b, target }
+    } else {
+        RegOp::CmpBr {
             op,
             a,
             b,
             jump_if,
             target,
-        },
+        }
     }
 }
 
@@ -925,12 +793,13 @@ enum Follow {
     Push,
     /// `local.set`: the result is written straight to the local.
     Set(u32),
-    /// `store`: the result is the value stored (address beneath it).
-    Store(StoreKind, u32),
+    /// `f64.store` after `f64.add`: the sum is the value stored (address
+    /// beneath it), at this offset.
+    Store(u32),
     /// `i32.eqzⁿ; jump-if`: the result is only tested.
     Br { jump_if: bool, target: u32 },
-    /// `load` after `i32.add`: the result is only the address.
-    Load(LoadKind, u32),
+    /// A full-width load after `i32.add`: the result is only the address.
+    Load(Width, u32),
 }
 
 /// The fusion rules' view of the flat stream past the op being lowered.
@@ -981,10 +850,14 @@ impl Ahead<'_> {
         match self.at(j) {
             Some(FlatOp::LocalSet(dst)) => (Follow::Set(*dst), 1),
             _ if op.traps() => (Follow::Push, 0),
-            Some(&FlatOp::Store { kind, offset }) => (Follow::Store(kind, offset), 1),
-            Some(&FlatOp::Load { kind, offset }) if op == BinOpKind::I32Add => {
-                (Follow::Load(kind, offset), 1)
-            }
+            Some(&FlatOp::Store {
+                kind: StoreKind::F64,
+                offset,
+            }) if op == BinOpKind::F64Add => (Follow::Store(offset), 1),
+            Some(&FlatOp::Load { kind, offset }) if op == BinOpKind::I32Add => match width(kind) {
+                Some(w) => (Follow::Load(w, offset), 1),
+                None => (Follow::Push, 0),
+            },
             _ => match self.cond_jump(j) {
                 Some((jump_if, target, n)) => (Follow::Br { jump_if, target }, n),
                 None => (Follow::Push, 0),
@@ -993,18 +866,22 @@ impl Ahead<'_> {
     }
 
     /// Reads `i32.mul; i32.add [; load]` at `ops[j..]` — an array-address
-    /// tail past its `const k`: the trailing load, and the tokens read.
-    fn scale_tail(&self, j: usize) -> Option<(Option<(LoadKind, u32)>, usize)> {
+    /// tail past its `const k`: the trailing load, when its width is one
+    /// of `joins`, and the tokens read.
+    fn scale_tail(&self, j: usize, joins: &[Width]) -> Option<(Option<(Width, u32)>, usize)> {
         let Some(FlatOp::Binop(BinOpKind::I32Mul)) = self.at(j) else {
             return None;
         };
         let Some(FlatOp::Binop(BinOpKind::I32Add)) = self.at(j + 1) else {
             return None;
         };
-        Some(match self.at(j + 2) {
-            Some(&FlatOp::Load { kind, offset }) => (Some((kind, offset)), 3),
-            _ => (None, 2),
-        })
+        let load = match self.at(j + 2) {
+            Some(&FlatOp::Load { kind, offset }) => width(kind)
+                .filter(|w| joins.contains(w))
+                .map(|w| (w, offset)),
+            _ => None,
+        };
+        Some((load, 2 + usize::from(load.is_some())))
     }
 }
 
@@ -1309,10 +1186,12 @@ pub(crate) fn lower_func(
             FlatOp::LocalGet(idx) => {
                 let z = lo.local(*idx)?;
                 // The 2-D address tail `local.get z; i32.add; const k;
-                // i32.mul; i32.add [; load]`: base + (part + z)*k.
+                // i32.mul; i32.add [; 64-bit load]`: base + (part + z)*k.
                 let tail = match (ahead.at(i + 1), ahead.at(i + 2)) {
                     (Some(FlatOp::Binop(BinOpKind::I32Add)), Some(&FlatOp::Const(k))) => {
-                        u32::try_from(k).ok().zip(ahead.scale_tail(i + 3))
+                        u32::try_from(k)
+                            .ok()
+                            .zip(ahead.scale_tail(i + 3, &[Width::W64]))
                     }
                     _ => None,
                 };
@@ -1321,9 +1200,16 @@ pub(crate) fn lower_func(
                     let part = lo.pop()?;
                     let base = lo.pop()?;
                     let dst = lo.push()?;
-                    lo.out.push(if let Some((kind, offset)) = load {
+                    lo.out.push(if let Some((_, offset)) = load {
                         fusion.idx_load += 1;
-                        sel_idx_l_add_load(base, part, z, k, kind, offset, dst)
+                        RegOp::IdxLAddLoadF64 {
+                            base,
+                            part,
+                            z,
+                            k,
+                            offset,
+                            dst,
+                        }
                     } else {
                         fusion.idx_addr += 1;
                         RegOp::IdxLAdd {
@@ -1399,57 +1285,43 @@ pub(crate) fn lower_func(
 
             FlatOp::Const(k) => {
                 let k = *k;
-                let k32 = u32::try_from(k).ok();
-                if let Some((k, (load, tail_len))) = k32.zip(ahead.scale_tail(i + 1)) {
+                let tail = u32::try_from(k)
+                    .ok()
+                    .zip(ahead.scale_tail(i + 1, &[Width::W32, Width::W64]));
+                if let Some((k, (load, tail_len))) = tail {
                     // The 1-D address tail `const k; i32.mul; i32.add
                     // [; load]`: base + idx*k.
                     used = 1 + tail_len;
                     let idx = lo.pop()?;
                     let base = lo.pop()?;
                     let dst = lo.push()?;
-                    lo.out.push(if let Some((kind, offset)) = load {
+                    lo.out.push(if let Some((w, offset)) = load {
                         fusion.idx_load += 1;
-                        sel_scale_add_load(base, idx, k, kind, offset, dst)
+                        sel_scale_add_load(base, idx, k, w, offset, dst)
                     } else {
                         fusion.idx_addr += 1;
                         RegOp::ScaleAdd { base, idx, k, dst }
                     });
                 } else if let Some(&FlatOp::Binop(op)) = ahead.at(i + 1) {
                     // `const k; binop`: `k` is the inline right operand.
-                    // The register code has no constant form of the store
-                    // and address sinks, and `CmpBrK` holds a `u32`.
+                    // Of the binop's follows only a `local.set` joins: the
+                    // register code has no constant form of the store,
+                    // branch and address sinks.
                     let (follow, follow_len) = ahead.follow(i + 2, op);
-                    match (follow, k32) {
-                        (Follow::Set(dst), _) => {
-                            fusion.binop_set += 1;
-                            used = 2 + follow_len;
-                            deferred_set = true;
-                            let a = lo.pop()?;
-                            let dst = lo.local(dst)?;
-                            lo.guard_local_write(dst, 0)?;
-                            lo.out.push(sel_binop_k(op, a, k, dst));
-                        }
-                        (Follow::Br { jump_if, target }, Some(k)) => {
-                            fusion.cmp_br += 1;
-                            used = 2 + follow_len;
-                            lo.flush_below(1)?;
-                            let a = lo.pop()?;
-                            lo.out.push(RegOp::CmpBrK {
-                                op,
-                                a,
-                                k,
-                                jump_if,
-                                target,
-                            });
-                        }
-                        _ => {
-                            fusion.binop_k += 1;
-                            used = 2;
-                            let a = lo.pop()?;
-                            let dst = lo.push()?;
-                            lo.out.push(sel_binop_k(op, a, k, dst));
-                        }
-                    }
+                    let a = lo.pop()?;
+                    let dst = if let Follow::Set(local) = follow {
+                        fusion.binop_set += 1;
+                        used = 2 + follow_len;
+                        deferred_set = true;
+                        let dst = lo.local(local)?;
+                        lo.guard_local_write(dst, 0)?;
+                        dst
+                    } else {
+                        fusion.binop_k += 1;
+                        used = 2;
+                        lo.push()?
+                    };
+                    lo.out.push(sel_binop_k(op, a, k, dst));
                 } else {
                     let dst = lo.push()?;
                     lo.out.push(RegOp::Const { bits: k, dst });
@@ -1477,17 +1349,22 @@ pub(crate) fn lower_func(
                         lo.guard_local_write(dst, 0)?;
                         sel_binop(op, a, b, dst)
                     }
-                    Follow::Store(kind, offset) => {
+                    Follow::Store(offset) => {
                         fusion.binop_store += 1;
-                        sel_binop_store(op, kind, a, b, lo.pop()?, offset)
+                        RegOp::AddStoreF64 {
+                            a,
+                            b,
+                            addr: lo.pop()?,
+                            offset,
+                        }
                     }
                     Follow::Br { jump_if, target } => {
                         fusion.cmp_br += 1;
                         sel_cmp_br(op, a, b, jump_if, target)
                     }
-                    Follow::Load(kind, offset) => {
+                    Follow::Load(w, offset) => {
                         fusion.add_load += 1;
-                        sel_scale_add_load(a, b, 1, kind, offset, lo.push()?)
+                        sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
                     }
                 };
                 lo.out.push(reg_op);
@@ -1571,9 +1448,7 @@ pub(crate) fn lower_func(
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrK { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
-            | RegOp::CmpBrLtSNZ { target, .. } => remap(target)?,
+            | RegOp::CmpBrLtSZ { target, .. } => remap(target)?,
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter_mut() {
                     remap(&mut e.target)?;
@@ -1755,6 +1630,8 @@ fn run_loop<P: Profiler>(
         // instructions, matching the tree oracle's dispatch-then-trap.
         if P::ENABLED {
             prof.retire(&cur.prof[pc]);
+            #[cfg(test)]
+            ledger::tally(op);
         }
         pc += 1;
         match op {
@@ -1937,9 +1814,6 @@ fn run_loop<P: Profiler>(
             RegOp::AddI32 { a, b, dst } => {
                 r!(*dst) = from_i32(as_i32(r!(*a)).wrapping_add(as_i32(r!(*b))));
             }
-            RegOp::SubI32 { a, b, dst } => {
-                r!(*dst) = from_i32(as_i32(r!(*a)).wrapping_sub(as_i32(r!(*b))));
-            }
             RegOp::MulI32 { a, b, dst } => {
                 r!(*dst) = from_i32(as_i32(r!(*a)).wrapping_mul(as_i32(r!(*b))));
             }
@@ -1954,9 +1828,6 @@ fn run_loop<P: Profiler>(
             }
             RegOp::MulF64 { a, b, dst } => {
                 r!(*dst) = from_f64(as_f64(r!(*a)) * as_f64(r!(*b)));
-            }
-            RegOp::DivF64 { a, b, dst } => {
-                r!(*dst) = from_f64(as_f64(r!(*a)) / as_f64(r!(*b)));
             }
             RegOp::LoadI32R { addr, offset, dst } => {
                 let a = as_i32(r!(*addr));
@@ -2000,21 +1871,6 @@ fn run_loop<P: Profiler>(
                 let bytes: [u8; 8] = crate::exec::mem_load(mem, addr, *offset)?;
                 r!(*dst) = u64::from_le_bytes(bytes);
             }
-            RegOp::IdxLAddLoadI32 {
-                base: b,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            } => {
-                let idx = as_i32(r!(*part))
-                    .wrapping_add(as_i32(r!(*z)))
-                    .wrapping_mul(*k as i32);
-                let addr = as_i32(r!(*b)).wrapping_add(idx);
-                let bytes: [u8; 4] = crate::exec::mem_load(mem, addr, *offset)?;
-                r!(*dst) = u64::from(u32::from_le_bytes(bytes));
-            }
             RegOp::IdxLAddLoadF64 {
                 base: b,
                 part,
@@ -2032,11 +1888,6 @@ fn run_loop<P: Profiler>(
             }
             RegOp::AddStoreF64 { a, b, addr, offset } => {
                 let v = as_f64(r!(*a)) + as_f64(r!(*b));
-                let a = as_i32(r!(*addr));
-                crate::exec::mem_store(mem, a, *offset, &v.to_bits().to_le_bytes())?;
-            }
-            RegOp::MulStoreF64 { a, b, addr, offset } => {
-                let v = as_f64(r!(*a)) * as_f64(r!(*b));
                 let a = as_i32(r!(*addr));
                 crate::exec::mem_store(mem, a, *offset, &v.to_bits().to_le_bytes())?;
             }
@@ -2082,21 +1933,6 @@ fn run_loop<P: Profiler>(
                 let bytes: [u8; 8] = crate::exec::nc_load(mem, addr, *offset);
                 r!(*dst) = u64::from_le_bytes(bytes);
             }
-            RegOp::IdxLAddLoadI32N {
-                base: b,
-                part,
-                z,
-                k,
-                offset,
-                dst,
-            } => {
-                let idx = as_i32(r!(*part))
-                    .wrapping_add(as_i32(r!(*z)))
-                    .wrapping_mul(*k as i32);
-                let addr = as_i32(r!(*b)).wrapping_add(idx);
-                let bytes: [u8; 4] = crate::exec::nc_load(mem, addr, *offset);
-                r!(*dst) = u64::from(u32::from_le_bytes(bytes));
-            }
             RegOp::IdxLAddLoadF64N {
                 base: b,
                 part,
@@ -2117,34 +1953,11 @@ fn run_loop<P: Profiler>(
                 let a = as_i32(r!(*addr));
                 crate::exec::nc_store(mem, a, *offset, &v.to_bits().to_le_bytes());
             }
-            RegOp::MulStoreF64N { a, b, addr, offset } => {
-                let v = as_f64(r!(*a)) * as_f64(r!(*b));
-                let a = as_i32(r!(*addr));
-                crate::exec::nc_store(mem, a, *offset, &v.to_bits().to_le_bytes());
-            }
             RegOp::CmpBrLtSZ { a, b, target } => {
                 if as_i32(r!(*a)) >= as_i32(r!(*b)) {
                     backedge!(*target);
                     pc = *target as usize;
                 }
-            }
-            RegOp::CmpBrLtSNZ { a, b, target } => {
-                if as_i32(r!(*a)) < as_i32(r!(*b)) {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            RegOp::BinopStore {
-                op,
-                a,
-                b,
-                addr,
-                kind,
-                offset,
-            } => {
-                let v = apply_binop(*op, r!(*a), r!(*b))?;
-                let addr = as_i32(r!(*addr));
-                do_store(*kind, mem, addr, *offset, v)?;
             }
             RegOp::CmpBr {
                 op,
@@ -2154,19 +1967,6 @@ fn run_loop<P: Profiler>(
                 target,
             } => {
                 let v = apply_binop(*op, r!(*a), r!(*b))?;
-                if (as_u32(v) != 0) == *jump_if {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
-            }
-            RegOp::CmpBrK {
-                op,
-                a,
-                k,
-                jump_if,
-                target,
-            } => {
-                let v = apply_binop(*op, r!(*a), u64::from(*k))?;
                 if (as_u32(v) != 0) == *jump_if {
                     backedge!(*target);
                     pc = *target as usize;
@@ -2182,18 +1982,6 @@ fn run_loop<P: Profiler>(
                 let bv = as_i32(r!(*b));
                 r!(*dst) = from_i32(bv.wrapping_add(idx.wrapping_mul(*k as i32)));
             }
-            RegOp::ScaleAddLoad {
-                base: b,
-                idx,
-                k,
-                kind,
-                offset,
-                dst,
-            } => {
-                let idx = as_i32(r!(*idx));
-                let addr = as_i32(r!(*b)).wrapping_add(idx.wrapping_mul(*k as i32));
-                r!(*dst) = do_load(*kind, mem, addr, *offset)?;
-            }
             RegOp::IdxLAdd {
                 base: b,
                 part,
@@ -2205,21 +1993,6 @@ fn run_loop<P: Profiler>(
                     .wrapping_add(as_i32(r!(*z)))
                     .wrapping_mul(*k as i32);
                 r!(*dst) = from_i32(as_i32(r!(*b)).wrapping_add(idx));
-            }
-            RegOp::IdxLAddLoad {
-                base: b,
-                part,
-                z,
-                k,
-                kind,
-                offset,
-                dst,
-            } => {
-                let idx = as_i32(r!(*part))
-                    .wrapping_add(as_i32(r!(*z)))
-                    .wrapping_mul(*k as i32);
-                let addr = as_i32(r!(*b)).wrapping_add(idx);
-                r!(*dst) = do_load(*kind, mem, addr, *offset)?;
             }
         }
     }
@@ -2700,8 +2473,9 @@ pub(crate) mod tests {
     fn fusion_rule_table() {
         // Every sink x left source x right source, for a plain and two
         // trap-capable operators: one register op where a rule applies,
-        // the generic pair where none does (constant + store, trap-capable
-        // operator + store or branch), and full parity with the oracle —
+        // the generic pair where none does (an i32 operator + store, a
+        // constant right operand or a trap-capable operator + branch), and
+        // full parity with the oracle —
         // results, traps and instret, `INT_MIN / -1`, `/ 0` and `% 0`
         // included, where a set sink must retire its `local.set` only when
         // the division succeeds.
@@ -2738,16 +2512,12 @@ pub(crate) mod tests {
                         let spilled = operand(&mut code, left, 0) + operand(&mut code, right, 1);
                         want.extend(std::iter::repeat_n("Unop", spilled));
                         code.push(instr.clone());
-                        want.push(match (&instr, constant) {
-                            (_, true) => "BinopK",
-                            (I::I32Sub, false) => "SubI32",
-                            _ => "Binop",
-                        });
+                        want.push(if constant { "BinopK" } else { "Binop" });
                         // `(joined, second)`: the op a rule makes of the
                         // binop and its sink, and the sink's own op
                         // where no rule applies. A set sink changes
                         // only the binop's destination.
-                        let br = if constant { "CmpBrK" } else { "CmpBr" };
+                        let br = Some(("CmpBr", "BrIf"));
                         let (tail, sink_ops): (&[&str], _) = match sink {
                             Sink::Push => (&["Return"], None),
                             Sink::Set => {
@@ -2757,10 +2527,7 @@ pub(crate) mod tests {
                             Sink::Store => {
                                 let m = crate::instr::MemArg::new(2, 0);
                                 code.extend([I::I32Store(m), I::I32Const(16), I::I32Load(m)]);
-                                (
-                                    &["Const", "LoadI32R", "Return"],
-                                    Some(("BinopStore", "StoreI32R")),
-                                )
+                                (&["StoreI32R", "Const", "LoadI32R", "Return"], None)
                             }
                             Sink::BrZero => {
                                 code.extend([
@@ -2770,7 +2537,7 @@ pub(crate) mod tests {
                                     I::I32Const(2),
                                     I::End,
                                 ]);
-                                (&["Const", "Jump", "Const", "Return"], Some((br, "BrIf")))
+                                (&["Const", "Jump", "Const", "Return"], br)
                             }
                             Sink::BrNonZero => {
                                 code.extend([
@@ -2780,11 +2547,11 @@ pub(crate) mod tests {
                                     I::End,
                                     I::I32Const(2),
                                 ]);
-                                (&["Const", "Return", "Const", "Return"], Some((br, "BrIf")))
+                                (&["Const", "Return", "Const", "Return"], br)
                             }
                         };
                         if let Some((joined, second)) = sink_ops {
-                            if traps || (constant && sink == Sink::Store) {
+                            if traps || constant {
                                 want.push(second);
                             } else {
                                 *want.last_mut().unwrap() = joined;
@@ -2803,14 +2570,10 @@ pub(crate) mod tests {
                         let code = code_of(&cm, 0);
                         assert_eq!(names(code), want, "{ctx}: {code:?}");
                         for op in code {
-                            if let RegOp::CmpBr { jump_if, .. } | RegOp::CmpBrK { jump_if, .. } = op
-                            {
+                            if let RegOp::CmpBr { jump_if, .. } = op {
                                 assert_eq!(*jump_if, sink == Sink::BrNonZero, "{ctx}");
                             }
-                            if let RegOp::SubI32 { dst, .. }
-                            | RegOp::Binop { dst, .. }
-                            | RegOp::BinopK { dst, .. } = op
-                            {
+                            if let RegOp::Binop { dst, .. } | RegOp::BinopK { dst, .. } = op {
                                 assert_eq!(*dst == 2, sink == Sink::Set, "{ctx}: {op:?}");
                             }
                         }
@@ -2826,34 +2589,36 @@ pub(crate) mod tests {
 
     #[test]
     fn wide_constant_compares_then_branches() {
-        // `CmpBrK` holds a `u32`: a constant past it still goes inline
-        // into the comparison, and the branch stays its own op.
-        let big = 1i64 << 40;
-        let mut b = ModuleBuilder::new();
-        let ty = b.add_type(&[ValType::I64], &[ValType::I32]);
-        let f = b.add_func(
-            ty,
-            &[],
-            vec![
-                I::LocalGet(0),
-                I::I64Const(big),
-                I::I64Eq,
-                I::If(BlockType::Value(ValType::I32)),
-                I::I32Const(1),
-                I::Else,
-                I::I32Const(2),
-                I::End,
-                I::End,
-            ],
-        );
-        b.export_func("f", f);
-        let bytes = b.build();
-        let cm = compiled(&bytes, true);
-        assert_eq!(names(code_of(&cm, 0))[..2], ["BinopK", "BrIf"]);
-        assert_eq!((cm.fusion.binop_k, cm.fusion.cmp_br), (1, 0));
-        for (arg, want) in [(big, 1), (big + 1, 2), (0, 2)] {
-            let out = agreed_outcome(&bytes, "f", &[Value::I64(arg)], "wide k").unwrap();
-            assert_eq!(out, vec![Value::I32(want)], "f({arg})");
+        // A constant right operand goes inline into the comparison, however
+        // wide, and the branch stays its own op: no rule joins a
+        // compare-with-constant to its branch.
+        for k in [1i64 << 40, 7] {
+            let mut b = ModuleBuilder::new();
+            let ty = b.add_type(&[ValType::I64], &[ValType::I32]);
+            let f = b.add_func(
+                ty,
+                &[],
+                vec![
+                    I::LocalGet(0),
+                    I::I64Const(k),
+                    I::I64Eq,
+                    I::If(BlockType::Value(ValType::I32)),
+                    I::I32Const(1),
+                    I::Else,
+                    I::I32Const(2),
+                    I::End,
+                    I::End,
+                ],
+            );
+            b.export_func("f", f);
+            let bytes = b.build();
+            let cm = compiled(&bytes, true);
+            assert_eq!(names(code_of(&cm, 0))[..2], ["BinopK", "BrIf"], "k = {k}");
+            assert_eq!((cm.fusion.binop_k, cm.fusion.cmp_br), (1, 0), "k = {k}");
+            for (arg, want) in [(k, 1), (k + 1, 2), (0, 2)] {
+                let out = agreed_outcome(&bytes, "f", &[Value::I64(arg)], "constant k").unwrap();
+                assert_eq!(out, vec![Value::I32(want)], "f({arg}), k = {k}");
+            }
         }
     }
 

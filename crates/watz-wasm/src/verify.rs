@@ -496,12 +496,10 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             R::Binop { a, b, dst, .. }
             | R::AddI32 { a, b, dst }
-            | R::SubI32 { a, b, dst }
             | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
-            | R::MulF64 { a, b, dst }
-            | R::DivF64 { a, b, dst } => {
+            | R::MulF64 { a, b, dst } => {
                 for s in [a, b, dst] {
                     slot_ok(u32::from(*s))?;
                 }
@@ -511,7 +509,6 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 slot_ok(u32::from(*dst))?;
             }
             R::ScaleAdd { base, idx, dst, .. }
-            | R::ScaleAddLoad { base, idx, dst, .. }
             | R::ScaleAddLoadI32 { base, idx, dst, .. }
             | R::ScaleAddLoadF64 { base, idx, dst, .. }
             | R::ScaleAddLoadI32N { base, idx, dst, .. }
@@ -523,16 +520,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             R::IdxLAdd {
                 base, part, z, dst, ..
             }
-            | R::IdxLAddLoad {
-                base, part, z, dst, ..
-            }
-            | R::IdxLAddLoadI32 {
-                base, part, z, dst, ..
-            }
             | R::IdxLAddLoadF64 {
-                base, part, z, dst, ..
-            }
-            | R::IdxLAddLoadI32N {
                 base, part, z, dst, ..
             }
             | R::IdxLAddLoadF64N {
@@ -542,27 +530,14 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                     slot_ok(u32::from(*s))?;
                 }
             }
-            R::AddStoreF64 { a, b, addr, .. }
-            | R::MulStoreF64 { a, b, addr, .. }
-            | R::AddStoreF64N { a, b, addr, .. }
-            | R::MulStoreF64N { a, b, addr, .. }
-            | R::BinopStore { a, b, addr, .. } => {
+            R::AddStoreF64 { a, b, addr, .. } | R::AddStoreF64N { a, b, addr, .. } => {
                 for s in [a, b, addr] {
                     slot_ok(u32::from(*s))?;
                 }
             }
-            R::CmpBrLtSZ { a, b, target } | R::CmpBrLtSNZ { a, b, target } => {
+            R::CmpBrLtSZ { a, b, target } | R::CmpBr { a, b, target, .. } => {
                 slot_ok(u32::from(*a))?;
                 slot_ok(u32::from(*b))?;
-                target_ok(&mut edges, *target)?;
-            }
-            R::CmpBr { a, b, target, .. } => {
-                slot_ok(u32::from(*a))?;
-                slot_ok(u32::from(*b))?;
-                target_ok(&mut edges, *target)?;
-            }
-            R::CmpBrK { a, target, .. } => {
-                slot_ok(u32::from(*a))?;
                 target_ok(&mut edges, *target)?;
             }
         }
@@ -778,12 +753,10 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             R::Binop { a, b, dst, .. }
             | R::AddI32 { a, b, dst }
-            | R::SubI32 { a, b, dst }
             | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
-            | R::MulF64 { a, b, dst }
-            | R::DivF64 { a, b, dst } => {
+            | R::MulF64 { a, b, dst } => {
                 rd!(*a);
                 rd!(*b);
                 wr!(*dst);
@@ -795,7 +768,6 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 fall!();
             }
             R::ScaleAdd { base, idx, dst, .. }
-            | R::ScaleAddLoad { base, idx, dst, .. }
             | R::ScaleAddLoadI32 { base, idx, dst, .. }
             | R::ScaleAddLoadF64 { base, idx, dst, .. }
             | R::ScaleAddLoadI32N { base, idx, dst, .. }
@@ -808,16 +780,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             R::IdxLAdd {
                 base, part, z, dst, ..
             }
-            | R::IdxLAddLoad {
-                base, part, z, dst, ..
-            }
-            | R::IdxLAddLoadI32 {
-                base, part, z, dst, ..
-            }
             | R::IdxLAddLoadF64 {
-                base, part, z, dst, ..
-            }
-            | R::IdxLAddLoadI32N {
                 base, part, z, dst, ..
             }
             | R::IdxLAddLoadF64N {
@@ -829,26 +792,15 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 wr!(*dst);
                 fall!();
             }
-            R::AddStoreF64 { a, b, addr, .. }
-            | R::MulStoreF64 { a, b, addr, .. }
-            | R::AddStoreF64N { a, b, addr, .. }
-            | R::MulStoreF64N { a, b, addr, .. }
-            | R::BinopStore { a, b, addr, .. } => {
+            R::AddStoreF64 { a, b, addr, .. } | R::AddStoreF64N { a, b, addr, .. } => {
                 rd!(*a);
                 rd!(*b);
                 rd!(*addr);
                 fall!();
             }
-            R::CmpBrLtSZ { a, b, target }
-            | R::CmpBrLtSNZ { a, b, target }
-            | R::CmpBr { a, b, target, .. } => {
+            R::CmpBrLtSZ { a, b, target } | R::CmpBr { a, b, target, .. } => {
                 rd!(*a);
                 rd!(*b);
-                flow(&mut states, &mut work, *target, &st);
-                fall!();
-            }
-            R::CmpBrK { a, target, .. } => {
-                rd!(*a);
                 flow(&mut states, &mut work, *target, &st);
                 fall!();
             }
@@ -1588,9 +1540,7 @@ mod tests {
                 | R::BrMoves { .. }
                 | R::BrIfMoves { .. }
                 | R::CmpBr { .. }
-                | R::CmpBrK { .. }
                 | R::CmpBrLtSZ { .. }
-                | R::CmpBrLtSNZ { .. }
         )
     }
 
@@ -1602,9 +1552,7 @@ mod tests {
             | R::BrMoves { target, .. }
             | R::BrIfMoves { target, .. }
             | R::CmpBr { target, .. }
-            | R::CmpBrK { target, .. }
-            | R::CmpBrLtSZ { target, .. }
-            | R::CmpBrLtSNZ { target, .. } => Some(target),
+            | R::CmpBrLtSZ { target, .. } => Some(target),
             _ => None,
         }
     }
@@ -1618,10 +1566,8 @@ mod tests {
             | R::StoreF64N { offset, .. }
             | R::ScaleAddLoadI32N { offset, .. }
             | R::ScaleAddLoadF64N { offset, .. }
-            | R::IdxLAddLoadI32N { offset, .. }
             | R::IdxLAddLoadF64N { offset, .. }
-            | R::AddStoreF64N { offset, .. }
-            | R::MulStoreF64N { offset, .. } => Some(offset),
+            | R::AddStoreF64N { offset, .. } => Some(offset),
             _ => None,
         }
     }

@@ -370,8 +370,14 @@ fn gen_fusable_kernel(rng: &mut XorShift) -> String {
         rng.below(100) as i64 + 1,
     );
     // Array store of a plain local (forwarded, no rule), binop_set loop
-    // step with the constant inline, binop_store of a sum of two locals.
+    // step with the constant inline, an i32 sum stored (no rule: the store
+    // sink takes only an f64 sum).
     src.push_str("for (i = 0; i < n; i = i + 1) { A[i] = v0; B[i] = v1 + i; }\n");
+    // binop_store: the `D[i] = D[i] + x` f64 accumulation, read back.
+    src.push_str("double* D = (double*)alloc(n * 8);\n");
+    src.push_str("for (i = 0; i < n; i = i + 1) { D[i] = (double)(i & 7); }\n");
+    src.push_str("for (i = 0; i < n; i = i + 1) { D[i] = D[i] + D[(i + 1) & (n - 1)]; }\n");
+    src.push_str("v2 = v2 + (int)D[v3 & (n - 1)];\n");
     // idx_load (1-D tail), cmp_br (loop exits), stack-left operands.
     src.push_str(&format!(
         "for (i = 0; i < n; i = i + 1) {{ A[i] = A[i] {o1} B[i]; v0 = v0 {o2} A[(i + j) & (n - 1)]; }}\n"
