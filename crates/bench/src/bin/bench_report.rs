@@ -578,11 +578,11 @@ fn main() {
          analysis discharged; **elided** is proven accesses actually rewritten to\n\
          check-free opcodes; **obligations** is check-free opcodes whose proof the\n\
          verifier re-derived from scratch before accepting the code. The analysis\n\
-         and the verifier run over the register form only — the one form that\n\
-         executes; the flat IR is compile-time scratch — so every column counts\n\
-         register-form sites (922 accesses, 120 proven and 46 elided while the\n\
-         stack-form flat code was analysed as well; **verified ops** was about\n\
-         twice this while the verifier also walked the flat code an instance kept).\n\
+         and the verifier run over the register form — the one form lowering\n\
+         emits and the engine executes — so every column counts register-form\n\
+         sites (922 accesses, 120 proven and 46 elided while a stack-form flat\n\
+         code was analysed as well; **verified ops** was about twice this while\n\
+         the verifier also walked the flat code an instance kept).\n\
          Counts are exact properties of the kernels, so this table is\n\
          machine-independent and drift-gated like the rest of the report."
     )

@@ -537,10 +537,10 @@ fn main() {
     );
 
     // --- Load-time compilation must stay proportionate to what it reads.
-    // On Fig 4's 1 MB module, instantiation (flat lowering, register pass
-    // with its fusion rules, range analysis, on the default configuration)
+    // On Fig 4's 1 MB module, instantiation (register lowering with its
+    // fusion rules, range analysis, on the default configuration)
     // against decoding plus validating the same bytes: a ratio of two
-    // timings taken back to back in this process. ~2x as recorded; it was
+    // timings taken back to back in this process. ~1.5x as recorded; it was
     // ~6x while the analysis value-numbered every op of a module that has
     // no memory access.
     let app = watz_bench::fig4_app(1);
@@ -562,8 +562,8 @@ fn main() {
     assert!(
         compile_ratio <= 3.5,
         "instantiating the fig4 1 MB module costs {compile_ratio:.2}x its decode + validate \
-         ({t_instantiate:?} vs {t_load:?}); one of the three load-time passes (lower, \
-         register, analysis) stopped being linear in what it needs to look at: {passes:?}"
+         ({t_instantiate:?} vs {t_load:?}); one of the two load-time passes (lower, \
+         analysis) stopped being linear in what it needs to look at: {passes:?}"
     );
 
     // --- A relaunch must skip what its first launch computed. The same

@@ -185,10 +185,11 @@ pub struct StartupBreakdown {
     /// (memory, data segments, globals, start function); instance creation
     /// alone when `cached`.
     pub instantiate: Duration,
-    /// The load-time compilation passes inside `instantiate`, pass by pass
-    /// (all zero for an interpreted app, and when `cached`: the launch that
-    /// built the artifact reported them). Not a phase: [`Self::total`]
-    /// counts `instantiate` only.
+    /// The load-time compilation inside `instantiate`: the one walk from
+    /// each body to register code, fusion included, then the range
+    /// analysis (all zero for an interpreted app, and when `cached`: the
+    /// launch that built the artifact reported them). Not a phase:
+    /// [`Self::total`] counts `instantiate` only.
     pub compile: watz_wasm::CompileTimes,
     /// First entry into guest code (filled by the first `invoke`).
     pub execution: Duration,

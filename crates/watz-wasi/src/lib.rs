@@ -364,9 +364,13 @@ impl HostEnv for WasiEnv {
                 Ok(vec![Value::I32(e)])
             }
             ("wasi_snapshot_preview1", "random_get") => {
+                // The destination is checked before a byte is drawn: a
+                // negative or out-of-range length traps like any other
+                // out-of-bounds host write.
                 let buf = i(0) as u32;
-                let len = i(1) as usize;
-                let bytes = self.rng.bytes(len);
+                let len = u32::try_from(i(1)).map_err(|_| Trap::MemoryOutOfBounds)?;
+                memory.read_bytes(buf, len)?;
+                let bytes = self.rng.bytes(len as usize);
                 memory.write_bytes(buf, &bytes)?;
                 Ok(vec![Value::I32(errno::SUCCESS)])
             }
@@ -511,6 +515,38 @@ mod tests {
             &mut e,
         );
         assert_eq!(out, vec![Value::I32(1)]);
+    }
+
+    #[test]
+    fn random_get_checks_the_buffer_before_drawing() {
+        // A guest-chosen length traps like any other out-of-bounds host
+        // write — `-1` must not reach the allocation as `usize::MAX`, nor
+        // `i32::MAX` make the host draw 2 GiB first.
+        let call = |e: &mut WasiEnv, mem: &mut Memory, buf: i32, len: i32| {
+            let args = [Value::I32(buf), Value::I32(len)];
+            e.call("wasi_snapshot_preview1", "random_get", mem, &args)
+        };
+        let (mut refused, mut twin) = (env(), env());
+        let mut mem = Memory::new(1, Some(1));
+        let end = watz_wasm::PAGE_SIZE as i32;
+        for (buf, len) in [(0, -1), (end - 16, 17), (end, 1), (0, i32::MAX), (-1, 1)] {
+            assert_eq!(
+                call(&mut refused, &mut mem, buf, len),
+                Err(Trap::MemoryOutOfBounds),
+                "random_get({buf}, {len})"
+            );
+        }
+        assert!(mem.data().iter().all(|&b| b == 0), "a refused call wrote");
+        // Nothing was drawn for them: the generator goes on exactly where
+        // a twin that was never refused starts.
+        let ok = Ok(vec![Value::I32(errno::SUCCESS)]);
+        let mut twin_mem = Memory::new(1, Some(1));
+        assert_eq!(call(&mut refused, &mut mem, end - 16, 16), ok);
+        assert_eq!(call(&mut twin, &mut twin_mem, end - 16, 16), ok);
+        assert_eq!(mem.data(), twin_mem.data());
+        assert!(mem.data()[end as usize - 16..].iter().any(|&b| b != 0));
+        // A zero length is in bounds even at the very end.
+        assert_eq!(call(&mut refused, &mut mem, end, 0), ok);
     }
 
     #[test]

@@ -880,7 +880,7 @@ mod tests {
     fn assert_module_matches_oracle(name: &str, bytes: &[u8], scratch: &mut RangeScratch) {
         let module = crate::load(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (fuse, elide) in [(true, true), (true, false), (false, true)] {
-            let fm = CompiledModule::compile_full(&module, fuse, true, elide).expect("compiles");
+            let fm = CompiledModule::compile_full(&module, fuse, elide).expect("compiles");
             let prog = fm.reg.as_ref().expect("register program");
             for (i, f) in prog.funcs.iter().enumerate() {
                 let Some(f) = f else { continue };
@@ -895,7 +895,7 @@ mod tests {
 
     fn range_stats(bytes: &[u8]) -> RangeStats {
         let module = crate::load(bytes).expect("loads");
-        CompiledModule::compile_full(&module, true, true, true)
+        CompiledModule::compile_full(&module, true, true)
             .expect("compiles")
             .analysis
     }

@@ -108,14 +108,12 @@ impl Artifact {
     /// the compiled IR fails verification, or for an out-of-bounds element
     /// segment.
     pub fn new(module: &Module, mode: ExecMode, config: EngineConfig) -> Result<Self, Trap> {
-        // The AOT preparation step: lower every body to the flat IR once,
-        // and rewrite it to register form (when that pass is on); only the
-        // register form is kept.
+        // The AOT preparation step: lower every body to register form once;
+        // only the register form is kept.
         let compiled = match mode {
             ExecMode::Aot => Some(CompiledModule::compile_full(
                 module,
                 config.fuse,
-                config.reg,
                 config.elide,
             )?),
             ExecMode::Interpreted => None,

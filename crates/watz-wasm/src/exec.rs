@@ -21,27 +21,25 @@
 //!    differential oracle and as the one fallback executor.
 //! 2. **Register engine** ([`ExecMode::Aot`], [`crate::reg`]): the portable
 //!    analogue of WAMR's AOT step — translate once at load time, run on a
-//!    representation built for execution rather than decoding. Two
-//!    load-time passes produce its code:
-//!    * [`crate::flat`] lowers every body to a flat linear IR where each
-//!      branch is an absolute jump with its stack fix-up inlined and
-//!      operands are untagged 64-bit slots;
-//!    * an abstract-stack simulation rewrites that IR so every op carries
-//!      explicit source/destination frame-slot indices — `local.get`s
-//!      forward into their consumers, intermediates live at fixed slots,
-//!      and the dispatch loop never pushes or pops an operand stack — and,
-//!      reading ahead over the same tokens, joins five shapes into single
-//!      superinstructions: a constant right operand, a sink into a local or
-//!      memory, compare-and-branch, and the two array-address tails
-//!      (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`] switches just those
-//!      rules off, for bisection; [`crate::reg::RegStats`] and
-//!      [`crate::FusionStats`] report what the pass did).
+//!    representation built for execution rather than decoding. One
+//!    load-time walk per body produces its code: an abstract-stack
+//!    simulation over the structured instructions that resolves every
+//!    branch to an absolute jump with its stack fix-up inlined, keeps
+//!    operands as untagged 64-bit slots, and gives every op explicit
+//!    source/destination frame-slot indices — `local.get`s forward into
+//!    their consumers, intermediates live at fixed slots, and the dispatch
+//!    loop never pushes or pops an operand stack. Reading ahead over the
+//!    same instructions, it joins five shapes into single
+//!    superinstructions: a constant right operand, a sink into a local or
+//!    memory, compare-and-branch, and the two array-address tails
+//!    (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`] switches just those rules
+//!    off, for bisection; [`crate::reg::RegStats`] and
+//!    [`crate::FusionStats`] report what the walk did).
 //!
-//! The flat IR is never executed and never kept: it is scratch of the
-//! load-time compile, and an artifact holds the register program only. An
-//! `Aot` artifact that ends up without one — [`EngineConfig::reg`] off, or
-//! a function whose frame exceeds the register form's `u16` slot encoding —
-//! keeps its structured bodies and runs on the tree interpreter instead.
+//! An artifact holds the register program only. An `Aot` artifact that
+//! ends up without one — a function whose frame exceeds the register
+//! form's `u16` slot encoding — keeps its structured bodies and runs on the
+//! tree interpreter instead.
 //!
 //! Both executors share one semantics (identical results, identical traps
 //! and identical retired-instruction counts) and are differentially tested
@@ -208,25 +206,20 @@ pub enum ExecMode {
     /// Naive structured interpretation (branch targets found by scanning).
     Interpreted,
     /// Ahead-of-time lowering to the register engine (see [`crate::reg`]).
-    /// An instance left without a register program ([`EngineConfig::reg`]
-    /// off, or a frame past the `u16` slot encoding) runs on the
-    /// interpreter instead.
+    /// An instance left without a register program (a frame past the `u16`
+    /// slot encoding) runs on the interpreter instead.
     Aot,
 }
 
-/// What [`ExecMode::Aot`] instantiation does besides lowering. The
-/// lowering passes are ignored in [`ExecMode::Interpreted`]; `profile`
-/// applies to both modes.
+/// What [`ExecMode::Aot`] instantiation does besides lowering to register
+/// code. The lowering switches are ignored in [`ExecMode::Interpreted`];
+/// `profile` applies to both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
-    /// Let the register pass join adjacent flat ops into superinstructions
-    /// (its fusion rules, see [`crate::reg`]); operand forwarding is not a
-    /// rule and stays on. Nothing to act on when `reg` is off.
+    /// Let register lowering join adjacent instructions into
+    /// superinstructions (its fusion rules, see [`crate::reg`]); operand
+    /// forwarding is not a rule and stays on.
     pub fuse: bool,
-    /// Lower the flat IR to register form and execute it; when off the
-    /// flat IR is still built, then dropped, and the instance runs on the
-    /// tree interpreter.
-    pub reg: bool,
     /// Rewrite accesses the range analysis proved in bounds to check-free
     /// opcodes (proofs are computed and counted either way).
     pub elide: bool,
@@ -243,7 +236,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             fuse: true,
-            reg: true,
             elide: true,
             verify: false,
             profile: ProfileMode::Off,
@@ -273,7 +265,6 @@ impl EngineConfig {
             } else {
                 ProfileMode::Off
             },
-            ..EngineConfig::default()
         }
     }
 }
@@ -607,9 +598,10 @@ impl Instance {
         Self::instantiate_with(module, mode, EngineConfig::from_env(), host)
     }
 
-    /// [`Instance::instantiate_with`] with `fuse`, `reg` and `profile`
-    /// spelled out and the rest from the environment. Exists only because
-    /// `benchmark/` calls it; goes with the next benchmark PR.
+    /// [`Instance::instantiate_with`] with `fuse` and `profile` spelled
+    /// out and the rest from the environment; `reg = false` runs `mode`
+    /// on the tree interpreter ([`ExecMode::Interpreted`]). Exists only
+    /// because `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -624,16 +616,17 @@ impl Instance {
     ) -> Result<Self, Trap> {
         let config = EngineConfig {
             fuse,
-            reg,
             profile,
             ..EngineConfig::from_env()
         };
+        let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_with(module, mode, config, host)
     }
 
-    /// [`Instance::instantiate_with`] with `fuse`, `reg`, `elide` and
-    /// `verify` spelled out and the rest from the environment. Exists only
-    /// because `benchmark/` calls it; goes with the next benchmark PR.
+    /// [`Instance::instantiate_with`] with `fuse`, `elide` and `verify`
+    /// spelled out and the rest from the environment; `reg = false` runs
+    /// `mode` on the tree interpreter ([`ExecMode::Interpreted`]). Exists
+    /// only because `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -649,11 +642,11 @@ impl Instance {
     ) -> Result<Self, Trap> {
         let config = EngineConfig {
             fuse,
-            reg,
             elide,
             verify,
             ..EngineConfig::from_env()
         };
+        let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_with(module, mode, config, host)
     }
 
@@ -732,8 +725,8 @@ impl Instance {
 
     /// Register-allocation counts (`None` when the instance has no
     /// register program and therefore runs on the tree interpreter:
-    /// [`ExecMode::Interpreted`], [`EngineConfig::reg`] off, or a frame
-    /// past the `u16` slot encoding).
+    /// [`ExecMode::Interpreted`], or a frame past the `u16` slot
+    /// encoding).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
         let cm = self.artifact.compiled.as_ref()?;
@@ -1727,9 +1720,5 @@ mod tests {
         assert_eq!(with(&ALL[2..3], "1"), EngineConfig { verify, ..base });
         let profile = ProfileMode::Count;
         assert_eq!(with(&ALL[3..], "1"), EngineConfig { profile, ..base });
-        assert!(
-            with(&ALL, "1").reg,
-            "no switch turns the register engine off"
-        );
     }
 }

@@ -1,59 +1,29 @@
-//! The flat lowering IR between structured Wasm and the register engine.
+//! The untagged operand slot, the operator vocabulary on it, and the
+//! load-time compile that drives register lowering over a module.
 //!
-//! At load time every function body is lowered from its structured
-//! `Vec<Instr>` form into a flat linear stream of `FlatOp`s, the form
-//! [`crate::reg`] consumes. Nothing executes it and nothing keeps it: the
-//! stream lives in the one [`CompileScratch`] a compile owns, between
-//! [`lower`] and [`crate::reg::lower_func`], and the next body overwrites
-//! it.
-//!
-//! * `block`/`loop`/`if`/`else`/`end` disappear — every branch becomes an
-//!   absolute jump target computed once, during lowering;
-//! * branches that discard operand-stack values carry the `keep`/`height`
-//!   stack fix-up as immediates, so no label stack survives lowering;
-//! * immediates (memory offsets, constants, call targets) are inlined, and
-//!   constants of all four value types collapse into one raw-bits `Const`;
-//! * the numeric and memory instructions collapse into five classes that
-//!   carry the operator vocabulary the register code uses too —
-//!   `Unop(`[`UnOpKind`]`)`, `Binop(`[`BinOpKind`]`)`,
-//!   `Load { `[`LoadKind`]` }`, `Store { `[`StoreKind`]` }` and one
-//!   `Reinterpret` — so `map_simple` is the only per-instruction table and
-//!   an op's stack effect follows from its class;
 //! * operands are untagged 64-bit slots (`Slot`): validation already
 //!   guarantees types, so the enum tag the tree-walking interpreter
-//!   carries on every value is dead weight past this point. The slot
+//!   carries on every value is dead weight past load time. The slot
 //!   conversions and the operator semantics on slots (`apply_unop`,
 //!   `apply_binop`, `do_load`, `do_store`) live here and are what the
-//!   register dispatch loop calls.
+//!   register dispatch loop calls;
+//! * the numeric, constant and memory instructions collapse into six
+//!   classes over that vocabulary — `Const`, `Unop(`[`UnOpKind`]`)`,
+//!   `Binop(`[`BinOpKind`]`)`, `Load { `[`LoadKind`]` }`,
+//!   `Store { `[`StoreKind`]` }` and one `Reinterpret` — so `map_simple`
+//!   is the compile's only per-instruction table, and an instruction's
+//!   stack effect follows from its class. Register lowering's simple-op
+//!   arm and its fusion look-ahead both match on it;
+//! * [`CompiledModule::compile_full`] runs [`crate::reg::lower_func`] — the
+//!   one walk from each structured body to register code — and the range
+//!   analysis over every body, and keeps what an artifact executes.
 //!
-//! The stream is one token per guest instruction and stays that way:
-//! superinstructions are formed by the register pass as it reads the
-//! tokens (see [`crate::reg`]), so there is no second vocabulary here and
-//! no pass that rewrites the stream.
-//!
-//! # What the register pass relies on
-//!
-//! The first invariant this module maintains for [`crate::reg`] is the
-//! **entry-height table**: [`lower`] records, for every flat op it emits,
-//! the operand-stack height at the op's entry (before its own pops) —
-//! heights are compile-time constants under validation, which is exactly
-//! what lets the register pass pin the value "at height `h`" to the fixed
-//! frame slot `n_locals + h`. The second is the **jump-target set**:
-//! [`lower`] flags every target once (rejecting any past the end), and the
-//! register pass carries the flags through its old→new map instead of
-//! rescanning the code — and never lets an op absorb a flagged token.
-//! Both tables, the retirement metadata and every pass's working buffers
-//! live beside the ops in the `CompileScratch`.
-//!
-//! [`crate::verify`] checks the register code this pipeline ends in, not
-//! the flat stream: what it would say about a form that cannot execute is
-//! implied by what it says about the form that does.
+//! [`crate::verify`] checks the register code this compile ends in.
 
 use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
 use crate::instr::{Instr, MemArg};
-use crate::module::{FuncBody, Module};
-use crate::profile::{OpClass, ProfOp};
-use crate::types::{BlockType, ValType};
+use crate::module::Module;
+use crate::types::ValType;
 use std::time::{Duration, Instant};
 
 /// An untagged 64-bit operand-stack slot.
@@ -407,8 +377,8 @@ pub(crate) fn apply_binop(op: BinOpKind, a: Slot, b: Slot) -> Result<Slot, Trap>
 
 /// A one-operand operator (everything that rewrites the stack top).
 /// Variants mirror the spec's instruction names; the four reinterpret casts
-/// are identities on raw slots, lower to [`FlatOp::Reinterpret`] and never
-/// reach the register code.
+/// are identities on raw slots, classify as [`Simple::Reinterpret`] and
+/// never reach the register code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub(crate) enum UnOpKind {
@@ -625,99 +595,24 @@ pub(crate) fn do_store(
     }
 }
 
-/// One `br_table` arm: absolute target plus the stack fix-up immediates.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BrEntry {
-    pub(crate) target: u32,
-    pub(crate) keep: u32,
-    pub(crate) height: u32,
-}
-
-/// A pre-resolved flat opcode.
-///
-/// Control flow is expressed purely as absolute jumps; `keep`/`height` on
-/// the `Br*` forms encode the operand-stack fix-up a structured branch
-/// performs (keep the top `keep` values, reset to operand height `height`).
-#[derive(Debug, Clone)]
-#[allow(missing_docs)] // The plain variants mirror the spec's instruction names.
-pub(crate) enum FlatOp {
-    Unreachable,
-    /// Unconditional jump, no stack fix-up needed.
-    Jump {
-        target: u32,
-    },
-    /// Pops an i32, jumps if zero (lowered `if`).
-    JumpIfZero {
-        target: u32,
-    },
-    /// Pops an i32, jumps if non-zero (lowered `br_if` needing no fix-up).
-    JumpIfNonZero {
-        target: u32,
-    },
-    /// Unconditional branch with stack fix-up (lowered `br`).
-    Br {
-        target: u32,
-        keep: u32,
-        height: u32,
-    },
-    /// Conditional branch with stack fix-up (lowered `br_if`).
-    BrIf {
-        target: u32,
-        keep: u32,
-        height: u32,
-    },
-    /// Indexed branch; the last entry is the default arm.
-    BrTable {
-        entries: Box<[BrEntry]>,
-    },
-    Return,
-    /// Call of a function defined in this module.
-    CallLocal {
-        func: u32,
-    },
-    /// Call of an imported (host) function.
-    CallImport {
-        func: u32,
-    },
-    CallIndirect {
-        type_idx: u32,
-    },
-
-    Drop,
-    Select,
-
-    LocalGet(u32),
-    LocalSet(u32),
-    LocalTee(u32),
-    GlobalGet(u32),
-    GlobalSet(u32),
-
-    /// Any of the 14 loads: pops the address, pushes the loaded value.
-    Load {
-        kind: LoadKind,
-        offset: u32,
-    },
-    /// Any of the 9 stores: pops the value, then the address.
-    Store {
-        kind: StoreKind,
-        offset: u32,
-    },
-
-    MemorySize,
-    MemoryGrow,
-    MemoryCopy,
-    MemoryFill,
-
-    /// All four constant forms, pre-encoded as a raw slot.
-    Const(u64),
-
+/// The class of a numeric, constant or memory instruction, in the operator
+/// vocabulary the register code uses (see [`map_simple`]). The stack
+/// effect follows from the class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Simple {
+    /// All four constant forms, pre-encoded as a raw slot: pushes one.
+    Const(Slot),
     /// Any one-operand numeric operator: rewrites the stack top.
     Unop(UnOpKind),
     /// Any two-operand numeric or relational operator: pops two, pushes
     /// one.
     Binop(BinOpKind),
-    /// Any of the four reinterpret casts — an identity on raw slots, kept
-    /// only so the value's retirement weight has an op to ride on.
+    /// Any of the 14 loads: pops the address, pushes the loaded value.
+    Load { kind: LoadKind, offset: u32 },
+    /// Any of the 9 stores: pops the value, then the address.
+    Store { kind: StoreKind, offset: u32 },
+    /// Any of the four reinterpret casts — an identity on raw slots, which
+    /// emits no code and only retires.
     Reinterpret,
 }
 
@@ -798,8 +693,8 @@ pub(crate) struct ImportedFunc {
 }
 
 /// What an artifact keeps of a load-time compile: the register program
-/// [`crate::reg::run`] executes (when the register pass ran), the tables it
-/// indexes, and the pass statistics. No flat code — that is scratch.
+/// [`crate::reg::run`] executes (when every frame fit its slot encoding),
+/// the tables it indexes, and the pass statistics.
 #[derive(Debug)]
 pub(crate) struct CompiledModule {
     /// The imported functions: function indices `0..imports.len()`.
@@ -808,8 +703,8 @@ pub(crate) struct CompiledModule {
     pub(crate) func_type_idx: Box<[u32]>,
     pub(crate) global_types: Box<[ValType]>,
     pub(crate) fusion: FusionStats,
-    /// Register-form code (one per local function), present when the
-    /// register-allocation pass ran and every frame fit its slot encoding.
+    /// Register-form code (one per local function), present when every
+    /// frame fit its slot encoding.
     pub(crate) reg: Option<crate::reg::RegProgram>,
     /// The memory's minimum size in bytes — the floor every in-bounds
     /// proof is anchored to (linear memory never shrinks).
@@ -825,69 +720,32 @@ pub(crate) struct CompiledModule {
 /// [`Instance::compile_times`](crate::exec::Instance::compile_times).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileTimes {
-    /// Structured bodies to flat code.
+    /// Structured bodies to register code in one walk, fusion rules
+    /// included ([`crate::reg`]).
     pub lower: Duration,
-    /// Flat code to register form, fusion rules included ([`crate::reg`]).
-    pub reg: Duration,
     /// Range analysis and bounds-check elision ([`crate::analysis`]).
     pub analysis: Duration,
 }
 
-/// The buffers every pass of [`CompiledModule::compile_full`] works in,
-/// owned by one compile and reused for each function body, so the passes
-/// allocate only what the compiled module keeps.
-///
-/// After [`lower`] it holds the body in flight: `ops`, with each op's
-/// operand-stack **entry height** (the height before the op pops anything —
-/// what the register pass places each value by), its retirement metadata
-/// and the jump-target flags. The target set is computed once, by
-/// [`lower`], and the register pass carries it through its old→new remap
-/// instead of rescanning the code.
-#[derive(Default)]
-pub(crate) struct CompileScratch {
-    pub(crate) ops: Vec<FlatOp>,
-    /// Entry height of each op, 1:1 with `ops`.
-    pub(crate) heights: Vec<u32>,
-    /// Retirement metadata of each op, 1:1 with `ops`.
-    pub(crate) prof: Vec<ProfOp>,
-    /// Whether some branch lands on `ops[i]`; one flag more than `ops`
-    /// (the end position).
-    pub(crate) is_target: Vec<bool>,
-    ctrl: Vec<Ctrl>,
-    /// Branches waiting for the end of their target frame, as linked
-    /// lists through this arena: `(op index, br_table slot, next)`. The
-    /// slot is `u32::MAX` for non-table ops.
-    patches: Vec<(u32, u32, u32)>,
-    pub(crate) reg: crate::reg::RegScratch,
-    pub(crate) range: crate::analysis::RangeScratch,
-}
-
-/// End of a patch list in [`CompileScratch::patches`].
-const NO_PATCH: u32 = u32::MAX;
-
 impl CompiledModule {
-    /// Compiles every function body of a validated module: lowering to the
-    /// flat stream, then `reg` controls the register pass over it, `fuse`
-    /// that pass's fusion rules, and `elide` the bounds-check elision
-    /// rewrite of the register code. With `reg` off the flat stream is
-    /// still lowered (malformed bodies are reported, the pass is timed) and
-    /// then dropped; `fuse` and `elide` have nothing to act on.
+    /// Compiles every function body of a validated module: register
+    /// lowering, with `fuse` controlling its fusion rules, then the range
+    /// analysis, with `elide` controlling its bounds-check elision rewrite.
     ///
     /// The register program is all-or-nothing per module (a register
     /// frame cannot call into the interpreter): one function whose frame
-    /// exceeds the `u16` slot encoding leaves the module without one, as
-    /// with `reg` off.
+    /// exceeds the `u16` slot encoding leaves the module without one, and
+    /// the rest of the bodies are walked only to report malformed ones.
     ///
     /// # Errors
     ///
     /// Returns [`Trap::Instantiation`] when the module is malformed (a
-    /// truncated/unbalanced body, out-of-range indices) or a lowering pass
-    /// breaks one of its own invariants — lowering never panics, even on
-    /// input that skipped validation.
+    /// truncated/unbalanced body, out-of-range indices) or lowering breaks
+    /// one of its own invariants — lowering never panics, even on input
+    /// that skipped validation.
     pub(crate) fn compile_full(
         module: &Module,
         fuse: bool,
-        mut reg: bool,
         elide: bool,
     ) -> Result<CompiledModule, Trap> {
         use crate::reg::LowerError;
@@ -895,7 +753,9 @@ impl CompiledModule {
         let mut imports = Vec::with_capacity(module.func_imports.len());
         let mut func_type_idx = Vec::with_capacity(n_funcs);
         // Indexed like the function space: `None` for every import.
-        let mut reg_funcs = Vec::with_capacity(if reg { n_funcs } else { 0 });
+        let mut reg_funcs = Vec::with_capacity(n_funcs);
+        // Whether every frame so far fit the slot encoding.
+        let mut fits = true;
         for imp in &module.func_imports {
             let ty = module
                 .types
@@ -908,9 +768,7 @@ impl CompiledModule {
                 n_results: ty.results.len(),
             });
             func_type_idx.push(imp.type_idx);
-            if reg {
-                reg_funcs.push(None);
-            }
+            reg_funcs.push(None);
         }
         let min_mem = module
             .memories
@@ -920,7 +778,9 @@ impl CompiledModule {
         let mut reg_stats = crate::reg::RegStats::default();
         let mut analysis = crate::analysis::RangeStats::default();
         let mut times = CompileTimes::default();
-        let mut scratch = CompileScratch::default();
+        let mut scratch = crate::reg::RegScratch::default();
+        let mut range = crate::analysis::RangeScratch::default();
+        let mut is_target = Vec::new();
         // One clock read per pass boundary; the end of a body is the start
         // of the next.
         let mut mark = Instant::now();
@@ -930,12 +790,7 @@ impl CompiledModule {
             mark = now;
         };
         for body in &module.funcs {
-            lower(module, body, &mut scratch)?;
-            lap(&mut times.lower);
             func_type_idx.push(body.type_idx);
-            if !reg {
-                continue;
-            }
             let lowered = crate::reg::lower_func(
                 module,
                 body,
@@ -944,38 +799,38 @@ impl CompiledModule {
                 &mut reg_stats,
                 &mut fusion,
             );
+            lap(&mut times.lower);
             match lowered {
-                Ok(mut rf) => {
-                    lap(&mut times.reg);
+                Ok(mut rf) if fits => {
+                    crate::analysis::reg_targets(&rf.code, &mut is_target);
                     crate::analysis::elide_reg(
                         &mut rf,
                         min_mem,
                         elide,
-                        &scratch.reg.is_target,
-                        &mut scratch.range,
+                        &is_target,
+                        &mut range,
                         &mut analysis,
                     );
                     lap(&mut times.analysis);
                     reg_funcs.push(Some(rf));
                 }
+                Ok(_) => {}
                 // Rare (a frame past 65 535 slots) and final: the module
-                // runs on the tree oracle and comes out as a `reg = false`
-                // compile would.
-                Err(LowerError::FrameTooLarge) => {
-                    lap(&mut times.reg);
-                    reg = false;
-                    fusion = FusionStats::default();
-                    analysis = crate::analysis::RangeStats::default();
-                }
+                // runs on the tree oracle.
+                Err(LowerError::FrameTooLarge) => fits = false,
                 Err(LowerError::Malformed(trap)) => return Err(trap),
             }
+        }
+        if !fits {
+            fusion = FusionStats::default();
+            analysis = crate::analysis::RangeStats::default();
         }
         Ok(CompiledModule {
             imports: imports.into_boxed_slice(),
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
             fusion,
-            reg: reg.then(|| crate::reg::RegProgram {
+            reg: fits.then(|| crate::reg::RegProgram {
                 funcs: reg_funcs.into_boxed_slice(),
                 stats: reg_stats,
             }),
@@ -988,474 +843,28 @@ impl CompiledModule {
 
 /// The error malformed (unvalidated) input raises during lowering.
 pub(crate) fn bad(msg: &str) -> Trap {
-    Trap::Instantiation(format!("flat lowering: {msg}"))
+    Trap::Instantiation(format!("register lowering: {msg}"))
 }
 
-/// A control frame tracked during lowering (compile time only).
-struct Ctrl {
-    is_loop: bool,
-    /// Operand height just below the label's params.
-    label_height: usize,
-    params: usize,
-    results: usize,
-    /// Values a branch to this label transfers (params for loops).
-    branch_arity: usize,
-    /// Branch target for loops (known immediately).
-    loop_target: u32,
-    /// Head of the list of ops whose target is this frame's end (an index
-    /// into [`CompileScratch::patches`], or [`NO_PATCH`]).
-    patches: u32,
-    /// The `JumpIfZero` of an `if`, waiting for its else/end position.
-    else_patch: Option<u32>,
-    /// The remainder of this frame is statically unreachable.
-    unreachable: bool,
-}
-
-fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), Trap> {
-    Ok(match bt {
-        BlockType::Empty => (0, 0),
-        BlockType::Value(_) => (0, 1),
-        BlockType::Func(idx) => {
-            let ty = module
-                .types
-                .get(idx as usize)
-                .ok_or_else(|| bad("block type index out of range"))?;
-            (ty.params.len(), ty.results.len())
-        }
-    })
-}
-
-fn set_target(op: &mut FlatOp, slot: u32, target: u32) {
-    match op {
-        FlatOp::Jump { target: t }
-        | FlatOp::JumpIfZero { target: t }
-        | FlatOp::JumpIfNonZero { target: t }
-        | FlatOp::Br { target: t, .. }
-        | FlatOp::BrIf { target: t, .. } => *t = target,
-        FlatOp::BrTable { entries } => entries[slot as usize].target = target,
-        _ => unreachable!("patched op is a branch"),
-    }
-}
-
-/// Lowers one function body to flat code, left in `scratch` (`ops`,
-/// `heights`, `prof`, `is_target`; see [`CompileScratch`]).
-///
-/// # Errors
-///
-/// Returns [`Trap::Instantiation`] for malformed bodies — truncated code
-/// (unbalanced control), out-of-range type/function/branch indices, or
-/// operand-stack underflow. A module that passed [`crate::validate`] never
-/// hits these, but lowering must not panic the host either way.
+/// Classifies a numeric, constant or memory instruction; `None` for any
+/// other (control, variable, parametric and bulk-memory instructions are
+/// lowered by name). This is the one per-instruction table of the compile;
+/// the stack effect follows from the class.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn lower(
-    module: &Module,
-    body: &FuncBody,
-    scratch: &mut CompileScratch,
-) -> Result<(), Trap> {
-    let n_results = module
-        .types
-        .get(body.type_idx as usize)
-        .ok_or_else(|| bad("function type index out of range"))?
-        .results
-        .len();
-    let n_imports = module.func_imports.len() as u32;
-
-    // `heights` and `prof` are kept 1:1 with `ops` (synthetic ops that
-    // replace erased structure — the else-jump, the function-final return
-    // — weigh 0 so instret matches the tree oracle exactly).
-    let CompileScratch {
-        ops,
-        heights,
-        prof,
-        is_target,
-        ctrl,
-        patches,
-        ..
-    } = scratch;
-    ops.clear();
-    heights.clear();
-    prof.clear();
-    ctrl.clear();
-    patches.clear();
-    ctrl.push(Ctrl {
-        is_loop: false,
-        label_height: 0,
-        params: 0,
-        results: n_results,
-        branch_arity: n_results,
-        loop_target: 0,
-        patches: NO_PATCH,
-        else_patch: None,
-        unreachable: false,
-    });
-    let mut height: usize = 0;
-    // Nesting depth of skipped (statically unreachable) blocks.
-    let mut skip: usize = 0;
-
-    // Emits the branch for a `br`/`br_if` to relative depth `d`; returns
-    // nothing, registers patches on the target frame as needed.
-    macro_rules! emit_branch {
-        ($d:expr, $conditional:expr) => {{
-            let idx = (ctrl.len() - 1)
-                .checked_sub($d as usize)
-                .ok_or_else(|| bad("branch depth exceeds control stack"))?;
-            let keep = ctrl[idx].branch_arity;
-            let lh = ctrl[idx].label_height;
-            if height < keep + lh {
-                return Err(bad("operand stack underflow at branch"));
-            }
-            let no_adjust = height - keep == lh;
-            let op = match (ctrl[idx].is_loop, $conditional, no_adjust) {
-                (true, false, true) => FlatOp::Jump {
-                    target: ctrl[idx].loop_target,
-                },
-                (true, true, true) => FlatOp::JumpIfNonZero {
-                    target: ctrl[idx].loop_target,
-                },
-                (true, false, false) => FlatOp::Br {
-                    target: ctrl[idx].loop_target,
-                    keep: keep as u32,
-                    height: lh as u32,
-                },
-                (true, true, false) => FlatOp::BrIf {
-                    target: ctrl[idx].loop_target,
-                    keep: keep as u32,
-                    height: lh as u32,
-                },
-                (false, false, true) => FlatOp::Jump { target: 0 },
-                (false, true, true) => FlatOp::JumpIfNonZero { target: 0 },
-                (false, false, false) => FlatOp::Br {
-                    target: 0,
-                    keep: keep as u32,
-                    height: lh as u32,
-                },
-                (false, true, false) => FlatOp::BrIf {
-                    target: 0,
-                    keep: keep as u32,
-                    height: lh as u32,
-                },
-            };
-            if !ctrl[idx].is_loop {
-                patches.push((ops.len() as u32, u32::MAX, ctrl[idx].patches));
-                ctrl[idx].patches = patches.len() as u32 - 1;
-            }
-            // Entry height includes the already-popped condition.
-            heights.push((height + usize::from($conditional)) as u32);
-            prof.push(ProfOp::of(OpClass::Control, 1));
-            ops.push(op);
-        }};
-    }
-
-    // Closes the innermost control frame at an `End`. When the function
-    // frame itself closes, the terminating `Return` is emitted so branches
-    // to the function label land on it.
-    macro_rules! close_frame {
-        () => {{
-            let frame = ctrl.pop().ok_or_else(|| bad("unbalanced end"))?;
-            let end_pos = ops.len() as u32;
-            if let Some(ep) = frame.else_patch {
-                // `if` without `else`: the false path jumps straight here
-                // (validation guarantees params == results in that case).
-                set_target(&mut ops[ep as usize], u32::MAX, end_pos);
-            }
-            let mut next = frame.patches;
-            while let Some(&(op_idx, slot, link)) = patches.get(next as usize) {
-                set_target(&mut ops[op_idx as usize], slot, end_pos);
-                next = link;
-            }
-            height = frame.label_height + frame.results;
-            if ctrl.is_empty() {
-                heights.push(height as u32);
-                // The tree oracle falls off the body without dispatching
-                // an opcode here, so the synthetic return retires nothing.
-                prof.push(ProfOp::zero());
-                ops.push(FlatOp::Return);
-            }
-        }};
-    }
-
-    for instr in &body.code {
-        // Every frame closed but instructions remain: the body is not the
-        // single well-bracketed expression the format requires.
-        let Some(top) = ctrl.last() else {
-            return Err(bad("instructions after the function's final end"));
-        };
-        // Inside statically unreachable code nothing is emitted; only the
-        // block structure is tracked so the matching else/end is found.
-        if top.unreachable {
-            match instr {
-                i if i.opens_block() => skip += 1,
-                Instr::Else if skip == 0 => {
-                    let frame = ctrl.last_mut().ok_or_else(|| bad("else outside a frame"))?;
-                    let ep = frame
-                        .else_patch
-                        .take()
-                        .ok_or_else(|| bad("else without matching if"))?;
-                    frame.unreachable = false;
-                    height = frame.label_height + frame.params;
-                    let pos = ops.len() as u32;
-                    set_target(&mut ops[ep as usize], u32::MAX, pos);
-                }
-                Instr::End => {
-                    if skip > 0 {
-                        skip -= 1;
-                    } else {
-                        close_frame!();
-                    }
-                }
-                _ => {}
-            }
-            continue;
-        }
-
-        // Operand-stack underflow guard shared by the arms below.
-        macro_rules! sub_height {
-            ($n:expr) => {
-                height
-                    .checked_sub($n)
-                    .ok_or_else(|| bad("operand stack underflow"))?
-            };
-        }
-
-        match instr {
-            Instr::Nop => {}
-            Instr::Unreachable => {
-                heights.push(height as u32);
-                prof.push(ProfOp::of(OpClass::Control, 1));
-                ops.push(FlatOp::Unreachable);
-                ctrl.last_mut()
-                    .ok_or_else(|| bad("empty control"))?
-                    .unreachable = true;
-            }
-            Instr::Block(bt) => {
-                let (params, results) = block_arities(module, *bt)?;
-                ctrl.push(Ctrl {
-                    is_loop: false,
-                    label_height: sub_height!(params),
-                    params,
-                    results,
-                    branch_arity: results,
-                    loop_target: 0,
-                    patches: NO_PATCH,
-                    else_patch: None,
-                    unreachable: false,
-                });
-            }
-            Instr::Loop(bt) => {
-                let (params, results) = block_arities(module, *bt)?;
-                ctrl.push(Ctrl {
-                    is_loop: true,
-                    label_height: sub_height!(params),
-                    params,
-                    results,
-                    branch_arity: params,
-                    loop_target: ops.len() as u32,
-                    patches: NO_PATCH,
-                    else_patch: None,
-                    unreachable: false,
-                });
-            }
-            Instr::If(bt) => {
-                height = sub_height!(1); // condition
-                let (params, results) = block_arities(module, *bt)?;
-                let ep = ops.len() as u32;
-                heights.push((height + 1) as u32);
-                prof.push(ProfOp::of(OpClass::Control, 1));
-                ops.push(FlatOp::JumpIfZero { target: 0 });
-                ctrl.push(Ctrl {
-                    is_loop: false,
-                    label_height: sub_height!(params),
-                    params,
-                    results,
-                    branch_arity: results,
-                    loop_target: 0,
-                    patches: NO_PATCH,
-                    else_patch: Some(ep),
-                    unreachable: false,
-                });
-            }
-            Instr::Else => {
-                // Reachable then-branch falls through: jump over the else.
-                let jmp = ops.len() as u32;
-                heights.push(height as u32);
-                // The tree oracle's `else` dispatch weighs 0 (shape only).
-                prof.push(ProfOp::zero());
-                ops.push(FlatOp::Jump { target: 0 });
-                let frame = ctrl.last_mut().ok_or_else(|| bad("else outside a frame"))?;
-                patches.push((jmp, u32::MAX, frame.patches));
-                frame.patches = patches.len() as u32 - 1;
-                let ep = frame
-                    .else_patch
-                    .take()
-                    .ok_or_else(|| bad("else without matching if"))?;
-                height = frame.label_height + frame.params;
-                let pos = ops.len() as u32;
-                set_target(&mut ops[ep as usize], u32::MAX, pos);
-            }
-            Instr::End => close_frame!(),
-            Instr::Br(d) => {
-                emit_branch!(*d, false);
-                ctrl.last_mut()
-                    .ok_or_else(|| bad("empty control"))?
-                    .unreachable = true;
-            }
-            Instr::BrIf(d) => {
-                height = sub_height!(1); // condition
-                emit_branch!(*d, true);
-            }
-            Instr::BrTable { targets, default } => {
-                height = sub_height!(1); // index
-                let op_idx = ops.len() as u32;
-                let mut entries = Vec::with_capacity(targets.len() + 1);
-                for (slot, d) in targets.iter().chain(std::iter::once(default)).enumerate() {
-                    let idx = (ctrl.len() - 1)
-                        .checked_sub(*d as usize)
-                        .ok_or_else(|| bad("br_table depth exceeds control stack"))?;
-                    let keep = ctrl[idx].branch_arity as u32;
-                    let h = ctrl[idx].label_height as u32;
-                    if ctrl[idx].is_loop {
-                        entries.push(BrEntry {
-                            target: ctrl[idx].loop_target,
-                            keep,
-                            height: h,
-                        });
-                    } else {
-                        entries.push(BrEntry {
-                            target: 0,
-                            keep,
-                            height: h,
-                        });
-                        patches.push((op_idx, slot as u32, ctrl[idx].patches));
-                        ctrl[idx].patches = patches.len() as u32 - 1;
-                    }
-                }
-                heights.push((height + 1) as u32); // entry includes the index
-                prof.push(ProfOp::of(OpClass::Control, 1));
-                ops.push(FlatOp::BrTable {
-                    entries: entries.into_boxed_slice(),
-                });
-                ctrl.last_mut()
-                    .ok_or_else(|| bad("empty control"))?
-                    .unreachable = true;
-            }
-            Instr::Return => {
-                heights.push(height as u32);
-                prof.push(ProfOp::of(OpClass::Control, 1));
-                ops.push(FlatOp::Return);
-                ctrl.last_mut()
-                    .ok_or_else(|| bad("empty control"))?
-                    .unreachable = true;
-            }
-            Instr::Call(f) => {
-                let ty_idx = module
-                    .func_type_idx(*f)
-                    .ok_or_else(|| bad("call target out of range"))?;
-                let fty = module
-                    .types
-                    .get(ty_idx as usize)
-                    .ok_or_else(|| bad("call type index out of range"))?;
-                heights.push(height as u32);
-                prof.push(ProfOp::of(OpClass::Call, 1));
-                height = sub_height!(fty.params.len()) + fty.results.len();
-                if *f < n_imports {
-                    ops.push(FlatOp::CallImport { func: *f });
-                } else {
-                    ops.push(FlatOp::CallLocal { func: *f });
-                }
-            }
-            Instr::CallIndirect { type_idx, .. } => {
-                let fty = module
-                    .types
-                    .get(*type_idx as usize)
-                    .ok_or_else(|| bad("call_indirect type index out of range"))?;
-                heights.push(height as u32);
-                prof.push(ProfOp::of(OpClass::Call, 1));
-                height = sub_height!(1 + fty.params.len()) + fty.results.len();
-                ops.push(FlatOp::CallIndirect {
-                    type_idx: *type_idx,
-                });
-            }
-            other => {
-                let (op, pops, pushes) = map_simple(other)?;
-                heights.push(height as u32);
-                prof.push(ProfOp::of_instr(other));
-                height = sub_height!(pops) + pushes;
-                ops.push(op);
-            }
-        }
-    }
-
-    if !ctrl.is_empty() {
-        return Err(bad("truncated body: unbalanced control (missing end)"));
-    }
-    // The arrays are consumed 1:1 by the fusion and register passes, so
-    // a skew is an unconditional lowering bug.
-    if ops.len() != heights.len() || ops.len() != prof.len() {
-        return Err(bad("lowering produced skewed ops/heights/prof arrays"));
-    }
-    mark_targets(ops, is_target)
-}
-
-/// Flags every jump target of freshly lowered code in `is_target` (one
-/// flag per op plus the end position), rejecting targets past the end.
-fn mark_targets(ops: &[FlatOp], is_target: &mut Vec<bool>) -> Result<(), Trap> {
-    is_target.clear();
-    is_target.resize(ops.len() + 1, false);
-    let mut mark = |t: u32| {
-        is_target
-            .get_mut(t as usize)
-            .map(|b| *b = true)
-            .ok_or_else(|| bad("jump target out of bounds"))
-    };
-    for op in ops {
-        match op {
-            FlatOp::Jump { target }
-            | FlatOp::JumpIfZero { target }
-            | FlatOp::JumpIfNonZero { target }
-            | FlatOp::Br { target, .. }
-            | FlatOp::BrIf { target, .. } => mark(*target)?,
-            FlatOp::BrTable { entries } => {
-                for e in entries.iter() {
-                    mark(e.target)?;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Maps a non-control instruction to its flat opcode and stack effect
-/// `(pops, pushes)`. This is the one per-instruction table of the compile
-/// pipeline; the effect follows from the opcode's class.
-///
-/// # Errors
-///
-/// Returns [`Trap::Instantiation`] for a control instruction in a simple
-/// position (malformed input; control flow is lowered structurally).
-#[allow(clippy::too_many_lines)]
-fn map_simple(instr: &Instr) -> Result<(FlatOp, usize, usize), Trap> {
+pub(crate) fn map_simple(instr: &Instr) -> Option<Simple> {
     use BinOpKind as B;
-    use FlatOp as F;
     use Instr as I;
+    use Simple as S;
     use UnOpKind as U;
-    let load = |kind, m: &MemArg| F::Load {
+    let load = |kind, m: &MemArg| S::Load {
         kind,
         offset: m.offset,
     };
-    let store = |kind, m: &MemArg| F::Store {
+    let store = |kind, m: &MemArg| S::Store {
         kind,
         offset: m.offset,
     };
-    let op = match instr {
-        I::Drop => F::Drop,
-        I::Select => F::Select,
-        I::LocalGet(i) => F::LocalGet(*i),
-        I::LocalSet(i) => F::LocalSet(*i),
-        I::LocalTee(i) => F::LocalTee(*i),
-        I::GlobalGet(i) => F::GlobalGet(*i),
-        I::GlobalSet(i) => F::GlobalSet(*i),
-
+    Some(match instr {
         I::I32Load(m) => load(LoadKind::I32, m),
         I::I64Load(m) => load(LoadKind::I64, m),
         I::F32Load(m) => load(LoadKind::F32, m),
@@ -1481,163 +890,147 @@ fn map_simple(instr: &Instr) -> Result<(FlatOp, usize, usize), Trap> {
         I::I64Store16(m) => store(StoreKind::I64S16, m),
         I::I64Store32(m) => store(StoreKind::I64S32, m),
 
-        I::MemorySize => F::MemorySize,
-        I::MemoryGrow => F::MemoryGrow,
-        I::MemoryCopy => F::MemoryCopy,
-        I::MemoryFill => F::MemoryFill,
+        I::I32Const(v) => S::Const(from_i32(*v)),
+        I::I64Const(v) => S::Const(from_i64(*v)),
+        I::F32Const(v) => S::Const(from_f32(*v)),
+        I::F64Const(v) => S::Const(from_f64(*v)),
 
-        I::I32Const(v) => F::Const(from_i32(*v)),
-        I::I64Const(v) => F::Const(from_i64(*v)),
-        I::F32Const(v) => F::Const(from_f32(*v)),
-        I::F64Const(v) => F::Const(from_f64(*v)),
+        I::I32Eqz => S::Unop(U::I32Eqz),
+        I::I32Eq => S::Binop(B::I32Eq),
+        I::I32Ne => S::Binop(B::I32Ne),
+        I::I32LtS => S::Binop(B::I32LtS),
+        I::I32LtU => S::Binop(B::I32LtU),
+        I::I32GtS => S::Binop(B::I32GtS),
+        I::I32GtU => S::Binop(B::I32GtU),
+        I::I32LeS => S::Binop(B::I32LeS),
+        I::I32LeU => S::Binop(B::I32LeU),
+        I::I32GeS => S::Binop(B::I32GeS),
+        I::I32GeU => S::Binop(B::I32GeU),
+        I::I64Eqz => S::Unop(U::I64Eqz),
+        I::I64Eq => S::Binop(B::I64Eq),
+        I::I64Ne => S::Binop(B::I64Ne),
+        I::I64LtS => S::Binop(B::I64LtS),
+        I::I64LtU => S::Binop(B::I64LtU),
+        I::I64GtS => S::Binop(B::I64GtS),
+        I::I64GtU => S::Binop(B::I64GtU),
+        I::I64LeS => S::Binop(B::I64LeS),
+        I::I64LeU => S::Binop(B::I64LeU),
+        I::I64GeS => S::Binop(B::I64GeS),
+        I::I64GeU => S::Binop(B::I64GeU),
+        I::F32Eq => S::Binop(B::F32Eq),
+        I::F32Ne => S::Binop(B::F32Ne),
+        I::F32Lt => S::Binop(B::F32Lt),
+        I::F32Gt => S::Binop(B::F32Gt),
+        I::F32Le => S::Binop(B::F32Le),
+        I::F32Ge => S::Binop(B::F32Ge),
+        I::F64Eq => S::Binop(B::F64Eq),
+        I::F64Ne => S::Binop(B::F64Ne),
+        I::F64Lt => S::Binop(B::F64Lt),
+        I::F64Gt => S::Binop(B::F64Gt),
+        I::F64Le => S::Binop(B::F64Le),
+        I::F64Ge => S::Binop(B::F64Ge),
 
-        I::I32Eqz => F::Unop(U::I32Eqz),
-        I::I32Eq => F::Binop(B::I32Eq),
-        I::I32Ne => F::Binop(B::I32Ne),
-        I::I32LtS => F::Binop(B::I32LtS),
-        I::I32LtU => F::Binop(B::I32LtU),
-        I::I32GtS => F::Binop(B::I32GtS),
-        I::I32GtU => F::Binop(B::I32GtU),
-        I::I32LeS => F::Binop(B::I32LeS),
-        I::I32LeU => F::Binop(B::I32LeU),
-        I::I32GeS => F::Binop(B::I32GeS),
-        I::I32GeU => F::Binop(B::I32GeU),
-        I::I64Eqz => F::Unop(U::I64Eqz),
-        I::I64Eq => F::Binop(B::I64Eq),
-        I::I64Ne => F::Binop(B::I64Ne),
-        I::I64LtS => F::Binop(B::I64LtS),
-        I::I64LtU => F::Binop(B::I64LtU),
-        I::I64GtS => F::Binop(B::I64GtS),
-        I::I64GtU => F::Binop(B::I64GtU),
-        I::I64LeS => F::Binop(B::I64LeS),
-        I::I64LeU => F::Binop(B::I64LeU),
-        I::I64GeS => F::Binop(B::I64GeS),
-        I::I64GeU => F::Binop(B::I64GeU),
-        I::F32Eq => F::Binop(B::F32Eq),
-        I::F32Ne => F::Binop(B::F32Ne),
-        I::F32Lt => F::Binop(B::F32Lt),
-        I::F32Gt => F::Binop(B::F32Gt),
-        I::F32Le => F::Binop(B::F32Le),
-        I::F32Ge => F::Binop(B::F32Ge),
-        I::F64Eq => F::Binop(B::F64Eq),
-        I::F64Ne => F::Binop(B::F64Ne),
-        I::F64Lt => F::Binop(B::F64Lt),
-        I::F64Gt => F::Binop(B::F64Gt),
-        I::F64Le => F::Binop(B::F64Le),
-        I::F64Ge => F::Binop(B::F64Ge),
+        I::I32Clz => S::Unop(U::I32Clz),
+        I::I32Ctz => S::Unop(U::I32Ctz),
+        I::I32Popcnt => S::Unop(U::I32Popcnt),
+        I::I32Add => S::Binop(B::I32Add),
+        I::I32Sub => S::Binop(B::I32Sub),
+        I::I32Mul => S::Binop(B::I32Mul),
+        I::I32DivS => S::Binop(B::I32DivS),
+        I::I32DivU => S::Binop(B::I32DivU),
+        I::I32RemS => S::Binop(B::I32RemS),
+        I::I32RemU => S::Binop(B::I32RemU),
+        I::I32And => S::Binop(B::I32And),
+        I::I32Or => S::Binop(B::I32Or),
+        I::I32Xor => S::Binop(B::I32Xor),
+        I::I32Shl => S::Binop(B::I32Shl),
+        I::I32ShrS => S::Binop(B::I32ShrS),
+        I::I32ShrU => S::Binop(B::I32ShrU),
+        I::I32Rotl => S::Binop(B::I32Rotl),
+        I::I32Rotr => S::Binop(B::I32Rotr),
 
-        I::I32Clz => F::Unop(U::I32Clz),
-        I::I32Ctz => F::Unop(U::I32Ctz),
-        I::I32Popcnt => F::Unop(U::I32Popcnt),
-        I::I32Add => F::Binop(B::I32Add),
-        I::I32Sub => F::Binop(B::I32Sub),
-        I::I32Mul => F::Binop(B::I32Mul),
-        I::I32DivS => F::Binop(B::I32DivS),
-        I::I32DivU => F::Binop(B::I32DivU),
-        I::I32RemS => F::Binop(B::I32RemS),
-        I::I32RemU => F::Binop(B::I32RemU),
-        I::I32And => F::Binop(B::I32And),
-        I::I32Or => F::Binop(B::I32Or),
-        I::I32Xor => F::Binop(B::I32Xor),
-        I::I32Shl => F::Binop(B::I32Shl),
-        I::I32ShrS => F::Binop(B::I32ShrS),
-        I::I32ShrU => F::Binop(B::I32ShrU),
-        I::I32Rotl => F::Binop(B::I32Rotl),
-        I::I32Rotr => F::Binop(B::I32Rotr),
+        I::I64Clz => S::Unop(U::I64Clz),
+        I::I64Ctz => S::Unop(U::I64Ctz),
+        I::I64Popcnt => S::Unop(U::I64Popcnt),
+        I::I64Add => S::Binop(B::I64Add),
+        I::I64Sub => S::Binop(B::I64Sub),
+        I::I64Mul => S::Binop(B::I64Mul),
+        I::I64DivS => S::Binop(B::I64DivS),
+        I::I64DivU => S::Binop(B::I64DivU),
+        I::I64RemS => S::Binop(B::I64RemS),
+        I::I64RemU => S::Binop(B::I64RemU),
+        I::I64And => S::Binop(B::I64And),
+        I::I64Or => S::Binop(B::I64Or),
+        I::I64Xor => S::Binop(B::I64Xor),
+        I::I64Shl => S::Binop(B::I64Shl),
+        I::I64ShrS => S::Binop(B::I64ShrS),
+        I::I64ShrU => S::Binop(B::I64ShrU),
+        I::I64Rotl => S::Binop(B::I64Rotl),
+        I::I64Rotr => S::Binop(B::I64Rotr),
 
-        I::I64Clz => F::Unop(U::I64Clz),
-        I::I64Ctz => F::Unop(U::I64Ctz),
-        I::I64Popcnt => F::Unop(U::I64Popcnt),
-        I::I64Add => F::Binop(B::I64Add),
-        I::I64Sub => F::Binop(B::I64Sub),
-        I::I64Mul => F::Binop(B::I64Mul),
-        I::I64DivS => F::Binop(B::I64DivS),
-        I::I64DivU => F::Binop(B::I64DivU),
-        I::I64RemS => F::Binop(B::I64RemS),
-        I::I64RemU => F::Binop(B::I64RemU),
-        I::I64And => F::Binop(B::I64And),
-        I::I64Or => F::Binop(B::I64Or),
-        I::I64Xor => F::Binop(B::I64Xor),
-        I::I64Shl => F::Binop(B::I64Shl),
-        I::I64ShrS => F::Binop(B::I64ShrS),
-        I::I64ShrU => F::Binop(B::I64ShrU),
-        I::I64Rotl => F::Binop(B::I64Rotl),
-        I::I64Rotr => F::Binop(B::I64Rotr),
+        I::F32Abs => S::Unop(U::F32Abs),
+        I::F32Neg => S::Unop(U::F32Neg),
+        I::F32Ceil => S::Unop(U::F32Ceil),
+        I::F32Floor => S::Unop(U::F32Floor),
+        I::F32Trunc => S::Unop(U::F32Trunc),
+        I::F32Nearest => S::Unop(U::F32Nearest),
+        I::F32Sqrt => S::Unop(U::F32Sqrt),
+        I::F32Add => S::Binop(B::F32Add),
+        I::F32Sub => S::Binop(B::F32Sub),
+        I::F32Mul => S::Binop(B::F32Mul),
+        I::F32Div => S::Binop(B::F32Div),
+        I::F32Min => S::Binop(B::F32Min),
+        I::F32Max => S::Binop(B::F32Max),
+        I::F32Copysign => S::Binop(B::F32Copysign),
 
-        I::F32Abs => F::Unop(U::F32Abs),
-        I::F32Neg => F::Unop(U::F32Neg),
-        I::F32Ceil => F::Unop(U::F32Ceil),
-        I::F32Floor => F::Unop(U::F32Floor),
-        I::F32Trunc => F::Unop(U::F32Trunc),
-        I::F32Nearest => F::Unop(U::F32Nearest),
-        I::F32Sqrt => F::Unop(U::F32Sqrt),
-        I::F32Add => F::Binop(B::F32Add),
-        I::F32Sub => F::Binop(B::F32Sub),
-        I::F32Mul => F::Binop(B::F32Mul),
-        I::F32Div => F::Binop(B::F32Div),
-        I::F32Min => F::Binop(B::F32Min),
-        I::F32Max => F::Binop(B::F32Max),
-        I::F32Copysign => F::Binop(B::F32Copysign),
+        I::F64Abs => S::Unop(U::F64Abs),
+        I::F64Neg => S::Unop(U::F64Neg),
+        I::F64Ceil => S::Unop(U::F64Ceil),
+        I::F64Floor => S::Unop(U::F64Floor),
+        I::F64Trunc => S::Unop(U::F64Trunc),
+        I::F64Nearest => S::Unop(U::F64Nearest),
+        I::F64Sqrt => S::Unop(U::F64Sqrt),
+        I::F64Add => S::Binop(B::F64Add),
+        I::F64Sub => S::Binop(B::F64Sub),
+        I::F64Mul => S::Binop(B::F64Mul),
+        I::F64Div => S::Binop(B::F64Div),
+        I::F64Min => S::Binop(B::F64Min),
+        I::F64Max => S::Binop(B::F64Max),
+        I::F64Copysign => S::Binop(B::F64Copysign),
 
-        I::F64Abs => F::Unop(U::F64Abs),
-        I::F64Neg => F::Unop(U::F64Neg),
-        I::F64Ceil => F::Unop(U::F64Ceil),
-        I::F64Floor => F::Unop(U::F64Floor),
-        I::F64Trunc => F::Unop(U::F64Trunc),
-        I::F64Nearest => F::Unop(U::F64Nearest),
-        I::F64Sqrt => F::Unop(U::F64Sqrt),
-        I::F64Add => F::Binop(B::F64Add),
-        I::F64Sub => F::Binop(B::F64Sub),
-        I::F64Mul => F::Binop(B::F64Mul),
-        I::F64Div => F::Binop(B::F64Div),
-        I::F64Min => F::Binop(B::F64Min),
-        I::F64Max => F::Binop(B::F64Max),
-        I::F64Copysign => F::Binop(B::F64Copysign),
-
-        I::I32WrapI64 => F::Unop(U::I32WrapI64),
-        I::I32TruncF32S => F::Unop(U::I32TruncF32S),
-        I::I32TruncF32U => F::Unop(U::I32TruncF32U),
-        I::I32TruncF64S => F::Unop(U::I32TruncF64S),
-        I::I32TruncF64U => F::Unop(U::I32TruncF64U),
-        I::I64ExtendI32S => F::Unop(U::I64ExtendI32S),
-        I::I64ExtendI32U => F::Unop(U::I64ExtendI32U),
-        I::I64TruncF32S => F::Unop(U::I64TruncF32S),
-        I::I64TruncF32U => F::Unop(U::I64TruncF32U),
-        I::I64TruncF64S => F::Unop(U::I64TruncF64S),
-        I::I64TruncF64U => F::Unop(U::I64TruncF64U),
-        I::F32ConvertI32S => F::Unop(U::F32ConvertI32S),
-        I::F32ConvertI32U => F::Unop(U::F32ConvertI32U),
-        I::F32ConvertI64S => F::Unop(U::F32ConvertI64S),
-        I::F32ConvertI64U => F::Unop(U::F32ConvertI64U),
-        I::F32DemoteF64 => F::Unop(U::F32DemoteF64),
-        I::F64ConvertI32S => F::Unop(U::F64ConvertI32S),
-        I::F64ConvertI32U => F::Unop(U::F64ConvertI32U),
-        I::F64ConvertI64S => F::Unop(U::F64ConvertI64S),
-        I::F64ConvertI64U => F::Unop(U::F64ConvertI64U),
-        I::F64PromoteF32 => F::Unop(U::F64PromoteF32),
+        I::I32WrapI64 => S::Unop(U::I32WrapI64),
+        I::I32TruncF32S => S::Unop(U::I32TruncF32S),
+        I::I32TruncF32U => S::Unop(U::I32TruncF32U),
+        I::I32TruncF64S => S::Unop(U::I32TruncF64S),
+        I::I32TruncF64U => S::Unop(U::I32TruncF64U),
+        I::I64ExtendI32S => S::Unop(U::I64ExtendI32S),
+        I::I64ExtendI32U => S::Unop(U::I64ExtendI32U),
+        I::I64TruncF32S => S::Unop(U::I64TruncF32S),
+        I::I64TruncF32U => S::Unop(U::I64TruncF32U),
+        I::I64TruncF64S => S::Unop(U::I64TruncF64S),
+        I::I64TruncF64U => S::Unop(U::I64TruncF64U),
+        I::F32ConvertI32S => S::Unop(U::F32ConvertI32S),
+        I::F32ConvertI32U => S::Unop(U::F32ConvertI32U),
+        I::F32ConvertI64S => S::Unop(U::F32ConvertI64S),
+        I::F32ConvertI64U => S::Unop(U::F32ConvertI64U),
+        I::F32DemoteF64 => S::Unop(U::F32DemoteF64),
+        I::F64ConvertI32S => S::Unop(U::F64ConvertI32S),
+        I::F64ConvertI32U => S::Unop(U::F64ConvertI32U),
+        I::F64ConvertI64S => S::Unop(U::F64ConvertI64S),
+        I::F64ConvertI64U => S::Unop(U::F64ConvertI64U),
+        I::F64PromoteF32 => S::Unop(U::F64PromoteF32),
         I::I32ReinterpretF32
         | I::I64ReinterpretF64
         | I::F32ReinterpretI32
-        | I::F64ReinterpretI64 => F::Reinterpret,
-        I::I32Extend8S => F::Unop(U::I32Extend8S),
-        I::I32Extend16S => F::Unop(U::I32Extend16S),
-        I::I64Extend8S => F::Unop(U::I64Extend8S),
-        I::I64Extend16S => F::Unop(U::I64Extend16S),
-        I::I64Extend32S => F::Unop(U::I64Extend32S),
+        | I::F64ReinterpretI64 => S::Reinterpret,
+        I::I32Extend8S => S::Unop(U::I32Extend8S),
+        I::I32Extend16S => S::Unop(U::I32Extend16S),
+        I::I64Extend8S => S::Unop(U::I64Extend8S),
+        I::I64Extend16S => S::Unop(U::I64Extend16S),
+        I::I64Extend32S => S::Unop(U::I64Extend32S),
 
-        _ => return Err(bad("control instruction in a simple position")),
-    };
-    let (pops, pushes) = match op {
-        F::LocalGet(_) | F::GlobalGet(_) | F::MemorySize | F::Const(_) => (0, 1),
-        F::Drop | F::LocalSet(_) | F::GlobalSet(_) => (1, 0),
-        F::LocalTee(_) | F::Load { .. } | F::MemoryGrow | F::Unop(_) | F::Reinterpret => (1, 1),
-        F::Store { .. } => (2, 0),
-        F::Binop(_) => (2, 1),
-        F::Select => (3, 1),
-        F::MemoryCopy | F::MemoryFill => (3, 0),
-        _ => return Err(bad("control op in a simple position")),
-    };
-    Ok((op, pops, pushes))
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1646,7 +1039,7 @@ mod tests {
     use crate::builder::ModuleBuilder;
     use crate::exec::{EngineConfig, ExecMode, Instance, NoHost};
     use crate::instr::Instr as I;
-    use crate::profile::ProfileMode;
+    use crate::profile::{OpClass, ProfOp, ProfileMode};
     use crate::reg::tests::{agreed_outcome, assert_matrix_agrees, engine_matrix, unvalidated};
     use crate::types::BlockType;
 
@@ -1678,9 +1071,9 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "f", &[]);
+        let [interp, aot] = run_both(&bytes, "f", &[]);
         assert_eq!(interp.unwrap(), vec![Value::I32(1)]);
-        assert_eq!(flat.unwrap(), vec![Value::I32(1)]);
+        assert_eq!(aot.unwrap(), vec![Value::I32(1)]);
     }
 
     #[test]
@@ -1715,9 +1108,9 @@ mod tests {
         );
         b.export_func("sum", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "sum", &[Value::I32(10)]);
+        let [interp, aot] = run_both(&bytes, "sum", &[Value::I32(10)]);
         assert_eq!(interp.unwrap(), vec![Value::I32(45)]);
-        assert_eq!(flat.unwrap(), vec![Value::I32(45)]);
+        assert_eq!(aot.unwrap(), vec![Value::I32(45)]);
     }
 
     #[test]
@@ -1740,9 +1133,9 @@ mod tests {
         b.export_func("pick", f);
         let bytes = b.build();
         for (arg, want) in [(1, 100), (0, -100)] {
-            let [interp, flat] = run_both(&bytes, "pick", &[Value::I32(arg)]);
+            let [interp, aot] = run_both(&bytes, "pick", &[Value::I32(arg)]);
             assert_eq!(interp.unwrap(), vec![Value::I32(want)]);
-            assert_eq!(flat.unwrap(), vec![Value::I32(want)]);
+            assert_eq!(aot.unwrap(), vec![Value::I32(want)]);
         }
     }
 
@@ -1777,9 +1170,9 @@ mod tests {
         b.export_func("route", f);
         let bytes = b.build();
         for (arg, want) in [(0, 10), (1, 20), (2, 30), (99, 30)] {
-            let [interp, flat] = run_both(&bytes, "route", &[Value::I32(arg)]);
+            let [interp, aot] = run_both(&bytes, "route", &[Value::I32(arg)]);
             assert_eq!(interp.unwrap(), vec![Value::I32(want)], "arg {arg}");
-            assert_eq!(flat.unwrap(), vec![Value::I32(want)], "arg {arg}");
+            assert_eq!(aot.unwrap(), vec![Value::I32(want)], "arg {arg}");
         }
     }
 
@@ -1794,12 +1187,12 @@ mod tests {
         );
         b.export_func("div", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "div", &[Value::I32(1), Value::I32(0)]);
+        let [interp, aot] = run_both(&bytes, "div", &[Value::I32(1), Value::I32(0)]);
         assert_eq!(interp.unwrap_err(), Trap::DivisionByZero);
-        assert_eq!(flat.unwrap_err(), Trap::DivisionByZero);
-        let [interp, flat] = run_both(&bytes, "div", &[Value::I32(i32::MIN), Value::I32(-1)]);
+        assert_eq!(aot.unwrap_err(), Trap::DivisionByZero);
+        let [interp, aot] = run_both(&bytes, "div", &[Value::I32(i32::MIN), Value::I32(-1)]);
         assert_eq!(interp.unwrap_err(), Trap::IntegerOverflow);
-        assert_eq!(flat.unwrap_err(), Trap::IntegerOverflow);
+        assert_eq!(aot.unwrap_err(), Trap::IntegerOverflow);
     }
 
     #[test]
@@ -1810,15 +1203,15 @@ mod tests {
         let f = b.add_func(ty, &[], vec![I::Call(0), I::End]);
         b.export_func("rec", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "rec", &[]);
+        let [interp, aot] = run_both(&bytes, "rec", &[]);
         assert_eq!(interp.unwrap_err(), Trap::CallStackExhausted);
-        assert_eq!(flat.unwrap_err(), Trap::CallStackExhausted);
+        assert_eq!(aot.unwrap_err(), Trap::CallStackExhausted);
     }
 
     #[test]
     fn branch_discards_excess_operands() {
         // A br out of a block with extra values on the stack must keep only
-        // the label arity; the flat lowering encodes the fix-up statically.
+        // the label arity; register lowering encodes the fix-up statically.
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[], &[ValType::I32]);
         let f = b.add_func(
@@ -1836,9 +1229,9 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "f", &[]);
+        let [interp, aot] = run_both(&bytes, "f", &[]);
         assert_eq!(interp.unwrap(), vec![Value::I32(42)]);
-        assert_eq!(flat.unwrap(), vec![Value::I32(42)]);
+        assert_eq!(aot.unwrap(), vec![Value::I32(42)]);
     }
 
     #[test]
@@ -1863,9 +1256,9 @@ mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        let [interp, flat] = run_both(&bytes, "f", &[]);
+        let [interp, aot] = run_both(&bytes, "f", &[]);
         assert_eq!(interp.unwrap(), vec![Value::I32(5)]);
-        assert_eq!(flat.unwrap(), vec![Value::I32(5)]);
+        assert_eq!(aot.unwrap(), vec![Value::I32(5)]);
     }
 
     #[test]
@@ -1930,29 +1323,27 @@ mod tests {
 
     #[test]
     fn map_simple_classes_agree_with_the_validator() {
-        // `map_simple` is the pipeline's only per-instruction table, and an
-        // op's stack effect follows from the class it assigns. Pin it
-        // against the validator's independent typing of every numeric
-        // opcode and every load and store, and check the retirement
-        // classifier still knows each one.
+        // `map_simple` is the compile's only per-instruction table, and an
+        // instruction's stack effect follows from the class it assigns.
+        // Pin it against the validator's independent typing of every
+        // numeric opcode and every load and store, and check the
+        // retirement classifier still knows each one.
         let numeric = (0x45..=0xC4u8).map(|op| (op, false));
         let memory = (0x28..=0x3Eu8).map(|op| (op, true));
         let mut seen = 0;
         for (opcode, memarg) in numeric.chain(memory) {
             let instr = decode_one(opcode, memarg);
-            let (op, pops, pushes) = map_simple(&instr).unwrap();
-            let (class_effect, prof_classes): (_, &[OpClass]) = match op {
-                FlatOp::Unop(_) => (
+            let (class_effect, prof_classes): (_, &[OpClass]) = match map_simple(&instr) {
+                Some(Simple::Unop(_)) => (
                     (1, 1),
                     &[OpClass::Arith, OpClass::Compare, OpClass::Convert],
                 ),
-                FlatOp::Binop(_) => ((2, 1), &[OpClass::Arith, OpClass::Compare]),
-                FlatOp::Load { offset: 0, .. } => ((1, 1), &[OpClass::Load]),
-                FlatOp::Store { offset: 0, .. } => ((2, 0), &[OpClass::Store]),
-                FlatOp::Reinterpret => ((1, 1), &[OpClass::Convert]),
-                other => panic!("{instr:?} lowers to {other:?}, not a numeric or memory class"),
+                Some(Simple::Binop(_)) => ((2, 1), &[OpClass::Arith, OpClass::Compare]),
+                Some(Simple::Load { offset: 0, .. }) => ((1, 1), &[OpClass::Load]),
+                Some(Simple::Store { offset: 0, .. }) => ((2, 0), &[OpClass::Store]),
+                Some(Simple::Reinterpret) => ((1, 1), &[OpClass::Convert]),
+                other => panic!("{instr:?} classifies as {other:?}, not a numeric or memory class"),
             };
-            assert_eq!((pops, pushes), class_effect, "{instr:?}");
             assert_eq!(
                 validated_shapes(&instr),
                 [class_effect],
@@ -1967,15 +1358,24 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 128 + 23);
-    }
-
-    #[test]
-    fn flat_op_size_does_not_regress() {
-        // The compile scratch holds a body's worth of these, so the op
-        // size is what a launch's first touches cost. `BrTable`'s fat
-        // `Box<[BrEntry]>` (16 bytes + tag) sets it; no other token may
-        // push it further.
-        assert!(std::mem::size_of::<FlatOp>() <= 24);
+        // The four constants are the other class; nothing else has one.
+        for (instr, bits) in [
+            (I::I32Const(-1), u64::from(u32::MAX)),
+            (I::I64Const(-1), u64::MAX),
+            (I::F32Const(1.0), u64::from(1.0f32.to_bits())),
+            (I::F64Const(-0.0), (-0.0f64).to_bits()),
+        ] {
+            assert_eq!(map_simple(&instr), Some(Simple::Const(bits)), "{instr:?}");
+        }
+        for instr in [
+            I::Nop,
+            I::Drop,
+            I::LocalGet(0),
+            I::MemoryGrow,
+            I::If(BlockType::Empty),
+        ] {
+            assert_eq!(map_simple(&instr), None, "{instr:?}");
+        }
     }
 
     #[test]
@@ -1985,13 +1385,14 @@ mod tests {
         let module = unvalidated(vec![I::Block(BlockType::Empty), I::Nop]);
         let err = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap_err();
         match err {
-            Trap::Instantiation(msg) => assert!(msg.contains("flat lowering"), "{msg}"),
+            Trap::Instantiation(msg) => assert!(msg.contains("register lowering"), "{msg}"),
             other => panic!("expected Instantiation, got {other:?}"),
         }
     }
 
     #[test]
     fn malformed_bodies_error_instead_of_panicking() {
+        use BlockType::{Empty, Func, Value as Val};
         let cases: Vec<(&str, Vec<I>)> = vec![
             ("else without if", vec![I::Else, I::End]),
             ("unbalanced end", vec![I::End, I::End]),
@@ -2005,14 +1406,79 @@ mod tests {
                 "control instr by simple mapping",
                 vec![I::I32Const(0), I::BrIf(9), I::End],
             ),
+            (
+                "else in a loop",
+                vec![I::Loop(Empty), I::Else, I::End, I::End],
+            ),
+            (
+                "second else",
+                vec![
+                    I::I32Const(1),
+                    I::If(Empty),
+                    I::Else,
+                    I::Else,
+                    I::End,
+                    I::End,
+                ],
+            ),
+            (
+                "then-branch leaves a value",
+                vec![
+                    I::I32Const(1),
+                    I::If(Empty),
+                    I::I32Const(2),
+                    I::Else,
+                    I::End,
+                    I::End,
+                ],
+            ),
+            (
+                "block result missing at its end",
+                vec![I::Block(Val(ValType::I32)), I::End, I::Drop, I::End],
+            ),
+            ("block type index", vec![I::Block(Func(9)), I::End, I::End]),
+            ("if without condition", vec![I::If(Empty), I::End, I::End]),
+            (
+                "br_table depth",
+                vec![
+                    I::I32Const(0),
+                    I::BrTable {
+                        targets: vec![0],
+                        default: 5,
+                    },
+                    I::End,
+                ],
+            ),
+            (
+                "compare into a br_if past the body",
+                vec![
+                    I::I32Const(1),
+                    I::I32Const(2),
+                    I::I32LtS,
+                    I::BrIf(3),
+                    I::End,
+                ],
+            ),
+            (
+                "eqz into an if without end",
+                vec![I::I32Const(1), I::I32Eqz, I::If(Empty), I::End],
+            ),
+            ("call target", vec![I::Call(5), I::End]),
+            ("local index", vec![I::LocalGet(3), I::Drop, I::End]),
         ];
         for (what, code) in cases {
             let module = unvalidated(code);
-            let err = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost);
-            assert!(
-                matches!(err, Err(Trap::Instantiation(_))),
-                "{what}: expected Err(Instantiation), got {err:?}"
-            );
+            for fuse in [true, false] {
+                let cfg = EngineConfig {
+                    fuse,
+                    ..EngineConfig::default()
+                };
+                let err = Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost);
+                assert!(
+                    matches!(err, Err(Trap::Instantiation(_))),
+                    "{what} (fuse = {fuse}): expected Err(Instantiation), got {err:?}"
+                );
+            }
         }
     }
 
@@ -2050,7 +1516,7 @@ mod tests {
         );
         b.export_func("sum", f);
         let module = crate::load(&b.build()).unwrap();
-        let fused = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let fused = CompiledModule::compile_full(&module, true, true).unwrap();
         let stats = fused.fusion;
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
         assert_eq!(stats.binop_set, 2, "{stats:?}");
@@ -2061,12 +1527,8 @@ mod tests {
             6,
             "exit, two updates, back-edge, result: {code:?}"
         );
-        let unfused = CompiledModule::compile_full(&module, false, true, true).unwrap();
+        let unfused = CompiledModule::compile_full(&module, false, true).unwrap();
         assert_eq!(unfused.fusion.total(), 0);
-        // Fusion belongs to the register pass: without it nothing is
-        // counted, whatever `fuse` says.
-        let no_reg = CompiledModule::compile_full(&module, true, false, true).unwrap();
-        assert_eq!(no_reg.fusion.total(), 0);
         // And the fused loop still computes the same sum.
         let oracle = agreed_outcome(&b.build(), "sum", &[Value::I32(10)], "sum loop");
         assert_eq!(oracle.unwrap(), vec![Value::I32(45)]);
@@ -2193,7 +1655,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
         assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
@@ -2227,7 +1689,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
         assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
@@ -2322,7 +1784,7 @@ mod tests {
         b.export_func("store", store);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
         let stats = compiled.reg.as_ref().unwrap().stats;
         assert_eq!(
             (stats.gets_forwarded, stats.moves_inserted),

@@ -13,13 +13,13 @@
 //!   [`ExecMode::Interpreted`] walks structured opcodes and discovers branch
 //!   targets by scanning, like a naive interpreter — the reference
 //!   implementation and the fallback — while [`ExecMode::Aot`] runs the
-//!   register engine: bodies lowered at load time to a flat linear IR with
-//!   absolute jumps, inlined immediates and untagged 64-bit operands
-//!   ([`flat`]), then register-allocated so every op addresses fixed frame
-//!   slots and the dispatch loop moves no operand stack at all, the same
-//!   pass joining common adjacent shapes into superinstructions ([`reg`],
-//!   [`RegStats`], [`FusionStats`]; `WATZ_NO_FUSE=1` turns the joining
-//!   off); the flat form is compile-time scratch, an instance keeps the
+//!   register engine: each body lowered at load time in one walk over its
+//!   structured instructions to register code with absolute jumps, inlined
+//!   immediates and untagged 64-bit operands ([`flat`]) in which every op
+//!   addresses fixed frame slots and the dispatch loop moves no operand
+//!   stack at all, the same walk joining common adjacent shapes into
+//!   superinstructions ([`reg`], [`RegStats`], [`FusionStats`];
+//!   `WATZ_NO_FUSE=1` turns the joining off); an instance keeps the
 //!   register code only — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
 //!   AOT/interp gap is smaller than the paper's 28x, as documented in

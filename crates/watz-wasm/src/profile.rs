@@ -21,10 +21,10 @@
 //!
 //! `instret` counts *retired guest instructions*: every structured
 //! opcode the tree oracle dispatches except the shape-only ones
-//! (`block`/`loop`/`end`/`else`/`nop`, which the flat lowering erases).
+//! (`block`/`loop`/`end`/`else`/`nop`, which register lowering erases).
 //! The register engine executes fewer host ops than that, so each lowered
 //! op carries a [`ProfOp`] weight — how many guest instructions it
-//! retires — computed at lowering time and merged by the register pass.
+//! retires — merged at lowering time from the instructions it stands for.
 //! Counting is *inclusive at fetch*: an op's full weight retires when it
 //! is dispatched, before it can trap, and no fusion rule retires anything
 //! past a trap-capable div/rem at that op's fetch, so both executors
@@ -77,9 +77,9 @@ impl OpClass {
 
 /// Classifies a structured instruction and gives its retirement weight.
 ///
-/// Shape-only opcodes (`block`/`loop`/`end`/`else`/`nop`) weigh 0: the
-/// flat lowering erases them, so counting them in the tree oracle would
-/// break cross-engine instret parity.
+/// Shape-only opcodes (`block`/`loop`/`end`/`else`/`nop`) weigh 0:
+/// register lowering erases them, so counting them in the tree oracle
+/// would break cross-engine instret parity.
 #[must_use]
 pub fn classify(instr: &Instr) -> (OpClass, u32) {
     use Instr::{
@@ -193,12 +193,11 @@ pub fn classify(instr: &Instr) -> (OpClass, u32) {
     }
 }
 
-/// Retirement metadata for one lowered (flat or register) op: how many
-/// guest instructions it retires and how they split across classes.
+/// Retirement metadata for one register op: how many guest instructions
+/// it retires and how they split across classes.
 ///
-/// Built once at lowering time; the register pass merges the metadata of
-/// every source op a register op stands for, so retire-at-fetch stays
-/// exact on the register engine.
+/// Built once at lowering time, merged from every instruction a register
+/// op stands for, so retire-at-fetch stays exact on the register engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfOp {
     /// Guest instructions retired when this op is dispatched.

@@ -1,22 +1,31 @@
-//! The register engine behind [`ExecMode::Aot`]: flat IR lowered one step
-//! further, so the hot dispatch loop never pushes or pops an operand stack.
+//! The register engine behind [`ExecMode::Aot`]: structured Wasm lowered
+//! at load time, in one walk per body, to code whose hot dispatch loop
+//! never pushes or pops an operand stack.
 //!
-//! [`crate::flat`] turns a structured body into a linear opcode stream, in
-//! the compile's scratch buffers, that still *describes* a runtime operand
-//! stack: `local.get` pushes a copy, every operator pops its inputs and
-//! pushes its result. This pass reads that stream where it lies and emits
-//! the only code an instance keeps, over the same operator vocabulary
-//! ([`UnOpKind`], [`BinOpKind`], [`LoadKind`], [`StoreKind`]). Validation makes
-//! all of that motion statically known — at any program point the
-//! operand-stack *height* is a compile-time constant, so the value "at
-//! height `h`" can live in the fixed frame slot `n_locals + h` instead.
+//! A structured body still *describes* a runtime operand stack:
+//! `local.get` pushes a copy, every operator pops its inputs and pushes its
+//! result. Validation makes all of that motion statically known — at any
+//! program point the operand-stack *height* is a compile-time constant, so
+//! the value "at height `h`" can live in the fixed frame slot
+//! `n_locals + h` instead.
 //!
-//! The register pass exploits exactly that: an **abstract-stack
-//! simulation** walks each flat body once at load time and rewrites every
-//! op to carry explicit source/destination frame-slot indices. Locals and
-//! intermediates all live in one flat `u64` frame; a [`RegOp`] reads its
-//! operands from slots and writes its result to a slot, and the dispatch
-//! loop maintains nothing but a program counter and a frame base.
+//! [`lower_func`] exploits exactly that: an **abstract-stack simulation**
+//! walks each body's instructions once at load time and emits every op
+//! with explicit source/destination frame-slot indices, over the operator
+//! vocabulary of [`crate::flat`] ([`UnOpKind`], [`BinOpKind`],
+//! [`LoadKind`], [`StoreKind`]). Locals and intermediates all live in one
+//! flat `u64` frame; a [`RegOp`] reads its operands from slots and writes
+//! its result to a slot, and the dispatch loop maintains nothing but a
+//! program counter and a frame base.
+//!
+//! The same walk resolves control flow on a control stack of its own.
+//! `block`, `loop` and `end` emit no op, an `if` is a conditional jump to
+//! its else/end and an `else` the then-branch's jump to the end. A loop
+//! head is a branch target from the moment the walk reaches its `loop`; a
+//! forward branch goes on its frame's patch list of register-op indices
+//! and is pointed at the frame's else/end once the walk gets there, after
+//! the fall-through flush. Statically unreachable code — the rest of a
+//! frame after `br`, `br_table`, `return` or `unreachable` — emits nothing.
 //!
 //! Three further rewrites fall out of the simulation:
 //!
@@ -29,27 +38,28 @@
 //!   op needs to say where an operand came from: a local, a constant's
 //!   slot and an intermediate are all just slots.
 //! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
-//!   the tokens that follow it and emits one superinstruction for the
-//!   group, under one rule per shape:
+//!   the instructions that follow it and emits one superinstruction for
+//!   the group, under one rule per shape:
 //!
-//!   | at | tokens joined | register op |
+//!   | at | instructions joined | register op |
 //!   |---|---|---|
 //!   | `const k` | `i32.mul; i32.add [; load]` (1-D address tail) | `ScaleAdd` / `ScaleAddLoad*` |
 //!   | `const k` | the adjacent `binop` (`k` its right operand) [; `local.set`] | `BinopK` / `AddI32K` |
 //!   | `local.get z` | `i32.add; const k; i32.mul; i32.add [; 64-bit load]` (2-D tail) | `IdxLAdd` / `IdxLAddLoadF64` |
-//!   | `binop` | its follow: `local.set`, `f64.store` after `f64.add`, `i32.eqzⁿ; jump-if`, or a load after `i32.add` | the binop writing the local, `AddStoreF64`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
-//!   | `i32.eqz` | `i32.eqzⁿ; jump-if` (no binop in front) | `BrIf` with the polarity folded |
+//!   | `binop` | its follow: `local.set`, `f64.store` after `f64.add`, `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if`, or a load after `i32.add` | the binop writing the local, `AddStoreF64`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
+//!   | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
 //!
 //!   A load joins a rule only at full width (`i32`/`f32` → `*I32`,
 //!   `i64`/`f64` → `*F64`); the narrow, extending loads stay their own op.
 //!   Each joined shape carries at least 1 % of the dispatches of PolyBench
 //!   or of the speedtest guest (the ledger in `reg/ledger.rs` enforces
-//!   this); every other shape lowers to the generic ops, one per token.
-//!   A trap-capable binop (`div`/`rem`) sinks only into a `local.set`,
+//!   this); every other shape lowers to the generic ops, one per
+//!   instruction. A `br_if` joins only when its branch moves no values. A
+//!   trap-capable binop (`div`/`rem`) sinks only into a `local.set`,
 //!   whose retirement is deferred until the division succeeds. **No rule
-//!   joins a token a jump lands on** ([`crate::flat::lower`]'s target
-//!   flags): every branch destination stays the first token of a register
-//!   op, which is what makes the jump remap below a plain index lookup.
+//!   reads past a structural instruction** (`block`, `loop`, `else`,
+//!   `end`; an `if` or a `br_if` only ends a window, as its jump): every
+//!   branch destination starts a register op.
 //!   `WATZ_NO_FUSE=1` switches exactly these rules off (forwarding stays),
 //!   for bisection; [`FusionStats`] counts what each rule joined.
 //! * **Stack-polymorphic edges keep explicit fix-ups** — branches that
@@ -59,17 +69,11 @@
 //!   flushes forwarded operands there), and `return` copies results to the
 //!   frame base.
 //!
-//! **Jump-remap re-validation:** lowering inserts fix-up `Move`s in front
-//! of fall-through jump-target ops and emits one op for several tokens, so
-//! every flat-code index is re-pointed through an old→new map; a target
-//! that is not the first token of a register op, or lies past the code, is
-//! an instantiation error before anything runs.
-//!
 //! **Fallback.** Slot operands are `u16`. A function whose frame (locals
 //! plus operand positions) does not fit is reported as
 //! [`LowerError::FrameTooLarge`], and because a register frame cannot call
 //! into another executor the whole module then gets no register program
-//! (the compile drops the bodies lowered so far and skips this pass for the
+//! (the compile drops the bodies lowered so far and keeps none of the
 //! rest) and runs on the tree interpreter in [`crate::exec`] — the one
 //! fallback, which is also the reference implementation. Every other lowering
 //! failure is a defect and fails instantiation. [`RegStats`] reports what
@@ -85,12 +89,13 @@
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
     apply_binop, apply_unop, as_f64, as_i32, as_u32, do_load, do_store, from_f64, from_i32,
-    slot_from_value, value_from_slot, BinOpKind, CompileScratch, CompiledModule, FlatOp,
-    FusionStats, LoadKind, Slot, StoreKind, UnOpKind,
+    map_simple, slot_from_value, value_from_slot, BinOpKind, CompiledModule, FusionStats, LoadKind,
+    Simple, Slot, StoreKind, UnOpKind,
 };
+use crate::instr::Instr;
 use crate::module::{FuncBody, Module};
 use crate::profile::{ProfOp, Profiler};
-use crate::types::{FuncType, ValType};
+use crate::types::{BlockType, FuncType, ValType};
 
 #[cfg(test)]
 mod ledger;
@@ -497,6 +502,20 @@ impl RegOp {
                 | RegOp::AddStoreF64N { .. }
         )
     }
+
+    /// The target of a jump (of its arm `slot`, for a `br_table`).
+    fn target_mut(&mut self, slot: usize) -> Option<&mut u32> {
+        match self {
+            RegOp::Jump { target }
+            | RegOp::BrIf { target, .. }
+            | RegOp::BrMoves { target, .. }
+            | RegOp::BrIfMoves { target, .. }
+            | RegOp::CmpBr { target, .. }
+            | RegOp::CmpBrLtSZ { target, .. } => Some(target),
+            RegOp::BrTable { entries, .. } => entries.get_mut(slot).map(|e| &mut e.target),
+            _ => None,
+        }
+    }
 }
 
 /// A function lowered to register form.
@@ -646,27 +665,66 @@ enum Src {
     Fwd(u16),
 }
 
-/// The register pass's share of the compile scratch
-/// ([`crate::flat::CompileScratch`]): the abstract stack, the flat→register
-/// index map, and the jump-target flags of the body it lowered last, which
-/// the range analysis reads. (The code and its retirement table are built
-/// in the vectors the [`RegFunc`] keeps.)
+/// A control frame of the walk: a `block`, `loop` or `if`, or the body.
+struct Ctrl {
+    is_loop: bool,
+    /// Operand height just below the label's params.
+    label_height: usize,
+    params: usize,
+    results: usize,
+    /// Register index of the frame's first op: a loop's branch target.
+    head: u32,
+    /// Head of the list of forward branches to this frame's end (an index
+    /// into [`RegScratch::patches`], or [`NO_PATCH`]).
+    patches: u32,
+    /// The conditional jump of an `if`, waiting for its else/end.
+    else_patch: Option<u32>,
+    /// The rest of this frame is statically unreachable.
+    unreachable: bool,
+}
+
+impl Ctrl {
+    /// Values a branch to this frame's label transfers.
+    fn arity(&self) -> usize {
+        if self.is_loop {
+            self.params
+        } else {
+            self.results
+        }
+    }
+}
+
+/// End of a patch list in [`RegScratch::patches`].
+const NO_PATCH: u32 = u32::MAX;
+
+/// The index in `ctrl` of the frame relative depth `d` labels.
+fn frame_index(ctrl: &[Ctrl], d: u32) -> Option<usize> {
+    ctrl.len().checked_sub(1 + d as usize)
+}
+
+/// The walk's working buffers, owned by one compile and reused for each
+/// function body, so lowering allocates only what the [`RegFunc`] keeps.
 #[derive(Default)]
 pub(crate) struct RegScratch {
     vstack: Vec<Src>,
-    /// Register index of each flat op that starts a register op;
-    /// [`ABSORBED`] for a token a fusion rule joined to its predecessor.
-    old2new: Vec<u32>,
-    /// Whether some branch lands on `code[pc]` of the register body; one
-    /// flag more than ops (the end position).
-    pub(crate) is_target: Vec<bool>,
+    ctrl: Vec<Ctrl>,
+    /// Forward branches waiting for the end of their target frame, as
+    /// linked lists through this arena: `(op index, br_table arm, next)`.
+    patches: Vec<(u32, u32, u32)>,
 }
 
-/// The per-function lowering state: the emitted code plus the abstract
-/// stack tracking where each pending operand value lives.
+/// The per-function lowering state: the emitted code and its retirement
+/// table, the abstract stack tracking where each pending operand value
+/// lives, and the control stack.
 struct Lowerer<'a> {
     out: Vec<RegOp>,
+    /// Retirement metadata, kept 1:1 with `out` by [`Lowerer::sync`].
+    prof: Vec<ProfOp>,
+    /// Weight of lowered instructions no emitted op carries yet.
+    pending: ProfOp,
     vstack: &'a mut Vec<Src>,
+    ctrl: &'a mut Vec<Ctrl>,
+    patches: &'a mut Vec<(u32, u32, u32)>,
     n_locals: usize,
     max_height: usize,
     stats: &'a mut RegStats,
@@ -679,9 +737,9 @@ pub(crate) enum LowerError {
     /// slot encoding. Not a defect: the module runs on the tree
     /// interpreter instead.
     FrameTooLarge,
-    /// An invariant of the lowering pipeline does not hold — input that
-    /// skipped validation, or a bug in an earlier pass. Instantiation
-    /// fails with the carried [`Trap::Instantiation`].
+    /// The body is malformed (input that skipped validation) or lowering
+    /// broke one of its own invariants. Instantiation fails with the
+    /// carried [`Trap::Instantiation`].
     Malformed(Trap),
 }
 
@@ -691,6 +749,31 @@ fn bad(msg: &str) -> LowerError {
 
 fn slot16(idx: usize) -> Result<u16, LowerError> {
     u16::try_from(idx).map_err(|_| LowerError::FrameTooLarge)
+}
+
+fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), LowerError> {
+    Ok(match bt {
+        BlockType::Empty => (0, 0),
+        BlockType::Value(_) => (0, 1),
+        BlockType::Func(idx) => {
+            let ty = module
+                .types
+                .get(idx as usize)
+                .ok_or_else(|| bad("block type index out of range"))?;
+            (ty.params.len(), ty.results.len())
+        }
+    })
+}
+
+/// Points the jump at `code[at]` (its arm `slot`, for a `br_table`) at
+/// `target`.
+fn patch(code: &mut [RegOp], at: u32, slot: u32, target: u32) -> Result<(), LowerError> {
+    let t = code
+        .get_mut(at as usize)
+        .and_then(|op| op.target_mut(slot as usize))
+        .ok_or_else(|| bad("patched op is not a jump"))?;
+    *t = target;
+    Ok(())
 }
 
 impl Lowerer<'_> {
@@ -712,7 +795,7 @@ impl Lowerer<'_> {
             .vstack
             .len()
             .checked_sub(1)
-            .ok_or_else(|| bad("register lowering: operand stack underflow"))?;
+            .ok_or_else(|| bad("operand stack underflow"))?;
         let s = self.slot_of(pos)?;
         self.vstack.pop();
         self.stats.stack_ops_eliminated += 1;
@@ -773,21 +856,226 @@ impl Lowerer<'_> {
     }
 
     /// Validates and converts a local index carried by a (possibly
-    /// unvalidated) flat op.
+    /// unvalidated) instruction.
     fn local(&self, idx: u32) -> Result<u16, LowerError> {
         if (idx as usize) < self.n_locals {
             slot16(idx as usize)
         } else {
-            Err(bad("register lowering: local index out of range"))
+            Err(bad("local index out of range"))
         }
+    }
+
+    /// Gives the pending retirement weight to the first op emitted since
+    /// the last call, and zero to the rest.
+    fn sync(&mut self) {
+        while self.prof.len() < self.out.len() {
+            self.prof.push(std::mem::take(&mut self.pending));
+        }
+    }
+
+    /// Re-seeds the abstract stack, all canonical, where code is reachable
+    /// again after a terminator: only branches arrive there, and every
+    /// branch flushes first.
+    fn reseed(&mut self, height: usize) {
+        self.vstack.clear();
+        self.vstack.resize(height, Src::Canon);
+        self.max_height = self.max_height.max(height);
+    }
+
+    /// Fall-through into a branch target (a loop head, or an else/end a
+    /// branch lands on): forwarded operands become canonical here so every
+    /// predecessor agrees on the state.
+    fn enter_target(&mut self) -> Result<(), LowerError> {
+        self.flush_all()?;
+        self.sync();
+        if self.pending != ProfOp::zero() {
+            // Emit-less ops left retirement weight pending and no flush
+            // move was emitted to carry it. A self-move keeps the weight on
+            // the fall-through path only — jumping predecessors already
+            // retired their own ops.
+            if self.n_locals == 0 {
+                self.max_height = self.max_height.max(1);
+            }
+            self.emit_move(0, 0);
+            self.sync();
+        }
+        Ok(())
+    }
+
+    /// The innermost frame (the body's stays open until its final `end`).
+    fn top(&mut self) -> Result<&mut Ctrl, LowerError> {
+        self.ctrl
+            .last_mut()
+            .ok_or_else(|| bad("instructions after the function's final end"))
+    }
+
+    /// Marks the rest of the innermost frame statically unreachable.
+    fn terminate(&mut self) -> Result<(), LowerError> {
+        self.top()?.unreachable = true;
+        Ok(())
+    }
+
+    fn check_height(&self, height: usize) -> Result<(), LowerError> {
+        if self.vstack.len() == height {
+            Ok(())
+        } else {
+            Err(bad("operand height mismatch at a block's end"))
+        }
+    }
+
+    /// Opens a frame of block type `bt` over the params on the stack.
+    fn open(
+        &mut self,
+        module: &Module,
+        bt: BlockType,
+        is_loop: bool,
+        else_patch: Option<u32>,
+    ) -> Result<(), LowerError> {
+        let (params, results) = block_arities(module, bt)?;
+        let label_height = self
+            .vstack
+            .len()
+            .checked_sub(params)
+            .ok_or_else(|| bad("operand stack underflow"))?;
+        self.ctrl.push(Ctrl {
+            is_loop,
+            label_height,
+            params,
+            results,
+            head: self.out.len() as u32,
+            patches: NO_PATCH,
+            else_patch,
+            unreachable: false,
+        });
+        Ok(())
+    }
+
+    /// A branch to relative depth `d` from the current height: the slots
+    /// its value transfer copies from and to, and how many.
+    fn transfer(&self, d: u32) -> Result<(u16, u16, usize), LowerError> {
+        let frame = frame_index(self.ctrl, d)
+            .map(|i| &self.ctrl[i])
+            .ok_or_else(|| bad("branch depth exceeds control stack"))?;
+        let (keep, lh) = (frame.arity(), frame.label_height);
+        let h = self.vstack.len();
+        if h < keep + lh {
+            return Err(bad("operand stack underflow at branch"));
+        }
+        Ok((
+            slot16(self.n_locals + h - keep)?,
+            slot16(self.n_locals + lh)?,
+            keep,
+        ))
+    }
+
+    /// The target of the branch to relative depth `d` about to be emitted
+    /// at `out.len()` (its arm `slot`, for a `br_table`): a loop's head,
+    /// or 0 and a patch on the frame's list, resolved at its end.
+    fn branch_target(&mut self, d: u32, slot: u32) -> Result<u32, LowerError> {
+        let idx =
+            frame_index(self.ctrl, d).ok_or_else(|| bad("branch depth exceeds control stack"))?;
+        let frame = &mut self.ctrl[idx];
+        if frame.is_loop {
+            return Ok(frame.head);
+        }
+        self.patches
+            .push((self.out.len() as u32, slot, frame.patches));
+        frame.patches = self.patches.len() as u32 - 1;
+        Ok(0)
+    }
+
+    /// The target of the conditional jump about to be emitted at
+    /// `out.len()` for `jump`, an `if` or a `br_if`; an `if` opens its
+    /// frame here, its false path waiting for the else/end.
+    fn cond_target(&mut self, module: &Module, jump: &Instr) -> Result<u32, LowerError> {
+        match jump {
+            Instr::If(bt) => {
+                let at = self.out.len() as u32;
+                self.open(module, *bt, false, Some(at))?;
+                Ok(0)
+            }
+            Instr::BrIf(d) => self.branch_target(*d, 0),
+            _ => Err(bad("conditional jump expected")),
+        }
+    }
+
+    /// Starts the else-branch of the innermost frame, where its
+    /// condition's false path lands.
+    fn else_arm(&mut self) -> Result<(), LowerError> {
+        let frame = self.top()?;
+        let at = frame
+            .else_patch
+            .take()
+            .ok_or_else(|| bad("else without matching if"))?;
+        frame.unreachable = false;
+        let height = frame.label_height + frame.params;
+        self.reseed(height);
+        let here = self.out.len() as u32;
+        patch(&mut self.out, at, 0, here)
+    }
+
+    /// Closes the innermost frame at its `end`, pointing every branch to
+    /// it here; the body's own `end` returns.
+    fn close(&mut self) -> Result<(), LowerError> {
+        let frame = self.ctrl.pop().ok_or_else(|| bad("unbalanced end"))?;
+        let height = frame.label_height + frame.results;
+        if frame.unreachable {
+            self.reseed(height);
+        } else {
+            if frame.patches != NO_PATCH || frame.else_patch.is_some() {
+                self.enter_target()?;
+            }
+            self.check_height(height)?;
+        }
+        let end = self.out.len() as u32;
+        if let Some(at) = frame.else_patch {
+            // `if` without `else`: the false path jumps straight here.
+            patch(&mut self.out, at, 0, end)?;
+        }
+        let mut next = frame.patches;
+        while let Some(&(at, slot, link)) = self.patches.get(next as usize) {
+            patch(&mut self.out, at, slot, end)?;
+            next = link;
+        }
+        if self.ctrl.is_empty() {
+            self.ret(frame.results)?;
+        }
+        Ok(())
+    }
+
+    /// Copies the top `n_results` values to the frame base and returns.
+    fn ret(&mut self, n_results: usize) -> Result<(), LowerError> {
+        self.flush_all()?;
+        let h = self.vstack.len();
+        if h < n_results {
+            return Err(bad("missing results at return"));
+        }
+        let src = slot16(self.n_locals + h - n_results)?;
+        self.out.push(RegOp::Return { src });
+        Ok(())
+    }
+
+    /// Pops the `n_args` canonical operands an op reads from consecutive
+    /// slots (a call's arguments at the callee's frame base, a bulk-memory
+    /// op's three) and pushes its `n_res` results there; returns the first
+    /// slot.
+    fn args(&mut self, n_args: usize, n_res: usize) -> Result<u16, LowerError> {
+        let h = self.vstack.len();
+        if h < n_args {
+            return Err(bad("missing operands"));
+        }
+        let base = slot16(self.n_locals + h - n_args)?;
+        for _ in 0..n_args {
+            self.pop()?;
+        }
+        for _ in 0..n_res {
+            self.push()?;
+        }
+        Ok(base)
     }
 }
 
-/// [`RegScratch::old2new`] entry of a flat op that a fusion rule joined to
-/// the register op of an earlier token: nothing may jump to it.
-const ABSORBED: u32 = u32::MAX;
-
-/// Where a binop's result goes, read off the tokens that follow it.
+/// Where a binop's result goes, read off the instructions that follow it.
 enum Follow {
     /// Nothing joinable: the result is pushed.
     Push,
@@ -796,49 +1084,65 @@ enum Follow {
     /// `f64.store` after `f64.add`: the sum is the value stored (address
     /// beneath it), at this offset.
     Store(u32),
-    /// `i32.eqzⁿ; jump-if`: the result is only tested.
-    Br { jump_if: bool, target: u32 },
+    /// `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if`: the result is only tested,
+    /// and the jump is taken when its truthiness equals this.
+    Br(bool),
     /// A full-width load after `i32.add`: the result is only the address.
     Load(Width, u32),
 }
 
-/// The fusion rules' view of the flat stream past the op being lowered.
+/// The fusion rules' view of the instructions past the one being lowered.
+/// No rule matches a structural instruction except as the jump that ends a
+/// window (an `if` or a `br_if`), so no window reads past one: every branch
+/// destination — a loop head, an else, an end — starts a register op.
 struct Ahead<'a> {
-    ops: &'a [FlatOp],
-    is_target: &'a [bool],
+    code: &'a [Instr],
     fuse: bool,
 }
 
-impl Ahead<'_> {
-    /// `ops[j]` when a rule may join it to an earlier op: fusion is on and
-    /// no jump lands on it (a target must stay the start of a register op).
-    fn at(&self, j: usize) -> Option<&FlatOp> {
-        if self.fuse && self.is_target.get(j) == Some(&false) {
-            self.ops.get(j)
+impl<'a> Ahead<'a> {
+    /// `code[j]`, when fusion is on.
+    fn at(&self, j: usize) -> Option<&'a Instr> {
+        if self.fuse {
+            self.code.get(j)
         } else {
             None
         }
     }
 
-    /// Reads `i32.eqzⁿ; jump-if` at `ops[j..]`: whether the jump is taken
-    /// on a non-zero value *entering* the chain (each inversion flips the
-    /// polarity; MiniC's truthiness normalization emits these chains), its
-    /// target, and the tokens read.
-    fn cond_jump(&self, j: usize) -> Option<(bool, u32, usize)> {
-        let mut n = 0;
-        while let Some(FlatOp::Unop(UnOpKind::I32Eqz)) = self.at(j + n) {
-            n += 1;
-        }
-        let (jump_if, target) = match self.at(j + n)? {
-            FlatOp::JumpIfZero { target } => (false, *target),
-            FlatOp::JumpIfNonZero { target } => (true, *target),
-            _ => return None,
-        };
-        Some((jump_if ^ (n % 2 == 1), target, n + 1))
+    /// The class of `code[j]`, when fusion is on.
+    fn simple(&self, j: usize) -> Option<Simple> {
+        self.at(j).and_then(map_simple)
     }
 
-    /// Classifies the tokens following a binop `op` at `ops[j - 1]`;
-    /// returns the follow and how many tokens it takes.
+    /// Reads `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` at `code[j..]`, the jump
+    /// popping its condition to height `h`: whether it is taken on a
+    /// non-zero value *entering* the chain (each inversion flips the
+    /// polarity; MiniC's truthiness normalization emits these chains), and
+    /// the instructions read, the jump last. A `br_if` joins only when its
+    /// branch moves no values.
+    fn cond_jump(&self, j: usize, ctrl: &[Ctrl], h: usize) -> Option<(bool, usize)> {
+        let mut n = 0;
+        while let Some(Instr::I32Eqz) = self.at(j + n) {
+            n += 1;
+        }
+        let jump_if = match self.at(j + n)? {
+            Instr::If(_) => false,
+            Instr::BrIf(d) => {
+                let frame = &ctrl[frame_index(ctrl, *d)?];
+                if h.checked_sub(frame.arity()) != Some(frame.label_height) {
+                    return None;
+                }
+                true
+            }
+            _ => return None,
+        };
+        Some((jump_if ^ (n % 2 == 1), n + 1))
+    }
+
+    /// Classifies the instructions following a binop `op` at `code[j - 1]`
+    /// whose conditional jump, if any, would pop to height `h`; returns
+    /// the follow and how many instructions it takes.
     ///
     /// A trap-capable binop (`div`/`rem`) sinks only into a `local.set`:
     /// the set's retirement is deferred until the division succeeds (see
@@ -846,37 +1150,41 @@ impl Ahead<'_> {
     /// stays exact on trapping inputs. A store or branch would put a second
     /// trap point or a control transfer after the division, which the
     /// deferred-suffix scheme does not cover.
-    fn follow(&self, j: usize, op: BinOpKind) -> (Follow, usize) {
-        match self.at(j) {
-            Some(FlatOp::LocalSet(dst)) => (Follow::Set(*dst), 1),
-            _ if op.traps() => (Follow::Push, 0),
-            Some(&FlatOp::Store {
-                kind: StoreKind::F64,
-                offset,
-            }) if op == BinOpKind::F64Add => (Follow::Store(offset), 1),
-            Some(&FlatOp::Load { kind, offset }) if op == BinOpKind::I32Add => match width(kind) {
+    fn follow(&self, j: usize, op: BinOpKind, ctrl: &[Ctrl], h: usize) -> (Follow, usize) {
+        if let Some(Instr::LocalSet(dst)) = self.at(j) {
+            return (Follow::Set(*dst), 1);
+        }
+        if op.traps() {
+            return (Follow::Push, 0);
+        }
+        match (op, self.simple(j)) {
+            (
+                BinOpKind::F64Add,
+                Some(Simple::Store {
+                    kind: StoreKind::F64,
+                    offset,
+                }),
+            ) => (Follow::Store(offset), 1),
+            (BinOpKind::I32Add, Some(Simple::Load { kind, offset })) => match width(kind) {
                 Some(w) => (Follow::Load(w, offset), 1),
                 None => (Follow::Push, 0),
             },
-            _ => match self.cond_jump(j) {
-                Some((jump_if, target, n)) => (Follow::Br { jump_if, target }, n),
+            _ => match self.cond_jump(j, ctrl, h) {
+                Some((jump_if, n)) => (Follow::Br(jump_if), n),
                 None => (Follow::Push, 0),
             },
         }
     }
 
-    /// Reads `i32.mul; i32.add [; load]` at `ops[j..]` — an array-address
+    /// Reads `i32.mul; i32.add [; load]` at `code[j..]` — an array-address
     /// tail past its `const k`: the trailing load, when its width is one
-    /// of `joins`, and the tokens read.
+    /// of `joins`, and the instructions read.
     fn scale_tail(&self, j: usize, joins: &[Width]) -> Option<(Option<(Width, u32)>, usize)> {
-        let Some(FlatOp::Binop(BinOpKind::I32Mul)) = self.at(j) else {
+        let (Some(Instr::I32Mul), Some(Instr::I32Add)) = (self.at(j), self.at(j + 1)) else {
             return None;
         };
-        let Some(FlatOp::Binop(BinOpKind::I32Add)) = self.at(j + 1) else {
-            return None;
-        };
-        let load = match self.at(j + 2) {
-            Some(&FlatOp::Load { kind, offset }) => width(kind)
+        let load = match self.simple(j + 2) {
+            Some(Simple::Load { kind, offset }) => width(kind)
                 .filter(|w| joins.contains(w))
                 .map(|w| (w, offset)),
             _ => None,
@@ -885,26 +1193,25 @@ impl Ahead<'_> {
     }
 }
 
-/// Lowers the flat body in `scratch.ops` — `body`'s — to register form.
-/// `scratch` holds what [`crate::flat::lower`] recorded beside the ops: the
-/// operand-stack entry height of every flat op — it re-seeds the abstract
-/// stack at dynamically-unreachable fall-through code where no simulation
-/// state survives —, the retirement metadata, and the jump-target flags,
-/// which are carried through the old→new map into `scratch.reg.is_target`.
-/// `fuse` turns the fusion rules on (see the module docs); what they
-/// joined is counted in `fusion`.
+/// Lowers `body` to register form in one walk over its structured code
+/// (see the module docs), in `scratch`'s buffers. `fuse` turns the fusion
+/// rules on; what they joined is counted in `fusion`.
 ///
 /// # Errors
 ///
 /// [`LowerError::FrameTooLarge`] when the frame outgrows the `u16` slot
 /// encoding (the caller leaves the module on the interpreter), and
-/// [`LowerError::Malformed`] when an invariant is violated (the caller
-/// fails instantiation).
+/// [`LowerError::Malformed`] for a malformed body — truncated code
+/// (unbalanced control), out-of-range type, function, local or branch
+/// indices, or operand-stack underflow — or a broken invariant (the
+/// caller fails instantiation). A module that passed [`crate::validate`]
+/// never hits the first group, but lowering must not panic the host
+/// either way.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     module: &Module,
     body: &FuncBody,
-    scratch: &mut CompileScratch,
+    scratch: &mut RegScratch,
     fuse: bool,
     stats: &mut RegStats,
     fusion: &mut FusionStats,
@@ -913,64 +1220,48 @@ pub(crate) fn lower_func(
         .types
         .get(body.type_idx as usize)
         .ok_or_else(|| bad("function type index out of range"))?;
-    let CompileScratch {
-        ops,
-        heights,
-        prof,
-        is_target,
-        reg:
-            RegScratch {
-                vstack,
-                old2new,
-                is_target: reg_targets,
-            },
-        ..
-    } = scratch;
-    let n = ops.len();
-    if heights.len() != n || prof.len() != n || is_target.len() != n + 1 {
-        return Err(bad("register lowering: flat side tables out of sync"));
-    }
     let n_params = ty.params.len();
     let n_locals = n_params + body.locals.len();
     let n_results = ty.results.len();
-
-    vstack.clear();
-    let mut lo = Lowerer {
-        out: Vec::with_capacity(n),
+    let code = &body.code[..];
+    let RegScratch {
         vstack,
+        ctrl,
+        patches,
+    } = scratch;
+    vstack.clear();
+    ctrl.clear();
+    patches.clear();
+    ctrl.push(Ctrl {
+        is_loop: false,
+        label_height: 0,
+        params: 0,
+        results: n_results,
+        head: 0,
+        patches: NO_PATCH,
+        else_patch: None,
+        unreachable: false,
+    });
+    // Retirement: each instruction's weight accumulates into `pending` and
+    // attaches to the *first* register op emitted on its behalf (fix-up
+    // moves included — they cannot trap and run before the main op on the
+    // same path, so inclusive-at-fetch retirement stays exact even on
+    // trapping programs). Emit-less instructions (forwarded gets, drops,
+    // same-slot sets, structure) leave their weight pending for the next
+    // emission on the same fall-through path.
+    let mut lo = Lowerer {
+        out: Vec::with_capacity(code.len()),
+        prof: Vec::with_capacity(code.len()),
+        pending: ProfOp::zero(),
+        vstack,
+        ctrl,
+        patches,
         n_locals,
         max_height: 0,
         stats,
     };
-    old2new.clear();
-    old2new.resize(n + 1, ABSORBED);
-    let ahead = Ahead {
-        ops,
-        is_target,
-        fuse,
-    };
-    // The previous op ended its basic block: the abstract stack must be
-    // re-seeded from the recorded entry height (canonical by convention —
-    // every edge into a target flushes first).
-    let mut terminated = false;
-
-    // Retirement metadata, kept 1:1 with `lo.out`. Each flat op's weight
-    // accumulates into `pending` and attaches to the *first* register op
-    // emitted on its behalf (fix-up moves included — they cannot trap and
-    // run before the main op on the same path, so inclusive-at-fetch
-    // retirement stays exact even on trapping programs). Emit-less ops
-    // (forwarded gets, drops, same-slot sets) leave their weight pending
-    // for the next emission on the same fall-through path.
-    let mut rprof: Vec<ProfOp> = Vec::with_capacity(n);
-    let mut pending = ProfOp::zero();
-    macro_rules! sync_prof {
-        () => {
-            while rprof.len() < lo.out.len() {
-                rprof.push(std::mem::take(&mut pending));
-            }
-        };
-    }
-
+    let ahead = Ahead { code, fuse };
+    let n_imports = module.func_imports.len() as u32;
     // The arity of a call target, for arg/result placement.
     let call_arity = |func: u32| -> Result<(usize, usize), LowerError> {
         let ty_idx = module
@@ -982,37 +1273,29 @@ pub(crate) fn lower_func(
             .ok_or_else(|| bad("call type index out of range"))?;
         Ok((ty.params.len(), ty.results.len()))
     };
+    // Nesting depth of the blocks skipped inside statically unreachable
+    // code.
+    let mut skip = 0usize;
 
     let mut i = 0;
-    while i < n {
-        if terminated {
-            lo.vstack.clear();
-            lo.vstack.resize(heights[i] as usize, Src::Canon);
-            lo.max_height = lo.max_height.max(lo.vstack.len());
-            terminated = false;
-        } else if is_target[i] {
-            // Fall-through into a jump target: forwarded operands become
-            // canonical here so every predecessor agrees on the state.
-            lo.flush_all()?;
-            sync_prof!();
-            if pending != ProfOp::zero() {
-                // Emit-less ops left retirement weight pending and no
-                // flush move was emitted to carry it. A self-move keeps
-                // the weight on the fall-through path only — jumping
-                // predecessors already retired their own ops.
-                if lo.n_locals == 0 {
-                    lo.max_height = lo.max_height.max(1);
-                }
-                lo.emit_move(0, 0);
-                sync_prof!();
+    while i < code.len() {
+        let instr = &code[i];
+        // Inside statically unreachable code nothing is emitted; only the
+        // block structure is tracked so the matching else/end is found.
+        if lo.top()?.unreachable {
+            match instr {
+                x if x.opens_block() => skip += 1,
+                Instr::Else if skip == 0 => lo.else_arm()?,
+                Instr::End if skip == 0 => lo.close()?,
+                Instr::End => skip -= 1,
+                _ => {}
             }
-            if lo.vstack.len() != heights[i] as usize {
-                return Err(bad("register lowering: height mismatch at jump target"));
-            }
+            lo.sync();
+            i += 1;
+            continue;
         }
-        old2new[i] = lo.out.len() as u32;
-        // Flat ops this iteration lowers: `ops[i]` plus what a fusion rule
-        // joins to it.
+        // Instructions this iteration lowers: `code[i]` plus what a fusion
+        // rule joins to it.
         let mut used = 1;
         // A binop sunk into a `local.set` retires the set only after the
         // (possibly trapping) binop succeeds: the set's weight joins
@@ -1020,151 +1303,117 @@ pub(crate) fn lower_func(
         // on the fall-through path (or a carrier move at a join).
         let mut deferred_set = false;
 
-        match &ops[i] {
-            FlatOp::Unreachable => {
+        match instr {
+            Instr::Nop => {}
+            Instr::Unreachable => {
                 lo.out.push(RegOp::Unreachable);
-                terminated = true;
+                lo.terminate()?;
             }
-            FlatOp::Jump { target } => {
-                lo.flush_all()?;
-                lo.out.push(RegOp::Jump { target: *target });
-                terminated = true;
+            Instr::Block(bt) => lo.open(module, *bt, false, None)?,
+            Instr::Loop(bt) => {
+                lo.enter_target()?;
+                lo.open(module, *bt, true, None)?;
             }
-            FlatOp::JumpIfZero { target } | FlatOp::JumpIfNonZero { target } => {
+            Instr::If(_) => {
                 lo.flush_below(1)?;
                 let cond = lo.pop()?;
+                let target = lo.cond_target(module, instr)?;
                 lo.out.push(RegOp::BrIf {
                     cond,
-                    jump_if: matches!(&ops[i], FlatOp::JumpIfNonZero { .. }),
-                    target: *target,
+                    jump_if: false,
+                    target,
                 });
             }
-            FlatOp::Br {
-                target,
-                keep,
-                height,
-            } => {
+            Instr::Else => {
+                let frame = lo.top()?;
+                let height = frame.label_height + frame.results;
+                lo.check_height(height)?;
+                // The then-branch falls through: jump over the else.
                 lo.flush_all()?;
-                let h = lo.vstack.len();
-                if h < *keep as usize {
-                    return Err(bad("register lowering: br keeps more than the stack"));
-                }
-                let src = slot16(n_locals + h - *keep as usize)?;
-                let dst = slot16(n_locals + *height as usize)?;
-                if *keep == 0 || src == dst {
-                    lo.out.push(RegOp::Jump { target: *target });
+                let target = lo.branch_target(0, 0)?;
+                lo.out.push(RegOp::Jump { target });
+                lo.else_arm()?;
+            }
+            Instr::End => lo.close()?,
+            Instr::Br(d) => {
+                lo.flush_all()?;
+                let (src, dst, keep) = lo.transfer(*d)?;
+                let target = lo.branch_target(*d, 0)?;
+                lo.out.push(if keep == 0 || src == dst {
+                    RegOp::Jump { target }
                 } else {
-                    lo.out.push(RegOp::BrMoves {
-                        target: *target,
+                    RegOp::BrMoves {
+                        target,
                         src,
                         dst,
-                        keep: slot16(*keep as usize)?,
-                    });
-                }
-                terminated = true;
+                        keep: slot16(keep)?,
+                    }
+                });
+                lo.terminate()?;
             }
-            FlatOp::BrIf {
-                target,
-                keep,
-                height,
-            } => {
+            Instr::BrIf(d) => {
                 lo.flush_below(1)?;
                 let cond = lo.pop()?;
-                let h = lo.vstack.len();
-                if h < *keep as usize {
-                    return Err(bad("register lowering: br_if keeps more than the stack"));
-                }
-                let src = slot16(n_locals + h - *keep as usize)?;
-                let dst = slot16(n_locals + *height as usize)?;
-                if *keep == 0 || src == dst {
-                    lo.out.push(RegOp::BrIf {
+                let (src, dst, keep) = lo.transfer(*d)?;
+                let target = lo.branch_target(*d, 0)?;
+                lo.out.push(if keep == 0 || src == dst {
+                    RegOp::BrIf {
                         cond,
                         jump_if: true,
-                        target: *target,
-                    });
+                        target,
+                    }
                 } else {
-                    lo.out.push(RegOp::BrIfMoves {
+                    RegOp::BrIfMoves {
                         cond,
                         jump_if: true,
-                        target: *target,
+                        target,
                         src,
                         dst,
-                        keep: slot16(*keep as usize)?,
-                    });
-                }
+                        keep: slot16(keep)?,
+                    }
+                });
             }
-            FlatOp::BrTable { entries } => {
+            Instr::BrTable { targets, default } => {
                 lo.flush_below(1)?;
                 let idx = lo.pop()?;
-                let h = lo.vstack.len();
-                let mut reg_entries = Vec::with_capacity(entries.len());
-                for e in entries.iter() {
-                    let keep = e.keep as usize;
-                    if h < keep {
-                        return Err(bad("register lowering: br_table keeps more than the stack"));
-                    }
-                    reg_entries.push(RegBrEntry {
-                        target: e.target,
-                        src: slot16(n_locals + h - keep)?,
-                        dst: slot16(n_locals + e.height as usize)?,
+                let mut entries = Vec::with_capacity(targets.len() + 1);
+                for (slot, d) in targets.iter().chain(std::iter::once(default)).enumerate() {
+                    let (src, dst, keep) = lo.transfer(*d)?;
+                    entries.push(RegBrEntry {
+                        target: lo.branch_target(*d, slot as u32)?,
+                        src,
+                        dst,
                         keep: slot16(keep)?,
                     });
                 }
                 lo.out.push(RegOp::BrTable {
                     idx,
-                    entries: reg_entries.into_boxed_slice(),
+                    entries: entries.into_boxed_slice(),
                 });
-                terminated = true;
+                lo.terminate()?;
             }
-            FlatOp::Return => {
-                lo.flush_all()?;
-                let h = lo.vstack.len();
-                if h < n_results {
-                    return Err(bad("register lowering: missing results at return"));
-                }
-                lo.out.push(RegOp::Return {
-                    src: slot16(n_locals + h - n_results)?,
-                });
-                terminated = true;
+            Instr::Return => {
+                lo.ret(n_results)?;
+                lo.terminate()?;
             }
-            FlatOp::CallLocal { func } | FlatOp::CallImport { func } => {
+            Instr::Call(func) => {
                 let (n_args, n_res) = call_arity(*func)?;
                 lo.flush_all()?;
-                let h = lo.vstack.len();
-                if h < n_args {
-                    return Err(bad("register lowering: missing call arguments"));
-                }
-                let base = slot16(n_locals + h - n_args)?;
-                for _ in 0..n_args {
-                    lo.pop()?;
-                }
-                for _ in 0..n_res {
-                    lo.push()?;
-                }
-                lo.out.push(match &ops[i] {
-                    FlatOp::CallLocal { func } => RegOp::CallLocal { func: *func, base },
-                    _ => RegOp::CallImport { func: *func, base },
+                let base = lo.args(n_args, n_res)?;
+                lo.out.push(if *func < n_imports {
+                    RegOp::CallImport { func: *func, base }
+                } else {
+                    RegOp::CallLocal { func: *func, base }
                 });
             }
-            FlatOp::CallIndirect { type_idx } => {
+            Instr::CallIndirect { type_idx, .. } => {
                 let ty = module
                     .types
                     .get(*type_idx as usize)
                     .ok_or_else(|| bad("call_indirect type index out of range"))?;
-                let (n_args, n_res) = (ty.params.len(), ty.results.len());
                 lo.flush_all()?;
                 let idx = lo.pop()?;
-                let h = lo.vstack.len();
-                if h < n_args {
-                    return Err(bad("register lowering: missing call arguments"));
-                }
-                let base = slot16(n_locals + h - n_args)?;
-                for _ in 0..n_args {
-                    lo.pop()?;
-                }
-                for _ in 0..n_res {
-                    lo.push()?;
-                }
+                let base = lo.args(ty.params.len(), ty.results.len())?;
                 lo.out.push(RegOp::CallIndirect {
                     type_idx: *type_idx,
                     idx,
@@ -1172,10 +1421,10 @@ pub(crate) fn lower_func(
                 });
             }
 
-            FlatOp::Drop => {
+            Instr::Drop => {
                 lo.pop()?;
             }
-            FlatOp::Select => {
+            Instr::Select => {
                 let cond = lo.pop()?;
                 let b = lo.pop()?;
                 let a = lo.pop()?;
@@ -1183,16 +1432,14 @@ pub(crate) fn lower_func(
                 lo.out.push(RegOp::Select { cond, a, b, dst });
             }
 
-            FlatOp::LocalGet(idx) => {
+            Instr::LocalGet(idx) => {
                 let z = lo.local(*idx)?;
                 // The 2-D address tail `local.get z; i32.add; const k;
                 // i32.mul; i32.add [; 64-bit load]`: base + (part + z)*k.
-                let tail = match (ahead.at(i + 1), ahead.at(i + 2)) {
-                    (Some(FlatOp::Binop(BinOpKind::I32Add)), Some(&FlatOp::Const(k))) => {
-                        u32::try_from(k)
-                            .ok()
-                            .zip(ahead.scale_tail(i + 3, &[Width::W64]))
-                    }
+                let tail = match (ahead.at(i + 1), ahead.simple(i + 2)) {
+                    (Some(Instr::I32Add), Some(Simple::Const(k))) => u32::try_from(k)
+                        .ok()
+                        .zip(ahead.scale_tail(i + 3, &[Width::W64])),
                     _ => None,
                 };
                 if let Some((k, (load, tail_len))) = tail {
@@ -1228,7 +1475,7 @@ pub(crate) fn lower_func(
                     lo.stats.stack_ops_eliminated += 1;
                 }
             }
-            FlatOp::LocalSet(idx) => {
+            Instr::LocalSet(idx) => {
                 let dst = lo.local(*idx)?;
                 let src = lo.pop()?;
                 if src != dst {
@@ -1236,226 +1483,191 @@ pub(crate) fn lower_func(
                     lo.emit_move(src, dst);
                 }
             }
-            FlatOp::LocalTee(idx) => {
+            Instr::LocalTee(idx) => {
                 let dst = lo.local(*idx)?;
                 let top = lo
                     .vstack
                     .len()
                     .checked_sub(1)
-                    .ok_or_else(|| bad("register lowering: tee on empty stack"))?;
+                    .ok_or_else(|| bad("tee on empty stack"))?;
                 let src = lo.slot_of(top)?;
                 if src != dst {
                     lo.guard_local_write(dst, 1)?;
                     lo.emit_move(src, dst);
                 }
             }
-            FlatOp::GlobalGet(idx) => {
+            Instr::GlobalGet(idx) => {
                 let dst = lo.push()?;
                 lo.out.push(RegOp::GlobalGet { idx: *idx, dst });
             }
-            FlatOp::GlobalSet(idx) => {
+            Instr::GlobalSet(idx) => {
                 let src = lo.pop()?;
                 lo.out.push(RegOp::GlobalSet { idx: *idx, src });
             }
 
-            FlatOp::MemorySize => {
+            Instr::MemorySize => {
                 let dst = lo.push()?;
                 lo.out.push(RegOp::MemorySize { dst });
             }
-            FlatOp::MemoryGrow => {
+            Instr::MemoryGrow => {
                 let src = lo.pop()?;
                 let dst = lo.push()?;
                 lo.out.push(RegOp::MemoryGrow { src, dst });
             }
-            FlatOp::MemoryCopy | FlatOp::MemoryFill => {
+            Instr::MemoryCopy | Instr::MemoryFill => {
                 lo.flush_all()?;
-                let h = lo.vstack.len();
-                if h < 3 {
-                    return Err(bad("register lowering: missing bulk-memory operands"));
-                }
-                let args = slot16(n_locals + h - 3)?;
-                for _ in 0..3 {
-                    lo.pop()?;
-                }
-                lo.out.push(match &ops[i] {
-                    FlatOp::MemoryCopy => RegOp::MemoryCopy { args },
+                let args = lo.args(3, 0)?;
+                lo.out.push(match instr {
+                    Instr::MemoryCopy => RegOp::MemoryCopy { args },
                     _ => RegOp::MemoryFill { args },
                 });
             }
 
-            FlatOp::Const(k) => {
-                let k = *k;
-                let tail = u32::try_from(k)
-                    .ok()
-                    .zip(ahead.scale_tail(i + 1, &[Width::W32, Width::W64]));
-                if let Some((k, (load, tail_len))) = tail {
-                    // The 1-D address tail `const k; i32.mul; i32.add
-                    // [; load]`: base + idx*k.
-                    used = 1 + tail_len;
-                    let idx = lo.pop()?;
-                    let base = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(if let Some((w, offset)) = load {
-                        fusion.idx_load += 1;
-                        sel_scale_add_load(base, idx, k, w, offset, dst)
+            other => match map_simple(other).ok_or_else(|| bad("unknown instruction"))? {
+                Simple::Const(k) => {
+                    let tail = u32::try_from(k)
+                        .ok()
+                        .zip(ahead.scale_tail(i + 1, &[Width::W32, Width::W64]));
+                    if let Some((k, (load, tail_len))) = tail {
+                        // The 1-D address tail `const k; i32.mul; i32.add
+                        // [; load]`: base + idx*k.
+                        used = 1 + tail_len;
+                        let idx = lo.pop()?;
+                        let base = lo.pop()?;
+                        let dst = lo.push()?;
+                        lo.out.push(if let Some((w, offset)) = load {
+                            fusion.idx_load += 1;
+                            sel_scale_add_load(base, idx, k, w, offset, dst)
+                        } else {
+                            fusion.idx_addr += 1;
+                            RegOp::ScaleAdd { base, idx, k, dst }
+                        });
+                    } else if let Some(Simple::Binop(op)) = ahead.simple(i + 1) {
+                        // `const k; binop`: `k` is the inline right operand.
+                        // Of the binop's follows only a `local.set` joins:
+                        // the register code has no constant form of the
+                        // store, branch and address sinks.
+                        let h = lo.vstack.len().saturating_sub(1);
+                        let (follow, follow_len) = ahead.follow(i + 2, op, lo.ctrl, h);
+                        let a = lo.pop()?;
+                        let dst = if let Follow::Set(local) = follow {
+                            fusion.binop_set += 1;
+                            used = 2 + follow_len;
+                            deferred_set = true;
+                            let dst = lo.local(local)?;
+                            lo.guard_local_write(dst, 0)?;
+                            dst
+                        } else {
+                            fusion.binop_k += 1;
+                            used = 2;
+                            lo.push()?
+                        };
+                        lo.out.push(sel_binop_k(op, a, k, dst));
                     } else {
-                        fusion.idx_addr += 1;
-                        RegOp::ScaleAdd { base, idx, k, dst }
-                    });
-                } else if let Some(&FlatOp::Binop(op)) = ahead.at(i + 1) {
-                    // `const k; binop`: `k` is the inline right operand.
-                    // Of the binop's follows only a `local.set` joins: the
-                    // register code has no constant form of the store,
-                    // branch and address sinks.
-                    let (follow, follow_len) = ahead.follow(i + 2, op);
+                        let dst = lo.push()?;
+                        lo.out.push(RegOp::Const { bits: k, dst });
+                    }
+                }
+                // Reinterpret casts are identities on raw slots: no code,
+                // the value stays wherever it lives.
+                Simple::Reinterpret => {}
+                Simple::Binop(op) => {
+                    let h = lo.vstack.len().saturating_sub(2);
+                    let (follow, follow_len) = ahead.follow(i + 1, op, lo.ctrl, h);
+                    used = 1 + follow_len;
+                    if matches!(follow, Follow::Br(_)) {
+                        lo.flush_below(2)?;
+                    }
+                    let b = lo.pop()?;
                     let a = lo.pop()?;
-                    let dst = if let Follow::Set(local) = follow {
-                        fusion.binop_set += 1;
-                        used = 2 + follow_len;
-                        deferred_set = true;
-                        let dst = lo.local(local)?;
-                        lo.guard_local_write(dst, 0)?;
-                        dst
-                    } else {
-                        fusion.binop_k += 1;
-                        used = 2;
-                        lo.push()?
-                    };
-                    lo.out.push(sel_binop_k(op, a, k, dst));
-                } else {
-                    let dst = lo.push()?;
-                    lo.out.push(RegOp::Const { bits: k, dst });
-                }
-            }
-
-            // Reinterpret casts are identities on raw slots: no code, the
-            // value stays wherever it lives.
-            FlatOp::Reinterpret => {}
-            FlatOp::Binop(op) => {
-                let op = *op;
-                let (follow, follow_len) = ahead.follow(i + 1, op);
-                used = 1 + follow_len;
-                if matches!(follow, Follow::Br { .. }) {
-                    lo.flush_below(2)?;
-                }
-                let b = lo.pop()?;
-                let a = lo.pop()?;
-                let reg_op = match follow {
-                    Follow::Push => sel_binop(op, a, b, lo.push()?),
-                    Follow::Set(dst) => {
-                        fusion.binop_set += 1;
-                        deferred_set = true;
-                        let dst = lo.local(dst)?;
-                        lo.guard_local_write(dst, 0)?;
-                        sel_binop(op, a, b, dst)
-                    }
-                    Follow::Store(offset) => {
-                        fusion.binop_store += 1;
-                        RegOp::AddStoreF64 {
-                            a,
-                            b,
-                            addr: lo.pop()?,
-                            offset,
+                    let reg_op = match follow {
+                        Follow::Push => sel_binop(op, a, b, lo.push()?),
+                        Follow::Set(dst) => {
+                            fusion.binop_set += 1;
+                            deferred_set = true;
+                            let dst = lo.local(dst)?;
+                            lo.guard_local_write(dst, 0)?;
+                            sel_binop(op, a, b, dst)
                         }
-                    }
-                    Follow::Br { jump_if, target } => {
-                        fusion.cmp_br += 1;
-                        sel_cmp_br(op, a, b, jump_if, target)
-                    }
-                    Follow::Load(w, offset) => {
-                        fusion.add_load += 1;
-                        sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
-                    }
-                };
-                lo.out.push(reg_op);
-            }
-            FlatOp::Unop(op) => {
-                // A bare truthiness chain `i32.eqzⁿ; jump-if` (no binop in
-                // front to take it as a follow) folds into the jump.
-                let fold = match op {
-                    UnOpKind::I32Eqz => ahead.cond_jump(i + 1),
-                    _ => None,
-                };
-                if let Some((jump_if, target, jump_len)) = fold {
-                    fusion.eqz_br += 1;
-                    used = 1 + jump_len;
-                    lo.flush_below(1)?;
-                    let cond = lo.pop()?;
-                    lo.out.push(RegOp::BrIf {
-                        cond,
-                        jump_if: !jump_if,
-                        target,
-                    });
-                } else {
-                    let src = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(RegOp::Unop { op: *op, src, dst });
+                        Follow::Store(offset) => {
+                            fusion.binop_store += 1;
+                            RegOp::AddStoreF64 {
+                                a,
+                                b,
+                                addr: lo.pop()?,
+                                offset,
+                            }
+                        }
+                        Follow::Br(jump_if) => {
+                            fusion.cmp_br += 1;
+                            let target = lo.cond_target(module, &code[i + used - 1])?;
+                            sel_cmp_br(op, a, b, jump_if, target)
+                        }
+                        Follow::Load(w, offset) => {
+                            fusion.add_load += 1;
+                            sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
+                        }
+                    };
+                    lo.out.push(reg_op);
                 }
-            }
-            FlatOp::Load { kind, offset } => {
-                let addr = lo.pop()?;
-                let dst = lo.push()?;
-                lo.out.push(sel_load(*kind, addr, *offset, dst));
-            }
-            FlatOp::Store { kind, offset } => {
-                let val = lo.pop()?;
-                let addr = lo.pop()?;
-                lo.out.push(sel_store(*kind, addr, val, *offset));
-            }
+                Simple::Unop(op) => {
+                    // A bare truthiness chain `i32.eqzⁿ; jump` (no binop in
+                    // front to take it as a follow) folds into the jump.
+                    let fold = match op {
+                        UnOpKind::I32Eqz => {
+                            let h = lo.vstack.len().saturating_sub(1);
+                            ahead.cond_jump(i + 1, lo.ctrl, h)
+                        }
+                        _ => None,
+                    };
+                    if let Some((jump_if, jump_len)) = fold {
+                        fusion.eqz_br += 1;
+                        used = 1 + jump_len;
+                        lo.flush_below(1)?;
+                        let cond = lo.pop()?;
+                        let target = lo.cond_target(module, &code[i + used - 1])?;
+                        lo.out.push(RegOp::BrIf {
+                            cond,
+                            jump_if: !jump_if,
+                            target,
+                        });
+                    } else {
+                        let src = lo.pop()?;
+                        let dst = lo.push()?;
+                        lo.out.push(RegOp::Unop { op, src, dst });
+                    }
+                }
+                Simple::Load { kind, offset } => {
+                    let addr = lo.pop()?;
+                    let dst = lo.push()?;
+                    lo.out.push(sel_load(kind, addr, offset, dst));
+                }
+                Simple::Store { kind, offset } => {
+                    let val = lo.pop()?;
+                    let addr = lo.pop()?;
+                    lo.out.push(sel_store(kind, addr, val, offset));
+                }
+            },
         }
         // Everything lowered here retires at the first op emitted for it,
         // except a deferred set.
         let retired = i + used - usize::from(deferred_set);
-        for p in &prof[i..retired] {
-            pending.merge(p);
+        for instr in &code[i..retired] {
+            lo.pending.merge(&ProfOp::of_instr(instr));
         }
-        sync_prof!();
+        lo.sync();
         if deferred_set {
-            pending.merge(&prof[retired]);
+            lo.pending.merge(&ProfOp::of_instr(&code[retired]));
         }
         i += used;
     }
-    old2new[n] = lo.out.len() as u32;
-    // Every body ends on a terminator (flat lowering closes with Return),
-    // which always emits, so no weight can be left pending.
-    if rprof.len() != lo.out.len() || pending != ProfOp::zero() {
-        return Err(bad("register lowering produced skewed code/prof arrays"));
+    if !lo.ctrl.is_empty() {
+        return Err(bad("truncated body: unbalanced control (missing end)"));
     }
-
-    // Re-point the target flags, then every jump, through the old→new map.
-    // A flagged target can only miss the code by being its end position
-    // (`Ahead::at` never lets a rule absorb one); a jump whose target is
-    // not the start of a register op is a lowering defect all the same.
-    reg_targets.clear();
-    reg_targets.resize(lo.out.len() + 1, false);
-    for (old, _) in is_target.iter().enumerate().filter(|(_, &t)| t) {
-        reg_targets[old2new[old] as usize] = true;
-    }
-    if reg_targets[lo.out.len()] {
-        return Err(bad("register jump target out of bounds"));
-    }
-    for op in lo.out.iter_mut() {
-        let remap = |t: &mut u32| match old2new.get(*t as usize) {
-            Some(&new) if new != ABSORBED => {
-                *t = new;
-                Ok(())
-            }
-            _ => Err(bad("jump into the middle of a fused window")),
-        };
-        match op {
-            RegOp::Jump { target }
-            | RegOp::BrIf { target, .. }
-            | RegOp::BrMoves { target, .. }
-            | RegOp::BrIfMoves { target, .. }
-            | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. } => remap(target)?,
-            RegOp::BrTable { entries, .. } => {
-                for e in entries.iter_mut() {
-                    remap(&mut e.target)?;
-                }
-            }
-            _ => {}
-        }
+    // Every body ends on the return its final `end` emits, so no weight
+    // can be left pending.
+    if lo.prof.len() != lo.out.len() || lo.pending != ProfOp::zero() {
+        return Err(bad("lowering produced skewed code/prof arrays"));
     }
 
     slot16(n_locals + lo.max_height)?; // the whole frame must stay u16-addressable
@@ -1471,7 +1683,7 @@ pub(crate) fn lower_func(
         frame_size,
         result_types: ty.results.clone().into_boxed_slice(),
         code: lo.out.into_boxed_slice(),
-        prof: rprof.into_boxed_slice(),
+        prof: lo.prof.into_boxed_slice(),
     })
 }
 
@@ -2088,8 +2300,7 @@ pub(crate) mod tests {
     #[test]
     fn reg_op_size_does_not_regress() {
         // The whole code array is walked on every dispatch; the ceiling is
-        // the same 24 bytes a flat op takes (set by `BrTable`'s fat
-        // `Box<[RegBrEntry]>`).
+        // 24 bytes (set by `BrTable`'s fat `Box<[RegBrEntry]>`).
         assert!(std::mem::size_of::<RegOp>() <= 24);
     }
 
@@ -2265,18 +2476,13 @@ pub(crate) mod tests {
         assert!(stats.frame_slots > 0, "{stats:?}");
         assert!(stats.moves_inserted > 0, "{stats:?}");
         assert!(stats.stack_ops_eliminated > 0, "{stats:?}");
-        // Without the pass the flat IR is still lowered, but the instance
-        // reports no register program and no fusion (and runs on the
-        // oracle).
-        let no_reg = EngineConfig {
-            reg: false,
-            ..production
-        };
-        let mut oracle_run =
-            Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
-        assert!(oracle_run.reg_stats().is_none());
         assert_eq!(inst.fusion_stats().map(|s| s.binop_k), Some(1));
-        assert_eq!(oracle_run.fusion_stats(), Some(FusionStats::default()));
+        // The tree oracle lowers nothing: no register program, no fusion.
+        let mut oracle_run =
+            Instance::instantiate_with(&module, ExecMode::Interpreted, production, &mut NoHost)
+                .unwrap();
+        assert!(oracle_run.reg_stats().is_none());
+        assert_eq!(oracle_run.fusion_stats(), None);
         assert_eq!(
             oracle_run.invoke(&mut NoHost, "f", &[Value::I32(5)]),
             Ok(vec![Value::I32(15)])
@@ -2327,8 +2533,8 @@ pub(crate) mod tests {
         // whose frame cannot be addressed by u16 slots. It must load in
         // Aot, carry no register program, and match the interpreter on
         // result, trap text and instret. The compile gives up the register
-        // program at `f`, and with it what the pass counted in the body
-        // before: the module comes out as a `reg = false` compile would.
+        // program at `f`, and with it everything the walk counted: fusion
+        // and range statistics read zero.
         const DEPTH: usize = 16_000;
         let n_locals = crate::decode::MAX_FUNC_LOCALS - 1;
         let mut code = vec![I::I32Const(7), I::LocalSet(n_locals as u32)];
@@ -2358,12 +2564,8 @@ pub(crate) mod tests {
         let mut aot = Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
         assert_eq!(aot.mode(), ExecMode::Aot);
         assert!(aot.reg_stats().is_none(), "frame cannot fit u16 slots");
-        let no_reg = EngineConfig { reg: false, ..cfg };
-        let never_tried =
-            Instance::instantiate_with(&module, ExecMode::Aot, no_reg, &mut NoHost).unwrap();
         assert_eq!(aot.fusion_stats(), Some(FusionStats::default()));
-        assert_eq!(aot.fusion_stats(), never_tried.fusion_stats());
-        assert_eq!(aot.range_stats(), never_tried.range_stats());
+        assert_eq!(aot.range_stats(), Some(crate::RangeStats::default()));
         // Nothing executes but the tree oracle, so there is nothing to
         // verify, at instantiation or on demand.
         let verified = aot.verify_ir().expect("compiled").expect("verifies");
@@ -2393,7 +2595,7 @@ pub(crate) mod tests {
     /// elision rewrite), fusion rules on or off.
     fn compiled(bytes: &[u8], fuse: bool) -> CompiledModule {
         let module = crate::load(bytes).unwrap();
-        CompiledModule::compile_full(&module, fuse, true, false).unwrap()
+        CompiledModule::compile_full(&module, fuse, false).unwrap()
     }
 
     /// The register code of local function `idx`.
@@ -2647,7 +2849,7 @@ pub(crate) mod tests {
         b.build()
     }
 
-    // Were `Ahead::at` to ignore the target flags, the bodies of the next
+    // Were the look-ahead to read past an `end`, the bodies of the next
     // two tests would fuse across the landing site and the branch into it
     // would have no register op to go to.
 
@@ -2704,29 +2906,264 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn branch_into_an_absorbed_token_fails_instantiation() {
-        // The flags and the jumps come from the same pass, so they cannot
-        // disagree; if they ever did, the jump remap must refuse rather
-        // than send the branch to a neighbouring op. Drop the flag on the
-        // `local.set` the early exit lands on and the binop absorbs it.
-        let module = crate::load(&target_between_binop_and_set()).unwrap();
-        let body = &module.funcs[0];
-        let mut scratch = CompileScratch::default();
-        crate::flat::lower(&module, body, &mut scratch).unwrap();
-        let set = scratch
-            .ops
+    fn register_code_is_pinned() {
+        // The register code of the benchmark's guests — the 30 PolyBench
+        // kernels, the speedtest guest and the Genann guest — fused and
+        // unfused, elision on: every function's ops, retirement table and
+        // frame, rendered with `Debug` and hashed. The digest is the one
+        // the earlier two-pass compile (a flat token stream, then register
+        // lowering over it) gave for the same loop: the walk decides every
+        // fusion, flush and jump target on these guests as it did.
+        use workloads::{genann_guest, polybench, speedtest};
+        let options = minic::Options {
+            min_pages: 256,
+            max_pages: None,
+        };
+        let mut corpus: Vec<Vec<u8>> = polybench::suite()
             .iter()
-            .position(|op| matches!(op, FlatOp::LocalSet(2)))
-            .unwrap();
-        assert!(scratch.is_target[set]);
-        scratch.is_target[set] = false;
-        let (mut stats, mut fusion) = (RegStats::default(), FusionStats::default());
-        let err = lower_func(&module, body, &mut scratch, true, &mut stats, &mut fusion);
-        match err {
-            Err(LowerError::Malformed(Trap::Instantiation(msg))) => {
-                assert!(msg.contains("middle of a fused window"), "{msg}");
+            .map(|k| minic::compile(k.minic).expect("kernel compiles"))
+            .collect();
+        corpus.push(minic::compile_with_options(speedtest::MINISQL_GUEST, &options).unwrap());
+        corpus.push(minic::compile(&genann_guest::source()).unwrap());
+        let mut h = watz_crypto::sha256::Sha256::new();
+        // Fusions per (fuse, PolyBench / speedtest / Genann).
+        let mut totals = [[0u64; 3]; 2];
+        for (fused, fuse) in totals.iter_mut().zip([true, false]) {
+            for (i, wasm) in corpus.iter().enumerate() {
+                let module = crate::load(wasm).unwrap();
+                let cm = CompiledModule::compile_full(&module, fuse, true).unwrap();
+                fused[i.saturating_sub(29).min(2)] += cm.fusion.total();
+                for f in cm.reg.as_ref().unwrap().funcs.iter().flatten() {
+                    h.update(format!("{f:?}").as_bytes());
+                }
             }
-            other => panic!("expected a lowering defect, got {other:?}"),
         }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(totals, [[1569, 463, 197], [0, 0, 0]]);
+        assert_eq!(
+            hex,
+            "158b4d704d877f62e4a90eae6ac7434cc49207d08de15ee70461b5b48dd82bf8"
+        );
+    }
+
+    /// Compiles `bytes` fused and unfused, elision on and off, and has the
+    /// verifier accept every result.
+    fn assert_verifies(bytes: &[u8]) {
+        let module = crate::load(bytes).unwrap();
+        for fuse in [true, false] {
+            for elide in [true, false] {
+                let cm = CompiledModule::compile_full(&module, fuse, elide).unwrap();
+                assert!(cm.reg.is_some(), "fuse = {fuse}: no register program");
+                if let Err(e) = crate::verify::verify_module(&cm, &module.types) {
+                    panic!("fuse = {fuse}, elide = {elide}: {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn param_block_between_a_binop_and_its_set() {
+        // `i32.div_s; block (param i32); local.set` — the look-ahead stops
+        // at the `block`, so the division keeps its own op (and its own
+        // trap point) and the set sits inside the block.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let takes_one = b.add_type(&[ValType::I32], &[]);
+        let f = b.add_func(
+            ty,
+            &[ValType::I32],
+            vec![
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::I32DivS,
+                I::Block(BlockType::Func(takes_one)),
+                I::LocalSet(2),
+                I::End,
+                I::LocalGet(2),
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        assert_eq!(compiled(&bytes, true).fusion.binop_set, 0);
+        for (x, y, want) in [
+            (7, 2, Ok(vec![Value::I32(3)])),
+            (i32::MIN, -1, Err(Trap::IntegerOverflow)),
+            (5, 0, Err(Trap::DivisionByZero)),
+        ] {
+            let args = [Value::I32(x), Value::I32(y)];
+            assert_eq!(agreed_outcome(&bytes, "f", &args, "param block"), want);
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn loop_without_back_edge_over_a_forwarded_local() {
+        // `local.get 0` is still forwarded when the walk reaches a loop
+        // that no branch re-enters, and the loop body overwrites local 0:
+        // the loop head flushes the pending operand to its own slot.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::LocalGet(0),
+                I::Loop(BlockType::Empty),
+                I::LocalGet(0),
+                I::I32Const(1),
+                I::I32Add,
+                I::LocalSet(0),
+                I::End,
+                I::LocalGet(0),
+                I::I32Add,
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        for fuse in [true, false] {
+            let cm = compiled(&bytes, fuse);
+            assert_eq!(names(code_of(&cm, 0))[0], "Move", "fuse = {fuse}");
+        }
+        for x in [0, 41, -1, i32::MAX] {
+            let out = agreed_outcome(&bytes, "f", &[Value::I32(x)], "loop head");
+            let want = x.wrapping_add(x.wrapping_add(1));
+            assert_eq!(out.unwrap(), vec![Value::I32(want)], "f({x})");
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn value_carrying_br_out_of_nested_blocks() {
+        // `br 1` carries 2x past both blocks' end, dropping the 5 and 6
+        // beneath it; the dead `i32.add` after the inner end stays lowered.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let i32_block = BlockType::Value(ValType::I32);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::I32Const(1000),
+                I::Block(i32_block),
+                I::I32Const(5),
+                I::Block(i32_block),
+                I::I32Const(6),
+                I::LocalGet(0),
+                I::I32Const(2),
+                I::I32Mul,
+                I::Br(1),
+                I::End,
+                I::I32Add,
+                I::End,
+                I::I32Add,
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        assert!(names(code_of(&compiled(&bytes, true), 0)).contains(&"BrMoves".to_string()));
+        for x in [0, 21, -500] {
+            let out = agreed_outcome(&bytes, "f", &[Value::I32(x)], "br 1 with a value");
+            assert_eq!(out.unwrap(), vec![Value::I32(1000 + 2 * x)], "f({x})");
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn if_without_else_carries_a_value_through() {
+        // `if (param i32) (result i32)` without an `else`: the false path
+        // jumps to the end with the value untouched. The condition is a
+        // comparison, so with fusion on the `if` ends a compare-and-branch
+        // window and opens its frame there.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32, ValType::I32], &[ValType::I32]);
+        let through = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::LocalGet(2),
+                I::I32LtS,
+                I::If(BlockType::Func(through)),
+                I::I32Const(10),
+                I::I32Add,
+                I::End,
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        assert_eq!(compiled(&bytes, true).fusion.cmp_br, 1);
+        for (x, a, c, want) in [(1, 2, 3, 11), (1, 3, 2, 1), (-7, 0, 0, -7)] {
+            let args = [Value::I32(x), Value::I32(a), Value::I32(c)];
+            let out = agreed_outcome(&bytes, "f", &args, "if without else");
+            assert_eq!(out.unwrap(), vec![Value::I32(want)], "f({x},{a},{c})");
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn unreachable_code_after_br_table_in_nested_blocks() {
+        // Everything between the `br_table` and its block's end is dead,
+        // nested blocks, a loop and an if/else included: the walk emits
+        // none of it and resumes at the end with a re-seeded stack.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[],
+            vec![
+                I::Block(BlockType::Empty),
+                I::Block(BlockType::Empty),
+                I::Block(BlockType::Empty),
+                I::LocalGet(0),
+                I::BrTable {
+                    targets: vec![0, 1],
+                    default: 2,
+                },
+                I::I32Const(1),
+                I::Block(BlockType::Value(ValType::I32)),
+                I::I32Const(2),
+                I::Br(0),
+                I::I32Const(3),
+                I::End,
+                I::Drop,
+                I::Drop,
+                I::Loop(BlockType::Empty),
+                I::Br(0),
+                I::End,
+                I::I32Const(0),
+                I::If(BlockType::Empty),
+                I::Nop,
+                I::Else,
+                I::Unreachable,
+                I::End,
+                I::End,
+                I::I32Const(10),
+                I::Return,
+                I::End,
+                I::I32Const(20),
+                I::Return,
+                I::End,
+                I::I32Const(30),
+                I::End,
+            ],
+        );
+        b.export_func("f", f);
+        let bytes = b.build();
+        for fuse in [true, false] {
+            let cm = compiled(&bytes, fuse);
+            let code = names(code_of(&cm, 0));
+            assert!(!code.contains(&"Unreachable".to_string()), "{code:?}");
+        }
+        for (arg, want) in [(0, 10), (1, 20), (2, 30), (-1, 30)] {
+            let out = agreed_outcome(&bytes, "f", &[Value::I32(arg)], "dead code");
+            assert_eq!(out.unwrap(), vec![Value::I32(want)], "f({arg})");
+        }
+        assert_verifies(&bytes);
     }
 }

@@ -5,11 +5,8 @@
 //! lowering code**. The verifier keeps its own read/write model of the
 //! register IR, so a bug in the lowering (or a hostile mutation of a
 //! lowered body) is caught by a second, structurally different derivation
-//! of the same facts. The flat stream the register pass consumes is
-//! compile-time scratch ([`crate::flat`]) and is not verified: nothing can
-//! execute it, and every property of it that bears on execution — branch
-//! targets, value transfers that fit the frame, index ranges, a value on
-//! every path to its use — is a property of the register code below.
+//! of the same facts: branch targets, value transfers that fit the frame,
+//! index ranges, a value on every path to its use.
 //!
 //! # Register-form invariants
 //!
@@ -215,9 +212,9 @@ impl std::error::Error for VerifyError {}
 pub struct VerifyStats {
     /// Function bodies verified.
     pub funcs: u64,
-    /// Always 0: the flat stream is compile-time scratch and is not
-    /// verified. Exists only because `benchmark/` reads it; goes with the
-    /// next benchmark PR.
+    /// Always 0: there is no code but register code to verify. Exists
+    /// only because `benchmark/` reads it; goes with the next benchmark
+    /// PR.
     pub flat_ops: u64,
     /// Register opcodes checked.
     pub reg_ops: u64,
@@ -1460,7 +1457,7 @@ mod tests {
     #[test]
     fn corpus_elides_and_reverifies() {
         for (name, module) in [("mix", mix_module()), ("axpy", axpy_module())] {
-            let on = CompiledModule::compile_full(&module, true, true, true).unwrap();
+            let on = CompiledModule::compile_full(&module, true, true).unwrap();
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
             assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
             assert!(
@@ -1470,7 +1467,7 @@ mod tests {
             let stats = verify_module(&on, &module.types).expect("elided module verifies");
             assert!(stats.obligations >= 1, "{name}: {stats:?}");
 
-            let off = CompiledModule::compile_full(&module, true, true, false).unwrap();
+            let off = CompiledModule::compile_full(&module, true, false).unwrap();
             assert_eq!(off.analysis.elided, 0, "{name}");
             assert_eq!(off.analysis.proven(), on.analysis.proven(), "{name}");
             assert!(reg_sites(&off, RegOp::is_check_free).is_empty(), "{name}");
@@ -1485,7 +1482,7 @@ mod tests {
             }
         }
         // The mix preamble is the interval case specifically.
-        let fm = CompiledModule::compile_full(&mix_module(), true, true, true).unwrap();
+        let fm = CompiledModule::compile_full(&mix_module(), true, true).unwrap();
         assert!(fm.analysis.proven_interval > 0, "{:?}", fm.analysis);
         assert!(fm.analysis.proven_subsumed > 0, "{:?}", fm.analysis);
     }
@@ -1817,13 +1814,13 @@ mod tests {
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for (mi, (name, module)) in corpus.iter().enumerate() {
             let oracles: Vec<Vec<Value>> = arg_set.iter().map(|a| oracle(module, a)).collect();
-            let pristine = CompiledModule::compile_full(module, true, true, true).unwrap();
+            let pristine = CompiledModule::compile_full(module, true, true).unwrap();
             let stats = verify_module(&pristine, &module.types).expect("pristine module verifies");
             assert!(stats.obligations > 0, "{name}: no check-free ops to attack");
 
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (mi as u64 + 1));
             for _ in 0..250 {
-                let mut fm = CompiledModule::compile_full(module, true, true, true).unwrap();
+                let mut fm = CompiledModule::compile_full(module, true, true).unwrap();
                 let Some((op_name, must_reject)) = apply_mutation(&mut fm, &module.types, &mut rng)
                 else {
                     continue;

@@ -28,7 +28,6 @@ fn engine_matrix() -> Vec<(String, EngineConfig)> {
             for profile in [ProfileMode::Off, ProfileMode::Count] {
                 let cfg = EngineConfig {
                     fuse,
-                    reg: true,
                     elide,
                     verify: true,
                     profile,
