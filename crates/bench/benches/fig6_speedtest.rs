@@ -11,7 +11,7 @@ use workloads::speedtest::{self, Kind};
 fn main() {
     header(
         "Fig 6: Speedtest1 normalized run time",
-        "writes slower than reads; TEE ~ REE for Wasm (wasm mode: flat AOT engine)",
+        "writes slower than reads; TEE ~ REE for Wasm (wasm mode: register engine)",
     );
     let n = scale(150); // the paper scales to 60% for memory reasons
     let rt = WatzRuntime::new_device(b"fig6").unwrap();

@@ -10,7 +10,7 @@ use workloads::genann_guest;
 fn main() {
     header(
         "Fig 8: Genann training time vs dataset size",
-        "linear; WaTZ ~= WAMR (wasm mode: flat AOT engine)",
+        "linear; WaTZ ~= WAMR (wasm mode: register engine)",
     );
     let epochs = scale(20) as i32;
     let rt = WatzRuntime::new_device(b"fig8").unwrap();

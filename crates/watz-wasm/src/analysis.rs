@@ -165,7 +165,8 @@ enum VnKey {
     Bin(BinOpKind, u32, u32),
     /// `base + idx*k` on i32 (the ScaleAdd address tail).
     ScaleAdd { k: u32, base: u32, idx: u32 },
-    /// `base + (part + z)*k` on i32 (the IdxLAdd address tail).
+    /// `base + (part + z)*k` on i32 (the IdxLAdd address tail, `part`
+    /// the row `y*n`).
     IdxLAdd {
         k: u32,
         base: u32,
@@ -248,11 +249,15 @@ pub(crate) struct RangeScratch {
     /// `mask + 1` entries.
     table: Vec<Entry>,
     mask: usize,
+    /// Keys the op being walked has interned so far (see
+    /// [`RangeScratch::enter_region`]).
+    keys: usize,
 }
 
 impl RangeScratch {
     /// Starts a region of `ops` ops to walk. An op interns at most two
-    /// keys, so four buckets per op keep the table at most half full.
+    /// keys ([`reg_proofs`] asserts this in debug builds), so four buckets
+    /// per op keep the table at most half full.
     fn enter_region(&mut self, ops: usize) {
         self.region += 1;
         self.vals.clear();
@@ -305,6 +310,7 @@ impl RangeScratch {
 
     /// Interns a key; on first sight the interval is computed by `iv`.
     fn keyed(&mut self, key: VnKey, iv: impl FnOnce(&[Val]) -> Option<(u64, u64)>) -> u32 {
+        self.keys += 1;
         let mut i = key.hash() as usize & self.mask;
         for _ in 0..MAX_PROBES {
             let e = self.table[i];
@@ -376,8 +382,12 @@ impl RangeScratch {
                 let (base, idx) = (self.read(base), self.read(idx));
                 self.scale_add(base, idx, k)
             }
-            Addr::IdxLAdd { base, part, z, k } => {
-                let (base, part, z) = (self.read(base), self.read(part), self.read(z));
+            // The value numbers the unfused pair gave: the row `y*n`,
+            // then the tail over it.
+            Addr::IdxLAdd { base, y, n, z, k } => {
+                let (y, n) = (self.read(y), self.read(n));
+                let part = self.bin(BinOpKind::I32Mul, y, n);
+                let (base, z) = (self.read(base), self.read(z));
                 self.idx_l_add(base, part, z, k)
             }
         }
@@ -470,7 +480,6 @@ impl RangeScratch {
             }
             R::Binop { op, a, b, dst } => self.def_bin(*op, *a, |s| s.read(*b), *dst),
             R::BinopK { op, a, k, dst } => self.def_bin(*op, *a, |s| s.konst(*k), *dst),
-            R::AddI32 { a, b, dst } => self.def_bin(BinOpKind::I32Add, *a, |s| s.read(*b), *dst),
             R::MulI32 { a, b, dst } => self.def_bin(BinOpKind::I32Mul, *a, |s| s.read(*b), *dst),
             R::AddI32K { a, k, dst } => {
                 self.def_bin(BinOpKind::I32Add, *a, |s| s.konst(u64::from(*k)), *dst);
@@ -485,17 +494,27 @@ impl RangeScratch {
             }
             R::IdxLAdd {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 dst,
             } => {
                 let v = self.address(Addr::IdxLAdd {
                     base: *base,
-                    part: *part,
+                    y: *y,
+                    n: *n,
                     z: *z,
                     k: *k,
                 });
+                self.write(*dst, v);
+            }
+            // `y*n` then `+ z`, as the unfused pair interned them.
+            R::MulAddI32 { y, n, z, dst } => {
+                let (y, n) = (self.read(*y), self.read(*n));
+                let row = self.bin(BinOpKind::I32Mul, y, n);
+                let z = self.read(*z);
+                let v = self.bin(BinOpKind::I32Add, row, z);
                 self.write(*dst, v);
             }
         }
@@ -509,10 +528,11 @@ enum Addr {
     Slot(u16),
     /// `frame[base] + frame[idx]*k`, computed by the access itself.
     ScaleAdd { base: u16, idx: u16, k: u32 },
-    /// `frame[base] + (frame[part] + frame[z])*k`, likewise.
+    /// `frame[base] + (frame[y]*frame[n] + frame[z])*k`, likewise.
     IdxLAdd {
         base: u16,
-        part: u16,
+        y: u16,
+        n: u16,
         z: u16,
         k: u32,
     },
@@ -578,7 +598,8 @@ fn access_of(op: &RegOp) -> Option<Access> {
         } => (Addr::ScaleAdd { base, idx, k }, offset, 8),
         R::IdxLAddLoadF64 {
             base,
-            part,
+            y,
+            n,
             z,
             k,
             offset,
@@ -586,12 +607,13 @@ fn access_of(op: &RegOp) -> Option<Access> {
         }
         | R::IdxLAddLoadF64N {
             base,
-            part,
+            y,
+            n,
             z,
             k,
             offset,
             ..
-        } => (Addr::IdxLAdd { base, part, z, k }, offset, 8),
+        } => (Addr::IdxLAdd { base, y, n, z, k }, offset, 8),
         _ => return None,
     };
     Some(Access {
@@ -685,11 +707,17 @@ pub(crate) fn reg_proofs<'s>(
         scratch.enter_region(last - start + 1);
         for at in start..=last {
             let op = &code[at];
+            scratch.keys = 0;
             if let Some(acc) = access_of(op) {
                 let proof = scratch.judge(acc, min_mem);
                 scratch.sites.push((at as u32, proof));
             }
             scratch.define(op);
+            debug_assert!(
+                scratch.keys <= 2,
+                "{op:?} interned {} keys: the interner is sized for two per op",
+                scratch.keys
+            );
         }
     }
     &scratch.sites
@@ -816,14 +844,16 @@ pub(crate) fn elide_reg(
             },
             RegOp::IdxLAddLoadF64 {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
                 dst,
             } => RegOp::IdxLAddLoadF64N {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
@@ -1141,7 +1171,7 @@ mod tests {
                     k: r.pick(&CONSTS),
                     dst,
                 },
-                6 => RegOp::AddI32 { a, b, dst },
+                6 => RegOp::MulAddI32 { y: a, n: b, z, dst },
                 7 => RegOp::Binop {
                     op: B::I32Sub,
                     a,
@@ -1189,8 +1219,9 @@ mod tests {
                 },
                 19 => RegOp::IdxLAdd {
                     base: a,
-                    part: b,
-                    z,
+                    y: b,
+                    n: z,
+                    z: dst,
                     k,
                     dst,
                 },
@@ -1279,16 +1310,18 @@ mod tests {
                 32 => match r.below(2) {
                     0 => RegOp::IdxLAddLoadF64 {
                         base: a,
-                        part: b,
-                        z,
+                        y: b,
+                        n: z,
+                        z: dst,
                         k,
                         offset,
                         dst: fd,
                     },
                     _ => RegOp::IdxLAddLoadF64N {
                         base: a,
-                        part: b,
-                        z,
+                        y: b,
+                        n: z,
+                        z: dst,
                         k,
                         offset,
                         dst: fd,
@@ -1362,6 +1395,41 @@ mod tests {
             unproven > 20_000 && interval > 300 && subsumed > 1_000,
             "{unproven} unproven, {interval} interval, {subsumed} subsumed"
         );
+    }
+
+    #[test]
+    fn no_op_interns_more_than_two_keys() {
+        // `enter_region` sizes the interner at four buckets per op, which
+        // keeps it at most half full only while no op interns more than two
+        // keys. The row forms are the ones at the limit: `y*n`, then the
+        // 2-D tail or the add over it.
+        let mut scratch = RangeScratch::default();
+        let mut most = std::collections::BTreeMap::new();
+        for seed in 0..3000 {
+            let f = random_body(seed);
+            scratch.frame = f.frame_size as usize;
+            scratch.slots.resize(scratch.frame, (0, 0));
+            scratch.enter_region(f.code.len());
+            for op in f.code.iter() {
+                scratch.keys = 0;
+                if let Some(acc) = access_of(op) {
+                    scratch.judge(acc, MIN_MEM);
+                }
+                scratch.define(op);
+                let name = format!("{op:?}");
+                let name = name
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap_or_default()
+                    .to_string();
+                let n = most.entry(name).or_insert(0);
+                *n = scratch.keys.max(*n);
+            }
+        }
+        assert!(most.values().all(|&n| n <= 2), "{most:?}");
+        for form in ["IdxLAdd", "IdxLAddLoadF64", "IdxLAddLoadF64N", "MulAddI32"] {
+            assert_eq!(most.get(form), Some(&2), "{most:?}");
+        }
     }
 
     #[test]

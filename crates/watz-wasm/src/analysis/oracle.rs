@@ -263,8 +263,9 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.bin(*op, s!(a), kk);
                 sset!(dst, v);
             }
-            RegOp::AddI32 { a, b, dst } => {
-                let v = vals.bin(BinOpKind::I32Add, s!(a), s!(b));
+            RegOp::MulAddI32 { y, n, z, dst } => {
+                let row = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
+                let v = vals.bin(BinOpKind::I32Add, row, s!(z));
                 sset!(dst, v);
             }
             RegOp::MulI32 { a, b, dst } => {
@@ -286,12 +287,14 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             }
             RegOp::IdxLAdd {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 dst,
             } => {
-                let v = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
+                let part = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
+                let v = vals.idx_l_add(s!(base), part, s!(z), *k);
                 sset!(dst, v);
             }
 
@@ -382,26 +385,30 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             }
             RegOp::IdxLAddLoadF64 {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
                 dst,
             } => {
-                let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
+                let part = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
+                let vn = vals.idx_l_add(s!(base), part, s!(z), *k);
                 access!(vn, *offset, 8, true);
                 let v = vals.fresh();
                 sset!(dst, v);
             }
             RegOp::IdxLAddLoadF64N {
                 base,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
                 dst,
             } => {
-                let vn = vals.idx_l_add(s!(base), s!(part), s!(z), *k);
+                let part = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
+                let vn = vals.idx_l_add(s!(base), part, s!(z), *k);
                 access!(vn, *offset, 8, false);
                 let v = vals.fresh();
                 sset!(dst, v);

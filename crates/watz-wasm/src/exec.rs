@@ -29,9 +29,10 @@
 //!    source/destination frame-slot indices — `local.get`s forward into
 //!    their consumers, intermediates live at fixed slots, and the dispatch
 //!    loop never pushes or pops an operand stack. Reading ahead over the
-//!    same instructions, it joins five shapes into single
+//!    same instructions, it joins six shapes into single
 //!    superinstructions: a constant right operand, a sink into a local or
-//!    memory, compare-and-branch, and the two array-address tails
+//!    memory, compare-and-branch, the 1-D array-address tail, and at a
+//!    row multiply the 2-D address and the row index `y*n + z`
 //!    (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`] switches just those rules
 //!    off, for bisection; [`crate::reg::RegStats`] and
 //!    [`crate::FusionStats`] report what the walk did).

@@ -621,7 +621,8 @@ pub(crate) enum Simple {
 /// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats). A kind
 /// names what was joined, never where an operand came from: operands
 /// always come from the abstract stack. Each emitted superinstruction
-/// counts once, under its sink when it has one.
+/// counts once, under its sink when it has one (a row index, `mul_add`,
+/// counts as itself wherever it goes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// `const k; binop` pairs that took `k` as an inline right operand and
@@ -634,8 +635,8 @@ pub struct FusionStats {
     /// `i32.add; load` — the address sum folded into the load.
     pub add_load: u64,
     /// Array-address tails joined without a trailing load
-    /// (`const k; i32.mul; i32.add`, with or without the row `local.get;
-    /// i32.add` prefix).
+    /// (`const k; i32.mul; i32.add`, with or without the row `i32.mul;
+    /// local.get; i32.add` in front).
     pub idx_addr: u64,
     /// Array-address tails joined **with** the trailing load.
     pub idx_load: u64,
@@ -644,6 +645,9 @@ pub struct FusionStats {
     pub cmp_br: u64,
     /// Bare `i32.eqz; jump-if` chains folded into the inverted jump.
     pub eqz_br: u64,
+    /// Row indices `i32.mul; local.get; i32.add` that no 2-D address tail
+    /// follows, pushed or sunk into a `local.set`.
+    pub mul_add: u64,
 }
 
 impl FusionStats {
@@ -655,7 +659,7 @@ impl FusionStats {
 
     /// Per-kind `(name, count)` pairs, for coverage assertions and logs.
     #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 8] {
+    pub fn counts(&self) -> [(&'static str, u64); 9] {
         [
             ("binop_k", self.binop_k),
             ("binop_set", self.binop_set),
@@ -665,6 +669,7 @@ impl FusionStats {
             ("idx_load", self.idx_load),
             ("cmp_br", self.cmp_br),
             ("eqz_br", self.eqz_br),
+            ("mul_add", self.mul_add),
         ]
     }
 
@@ -678,6 +683,7 @@ impl FusionStats {
         self.idx_load += other.idx_load;
         self.cmp_br += other.cmp_br;
         self.eqz_br += other.eqz_br;
+        self.mul_add += other.mul_add;
     }
 }
 

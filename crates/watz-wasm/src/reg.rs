@@ -45,9 +45,18 @@
 //!   |---|---|---|
 //!   | `const k` | `i32.mul; i32.add [; load]` (1-D address tail) | `ScaleAdd` / `ScaleAddLoad*` |
 //!   | `const k` | the adjacent `binop` (`k` its right operand) [; `local.set`] | `BinopK` / `AddI32K` |
-//!   | `local.get z` | `i32.add; const k; i32.mul; i32.add [; 64-bit load]` (2-D tail) | `IdxLAdd` / `IdxLAddLoadF64` |
+//!   | `i32.mul` | `local.get z; i32.add; const k; i32.mul; i32.add [; 64-bit load]` (2-D address, row multiply included) | `IdxLAdd` / `IdxLAddLoadF64` |
+//!   | `i32.mul` | `local.get z; i32.add [; local.set]` (row index `y*n + z`, no 2-D tail after it) | `MulAddI32` |
 //!   | `binop` | its follow: `local.set`, `f64.store` after `f64.add`, `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if`, or a load after `i32.add` | the binop writing the local, `AddStoreF64`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
 //!   | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
+//!
+//!   The row rules read both factors of the multiply from slots, so a
+//!   `const k` in front of such an `i32.mul` stays a `Const` rather than
+//!   becoming the multiply's inline operand; and the row index joins only
+//!   a push or a `local.set`, because the `i32.add`'s own rules already
+//!   join its branch and load follows in the same number of ops. A 2-D
+//!   tail whose row is not a multiply joins no rule: its `i32.add` is an
+//!   op, and the 1-D tail after it another.
 //!
 //!   A load joins a rule only at full width (`i32`/`f32` → `*I32`,
 //!   `i64`/`f64` → `*F64`); the narrow, extending loads stay their own op.
@@ -298,12 +307,6 @@ pub(crate) enum RegOp {
     // are kept with the elision that rewrites them. Semantics are
     // bit-identical to the generic forms (same wrapping/IEEE behaviour,
     // same traps — the specialized operators cannot trap).
-    /// `frame[dst] = frame[a] +ₙ frame[b]` (i32 wrapping).
-    AddI32 {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
     /// `frame[dst] = frame[a] *ₙ frame[b]` (i32 wrapping).
     MulI32 {
         a: u16,
@@ -377,7 +380,8 @@ pub(crate) enum RegOp {
     /// [`RegOp::IdxLAdd`] plus the trailing 8-byte load (i64 or f64).
     IdxLAddLoadF64 {
         base: u16,
-        part: u16,
+        y: u16,
+        n: u16,
         z: u16,
         k: u32,
         offset: u32,
@@ -439,7 +443,8 @@ pub(crate) enum RegOp {
     /// [`RegOp::IdxLAddLoadF64`] with a statically proven bound.
     IdxLAddLoadF64N {
         base: u16,
-        part: u16,
+        y: u16,
+        n: u16,
         z: u16,
         k: u32,
         offset: u32,
@@ -475,13 +480,23 @@ pub(crate) enum RegOp {
         k: u32,
         dst: u16,
     },
-    /// `frame[dst] = frame[base] + (frame[part] + frame[z])*k` (2-D
-    /// row-column address tail).
+    /// `frame[dst] = frame[base] + (frame[y]*frame[n] + frame[z])*k` (the
+    /// 2-D row-column address, row multiply included; i32 wrapping).
     IdxLAdd {
         base: u16,
-        part: u16,
+        y: u16,
+        n: u16,
         z: u16,
         k: u32,
+        dst: u16,
+    },
+    /// `frame[dst] = frame[y]*frame[n] + frame[z]` (i32 wrapping) — the
+    /// row index `y*n + z` where no 2-D address tail follows it, as in the
+    /// inner row of a 3-D `(r*n + q)*n + s`.
+    MulAddI32 {
+        y: u16,
+        n: u16,
+        z: u16,
         dst: u16,
     },
 }
@@ -548,7 +563,6 @@ pub(crate) struct RegProgram {
 fn sel_binop(op: BinOpKind, a: u16, b: u16, dst: u16) -> RegOp {
     use BinOpKind as B;
     match op {
-        B::I32Add => RegOp::AddI32 { a, b, dst },
         B::I32Mul => RegOp::MulI32 { a, b, dst },
         B::F64Add => RegOp::AddF64 { a, b, dst },
         B::F64Sub => RegOp::SubF64 { a, b, dst },
@@ -1089,6 +1103,13 @@ enum Follow {
     Br(bool),
     /// A full-width load after `i32.add`: the result is only the address.
     Load(Width, u32),
+    /// `local.get z; i32.add; const k; i32.mul; i32.add [; 64-bit load]`
+    /// after `i32.mul`: the product is the row `y*n` of the 2-D address
+    /// `base + (y*n + z)*k`, and the load at this offset reads it.
+    Addr { z: u32, k: u32, load: Option<u32> },
+    /// `local.get z; i32.add [; local.set]` after `i32.mul`: the row index
+    /// `y*n + z`, pushed or written to the local.
+    MulAdd { z: u32, set: Option<u32> },
 }
 
 /// The fusion rules' view of the instructions past the one being lowered.
@@ -1142,7 +1163,8 @@ impl<'a> Ahead<'a> {
 
     /// Classifies the instructions following a binop `op` at `code[j - 1]`
     /// whose conditional jump, if any, would pop to height `h`; returns
-    /// the follow and how many instructions it takes.
+    /// the follow and how many instructions it takes. An `i32.mul` tries
+    /// the row rules first ([`Ahead::row`]).
     ///
     /// A trap-capable binop (`div`/`rem`) sinks only into a `local.set`:
     /// the set's retirement is deferred until the division succeeds (see
@@ -1156,6 +1178,12 @@ impl<'a> Ahead<'a> {
         }
         if op.traps() {
             return (Follow::Push, 0);
+        }
+        if let Some(row) = (op == BinOpKind::I32Mul)
+            .then(|| self.row(j, ctrl, h))
+            .flatten()
+        {
+            return row;
         }
         match (op, self.simple(j)) {
             (
@@ -1190,6 +1218,40 @@ impl<'a> Ahead<'a> {
             _ => None,
         };
         Some((load, 2 + usize::from(load.is_some())))
+    }
+
+    /// Reads `local.get z; i32.add` at `code[j..]`, a local added to the
+    /// product of the `i32.mul` before it, and what joins that row index
+    /// `y*n + z`: the 2-D address tail `const k; i32.mul; i32.add [; 64-bit
+    /// load]`, or else the add's own follow when it is a push or a
+    /// `local.set` (any other follow keeps the add, and its rule, to
+    /// itself). Returns the follow and the instructions read.
+    fn row(&self, j: usize, ctrl: &[Ctrl], h: usize) -> Option<(Follow, usize)> {
+        let (Some(Instr::LocalGet(z)), Some(Instr::I32Add)) = (self.at(j), self.at(j + 1)) else {
+            return None;
+        };
+        let z = *z;
+        let tail = match self.simple(j + 2) {
+            Some(Simple::Const(k)) => u32::try_from(k)
+                .ok()
+                .zip(self.scale_tail(j + 3, &[Width::W64])),
+            _ => None,
+        };
+        if let Some((k, (load, tail_len))) = tail {
+            let load = load.map(|(_, offset)| offset);
+            return Some((Follow::Addr { z, k, load }, 3 + tail_len));
+        }
+        match self.follow(j + 2, BinOpKind::I32Add, ctrl, h) {
+            (Follow::Push, _) => Some((Follow::MulAdd { z, set: None }, 2)),
+            (Follow::Set(local), n) => Some((
+                Follow::MulAdd {
+                    z,
+                    set: Some(local),
+                },
+                2 + n,
+            )),
+            _ => None,
+        }
     }
 }
 
@@ -1433,47 +1495,12 @@ pub(crate) fn lower_func(
             }
 
             Instr::LocalGet(idx) => {
+                // Forwarded: the operand stays in the local's slot and takes
+                // a frame slot of its own only if it is spilled.
                 let z = lo.local(*idx)?;
-                // The 2-D address tail `local.get z; i32.add; const k;
-                // i32.mul; i32.add [; 64-bit load]`: base + (part + z)*k.
-                let tail = match (ahead.at(i + 1), ahead.simple(i + 2)) {
-                    (Some(Instr::I32Add), Some(Simple::Const(k))) => u32::try_from(k)
-                        .ok()
-                        .zip(ahead.scale_tail(i + 3, &[Width::W64])),
-                    _ => None,
-                };
-                if let Some((k, (load, tail_len))) = tail {
-                    used = 3 + tail_len;
-                    let part = lo.pop()?;
-                    let base = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(if let Some((_, offset)) = load {
-                        fusion.idx_load += 1;
-                        RegOp::IdxLAddLoadF64 {
-                            base,
-                            part,
-                            z,
-                            k,
-                            offset,
-                            dst,
-                        }
-                    } else {
-                        fusion.idx_addr += 1;
-                        RegOp::IdxLAdd {
-                            base,
-                            part,
-                            z,
-                            k,
-                            dst,
-                        }
-                    });
-                } else {
-                    // Forwarded: the operand stays in the local's slot and
-                    // takes a frame slot of its own only if it is spilled.
-                    lo.vstack.push(Src::Fwd(z));
-                    lo.stats.gets_forwarded += 1;
-                    lo.stats.stack_ops_eliminated += 1;
-                }
+                lo.vstack.push(Src::Fwd(z));
+                lo.stats.gets_forwarded += 1;
+                lo.stats.stack_ops_eliminated += 1;
             }
             Instr::LocalSet(idx) => {
                 let dst = lo.local(*idx)?;
@@ -1528,6 +1555,17 @@ pub(crate) fn lower_func(
                     let tail = u32::try_from(k)
                         .ok()
                         .zip(ahead.scale_tail(i + 1, &[Width::W32, Width::W64]));
+                    let binop = match ahead.simple(i + 1) {
+                        Some(Simple::Binop(op)) => {
+                            let h = lo.vstack.len().saturating_sub(1);
+                            let (follow, follow_len) = ahead.follow(i + 2, op, lo.ctrl, h);
+                            // A row rule reads both factors from slots: `k`
+                            // takes one, and the multiply joins its row.
+                            let row = matches!(follow, Follow::Addr { .. } | Follow::MulAdd { .. });
+                            (!row).then_some((op, follow, follow_len))
+                        }
+                        _ => None,
+                    };
                     if let Some((k, (load, tail_len))) = tail {
                         // The 1-D address tail `const k; i32.mul; i32.add
                         // [; load]`: base + idx*k.
@@ -1542,13 +1580,11 @@ pub(crate) fn lower_func(
                             fusion.idx_addr += 1;
                             RegOp::ScaleAdd { base, idx, k, dst }
                         });
-                    } else if let Some(Simple::Binop(op)) = ahead.simple(i + 1) {
+                    } else if let Some((op, follow, follow_len)) = binop {
                         // `const k; binop`: `k` is the inline right operand.
                         // Of the binop's follows only a `local.set` joins:
                         // the register code has no constant form of the
                         // store, branch and address sinks.
-                        let h = lo.vstack.len().saturating_sub(1);
-                        let (follow, follow_len) = ahead.follow(i + 2, op, lo.ctrl, h);
                         let a = lo.pop()?;
                         let dst = if let Follow::Set(local) = follow {
                             fusion.binop_set += 1;
@@ -1606,6 +1642,47 @@ pub(crate) fn lower_func(
                         Follow::Load(w, offset) => {
                             fusion.add_load += 1;
                             sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
+                        }
+                        Follow::Addr { z, k, load } => {
+                            let (y, n, z) = (a, b, lo.local(z)?);
+                            let base = lo.pop()?;
+                            let dst = lo.push()?;
+                            if let Some(offset) = load {
+                                fusion.idx_load += 1;
+                                RegOp::IdxLAddLoadF64 {
+                                    base,
+                                    y,
+                                    n,
+                                    z,
+                                    k,
+                                    offset,
+                                    dst,
+                                }
+                            } else {
+                                fusion.idx_addr += 1;
+                                RegOp::IdxLAdd {
+                                    base,
+                                    y,
+                                    n,
+                                    z,
+                                    k,
+                                    dst,
+                                }
+                            }
+                        }
+                        Follow::MulAdd { z, set } => {
+                            fusion.mul_add += 1;
+                            let z = lo.local(z)?;
+                            let dst = match set {
+                                Some(local) => {
+                                    deferred_set = true;
+                                    let dst = lo.local(local)?;
+                                    lo.guard_local_write(dst, 0)?;
+                                    dst
+                                }
+                                None => lo.push()?,
+                            };
+                            RegOp::MulAddI32 { y: a, n: b, z, dst }
                         }
                     };
                     lo.out.push(reg_op);
@@ -2023,9 +2100,6 @@ fn run_loop<P: Profiler>(
                 r!(*dst) = apply_binop(*op, r!(*a), *k)?;
             }
 
-            RegOp::AddI32 { a, b, dst } => {
-                r!(*dst) = from_i32(as_i32(r!(*a)).wrapping_add(as_i32(r!(*b))));
-            }
             RegOp::MulI32 { a, b, dst } => {
                 r!(*dst) = from_i32(as_i32(r!(*a)).wrapping_mul(as_i32(r!(*b))));
             }
@@ -2085,13 +2159,15 @@ fn run_loop<P: Profiler>(
             }
             RegOp::IdxLAddLoadF64 {
                 base: b,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
                 dst,
             } => {
-                let idx = as_i32(r!(*part))
+                let idx = as_i32(r!(*y))
+                    .wrapping_mul(as_i32(r!(*n)))
                     .wrapping_add(as_i32(r!(*z)))
                     .wrapping_mul(*k as i32);
                 let addr = as_i32(r!(*b)).wrapping_add(idx);
@@ -2147,13 +2223,15 @@ fn run_loop<P: Profiler>(
             }
             RegOp::IdxLAddLoadF64N {
                 base: b,
-                part,
+                y,
+                n,
                 z,
                 k,
                 offset,
                 dst,
             } => {
-                let idx = as_i32(r!(*part))
+                let idx = as_i32(r!(*y))
+                    .wrapping_mul(as_i32(r!(*n)))
                     .wrapping_add(as_i32(r!(*z)))
                     .wrapping_mul(*k as i32);
                 let addr = as_i32(r!(*b)).wrapping_add(idx);
@@ -2196,15 +2274,21 @@ fn run_loop<P: Profiler>(
             }
             RegOp::IdxLAdd {
                 base: b,
-                part,
+                y,
+                n,
                 z,
                 k,
                 dst,
             } => {
-                let idx = as_i32(r!(*part))
+                let idx = as_i32(r!(*y))
+                    .wrapping_mul(as_i32(r!(*n)))
                     .wrapping_add(as_i32(r!(*z)))
                     .wrapping_mul(*k as i32);
                 r!(*dst) = from_i32(as_i32(r!(*b)).wrapping_add(idx));
+            }
+            RegOp::MulAddI32 { y, n, z, dst } => {
+                let row = as_i32(r!(*y)).wrapping_mul(as_i32(r!(*n)));
+                r!(*dst) = from_i32(row.wrapping_add(as_i32(r!(*z))));
             }
         }
     }
@@ -2787,6 +2871,177 @@ pub(crate) mod tests {
                 }
             }
         }
+
+        // The row rules, at the `i32.mul` of `y*n + z`: each shape, the ops
+        // it lowers to and how many the lowering before these rules made
+        // of it (the multiply was an op of its own, and the 2-D tail
+        // joined at `local.get z`), which it never exceeds.
+        let m8 = crate::instr::MemArg::new(3, 0);
+        let m4 = crate::instr::MemArg::new(2, 0);
+        let address = |y: Vec<I>, z: u32| {
+            let mut code = vec![I::I32Const(64)];
+            code.extend(y);
+            code.extend([I::I32Mul, I::LocalGet(z), I::I32Add]);
+            code.extend([I::I32Const(8), I::I32Mul, I::I32Add]);
+            code
+        };
+        let yn = || vec![I::LocalGet(0), I::LocalGet(1)];
+        let row = || {
+            vec![
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::I32Mul,
+                I::LocalGet(2),
+                I::I32Add,
+            ]
+        };
+        let with = |mut code: Vec<I>, tail: &[I]| {
+            code.extend_from_slice(tail);
+            code
+        };
+        let load8 = [I::F64Load(m8), I::I64ReinterpretF64];
+        let rows: [(&str, Vec<I>, &[&str], usize); 10] = [
+            (
+                "2-D load",
+                with(address(yn(), 2), &load8),
+                &["Const", "IdxLAddLoadF64", "Return"],
+                4,
+            ),
+            (
+                "2-D address",
+                with(address(yn(), 2), &[I::I64ExtendI32U]),
+                &["Const", "IdxLAdd", "Unop", "Return"],
+                5,
+            ),
+            (
+                "2-D address, 4-byte load",
+                with(address(yn(), 2), &[I::I32Load(m4), I::I64ExtendI32U]),
+                &["Const", "IdxLAdd", "LoadI32R", "Unop", "Return"],
+                6,
+            ),
+            (
+                "a[y*n + y]",
+                with(address(yn(), 0), &load8),
+                &["Const", "IdxLAddLoadF64", "Return"],
+                4,
+            ),
+            (
+                "computed row (y + 1)*n + z",
+                with(
+                    address(
+                        vec![I::LocalGet(0), I::I32Const(1), I::I32Add, I::LocalGet(1)],
+                        2,
+                    ),
+                    &load8,
+                ),
+                &["Const", "AddI32K", "IdxLAddLoadF64", "Return"],
+                5,
+            ),
+            (
+                "constant row width",
+                with(address(vec![I::LocalGet(0), I::I32Const(6)], 2), &load8),
+                &["Const", "Const", "IdxLAddLoadF64", "Return"],
+                4,
+            ),
+            (
+                "row index pushed",
+                with(row(), &[I::I64ExtendI32S]),
+                &["MulAddI32", "Unop", "Return"],
+                4,
+            ),
+            (
+                "row index set",
+                with(row(), &[I::LocalSet(3), I::LocalGet(3), I::I64ExtendI32S]),
+                &["MulAddI32", "Unop", "Return"],
+                4,
+            ),
+            (
+                "row index tested",
+                {
+                    let mut code = vec![I::Block(BlockType::Value(ValType::I64)), I::I64Const(1)];
+                    code.extend(row());
+                    code.extend([I::I32Eqz, I::BrIf(0), I::Drop, I::I64Const(2), I::End]);
+                    code
+                },
+                &["Const", "MulI32", "CmpBr", "Const", "Return"],
+                5,
+            ),
+            (
+                "row index as an address",
+                with(row(), &[I::I64Load(m8)]),
+                &["MulI32", "ScaleAddLoadF64", "Return"],
+                3,
+            ),
+        ];
+        let row_module = |mut code: Vec<I>| {
+            code.push(I::End);
+            let mut b = ModuleBuilder::new();
+            b.add_memory(1, None);
+            let pattern: Vec<u8> = (0..1024u32).map(|i| (i * 37 + 11) as u8).collect();
+            b.add_data(0, &pattern);
+            let ty = b.add_type(&[ValType::I32; 3], &[ValType::I64]);
+            let f = b.add_func(ty, &[ValType::I32], code);
+            b.export_func("f", f);
+            b.build()
+        };
+        // In bounds, `y*n` wrapping past `i32::MAX` to an address in
+        // bounds, and a 2-D address far out of bounds.
+        let row_args = [
+            (2, 3, 1),
+            (0, 0, 0),
+            (-1, 1, 0),
+            (i32::MAX, 2, 5),
+            (0x4000_0000, 4, 7),
+            (1000, 1000, 0),
+        ];
+        for (ctx, code, want, parent) in rows {
+            let bytes = row_module(code);
+            let cm = compiled(&bytes, true);
+            let code = code_of(&cm, 0);
+            assert_eq!(names(code), want, "{ctx}: {code:?}");
+            assert!(want.len() <= parent, "{ctx}: more ops than before");
+            for op in code {
+                if let RegOp::IdxLAddLoadF64 { y, z, .. } = op {
+                    assert_eq!(*y == *z, ctx == "a[y*n + y]", "{ctx}: {op:?}");
+                }
+                if let RegOp::MulAddI32 { dst, .. } = op {
+                    assert_eq!(*dst == 3, ctx == "row index set", "{ctx}: {op:?}");
+                }
+            }
+            for (y, n, z) in row_args {
+                let args = [Value::I32(y), Value::I32(n), Value::I32(z)];
+                let out = agreed_outcome(&bytes, "f", &args, &format!("{ctx} f({y},{n},{z})"));
+                if ctx == "2-D load" {
+                    assert_eq!(out.is_err(), y == 1000, "{ctx} f({y},{n},{z}): {out:?}");
+                }
+            }
+            assert_verifies(&bytes);
+        }
+        // The former 2-D shape whose row is not a multiply (here a plain
+        // local) joined at its `local.get z`; that rule is gone, and it
+        // lowers to the add and a 1-D tail, one op more than it was.
+        let bytes = row_module(with(
+            vec![
+                I::I32Const(64),
+                I::LocalGet(0),
+                I::LocalGet(2),
+                I::I32Add,
+                I::I32Const(8),
+                I::I32Mul,
+                I::I32Add,
+            ],
+            &load8,
+        ));
+        let cm = compiled(&bytes, true);
+        assert_eq!(
+            names(code_of(&cm, 0)),
+            ["Const", "Binop", "ScaleAddLoadF64", "Return"]
+        );
+        for (y, n, z) in row_args {
+            let args = [Value::I32(y), Value::I32(n), Value::I32(z)];
+            assert_matrix_agrees(&bytes, "f", &args, &format!("plain row f({y},{n},{z})"));
+        }
+        assert_verifies(&bytes);
     }
 
     #[test]
@@ -2907,42 +3162,77 @@ pub(crate) mod tests {
 
     #[test]
     fn register_code_is_pinned() {
-        // The register code of the benchmark's guests — the 30 PolyBench
-        // kernels, the speedtest guest and the Genann guest — fused and
-        // unfused, elision on: every function's ops, retirement table and
-        // frame, rendered with `Debug` and hashed. The digest is the one
-        // the earlier two-pass compile (a flat token stream, then register
-        // lowering over it) gave for the same loop: the walk decides every
-        // fusion, flush and jump target on these guests as it did.
+        // The register code of the benchmark's guests, one digest per
+        // suite — the 30 PolyBench kernels, the speedtest guest, the
+        // Genann guest — so a lowering change shows which suite's code it
+        // moved: every function's ops, retirement table and frame, fused
+        // then unfused, elision on, rendered with `Debug` and hashed, and
+        // the suite's fusions (the unfused compile makes none).
         use workloads::{genann_guest, polybench, speedtest};
         let options = minic::Options {
             min_pages: 256,
             max_pages: None,
         };
-        let mut corpus: Vec<Vec<u8>> = polybench::suite()
+        let suites = [
+            (
+                "polybench",
+                polybench::suite()
+                    .iter()
+                    .map(|k| minic::compile(k.minic).expect("kernel compiles"))
+                    .collect(),
+            ),
+            (
+                "minisql",
+                vec![minic::compile_with_options(speedtest::MINISQL_GUEST, &options).unwrap()],
+            ),
+            (
+                "genann",
+                vec![minic::compile(&genann_guest::source()).unwrap()],
+            ),
+        ];
+        let pins: Vec<(&str, u64, String)> = suites
             .iter()
-            .map(|k| minic::compile(k.minic).expect("kernel compiles"))
-            .collect();
-        corpus.push(minic::compile_with_options(speedtest::MINISQL_GUEST, &options).unwrap());
-        corpus.push(minic::compile(&genann_guest::source()).unwrap());
-        let mut h = watz_crypto::sha256::Sha256::new();
-        // Fusions per (fuse, PolyBench / speedtest / Genann).
-        let mut totals = [[0u64; 3]; 2];
-        for (fused, fuse) in totals.iter_mut().zip([true, false]) {
-            for (i, wasm) in corpus.iter().enumerate() {
-                let module = crate::load(wasm).unwrap();
-                let cm = CompiledModule::compile_full(&module, fuse, true).unwrap();
-                fused[i.saturating_sub(29).min(2)] += cm.fusion.total();
-                for f in cm.reg.as_ref().unwrap().funcs.iter().flatten() {
-                    h.update(format!("{f:?}").as_bytes());
+            .map(|(name, corpus): &(&str, Vec<Vec<u8>>)| {
+                let mut h = watz_crypto::sha256::Sha256::new();
+                let mut fused = 0;
+                for fuse in [true, false] {
+                    for wasm in corpus {
+                        let module = crate::load(wasm).unwrap();
+                        let cm = CompiledModule::compile_full(&module, fuse, true).unwrap();
+                        if fuse {
+                            fused += cm.fusion.total();
+                        } else {
+                            assert_eq!(cm.fusion, FusionStats::default(), "{name}");
+                        }
+                        for f in cm.reg.as_ref().unwrap().funcs.iter().flatten() {
+                            h.update(format!("{f:?}").as_bytes());
+                        }
+                    }
                 }
-            }
-        }
-        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(totals, [[1569, 463, 197], [0, 0, 0]]);
+                let hex = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+                (*name, fused, hex)
+            })
+            .collect();
+        let want = [
+            (
+                "polybench",
+                1607,
+                "db9f58c995e0bd3d9d745eb0f25ebc826149ff3acc83efff0afddeacb5c79caf",
+            ),
+            (
+                "minisql",
+                463,
+                "1119af63afe5b15fed4eda79f2eb9f523a21334e06eb80bf128620fd1741b7a8",
+            ),
+            (
+                "genann",
+                196,
+                "2c206e3cf9f7b4905dcac253332f08f93b5a92affb4aa95eddd2fd16a1f1f10a",
+            ),
+        ];
         assert_eq!(
-            hex,
-            "158b4d704d877f62e4a90eae6ac7434cc49207d08de15ee70461b5b48dd82bf8"
+            pins,
+            want.map(|(name, fused, hex)| (name, fused, hex.to_string()))
         );
     }
 

@@ -7,9 +7,12 @@
 //! prediction accuracy in virtual machine interpreters*, TOPLAS 2007).
 //!
 //! The counting arm of [`super::run_loop`] calls [`tally`] in test builds
-//! only, so the shipped dispatch loop is unchanged.
+//! only, so the shipped dispatch loop is unchanged. It also counts each
+//! dynamic successor pair (the variant dispatched, after the one dispatched
+//! before it in the same invocation): a pair that carries a large share is
+//! the candidate for the next superinstruction.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use super::RegOp;
 use crate::exec::{EngineConfig, ExecMode, Instance, NoHost, Value};
@@ -55,7 +58,6 @@ const VARIANTS: [(&str, Duty); 50] = [
     ("Unop", WASM),
     ("Binop", WASM),
     ("BinopK", WASM),
-    ("AddI32", Duty::Pays("AddI32")),
     ("MulI32", Duty::Pays("MulI32")),
     ("AddI32K", Duty::Pays("AddI32K")),
     ("AddF64", Duty::Pays("AddF64")),
@@ -81,6 +83,7 @@ const VARIANTS: [(&str, Duty); 50] = [
     ("CmpBr", Duty::Pays("CmpBr")),
     ("ScaleAdd", Duty::Pays("ScaleAdd")),
     ("IdxLAdd", Duty::Pays("IdxLAdd")),
+    ("MulAddI32", Duty::Pays("MulAddI32")),
 ];
 
 /// The position of `op`'s variant in [`VARIANTS`].
@@ -111,43 +114,57 @@ fn index(op: &RegOp) -> usize {
         R::Unop { .. } => 21,
         R::Binop { .. } => 22,
         R::BinopK { .. } => 23,
-        R::AddI32 { .. } => 24,
-        R::MulI32 { .. } => 25,
-        R::AddI32K { .. } => 26,
-        R::AddF64 { .. } => 27,
-        R::SubF64 { .. } => 28,
-        R::MulF64 { .. } => 29,
-        R::LoadI32R { .. } => 30,
-        R::LoadF64R { .. } => 31,
-        R::StoreI32R { .. } => 32,
-        R::StoreF64R { .. } => 33,
-        R::ScaleAddLoadI32 { .. } => 34,
-        R::ScaleAddLoadF64 { .. } => 35,
-        R::IdxLAddLoadF64 { .. } => 36,
-        R::AddStoreF64 { .. } => 37,
-        R::LoadI32N { .. } => 38,
-        R::LoadF64N { .. } => 39,
-        R::StoreI32N { .. } => 40,
-        R::StoreF64N { .. } => 41,
-        R::ScaleAddLoadI32N { .. } => 42,
-        R::ScaleAddLoadF64N { .. } => 43,
-        R::IdxLAddLoadF64N { .. } => 44,
-        R::AddStoreF64N { .. } => 45,
-        R::CmpBrLtSZ { .. } => 46,
-        R::CmpBr { .. } => 47,
-        R::ScaleAdd { .. } => 48,
-        R::IdxLAdd { .. } => 49,
+        R::MulI32 { .. } => 24,
+        R::AddI32K { .. } => 25,
+        R::AddF64 { .. } => 26,
+        R::SubF64 { .. } => 27,
+        R::MulF64 { .. } => 28,
+        R::LoadI32R { .. } => 29,
+        R::LoadF64R { .. } => 30,
+        R::StoreI32R { .. } => 31,
+        R::StoreF64R { .. } => 32,
+        R::ScaleAddLoadI32 { .. } => 33,
+        R::ScaleAddLoadF64 { .. } => 34,
+        R::IdxLAddLoadF64 { .. } => 35,
+        R::AddStoreF64 { .. } => 36,
+        R::LoadI32N { .. } => 37,
+        R::LoadF64N { .. } => 38,
+        R::StoreI32N { .. } => 39,
+        R::StoreF64N { .. } => 40,
+        R::ScaleAddLoadI32N { .. } => 41,
+        R::ScaleAddLoadF64N { .. } => 42,
+        R::IdxLAddLoadF64N { .. } => 43,
+        R::AddStoreF64N { .. } => 44,
+        R::CmpBrLtSZ { .. } => 45,
+        R::CmpBr { .. } => 46,
+        R::ScaleAdd { .. } => 47,
+        R::IdxLAdd { .. } => 48,
+        R::MulAddI32 { .. } => 49,
     }
 }
 
+/// `VARIANTS.len()`.
+const N: usize = VARIANTS.len();
+
+/// [`PREV`] before the first dispatch of an invocation.
+const START: usize = N;
+
 thread_local! {
     /// Dispatches per [`VARIANTS`] entry of this thread's counting runs.
-    static TALLY: RefCell<[u64; VARIANTS.len()]> = const { RefCell::new([0; VARIANTS.len()]) };
+    static TALLY: RefCell<[u64; N]> = const { RefCell::new([0; N]) };
+    /// The [`VARIANTS`] entry dispatched last, or [`START`].
+    static PREV: Cell<usize> = const { Cell::new(START) };
+    /// Dispatches per `(previous, this)` pair of [`VARIANTS`] entries.
+    static PAIRS: RefCell<[[u64; N]; N]> = const { RefCell::new([[0; N]; N]) };
 }
 
 /// Counts one dispatch of `op` (the counting loop's test-build hook).
 pub(super) fn tally(op: &RegOp) {
     let i = index(op);
+    let prev = PREV.replace(i);
+    if prev != START {
+        PAIRS.with_borrow_mut(|p| p[prev][i] += 1);
+    }
     TALLY.with_borrow_mut(|t| {
         if t[i] == 0 {
             let name = format!("{op:?}");
@@ -162,10 +179,12 @@ pub(super) fn tally(op: &RegOp) {
     });
 }
 
-/// One suite's dispatches per variant and its profile.
+/// One suite's dispatches per variant and per successor pair, and its
+/// profile.
 struct Suite {
     name: String,
-    dispatches: [u64; VARIANTS.len()],
+    dispatches: [u64; N],
+    pairs: Box<[[u64; N]; N]>,
     profile: ExecProfile,
 }
 
@@ -174,6 +193,7 @@ impl Suite {
     /// register instance per module (the default configuration).
     fn run(name: String, modules: &[Vec<u8>], calls: &[(&str, Vec<Value>)]) -> Suite {
         TALLY.with_borrow_mut(|t| t.fill(0));
+        PAIRS.with_borrow_mut(|p| p.iter_mut().for_each(|row| row.fill(0)));
         let cfg = EngineConfig {
             profile: ProfileMode::Count,
             ..EngineConfig::default()
@@ -188,6 +208,7 @@ impl Suite {
                 "{name} runs on the register engine"
             );
             for (export, args) in calls {
+                PREV.set(START);
                 inst.invoke(&mut NoHost, export, args)
                     .unwrap_or_else(|e| panic!("{name} {export}{args:?}: {e}"));
             }
@@ -202,6 +223,7 @@ impl Suite {
         Suite {
             name,
             dispatches,
+            pairs: Box::new(PAIRS.with_borrow(|p| *p)),
             profile,
         }
     }
@@ -305,6 +327,26 @@ fn table(suites: &[Suite]) -> String {
     out
 }
 
+/// Each suite's `top` most frequent successor pairs `(previous -> variant)`
+/// with their share of its dispatches.
+fn pair_table(suites: &[Suite], top: usize) -> String {
+    let mut out = String::new();
+    for s in suites {
+        let mut pairs: Vec<(u64, usize, usize)> = (0..N)
+            .flat_map(|p| (0..N).map(move |i| (p, i)))
+            .map(|(p, i)| (s.pairs[p][i], p, i))
+            .filter(|&(n, _, _)| n > 0)
+            .collect();
+        pairs.sort_unstable_by(|a, b| b.cmp(a));
+        out += &format!("{}: top {top} successor pairs\n", s.name);
+        for (n, p, i) in pairs.into_iter().take(top) {
+            let pair = format!("{} -> {}", VARIANTS[p].0, VARIANTS[i].0);
+            out += &format!("  {pair:<40}{n:>16} {:>7.3} %\n", s.share(n));
+        }
+    }
+    out
+}
+
 /// The families that carry < 1 % of the dispatches of every suite.
 fn below_one_percent(suites: &[Suite]) -> Vec<&'static str> {
     families()
@@ -328,7 +370,7 @@ fn every_specialised_or_fused_family_carries_one_percent() {
     // moves only with the guests; host_ops moves with every rule or
     // specialisation added or removed.
     let counts = |s: &Suite| (s.profile.host_ops, s.profile.instret);
-    assert_eq!(counts(&suites[0]), (1_269_358, 4_173_612), "\n{ledger}");
+    assert_eq!(counts(&suites[0]), (990_017, 4_173_612), "\n{ledger}");
     assert_eq!(counts(&suites[1]), (234_113, 576_323), "\n{ledger}");
 }
 
@@ -337,4 +379,5 @@ fn every_specialised_or_fused_family_carries_one_percent() {
 fn ledger_at_benchmark_sizes() {
     let suites = [Suite::polybench(48), Suite::minisql(600)];
     println!("{}", table(&suites));
+    println!("{}", pair_table(&suites, 20));
 }

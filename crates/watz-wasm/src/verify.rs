@@ -492,12 +492,16 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 slot_ok(u32::from(*dst))?;
             }
             R::Binop { a, b, dst, .. }
-            | R::AddI32 { a, b, dst }
             | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
             | R::MulF64 { a, b, dst } => {
                 for s in [a, b, dst] {
+                    slot_ok(u32::from(*s))?;
+                }
+            }
+            R::MulAddI32 { y, n, z, dst } => {
+                for s in [y, n, z, dst] {
                     slot_ok(u32::from(*s))?;
                 }
             }
@@ -515,15 +519,15 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 }
             }
             R::IdxLAdd {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             }
             | R::IdxLAddLoadF64 {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             }
             | R::IdxLAddLoadF64N {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             } => {
-                for s in [base, part, z, dst] {
+                for s in [base, y, n, z, dst] {
                     slot_ok(u32::from(*s))?;
                 }
             }
@@ -749,13 +753,19 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 fall!();
             }
             R::Binop { a, b, dst, .. }
-            | R::AddI32 { a, b, dst }
             | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
             | R::MulF64 { a, b, dst } => {
                 rd!(*a);
                 rd!(*b);
+                wr!(*dst);
+                fall!();
+            }
+            R::MulAddI32 { y, n, z, dst } => {
+                rd!(*y);
+                rd!(*n);
+                rd!(*z);
                 wr!(*dst);
                 fall!();
             }
@@ -775,16 +785,17 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 fall!();
             }
             R::IdxLAdd {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             }
             | R::IdxLAddLoadF64 {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             }
             | R::IdxLAddLoadF64N {
-                base, part, z, dst, ..
+                base, y, n, z, dst, ..
             } => {
                 rd!(*base);
-                rd!(*part);
+                rd!(*y);
+                rd!(*n);
                 rd!(*z);
                 wr!(*dst);
                 fall!();
@@ -988,6 +999,29 @@ mod tests {
             Err(VerifyError::TruncatedBrTable { pc: 0, .. })
         ));
 
+        // A 2-D address whose row width `n` is past the frame.
+        let f = rfunc(
+            0,
+            3,
+            0,
+            3,
+            vec![
+                R::IdxLAdd {
+                    base: 0,
+                    y: 1,
+                    n: 7,
+                    z: 2,
+                    k: 8,
+                    dst: 0,
+                },
+                R::Return { src: 0 },
+            ],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0),
+            Err(VerifyError::SlotOutOfFrame { slot: 7, .. })
+        ));
+
         // A branch value transfer longer than the frame.
         let f = rfunc(
             0,
@@ -1141,6 +1175,27 @@ mod tests {
         assert!(matches!(
             verify_reg_func(&f, &c, 0),
             Err(VerifyError::ReadBeforeWrite { pc: 2, slot: 1, .. })
+        ));
+
+        // A row index whose `z` no path wrote.
+        let f = rfunc(
+            0,
+            2,
+            0,
+            4,
+            vec![
+                R::MulAddI32 {
+                    y: 0,
+                    n: 1,
+                    z: 2,
+                    dst: 3,
+                },
+                R::Return { src: 0 },
+            ],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0),
+            Err(VerifyError::ReadBeforeWrite { pc: 0, slot: 2, .. })
         ));
 
         // Falling off the end of the register body.
@@ -1390,6 +1445,98 @@ mod tests {
         crate::load(&b.build()).expect("axpy module is valid")
     }
 
+    /// f64 kernel over an `n x n` row-major grid: each cell is read twice
+    /// through the 2-D address form (the second read subsumed, so
+    /// check-free), written back through the 2-D address without a load,
+    /// and its row index `i*n + j` kept in a local (`MulAddI32`).
+    fn grid_module() -> Module {
+        use Instr as I;
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::F64]);
+        b.add_memory(1, Some(1));
+        let cells: Vec<u8> = (0..64)
+            .flat_map(|c| (f64::from(c) * 0.5).to_le_bytes())
+            .collect();
+        b.add_data(0, &cells);
+        let m8 = MemArg::new(3, 0);
+        let cell = || {
+            vec![
+                I::I32Const(0),
+                I::LocalGet(1),
+                I::LocalGet(0),
+                I::I32Mul,
+                I::LocalGet(2),
+                I::I32Add,
+                I::I32Const(8),
+                I::I32Mul,
+                I::I32Add,
+            ]
+        };
+        // Locals: 0 = n (param), 1 = i, 2 = j, 3 = acc, 4 = last row index.
+        let mut inner = vec![
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(2),
+            I::LocalGet(0),
+            I::I32GeS,
+            I::BrIf(1),
+            I::LocalGet(3),
+        ];
+        inner.extend(cell());
+        inner.push(I::F64Load(m8));
+        inner.extend(cell());
+        inner.extend([I::F64Load(m8), I::F64Add, I::F64Add, I::LocalSet(3)]);
+        inner.extend(cell());
+        inner.extend([I::LocalGet(3), I::F64Store(m8)]);
+        inner.extend([
+            I::LocalGet(1),
+            I::LocalGet(0),
+            I::I32Mul,
+            I::LocalGet(2),
+            I::I32Add,
+            I::LocalSet(4),
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(2),
+            I::Br(0),
+            I::End,
+            I::End,
+        ]);
+        let mut code = vec![
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(1),
+            I::LocalGet(0),
+            I::I32GeS,
+            I::BrIf(1),
+            I::I32Const(0),
+            I::LocalSet(2),
+        ];
+        code.extend(inner);
+        code.extend([
+            I::LocalGet(1),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(1),
+            I::Br(0),
+            I::End,
+            I::End,
+            I::LocalGet(3),
+            I::LocalGet(4),
+            I::F64ConvertI32S,
+            I::F64Add,
+            I::End,
+        ]);
+        let kernel = b.add_func(
+            ty,
+            &[ValType::I32, ValType::I32, ValType::F64, ValType::I32],
+            code,
+        );
+        b.export_func("kernel", kernel);
+        crate::load(&b.build()).expect("grid module is valid")
+    }
+
     // ---- direct register-engine execution (bypasses Instance, so ----
     // ---- mutated modules can run without re-verification) ----------
 
@@ -1419,6 +1566,14 @@ mod tests {
     ) -> Result<Vec<Value>, Trap> {
         let lim = module.memories.first();
         let mut memory = Memory::new(lim.map_or(0, |l| l.min), lim.and_then(|l| l.max));
+        let mut bytes = memory.take_data();
+        for seg in &module.data {
+            let Instr::I32Const(off) = seg.offset else {
+                panic!("non-constant data offset")
+            };
+            bytes[off as usize..off as usize + seg.bytes.len()].copy_from_slice(&seg.bytes);
+        }
+        memory.put_data(bytes);
         let mut globals: Vec<Value> = module.globals.iter().map(|g| const_val(&g.init)).collect();
         let mut table: Vec<Option<u32>> =
             vec![None; module.tables.first().map_or(0, |l| l.min as usize)];
@@ -1456,7 +1611,11 @@ mod tests {
 
     #[test]
     fn corpus_elides_and_reverifies() {
-        for (name, module) in [("mix", mix_module()), ("axpy", axpy_module())] {
+        for (name, module) in [
+            ("mix", mix_module()),
+            ("axpy", axpy_module()),
+            ("grid", grid_module()),
+        ] {
             let on = CompiledModule::compile_full(&module, true, true).unwrap();
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
             assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
@@ -1480,6 +1639,17 @@ mod tests {
                     assert_eq!(run_engine(fm, &module, &args).unwrap(), want, "{name}");
                 }
             }
+        }
+        // The grid carries every row form, the check-free one included.
+        let fm = CompiledModule::compile_full(&grid_module(), true, true).unwrap();
+        let code = format!("{:?}", fm.reg);
+        for variant in [
+            "IdxLAdd {",
+            "IdxLAddLoadF64 {",
+            "IdxLAddLoadF64N {",
+            "MulAddI32 {",
+        ] {
+            assert!(code.contains(variant), "no {variant}: {code}");
         }
         // The mix preamble is the interval case specifically.
         let fm = CompiledModule::compile_full(&mix_module(), true, true).unwrap();
@@ -1541,6 +1711,30 @@ mod tests {
         )
     }
 
+    /// The ops that compute a row index `y*n + z`.
+    fn is_row_op(op: &RegOp) -> bool {
+        use RegOp as R;
+        matches!(
+            op,
+            R::IdxLAdd { .. }
+                | R::IdxLAddLoadF64 { .. }
+                | R::IdxLAddLoadF64N { .. }
+                | R::MulAddI32 { .. }
+        )
+    }
+
+    /// The `y`, `n` and `z` operands of a row op.
+    fn row_operands_mut(op: &mut RegOp) -> Option<[&mut u16; 3]> {
+        use RegOp as R;
+        match op {
+            R::IdxLAdd { y, n, z, .. }
+            | R::IdxLAddLoadF64 { y, n, z, .. }
+            | R::IdxLAddLoadF64N { y, n, z, .. }
+            | R::MulAddI32 { y, n, z, .. } => Some([y, n, z]),
+            _ => None,
+        }
+    }
+
     fn reg_target_mut(op: &mut RegOp) -> Option<&mut u32> {
         use RegOp as R;
         match op {
@@ -1593,8 +1787,9 @@ mod tests {
     /// absent: a well-formedness verifier can accept those while the
     /// behavior silently changes, which would make the harness flaky
     /// rather than a soundness proof.
-    const OPERATORS: [(&str, bool); 11] = [
+    const OPERATORS: [(&str, bool); 12] = [
         ("reg-global-oob", true),
+        ("reg-row-operand-oob", true),
         ("reg-keep-bomb", true),
         ("reg-func-oob", true),
         ("reg-type-oob", true),
@@ -1698,6 +1893,20 @@ mod tests {
                     let oob = u16::try_from(f.frame_size + 1 + rng.below(3) as u32)
                         .expect("corpus frames are tiny");
                     f.code[pc] = RegOp::Move { src: oob, dst: 0 };
+                    true
+                } else {
+                    false
+                }
+            }
+            "reg-row-operand-oob" => {
+                let sites = reg_sites(fm, is_row_op);
+                if let Some((fi, pc)) = pick(&sites, rng) {
+                    let which = rng.below(3) as usize;
+                    let f = reg_body_mut(fm, fi);
+                    let oob = u16::try_from(f.frame_size + rng.below(3) as u32)
+                        .expect("corpus frames are tiny");
+                    let [y, n, z] = row_operands_mut(&mut f.code[pc]).expect("site is a row op");
+                    *[y, n, z][which] = oob;
                     true
                 } else {
                     false
@@ -1807,7 +2016,11 @@ mod tests {
     /// pass the verifier and diverge.
     #[test]
     fn mutation_harness_no_silent_divergence() {
-        let corpus = [("mix", mix_module()), ("axpy", axpy_module())];
+        let corpus = [
+            ("mix", mix_module()),
+            ("axpy", axpy_module()),
+            ("grid", grid_module()),
+        ];
         let arg_set = [0, 1, 2, 7].map(|n| [Value::I32(n)]);
         let mut fired: BTreeMap<&'static str, u32> = BTreeMap::new();
         let mut variants: BTreeSet<&'static str> = BTreeSet::new();

@@ -388,6 +388,22 @@ fn gen_fusable_kernel(rng: &mut XorShift) -> String {
          A[(i * 4 + j) & (n - 1)] = A[(i * 4 + j) & (n - 1)] {o3} v1;\n\
          }}\n}}\n"
     ));
+    // The row rules over a runtime width: a 2-D f64 grid read through
+    // `G[i*w + j]` (idx_load at the row multiply), its row index kept
+    // (mul_add into a local), and a 3-D `(i*w + j)*w + t` whose inner row
+    // is a pushed mul_add.
+    src.push_str(&format!(
+        "int w = {};\n\
+         double* G = (double*)alloc(w * w * w * 8);\n\
+         for (i = 0; i < w * w * w; i = i + 1) {{ G[i] = (double)(i {o4} v1); }}\n\
+         for (i = 0; i < w; i = i + 1) {{\n\
+         for (j = 0; j < w; j = j + 1) {{\n\
+         v2 = v2 + (int)G[i * w + j];\n\
+         t = i * w + j;\n\
+         v0 = v0 ^ (int)G[(i * w + j) * w + (t & 1)];\n\
+         }}\n}}\n",
+        2 + rng.below(4)
+    ));
     // Load / store through a pointer deref (the address forwarded).
     src.push_str(&format!(
         "int* p = A + (v3 & {k2});\nv2 = v2 {o4} *p;\n*p = v2;\n"
