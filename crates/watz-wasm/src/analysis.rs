@@ -1081,9 +1081,11 @@ mod tests {
             assert_module_matches_oracle(name, &wasm, &mut scratch);
             set.merge(&range_stats(&wasm));
         }
+        // 1190 before global hoisting: a loop's cached table base is
+        // loop-invariant, so nine more accesses through it subsume.
         assert_eq!(
             (set.proven(), set.elided),
-            (1190, 1190),
+            (1199, 1199),
             "cold_start module set: {:?}",
             set.counts()
         );

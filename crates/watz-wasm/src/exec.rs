@@ -219,7 +219,8 @@ pub enum ExecMode {
 pub struct EngineConfig {
     /// Let register lowering join adjacent instructions into
     /// superinstructions (its fusion rules, see [`crate::reg`]); operand
-    /// forwarding is not a rule and stays on.
+    /// forwarding is not a rule and stays on, and so does global hoisting,
+    /// which forwards a call-free loop's global reads from a cache slot.
     pub fuse: bool,
     /// Rewrite accesses the range analysis proved in bounds to check-free
     /// opcodes (proofs are computed and counted either way).

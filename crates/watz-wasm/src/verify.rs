@@ -1395,6 +1395,60 @@ mod tests {
         crate::load(&b.build()).expect("mix module is valid")
     }
 
+    /// i32 kernel over a table whose base and length are globals, as the
+    /// speedtest guest keeps them: the loop reads both and sets neither,
+    /// so each is loaded into a cache slot in front of it, and each
+    /// iteration's reload through the cached base is subsumed by its store.
+    fn table_module() -> Module {
+        use Instr as I;
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        b.add_memory(1, Some(1));
+        let base = b.add_global(ValType::I32, true, I::I32Const(64));
+        let len = b.add_global(ValType::I32, true, I::I32Const(8));
+        let m = MemArg::new(2, 0);
+        let cell = [
+            I::GlobalGet(base),
+            I::LocalGet(1),
+            I::I32Const(4),
+            I::I32Mul,
+            I::I32Add,
+        ];
+        // Locals: 0 = n (param), 1 = i, 2 = acc.
+        // for i < len { base[i] = i + n; acc += base[i] }; len = acc.
+        let mut code = vec![
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(1),
+            I::GlobalGet(len),
+            I::I32GeS,
+            I::BrIf(1),
+        ];
+        code.extend(cell.clone());
+        code.extend([I::LocalGet(1), I::LocalGet(0), I::I32Add, I::I32Store(m)]);
+        code.push(I::LocalGet(2));
+        code.extend(cell);
+        code.extend([
+            I::I32Load(m),
+            I::I32Add,
+            I::LocalSet(2),
+            I::LocalGet(1),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(1),
+            I::Br(0),
+            I::End,
+            I::End,
+            I::LocalGet(2),
+            I::GlobalSet(len),
+            I::LocalGet(2),
+            I::End,
+        ]);
+        let kernel = b.add_func(ty, &[ValType::I32, ValType::I32], code);
+        b.export_func("kernel", kernel);
+        crate::load(&b.build()).expect("table module is valid")
+    }
+
     /// f64 kernel: each iteration's checked load subsumes the store at
     /// the same value number, and the tail reads a constant address.
     fn axpy_module() -> Module {
@@ -1615,6 +1669,7 @@ mod tests {
             ("mix", mix_module()),
             ("axpy", axpy_module()),
             ("grid", grid_module()),
+            ("table", table_module()),
         ] {
             let on = CompiledModule::compile_full(&module, true, true).unwrap();
             assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
@@ -1787,8 +1842,13 @@ mod tests {
     /// absent: a well-formedness verifier can accept those while the
     /// behavior silently changes, which would make the harness flaky
     /// rather than a soundness proof.
-    const OPERATORS: [(&str, bool); 12] = [
+    /// `reg-drop-cache-load` replaces a load of a global's cache slot in
+    /// front of a loop with a jump to the next op: the slot is read in the
+    /// loop and nothing else writes it, so it must fail as
+    /// [`VerifyError::ReadBeforeWrite`].
+    const OPERATORS: [(&str, bool); 13] = [
         ("reg-global-oob", true),
+        ("reg-drop-cache-load", true),
         ("reg-row-operand-oob", true),
         ("reg-keep-bomb", true),
         ("reg-func-oob", true),
@@ -1805,11 +1865,34 @@ mod tests {
     #[allow(clippy::too_many_lines)]
     fn apply_mutation(
         fm: &mut CompiledModule,
-        types: &[FuncType],
+        module: &Module,
         rng: &mut Rng,
     ) -> Option<(&'static str, bool)> {
+        let types = &module.types[..];
         let (name, must_reject) = OPERATORS[rng.below(OPERATORS.len() as u64) as usize];
         let applied = match name {
+            "reg-drop-cache-load" => {
+                let cached = |fi: usize| {
+                    let f = fm.reg.as_ref().unwrap().funcs[fi].as_ref().unwrap();
+                    let first = f.n_locals as usize;
+                    first..first + crate::reg::cache_slots(module, fi)
+                };
+                let sites: Vec<_> = reg_sites(fm, |_| true)
+                    .into_iter()
+                    .filter(|&(fi, pc)| {
+                        let code = &fm.reg.as_ref().unwrap().funcs[fi].as_ref().unwrap().code;
+                        matches!(code[pc], RegOp::GlobalGet { dst, .. }
+                            if cached(fi).contains(&usize::from(dst)))
+                    })
+                    .collect();
+                if let Some((fi, pc)) = pick(&sites, rng) {
+                    let target = pc as u32 + 1;
+                    reg_body_mut(fm, fi).code[pc] = RegOp::Jump { target };
+                    true
+                } else {
+                    false
+                }
+            }
             "reg-global-oob" => {
                 let sites = reg_sites(fm, |op| {
                     matches!(op, RegOp::GlobalGet { .. } | RegOp::GlobalSet { .. })
@@ -2020,6 +2103,7 @@ mod tests {
             ("mix", mix_module()),
             ("axpy", axpy_module()),
             ("grid", grid_module()),
+            ("table", table_module()),
         ];
         let arg_set = [0, 1, 2, 7].map(|n| [Value::I32(n)]);
         let mut fired: BTreeMap<&'static str, u32> = BTreeMap::new();
@@ -2034,8 +2118,7 @@ mod tests {
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (mi as u64 + 1));
             for _ in 0..250 {
                 let mut fm = CompiledModule::compile_full(module, true, true).unwrap();
-                let Some((op_name, must_reject)) = apply_mutation(&mut fm, &module.types, &mut rng)
-                else {
+                let Some((op_name, must_reject)) = apply_mutation(&mut fm, module, &mut rng) else {
                     continue;
                 };
                 *fired.entry(op_name).or_insert(0) += 1;
@@ -2044,6 +2127,11 @@ mod tests {
                         assert!(
                             must_reject,
                             "{name}: benign mutation {op_name} rejected: {e}"
+                        );
+                        assert!(
+                            op_name != "reg-drop-cache-load"
+                                || matches!(e, VerifyError::ReadBeforeWrite { .. }),
+                            "{name}: a dropped cache load fails as {e}"
                         );
                         rejected += 1;
                         variants.insert(variant_name(&e));
