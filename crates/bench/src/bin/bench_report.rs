@@ -512,8 +512,8 @@ fn main() {
     writeln!(w).unwrap();
     writeln!(
         w,
-        "Live counters over the PolyBench suite at n={PROFILE_N}, `WATZ_PROFILE`-style\n\
-         counting on every rung. **instret** (retired guest instructions) is asserted\n\
+        "Live counters over the PolyBench suite at n={PROFILE_N}, `ProfileMode::Count`\n\
+         on every rung. **instret** (retired guest instructions) is asserted\n\
          identical across the tree oracle and the register engine, unfused and fused,\n\
          while generating this table — lowering optimizes host dispatches per guest\n\
          instruction, never the guest instruction stream itself. `ops/instr` is host\n\
@@ -573,8 +573,8 @@ fn main() {
     writeln!(
         w,
         "Live counters from compiling each kernel with the range analysis, bounds-check\n\
-         elision, and the independent IR verifier all on (the `WATZ_VERIFY_IR=1`\n\
-         configuration). **proven** is memory accesses the interval/subsumption\n\
+         elision, and the independent IR verifier all on (`EngineConfig::verify`\n\
+         set). **proven** is memory accesses the interval/subsumption\n\
          analysis discharged; **elided** is proven accesses actually rewritten to\n\
          check-free opcodes; **obligations** is check-free opcodes whose proof the\n\
          verifier re-derived from scratch before accepting the code. The analysis\n\

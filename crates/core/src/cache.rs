@@ -1,5 +1,7 @@
 //! The runtime's artifact cache: one compiled [`Artifact`] per (measurement,
-//! mode, engine configuration), kept by the WaTZ TA across launches.
+//! mode), kept by the WaTZ TA across launches. Every artifact is built under
+//! [`watz_wasm::EngineConfig::default`], so it is a pure function of the
+//! bytes and the mode.
 //!
 //! An entry owns the executable pages its code stands for, so what is
 //! resident is bounded by the trusted OS's executable-page ceiling
@@ -18,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use optee_sim::{ExecPages, TeeError, TrustedOs};
-use watz_wasm::{Artifact, EngineConfig, ExecMode};
+use watz_wasm::{Artifact, ExecMode};
 
 /// What an artifact is a pure function of. The measurement stands for the
 /// bytes: the SHA-256 of the entry's bytes, computed once, on the launch
@@ -27,12 +29,11 @@ use watz_wasm::{Artifact, EngineConfig, ExecMode};
 pub(crate) struct Key {
     pub(crate) measurement: [u8; 32],
     pub(crate) mode: ExecMode,
-    pub(crate) config: EngineConfig,
 }
 
 /// What a recall finds its candidates by: the length of a secure copy, and
-/// the mode and configuration of its launch.
-type Shape = (usize, ExecMode, EngineConfig);
+/// the mode of its launch.
+type Shape = (usize, ExecMode);
 
 /// At most this many resident byte strings are compared per recall, so no
 /// set of resident modules makes a launch cost more than its hash plus
@@ -45,7 +46,7 @@ pub(crate) type Resident = (Arc<Artifact>, Arc<ExecPages>);
 struct Entry {
     artifact: Arc<Artifact>,
     /// The bytes the measurement is the SHA-256 of; one buffer per
-    /// measurement, shared by its entries in every mode and configuration.
+    /// measurement, shared by its entries in both modes.
     bytes: Arc<[u8]>,
     /// Held by this entry and by every live app launched from it.
     pages: Arc<ExecPages>,
@@ -83,24 +84,14 @@ thread_local! {
 impl ArtifactCache {
     /// The measurement of `secure_copy`, if it is byte for byte the bytes of
     /// one of the [`RECALL_CANDIDATES`] most recently launched entries of
-    /// its length, mode and configuration: that entry's measurement is the
-    /// SHA-256 of those bytes. `None` means the launch hashes.
-    pub(crate) fn recall(
-        &self,
-        secure_copy: &[u8],
-        mode: ExecMode,
-        config: EngineConfig,
-    ) -> Option<[u8; 32]> {
-        let recent = self.recent.get(&(secure_copy.len(), mode, config))?;
+    /// its length and mode: that entry's measurement is the SHA-256 of those
+    /// bytes. `None` means the launch hashes.
+    pub(crate) fn recall(&self, secure_copy: &[u8], mode: ExecMode) -> Option<[u8; 32]> {
+        let recent = self.recent.get(&(secure_copy.len(), mode))?;
         recent.iter().copied().find(|&measurement| {
             #[cfg(test)]
             COMPARED.with(|n| n.set(n.get() + 1));
-            let key = Key {
-                measurement,
-                mode,
-                config,
-            };
-            *self.entries[&key].bytes == *secure_copy
+            *self.entries[&Key { measurement, mode }].bytes == *secure_copy
         })
     }
 
@@ -134,7 +125,7 @@ impl ArtifactCache {
             let Some(key) = idle else {
                 return Err(refused);
             };
-            let shape = (self.entries[&key].bytes.len(), key.mode, key.config);
+            let shape = (self.entries[&key].bytes.len(), key.mode);
             self.entries.remove(&key);
             if let Some(recent) = self.recent.get_mut(&shape) {
                 recent.retain(|m| *m != key.measurement);
@@ -157,8 +148,8 @@ impl ArtifactCache {
         pages: ExecPages,
     ) -> Resident {
         self.launches += 1;
-        // An entry of this measurement in another mode or configuration
-        // already holds these bytes: keep one buffer.
+        // An entry of this measurement in the other mode already holds
+        // these bytes: keep one buffer.
         let bytes = self
             .entries
             .iter()
@@ -177,7 +168,7 @@ impl ArtifactCache {
 
 /// Puts `key`'s measurement first among the recent ones of its shape.
 fn remember(recent: &mut HashMap<Shape, Vec<[u8; 32]>>, key: &Key, len: usize) {
-    let recent = recent.entry((len, key.mode, key.config)).or_default();
+    let recent = recent.entry((len, key.mode)).or_default();
     recent.retain(|m| *m != key.measurement);
     recent.insert(0, key.measurement);
     recent.truncate(RECALL_CANDIDATES);
@@ -188,8 +179,6 @@ mod tests {
     use super::*;
     use std::cell::Cell;
     use watz_crypto::sha256::Sha256;
-    use watz_wasm::exec::{Instance, NoHost};
-    use watz_wasm::ProfileMode;
 
     fn os() -> TrustedOs {
         crate::WatzRuntime::new_device(b"cache-unit")
@@ -199,79 +188,45 @@ mod tests {
     }
 
     /// An artifact and the bytes it was compiled from.
-    fn artifact(src: &str, mode: ExecMode, config: EngineConfig) -> (Artifact, Arc<[u8]>) {
+    fn artifact(src: &str, mode: ExecMode) -> (Artifact, Arc<[u8]>) {
         let wasm = minic::compile(src).unwrap();
         let module = watz_wasm::load(&wasm).unwrap();
+        let config = watz_wasm::EngineConfig::default();
         (Artifact::new(&module, mode, config).unwrap(), wasm.into())
     }
 
     const SRC: &str = "int f(int a) { return a * 2; }";
 
     #[test]
-    fn each_engine_config_and_mode_is_its_own_entry() {
-        // Explicit configurations, not the process environment: `cargo test`
-        // runs tests on parallel threads and the environment is shared.
+    fn each_mode_is_its_own_entry() {
         let os = os();
         let mut cache = ArtifactCache::default();
-        let base = EngineConfig::default();
-        let configs = [
-            base,
-            EngineConfig {
-                fuse: false,
-                ..base
-            },
-            EngineConfig {
-                elide: false,
-                ..base
-            },
-            EngineConfig {
-                verify: true,
-                ..base
-            },
-            EngineConfig {
-                profile: ProfileMode::Count,
-                ..base
-            },
-        ];
-        let keys: Vec<Key> = configs
-            .iter()
-            .map(|&config| (ExecMode::Aot, config))
-            .chain([(ExecMode::Interpreted, base)])
-            .map(|(mode, config)| Key {
-                measurement: [7; 32],
-                mode,
-                config,
-            })
-            .collect();
+        let keys = [ExecMode::Aot, ExecMode::Interpreted].map(|mode| Key {
+            measurement: [7; 32],
+            mode,
+        });
         let mut residents = Vec::new();
         let mut len = 0;
         for key in &keys {
             assert!(cache.lookup(key).is_none(), "{key:?} hit before its insert");
-            let (art, bytes) = artifact(SRC, key.mode, key.config);
+            let (art, bytes) = artifact(SRC, key.mode);
             len = bytes.len();
             let pages = cache.reserve(&os, len).unwrap();
             residents.push(cache.insert(*key, art, bytes, pages));
         }
-        // All six coexist, each under its own pages, each found again as
+        // Both coexist, each under its own pages, each found again as
         // itself.
         assert_eq!(os.exec_bytes_allocated(), keys.len() * len);
         for (key, (art, _)) in keys.iter().zip(&residents) {
             let (again, _) = cache.lookup(key).expect("resident");
             assert!(Arc::ptr_eq(art, &again));
         }
-        for (i, (a, _)) in residents.iter().enumerate() {
-            for (b, _) in &residents[i + 1..] {
-                assert!(!Arc::ptr_eq(a, b));
-            }
-        }
+        assert!(!Arc::ptr_eq(&residents[0].0, &residents[1].0));
         // What is resident under a key is what that key asked for, so a
         // shared entry would have been wrong, not just wasteful: only the
-        // `verify` key holds an artifact the verifier passed, only the
-        // other mode's holds one that was never compiled.
-        for (i, (art, _)) in residents.iter().enumerate() {
-            let inst = Instance::from_artifact(Arc::clone(art), &mut NoHost).unwrap();
-            assert_eq!(inst.verify_stats().is_some(), keys[i].config.verify);
-            assert_eq!(art.compile_times().is_some(), keys[i].mode == ExecMode::Aot);
+        // interpreted key holds an artifact that was never compiled.
+        for (key, (art, _)) in keys.iter().zip(&residents) {
+            assert_eq!(art.compile_times().is_some(), key.mode == ExecMode::Aot);
         }
         drop((cache, residents));
         assert_eq!(os.exec_bytes_allocated(), 0);
@@ -284,11 +239,10 @@ mod tests {
         let key = Key {
             measurement: [1; 32],
             mode: ExecMode::Aot,
-            config: EngineConfig::default(),
         };
         // Both launches missed and compiled; the lock orders their inserts.
-        let (first, bytes) = artifact(SRC, key.mode, key.config);
-        let (second, _) = artifact(SRC, key.mode, key.config);
+        let (first, bytes) = artifact(SRC, key.mode);
+        let (second, _) = artifact(SRC, key.mode);
         let len = bytes.len();
         let first_pages = cache.reserve(&os, len).unwrap();
         let second_pages = cache.reserve(&os, len).unwrap();
@@ -311,10 +265,9 @@ mod tests {
         let key = |n: u8| Key {
             measurement: [n; 32],
             mode: ExecMode::Aot,
-            config: EngineConfig::default(),
         };
         let add = |cache: &mut ArtifactCache, n: u8| {
-            let (art, bytes) = artifact(SRC, ExecMode::Aot, EngineConfig::default());
+            let (art, bytes) = artifact(SRC, ExecMode::Aot);
             let pages = cache.reserve(&os, LEN)?;
             Ok::<Resident, TeeError>(cache.insert(key(n), art, bytes, pages))
         };
@@ -342,13 +295,11 @@ mod tests {
     /// Makes `bytes` resident under their SHA-256 (with an artifact of
     /// [`SRC`]: the cache never reads what it holds) on `len` pages.
     fn launch_first(cache: &mut ArtifactCache, os: &TrustedOs, bytes: Vec<u8>, len: usize) {
-        let (mode, config) = (ExecMode::Aot, EngineConfig::default());
         let key = Key {
             measurement: Sha256::digest(&bytes),
-            mode,
-            config,
+            mode: ExecMode::Aot,
         };
-        let (art, _) = artifact(SRC, mode, config);
+        let (art, _) = artifact(SRC, key.mode);
         let pages = cache.reserve(os, len).unwrap();
         drop(cache.insert(key, art, bytes.into(), pages));
     }
@@ -357,7 +308,7 @@ mod tests {
     /// many candidates that compared.
     fn recall(cache: &ArtifactCache, bytes: &[u8], mode: ExecMode) -> (bool, usize) {
         let before = COMPARED.with(Cell::get);
-        let recalled = cache.recall(bytes, mode, EngineConfig::default());
+        let recalled = cache.recall(bytes, mode);
         if let Some(measurement) = recalled {
             assert_eq!(measurement, Sha256::digest(bytes));
         }
@@ -390,7 +341,6 @@ mod tests {
         let key = Key {
             measurement: Sha256::digest(&variant(0)),
             mode: aot,
-            config: EngineConfig::default(),
         };
         assert!(cache.lookup(&key).is_some());
         assert_eq!(recall(&cache, &variant(0), aot), (true, 1));

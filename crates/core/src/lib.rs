@@ -24,11 +24,10 @@
 //!
 //! The paper pays 5 and 6 in full on every launch. Here the measurement of
 //! step 3 doubles as a key: the TA keeps each compiled
-//! [`watz_wasm::Artifact`] resident under (measurement, mode, engine
-//! configuration), and a **relaunch** — bytes this runtime has launched
-//! before — skips decode, validation and compile and creates its instance
-//! straight from the resident artifact
-//! ([`StartupBreakdown::cached`]). Each artifact keeps the exact bytes it
+//! [`watz_wasm::Artifact`] resident under (measurement, mode), and a
+//! **relaunch** — bytes this runtime has launched before — skips decode,
+//! validation and compile and creates its instance straight from the
+//! resident artifact ([`StartupBreakdown::cached`]). Each artifact keeps the exact bytes it
 //! was measured from, and a relaunch compares its secure copy with them,
 //! byte for byte, instead of hashing it again: equal bytes have that
 //! measurement, their SHA-256, so evidence embeds the same value either
@@ -175,8 +174,8 @@ pub struct StartupBreakdown {
     /// Runtime environment and WASI setup.
     pub init: Duration,
     /// Whether this launch found its artifact resident (a relaunch of bytes
-    /// this runtime has compiled before, in the same mode under the same
-    /// engine configuration) and skipped decode, validation and compile.
+    /// this runtime has compiled before, in the same mode) and skipped
+    /// decode, validation and compile.
     pub cached: bool,
     /// Module decode + validation (the paper's dominant ~73 %), after the
     /// cache lookup that found nothing; the lookup alone when `cached`.
@@ -292,13 +291,14 @@ impl WatzRuntime {
     /// Follows the paper's pipeline: the bytecode travels through a shared
     /// buffer (9 MB cap!), is copied into secure memory and measured — on
     /// every launch, from that copy. A first launch hashes it, decodes,
-    /// validates and compiles it, and the artifact stays resident under its
-    /// measurement with the bytes; a relaunch of the same bytes (same mode,
-    /// same [`EngineConfig::from_env`]) finds them equal to the resident
-    /// ones, recalls their measurement and starts from the artifact. Both
-    /// create a new instance: memory, data segments, globals, start
-    /// function. Returns the running app with the Fig 4 phase breakdown
-    /// attached ([`StartupBreakdown::cached`] tells which launch it was).
+    /// validates and compiles it under [`EngineConfig::default`], and the
+    /// artifact stays resident under its measurement with the bytes; a
+    /// relaunch of the same bytes in the same mode finds them equal to the
+    /// resident ones, recalls their measurement and starts from the
+    /// artifact. Both create a new instance: memory, data segments,
+    /// globals, start function. Returns the running app with the Fig 4
+    /// phase breakdown attached ([`StartupBreakdown::cached`] tells which
+    /// launch it was).
     ///
     /// Resident artifacts own their executable pages, so the 27 MB
     /// executable-page ceiling bounds them: when a first launch cannot get
@@ -348,9 +348,8 @@ impl WatzRuntime {
             // stays writable by the normal world. Bytes equal to a resident
             // entry's have that entry's measurement, their SHA-256, so only
             // bytes no entry holds are hashed.
-            let engine = EngineConfig::from_env();
             let t = Instant::now();
-            let recalled = self.cache().recall(&secure_copy, config.mode, engine);
+            let recalled = self.cache().recall(&secure_copy, config.mode);
             let measurement = recalled.unwrap_or_else(|| Sha256::digest(&secure_copy));
             breakdown.hashing = t.elapsed();
 
@@ -363,7 +362,6 @@ impl WatzRuntime {
             let key = Key {
                 measurement,
                 mode: config.mode,
-                config: engine,
             };
             let (artifact, exec_pages) =
                 self.resident_artifact(key, secure_copy, &mut breakdown)?;
@@ -415,7 +413,7 @@ impl WatzRuntime {
         breakdown.loading = t.elapsed();
 
         let t = Instant::now();
-        let artifact = Artifact::new(&module, key.mode, key.config)?;
+        let artifact = Artifact::new(&module, key.mode, EngineConfig::default())?;
         breakdown.compile = artifact.compile_times().unwrap_or_default();
         let resident = self.cache().insert(key, artifact, secure_copy, exec_pages);
         breakdown.instantiate = t.elapsed();
@@ -480,8 +478,8 @@ impl WatzApp {
         self.measurement
     }
 
-    /// The engine instance, read-only: its counters
-    /// ([`Instance::profile`]), its artifact, [`Instance::verify_ir`].
+    /// The engine instance, read-only: its artifact,
+    /// [`Instance::verify_ir`].
     #[must_use]
     pub fn instance(&self) -> &Instance {
         &self.instance

@@ -55,9 +55,8 @@
 //! any check-free opcode it cannot prove, so the optimization can never
 //! outrun the analysis.
 //!
-//! Set `WATZ_NO_ELIDE=1` (or [`crate::exec::EngineConfig::elide`] off) to
-//! keep every access on the checked path; the proofs are still computed
-//! and counted.
+//! Turn [`crate::exec::EngineConfig::elide`] off to keep every access on
+//! the checked path; the proofs are still computed and counted.
 
 use crate::flat::{BinOpKind, LoadKind, StoreKind};
 use crate::reg::{RegFunc, RegOp};

@@ -33,8 +33,8 @@
 //!    superinstructions: a constant right operand, a sink into a local or
 //!    memory, compare-and-branch, the 1-D array-address tail, and at a
 //!    row multiply the 2-D address and the row index `y*n + z`
-//!    (`WATZ_NO_FUSE=1` or [`EngineConfig::fuse`] switches just those rules
-//!    off, for bisection; [`crate::reg::RegStats`] and
+//!    ([`EngineConfig::fuse`] switches just those rules off, for
+//!    bisection; [`crate::reg::RegStats`] and
 //!    [`crate::FusionStats`] report what the walk did).
 //!
 //! An artifact holds the register program only. An `Aot` artifact that
@@ -241,32 +241,6 @@ impl Default for EngineConfig {
             elide: true,
             verify: false,
             profile: ProfileMode::Off,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The production configuration adjusted by the crate's four
-    /// environment switches, each on for any non-empty value other than
-    /// `0`: `WATZ_NO_FUSE` and `WATZ_NO_ELIDE` turn their pass off,
-    /// `WATZ_VERIFY_IR` and `WATZ_PROFILE` turn verification and counting
-    /// on. This is the only place the crate reads the environment.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    fn from_lookup(var: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        let on = |name| var(name).is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
-        EngineConfig {
-            fuse: !on("WATZ_NO_FUSE"),
-            elide: !on("WATZ_NO_ELIDE"),
-            verify: on("WATZ_VERIFY_IR"),
-            profile: if on("WATZ_PROFILE") {
-                ProfileMode::Count
-            } else {
-                ProfileMode::Off
-            },
         }
     }
 }
@@ -586,7 +560,7 @@ impl Instance {
     /// Instantiates a validated module: allocates memory/table, applies data
     /// and element segments, prepares code for the chosen mode and runs the
     /// start function (if any). The engine configuration is
-    /// [`EngineConfig::from_env`].
+    /// [`EngineConfig::default`].
     ///
     /// # Errors
     ///
@@ -597,13 +571,13 @@ impl Instance {
         mode: ExecMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        Self::instantiate_with(module, mode, EngineConfig::from_env(), host)
+        Self::instantiate_with(module, mode, EngineConfig::default(), host)
     }
 
     /// [`Instance::instantiate_with`] with `fuse` and `profile` spelled
-    /// out and the rest from the environment; `reg = false` runs `mode`
-    /// on the tree interpreter ([`ExecMode::Interpreted`]). Exists only
-    /// because `benchmark/` calls it; goes with the next benchmark PR.
+    /// out and the rest from [`EngineConfig::default`]; `reg = false` runs
+    /// `mode` on the tree interpreter ([`ExecMode::Interpreted`]). Exists
+    /// only because `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -619,16 +593,17 @@ impl Instance {
         let config = EngineConfig {
             fuse,
             profile,
-            ..EngineConfig::from_env()
+            ..EngineConfig::default()
         };
         let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_with(module, mode, config, host)
     }
 
     /// [`Instance::instantiate_with`] with `fuse`, `elide` and `verify`
-    /// spelled out and the rest from the environment; `reg = false` runs
-    /// `mode` on the tree interpreter ([`ExecMode::Interpreted`]). Exists
-    /// only because `benchmark/` calls it; goes with the next benchmark PR.
+    /// spelled out and the rest from [`EngineConfig::default`]; `reg =
+    /// false` runs `mode` on the tree interpreter
+    /// ([`ExecMode::Interpreted`]). Exists only because `benchmark/` calls
+    /// it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -646,7 +621,7 @@ impl Instance {
             fuse,
             elide,
             verify,
-            ..EngineConfig::from_env()
+            ..EngineConfig::default()
         };
         let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_with(module, mode, config, host)
@@ -1691,36 +1666,4 @@ pub(crate) fn trunc_f64_to_u64(a: f64) -> Result<u64, Trap> {
         return Err(Trap::BadConversion);
     }
     Ok(t as u64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_config_env_parsing() {
-        const ALL: [&str; 4] = [
-            "WATZ_NO_FUSE",
-            "WATZ_NO_ELIDE",
-            "WATZ_VERIFY_IR",
-            "WATZ_PROFILE",
-        ];
-        let with = |names: &[&str], value: &str| {
-            EngineConfig::from_lookup(|k| names.contains(&k).then(|| value.into()))
-        };
-        // Unset, empty and "0" all leave the production configuration.
-        let base = EngineConfig::default();
-        assert_eq!(base.profile, ProfileMode::Off);
-        assert_eq!(with(&[], "1"), base);
-        assert_eq!(with(&ALL, ""), base);
-        assert_eq!(with(&ALL, "0"), base);
-        // Any other value sets a switch, and each moves only its own field.
-        let (fuse, elide) = (false, false);
-        assert_eq!(with(&ALL[..1], "1"), EngineConfig { fuse, ..base });
-        assert_eq!(with(&ALL[1..2], "yes"), EngineConfig { elide, ..base });
-        let verify = true;
-        assert_eq!(with(&ALL[2..3], "1"), EngineConfig { verify, ..base });
-        let profile = ProfileMode::Count;
-        assert_eq!(with(&ALL[3..], "1"), EngineConfig { profile, ..base });
-    }
 }

@@ -19,21 +19,21 @@
 //!   addresses fixed frame slots and the dispatch loop moves no operand
 //!   stack at all, the same walk joining common adjacent shapes into
 //!   superinstructions ([`reg`], [`RegStats`], [`FusionStats`];
-//!   `WATZ_NO_FUSE=1` turns the joining off); an instance keeps the
+//!   [`EngineConfig::fuse`] turns the joining off); an instance keeps the
 //!   register code only — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
 //!   AOT/interp gap is smaller than the paper's 28x, as documented in
-//!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch, and its
-//!   `from_env` is the crate's only read of the environment. What all of
+//!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch; the crate
+//!   reads no environment variable. What all of
 //!   that produces is one immutable, shareable [`Artifact`] ([`artifact`]);
 //!   an [`Instance`] is an `Arc` of it plus memory, globals and counters,
 //!   so launching the same bytes again costs instance creation only;
 //! * an independent **IR verifier** and value-range **analysis** ([`verify`],
 //!   [`analysis`]): abstract interpretation over the register code that
-//!   re-proves every invariant the engine relies on (`WATZ_VERIFY_IR=1` makes it a
-//!   hard instantiation gate, [`VerifyStats`]) and proves memory accesses
-//!   in bounds so the register engine can run them check-free
-//!   (`WATZ_NO_ELIDE=1` disables the rewrite, [`RangeStats`]);
+//!   re-proves every invariant the engine relies on ([`EngineConfig::verify`]
+//!   makes it a hard instantiation gate, [`VerifyStats`]) and proves memory
+//!   accesses in bounds so the register engine can run them check-free
+//!   ([`EngineConfig::elide`] off disables the rewrite, [`RangeStats`]);
 //! * an **encoder** and a programmatic **builder** ([`encode`], [`builder`])
 //!   used by the MiniC compiler (the reproduction's stand-in for WASI-SDK)
 //!   and by tests.

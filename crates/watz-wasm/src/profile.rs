@@ -11,11 +11,10 @@
 //! [`NoProfile`] (a zero-sized type whose `ENABLED` constant is `false`,
 //! so every counting statement is dead code the compiler deletes) and
 //! once with [`ExecProfile`] (the counting build). Selecting
-//! [`ProfileMode::Count`] — via `EngineConfig::profile` or the
-//! `WATZ_PROFILE` environment variable — merely routes `invoke` through
-//! the counting instantiation; the default loop is bit-identical to the
-//! pre-profiling code. `bench_smoke` gates this invariant by timing gemm
-//! with profiling off against the counting loop.
+//! [`ProfileMode::Count`] via `EngineConfig::profile` merely routes
+//! `invoke` through the counting instantiation; the default loop is
+//! bit-identical to the pre-profiling code. `bench_smoke` gates this
+//! invariant by timing gemm with profiling off against the counting loop.
 //!
 //! # Instret is a correctness invariant
 //!

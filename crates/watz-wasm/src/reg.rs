@@ -58,7 +58,7 @@
 //!   between the locals and the operand slots: [`RegFunc::n_locals`] stays
 //!   the Wasm local count, so the verifier treats them as temporaries
 //!   that must be written before they are read. Hoisting is forwarding,
-//!   not a fusion rule, so `WATZ_NO_FUSE` leaves it on.
+//!   not a fusion rule, so [`EngineConfig::fuse`] off leaves it on.
 //! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
 //!   the instructions that follow it and emits one superinstruction for
 //!   the group, under one rule per shape:
@@ -91,8 +91,9 @@
 //!   reads past a structural instruction** (`block`, `loop`, `else`,
 //!   `end`; an `if` or a `br_if` only ends a window, as its jump): every
 //!   branch destination starts a register op.
-//!   `WATZ_NO_FUSE=1` switches exactly these rules off (forwarding stays),
-//!   for bisection; [`FusionStats`] counts what each rule joined.
+//!   [`EngineConfig::fuse`] off switches exactly these rules off
+//!   (forwarding stays), for bisection; [`FusionStats`] counts what each
+//!   rule joined.
 //! * **Stack-polymorphic edges keep explicit fix-ups** — branches that
 //!   transfer values (`br`/`br_if` with results, `br_table` arms) become
 //!   jumps carrying a static `src → dst × keep` block copy, calls require
@@ -2600,7 +2601,8 @@ pub(crate) mod tests {
     use crate::types::BlockType;
 
     /// The register-engine A/B matrix: fused/unfused × elision on/off ×
-    /// counting off/on, over the production configuration.
+    /// counting off/on, each behind the IR verifier as a hard
+    /// instantiation gate.
     pub(crate) fn engine_matrix() -> Vec<(String, EngineConfig)> {
         let mut out = Vec::new();
         for fuse in [true, false] {
@@ -2609,8 +2611,8 @@ pub(crate) mod tests {
                     let cfg = EngineConfig {
                         fuse,
                         elide,
+                        verify: true,
                         profile,
-                        ..EngineConfig::default()
                     };
                     out.push((format!("{cfg:?}"), cfg));
                 }

@@ -35,9 +35,9 @@
 //! reproduce ([`VerifyError::UnprovenCheckFree`]) — the optimizer cannot
 //! outrun the analysis.
 //!
-//! Set `WATZ_VERIFY_IR=1` (or [`crate::exec::EngineConfig::verify`]) to
-//! verify every module at instantiation time; verification is also forced
-//! across the differential corpus in CI.
+//! Set [`crate::exec::EngineConfig::verify`] to verify a module at
+//! instantiation time; the differential suites set it on every register
+//! configuration they run.
 
 use crate::analysis;
 use crate::flat::CompiledModule;

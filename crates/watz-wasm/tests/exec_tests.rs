@@ -5,7 +5,7 @@ use watz_wasm::builder::ModuleBuilder;
 use watz_wasm::exec::{ExecMode, HostEnv, Instance, Memory, NoHost, Trap, Value};
 use watz_wasm::instr::{Instr, MemArg};
 use watz_wasm::types::{BlockType, ValType};
-use watz_wasm::Module;
+use watz_wasm::{EngineConfig, Module};
 
 fn build(f: impl FnOnce(&mut ModuleBuilder)) -> Module {
     let mut b = ModuleBuilder::new();
@@ -24,8 +24,14 @@ fn values_bit_eq(a: &[Value], b: &[Value]) -> bool {
         })
 }
 
+/// Runs `name` on the register engine, behind the IR verifier, and on the
+/// tree interpreter; both must agree bit for bit, traps included.
 fn run_both(module: &Module, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
-    let mut aot = Instance::instantiate(module, ExecMode::Aot, &mut NoHost)?;
+    let verified = EngineConfig {
+        verify: true,
+        ..EngineConfig::default()
+    };
+    let mut aot = Instance::instantiate_with(module, ExecMode::Aot, verified, &mut NoHost)?;
     let mut interp = Instance::instantiate(module, ExecMode::Interpreted, &mut NoHost)?;
     let r_aot = aot.invoke(&mut NoHost, name, args);
     let r_interp = interp.invoke(&mut NoHost, name, args);

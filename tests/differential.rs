@@ -4,17 +4,15 @@
 //! register engine must agree bit-for-bit, fused and unfused, with
 //! bounds-check elision on and off, with counting off and on; traps must
 //! be reported identically and both must retire the same instruction
-//! count. `WATZ_NO_FUSE=1` reaches register lowering with the fusion rules
-//! off through the default `instantiate` path (CI runs that combination
-//! too). The last test is the same property across launches: a relaunch
-//! from the runtime's resident artifact is the first launch again, under
-//! whichever `WATZ_*` switches the process runs with.
+//! count. The last test is the same property across launches: a relaunch
+//! from the runtime's resident artifact is the first launch again, and so
+//! is a second instance of one artifact under every engine configuration.
 
 use std::sync::Arc;
 
 use watz::runtime::{AppConfig, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Instance, NoHost, Value};
-use watz::wasm::{EngineConfig, ProfileMode};
+use watz::wasm::{Artifact, EngineConfig, ProfileMode};
 
 const N: i32 = 12;
 
@@ -128,37 +126,6 @@ fn all_polybench_kernels_agree_across_engines() {
             ref other => panic!("kernel {} returned {other:?}", kernel.name),
         }
     }
-}
-
-#[test]
-fn default_engine_follows_env_switches() {
-    // The explicit-matrix tests above pin every configuration regardless
-    // of the environment; this test is what the CI `WATZ_NO_FUSE=1`
-    // bisection step actually gates — the *default* `Instance::instantiate`
-    // path must honour the switch, or bisecting with it silently tests the
-    // wrong lowering. No switch takes the register engine away.
-    let no_fuse =
-        std::env::var_os("WATZ_NO_FUSE").is_some_and(|v| !v.is_empty() && v.to_str() != Some("0"));
-    // `a * 2` takes its constant inline (a fusion rule); `a + a` would be
-    // operand forwarding only, which no switch turns off.
-    let wasm = watz::compiler::compile("int twice(int a) { return a * 2; }").unwrap();
-    let module = watz::wasm::load(&wasm).unwrap();
-    let mut inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).unwrap();
-    let fused = inst.fusion_stats().expect("Aot instance reports stats");
-    assert_eq!(
-        fused.total() == 0,
-        no_fuse,
-        "default fusion state must follow WATZ_NO_FUSE"
-    );
-    assert!(
-        inst.reg_stats().is_some(),
-        "the default engine is always the register engine"
-    );
-    assert_eq!(
-        inst.invoke(&mut NoHost, "twice", &[Value::I32(21)])
-            .unwrap(),
-        vec![Value::I32(42)]
-    );
 }
 
 #[test]
@@ -570,13 +537,6 @@ type Call = (&'static str, Vec<Value>);
 
 #[test]
 fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
-    // One runtime, every module of the benchmark corpus launched twice:
-    // the second launch finds the artifact resident and must be
-    // indistinguishable from the first in everything but its start-up
-    // cost — results, traps, and (under `WATZ_PROFILE=1`) every counter.
-    // Under `WATZ_VERIFY_IR=1` the resident artifact is a verified one;
-    // under `WATZ_NO_FUSE=1` an unfused one.
-    let env = EngineConfig::from_env();
     let n = |v| vec![Value::I32(v)];
     let mut corpus: Vec<(String, Vec<u8>, Vec<Call>)> = watz::bench_workloads::polybench::suite()
         .into_iter()
@@ -613,6 +573,10 @@ fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
         ],
     ));
 
+    // One runtime, every module of the corpus launched twice: the second
+    // launch finds the artifact resident and must be indistinguishable
+    // from the first in everything but its start-up cost — results and
+    // traps, and what was compiled: the default configuration, once.
     let rt = WatzRuntime::new_device(b"relaunch-parity").unwrap();
     let config = AppConfig {
         heap_bytes: watz::optee::TA_HEAP_CAP,
@@ -640,35 +604,55 @@ fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
             assert_eq!(a, b, "{name}: {export}{args:?}");
             traps += usize::from(a.is_err());
         }
-        let (p1, p2) = (first.instance().profile(), again.instance().profile());
-        assert_eq!(p1.is_some(), env.profile == ProfileMode::Count, "{name}");
-        assert_eq!(p1, p2, "{name}: counters differ on relaunch");
-        if let Some(p) = p1 {
-            assert!(p.instret > 0, "{name}: nothing counted");
-        }
-
-        // What was compiled is what the environment asked for, once.
+        assert!(first.instance().profile().is_none(), "{name}: counting");
         let fused = first.fusion_stats().expect("Aot app");
-        assert_eq!(fused.total() == 0, !env.fuse, "{name}");
+        assert!(fused.total() > 0, "{name}: nothing fused");
         assert_eq!(again.fusion_stats(), Some(fused), "{name}");
         assert!(first.reg_stats().is_some(), "{name}: no register program");
-        let verified = first.instance().verify_stats();
-        assert_eq!(verified.is_some(), env.verify, "{name}");
-        assert_eq!(again.instance().verify_stats(), verified, "{name}");
-        // Asked again, the verifier says the same of both instances, and
-        // the same as it said before the artifact became resident.
-        let v1 = first
-            .instance()
-            .verify_ir()
-            .expect("Aot")
-            .expect("verifies");
-        let v2 = again
-            .instance()
-            .verify_ir()
-            .expect("Aot")
-            .expect("verifies");
+        assert!(first.instance().verify_stats().is_none(), "{name}");
+        // Asked, the verifier says the same of both instances.
+        let v1 = first.instance().verify_ir().expect("Aot");
+        let v2 = again.instance().verify_ir().expect("Aot");
         assert_eq!(v1, v2, "{name}");
-        assert!(v1.reg_ops > 0 && verified.is_none_or(|v| v == v1), "{name}");
+        assert!(v1.expect("verifies").reg_ops > 0, "{name}");
     }
     assert_eq!(traps, 3, "the trapping calls trapped, on both launches");
+
+    // The runtime launches the default configuration only; every other
+    // one is checked on the artifact a relaunch starts from: two instances
+    // of one artifact agree on results, traps, counters and the verifier's
+    // verdict, and the artifact is what its configuration asked for.
+    for (label, cfg) in engine_matrix() {
+        let mut traps = 0;
+        for (name, wasm, calls) in &corpus {
+            let module = watz::wasm::load(wasm).unwrap();
+            let artifact = Artifact::new(&module, ExecMode::Aot, cfg)
+                .unwrap_or_else(|e| panic!("{label} {name}: {e}"));
+            let artifact = Arc::new(artifact);
+            let [mut first, mut again] = [(); 2]
+                .map(|()| Instance::from_artifact(Arc::clone(&artifact), &mut NoHost).unwrap());
+            for (export, args) in calls {
+                let a = first.invoke(&mut NoHost, export, args);
+                let b = again.invoke(&mut NoHost, export, args);
+                assert_eq!(a, b, "{label} {name}: {export}{args:?}");
+                traps += usize::from(a.is_err());
+            }
+            let (p1, p2) = (first.profile(), again.profile());
+            assert_eq!(p1.is_some(), cfg.profile == ProfileMode::Count, "{label}");
+            assert_eq!(p1, p2, "{label} {name}: counters differ");
+            if let Some(p) = p1 {
+                assert!(p.instret > 0, "{label} {name}: nothing counted");
+            }
+            let fused = first.fusion_stats().expect("Aot instance");
+            assert_eq!(fused.total() == 0, !cfg.fuse, "{label} {name}");
+            assert!(first.reg_stats().is_some(), "{label} {name}");
+            // Verified before the first instance existed, and the verifier
+            // says the same again of both instances.
+            let verified = first.verify_stats().expect("verify is set");
+            let v1 = first.verify_ir().expect("Aot").expect("verifies");
+            let v2 = again.verify_ir().expect("Aot").expect("verifies");
+            assert_eq!((v1, v2), (verified, verified), "{label} {name}");
+        }
+        assert_eq!(traps, 3, "{label}: the trapping calls trapped");
+    }
 }

@@ -21,13 +21,10 @@
 //!    truncation of an attacker-controlled length or index is exactly
 //!    how wire parsers go wrong; conversions must be `try_from` or
 //!    explicitly allowlisted (e.g. masking the low byte).
-//! 3. **`watz-wasm` reads the environment in one function** — every
-//!    `std::env::` under `crates/watz-wasm/src` sits inside
-//!    `EngineConfig::from_env`, so a switch cannot grow a second reader
-//!    that parses it differently. `watz-runtime` (`crates/core/src`) keys
-//!    its artifact cache on that function's result and is held to the same
-//!    rule with nothing allowed: it calls `from_env`, it never reads a
-//!    `WATZ_*` variable itself.
+//! 3. **The engine and the runtime read no environment** — no
+//!    `std::env::` under `crates/watz-wasm/src` or `crates/core/src`. What
+//!    the secure world compiles and runs is a function of the bytes it
+//!    measured and the mode, never of the host process's environment.
 //! 4. **No dead `pub`** — every `pub` item (`fn`, type, `const`, `static`,
 //!    `mod`) of non-test code under `crates/*/src` is named in some other
 //!    `.rs` file of the repository: another crate, a test, a bench, an
@@ -65,14 +62,8 @@ const DISPATCH_LOOPS: [(&str, &str); 2] = [
     ("crates/watz-wasm/src/reg.rs", "fn run_loop"),
 ];
 
-/// The one function of `watz-wasm` allowed to name `std::env::`:
-/// `(source directory, file, function name)`.
-const ENV_READER: (&str, &str, &str) = ("crates/watz-wasm/src", "exec.rs", "fn from_env");
-
-/// Source directories scanned for `std::env::` beside [`ENV_READER`]'s,
-/// with no function exempt: crates that take the switches from
-/// `EngineConfig::from_env()`.
-const ENV_CALLERS: [&str; 1] = ["crates/core/src"];
+/// Source directories that may not name `std::env::`.
+const NO_ENV: [&str; 2] = ["crates/watz-wasm/src", "crates/core/src"];
 
 /// The wire-parser cast-scan targets.
 const WIRE_PARSERS: [&str; 2] = [
@@ -146,42 +137,26 @@ fn lint() -> ExitCode {
         );
     }
 
-    let (env_dir, env_file, env_fn) = ENV_READER;
-    let mut env_reads = 0usize;
     let mut sources = Vec::new();
-    for dir in [env_dir].into_iter().chain(ENV_CALLERS) {
+    for dir in NO_ENV {
         rust_files(&root.join(dir), &mut sources);
     }
     sources.sort();
-    let reader = root.join(env_dir).join(env_file);
     for path in sources {
         let src = read(&path);
         let stripped = strip_comments_and_strings(&src);
-        let check = |s: &str| {
-            s.contains("std::env::")
-                .then(|| format!("`std::env::` outside `{env_fn}` in {env_file}"))
-        };
-        let mut all = Vec::new();
-        scan_lines(&src, &stripped, 0, stripped.len(), &path, &mut all, check);
-        let mut inside = Vec::new();
-        if path == reader {
-            if let Some((start, end)) = fn_body_span(&stripped, env_fn) {
-                scan_lines(&src, &stripped, start, end, &path, &mut inside, check);
-            }
-        }
-        env_reads += inside.len();
-        findings.extend(
-            all.into_iter()
-                .filter(|f| !inside.iter().any(|i| i.line_no == f.line_no)),
+        scan_lines(
+            &src,
+            &stripped,
+            0,
+            stripped.len(),
+            &path,
+            &mut findings,
+            |s| {
+                s.contains("std::env::")
+                    .then(|| "`std::env::` in the engine or the runtime".to_string())
+            },
         );
-    }
-    if env_reads == 0 {
-        findings.push(Finding {
-            file: root.join(env_dir).join(env_file),
-            line_no: 0,
-            line: String::new(),
-            what: format!("`{env_fn}` reads no `std::env::` (did the reader move?)"),
-        });
     }
 
     let pub_items = dead_pub(&root, &mut findings);
@@ -216,12 +191,11 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted finding(s) across {} dispatch loop(s), {} wire parser(s) and {pub_items} `pub` item(s); {} env read(s), all in `{env_fn}`, none in {})",
+            "lint: ok ({} allowlisted finding(s) across {} dispatch loop(s), {} wire parser(s) and {pub_items} `pub` item(s); no env read in {})",
             findings.len(),
             DISPATCH_LOOPS.len(),
             WIRE_PARSERS.len(),
-            env_reads,
-            ENV_CALLERS.join(", ")
+            NO_ENV.join(", ")
         );
         ExitCode::SUCCESS
     } else {
