@@ -31,7 +31,7 @@ fn row(label: &str, bytes: usize, loads: &[StartupBreakdown], us: bool) {
         }
     };
     println!(
-        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7} {:>9}   {}",
+        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7}   {}",
         label,
         bytes,
         phase(|b| b.transition),
@@ -42,7 +42,6 @@ fn row(label: &str, bytes: usize, loads: &[StartupBreakdown], us: bool) {
         phase(|b| b.instantiate),
         phase(|b| b.execution),
         pct(|b| b.compile.lower),
-        pct(|b| b.compile.analysis),
         watz_bench::fmt(total),
     );
 }
@@ -57,13 +56,13 @@ fn main() {
         "    per size: one warm-up launch, then the median of {loads_per_size} first launches, each on a freshly booted runtime,"
     );
     println!(
-        "    and of the {loads_per_size} relaunches that followed them (artifact resident); lower (the one walk to register code, fusion included) and analysis split \"instantiate\""
+        "    and of the {loads_per_size} relaunches that followed them (artifact resident); lower (the one walk to register code, fusion included) is the compile part of \"instantiate\""
     );
     println!(
         "    relaunch rows add each phase's median in us, and their hash/recall is the recall: the secure copy compared with the resident bytes"
     );
     println!(
-        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7} {:>9}   total",
+        "  {:<10} {:>10} {:>12} {:>13} {:>13} {:>9} {:>9} {:>12} {:>12} | {:>7}   total",
         "size",
         "bytes",
         "transition",
@@ -74,7 +73,6 @@ fn main() {
         "instantiate",
         "exec",
         "lower",
-        "analysis",
     );
     let boot =
         || WatzRuntime::new_device_with(b"fig4", PlatformConfig::with_paper_latencies()).unwrap();

@@ -185,9 +185,9 @@ pub struct StartupBreakdown {
     /// alone when `cached`.
     pub instantiate: Duration,
     /// The load-time compilation inside `instantiate`: the one walk from
-    /// each body to register code, fusion included, then the range
-    /// analysis (all zero for an interpreted app, and when `cached`: the
-    /// launch that built the artifact reported them). Not a phase:
+    /// each body to register code, fusion included (zero for an
+    /// interpreted app, and when `cached`: the launch that built the
+    /// artifact reported it). Not a phase:
     /// [`Self::total`] counts `instantiate` only.
     pub compile: watz_wasm::CompileTimes,
     /// First entry into guest code (filled by the first `invoke`).

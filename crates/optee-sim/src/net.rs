@@ -596,20 +596,6 @@ impl Connection {
         &self.rx
     }
 
-    /// Non-blocking receive attempt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::Net`] if no message is ready.
-    pub fn try_recv(&self) -> Result<Vec<u8>, TeeError> {
-        if self.fault_killed() {
-            return Err(TeeError::Net("peer disconnected".into()));
-        }
-        self.rx
-            .try_recv()
-            .map_err(|_| TeeError::Net("no message ready".into()))
-    }
-
     /// Non-blocking receive that distinguishes an idle peer from a gone
     /// one, so polling servers can evict dead connections immediately
     /// instead of waiting out their session deadline.
@@ -731,9 +717,9 @@ mod tests {
         let listener = net.listen(7004).unwrap();
         let client = net.connect(7004).unwrap();
         let server = listener.accept().unwrap();
-        assert!(server.try_recv().is_err());
+        assert_eq!(server.try_recv_detailed(), TryRecv::Empty);
         client.send(b"x").unwrap();
-        assert_eq!(server.try_recv().unwrap(), b"x");
+        assert_eq!(server.try_recv_detailed(), TryRecv::Message(b"x".to_vec()));
     }
 
     #[test]
@@ -851,7 +837,10 @@ mod tests {
         );
         client.send(b"wake").unwrap();
         assert_eq!(sel.ready_timeout(Duration::from_secs(1)), Ok(idx));
-        assert_eq!(server.try_recv().unwrap(), b"wake");
+        assert_eq!(
+            server.try_recv_detailed(),
+            TryRecv::Message(b"wake".to_vec())
+        );
     }
 
     fn faulted_pair(net: &Network, port: u16) -> (Connection, Connection) {

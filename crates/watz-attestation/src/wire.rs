@@ -100,20 +100,21 @@ impl Msg0 {
         out
     }
 
-    /// Parses the message. The 65-byte pre-retry layout (no attempt
-    /// counter) is still accepted and reads as attempt 0.
+    /// Parses the message: exactly 66 bytes, tag, `Ga`, attempt counter.
     ///
     /// # Errors
     ///
     /// Returns [`RaError::Malformed`] for wrong tag or length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RaError> {
-        if !(bytes.len() == 65 || bytes.len() == 66) || bytes[0] != TAG_MSG0 {
+        if bytes.len() != 66 || bytes[0] != TAG_MSG0 {
             return Err(RaError::Malformed("msg0"));
         }
         let mut ga = [0u8; 64];
         ga.copy_from_slice(&bytes[1..65]);
-        let attempt = if bytes.len() == 66 { bytes[65] } else { 0 };
-        Ok(Msg0 { ga, attempt })
+        Ok(Msg0 {
+            ga,
+            attempt: bytes[65],
+        })
     }
 }
 
@@ -350,16 +351,18 @@ mod tests {
     }
 
     #[test]
-    fn msg0_legacy_65_byte_layout_reads_as_attempt_zero() {
+    fn msg0_legacy_65_byte_layout_is_rejected() {
         let m = Msg0 {
             ga: [9; 64],
             attempt: 5,
         };
+        // The pre-retry layout, without the attempt byte, does not decode.
         let legacy = &m.to_bytes()[..65];
-        let parsed = Msg0::from_bytes(legacy).unwrap();
-        assert_eq!(parsed.ga, m.ga);
-        assert_eq!(parsed.attempt, 0);
-        // But anything longer than the attempt byte is rejected.
+        assert!(matches!(
+            Msg0::from_bytes(legacy),
+            Err(RaError::Malformed("msg0"))
+        ));
+        // Nor does anything longer than the attempt byte.
         let mut oversized = m.to_bytes();
         oversized.push(0);
         assert!(Msg0::from_bytes(&oversized).is_err());

@@ -151,13 +151,11 @@ fn truncated_frames_never_panic_and_are_rejected() {
         for len in 0..frame.len() {
             let truncated = &frame[..len];
             let accepted = decode_all(name, truncated);
-            // Two legitimate prefix-acceptances exist: the 65-byte legacy
-            // msg0 layout is a prefix of the 66-byte one, and any msg3
-            // prefix that still covers tag + IV + GCM tag parses with a
-            // shorter ciphertext (the AEAD tag check catches the loss).
-            if name == "msg0" && len == 65 {
-                assert_eq!(accepted, 1, "{name}: legacy 65-byte msg0 parses");
-            } else if name == "msg3" && len >= 29 {
+            // One legitimate prefix-acceptance exists: any msg3 prefix
+            // that still covers tag + IV + GCM tag parses with a shorter
+            // ciphertext (the AEAD tag check catches the loss). A msg0
+            // that lost its attempt byte does not decode.
+            if name == "msg3" && len >= 29 {
                 assert_eq!(accepted, 1, "{name}: {len}-byte msg3 prefix parses");
             } else {
                 assert_eq!(

@@ -1,5 +1,6 @@
-//! The pre-PR-15 range walk, kept verbatim as the test oracle the
-//! demand-driven walk in [`super`] is differenced against: it value-numbers
+//! The original range walk, kept (less the opcodes deleted since) as the
+//! test oracle the demand-driven walk in [`super`] is differenced against:
+//! it value-numbers
 //! every op of every body through `std`'s SipHash maps and materialises a
 //! whole frame of unknowns at every jump target. Only the interval
 //! transfer functions are shared with the shipped walk.
@@ -111,19 +112,9 @@ impl Covered {
         self.map.clear();
     }
 
-    /// Judges one access and (when it is checked, or proven) widens the
-    /// coverage for later accesses in the region. `checked` is false for
-    /// the check-free opcode forms, whose coverage contribution is only
-    /// valid when their own proof holds.
-    fn access(
-        &mut self,
-        vals: &Vals,
-        vn: u32,
-        offset: u32,
-        width: u64,
-        min_mem: u64,
-        checked: bool,
-    ) -> Proof {
+    /// Judges one access and widens the coverage for later accesses in
+    /// the region: every access is checked, so past it the bound holds.
+    fn access(&mut self, vals: &Vals, vn: u32, offset: u32, width: u64, min_mem: u64) -> Proof {
         let end = u64::from(offset) + width;
         let proof = if vals.interval(vn).is_some_and(|(_, hi)| hi + end <= min_mem) {
             Proof::Interval
@@ -132,11 +123,9 @@ impl Covered {
         } else {
             Proof::Unproven
         };
-        if checked || proof.is_proven() {
-            let e = self.map.entry(vn).or_insert(0);
-            if end > *e {
-                *e = end;
-            }
+        let e = self.map.entry(vn).or_insert(0);
+        if end > *e {
+            *e = end;
         }
         proof
     }
@@ -174,10 +163,6 @@ fn reg_targets(code: &[RegOp]) -> Vec<bool> {
 /// (or sit in a region no fall-through reaches), `Some(proof)` for each
 /// access site. Every frame slot resets to an unknown at each region
 /// start.
-///
-/// The walk is deterministic: running it over a body whose proven
-/// accesses were rewritten to check-free forms reproduces the same
-/// verdicts, which is what lets the verifier re-check every elision.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
     let n = f.code.len();
@@ -211,8 +196,8 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             };
         }
         macro_rules! access {
-            ($vn:expr, $off:expr, $w:expr, $checked:expr) => {{
-                proofs[pc] = Some(covered.access(&vals, $vn, $off, $w, min_mem, $checked));
+            ($vn:expr, $off:expr, $w:expr) => {{
+                proofs[pc] = Some(covered.access(&vals, $vn, $off, $w, min_mem));
             }};
         }
         match &f.code[pc] {
@@ -268,10 +253,6 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.bin(BinOpKind::I32Add, row, s!(z));
                 sset!(dst, v);
             }
-            RegOp::MulI32 { a, b, dst } => {
-                let v = vals.bin(BinOpKind::I32Mul, s!(a), s!(b));
-                sset!(dst, v);
-            }
             RegOp::AddI32K { a, k, dst } => {
                 let kk = vals.konst(u64::from(*k));
                 let v = vals.bin(BinOpKind::I32Add, s!(a), kk);
@@ -304,37 +285,15 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 offset,
                 dst,
             } => {
-                access!(s!(addr), *offset, load_width(*kind), true);
+                access!(s!(addr), *offset, load_width(*kind));
                 let v = vals.fresh();
                 sset!(dst, v);
             }
             RegOp::Store {
                 kind, addr, offset, ..
-            } => access!(s!(addr), *offset, store_width(*kind), true),
-            RegOp::LoadI32R { addr, offset, dst } => {
-                access!(s!(addr), *offset, 4, true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::LoadF64R { addr, offset, dst } => {
-                access!(s!(addr), *offset, 8, true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::StoreI32R { addr, offset, .. } => access!(s!(addr), *offset, 4, true),
-            RegOp::StoreF64R { addr, offset, .. } => access!(s!(addr), *offset, 8, true),
-            RegOp::LoadI32N { addr, offset, dst } => {
-                access!(s!(addr), *offset, 4, false);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::LoadF64N { addr, offset, dst } => {
-                access!(s!(addr), *offset, 8, false);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::StoreI32N { addr, offset, .. } => access!(s!(addr), *offset, 4, false),
-            RegOp::StoreF64N { addr, offset, .. } => access!(s!(addr), *offset, 8, false),
+            } => access!(s!(addr), *offset, store_width(*kind)),
+            RegOp::StoreI32R { addr, offset, .. } => access!(s!(addr), *offset, 4),
+            RegOp::StoreF64R { addr, offset, .. } => access!(s!(addr), *offset, 8),
             RegOp::ScaleAddLoadI32 {
                 base,
                 idx,
@@ -343,7 +302,7 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 dst,
             } => {
                 let vn = vals.scale_add(s!(base), s!(idx), *k);
-                access!(vn, *offset, 4, true);
+                access!(vn, *offset, 4);
                 let v = vals.fresh();
                 sset!(dst, v);
             }
@@ -355,31 +314,7 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 dst,
             } => {
                 let vn = vals.scale_add(s!(base), s!(idx), *k);
-                access!(vn, *offset, 8, true);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::ScaleAddLoadI32N {
-                base,
-                idx,
-                k,
-                offset,
-                dst,
-            } => {
-                let vn = vals.scale_add(s!(base), s!(idx), *k);
-                access!(vn, *offset, 4, false);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::ScaleAddLoadF64N {
-                base,
-                idx,
-                k,
-                offset,
-                dst,
-            } => {
-                let vn = vals.scale_add(s!(base), s!(idx), *k);
-                access!(vn, *offset, 8, false);
+                access!(vn, *offset, 8);
                 let v = vals.fresh();
                 sset!(dst, v);
             }
@@ -394,27 +329,11 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             } => {
                 let part = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
                 let vn = vals.idx_l_add(s!(base), part, s!(z), *k);
-                access!(vn, *offset, 8, true);
+                access!(vn, *offset, 8);
                 let v = vals.fresh();
                 sset!(dst, v);
             }
-            RegOp::IdxLAddLoadF64N {
-                base,
-                y,
-                n,
-                z,
-                k,
-                offset,
-                dst,
-            } => {
-                let part = vals.bin(BinOpKind::I32Mul, s!(y), s!(n));
-                let vn = vals.idx_l_add(s!(base), part, s!(z), *k);
-                access!(vn, *offset, 8, false);
-                let v = vals.fresh();
-                sset!(dst, v);
-            }
-            RegOp::AddStoreF64 { addr, offset, .. } => access!(s!(addr), *offset, 8, true),
-            RegOp::AddStoreF64N { addr, offset, .. } => access!(s!(addr), *offset, 8, false),
+            RegOp::AddStoreF64 { addr, offset, .. } => access!(s!(addr), *offset, 8),
         }
     }
     proofs

@@ -111,11 +111,7 @@ impl Artifact {
         // The AOT preparation step: lower every body to register form once;
         // only the register form is kept.
         let compiled = match mode {
-            ExecMode::Aot => Some(CompiledModule::compile_full(
-                module,
-                config.fuse,
-                config.elide,
-            )?),
+            ExecMode::Aot => Some(CompiledModule::compile_full(module, config.fuse)?),
             ExecMode::Interpreted => None,
         };
 
@@ -202,9 +198,9 @@ impl Artifact {
         self.memory.map_or(0, |l| l.min)
     }
 
-    /// Wall time of each pass of the load-time compile that produced this
-    /// artifact (`None` for [`ExecMode::Interpreted`]; a pass that did not
-    /// run reads zero). Paid once, by whoever built the artifact.
+    /// Wall time of the load-time compile that produced this artifact
+    /// (`None` for [`ExecMode::Interpreted`]). Paid once, by whoever built
+    /// the artifact.
     #[must_use]
     pub fn compile_times(&self) -> Option<CompileTimes> {
         self.compiled.as_ref().map(|cm| cm.times)

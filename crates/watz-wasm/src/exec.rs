@@ -45,10 +45,13 @@
 //! Both executors share one semantics (identical results, identical traps
 //! and identical retired-instruction counts) and are differentially tested
 //! against each other across the full PolyBench/speedtest/Genann suites
-//! plus randomized MiniC kernels, fused and unfused, with bounds-check
-//! elision on and off. Because the register engine stops short of native
-//! code generation, the speedup over interpretation is smaller than WAMR's
-//! 28× (see EXPERIMENTS.md for measured ratios).
+//! plus randomized MiniC kernels, fused and unfused. Every memory access
+//! of either executor is bounds-checked, and a miss is
+//! [`Trap::MemoryOutOfBounds`]: the crate forbids `unsafe`, so a proof
+//! that an access is in bounds would have no check to remove. Because the
+//! register engine stops short of native code generation, the speedup over
+//! interpretation is smaller than WAMR's 28× (see BENCHMARKS.md for
+//! measured ratios).
 
 use std::sync::Arc;
 
@@ -222,9 +225,6 @@ pub struct EngineConfig {
     /// forwarding is not a rule and stays on, and so does global hoisting,
     /// which forwards a call-free loop's global reads from a cache slot.
     pub fuse: bool,
-    /// Rewrite accesses the range analysis proved in bounds to check-free
-    /// opcodes (proofs are computed and counted either way).
-    pub elide: bool,
     /// Run the independent IR verifier over the register program before
     /// the instance can execute.
     pub verify: bool,
@@ -233,12 +233,11 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// The production configuration: every pass on, no verifier run, no
+    /// The production configuration: fusion on, no verifier run, no
     /// counting.
     fn default() -> Self {
         EngineConfig {
             fuse: true,
-            elide: true,
             verify: false,
             profile: ProfileMode::Off,
         }
@@ -424,50 +423,6 @@ pub(crate) fn mem_load<const N: usize>(
     Ok(*bytes)
 }
 
-/// A check-free memory access missed its statically proven bound.
-///
-/// Unreachable by construction: the elision pass only emits check-free
-/// opcodes for accesses the range analysis proved `< min_memory_size`,
-/// memory never shrinks, and the verifier re-derives every proof before
-/// a verified instance runs. Kept out of line so the check-free dispatch
-/// arms stay branch-light.
-#[cold]
-#[inline(never)]
-pub(crate) fn nc_violation() -> ! {
-    panic!("check-free memory access out of bounds: elision proof violated")
-}
-
-/// Loads `N` bytes at `base + offset` for a check-free (statically
-/// proven in-bounds) access. The slice lookup stays — safe code — but
-/// the trap plumbing is gone: a miss is an analysis bug, not a guest
-/// error.
-#[inline]
-pub(crate) fn nc_load<const N: usize>(mem: &[u8], base: i32, offset: u32) -> [u8; N] {
-    let ea = u64::from(base as u32) + u64::from(offset);
-    let bytes = usize::try_from(ea)
-        .ok()
-        .and_then(|a| a.checked_add(N).and_then(|end| mem.get(a..end)))
-        .and_then(|s| <&[u8; N]>::try_from(s).ok());
-    match bytes {
-        Some(b) => *b,
-        None => nc_violation(),
-    }
-}
-
-/// Stores `bytes` at `base + offset` for a check-free access.
-#[inline]
-pub(crate) fn nc_store(mem: &mut [u8], base: i32, offset: u32, bytes: &[u8]) {
-    let ea = u64::from(base as u32) + u64::from(offset);
-    let slot = usize::try_from(ea).ok().and_then(|a| {
-        a.checked_add(bytes.len())
-            .and_then(move |end| mem.get_mut(a..end))
-    });
-    match slot {
-        Some(s) => s.copy_from_slice(bytes),
-        None => nc_violation(),
-    }
-}
-
 /// Guards the host-call boundary: a [`HostEnv`] returning a result count
 /// other than the import's declared arity would silently diverge the
 /// engines (stale slots in the register engine, a wrong operand-stack
@@ -599,11 +554,11 @@ impl Instance {
         Self::instantiate_with(module, mode, config, host)
     }
 
-    /// [`Instance::instantiate_with`] with `fuse`, `elide` and `verify`
-    /// spelled out and the rest from [`EngineConfig::default`]; `reg =
-    /// false` runs `mode` on the tree interpreter
-    /// ([`ExecMode::Interpreted`]). Exists only because `benchmark/` calls
-    /// it; goes with the next benchmark PR.
+    /// [`Instance::instantiate_with`] with `fuse` and `verify` spelled out
+    /// and the rest from [`EngineConfig::default`]; `reg = false` runs
+    /// `mode` on the tree interpreter ([`ExecMode::Interpreted`]). `elide`
+    /// is ignored: there is no bounds-check elision. Exists only because
+    /// `benchmark/` calls it; goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -613,13 +568,12 @@ impl Instance {
         mode: ExecMode,
         fuse: bool,
         reg: bool,
-        elide: bool,
+        _elide: bool,
         verify: bool,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
         let config = EngineConfig {
             fuse,
-            elide,
             verify,
             ..EngineConfig::default()
         };
@@ -718,17 +672,20 @@ impl Instance {
         self.artifact.verify
     }
 
-    /// Range-analysis counters over the register program (`None` for
-    /// interpreted instances, all-zero without a register program). Proof
-    /// counts are maintained even when the elision rewrite itself is off,
-    /// so A/B runs can confirm the same accesses were proven.
+    /// Runs the range analysis over the register program now and returns
+    /// its counters (`None` for interpreted instances, all-zero without a
+    /// register program); nothing at launch runs it. Exists only because
+    /// `benchmark/` reads it; goes with the next benchmark PR.
     #[must_use]
     pub fn range_stats(&self) -> Option<crate::analysis::RangeStats> {
-        self.artifact.compiled.as_ref().map(|cm| cm.analysis)
+        self.artifact
+            .compiled
+            .as_ref()
+            .map(crate::analysis::range_stats)
     }
 
-    /// Wall time of each load-time compilation pass (`None` for
-    /// interpreted instances; a pass that did not run reads zero).
+    /// Wall time of the load-time compile (`None` for interpreted
+    /// instances).
     #[must_use]
     pub fn compile_times(&self) -> Option<flat::CompileTimes> {
         self.artifact.compile_times()

@@ -15,8 +15,8 @@
 //!   stack effect follows from its class. Register lowering's simple-op
 //!   arm and its fusion look-ahead both match on it;
 //! * [`CompiledModule::compile_full`] runs [`crate::reg::lower_func`] — the
-//!   one walk from each structured body to register code — and the range
-//!   analysis over every body, and keeps what an artifact executes.
+//!   one walk from each structured body to register code — over every
+//!   body, and keeps what an artifact executes.
 //!
 //! [`crate::verify`] checks the register code this compile ends in.
 
@@ -712,31 +712,27 @@ pub(crate) struct CompiledModule {
     /// Register-form code (one per local function), present when every
     /// frame fit its slot encoding.
     pub(crate) reg: Option<crate::reg::RegProgram>,
-    /// The memory's minimum size in bytes — the floor every in-bounds
-    /// proof is anchored to (linear memory never shrinks).
+    /// The memory's minimum size in bytes — the floor the range
+    /// analysis anchors its in-bounds proofs to (linear memory never
+    /// shrinks).
     pub(crate) min_mem: u64,
-    /// Range-analysis and bounds-check-elision counters (register form).
-    pub(crate) analysis: crate::analysis::RangeStats,
-    /// Where the compile time went, pass by pass.
+    /// What the compile cost.
     pub(crate) times: CompileTimes,
 }
 
-/// Wall time of each load-time compilation pass, summed over a module's
-/// function bodies: the split of Fig 4's "instantiate" bar. Exposed via
+/// Wall time of the load-time compile, summed over a module's function
+/// bodies: the compile part of Fig 4's "instantiate" bar. Exposed via
 /// [`Instance::compile_times`](crate::exec::Instance::compile_times).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileTimes {
     /// Structured bodies to register code in one walk, fusion rules
     /// included ([`crate::reg`]).
     pub lower: Duration,
-    /// Range analysis and bounds-check elision ([`crate::analysis`]).
-    pub analysis: Duration,
 }
 
 impl CompiledModule {
     /// Compiles every function body of a validated module: register
-    /// lowering, with `fuse` controlling its fusion rules, then the range
-    /// analysis, with `elide` controlling its bounds-check elision rewrite.
+    /// lowering, with `fuse` controlling its fusion rules.
     ///
     /// The register program is all-or-nothing per module (a register
     /// frame cannot call into the interpreter): one function whose frame
@@ -749,11 +745,7 @@ impl CompiledModule {
     /// truncated/unbalanced body, out-of-range indices) or lowering breaks
     /// one of its own invariants — lowering never panics, even on input
     /// that skipped validation.
-    pub(crate) fn compile_full(
-        module: &Module,
-        fuse: bool,
-        elide: bool,
-    ) -> Result<CompiledModule, Trap> {
+    pub(crate) fn compile_full(module: &Module, fuse: bool) -> Result<CompiledModule, Trap> {
         use crate::reg::LowerError;
         let n_funcs = module.func_count();
         let mut imports = Vec::with_capacity(module.func_imports.len());
@@ -782,19 +774,8 @@ impl CompiledModule {
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
         let mut fusion = FusionStats::default();
         let mut reg_stats = crate::reg::RegStats::default();
-        let mut analysis = crate::analysis::RangeStats::default();
-        let mut times = CompileTimes::default();
         let mut scratch = crate::reg::RegScratch::default();
-        let mut range = crate::analysis::RangeScratch::default();
-        let mut is_target = Vec::new();
-        // One clock read per pass boundary; the end of a body is the start
-        // of the next.
-        let mut mark = Instant::now();
-        let mut lap = |total: &mut Duration| {
-            let now = Instant::now();
-            *total += now - mark;
-            mark = now;
-        };
+        let start = Instant::now();
         for body in &module.funcs {
             func_type_idx.push(body.type_idx);
             let lowered = crate::reg::lower_func(
@@ -805,21 +786,8 @@ impl CompiledModule {
                 &mut reg_stats,
                 &mut fusion,
             );
-            lap(&mut times.lower);
             match lowered {
-                Ok(mut rf) if fits => {
-                    crate::analysis::reg_targets(&rf.code, &mut is_target);
-                    crate::analysis::elide_reg(
-                        &mut rf,
-                        min_mem,
-                        elide,
-                        &is_target,
-                        &mut range,
-                        &mut analysis,
-                    );
-                    lap(&mut times.analysis);
-                    reg_funcs.push(Some(rf));
-                }
+                Ok(rf) if fits => reg_funcs.push(Some(rf)),
                 Ok(_) => {}
                 // Rare (a frame past 65 535 slots) and final: the module
                 // runs on the tree oracle.
@@ -827,9 +795,11 @@ impl CompiledModule {
                 Err(LowerError::Malformed(trap)) => return Err(trap),
             }
         }
+        let times = CompileTimes {
+            lower: start.elapsed(),
+        };
         if !fits {
             fusion = FusionStats::default();
-            analysis = crate::analysis::RangeStats::default();
         }
         Ok(CompiledModule {
             imports: imports.into_boxed_slice(),
@@ -841,7 +811,6 @@ impl CompiledModule {
                 stats: reg_stats,
             }),
             min_mem,
-            analysis,
             times,
         })
     }
@@ -1522,7 +1491,7 @@ mod tests {
         );
         b.export_func("sum", f);
         let module = crate::load(&b.build()).unwrap();
-        let fused = CompiledModule::compile_full(&module, true, true).unwrap();
+        let fused = CompiledModule::compile_full(&module, true).unwrap();
         let stats = fused.fusion;
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
         assert_eq!(stats.binop_set, 2, "{stats:?}");
@@ -1533,7 +1502,7 @@ mod tests {
             6,
             "exit, two updates, back-edge, result: {code:?}"
         );
-        let unfused = CompiledModule::compile_full(&module, false, true).unwrap();
+        let unfused = CompiledModule::compile_full(&module, false).unwrap();
         assert_eq!(unfused.fusion.total(), 0);
         // And the fused loop still computes the same sum.
         let oracle = agreed_outcome(&b.build(), "sum", &[Value::I32(10)], "sum loop");
@@ -1661,7 +1630,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true).unwrap();
         assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
@@ -1695,7 +1664,7 @@ mod tests {
         b.export_func("divk", f);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true).unwrap();
         assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
@@ -1790,7 +1759,7 @@ mod tests {
         b.export_func("store", store);
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
-        let compiled = CompiledModule::compile_full(&module, true, true).unwrap();
+        let compiled = CompiledModule::compile_full(&module, true).unwrap();
         let stats = compiled.reg.as_ref().unwrap().stats;
         assert_eq!(
             (stats.gets_forwarded, stats.moves_inserted),

@@ -28,12 +28,12 @@
 //!   that produces is one immutable, shareable [`Artifact`] ([`artifact`]);
 //!   an [`Instance`] is an `Arc` of it plus memory, globals and counters,
 //!   so launching the same bytes again costs instance creation only;
-//! * an independent **IR verifier** and value-range **analysis** ([`verify`],
-//!   [`analysis`]): abstract interpretation over the register code that
-//!   re-proves every invariant the engine relies on ([`EngineConfig::verify`]
-//!   makes it a hard instantiation gate, [`VerifyStats`]) and proves memory
-//!   accesses in bounds so the register engine can run them check-free
-//!   ([`EngineConfig::elide`] off disables the rewrite, [`RangeStats`]);
+//! * an independent **IR verifier** ([`verify`]): abstract interpretation
+//!   over the register code that re-proves every invariant the engine
+//!   relies on ([`EngineConfig::verify`] makes it a hard instantiation
+//!   gate, [`VerifyStats`]). Every memory access stays bounds-checked; a
+//!   value-range **analysis** ([`analysis`], [`RangeStats`]) counts the
+//!   accesses it can prove in bounds, on demand, for the benchmark;
 //! * an **encoder** and a programmatic **builder** ([`encode`], [`builder`])
 //!   used by the MiniC compiler (the reproduction's stand-in for WASI-SDK)
 //!   and by tests.

@@ -26,20 +26,14 @@
 //!   calls clobber every slot from the callee's frame base up; the body
 //!   cannot fall off the end past a non-terminator.
 //!
-//! # Check-free proof obligations
-//!
-//! The bounds-check elision pass ([`crate::analysis`]) rewrites proven
-//! accesses of the register form to check-free opcodes. The verifier
-//! re-runs the same deterministic analysis over the *rewritten* body and
-//! rejects any check-free opcode whose in-bounds proof it cannot
-//! reproduce ([`VerifyError::UnprovenCheckFree`]) — the optimizer cannot
-//! outrun the analysis.
+//! Memory bounds are not among them: every register memory op checks its
+//! access at run time and traps on a miss, so there is no in-bounds proof
+//! to re-derive.
 //!
 //! Set [`crate::exec::EngineConfig::verify`] to verify a module at
 //! instantiation time; the differential suites set it on every register
 //! configuration they run.
 
-use crate::analysis;
 use crate::flat::CompiledModule;
 use crate::reg::{RegFunc, RegOp};
 use crate::types::{FuncType, ValType};
@@ -143,14 +137,6 @@ pub enum VerifyError {
         /// Opcode index.
         pc: u32,
     },
-    /// A check-free memory opcode whose in-bounds proof the analysis
-    /// cannot reproduce.
-    UnprovenCheckFree {
-        /// Function index.
-        func: u32,
-        /// Opcode index.
-        pc: u32,
-    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -193,12 +179,6 @@ impl std::fmt::Display for VerifyError {
             E::BadCallBase { func, pc } => {
                 write!(f, "func {func} pc {pc}: call frame base exceeds frame")
             }
-            E::UnprovenCheckFree { func, pc } => {
-                write!(
-                    f,
-                    "func {func} pc {pc}: check-free access without a provable bound"
-                )
-            }
         }
     }
 }
@@ -220,21 +200,18 @@ pub struct VerifyStats {
     pub reg_ops: u64,
     /// Branch edges whose targets and entry states were validated.
     pub branch_targets: u64,
-    /// Check-free memory opcodes whose in-bounds proof was re-derived.
-    pub obligations: u64,
 }
 
 impl VerifyStats {
     /// Per-counter `(name, count)` pairs, for coverage assertions and
     /// logs.
     #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 5] {
+    pub fn counts(&self) -> [(&'static str, u64); 4] {
         [
             ("funcs", self.funcs),
             ("flat_ops", self.flat_ops),
             ("reg_ops", self.reg_ops),
             ("branch_targets", self.branch_targets),
-            ("obligations", self.obligations),
         ]
     }
 
@@ -244,7 +221,6 @@ impl VerifyStats {
         self.flat_ops += other.flat_ops;
         self.reg_ops += other.reg_ops;
         self.branch_targets += other.branch_targets;
-        self.obligations += other.obligations;
     }
 }
 
@@ -258,9 +234,6 @@ struct ModuleCtx<'a> {
     types: &'a [FuncType],
     /// Declared globals.
     global_types: &'a [ValType],
-    /// The memory's minimum size in bytes — the floor `mem.len()` never
-    /// goes below, which anchors every in-bounds proof.
-    min_mem: u64,
 }
 
 impl ModuleCtx<'_> {
@@ -466,19 +439,13 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 }
                 slot_ok(u32::from(*slot))?;
             }
-            R::Load { addr, dst, .. }
-            | R::LoadI32R { addr, dst, .. }
-            | R::LoadF64R { addr, dst, .. }
-            | R::LoadI32N { addr, dst, .. }
-            | R::LoadF64N { addr, dst, .. } => {
+            R::Load { addr, dst, .. } => {
                 slot_ok(u32::from(*addr))?;
                 slot_ok(u32::from(*dst))?;
             }
             R::Store { addr, val, .. }
             | R::StoreI32R { addr, val, .. }
-            | R::StoreF64R { addr, val, .. }
-            | R::StoreI32N { addr, val, .. }
-            | R::StoreF64N { addr, val, .. } => {
+            | R::StoreF64R { addr, val, .. } => {
                 slot_ok(u32::from(*addr))?;
                 slot_ok(u32::from(*val))?;
             }
@@ -492,7 +459,6 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 slot_ok(u32::from(*dst))?;
             }
             R::Binop { a, b, dst, .. }
-            | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
             | R::MulF64 { a, b, dst } => {
@@ -511,9 +477,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             R::ScaleAdd { base, idx, dst, .. }
             | R::ScaleAddLoadI32 { base, idx, dst, .. }
-            | R::ScaleAddLoadF64 { base, idx, dst, .. }
-            | R::ScaleAddLoadI32N { base, idx, dst, .. }
-            | R::ScaleAddLoadF64N { base, idx, dst, .. } => {
+            | R::ScaleAddLoadF64 { base, idx, dst, .. } => {
                 for s in [base, idx, dst] {
                     slot_ok(u32::from(*s))?;
                 }
@@ -523,15 +487,12 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             | R::IdxLAddLoadF64 {
                 base, y, n, z, dst, ..
-            }
-            | R::IdxLAddLoadF64N {
-                base, y, n, z, dst, ..
             } => {
                 for s in [base, y, n, z, dst] {
                     slot_ok(u32::from(*s))?;
                 }
             }
-            R::AddStoreF64 { a, b, addr, .. } | R::AddStoreF64N { a, b, addr, .. } => {
+            R::AddStoreF64 { a, b, addr, .. } => {
                 for s in [a, b, addr] {
                     slot_ok(u32::from(*s))?;
                 }
@@ -720,20 +681,14 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 rd!(*src);
                 fall!();
             }
-            R::Load { addr, dst, .. }
-            | R::LoadI32R { addr, dst, .. }
-            | R::LoadF64R { addr, dst, .. }
-            | R::LoadI32N { addr, dst, .. }
-            | R::LoadF64N { addr, dst, .. } => {
+            R::Load { addr, dst, .. } => {
                 rd!(*addr);
                 wr!(*dst);
                 fall!();
             }
             R::Store { addr, val, .. }
             | R::StoreI32R { addr, val, .. }
-            | R::StoreF64R { addr, val, .. }
-            | R::StoreI32N { addr, val, .. }
-            | R::StoreF64N { addr, val, .. } => {
+            | R::StoreF64R { addr, val, .. } => {
                 rd!(*addr);
                 rd!(*val);
                 fall!();
@@ -753,7 +708,6 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 fall!();
             }
             R::Binop { a, b, dst, .. }
-            | R::MulI32 { a, b, dst }
             | R::AddF64 { a, b, dst }
             | R::SubF64 { a, b, dst }
             | R::MulF64 { a, b, dst } => {
@@ -776,9 +730,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             R::ScaleAdd { base, idx, dst, .. }
             | R::ScaleAddLoadI32 { base, idx, dst, .. }
-            | R::ScaleAddLoadF64 { base, idx, dst, .. }
-            | R::ScaleAddLoadI32N { base, idx, dst, .. }
-            | R::ScaleAddLoadF64N { base, idx, dst, .. } => {
+            | R::ScaleAddLoadF64 { base, idx, dst, .. } => {
                 rd!(*base);
                 rd!(*idx);
                 wr!(*dst);
@@ -789,9 +741,6 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             | R::IdxLAddLoadF64 {
                 base, y, n, z, dst, ..
-            }
-            | R::IdxLAddLoadF64N {
-                base, y, n, z, dst, ..
             } => {
                 rd!(*base);
                 rd!(*y);
@@ -800,7 +749,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
                 wr!(*dst);
                 fall!();
             }
-            R::AddStoreF64 { a, b, addr, .. } | R::AddStoreF64N { a, b, addr, .. } => {
+            R::AddStoreF64 { a, b, addr, .. } => {
                 rd!(*a);
                 rd!(*b);
                 rd!(*addr);
@@ -817,8 +766,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
     Ok(edges)
 }
 
-/// Verifies every register body of a compiled module and the in-bounds
-/// proof obligation of every check-free opcode. A module without a
+/// Verifies every register body of a compiled module. A module without a
 /// register program runs on the tree oracle and has nothing to verify.
 pub(crate) fn verify_module(
     cm: &CompiledModule,
@@ -829,7 +777,6 @@ pub(crate) fn verify_module(
         func_type_idx: &cm.func_type_idx,
         types,
         global_types: &cm.global_types,
-        min_mem: cm.min_mem,
     };
     let mut stats = VerifyStats::default();
     let Some(prog) = &cm.reg else {
@@ -840,8 +787,6 @@ pub(crate) fn verify_module(
             func: prog.funcs.len() as u32,
         });
     }
-    let mut range = analysis::RangeScratch::default();
-    let mut is_target = Vec::new();
     for (i, rf) in prog.funcs.iter().enumerate() {
         let fidx = i as u32;
         // Exactly the imports lack a body: the dispatch loop takes a
@@ -862,25 +807,6 @@ pub(crate) fn verify_module(
         stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
         stats.funcs += 1;
         stats.reg_ops += f.code.len() as u64;
-        if f.code.iter().any(RegOp::is_check_free) {
-            analysis::reg_targets(&f.code, &mut is_target);
-            let proofs = analysis::reg_proofs(f, ctx.min_mem, &is_target, &mut range);
-            for (pc, op) in f.code.iter().enumerate() {
-                if !op.is_check_free() {
-                    continue;
-                }
-                stats.obligations += 1;
-                let proven = proofs
-                    .binary_search_by_key(&(pc as u32), |site| site.0)
-                    .is_ok_and(|i| proofs[i].1.is_proven());
-                if !proven {
-                    return Err(VerifyError::UnprovenCheckFree {
-                        func: fidx,
-                        pc: pc as u32,
-                    });
-                }
-            }
-        }
     }
     Ok(stats)
 }
@@ -924,13 +850,12 @@ mod tests {
             func_type_idx: &[],
             types: &[],
             global_types: &[],
-            min_mem: 65536,
         }
     }
 
     /// A module of local functions with the given register bodies, and the
     /// type section (one all-i32 type per body) it is verified against.
-    fn bare_module(funcs: Vec<RegFunc>, min_mem: u64) -> (CompiledModule, Vec<FuncType>) {
+    fn bare_module(funcs: Vec<RegFunc>) -> (CompiledModule, Vec<FuncType>) {
         let types = funcs
             .iter()
             .map(|f| FuncType {
@@ -947,8 +872,7 @@ mod tests {
                 funcs: funcs.into_iter().map(Some).collect(),
                 stats: crate::RegStats::default(),
             }),
-            min_mem,
-            analysis: crate::RangeStats::default(),
+            min_mem: 65536,
             times: crate::CompileTimes::default(),
         };
         (cm, types)
@@ -1115,7 +1039,6 @@ mod tests {
             func_type_idx: &[0],
             types: &callee_ty,
             global_types: &[],
-            min_mem: 0,
         };
         let f = rfunc(
             0,
@@ -1207,12 +1130,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_skewed_metadata_and_unproven_checkfree() {
+    fn rejects_skewed_metadata() {
         // A body whose signature is not its declared type's, and a program
         // that does not cover the function space, surface at the module
         // level.
         let ret = || rfunc(0, 0, 1, 1, vec![RegOp::Return { src: 0 }]);
-        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        let (mut cm, types) = bare_module(vec![ret()]);
         cm.reg.as_mut().unwrap().funcs[0]
             .as_mut()
             .unwrap()
@@ -1221,56 +1144,25 @@ mod tests {
             verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 0 })
         ));
-        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        let (mut cm, types) = bare_module(vec![ret()]);
         cm.reg.as_mut().unwrap().funcs = Box::new([None]);
         assert!(matches!(
             verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 0 })
         ));
-        let (mut cm, types) = bare_module(vec![ret()], 65536);
+        let (mut cm, types) = bare_module(vec![ret()]);
         cm.func_type_idx = Box::new([0, 0]);
         assert!(matches!(
             verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 1 })
         ));
-
-        // A check-free load whose in-bounds proof cannot be re-derived.
-        let checkfree = |offset: u32| {
-            let reg = rfunc(
-                0,
-                0,
-                1,
-                2,
-                vec![
-                    RegOp::Const { bits: 8, dst: 0 },
-                    RegOp::LoadI32N {
-                        addr: 0,
-                        offset,
-                        dst: 1,
-                    },
-                    RegOp::Return { src: 1 },
-                ],
-            );
-            bare_module(vec![reg], 65536)
-        };
-        let (cm, types) = checkfree(70_000);
-        assert!(matches!(
-            verify_module(&cm, &types),
-            Err(VerifyError::UnprovenCheckFree { func: 0, pc: 1 })
-        ));
-
-        // The same shape with a provable constant address verifies.
-        let (cm, types) = checkfree(0);
-        let stats = verify_module(&cm, &types).expect("interval proof re-derived");
-        assert_eq!(stats.obligations, 1);
     }
 
     // ---- corpus modules for the mutation harness --------------------
 
     /// i32 kernel exercising every register shape the mutation operators
-    /// attack: a constant-address load (interval proof), a
-    /// store-then-reload loop (subsumption proof), a three-way
-    /// `br_table`, a value-carrying `br_if`, a direct call, two indirect
+    /// attack: a constant-address load, a store-then-reload loop, a
+    /// three-way `br_table`, a value-carrying `br_if`, a direct call, two indirect
     /// ones (one of a `() -> ()` type, so nothing downstream depends on
     /// its arity), and a global round-trip.
     fn mix_module() -> Module {
@@ -1298,13 +1190,12 @@ mod tests {
             un,
             &[ValType::I32, ValType::I32],
             vec![
-                // acc = mem[8] — constant address, interval-provable.
+                // acc = mem[8] — a constant address.
                 I::I32Const(8),
                 I::I32Load(m),
                 I::LocalSet(2),
-                // for i in 0..16 { mem[i*4] = i; acc += mem[i*4] } — the
-                // reload is subsumed by the checked store at the same
-                // value number.
+                // for i in 0..16 { mem[i*4] = i; acc += mem[i*4] } — a
+                // reload of the address just stored to.
                 I::Block(BlockType::Empty),
                 I::Loop(BlockType::Empty),
                 I::LocalGet(1),
@@ -1398,7 +1289,7 @@ mod tests {
     /// i32 kernel over a table whose base and length are globals, as the
     /// speedtest guest keeps them: the loop reads both and sets neither,
     /// so each is loaded into a cache slot in front of it, and each
-    /// iteration's reload through the cached base is subsumed by its store.
+    /// iteration reloads through the cached base what it just stored.
     fn table_module() -> Module {
         use Instr as I;
         let mut b = ModuleBuilder::new();
@@ -1449,8 +1340,8 @@ mod tests {
         crate::load(&b.build()).expect("table module is valid")
     }
 
-    /// f64 kernel: each iteration's checked load subsumes the store at
-    /// the same value number, and the tail reads a constant address.
+    /// f64 kernel: each iteration stores to the address it just loaded
+    /// from, and the tail reads a constant address.
     fn axpy_module() -> Module {
         use Instr as I;
         let mut b = ModuleBuilder::new();
@@ -1500,8 +1391,8 @@ mod tests {
     }
 
     /// f64 kernel over an `n x n` row-major grid: each cell is read twice
-    /// through the 2-D address form (the second read subsumed, so
-    /// check-free), written back through the 2-D address without a load,
+    /// through the 2-D address form, written back through the 2-D address
+    /// without a load,
     /// and its row index `i*n + j` kept in a local (`MulAddI32`).
     fn grid_module() -> Module {
         use Instr as I;
@@ -1661,55 +1552,34 @@ mod tests {
             .expect("oracle run")
     }
 
-    // ---- positive elision checks over the corpus --------------------
+    // ---- positive checks over the corpus ----------------------------
 
     #[test]
-    fn corpus_elides_and_reverifies() {
+    fn corpus_verifies_and_runs() {
         for (name, module) in [
             ("mix", mix_module()),
             ("axpy", axpy_module()),
             ("grid", grid_module()),
             ("table", table_module()),
         ] {
-            let on = CompiledModule::compile_full(&module, true, true).unwrap();
-            assert!(on.analysis.proven() > 0, "{name}: {:?}", on.analysis);
-            assert!(on.analysis.elided > 0, "{name}: {:?}", on.analysis);
-            assert!(
-                !reg_sites(&on, RegOp::is_check_free).is_empty(),
-                "{name}: no register check-free ops"
-            );
-            let stats = verify_module(&on, &module.types).expect("elided module verifies");
-            assert!(stats.obligations >= 1, "{name}: {stats:?}");
-
-            let off = CompiledModule::compile_full(&module, true, false).unwrap();
-            assert_eq!(off.analysis.elided, 0, "{name}");
-            assert_eq!(off.analysis.proven(), on.analysis.proven(), "{name}");
-            assert!(reg_sites(&off, RegOp::is_check_free).is_empty(), "{name}");
-            verify_module(&off, &module.types).expect("unelided module verifies");
-
-            for n in [0, 1, 2, 7] {
-                let args = [Value::I32(n)];
-                let want = oracle(&module, &args);
-                for fm in [&on, &off] {
-                    assert_eq!(run_engine(fm, &module, &args).unwrap(), want, "{name}");
+            for fuse in [true, false] {
+                let fm = CompiledModule::compile_full(&module, fuse).unwrap();
+                let stats = verify_module(&fm, &module.types).expect("module verifies");
+                assert!(stats.reg_ops > 0, "{name} (fuse={fuse}): {stats:?}");
+                for n in [0, 1, 2, 7] {
+                    let args = [Value::I32(n)];
+                    let want = oracle(&module, &args);
+                    let got = run_engine(&fm, &module, &args).unwrap();
+                    assert_eq!(got, want, "{name} (fuse={fuse})");
                 }
             }
         }
-        // The grid carries every row form, the check-free one included.
-        let fm = CompiledModule::compile_full(&grid_module(), true, true).unwrap();
+        // The grid carries every row form.
+        let fm = CompiledModule::compile_full(&grid_module(), true).unwrap();
         let code = format!("{:?}", fm.reg);
-        for variant in [
-            "IdxLAdd {",
-            "IdxLAddLoadF64 {",
-            "IdxLAddLoadF64N {",
-            "MulAddI32 {",
-        ] {
+        for variant in ["IdxLAdd {", "IdxLAddLoadF64 {", "MulAddI32 {"] {
             assert!(code.contains(variant), "no {variant}: {code}");
         }
-        // The mix preamble is the interval case specifically.
-        let fm = CompiledModule::compile_full(&mix_module(), true, true).unwrap();
-        assert!(fm.analysis.proven_interval > 0, "{:?}", fm.analysis);
-        assert!(fm.analysis.proven_subsumed > 0, "{:?}", fm.analysis);
     }
 
     // ---- deterministic IR mutation harness --------------------------
@@ -1771,10 +1641,7 @@ mod tests {
         use RegOp as R;
         matches!(
             op,
-            R::IdxLAdd { .. }
-                | R::IdxLAddLoadF64 { .. }
-                | R::IdxLAddLoadF64N { .. }
-                | R::MulAddI32 { .. }
+            R::IdxLAdd { .. } | R::IdxLAddLoadF64 { .. } | R::MulAddI32 { .. }
         )
     }
 
@@ -1784,7 +1651,6 @@ mod tests {
         match op {
             R::IdxLAdd { y, n, z, .. }
             | R::IdxLAddLoadF64 { y, n, z, .. }
-            | R::IdxLAddLoadF64N { y, n, z, .. }
             | R::MulAddI32 { y, n, z, .. } => Some([y, n, z]),
             _ => None,
         }
@@ -1799,21 +1665,6 @@ mod tests {
             | R::BrIfMoves { target, .. }
             | R::CmpBr { target, .. }
             | R::CmpBrLtSZ { target, .. } => Some(target),
-            _ => None,
-        }
-    }
-
-    fn reg_nc_offset_mut(op: &mut RegOp) -> Option<&mut u32> {
-        use RegOp as R;
-        match op {
-            R::LoadI32N { offset, .. }
-            | R::LoadF64N { offset, .. }
-            | R::StoreI32N { offset, .. }
-            | R::StoreF64N { offset, .. }
-            | R::ScaleAddLoadI32N { offset, .. }
-            | R::ScaleAddLoadF64N { offset, .. }
-            | R::IdxLAddLoadF64N { offset, .. }
-            | R::AddStoreF64N { offset, .. } => Some(offset),
             _ => None,
         }
     }
@@ -1833,9 +1684,8 @@ mod tests {
 
     /// `(operator, must_reject)`. Every structural operator produces a
     /// value that is out of range *by construction* (targets past the
-    /// body, slots past the frame, indices past their section, offsets
-    /// past `min_mem`), so a sound
-    /// verifier must reject it; `reg-prof-tweak` only touches retirement
+    /// body, slots past the frame, indices past their section), so a
+    /// sound verifier must reject it; `reg-prof-tweak` only touches retirement
     /// metadata the engine never reads on the result path, so a sound
     /// verifier must accept it and execution must stay bit-equal to the
     /// oracle. In-range retargets or immediate swaps are deliberately
@@ -1846,7 +1696,7 @@ mod tests {
     /// front of a loop with a jump to the next op: the slot is read in the
     /// loop and nothing else writes it, so it must fail as
     /// [`VerifyError::ReadBeforeWrite`].
-    const OPERATORS: [(&str, bool); 13] = [
+    const OPERATORS: [(&str, bool); 12] = [
         ("reg-global-oob", true),
         ("reg-drop-cache-load", true),
         ("reg-row-operand-oob", true),
@@ -1858,7 +1708,6 @@ mod tests {
         ("reg-return-src-bomb", true),
         ("reg-call-base-bomb", true),
         ("reg-table-empty", true),
-        ("reg-nc-offset-bomb", true),
         ("reg-prof-tweak", false),
     ];
 
@@ -2050,16 +1899,6 @@ mod tests {
                     false
                 }
             }
-            "reg-nc-offset-bomb" => {
-                let sites = reg_sites(fm, RegOp::is_check_free);
-                if let Some((fi, pc)) = pick(&sites, rng) {
-                    *reg_nc_offset_mut(&mut reg_body_mut(fm, fi).code[pc])
-                        .expect("site is check-free") += 70_000;
-                    true
-                } else {
-                    false
-                }
-            }
             "reg-prof-tweak" => {
                 let sites = reg_sites(fm, |_| true);
                 if let Some((fi, pc)) = pick(&sites, rng) {
@@ -2089,7 +1928,6 @@ mod tests {
             E::ReadBeforeWrite { .. } => "ReadBeforeWrite",
             E::BadReturnSrc { .. } => "BadReturnSrc",
             E::BadCallBase { .. } => "BadCallBase",
-            E::UnprovenCheckFree { .. } => "UnprovenCheckFree",
         }
     }
 
@@ -2111,13 +1949,12 @@ mod tests {
         let (mut accepted, mut rejected) = (0u32, 0u32);
         for (mi, (name, module)) in corpus.iter().enumerate() {
             let oracles: Vec<Vec<Value>> = arg_set.iter().map(|a| oracle(module, a)).collect();
-            let pristine = CompiledModule::compile_full(module, true, true).unwrap();
-            let stats = verify_module(&pristine, &module.types).expect("pristine module verifies");
-            assert!(stats.obligations > 0, "{name}: no check-free ops to attack");
+            let pristine = CompiledModule::compile_full(module, true).unwrap();
+            verify_module(&pristine, &module.types).expect("pristine module verifies");
 
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (mi as u64 + 1));
             for _ in 0..250 {
-                let mut fm = CompiledModule::compile_full(module, true, true).unwrap();
+                let mut fm = CompiledModule::compile_full(module, true).unwrap();
                 let Some((op_name, must_reject)) = apply_mutation(&mut fm, module, &mut rng) else {
                     continue;
                 };

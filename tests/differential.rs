@@ -2,7 +2,7 @@
 //! in the suite — and for two corpora of randomized MiniC kernels — the
 //! tree-walking interpreter (`ExecMode::Interpreted`, the oracle) and the
 //! register engine must agree bit-for-bit, fused and unfused, with
-//! bounds-check elision on and off, with counting off and on; traps must
+//! counting off and on; traps must
 //! be reported identically and both must retire the same instruction
 //! count. The last test is the same property across launches: a relaunch
 //! from the runtime's resident artifact is the first launch again, and so
@@ -17,21 +17,18 @@ use watz::wasm::{Artifact, EngineConfig, ProfileMode};
 const N: i32 = 12;
 
 /// Every register-engine configuration a case runs under: fused/unfused ×
-/// elision on/off × counting off/on, each behind the IR verifier as a
-/// hard instantiation gate.
+/// counting off/on, each behind the IR verifier as a hard instantiation
+/// gate.
 fn engine_matrix() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for fuse in [true, false] {
-        for elide in [true, false] {
-            for profile in [ProfileMode::Off, ProfileMode::Count] {
-                let cfg = EngineConfig {
-                    fuse,
-                    elide,
-                    verify: true,
-                    profile,
-                };
-                out.push((format!("{cfg:?}"), cfg));
-            }
+        for profile in [ProfileMode::Off, ProfileMode::Count] {
+            let cfg = EngineConfig {
+                fuse,
+                verify: true,
+                profile,
+            };
+            out.push((format!("{cfg:?}"), cfg));
         }
     }
     out
@@ -83,10 +80,6 @@ fn run_matrix(
         );
         let vs = inst.verify_stats().expect("verification ran");
         assert!(vs.funcs > 0, "{label}: nothing verified");
-        let rs = inst.range_stats().expect("analysis stats available");
-        if !cfg.elide {
-            assert_eq!(rs.elided, 0, "{label}: elision-off must not rewrite");
-        }
         let outcome = run(&mut inst);
         if let Some(p) = inst.profile() {
             assert_eq!(p.traps, u64::from(outcome.is_err()), "{label} trap count");
