@@ -3,7 +3,8 @@
 //! Wasm (TrustZone adds no compute slowdown). The Wasm columns run
 //! `ExecMode::Aot` — the register engine (`watz_wasm::reg`), the portable
 //! stand-in for WAMR's AOT mode. Our Wasm/native ratio is larger than the
-//! paper's (no native codegen) — see EXPERIMENTS.md.
+//! paper's (no native codegen) — see BENCHMARKS.md, "Wasm-vs-native
+//! overhead trajectory (fig 5)".
 
 use std::time::Instant;
 use watz_bench::{header, reps, scale};

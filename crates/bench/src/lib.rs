@@ -1,8 +1,9 @@
 //! Shared helpers for the WaTZ benchmark harness.
 //!
 //! Each `[[bench]]` target regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index). Targets print the same rows /
-//! series the paper reports; EXPERIMENTS.md records paper-vs-measured.
+//! (README.md's "Paper figure / table ↔ bench mapping" is the index).
+//! Targets print the same rows / series the paper reports; BENCHMARKS.md
+//! records what was measured against the paper's figures.
 
 #![forbid(unsafe_code)]
 

@@ -311,7 +311,9 @@ impl WatzRuntime {
     ///   TA heap budget, or the executable pages left once every idle
     ///   artifact is dropped;
     /// * [`WatzError::Load`] for malformed/ill-typed modules;
-    /// * [`WatzError::Trap`] if the start function traps.
+    /// * [`WatzError::Trap`] if the start function traps, or when
+    ///   [`ExecMode::Aot`] refuses a function whose frame is past the
+    ///   register engine's `u16` slots (`Interpreted` runs it).
     ///
     /// A launch that fails leaves nothing resident that was not already,
     /// except that a valid module whose *instance* fails (heap budget,
@@ -465,8 +467,8 @@ impl WatzApp {
     }
 
     /// Register-allocation counts from the register pass (`None` when the
-    /// app runs interpreted or without a register program). As
-    /// [`Self::fusion_stats`], a property of the artifact.
+    /// app runs interpreted; an `Aot` app always has a register program).
+    /// As [`Self::fusion_stats`], a property of the artifact.
     #[must_use]
     pub fn reg_stats(&self) -> Option<watz_wasm::RegStats> {
         self.instance.reg_stats()

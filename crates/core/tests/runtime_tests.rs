@@ -559,6 +559,7 @@ fn one_flipped_bit_or_the_other_mode_is_another_artifact() {
 fn a_failed_launch_is_never_a_cache_hit() {
     use watz_wasm::builder::ModuleBuilder;
     use watz_wasm::instr::Instr;
+    use watz_wasm::types::ValType;
 
     let rt = runtime();
     let config = AppConfig::default();
@@ -594,9 +595,39 @@ fn a_failed_launch_is_never_a_cache_hit() {
     let good = constant_module(7);
     assert!(!launch(&rt, &good, ExecMode::Aot).startup_breakdown().cached);
     assert!(rt.load(&trapping, &config).is_err());
+
+    // A valid module whose frame is past the register engine's u16 slots:
+    // every Aot launch is refused the same way, and the executable pages
+    // it reserved are released. Interpreted, the same bytes run.
+    let (ty, locals) = (ValType::I32, watz_wasm::decode::MAX_FUNC_LOCALS);
+    let last = locals as u32 - 1;
+    let mut code = vec![Instr::I32Const(7), Instr::LocalSet(last)];
+    code.extend(std::iter::repeat_n(Instr::I32Const(1), 16_000));
+    code.extend(std::iter::repeat_n(Instr::I32Add, 15_999));
+    code.extend([Instr::LocalGet(last), Instr::I32Add, Instr::End]);
+    let mut b = ModuleBuilder::new();
+    let sig = b.add_type(&[], &[ty]);
+    let f = b.add_func(sig, &vec![ty; locals], code);
+    b.export_func("f", f);
+    let oversized = b.build();
+    let held = rt.os().exec_bytes_allocated();
+    let errors: Vec<String> = (0..2)
+        .map(|_| match rt.load(&oversized, &config) {
+            Err(e @ WatzError::Trap(watz_wasm::Trap::Instantiation(_))) => e.to_string(),
+            other => panic!("expected a refusal, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(errors[0], errors[1]);
+    assert!(errors[0].contains("limit of 65535 slots"), "{}", errors[0]);
+    assert_eq!(rt.os().exec_bytes_allocated(), held);
     let mut again = launch(&rt, &good, ExecMode::Aot);
     assert!(again.startup_breakdown().cached);
     assert_eq!(again.invoke("f", &[]).unwrap(), vec![Value::I32(7)]);
+    let mut interpreted = launch(&rt, &oversized, ExecMode::Interpreted);
+    assert_eq!(
+        interpreted.invoke("f", &[]).unwrap(),
+        vec![Value::I32(16_007)]
+    );
 }
 
 #[test]

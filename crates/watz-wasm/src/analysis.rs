@@ -728,15 +728,12 @@ fn iv_bin(op: BinOpKind, a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> Option
 }
 
 /// Runs the analysis over every register body of `cm` and counts its
-/// verdicts (all-zero without a register program).
+/// verdicts.
 pub(crate) fn range_stats(cm: &CompiledModule) -> RangeStats {
     let mut stats = RangeStats::default();
-    let Some(prog) = &cm.reg else {
-        return stats;
-    };
     let mut scratch = RangeScratch::default();
     let mut is_target = Vec::new();
-    for f in prog.funcs.iter().flatten() {
+    for f in cm.funcs.iter().flatten() {
         stats.funcs += 1;
         reg_targets(&f.code, &mut is_target);
         for &(_, proof) in reg_proofs(f, cm.min_mem, &is_target, &mut scratch) {
@@ -794,8 +791,7 @@ mod tests {
         let module = crate::load(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         for fuse in [true, false] {
             let fm = CompiledModule::compile_full(&module, fuse).expect("compiles");
-            let prog = fm.reg.as_ref().expect("register program");
-            for (i, f) in prog.funcs.iter().enumerate() {
+            for (i, f) in fm.funcs.iter().enumerate() {
                 let Some(f) = f else { continue };
                 assert_eq!(
                     walk(f, fm.min_mem, scratch),

@@ -2,9 +2,10 @@
 //! of (module bytes, [`ExecMode`], [`EngineConfig`]).
 //!
 //! The split is the `wasmtime-jit` / `-runtime` one: an immutable
-//! [`Artifact`] built once — decode-derived tables, the load-time compile's
-//! register program (or the structured bodies, for a module that runs on the
-//! tree oracle), the verifier's verdict — and an
+//! [`Artifact`] built once — decode-derived tables, one executor's code
+//! (the load-time compile's register program for [`ExecMode::Aot`], the
+//! structured bodies for [`ExecMode::Interpreted`]), the verifier's
+//! verdict — and an
 //! [`Instance`](crate::exec::Instance) that holds an `Arc` of it plus the
 //! state a guest can change: linear memory, globals, counters. Any number of
 //! instances share one artifact; an embedder that launches the same bytes
@@ -20,9 +21,7 @@ use crate::profile::ProfileMode;
 use crate::types::{BlockType, FuncType, Limits, ValType};
 use crate::verify::VerifyStats;
 
-/// A local function as the tree interpreter needs it. An artifact with a
-/// register program keeps the type index only: nothing walks its structured
-/// bodies, and keeping them would double its code memory.
+/// A local function as the tree interpreter needs it.
 #[derive(Debug)]
 pub(crate) struct PreparedFunc {
     pub(crate) type_idx: u32,
@@ -62,18 +61,12 @@ pub(crate) struct PreparedFunc {
 /// ```
 #[derive(Debug)]
 pub struct Artifact {
-    pub(crate) mode: ExecMode,
     /// Whether instances of this artifact count ([`EngineConfig::profile`]).
     pub(crate) profile: ProfileMode,
     pub(crate) types: Vec<FuncType>,
     /// The imported functions: function indices `0..imports.len()`.
     pub(crate) imports: Vec<FuncImport>,
-    /// The local functions: function index minus `imports.len()`.
-    pub(crate) bodies: Vec<PreparedFunc>,
-    /// What the load-time compile left, for [`ExecMode::Aot`]: the register
-    /// program (when there is one), its tables, the pass statistics and
-    /// what each pass cost.
-    pub(crate) compiled: Option<CompiledModule>,
+    pub(crate) code: Code,
     /// Verifier counters when the register program was verified
     /// ([`EngineConfig::verify`]); an artifact that failed is never built.
     pub(crate) verify: Option<VerifyStats>,
@@ -87,6 +80,19 @@ pub struct Artifact {
     /// Data segments as `(offset, bytes)`, applied to each new memory.
     pub(crate) data: Vec<(u32, Vec<u8>)>,
     pub(crate) start: Option<u32>,
+}
+
+/// The one executor's code an artifact holds; its variant is the
+/// artifact's [`ExecMode`].
+#[derive(Debug)]
+pub(crate) enum Code {
+    /// The structured bodies the tree interpreter walks
+    /// ([`ExecMode::Interpreted`]): function index minus `imports.len()`.
+    Tree(Box<[PreparedFunc]>),
+    /// What the load-time compile left ([`ExecMode::Aot`]): the register
+    /// program, its tables, the pass statistics and what the walk cost.
+    /// Nothing keeps the structured bodies, which would double code memory.
+    Reg(CompiledModule),
 }
 
 // Shared across launches and threads by construction.
@@ -104,45 +110,40 @@ impl Artifact {
     ///
     /// # Errors
     ///
-    /// Returns [`Trap::Instantiation`] when lowering rejects a body, when
-    /// the compiled IR fails verification, or for an out-of-bounds element
-    /// segment.
+    /// Returns [`Trap::Instantiation`] when lowering refuses a body (under
+    /// [`ExecMode::Aot`], a frame past the register engine's `u16` slot
+    /// encoding), when the compiled IR fails verification, or for an
+    /// out-of-bounds element segment.
     pub fn new(module: &Module, mode: ExecMode, config: EngineConfig) -> Result<Self, Trap> {
         // The AOT preparation step: lower every body to register form once;
-        // only the register form is kept.
-        let compiled = match mode {
-            ExecMode::Aot => Some(CompiledModule::compile_full(module, config.fuse)?),
-            ExecMode::Interpreted => None,
-        };
-
-        // Independent re-verification of what the lowering pipeline left to
-        // execute: abstract interpretation from the register bodies alone,
-        // no shared state with the lowering code above.
-        let verify = match &compiled {
-            Some(cm) if config.verify => Some(
-                crate::verify::verify_module(cm, &module.types)
-                    .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
-            ),
-            _ => None,
-        };
-
-        let on_interpreter = compiled.as_ref().is_none_or(|cm| cm.reg.is_none());
-        let bodies = module
-            .funcs
-            .iter()
-            .map(|f| {
-                let (locals, code) = if on_interpreter {
-                    (f.locals.clone(), f.code.clone())
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                PreparedFunc {
-                    type_idx: f.type_idx,
-                    locals,
-                    code,
+        // only the register form is kept. With `verify`, independent
+        // re-verification of what it left to execute: abstract
+        // interpretation from the register bodies alone, no shared state
+        // with the lowering code.
+        let mut verify = None;
+        let code = match mode {
+            ExecMode::Aot => {
+                let cm = CompiledModule::compile_full(module, config.fuse)?;
+                if config.verify {
+                    verify = Some(
+                        crate::verify::verify_module(&cm, &module.types)
+                            .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
+                    );
                 }
-            })
-            .collect();
+                Code::Reg(cm)
+            }
+            ExecMode::Interpreted => Code::Tree(
+                module
+                    .funcs
+                    .iter()
+                    .map(|f| PreparedFunc {
+                        type_idx: f.type_idx,
+                        locals: f.locals.clone(),
+                        code: f.code.clone(),
+                    })
+                    .collect(),
+            ),
+        };
 
         let globals = module
             .globals
@@ -168,12 +169,10 @@ impl Artifact {
         }
 
         Ok(Artifact {
-            mode,
             profile: config.profile,
             types: module.types.clone(),
             imports: module.func_imports.clone(),
-            bodies,
-            compiled,
+            code,
             verify,
             exports: module
                 .exports
@@ -203,15 +202,25 @@ impl Artifact {
     /// the artifact.
     #[must_use]
     pub fn compile_times(&self) -> Option<CompileTimes> {
-        self.compiled.as_ref().map(|cm| cm.times)
+        self.compiled().map(|cm| cm.times)
+    }
+
+    /// The load-time compile's result (`None` for
+    /// [`ExecMode::Interpreted`]).
+    pub(crate) fn compiled(&self) -> Option<&CompiledModule> {
+        match &self.code {
+            Code::Reg(cm) => Some(cm),
+            Code::Tree(_) => None,
+        }
     }
 
     /// The signature of a function by index, imports first.
     pub(crate) fn func_type(&self, func_idx: u32) -> &FuncType {
         let idx = func_idx as usize;
-        let type_idx = match self.imports.get(idx) {
-            Some(imp) => imp.type_idx,
-            None => self.bodies[idx - self.imports.len()].type_idx,
+        let type_idx = match (&self.code, self.imports.get(idx)) {
+            (Code::Reg(cm), _) => cm.func_type_idx[idx],
+            (Code::Tree(_), Some(imp)) => imp.type_idx,
+            (Code::Tree(bodies), None) => bodies[idx - self.imports.len()].type_idx,
         };
         &self.types[type_idx as usize]
     }

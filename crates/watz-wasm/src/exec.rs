@@ -18,7 +18,7 @@
 //!    structured instruction sequence directly, re-discovering each block's
 //!    `end`/`else` by scanning forward at runtime, over an enum-tagged
 //!    [`Value`] stack — the classic naive interpreter, kept as the
-//!    differential oracle and as the one fallback executor.
+//!    differential oracle.
 //! 2. **Register engine** ([`ExecMode::Aot`], [`crate::reg`]): the portable
 //!    analogue of WAMR's AOT step — translate once at load time, run on a
 //!    representation built for execution rather than decoding. One
@@ -37,10 +37,10 @@
 //!    bisection; [`crate::reg::RegStats`] and
 //!    [`crate::FusionStats`] report what the walk did).
 //!
-//! An artifact holds the register program only. An `Aot` artifact that
-//! ends up without one — a function whose frame exceeds the register
-//! form's `u16` slot encoding — keeps its structured bodies and runs on the
-//! tree interpreter instead.
+//! An artifact holds one executor's code: the structured bodies under
+//! `Interpreted`, the register program alone under `Aot`. An `Aot` module
+//! with a function whose frame exceeds the register form's `u16` slot
+//! encoding is refused with [`Trap::Instantiation`].
 //!
 //! Both executors share one semantics (identical results, identical traps
 //! and identical retired-instruction counts) and are differentially tested
@@ -55,7 +55,7 @@
 
 use std::sync::Arc;
 
-use crate::artifact::Artifact;
+use crate::artifact::{Artifact, Code, PreparedFunc};
 use crate::flat;
 use crate::instr::Instr;
 use crate::module::{ExportKind, Module};
@@ -210,8 +210,8 @@ pub enum ExecMode {
     /// Naive structured interpretation (branch targets found by scanning).
     Interpreted,
     /// Ahead-of-time lowering to the register engine (see [`crate::reg`]).
-    /// An instance left without a register program (a frame past the `u16`
-    /// slot encoding) runs on the interpreter instead.
+    /// A module with a frame past the `u16` slot encoding is refused at
+    /// instantiation.
     Aot,
 }
 
@@ -643,25 +643,25 @@ impl Instance {
     /// The execution mode this instance was prepared for.
     #[must_use]
     pub fn mode(&self) -> ExecMode {
-        self.artifact.mode
+        match self.artifact.code {
+            Code::Tree(_) => ExecMode::Interpreted,
+            Code::Reg(_) => ExecMode::Aot,
+        }
     }
 
     /// Superinstruction counts from the register pass's fusion rules
     /// (`None` for interpreted instances; all-zero when fusion was
-    /// disabled or the instance has no register program).
+    /// disabled).
     #[must_use]
     pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
-        self.artifact.compiled.as_ref().map(|cm| cm.fusion)
+        self.artifact.compiled().map(|cm| cm.fusion)
     }
 
-    /// Register-allocation counts (`None` when the instance has no
-    /// register program and therefore runs on the tree interpreter:
-    /// [`ExecMode::Interpreted`], or a frame past the `u16` slot
-    /// encoding).
+    /// Register-allocation counts (`None` for interpreted instances, the
+    /// only ones without a register program).
     #[must_use]
     pub fn reg_stats(&self) -> Option<crate::reg::RegStats> {
-        let cm = self.artifact.compiled.as_ref()?;
-        cm.reg.as_ref().map(|prog| prog.stats)
+        self.artifact.compiled().map(|cm| cm.stats)
     }
 
     /// Verifier counters from instantiation-time IR verification (`None`
@@ -673,15 +673,12 @@ impl Instance {
     }
 
     /// Runs the range analysis over the register program now and returns
-    /// its counters (`None` for interpreted instances, all-zero without a
-    /// register program); nothing at launch runs it. Exists only because
-    /// `benchmark/` reads it; goes with the next benchmark PR.
+    /// its counters (`None` for interpreted instances); nothing at launch
+    /// runs it. Exists only because `benchmark/` reads it; goes with the
+    /// next benchmark PR.
     #[must_use]
     pub fn range_stats(&self) -> Option<crate::analysis::RangeStats> {
-        self.artifact
-            .compiled
-            .as_ref()
-            .map(crate::analysis::range_stats)
+        self.artifact.compiled().map(crate::analysis::range_stats)
     }
 
     /// Wall time of the load-time compile (`None` for interpreted
@@ -693,8 +690,7 @@ impl Instance {
 
     /// Re-runs the independent IR verifier over this instance's register
     /// program and returns fresh counters; `None` for interpreted instances
-    /// (nothing was compiled). An [`ExecMode::Aot`] instance without a
-    /// register program verifies trivially, with all-zero counters.
+    /// (nothing was compiled).
     ///
     /// # Errors
     ///
@@ -704,8 +700,7 @@ impl Instance {
         &self,
     ) -> Option<Result<crate::verify::VerifyStats, crate::verify::VerifyError>> {
         let art = &*self.artifact;
-        art.compiled
-            .as_ref()
+        art.compiled()
             .map(|cm| crate::verify::verify_module(cm, &art.types))
     }
 
@@ -771,42 +766,54 @@ impl Instance {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let art = &*self.artifact;
-        // An artifact with a register program runs on the register engine;
-        // every other one holds structured bodies, walked here.
-        if let Some(cm) = art.compiled.as_ref().filter(|cm| cm.reg.is_some()) {
-            return crate::reg::run(
-                cm,
-                &art.types,
-                &art.table,
-                &mut self.memory,
-                &mut self.globals,
-                host,
-                func_idx,
-                args,
-                self.profile.as_deref_mut(),
-            );
-        }
+        let Instance {
+            artifact,
+            memory,
+            globals,
+            profile,
+        } = self;
+        let art: &Artifact = artifact;
+        // The one place that picks the executor: an artifact holds the code
+        // of exactly one.
+        let bodies = match &art.code {
+            Code::Reg(cm) => {
+                return crate::reg::run(
+                    cm,
+                    &art.types,
+                    &art.table,
+                    memory,
+                    globals,
+                    host,
+                    func_idx,
+                    args,
+                    profile.as_deref_mut(),
+                )
+            }
+            Code::Tree(bodies) => bodies,
+        };
         if let Some(imp) = art.imports.get(func_idx as usize) {
             let declared = art.types[imp.type_idx as usize].results.len();
-            let results = host.call(&imp.module, &imp.name, &mut self.memory, args)?;
+            let results = host.call(&imp.module, &imp.name, memory, args)?;
             check_host_results(&imp.module, &imp.name, results.len(), declared)?;
             return Ok(results);
         }
         let body_idx = func_idx as usize - art.imports.len();
         let mut locals: Vec<Value> = args.to_vec();
-        for ty in &art.bodies[body_idx].locals {
+        for ty in &bodies[body_idx].locals {
             locals.push(Value::zero(*ty));
         }
-        // Take the profile out for the duration of the walk so the
-        // generic loop can borrow it alongside `&mut self`.
-        match self.profile.take() {
-            Some(mut p) => {
-                let result = self.exec_body(host, body_idx, locals, &mut *p);
-                self.profile = Some(p);
-                result
-            }
-            None => self.exec_body(host, body_idx, locals, &mut NoProfile),
+        match profile.as_deref_mut() {
+            Some(p) => Self::exec_body(art, bodies, memory, globals, host, body_idx, locals, p),
+            None => Self::exec_body(
+                art,
+                bodies,
+                memory,
+                globals,
+                host,
+                body_idx,
+                locals,
+                &mut NoProfile,
+            ),
         }
     }
 
@@ -815,25 +822,19 @@ impl Instance {
     /// Guest calls do **not** consume host stack frames: each `call` pushes a
     /// [`Frame`] onto a heap-allocated vector, so [`MAX_CALL_DEPTH`] levels of
     /// guest recursion are safe regardless of the host's stack size.
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn exec_body<P: Profiler>(
-        &mut self,
+        art: &Artifact,
+        bodies: &[PreparedFunc],
+        memory: &mut Memory,
+        globals: &mut [Value],
         host: &mut dyn HostEnv,
         mut body_idx: usize,
         mut locals: Vec<Value>,
         prof: &mut P,
     ) -> Result<Vec<Value>, Trap> {
-        let Instance {
-            artifact,
-            memory,
-            globals,
-            ..
-        } = self;
-        let art: &Artifact = artifact;
-        let mut result_arity = art.types[art.bodies[body_idx].type_idx as usize]
-            .results
-            .len();
-        let mut code_len = art.bodies[body_idx].code.len();
+        let mut result_arity = art.types[bodies[body_idx].type_idx as usize].results.len();
+        let mut code_len = bodies[body_idx].code.len();
         let mut stack: Vec<Value> = Vec::with_capacity(32);
         let mut labels: Vec<Label> = Vec::with_capacity(8);
         let mut pc: usize = 0;
@@ -857,7 +858,7 @@ impl Instance {
                     return Err(Trap::CallStackExhausted);
                 }
                 let mut new_locals: Vec<Value> = stack.split_off(stack.len() - $n_params);
-                for ty in &art.bodies[callee_body].locals {
+                for ty in &bodies[callee_body].locals {
                     new_locals.push(Value::zero(*ty));
                 }
                 frames.push(Frame {
@@ -872,10 +873,10 @@ impl Instance {
                 locals = new_locals;
                 pc = 0;
                 stack_base = stack.len();
-                result_arity = art.types[art.bodies[callee_body].type_idx as usize]
+                result_arity = art.types[bodies[callee_body].type_idx as usize]
                     .results
                     .len();
-                code_len = art.bodies[callee_body].code.len();
+                code_len = bodies[callee_body].code.len();
                 continue;
             }};
         }
@@ -894,7 +895,7 @@ impl Instance {
                         pc = frame.pc;
                         stack_base = frame.stack_base;
                         result_arity = frame.result_arity;
-                        code_len = art.bodies[body_idx].code.len();
+                        code_len = bodies[body_idx].code.len();
                         continue;
                     }
                     None => return Ok(stack),
@@ -906,7 +907,7 @@ impl Instance {
             ($pc:expr) => {
                 // Clone is cheap for all but BrTable; BrTable is cloned only
                 // when executed.
-                art.bodies[body_idx].code[$pc].clone()
+                bodies[body_idx].code[$pc].clone()
             };
         }
 
@@ -982,7 +983,7 @@ impl Instance {
                 Instr::Unreachable => return Err(Trap::Unreachable),
                 Instr::Nop => {}
                 Instr::Block(bt) => {
-                    let (end, _) = scan_block(&art.bodies[body_idx].code, pc - 1);
+                    let (end, _) = scan_block(&bodies[body_idx].code, pc - 1);
                     let (params, results) = art.block_arities(bt);
                     labels.push(Label {
                         target: end + 1,
@@ -1002,7 +1003,7 @@ impl Instance {
                 }
                 Instr::If(bt) => {
                     let cond = stack.pop().expect("validated").as_i32();
-                    let (end, else_pc) = scan_block(&art.bodies[body_idx].code, pc - 1);
+                    let (end, else_pc) = scan_block(&bodies[body_idx].code, pc - 1);
                     let (params, results) = art.block_arities(bt);
                     if cond != 0 {
                         labels.push(Label {

@@ -699,8 +699,8 @@ pub(crate) struct ImportedFunc {
 }
 
 /// What an artifact keeps of a load-time compile: the register program
-/// [`crate::reg::run`] executes (when every frame fit its slot encoding),
-/// the tables it indexes, and the pass statistics.
+/// [`crate::reg::run`] executes, the tables it indexes, and the pass
+/// statistics.
 #[derive(Debug)]
 pub(crate) struct CompiledModule {
     /// The imported functions: function indices `0..imports.len()`.
@@ -708,10 +708,11 @@ pub(crate) struct CompiledModule {
     /// Type index of every function, imports first.
     pub(crate) func_type_idx: Box<[u32]>,
     pub(crate) global_types: Box<[ValType]>,
+    /// Register-form code, indexed like the function space; `None` for
+    /// imports.
+    pub(crate) funcs: Box<[Option<crate::reg::RegFunc>]>,
+    pub(crate) stats: crate::reg::RegStats,
     pub(crate) fusion: FusionStats,
-    /// Register-form code (one per local function), present when every
-    /// frame fit its slot encoding.
-    pub(crate) reg: Option<crate::reg::RegProgram>,
     /// The memory's minimum size in bytes — the floor the range
     /// analysis anchors its in-bounds proofs to (linear memory never
     /// shrinks).
@@ -734,26 +735,19 @@ impl CompiledModule {
     /// Compiles every function body of a validated module: register
     /// lowering, with `fuse` controlling its fusion rules.
     ///
-    /// The register program is all-or-nothing per module (a register
-    /// frame cannot call into the interpreter): one function whose frame
-    /// exceeds the `u16` slot encoding leaves the module without one, and
-    /// the rest of the bodies are walked only to report malformed ones.
-    ///
     /// # Errors
     ///
-    /// Returns [`Trap::Instantiation`] when the module is malformed (a
-    /// truncated/unbalanced body, out-of-range indices) or lowering breaks
-    /// one of its own invariants — lowering never panics, even on input
-    /// that skipped validation.
+    /// Returns the first body's [`Trap::Instantiation`]: a frame past the
+    /// `u16` slot encoding, a malformed module (a truncated/unbalanced
+    /// body, out-of-range indices) or lowering breaking one of its own
+    /// invariants — lowering never panics, even on input that skipped
+    /// validation.
     pub(crate) fn compile_full(module: &Module, fuse: bool) -> Result<CompiledModule, Trap> {
-        use crate::reg::LowerError;
         let n_funcs = module.func_count();
         let mut imports = Vec::with_capacity(module.func_imports.len());
         let mut func_type_idx = Vec::with_capacity(n_funcs);
         // Indexed like the function space: `None` for every import.
-        let mut reg_funcs = Vec::with_capacity(n_funcs);
-        // Whether every frame so far fit the slot encoding.
-        let mut fits = true;
+        let mut funcs = Vec::with_capacity(n_funcs);
         for imp in &module.func_imports {
             let ty = module
                 .types
@@ -766,50 +760,39 @@ impl CompiledModule {
                 n_results: ty.results.len(),
             });
             func_type_idx.push(imp.type_idx);
-            reg_funcs.push(None);
+            funcs.push(None);
         }
         let min_mem = module
             .memories
             .first()
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
         let mut fusion = FusionStats::default();
-        let mut reg_stats = crate::reg::RegStats::default();
+        let mut stats = crate::reg::RegStats::default();
         let mut scratch = crate::reg::RegScratch::default();
         let start = Instant::now();
         for body in &module.funcs {
+            let func = funcs.len() as u32;
             func_type_idx.push(body.type_idx);
-            let lowered = crate::reg::lower_func(
+            funcs.push(Some(crate::reg::lower_func(
                 module,
+                func,
                 body,
                 &mut scratch,
                 fuse,
-                &mut reg_stats,
+                &mut stats,
                 &mut fusion,
-            );
-            match lowered {
-                Ok(rf) if fits => reg_funcs.push(Some(rf)),
-                Ok(_) => {}
-                // Rare (a frame past 65 535 slots) and final: the module
-                // runs on the tree oracle.
-                Err(LowerError::FrameTooLarge) => fits = false,
-                Err(LowerError::Malformed(trap)) => return Err(trap),
-            }
+            )?));
         }
         let times = CompileTimes {
             lower: start.elapsed(),
         };
-        if !fits {
-            fusion = FusionStats::default();
-        }
         Ok(CompiledModule {
             imports: imports.into_boxed_slice(),
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
+            funcs: funcs.into_boxed_slice(),
+            stats,
             fusion,
-            reg: fits.then(|| crate::reg::RegProgram {
-                funcs: reg_funcs.into_boxed_slice(),
-                stats: reg_stats,
-            }),
             min_mem,
             times,
         })
@@ -1496,7 +1479,7 @@ mod tests {
         assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
         assert_eq!(stats.binop_set, 2, "{stats:?}");
         assert_eq!(stats.total(), 3, "{stats:?}");
-        let code = &fused.reg.as_ref().unwrap().funcs[0].as_ref().unwrap().code;
+        let code = &fused.funcs[0].as_ref().unwrap().code;
         assert_eq!(
             code.len(),
             6,
@@ -1760,7 +1743,7 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let compiled = CompiledModule::compile_full(&module, true).unwrap();
-        let stats = compiled.reg.as_ref().unwrap().stats;
+        let stats = compiled.stats;
         assert_eq!(
             (stats.gets_forwarded, stats.moves_inserted),
             (3, 0),

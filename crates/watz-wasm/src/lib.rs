@@ -12,7 +12,7 @@
 //! * an **executor** with two modes ([`exec`]):
 //!   [`ExecMode::Interpreted`] walks structured opcodes and discovers branch
 //!   targets by scanning, like a naive interpreter — the reference
-//!   implementation and the fallback — while [`ExecMode::Aot`] runs the
+//!   implementation — while [`ExecMode::Aot`] runs the
 //!   register engine: each body lowered at load time in one walk over its
 //!   structured instructions to register code with absolute jumps, inlined
 //!   immediates and untagged 64-bit operands ([`flat`]) in which every op
@@ -20,11 +20,13 @@
 //!   stack at all, the same walk joining common adjacent shapes into
 //!   superinstructions ([`reg`], [`RegStats`], [`FusionStats`];
 //!   [`EngineConfig::fuse`] turns the joining off); an instance keeps the
-//!   register code only — the stand-in for WAMR's AOT
+//!   register code only, and a module whose frame is past its `u16` slots
+//!   is refused rather than interpreted — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
-//!   AOT/interp gap is smaller than the paper's 28x, as documented in
-//!   EXPERIMENTS.md). One [`EngineConfig`] carries every switch; the crate
-//!   reads no environment variable. What all of
+//!   AOT/interp gap is smaller than the paper's 28x: BENCHMARKS.md records
+//!   the measured ratios). [`EngineConfig`] is set by tests and bench
+//!   binaries only; there is no switch, and the crate reads no
+//!   environment variable. What all of
 //!   that produces is one immutable, shareable [`Artifact`] ([`artifact`]);
 //!   an [`Instance`] is an `Arc` of it plus memory, globals and counters,
 //!   so launching the same bytes again costs instance creation only;

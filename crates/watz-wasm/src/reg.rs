@@ -101,15 +101,15 @@
 //!   flushes forwarded operands there), and `return` copies results to the
 //!   frame base.
 //!
-//! **Fallback.** Slot operands are `u16`. A function whose frame (locals
-//! plus operand positions) does not fit is reported as
-//! [`LowerError::FrameTooLarge`], and because a register frame cannot call
-//! into another executor the whole module then gets no register program
-//! (the compile drops the bodies lowered so far and keeps none of the
-//! rest) and runs on the tree interpreter in [`crate::exec`] — the one
-//! fallback, which is also the reference implementation. Every other lowering
-//! failure is a defect and fails instantiation. [`RegStats`] reports what
-//! the pass did.
+//! **Frame limit.** Slot operands are `u16`. A function whose frame
+//! (locals, global caches and operand positions) does not fit fails
+//! instantiation with a [`Trap::Instantiation`] naming the function and
+//! the limit; the core spec's implementation limits allow an engine to
+//! refuse it. [`ExecMode::Aot`] runs register code or nothing; the tree
+//! interpreter in [`crate::exec`] runs only under `ExecMode::Interpreted`,
+//! as the reference implementation. Every other lowering failure is a
+//! defect and fails instantiation too. [`RegStats`] reports what the pass
+//! did.
 //!
 //! Semantics (every result, every trap, every retired-instruction count)
 //! are identical to the tree-walking oracle; the differential suites run
@@ -120,7 +120,7 @@
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
-    apply_binop, apply_unop, as_f64, as_i32, as_u32, do_load, do_store, from_f64, from_i32,
+    apply_binop, apply_unop, as_f64, as_i32, as_u32, bad, do_load, do_store, from_f64, from_i32,
     map_simple, slot_from_value, value_from_slot, BinOpKind, CompiledModule, FusionStats, LoadKind,
     Simple, Slot, StoreKind, UnOpKind,
 };
@@ -479,15 +479,6 @@ pub(crate) struct RegFunc {
     /// Retirement metadata, 1:1 with `code`: the guest instructions each
     /// register op accounts for when profiling is on.
     pub(crate) prof: Box<[ProfOp]>,
-}
-
-/// A module's register-form code, carried by
-/// [`CompiledModule`] when the pass ran.
-#[derive(Debug)]
-pub(crate) struct RegProgram {
-    /// Indexed like the function space; `None` for imports.
-    pub(crate) funcs: Box<[Option<RegFunc>]>,
-    pub(crate) stats: RegStats,
 }
 
 /// Picks the specialized form of a two-operand op when one exists (see
@@ -882,6 +873,8 @@ struct Lowerer<'a> {
     ctrl: &'a mut Vec<Ctrl>,
     patches: &'a mut Vec<(u32, u32, u32)>,
     hoist: &'a mut Hoist,
+    /// The function-space index, for the frame-limit refusal.
+    func: u32,
     n_locals: usize,
     /// The first operand slot: past the locals and the global caches.
     base: usize,
@@ -889,28 +882,19 @@ struct Lowerer<'a> {
     stats: &'a mut RegStats,
 }
 
-/// Why a function has no register form.
-#[derive(Debug)]
-pub(crate) enum LowerError {
-    /// The frame (locals plus operand positions) does not fit the `u16`
-    /// slot encoding. Not a defect: the module runs on the tree
-    /// interpreter instead.
-    FrameTooLarge,
-    /// The body is malformed (input that skipped validation) or lowering
-    /// broke one of its own invariants. Instantiation fails with the
-    /// carried [`Trap::Instantiation`].
-    Malformed(Trap),
+/// `idx` as a `u16` slot operand. A frame past that encoding is refused:
+/// the core spec's implementation limits let an engine bound a function's
+/// size, and `Aot` runs register code or nothing.
+fn slot16(func: u32, idx: usize) -> Result<u16, Trap> {
+    u16::try_from(idx).map_err(|_| {
+        Trap::Instantiation(format!(
+            "function {func}: frame past the register engine's limit of {} slots",
+            u16::MAX
+        ))
+    })
 }
 
-fn bad(msg: &str) -> LowerError {
-    LowerError::Malformed(crate::flat::bad(msg))
-}
-
-fn slot16(idx: usize) -> Result<u16, LowerError> {
-    u16::try_from(idx).map_err(|_| LowerError::FrameTooLarge)
-}
-
-fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), LowerError> {
+fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), Trap> {
     Ok(match bt {
         BlockType::Empty => (0, 0),
         BlockType::Value(_) => (0, 1),
@@ -926,7 +910,7 @@ fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), Lower
 
 /// Points the jump at `code[at]` (its arm `slot`, for a `br_table`) at
 /// `target`.
-fn patch(code: &mut [RegOp], at: u32, slot: u32, target: u32) -> Result<(), LowerError> {
+fn patch(code: &mut [RegOp], at: u32, slot: u32, target: u32) -> Result<(), Trap> {
     let t = code
         .get_mut(at as usize)
         .and_then(|op| op.target_mut(slot as usize))
@@ -936,12 +920,12 @@ fn patch(code: &mut [RegOp], at: u32, slot: u32, target: u32) -> Result<(), Lowe
 }
 
 impl Lowerer<'_> {
-    fn canon(&self, pos: usize) -> Result<u16, LowerError> {
-        slot16(self.base + pos)
+    fn canon(&self, pos: usize) -> Result<u16, Trap> {
+        slot16(self.func, self.base + pos)
     }
 
     /// The slot currently holding the value at stack position `pos`.
-    fn slot_of(&self, pos: usize) -> Result<u16, LowerError> {
+    fn slot_of(&self, pos: usize) -> Result<u16, Trap> {
         match self.vstack[pos] {
             Src::Canon => self.canon(pos),
             Src::Fwd(s) => Ok(s),
@@ -949,7 +933,7 @@ impl Lowerer<'_> {
     }
 
     /// Pops the top operand, returning the slot its value lives in.
-    fn pop(&mut self) -> Result<u16, LowerError> {
+    fn pop(&mut self) -> Result<u16, Trap> {
         let pos = self
             .vstack
             .len()
@@ -962,7 +946,7 @@ impl Lowerer<'_> {
     }
 
     /// Pushes a canonical operand, returning the slot to write it to.
-    fn push(&mut self) -> Result<u16, LowerError> {
+    fn push(&mut self) -> Result<u16, Trap> {
         let s = self.canon(self.vstack.len())?;
         self.vstack.push(Src::Canon);
         self.max_height = self.max_height.max(self.vstack.len());
@@ -977,7 +961,7 @@ impl Lowerer<'_> {
 
     /// Copies the forwarded value at stack position `pos` out of local
     /// slot `from` into its canonical slot, which the frame must then hold.
-    fn spill(&mut self, pos: usize, from: u16) -> Result<(), LowerError> {
+    fn spill(&mut self, pos: usize, from: u16) -> Result<(), Trap> {
         let dst = self.canon(pos)?;
         self.emit_move(from, dst);
         self.vstack[pos] = Src::Canon;
@@ -987,7 +971,7 @@ impl Lowerer<'_> {
 
     /// Flushes every forwarded entry except the top `keep_top` to its
     /// canonical slot (branch/call edges need canonical state).
-    fn flush_below(&mut self, keep_top: usize) -> Result<(), LowerError> {
+    fn flush_below(&mut self, keep_top: usize) -> Result<(), Trap> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if let Src::Fwd(s) = self.vstack[pos] {
@@ -997,14 +981,14 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn flush_all(&mut self) -> Result<(), LowerError> {
+    fn flush_all(&mut self) -> Result<(), Trap> {
         self.flush_below(0)
     }
 
     /// Before a write to local slot `local`: any pending operand still
     /// forwarded from that local (except the top `keep_top`, which the
     /// writing op itself consumes) must be copied out first.
-    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), LowerError> {
+    fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), Trap> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
             if self.vstack[pos] == Src::Fwd(local) {
@@ -1016,9 +1000,9 @@ impl Lowerer<'_> {
 
     /// Validates and converts a local index carried by a (possibly
     /// unvalidated) instruction.
-    fn local(&self, idx: u32) -> Result<u16, LowerError> {
+    fn local(&self, idx: u32) -> Result<u16, Trap> {
         if (idx as usize) < self.n_locals {
-            slot16(idx as usize)
+            slot16(self.func, idx as usize)
         } else {
             Err(bad("local index out of range"))
         }
@@ -1044,7 +1028,7 @@ impl Lowerer<'_> {
     /// Fall-through into a branch target (a loop head, or an else/end a
     /// branch lands on): forwarded operands become canonical here so every
     /// predecessor agrees on the state.
-    fn enter_target(&mut self) -> Result<(), LowerError> {
+    fn enter_target(&mut self) -> Result<(), Trap> {
         self.flush_all()?;
         self.sync();
         if self.pending != ProfOp::zero() {
@@ -1067,7 +1051,7 @@ impl Lowerer<'_> {
     /// In front of the `loop` at body index `pos`, after its entry flush
     /// (so no operand is still forwarded from a slot this overwrites):
     /// loads each global the loop caches into the global's slot.
-    fn load_caches(&mut self, pos: usize) -> Result<(), LowerError> {
+    fn load_caches(&mut self, pos: usize) -> Result<(), Trap> {
         let h = &mut *self.hoist;
         // `loads` is sorted last loop first: pop the loops behind the walk
         // (in statically unreachable code, never entered), then this one's.
@@ -1080,7 +1064,7 @@ impl Lowerer<'_> {
                 let slot = plan
                     .slot
                     .ok_or_else(|| bad("a listed global without a slot"))?;
-                let dst = slot16(self.n_locals + slot as usize)?;
+                let dst = slot16(self.func, self.n_locals + slot as usize)?;
                 self.out.push(RegOp::GlobalGet { idx: g, dst });
             }
         }
@@ -1088,19 +1072,19 @@ impl Lowerer<'_> {
     }
 
     /// The innermost frame (the body's stays open until its final `end`).
-    fn top(&mut self) -> Result<&mut Ctrl, LowerError> {
+    fn top(&mut self) -> Result<&mut Ctrl, Trap> {
         self.ctrl
             .last_mut()
             .ok_or_else(|| bad("instructions after the function's final end"))
     }
 
     /// Marks the rest of the innermost frame statically unreachable.
-    fn terminate(&mut self) -> Result<(), LowerError> {
+    fn terminate(&mut self) -> Result<(), Trap> {
         self.top()?.unreachable = true;
         Ok(())
     }
 
-    fn check_height(&self, height: usize) -> Result<(), LowerError> {
+    fn check_height(&self, height: usize) -> Result<(), Trap> {
         if self.vstack.len() == height {
             Ok(())
         } else {
@@ -1115,7 +1099,7 @@ impl Lowerer<'_> {
         bt: BlockType,
         is_loop: bool,
         else_patch: Option<u32>,
-    ) -> Result<(), LowerError> {
+    ) -> Result<(), Trap> {
         let (params, results) = block_arities(module, bt)?;
         let label_height = self
             .vstack
@@ -1137,7 +1121,7 @@ impl Lowerer<'_> {
 
     /// A branch to relative depth `d` from the current height: the slots
     /// its value transfer copies from and to, and how many.
-    fn transfer(&self, d: u32) -> Result<(u16, u16, usize), LowerError> {
+    fn transfer(&self, d: u32) -> Result<(u16, u16, usize), Trap> {
         let frame = frame_index(self.ctrl, d)
             .map(|i| &self.ctrl[i])
             .ok_or_else(|| bad("branch depth exceeds control stack"))?;
@@ -1152,7 +1136,7 @@ impl Lowerer<'_> {
     /// The target of the branch to relative depth `d` about to be emitted
     /// at `out.len()` (its arm `slot`, for a `br_table`): a loop's head,
     /// or 0 and a patch on the frame's list, resolved at its end.
-    fn branch_target(&mut self, d: u32, slot: u32) -> Result<u32, LowerError> {
+    fn branch_target(&mut self, d: u32, slot: u32) -> Result<u32, Trap> {
         let idx =
             frame_index(self.ctrl, d).ok_or_else(|| bad("branch depth exceeds control stack"))?;
         let frame = &mut self.ctrl[idx];
@@ -1168,7 +1152,7 @@ impl Lowerer<'_> {
     /// The target of the conditional jump about to be emitted at
     /// `out.len()` for `jump`, an `if` or a `br_if`; an `if` opens its
     /// frame here, its false path waiting for the else/end.
-    fn cond_target(&mut self, module: &Module, jump: &Instr) -> Result<u32, LowerError> {
+    fn cond_target(&mut self, module: &Module, jump: &Instr) -> Result<u32, Trap> {
         match jump {
             Instr::If(bt) => {
                 let at = self.out.len() as u32;
@@ -1182,7 +1166,7 @@ impl Lowerer<'_> {
 
     /// Starts the else-branch of the innermost frame, where its
     /// condition's false path lands.
-    fn else_arm(&mut self) -> Result<(), LowerError> {
+    fn else_arm(&mut self) -> Result<(), Trap> {
         let frame = self.top()?;
         let at = frame
             .else_patch
@@ -1197,7 +1181,7 @@ impl Lowerer<'_> {
 
     /// Closes the innermost frame at its `end`, pointing every branch to
     /// it here; the body's own `end` returns.
-    fn close(&mut self) -> Result<(), LowerError> {
+    fn close(&mut self) -> Result<(), Trap> {
         let frame = self.ctrl.pop().ok_or_else(|| bad("unbalanced end"))?;
         while let Some(&(g, _)) = self.hoist.live.last().filter(|l| l.1 >= self.ctrl.len()) {
             self.hoist.globals[g as usize].live = false;
@@ -1229,7 +1213,7 @@ impl Lowerer<'_> {
     }
 
     /// Copies the top `n_results` values to the frame base and returns.
-    fn ret(&mut self, n_results: usize) -> Result<(), LowerError> {
+    fn ret(&mut self, n_results: usize) -> Result<(), Trap> {
         self.flush_all()?;
         let h = self.vstack.len();
         if h < n_results {
@@ -1244,7 +1228,7 @@ impl Lowerer<'_> {
     /// slots (a call's arguments at the callee's frame base, a bulk-memory
     /// op's three) and pushes its `n_res` results there; returns the first
     /// slot.
-    fn args(&mut self, n_args: usize, n_res: usize) -> Result<u16, LowerError> {
+    fn args(&mut self, n_args: usize, n_res: usize) -> Result<u16, Trap> {
         let h = self.vstack.len();
         if h < n_args {
             return Err(bad("missing operands"));
@@ -1426,29 +1410,30 @@ impl<'a> Ahead<'a> {
     }
 }
 
-/// Lowers `body` to register form in one walk over its structured code
-/// (see the module docs), in `scratch`'s buffers. `fuse` turns the fusion
-/// rules on; what they joined is counted in `fusion`.
+/// Lowers `body`, function `func` of the function space, to register form
+/// in one walk over its structured code (see the module docs), in
+/// `scratch`'s buffers. `fuse` turns the fusion rules on; what they joined
+/// is counted in `fusion`.
 ///
 /// # Errors
 ///
-/// [`LowerError::FrameTooLarge`] when the frame outgrows the `u16` slot
-/// encoding (the caller leaves the module on the interpreter), and
-/// [`LowerError::Malformed`] for a malformed body — truncated code
-/// (unbalanced control), out-of-range type, function, local or branch
-/// indices, or operand-stack underflow — or a broken invariant (the
-/// caller fails instantiation). A module that passed [`crate::validate`]
-/// never hits the first group, but lowering must not panic the host
-/// either way.
+/// [`Trap::Instantiation`], which fails instantiation, when the frame
+/// outgrows the `u16` slot encoding (the message names `func` and the
+/// limit), for a malformed body — truncated code (unbalanced control),
+/// out-of-range type, function, local or branch indices, or operand-stack
+/// underflow — and for a broken invariant. A module that passed
+/// [`crate::validate`] never hits the malformed group, but lowering must
+/// not panic the host either way.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     module: &Module,
+    func: u32,
     body: &FuncBody,
     scratch: &mut RegScratch,
     fuse: bool,
     stats: &mut RegStats,
     fusion: &mut FusionStats,
-) -> Result<RegFunc, LowerError> {
+) -> Result<RegFunc, Trap> {
     let ty = module
         .types
         .get(body.type_idx as usize)
@@ -1492,6 +1477,7 @@ pub(crate) fn lower_func(
         ctrl,
         patches,
         hoist,
+        func,
         n_locals,
         base,
         max_height: 0,
@@ -1500,7 +1486,7 @@ pub(crate) fn lower_func(
     let ahead = Ahead { code, fuse };
     let n_imports = module.func_imports.len() as u32;
     // The arity of a call target, for arg/result placement.
-    let call_arity = |func: u32| -> Result<(usize, usize), LowerError> {
+    let call_arity = |func: u32| -> Result<(usize, usize), Trap> {
         let ty_idx = module
             .func_type_idx(func)
             .ok_or_else(|| bad("call target out of range"))?;
@@ -1584,7 +1570,7 @@ pub(crate) fn lower_func(
                         target,
                         src,
                         dst,
-                        keep: slot16(keep)?,
+                        keep: slot16(lo.func, keep)?,
                     }
                 });
                 lo.terminate()?;
@@ -1607,7 +1593,7 @@ pub(crate) fn lower_func(
                         target,
                         src,
                         dst,
-                        keep: slot16(keep)?,
+                        keep: slot16(lo.func, keep)?,
                     }
                 });
             }
@@ -1621,7 +1607,7 @@ pub(crate) fn lower_func(
                         target: lo.branch_target(*d, slot as u32)?,
                         src,
                         dst,
-                        keep: slot16(keep)?,
+                        keep: slot16(lo.func, keep)?,
                     });
                 }
                 lo.out.push(RegOp::BrTable {
@@ -1706,7 +1692,8 @@ pub(crate) fn lower_func(
                 if let Some(slot) = lo.hoist.cached(*idx) {
                     // Cached by an enclosing loop: forwarded from the
                     // slot, exactly like a `local.get`.
-                    lo.vstack.push(Src::Fwd(slot16(n_locals + slot as usize)?));
+                    lo.vstack
+                        .push(Src::Fwd(slot16(lo.func, n_locals + slot as usize)?));
                     lo.stats.stack_ops_eliminated += 1;
                 } else {
                     let dst = lo.push()?;
@@ -1941,7 +1928,7 @@ pub(crate) fn lower_func(
         return Err(bad("lowering produced skewed code/prof arrays"));
     }
 
-    slot16(base + lo.max_height)?; // the whole frame must stay u16-addressable
+    slot16(lo.func, base + lo.max_height)?; // the whole frame must stay u16-addressable
     let frame_size = (base + lo.max_height) as u32;
     let stats = lo.stats;
     stats.funcs += 1;
@@ -1982,13 +1969,12 @@ pub(crate) fn run(
     args: &[Value],
     profile: Option<&mut crate::profile::ExecProfile>,
 ) -> Result<Vec<Value>, Trap> {
-    let prog = cm.reg.as_ref().expect("register program prepared");
     if let Some(imp) = cm.imports.get(func_idx as usize) {
         let results = host.call(&imp.module, &imp.name, memory, args)?;
         crate::exec::check_host_results(&imp.module, &imp.name, results.len(), imp.n_results)?;
         return Ok(results);
     }
-    let entry = prog.funcs[func_idx as usize]
+    let entry = cm.funcs[func_idx as usize]
         .as_ref()
         .expect("local function register-lowered");
     let mut mem = memory.take_data();
@@ -1997,10 +1983,9 @@ pub(crate) fn run(
     // is erased entirely — the default hot path gains no work.
     let result = match profile {
         Some(p) => run_loop(
-            prog, cm, types, table, &mut mem, memory, globals, host, entry, args, p,
+            cm, types, table, &mut mem, memory, globals, host, entry, args, p,
         ),
         None => run_loop(
-            prog,
             cm,
             types,
             table,
@@ -2064,7 +2049,6 @@ fn entry_results(f: &RegFunc, frame: &[Slot]) -> Vec<Value> {
 /// [`Memory`] around host calls).
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn run_loop<P: Profiler>(
-    prog: &RegProgram,
     cm: &CompiledModule,
     types: &[FuncType],
     table: &[Option<u32>],
@@ -2216,7 +2200,7 @@ fn run_loop<P: Profiler>(
                 }
             }
             RegOp::CallLocal { func, base: off } => {
-                let callee = prog.funcs[*func as usize]
+                let callee = cm.funcs[*func as usize]
                     .as_ref()
                     .expect("local function register-lowered");
                 call_local!(callee, *off);
@@ -2235,7 +2219,7 @@ fn run_loop<P: Profiler>(
                 if actual != expected {
                     return Err(Trap::IndirectTypeMismatch);
                 }
-                match &prog.funcs[f as usize] {
+                match &cm.funcs[f as usize] {
                     Some(callee) => call_local!(callee, *off),
                     None => call_import!(f, *off),
                 }
@@ -2746,13 +2730,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn oversized_frame_runs_on_the_oracle_with_full_parity() {
+    fn oversized_frame_is_refused_under_aot_and_runs_interpreted() {
         // 50 000 locals under a 16 000-deep operand stack: a valid module
-        // whose frame cannot be addressed by u16 slots. It must load in
-        // Aot, carry no register program, and match the interpreter on
-        // result, trap text and instret. The compile gives up the register
-        // program at `f`, and with it everything the walk counted: fusion
-        // and range statistics read zero.
+        // whose frame cannot be addressed by u16 slots. `Aot` refuses it at
+        // instantiation, naming the function and the limit, in every
+        // configuration; it is never demoted to the tree. `Interpreted`
+        // still runs it: result, trap and instret.
         const DEPTH: usize = 16_000;
         let n_locals = crate::decode::MAX_FUNC_LOCALS - 1;
         let mut code = vec![I::I32Const(7), I::LocalSet(n_locals as u32)];
@@ -2774,39 +2757,33 @@ pub(crate) mod tests {
         b.export_func("f", f);
         let module = crate::load(&b.build()).expect("oversized-frame module validates");
 
-        let cfg = EngineConfig {
-            verify: true,
+        for (label, cfg) in engine_matrix() {
+            match Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost) {
+                Err(Trap::Instantiation(msg)) => assert!(
+                    msg.contains(&format!("function {f}:")) && msg.contains("limit of 65535 slots"),
+                    "{label}: {msg}"
+                ),
+                other => panic!("{label}: expected a refusal, got {other:?}"),
+            }
+        }
+        let counting = EngineConfig {
             profile: ProfileMode::Count,
             ..EngineConfig::default()
         };
-        let mut aot = Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
-        assert_eq!(aot.mode(), ExecMode::Aot);
-        assert!(aot.reg_stats().is_none(), "frame cannot fit u16 slots");
-        assert_eq!(aot.fusion_stats(), Some(FusionStats::default()));
-        assert_eq!(aot.range_stats(), Some(crate::RangeStats::default()));
-        // Nothing executes but the tree oracle, so there is nothing to
-        // verify, at instantiation or on demand.
-        let verified = aot.verify_ir().expect("compiled").expect("verifies");
-        assert_eq!(verified, crate::VerifyStats::default());
-        assert_eq!(aot.verify_stats(), Some(verified));
         let mut interp =
-            Instance::instantiate_with(&module, ExecMode::Interpreted, cfg, &mut NoHost).unwrap();
-        for (arg, want) in [(1, Some(DEPTH as i32 + 7)), (-3, Some(-5335)), (0, None)] {
-            let got = aot.invoke(&mut NoHost, "f", &[Value::I32(arg)]);
-            let reference = interp.invoke(&mut NoHost, "f", &[Value::I32(arg)]);
-            assert_eq!(
-                got.as_ref().map_err(ToString::to_string),
-                reference.as_ref().map_err(ToString::to_string),
-                "f({arg})"
-            );
-            assert_eq!(got.ok(), want.map(|v| vec![Value::I32(v)]), "f({arg})");
-            assert_eq!(
-                aot.profile().expect("counting").instret,
-                interp.profile().expect("counting").instret,
-                "f({arg}) instret"
-            );
+            Instance::instantiate_with(&module, ExecMode::Interpreted, counting, &mut NoHost)
+                .unwrap();
+        for (arg, want, instret) in [
+            (1, Ok(DEPTH as i32 + 7), 32_005),
+            (-3, Ok(-5335), 64_010),
+            (0, Err(Trap::DivisionByZero), 96_015),
+        ] {
+            let got = interp.invoke(&mut NoHost, "f", &[Value::I32(arg)]);
+            assert_eq!(got, want.map(|v| vec![Value::I32(v)]), "f({arg})");
+            let profile = interp.profile().expect("counting");
+            assert_eq!(profile.instret, instret, "f({arg}) instret");
         }
-        assert_eq!(aot.profile().expect("counting").traps, 1);
+        assert_eq!(interp.profile().expect("counting").traps, 1);
     }
 
     /// Compiles `bytes` to register code, fusion rules on or off.
@@ -2817,7 +2794,7 @@ pub(crate) mod tests {
 
     /// The register code of local function `idx`.
     fn code_of(cm: &CompiledModule, idx: usize) -> &[RegOp] {
-        &cm.reg.as_ref().unwrap().funcs[idx].as_ref().unwrap().code
+        &cm.funcs[idx].as_ref().unwrap().code
     }
 
     /// The variant name of every op, for shape assertions.
@@ -2847,7 +2824,7 @@ pub(crate) mod tests {
         let bytes = b.build();
         for fuse in [true, false] {
             let cm = compiled(&bytes, fuse);
-            let func = cm.reg.as_ref().unwrap().funcs[0].as_ref().unwrap();
+            let func = cm.funcs[0].as_ref().unwrap();
             assert_eq!(func.frame_size, func.n_locals + 1, "fuse = {fuse}");
         }
         let args = [Value::I32(40), Value::I32(2)];
@@ -3337,7 +3314,7 @@ pub(crate) mod tests {
                         } else {
                             assert_eq!(cm.fusion, FusionStats::default(), "{name}");
                         }
-                        for f in cm.reg.as_ref().unwrap().funcs.iter().flatten() {
+                        for f in cm.funcs.iter().flatten() {
                             h.update(format!("{f:?}").as_bytes());
                         }
                     }
@@ -3382,7 +3359,6 @@ pub(crate) mod tests {
         let module = crate::load(bytes).unwrap();
         for fuse in [true, false] {
             let cm = CompiledModule::compile_full(&module, fuse).unwrap();
-            assert!(cm.reg.is_some(), "fuse = {fuse}: no register program");
             if let Err(e) = crate::verify::verify_module(&cm, &module.types) {
                 panic!("fuse = {fuse}: {e}");
             }
@@ -3661,7 +3637,7 @@ pub(crate) mod tests {
         let n_cache = cache_slots(&crate::load(bytes).unwrap(), func);
         let loads = |fuse| {
             let cm = compiled(bytes, fuse);
-            let f = cm.reg.as_ref().unwrap().funcs[func].as_ref().unwrap();
+            let f = cm.funcs[func].as_ref().unwrap();
             let cache_end = f.n_locals as usize + n_cache;
             let (mut hoisted, mut unhoisted) = (Vec::new(), 0);
             for op in &*f.code {

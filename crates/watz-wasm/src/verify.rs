@@ -766,8 +766,7 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
     Ok(edges)
 }
 
-/// Verifies every register body of a compiled module. A module without a
-/// register program runs on the tree oracle and has nothing to verify.
+/// Verifies every register body of a compiled module.
 pub(crate) fn verify_module(
     cm: &CompiledModule,
     types: &[FuncType],
@@ -779,15 +778,12 @@ pub(crate) fn verify_module(
         global_types: &cm.global_types,
     };
     let mut stats = VerifyStats::default();
-    let Some(prog) = &cm.reg else {
-        return Ok(stats);
-    };
-    if prog.funcs.len() != cm.func_type_idx.len() {
+    if cm.funcs.len() != cm.func_type_idx.len() {
         return Err(VerifyError::LengthMismatch {
-            func: prog.funcs.len() as u32,
+            func: cm.funcs.len() as u32,
         });
     }
-    for (i, rf) in prog.funcs.iter().enumerate() {
+    for (i, rf) in cm.funcs.iter().enumerate() {
         let fidx = i as u32;
         // Exactly the imports lack a body: the dispatch loop takes a
         // missing one for a host call.
@@ -867,11 +863,9 @@ mod tests {
             imports: Box::new([]),
             func_type_idx: (0..funcs.len() as u32).collect(),
             global_types: Box::new([]),
+            funcs: funcs.into_iter().map(Some).collect(),
+            stats: crate::RegStats::default(),
             fusion: crate::FusionStats::default(),
-            reg: Some(crate::reg::RegProgram {
-                funcs: funcs.into_iter().map(Some).collect(),
-                stats: crate::RegStats::default(),
-            }),
             min_mem: 65536,
             times: crate::CompileTimes::default(),
         };
@@ -1136,16 +1130,13 @@ mod tests {
         // level.
         let ret = || rfunc(0, 0, 1, 1, vec![RegOp::Return { src: 0 }]);
         let (mut cm, types) = bare_module(vec![ret()]);
-        cm.reg.as_mut().unwrap().funcs[0]
-            .as_mut()
-            .unwrap()
-            .n_results = 0;
+        cm.funcs[0].as_mut().unwrap().n_results = 0;
         assert!(matches!(
             verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 0 })
         ));
         let (mut cm, types) = bare_module(vec![ret()]);
-        cm.reg.as_mut().unwrap().funcs = Box::new([None]);
+        cm.funcs = Box::new([None]);
         assert!(matches!(
             verify_module(&cm, &types),
             Err(VerifyError::LengthMismatch { func: 0 })
@@ -1576,7 +1567,7 @@ mod tests {
         }
         // The grid carries every row form.
         let fm = CompiledModule::compile_full(&grid_module(), true).unwrap();
-        let code = format!("{:?}", fm.reg);
+        let code = format!("{:?}", fm.funcs);
         for variant in ["IdxLAdd {", "IdxLAddLoadF64 {", "MulAddI32 {"] {
             assert!(code.contains(variant), "no {variant}: {code}");
         }
@@ -1603,13 +1594,11 @@ mod tests {
 
     fn reg_sites(fm: &CompiledModule, pred: impl Fn(&RegOp) -> bool) -> Vec<(usize, usize)> {
         let mut v = Vec::new();
-        if let Some(prog) = &fm.reg {
-            for (fi, rf) in prog.funcs.iter().enumerate() {
-                if let Some(f) = rf {
-                    for (pc, op) in f.code.iter().enumerate() {
-                        if pred(op) {
-                            v.push((fi, pc));
-                        }
+        for (fi, rf) in fm.funcs.iter().enumerate() {
+            if let Some(f) = rf {
+                for (pc, op) in f.code.iter().enumerate() {
+                    if pred(op) {
+                        v.push((fi, pc));
                     }
                 }
             }
@@ -1618,7 +1607,7 @@ mod tests {
     }
 
     fn reg_body_mut(fm: &mut CompiledModule, fi: usize) -> &mut RegFunc {
-        fm.reg.as_mut().expect("register program present").funcs[fi]
+        fm.funcs[fi]
             .as_mut()
             .expect("sites only name lowered functions")
     }
@@ -1722,14 +1711,14 @@ mod tests {
         let applied = match name {
             "reg-drop-cache-load" => {
                 let cached = |fi: usize| {
-                    let f = fm.reg.as_ref().unwrap().funcs[fi].as_ref().unwrap();
+                    let f = fm.funcs[fi].as_ref().unwrap();
                     let first = f.n_locals as usize;
                     first..first + crate::reg::cache_slots(module, fi)
                 };
                 let sites: Vec<_> = reg_sites(fm, |_| true)
                     .into_iter()
                     .filter(|&(fi, pc)| {
-                        let code = &fm.reg.as_ref().unwrap().funcs[fi].as_ref().unwrap().code;
+                        let code = &fm.funcs[fi].as_ref().unwrap().code;
                         matches!(code[pc], RegOp::GlobalGet { dst, .. }
                             if cached(fi).contains(&usize::from(dst)))
                     })

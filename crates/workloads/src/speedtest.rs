@@ -12,7 +12,9 @@
 //! operations (indexed tables, point/range queries, updates, deletes) over
 //! its own storage. The paper compiled the *same* SQLite for both sides;
 //! we cannot compile Rust to Wasm offline, so the guest is a re-
-//! implementation — EXPERIMENTS.md discusses what this preserves.
+//! implementation: it preserves the structure above, not SQLite's code
+//! paths. README.md's "Paper figure / table ↔ bench mapping" names the
+//! bench that runs it.
 
 use microdb::Database;
 

@@ -123,8 +123,8 @@ fn all_polybench_kernels_agree_across_engines() {
 
 #[test]
 fn every_corpus_module_gets_a_register_program() {
-    // The interpreter fallback exists for frames past the u16 slot
-    // encoding; no module of any benchmark or test corpus may need it.
+    // `Aot` refuses a frame past the u16 slot encoding; no module of any
+    // benchmark or test corpus may come near it.
     let mut corpus: Vec<(String, String)> = watz::bench_workloads::polybench::suite()
         .into_iter()
         .map(|k| (k.name.to_string(), k.minic.to_string()))

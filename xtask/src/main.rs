@@ -7,7 +7,7 @@
 //! files included). Deleting comments, or moving code into tests, does not
 //! move it.
 //!
-//! `lint` enforces four offline rules CI gates on, beyond what clippy
+//! `lint` enforces five offline rules CI gates on, beyond what clippy
 //! covers:
 //!
 //! 1. **No `.unwrap()` / `.expect(` in the hot dispatch loops** — the
@@ -31,8 +31,14 @@
 //!    example or `benchmark/`. A name-level match is enough. An item nobody
 //!    else names is made private or `pub(crate)`, deleted, or allowlisted
 //!    with the reason it stays public.
+//! 5. **No dangling document reference** — every Markdown file name
+//!    (`*.md`, with or without a path) that a `.rs` file under `crates/`,
+//!    `src/`, `tests/`, `examples/` or `xtask/` mentions is the name of a
+//!    file in the repository (outside build output and hidden
+//!    directories). Comments and strings count: that is where such a
+//!    reference points a reader. The frozen `benchmark/` is not scanned.
 //!
-//! All scans work on comment- and string-stripped source so matches in
+//! Rules 1–4 work on comment- and string-stripped source so matches in
 //! docs or literals don't count, and `#[cfg(test)]` modules are out of
 //! scope. Findings are compared against `xtask/lint-allow.txt`: lines of
 //! `file-suffix|needle`, where a finding is allowed when its file path
@@ -70,6 +76,9 @@ const WIRE_PARSERS: [&str; 2] = [
     "crates/watz-attestation/src/wire.rs",
     "crates/watz-wasm/src/leb128.rs",
 ];
+
+/// The directories rule 5 scans for Markdown file names.
+const DOC_REF_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "xtask"];
 
 /// Narrowing integer casts a wire parser must not perform silently.
 const NARROWING: [&str; 6] = ["as u8", "as u16", "as u32", "as i8", "as i16", "as i32"];
@@ -139,7 +148,7 @@ fn lint() -> ExitCode {
 
     let mut sources = Vec::new();
     for dir in NO_ENV {
-        rust_files(&root.join(dir), &mut sources);
+        files_ending(&root.join(dir), ".rs", &mut sources);
     }
     sources.sort();
     for path in sources {
@@ -160,6 +169,7 @@ fn lint() -> ExitCode {
     }
 
     let pub_items = dead_pub(&root, &mut findings);
+    let doc_refs = doc_refs(&root, &mut findings);
 
     let mut used = vec![false; allowlist.len()];
     let mut fatal = 0usize;
@@ -191,7 +201,7 @@ fn lint() -> ExitCode {
     }
     if fatal == 0 {
         println!(
-            "lint: ok ({} allowlisted finding(s) across {} dispatch loop(s), {} wire parser(s) and {pub_items} `pub` item(s); no env read in {})",
+            "lint: ok ({} allowlisted finding(s) across {} dispatch loop(s), {} wire parser(s), {pub_items} `pub` item(s) and {doc_refs} document reference(s); no env read in {})",
             findings.len(),
             DISPATCH_LOOPS.len(),
             WIRE_PARSERS.len(),
@@ -219,7 +229,7 @@ const ITEM_KEYWORDS: [&str; 9] = [
 /// checked.
 fn dead_pub(root: &Path, findings: &mut Vec<Finding>) -> usize {
     let mut files = Vec::new();
-    rust_files(root, &mut files);
+    files_ending(root, ".rs", &mut files);
     files.sort();
     let stripped: Vec<String> = files
         .iter()
@@ -270,6 +280,53 @@ fn dead_pub(root: &Path, findings: &mut Vec<Finding>) -> usize {
         }
     }
     checked
+}
+
+/// Rule 5: every Markdown file name a `.rs` file under [`DOC_REF_DIRS`]
+/// mentions, in code, comments or strings, names a file of the
+/// repository. Reports the rest and returns how many names were checked.
+fn doc_refs(root: &Path, findings: &mut Vec<Finding>) -> usize {
+    let mut docs = Vec::new();
+    files_ending(root, ".md", &mut docs);
+    let docs: HashSet<&str> = docs
+        .iter()
+        .filter_map(|p| p.file_name()?.to_str())
+        .collect();
+    let mut sources = Vec::new();
+    for dir in DOC_REF_DIRS {
+        files_ending(&root.join(dir), ".rs", &mut sources);
+    }
+    sources.sort();
+    let mut checked = 0usize;
+    for path in sources {
+        for (i, line) in read(&path).lines().enumerate() {
+            for name in md_names(line) {
+                checked += 1;
+                if !docs.contains(name) {
+                    findings.push(Finding {
+                        file: path.clone(),
+                        line_no: i + 1,
+                        line: line.to_string(),
+                        what: format!("`{name}` names no file of the repository"),
+                    });
+                }
+            }
+        }
+    }
+    checked
+}
+
+/// The Markdown file names in `line`: a non-empty run of ASCII letters,
+/// digits, `_` and `-` followed by `.md` and no further identifier
+/// character (any path in front is dropped).
+fn md_names(line: &str) -> impl Iterator<Item = &str> {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    line.match_indices(".md").filter_map(move |(at, _)| {
+        let end = at + ".md".len();
+        let start = line[..at].trim_end_matches(is_name).len();
+        let whole = !line[end..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        (start < at && whole).then(|| &line[start..end])
+    })
 }
 
 /// The `pub` items of stripped source: the offset of each `pub` and the
@@ -348,7 +405,7 @@ fn loc() -> ExitCode {
     for krate in crates {
         let src_dir = krate.join("src");
         let mut files = Vec::new();
-        rust_files(&src_dir, &mut files);
+        files_ending(&src_dir, ".rs", &mut files);
         files.sort();
         let mut test_only: Vec<PathBuf> = Vec::new();
         let mut counts = Vec::new();
@@ -374,9 +431,10 @@ fn loc() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Collects every `.rs` file under `dir`, recursively, except under
-/// build-output (`target`) and hidden directories.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Collects every file whose name ends with `suffix` under `dir`,
+/// recursively, except under build-output (`target`) and hidden
+/// directories.
+fn files_ending(dir: &Path, suffix: &str, out: &mut Vec<PathBuf>) {
     let entries =
         std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{} unreadable: {e}", dir.display()));
     for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
@@ -386,9 +444,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
             .unwrap_or_default();
         if path.is_dir() {
             if name != "target" && !name.starts_with('.') {
-                rust_files(&path, out);
+                files_ending(&path, suffix, out);
             }
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(suffix) {
             out.push(path);
         }
     }
