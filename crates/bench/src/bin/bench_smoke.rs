@@ -466,7 +466,7 @@ fn main() {
         profile.ops_per_instr()
     );
 
-    // Gates: generous margins below the measured ratios (7-11x register
+    // Gates: generous margins below the measured ratios (5.5-6.7x register
     // vs tree, 2.1-2.3x fused vs unfused on the register engine) so CI noise
     // does not flake, but a real regression (the register pass falling
     // back to the interpreter or slowing the dispatch loop, the fusion

@@ -4,7 +4,8 @@
 //! The split is the `wasmtime-jit` / `-runtime` one: an immutable
 //! [`Artifact`] built once — decode-derived tables, one executor's code
 //! (the load-time compile's register program for [`ExecMode::Aot`], the
-//! structured bodies for [`ExecMode::Interpreted`]), the verifier's
+//! structured bodies and their control side tables for
+//! [`ExecMode::Interpreted`]), the verifier's
 //! verdict — and an
 //! [`Instance`](crate::exec::Instance) that holds an `Arc` of it plus the
 //! state a guest can change: linear memory, globals, counters. Any number of
@@ -27,6 +28,11 @@ pub(crate) struct PreparedFunc {
     pub(crate) type_idx: u32,
     pub(crate) locals: Vec<ValType>,
     pub(crate) code: Vec<Instr>,
+    /// The control side table, one entry per instruction of `code`: at
+    /// each `block`, `loop` and `else` the pc of its matching `end`, at an
+    /// `if` the pc of its `else` if it has one and of its `end` if not;
+    /// 0 everywhere else ([`crate::exec::block_ends`]).
+    pub(crate) ends: Box<[u32]>,
 }
 
 /// A module prepared for execution in one mode under one configuration.
@@ -86,8 +92,9 @@ pub struct Artifact {
 /// artifact's [`ExecMode`].
 #[derive(Debug)]
 pub(crate) enum Code {
-    /// The structured bodies the tree interpreter walks
-    /// ([`ExecMode::Interpreted`]): function index minus `imports.len()`.
+    /// The structured bodies the tree interpreter walks, each with its
+    /// control side table ([`ExecMode::Interpreted`]): function index minus
+    /// `imports.len()`.
     Tree(Box<[PreparedFunc]>),
     /// What the load-time compile left ([`ExecMode::Aot`]): the register
     /// program, its tables, the pass statistics and what the walk cost.
@@ -140,6 +147,7 @@ impl Artifact {
                         type_idx: f.type_idx,
                         locals: f.locals.clone(),
                         code: f.code.clone(),
+                        ends: crate::exec::block_ends(&f.code),
                     })
                     .collect(),
             ),

@@ -15,10 +15,12 @@
 //! two executors:
 //!
 //! 1. **Tree-walking interpreter** ([`ExecMode::Interpreted`]): executes the
-//!    structured instruction sequence directly, re-discovering each block's
-//!    `end`/`else` by scanning forward at runtime, over an enum-tagged
-//!    [`Value`] stack — the classic naive interpreter, kept as the
-//!    differential oracle.
+//!    structured instruction sequence directly, over an enum-tagged
+//!    [`Value`] stack, and reads each `block`'s and `if`'s `end`/`else`
+//!    from a per-body side table (`block_ends`, one `u32` per
+//!    instruction, built by one pass of its own at load time) instead of
+//!    scanning forward for it — WAMR's classic interpreter caches block
+//!    addresses the same way. Kept as the differential oracle.
 //! 2. **Register engine** ([`ExecMode::Aot`], [`crate::reg`]): the portable
 //!    analogue of WAMR's AOT step — translate once at load time, run on a
 //!    representation built for execution rather than decoding. One
@@ -50,8 +52,9 @@
 //! [`Trap::MemoryOutOfBounds`]: the crate forbids `unsafe`, so a proof
 //! that an access is in bounds would have no check to remove. Because the
 //! register engine stops short of native code generation, the speedup over
-//! interpretation is smaller than WAMR's 28× (see BENCHMARKS.md for
-//! measured ratios).
+//! interpretation is smaller than WAMR's 28×: 4–6× on the speedtest
+//! guest's calls and 5.5–6.7× on gemm (see BENCHMARKS.md for the
+//! dispatch counts behind it).
 
 use std::sync::Arc;
 
@@ -207,7 +210,8 @@ impl std::error::Error for Trap {}
 /// Execution mode for an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Naive structured interpretation (branch targets found by scanning).
+    /// Structured interpretation, the oracle (block exits read from a
+    /// per-body side table).
     Interpreted,
     /// Ahead-of-time lowering to the register engine (see [`crate::reg`]).
     /// A module with a frame past the `u16` slot encoding is refused at
@@ -459,26 +463,33 @@ pub(crate) fn mem_store(mem: &mut [u8], base: i32, offset: u32, bytes: &[u8]) ->
     Ok(())
 }
 
-/// Scans forward from an opener pc for its matching `End` (and `Else`).
-fn scan_block(code: &[Instr], opener_pc: usize) -> (usize, Option<usize>) {
-    let mut depth = 0usize;
-    let mut else_pc = None;
-    let mut pc = opener_pc + 1;
-    while pc < code.len() {
-        match &code[pc] {
-            i if i.opens_block() => depth += 1,
-            Instr::Else if depth == 0 => else_pc = Some(pc),
-            Instr::End => {
-                if depth == 0 {
-                    return (pc, else_pc);
+/// A body's control side table ([`PreparedFunc::ends`]), built in one
+/// pass over a stack of the constructs still open: an `else` resolves the
+/// `if` on top and stays open in its place, an `end` resolves and pops the
+/// top. The body's own final `end` finds the stack empty and resolves
+/// nothing.
+pub(crate) fn block_ends(code: &[Instr]) -> Box<[u32]> {
+    let mut ends = vec![0; code.len()];
+    let mut open: Vec<usize> = Vec::new();
+    let at = |pc: usize| u32::try_from(pc).expect("a body's size in bytes is a u32");
+    for (pc, instr) in code.iter().enumerate() {
+        match instr {
+            i if i.opens_block() => open.push(pc),
+            Instr::Else => {
+                if let Some(opener) = open.last_mut() {
+                    ends[*opener] = at(pc);
+                    *opener = pc;
                 }
-                depth -= 1;
+            }
+            Instr::End => {
+                if let Some(opener) = open.pop() {
+                    ends[opener] = at(pc);
+                }
             }
             _ => {}
         }
-        pc += 1;
     }
-    unreachable!("validated code has matching end");
+    ends.into_boxed_slice()
 }
 
 /// Runtime label on the control stack.
@@ -903,14 +914,6 @@ impl Instance {
             }};
         }
 
-        macro_rules! instr_at {
-            ($pc:expr) => {
-                // Clone is cheap for all but BrTable; BrTable is cloned only
-                // when executed.
-                bodies[body_idx].code[$pc].clone()
-            };
-        }
-
         macro_rules! binop {
             ($as:ident, $wrap:ident, $f:expr) => {{
                 let b = stack.pop().expect("validated").$as();
@@ -970,20 +973,21 @@ impl Instance {
             if pc >= code_len {
                 leave_function!();
             }
-            let instr = instr_at!(pc);
+            // Borrowed, not cloned: a `br_table` allocates nothing.
+            let instr = &bodies[body_idx].code[pc];
             pc += 1;
             // Retirement is inclusive at fetch: the instruction counts
             // before it executes (and so before it can trap). Shape-only
             // opcodes classify to weight 0 but still count as a dispatch.
             if P::ENABLED {
-                let (cls, weight) = classify(&instr);
+                let (cls, weight) = classify(instr);
                 prof.retire1(cls, weight);
             }
-            match instr {
+            match *instr {
                 Instr::Unreachable => return Err(Trap::Unreachable),
                 Instr::Nop => {}
                 Instr::Block(bt) => {
-                    let (end, _) = scan_block(&bodies[body_idx].code, pc - 1);
+                    let end = bodies[body_idx].ends[pc - 1] as usize;
                     let (params, results) = art.block_arities(bt);
                     labels.push(Label {
                         target: end + 1,
@@ -1003,7 +1007,14 @@ impl Instance {
                 }
                 Instr::If(bt) => {
                     let cond = stack.pop().expect("validated").as_i32();
-                    let (end, else_pc) = scan_block(&bodies[body_idx].code, pc - 1);
+                    // The table holds the `if`'s `else` when it has one,
+                    // and that `else` holds the `end`.
+                    let body = &bodies[body_idx];
+                    let exit = body.ends[pc - 1] as usize;
+                    let (end, else_pc) = match body.code[exit] {
+                        Instr::Else => (body.ends[exit] as usize, Some(exit)),
+                        _ => (exit, None),
+                    };
                     let (params, results) = art.block_arities(bt);
                     if cond != 0 {
                         labels.push(Label {
@@ -1042,7 +1053,10 @@ impl Instance {
                         do_branch!(d);
                     }
                 }
-                Instr::BrTable { targets, default } => {
+                Instr::BrTable {
+                    ref targets,
+                    default,
+                } => {
                     let i = stack.pop().expect("validated").as_u32() as usize;
                     let d = targets.get(i).copied().unwrap_or(default);
                     do_branch!(d);
@@ -1624,4 +1638,207 @@ pub(crate) fn trunc_f64_to_u64(a: f64) -> Result<u64, Trap> {
         return Err(Trap::BadConversion);
     }
     Ok(t as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::ModuleBuilder;
+    use crate::instr::Instr as I;
+    use crate::types::BlockType;
+
+    /// The brute-force reference for [`block_ends`]: scans forward from an
+    /// opener pc for its matching `end` (and, at depth 0, its `else`).
+    fn scan_block(code: &[Instr], opener_pc: usize) -> (usize, Option<usize>) {
+        let mut depth = 0usize;
+        let mut else_pc = None;
+        let mut pc = opener_pc + 1;
+        while pc < code.len() {
+            match &code[pc] {
+                i if i.opens_block() => depth += 1,
+                Instr::Else if depth == 0 => else_pc = Some(pc),
+                Instr::End => {
+                    if depth == 0 {
+                        return (pc, else_pc);
+                    }
+                    depth -= 1;
+                }
+                _ => {}
+            }
+            pc += 1;
+        }
+        unreachable!("validated code has matching end");
+    }
+
+    /// Asserts that every opener's side-table entries in every body of
+    /// `wasm`'s tree artifact are what [`scan_block`] finds; returns the
+    /// number of openers checked.
+    fn assert_tables_match_scan(wasm: &[u8], ctx: &str) -> usize {
+        let module = crate::load(wasm).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let art = Artifact::new(&module, ExecMode::Interpreted, EngineConfig::default()).unwrap();
+        let Code::Tree(bodies) = &art.code else {
+            panic!("{ctx}: an interpreted artifact holds tree code")
+        };
+        let mut openers = 0;
+        for (f, body) in bodies.iter().enumerate() {
+            let (code, ends) = (&body.code, &body.ends);
+            assert_eq!(
+                ends.len(),
+                code.len(),
+                "{ctx} body {f}: one entry per instruction"
+            );
+            for (pc, instr) in code.iter().enumerate().filter(|(_, i)| i.opens_block()) {
+                openers += 1;
+                let (end, else_pc) = scan_block(code, pc);
+                let at = |pc: usize| ends[pc] as usize;
+                match else_pc {
+                    Some(else_pc) => {
+                        assert!(matches!(instr, I::If(_)), "{ctx} body {f} pc {pc}");
+                        assert_eq!(at(pc), else_pc, "{ctx} body {f}: else of the if at {pc}");
+                        assert_eq!(at(else_pc), end, "{ctx} body {f}: end of the else at {pc}");
+                    }
+                    None => assert_eq!(at(pc), end, "{ctx} body {f}: end of the opener at {pc}"),
+                }
+            }
+        }
+        openers
+    }
+
+    /// `watz_bench::fig4_app(1)`'s shape, rebuilt here: 100 functions of
+    /// 1200 unrolled `i64.const; i64.add` pairs, no block at all.
+    fn fig4_app() -> Vec<u8> {
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[], &[ValType::I64]);
+        let mut main_idx = 0;
+        for f in 0..100 {
+            let mut code = vec![I::I64Const(f)];
+            for k in 0..1200 {
+                code.extend([I::I64Const(k), I::I64Add]);
+            }
+            code.push(I::End);
+            main_idx = b.add_func(ty, &[], code);
+        }
+        b.export_func("main", main_idx);
+        b.add_memory(1, None);
+        b.build()
+    }
+
+    /// `depth` constructs nested in turn as `block`, `loop` and an `if`
+    /// with an `else`, around a `nop`.
+    fn nest(depth: usize, out: &mut Vec<Instr>) {
+        if depth == 0 {
+            out.push(I::Nop);
+            return;
+        }
+        let e = BlockType::Empty;
+        match depth % 3 {
+            0 => out.push(I::Block(e)),
+            1 => out.push(I::Loop(e)),
+            _ => out.extend([I::I32Const(1), I::If(e)]),
+        }
+        nest(depth - 1, out);
+        if depth % 3 == 2 {
+            out.extend([I::Else, I::Nop]);
+        }
+        out.push(I::End);
+    }
+
+    /// Hand-built bodies for the shapes a corpus may not reach, all
+    /// `[] -> []`.
+    fn hand_built() -> Vec<(&'static str, Vec<Instr>)> {
+        let e = BlockType::Empty;
+        let mut deep = Vec::new();
+        nest(64, &mut deep);
+        deep.push(I::End);
+        vec![
+            ("64-deep nesting", deep),
+            (
+                "else at depth 0 after nested ifs",
+                vec![
+                    I::I32Const(1),
+                    I::If(e),
+                    I::I32Const(1),
+                    I::If(e),
+                    I::I32Const(0),
+                    I::If(e),
+                    I::Nop,
+                    I::End,
+                    I::End,
+                    I::I32Const(1),
+                    I::If(e),
+                    I::Nop,
+                    I::Else,
+                    I::Nop,
+                    I::End,
+                    I::Else,
+                    I::Nop,
+                    I::End,
+                    I::End,
+                ],
+            ),
+            (
+                "if without else",
+                vec![I::I32Const(0), I::If(e), I::Nop, I::End, I::End],
+            ),
+            (
+                "blocks in unreachable tails",
+                vec![
+                    // After `br`.
+                    I::Block(e),
+                    I::Br(0),
+                    I::Block(e),
+                    I::Nop,
+                    I::End,
+                    I::I32Const(1),
+                    I::If(e),
+                    I::End,
+                    I::End,
+                    // After `unreachable`: the `if` pops the polymorphic
+                    // stack.
+                    I::Block(e),
+                    I::Unreachable,
+                    I::Loop(e),
+                    I::End,
+                    I::If(e),
+                    I::Else,
+                    I::End,
+                    I::End,
+                    // After `return`, to the body's end.
+                    I::Return,
+                    I::Block(e),
+                    I::End,
+                    I::If(e),
+                    I::Block(e),
+                    I::End,
+                    I::Else,
+                    I::End,
+                    I::End,
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn side_table_equals_the_forward_scan() {
+        use workloads::{genann_guest, polybench, speedtest};
+        for k in polybench::suite() {
+            let wasm = minic::compile(k.minic).expect("kernel compiles");
+            assert!(assert_tables_match_scan(&wasm, k.name) > 0, "{}", k.name);
+        }
+        let options = minic::Options {
+            min_pages: 256,
+            max_pages: None,
+        };
+        let minisql = minic::compile_with_options(speedtest::MINISQL_GUEST, &options).unwrap();
+        assert!(assert_tables_match_scan(&minisql, "minisql") > 0);
+        let genann = minic::compile(&genann_guest::source()).unwrap();
+        assert!(assert_tables_match_scan(&genann, "genann") > 0);
+        assert_eq!(assert_tables_match_scan(&fig4_app(), "fig4_app"), 0);
+        for (name, code) in hand_built() {
+            let mut b = ModuleBuilder::new();
+            let ty = b.add_type(&[], &[]);
+            b.add_func(ty, &[], code);
+            assert!(assert_tables_match_scan(&b.build(), name) > 0, "{name}");
+        }
+    }
 }

@@ -10,8 +10,8 @@
 //! * a complete single-pass **validator** implementing the spec's type
 //!   checking algorithm ([`validate`]);
 //! * an **executor** with two modes ([`exec`]):
-//!   [`ExecMode::Interpreted`] walks structured opcodes and discovers branch
-//!   targets by scanning, like a naive interpreter — the reference
+//!   [`ExecMode::Interpreted`] walks structured opcodes and reads each
+//!   block's exit from a side table built at load time — the reference
 //!   implementation — while [`ExecMode::Aot`] runs the
 //!   register engine: each body lowered at load time in one walk over its
 //!   structured instructions to register code with absolute jumps, inlined
@@ -23,8 +23,9 @@
 //!   register code only, and a module whose frame is past its `u16` slots
 //!   is refused rather than interpreted — the stand-in for WAMR's AOT
 //!   mode (the real thing emits native code; ours stays portable, so the
-//!   AOT/interp gap is smaller than the paper's 28x: BENCHMARKS.md records
-//!   the measured ratios). [`EngineConfig`] is set by tests and bench
+//!   AOT/interp gap is smaller than the paper's 28x: 4-6x on the speedtest
+//!   guest, 5.5-6.7x on gemm; BENCHMARKS.md records the dispatch counts).
+//!   [`EngineConfig`] is set by tests and bench
 //!   binaries only; there is no switch, and the crate reads no
 //!   environment variable. What all of
 //!   that produces is one immutable, shareable [`Artifact`] ([`artifact`]);

@@ -525,6 +525,189 @@ fn randomized_minic_kernels_agree_across_engines() {
     assert!(traps < PROGRAMS, "corpus produced only trapping programs");
 }
 
+/// The control shapes the tree oracle resolves through its side table and
+/// walks by reference (a `br_table` is borrowed, not cloned), each a
+/// hand-built export `f` with its argument rows and expected outcomes;
+/// result, trap kind and instret must agree on every configuration.
+#[test]
+fn control_shapes_agree_across_engines() {
+    use watz::wasm::builder::ModuleBuilder;
+    use watz::wasm::instr::Instr as I;
+    use watz::wasm::types::{BlockType, ValType};
+
+    let i32_ = ValType::I32;
+    let e = BlockType::Empty;
+    let v = BlockType::Value(i32_);
+    // acc (local 1) += k
+    let add = |k| [I::LocalGet(1), I::I32Const(k), I::I32Add, I::LocalSet(1)];
+    /// Arguments, and the result or a part of the trap message.
+    type Row = (Vec<i32>, Result<i32, &'static str>);
+    let mut shapes: Vec<(&str, ModuleBuilder, Vec<Row>)> = Vec::new();
+
+    // A `br_table` in a loop, its targets mixing block and loop depths:
+    // 0 and 3 leave the inner block (acc += 11), 1 the outer one
+    // (acc += 10), 2 re-enters the loop and the default (i % 5 == 4)
+    // leaves it.
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_], &[i32_]);
+    let mut code = vec![I::Block(e), I::Loop(e)];
+    code.extend([
+        I::LocalGet(0),
+        I::I32Const(1),
+        I::I32Sub,
+        I::LocalTee(0),
+        I::I32Const(0),
+        I::I32LtS,
+        I::BrIf(1),
+        I::Block(e),
+        I::Block(e),
+        I::LocalGet(0),
+        I::I32Const(5),
+        I::I32RemU,
+        I::BrTable {
+            targets: vec![0, 1, 2, 0],
+            default: 3,
+        },
+        I::End,
+    ]);
+    code.extend(add(1));
+    code.push(I::End);
+    code.extend(add(10));
+    code.extend([I::Br(0), I::End, I::End, I::LocalGet(1), I::End]);
+    let f = b.add_func(ty, &[i32_], code);
+    b.export_func("f", f);
+    shapes.push((
+        "br_table in a loop",
+        b,
+        vec![
+            (vec![0], Ok(0)),
+            (vec![3], Ok(21)),
+            (vec![4], Ok(32)),
+            (vec![5], Ok(0)),
+            (vec![23], Ok(21)),
+        ],
+    ));
+
+    // A two-value `if` with params and no `else`: a false condition passes
+    // its params through.
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_, i32_, i32_], &[i32_]);
+    let pair = b.add_type(&[i32_, i32_], &[i32_, i32_]);
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::LocalGet(0),
+            I::LocalGet(1),
+            I::LocalGet(2),
+            I::If(BlockType::Func(pair)),
+            I::I32Add,
+            I::I32Const(3),
+            I::End,
+            I::I32Sub,
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "multi-value if without else",
+        b,
+        vec![(vec![7, 2, 1], Ok(6)), (vec![7, 2, 0], Ok(5))],
+    ));
+
+    // An `if` whose then-branch, a block left by `br_if` or by falling
+    // out, falls through into its `else`, which jumps to the `end`.
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_, i32_], &[i32_]);
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::LocalGet(0),
+            I::If(v),
+            I::Block(v),
+            I::I32Const(5),
+            I::LocalGet(1),
+            I::BrIf(0),
+            I::Drop,
+            I::I32Const(6),
+            I::End,
+            I::I32Const(1),
+            I::I32Add,
+            I::Else,
+            I::I32Const(9),
+            I::End,
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "else reached by fall-through",
+        b,
+        vec![
+            (vec![1, 1], Ok(6)),
+            (vec![1, 0], Ok(7)),
+            (vec![0, 1], Ok(9)),
+        ],
+    ));
+
+    // A trap inside a nested `if`: 100 / (a - 1) when a and b are set.
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_, i32_], &[i32_]);
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::LocalGet(0),
+            I::If(v),
+            I::LocalGet(1),
+            I::If(v),
+            I::I32Const(100),
+            I::LocalGet(0),
+            I::I32Const(1),
+            I::I32Sub,
+            I::I32DivU,
+            I::Else,
+            I::I32Const(2),
+            I::End,
+            I::Else,
+            I::I32Const(3),
+            I::End,
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "trap inside a nested if",
+        b,
+        vec![
+            (vec![1, 1], Err("integer division by zero")),
+            (vec![3, 1], Ok(50)),
+            (vec![5, 0], Ok(2)),
+            (vec![0, 9], Ok(3)),
+        ],
+    ));
+
+    for (shape, b, rows) in shapes {
+        let module = watz::wasm::load(&b.build()).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        for (args, want) in rows {
+            let args: Vec<Value> = args.into_iter().map(Value::I32).collect();
+            let outcomes = run_matrix(&module, "f", &args);
+            for (label, outcome) in &outcomes[1..] {
+                assert_eq!(
+                    &outcomes[0].1, outcome,
+                    "{shape} {args:?}: {label} diverges from the oracle"
+                );
+            }
+            match (&outcomes[0].1, want) {
+                (Ok(got), Ok(w)) => assert_eq!(got, &vec![Value::I32(w)], "{shape} {args:?}"),
+                (Err(got), Err(w)) => assert!(got.contains(w), "{shape} {args:?}: {got}"),
+                (got, w) => panic!("{shape} {args:?}: got {got:?}, want {w:?}"),
+            }
+        }
+    }
+}
+
 /// An export and its arguments.
 type Call = (&'static str, Vec<Value>);
 
