@@ -4,16 +4,11 @@
 use std::time::Duration;
 
 use tz_hal::PlatformConfig;
-use watz_bench::header;
+use watz_bench::{header, median};
 use watz_runtime::{AppConfig, StartupBreakdown, WatzRuntime};
 
 /// Launches of each kind per size; each column is their median.
 const LOADS: usize = 5;
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort();
-    samples[samples.len() / 2]
-}
 
 /// One table row: each phase's share of the median total, then the total.
 /// With `us`, each phase's median in microseconds follows its share.

@@ -17,7 +17,7 @@ use tz_hal::{Platform, PlatformConfig};
 use watz_attestation::attester::Attester;
 use watz_attestation::service::AttestationService;
 use watz_attestation::verifier::{Verifier, VerifierConfig};
-use watz_bench::{fmt, header, host_info, median_time, reps};
+use watz_bench::{fmt, header, host_info, median, median_time, reps};
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
@@ -63,11 +63,6 @@ fn records_session(
             .unwrap();
     });
     t.elapsed()
-}
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort();
-    samples[samples.len() / 2]
 }
 
 fn main() {

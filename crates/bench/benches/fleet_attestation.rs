@@ -9,8 +9,8 @@
 use std::time::Duration;
 
 use watz_bench::{header, reps, scale};
-use watz_fleet::sim::{fmt_latency, FleetSim, FleetSimConfig};
-use watz_fleet::OpenLoopConfig;
+use watz_fleet::sim::{fmt_latency, Arrivals, FleetSim, FleetSimConfig};
+use watz_fleet::FleetConfig;
 
 fn main() {
     header(
@@ -24,7 +24,10 @@ fn main() {
         endorsed: devices,
         rogue: 0,
         stale: 0,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         ..FleetSimConfig::default()
     })
     .expect("fleet boot");
@@ -59,24 +62,29 @@ fn main() {
     // of queueing without bound — the honest overload numbers, shed
     // counts included.
     let offered_rate = 3.0 * one_worker_rate.max(1.0);
+    let overload_devices = devices.min(32);
     let overload_sim = FleetSim::boot(FleetSimConfig {
         shards: 1,
-        endorsed: devices.min(32),
+        endorsed: overload_devices,
         rogue: 0,
         stale: 0,
-        session_timeout: Duration::from_secs(30),
+        fleet: FleetConfig {
+            session_timeout: Duration::from_secs(30),
+            max_sessions_per_worker: 4,
+            max_queued_per_worker: 4,
+            ..FleetConfig::default()
+        },
         port: 7702,
-        max_sessions_per_worker: 4,
-        max_queued_per_worker: 4,
         ..FleetSimConfig::default()
     })
     .expect("overload fleet boot");
-    let overload = overload_sim.run_open_loop(&OpenLoopConfig {
+    let arrivals = Arrivals::Open {
         sessions: devices * 2,
         interval: Duration::from_secs_f64(1.0 / offered_rate),
-        workers: 1,
         client_threads: 16,
-    });
+    };
+    let ids: Vec<u32> = (0..overload_devices as u32).collect();
+    let overload = overload_sim.run_round(&ids, 1, arrivals);
     println!("  open-loop overload (~3x 1-worker capacity, caps 4+4 per worker):");
     println!("{overload}");
 }

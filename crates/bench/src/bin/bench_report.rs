@@ -18,6 +18,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use watz_bench::RUNGS;
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
 use watz_wasm::{EngineConfig, ExecProfile, ProfileMode};
 
@@ -256,14 +257,6 @@ fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 // --- Live engine profiling -------------------------------------------
-
-/// `(label, mode, fuse)`: the oracle, then the register engine without
-/// and with superinstruction fusion.
-const RUNGS: [(&str, ExecMode, bool); 3] = [
-    ("tree", ExecMode::Interpreted, true),
-    ("register-unfused", ExecMode::Aot, false),
-    ("register", ExecMode::Aot, true),
-];
 
 /// Runs `kernel(n)` with counting enabled on one rung.
 fn profile_rung(module: &watz_wasm::Module, mode: ExecMode, fuse: bool, n: i32) -> ExecProfile {

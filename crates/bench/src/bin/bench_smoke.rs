@@ -24,26 +24,15 @@ use std::time::{Duration, Instant};
 use watz_attestation::attester::Attester;
 use watz_attestation::verifier::Verifier;
 use watz_attestation::wire::{MSG3_HEADER_LEN, MSG3_RECORD_LEN};
+use watz_bench::{median_time, RUNGS};
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::gcm::AesGcm128;
 use watz_crypto::p256::{curve, AffinePoint, U256};
 use watz_crypto::sha256::Sha256;
-use watz_fleet::{FleetSim, FleetSimConfig, FleetStats};
+use watz_fleet::{Arrivals, FleetConfig, FleetSim, FleetSimConfig, FleetStats};
 use watz_wasm::exec::{ExecMode, Instance, NoHost, Value};
 use watz_wasm::{EngineConfig, ProfileMode};
-
-fn median(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
 
 /// Instantiates `module` under an explicit engine configuration.
 fn engine(module: &watz_wasm::Module, mode: ExecMode, config: EngineConfig) -> Instance {
@@ -59,7 +48,7 @@ fn fusion(fuse: bool) -> EngineConfig {
 }
 
 fn time_kernel(inst: &mut Instance, n: i32, reps: usize) -> Duration {
-    median(reps, || {
+    median_time(reps, || {
         std::hint::black_box(
             inst.invoke(&mut NoHost, "kernel", &[Value::I32(n)])
                 .unwrap(),
@@ -72,12 +61,7 @@ fn time_kernel(inst: &mut Instance, n: i32, reps: usize) -> Duration {
 /// carries the observability data needed to localize the regression.
 fn dump_exec_profiles(module: &watz_wasm::Module, n: i32) {
     eprintln!("--- per-rung execution profiles for the failed gate (n={n}) ---");
-    let rungs = [
-        ("tree", ExecMode::Interpreted, true),
-        ("register-unfused", ExecMode::Aot, false),
-        ("register", ExecMode::Aot, true),
-    ];
-    for (label, mode, fuse) in rungs {
+    for (label, mode, fuse) in RUNGS {
         let config = EngineConfig {
             profile: ProfileMode::Count,
             ..fusion(fuse)
@@ -92,28 +76,6 @@ fn dump_exec_profiles(module: &watz_wasm::Module, n: i32) {
             None => eprintln!("  {label}: no profile recorded"),
         }
     }
-}
-
-/// Dumps fleet counters on a worker-scaling gate failure.
-fn dump_fleet_stats(label: &str, stats: &FleetStats) {
-    eprintln!("--- fleet stats for the failed gate ({label}) ---");
-    eprintln!(
-        "  accepted {}  served {}  rejected {}  malformed {}  timed-out {}  disconnected {}  shed {}",
-        stats.accepted,
-        stats.served,
-        stats.rejected,
-        stats.malformed,
-        stats.timed_out,
-        stats.disconnected,
-        stats.shed
-    );
-    eprintln!(
-        "  appraised {} in {} appraisal batches, {} msg1 batches ({} world switches)",
-        stats.appraised,
-        stats.appraisal_batches,
-        stats.msg1_batches,
-        stats.msg1_batches + stats.appraisal_batches
-    );
 }
 
 fn sweep_suite() {
@@ -424,18 +386,18 @@ fn main() {
     let blob = vec![0x5au8; 1 << 20];
     let gcm = AesGcm128::new(&[7u8; 16]);
     // Two passes over the MiB per sample keep every sample above 5 ms.
-    let t_gcm = median(5, || {
+    let t_gcm = median_time(5, || {
         for _ in 0..2 {
             std::hint::black_box(gcm.encrypt(&[1u8; 12], std::hint::black_box(&blob), b""));
         }
     });
-    let t_sha = median(5, || {
+    let t_sha = median_time(5, || {
         for _ in 0..2 {
             std::hint::black_box(Sha256::digest(std::hint::black_box(&blob)));
         }
     });
     let gcm_vs_sha = t_sha.as_secs_f64() / t_gcm.as_secs_f64();
-    let t_setup = median(5, || {
+    let t_setup = median_time(5, || {
         for _ in 0..1000 {
             std::hint::black_box(AesGcm128::new(std::hint::black_box(&[7u8; 16])));
         }
@@ -547,10 +509,10 @@ fn main() {
     let app_module = watz_wasm::load(&app).expect("fig4 module loads");
     let instantiate = || engine(&app_module, ExecMode::Aot, EngineConfig::default());
     std::hint::black_box(instantiate()); // first touch of the allocator's pages
-    let t_load = median(5, || {
+    let t_load = median_time(5, || {
         std::hint::black_box(watz_wasm::load(std::hint::black_box(&app)).expect("loads"));
     });
-    let t_instantiate = median(5, || {
+    let t_instantiate = median_time(5, || {
         std::hint::black_box(instantiate());
     });
     let compile_ratio = t_instantiate.as_secs_f64() / t_load.as_secs_f64();
@@ -675,8 +637,11 @@ fn main() {
         endorsed: 16,
         rogue: 0,
         stale: 0,
-        workers_per_shard: 1,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 1,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7811,
         ..FleetSimConfig::default()
     })
@@ -715,8 +680,9 @@ fn main() {
     // per appraisal usually names the culprit directly.
     let fleet_gate = |ok: bool, msg: &str| {
         if !ok {
-            dump_fleet_stats("1 worker", &stats_one);
-            dump_fleet_stats("4 workers", &stats_four);
+            eprintln!("--- fleet stats for the failed gate ---");
+            eprintln!("  1 worker:  {stats_one}");
+            eprintln!("  4 workers: {stats_four}");
             panic!("{msg}");
         }
     };
@@ -752,23 +718,25 @@ fn main() {
             endorsed: 8,
             rogue: 0,
             stale: 0,
-            workers_per_shard: 1,
-            // Long enough that the server never evicts a queued session
-            // mid-round: eviction silence would block the client for the
-            // full transport timeout and poison the latency samples.
-            session_timeout: Duration::from_secs(30),
+            fleet: FleetConfig {
+                workers: 1,
+                // Long enough that the server never evicts a queued session
+                // mid-round: eviction silence would block the client for the
+                // full transport timeout and poison the latency samples.
+                session_timeout: Duration::from_secs(30),
+                max_sessions_per_worker: caps.0,
+                max_queued_per_worker: caps.1,
+            },
             port,
-            max_sessions_per_worker: caps.0,
-            max_queued_per_worker: caps.1,
             ..FleetSimConfig::default()
         })
         .expect("overload sim boots");
-        sim.run_open_loop(&watz_fleet::OpenLoopConfig {
+        let arrivals = Arrivals::Open {
             sessions: 150,
             interval: overload_interval,
-            workers: 1,
             client_threads: 8,
-        })
+        };
+        sim.run_round(&(0..8).collect::<Vec<u32>>(), 1, arrivals)
     };
     let shedded = overload((2, 2), 7812);
     let unshedded = overload((4096, 4096), 7813);
@@ -780,7 +748,7 @@ fn main() {
         .expect("unshedded run completed some sessions");
     println!(
         "fleet overload ({:.0}/s offered): shedded p99 {p99_shed:?} (shed {})  unshedded p99 {p99_queue:?} (shed {})",
-        shedded.offered_rate(),
+        1.0 / overload_interval.as_secs_f64(),
         shedded.shed,
         unshedded.shed,
     );

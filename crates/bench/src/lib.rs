@@ -9,6 +9,8 @@
 
 use std::time::{Duration, Instant};
 
+use watz_wasm::exec::ExecMode;
+
 /// Number of repetitions, scalable via `WATZ_BENCH_REPS`.
 #[must_use]
 pub fn reps(default: usize) -> usize {
@@ -29,16 +31,32 @@ pub fn scale(default: usize) -> usize {
 
 /// Times `f`, returning the median of `reps` runs.
 pub fn median_time(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
+    median(
+        (0..reps.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed()
+            })
+            .collect(),
+    )
+}
+
+/// The median of a non-empty sample set (the upper one of an even count).
+#[must_use]
+pub fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort();
     samples[samples.len() / 2]
 }
+
+/// `(label, mode, fuse)` of every engine rung a profile compares: the
+/// oracle, then the register engine without and with superinstruction
+/// fusion.
+pub const RUNGS: [(&str, ExecMode, bool); 3] = [
+    ("tree", ExecMode::Interpreted, true),
+    ("register-unfused", ExecMode::Aot, false),
+    ("register", ExecMode::Aot, true),
+];
 
 /// Formats a duration compactly.
 #[must_use]

@@ -126,6 +126,38 @@ fn device_keys_are_stable_per_device() {
     );
 }
 
+#[test]
+fn two_launches_on_one_device_draw_different_randomness() {
+    let rt = runtime();
+    let wasm =
+        minic::compile("extern long random_i64(); long draw() { return random_i64(); }").unwrap();
+    let draw = || {
+        let mut app = rt.load(&wasm, &AppConfig::default()).unwrap();
+        app.invoke("draw", &[]).unwrap()
+    };
+    assert_ne!(draw(), draw(), "each launch gets its own random stream");
+}
+
+#[test]
+fn respawned_verifier_answers_msg0_with_a_fresh_ecdhe_share() {
+    // Two verifier spawns on one booted OS, each answering a different
+    // attester: a repeated Gv would give two sessions the same keys.
+    let rt = runtime();
+    let (config, _pinned) = verifier_config_for(&rt, [0; 32], b"secret");
+    let gv = |attester_seed: &[u8]| {
+        let server = VerifierServer::spawn(rt.os(), config.clone(), 9420).unwrap();
+        let conn = rt.os().network().connect(9420).unwrap();
+        let mut rng = watz_crypto::fortuna::Fortuna::from_seed(attester_seed);
+        let (_attester, msg0) = watz_attestation::attester::Attester::start(&mut rng);
+        conn.send(&msg0.to_bytes()).unwrap();
+        let msg1 = watz_attestation::wire::Msg1::from_bytes(&conn.recv().unwrap()).unwrap();
+        drop(conn);
+        let _ = server.shutdown();
+        msg1.gv
+    };
+    assert_ne!(gv(b"attester one"), gv(b"attester two"));
+}
+
 const ATTEST_GUEST: &str = r#"
     extern int ra_handshake(int port, int key_ptr);
     extern int ra_collect_quote(int ctx);

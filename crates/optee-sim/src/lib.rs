@@ -35,7 +35,7 @@
 pub mod net;
 pub mod time;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tz_hal::{Platform, World};
@@ -95,6 +95,8 @@ struct OsInner {
     /// MKVB. Private: user space (TAs) can never read it.
     kernel_attestation_seed: [u8; 32],
     exec_pages_allocated: AtomicUsize,
+    /// Streams [`TrustedOs::kernel_prng`] has handed out this boot.
+    prng_draws: AtomicU64,
 }
 
 impl TrustedOs {
@@ -120,6 +122,7 @@ impl TrustedOs {
                 network: Arc::new(net::Network::new()),
                 kernel_attestation_seed,
                 exec_pages_allocated: AtomicUsize::new(0),
+                prng_draws: AtomicU64::new(0),
             }),
         })
     }
@@ -209,10 +212,22 @@ impl TrustedOs {
         f(&self.inner.kernel_attestation_seed)
     }
 
-    /// A deterministic per-device PRNG stream for a given purpose label.
+    /// A fresh PRNG stream for a given purpose label. Each call is its
+    /// own domain-separated stream: the seed is the kernel seed, this
+    /// boot's draw counter and the label, so two app launches or two
+    /// verifier spawns on one booted OS never share random numbers or
+    /// ephemeral keys. A boot stays reproducible from its device seed and
+    /// call order.
+    ///
+    /// Across reboots the counter restarts, so a rebooted device that
+    /// makes the same calls replays the same streams. That is inherent to
+    /// a seeded model of the device; ending it needs a hardware entropy
+    /// source.
     #[must_use]
     pub fn kernel_prng(&self, purpose: &str) -> Fortuna {
+        let draw = self.inner.prng_draws.fetch_add(1, Ordering::Relaxed);
         let mut seed = self.inner.kernel_attestation_seed.to_vec();
+        seed.extend_from_slice(&draw.to_le_bytes());
         seed.extend_from_slice(purpose.as_bytes());
         Fortuna::from_seed(&seed)
     }

@@ -522,13 +522,15 @@ impl Connection {
             hook.record(seq, FaultKind::Delay);
             std::thread::sleep(d);
         }
+        // Copy the frame only when the duplicate fault fired.
+        let copy = duplicate.then(|| payload.clone());
         self.tx
-            .send(payload.clone())
+            .send(payload)
             .map_err(|_| TeeError::Net("peer disconnected".into()))?;
-        if duplicate {
+        if let Some(copy) = copy {
             hook.record(seq, FaultKind::Duplicate);
             // Peer may legitimately vanish between the copies.
-            let _ = self.tx.send(payload);
+            let _ = self.tx.send(copy);
         }
         Ok(())
     }

@@ -16,8 +16,11 @@
 //!   malformed / timed-out / disconnected / shed).
 //! * [`sim`] — a sharded device registry and simulator: boot N simulated
 //!   devices across K shards (each shard its own `TrustedOs`/`Network`),
-//!   drive them through concurrent attestation sessions, and report
-//!   throughput and latency percentiles.
+//!   drive them through rounds of attestation sessions and report
+//!   throughput and latency percentiles. A round is a set of scheduled
+//!   devices plus an [`Arrivals`] schedule: closed (every device at once)
+//!   or open (a fixed arrival rate, whatever completes); both go through
+//!   one driver, one client path and one [`FleetReport`].
 //!
 //! # Example
 //!
@@ -47,6 +50,4 @@ pub use service::{
     appraise_batch, percentiles_us, prepare_msg1_batch, ConfigError, FleetConfig, FleetStats,
     FleetVerifier, PhaseStats, SpawnError,
 };
-pub use sim::{
-    DeviceKind, DeviceRecord, FleetReport, FleetSim, FleetSimConfig, OpenLoopConfig, OpenLoopReport,
-};
+pub use sim::{Arrivals, DeviceKind, DeviceRecord, FleetReport, FleetSim, FleetSimConfig};

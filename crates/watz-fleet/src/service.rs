@@ -259,6 +259,27 @@ impl FleetStats {
     }
 }
 
+impl std::fmt::Display for FleetStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "accepted {}  served {}  rejected {}  malformed {}  timed-out {}  disconnected {}  shed {}; \
+             {} appraisals in {} batches + {} msg1 batches = {} world switches",
+            self.accepted,
+            self.served,
+            self.rejected,
+            self.malformed,
+            self.timed_out,
+            self.disconnected,
+            self.shed,
+            self.appraised,
+            self.appraisal_batches,
+            self.msg1_batches,
+            self.msg1_batches + self.appraisal_batches
+        )
+    }
+}
+
 /// Per-phase handshake timing samples (microseconds), one entry per
 /// session that crossed the phase boundary.
 ///
@@ -334,16 +355,19 @@ fn push_recent(dst: &mut Vec<u64>, src: &[u64]) {
 /// p50/p95/p99 of unsorted microsecond samples; `None` when empty.
 #[must_use]
 pub fn percentiles_us(samples: &[u64]) -> Option<(u64, u64, u64)> {
-    if samples.is_empty() {
-        return None;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = |p: f64| {
-        let idx = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-    Some((rank(50.0), rank(95.0), rank(99.0)))
+    let rank = |p| nearest_rank(&sorted, p);
+    Some((rank(50.0)?, rank(95.0)?, rank(99.0)?))
+}
+
+/// Percentile `p` (0.0..=100.0) of an ascending-sorted slice by the
+/// nearest-rank rule, or `None` when empty — an absent percentile, not a
+/// misleading zero.
+pub(crate) fn nearest_rank<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let idx = (p / 100.0 * last as f64).round() as usize;
+    Some(sorted[idx.min(last)])
 }
 
 /// Shared atomic counters behind [`FleetStats`].

@@ -16,13 +16,18 @@
 //! * [`DeviceKind::Stale`] — endorsed but reporting an outdated WaTZ
 //!   version: rejected by the verifier's version gate (§VII rollback
 //!   mitigation).
+//!
+//! A round ([`FleetSim::run_round`]) is a set of scheduled devices plus an
+//! [`Arrivals`] schedule. Closed and open rounds differ only there (the
+//! load generators of Schroeder et al., "Open Versus Closed", NSDI 2006):
+//! both spawn one verifier per shard, run every session through
+//! [`AttestClient::attest`] and tally one [`FleetReport`].
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use optee_sim::net::{FaultPlan, Network, RECV_TIMEOUT};
+use optee_sim::net::FaultPlan;
 use optee_sim::{TeeError, TrustedOs};
-use parking_lot::Mutex;
 use tz_hal::{Platform, PlatformConfig};
 use watz_attestation::attester::{AttemptError, AttestClient, RetryPolicy};
 use watz_attestation::service::AttestationService;
@@ -31,7 +36,9 @@ use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::sha256::Sha256;
 
-use crate::service::{percentiles_us, FleetConfig, FleetStats, FleetVerifier, PhaseStats};
+use crate::service::{
+    nearest_rank, percentiles_us, FleetConfig, FleetStats, FleetVerifier, PhaseStats,
+};
 
 /// What kind of attester a simulated device is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,24 +78,18 @@ pub struct FleetSimConfig {
     pub rogue: usize,
     /// Stale (outdated-version) devices across the whole fleet.
     pub stale: usize,
-    /// Worker threads per shard verifier.
-    pub workers_per_shard: usize,
-    /// Per-session deadline at the verifiers.
-    pub session_timeout: Duration,
-    /// In-flight session cap per verifier worker.
-    pub max_sessions_per_worker: usize,
-    /// Admission-queue depth per worker beyond which connections are
-    /// shed with a `SERVER_BUSY` reply (see [`FleetConfig`]).
-    pub max_queued_per_worker: usize,
+    /// Every shard verifier's configuration. Its `workers` is the worker
+    /// count [`FleetSim::run`] uses; the other rounds name their own.
+    pub fleet: FleetConfig,
     /// Port the shard-0 verifier binds; shard `k` uses `port + k` (each
     /// shard has its own network, so this only aids log readability).
     pub port: u16,
     /// Fault plan installed on every shard's network for the duration of
     /// each round (`None` = clean transport, zero overhead).
     pub fault_plan: Option<FaultPlan>,
-    /// Client retry policy. `None` = single-attempt clients (the
-    /// pre-retry behaviour); `Some` clients retry retryable faults, each
-    /// device jittered on its own seed lane.
+    /// Client retry policy. `None` = single-attempt clients; `Some`
+    /// clients retry retryable faults, each device jittered on its own
+    /// seed lane.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -99,15 +100,37 @@ impl Default for FleetSimConfig {
             endorsed: 64,
             rogue: 4,
             stale: 4,
-            workers_per_shard: 4,
-            session_timeout: Duration::from_secs(2),
-            max_sessions_per_worker: 64,
-            max_queued_per_worker: 256,
+            fleet: FleetConfig::default(),
             port: 7700,
             fault_plan: None,
             retry: None,
         }
     }
+}
+
+/// When a round's sessions start. Open and closed rounds differ in
+/// nothing else: the same verifiers, clients, tally and report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrivals {
+    /// Every scheduled device starts one session at once, each on its own
+    /// thread; latency runs from the session's own start.
+    Closed,
+    /// `sessions` arrivals, one every `interval` regardless of whether
+    /// earlier sessions have completed, which is how real fleets overload
+    /// a verifier. Generator thread `t` (of `client_threads`, at most one
+    /// per scheduled device) drives arrivals `t, t + T, ...` on scheduled
+    /// device `t`, so no device's attestation service is driven from two
+    /// threads at once. Latency runs from each session's *scheduled*
+    /// arrival, so queueing delay behind schedule is charged to the
+    /// session (no coordinated omission).
+    Open {
+        /// Total sessions offered.
+        sessions: usize,
+        /// Gap between scheduled arrivals (offered rate = 1/interval).
+        interval: Duration,
+        /// Generator threads.
+        client_threads: usize,
+    },
 }
 
 /// One manufactured device: its own platform, trusted OS and attestation
@@ -183,6 +206,9 @@ pub struct FleetSim {
     devices: Vec<LazyDevice>,
     measurement: [u8; 32],
     verifier_identity_seed: Vec<u8>,
+    /// Rounds run so far: part of every client's RNG seed, so no two
+    /// rounds share an ephemeral key.
+    rounds: AtomicU64,
 }
 
 impl std::fmt::Debug for FleetSim {
@@ -196,11 +222,11 @@ impl std::fmt::Debug for FleetSim {
     }
 }
 
-/// Outcome of one device's client-side session.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of one client-side session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientOutcome {
-    /// Secret received (bytes) after this long.
-    Provisioned(usize, Duration),
+    /// Secret received after this long.
+    Provisioned(Duration),
     /// The verifier answered with the appraisal-failed marker.
     Rejected(Duration),
     /// Admission control shed the session (`SERVER_BUSY`) and the retry
@@ -213,20 +239,23 @@ enum ClientOutcome {
 /// Aggregated result of one simulated fleet round.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Devices that attested in this round.
+    /// Devices scheduled in this round.
     pub devices: usize,
     /// Shards the round ran across.
     pub shards: usize,
+    /// The round's arrival schedule: an open round's offered count and
+    /// rate.
+    pub arrivals: Arrivals,
     /// Wall-clock duration of the round.
     pub elapsed: Duration,
-    /// Devices provisioned with the secret (client-side successes).
+    /// Sessions provisioned with the secret (client-side successes).
     pub provisioned: u64,
-    /// Devices rejected by appraisal (client-side rejections).
+    /// Sessions rejected by appraisal (client-side rejections).
     pub rejected: u64,
-    /// Devices whose session was shed by admission control and never got
-    /// a verdict (client saw `SERVER_BUSY` as its final answer).
+    /// Sessions shed by admission control that never got a verdict
+    /// (client saw `SERVER_BUSY` as its final answer).
     pub shed: u64,
-    /// Devices that failed without a verdict (network errors, timeouts).
+    /// Sessions that failed without a verdict (network errors, timeouts).
     pub failed: u64,
     /// Extra attempts the clients made beyond their first (0 when no
     /// retry policy is configured or no fault forced a retry).
@@ -235,12 +264,14 @@ pub struct FleetReport {
     pub stats: FleetStats,
     /// Server-side per-phase handshake timings, aggregated across shards.
     pub phases: PhaseStats,
-    /// Per-session client-observed latencies, sorted ascending.
+    /// Client-observed latencies of answered sessions (provisioned +
+    /// rejected), sorted ascending. Shed sessions are excluded: their fast
+    /// `BUSY` reply is not a verdict.
     latencies: Vec<Duration>,
 }
 
 impl FleetReport {
-    /// Completed sessions per second of wall-clock time.
+    /// Answered sessions per second of wall-clock time.
     #[must_use]
     pub fn throughput(&self) -> f64 {
         let done = (self.provisioned + self.rejected) as f64;
@@ -258,7 +289,14 @@ impl FleetReport {
     /// out) — an absent percentile, not a misleading zero.
     #[must_use]
     pub fn latency_percentile(&self, p: f64) -> Option<Duration> {
-        percentile_of(&self.latencies, p)
+        nearest_rank(&self.latencies, p)
+    }
+
+    /// How many latency samples the round recorded: one per answered
+    /// session.
+    #[must_use]
+    pub fn latency_samples(&self) -> usize {
+        self.latencies.len()
     }
 
     /// Secure-world entries the round cost (msg1 + appraisal batches) —
@@ -267,16 +305,6 @@ impl FleetReport {
     pub fn world_switches(&self) -> u64 {
         self.stats.msg1_batches + self.stats.appraisal_batches
     }
-}
-
-/// Percentile `p` (0.0..=100.0) of an ascending-sorted latency list, or
-/// `None` when empty — an absent percentile, not a misleading zero.
-fn percentile_of(sorted: &[Duration], p: f64) -> Option<Duration> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    Some(sorted[rank.min(sorted.len() - 1)])
 }
 
 /// Formats an optional latency percentile for reports: `-` when absent.
@@ -290,9 +318,20 @@ pub fn fmt_latency(p: Option<Duration>) -> String {
 
 impl std::fmt::Display for FleetReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fleet round: ")?;
+        if let Arrivals::Open {
+            sessions, interval, ..
+        } = self.arrivals
+        {
+            write!(
+                f,
+                "{sessions} sessions offered at {:.0}/s, ",
+                1.0 / interval.as_secs_f64()
+            )?;
+        }
         writeln!(
             f,
-            "fleet round: {} devices across {} shards in {:.2?}",
+            "{} devices across {} shards in {:.2?}",
             self.devices, self.shards, self.elapsed
         )?;
         writeln!(
@@ -300,23 +339,7 @@ impl std::fmt::Display for FleetReport {
             "  client:  provisioned {}  rejected {}  shed {}  failed {}  (retries {})",
             self.provisioned, self.rejected, self.shed, self.failed, self.retries
         )?;
-        writeln!(
-            f,
-            "  server:  served {}  rejected {}  malformed {}  timed-out {}  disconnected {}  shed {}",
-            self.stats.served,
-            self.stats.rejected,
-            self.stats.malformed,
-            self.stats.timed_out,
-            self.stats.disconnected,
-            self.stats.shed
-        )?;
-        writeln!(
-            f,
-            "  batching: {} appraisals in {} secure-world entries ({} world switches total)",
-            self.stats.appraised,
-            self.stats.appraisal_batches,
-            self.world_switches()
-        )?;
+        writeln!(f, "  server:  {}", self.stats)?;
         for (name, samples) in self.phases.phases() {
             if let Some((p50, p95, p99)) = percentiles_us(samples) {
                 writeln!(
@@ -326,62 +349,18 @@ impl std::fmt::Display for FleetReport {
                 )?;
             }
         }
+        let from = match self.arrivals {
+            Arrivals::Closed => "",
+            Arrivals::Open { .. } => " from scheduled arrival",
+        };
         write!(
             f,
-            "  throughput {:.0} sessions/s, latency p50 {} p95 {} p99 {}",
+            "  throughput {:.0} sessions/s, latency{from} p50 {} p95 {} p99 {}",
             self.throughput(),
             fmt_latency(self.latency_percentile(50.0)),
             fmt_latency(self.latency_percentile(95.0)),
             fmt_latency(self.latency_percentile(99.0))
         )
-    }
-}
-
-/// Runs one attestation session as a fleet client against `net:port`,
-/// delegating the Msg0→Msg3 exchange to [`AttestClient`]. With a retry
-/// policy the full handshake is restarted on retryable faults; the second
-/// value is the number of attempts made (1 = no retries).
-///
-/// Blocking (each device is its own thread in the simulator).
-fn run_client(
-    net: &Network,
-    port: u16,
-    service: &AttestationService,
-    measurement: &[u8; 32],
-    pinned: &[u8; 64],
-    retry: Option<&RetryPolicy>,
-    rng: &mut Fortuna,
-) -> (ClientOutcome, u32) {
-    let start = Instant::now();
-    let client = AttestClient {
-        net,
-        port,
-        service,
-        measurement: *measurement,
-        pinned_verifier_key: *pinned,
-    };
-    match retry {
-        None => match client.attempt(0, RECV_TIMEOUT, rng) {
-            Ok(secret) => (ClientOutcome::Provisioned(secret.len(), start.elapsed()), 1),
-            Err(AttemptError::Rejected) => (ClientOutcome::Rejected(start.elapsed()), 1),
-            Err(AttemptError::Busy) => (ClientOutcome::Shed, 1),
-            Err(_) => (ClientOutcome::Failed, 1),
-        },
-        Some(policy) => match client.attest(policy, rng) {
-            Ok(outcome) => (
-                ClientOutcome::Provisioned(outcome.secret.len(), start.elapsed()),
-                outcome.attempts,
-            ),
-            Err(err) => {
-                let attempts = err.attempts();
-                let outcome = match err.last() {
-                    AttemptError::Rejected => ClientOutcome::Rejected(start.elapsed()),
-                    AttemptError::Busy => ClientOutcome::Shed,
-                    _ => ClientOutcome::Failed,
-                };
-                (outcome, attempts)
-            }
-        },
     }
 }
 
@@ -443,6 +422,7 @@ impl FleetSim {
             devices,
             measurement: Sha256::digest(b"fleet reference application"),
             verifier_identity_seed: b"fleet-owner identity".to_vec(),
+            rounds: AtomicU64::new(0),
         })
     }
 
@@ -509,36 +489,39 @@ impl FleetSim {
         log
     }
 
-    /// Runs one round with the configured worker count per shard.
+    /// Runs one closed round over the whole fleet with the configured
+    /// worker count per shard.
     #[must_use]
     pub fn run(&self) -> FleetReport {
-        self.run_with_workers(self.config.workers_per_shard)
+        self.run_with_workers(self.config.fleet.workers)
     }
 
-    /// Runs one round over the whole fleet with an explicit worker count.
+    /// Runs one closed round over the whole fleet with an explicit worker
+    /// count.
     ///
     /// Rounds are repeatable — fresh verifiers and fresh ephemeral
     /// session keys each time (benches sweep `workers` this way).
     #[must_use]
     pub fn run_with_workers(&self, workers: usize) -> FleetReport {
         let all: Vec<u32> = (0..self.devices.len() as u32).collect();
-        self.run_devices(&all, workers)
+        self.run_round(&all, workers, Arrivals::Closed)
     }
 
-    /// Runs one round for the scheduled device ids only: manufactures any
-    /// scheduled device that does not exist yet (first session = first
-    /// boot), spawns a [`FleetVerifier`] per shard, drives each scheduled
-    /// device through a concurrent attestation session, shuts the
-    /// verifiers down and aggregates the report. Unscheduled devices are
-    /// never manufactured.
+    /// Runs one round for the scheduled device ids only, on the given
+    /// arrival schedule: manufactures any scheduled device that does not
+    /// exist yet (first session = first boot), spawns a [`FleetVerifier`]
+    /// with `workers` workers per shard, drives the scheduled devices'
+    /// sessions, shuts the verifiers down and aggregates the report.
+    /// Unscheduled devices are never manufactured.
     ///
     /// # Panics
     ///
-    /// Panics if an id is out of range, or if a scheduled device fails
+    /// Panics if an id is out of range, if an open round schedules no
+    /// device, if a shard port is taken, or if a scheduled device fails
     /// secure boot while being manufactured (deterministic in the
     /// simulator — see [`LazyDevice::device`]).
     #[must_use]
-    pub fn run_devices(&self, ids: &[u32], workers: usize) -> FleetReport {
+    pub fn run_round(&self, ids: &[u32], workers: usize, arrivals: Arrivals) -> FleetReport {
         let scheduled: Vec<&LazyDevice> = ids
             .iter()
             .map(|id| {
@@ -555,12 +538,9 @@ impl FleetSim {
         }
         let base = self.verifier_base(&scheduled);
         let pinned = base.identity_public_key();
-
         let fleet_config = FleetConfig {
             workers: workers.max(1),
-            session_timeout: self.config.session_timeout,
-            max_sessions_per_worker: self.config.max_sessions_per_worker,
-            max_queued_per_worker: self.config.max_queued_per_worker,
+            ..self.config.fleet.clone()
         };
         let verifiers: Vec<FleetVerifier> = self
             .shards
@@ -582,37 +562,36 @@ impl FleetSim {
             }
         }
 
-        let outcomes: Arc<Mutex<Vec<(ClientOutcome, u32)>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(scheduled.len())));
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for device in &scheduled {
-                let net = self.shards[device.shard].os.shared_network();
-                let port = self.config.port + device.shard as u16;
-                let measurement = self.measurement;
-                let outcomes = Arc::clone(&outcomes);
-                let service = &device.device().service;
-                let id = device.id;
-                let retry = self.config.retry.clone().map(|mut policy| {
-                    // Each device jitters on its own seed lane so a burst
-                    // of synchronised failures does not retry in lockstep.
-                    policy.jitter_seed ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(id) + 1);
-                    policy
-                });
-                scope.spawn(move || {
-                    let mut rng = Fortuna::from_seed(format!("client-{id}").as_bytes());
-                    let outcome = run_client(
-                        &net,
-                        port,
-                        service,
-                        &measurement,
-                        &pinned,
-                        retry.as_ref(),
-                        &mut rng,
-                    );
-                    outcomes.lock().push(outcome);
-                });
+        // A closed round is one lane per device with one session each.
+        let (lanes, sessions) = match arrivals {
+            Arrivals::Closed => (scheduled.len(), scheduled.len()),
+            Arrivals::Open {
+                sessions,
+                client_threads,
+                ..
+            } => {
+                assert!(!scheduled.is_empty(), "an open round needs a device");
+                (client_threads.clamp(1, scheduled.len()), sessions)
             }
+        };
+        let round = self.rounds.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let outcomes: Vec<(ClientOutcome, u32)> = std::thread::scope(|scope| {
+            let lanes: Vec<_> = scheduled
+                .iter()
+                .take(lanes)
+                .enumerate()
+                .map(|(t, device)| {
+                    scope.spawn(move || {
+                        let indices = (t..sessions).step_by(lanes);
+                        self.run_lane(device, round, pinned, arrivals, started, indices)
+                    })
+                })
+                .collect();
+            lanes
+                .into_iter()
+                .flat_map(|lane| lane.join().expect("client lane"))
+                .collect()
         });
         let elapsed = started.elapsed();
 
@@ -633,262 +612,93 @@ impl FleetSim {
             stats.merge(&verifier.stats());
         }
 
-        let (mut provisioned, mut rejected, mut shed, mut failed) = (0u64, 0u64, 0u64, 0u64);
-        let mut retries = 0u64;
-        let mut latencies = Vec::new();
-        for (outcome, attempts) in outcomes.lock().iter() {
-            retries += u64::from(attempts.saturating_sub(1));
-            match outcome {
-                ClientOutcome::Provisioned(_, d) => {
-                    provisioned += 1;
-                    latencies.push(*d);
-                }
-                ClientOutcome::Rejected(d) => {
-                    rejected += 1;
-                    latencies.push(*d);
-                }
-                ClientOutcome::Shed => shed += 1,
-                ClientOutcome::Failed => failed += 1,
-            }
-        }
-        latencies.sort_unstable();
-
-        FleetReport {
+        let mut report = FleetReport {
             devices: scheduled.len(),
             shards: self.shards.len(),
+            arrivals,
             elapsed,
-            provisioned,
-            rejected,
-            shed,
-            failed,
-            retries,
+            provisioned: 0,
+            rejected: 0,
+            shed: 0,
+            failed: 0,
+            retries: 0,
             stats,
             phases,
-            latencies,
-        }
-    }
-
-    /// Runs an **open-loop** overload round against shard 0: sessions
-    /// arrive on a fixed schedule (one every `interval`) regardless of
-    /// whether earlier sessions have completed, which is how real fleets
-    /// overload a verifier. Latency is measured from each session's
-    /// *scheduled* arrival to its verdict, so queueing delay behind
-    /// schedule is charged to the session (no coordinated omission).
-    ///
-    /// Generator threads each own a disjoint set of endorsed shard-0
-    /// devices, so no device's attestation service is driven from two
-    /// threads at once. Sessions are single-attempt: a `SERVER_BUSY`
-    /// shed is this mode's terminal answer for the session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shard 0 has no endorsed device or the verifier port is
-    /// taken.
-    #[must_use]
-    pub fn run_open_loop(&self, cfg: &OpenLoopConfig) -> OpenLoopReport {
-        let shard = &self.shards[0];
-        let scheduled: Vec<&LazyDevice> = self
-            .devices
-            .iter()
-            .filter(|d| d.shard == 0 && d.kind == DeviceKind::Endorsed)
-            .collect();
-        assert!(
-            !scheduled.is_empty(),
-            "open-loop mode needs at least one endorsed device on shard 0"
-        );
-        for device in &scheduled {
-            let _ = device.device();
-        }
-        let base = self.verifier_base(&scheduled);
-        let pinned = base.identity_public_key();
-
-        let fleet_config = FleetConfig {
-            workers: cfg.workers.max(1),
-            session_timeout: self.config.session_timeout,
-            max_sessions_per_worker: self.config.max_sessions_per_worker,
-            max_queued_per_worker: self.config.max_queued_per_worker,
+            latencies: Vec::new(),
         };
-        let mut verifier = FleetVerifier::spawn(&shard.os, base, fleet_config, self.config.port)
-            .expect("open-loop verifier port free");
-        if let Some(plan) = &self.config.fault_plan {
-            shard.os.shared_network().install_fault_plan(plan.clone());
-        }
-
-        let threads = cfg.client_threads.clamp(1, scheduled.len());
-        let results: Arc<Mutex<Vec<ClientOutcome>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(cfg.sessions)));
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for (t, &device) in scheduled.iter().enumerate().take(threads) {
-                let net = shard.os.shared_network();
-                let port = self.config.port;
-                let measurement = self.measurement;
-                let results = Arc::clone(&results);
-                scope.spawn(move || {
-                    let mut rng = Fortuna::from_seed(format!("openloop-{t}").as_bytes());
-                    let client = AttestClient {
-                        net: &net,
-                        port,
-                        service: &device.device().service,
-                        measurement,
-                        pinned_verifier_key: pinned,
-                    };
-                    // Thread t owns arrivals t, t+T, t+2T, ...
-                    let mut i = t;
-                    while i < cfg.sessions {
-                        let due = started + cfg.interval.saturating_mul(i as u32);
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let outcome = match client.attempt(0, RECV_TIMEOUT, &mut rng) {
-                            Ok(secret) => ClientOutcome::Provisioned(secret.len(), due.elapsed()),
-                            Err(AttemptError::Rejected) => ClientOutcome::Rejected(due.elapsed()),
-                            Err(AttemptError::Busy) => ClientOutcome::Shed,
-                            Err(_) => ClientOutcome::Failed,
-                        };
-                        results.lock().push(outcome);
-                        i += threads;
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-
-        if self.config.fault_plan.is_some() {
-            shard.os.shared_network().clear_fault_plan();
-        }
-        verifier.stop_and_join();
-        let stats = verifier.stats();
-
-        let (mut provisioned, mut rejected, mut shed, mut failed) = (0u64, 0u64, 0u64, 0u64);
-        let mut latencies = Vec::new();
-        for outcome in results.lock().iter() {
+        for (outcome, attempts) in outcomes {
+            report.retries += u64::from(attempts.saturating_sub(1));
             match outcome {
-                ClientOutcome::Provisioned(_, d) => {
-                    provisioned += 1;
-                    latencies.push(*d);
+                ClientOutcome::Provisioned(d) => {
+                    report.provisioned += 1;
+                    report.latencies.push(d);
                 }
                 ClientOutcome::Rejected(d) => {
-                    rejected += 1;
-                    latencies.push(*d);
+                    report.rejected += 1;
+                    report.latencies.push(d);
                 }
-                ClientOutcome::Shed => shed += 1,
-                ClientOutcome::Failed => failed += 1,
+                ClientOutcome::Shed => report.shed += 1,
+                ClientOutcome::Failed => report.failed += 1,
             }
         }
-        latencies.sort_unstable();
-
-        OpenLoopReport {
-            offered: cfg.sessions,
-            interval: cfg.interval,
-            elapsed,
-            provisioned,
-            rejected,
-            shed,
-            failed,
-            stats,
-            latencies,
-        }
-    }
-}
-
-/// Arrival schedule for [`FleetSim::run_open_loop`].
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Total sessions offered.
-    pub sessions: usize,
-    /// Gap between scheduled arrivals (offered rate = 1/interval).
-    pub interval: Duration,
-    /// Verifier worker threads on shard 0.
-    pub workers: usize,
-    /// Generator threads (clamped to the endorsed shard-0 device count —
-    /// each thread owns its devices exclusively).
-    pub client_threads: usize,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            sessions: 64,
-            interval: Duration::from_millis(5),
-            workers: 2,
-            client_threads: 8,
-        }
-    }
-}
-
-/// Result of one open-loop overload round.
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// Sessions offered on the arrival schedule.
-    pub offered: usize,
-    /// The scheduled inter-arrival gap.
-    pub interval: Duration,
-    /// Wall-clock duration of the round.
-    pub elapsed: Duration,
-    /// Sessions provisioned with the secret.
-    pub provisioned: u64,
-    /// Sessions rejected by appraisal.
-    pub rejected: u64,
-    /// Sessions shed by admission control (`SERVER_BUSY`).
-    pub shed: u64,
-    /// Sessions that failed without any answer.
-    pub failed: u64,
-    /// Server-side per-outcome statistics.
-    pub stats: FleetStats,
-    /// Scheduled-arrival → verdict latencies of answered sessions
-    /// (provisioned + rejected), sorted ascending. Shed sessions are
-    /// excluded: their fast `BUSY` reply is not a verdict.
-    latencies: Vec<Duration>,
-}
-
-impl OpenLoopReport {
-    /// The offered arrival rate in sessions per second.
-    #[must_use]
-    pub fn offered_rate(&self) -> f64 {
-        let secs = self.interval.as_secs_f64();
-        if secs > 0.0 {
-            1.0 / secs
-        } else {
-            0.0
-        }
+        report.latencies.sort_unstable();
+        report
     }
 
-    /// Scheduled-arrival → verdict latency at percentile `p`
-    /// (0.0..=100.0); `None` when no session was answered.
-    #[must_use]
-    pub fn latency_percentile(&self, p: f64) -> Option<Duration> {
-        percentile_of(&self.latencies, p)
-    }
-}
-
-impl std::fmt::Display for OpenLoopReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "open-loop round: {} offered at {:.0}/s, done in {:.2?}",
-            self.offered,
-            self.offered_rate(),
-            self.elapsed
-        )?;
-        writeln!(
-            f,
-            "  client:  provisioned {}  rejected {}  shed {}  failed {}",
-            self.provisioned, self.rejected, self.shed, self.failed
-        )?;
-        writeln!(
-            f,
-            "  server:  served {}  shed {}  timed-out {}  disconnected {}",
-            self.stats.served, self.stats.shed, self.stats.timed_out, self.stats.disconnected
-        )?;
-        write!(
-            f,
-            "  verdict latency from scheduled arrival: p50 {} p95 {} p99 {}",
-            fmt_latency(self.latency_percentile(50.0)),
-            fmt_latency(self.latency_percentile(95.0)),
-            fmt_latency(self.latency_percentile(99.0))
-        )
+    /// One client thread: runs `device`'s sessions for the given arrival
+    /// indices, each through [`AttestClient::attest`] (one attempt unless
+    /// the fleet has a retry policy), with an RNG seeded per (round,
+    /// device) so no two rounds reuse an ephemeral key.
+    fn run_lane(
+        &self,
+        device: &LazyDevice,
+        round: u64,
+        pinned: [u8; 64],
+        arrivals: Arrivals,
+        started: Instant,
+        indices: impl Iterator<Item = usize>,
+    ) -> Vec<(ClientOutcome, u32)> {
+        let client = AttestClient {
+            net: self.shards[device.shard].os.network(),
+            port: self.config.port + device.shard as u16,
+            service: &device.device().service,
+            measurement: self.measurement,
+            pinned_verifier_key: pinned,
+        };
+        let mut policy = self.config.retry.clone().unwrap_or(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        // Each device jitters on its own seed lane so a burst of
+        // synchronised failures does not retry in lockstep.
+        policy.jitter_seed ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(device.id) + 1);
+        let mut rng = Fortuna::from_seed(format!("client-{round}-{}", device.id).as_bytes());
+        indices
+            .map(|i| {
+                let start = match arrivals {
+                    Arrivals::Closed => Instant::now(),
+                    Arrivals::Open { interval, .. } => {
+                        let due = started + interval.saturating_mul(i as u32);
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                        due
+                    }
+                };
+                match client.attest(&policy, &mut rng) {
+                    Ok(outcome) => (
+                        ClientOutcome::Provisioned(start.elapsed()),
+                        outcome.attempts,
+                    ),
+                    Err(err) => {
+                        let outcome = match err.last() {
+                            AttemptError::Rejected => ClientOutcome::Rejected(start.elapsed()),
+                            AttemptError::Busy => ClientOutcome::Shed,
+                            _ => ClientOutcome::Failed,
+                        };
+                        (outcome, err.attempts())
+                    }
+                }
+            })
+            .collect()
     }
 }
 
@@ -900,6 +710,7 @@ mod tests {
         FleetReport {
             devices: latencies.len(),
             shards: 1,
+            arrivals: Arrivals::Closed,
             elapsed,
             provisioned,
             rejected: 0,
@@ -946,6 +757,6 @@ mod tests {
         let config = FleetSimConfig::default();
         assert!(config.shards >= 1);
         assert!(config.endorsed > 0);
-        assert!(config.workers_per_shard >= 1);
+        assert!(config.fleet.workers >= 1);
     }
 }

@@ -66,12 +66,14 @@ fn chaos_sim(seed: u64, plan: Option<FaultPlan>, retry: Option<RetryPolicy>) -> 
         endorsed: 20,
         rogue: 2,
         stale: 2,
-        workers_per_shard: 2,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 2,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7800 + (seed % 50) as u16,
         fault_plan: plan,
         retry,
-        ..FleetSimConfig::default()
     })
     .unwrap()
 }

@@ -13,7 +13,7 @@ use watz_attestation::wire::{Msg1, Msg2, Msg3, INTEGRITY_FAILED, MSG3_RECORD_LEN
 use watz_crypto::ecdsa::SigningKey;
 use watz_crypto::fortuna::Fortuna;
 use watz_crypto::sha256::Sha256;
-use watz_fleet::sim::{DeviceKind, FleetSim, FleetSimConfig};
+use watz_fleet::sim::{Arrivals, DeviceKind, FleetSim, FleetSimConfig};
 use watz_fleet::{
     appraise_batch, prepare_msg1_batch, ConfigError, FleetConfig, FleetVerifier, SpawnError,
 };
@@ -74,8 +74,11 @@ fn sixty_four_devices_attest_concurrently_against_one_service() {
         endorsed: 64,
         rogue: 0,
         stale: 0,
-        workers_per_shard: 4,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 4,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7600,
         ..FleetSimConfig::default()
     })
@@ -123,8 +126,11 @@ fn mixed_fleet_outcomes_add_up_across_shards() {
         endorsed: 24,
         rogue: 4,
         stale: 4,
-        workers_per_shard: 2,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 2,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7620,
         ..FleetSimConfig::default()
     })
@@ -331,8 +337,11 @@ fn worker_scaling_is_not_negative() {
         endorsed: 24,
         rogue: 0,
         stale: 0,
-        workers_per_shard: 1,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 1,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7680,
         ..FleetSimConfig::default()
     })
@@ -564,8 +573,11 @@ fn shard_networks_are_isolated_and_ports_freed_after_shutdown() {
         endorsed: 4,
         rogue: 0,
         stale: 0,
-        workers_per_shard: 1,
-        session_timeout: Duration::from_secs(5),
+        fleet: FleetConfig {
+            workers: 1,
+            session_timeout: Duration::from_secs(5),
+            ..FleetConfig::default()
+        },
         port: 7660,
         ..FleetSimConfig::default()
     })
@@ -608,8 +620,11 @@ fn devices_manufacture_lazily_on_first_session() {
         endorsed: 6,
         rogue: 1,
         stale: 1,
-        workers_per_shard: 2,
-        session_timeout: Duration::from_secs(10),
+        fleet: FleetConfig {
+            workers: 2,
+            session_timeout: Duration::from_secs(10),
+            ..FleetConfig::default()
+        },
         port: 7690,
         ..FleetSimConfig::default()
     })
@@ -623,7 +638,7 @@ fn devices_manufacture_lazily_on_first_session() {
     );
 
     // A partial round: only devices 0..3 (all endorsed) attest.
-    let report = sim.run_devices(&[0, 1, 2], 2);
+    let report = sim.run_round(&[0, 1, 2], 2, Arrivals::Closed);
     assert_eq!(report.devices, 3);
     assert_eq!(report.provisioned, 3);
     assert_eq!(report.failed, 0);
@@ -644,6 +659,50 @@ fn devices_manufacture_lazily_on_first_session() {
     assert_eq!(report.provisioned, 6);
     assert_eq!(report.rejected, 2, "rogue + stale rejected");
     assert_eq!(sim.manufactured_count(), 8);
+}
+
+#[test]
+fn open_round_accounts_for_every_offered_session() {
+    // Sessions arrive on a schedule, not on completions, against one
+    // worker with caps of 1 + 1: some are shed, some served, one device is
+    // rogue. Only counts are asserted, never times.
+    let sim = FleetSim::boot(FleetSimConfig {
+        shards: 1,
+        endorsed: 3,
+        rogue: 1,
+        stale: 0,
+        fleet: FleetConfig {
+            workers: 1,
+            session_timeout: Duration::from_secs(10),
+            max_sessions_per_worker: 1,
+            max_queued_per_worker: 1,
+        },
+        port: 7695,
+        ..FleetSimConfig::default()
+    })
+    .unwrap();
+    let arrivals = Arrivals::Open {
+        sessions: 24,
+        interval: Duration::from_micros(200),
+        client_threads: 4,
+    };
+    let report = sim.run_round(&[0, 1, 2, 3], 1, arrivals);
+    assert_eq!(report.arrivals, arrivals);
+    assert_eq!(
+        report.provisioned + report.rejected + report.shed + report.failed,
+        24,
+        "every offered session lands in one client bucket: {report}"
+    );
+    assert_eq!(report.stats.accepted, report.stats.completed(), "{report}");
+    assert_eq!(
+        report.shed, report.stats.shed,
+        "client and server agree on shed"
+    );
+    assert_eq!(
+        report.latency_samples() as u64,
+        report.provisioned + report.rejected,
+        "one latency sample per answered session"
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use watz::fleet::sim::{FleetSim, FleetSimConfig};
-use watz::fleet::DeviceKind;
+use watz::fleet::{DeviceKind, FleetConfig};
 
 fn main() {
     let config = FleetSimConfig {
@@ -17,8 +17,11 @@ fn main() {
         endorsed: 180,
         rogue: 10,
         stale: 10,
-        workers_per_shard: 4,
-        session_timeout: Duration::from_secs(5),
+        fleet: FleetConfig {
+            workers: 4,
+            session_timeout: Duration::from_secs(5),
+            ..FleetConfig::default()
+        },
         ..FleetSimConfig::default()
     };
     let total = config.endorsed + config.rogue + config.stale;
