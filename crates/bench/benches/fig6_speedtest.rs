@@ -16,14 +16,7 @@ fn main() {
     let n = scale(150); // the paper scales to 60% for memory reasons
     let rt = WatzRuntime::new_device(b"fig6").unwrap();
 
-    let guest_wasm = minic::compile_with_options(
-        speedtest::MINISQL_GUEST,
-        &minic::Options {
-            min_pages: 256,
-            max_pages: None,
-        },
-    )
-    .unwrap();
+    let guest_wasm = minic::compile(speedtest::MINISQL_GUEST).unwrap();
 
     println!(
         "  {:<5} {:<6} {:>12} {:>10} {:>10} {:>10}",

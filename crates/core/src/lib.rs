@@ -18,7 +18,9 @@
 //!    the dominant phase of a first launch);
 //! 6. **instantiate** — the load-time compile (register code, table
 //!    image), then instance creation: memory, data segments, globals,
-//!    start function;
+//!    start function. The memory is charged to the TA heap, and capped at
+//!    what the heap can still hold: each page it grows to is charged as
+//!    it is committed;
 //! 7. **execution** — the first entry into guest code (measured by
 //!    [`WatzApp::invoke`]).
 //!
@@ -84,7 +86,7 @@ use watz_crypto::sha256::Sha256;
 use watz_fleet::{FleetConfig, FleetStats, FleetVerifier};
 use watz_wasi::WasiEnv;
 use watz_wasm::exec::{ExecMode, Instance, Trap, Value};
-use watz_wasm::{Artifact, EngineConfig};
+use watz_wasm::{Artifact, EngineConfig, PAGE_SIZE};
 
 pub use watz_attestation::verifier::VerifierConfig as RaVerifierConfig;
 pub use watz_wasm::exec::ExecMode as Mode;
@@ -145,7 +147,11 @@ impl From<Trap> for WatzError {
 /// 25 MB for SQLite, 17 MB for the Genann attester).
 #[derive(Debug, Clone)]
 pub struct AppConfig {
-    /// TA heap budget in bytes.
+    /// TA heap budget in bytes. A launch charges 2x the code and the
+    /// guest's initial linear memory; every page the guest grows to after
+    /// that is charged as it is committed, and a `memory.grow` past what
+    /// the rest of the budget holds returns -1 (the guest sees an
+    /// allocation failure, not the host).
     pub heap_bytes: usize,
     /// Execution mode (the paper uses AOT).
     pub mode: ExecMode,
@@ -368,24 +374,33 @@ impl WatzRuntime {
             let (artifact, exec_pages) =
                 self.resident_artifact(key, secure_copy, &mut breakdown)?;
 
-            // Charge the guest's linear memory against the TA heap.
-            heap.charge(artifact.min_memory_pages() as usize * watz_wasm::PAGE_SIZE)?;
+            // Charge the guest's initial linear memory against the TA heap.
+            let committed_pages = artifact.min_memory_pages();
+            heap.charge(committed_pages as usize * PAGE_SIZE)?;
 
             // Phase: instantiate — memory image, segments, start function.
             let t = Instant::now();
             let instance = Instance::from_artifact(artifact, &mut env)?;
             breakdown.instantiate += t.elapsed();
 
-            let app = WatzApp {
+            let mut app = WatzApp {
                 instance,
                 env,
                 measurement,
                 breakdown: StartupBreakdown::default(),
                 platform: platform.clone(),
-                _heap: heap,
+                heap,
+                committed_pages,
                 _exec_pages: exec_pages,
                 first_invoke_done: false,
             };
+            // Growth is charged as it is committed; the memory is capped at
+            // the pages the heap can still hold, so no later charge fails.
+            // A start function ran uncapped: what it grew is charged here.
+            app.charge_growth()?;
+            let room = (app.heap.cap() - app.heap.used()) / PAGE_SIZE;
+            let cap = app.committed_pages.saturating_add(room as u32);
+            app.instance.memory_mut().cap_pages(cap);
             Ok((app, breakdown))
         });
 
@@ -439,7 +454,10 @@ pub struct WatzApp {
     measurement: [u8; 32],
     breakdown: StartupBreakdown,
     platform: Platform,
-    _heap: TaHeap,
+    /// Charged with 2x the code and every committed page of linear memory.
+    heap: TaHeap,
+    /// Pages of linear memory charged to `heap`.
+    committed_pages: u32,
     /// A share of the pages the resident artifact owns: while this app
     /// lives the artifact is not evicted and stays accounted.
     _exec_pages: Arc<ExecPages>,
@@ -510,7 +528,27 @@ impl WatzApp {
             self.breakdown.execution = t.elapsed();
             self.first_invoke_done = true;
         }
+        self.charge_growth()?;
         Ok(result?)
+    }
+
+    /// Charges the TA heap for the pages the guest grew to since the last
+    /// charge: its `used` is always 2x the code plus the committed pages.
+    fn charge_growth(&mut self) -> Result<(), WatzError> {
+        let pages = (self.instance.memory().data().len() / PAGE_SIZE) as u32;
+        if pages > self.committed_pages {
+            let grown = (pages - self.committed_pages) as usize * PAGE_SIZE;
+            self.heap.charge(grown)?;
+            self.committed_pages = pages;
+        }
+        Ok(())
+    }
+
+    /// Bytes charged to the app's TA heap: 2x the code plus every page of
+    /// linear memory the guest has committed.
+    #[must_use]
+    pub fn heap_used(&self) -> usize {
+        self.heap.used()
     }
 
     /// Captured stdout of the guest.

@@ -824,3 +824,62 @@ fn concurrent_launches_share_artifacts_and_agree() {
     let distinct: usize = modules.iter().map(|(_, w)| w.len()).sum();
     assert_eq!(rt.os().exec_bytes_allocated(), distinct);
 }
+
+// ---------------------------------------------------------------------------
+// Linear memory is charged to the TA heap as it is committed, and the heap
+// bounds what a guest grows to.
+// ---------------------------------------------------------------------------
+
+/// Allocates 64 KiB at a time, counting, until `alloc`'s `memory.grow`
+/// returns -1 and it traps `unreachable`.
+const GROW_BOMB: &str = r#"
+int n;
+int bomb() {
+    while (1) { alloc(65536); n = n + 1; }
+    return 0;
+}
+int count() { return n; }
+"#;
+
+#[test]
+fn the_ta_heap_bounds_memory_growth() {
+    use watz_wasm::{EngineConfig, Instance, NoHost, ProfileMode, PAGE_SIZE};
+
+    let wasm = minic::compile(GROW_BOMB).unwrap();
+    let heap_bytes = (4 << 20) + 12_345;
+    let pages = (heap_bytes - 2 * wasm.len()) / PAGE_SIZE;
+    assert!(pages < 100, "the heap, not the engine's 1024, is the bound");
+    let rt = runtime();
+    for mode in [ExecMode::Aot, ExecMode::Interpreted] {
+        let mut app = rt.load(&wasm, &AppConfig { heap_bytes, mode }).unwrap();
+        assert_eq!(app.heap_used(), 2 * wasm.len() + PAGE_SIZE, "{mode:?}");
+        // Every page up to the bound is granted, then one grow fails; the
+        // next grow fails too, and neither is charged.
+        for _ in 0..2 {
+            let trap = app.invoke("bomb", &[]).unwrap_err();
+            assert!(trap.to_string().contains("unreachable"), "{mode:?}: {trap}");
+            assert_eq!(app.instance().memory().data().len(), pages * PAGE_SIZE);
+            assert_eq!(app.heap_used(), 2 * wasm.len() + pages * PAGE_SIZE);
+            let count = app.invoke("count", &[]).unwrap();
+            assert_eq!(count, vec![Value::I32(pages as i32 - 1)], "{mode:?}");
+        }
+    }
+
+    // The engine under the same cap: both executors stop at the same page
+    // with the same trap and retire the same instructions.
+    let module = watz_wasm::load(&wasm).unwrap();
+    let counting = EngineConfig {
+        profile: ProfileMode::Count,
+        ..EngineConfig::default()
+    };
+    let mut outcomes = Vec::new();
+    for mode in [ExecMode::Aot, ExecMode::Interpreted] {
+        let mut inst = Instance::instantiate_with(&module, mode, counting, &mut NoHost).unwrap();
+        inst.memory_mut().cap_pages(pages as u32);
+        let trap = inst.invoke(&mut NoHost, "bomb", &[]).unwrap_err();
+        let instret = inst.profile().unwrap().instret;
+        outcomes.push((trap, inst.memory().data().len() / PAGE_SIZE, instret));
+    }
+    assert_eq!(outcomes[0], outcomes[1], "Aot vs Interpreted");
+    assert_eq!(outcomes[0].1, pages);
+}

@@ -224,6 +224,7 @@ pub fn compile_program(program: &Program, options: &Options) -> CResult<Vec<u8>>
     }
 
     // ---- Memory + data. ---------------------------------------------------
+    // The page that holds the heap base, and every page of data below it.
     let min_pages = options
         .min_pages
         .max((heap_base / watz_wasm::PAGE_SIZE as u32) + 1);

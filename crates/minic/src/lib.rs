@@ -52,21 +52,19 @@ mod parser;
 pub use codegen::CompileError;
 
 /// Compilation options.
-#[derive(Debug, Clone)]
+///
+/// A module's initial memory is the pages its static data and heap base
+/// need (one page for a program whose string literals fit in 64 KiB), as
+/// wasm-ld sizes it; `alloc` grows the rest on demand. An embedder commits
+/// and charges every declared page at instantiation, so a larger initial
+/// size only costs launch time and memory the guest may never touch.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Initial linear memory size in 64 KiB pages.
+    /// A floor on the initial linear memory, in 64 KiB pages (0, the
+    /// default, means no floor: the data alone sizes it).
     pub min_pages: u32,
     /// Maximum linear memory size in pages (None = engine default).
     pub max_pages: Option<u32>,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            min_pages: 32, // 2 MiB
-            max_pages: None,
-        }
-    }
 }
 
 /// Compiles MiniC source to a Wasm binary with default options.
@@ -505,7 +503,7 @@ mod tests {
         let out = run(
             r#"
             int f() {
-                int* a = (int*)alloc(4 * 1024 * 1024); // 4 MiB > default 2 MiB
+                int* a = (int*)alloc(4 * 1024 * 1024); // 4 MiB > the 1 initial page
                 a[1000000] = 42;
                 return a[1000000];
             }"#,
@@ -513,5 +511,31 @@ mod tests {
             &[],
         );
         assert_eq!(out, vec![Value::I32(42)]);
+    }
+
+    #[test]
+    fn initial_memory_is_the_pages_the_data_needs() {
+        let pages = |wasm: Vec<u8>| {
+            let module = watz_wasm::load(&wasm).expect("load");
+            let inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost).expect("inst");
+            inst.memory().data().len() / watz_wasm::PAGE_SIZE
+        };
+        let nop = "int f() { return 0; }";
+        assert_eq!(pages(compile(nop).expect("compile")), 1);
+        // 16 guard bytes, then 150 000 bytes of string and its NUL padded
+        // to 8: the heap base is 150 024, in the third page.
+        let big = format!(
+            "int f() {{ int s = \"{}\"; return s; }}",
+            "x".repeat(150_000)
+        );
+        assert_eq!(pages(compile(&big).expect("compile")), 3);
+        let floor = Options {
+            min_pages: 4,
+            max_pages: None,
+        };
+        assert_eq!(
+            pages(compile_with_options(nop, &floor).expect("compile")),
+            4
+        );
     }
 }

@@ -291,7 +291,13 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Creates a memory with `min` pages, growable to `max` pages.
+    /// Creates a memory with `min` pages, growable to `max` pages (the
+    /// engine's 64 MiB when the module declares no maximum;
+    /// [`Memory::cap_pages`] lowers it).
+    ///
+    /// Every one of the `min` pages is written, so instantiation costs time
+    /// in proportion to the declared size, not to what the guest touches:
+    /// a module should declare the pages its data needs and grow the rest.
     #[must_use]
     #[allow(clippy::slow_vector_initialization)] // the slow form is the point
     pub fn new(min: u32, max: Option<u32>) -> Self {
@@ -336,6 +342,13 @@ impl Memory {
     /// The growth limit in pages.
     pub(crate) fn max_pages(&self) -> u32 {
         self.max_pages
+    }
+
+    /// Lowers the growth limit to `pages` (it never raises it): from now
+    /// on a `memory.grow` past `pages`, on either executor, returns -1. An
+    /// embedder caps a guest at the memory it can still pay for.
+    pub fn cap_pages(&mut self, pages: u32) {
+        self.max_pages = self.max_pages.min(pages);
     }
 
     /// Moves the contents out, leaving the memory empty. The register
@@ -949,10 +962,15 @@ impl Instance {
             }};
         }
 
-        /// Performs a branch to relative label depth `d`.
+        /// Performs a branch to relative label depth `d`. The function's
+        /// own label is not on `labels`: a branch to it leaves through the
+        /// body's end, as a `return` does.
         macro_rules! do_branch {
             ($d:expr) => {{
-                let idx = labels.len() - 1 - $d as usize;
+                let Some(idx) = labels.len().checked_sub(1 + $d as usize) else {
+                    pc = code_len;
+                    continue;
+                };
                 let label = labels[idx];
                 let keep = stack.len() - label.arity;
                 stack.drain(label.height..keep);

@@ -388,7 +388,10 @@ fn ledger_at_benchmark_sizes() {
     );
     // Exact `(host_ops, instret)`, as in the quick-size test.
     let counts = |s: &Suite| (s.profile.host_ops, s.profile.instret);
-    assert_eq!(counts(&suites[0]), (98_230_808, 453_109_857), "\n{ledger}");
+    // PolyBench was (98 230 808, 453 109 857) while MiniC declared 32
+    // pages: from one page, five allocations (2mm, 3mm, doitgen, heat-3d
+    // twice) take `alloc`'s grow path, 7 instructions and 5 ops each.
+    assert_eq!(counts(&suites[0]), (98_230_833, 453_109_892), "\n{ledger}");
     assert_eq!(counts(&suites[1]), (42_575_496, 146_012_282), "\n{ledger}");
     assert_eq!(counts(&suites[2]), (34_400_416, 88_342_619), "\n{ledger}");
 }

@@ -907,14 +907,7 @@ mod tests {
 
     #[test]
     fn minisql_guest_compiles_and_runs_all_experiments() {
-        let wasm = minic::compile_with_options(
-            MINISQL_GUEST,
-            &minic::Options {
-                min_pages: 256, // 16 MiB for the tables
-                max_pages: None,
-            },
-        )
-        .expect("minisql must compile");
+        let wasm = minic::compile(MINISQL_GUEST).expect("minisql must compile");
         let module = watz_wasm::load(&wasm).expect("load");
         for exp in experiments() {
             let mut inst =

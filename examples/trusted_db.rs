@@ -30,14 +30,7 @@ fn main() {
     println!("native microdb: readings in [100,200] = {:?}", r.rows[0][0]);
 
     // Wasm side: the minisql guest inside the TEE.
-    let wasm = watz::compiler::compile_with_options(
-        speedtest::MINISQL_GUEST,
-        &watz::compiler::Options {
-            min_pages: 256,
-            max_pages: None,
-        },
-    )
-    .expect("compile minisql");
+    let wasm = watz::compiler::compile(speedtest::MINISQL_GUEST).expect("compile minisql");
     let mut app = runtime
         .load(
             &wasm,

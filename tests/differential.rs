@@ -688,6 +688,101 @@ fn control_shapes_agree_across_engines() {
         ],
     ));
 
+    // Branches to the function's own label are returns: a `br` out of a
+    // callee with an operand left under its result (f adds 1 to the
+    // callee's a + 7), a `br_if` out of a block (taken returns a, untaken
+    // falls to -1) and a `br_table` whose default leaves the function (0
+    // adds 10 and 1000, 1 adds 1000, anything else returns a).
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_], &[i32_]);
+    let g = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::I32Const(100),
+            I::LocalGet(0),
+            I::I32Const(7),
+            I::I32Add,
+            I::Br(0),
+            I::End,
+        ],
+    );
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::LocalGet(0),
+            I::Call(g),
+            I::I32Const(1),
+            I::I32Add,
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "br to the function's label",
+        b,
+        vec![(vec![0], Ok(8)), (vec![5], Ok(13))],
+    ));
+
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_, i32_], &[i32_]);
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::Block(e),
+            I::LocalGet(0),
+            I::LocalGet(1),
+            I::BrIf(1),
+            I::Drop,
+            I::End,
+            I::I32Const(-1),
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "br_if to the function's label",
+        b,
+        vec![(vec![5, 1], Ok(5)), (vec![5, 0], Ok(-1))],
+    ));
+
+    let mut b = ModuleBuilder::new();
+    let ty = b.add_type(&[i32_, i32_], &[i32_]);
+    let f = b.add_func(
+        ty,
+        &[],
+        vec![
+            I::Block(v),
+            I::Block(v),
+            I::LocalGet(0),
+            I::LocalGet(1),
+            I::BrTable {
+                targets: vec![0, 1],
+                default: 2,
+            },
+            I::End,
+            I::I32Const(10),
+            I::I32Add,
+            I::End,
+            I::I32Const(1000),
+            I::I32Add,
+            I::End,
+        ],
+    );
+    b.export_func("f", f);
+    shapes.push((
+        "br_table default to the function's label",
+        b,
+        vec![
+            (vec![5, 0], Ok(1015)),
+            (vec![5, 1], Ok(1005)),
+            (vec![5, 2], Ok(5)),
+            (vec![5, 9], Ok(5)),
+        ],
+    ));
+
     for (shape, b, rows) in shapes {
         let module = watz::wasm::load(&b.build()).unwrap_or_else(|e| panic!("{shape}: {e}"));
         for (args, want) in rows {
@@ -721,14 +816,7 @@ fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
             (k.name.to_string(), wasm, vec![("kernel", n(N))])
         })
         .collect();
-    let minisql = watz::compiler::compile_with_options(
-        watz::bench_workloads::speedtest::MINISQL_GUEST,
-        &watz::compiler::Options {
-            min_pages: 256,
-            max_pages: None,
-        },
-    )
-    .unwrap();
+    let minisql = watz::compiler::compile(watz::bench_workloads::speedtest::MINISQL_GUEST).unwrap();
     let mut sql_calls = vec![("setup", n(50))];
     for exp in watz::bench_workloads::speedtest::experiments() {
         sql_calls.push(("run_exp", vec![Value::I32(exp.id as i32), Value::I32(50)]));

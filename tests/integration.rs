@@ -5,6 +5,7 @@
 use watz::crypto::{ecdsa::SigningKey, fortuna::Fortuna, sha256::Sha256};
 use watz::runtime::{AppConfig, RaVerifierConfig, VerifierServer, WatzRuntime};
 use watz::wasm::exec::{ExecMode, Value};
+use watz::wasm::PAGE_SIZE;
 
 #[test]
 fn polybench_kernel_runs_inside_watz() {
@@ -18,6 +19,27 @@ fn polybench_kernel_runs_inside_watz() {
         Value::F64(v) => assert!((v - native).abs() < 1e-9),
         ref other => panic!("unexpected {other:?}"),
     }
+}
+
+/// Each kernel at n = 48 commits the pages it allocates and no more, and
+/// its TA heap is charged exactly 2x the code plus those pages.
+#[test]
+fn polybench_commits_the_pages_it_uses() {
+    let rt = WatzRuntime::new_device(b"itest").unwrap();
+    let wide = [("2mm", 2), ("3mm", 2), ("doitgen", 14), ("heat-3d", 28)];
+    let mut total = 0;
+    for kernel in watz::bench_workloads::polybench::suite() {
+        let wasm = watz::compiler::compile(kernel.minic).unwrap();
+        let mut app = rt.load(&wasm, &AppConfig::default()).unwrap();
+        assert_eq!(app.instance().memory().data().len(), PAGE_SIZE);
+        app.invoke("kernel", &[Value::I32(48)]).unwrap();
+        let pages = app.instance().memory().data().len() / PAGE_SIZE;
+        let want = wide.iter().find(|w| w.0 == kernel.name).map_or(1, |w| w.1);
+        assert_eq!(pages, want, "{}", kernel.name);
+        assert_eq!(app.heap_used(), 2 * wasm.len() + pages * PAGE_SIZE);
+        total += pages;
+    }
+    assert_eq!(total, 72);
 }
 
 #[test]
