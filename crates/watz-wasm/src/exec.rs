@@ -677,7 +677,7 @@ impl Instance {
     /// (`None` for interpreted instances; all-zero when fusion was
     /// disabled).
     #[must_use]
-    pub fn fusion_stats(&self) -> Option<flat::FusionStats> {
+    pub fn fusion_stats(&self) -> Option<crate::reg::FusionStats> {
         self.artifact.compiled().map(|cm| cm.fusion)
     }
 
@@ -1857,6 +1857,178 @@ mod tests {
             let ty = b.add_type(&[], &[]);
             b.add_func(ty, &[], code);
             assert!(assert_tables_match_scan(&b.build(), name) > 0, "{name}");
+        }
+    }
+
+    /// Runs `op` as the one instruction of a function over `args` on the
+    /// tree oracle and on register code, fused and unfused.
+    fn one_op(op: &I, args: &[Value], result: ValType) -> Vec<Result<Vec<Value>, Trap>> {
+        let mut b = ModuleBuilder::new();
+        let params: Vec<ValType> = args.iter().map(|a| a.ty()).collect();
+        let ty = b.add_type(&params, &[result]);
+        let mut code: Vec<Instr> = (0..args.len() as u32).map(I::LocalGet).collect();
+        code.extend([op.clone(), I::End]);
+        let f = b.add_func(ty, &[], code);
+        b.export_func("f", f);
+        let module = crate::load(&b.build()).unwrap();
+        let engines = [
+            (ExecMode::Interpreted, true),
+            (ExecMode::Aot, true),
+            (ExecMode::Aot, false),
+        ];
+        engines
+            .iter()
+            .map(|&(mode, fuse)| {
+                let cfg = EngineConfig {
+                    fuse,
+                    verify: true,
+                    ..EngineConfig::default()
+                };
+                let mut inst = Instance::instantiate_with(&module, mode, cfg, &mut NoHost).unwrap();
+                inst.invoke(&mut NoHost, "f", args)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn float_edges_follow_the_spec_on_both_executors() {
+        // The tree oracle and the register engine share these helpers, so
+        // no differential run can see a bug in them: each row is pinned to
+        // the value the spec gives (bit for bit, so -0 is not +0).
+        let f32_ = |x: f64| Value::F32(x as f32);
+        for (min, max, v) in [
+            (I::F32Min, I::F32Max, &f32_ as &dyn Fn(f64) -> Value),
+            (I::F64Min, I::F64Max, &Value::F64),
+        ] {
+            let (nan, inf) = (f64::NAN, f64::INFINITY);
+            // `None`: the result is a NaN.
+            let rows = [
+                (&min, nan, 1.0, None),
+                (&min, 1.0, nan, None),
+                (&max, nan, 1.0, None),
+                (&max, 1.0, nan, None),
+                (&min, nan, nan, None),
+                (&min, -0.0, 0.0, Some(-0.0)),
+                (&min, 0.0, -0.0, Some(-0.0)),
+                (&max, -0.0, 0.0, Some(0.0)),
+                (&max, 0.0, -0.0, Some(0.0)),
+                (&min, -inf, 1.0, Some(-inf)),
+                (&min, inf, 1.0, Some(1.0)),
+                (&max, inf, 1.0, Some(inf)),
+                (&max, -inf, 1.0, Some(1.0)),
+                (&min, 1.0, 2.0, Some(1.0)),
+                (&max, 1.0, 2.0, Some(2.0)),
+            ];
+            for (op, a, b, want) in rows {
+                let ctx = format!("{op:?}({a}, {b})");
+                for got in one_op(op, &[v(a), v(b)], v(0.0).ty()) {
+                    let got = got.unwrap_or_else(|e| panic!("{ctx}: {e}"))[0];
+                    let bits = |x: Value| match x {
+                        Value::F32(x) => (u64::from(x.to_bits()), x.is_nan()),
+                        Value::F64(x) => (x.to_bits(), x.is_nan()),
+                        other => panic!("{ctx}: {other:?}"),
+                    };
+                    match want {
+                        None => assert!(bits(got).1, "{ctx}: {got:?} is not a NaN"),
+                        Some(w) => assert_eq!(bits(got), bits(v(w)), "{ctx}: {got:?}"),
+                    }
+                }
+            }
+        }
+
+        // Truncation: the last value in range on each side, the first out
+        // of range, and NaN and the infinities, which trap.
+        let traps = Err(Trap::BadConversion);
+        let (i32_, i64_) = (
+            |x: i32| Ok(vec![Value::I32(x)]),
+            |x: i64| Ok(vec![Value::I64(x)]),
+        );
+        let f = |x: f32| Value::F32(x);
+        let d = |x: f64| Value::F64(x);
+        let nans = [f(f32::NAN), f(f32::INFINITY), f(f32::NEG_INFINITY)];
+        let nand = [d(f64::NAN), d(f64::INFINITY), d(f64::NEG_INFINITY)];
+        let rows: Vec<(I, Value, Result<Vec<Value>, Trap>)> = vec![
+            (I::I32TruncF32S, f(-2147483648.0), i32_(i32::MIN)),
+            (I::I32TruncF32S, f(-2147483904.0), traps.clone()),
+            (I::I32TruncF32S, f(2147483520.0), i32_(2147483520)),
+            (I::I32TruncF32S, f(2147483648.0), traps.clone()),
+            (I::I32TruncF32S, f(-0.9), i32_(0)),
+            (I::I32TruncF32S, f(-1.0), i32_(-1)),
+            (I::I32TruncF32U, f(4294967040.0), i32_(4294967040u32 as i32)),
+            (I::I32TruncF32U, f(4294967296.0), traps.clone()),
+            (I::I32TruncF32U, f(-0.9), i32_(0)),
+            (I::I32TruncF32U, f(-1.0), traps.clone()),
+            (I::I32TruncF64S, d(-2147483648.9), i32_(i32::MIN)),
+            (I::I32TruncF64S, d(-2147483649.0), traps.clone()),
+            (I::I32TruncF64S, d(2147483647.9), i32_(i32::MAX)),
+            (I::I32TruncF64S, d(2147483648.0), traps.clone()),
+            (I::I32TruncF64U, d(4294967295.9), i32_(-1)),
+            (I::I32TruncF64U, d(4294967296.0), traps.clone()),
+            (I::I32TruncF64U, d(-0.9), i32_(0)),
+            (I::I32TruncF64U, d(-1.0), traps.clone()),
+            (I::I64TruncF32S, f(-9223372036854775808.0), i64_(i64::MIN)),
+            (I::I64TruncF32S, f(-9223373136366403584.0), traps.clone()),
+            (
+                I::I64TruncF32S,
+                f(9223371487098961920.0),
+                i64_(9223371487098961920),
+            ),
+            (I::I64TruncF32S, f(9223372036854775808.0), traps.clone()),
+            (
+                I::I64TruncF32U,
+                f(18446742974197923840.0),
+                i64_(18446742974197923840u64 as i64),
+            ),
+            (I::I64TruncF32U, f(18446744073709551616.0), traps.clone()),
+            (I::I64TruncF32U, f(-0.9), i64_(0)),
+            (I::I64TruncF32U, f(-1.0), traps.clone()),
+            (I::I64TruncF64S, d(-9223372036854775808.0), i64_(i64::MIN)),
+            (I::I64TruncF64S, d(-9223372036854777856.0), traps.clone()),
+            (
+                I::I64TruncF64S,
+                d(9223372036854774784.0),
+                i64_(9223372036854774784),
+            ),
+            (I::I64TruncF64S, d(9223372036854775808.0), traps.clone()),
+            (
+                I::I64TruncF64U,
+                d(18446744073709549568.0),
+                i64_(18446744073709549568u64 as i64),
+            ),
+            (I::I64TruncF64U, d(18446744073709551616.0), traps.clone()),
+            (I::I64TruncF64U, d(-0.9), i64_(0)),
+            (I::I64TruncF64U, d(-1.0), traps.clone()),
+        ];
+        let from_f32 = [
+            I::I32TruncF32S,
+            I::I32TruncF32U,
+            I::I64TruncF32S,
+            I::I64TruncF32U,
+        ];
+        let edges = from_f32.iter().flat_map(|op| nans.map(|x| (op.clone(), x)));
+        let edges = edges.chain(
+            [
+                I::I32TruncF64S,
+                I::I32TruncF64U,
+                I::I64TruncF64S,
+                I::I64TruncF64U,
+            ]
+            .iter()
+            .flat_map(|op| nand.map(|x| (op.clone(), x))),
+        );
+        let rows = rows
+            .into_iter()
+            .chain(edges.map(|(op, x)| (op, x, traps.clone())));
+        for (op, arg, want) in rows {
+            let result = match op {
+                I::I64TruncF32S | I::I64TruncF32U | I::I64TruncF64S | I::I64TruncF64U => {
+                    ValType::I64
+                }
+                _ => ValType::I32,
+            };
+            for got in one_op(&op, &[arg], result) {
+                assert_eq!(got, want, "{op:?}({arg:?})");
+            }
         }
     }
 }

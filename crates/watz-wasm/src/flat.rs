@@ -616,77 +616,6 @@ pub(crate) enum Simple {
     Reinterpret,
 }
 
-/// Per-rule counts of the superinstructions the register pass formed over
-/// a whole module (see the fusion rules in [`crate::reg`]), reported by
-/// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats). A kind
-/// names what was joined, never where an operand came from: operands
-/// always come from the abstract stack. Each emitted superinstruction
-/// counts once, under its sink when it has one (a row index, `mul_add`,
-/// counts as itself wherever it goes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionStats {
-    /// `const k; binop` pairs that took `k` as an inline right operand and
-    /// left the result on the stack.
-    pub binop_k: u64,
-    /// `binop; local.set` — the result sunk straight into the local.
-    pub binop_set: u64,
-    /// `binop; store` — the result sunk into memory.
-    pub binop_store: u64,
-    /// `i32.add; load` — the address sum folded into the load.
-    pub add_load: u64,
-    /// Array-address tails joined without a trailing load
-    /// (`const k; i32.mul; i32.add`, with or without the row `i32.mul;
-    /// local.get; i32.add` in front).
-    pub idx_addr: u64,
-    /// Array-address tails joined **with** the trailing load.
-    pub idx_load: u64,
-    /// `binop; jump-if` compare-and-branch (both polarities, `i32.eqz`
-    /// inversions absorbed).
-    pub cmp_br: u64,
-    /// Bare `i32.eqz; jump-if` chains folded into the inverted jump.
-    pub eqz_br: u64,
-    /// Row indices `i32.mul; local.get; i32.add` that no 2-D address tail
-    /// follows, pushed or sunk into a `local.set`.
-    pub mul_add: u64,
-}
-
-impl FusionStats {
-    /// Total superinstructions emitted across all kinds.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts().iter().map(|(_, n)| n).sum()
-    }
-
-    /// Per-kind `(name, count)` pairs, for coverage assertions and logs.
-    #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 9] {
-        [
-            ("binop_k", self.binop_k),
-            ("binop_set", self.binop_set),
-            ("binop_store", self.binop_store),
-            ("add_load", self.add_load),
-            ("idx_addr", self.idx_addr),
-            ("idx_load", self.idx_load),
-            ("cmp_br", self.cmp_br),
-            ("eqz_br", self.eqz_br),
-            ("mul_add", self.mul_add),
-        ]
-    }
-
-    /// Accumulates another module's counts into this one.
-    pub fn merge(&mut self, other: &FusionStats) {
-        self.binop_k += other.binop_k;
-        self.binop_set += other.binop_set;
-        self.binop_store += other.binop_store;
-        self.add_load += other.add_load;
-        self.idx_addr += other.idx_addr;
-        self.idx_load += other.idx_load;
-        self.cmp_br += other.cmp_br;
-        self.eqz_br += other.eqz_br;
-        self.mul_add += other.mul_add;
-    }
-}
-
 /// An imported function, with its signature pre-split for slot/Value
 /// conversion at the host boundary.
 #[derive(Debug)]
@@ -712,7 +641,7 @@ pub(crate) struct CompiledModule {
     /// imports.
     pub(crate) funcs: Box<[Option<crate::reg::RegFunc>]>,
     pub(crate) stats: crate::reg::RegStats,
-    pub(crate) fusion: FusionStats,
+    pub(crate) fusion: crate::reg::FusionStats,
     /// The memory's minimum size in bytes — the floor the range
     /// analysis anchors its in-bounds proofs to (linear memory never
     /// shrinks).
@@ -766,22 +695,13 @@ impl CompiledModule {
             .memories
             .first()
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
-        let mut fusion = FusionStats::default();
-        let mut stats = crate::reg::RegStats::default();
         let mut scratch = crate::reg::RegScratch::default();
         let start = Instant::now();
         for body in &module.funcs {
             let func = funcs.len() as u32;
+            let lowered = crate::reg::lower_func(module, func, body, &mut scratch, fuse)?;
             func_type_idx.push(body.type_idx);
-            funcs.push(Some(crate::reg::lower_func(
-                module,
-                func,
-                body,
-                &mut scratch,
-                fuse,
-                &mut stats,
-                &mut fusion,
-            )?));
+            funcs.push(Some(lowered));
         }
         let times = CompileTimes {
             lower: start.elapsed(),
@@ -791,8 +711,8 @@ impl CompiledModule {
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
             funcs: funcs.into_boxed_slice(),
-            stats,
-            fusion,
+            stats: scratch.stats,
+            fusion: scratch.fusion,
             min_mem,
             times,
         })
@@ -1476,8 +1396,12 @@ mod tests {
         let module = crate::load(&b.build()).unwrap();
         let fused = CompiledModule::compile_full(&module, true).unwrap();
         let stats = fused.fusion;
-        assert_eq!(stats.cmp_br, 1, "loop exit must fuse: {stats:?}");
-        assert_eq!(stats.binop_set, 2, "{stats:?}");
+        assert_eq!(
+            stats.of(crate::reg::Rule::CmpBr),
+            1,
+            "loop exit must fuse: {stats:?}"
+        );
+        assert_eq!(stats.of(crate::reg::Rule::BinopSet), 2, "{stats:?}");
         assert_eq!(stats.total(), 3, "{stats:?}");
         let code = &fused.funcs[0].as_ref().unwrap().code;
         assert_eq!(
@@ -1614,7 +1538,11 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let compiled = CompiledModule::compile_full(&module, true).unwrap();
-        assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
+        assert_eq!(
+            compiled.fusion.of(crate::reg::Rule::BinopSet),
+            1,
+            "the set sink must fuse"
+        );
         for a in [i32::MIN, 42, -42] {
             assert_matrix_agrees(&bytes, "divk", &[Value::I32(a)], &format!("divk({a})"));
         }
@@ -1648,7 +1576,11 @@ mod tests {
         let bytes = b.build();
         let module = crate::load(&bytes).unwrap();
         let compiled = CompiledModule::compile_full(&module, true).unwrap();
-        assert_eq!(compiled.fusion.binop_set, 1, "the set sink must fuse");
+        assert_eq!(
+            compiled.fusion.of(crate::reg::Rule::BinopSet),
+            1,
+            "the set sink must fuse"
+        );
         for (arg, expect_trap, expect_instret) in
             [(i32::MIN, true, 3), (42, false, 5), (-42, false, 5)]
         {

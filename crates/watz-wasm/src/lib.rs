@@ -88,10 +88,10 @@ pub use analysis::RangeStats;
 pub use artifact::Artifact;
 pub use decode::DecodeError;
 pub use exec::{EngineConfig, ExecMode, HostEnv, Instance, NoHost, Trap, Value};
-pub use flat::{CompileTimes, FusionStats};
+pub use flat::CompileTimes;
 pub use module::Module;
 pub use profile::{ExecProfile, ProfileMode};
-pub use reg::RegStats;
+pub use reg::{FusionStats, RegStats};
 pub use validate::ValidationError;
 pub use verify::{VerifyError, VerifyStats};
 

@@ -61,16 +61,26 @@
 //!   not a fusion rule, so [`EngineConfig::fuse`] off leaves it on.
 //! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
 //!   the instructions that follow it and emits one superinstruction for
-//!   the group, under one rule per shape:
+//!   the group, under one rule per shape. Each rule is one row of
+//!   [`RULES`], and this table lists them in its order, which is their
+//!   precedence: where two rules could take one instruction, the earlier
+//!   row does. A `const k` in front of an `i32.mul` leaves the multiply to
+//!   its address tail or its row; `const k; binop; local.set` is
+//!   `binop_set`, not `binop_k`; `const k; binop` keeps the binop from its
+//!   store, load and branch follows; and a binop takes an `i32.eqz`
+//!   chain's jump before `eqz_br` can.
 //!
-//!   | at | instructions joined | register op |
-//!   |---|---|---|
-//!   | `const k` | `i32.mul; i32.add [; load]` (1-D address tail) | `ScaleAdd` / `ScaleAddLoad*` |
-//!   | `const k` | the adjacent `binop` (`k` its right operand) [; `local.set`] | `BinopK` / `AddI32K` |
-//!   | `i32.mul` | `local.get z; i32.add; const k; i32.mul; i32.add [; 64-bit load]` (2-D address, row multiply included) | `IdxLAdd` / `IdxLAddLoadF64` |
-//!   | `i32.mul` | `local.get z; i32.add [; local.set]` (row index `y*n + z`, no 2-D tail after it) | `MulAddI32` |
-//!   | `binop` | its follow: `local.set`, `f64.store` after `f64.add`, `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if`, or a load after `i32.add` | the binop writing the local, `AddStoreF64`, `CmpBr*`, `ScaleAddLoad*` with `k = 1` |
-//!   | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
+//!   | rule | at | instructions joined | register ops |
+//!   |---|---|---|---|
+//!   | `idx_load` | `const k`, `i32.mul` | the 1-D tail `i32.mul; i32.add; load` (`base + idx*k`), or `local.get z; i32.add; const k; i32.mul; i32.add; 64-bit load` (2-D, row multiply included) | `ScaleAddLoadI32`, `ScaleAddLoadF64`, `IdxLAddLoadF64` |
+//!   | `idx_addr` | `const k`, `i32.mul` | the same tails without a joined load | `ScaleAdd`, `IdxLAdd` |
+//!   | `mul_add` | `i32.mul` | `local.get z; i32.add [; local.set]` (row index `y*n + z`, no 2-D tail after it) | `MulAddI32` |
+//!   | `binop_set` | `binop`, `const k` | `local.set` after the binop (`k` its right operand) | `Binop`, `AddF64`, `SubF64`, `MulF64`, `BinopK`, `AddI32K` |
+//!   | `binop_k` | `const k` | the adjacent `binop` (`k` its right operand) | `BinopK`, `AddI32K` |
+//!   | `binop_store` | `f64.add` | `f64.store` | `AddStoreF64` |
+//!   | `add_load` | `i32.add` | a full-width load (`k = 1`) | `ScaleAddLoadI32`, `ScaleAddLoadF64` |
+//!   | `cmp_br` | `binop` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` | `CmpBr`, `CmpBrLtSZ` |
+//!   | `eqz_br` | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
 //!
 //!   The row rules read both factors of the multiply from slots, so a
 //!   `const k` in front of such an `i32.mul` stays a `Const` rather than
@@ -82,18 +92,24 @@
 //!
 //!   A load joins a rule only at full width (`i32`/`f32` → `*I32`,
 //!   `i64`/`f64` → `*F64`); the narrow, extending loads stay their own op.
-//!   Each joined shape carries at least 1 % of the dispatches of PolyBench
-//!   or of the speedtest guest (the ledger in `reg/ledger.rs` enforces
-//!   this); every other shape lowers to the generic ops, one per
-//!   instruction. A `br_if` joins only when its branch moves no values. A
-//!   trap-capable binop (`div`/`rem`) sinks only into a `local.set`,
-//!   whose retirement is deferred until the division succeeds. **No rule
-//!   reads past a structural instruction** (`block`, `loop`, `else`,
-//!   `end`; an `if` or a `br_if` only ends a window, as its jump): every
-//!   branch destination starts a register op.
-//!   [`EngineConfig::fuse`] off switches exactly these rules off
-//!   (forwarding stays), for bisection; [`FusionStats`] counts what each
-//!   rule joined.
+//!   Each specialised or fused op a rule emits carries at least 1 % of the
+//!   dispatches of PolyBench, the speedtest guest or Genann (the ledger in
+//!   `reg/ledger.rs` derives each op's duty from [`RULES`], and fails a
+//!   variant that no row, specialisation or generic form accounts for,
+//!   and a table here that is not [`RULES`] row for row); every other
+//!   shape lowers to the generic ops, one per instruction. A `br_if` joins
+//!   only when its branch moves no values. A trap-capable binop
+//!   (`div`/`rem`) sinks only into a `local.set`, whose retirement is
+//!   deferred until the division succeeds. **No rule reads past a
+//!   structural instruction** (`block`, `loop`, `else`, `end`; an `if` or
+//!   a `br_if` only ends a window, as its jump): every branch destination
+//!   starts a register op. [`EngineConfig::fuse`] off switches exactly
+//!   these rules off (forwarding stays), for bisection; [`FusionStats`]
+//!   counts what each rule joined, one count per row. A new rule is one
+//!   row of [`RULES`] and one arm of the window checker's alphabet
+//!   (`reg/window.rs`), which then runs every short window of its
+//!   instructions on the tree, fused and unfused; the ledger holds what
+//!   it emits to its 1 %.
 //! * **Stack-polymorphic edges keep explicit fix-ups** — branches that
 //!   transfer values (`br`/`br_if` with results, `br_table` arms) become
 //!   jumps carrying a static `src → dst × keep` block copy, calls require
@@ -121,8 +137,8 @@
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
     apply_binop, apply_unop, as_f64, as_i32, as_u32, bad, do_load, do_store, from_f64, from_i32,
-    map_simple, slot_from_value, value_from_slot, BinOpKind, CompiledModule, FusionStats, LoadKind,
-    Simple, Slot, StoreKind, UnOpKind,
+    map_simple, slot_from_value, value_from_slot, BinOpKind, CompiledModule, LoadKind, Simple,
+    Slot, StoreKind, UnOpKind,
 };
 use crate::instr::Instr;
 use crate::module::{FuncBody, Module};
@@ -131,6 +147,8 @@ use crate::types::{BlockType, FuncType, ValType};
 
 #[cfg(test)]
 mod ledger;
+#[cfg(test)]
+mod window;
 
 /// Counters from the register-allocation pass over a whole module,
 /// reported by [`Instance::reg_stats`](crate::exec::Instance::reg_stats).
@@ -169,6 +187,90 @@ impl RegStats {
         self.gets_forwarded += other.gets_forwarded;
         self.moves_inserted += other.moves_inserted;
         self.stack_ops_eliminated += other.stack_ops_eliminated;
+    }
+}
+
+/// A fusion rule of [`lower_func`], named by its row of [`RULES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rule {
+    IdxLoad,
+    IdxAddr,
+    MulAdd,
+    BinopSet,
+    BinopK,
+    BinopStore,
+    AddLoad,
+    CmpBr,
+    EqzBr,
+}
+
+/// What the op-set ledger (`reg/ledger.rs`) holds a rule's ops to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Duty {
+    /// Not held to a share, for the reason given.
+    Exempt(&'static str),
+    /// Each specialised or fused op it emits carries >= 1 % of the
+    /// dispatches of at least one suite.
+    Pays,
+}
+
+/// The fusion rules, one row per [`Rule`] in its declaration order, which
+/// is lowering's precedence (the module docs' table lists the same rows):
+/// the rule, its name in [`FusionStats`], the [`RegOp`] variants it may
+/// emit (space-separated) and its ledger duty.
+#[rustfmt::skip]
+pub(crate) const RULES: [(Rule, &str, &str, Duty); 9] = [
+    (Rule::IdxLoad, "idx_load", "ScaleAddLoadI32 ScaleAddLoadF64 IdxLAddLoadF64", Duty::Pays),
+    (Rule::IdxAddr, "idx_addr", "ScaleAdd IdxLAdd", Duty::Pays),
+    (Rule::MulAdd, "mul_add", "MulAddI32", Duty::Pays),
+    (Rule::BinopSet, "binop_set", "Binop AddF64 SubF64 MulF64 BinopK AddI32K", Duty::Pays),
+    (Rule::BinopK, "binop_k", "BinopK AddI32K", Duty::Pays),
+    (Rule::BinopStore, "binop_store", "AddStoreF64", Duty::Pays),
+    (Rule::AddLoad, "add_load", "ScaleAddLoadI32 ScaleAddLoadF64", Duty::Pays),
+    (Rule::CmpBr, "cmp_br", "CmpBr CmpBrLtSZ", Duty::Pays),
+    (Rule::EqzBr, "eqz_br", "BrIf", Duty::Exempt("folds into the generic BrIf")),
+];
+
+/// Per-rule counts of the superinstructions the register pass formed over
+/// a whole module, one per row of [`RULES`], reported by
+/// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats). A rule
+/// names what was joined, never where an operand came from: operands
+/// always come from the abstract stack. Each emitted superinstruction
+/// counts once, under the rule that formed it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FusionStats {
+    counts: [u64; RULES.len()],
+}
+
+impl FusionStats {
+    pub(crate) fn record(&mut self, rule: Rule) {
+        self.counts[rule as usize] += 1;
+    }
+
+    /// How many superinstructions `rule` formed.
+    #[cfg(test)]
+    pub(crate) fn of(&self, rule: Rule) -> u64 {
+        self.counts[rule as usize]
+    }
+
+    /// Total superinstructions emitted across all rules.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Per-rule `(name, count)` pairs, in [`RULES`] order, for coverage
+    /// assertions and logs.
+    #[must_use]
+    pub fn counts(&self) -> [(&'static str, u64); RULES.len()] {
+        std::array::from_fn(|i| (RULES[i].1, self.counts[i]))
+    }
+
+    /// Accumulates another module's counts into this one.
+    pub fn merge(&mut self, other: &FusionStats) {
+        for (n, m) in self.counts.iter_mut().zip(other.counts) {
+            *n += m;
+        }
     }
 }
 
@@ -626,9 +728,12 @@ fn frame_index(ctrl: &[Ctrl], d: u32) -> Option<usize> {
 }
 
 /// The walk's working buffers, owned by one compile and reused for each
-/// function body, so lowering allocates only what the [`RegFunc`] keeps.
+/// function body, so lowering allocates only what the [`RegFunc`] keeps,
+/// and the compile's counters, summed over its bodies.
 #[derive(Default)]
 pub(crate) struct RegScratch {
+    pub(crate) stats: RegStats,
+    pub(crate) fusion: FusionStats,
     vstack: Vec<Src>,
     ctrl: Vec<Ctrl>,
     /// Forward branches waiting for the end of their target frame, as
@@ -996,6 +1101,14 @@ impl Lowerer<'_> {
             }
         }
         Ok(())
+    }
+
+    /// The slot of local `idx`, written by the op about to be emitted:
+    /// operands still forwarded from it are copied out first.
+    fn sink(&mut self, idx: u32) -> Result<u16, Trap> {
+        let dst = self.local(idx)?;
+        self.guard_local_write(dst, 0)?;
+        Ok(dst)
     }
 
     /// Validates and converts a local index carried by a (possibly
@@ -1413,7 +1526,7 @@ impl<'a> Ahead<'a> {
 /// Lowers `body`, function `func` of the function space, to register form
 /// in one walk over its structured code (see the module docs), in
 /// `scratch`'s buffers. `fuse` turns the fusion rules on; what they joined
-/// is counted in `fusion`.
+/// is counted in `scratch.fusion`.
 ///
 /// # Errors
 ///
@@ -1431,8 +1544,6 @@ pub(crate) fn lower_func(
     body: &FuncBody,
     scratch: &mut RegScratch,
     fuse: bool,
-    stats: &mut RegStats,
-    fusion: &mut FusionStats,
 ) -> Result<RegFunc, Trap> {
     let ty = module
         .types
@@ -1443,6 +1554,8 @@ pub(crate) fn lower_func(
     let n_results = ty.results.len();
     let code = &body.code[..];
     let RegScratch {
+        stats,
+        fusion,
         vstack,
         ctrl,
         patches,
@@ -1750,10 +1863,10 @@ pub(crate) fn lower_func(
                         let base = lo.pop()?;
                         let dst = lo.push()?;
                         lo.out.push(if let Some((w, offset)) = load {
-                            fusion.idx_load += 1;
+                            fusion.record(Rule::IdxLoad);
                             sel_scale_add_load(base, idx, k, w, offset, dst)
                         } else {
-                            fusion.idx_addr += 1;
+                            fusion.record(Rule::IdxAddr);
                             RegOp::ScaleAdd { base, idx, k, dst }
                         });
                     } else if let Some((op, follow, follow_len)) = binop {
@@ -1763,14 +1876,12 @@ pub(crate) fn lower_func(
                         // store, branch and address sinks.
                         let a = lo.pop()?;
                         let dst = if let Follow::Set(local) = follow {
-                            fusion.binop_set += 1;
+                            fusion.record(Rule::BinopSet);
                             used = 2 + follow_len;
                             deferred_set = true;
-                            let dst = lo.local(local)?;
-                            lo.guard_local_write(dst, 0)?;
-                            dst
+                            lo.sink(local)?
                         } else {
-                            fusion.binop_k += 1;
+                            fusion.record(Rule::BinopK);
                             used = 2;
                             lo.push()?
                         };
@@ -1795,14 +1906,12 @@ pub(crate) fn lower_func(
                     let reg_op = match follow {
                         Follow::Push => sel_binop(op, a, b, lo.push()?),
                         Follow::Set(dst) => {
-                            fusion.binop_set += 1;
+                            fusion.record(Rule::BinopSet);
                             deferred_set = true;
-                            let dst = lo.local(dst)?;
-                            lo.guard_local_write(dst, 0)?;
-                            sel_binop(op, a, b, dst)
+                            sel_binop(op, a, b, lo.sink(dst)?)
                         }
                         Follow::Store(offset) => {
-                            fusion.binop_store += 1;
+                            fusion.record(Rule::BinopStore);
                             RegOp::AddStoreF64 {
                                 a,
                                 b,
@@ -1811,12 +1920,12 @@ pub(crate) fn lower_func(
                             }
                         }
                         Follow::Br(jump_if) => {
-                            fusion.cmp_br += 1;
+                            fusion.record(Rule::CmpBr);
                             let target = lo.cond_target(module, &code[i + used - 1])?;
                             sel_cmp_br(op, a, b, jump_if, target)
                         }
                         Follow::Load(w, offset) => {
-                            fusion.add_load += 1;
+                            fusion.record(Rule::AddLoad);
                             sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
                         }
                         Follow::Addr { z, k, load } => {
@@ -1824,7 +1933,7 @@ pub(crate) fn lower_func(
                             let base = lo.pop()?;
                             let dst = lo.push()?;
                             if let Some(offset) = load {
-                                fusion.idx_load += 1;
+                                fusion.record(Rule::IdxLoad);
                                 RegOp::IdxLAddLoadF64 {
                                     base,
                                     y,
@@ -1835,7 +1944,7 @@ pub(crate) fn lower_func(
                                     dst,
                                 }
                             } else {
-                                fusion.idx_addr += 1;
+                                fusion.record(Rule::IdxAddr);
                                 RegOp::IdxLAdd {
                                     base,
                                     y,
@@ -1847,15 +1956,11 @@ pub(crate) fn lower_func(
                             }
                         }
                         Follow::MulAdd { z, set } => {
-                            fusion.mul_add += 1;
+                            fusion.record(Rule::MulAdd);
                             let z = lo.local(z)?;
+                            deferred_set = set.is_some();
                             let dst = match set {
-                                Some(local) => {
-                                    deferred_set = true;
-                                    let dst = lo.local(local)?;
-                                    lo.guard_local_write(dst, 0)?;
-                                    dst
-                                }
+                                Some(local) => lo.sink(local)?,
                                 None => lo.push()?,
                             };
                             RegOp::MulAddI32 { y: a, n: b, z, dst }
@@ -1874,7 +1979,7 @@ pub(crate) fn lower_func(
                         _ => None,
                     };
                     if let Some((jump_if, jump_len)) = fold {
-                        fusion.eqz_br += 1;
+                        fusion.record(Rule::EqzBr);
                         used = 1 + jump_len;
                         lo.flush_below(1)?;
                         let cond = lo.pop()?;
@@ -2678,7 +2783,7 @@ pub(crate) mod tests {
         assert!(stats.frame_slots > 0, "{stats:?}");
         assert!(stats.moves_inserted > 0, "{stats:?}");
         assert!(stats.stack_ops_eliminated > 0, "{stats:?}");
-        assert_eq!(inst.fusion_stats().map(|s| s.binop_k), Some(1));
+        assert_eq!(inst.fusion_stats().map(|s| s.of(Rule::BinopK)), Some(1));
         // The tree oracle lowers nothing: no register program, no fusion.
         let mut oracle_run =
             Instance::instantiate_with(&module, ExecMode::Interpreted, production, &mut NoHost)
@@ -3181,7 +3286,11 @@ pub(crate) mod tests {
             let bytes = b.build();
             let cm = compiled(&bytes, true);
             assert_eq!(names(code_of(&cm, 0))[..2], ["BinopK", "BrIf"], "k = {k}");
-            assert_eq!((cm.fusion.binop_k, cm.fusion.cmp_br), (1, 0), "k = {k}");
+            assert_eq!(
+                (cm.fusion.of(Rule::BinopK), cm.fusion.of(Rule::CmpBr)),
+                (1, 0),
+                "k = {k}"
+            );
             for (arg, want) in [(k, 1), (k + 1, 2), (0, 2)] {
                 let out = agreed_outcome(&bytes, "f", &[Value::I64(arg)], "constant k").unwrap();
                 assert_eq!(out, vec![Value::I32(want)], "f({arg}), k = {k}");
@@ -3222,7 +3331,7 @@ pub(crate) mod tests {
     fn set_sink_stops_at_a_jump_target() {
         let bytes = target_between_binop_and_set();
         let cm = compiled(&bytes, true);
-        assert_eq!(cm.fusion.binop_set, 0, "{:?}", code_of(&cm, 0));
+        assert_eq!(cm.fusion.of(Rule::BinopSet), 0, "{:?}", code_of(&cm, 0));
         for (x, y, want) in [(5, 0, 5), (5, 9, 5), (-1, 0, -1)] {
             let args = [Value::I32(x), Value::I32(y)];
             let out = agreed_outcome(&bytes, "f", &args, "target at the set").unwrap();
@@ -3258,7 +3367,7 @@ pub(crate) mod tests {
         let bytes = b.build();
         let cm = compiled(&bytes, true);
         assert_eq!(
-            (cm.fusion.idx_addr, cm.fusion.binop_k),
+            (cm.fusion.of(Rule::IdxAddr), cm.fusion.of(Rule::BinopK)),
             (0, 0),
             "{:?}",
             code_of(&cm, 0)
@@ -3389,7 +3498,7 @@ pub(crate) mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        assert_eq!(compiled(&bytes, true).fusion.binop_set, 0);
+        assert_eq!(compiled(&bytes, true).fusion.of(Rule::BinopSet), 0);
         for (x, y, want) in [
             (7, 2, Ok(vec![Value::I32(3)])),
             (i32::MIN, -1, Err(Trap::IntegerOverflow)),
@@ -3501,7 +3610,7 @@ pub(crate) mod tests {
         );
         b.export_func("f", f);
         let bytes = b.build();
-        assert_eq!(compiled(&bytes, true).fusion.cmp_br, 1);
+        assert_eq!(compiled(&bytes, true).fusion.of(Rule::CmpBr), 1);
         for (x, a, c, want) in [(1, 2, 3, 11), (1, 3, 2, 1), (-7, 0, 0, -7)] {
             let args = [Value::I32(x), Value::I32(a), Value::I32(c)];
             let out = agreed_outcome(&bytes, "f", &args, "if without else");

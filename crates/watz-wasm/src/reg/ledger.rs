@@ -15,64 +15,84 @@
 
 use std::cell::{Cell, RefCell};
 
-use super::RegOp;
+use super::{Duty, RegOp, RULES};
 use crate::exec::{EngineConfig, ExecMode, Instance, NoHost, Value};
 use crate::profile::{ExecProfile, ProfileMode};
 use workloads::{genann_guest, polybench, speedtest};
 
-/// What the ledger holds a variant to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Duty {
-    /// Not held to a share, for the reason given.
-    Exempt(&'static str),
-    /// Carries >= 1 % of the dispatches of at least one suite.
-    Pays,
-}
-
 const WASM: Duty = Duty::Exempt("implements Wasm semantics");
 
-/// Every [`RegOp`] variant, in declaration order, with its duty.
-const VARIANTS: [(&str, Duty); 39] = [
-    ("Unreachable", WASM),
-    ("Jump", WASM),
-    ("BrIf", WASM),
-    ("BrMoves", WASM),
-    ("BrIfMoves", WASM),
-    ("BrTable", WASM),
-    ("Return", WASM),
-    ("CallLocal", WASM),
-    ("CallImport", WASM),
-    ("CallIndirect", WASM),
-    ("Select", WASM),
-    ("Move", WASM),
-    ("Const", WASM),
-    ("GlobalGet", WASM),
-    ("GlobalSet", WASM),
-    ("Load", WASM),
-    ("Store", WASM),
-    ("MemorySize", WASM),
-    ("MemoryGrow", WASM),
-    ("MemoryCopy", WASM),
-    ("MemoryFill", WASM),
-    ("Unop", WASM),
-    ("Binop", WASM),
-    ("BinopK", WASM),
-    ("AddI32K", Duty::Pays),
-    ("AddF64", Duty::Pays),
-    ("SubF64", Duty::Pays),
-    ("MulF64", Duty::Pays),
-    ("StoreI32R", Duty::Pays),
-    ("StoreF64R", Duty::Pays),
-    ("ScaleAddLoadI32", Duty::Pays),
-    ("ScaleAddLoadF64", Duty::Pays),
-    ("IdxLAddLoadF64", Duty::Pays),
-    ("AddStoreF64", Duty::Pays),
-    ("CmpBrLtSZ", Duty::Pays),
-    ("CmpBr", Duty::Pays),
-    ("ScaleAdd", Duty::Pays),
-    ("IdxLAdd", Duty::Pays),
-    ("MulAddI32", Duty::Pays),
+/// Every [`RegOp`] variant, in declaration order: the first [`GENERIC`]
+/// implement Wasm semantics one instruction at a time, the rest are
+/// specialised or fused.
+const VARIANTS: [&str; 39] = [
+    "Unreachable",
+    "Jump",
+    "BrIf",
+    "BrMoves",
+    "BrIfMoves",
+    "BrTable",
+    "Return",
+    "CallLocal",
+    "CallImport",
+    "CallIndirect",
+    "Select",
+    "Move",
+    "Const",
+    "GlobalGet",
+    "GlobalSet",
+    "Load",
+    "Store",
+    "MemorySize",
+    "MemoryGrow",
+    "MemoryCopy",
+    "MemoryFill",
+    "Unop",
+    "Binop",
+    "BinopK",
+    "AddI32K",
+    "AddF64",
+    "SubF64",
+    "MulF64",
+    "StoreI32R",
+    "StoreF64R",
+    "ScaleAddLoadI32",
+    "ScaleAddLoadF64",
+    "IdxLAddLoadF64",
+    "AddStoreF64",
+    "CmpBrLtSZ",
+    "CmpBr",
+    "ScaleAdd",
+    "IdxLAdd",
+    "MulAddI32",
 ];
+
+/// How many of [`VARIANTS`], from the first, are generic.
+const GENERIC: usize = 24;
+
+/// The specialised forms lowering picks for every op of their operator or
+/// width, fused or not (`sel_binop`, `sel_store`): they pay as the rules'
+/// forms do, but no rule is why they exist.
+const SPECIALISED: [&str; 5] = ["AddF64", "SubF64", "MulF64", "StoreI32R", "StoreF64R"];
+
+/// What the ledger holds `VARIANTS[i]` to, read off the registry: a
+/// generic variant is exempt, a specialised one pays, and any other takes
+/// the duty of the rows of [`RULES`] that may emit it (it pays if one of
+/// them pays). `None`: nothing accounts for the variant.
+fn duty(i: usize) -> Option<Duty> {
+    let name = VARIANTS[i];
+    if i < GENERIC {
+        return Some(WASM);
+    }
+    if SPECIALISED.contains(&name) {
+        return Some(Duty::Pays);
+    }
+    RULES
+        .iter()
+        .filter(|row| row.2.split(' ').any(|v| v == name))
+        .map(|row| row.3)
+        .max_by_key(|d| *d == Duty::Pays)
+}
 
 /// The position of `op`'s variant in [`VARIANTS`].
 fn index(op: &RegOp) -> usize {
@@ -146,10 +166,10 @@ pub(super) fn tally(op: &RegOp) {
         if t[i] == 0 {
             let name = format!("{op:?}");
             assert!(
-                name.starts_with(VARIANTS[i].0)
-                    && !name[VARIANTS[i].0.len()..].starts_with(char::is_alphanumeric),
+                name.starts_with(VARIANTS[i])
+                    && !name[VARIANTS[i].len()..].starts_with(char::is_alphanumeric),
                 "VARIANTS[{i}] is {}, not the variant of {name}",
-                VARIANTS[i].0
+                VARIANTS[i]
             );
         }
         t[i] += 1;
@@ -288,7 +308,8 @@ fn table(suites: &[Suite]) -> String {
         out += &format!("{:>26}", s.name);
     }
     out.push('\n');
-    for (i, (name, duty)) in VARIANTS.iter().enumerate() {
+    for (i, name) in VARIANTS.iter().enumerate() {
+        let duty = duty(i).unwrap_or(Duty::Exempt("no rule emits it"));
         let pays = match duty {
             Duty::Exempt(_) => "(exempt)",
             Duty::Pays => ">= 1 %",
@@ -326,7 +347,7 @@ fn pair_table(suites: &[Suite], top: usize) -> String {
         pairs.sort_unstable_by(|a, b| b.cmp(a));
         out += &format!("{}: top {top} successor pairs\n", s.name);
         for (n, p, i) in pairs.into_iter().take(top) {
-            let pair = format!("{} -> {}", VARIANTS[p].0, VARIANTS[i].0);
+            let pair = format!("{} -> {}", VARIANTS[p], VARIANTS[i]);
             out += &format!("  {pair:<40}{n:>16} {:>7.3} %\n", s.share(n));
         }
     }
@@ -335,14 +356,57 @@ fn pair_table(suites: &[Suite], top: usize) -> String {
 
 /// The paying variants that carry < 1 % of the dispatches of every suite.
 fn below_one_percent(suites: &[Suite]) -> Vec<&'static str> {
-    VARIANTS
-        .iter()
-        .enumerate()
-        .filter(|(i, (_, duty))| {
-            *duty == Duty::Pays && suites.iter().all(|s| s.share(s.dispatches[*i]) < 1.0)
+    (0..N)
+        .filter(|&i| {
+            duty(i) == Some(Duty::Pays) && suites.iter().all(|s| s.share(s.dispatches[i]) < 1.0)
         })
-        .map(|(_, (name, _))| *name)
+        .map(|i| VARIANTS[i])
         .collect()
+}
+
+#[test]
+fn every_variant_and_doc_row_is_accounted_for_by_the_registry() {
+    for (i, (rule, name, emits, _)) in RULES.iter().enumerate() {
+        assert_eq!(*rule as usize, i, "RULES row {i} ({name}) is out of order");
+        for v in emits.split(' ') {
+            assert!(
+                VARIANTS.contains(&v),
+                "{name} emits {v}, not a RegOp variant"
+            );
+        }
+    }
+    for (i, name) in VARIANTS.iter().enumerate() {
+        assert!(
+            duty(i).is_some(),
+            "{name} is neither generic-exempt, specialised nor emitted by a RULES row"
+        );
+    }
+    // The module docs' rule table: one row per rule, in `RULES` order,
+    // naming the rule and exactly the variants it may emit.
+    let doc: Vec<(String, Vec<String>)> = include_str!("../reg.rs")
+        .lines()
+        .map_while(|line| line.strip_prefix("//!"))
+        .filter_map(|line| line.trim().strip_prefix("| `"))
+        .map(|row| {
+            let cells: Vec<&str> = row.split(" | ").collect();
+            let ops = cells[cells.len() - 1].split('`').skip(1).step_by(2);
+            let name = cells[0].trim_end_matches('`').to_string();
+            (name, ops.map(str::to_string).collect())
+        })
+        .collect();
+    let registry: Vec<(String, Vec<String>)> = RULES
+        .iter()
+        .map(|(_, name, emits, _)| {
+            (
+                name.to_string(),
+                emits.split(' ').map(str::to_string).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        doc, registry,
+        "the reg.rs module-doc table is not the registry"
+    );
 }
 
 #[test]
