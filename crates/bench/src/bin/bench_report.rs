@@ -263,7 +263,6 @@ fn profile_rung(module: &watz_wasm::Module, mode: ExecMode, fuse: bool, n: i32) 
     let config = EngineConfig {
         fuse,
         profile: ProfileMode::Count,
-        ..EngineConfig::default()
     };
     let mut inst =
         Instance::instantiate_with(module, mode, config, &mut NoHost).expect("kernel instantiates");
@@ -565,9 +564,9 @@ fn main() {
     writeln!(w).unwrap();
     writeln!(
         w,
-        "Live counters from compiling each kernel with the independent IR verifier\n\
-         on (`EngineConfig::verify` set), then running the range analysis over\n\
-         its register code. **proven** is memory accesses the\n\
+        "Live counters from compiling each kernel, which runs the independent IR\n\
+         verifier over its register code as every compile does, then running the\n\
+         range analysis over that code. **proven** is memory accesses the\n\
          interval/subsumption analysis shows in bounds. Every access keeps its\n\
          bounds check all the same: the engine is safe Rust, so a proof has no\n\
          check to remove, and no launch runs the analysis. The analysis and the\n\
@@ -593,14 +592,10 @@ fn main() {
     for kernel in &suite {
         let wasm = minic::compile(kernel.minic).expect("kernel compiles");
         let module = watz_wasm::load(&wasm).expect("kernel loads");
-        let config = EngineConfig {
-            verify: true,
-            ..EngineConfig::default()
-        };
-        let inst = Instance::instantiate_with(&module, ExecMode::Aot, config, &mut NoHost)
+        let inst = Instance::instantiate(&module, ExecMode::Aot, &mut NoHost)
             .unwrap_or_else(|e| panic!("IR verifier rejected {}: {e}", kernel.name));
         let a = inst.range_stats().expect("register instance");
-        let v = inst.verify_stats().expect("verification ran");
+        let v = inst.verify_stats().expect("register instance");
         writeln!(
             w,
             "| {} | {} | {} | {} | {} | {} | {} |",

@@ -500,11 +500,11 @@ fn main() {
 
     // --- Load-time compilation must stay proportionate to what it reads.
     // On Fig 4's 1 MB module, instantiation (register lowering with its
-    // fusion rules, range analysis, on the default configuration)
+    // fusion rules, then the IR verifier, on the default configuration)
     // against decoding plus validating the same bytes: a ratio of two
     // timings taken back to back in this process. ~1.5x as recorded; it was
-    // ~6x while the analysis value-numbered every op of a module that has
-    // no memory access.
+    // ~6x while a range analysis value-numbered every op of a module that
+    // has no memory access.
     let app = watz_bench::fig4_app(1);
     let app_module = watz_wasm::load(&app).expect("fig4 module loads");
     let instantiate = || engine(&app_module, ExecMode::Aot, EngineConfig::default());
@@ -525,7 +525,27 @@ fn main() {
         compile_ratio <= 3.5,
         "instantiating the fig4 1 MB module costs {compile_ratio:.2}x its decode + validate \
          ({t_instantiate:?} vs {t_load:?}); one of the two load-time passes (lower, \
-         analysis) stopped being linear in what it needs to look at: {passes:?}"
+         verify) stopped being linear in what it needs to look at: {passes:?}"
+    );
+
+    // --- Every launch verifies the code it runs, so verifying must stay a
+    // small share of the compile it checks: the fastest of 7 compiles of
+    // the same module per pass (13-17 % as measured).
+    let (lower, verify) = (0..7)
+        .map(|_| instantiate().compile_times().expect("Aot instance"))
+        .fold((Duration::MAX, Duration::MAX), |(l, v), t| {
+            (l.min(t.lower), v.min(t.verify))
+        });
+    let verify_share = verify.as_secs_f64() / lower.as_secs_f64();
+    println!(
+        "fig4 1 MB compile: lower {lower:?}  verify {verify:?} ({:.0} %)",
+        verify_share * 100.0
+    );
+    assert!(
+        verify_share <= 0.30,
+        "verifying the fig4 1 MB module costs {:.0} % of lowering it (verify {verify:?} vs \
+         lower {lower:?}); the verifier stopped being linear in the code it walks",
+        verify_share * 100.0
     );
 
     // --- A relaunch must skip what its first launch computed. The same
@@ -597,27 +617,12 @@ fn main() {
 
     msg3_records(cores);
 
-    // --- Static analysis: the verifier must pass the optimised code, the
-    // range analysis must prove accesses on gemm, and the verified instance
-    // must compute what the unverified one did. The instance runs with the
-    // verifier forced on, so the smoke gate exercises it on its own.
-    let mut verified = engine(
-        &module,
-        ExecMode::Aot,
-        EngineConfig {
-            verify: true,
-            ..EngineConfig::default()
-        },
-    );
-    let vstats = verified.verify_stats().expect("verification ran");
+    // --- Static analysis: the default instance's code passed the verifier
+    // before it ran, and the range analysis must prove accesses on gemm.
+    let vstats = reg.verify_stats().expect("register instance");
     assert!(vstats.funcs > 0, "verifier saw no functions for gemm");
-    let astats = verified.range_stats().expect("register instance");
+    let astats = reg.range_stats().expect("register instance");
     assert!(astats.proven() > 0, "range analysis proved nothing on gemm");
-    let out_verified = verified.invoke(&mut NoHost, "kernel", &args).unwrap();
-    assert_eq!(
-        out_verified, out_reg,
-        "the verified compile changes gemm({n})"
-    );
     println!(
         "gemm({n}): {} verified ops, {} of {} accesses proven ({} interval + {} subsumed)",
         vstats.reg_ops,

@@ -16,8 +16,8 @@
 //! 4. **init** — runtime environment and WASI host setup;
 //! 5. **loading** — decoding + validating the module (with the compile,
 //!    the dominant phase of a first launch);
-//! 6. **instantiate** — the load-time compile (register code, table
-//!    image), then instance creation: memory, data segments, globals,
+//! 6. **instantiate** — the load-time compile (register code, checked by
+//!    the IR verifier; table image), then instance creation: memory, data segments, globals,
 //!    start function. The memory is charged to the TA heap, and capped at
 //!    what the heap can still hold: each page it grows to is charged as
 //!    it is committed;
@@ -191,9 +191,10 @@ pub struct StartupBreakdown {
     /// alone when `cached`.
     pub instantiate: Duration,
     /// The load-time compilation inside `instantiate`: the one walk from
-    /// each body to register code, fusion included (zero for an
-    /// interpreted app, and when `cached`: the launch that built the
-    /// artifact reported it). Not a phase:
+    /// each body to register code, fusion included, and the IR verifier
+    /// over what it emitted (zero for an interpreted app, and when
+    /// `cached`: the launch that built the artifact reported it). Not a
+    /// phase:
     /// [`Self::total`] counts `instantiate` only.
     pub compile: watz_wasm::CompileTimes,
     /// First entry into guest code (filled by the first `invoke`).
@@ -297,7 +298,8 @@ impl WatzRuntime {
     /// Follows the paper's pipeline: the bytecode travels through a shared
     /// buffer (9 MB cap!), is copied into secure memory and measured — on
     /// every launch, from that copy. A first launch hashes it, decodes,
-    /// validates and compiles it under [`EngineConfig::default`], and the
+    /// validates and compiles it under [`EngineConfig::default`] (the IR
+    /// verifier included: code it rejects never runs), and the
     /// artifact stays resident under its measurement with the bytes; a
     /// relaunch of the same bytes in the same mode finds them equal to the
     /// resident ones, recalls their measurement and starts from the
@@ -447,7 +449,9 @@ impl WatzRuntime {
     }
 }
 
-/// A Wasm application hosted inside WaTZ.
+/// A Wasm application hosted inside WaTZ. Under [`ExecMode::Aot`] the
+/// register code it runs passed the IR verifier when its artifact was
+/// compiled ([`Instance::verify_stats`], via [`Self::instance`]).
 pub struct WatzApp {
     instance: Instance,
     env: WasiEnv,
@@ -498,8 +502,9 @@ impl WatzApp {
         self.measurement
     }
 
-    /// The engine instance, read-only: its artifact,
-    /// [`Instance::verify_ir`].
+    /// The engine instance, read-only: its artifact, the verifier's counts
+    /// from its compile ([`Instance::verify_stats`]) and a fresh run
+    /// ([`Instance::verify_ir`]).
     #[must_use]
     pub fn instance(&self) -> &Instance {
         &self.instance

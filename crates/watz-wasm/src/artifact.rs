@@ -6,7 +6,7 @@
 //! (the load-time compile's register program for [`ExecMode::Aot`], the
 //! structured bodies and their control side tables for
 //! [`ExecMode::Interpreted`]), the verifier's
-//! verdict — and an
+//! counts — and an
 //! [`Instance`](crate::exec::Instance) that holds an `Arc` of it plus the
 //! state a guest can change: linear memory, globals, counters. Any number of
 //! instances share one artifact; an embedder that launches the same bytes
@@ -20,7 +20,6 @@ use crate::instr::Instr;
 use crate::module::{ExportKind, FuncImport, Module};
 use crate::profile::ProfileMode;
 use crate::types::{BlockType, FuncType, Limits, ValType};
-use crate::verify::VerifyStats;
 
 /// A local function as the tree interpreter needs it.
 #[derive(Debug)]
@@ -73,9 +72,6 @@ pub struct Artifact {
     /// The imported functions: function indices `0..imports.len()`.
     pub(crate) imports: Vec<FuncImport>,
     pub(crate) code: Code,
-    /// Verifier counters when the register program was verified
-    /// ([`EngineConfig::verify`]); an artifact that failed is never built.
-    pub(crate) verify: Option<VerifyStats>,
     pub(crate) exports: HashMap<String, (ExportKind, u32)>,
     /// The function table after every element segment; this engine has no
     /// instruction that writes it.
@@ -97,9 +93,10 @@ pub(crate) enum Code {
     /// `imports.len()`.
     Tree(Box<[PreparedFunc]>),
     /// What the load-time compile left ([`ExecMode::Aot`]): the register
-    /// program, its tables, the pass statistics and what the walk cost.
+    /// program, its tables, the pass and verifier statistics and what the
+    /// compile cost.
     /// Nothing keeps the structured bodies, which would double code memory.
-    Reg(CompiledModule),
+    Reg(Box<CompiledModule>),
 }
 
 // Shared across launches and threads by construction.
@@ -110,10 +107,9 @@ const _: fn() = || {
 
 impl Artifact {
     /// Prepares a validated module for `mode`: runs the load-time compile
-    /// ([`ExecMode::Aot`]) and, with [`EngineConfig::verify`], the
-    /// independent verifier over its result; builds the table image and
-    /// copies out what instance creation reads, so the module can be
-    /// dropped.
+    /// ([`ExecMode::Aot`]) and the independent verifier over its result,
+    /// always; builds the table image and copies out what instance
+    /// creation reads, so the module can be dropped.
     ///
     /// # Errors
     ///
@@ -122,22 +118,13 @@ impl Artifact {
     /// encoding), when the compiled IR fails verification, or for an
     /// out-of-bounds element segment.
     pub fn new(module: &Module, mode: ExecMode, config: EngineConfig) -> Result<Self, Trap> {
-        // The AOT preparation step: lower every body to register form once;
-        // only the register form is kept. With `verify`, independent
-        // re-verification of what it left to execute: abstract
-        // interpretation from the register bodies alone, no shared state
-        // with the lowering code.
-        let mut verify = None;
+        // The AOT preparation step: lower every body to register form once,
+        // then re-verify what it left to execute: abstract interpretation
+        // from the register bodies alone, no shared state with the lowering
+        // code. Only the register form is kept.
         let code = match mode {
             ExecMode::Aot => {
-                let cm = CompiledModule::compile_full(module, config.fuse)?;
-                if config.verify {
-                    verify = Some(
-                        crate::verify::verify_module(&cm, &module.types)
-                            .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?,
-                    );
-                }
-                Code::Reg(cm)
+                Code::Reg(Box::new(CompiledModule::compile_full(module, config.fuse)?))
             }
             ExecMode::Interpreted => Code::Tree(
                 module
@@ -181,7 +168,6 @@ impl Artifact {
             types: module.types.clone(),
             imports: module.func_imports.clone(),
             code,
-            verify,
             exports: module
                 .exports
                 .iter()
@@ -217,7 +203,7 @@ impl Artifact {
     /// [`ExecMode::Interpreted`]).
     pub(crate) fn compiled(&self) -> Option<&CompiledModule> {
         match &self.code {
-            Code::Reg(cm) => Some(cm),
+            Code::Reg(cm) => Some(&**cm),
             Code::Tree(_) => None,
         }
     }

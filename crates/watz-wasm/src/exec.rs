@@ -156,9 +156,10 @@ pub enum Trap {
     MemoryOutOfBounds,
     /// Integer division (or remainder) by zero.
     DivisionByZero,
-    /// `i32::MIN / -1`-style overflow.
+    /// `i32::MIN / -1`-style overflow, or a float-to-int truncation of
+    /// ±inf or of a value outside the integer type's range.
     IntegerOverflow,
-    /// Float-to-int conversion of NaN or out-of-range value.
+    /// Float-to-int truncation of NaN.
     BadConversion,
     /// Guest recursion exceeded [`MAX_CALL_DEPTH`].
     CallStackExhausted,
@@ -190,7 +191,7 @@ impl std::fmt::Display for Trap {
             Trap::MemoryOutOfBounds => write!(f, "out-of-bounds memory access"),
             Trap::DivisionByZero => write!(f, "integer division by zero"),
             Trap::IntegerOverflow => write!(f, "integer overflow"),
-            Trap::BadConversion => write!(f, "invalid float-to-int conversion"),
+            Trap::BadConversion => write!(f, "invalid conversion to integer"),
             Trap::CallStackExhausted => write!(f, "call stack exhausted"),
             Trap::UndefinedTableElement => write!(f, "undefined table element"),
             Trap::IndirectTypeMismatch => write!(f, "indirect call type mismatch"),
@@ -220,8 +221,8 @@ pub enum ExecMode {
 }
 
 /// What [`ExecMode::Aot`] instantiation does besides lowering to register
-/// code. The lowering switches are ignored in [`ExecMode::Interpreted`];
-/// `profile` applies to both modes.
+/// code and verifying it, which it always does. `fuse` is ignored in
+/// [`ExecMode::Interpreted`]; `profile` applies to both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
     /// Let register lowering join adjacent instructions into
@@ -229,20 +230,15 @@ pub struct EngineConfig {
     /// forwarding is not a rule and stays on, and so does global hoisting,
     /// which forwards a call-free loop's global reads from a cache slot.
     pub fuse: bool,
-    /// Run the independent IR verifier over the register program before
-    /// the instance can execute.
-    pub verify: bool,
     /// Whether the instance maintains an [`ExecProfile`].
     pub profile: ProfileMode,
 }
 
 impl Default for EngineConfig {
-    /// The production configuration: fusion on, no verifier run, no
-    /// counting.
+    /// The production configuration: fusion on, no counting.
     fn default() -> Self {
         EngineConfig {
             fuse: true,
-            verify: false,
             profile: ProfileMode::Off,
         }
     }
@@ -543,8 +539,10 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Returns [`Trap::Instantiation`] for out-of-bounds segments, or any
-    /// trap raised by the start function.
+    /// Returns [`Trap::Instantiation`] for out-of-bounds segments or, under
+    /// [`ExecMode::Aot`], a body lowering refuses or register code the
+    /// verifier rejects ([`Artifact::new`]); or any trap raised by the
+    /// start function.
     pub fn instantiate(
         module: &Module,
         mode: ExecMode,
@@ -569,20 +567,17 @@ impl Instance {
         profile: ProfileMode,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
-        let config = EngineConfig {
-            fuse,
-            profile,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { fuse, profile };
         let mode = if reg { mode } else { ExecMode::Interpreted };
         Self::instantiate_with(module, mode, config, host)
     }
 
-    /// [`Instance::instantiate_with`] with `fuse` and `verify` spelled out
-    /// and the rest from [`EngineConfig::default`]; `reg = false` runs
-    /// `mode` on the tree interpreter ([`ExecMode::Interpreted`]). `elide`
-    /// is ignored: there is no bounds-check elision. Exists only because
-    /// `benchmark/` calls it; goes with the next benchmark PR.
+    /// [`Instance::instantiate_with`] with `fuse` spelled out and the rest
+    /// from [`EngineConfig::default`]; `reg = false` runs `mode` on the
+    /// tree interpreter ([`ExecMode::Interpreted`]). `elide` is ignored:
+    /// there is no bounds-check elision; so is `verify`: every register
+    /// program is verified. Exists only because `benchmark/` calls it;
+    /// goes with the next benchmark PR.
     ///
     /// # Errors
     ///
@@ -593,12 +588,11 @@ impl Instance {
         fuse: bool,
         reg: bool,
         _elide: bool,
-        verify: bool,
+        _verify: bool,
         host: &mut dyn HostEnv,
     ) -> Result<Self, Trap> {
         let config = EngineConfig {
             fuse,
-            verify,
             ..EngineConfig::default()
         };
         let mode = if reg { mode } else { ExecMode::Interpreted };
@@ -611,9 +605,7 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Instance::instantiate`], plus
-    /// [`Trap::Instantiation`] when `config.verify` is set and the compiled
-    /// IR fails verification.
+    /// Same contract as [`Instance::instantiate`].
     pub fn instantiate_with(
         module: &Module,
         mode: ExecMode,
@@ -688,12 +680,12 @@ impl Instance {
         self.artifact.compiled().map(|cm| cm.stats)
     }
 
-    /// Verifier counters from instantiation-time IR verification (`None`
-    /// for interpreted instances and when [`EngineConfig::verify`] was
-    /// off).
+    /// Verifier counters from the IR verification every register program
+    /// passes before it runs (`None` for interpreted instances, the only
+    /// ones without a register program).
     #[must_use]
     pub fn verify_stats(&self) -> Option<crate::verify::VerifyStats> {
-        self.artifact.verify
+        self.artifact.compiled().map(|cm| cm.verify)
     }
 
     /// Runs the range analysis over the register program now and returns
@@ -1576,7 +1568,7 @@ pub(crate) fn trunc_f32_to_i32_s(a: f32) -> Result<i32, Trap> {
     }
     let t = a.trunc();
     if !(-2147483648.0..2147483648.0).contains(&t) {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as i32)
 }
@@ -1587,7 +1579,7 @@ pub(crate) fn trunc_f32_to_u32(a: f32) -> Result<u32, Trap> {
     }
     let t = a.trunc();
     if t >= 4294967296.0 || t <= -1.0 {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as u32)
 }
@@ -1598,7 +1590,7 @@ pub(crate) fn trunc_f64_to_i32_s(a: f64) -> Result<i32, Trap> {
     }
     let t = a.trunc();
     if !(-2147483648.0..2147483648.0).contains(&t) {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as i32)
 }
@@ -1609,7 +1601,7 @@ pub(crate) fn trunc_f64_to_u32(a: f64) -> Result<u32, Trap> {
     }
     let t = a.trunc();
     if t >= 4294967296.0 || t <= -1.0 {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as u32)
 }
@@ -1620,7 +1612,7 @@ pub(crate) fn trunc_f32_to_i64_s(a: f32) -> Result<i64, Trap> {
     }
     let t = a.trunc();
     if !(-9223372036854775808.0..9223372036854775808.0).contains(&t) {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as i64)
 }
@@ -1631,7 +1623,7 @@ pub(crate) fn trunc_f32_to_u64(a: f32) -> Result<u64, Trap> {
     }
     let t = a.trunc();
     if t >= 18446744073709551616.0 || t <= -1.0 {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as u64)
 }
@@ -1642,7 +1634,7 @@ pub(crate) fn trunc_f64_to_i64_s(a: f64) -> Result<i64, Trap> {
     }
     let t = a.trunc();
     if !(-9223372036854775808.0..9223372036854775808.0).contains(&t) {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as i64)
 }
@@ -1653,7 +1645,7 @@ pub(crate) fn trunc_f64_to_u64(a: f64) -> Result<u64, Trap> {
     }
     let t = a.trunc();
     if t >= 18446744073709551616.0 || t <= -1.0 {
-        return Err(Trap::BadConversion);
+        return Err(Trap::IntegerOverflow);
     }
     Ok(t as u64)
 }
@@ -1881,7 +1873,6 @@ mod tests {
             .map(|&(mode, fuse)| {
                 let cfg = EngineConfig {
                     fuse,
-                    verify: true,
                     ..EngineConfig::default()
                 };
                 let mut inst = Instance::instantiate_with(&module, mode, cfg, &mut NoHost).unwrap();
@@ -1937,16 +1928,25 @@ mod tests {
         }
 
         // Truncation: the last value in range on each side, the first out
-        // of range, and NaN and the infinities, which trap.
-        let traps = Err(Trap::BadConversion);
+        // of range and the infinities, which overflow, and NaN, which is no
+        // integer at all.
+        let traps = Err(Trap::IntegerOverflow);
         let (i32_, i64_) = (
             |x: i32| Ok(vec![Value::I32(x)]),
             |x: i64| Ok(vec![Value::I64(x)]),
         );
         let f = |x: f32| Value::F32(x);
         let d = |x: f64| Value::F64(x);
-        let nans = [f(f32::NAN), f(f32::INFINITY), f(f32::NEG_INFINITY)];
-        let nand = [d(f64::NAN), d(f64::INFINITY), d(f64::NEG_INFINITY)];
+        let edges_f32 = [
+            (f(f32::NAN), Err(Trap::BadConversion)),
+            (f(f32::INFINITY), traps.clone()),
+            (f(f32::NEG_INFINITY), traps.clone()),
+        ];
+        let edges_f64 = [
+            (d(f64::NAN), Err(Trap::BadConversion)),
+            (d(f64::INFINITY), traps.clone()),
+            (d(f64::NEG_INFINITY), traps.clone()),
+        ];
         let rows: Vec<(I, Value, Result<Vec<Value>, Trap>)> = vec![
             (I::I32TruncF32S, f(-2147483648.0), i32_(i32::MIN)),
             (I::I32TruncF32S, f(-2147483904.0), traps.clone()),
@@ -2005,7 +2005,9 @@ mod tests {
             I::I64TruncF32S,
             I::I64TruncF32U,
         ];
-        let edges = from_f32.iter().flat_map(|op| nans.map(|x| (op.clone(), x)));
+        let edges = from_f32
+            .iter()
+            .flat_map(|op| edges_f32.clone().map(|(x, want)| (op.clone(), x, want)));
         let edges = edges.chain(
             [
                 I::I32TruncF64S,
@@ -2014,11 +2016,9 @@ mod tests {
                 I::I64TruncF64U,
             ]
             .iter()
-            .flat_map(|op| nand.map(|x| (op.clone(), x))),
+            .flat_map(|op| edges_f64.clone().map(|(x, want)| (op.clone(), x, want))),
         );
-        let rows = rows
-            .into_iter()
-            .chain(edges.map(|(op, x)| (op, x, traps.clone())));
+        let rows = rows.into_iter().chain(edges);
         for (op, arg, want) in rows {
             let result = match op {
                 I::I64TruncF32S | I::I64TruncF32U | I::I64TruncF64S | I::I64TruncF64U => {

@@ -18,7 +18,8 @@
 //!   one walk from each structured body to register code — over every
 //!   body, and keeps what an artifact executes.
 //!
-//! [`crate::verify`] checks the register code this compile ends in.
+//! [`crate::verify`] checks the register code this compile ends in,
+//! every time: no compile that fails it is kept.
 
 use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
 use crate::instr::{Instr, MemArg};
@@ -646,6 +647,9 @@ pub(crate) struct CompiledModule {
     /// analysis anchors its in-bounds proofs to (linear memory never
     /// shrinks).
     pub(crate) min_mem: u64,
+    /// What the verifier counted over the register program; a compile it
+    /// rejects is never kept.
+    pub(crate) verify: crate::verify::VerifyStats,
     /// What the compile cost.
     pub(crate) times: CompileTimes,
 }
@@ -658,11 +662,14 @@ pub struct CompileTimes {
     /// Structured bodies to register code in one walk, fusion rules
     /// included ([`crate::reg`]).
     pub lower: Duration,
+    /// The independent verifier over the register code ([`crate::verify`]).
+    pub verify: Duration,
 }
 
 impl CompiledModule {
     /// Compiles every function body of a validated module: register
-    /// lowering, with `fuse` controlling its fusion rules.
+    /// lowering, with `fuse` controlling its fusion rules, then the
+    /// independent verifier over all of the register code.
     ///
     /// # Errors
     ///
@@ -670,7 +677,8 @@ impl CompiledModule {
     /// `u16` slot encoding, a malformed module (a truncated/unbalanced
     /// body, out-of-range indices) or lowering breaking one of its own
     /// invariants — lowering never panics, even on input that skipped
-    /// validation.
+    /// validation — or the first [`crate::verify::VerifyError`] in the
+    /// code it left.
     pub(crate) fn compile_full(module: &Module, fuse: bool) -> Result<CompiledModule, Trap> {
         let n_funcs = module.func_count();
         let mut imports = Vec::with_capacity(module.func_imports.len());
@@ -703,10 +711,8 @@ impl CompiledModule {
             func_type_idx.push(body.type_idx);
             funcs.push(Some(lowered));
         }
-        let times = CompileTimes {
-            lower: start.elapsed(),
-        };
-        Ok(CompiledModule {
+        let lower = start.elapsed();
+        let mut cm = CompiledModule {
             imports: imports.into_boxed_slice(),
             func_type_idx: func_type_idx.into_boxed_slice(),
             global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
@@ -714,8 +720,17 @@ impl CompiledModule {
             stats: scratch.stats,
             fusion: scratch.fusion,
             min_mem,
-            times,
-        })
+            verify: crate::verify::VerifyStats::default(),
+            times: CompileTimes::default(),
+        };
+        let start = Instant::now();
+        cm.verify = crate::verify::verify_module(&cm, &module.types)
+            .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?;
+        cm.times = CompileTimes {
+            lower,
+            verify: start.elapsed(),
+        };
+        Ok(cm)
     }
 }
 
@@ -1592,7 +1607,6 @@ mod tests {
                 let cfg = EngineConfig {
                     fuse,
                     profile: ProfileMode::Count,
-                    ..EngineConfig::default()
                 };
                 let mut inst = Instance::instantiate_with(&module, mode, cfg, &mut NoHost).unwrap();
                 let outcome = inst.invoke(&mut NoHost, "divk", &[Value::I32(arg)]);

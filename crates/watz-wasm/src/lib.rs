@@ -33,8 +33,8 @@
 //!   so launching the same bytes again costs instance creation only;
 //! * an independent **IR verifier** ([`verify`]): abstract interpretation
 //!   over the register code that re-proves every invariant the engine
-//!   relies on ([`EngineConfig::verify`] makes it a hard instantiation
-//!   gate, [`VerifyStats`]). Every memory access stays bounds-checked; a
+//!   relies on, run on every register program before it executes: a
+//!   hard instantiation gate ([`VerifyStats`]). Every memory access stays bounds-checked; a
 //!   value-range **analysis** ([`analysis`], [`RangeStats`]) counts the
 //!   accesses it can prove in bounds, on demand, for the benchmark;
 //! * an **encoder** and a programmatic **builder** ([`encode`], [`builder`])

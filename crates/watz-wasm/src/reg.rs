@@ -2529,17 +2529,13 @@ pub(crate) mod tests {
     use crate::profile::ProfileMode;
     use crate::types::BlockType;
 
-    /// The register-engine A/B matrix: fused/unfused × counting off/on,
-    /// each behind the IR verifier as a hard instantiation gate.
+    /// The register-engine A/B matrix: fused/unfused × counting off/on;
+    /// every one passes the IR verifier before it runs.
     pub(crate) fn engine_matrix() -> Vec<(String, EngineConfig)> {
         let mut out = Vec::new();
         for fuse in [true, false] {
             for profile in [ProfileMode::Off, ProfileMode::Count] {
-                let cfg = EngineConfig {
-                    fuse,
-                    verify: true,
-                    profile,
-                };
+                let cfg = EngineConfig { fuse, profile };
                 out.push((format!("{cfg:?}"), cfg));
             }
         }

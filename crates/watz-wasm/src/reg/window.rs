@@ -369,7 +369,6 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
     for (name, mode, fuse) in ENGINES {
         let config = EngineConfig {
             fuse,
-            verify: true,
             profile: ProfileMode::Count,
         };
         let art = Artifact::new(module, mode, config).map_err(|e| match windows {

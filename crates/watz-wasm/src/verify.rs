@@ -21,8 +21,9 @@
 //!   move (`src + n_results <= frame_size`, `base + max(params,
 //!   results) <= frame_size`), and a body's own signature is the one its
 //!   declared type gives its callers;
-//! - a definite-assignment dataflow (bitset per pc, intersection at
-//!   joins) proves no op reads a frame slot that some path never wrote;
+//! - a definite-assignment dataflow (a bitset kept at each branch target,
+//!   intersection at joins, one running bitset through straight-line
+//!   code) proves no op reads a frame slot that some path never wrote;
 //!   calls clobber every slot from the callee's frame base up; the body
 //!   cannot fall off the end past a non-terminator.
 //!
@@ -30,9 +31,9 @@
 //! access at run time and traps on a miss, so there is no in-bounds proof
 //! to re-derive.
 //!
-//! Set [`crate::exec::EngineConfig::verify`] to verify a module at
-//! instantiation time; the differential suites set it on every register
-//! configuration they run.
+//! Every [`ExecMode::Aot`](crate::exec::ExecMode::Aot) compile runs it
+//! before anything can execute the code: a module it rejects fails
+//! instantiation, and there is no configuration without it.
 
 use crate::flat::CompiledModule;
 use crate::reg::{RegFunc, RegOp};
@@ -254,9 +255,6 @@ impl ModuleCtx<'_> {
     }
 }
 
-/// Dense bitset over frame slots, one per pc in the dataflow.
-type Bits = Box<[u64]>;
-
 fn bit_get(b: &[u64], i: u32) -> bool {
     b[(i / 64) as usize] & (1u64 << (i % 64)) != 0
 }
@@ -284,20 +282,149 @@ fn bit_meet(dst: &mut [u64], src: &[u64]) -> bool {
     changed
 }
 
+/// The single-slot operands of an op: up to four slots it reads, in
+/// operand order, and the slot it writes. Spans — branch value transfers,
+/// call arguments and results, bulk-memory arguments, return values — are
+/// each pass's own. Every variant is named here, so a new one cannot slip
+/// past the verifier unclassified; one that branches, calls or moves a
+/// span also needs its arm in both passes of [`verify_reg_func`].
+#[inline(always)]
+fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
+    use RegOp as R;
+    let ((r, n), write) = match *op {
+        R::Unreachable
+        | R::Jump { .. }
+        | R::BrMoves { .. }
+        | R::Return { .. }
+        | R::CallLocal { .. }
+        | R::CallImport { .. }
+        | R::MemoryCopy { .. }
+        | R::MemoryFill { .. } => (([0, 0, 0, 0], 0), None),
+        R::BrIf { cond: s, .. }
+        | R::BrIfMoves { cond: s, .. }
+        | R::BrTable { idx: s, .. }
+        | R::CallIndirect { idx: s, .. }
+        | R::GlobalSet { src: s, .. } => (([s, 0, 0, 0], 1), None),
+        R::Const { dst, .. } | R::GlobalGet { dst, .. } | R::MemorySize { dst } => {
+            (([0, 0, 0, 0], 0), Some(dst))
+        }
+        R::Move { src, dst }
+        | R::Load { addr: src, dst, .. }
+        | R::MemoryGrow { src, dst }
+        | R::Unop { src, dst, .. }
+        | R::BinopK { a: src, dst, .. }
+        | R::AddI32K { a: src, dst, .. } => (([src, 0, 0, 0], 1), Some(dst)),
+        R::Store { addr, val, .. }
+        | R::StoreI32R { addr, val, .. }
+        | R::StoreF64R { addr, val, .. } => (([addr, val, 0, 0], 2), None),
+        R::CmpBrLtSZ { a, b, .. } | R::CmpBr { a, b, .. } => (([a, b, 0, 0], 2), None),
+        R::Binop { a, b, dst, .. }
+        | R::AddF64 { a, b, dst }
+        | R::SubF64 { a, b, dst }
+        | R::MulF64 { a, b, dst }
+        | R::ScaleAdd {
+            base: a,
+            idx: b,
+            dst,
+            ..
+        }
+        | R::ScaleAddLoadI32 {
+            base: a,
+            idx: b,
+            dst,
+            ..
+        }
+        | R::ScaleAddLoadF64 {
+            base: a,
+            idx: b,
+            dst,
+            ..
+        } => (([a, b, 0, 0], 2), Some(dst)),
+        R::Select { cond, a, b, dst } => (([cond, a, b, 0], 3), Some(dst)),
+        R::MulAddI32 { y, n, z, dst } => (([y, n, z, 0], 3), Some(dst)),
+        R::AddStoreF64 { a, b, addr, .. } => (([a, b, addr, 0], 3), None),
+        R::IdxLAdd {
+            base, y, n, z, dst, ..
+        }
+        | R::IdxLAddLoadF64 {
+            base, y, n, z, dst, ..
+        } => (([base, y, n, z], 4), Some(dst)),
+    };
+    (r, n, write)
+}
+
+/// A pc that is neither the entry nor a branch target.
+const NOT_JOIN: u32 = u32::MAX;
+
+/// The joins of one body — its entry and every branch target: the only
+/// pcs the definite-assignment dataflow keeps a state at.
+#[derive(Default)]
+struct Joins {
+    /// Per pc, its index among the joins, or [`NOT_JOIN`].
+    index: Vec<u32>,
+    /// `words` words of state per join, valid once it is `reached`.
+    states: Vec<u64>,
+    /// Whether some path has reached each join yet.
+    reached: Vec<bool>,
+    /// Joins whose state changed since they were last walked, by pc.
+    work: Vec<usize>,
+    /// Words per state: one bit per frame slot.
+    words: usize,
+}
+
+impl Joins {
+    /// Meets `state` into the state of the join at `pc`, queueing the join
+    /// when that reached it first or changed it.
+    fn flow(&mut self, pc: u32, state: &[u64]) {
+        let (j, w) = (self.index[pc as usize] as usize, self.words);
+        let dst = &mut self.states[j * w..(j + 1) * w];
+        if !std::mem::replace(&mut self.reached[j], true) {
+            dst.copy_from_slice(state);
+            self.work.push(pc as usize);
+        } else if bit_meet(dst, state) {
+            self.work.push(pc as usize);
+        }
+    }
+}
+
+/// The dataflow's buffers, reused across the bodies of a module.
+#[derive(Default)]
+struct Dataflow {
+    joins: Joins,
+    /// The running state through straight-line code.
+    st: Vec<u64>,
+    /// The state on a taken edge that moves values.
+    taken: Vec<u64>,
+}
+
 /// Verifies one register body: frame-slot bounds, jump targets, index
 /// ranges, call frame bases, and the definite-assignment dataflow (no
 /// read of a frame slot some path never wrote). Returns the branch-edge
 /// count.
 #[allow(clippy::too_many_lines)]
-fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, VerifyError> {
+fn verify_reg_func(
+    f: &RegFunc,
+    ctx: &ModuleCtx<'_>,
+    fidx: u32,
+    df: &mut Dataflow,
+) -> Result<u64, VerifyError> {
     use RegOp as R;
     let n = f.code.len();
     let fs = f.frame_size;
     if f.code.len() != f.prof.len() || f.n_params > f.n_locals || f.n_locals > fs {
         return Err(VerifyError::LengthMismatch { func: fidx });
     }
+    let Dataflow { joins, st, taken } = df;
 
-    // Pass A: linear bounds checks over every op, reachable or not.
+    // Pass A: linear bounds checks over every op, reachable or not. It
+    // also numbers the joins, the entry first.
+    joins.index.clear();
+    joins.index.resize(n, NOT_JOIN);
+    let mut n_joins = 0u32;
+    if n > 0 {
+        joins.index[0] = 0;
+        n_joins = 1;
+    }
     let mut edges = 0u64;
     for (pc, op) in f.code.iter().enumerate() {
         let pc = pc as u32;
@@ -319,447 +446,249 @@ fn verify_reg_func(f: &RegFunc, ctx: &ModuleCtx<'_>, fidx: u32) -> Result<u64, V
             }
             slot_ok(start + len - 1)
         };
-        let target_ok = |edges: &mut u64, t: u32| {
-            *edges += 1;
-            if (t as usize) < n {
-                Ok(())
-            } else {
-                Err(VerifyError::JumpOutOfBounds {
+        let mut target_ok = |t: u32| {
+            edges += 1;
+            match joins.index.get_mut(t as usize) {
+                Some(j) => {
+                    if *j == NOT_JOIN {
+                        *j = n_joins;
+                        n_joins += 1;
+                    }
+                    Ok(())
+                }
+                None => Err(VerifyError::JumpOutOfBounds {
                     func: fidx,
                     pc,
                     target: t,
-                })
+                }),
             }
         };
-        match op {
-            R::Unreachable => {}
-            R::Jump { target } => target_ok(&mut edges, *target)?,
-            R::BrIf { cond, target, .. } => {
-                slot_ok(u32::from(*cond))?;
-                target_ok(&mut edges, *target)?;
+        // The callee's frame, from `base`, must hold its arguments and
+        // its results.
+        let base_ok = |base: u16, (np, nr): (u32, u32)| {
+            if u32::from(base) + np.max(nr) > fs {
+                Err(VerifyError::BadCallBase { func: fidx, pc })
+            } else {
+                Ok(())
             }
+        };
+        if let R::GlobalGet { idx, .. } | R::GlobalSet { idx, .. } = op {
+            if *idx as usize >= ctx.global_types.len() {
+                return Err(VerifyError::BadGlobalIndex {
+                    func: fidx,
+                    pc,
+                    index: *idx,
+                });
+            }
+        }
+        let (reads, n_reads, write) = slot_operands(op);
+        for &s in &reads[..n_reads] {
+            slot_ok(u32::from(s))?;
+        }
+        if let Some(s) = write {
+            slot_ok(u32::from(s))?;
+        }
+        match op {
+            R::Jump { target }
+            | R::BrIf { target, .. }
+            | R::CmpBrLtSZ { target, .. }
+            | R::CmpBr { target, .. } => target_ok(*target)?,
             R::BrMoves {
                 target,
                 src,
                 dst,
                 keep,
-            } => {
-                span_ok(u32::from(*src), u32::from(*keep))?;
-                span_ok(u32::from(*dst), u32::from(*keep))?;
-                target_ok(&mut edges, *target)?;
             }
-            R::BrIfMoves {
-                cond,
+            | R::BrIfMoves {
                 target,
                 src,
                 dst,
                 keep,
                 ..
             } => {
-                slot_ok(u32::from(*cond))?;
                 span_ok(u32::from(*src), u32::from(*keep))?;
                 span_ok(u32::from(*dst), u32::from(*keep))?;
-                target_ok(&mut edges, *target)?;
+                target_ok(*target)?;
             }
-            R::BrTable { idx, entries } => {
-                slot_ok(u32::from(*idx))?;
+            R::BrTable { entries, .. } => {
                 if entries.is_empty() {
                     return Err(VerifyError::TruncatedBrTable { func: fidx, pc });
                 }
                 for e in entries.iter() {
                     span_ok(u32::from(e.src), u32::from(e.keep))?;
                     span_ok(u32::from(e.dst), u32::from(e.keep))?;
-                    target_ok(&mut edges, e.target)?;
+                    target_ok(e.target)?;
                 }
             }
-            R::Return { src } => {
-                if u32::from(*src) + f.n_results > fs {
-                    return Err(VerifyError::BadReturnSrc { func: fidx, pc });
-                }
+            R::Return { src } if u32::from(*src) + f.n_results > fs => {
+                return Err(VerifyError::BadReturnSrc { func: fidx, pc });
             }
-            R::CallLocal { func, base } => {
-                if ctx.is_import(*func) != Some(false) {
+            R::CallLocal { func, base } | R::CallImport { func, base } => {
+                let import = matches!(op, R::CallImport { .. });
+                if ctx.is_import(*func) != Some(import) {
                     return Err(VerifyError::BadFuncIndex {
                         func: fidx,
                         pc,
                         index: *func,
                     });
                 }
-                let (np, nr) = ctx.call_arity(*func).unwrap_or((0, 0));
-                if u32::from(*base) + np.max(nr) > fs {
-                    return Err(VerifyError::BadCallBase { func: fidx, pc });
-                }
+                base_ok(*base, ctx.call_arity(*func).unwrap_or((0, 0)))?;
             }
-            R::CallImport { func, base } => {
-                if ctx.is_import(*func) != Some(true) {
-                    return Err(VerifyError::BadFuncIndex {
-                        func: fidx,
-                        pc,
-                        index: *func,
-                    });
-                }
-                let (np, nr) = ctx.call_arity(*func).unwrap_or((0, 0));
-                if u32::from(*base) + np.max(nr) > fs {
-                    return Err(VerifyError::BadCallBase { func: fidx, pc });
-                }
-            }
-            R::CallIndirect {
-                type_idx,
-                idx,
-                base,
-            } => {
-                slot_ok(u32::from(*idx))?;
-                let (np, nr) = ctx.type_arity(*type_idx).ok_or(VerifyError::BadTypeIndex {
+            R::CallIndirect { type_idx, base, .. } => {
+                let arity = ctx.type_arity(*type_idx).ok_or(VerifyError::BadTypeIndex {
                     func: fidx,
                     pc,
                     index: *type_idx,
                 })?;
-                if u32::from(*base) + np.max(nr) > fs {
-                    return Err(VerifyError::BadCallBase { func: fidx, pc });
-                }
-            }
-            R::Select { cond, a, b, dst } => {
-                for s in [cond, a, b, dst] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::Move { src, dst } => {
-                slot_ok(u32::from(*src))?;
-                slot_ok(u32::from(*dst))?;
-            }
-            R::Const { dst, .. } | R::MemorySize { dst } => slot_ok(u32::from(*dst))?,
-            // `dst` of a get, `src` of a set.
-            R::GlobalGet { idx, dst: slot } | R::GlobalSet { idx, src: slot } => {
-                if *idx as usize >= ctx.global_types.len() {
-                    return Err(VerifyError::BadGlobalIndex {
-                        func: fidx,
-                        pc,
-                        index: *idx,
-                    });
-                }
-                slot_ok(u32::from(*slot))?;
-            }
-            R::Load { addr, dst, .. } => {
-                slot_ok(u32::from(*addr))?;
-                slot_ok(u32::from(*dst))?;
-            }
-            R::Store { addr, val, .. }
-            | R::StoreI32R { addr, val, .. }
-            | R::StoreF64R { addr, val, .. } => {
-                slot_ok(u32::from(*addr))?;
-                slot_ok(u32::from(*val))?;
-            }
-            R::MemoryGrow { src, dst } => {
-                slot_ok(u32::from(*src))?;
-                slot_ok(u32::from(*dst))?;
+                base_ok(*base, arity)?;
             }
             R::MemoryCopy { args } | R::MemoryFill { args } => span_ok(u32::from(*args), 3)?,
-            R::Unop { src, dst, .. } => {
-                slot_ok(u32::from(*src))?;
-                slot_ok(u32::from(*dst))?;
-            }
-            R::Binop { a, b, dst, .. }
-            | R::AddF64 { a, b, dst }
-            | R::SubF64 { a, b, dst }
-            | R::MulF64 { a, b, dst } => {
-                for s in [a, b, dst] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::MulAddI32 { y, n, z, dst } => {
-                for s in [y, n, z, dst] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::BinopK { a, dst, .. } | R::AddI32K { a, dst, .. } => {
-                slot_ok(u32::from(*a))?;
-                slot_ok(u32::from(*dst))?;
-            }
-            R::ScaleAdd { base, idx, dst, .. }
-            | R::ScaleAddLoadI32 { base, idx, dst, .. }
-            | R::ScaleAddLoadF64 { base, idx, dst, .. } => {
-                for s in [base, idx, dst] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::IdxLAdd {
-                base, y, n, z, dst, ..
-            }
-            | R::IdxLAddLoadF64 {
-                base, y, n, z, dst, ..
-            } => {
-                for s in [base, y, n, z, dst] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::AddStoreF64 { a, b, addr, .. } => {
-                for s in [a, b, addr] {
-                    slot_ok(u32::from(*s))?;
-                }
-            }
-            R::CmpBrLtSZ { a, b, target } | R::CmpBr { a, b, target, .. } => {
-                slot_ok(u32::from(*a))?;
-                slot_ok(u32::from(*b))?;
-                target_ok(&mut edges, *target)?;
-            }
+            _ => {}
         }
     }
 
-    // Pass B: definite assignment. A bitset per pc holds the slots
-    // guaranteed written on every path; the meet at joins is
-    // intersection, so the fixpoint is reached monotonically.
+    // Pass B: definite assignment. A bitset holds the slots written on
+    // every path to a pc; the meet at joins is intersection, so the
+    // fixpoint is reached monotonically. Only the joins keep a state: any
+    // other pc has one predecessor, the pc before it, so one running
+    // bitset walks each straight-line run from a join until it ends or
+    // falls into the next join.
     let words = fs.div_ceil(64) as usize;
-    let mut states: Vec<Option<Bits>> = vec![None; n];
+    joins.words = words;
+    joins.states.clear();
+    joins.states.resize(n_joins as usize * words, 0);
+    joins.reached.clear();
+    joins.reached.resize(n_joins as usize, false);
+    joins.work.clear();
+    st.clear();
+    st.resize(words, 0);
+    taken.clear();
+    taken.resize(words, 0);
     if n > 0 {
-        let mut s0 = vec![0u64; words].into_boxed_slice();
         for i in 0..f.n_locals {
-            bit_set(&mut s0, i);
+            bit_set(st, i);
         }
-        states[0] = Some(s0);
+        joins.flow(0, st);
     }
-    let mut work: Vec<usize> = if n > 0 { vec![0] } else { Vec::new() };
-    while let Some(pc) = work.pop() {
-        let mut st = states[pc].clone().expect("worklist pcs have a state");
-        let err_pc = pc as u32;
-        macro_rules! rd {
-            ($s:expr) => {{
-                let s = u32::from($s);
-                if !bit_get(&st, s) {
-                    return Err(VerifyError::ReadBeforeWrite {
-                        func: fidx,
-                        pc: err_pc,
-                        slot: s,
-                    });
-                }
-            }};
-        }
-        macro_rules! rds {
-            ($start:expr, $len:expr) => {{
-                let (start, len): (u32, u32) = ($start, $len);
-                for i in start..start + len {
-                    if !bit_get(&st, i) {
-                        return Err(VerifyError::ReadBeforeWrite {
-                            func: fidx,
-                            pc: err_pc,
-                            slot: i,
-                        });
+    while let Some(start) = joins.work.pop() {
+        let j = joins.index[start] as usize;
+        st.copy_from_slice(&joins.states[j * words..(j + 1) * words]);
+        let mut pc = start;
+        loop {
+            let err_pc = pc as u32;
+            macro_rules! rds {
+                ($start:expr, $len:expr) => {{
+                    let (start, len): (u32, u32) = ($start, $len);
+                    for i in start..start + len {
+                        if !bit_get(st, i) {
+                            return Err(VerifyError::ReadBeforeWrite {
+                                func: fidx,
+                                pc: err_pc,
+                                slot: i,
+                            });
+                        }
                     }
-                }
-            }};
-        }
-        macro_rules! wr {
-            ($s:expr) => {
-                bit_set(&mut st, u32::from($s))
-            };
-        }
-        // Propagates `state` into `t`, meeting at joins.
-        let flow = |states: &mut Vec<Option<Bits>>, work: &mut Vec<usize>, t: u32, state: &Bits| {
-            let t = t as usize;
-            match &mut states[t] {
-                None => {
-                    states[t] = Some(state.clone());
-                    work.push(t);
-                }
-                Some(prev) => {
-                    if bit_meet(prev, state) {
-                        work.push(t);
+                }};
+            }
+            // The state on a taken edge that moves `keep` values to `dst`.
+            macro_rules! moved {
+                ($dst:expr, $keep:expr) => {{
+                    taken.copy_from_slice(st);
+                    for i in 0..u32::from($keep) {
+                        bit_set(taken, u32::from($dst) + i);
                     }
-                }
+                    &*taken
+                }};
             }
-        };
-        macro_rules! fall {
-            () => {{
-                if pc + 1 >= n {
-                    return Err(VerifyError::MissingTerminator {
-                        func: fidx,
-                        pc: err_pc,
-                    });
-                }
-                flow(&mut states, &mut work, (pc + 1) as u32, &st)
-            }};
-        }
-        match &f.code[pc] {
-            R::Unreachable => {}
-            R::Jump { target } => flow(&mut states, &mut work, *target, &st),
-            R::BrIf { cond, target, .. } => {
-                rd!(*cond);
-                flow(&mut states, &mut work, *target, &st);
-                fall!();
+            // The callee's frame overlays everything from `base` up; only
+            // the results are defined afterwards.
+            macro_rules! call {
+                ($base:expr, $arity:expr) => {{
+                    let ((np, nr), base) = ($arity.unwrap_or((0, 0)), u32::from($base));
+                    rds!(base, np);
+                    bit_clear_from(st, base, fs);
+                    for i in 0..nr {
+                        bit_set(st, base + i);
+                    }
+                }};
             }
-            R::BrMoves {
-                target,
-                src,
-                dst,
-                keep,
-            } => {
-                // The dispatch loop copies unconditionally before the
-                // jump, so the reads happen on the (only) edge.
-                rds!(u32::from(*src), u32::from(*keep));
-                let mut taken = st.clone();
-                for i in 0..u32::from(*keep) {
-                    bit_set(&mut taken, u32::from(*dst) + i);
-                }
-                flow(&mut states, &mut work, *target, &taken);
+            let op = &f.code[pc];
+            let (reads, n_reads, write) = slot_operands(op);
+            for &s in &reads[..n_reads] {
+                rds!(u32::from(s), 1);
             }
-            R::BrIfMoves {
-                cond,
-                target,
-                src,
-                dst,
-                keep,
-                ..
-            } => {
-                rd!(*cond);
-                // The copy happens only on the taken edge; strictness:
-                // the source block must be written on every path in.
-                rds!(u32::from(*src), u32::from(*keep));
-                let mut taken = st.clone();
-                for i in 0..u32::from(*keep) {
-                    bit_set(&mut taken, u32::from(*dst) + i);
-                }
-                flow(&mut states, &mut work, *target, &taken);
-                fall!();
+            if let Some(s) = write {
+                bit_set(st, u32::from(s));
             }
-            R::BrTable { idx, entries } => {
-                rd!(*idx);
-                for e in entries.iter() {
-                    if e.keep > 0 {
+            // Whether control goes on to `pc + 1`.
+            let falls = match op {
+                R::Unreachable => false,
+                R::Jump { target } => {
+                    joins.flow(*target, st);
+                    false
+                }
+                R::BrIf { target, .. } | R::CmpBrLtSZ { target, .. } | R::CmpBr { target, .. } => {
+                    joins.flow(*target, st);
+                    true
+                }
+                R::BrMoves {
+                    target,
+                    src,
+                    dst,
+                    keep,
+                }
+                | R::BrIfMoves {
+                    target,
+                    src,
+                    dst,
+                    keep,
+                    ..
+                } => {
+                    // The copy happens on the taken edge only (the one
+                    // edge of a `BrMoves`); strictness: the source block
+                    // must be written on every path in.
+                    rds!(u32::from(*src), u32::from(*keep));
+                    joins.flow(*target, moved!(*dst, *keep));
+                    matches!(op, R::BrIfMoves { .. })
+                }
+                R::BrTable { entries, .. } => {
+                    for e in entries.iter() {
                         rds!(u32::from(e.src), u32::from(e.keep));
+                        joins.flow(e.target, moved!(e.dst, e.keep));
                     }
-                    let mut taken = st.clone();
-                    for i in 0..u32::from(e.keep) {
-                        bit_set(&mut taken, u32::from(e.dst) + i);
-                    }
-                    flow(&mut states, &mut work, e.target, &taken);
+                    false
                 }
-            }
-            R::Return { src } => {
-                rds!(u32::from(*src), f.n_results);
-            }
-            R::CallLocal { func, base } | R::CallImport { func, base } => {
-                let (np, nr) = ctx.call_arity(*func).unwrap_or((0, 0));
-                rds!(u32::from(*base), np);
-                // The callee's frame overlays everything from `base` up;
-                // only the results are defined afterwards.
-                bit_clear_from(&mut st, u32::from(*base), fs);
-                for i in 0..nr {
-                    bit_set(&mut st, u32::from(*base) + i);
+                R::Return { src } => {
+                    rds!(u32::from(*src), f.n_results);
+                    false
                 }
-                fall!();
-            }
-            R::CallIndirect {
-                type_idx,
-                idx,
-                base,
-            } => {
-                rd!(*idx);
-                let (np, nr) = ctx.type_arity(*type_idx).unwrap_or((0, 0));
-                rds!(u32::from(*base), np);
-                bit_clear_from(&mut st, u32::from(*base), fs);
-                for i in 0..nr {
-                    bit_set(&mut st, u32::from(*base) + i);
+                R::CallLocal { func, base } | R::CallImport { func, base } => {
+                    call!(*base, ctx.call_arity(*func));
+                    true
                 }
-                fall!();
+                R::CallIndirect { type_idx, base, .. } => {
+                    call!(*base, ctx.type_arity(*type_idx));
+                    true
+                }
+                R::MemoryCopy { args } | R::MemoryFill { args } => {
+                    rds!(u32::from(*args), 3);
+                    true
+                }
+                _ => true,
+            };
+            if !falls {
+                break;
             }
-            R::Select { cond, a, b, dst } => {
-                rd!(*cond);
-                rd!(*a);
-                rd!(*b);
-                wr!(*dst);
-                fall!();
+            pc += 1;
+            if pc >= n {
+                return Err(VerifyError::MissingTerminator {
+                    func: fidx,
+                    pc: err_pc,
+                });
             }
-            R::Move { src, dst } => {
-                rd!(*src);
-                wr!(*dst);
-                fall!();
-            }
-            R::Const { dst, .. } | R::GlobalGet { dst, .. } | R::MemorySize { dst } => {
-                wr!(*dst);
-                fall!();
-            }
-            R::GlobalSet { src, .. } => {
-                rd!(*src);
-                fall!();
-            }
-            R::Load { addr, dst, .. } => {
-                rd!(*addr);
-                wr!(*dst);
-                fall!();
-            }
-            R::Store { addr, val, .. }
-            | R::StoreI32R { addr, val, .. }
-            | R::StoreF64R { addr, val, .. } => {
-                rd!(*addr);
-                rd!(*val);
-                fall!();
-            }
-            R::MemoryGrow { src, dst } => {
-                rd!(*src);
-                wr!(*dst);
-                fall!();
-            }
-            R::MemoryCopy { args } | R::MemoryFill { args } => {
-                rds!(u32::from(*args), 3);
-                fall!();
-            }
-            R::Unop { src, dst, .. } => {
-                rd!(*src);
-                wr!(*dst);
-                fall!();
-            }
-            R::Binop { a, b, dst, .. }
-            | R::AddF64 { a, b, dst }
-            | R::SubF64 { a, b, dst }
-            | R::MulF64 { a, b, dst } => {
-                rd!(*a);
-                rd!(*b);
-                wr!(*dst);
-                fall!();
-            }
-            R::MulAddI32 { y, n, z, dst } => {
-                rd!(*y);
-                rd!(*n);
-                rd!(*z);
-                wr!(*dst);
-                fall!();
-            }
-            R::BinopK { a, dst, .. } | R::AddI32K { a, dst, .. } => {
-                rd!(*a);
-                wr!(*dst);
-                fall!();
-            }
-            R::ScaleAdd { base, idx, dst, .. }
-            | R::ScaleAddLoadI32 { base, idx, dst, .. }
-            | R::ScaleAddLoadF64 { base, idx, dst, .. } => {
-                rd!(*base);
-                rd!(*idx);
-                wr!(*dst);
-                fall!();
-            }
-            R::IdxLAdd {
-                base, y, n, z, dst, ..
-            }
-            | R::IdxLAddLoadF64 {
-                base, y, n, z, dst, ..
-            } => {
-                rd!(*base);
-                rd!(*y);
-                rd!(*n);
-                rd!(*z);
-                wr!(*dst);
-                fall!();
-            }
-            R::AddStoreF64 { a, b, addr, .. } => {
-                rd!(*a);
-                rd!(*b);
-                rd!(*addr);
-                fall!();
-            }
-            R::CmpBrLtSZ { a, b, target } | R::CmpBr { a, b, target, .. } => {
-                rd!(*a);
-                rd!(*b);
-                flow(&mut states, &mut work, *target, &st);
-                fall!();
+            if joins.index[pc] != NOT_JOIN {
+                joins.flow(pc as u32, st);
+                break;
             }
         }
     }
@@ -778,6 +707,7 @@ pub(crate) fn verify_module(
         global_types: &cm.global_types,
     };
     let mut stats = VerifyStats::default();
+    let mut df = Dataflow::default();
     if cm.funcs.len() != cm.func_type_idx.len() {
         return Err(VerifyError::LengthMismatch {
             func: cm.funcs.len() as u32,
@@ -800,7 +730,7 @@ pub(crate) fn verify_module(
         }) {
             return Err(VerifyError::LengthMismatch { func: fidx });
         }
-        stats.branch_targets += verify_reg_func(f, &ctx, fidx)?;
+        stats.branch_targets += verify_reg_func(f, &ctx, fidx, &mut df)?;
         stats.funcs += 1;
         stats.reg_ops += f.code.len() as u64;
     }
@@ -867,6 +797,7 @@ mod tests {
             stats: crate::RegStats::default(),
             fusion: crate::FusionStats::default(),
             min_mem: 65536,
+            verify: VerifyStats::default(),
             times: crate::CompileTimes::default(),
         };
         (cm, types)
@@ -886,7 +817,7 @@ mod tests {
             vec![R::Move { src: 5, dst: 0 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::SlotOutOfFrame { slot: 5, .. })
         ));
 
@@ -898,7 +829,7 @@ mod tests {
             vec![R::Jump { target: 9 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::JumpOutOfBounds { target: 9, .. })
         ));
 
@@ -913,7 +844,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::TruncatedBrTable { pc: 0, .. })
         ));
 
@@ -936,7 +867,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::SlotOutOfFrame { slot: 7, .. })
         ));
 
@@ -957,13 +888,13 @@ mod tests {
             ],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::SlotOutOfFrame { slot: 1024, .. })
         ));
 
         let f = rfunc(0, 0, 1, 2, vec![R::Return { src: 2 }]);
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::BadReturnSrc { pc: 0, .. })
         ));
 
@@ -975,7 +906,7 @@ mod tests {
             vec![R::CallLocal { func: 5, base: 0 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::BadFuncIndex { index: 5, .. })
         ));
 
@@ -994,7 +925,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::BadTypeIndex { index: 9, .. })
         ));
 
@@ -1008,7 +939,7 @@ mod tests {
             vec![R::GlobalGet { idx: 0, dst: 0 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::BadGlobalIndex { index: 0, .. })
         ));
         let f = rfunc(
@@ -1019,7 +950,7 @@ mod tests {
             vec![R::GlobalSet { idx: 3, src: 0 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::BadGlobalIndex { index: 3, .. })
         ));
 
@@ -1042,7 +973,7 @@ mod tests {
             vec![R::CallLocal { func: 0, base: 1 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c2, 0),
+            verify_reg_func(&f, &c2, 0, &mut Dataflow::default()),
             Err(VerifyError::BadCallBase { pc: 0, .. })
         ));
 
@@ -1050,7 +981,7 @@ mod tests {
         let mut f = rfunc(0, 0, 0, 1, vec![R::Return { src: 0 }]);
         f.prof = Box::new([]);
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::LengthMismatch { .. })
         ));
     }
@@ -1068,7 +999,7 @@ mod tests {
             vec![R::Move { src: 0, dst: 1 }, R::Return { src: 0 }],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::ReadBeforeWrite { pc: 0, slot: 0, .. })
         ));
 
@@ -1090,7 +1021,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::ReadBeforeWrite { pc: 2, slot: 1, .. })
         ));
 
@@ -1111,16 +1042,95 @@ mod tests {
             ],
         );
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::ReadBeforeWrite { pc: 0, slot: 2, .. })
         ));
 
         // Falling off the end of the register body.
         let f = rfunc(0, 0, 0, 1, vec![R::Const { bits: 0, dst: 0 }]);
         assert!(matches!(
-            verify_reg_func(&f, &c, 0),
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::MissingTerminator { pc: 0, .. })
         ));
+    }
+
+    #[test]
+    fn a_back_edge_shrinks_the_loop_head() {
+        use RegOp as R;
+        // Slot 2 is written before the loop, so the head's first visit
+        // reads it; the call in the body clobbers it, and only the second
+        // visit, over the back edge, sees the read that can fail.
+        let callee = [FuncType {
+            params: vec![],
+            results: vec![],
+        }];
+        let c = ModuleCtx {
+            n_imports: 0,
+            func_type_idx: &[0],
+            types: &callee,
+            global_types: &[],
+        };
+        let f = rfunc(
+            0,
+            1,
+            0,
+            4,
+            vec![
+                R::Const { bits: 7, dst: 2 },
+                R::Move { src: 2, dst: 3 },
+                R::CallLocal { func: 0, base: 2 },
+                R::BrIf {
+                    cond: 0,
+                    jump_if: true,
+                    target: 1,
+                },
+                R::Return { src: 0 },
+            ],
+        );
+        assert_eq!(
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
+            Err(VerifyError::ReadBeforeWrite {
+                func: 0,
+                pc: 1,
+                slot: 2
+            })
+        );
+    }
+
+    #[test]
+    fn a_fall_through_shrinks_a_branch_target() {
+        use RegOp as R;
+        // The taken edge writes slot 1 on its way to pc 2; the fall-through
+        // arrives later and without it, so the state the target already
+        // holds has to shrink. (`rejects_reg_dataflow_violations` has the
+        // mirror case: the taken edge is the path without the write.)
+        let f = rfunc(
+            0,
+            1,
+            0,
+            3,
+            vec![
+                R::BrIfMoves {
+                    cond: 0,
+                    jump_if: true,
+                    target: 2,
+                    src: 0,
+                    dst: 1,
+                    keep: 1,
+                },
+                R::Const { bits: 0, dst: 2 },
+                R::Move { src: 1, dst: 2 },
+                R::Return { src: 0 },
+            ],
+        );
+        assert_eq!(
+            verify_reg_func(&f, &ctx(), 0, &mut Dataflow::default()),
+            Err(VerifyError::ReadBeforeWrite {
+                func: 0,
+                pc: 2,
+                slot: 1
+            })
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use watz_wasm::builder::ModuleBuilder;
 use watz_wasm::exec::{ExecMode, HostEnv, Instance, Memory, NoHost, Trap, Value};
 use watz_wasm::instr::{Instr, MemArg};
 use watz_wasm::types::{BlockType, ValType};
-use watz_wasm::{EngineConfig, Module};
+use watz_wasm::Module;
 
 fn build(f: impl FnOnce(&mut ModuleBuilder)) -> Module {
     let mut b = ModuleBuilder::new();
@@ -24,14 +24,11 @@ fn values_bit_eq(a: &[Value], b: &[Value]) -> bool {
         })
 }
 
-/// Runs `name` on the register engine, behind the IR verifier, and on the
-/// tree interpreter; both must agree bit for bit, traps included.
+/// Runs `name` on the register engine (behind the IR verifier, as every
+/// register program is) and on the tree interpreter; both must agree bit
+/// for bit, traps included.
 fn run_both(module: &Module, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
-    let verified = EngineConfig {
-        verify: true,
-        ..EngineConfig::default()
-    };
-    let mut aot = Instance::instantiate_with(module, ExecMode::Aot, verified, &mut NoHost)?;
+    let mut aot = Instance::instantiate(module, ExecMode::Aot, &mut NoHost)?;
     let mut interp = Instance::instantiate(module, ExecMode::Interpreted, &mut NoHost)?;
     let r_aot = aot.invoke(&mut NoHost, name, args);
     let r_interp = interp.invoke(&mut NoHost, name, args);
@@ -400,7 +397,11 @@ fn float_trunc_traps_on_nan_and_range() {
     );
     assert_eq!(
         run_both(&m, "t", &[Value::F64(3e10)]),
-        Err(Trap::BadConversion)
+        Err(Trap::IntegerOverflow)
+    );
+    assert_eq!(
+        run_both(&m, "t", &[Value::F64(f64::NEG_INFINITY)]),
+        Err(Trap::IntegerOverflow)
     );
     assert_eq!(
         run_both(&m, "t", &[Value::F64(-3.99)]).unwrap(),

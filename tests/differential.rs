@@ -17,17 +17,12 @@ use watz::wasm::{Artifact, EngineConfig, ProfileMode};
 const N: i32 = 12;
 
 /// Every register-engine configuration a case runs under: fused/unfused ×
-/// counting off/on, each behind the IR verifier as a hard instantiation
-/// gate.
+/// counting off/on; every one passes the IR verifier before it runs.
 fn engine_matrix() -> Vec<(String, EngineConfig)> {
     let mut out = Vec::new();
     for fuse in [true, false] {
         for profile in [ProfileMode::Off, ProfileMode::Count] {
-            let cfg = EngineConfig {
-                fuse,
-                verify: true,
-                profile,
-            };
+            let cfg = EngineConfig { fuse, profile };
             out.push((format!("{cfg:?}"), cfg));
         }
     }
@@ -160,6 +155,9 @@ fn every_corpus_module_gets_a_register_program() {
             inst.reg_stats().is_some(),
             "{name} fell back to the interpreter"
         );
+        // The default configuration verified every body before it ran.
+        let verified = inst.verify_stats().expect("Aot instance");
+        assert_eq!(verified.funcs, module.funcs.len() as u64, "{name}");
     }
 }
 
@@ -873,12 +871,13 @@ fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
         assert!(fused.total() > 0, "{name}: nothing fused");
         assert_eq!(again.fusion_stats(), Some(fused), "{name}");
         assert!(first.reg_stats().is_some(), "{name}: no register program");
-        assert!(first.instance().verify_stats().is_none(), "{name}");
-        // Asked, the verifier says the same of both instances.
+        // The launch verified what it runs, and asked again, the verifier
+        // says the same of both instances.
+        let verified = first.instance().verify_stats().expect("Aot app");
         let v1 = first.instance().verify_ir().expect("Aot");
         let v2 = again.instance().verify_ir().expect("Aot");
-        assert_eq!(v1, v2, "{name}");
-        assert!(v1.expect("verifies").reg_ops > 0, "{name}");
+        assert_eq!((v1, v2), (Ok(verified), Ok(verified)), "{name}");
+        assert!(verified.reg_ops > 0, "{name}");
     }
     assert_eq!(traps, 3, "the trapping calls trapped, on both launches");
 
@@ -912,7 +911,7 @@ fn relaunch_is_the_first_launch_again_on_every_corpus_module() {
             assert!(first.reg_stats().is_some(), "{label} {name}");
             // Verified before the first instance existed, and the verifier
             // says the same again of both instances.
-            let verified = first.verify_stats().expect("verify is set");
+            let verified = first.verify_stats().expect("Aot instance");
             let v1 = first.verify_ir().expect("Aot").expect("verifies");
             let v2 = again.verify_ir().expect("Aot").expect("verifies");
             assert_eq!((v1, v2), (verified, verified), "{label} {name}");
