@@ -459,6 +459,11 @@ impl RangeScratch {
             R::AddI32K { a, k, dst } => {
                 self.def_bin(BinOpKind::I32Add, *a, |s| s.konst(u64::from(*k)), *dst);
             }
+            // A conditional exit that steps `i` first: the fall-through
+            // keeps the step.
+            R::IncBrLtS { i, k, .. } => {
+                self.def_bin(BinOpKind::I32Add, *i, |s| s.konst(u64::from(*k)), *i);
+            }
             R::ScaleAdd { base, idx, k, dst } => {
                 let v = self.address(Addr::ScaleAdd {
                     base: *base,
@@ -584,7 +589,8 @@ fn reg_targets(code: &[RegOp], is_target: &mut Vec<bool>) {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. } => mark(*target),
+            | RegOp::CmpBrLtSZ { target, .. }
+            | RegOp::IncBrLtS { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
                     mark(e.target);
@@ -1205,12 +1211,19 @@ mod tests {
                     jump_if: true,
                     target,
                 },
-                37 => match r.below(2) {
+                37 => match r.below(3) {
                     0 => RegOp::CmpBr {
                         op,
                         a,
                         b,
                         jump_if: false,
+                        latch: false,
+                        target,
+                    },
+                    1 => RegOp::IncBrLtS {
+                        i: a,
+                        n: b,
+                        k: 1,
                         target,
                     },
                     _ => RegOp::CmpBrLtSZ { a, b, target },

@@ -146,7 +146,8 @@ fn reg_targets(code: &[RegOp]) -> Vec<bool> {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. } => mark(*target),
+            | RegOp::CmpBrLtSZ { target, .. }
+            | RegOp::IncBrLtS { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
                     mark(e.target);
@@ -257,6 +258,12 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let kk = vals.konst(u64::from(*k));
                 let v = vals.bin(BinOpKind::I32Add, s!(a), kk);
                 sset!(dst, v);
+            }
+            // A conditional exit that steps `i` first.
+            RegOp::IncBrLtS { i, k, .. } => {
+                let kk = vals.konst(u64::from(*k));
+                let v = vals.bin(BinOpKind::I32Add, s!(i), kk);
+                sset!(i, v);
             }
             RegOp::AddF64 { dst, .. } | RegOp::SubF64 { dst, .. } | RegOp::MulF64 { dst, .. } => {
                 let v = vals.fresh();

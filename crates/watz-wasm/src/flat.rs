@@ -1378,7 +1378,8 @@ mod tests {
     #[test]
     fn fusion_emits_expected_superinstructions() {
         // sum-loop: the exit test joins its branch, both updates sink into
-        // their locals (one with the constant inline).
+        // their locals (one with the constant inline), and the counter's
+        // step, the back edge and a copy of the exit test are the latch.
         let mut b = ModuleBuilder::new();
         let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
         let f = b.add_func(
@@ -1417,12 +1418,13 @@ mod tests {
             "loop exit must fuse: {stats:?}"
         );
         assert_eq!(stats.of(crate::reg::Rule::BinopSet), 2, "{stats:?}");
-        assert_eq!(stats.total(), 3, "{stats:?}");
+        assert_eq!(stats.of(crate::reg::Rule::Latch), 1, "{stats:?}");
+        assert_eq!(stats.total(), 4, "{stats:?}");
         let code = &fused.funcs[0].as_ref().unwrap().code;
         assert_eq!(
             code.len(),
             6,
-            "exit, two updates, back-edge, result: {code:?}"
+            "exit, the sum, the latch, its exit jump, result, return: {code:?}"
         );
         let unfused = CompiledModule::compile_full(&module, false).unwrap();
         assert_eq!(unfused.fusion.total(), 0);

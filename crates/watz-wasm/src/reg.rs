@@ -81,6 +81,22 @@
 //!   | `add_load` | `i32.add` | a full-width load (`k = 1`) | `ScaleAddLoadI32`, `ScaleAddLoadF64` |
 //!   | `cmp_br` | `binop` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` | `CmpBr`, `CmpBrLtSZ` |
 //!   | `eqz_br` | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
+//!   | `latch` | `br` | the loop head's compare-and-exit, and an `i += k` step in front of the `br` when the head tests `i < n` | `IncBrLtS`, `CmpBr` |
+//!
+//!   The `latch` rule is loop inversion, as LLVM's LoopRotate does it, at a
+//!   `br` that moves no values back to a loop whose first op is its head
+//!   test: a `CmpBrLtSZ`, or a `CmpBr` of `cmp_br` (never a `div`/`rem`),
+//!   whose `br_if` leaves the loop. The `br` lowers to a copy of that test
+//!   with its polarity inverted, jumping to the op after the head, then a
+//!   `Jump` to the test's exit for the fall-through. When the head tests
+//!   `i < n` and the op just before the `br` is the step `AddI32K { a: i,
+//!   k, dst: i }`, with no branch destination between them, the step joins
+//!   too: `IncBrLtS` is Lua 5.0's `FORLOOP`, and a counted loop pays one
+//!   dispatch per iteration to step, go back and test, where it paid three.
+//!   The latch retires the step's, the `br`'s and the head test's weights,
+//!   the exit jump none; it counts one back edge whether it jumps or not,
+//!   as the `br` it stands for does. A joined step counts under
+//!   `binop_set` and `latch` both.
 //!
 //!   The row rules read both factors of the multiply from slots, so a
 //!   `const k` in front of such an `i32.mul` stays a `Const` rather than
@@ -127,12 +143,28 @@
 //! defect and fails instantiation too. [`RegStats`] reports what the pass
 //! did.
 //!
+//! **Frame window.** The dispatch loop reaches a frame's slots through
+//! `&mut [Slot; 1 << 16]`, the window of the frame stack at the frame's
+//! base, re-derived at each call and return: every `u16` slot index is
+//! inside it, so a slot access compiles without a bounds check, in safe
+//! Rust. The stack stays at least a window past every frame base (a call
+//! grows it by the callee's offset only). It is one `Vec` per thread,
+//! taken out of a thread-local cell for an invoke and put back after it,
+//! so an invoke a host import makes mid-call runs on a stack of its own; a
+//! stack per instance would hold 512 KiB for each live one. Slots left by
+//! an earlier invoke or a deeper earlier call are never read: the verifier
+//! checks, on every `Aot` compile, that each op names slots below its
+//! function's frame and reads only slots written on every path to it, and
+//! the locals, which Wasm zeroes, are zeroed at entry and at each call.
+//!
 //! Semantics (every result, every trap, every retired-instruction count)
 //! are identical to the tree-walking oracle; the differential suites run
 //! both, fused and unfused, counting off and on.
 //!
 //! [`ExecMode::Aot`]: crate::exec::ExecMode::Aot
 //! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
+
+use std::cell::Cell;
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
@@ -202,6 +234,7 @@ pub(crate) enum Rule {
     AddLoad,
     CmpBr,
     EqzBr,
+    Latch,
 }
 
 /// What the op-set ledger (`reg/ledger.rs`) holds a rule's ops to.
@@ -219,7 +252,7 @@ pub(crate) enum Duty {
 /// the rule, its name in [`FusionStats`], the [`RegOp`] variants it may
 /// emit (space-separated) and its ledger duty.
 #[rustfmt::skip]
-pub(crate) const RULES: [(Rule, &str, &str, Duty); 9] = [
+pub(crate) const RULES: [(Rule, &str, &str, Duty); 10] = [
     (Rule::IdxLoad, "idx_load", "ScaleAddLoadI32 ScaleAddLoadF64 IdxLAddLoadF64", Duty::Pays),
     (Rule::IdxAddr, "idx_addr", "ScaleAdd IdxLAdd", Duty::Pays),
     (Rule::MulAdd, "mul_add", "MulAddI32", Duty::Pays),
@@ -229,6 +262,7 @@ pub(crate) const RULES: [(Rule, &str, &str, Duty); 9] = [
     (Rule::AddLoad, "add_load", "ScaleAddLoadI32 ScaleAddLoadF64", Duty::Pays),
     (Rule::CmpBr, "cmp_br", "CmpBr CmpBrLtSZ", Duty::Pays),
     (Rule::EqzBr, "eqz_br", "BrIf", Duty::Exempt("folds into the generic BrIf")),
+    (Rule::Latch, "latch", "IncBrLtS CmpBr", Duty::Pays),
 ];
 
 /// Per-rule counts of the superinstructions the register pass formed over
@@ -236,7 +270,8 @@ pub(crate) const RULES: [(Rule, &str, &str, Duty); 9] = [
 /// [`Instance::fusion_stats`](crate::exec::Instance::fusion_stats). A rule
 /// names what was joined, never where an operand came from: operands
 /// always come from the abstract stack. Each emitted superinstruction
-/// counts once, under the rule that formed it.
+/// counts once, under the rule that formed it, except a latch that joined
+/// its loop's step: that counts under `binop_set` too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
     counts: [u64; RULES.len()],
@@ -514,11 +549,25 @@ pub(crate) enum RegOp {
         target: u32,
     },
     /// Jumps when `op(frame[a], frame[b])`'s truthiness equals `jump_if`.
+    /// A `latch` is a loop head's test copied to a `br` back to that loop
+    /// (see `latch` in the module docs): it stands for the guest's `br`, so
+    /// it counts one back edge whether it jumps or not.
     CmpBr {
         op: BinOpKind,
         a: u16,
         b: u16,
         jump_if: bool,
+        latch: bool,
+        target: u32,
+    },
+    /// `frame[i] = frame[i] +ₙ k` (i32 wrapping), then jumps when
+    /// `frame[i] <ₛ frame[n]`, `n` read after the write — a counted loop's
+    /// step, back edge and head test in one op (Lua 5.0's `FORLOOP`).
+    /// Counts one back edge whether it jumps or not.
+    IncBrLtS {
+        i: u16,
+        n: u16,
+        k: u32,
         target: u32,
     },
     /// `frame[dst] = frame[base] + frame[idx]*k` (array-address tail; the
@@ -559,7 +608,8 @@ impl RegOp {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. } => Some(target),
+            | RegOp::CmpBrLtSZ { target, .. }
+            | RegOp::IncBrLtS { target, .. } => Some(target),
             RegOp::BrTable { entries, .. } => entries.get_mut(slot).map(|e| &mut e.target),
             _ => None,
         }
@@ -676,6 +726,7 @@ fn sel_cmp_br(op: BinOpKind, a: u16, b: u16, jump_if: bool, target: u32) -> RegO
             a,
             b,
             jump_if,
+            latch: false,
             target,
         }
     }
@@ -706,6 +757,10 @@ struct Ctrl {
     else_patch: Option<u32>,
     /// The rest of this frame is statically unreachable.
     unreachable: bool,
+    /// For a loop whose first op is a compare that leaves it (its head
+    /// test, `code[head]`): the index in the control stack of the frame
+    /// that test exits to. A `br` back to such a loop is its latch.
+    exit: Option<usize>,
 }
 
 impl Ctrl {
@@ -1228,6 +1283,7 @@ impl Lowerer<'_> {
             patches: NO_PATCH,
             else_patch,
             unreachable: false,
+            exit: None,
         });
         Ok(())
     }
@@ -1247,19 +1303,101 @@ impl Lowerer<'_> {
     }
 
     /// The target of the branch to relative depth `d` about to be emitted
-    /// at `out.len()` (its arm `slot`, for a `br_table`): a loop's head,
-    /// or 0 and a patch on the frame's list, resolved at its end.
+    /// at `out.len()` (its arm `slot`, for a `br_table`).
     fn branch_target(&mut self, d: u32, slot: u32) -> Result<u32, Trap> {
         let idx =
             frame_index(self.ctrl, d).ok_or_else(|| bad("branch depth exceeds control stack"))?;
+        Ok(self.frame_target(idx, slot))
+    }
+
+    /// The target of a branch to frame `ctrl[idx]` about to be emitted at
+    /// `out.len()`: a loop's head, or 0 and a patch on the frame's list,
+    /// resolved at its end.
+    fn frame_target(&mut self, idx: usize, slot: u32) -> u32 {
         let frame = &mut self.ctrl[idx];
         if frame.is_loop {
-            return Ok(frame.head);
+            return frame.head;
         }
         self.patches
             .push((self.out.len() as u32, slot, frame.patches));
         frame.patches = self.patches.len() as u32 - 1;
-        Ok(0)
+        0
+    }
+
+    /// Before the compare-and-branch of `jump` is emitted: if it is the
+    /// innermost loop's first op and `jump` a `br_if` out of the loop, it
+    /// is the loop's head test, and its frame is the loop's exit.
+    fn head_test(&mut self, jump: &Instr) {
+        let at = self.out.len() as u32;
+        let Instr::BrIf(d @ 1..) = *jump else {
+            return;
+        };
+        let exit = frame_index(self.ctrl, d);
+        if let Some(frame) = self.ctrl.last_mut().filter(|f| f.is_loop && f.head == at) {
+            frame.exit = exit;
+        }
+    }
+
+    /// A `br` to relative depth `d`, moving no values, after its flush: if
+    /// `d` labels a loop with a head test, emits the loop's latch (see
+    /// `latch` in the module docs) and returns true. The latch's weight is
+    /// the step's, the `br`'s (still pending) and the head test's; the
+    /// exit jump after it retires nothing.
+    fn latch(&mut self, d: u32, fusion: &mut FusionStats) -> Result<bool, Trap> {
+        let idx =
+            frame_index(self.ctrl, d).ok_or_else(|| bad("branch depth exceeds control stack"))?;
+        let (head, Some(exit)) = (self.ctrl[idx].head, self.ctrl[idx].exit) else {
+            return Ok(false);
+        };
+        let (op, a, b, jump_if) = match self.out[head as usize] {
+            RegOp::CmpBrLtSZ { a, b, .. } => (BinOpKind::I32LtS, a, b, false),
+            RegOp::CmpBr {
+                op, a, b, jump_if, ..
+            } => (op, a, b, jump_if),
+            _ => return Err(bad("a loop's head test is not a compare-and-branch")),
+        };
+        let target = head + 1;
+        // The step `i += k` of a head `i < n` joins. No branch lands
+        // between the two: a step into local `i` leaves its `local.set`'s
+        // weight pending, so a branch destination after it would have
+        // started with the move that carries that weight.
+        let step = match self.out.last() {
+            Some(&RegOp::AddI32K { a: i, k, dst })
+                if (op, jump_if, i, dst) == (BinOpKind::I32LtS, false, a, a) =>
+            {
+                Some(k)
+            }
+            _ => None,
+        };
+        let latch = match step {
+            Some(k) => {
+                self.out.pop();
+                if let Some(weight) = self.prof.pop() {
+                    self.pending.merge(&weight);
+                }
+                RegOp::IncBrLtS {
+                    i: a,
+                    n: b,
+                    k,
+                    target,
+                }
+            }
+            None => RegOp::CmpBr {
+                op,
+                a,
+                b,
+                jump_if: !jump_if,
+                latch: true,
+                target,
+            },
+        };
+        let head_weight = self.prof[head as usize];
+        self.pending.merge(&head_weight);
+        self.out.push(latch);
+        let exit = self.frame_target(exit, 0);
+        self.out.push(RegOp::Jump { target: exit });
+        fusion.record(Rule::Latch);
+        Ok(true)
     }
 
     /// The target of the conditional jump about to be emitted at
@@ -1574,6 +1712,7 @@ pub(crate) fn lower_func(
         patches: NO_PATCH,
         else_patch: None,
         unreachable: false,
+        exit: None,
     });
     // Retirement: each instruction's weight accumulates into `pending` and
     // attaches to the *first* register op emitted on its behalf (fix-up
@@ -1675,17 +1814,20 @@ pub(crate) fn lower_func(
             Instr::Br(d) => {
                 lo.flush_all()?;
                 let (src, dst, keep) = lo.transfer(*d)?;
-                let target = lo.branch_target(*d, 0)?;
-                lo.out.push(if keep == 0 || src == dst {
-                    RegOp::Jump { target }
-                } else {
-                    RegOp::BrMoves {
-                        target,
-                        src,
-                        dst,
-                        keep: slot16(lo.func, keep)?,
-                    }
-                });
+                // Only a fused loop has a head test, so only it has a latch.
+                if keep != 0 || !lo.latch(*d, fusion)? {
+                    let target = lo.branch_target(*d, 0)?;
+                    lo.out.push(if keep == 0 || src == dst {
+                        RegOp::Jump { target }
+                    } else {
+                        RegOp::BrMoves {
+                            target,
+                            src,
+                            dst,
+                            keep: slot16(lo.func, keep)?,
+                        }
+                    });
+                }
                 lo.terminate()?;
             }
             Instr::BrIf(d) => {
@@ -1921,7 +2063,9 @@ pub(crate) fn lower_func(
                         }
                         Follow::Br(jump_if) => {
                             fusion.record(Rule::CmpBr);
-                            let target = lo.cond_target(module, &code[i + used - 1])?;
+                            let jump = &code[i + used - 1];
+                            lo.head_test(jump);
+                            let target = lo.cond_target(module, jump)?;
                             sel_cmp_br(op, a, b, jump_if, target)
                         }
                         Follow::Load(w, offset) => {
@@ -2083,12 +2227,23 @@ pub(crate) fn run(
         .as_ref()
         .expect("local function register-lowered");
     let mut mem = memory.take_data();
+    // This thread's frame stack, out of its cell for the run: an invoke a
+    // host import makes meanwhile finds the cell empty and uses a stack of
+    // its own.
+    let mut stack = STACK.take();
+    if stack.len() < WINDOW {
+        // A window, and as much again for the frames above the entry's:
+        // a call stack that fits never grows it. Growing copies the stack,
+        // which commits every page of it; the zeroed allocation is
+        // committed only where frames touch it.
+        stack = vec![0; 2 * WINDOW];
+    }
     // Monomorphize the dispatch loop on the profiler: the `None` arm
     // instantiates with the no-op profiler, whose guarded counting code
     // is erased entirely — the default hot path gains no work.
     let result = match profile {
         Some(p) => run_loop(
-            cm, types, table, &mut mem, memory, globals, host, entry, args, p,
+            cm, types, table, &mut mem, memory, globals, host, &mut stack, entry, args, p,
         ),
         None => run_loop(
             cm,
@@ -2098,13 +2253,34 @@ pub(crate) fn run(
             memory,
             globals,
             host,
+            &mut stack,
             entry,
             args,
             &mut crate::profile::NoProfile,
         ),
     };
+    STACK.set(stack);
     memory.put_data(mem);
     result
+}
+
+/// The slots a frame window spans: every `u16` slot operand.
+const WINDOW: usize = 1 << 16;
+
+thread_local! {
+    /// The frame stack of the invokes on this thread (see *Frame window*
+    /// in the module docs), reused by each: at least [`WINDOW`] slots
+    /// once an invoke has run.
+    static STACK: Cell<Vec<Slot>> = const { Cell::new(Vec::new()) };
+}
+
+/// The window of `stack` at frame base `base`. `run_loop` keeps the stack
+/// at least `WINDOW` slots past every frame base it runs at.
+#[inline(always)]
+fn window(stack: &mut [Slot], base: usize) -> &mut [Slot; WINDOW] {
+    stack[base..]
+        .first_chunk_mut()
+        .expect("the frame stack holds a whole window past the frame base")
 }
 
 /// Calls imported function `imp` with its arguments at the start of
@@ -2151,7 +2327,8 @@ fn entry_results(f: &RegFunc, frame: &[Slot]) -> Vec<Value> {
 
 /// The register engine's dispatch loop: no operand stack, only frames of
 /// statically-addressed slots (and the cached memory vec, handed back to
-/// [`Memory`] around host calls).
+/// [`Memory`] around host calls), on `stack`, at least [`WINDOW`] slots
+/// long.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn run_loop<P: Profiler>(
     cm: &CompiledModule,
@@ -2161,25 +2338,29 @@ fn run_loop<P: Profiler>(
     memory: &mut Memory,
     globals: &mut [Value],
     host: &mut dyn HostEnv,
+    stack: &mut Vec<Slot>,
     entry: &RegFunc,
     args: &[Value],
     prof: &mut P,
 ) -> Result<Vec<Value>, Trap> {
-    let mut stack: Vec<Slot> = vec![0; entry.frame_size as usize];
-    for (i, v) in args.iter().enumerate() {
-        stack[i] = slot_from_value(*v);
-    }
-
     let mut frames: Vec<Frame> = Vec::new();
     let mut cur: &RegFunc = entry;
     let mut base: usize = 0;
     let mut pc: usize = 0;
+    // The current frame's window: every `u16` slot index is in bounds, so
+    // a slot access needs no check. The stack may hold stale slots from
+    // an earlier invoke or call; the verifier has shown that no op reads a
+    // slot its function has not written, except the locals, zeroed here
+    // and at each call.
+    let mut fr = window(stack, 0);
+    for (slot, v) in fr.iter_mut().zip(args) {
+        *slot = slot_from_value(*v);
+    }
+    fr[entry.n_params as usize..entry.n_locals as usize].fill(0);
 
-    // Frame-slot read/write (bounds-checked against the one shared vec;
-    // every frame was sized at its call).
     macro_rules! r {
         ($s:expr) => {
-            stack[base + $s as usize]
+            fr[$s as usize]
         };
     }
     macro_rules! call_local {
@@ -2189,13 +2370,13 @@ fn run_loop<P: Profiler>(
                 return Err(Trap::CallStackExhausted);
             }
             let new_base = base + $off as usize;
-            let need = new_base + callee.frame_size as usize;
-            if stack.len() < need {
-                stack.resize(need, 0);
+            if stack.len() < new_base + WINDOW {
+                stack.resize(new_base + WINDOW, 0);
             }
+            fr = window(stack, new_base);
             // Non-param locals start zeroed; slots may hold stale data
-            // from a deeper earlier call (the vec never shrinks).
-            stack[new_base + callee.n_params as usize..new_base + callee.n_locals as usize].fill(0);
+            // from a deeper earlier call (the stack never shrinks).
+            fr[callee.n_params as usize..callee.n_locals as usize].fill(0);
             frames.push(Frame {
                 func: cur,
                 pc,
@@ -2208,7 +2389,7 @@ fn run_loop<P: Profiler>(
     }
     macro_rules! call_import {
         ($func:expr, $off:expr) => {{
-            let args = &mut stack[base + $off as usize..];
+            let args = &mut fr[$off as usize..];
             call_host(&cm.imports[$func as usize], args, mem, memory, host)?;
         }};
     }
@@ -2255,8 +2436,8 @@ fn run_loop<P: Profiler>(
                 dst,
                 keep,
             } => {
-                let (s, d, k) = (base + *src as usize, base + *dst as usize, *keep as usize);
-                stack.copy_within(s..s + k, d);
+                let (s, d, k) = (*src as usize, *dst as usize, *keep as usize);
+                fr.copy_within(s..s + k, d);
                 backedge!(*target);
                 pc = *target as usize;
             }
@@ -2269,8 +2450,8 @@ fn run_loop<P: Profiler>(
                 keep,
             } => {
                 if (as_u32(r!(*cond)) != 0) == *jump_if {
-                    let (s, d, k) = (base + *src as usize, base + *dst as usize, *keep as usize);
-                    stack.copy_within(s..s + k, d);
+                    let (s, d, k) = (*src as usize, *dst as usize, *keep as usize);
+                    fr.copy_within(s..s + k, d);
                     backedge!(*target);
                     pc = *target as usize;
                 }
@@ -2279,29 +2460,26 @@ fn run_loop<P: Profiler>(
                 let i = as_u32(r!(*idx)) as usize;
                 let e = entries[i.min(entries.len() - 1)];
                 if e.keep > 0 && e.src != e.dst {
-                    let (s, d, k) = (
-                        base + e.src as usize,
-                        base + e.dst as usize,
-                        e.keep as usize,
-                    );
-                    stack.copy_within(s..s + k, d);
+                    let (s, d, k) = (e.src as usize, e.dst as usize, e.keep as usize);
+                    fr.copy_within(s..s + k, d);
                 }
                 backedge!(e.target);
                 pc = e.target as usize;
             }
             RegOp::Return { src } => {
                 let n = cur.n_results as usize;
-                let s = base + *src as usize;
-                if s != base && n > 0 {
-                    stack.copy_within(s..s + n, base);
+                let s = *src as usize;
+                if s != 0 && n > 0 {
+                    fr.copy_within(s..s + n, 0);
                 }
                 match frames.pop() {
-                    Some(fr) => {
-                        cur = fr.func;
-                        pc = fr.pc;
-                        base = fr.base;
+                    Some(caller) => {
+                        cur = caller.func;
+                        pc = caller.pc;
+                        base = caller.base;
+                        fr = window(stack, base);
                     }
-                    None => return Ok(entry_results(cur, &stack[base..])),
+                    None => return Ok(entry_results(cur, &fr[..])),
                 }
             }
             RegOp::CallLocal { func, base: off } => {
@@ -2371,9 +2549,8 @@ fn run_loop<P: Profiler>(
                 r!(*dst) = from_i32(Memory::grow_raw(mem, memory.max_pages(), delta));
             }
             RegOp::MemoryCopy { args } => {
-                let a = base + *args as usize;
-                let (dst, src, len) =
-                    (as_u32(stack[a]), as_u32(stack[a + 1]), as_u32(stack[a + 2]));
+                let a = *args as usize;
+                let (dst, src, len) = (as_u32(fr[a]), as_u32(fr[a + 1]), as_u32(fr[a + 2]));
                 let mem_len = mem.len() as u64;
                 if u64::from(src) + u64::from(len) > mem_len
                     || u64::from(dst) + u64::from(len) > mem_len
@@ -2383,12 +2560,8 @@ fn run_loop<P: Profiler>(
                 mem.copy_within(src as usize..(src + len) as usize, dst as usize);
             }
             RegOp::MemoryFill { args } => {
-                let a = base + *args as usize;
-                let (dst, val, len) = (
-                    as_u32(stack[a]),
-                    as_u32(stack[a + 1]) as u8,
-                    as_u32(stack[a + 2]),
-                );
+                let a = *args as usize;
+                let (dst, val, len) = (as_u32(fr[a]), as_u32(fr[a + 1]) as u8, as_u32(fr[a + 2]));
                 if u64::from(dst) + u64::from(len) > mem.len() as u64 {
                     return Err(Trap::MemoryOutOfBounds);
                 }
@@ -2480,11 +2653,27 @@ fn run_loop<P: Profiler>(
                 a,
                 b,
                 jump_if,
+                latch,
                 target,
             } => {
+                if P::ENABLED && *latch {
+                    prof.backedge();
+                }
                 let v = apply_binop(*op, r!(*a), r!(*b))?;
                 if (as_u32(v) != 0) == *jump_if {
-                    backedge!(*target);
+                    if !*latch {
+                        backedge!(*target);
+                    }
+                    pc = *target as usize;
+                }
+            }
+            RegOp::IncBrLtS { i, n, k, target } => {
+                if P::ENABLED {
+                    prof.backedge();
+                }
+                let v = as_i32(r!(*i)).wrapping_add(*k as i32);
+                r!(*i) = from_i32(v);
+                if v < as_i32(r!(*n)) {
                     pc = *target as usize;
                 }
             }
@@ -2544,8 +2733,8 @@ pub(crate) mod tests {
 
     /// Runs an export on the oracle and on the register engine in every
     /// [`engine_matrix`] configuration; all must agree on results AND
-    /// traps, and the counting runs on instret too. Register instances
-    /// must not silently fall back to the interpreter.
+    /// traps, and the counting runs on instret and back edges too.
+    /// Register instances must not silently fall back to the interpreter.
     fn run_matrix(
         bytes: &[u8],
         name: &str,
@@ -2560,7 +2749,8 @@ pub(crate) mod tests {
             Instance::instantiate_with(&module, ExecMode::Interpreted, counting, &mut NoHost)
                 .unwrap();
         let mut out = vec![("oracle".to_string(), interp.invoke(&mut NoHost, name, args))];
-        let instret = interp.profile().expect("counting oracle").instret;
+        let counts = |p: &crate::profile::ExecProfile| (p.instret, p.backedges);
+        let oracle_counts = counts(interp.profile().expect("counting oracle"));
         for (label, cfg) in engine_matrix() {
             let mut inst =
                 Instance::instantiate_with(&module, ExecMode::Aot, cfg, &mut NoHost).unwrap();
@@ -2570,7 +2760,11 @@ pub(crate) mod tests {
             );
             let outcome = inst.invoke(&mut NoHost, name, args);
             if let Some(p) = inst.profile() {
-                assert_eq!(p.instret, instret, "{label}: instret diverges from oracle");
+                assert_eq!(
+                    counts(p),
+                    oracle_counts,
+                    "{label}: (instret, back edges) diverge from the oracle"
+                );
             }
             out.push((label, outcome));
         }
@@ -3428,28 +3622,30 @@ pub(crate) mod tests {
                 (*name, fused, hex)
             })
             .collect();
-        // Re-pinned, every suite, when the check-free opcodes, the i32
-        // multiply and the unfused full-width load forms went: each such op
-        // became its checked or generic form (a check-free op -> its
-        // checked twin, `i32.mul` -> `Binop { I32Mul }`, an unfused
-        // full-width load -> `Load`), one op for one op, so no count, frame
-        // or fusion moved. (Global hoisting, before that, moved minisql and
+        // Re-pinned, every suite, for the `latch` rule: each `br` back to
+        // a loop with a head test became a copy of the test (an
+        // `IncBrLtS` when it joined the counter's step) and an exit
+        // `Jump`, and `CmpBr` gained its `latch` flag, so every suite's
+        // code moved. The other rows' counts did not (1607 / 463 / 196);
+        // the latches add 201 / 29 / 2. (Before that, the check-free
+        // opcodes, the i32 multiply and the unfused full-width load forms
+        // went one op for one op, and global hoisting moved minisql and
         // Genann only.)
         let want = [
             (
                 "polybench",
-                1607,
-                "cf9e4a77a3b7020c40bcbc56e135a89354c2befd5f0d6c67a67f59a4b90553ad",
+                1607 + 201,
+                "4acb988b35e5bad0f6e4b6d4c6aec6836ac4ca42e9c83d8e650e445ec0aeda36",
             ),
             (
                 "minisql",
-                463,
-                "14f25f33198ce3722d28a62e8f084ca126e42734fecad68af08d3387325681ba",
+                463 + 29,
+                "672bd8e8997486f057e5e98de6ecd49a5e47355630dd33dff31292aedc74c68f",
             ),
             (
                 "genann",
-                196,
-                "75a46f56cb071e4c58b554798aca79f7e5c9bf890b4b56331552aac4ac3c8d8d",
+                196 + 2,
+                "4add08fc7eadda9e607ea90c3497c25586219fa7f547546424afd56fcdee8e20",
             ),
         ];
         assert_eq!(
@@ -3674,6 +3870,277 @@ pub(crate) mod tests {
             assert_eq!(out.unwrap(), vec![Value::I32(want)], "f({arg})");
         }
         assert_verifies(&bytes);
+    }
+
+    // ---- loop latches ----------------------------------------------------
+
+    /// `for (i = 0; i < n; i += 1) acc += i; return acc`, with `n` in param
+    /// 0 and `m` in param 1, locals `i` (2) and `acc` (3), as MiniC emits
+    /// it; `between` goes between the step and the `br` back.
+    fn for_loop(between: &[I]) -> Vec<u8> {
+        let mut code = vec![
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(2),
+            I::LocalGet(0),
+            I::I32LtS,
+            I::I32Eqz,
+            I::BrIf(1),
+            I::LocalGet(3),
+            I::LocalGet(2),
+            I::I32Add,
+            I::LocalSet(3),
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(2),
+        ];
+        code.extend_from_slice(between);
+        code.extend([I::Br(0), I::End, I::End, I::LocalGet(3), I::End]);
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let f = b.add_func(ty, &[ValType::I32, ValType::I32], code);
+        b.export_func("f", f);
+        b.build()
+    }
+
+    /// Runs `f(n, m)` of `bytes` for a few `n` and both `m` on every engine
+    /// (results, instret and back edges agree), against `0 + 1 + … + n-1`.
+    fn assert_sums(bytes: &[u8]) {
+        for n in [0, 1, 5, -3] {
+            for m in [0, 1] {
+                let args = [Value::I32(n), Value::I32(m)];
+                let out = agreed_outcome(bytes, "f", &args, &format!("f({n}, {m})"));
+                let want = (0..n.max(0)).sum::<i32>();
+                assert_eq!(out, Ok(vec![Value::I32(want)]), "f({n}, {m})");
+            }
+        }
+        assert_verifies(bytes);
+    }
+
+    #[test]
+    fn a_counted_loop_steps_and_tests_in_one_op() {
+        // The step, the `br` back and a copy of the head test are one
+        // `IncBrLtS`, which jumps past the head; the exit jump follows it.
+        // Unfused, the loop keeps its `Jump` back to the head.
+        let bytes = for_loop(&[]);
+        let cm = compiled(&bytes, true);
+        let code = code_of(&cm, 0);
+        assert_eq!(
+            names(code)[..4],
+            ["CmpBrLtSZ", "Binop", "IncBrLtS", "Jump"],
+            "{code:?}"
+        );
+        assert!(matches!(
+            code[2],
+            RegOp::IncBrLtS {
+                i: 2,
+                n: 0,
+                k: 1,
+                target: 1
+            }
+        ));
+        assert_eq!(cm.fusion.of(Rule::Latch), 1);
+        let unfused = compiled(&bytes, false);
+        assert!(!names(code_of(&unfused, 0)).contains(&"IncBrLtS".to_string()));
+        assert_sums(&bytes);
+    }
+
+    #[test]
+    fn a_branch_between_the_step_and_the_br_keeps_the_step_apart() {
+        // `if (m == 0) i += 1`, after `i += 1`: the block's end, where the
+        // skipping branch lands, sits between the second step and the
+        // `br`. The landing site starts with the move that carries the
+        // step's `local.set` weight, so the latch copies the head test
+        // alone.
+        let bytes = for_loop(&[
+            I::Block(BlockType::Empty),
+            I::LocalGet(1),
+            I::BrIf(0),
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(2),
+            I::End,
+        ]);
+        let cm = compiled(&bytes, true);
+        let code = code_of(&cm, 0);
+        assert!(!names(code).contains(&"IncBrLtS".to_string()), "{code:?}");
+        assert!(
+            code.iter().any(|op| matches!(
+                op,
+                RegOp::CmpBr {
+                    latch: true,
+                    jump_if: true,
+                    ..
+                }
+            )),
+            "{code:?}"
+        );
+        assert_eq!(cm.fusion.of(Rule::Latch), 1);
+        // With `m == 0` the loop steps by two: it sums the even `i` only.
+        for n in [0, 1, 6, -3] {
+            for m in [0, 1] {
+                let args = [Value::I32(n), Value::I32(m)];
+                let out = agreed_outcome(&bytes, "f", &args, &format!("f({n}, {m})"));
+                let step = if m == 0 { 2 } else { 1 };
+                let want = (0..n.max(0)).step_by(step).sum::<i32>();
+                assert_eq!(out, Ok(vec![Value::I32(want)]), "f({n}, {m})");
+            }
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn only_a_valueless_br_to_a_loop_with_a_compare_at_its_head_is_a_latch() {
+        // A `br` carrying the loop's param, a head that is not a compare,
+        // and a `br_if` back are no latch; a head `i >= n` rotates into a
+        // `CmpBr` that cannot join the step.
+        let mut b = ModuleBuilder::new();
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        let param = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let head = |test: Vec<I>| {
+            let mut code = vec![I::Block(BlockType::Empty), I::Loop(BlockType::Empty)];
+            code.extend(test);
+            code.extend([
+                I::BrIf(1),
+                I::LocalGet(3),
+                I::LocalGet(2),
+                I::I32Add,
+                I::LocalSet(3),
+                I::LocalGet(2),
+                I::I32Const(1),
+                I::I32Add,
+                I::LocalSet(2),
+            ]);
+            code
+        };
+        let params = vec![
+            I::Block(BlockType::Value(ValType::I32)),
+            I::I32Const(0),
+            I::Loop(BlockType::Func(param)),
+            I::LocalGet(2),
+            I::LocalGet(0),
+            I::I32LtS,
+            I::I32Eqz,
+            I::BrIf(1),
+            I::LocalGet(2),
+            I::I32Add,
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(2),
+            I::Br(0),
+            I::End,
+            I::End,
+            I::End,
+        ];
+        let mut flag = head(vec![I::LocalGet(1), I::I32Eqz]);
+        flag.extend([I::LocalGet(1), I::I32Const(1), I::I32Sub, I::LocalSet(1)]);
+        let mut cont = head(vec![I::LocalGet(2), I::LocalGet(0), I::I32GeS]);
+        cont.extend([I::I32Const(1), I::BrIf(0), I::Unreachable]);
+        let mut ge = head(vec![I::LocalGet(2), I::LocalGet(0), I::I32GeS]);
+        ge.push(I::Br(0));
+        let mut funcs = Vec::new();
+        for mut code in [flag, cont, ge] {
+            if !matches!(code.last(), Some(I::Br(_) | I::Unreachable)) {
+                code.push(I::Br(0));
+            }
+            code.extend([I::End, I::End, I::LocalGet(3), I::End]);
+            funcs.push(b.add_func(ty, &[ValType::I32, ValType::I32], code));
+        }
+        funcs.push(b.add_func(ty, &[ValType::I32, ValType::I32], params));
+        for (name, f) in ["flag", "cont", "ge", "param"].iter().zip(&funcs) {
+            b.export_func(name, *f);
+        }
+        let bytes = b.build();
+        let cm = compiled(&bytes, true);
+        let latches = |idx: usize| {
+            code_of(&cm, idx)
+                .iter()
+                .filter(|op| {
+                    matches!(
+                        op,
+                        RegOp::IncBrLtS { .. } | RegOp::CmpBr { latch: true, .. }
+                    )
+                })
+                .count()
+        };
+        assert_eq!([0, 1, 2, 3].map(latches), [0, 0, 1, 0]);
+        assert!(matches!(
+            code_of(&cm, 2)
+                .iter()
+                .find(|op| matches!(op, RegOp::CmpBr { latch: true, .. })),
+            Some(RegOp::CmpBr {
+                op: BinOpKind::I32GeS,
+                jump_if: false,
+                ..
+            })
+        ));
+        assert_eq!(cm.fusion.of(Rule::Latch), 1);
+        for (n, m) in [(0, 0), (4, 2), (5, 9), (-2, 1)] {
+            let args = [Value::I32(n), Value::I32(m)];
+            for name in ["cont", "ge", "param"] {
+                let out = agreed_outcome(&bytes, name, &args, &format!("{name}({n}, {m})"));
+                let want = (0..n.max(0)).sum::<i32>();
+                assert_eq!(out, Ok(vec![Value::I32(want)]), "{name}({n}, {m})");
+            }
+            let out = agreed_outcome(&bytes, "flag", &args, &format!("flag({n}, {m})"));
+            let want = (0..m.max(0)).sum::<i32>();
+            assert_eq!(out, Ok(vec![Value::I32(want)]), "flag({n}, {m})");
+        }
+        assert_verifies(&bytes);
+    }
+
+    #[test]
+    fn back_edges_match_the_oracle_on_polybench_and_minisql() {
+        // A latch counts the back edge of the `br` it stands for, taken or
+        // not, so the register engine, fused and unfused, counts the
+        // oracle's back edges, as it retires its instructions: over the 30
+        // PolyBench kernels and the speedtest guest, at the benchmark's
+        // `--quick` sizes.
+        use workloads::{polybench, speedtest};
+        let kernel = [("kernel", vec![Value::I32(12)])];
+        let mut sql = vec![("setup", vec![Value::I32(30)])];
+        sql.extend(
+            speedtest::experiments()
+                .iter()
+                .map(|e| ("run_exp", vec![Value::I32(e.id as i32), Value::I32(30)])),
+        );
+        let options = minic::Options {
+            min_pages: 256,
+            max_pages: None,
+        };
+        let check = |wasm: &[u8], calls: &[(&str, Vec<Value>)]| {
+            let module = crate::load(wasm).unwrap();
+            let mut counts = Vec::new();
+            for (mode, fuse) in [
+                (ExecMode::Interpreted, true),
+                (ExecMode::Aot, true),
+                (ExecMode::Aot, false),
+            ] {
+                let cfg = EngineConfig {
+                    fuse,
+                    profile: ProfileMode::Count,
+                };
+                let mut inst = Instance::instantiate_with(&module, mode, cfg, &mut NoHost).unwrap();
+                for (export, args) in calls {
+                    inst.invoke(&mut NoHost, export, args).unwrap();
+                }
+                let p = inst.profile().expect("counting");
+                counts.push((p.instret, p.backedges));
+            }
+            assert!(counts[0].1 > 0, "{calls:?}: no back edge");
+            assert_eq!(counts[1], counts[0], "fused vs the oracle, {calls:?}");
+            assert_eq!(counts[2], counts[0], "unfused vs the oracle, {calls:?}");
+        };
+        for k in polybench::suite() {
+            check(&minic::compile(k.minic).expect("kernel compiles"), &kernel);
+        }
+        check(
+            &minic::compile_with_options(speedtest::MINISQL_GUEST, &options).unwrap(),
+            &sql,
+        );
     }
 
     // ---- global hoisting ------------------------------------------------

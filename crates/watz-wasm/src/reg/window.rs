@@ -19,14 +19,19 @@
 //! * **Windows.** Every word over the alphabet up to length `L` that
 //!   validates from an empty operand stack and leaves at most one value,
 //!   the function's result (a deeper stack is the prefix of the words that
-//!   consume it). Each runs in three contexts: straight-line code (a `br_if 0`
+//!   consume it). Each runs in four contexts: straight-line code (a `br_if 0`
 //!   is then a conditional return), the body of a loop that a back edge
-//!   runs twice (words without a `br_if`), and, for each inner split, a
-//!   block ending at the split whose early exit, taken on some inputs,
-//!   lands inside the window.
+//!   runs twice and the body of a counted loop, whose `br`s back are the
+//!   `latch` rule's (both for words without a `br_if`), and, for each
+//!   inner split, a block ending at the split whose early exit, taken on
+//!   some inputs, lands inside the window. The counted loop has six shapes
+//!   ([`Shape`]: two back edges, a `br_if` continue, a param, a head
+//!   that is not `i < n`, a step that wraps past `i32::MAX`, a head `i <
+//!   i`); each window runs in one of them, the next window in the next.
 //! * **Checks.** Each window runs on the tree oracle and on fused and
 //!   unfused register code, both accepted by `verify.rs`, with [`ARGS`]:
-//!   result, trap, instret and the whole linear memory must agree.
+//!   result, trap, instret, back edges and the whole linear memory must
+//!   agree.
 //!   Windows run [`BATCH`] to a module, one function each, on one instance
 //!   per engine, so they share the memory in the same order on every
 //!   engine. A failure is re-run alone, then names the window, its
@@ -34,6 +39,8 @@
 //!
 //! Tier 1 runs `L = 4` and a seeded 1-in-16 sample of `L = 5`; the ignored
 //! `every_window_up_to_six_agrees` runs `L = 6` in release (CI runs it).
+//! The latch's own letters are the loops' step and `br`, so the `latch`
+//! row adds contexts, not letters.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,13 +57,19 @@ use crate::types::{BlockType, ValType};
 use ValType::{F64, I32};
 
 /// The function's locals: params `x`, `y` (the `i32` sources), `d` (the
-/// `f64` one) and `m` (the block context's exit condition), then the
-/// scratch local `s` and the loop counter.
-const LOCALS: [ValType; 6] = [I32, I32, F64, I32, I32, I32];
+/// `f64` one) and `m` (the block context's exit condition, and the loop
+/// contexts' choice of path), then the scratch local `s`, the loop
+/// counter, a counted loop's `i` and `n`, and where a counted loop keeps
+/// the window's `i32` or `f64` result. No letter names the last five.
+const LOCALS: [ValType; 10] = [I32, I32, F64, I32, I32, I32, I32, I32, I32, F64];
 const PARAMS: usize = 4;
 const EXIT: u32 = 3;
 const SCRATCH: u32 = 4;
 const COUNTER: u32 = 5;
+const LOOP_I: u32 = 6;
+const LOOP_N: u32 = 7;
+const RESULT_I32: u32 = 8;
+const RESULT_F64: u32 = 9;
 
 /// The argument sets `(x, y, d, m)`: in-bounds addresses and ordinary
 /// values, then zero and -1 (division by zero, an address past the end),
@@ -128,6 +141,8 @@ fn letters(rule: Rule) -> Vec<Vec<I>> {
             ],
         ],
         Rule::EqzBr => vec![vec![I::I32Eqz], vec![I::BrIf(0)]],
+        // The loop contexts' `br` back to their head is the latch.
+        Rule::Latch => Vec::new(),
     };
     out.extend(locals());
     out
@@ -210,9 +225,124 @@ enum Context {
     Straight,
     /// The body of a loop its back edge runs twice.
     Loop,
+    /// The body of a loop that tests its counter at its head, so each
+    /// `br` back to it is a latch (see [`Shape`]).
+    Counted(Shape),
     /// A block around the first `n` letters, its early exit landing
     /// between letter `n - 1` and letter `n`.
     Target(usize),
+}
+
+/// The loops of [`Context::Counted`]: `i = i0; n = n0; block; loop; br_if
+/// 1 when !(i < n); window; …; br 0; end; end`, the window's result kept
+/// in a local, with `i` and `n` locals no letter names. Each shape is a
+/// latch the `latch` rule must get right, or one it must leave alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Two `i += 1; br` latches, `m` picking which one runs.
+    TwoBackEdges,
+    /// `i += 1`, then a `br_if` back to the head when `m` is set (no
+    /// latch), else `i += 1; br`.
+    Continue,
+    /// A loop with an `i32` param, which the head's exit carries out and
+    /// the `br` back carries round: no latch.
+    Params,
+    /// The head tests `n > i`, not `i < n`: a latch that cannot join the
+    /// step.
+    NotCounted,
+    /// `i += 3` from `i32::MAX - 1` against `n = i32::MAX`: the step wraps
+    /// and the loop goes on, until a second counter ends it.
+    Wraps,
+    /// The head tests `i < i`: a latch whose `n` is `i`.
+    SelfBound,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape::TwoBackEdges,
+    Shape::Continue,
+    Shape::Params,
+    Shape::NotCounted,
+    Shape::Wraps,
+    Shape::SelfBound,
+];
+
+impl Shape {
+    /// The loop around `window` (which leaves `result`), in `b`.
+    fn around(self, b: &mut ModuleBuilder, window: Vec<I>, result: &[ValType]) -> Vec<I> {
+        use Shape as S;
+        let step = |k| {
+            [
+                I::LocalGet(LOOP_I),
+                I::I32Const(k),
+                I::I32Add,
+                I::LocalSet(LOOP_I),
+            ]
+        };
+        let (i0, n0) = match self {
+            S::Wraps => (i32::MAX - 1, i32::MAX),
+            _ => (0, 2),
+        };
+        let mut body = vec![
+            I::I32Const(i0),
+            I::LocalSet(LOOP_I),
+            I::I32Const(n0),
+            I::LocalSet(LOOP_N),
+            I::I32Const(2),
+            I::LocalSet(COUNTER),
+        ];
+        if self == S::Params {
+            let ty = b.add_type(&[I32], &[I32]);
+            body.extend([
+                I::Block(BlockType::Value(I32)),
+                I::I32Const(0),
+                I::Loop(BlockType::Func(ty)),
+            ]);
+        } else {
+            body.extend([I::Block(BlockType::Empty), I::Loop(BlockType::Empty)]);
+        }
+        body.extend(match self {
+            S::NotCounted => [I::LocalGet(LOOP_N), I::LocalGet(LOOP_I), I::I32GtS],
+            S::SelfBound => [I::LocalGet(LOOP_I), I::LocalGet(LOOP_I), I::I32LtS],
+            _ => [I::LocalGet(LOOP_I), I::LocalGet(LOOP_N), I::I32LtS],
+        });
+        body.extend([I::I32Eqz, I::BrIf(1)]);
+        body.extend(window);
+        let keep = match result {
+            [] => None,
+            [F64] => Some(RESULT_F64),
+            _ => Some(RESULT_I32),
+        };
+        body.extend(keep.map(I::LocalSet));
+        match self {
+            S::TwoBackEdges => {
+                body.extend([I::Block(BlockType::Empty), I::LocalGet(EXIT), I::I32Eqz]);
+                body.push(I::BrIf(0));
+                body.extend(step(1));
+                body.extend([I::Br(1), I::End]);
+            }
+            S::Continue => {
+                body.extend(step(1));
+                body.extend([I::LocalGet(EXIT), I::BrIf(0)]);
+            }
+            S::Params => body.extend([I::I32Const(1), I::I32Add]),
+            S::Wraps => body.extend([
+                I::LocalGet(COUNTER),
+                I::I32Const(-1),
+                I::I32Add,
+                I::LocalTee(COUNTER),
+                I::I32Eqz,
+                I::BrIf(1),
+            ]),
+            S::NotCounted | S::SelfBound => {}
+        }
+        body.extend(step(if self == S::Wraps { 3 } else { 1 }));
+        body.extend([I::Br(0), I::End, I::End]);
+        if self == S::Params {
+            body.push(I::Drop);
+        }
+        body.extend(keep.map(I::LocalGet));
+        body
+    }
 }
 
 /// The block type of a frame yielding `ts`.
@@ -276,6 +406,10 @@ impl Window {
                     I::End,
                 ]);
             }
+            Context::Counted(shape) => {
+                let result = self.result().to_vec();
+                body.extend(shape.around(b, code(&self.word), &result));
+            }
             Context::Target(split) => {
                 // Placeholders for the block's values, which the exit
                 // carries when `m` is set; the fall-through drops them.
@@ -308,8 +442,8 @@ impl Window {
 }
 
 /// What one call returned, as raw bits (a NaN equals itself), or its trap,
-/// and the instructions retired so far.
-type Outcome = (Result<Vec<u64>, Trap>, u64);
+/// and the instructions retired and back edges taken so far.
+type Outcome = (Result<Vec<u64>, Trap>, (u64, u64));
 
 fn bits(v: &Value) -> u64 {
     match *v {
@@ -326,6 +460,7 @@ struct Tally {
     /// Windows checked, per context.
     straight: u64,
     in_loop: u64,
+    counted: u64,
     target: u64,
     /// What the fused compiles of all of them joined.
     fusion: FusionStats,
@@ -335,6 +470,7 @@ impl Tally {
     fn merge(&mut self, other: &Tally) {
         self.straight += other.straight;
         self.in_loop += other.in_loop;
+        self.counted += other.counted;
         self.target += other.target;
         self.fusion.merge(&other.fusion);
     }
@@ -398,14 +534,16 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
                 .map(|inst| {
                     let result = inst.invoke(&mut NoHost, &export, &args);
                     let result = result.map(|vs| vs.iter().map(bits).collect());
-                    (result, inst.profile().map_or(0, |p| p.instret))
+                    let counts = inst.profile().map_or((0, 0), |p| (p.instret, p.backedges));
+                    (result, counts)
                 })
                 .collect();
             for (e, got) in outcomes.iter().enumerate().skip(1) {
                 let memory_agrees = !stores || insts[e].memory().data() == insts[0].memory().data();
                 if *got != outcomes[0] || !memory_agrees {
                     return Err(format!(
-                        "{} on (x, y, d, m) = ({x}, {y}, {d:?}, {m}): {} (result, instret) \
+                        "{} on (x, y, d, m) = ({x}, {y}, {d:?}, {m}): {} (result, (instret, \
+                         back edges)) \
                          {got:?} vs tree {:?}, memory agrees: {memory_agrees}\n\
                          body: {:?}\nfused code: {:?}",
                         w.describe(alpha),
@@ -420,6 +558,7 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
         match w.ctx {
             Context::Straight => tally.straight += 1,
             Context::Loop => tally.in_loop += 1,
+            Context::Counted(_) => tally.counted += 1,
             Context::Target(_) => tally.target += 1,
         }
     }
@@ -442,6 +581,8 @@ struct Walk<'a> {
     window: Window,
     batch: Vec<Window>,
     tally: Tally,
+    /// The [`SHAPES`] entry the next window runs in.
+    turn: usize,
 }
 
 /// Checks every window of length `1..=full` in its three contexts, and of
@@ -472,6 +613,7 @@ fn run(full: usize, max: usize, every: u64, seed: u64) -> Tally {
                 },
                 batch: Vec::with_capacity(BATCH),
                 tally: Tally::default(),
+                turn: 0,
             };
             walk.step(first);
             walk.flush();
@@ -529,18 +671,21 @@ impl Walk<'_> {
         self.seed.is_multiple_of(self.every)
     }
 
-    /// Queues the current word in every context it validates in.
+    /// Queues the current word in every context it validates in, the
+    /// counted loop in one of its shapes, each in turn.
     fn add_contexts(&mut self) {
         let mut w = self.window.clone();
         let n = w.word.len();
-        let contexts = [Context::Straight, Context::Loop]
+        let shape = SHAPES[self.turn % SHAPES.len()];
+        self.turn += 1;
+        let contexts = [Context::Straight, Context::Loop, Context::Counted(shape)]
             .into_iter()
             .chain((1..n).map(Context::Target));
         for ctx in contexts {
             w.ctx = ctx;
-            // A `br_if` in the loop would be a `continue` that never ends.
+            // A `br_if` in a loop would be a `continue` that never ends.
             let valid = match ctx {
-                Context::Loop => !w.word.iter().any(|&l| self.alpha[l].br_if),
+                Context::Loop | Context::Counted(_) => !w.word.iter().any(|&l| self.alpha[l].br_if),
                 _ => w.branches_validate(self.alpha),
             };
             if valid {

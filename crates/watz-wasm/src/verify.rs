@@ -318,6 +318,7 @@ fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
         | R::StoreI32R { addr, val, .. }
         | R::StoreF64R { addr, val, .. } => (([addr, val, 0, 0], 2), None),
         R::CmpBrLtSZ { a, b, .. } | R::CmpBr { a, b, .. } => (([a, b, 0, 0], 2), None),
+        R::IncBrLtS { i, n, .. } => (([i, n, 0, 0], 2), Some(i)),
         R::Binop { a, b, dst, .. }
         | R::AddF64 { a, b, dst }
         | R::SubF64 { a, b, dst }
@@ -492,7 +493,8 @@ fn verify_reg_func(
             R::Jump { target }
             | R::BrIf { target, .. }
             | R::CmpBrLtSZ { target, .. }
-            | R::CmpBr { target, .. } => target_ok(*target)?,
+            | R::CmpBr { target, .. }
+            | R::IncBrLtS { target, .. } => target_ok(*target)?,
             R::BrMoves {
                 target,
                 src,
@@ -627,7 +629,11 @@ fn verify_reg_func(
                     joins.flow(*target, st);
                     false
                 }
-                R::BrIf { target, .. } | R::CmpBrLtSZ { target, .. } | R::CmpBr { target, .. } => {
+                // An `IncBrLtS` jumps after its write, already in `st`.
+                R::BrIf { target, .. }
+                | R::CmpBrLtSZ { target, .. }
+                | R::CmpBr { target, .. }
+                | R::IncBrLtS { target, .. } => {
                     joins.flow(*target, st);
                     true
                 }
@@ -977,6 +983,31 @@ mod tests {
             Err(VerifyError::BadCallBase { pc: 0, .. })
         ));
 
+        // A loop latch whose back edge lands past the end of the body.
+        let f = rfunc(
+            0,
+            2,
+            0,
+            2,
+            vec![
+                R::IncBrLtS {
+                    i: 0,
+                    n: 1,
+                    k: 1,
+                    target: 3,
+                },
+                R::Return { src: 0 },
+            ],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
+            Err(VerifyError::JumpOutOfBounds {
+                pc: 0,
+                target: 3,
+                ..
+            })
+        ));
+
         // Skewed code/prof arrays.
         let mut f = rfunc(0, 0, 0, 1, vec![R::Return { src: 0 }]);
         f.prof = Box::new([]);
@@ -1044,6 +1075,30 @@ mod tests {
         assert!(matches!(
             verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
             Err(VerifyError::ReadBeforeWrite { pc: 0, slot: 2, .. })
+        ));
+
+        // A loop latch whose bound `n` no path wrote: the counter is a
+        // local, the bound an operand slot the body never sets.
+        let f = rfunc(
+            0,
+            1,
+            0,
+            2,
+            vec![
+                R::Jump { target: 2 },
+                R::Return { src: 0 },
+                R::IncBrLtS {
+                    i: 0,
+                    n: 1,
+                    k: 1,
+                    target: 2,
+                },
+                R::Jump { target: 1 },
+            ],
+        );
+        assert!(matches!(
+            verify_reg_func(&f, &c, 0, &mut Dataflow::default()),
+            Err(VerifyError::ReadBeforeWrite { pc: 2, slot: 1, .. })
         ));
 
         // Falling off the end of the register body.
@@ -1419,12 +1474,16 @@ mod tests {
             ]
         };
         // Locals: 0 = n (param), 1 = i, 2 = j, 3 = acc, 4 = last row index.
+        // The inner loop tests `j < n` as MiniC does, so its latch steps
+        // and tests in one `IncBrLtS`; the outer one's `i >= n` head makes
+        // its latch a `CmpBr`.
         let mut inner = vec![
             I::Block(BlockType::Empty),
             I::Loop(BlockType::Empty),
             I::LocalGet(2),
             I::LocalGet(0),
-            I::I32GeS,
+            I::I32LtS,
+            I::I32Eqz,
             I::BrIf(1),
             I::LocalGet(3),
         ];
@@ -1632,6 +1691,7 @@ mod tests {
                 | R::BrIfMoves { .. }
                 | R::CmpBr { .. }
                 | R::CmpBrLtSZ { .. }
+                | R::IncBrLtS { .. }
         )
     }
 
@@ -1642,6 +1702,23 @@ mod tests {
             op,
             R::IdxLAdd { .. } | R::IdxLAddLoadF64 { .. } | R::MulAddI32 { .. }
         )
+    }
+
+    /// A loop latch: an `IncBrLtS`, or a `CmpBr` copied from a loop head.
+    fn is_latch(op: &RegOp) -> bool {
+        matches!(
+            op,
+            RegOp::IncBrLtS { .. } | RegOp::CmpBr { latch: true, .. }
+        )
+    }
+
+    /// The two slot operands of a latch.
+    fn latch_operands_mut(op: &mut RegOp) -> Option<[&mut u16; 2]> {
+        match op {
+            RegOp::IncBrLtS { i, n, .. } => Some([i, n]),
+            RegOp::CmpBr { a, b, .. } => Some([a, b]),
+            _ => None,
+        }
     }
 
     /// The `y`, `n` and `z` operands of a row op.
@@ -1663,7 +1740,8 @@ mod tests {
             | R::BrMoves { target, .. }
             | R::BrIfMoves { target, .. }
             | R::CmpBr { target, .. }
-            | R::CmpBrLtSZ { target, .. } => Some(target),
+            | R::CmpBrLtSZ { target, .. }
+            | R::IncBrLtS { target, .. } => Some(target),
             _ => None,
         }
     }
@@ -1695,10 +1773,11 @@ mod tests {
     /// front of a loop with a jump to the next op: the slot is read in the
     /// loop and nothing else writes it, so it must fail as
     /// [`VerifyError::ReadBeforeWrite`].
-    const OPERATORS: [(&str, bool); 12] = [
+    const OPERATORS: [(&str, bool); 13] = [
         ("reg-global-oob", true),
         ("reg-drop-cache-load", true),
         ("reg-row-operand-oob", true),
+        ("reg-latch-operand-oob", true),
         ("reg-keep-bomb", true),
         ("reg-func-oob", true),
         ("reg-type-oob", true),
@@ -1838,6 +1917,20 @@ mod tests {
                         .expect("corpus frames are tiny");
                     let [y, n, z] = row_operands_mut(&mut f.code[pc]).expect("site is a row op");
                     *[y, n, z][which] = oob;
+                    true
+                } else {
+                    false
+                }
+            }
+            "reg-latch-operand-oob" => {
+                let sites = reg_sites(fm, is_latch);
+                if let Some((fi, pc)) = pick(&sites, rng) {
+                    let which = rng.below(2) as usize;
+                    let f = reg_body_mut(fm, fi);
+                    let oob = u16::try_from(f.frame_size + rng.below(3) as u32)
+                        .expect("corpus frames are tiny");
+                    let [a, b] = latch_operands_mut(&mut f.code[pc]).expect("site is a latch");
+                    *[a, b][which] = oob;
                     true
                 } else {
                     false

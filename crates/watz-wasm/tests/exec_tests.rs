@@ -1019,3 +1019,186 @@ fn loop_with_result_via_block_param_style() {
         vec![Value::I32(8)]
     );
 }
+
+// ---- the register engine's per-thread frame stack ------------------------
+
+/// `fill(x)` writes `x` to its 64 declared locals and to 16 operand slots,
+/// leaving them on this thread's frame stack.
+fn filling_module() -> Module {
+    build(|b| {
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let mut code = Vec::new();
+        for l in 1..=64 {
+            code.extend([Instr::LocalGet(0), Instr::LocalSet(l)]);
+        }
+        for _ in 0..16 {
+            code.extend([Instr::LocalGet(0), Instr::I32Const(1), Instr::I32Add]);
+        }
+        code.extend(std::iter::repeat_n(Instr::I32Add, 15));
+        code.push(Instr::End);
+        let f = b.add_func(ty, &[ValType::I32; 64], code);
+        b.export_func("fill", f);
+    })
+}
+
+#[test]
+fn locals_read_before_written_are_zero_after_another_instance_filled_the_stack() {
+    // `fresh()` sums its 65 declared locals without writing one: every
+    // invoke zeroes the entry's locals, whatever an earlier invoke of
+    // another instance left in the same slots of this thread's stack.
+    let fresh = build(|b| {
+        let ty = b.add_type(&[], &[ValType::I32]);
+        let mut code = vec![Instr::LocalGet(0)];
+        for l in 1..65 {
+            code.extend([Instr::LocalGet(l), Instr::I32Add]);
+        }
+        code.push(Instr::End);
+        let f = b.add_func(ty, &[ValType::I32; 65], code);
+        b.export_func("fresh", f);
+    });
+    let filling = filling_module();
+    for mode in [ExecMode::Aot, ExecMode::Interpreted] {
+        let mut a = Instance::instantiate(&filling, mode, &mut NoHost).unwrap();
+        let mut b = Instance::instantiate(&fresh, mode, &mut NoHost).unwrap();
+        for x in [-1, 0x5a5a_5a5a] {
+            assert_eq!(
+                a.invoke(&mut NoHost, "fill", &[Value::I32(x)]),
+                Ok(vec![Value::I32(x.wrapping_add(1).wrapping_mul(16))]),
+                "{mode:?}"
+            );
+            assert_eq!(
+                b.invoke(&mut NoHost, "fresh", &[]),
+                Ok(vec![Value::I32(0)]),
+                "{mode:?}: a stale slot read as a local"
+            );
+        }
+    }
+}
+
+/// A host whose `env.nested` import invokes another instance's `inner`.
+struct Nested {
+    inner: Instance,
+}
+
+impl HostEnv for Nested {
+    fn call(
+        &mut self,
+        _module: &str,
+        _name: &str,
+        _memory: &mut Memory,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
+        self.inner.invoke(&mut NoHost, "inner", args)
+    }
+}
+
+#[test]
+fn a_host_import_that_invokes_another_instance_mid_call() {
+    // `outer(x)` keeps `3x` and `x + 5` in locals and `3x` on its operand
+    // stack across the import, which runs `inner(x) = 7x + 100` of a
+    // second instance, through 32 locals of its own, on the same thread.
+    // The nested invoke runs on a frame stack of its own: had it shared
+    // the outer one, its frame would overwrite the outer frame's slots.
+    let inner = build(|b| {
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let mut code = Vec::new();
+        for l in 1..=32 {
+            code.extend([Instr::LocalGet(0), Instr::I32Const(l), Instr::I32Add]);
+            code.push(Instr::LocalSet(l as u32));
+        }
+        code.extend([
+            Instr::LocalGet(0),
+            Instr::I32Const(7),
+            Instr::I32Mul,
+            Instr::I32Const(100),
+            Instr::I32Add,
+            Instr::End,
+        ]);
+        let f = b.add_func(ty, &[ValType::I32; 32], code);
+        b.export_func("inner", f);
+    });
+    let outer = build(|b| {
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let nested = b.import_func("env", "nested", ty);
+        let f = b.add_func(
+            ty,
+            &[ValType::I32, ValType::I32],
+            vec![
+                Instr::LocalGet(0),
+                Instr::I32Const(3),
+                Instr::I32Mul,
+                Instr::LocalSet(1),
+                Instr::LocalGet(0),
+                Instr::I32Const(5),
+                Instr::I32Add,
+                Instr::LocalSet(2),
+                Instr::LocalGet(1),
+                Instr::LocalGet(0),
+                Instr::Call(nested),
+                Instr::I32Add,
+                Instr::LocalGet(2),
+                Instr::I32Add,
+                Instr::End,
+            ],
+        );
+        b.export_func("outer", f);
+    });
+    for mode in [ExecMode::Aot, ExecMode::Interpreted] {
+        let mut host = Nested {
+            inner: Instance::instantiate(&inner, mode, &mut NoHost).unwrap(),
+        };
+        let mut inst = Instance::instantiate(&outer, mode, &mut host).unwrap();
+        for x in [0, 9, -4] {
+            assert_eq!(
+                inst.invoke(&mut host, "outer", &[Value::I32(x)]),
+                Ok(vec![Value::I32(11 * x + 105)]),
+                "{mode:?}: outer({x})"
+            );
+            // Each instance still runs on its own afterwards.
+            assert_eq!(
+                host.inner.invoke(&mut NoHost, "inner", &[Value::I32(x)]),
+                Ok(vec![Value::I32(7 * x + 100)]),
+                "{mode:?}: inner({x})"
+            );
+        }
+    }
+}
+
+#[test]
+fn deep_recursion_over_large_frames_grows_the_stack_then_exhausts_it() {
+    // `f(n) = n == 0 ? 0 : f(n - 1) + 1` over 2000 declared locals: 150
+    // calls deep, the frames span more than the two windows a thread's
+    // stack starts with, so it grows mid-call; unbounded, the recursion
+    // traps at the call-depth limit on both executors.
+    let m = build(|b| {
+        let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+        let f = b.add_func(
+            ty,
+            &[ValType::I32; 2000],
+            vec![
+                Instr::LocalGet(0),
+                Instr::I32Eqz,
+                Instr::If(BlockType::Value(ValType::I32)),
+                Instr::LocalGet(2000),
+                Instr::Else,
+                Instr::LocalGet(0),
+                Instr::I32Const(1),
+                Instr::I32Sub,
+                Instr::Call(0),
+                Instr::I32Const(1),
+                Instr::I32Add,
+                Instr::End,
+                Instr::End,
+            ],
+        );
+        b.export_func("f", f);
+    });
+    assert_eq!(
+        run_both(&m, "f", &[Value::I32(150)]),
+        Ok(vec![Value::I32(150)])
+    );
+    assert_eq!(
+        run_both(&m, "f", &[Value::I32(-1)]),
+        Err(Trap::CallStackExhausted)
+    );
+}
