@@ -295,10 +295,15 @@ fn main() {
         Some(0),
         "unfused instance must not fuse"
     );
-    for inst in [&reg, &unfused] {
+    for (inst, fused) in [(&reg, true), (&unfused, false)] {
         let rstats = inst.reg_stats().expect("register instance reports stats");
         for (name, count) in rstats.counts() {
-            assert!(count > 0, "register counter '{name}' is zero for gemm");
+            // Code motion runs only with the fusion rules.
+            if name == "hoisted" && !fused {
+                assert_eq!(count, 0, "unfused gemm moved ops out of loops");
+            } else {
+                assert!(count > 0, "register counter '{name}' is zero for gemm");
+            }
         }
     }
     let rstats = reg.reg_stats().expect("register instance reports stats");

@@ -414,7 +414,6 @@ impl RangeScratch {
             | R::BrIf { .. }
             | R::BrIfMoves { .. }
             | R::CmpBr { .. }
-            | R::CmpBrLtSZ { .. }
             | R::GlobalSet { .. }
             | R::MemoryCopy { .. }
             | R::MemoryFill { .. }
@@ -589,7 +588,6 @@ fn reg_targets(code: &[RegOp], is_target: &mut Vec<bool>) {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
             | RegOp::IncBrLtS { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
@@ -942,9 +940,14 @@ mod tests {
         }
         // `elided` was 70: every proven access was rewritten to a
         // check-free opcode before those were deleted. It reads 0 now.
+        // `proven` was 70 before code motion: a store through an address
+        // moved in front of its loop reads a cache slot, an unknown at the
+        // region's start, where the fused load of the same address before
+        // it is value-numbered from its operands, so the store is no
+        // longer subsumed (`C[i][j] = C[i][j] + …` inner loops).
         assert_eq!(
             (suite.accesses, suite.proven(), suite.elided),
-            (461, 70, 0),
+            (461, 46, 0),
             "PolyBench suite: {:?}",
             suite.counts()
         );
@@ -970,12 +973,14 @@ mod tests {
             assert_module_matches_oracle(name, &wasm, &mut scratch);
             set.merge(&stats_of(&wasm));
         }
-        // 1190 before global hoisting: a loop's cached table base is
-        // loop-invariant, so nine more accesses through it subsume.
-        // `elided` was 1199 before the check-free opcodes were deleted.
+        // 1199 before code motion, for the reason the suite's count moved
+        // (16 PolyBench copies in `large_loopy`, and minisql). 1190 before
+        // global hoisting: a loop's cached table base is loop-invariant,
+        // so nine more accesses through it subsume. `elided` was 1199
+        // before the check-free opcodes were deleted.
         assert_eq!(
             (set.proven(), set.elided),
-            (1199, 0),
+            (791, 0),
             "cold_start module set: {:?}",
             set.counts()
         );
@@ -1211,7 +1216,7 @@ mod tests {
                     jump_if: true,
                     target,
                 },
-                37 => match r.below(3) {
+                37 => match r.below(2) {
                     0 => RegOp::CmpBr {
                         op,
                         a,
@@ -1220,13 +1225,12 @@ mod tests {
                         latch: false,
                         target,
                     },
-                    1 => RegOp::IncBrLtS {
+                    _ => RegOp::IncBrLtS {
                         i: a,
                         n: b,
                         k: 1,
                         target,
                     },
-                    _ => RegOp::CmpBrLtSZ { a, b, target },
                 },
                 38 => RegOp::BrTable {
                     idx: a,

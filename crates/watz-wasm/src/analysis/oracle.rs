@@ -146,7 +146,6 @@ fn reg_targets(code: &[RegOp]) -> Vec<bool> {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
             | RegOp::IncBrLtS { target, .. } => mark(*target),
             RegOp::BrTable { entries, .. } => {
                 for e in entries.iter() {
@@ -208,10 +207,7 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
             | RegOp::BrTable { .. }
             | RegOp::Return { .. } => live = false,
             // Conditional exits keep the fall-through facts.
-            RegOp::BrIf { .. }
-            | RegOp::BrIfMoves { .. }
-            | RegOp::CmpBr { .. }
-            | RegOp::CmpBrLtSZ { .. } => {}
+            RegOp::BrIf { .. } | RegOp::BrIfMoves { .. } | RegOp::CmpBr { .. } => {}
 
             // Calls clobber every slot from the callee's frame base up
             // (the callee reuses that region); the coverage map survives.

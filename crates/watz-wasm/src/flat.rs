@@ -18,8 +18,8 @@
 //!   one walk from each structured body to register code — over every
 //!   body, and keeps what an artifact executes.
 //!
-//! [`crate::verify`] checks the register code this compile ends in,
-//! every time: no compile that fails it is kept.
+//! [`crate::verify`] checks each body's register code as soon as it is
+//! lowered, every time: no compile that fails it is kept.
 
 use crate::exec::{wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, Trap, Value};
 use crate::instr::{Instr, MemArg};
@@ -380,7 +380,7 @@ pub(crate) fn apply_binop(op: BinOpKind, a: Slot, b: Slot) -> Result<Slot, Trap>
 /// Variants mirror the spec's instruction names; the four reinterpret casts
 /// are identities on raw slots, classify as [`Simple::Reinterpret`] and
 /// never reach the register code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub(crate) enum UnOpKind {
     I32Eqz,
@@ -431,6 +431,24 @@ pub(crate) enum UnOpKind {
     I64Extend8S,
     I64Extend16S,
     I64Extend32S,
+}
+
+impl UnOpKind {
+    /// Whether the operator can trap: the float-to-int truncations.
+    pub(crate) fn traps(self) -> bool {
+        use UnOpKind as U;
+        matches!(
+            self,
+            U::I32TruncF32S
+                | U::I32TruncF32U
+                | U::I32TruncF64S
+                | U::I32TruncF64U
+                | U::I64TruncF32S
+                | U::I64TruncF32U
+                | U::I64TruncF64S
+                | U::I64TruncF64U
+        )
+    }
 }
 
 /// Applies a one-operand operator to a raw slot.
@@ -500,7 +518,7 @@ pub(crate) fn apply_unop(op: UnOpKind, s: Slot) -> Result<Slot, Trap> {
 
 /// The width/extension shape of a load. Variants mirror the spec's load
 /// instruction names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub(crate) enum LoadKind {
     I32,
@@ -521,7 +539,7 @@ pub(crate) enum LoadKind {
 
 /// The width shape of a store. Variants mirror the spec's store
 /// instruction names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub(crate) enum StoreKind {
     I32,
@@ -668,8 +686,9 @@ pub struct CompileTimes {
 
 impl CompiledModule {
     /// Compiles every function body of a validated module: register
-    /// lowering, with `fuse` controlling its fusion rules, then the
-    /// independent verifier over all of the register code.
+    /// lowering, with `fuse` controlling its fusion rules and code motion,
+    /// each body then checked by the independent verifier while it is
+    /// still in cache.
     ///
     /// # Errors
     ///
@@ -685,6 +704,7 @@ impl CompiledModule {
         let mut func_type_idx = Vec::with_capacity(n_funcs);
         // Indexed like the function space: `None` for every import.
         let mut funcs = Vec::with_capacity(n_funcs);
+        let global_types: Box<[ValType]> = module.globals.iter().map(|g| g.ty.val_type).collect();
         for imp in &module.func_imports {
             let ty = module
                 .types
@@ -703,34 +723,39 @@ impl CompiledModule {
             .memories
             .first()
             .map_or(0, |l| u64::from(l.min) * crate::PAGE_SIZE as u64);
+        func_type_idx.extend(module.funcs.iter().map(|body| body.type_idx));
         let mut scratch = crate::reg::RegScratch::default();
-        let start = Instant::now();
+        let mut verifier = crate::verify::FuncVerifier::new(
+            imports.len(),
+            &func_type_idx,
+            &module.types,
+            &global_types,
+        );
+        let mut times = CompileTimes::default();
         for body in &module.funcs {
             let func = funcs.len() as u32;
+            let start = Instant::now();
             let lowered = crate::reg::lower_func(module, func, body, &mut scratch, fuse)?;
-            func_type_idx.push(body.type_idx);
+            let lowered_at = Instant::now();
+            verifier
+                .verify(func, &lowered)
+                .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?;
+            times.lower += lowered_at - start;
+            times.verify += lowered_at.elapsed();
             funcs.push(Some(lowered));
         }
-        let lower = start.elapsed();
-        let mut cm = CompiledModule {
+        let verify = verifier.stats;
+        Ok(CompiledModule {
             imports: imports.into_boxed_slice(),
             func_type_idx: func_type_idx.into_boxed_slice(),
-            global_types: module.globals.iter().map(|g| g.ty.val_type).collect(),
+            global_types,
             funcs: funcs.into_boxed_slice(),
             stats: scratch.stats,
             fusion: scratch.fusion,
             min_mem,
-            verify: crate::verify::VerifyStats::default(),
-            times: CompileTimes::default(),
-        };
-        let start = Instant::now();
-        cm.verify = crate::verify::verify_module(&cm, &module.types)
-            .map_err(|e| Trap::Instantiation(format!("IR verification: {e}")))?;
-        cm.times = CompileTimes {
-            lower,
-            verify: start.elapsed(),
-        };
-        Ok(cm)
+            verify,
+            times,
+        })
     }
 }
 

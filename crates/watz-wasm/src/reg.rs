@@ -7,8 +7,8 @@
 //! result. Validation makes all of that motion statically known — at any
 //! program point the operand-stack *height* is a compile-time constant, so
 //! the value "at height `h`" can live in the fixed frame slot
-//! `n_locals + h` instead (past the global cache slots, when a function
-//! has any: see global hoisting below).
+//! `n_locals + h` instead (past the cache slots, when a function has any:
+//! see global hoisting and code motion below).
 //!
 //! [`lower_func`] exploits exactly that: an **abstract-stack simulation**
 //! walks each body's instructions once at load time and emits every op
@@ -28,7 +28,7 @@
 //! the fall-through flush. Statically unreachable code — the rest of a
 //! frame after `br`, `br_table`, `return` or `unreachable` — emits nothing.
 //!
-//! Four further rewrites fall out of the simulation:
+//! Five further rewrites fall out of the simulation:
 //!
 //! * **Copy forwarding** — a `local.get` emits *no code at all*: the
 //!   abstract stack records that this operand lives in the local's slot,
@@ -59,6 +59,40 @@
 //!   the Wasm local count, so the verifier treats them as temporaries
 //!   that must be written before they are read. Hoisting is forwarding,
 //!   not a fusion rule, so [`EngineConfig::fuse`] off leaves it on.
+//! * **Code motion** — loop-invariant code motion (Morel and Renvoise,
+//!   *Global optimization by suppression of partial redundancies*, CACM
+//!   1979) at the walk's emission, after fusion has picked an op's shape.
+//!   An op that cannot trap, reads no memory and pushes its result
+//!   (`Const`, `Unop` and `Binop`/`BinopK` but for `div`, `rem` and the
+//!   float-to-int truncations, `AddI32K`, the f64 arithmetic, `ScaleAdd`,
+//!   `IdxLAdd`, `MulAddI32`) whose operands are all invariant in the
+//!   innermost open loop is not emitted there: it goes to a list in front
+//!   of the outermost loop in which they all are, and writes a cache slot
+//!   there, one per distinct op and loop. Each abstract-stack entry knows
+//!   the outermost open loop it is invariant in: a constant is invariant
+//!   in every loop, a global cache in its caching loop and those inside
+//!   it, a moved op's result in its loop and those inside it, and a local
+//!   in every loop that has no `local.set` or `local.tee` of it anywhere
+//!   inside, nested loops included (the pre-pass that plans the global
+//!   caches records each loop's extent and every local write inside a
+//!   loop). A loop that writes a local is inside every loop around it
+//!   that does, so those loops are always the innermost ones. The
+//!   result is forwarded from its slot like a hoisted global, and the
+//!   moved op's instructions leave their weight pending for the next op
+//!   the loop runs, as a forwarded `local.get` does, so instret and back
+//!   edges stay exact, also when a later op traps. An op inside an `if`
+//!   arm does not leave the arm (a loop inside the arm can still move
+//!   it in front of itself), so a rarely taken arm costs no op per entry
+//!   of the loop. The lists are kept out of the code while the walk runs,
+//!   so a loop's first op is still its head test; at the end of the body
+//!   each list goes in front of its loop's head, after the loop's global
+//!   loads, a jump to a loop's head (one from inside the loop) lands past
+//!   its list and any other jump to that place in front of it. The cache
+//!   slots sit below the operand slots, which a callee's frame starts
+//!   at, so a loop that calls keeps them. Code motion runs only with
+//!   [`EngineConfig::fuse`], so the unfused code is the differential
+//!   suites' unmoved reference; a body whose frame cannot hold its cache
+//!   slots is lowered again without it.
 //! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
 //!   the instructions that follow it and emits one superinstruction for
 //!   the group, under one rule per shape. Each rule is one row of
@@ -79,14 +113,17 @@
 //!   | `binop_k` | `const k` | the adjacent `binop` (`k` its right operand) | `BinopK`, `AddI32K` |
 //!   | `binop_store` | `f64.add` | `f64.store` | `AddStoreF64` |
 //!   | `add_load` | `i32.add` | a full-width load (`k = 1`) | `ScaleAddLoadI32`, `ScaleAddLoadF64` |
-//!   | `cmp_br` | `binop` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` | `CmpBr`, `CmpBrLtSZ` |
+//!   | `cmp_br` | `binop` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` | `CmpBr` |
 //!   | `eqz_br` | `i32.eqz` | `i32.eqzⁿ; if` or `i32.eqzⁿ; br_if` (no binop in front) | `BrIf` with the polarity folded |
 //!   | `latch` | `br` | the loop head's compare-and-exit, and an `i += k` step in front of the `br` when the head tests `i < n` | `IncBrLtS`, `CmpBr` |
 //!
 //!   The `latch` rule is loop inversion, as LLVM's LoopRotate does it, at a
 //!   `br` that moves no values back to a loop whose first op is its head
-//!   test: a `CmpBrLtSZ`, or a `CmpBr` of `cmp_br` (never a `div`/`rem`),
-//!   whose `br_if` leaves the loop. The `br` lowers to a copy of that test
+//!   test: a `CmpBr` of `cmp_br` (never a `div`/`rem`), whose `br_if`
+//!   leaves the loop. A head that compares with a value computed from
+//!   invariants (`i < n - 1`) still has its test first: code motion moved
+//!   the computation in front of the loop, and the test reads its cache
+//!   slot. The `br` lowers to a copy of that test
 //!   with its polarity inverted, jumping to the op after the head, then a
 //!   `Jump` to the test's exit for the fall-through. When the head tests
 //!   `i < n` and the op just before the `br` is the step `AddI32K { a: i,
@@ -134,7 +171,7 @@
 //!   frame base.
 //!
 //! **Frame limit.** Slot operands are `u16`. A function whose frame
-//! (locals, global caches and operand positions) does not fit fails
+//! (locals, cache slots and operand positions) does not fit fails
 //! instantiation with a [`Trap::Instantiation`] naming the function and
 //! the limit; the core spec's implementation limits allow an engine to
 //! refuse it. [`ExecMode::Aot`] runs register code or nothing; the tree
@@ -165,6 +202,7 @@
 //! [`EngineConfig::fuse`]: crate::exec::EngineConfig::fuse
 
 use std::cell::Cell;
+use std::collections::HashMap;
 
 use crate::exec::{HostEnv, Memory, Trap, Value, MAX_CALL_DEPTH};
 use crate::flat::{
@@ -197,18 +235,22 @@ pub struct RegStats {
     pub moves_inserted: u64,
     /// Runtime operand-stack pushes/pops replaced by static slot addressing.
     pub stack_ops_eliminated: u64,
+    /// Loop-invariant ops moved out of the loops they sat in (see *Code
+    /// motion* in the module docs); identical ones share one moved op.
+    pub hoisted: u64,
 }
 
 impl RegStats {
     /// Per-counter `(name, count)` pairs, for coverage assertions and logs.
     #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 5] {
+    pub fn counts(&self) -> [(&'static str, u64); 6] {
         [
             ("funcs", self.funcs),
             ("frame_slots", self.frame_slots),
             ("gets_forwarded", self.gets_forwarded),
             ("moves_inserted", self.moves_inserted),
             ("stack_ops_eliminated", self.stack_ops_eliminated),
+            ("hoisted", self.hoisted),
         ]
     }
 
@@ -219,6 +261,7 @@ impl RegStats {
         self.gets_forwarded += other.gets_forwarded;
         self.moves_inserted += other.moves_inserted;
         self.stack_ops_eliminated += other.stack_ops_eliminated;
+        self.hoisted += other.hoisted;
     }
 }
 
@@ -260,7 +303,7 @@ pub(crate) const RULES: [(Rule, &str, &str, Duty); 10] = [
     (Rule::BinopK, "binop_k", "BinopK AddI32K", Duty::Pays),
     (Rule::BinopStore, "binop_store", "AddStoreF64", Duty::Pays),
     (Rule::AddLoad, "add_load", "ScaleAddLoadI32 ScaleAddLoadF64", Duty::Pays),
-    (Rule::CmpBr, "cmp_br", "CmpBr CmpBrLtSZ", Duty::Pays),
+    (Rule::CmpBr, "cmp_br", "CmpBr", Duty::Pays),
     (Rule::EqzBr, "eqz_br", "BrIf", Duty::Exempt("folds into the generic BrIf")),
     (Rule::Latch, "latch", "IncBrLtS CmpBr", Duty::Pays),
 ];
@@ -311,7 +354,7 @@ impl FusionStats {
 
 /// One `br_table` arm in register form: absolute target plus a static
 /// `keep`-slot block copy (`src → dst`) for the label's value transfer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct RegBrEntry {
     pub(crate) target: u32,
     pub(crate) src: u16,
@@ -325,7 +368,7 @@ pub(crate) struct RegBrEntry {
 /// Slot indices are frame-relative (`0..n_locals` are params + locals, then
 /// come the global cache slots, the rest are operand positions); `dst` is
 /// always written last, after all reads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum RegOp {
     Unreachable,
     /// Unconditional jump.
@@ -541,13 +584,6 @@ pub(crate) enum RegOp {
         offset: u32,
     },
 
-    /// Jumps when `!(frame[a] <ₛ frame[b])` (i32) — the dominant
-    /// loop-exit shape.
-    CmpBrLtSZ {
-        a: u16,
-        b: u16,
-        target: u32,
-    },
     /// Jumps when `op(frame[a], frame[b])`'s truthiness equals `jump_if`.
     /// A `latch` is a loop head's test copied to a `br` back to that loop
     /// (see `latch` in the module docs): it stands for the guest's `br`, so
@@ -608,10 +644,125 @@ impl RegOp {
             | RegOp::BrMoves { target, .. }
             | RegOp::BrIfMoves { target, .. }
             | RegOp::CmpBr { target, .. }
-            | RegOp::CmpBrLtSZ { target, .. }
             | RegOp::IncBrLtS { target, .. } => Some(target),
             RegOp::BrTable { entries, .. } => entries.get_mut(slot).map(|e| &mut e.target),
             _ => None,
+        }
+    }
+
+    /// How many jump targets the op has ([`RegOp::target_mut`]'s arms).
+    fn arms(&self) -> usize {
+        match self {
+            RegOp::BrTable { entries, .. } => entries.len(),
+            _ => 1,
+        }
+    }
+
+    /// Calls `f` on every frame-slot operand (not on a transfer's `keep`).
+    fn slots_mut(&mut self, mut f: impl FnMut(&mut u16)) {
+        use RegOp as R;
+        match self {
+            R::Unreachable | R::Jump { .. } => {}
+            R::BrIf { cond: a, .. }
+            | R::Return { src: a }
+            | R::CallLocal { base: a, .. }
+            | R::CallImport { base: a, .. }
+            | R::Const { dst: a, .. }
+            | R::GlobalGet { dst: a, .. }
+            | R::GlobalSet { src: a, .. }
+            | R::MemorySize { dst: a }
+            | R::MemoryCopy { args: a }
+            | R::MemoryFill { args: a } => f(a),
+            R::BrMoves { src: a, dst: b, .. }
+            | R::CallIndirect {
+                idx: a, base: b, ..
+            }
+            | R::Move { src: a, dst: b }
+            | R::Load {
+                addr: a, dst: b, ..
+            }
+            | R::Store {
+                addr: a, val: b, ..
+            }
+            | R::MemoryGrow { src: a, dst: b }
+            | R::Unop { src: a, dst: b, .. }
+            | R::BinopK { a, dst: b, .. }
+            | R::AddI32K { a, dst: b, .. }
+            | R::StoreI32R {
+                addr: a, val: b, ..
+            }
+            | R::StoreF64R {
+                addr: a, val: b, ..
+            }
+            | R::CmpBr { a, b, .. }
+            | R::IncBrLtS { i: a, n: b, .. } => {
+                f(a);
+                f(b);
+            }
+            R::BrIfMoves {
+                cond: a,
+                src: b,
+                dst: c,
+                ..
+            }
+            | R::Binop { a, b, dst: c, .. }
+            | R::AddF64 { a, b, dst: c }
+            | R::SubF64 { a, b, dst: c }
+            | R::MulF64 { a, b, dst: c }
+            | R::ScaleAddLoadI32 {
+                base: a,
+                idx: b,
+                dst: c,
+                ..
+            }
+            | R::ScaleAddLoadF64 {
+                base: a,
+                idx: b,
+                dst: c,
+                ..
+            }
+            | R::AddStoreF64 { a, b, addr: c, .. }
+            | R::ScaleAdd {
+                base: a,
+                idx: b,
+                dst: c,
+                ..
+            } => {
+                f(a);
+                f(b);
+                f(c);
+            }
+            R::Select { cond, a, b, dst }
+            | R::MulAddI32 {
+                y: cond,
+                n: a,
+                z: b,
+                dst,
+            } => {
+                f(cond);
+                f(a);
+                f(b);
+                f(dst);
+            }
+            R::IdxLAddLoadF64 {
+                base, y, n, z, dst, ..
+            }
+            | R::IdxLAdd {
+                base, y, n, z, dst, ..
+            } => {
+                f(base);
+                f(y);
+                f(n);
+                f(z);
+                f(dst);
+            }
+            R::BrTable { idx, entries } => {
+                f(idx);
+                for e in entries.iter_mut() {
+                    f(&mut e.src);
+                    f(&mut e.dst);
+                }
+            }
         }
     }
 }
@@ -623,8 +774,8 @@ pub(crate) struct RegFunc {
     /// Params + declared locals (frame slots `0..n_locals`).
     pub(crate) n_locals: u32,
     pub(crate) n_results: u32,
-    /// Locals, global cache slots and the maximum operand height: the
-    /// whole frame.
+    /// Locals, global cache slots, the maximum operand height and the
+    /// moved ops' cache slots: the whole frame.
     pub(crate) frame_size: u32,
     pub(crate) result_types: Box<[ValType]>,
     pub(crate) code: Box<[RegOp]>,
@@ -645,12 +796,18 @@ fn sel_binop(op: BinOpKind, a: u16, b: u16, dst: u16) -> RegOp {
     }
 }
 
-/// Picks the specialized form of an op-with-constant when one exists.
+/// Picks the specialized form of an op-with-constant when one exists; an
+/// `i32.sub` of `k` is an add of its wrapped negation.
 fn sel_binop_k(op: BinOpKind, a: u16, k: u64, dst: u16) -> RegOp {
     match op {
         BinOpKind::I32Add => RegOp::AddI32K {
             a,
             k: k as u32,
+            dst,
+        },
+        BinOpKind::I32Sub => RegOp::AddI32K {
+            a,
+            k: (k as u32).wrapping_neg(),
             dst,
         },
         _ => RegOp::BinopK { op, a, k, dst },
@@ -716,30 +873,20 @@ fn sel_scale_add_load(base: u16, idx: u16, k: u32, w: Width, offset: u32, dst: u
     }
 }
 
-/// Picks the specialized compare-and-branch form (the `i < n` loop exit).
-fn sel_cmp_br(op: BinOpKind, a: u16, b: u16, jump_if: bool, target: u32) -> RegOp {
-    if op == BinOpKind::I32LtS && !jump_if {
-        RegOp::CmpBrLtSZ { a, b, target }
-    } else {
-        RegOp::CmpBr {
-            op,
-            a,
-            b,
-            jump_if,
-            latch: false,
-            target,
-        }
-    }
-}
-
 /// Where a pending abstract-stack value currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
     /// At its canonical slot `base + position` (see [`Lowerer::base`]).
+    /// An op in the innermost open loop wrote it: it is invariant in none.
     Canon,
-    /// Forwarded: still in the named local or cache slot, no copy made.
-    Fwd(u16),
+    /// Forwarded: still in the named local or cache slot, no copy made;
+    /// invariant in the open loops from the one at this index of
+    /// [`Motion::loops`] in (none when the index is past the last).
+    Fwd(u16, u32),
 }
+
+/// [`Src::Fwd`]'s loop index of a value invariant in no open loop.
+const VARIANT: u32 = u32::MAX;
 
 /// A control frame of the walk: a `block`, `loop` or `if`, or the body.
 struct Ctrl {
@@ -761,6 +908,11 @@ struct Ctrl {
     /// test, `code[head]`): the index in the control stack of the frame
     /// that test exits to. A `br` back to such a loop is its latch.
     exit: Option<usize>,
+    /// A loop's hoist list (an index into [`Motion::heads`]).
+    list: u32,
+    /// How many open loops enclose the innermost `if` arm around (or
+    /// at) this frame: code motion moves no op out of an arm.
+    floor: u32,
 }
 
 impl Ctrl {
@@ -795,6 +947,7 @@ pub(crate) struct RegScratch {
     /// linked lists through this arena: `(op index, br_table arm, next)`.
     patches: Vec<(u32, u32, u32)>,
     hoist: Hoist,
+    motion: Motion,
 }
 
 /// A `global.get` inside a loop, as the hoisting pre-pass records it.
@@ -828,6 +981,8 @@ struct GlobalPlan {
     slot: Option<u32>,
     /// Whether the walk is inside the loop that loaded the slot.
     live: bool,
+    /// While live, the index in [`Motion::loops`] of that loop.
+    from: u32,
 }
 
 /// Global hoisting (see the module docs): which globals each call-free
@@ -842,8 +997,8 @@ struct Hoist {
     globals: Vec<GlobalPlan>,
     /// The globals of `globals` this body touched, reset before the next.
     touched: Vec<u32>,
-    /// Per open block: whether it is a loop.
-    frames: Vec<bool>,
+    /// Per open block: a loop's index in `loop_ends`.
+    frames: Vec<Option<u32>>,
     /// The open loops' body indices, outermost first.
     open: Vec<u32>,
     /// What the second walk replays of the first.
@@ -851,6 +1006,12 @@ struct Hoist {
     /// The live caches as `(global, depth of the loop frame that loaded
     /// it in the walk's control stack)`, innermost last.
     live: Vec<(u32, usize)>,
+    /// For code motion: the body indices of each loop's `loop` and `end`,
+    /// in body order.
+    loop_ends: Vec<(u32, u32)>,
+    /// For code motion: `(local, body index)` of every `local.set` and
+    /// `local.tee` inside a loop, sorted.
+    writes: Vec<(u32, u32)>,
 }
 
 /// The hoisting pre-pass's record of the body for its second walk.
@@ -866,7 +1027,8 @@ enum Mark {
 
 impl Hoist {
     /// Plans `code`'s caches over `n_globals` globals and returns how
-    /// many cache slots the body needs.
+    /// many cache slots the body needs; with `motion`, also records each
+    /// loop's extent and the local writes inside loops, for code motion.
     ///
     /// A loop caches a global when it reads it and neither sets it nor
     /// calls anything (a Wasm global cannot alias memory, so only those
@@ -878,7 +1040,7 @@ impl Hoist {
     /// marked, lists each global for the outermost loop left to it. A get
     /// costs a binary search over the open loops, so the pass is linear in
     /// the body up to the log of its loop depth.
-    fn plan(&mut self, code: &[Instr], n_globals: usize) -> usize {
+    fn plan(&mut self, code: &[Instr], n_globals: usize, motion: bool) -> usize {
         for g in self.touched.drain(..) {
             self.globals[g as usize] = GlobalPlan::default();
         }
@@ -891,6 +1053,8 @@ impl Hoist {
         self.open.clear();
         self.marks.clear();
         self.live.clear();
+        self.loop_ends.clear();
+        self.writes.clear();
         let Hoist {
             loads,
             gets,
@@ -899,6 +1063,8 @@ impl Hoist {
             frames,
             open,
             marks,
+            loop_ends,
+            writes,
             ..
         } = self;
         // How many open loops opened before `pos`.
@@ -908,17 +1074,21 @@ impl Hoist {
         for (pos, instr) in (0..).zip(code) {
             match instr {
                 Instr::Loop(_) => {
-                    frames.push(true);
+                    frames.push(Some(loop_ends.len() as u32));
+                    loop_ends.push((pos, pos));
                     open.push(pos);
                     marks.push(Mark::Open(pos));
                 }
-                Instr::Block(_) | Instr::If(_) => frames.push(false),
+                Instr::Block(_) | Instr::If(_) => frames.push(None),
                 Instr::End => {
-                    let closes_loop = frames.pop() == Some(true);
-                    if closes_loop {
+                    if let Some(Some(l)) = frames.pop() {
+                        loop_ends[l as usize].1 = pos;
                         open.pop();
                         marks.push(Mark::Close);
                     }
+                }
+                Instr::LocalSet(x) | Instr::LocalTee(x) if motion && !open.is_empty() => {
+                    writes.push((*x, pos));
                 }
                 Instr::GlobalGet(g) if (*g as usize) < n_globals => {
                     let plan = &mut globals[*g as usize];
@@ -960,6 +1130,7 @@ impl Hoist {
             }
         }
 
+        writes.sort_unstable();
         if gets.is_empty() {
             return 0;
         }
@@ -998,12 +1169,36 @@ impl Hoist {
     }
 
     /// The cache slot (past the locals) of `global` while the walk is
-    /// inside the loop that loaded it.
-    fn cached(&self, global: u32) -> Option<u32> {
-        self.globals
-            .get(global as usize)
-            .filter(|plan| plan.live)
-            .and_then(|plan| plan.slot)
+    /// inside the loop that loaded it, and that loop's index in
+    /// [`Motion::loops`].
+    fn cached(&self, global: u32) -> Option<(u32, u32)> {
+        let plan = self.globals.get(global as usize).filter(|p| p.live)?;
+        Some((plan.slot?, plan.from))
+    }
+
+    /// The body index of the `end` of the loop at body index `open`.
+    fn loop_end(&self, open: u32) -> Option<u32> {
+        let at = self.loop_ends.binary_search_by_key(&open, |l| l.0).ok()?;
+        Some(self.loop_ends[at].1)
+    }
+
+    /// The index in `loops` (the open loops, outermost first) of the
+    /// outermost one in which local `x`, read at body index `pos`, is
+    /// invariant: each loop before it writes `x`. A write inside a loop
+    /// is inside every loop around it, so the loops that write `x` are the
+    /// outermost ones, and the nearest write before `pos` and the nearest
+    /// after it say how many.
+    fn invariant_from(&self, x: u32, pos: u32, loops: &[OpenLoop]) -> u32 {
+        let w = &self.writes;
+        let w = &w[w.partition_point(|l| l.0 < x)..w.partition_point(|l| l.0 <= x)];
+        let k = w.partition_point(|l| l.1 < pos);
+        let before = k
+            .checked_sub(1)
+            .map_or(0, |k| loops.partition_point(|l| l.open < w[k].1));
+        let after = w
+            .get(k)
+            .map_or(0, |&(_, next)| loops.partition_point(|l| l.end > next));
+        before.max(after) as u32
     }
 
     /// Whether any cache is live: the walk is inside a caching loop.
@@ -1012,12 +1207,56 @@ impl Hoist {
     }
 }
 
+/// A loop the walk is inside of, as code motion sees it.
+#[derive(Clone, Copy)]
+struct OpenLoop {
+    /// The body indices of its `loop` and its `end`.
+    open: u32,
+    end: u32,
+    /// Its hoist list, an index into [`Motion::heads`].
+    list: u32,
+}
+
+/// Loop-invariant code motion (see the module docs): the loops the walk
+/// is inside of, the ops it moved out of them, and the jumps to their
+/// heads, for the splice at the end of the body.
+#[derive(Default)]
+struct Motion {
+    /// Whether the walk moves ops at all (with
+    /// [`EngineConfig::fuse`](crate::exec::EngineConfig::fuse)).
+    on: bool,
+    /// The open loops, outermost first; always empty while `on` is off,
+    /// so nothing is invariant in a loop and nothing moves.
+    loops: Vec<OpenLoop>,
+    /// Per hoist list, one per loop the walk opened, in that order: the
+    /// index in the code of its loop's head.
+    heads: Vec<u32>,
+    /// The moved ops with their lists, in the order they were moved; the
+    /// `n`-th writes the cache slot the walk numbers `u16::MAX - n`.
+    moved: Vec<(u32, RegOp)>,
+    /// The cache slot of each moved op (its `dst` zeroed) in its list.
+    slots: HashMap<(u32, RegOp), u16>,
+    /// Jumps to a loop's head: `(op index, br_table arm, hoist list)`.
+    head_jumps: Vec<(u32, u32, u32)>,
+}
+
+impl Motion {
+    fn restart(&mut self, on: bool) {
+        self.on = on;
+        self.loops.clear();
+        self.heads.clear();
+        self.moved.clear();
+        self.slots.clear();
+        self.head_jumps.clear();
+    }
+}
+
 /// How many global cache slots function `func` (function-space index) of
 /// `module` has: its slots `n_locals..n_locals + cache_slots`.
 #[cfg(test)]
 pub(crate) fn cache_slots(module: &Module, func: usize) -> usize {
     let body = &module.funcs[func - module.func_imports.len()];
-    Hoist::default().plan(&body.code, module.globals.len())
+    Hoist::default().plan(&body.code, module.globals.len(), false)
 }
 
 /// The per-function lowering state: the emitted code and its retirement
@@ -1033,6 +1272,12 @@ struct Lowerer<'a> {
     ctrl: &'a mut Vec<Ctrl>,
     patches: &'a mut Vec<(u32, u32, u32)>,
     hoist: &'a mut Hoist,
+    motion: &'a mut Motion,
+    /// The body index of the instruction being lowered.
+    pos: u32,
+    /// The outermost open loop (its index in [`Motion::loops`]) in which
+    /// every operand popped since this instruction began is invariant.
+    inv: u32,
     /// The function-space index, for the frame-limit refusal.
     func: u32,
     n_locals: usize,
@@ -1046,12 +1291,15 @@ struct Lowerer<'a> {
 /// the core spec's implementation limits let an engine bound a function's
 /// size, and `Aot` runs register code or nothing.
 fn slot16(func: u32, idx: usize) -> Result<u16, Trap> {
-    u16::try_from(idx).map_err(|_| {
-        Trap::Instantiation(format!(
-            "function {func}: frame past the register engine's limit of {} slots",
-            u16::MAX
-        ))
-    })
+    u16::try_from(idx).map_err(|_| frame_limit(func))
+}
+
+/// The refusal of function `func`'s frame.
+fn frame_limit(func: u32) -> Trap {
+    Trap::Instantiation(format!(
+        "function {func}: frame past the register engine's limit of {} slots",
+        u16::MAX
+    ))
 }
 
 fn block_arities(module: &Module, bt: BlockType) -> Result<(usize, usize), Trap> {
@@ -1088,7 +1336,7 @@ impl Lowerer<'_> {
     fn slot_of(&self, pos: usize) -> Result<u16, Trap> {
         match self.vstack[pos] {
             Src::Canon => self.canon(pos),
-            Src::Fwd(s) => Ok(s),
+            Src::Fwd(s, _) => Ok(s),
         }
     }
 
@@ -1100,7 +1348,11 @@ impl Lowerer<'_> {
             .checked_sub(1)
             .ok_or_else(|| bad("operand stack underflow"))?;
         let s = self.slot_of(pos)?;
-        self.vstack.pop();
+        let from = match self.vstack.pop() {
+            Some(Src::Fwd(_, from)) => from,
+            _ => VARIANT,
+        };
+        self.inv = self.inv.max(from);
         self.stats.stack_ops_eliminated += 1;
         Ok(s)
     }
@@ -1134,7 +1386,7 @@ impl Lowerer<'_> {
     fn flush_below(&mut self, keep_top: usize) -> Result<(), Trap> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
-            if let Src::Fwd(s) = self.vstack[pos] {
+            if let Src::Fwd(s, _) = self.vstack[pos] {
                 self.spill(pos, s)?;
             }
         }
@@ -1151,7 +1403,7 @@ impl Lowerer<'_> {
     fn guard_local_write(&mut self, local: u16, keep_top: usize) -> Result<(), Trap> {
         let n = self.vstack.len().saturating_sub(keep_top);
         for pos in 0..n {
-            if self.vstack[pos] == Src::Fwd(local) {
+            if matches!(self.vstack[pos], Src::Fwd(s, _) if s == local) {
                 self.spill(pos, local)?;
             }
         }
@@ -1174,6 +1426,65 @@ impl Lowerer<'_> {
         } else {
             Err(bad("local index out of range"))
         }
+    }
+
+    /// The outermost open loop in which local `idx`, read here, is
+    /// invariant (see [`Src::Fwd`]).
+    fn local_inv(&self, idx: u32) -> u32 {
+        let m = &*self.motion;
+        if m.loops.is_empty() {
+            VARIANT
+        } else {
+            self.hoist.invariant_from(idx, self.pos, &m.loops)
+        }
+    }
+
+    /// A local a fused op reads directly (a row's `z`): its slot, its
+    /// invariance joining the operands'.
+    fn read_local(&mut self, idx: u32) -> Result<u16, Trap> {
+        self.inv = self.inv.max(self.local_inv(idx));
+        self.local(idx)
+    }
+
+    /// Emits `op(dst)`, an op that reads no memory and pushes its result,
+    /// after its operands were popped. Under code motion, when it is
+    /// `movable` (it cannot trap) and those operands are invariant in the
+    /// innermost open loop, it moves instead to the hoist list of the
+    /// outermost loop they are invariant in, staying inside any `if` arm
+    /// around it. There it writes a cache slot (one per distinct op and
+    /// list); the result is forwarded from the slot, and its instructions'
+    /// weight stays pending for the next op the loop runs.
+    fn emit_value(&mut self, movable: bool, op: impl Fn(u16) -> RegOp) -> Result<(), Trap> {
+        let floor = self.top()?.floor;
+        let m = &mut *self.motion;
+        let from = self.inv.max(floor);
+        if !movable || from as usize >= m.loops.len() {
+            let dst = self.push()?;
+            self.out.push(op(dst));
+            return Ok(());
+        }
+        let list = m.loops[from as usize].list;
+        let slot = match m.slots.get(&(list, op(0))) {
+            Some(&slot) => slot,
+            None => {
+                // Numbered down from the top of the slot space, clear of
+                // every slot the walk hands out, until the splice places
+                // them below the operand slots. A frame that cannot hold
+                // them all is lowered again without code motion.
+                let slot = u16::try_from(m.moved.len())
+                    .ok()
+                    .and_then(|n| u16::MAX.checked_sub(n))
+                    .filter(|&s| usize::from(s) >= self.base + self.max_height)
+                    .ok_or_else(|| frame_limit(self.func))?;
+                m.slots.insert((list, op(0)), slot);
+                m.moved.push((list, op(slot)));
+                slot
+            }
+        };
+        self.vstack.push(Src::Fwd(slot, from));
+        self.stats.stack_ops_eliminated += 1;
+        self.stats.hoisted += 1;
+        Ok(())
     }
 
     /// Gives the pending retirement weight to the first op emitted since
@@ -1228,6 +1539,7 @@ impl Lowerer<'_> {
             let plan = &mut h.globals[g as usize];
             if l as usize == pos && !plan.live {
                 plan.live = true;
+                plan.from = self.motion.loops.len() as u32;
                 h.live.push((g, self.ctrl.len()));
                 let slot = plan
                     .slot
@@ -1274,16 +1586,37 @@ impl Lowerer<'_> {
             .len()
             .checked_sub(params)
             .ok_or_else(|| bad("operand stack underflow"))?;
+        let head = self.out.len() as u32;
+        let m = &mut *self.motion;
+        let floor = match else_patch {
+            Some(_) => m.loops.len() as u32,
+            None => self.ctrl.last().map_or(0, |c| c.floor),
+        };
+        let list = m.heads.len() as u32;
+        if is_loop && m.on {
+            let end = self
+                .hoist
+                .loop_end(self.pos)
+                .ok_or_else(|| bad("a loop the pre-pass did not see"))?;
+            m.loops.push(OpenLoop {
+                open: self.pos,
+                end,
+                list,
+            });
+            m.heads.push(head);
+        }
         self.ctrl.push(Ctrl {
             is_loop,
             label_height,
             params,
             results,
-            head: self.out.len() as u32,
+            head,
             patches: NO_PATCH,
             else_patch,
             unreachable: false,
             exit: None,
+            list,
+            floor,
         });
         Ok(())
     }
@@ -1316,6 +1649,10 @@ impl Lowerer<'_> {
     fn frame_target(&mut self, idx: usize, slot: u32) -> u32 {
         let frame = &mut self.ctrl[idx];
         if frame.is_loop {
+            if self.motion.on {
+                let at = self.out.len() as u32;
+                self.motion.head_jumps.push((at, slot, frame.list));
+            }
             return frame.head;
         }
         self.patches
@@ -1350,7 +1687,6 @@ impl Lowerer<'_> {
             return Ok(false);
         };
         let (op, a, b, jump_if) = match self.out[head as usize] {
-            RegOp::CmpBrLtSZ { a, b, .. } => (BinOpKind::I32LtS, a, b, false),
             RegOp::CmpBr {
                 op, a, b, jump_if, ..
             } => (op, a, b, jump_if),
@@ -1434,6 +1770,9 @@ impl Lowerer<'_> {
     /// it here; the body's own `end` returns.
     fn close(&mut self) -> Result<(), Trap> {
         let frame = self.ctrl.pop().ok_or_else(|| bad("unbalanced end"))?;
+        if frame.is_loop {
+            self.motion.loops.pop();
+        }
         while let Some(&(g, _)) = self.hoist.live.last().filter(|l| l.1 >= self.ctrl.len()) {
             self.hoist.globals[g as usize].live = false;
             self.hoist.live.pop();
@@ -1663,8 +2002,10 @@ impl<'a> Ahead<'a> {
 
 /// Lowers `body`, function `func` of the function space, to register form
 /// in one walk over its structured code (see the module docs), in
-/// `scratch`'s buffers. `fuse` turns the fusion rules on; what they joined
-/// is counted in `scratch.fusion`.
+/// `scratch`'s buffers. `fuse` turns the fusion rules and code motion on;
+/// what the rules joined is counted in `scratch.fusion`. A body whose
+/// frame cannot hold its moved ops' cache slots is lowered again without
+/// code motion, so code motion never refuses a body.
 ///
 /// # Errors
 ///
@@ -1675,13 +2016,32 @@ impl<'a> Ahead<'a> {
 /// underflow — and for a broken invariant. A module that passed
 /// [`crate::validate`] never hits the malformed group, but lowering must
 /// not panic the host either way.
-#[allow(clippy::too_many_lines)]
 pub(crate) fn lower_func(
     module: &Module,
     func: u32,
     body: &FuncBody,
     scratch: &mut RegScratch,
     fuse: bool,
+) -> Result<RegFunc, Trap> {
+    if !fuse {
+        return lower_body(module, func, body, scratch, false, false);
+    }
+    let counts = (scratch.stats, scratch.fusion);
+    lower_body(module, func, body, scratch, true, true).or_else(|_| {
+        (scratch.stats, scratch.fusion) = counts;
+        lower_body(module, func, body, scratch, true, false)
+    })
+}
+
+/// [`lower_func`]'s walk, with code motion on or off.
+#[allow(clippy::too_many_lines)]
+fn lower_body(
+    module: &Module,
+    func: u32,
+    body: &FuncBody,
+    scratch: &mut RegScratch,
+    fuse: bool,
+    motion: bool,
 ) -> Result<RegFunc, Trap> {
     let ty = module
         .types
@@ -1698,11 +2058,13 @@ pub(crate) fn lower_func(
         ctrl,
         patches,
         hoist,
+        motion: moves,
     } = scratch;
-    let base = n_locals + hoist.plan(code, module.globals.len());
+    let base = n_locals + hoist.plan(code, module.globals.len(), motion);
     vstack.clear();
     ctrl.clear();
     patches.clear();
+    moves.restart(motion);
     ctrl.push(Ctrl {
         is_loop: false,
         label_height: 0,
@@ -1713,6 +2075,8 @@ pub(crate) fn lower_func(
         else_patch: None,
         unreachable: false,
         exit: None,
+        list: 0,
+        floor: 0,
     });
     // Retirement: each instruction's weight accumulates into `pending` and
     // attaches to the *first* register op emitted on its behalf (fix-up
@@ -1729,6 +2093,9 @@ pub(crate) fn lower_func(
         ctrl,
         patches,
         hoist,
+        motion: moves,
+        pos: 0,
+        inv: 0,
         func,
         n_locals,
         base,
@@ -1769,6 +2136,8 @@ pub(crate) fn lower_func(
             i += 1;
             continue;
         }
+        lo.pos = i as u32;
+        lo.inv = 0;
         // Instructions this iteration lowers: `code[i]` plus what a fusion
         // rule joins to it.
         let mut used = 1;
@@ -1917,8 +2286,8 @@ pub(crate) fn lower_func(
             Instr::LocalGet(idx) => {
                 // Forwarded: the operand stays in the local's slot and takes
                 // a frame slot of its own only if it is spilled.
-                let z = lo.local(*idx)?;
-                lo.vstack.push(Src::Fwd(z));
+                let src = Src::Fwd(lo.local(*idx)?, lo.local_inv(*idx));
+                lo.vstack.push(src);
                 lo.stats.gets_forwarded += 1;
                 lo.stats.stack_ops_eliminated += 1;
             }
@@ -1944,11 +2313,11 @@ pub(crate) fn lower_func(
                 }
             }
             Instr::GlobalGet(idx) => {
-                if let Some(slot) = lo.hoist.cached(*idx) {
+                if let Some((slot, from)) = lo.hoist.cached(*idx) {
                     // Cached by an enclosing loop: forwarded from the
                     // slot, exactly like a `local.get`.
-                    lo.vstack
-                        .push(Src::Fwd(slot16(lo.func, n_locals + slot as usize)?));
+                    let slot = slot16(lo.func, n_locals + slot as usize)?;
+                    lo.vstack.push(Src::Fwd(slot, from));
                     lo.stats.stack_ops_eliminated += 1;
                 } else {
                     let dst = lo.push()?;
@@ -2003,34 +2372,34 @@ pub(crate) fn lower_func(
                         used = 1 + tail_len;
                         let idx = lo.pop()?;
                         let base = lo.pop()?;
-                        let dst = lo.push()?;
-                        lo.out.push(if let Some((w, offset)) = load {
+                        if let Some((w, offset)) = load {
                             fusion.record(Rule::IdxLoad);
-                            sel_scale_add_load(base, idx, k, w, offset, dst)
+                            let dst = lo.push()?;
+                            lo.out
+                                .push(sel_scale_add_load(base, idx, k, w, offset, dst));
                         } else {
                             fusion.record(Rule::IdxAddr);
-                            RegOp::ScaleAdd { base, idx, k, dst }
-                        });
+                            lo.emit_value(true, |dst| RegOp::ScaleAdd { base, idx, k, dst })?;
+                        }
                     } else if let Some((op, follow, follow_len)) = binop {
                         // `const k; binop`: `k` is the inline right operand.
                         // Of the binop's follows only a `local.set` joins:
                         // the register code has no constant form of the
                         // store, branch and address sinks.
                         let a = lo.pop()?;
-                        let dst = if let Follow::Set(local) = follow {
+                        if let Follow::Set(local) = follow {
                             fusion.record(Rule::BinopSet);
                             used = 2 + follow_len;
                             deferred_set = true;
-                            lo.sink(local)?
+                            let dst = lo.sink(local)?;
+                            lo.out.push(sel_binop_k(op, a, k, dst));
                         } else {
                             fusion.record(Rule::BinopK);
                             used = 2;
-                            lo.push()?
-                        };
-                        lo.out.push(sel_binop_k(op, a, k, dst));
+                            lo.emit_value(!op.traps(), |dst| sel_binop_k(op, a, k, dst))?;
+                        }
                     } else {
-                        let dst = lo.push()?;
-                        lo.out.push(RegOp::Const { bits: k, dst });
+                        lo.emit_value(true, |dst| RegOp::Const { bits: k, dst })?;
                     }
                 }
                 // Reinterpret casts are identities on raw slots: no code,
@@ -2045,72 +2414,96 @@ pub(crate) fn lower_func(
                     }
                     let b = lo.pop()?;
                     let a = lo.pop()?;
+                    // The ops that push their result go through
+                    // `emit_value`, which may move them out of the loop.
                     let reg_op = match follow {
-                        Follow::Push => sel_binop(op, a, b, lo.push()?),
+                        Follow::Push => {
+                            lo.emit_value(!op.traps(), |dst| sel_binop(op, a, b, dst))?;
+                            None
+                        }
                         Follow::Set(dst) => {
                             fusion.record(Rule::BinopSet);
                             deferred_set = true;
-                            sel_binop(op, a, b, lo.sink(dst)?)
+                            Some(sel_binop(op, a, b, lo.sink(dst)?))
                         }
                         Follow::Store(offset) => {
                             fusion.record(Rule::BinopStore);
-                            RegOp::AddStoreF64 {
+                            Some(RegOp::AddStoreF64 {
                                 a,
                                 b,
                                 addr: lo.pop()?,
                                 offset,
-                            }
+                            })
                         }
                         Follow::Br(jump_if) => {
                             fusion.record(Rule::CmpBr);
                             let jump = &code[i + used - 1];
                             lo.head_test(jump);
                             let target = lo.cond_target(module, jump)?;
-                            sel_cmp_br(op, a, b, jump_if, target)
+                            Some(RegOp::CmpBr {
+                                op,
+                                a,
+                                b,
+                                jump_if,
+                                latch: false,
+                                target,
+                            })
                         }
                         Follow::Load(w, offset) => {
                             fusion.record(Rule::AddLoad);
-                            sel_scale_add_load(a, b, 1, w, offset, lo.push()?)
+                            Some(sel_scale_add_load(a, b, 1, w, offset, lo.push()?))
                         }
                         Follow::Addr { z, k, load } => {
-                            let (y, n, z) = (a, b, lo.local(z)?);
+                            let (y, n, z) = (a, b, lo.read_local(z)?);
                             let base = lo.pop()?;
-                            let dst = lo.push()?;
                             if let Some(offset) = load {
                                 fusion.record(Rule::IdxLoad);
-                                RegOp::IdxLAddLoadF64 {
+                                Some(RegOp::IdxLAddLoadF64 {
                                     base,
                                     y,
                                     n,
                                     z,
                                     k,
                                     offset,
-                                    dst,
-                                }
+                                    dst: lo.push()?,
+                                })
                             } else {
                                 fusion.record(Rule::IdxAddr);
-                                RegOp::IdxLAdd {
+                                lo.emit_value(true, |dst| RegOp::IdxLAdd {
                                     base,
                                     y,
                                     n,
                                     z,
                                     k,
                                     dst,
-                                }
+                                })?;
+                                None
                             }
                         }
                         Follow::MulAdd { z, set } => {
                             fusion.record(Rule::MulAdd);
-                            let z = lo.local(z)?;
+                            let z = lo.read_local(z)?;
                             deferred_set = set.is_some();
-                            let dst = match set {
-                                Some(local) => lo.sink(local)?,
-                                None => lo.push()?,
-                            };
-                            RegOp::MulAddI32 { y: a, n: b, z, dst }
+                            match set {
+                                Some(local) => Some(RegOp::MulAddI32 {
+                                    y: a,
+                                    n: b,
+                                    z,
+                                    dst: lo.sink(local)?,
+                                }),
+                                None => {
+                                    lo.emit_value(true, |dst| RegOp::MulAddI32 {
+                                        y: a,
+                                        n: b,
+                                        z,
+                                        dst,
+                                    })?;
+                                    None
+                                }
+                            }
                         }
                     };
-                    lo.out.push(reg_op);
+                    lo.out.extend(reg_op);
                 }
                 Simple::Unop(op) => {
                     // A bare truthiness chain `i32.eqzⁿ; jump` (no binop in
@@ -2135,8 +2528,7 @@ pub(crate) fn lower_func(
                         });
                     } else {
                         let src = lo.pop()?;
-                        let dst = lo.push()?;
-                        lo.out.push(RegOp::Unop { op, src, dst });
+                        lo.emit_value(!op.traps(), |dst| RegOp::Unop { op, src, dst })?;
                     }
                 }
                 Simple::Load { kind, offset } => {
@@ -2177,21 +2569,108 @@ pub(crate) fn lower_func(
         return Err(bad("lowering produced skewed code/prof arrays"));
     }
 
-    slot16(lo.func, base + lo.max_height)?; // the whole frame must stay u16-addressable
-    let frame_size = (base + lo.max_height) as u32;
+    let frame_size = base + lo.motion.moved.len() + lo.max_height;
+    slot16(lo.func, frame_size)?; // the whole frame must stay u16-addressable
+    let (code, prof) = if lo.motion.moved.is_empty() {
+        (lo.out, lo.prof)
+    } else {
+        splice(lo.out, lo.prof, lo.motion, base)?
+    };
     let stats = lo.stats;
     stats.funcs += 1;
-    stats.frame_slots += u64::from(frame_size);
+    stats.frame_slots += frame_size as u64;
 
     Ok(RegFunc {
         n_params: n_params as u32,
         n_locals: n_locals as u32,
         n_results: n_results as u32,
-        frame_size,
+        frame_size: frame_size as u32,
         result_types: ty.results.clone().into_boxed_slice(),
-        code: lo.out.into_boxed_slice(),
-        prof: lo.prof.into_boxed_slice(),
+        code: code.into_boxed_slice(),
+        prof: prof.into_boxed_slice(),
     })
+}
+
+/// Code motion's last step: inserts each loop's hoist list in front of its
+/// head, after the loop's global loads, and points each jump where it
+/// meant to go: a jump to a loop's head (it comes from inside the loop)
+/// past the list, any other jump in front of the lists at its target. The
+/// cache slots the walk numbered down from `u16::MAX` become the slots
+/// from `base` on, below the operand slots (a callee's frame starts at
+/// one), which move up past them. The moved ops retire nothing: their
+/// weight rode the next op of their loop.
+fn splice(
+    mut out: Vec<RegOp>,
+    prof: Vec<ProfOp>,
+    m: &mut Motion,
+    base: usize,
+) -> Result<(Vec<RegOp>, Vec<ProfOp>), Trap> {
+    let moved = m.moved.len();
+    let cache = |s: &mut u16| {
+        let n = usize::from(u16::MAX - *s);
+        if n < moved {
+            *s = (base + n) as u16;
+        } else if usize::from(*s) >= base {
+            *s += moved as u16;
+        }
+    };
+    // Each list in the order its ops were moved; the lists are in the
+    // order of their loops, so of their heads.
+    m.moved.sort_by_key(|op| op.0);
+    let mut len = vec![0; m.heads.len()];
+    for op in &m.moved {
+        len[op.0 as usize] += 1;
+    }
+    // Where position `p` of `out` lands, in front of its lists, and where
+    // each list ends.
+    let mut enter = Vec::with_capacity(out.len() + 1);
+    let mut inside = vec![0; m.heads.len()];
+    let (mut shift, mut l) = (0, 0);
+    for p in 0..=out.len() as u32 {
+        enter.push(p + shift);
+        while m.heads.get(l) == Some(&p) {
+            shift += len[l];
+            inside[l] = p + shift;
+            l += 1;
+        }
+    }
+    if l != m.heads.len() {
+        return Err(bad("hoist lists out of code order"));
+    }
+    for op in &mut out {
+        for arm in 0..op.arms() {
+            if let Some(t) = op.target_mut(arm) {
+                *t = *enter
+                    .get(*t as usize)
+                    .ok_or_else(|| bad("jump past the code"))?;
+            }
+        }
+        op.slots_mut(cache);
+    }
+    for &(at, arm, list) in &m.head_jumps {
+        let t = out
+            .get_mut(at as usize)
+            .and_then(|op| op.target_mut(arm as usize))
+            .ok_or_else(|| bad("a jump to a loop head is not a jump"))?;
+        *t = inside[list as usize];
+    }
+    let mut code = Vec::with_capacity(out.len() + moved);
+    let mut weights = Vec::with_capacity(out.len() + moved);
+    let mut lists = m.moved.drain(..).peekable();
+    let mut l = 0;
+    for (p, (op, w)) in (0..).zip(out.into_iter().zip(prof)) {
+        while m.heads.get(l) == Some(&p) {
+            while let Some((_, mut op)) = lists.next_if(|op| op.0 as usize == l) {
+                op.slots_mut(cache);
+                code.push(op);
+                weights.push(ProfOp::zero());
+            }
+            l += 1;
+        }
+        code.push(op);
+        weights.push(w);
+    }
+    Ok((code, weights))
 }
 
 /// Saved caller state for a guest-level call inside the register engine.
@@ -2641,12 +3120,6 @@ fn run_loop<P: Profiler>(
                 let v = as_f64(r!(*a)) + as_f64(r!(*b));
                 let a = as_i32(r!(*addr));
                 crate::exec::mem_store(mem, a, *offset, &v.to_bits().to_le_bytes())?;
-            }
-            RegOp::CmpBrLtSZ { a, b, target } => {
-                if as_i32(r!(*a)) >= as_i32(r!(*b)) {
-                    backedge!(*target);
-                    pc = *target as usize;
-                }
             }
             RegOp::CmpBr {
                 op,
@@ -3203,7 +3676,12 @@ pub(crate) mod tests {
                         let spilled = operand(&mut code, left, 0) + operand(&mut code, right, 1);
                         want.extend(std::iter::repeat_n("Unop", spilled));
                         code.push(instr.clone());
-                        want.push(if constant { "BinopK" } else { "Binop" });
+                        // An `i32.sub` of a constant adds its negation.
+                        want.push(match (constant, traps) {
+                            (false, _) => "Binop",
+                            (true, false) => "AddI32K",
+                            (true, true) => "BinopK",
+                        });
                         // `(joined, second)`: the op a rule makes of the
                         // binop and its sink, and the sink's own op
                         // where no rule applies. A set sink changes
@@ -3264,7 +3742,10 @@ pub(crate) mod tests {
                             if let RegOp::CmpBr { jump_if, .. } = op {
                                 assert_eq!(*jump_if, sink == Sink::BrNonZero, "{ctx}");
                             }
-                            if let RegOp::Binop { dst, .. } | RegOp::BinopK { dst, .. } = op {
+                            if let RegOp::Binop { dst, .. }
+                            | RegOp::BinopK { dst, .. }
+                            | RegOp::AddI32K { dst, .. } = op
+                            {
                                 assert_eq!(*dst == 2, sink == Sink::Set, "{ctx}: {op:?}");
                             }
                         }
@@ -3622,30 +4103,32 @@ pub(crate) mod tests {
                 (*name, fused, hex)
             })
             .collect();
-        // Re-pinned, every suite, for the `latch` rule: each `br` back to
-        // a loop with a head test became a copy of the test (an
-        // `IncBrLtS` when it joined the counter's step) and an exit
-        // `Jump`, and `CmpBr` gained its `latch` flag, so every suite's
-        // code moved. The other rows' counts did not (1607 / 463 / 196);
-        // the latches add 201 / 29 / 2. (Before that, the check-free
-        // opcodes, the i32 multiply and the unfused full-width load forms
-        // went one op for one op, and global hoisting moved minisql and
-        // Genann only.)
+        // Re-pinned, every suite, for code motion: loop-invariant ops
+        // moved in front of their loops (into cache slots below the
+        // operand slots, which moved up), `CmpBrLtSZ` went for `CmpBr`,
+        // and an `i32.sub` of a constant became an `AddI32K`. The unfused
+        // code did not move. A head that compared with a moved value now
+        // has a latch: 201 → 252 in PolyBench (`i < n - 1`, `r < n*n*n`)
+        // and 29 → 30 in minisql (its delete loop's `i < count - 1`).
+        // (Before that, the `latch` rule moved every suite, with 1607 /
+        // 463 / 196 other fusions; the check-free opcodes, the i32
+        // multiply and the unfused full-width load forms went one op for
+        // one op, and global hoisting moved minisql and Genann only.)
         let want = [
             (
                 "polybench",
-                1607 + 201,
-                "4acb988b35e5bad0f6e4b6d4c6aec6836ac4ca42e9c83d8e650e445ec0aeda36",
+                1607 + 252,
+                "dd5d5bd3a6a13329396e86929890db35ea44ae03b18994c1d64e7b6d1d141809",
             ),
             (
                 "minisql",
-                463 + 29,
-                "672bd8e8997486f057e5e98de6ecd49a5e47355630dd33dff31292aedc74c68f",
+                463 + 30,
+                "92dbe30571fc4a554b8003c4579ba7ee5d9f3c53437161afb9567ecbb979ce2f",
             ),
             (
                 "genann",
                 196 + 2,
-                "4add08fc7eadda9e607ea90c3497c25586219fa7f547546424afd56fcdee8e20",
+                "e6c4429e4254d79cb4db39109b822fa55d10e17d98f6d743f8ece9c46192773a",
             ),
         ];
         assert_eq!(
@@ -3928,7 +4411,7 @@ pub(crate) mod tests {
         let code = code_of(&cm, 0);
         assert_eq!(
             names(code)[..4],
-            ["CmpBrLtSZ", "Binop", "IncBrLtS", "Jump"],
+            ["CmpBr", "Binop", "IncBrLtS", "Jump"],
             "{code:?}"
         );
         assert!(matches!(
@@ -4388,5 +4871,353 @@ pub(crate) mod tests {
         code.extend(counted(1, &ADD_G));
         code.extend([I::End, I::GlobalGet(0), I::End]);
         assert_hoisting(code, &[0, 3], Some(&[7, 7]), (&[], 1));
+    }
+
+    // ---- code motion -----------------------------------------------------
+
+    /// The locals of [`motion`]'s `f(n, m)` past its params: the loop
+    /// counter `i`, `x`, `acc`, a second counter `j`, and the f64s `d` and
+    /// `accf`.
+    const CTR: u32 = 2;
+    const X: u32 = 3;
+    const ACC: u32 = 4;
+    const CTR2: u32 = 5;
+    const D: u32 = 6;
+    const ACCF: u32 = 7;
+
+    /// `f(n, m) -> i32` running `code`, in a module with [`hoisting_module`]'s
+    /// import, memory, global `g` and `bump` (function 1), on every engine
+    /// for each `(n, m, want)` (`None`: it traps): results, traps, instret
+    /// and back edges agree, and the verifier accepts both compiles.
+    /// Returns the bytes and how many ops the fused compile moved out of
+    /// loops.
+    fn motion(code: Vec<I>, cases: &[(i32, i32, Option<i32>)]) -> (Vec<u8>, u64) {
+        let mut b = ModuleBuilder::new();
+        let void = b.add_type(&[], &[]);
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::I32]);
+        b.import_func("env", "tick", void);
+        b.add_memory(1, Some(1));
+        b.add_global(ValType::I32, true, I::I32Const(7));
+        let bump = [
+            I::GlobalGet(0),
+            I::I32Const(3),
+            I::I32Add,
+            I::GlobalSet(0),
+            I::End,
+        ];
+        b.add_func(void, &[], bump.to_vec());
+        let locals = [ValType::I32, ValType::I32, ValType::I32, ValType::I32];
+        let f = b.add_func(ty, &[&locals[..], &[ValType::F64; 2]].concat(), code);
+        b.export_func("f", f);
+        let bytes = b.build();
+        for &(n, m, want) in cases {
+            let args = [Value::I32(n), Value::I32(m)];
+            let out = agreed_outcome(&bytes, "f", &args, &format!("f({n}, {m})"));
+            match want {
+                Some(w) => assert_eq!(out, Ok(vec![Value::I32(w)]), "f({n}, {m})"),
+                None => assert!(out.is_err(), "f({n}, {m}) must trap"),
+            }
+        }
+        assert_verifies(&bytes);
+        let unfused = compiled(&bytes, false).stats.hoisted;
+        assert_eq!(unfused, 0, "code motion runs only with the fusion rules");
+        let hoisted = compiled(&bytes, true).stats.hoisted;
+        (bytes, hoisted)
+    }
+
+    /// `code` then `return acc`.
+    fn then_acc(mut code: Vec<I>) -> Vec<I> {
+        code.extend([I::LocalGet(ACC), I::End]);
+        code
+    }
+
+    #[test]
+    fn a_local_the_loop_writes_through_a_tee_is_not_invariant() {
+        // for i < n { acc += x + 5; x = x + 1 (a tee, dropped) }.
+        let code = then_acc(counted(
+            CTR,
+            &[
+                I::LocalGet(ACC),
+                I::LocalGet(X),
+                I::I32Const(5),
+                I::I32Add,
+                I::I32Add,
+                I::LocalSet(ACC),
+                I::LocalGet(X),
+                I::I32Const(1),
+                I::I32Add,
+                I::LocalTee(X),
+                I::Drop,
+            ],
+        ));
+        let cases = [(4, 0, Some(26)), (1, 0, Some(5)), (0, 0, Some(0))];
+        assert_eq!(motion(code, &cases).1, 0);
+    }
+
+    #[test]
+    fn a_local_a_nested_loop_writes_is_not_invariant_in_the_outer_one() {
+        // for i < n { acc += x + 5; for j < n { x += 1 } }: the outer loop
+        // moves only its `j = 0`.
+        let mut body = vec![
+            I::LocalGet(ACC),
+            I::LocalGet(X),
+            I::I32Const(5),
+            I::I32Add,
+            I::I32Add,
+            I::LocalSet(ACC),
+            I::I32Const(0),
+            I::LocalSet(CTR2),
+        ];
+        body.extend(counted(
+            CTR2,
+            &[I::LocalGet(X), I::I32Const(1), I::I32Add, I::LocalSet(X)],
+        ));
+        let code = then_acc(counted(CTR, &body));
+        let cases = [(3, 0, Some(24)), (2, 0, Some(12)), (0, 0, Some(0))];
+        assert_eq!(motion(code, &cases).1, 1);
+    }
+
+    #[test]
+    fn a_local_an_if_arm_writes_on_the_last_iteration_is_not_invariant() {
+        // for i < n { if i == n - 1 { x = 100 }; acc += x + 1 }: `n - 1`
+        // moves, the `100` in the arm stays there, `x + 1` stays.
+        let code = then_acc(counted(
+            CTR,
+            &[
+                I::LocalGet(CTR),
+                I::LocalGet(0),
+                I::I32Const(1),
+                I::I32Sub,
+                I::I32Eq,
+                I::If(BlockType::Empty),
+                I::I32Const(100),
+                I::LocalSet(X),
+                I::End,
+                I::LocalGet(ACC),
+                I::LocalGet(X),
+                I::I32Const(1),
+                I::I32Add,
+                I::I32Add,
+                I::LocalSet(ACC),
+            ],
+        ));
+        let cases = [(3, 0, Some(103)), (1, 0, Some(101)), (0, 0, Some(0))];
+        assert_eq!(motion(code, &cases).1, 1);
+    }
+
+    #[test]
+    fn an_invariant_division_the_loop_never_reaches_does_not_trap() {
+        // for i < n { if m == 0 break; acc += n / m; if m != 7 break;
+        // acc += n / 0 }: both divisions are invariant, neither moves, so
+        // `m = 0` never divides and only `m = 7` reaches the `/ 0`.
+        let code = then_acc(counted(
+            CTR,
+            &[
+                I::LocalGet(1),
+                I::I32Eqz,
+                I::BrIf(1),
+                I::LocalGet(ACC),
+                I::LocalGet(0),
+                I::LocalGet(1),
+                I::I32DivS,
+                I::I32Add,
+                I::LocalSet(ACC),
+                I::LocalGet(1),
+                I::I32Const(7),
+                I::I32Ne,
+                I::BrIf(1),
+                I::LocalGet(ACC),
+                I::LocalGet(0),
+                I::I32Const(0),
+                I::I32DivS,
+                I::I32Add,
+                I::LocalSet(ACC),
+            ],
+        ));
+        let cases = [
+            (3, 0, Some(0)),
+            (3, 2, Some(1)),
+            (0, 7, Some(0)),
+            (3, 7, None),
+        ];
+        // Only `m != 7` moves.
+        assert_eq!(motion(code, &cases).1, 1);
+    }
+
+    #[test]
+    fn an_invariant_f64_expression_moves_and_a_loop_that_runs_zero_times_skips_its_weight() {
+        // d = n; for i < n { accf += d * 2.5 + d }; (i32) accf.
+        let mut code = vec![I::LocalGet(0), I::F64ConvertI32S, I::LocalSet(D)];
+        code.extend(counted(
+            CTR,
+            &[
+                I::LocalGet(ACCF),
+                I::LocalGet(D),
+                I::F64Const(2.5),
+                I::F64Mul,
+                I::LocalGet(D),
+                I::F64Add,
+                I::F64Add,
+                I::LocalSet(ACCF),
+            ],
+        ));
+        code.extend([I::LocalGet(ACCF), I::I32TruncF64S, I::End]);
+        let cases = [
+            (4, 0, Some(56)),
+            (1, 0, Some(3)),
+            (0, 0, Some(0)),
+            (-3, 0, Some(0)),
+        ];
+        assert_eq!(motion(code, &cases).1, 2);
+    }
+
+    #[test]
+    fn an_invariant_value_left_as_the_loop_result_survives_it() {
+        // x = m; y = loop (result i32) { i += 1; br_if 0 when i < n; x + 7 };
+        // x = 100; y + x.
+        let code = vec![
+            I::LocalGet(1),
+            I::LocalSet(X),
+            I::Loop(BlockType::Value(ValType::I32)),
+            I::LocalGet(CTR),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalTee(CTR),
+            I::LocalGet(0),
+            I::I32LtS,
+            I::BrIf(0),
+            I::LocalGet(X),
+            I::I32Const(7),
+            I::I32Add,
+            I::End,
+            I::I32Const(100),
+            I::LocalSet(X),
+            I::LocalGet(X),
+            I::I32Add,
+            I::End,
+        ];
+        let cases = [(3, 5, Some(112)), (0, 5, Some(112)), (-2, -7, Some(100))];
+        assert_eq!(motion(code, &cases).1, 1);
+    }
+
+    #[test]
+    fn a_loop_that_calls_moves_its_locals_but_not_an_uncached_global() {
+        // x = 2; for i < n { acc += x * 3 + g; bump() }.
+        let mut code = vec![I::I32Const(2), I::LocalSet(X)];
+        code.extend(then_acc(counted(
+            CTR,
+            &[
+                I::LocalGet(ACC),
+                I::LocalGet(X),
+                I::I32Const(3),
+                I::I32Mul,
+                I::GlobalGet(0),
+                I::I32Add,
+                I::I32Add,
+                I::LocalSet(ACC),
+                I::Call(1),
+            ],
+        )));
+        // n = 3: (6 + 7) + (6 + 10) + (6 + 13).
+        let cases = [(3, 0, Some(48)), (1, 0, Some(13)), (0, 0, Some(0))];
+        assert_eq!(motion(code, &cases).1, 1);
+    }
+
+    #[test]
+    fn an_expression_over_a_cached_global_moves_after_the_cache_load() {
+        // x = 1; for i < n { acc += g * 5 + x }: the cache load, then the
+        // two moved ops (the row `g*5 + x` reads `5` from a slot), then
+        // the head.
+        let mut code = vec![I::I32Const(1), I::LocalSet(X)];
+        code.extend(then_acc(counted(
+            CTR,
+            &[
+                I::LocalGet(ACC),
+                I::GlobalGet(0),
+                I::I32Const(5),
+                I::I32Mul,
+                I::LocalGet(X),
+                I::I32Add,
+                I::I32Add,
+                I::LocalSet(ACC),
+            ],
+        )));
+        let cases = [(3, 0, Some(108)), (0, 0, Some(0))];
+        let (bytes, hoisted) = motion(code, &cases);
+        assert_eq!(hoisted, 2);
+        let cm = compiled(&bytes, true);
+        let code = names(code_of(&cm, 2));
+        let order = ["GlobalGet", "Const", "MulAddI32", "CmpBr"];
+        assert!(code.windows(4).any(|w| w == order), "{code:?}");
+    }
+
+    #[test]
+    fn a_head_against_a_moved_bound_gets_its_latch() {
+        // for i < n - 1 { acc += i }: `n - 1` moves in front of the loop,
+        // so the head reads it from its cache slot and the `br` back is an
+        // `IncBrLtS` against that slot.
+        let mut code = vec![
+            I::Block(BlockType::Empty),
+            I::Loop(BlockType::Empty),
+            I::LocalGet(CTR),
+            I::LocalGet(0),
+            I::I32Const(1),
+            I::I32Sub,
+            I::I32LtS,
+            I::I32Eqz,
+            I::BrIf(1),
+            I::LocalGet(ACC),
+            I::LocalGet(CTR),
+            I::I32Add,
+            I::LocalSet(ACC),
+            I::LocalGet(CTR),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(CTR),
+            I::Br(0),
+            I::End,
+            I::End,
+        ];
+        code = then_acc(code);
+        let cases = [(5, 0, Some(6)), (1, 0, Some(0)), (0, 0, Some(0))];
+        let (bytes, hoisted) = motion(code, &cases);
+        assert_eq!(hoisted, 1);
+        let cm = compiled(&bytes, true);
+        let code = code_of(&cm, 2);
+        let n1 = match code[0] {
+            RegOp::AddI32K { a: 0, k, dst } if k == u32::MAX => dst,
+            _ => panic!("{code:?}"),
+        };
+        assert!(matches!(code[1], RegOp::CmpBr { a: 2, b, .. } if b == n1));
+        assert!(
+            code.iter()
+                .any(|op| matches!(op, RegOp::IncBrLtS { i: 2, n, .. } if *n == n1)),
+            "{code:?}"
+        );
+        assert_eq!(cm.fusion.of(Rule::Latch), 1);
+    }
+
+    #[test]
+    fn a_subtraction_of_a_constant_adds_its_negation() {
+        // x - k for k = 0, 1 and i32::MIN (its own negation).
+        for k in [0, 1, i32::MIN] {
+            let mut b = ModuleBuilder::new();
+            let ty = b.add_type(&[ValType::I32], &[ValType::I32]);
+            let code = vec![I::LocalGet(0), I::I32Const(k), I::I32Sub, I::End];
+            let f = b.add_func(ty, &[], code);
+            b.export_func("f", f);
+            let bytes = b.build();
+            let cm = compiled(&bytes, true);
+            let want = (k as u32).wrapping_neg();
+            assert!(
+                matches!(code_of(&cm, 0)[0], RegOp::AddI32K { a: 0, k, .. } if k == want),
+                "{:?}",
+                code_of(&cm, 0)
+            );
+            for x in [0, 7, -1, i32::MIN, i32::MAX] {
+                let out = agreed_outcome(&bytes, "f", &[Value::I32(x)], &format!("{x} - {k}"));
+                assert_eq!(out, Ok(vec![Value::I32(x.wrapping_sub(k))]), "{x} - {k}");
+            }
+        }
     }
 }

@@ -37,7 +37,8 @@
 //!   engine. A failure is re-run alone, then names the window, its
 //!   context, its inputs, each outcome and the fused register code.
 //!
-//! Tier 1 runs `L = 4` and a seeded 1-in-16 sample of `L = 5`; the ignored
+//! Tier 1 runs `L = 4` and a seeded 1-in-16 sample of `L = 5`, and asserts
+//! that code motion moves ops out of both loop contexts' loops; the ignored
 //! `every_window_up_to_six_agrees` runs `L = 6` in release (CI runs it).
 //! The latch's own letters are the loops' step and `br`, so the `latch`
 //! row adds contexts, not letters.
@@ -46,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{FusionStats, Rule, RULES};
+use super::{lower_func, FusionStats, RegScratch, Rule, RULES};
 use crate::artifact::Artifact;
 use crate::builder::ModuleBuilder;
 use crate::exec::{EngineConfig, ExecMode, Instance, NoHost, Trap, Value};
@@ -464,6 +465,9 @@ struct Tally {
     target: u64,
     /// What the fused compiles of all of them joined.
     fusion: FusionStats,
+    /// Ops code motion moved out of the loop contexts' loops.
+    moved_in_loop: u64,
+    moved_in_counted: u64,
 }
 
 impl Tally {
@@ -473,6 +477,8 @@ impl Tally {
         self.counted += other.counted;
         self.target += other.target;
         self.fusion.merge(&other.fusion);
+        self.moved_in_loop += other.moved_in_loop;
+        self.moved_in_counted += other.moved_in_counted;
     }
 }
 
@@ -519,6 +525,14 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
     }
     let fused = artifacts[1].compiled().expect("register code");
     tally.fusion.merge(&fused.fusion);
+    // Each window's own count of moved ops, from a fused compile of its
+    // function alone.
+    let mut scratch = RegScratch::default();
+    let mut moved = |i: usize| {
+        let before = scratch.stats.hoisted;
+        lower_func(module, i as u32, &module.funcs[i], &mut scratch, true).expect("lowers");
+        scratch.stats.hoisted - before
+    };
     let mut insts: Vec<Instance> = artifacts
         .iter()
         .map(|art| Instance::from_artifact(Arc::clone(art), &mut NoHost).unwrap())
@@ -557,8 +571,14 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
         }
         match w.ctx {
             Context::Straight => tally.straight += 1,
-            Context::Loop => tally.in_loop += 1,
-            Context::Counted(_) => tally.counted += 1,
+            Context::Loop => {
+                tally.in_loop += 1;
+                tally.moved_in_loop += moved(i);
+            }
+            Context::Counted(_) => {
+                tally.counted += 1;
+                tally.moved_in_counted += moved(i);
+            }
             Context::Target(_) => tally.target += 1,
         }
     }
@@ -722,6 +742,11 @@ fn every_window_up_to_four_and_a_sample_of_five_agrees() {
     for (name, count) in tally.fusion.counts() {
         assert!(count > 0, "no window fires {name}: {tally:?}");
     }
+    // Code motion moves ops out of both loop contexts' loops.
+    assert!(
+        tally.moved_in_loop > 0 && tally.moved_in_counted > 0,
+        "{tally:?}"
+    );
 }
 
 #[test]

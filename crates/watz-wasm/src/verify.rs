@@ -317,7 +317,7 @@ fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
         R::Store { addr, val, .. }
         | R::StoreI32R { addr, val, .. }
         | R::StoreF64R { addr, val, .. } => (([addr, val, 0, 0], 2), None),
-        R::CmpBrLtSZ { a, b, .. } | R::CmpBr { a, b, .. } => (([a, b, 0, 0], 2), None),
+        R::CmpBr { a, b, .. } => (([a, b, 0, 0], 2), None),
         R::IncBrLtS { i, n, .. } => (([i, n, 0, 0], 2), Some(i)),
         R::Binop { a, b, dst, .. }
         | R::AddF64 { a, b, dst }
@@ -492,7 +492,6 @@ fn verify_reg_func(
         match op {
             R::Jump { target }
             | R::BrIf { target, .. }
-            | R::CmpBrLtSZ { target, .. }
             | R::CmpBr { target, .. }
             | R::IncBrLtS { target, .. } => target_ok(*target)?,
             R::BrMoves {
@@ -630,10 +629,7 @@ fn verify_reg_func(
                     false
                 }
                 // An `IncBrLtS` jumps after its write, already in `st`.
-                R::BrIf { target, .. }
-                | R::CmpBrLtSZ { target, .. }
-                | R::CmpBr { target, .. }
-                | R::IncBrLtS { target, .. } => {
+                R::BrIf { target, .. } | R::CmpBr { target, .. } | R::IncBrLtS { target, .. } => {
                     joins.flow(*target, st);
                     true
                 }
@@ -701,34 +697,46 @@ fn verify_reg_func(
     Ok(edges)
 }
 
-/// Verifies every register body of a compiled module.
-pub(crate) fn verify_module(
-    cm: &CompiledModule,
-    types: &[FuncType],
-) -> Result<VerifyStats, VerifyError> {
-    let ctx = ModuleCtx {
-        n_imports: cm.imports.len(),
-        func_type_idx: &cm.func_type_idx,
-        types,
-        global_types: &cm.global_types,
-    };
-    let mut stats = VerifyStats::default();
-    let mut df = Dataflow::default();
-    if cm.funcs.len() != cm.func_type_idx.len() {
-        return Err(VerifyError::LengthMismatch {
-            func: cm.funcs.len() as u32,
-        });
-    }
-    for (i, rf) in cm.funcs.iter().enumerate() {
-        let fidx = i as u32;
-        // Exactly the imports lack a body: the dispatch loop takes a
-        // missing one for a host call.
-        if rf.is_none() != (i < cm.imports.len()) {
-            return Err(VerifyError::LengthMismatch { func: fidx });
+/// Verifies register bodies one at a time against one module's facts and
+/// sums their counts: the compile runs it on each body as soon as it is
+/// lowered, while its code is still in cache, and [`verify_module`] over
+/// a whole compiled module.
+pub(crate) struct FuncVerifier<'a> {
+    ctx: ModuleCtx<'a>,
+    df: Dataflow,
+    pub(crate) stats: VerifyStats,
+}
+
+impl<'a> FuncVerifier<'a> {
+    /// A verifier for the bodies of a module with `n_imports` imports,
+    /// the type index of every function (imports first), its type section
+    /// and its globals' types.
+    pub(crate) fn new(
+        n_imports: usize,
+        func_type_idx: &'a [u32],
+        types: &'a [FuncType],
+        global_types: &'a [ValType],
+    ) -> Self {
+        FuncVerifier {
+            ctx: ModuleCtx {
+                n_imports,
+                func_type_idx,
+                types,
+                global_types,
+            },
+            df: Dataflow::default(),
+            stats: VerifyStats::default(),
         }
-        let Some(f) = rf else { continue };
+    }
+
+    /// Verifies `f`, the body of local function `fidx`.
+    pub(crate) fn verify(&mut self, fidx: u32, f: &RegFunc) -> Result<(), VerifyError> {
         // Callers place arguments and read results by the declared type.
-        let declared = types.get(cm.func_type_idx[i] as usize);
+        let ctx = &self.ctx;
+        let declared = (fidx as usize >= ctx.n_imports)
+            .then(|| ctx.func_type_idx.get(fidx as usize))
+            .flatten()
+            .and_then(|&ti| ctx.types.get(ti as usize));
         if !declared.is_some_and(|t| {
             t.params.len() == f.n_params as usize
                 && t.results.len() == f.n_results as usize
@@ -736,11 +744,35 @@ pub(crate) fn verify_module(
         }) {
             return Err(VerifyError::LengthMismatch { func: fidx });
         }
-        stats.branch_targets += verify_reg_func(f, &ctx, fidx, &mut df)?;
-        stats.funcs += 1;
-        stats.reg_ops += f.code.len() as u64;
+        self.stats.branch_targets += verify_reg_func(f, ctx, fidx, &mut self.df)?;
+        self.stats.funcs += 1;
+        self.stats.reg_ops += f.code.len() as u64;
+        Ok(())
     }
-    Ok(stats)
+}
+
+/// Verifies every register body of a compiled module.
+pub(crate) fn verify_module(
+    cm: &CompiledModule,
+    types: &[FuncType],
+) -> Result<VerifyStats, VerifyError> {
+    let n_imports = cm.imports.len();
+    let mut v = FuncVerifier::new(n_imports, &cm.func_type_idx, types, &cm.global_types);
+    if cm.funcs.len() != cm.func_type_idx.len() {
+        return Err(VerifyError::LengthMismatch {
+            func: cm.funcs.len() as u32,
+        });
+    }
+    for (i, rf) in cm.funcs.iter().enumerate() {
+        // Exactly the imports lack a body: the dispatch loop takes a
+        // missing one for a host call.
+        match rf {
+            Some(f) if i >= n_imports => v.verify(i as u32, f)?,
+            None if i < n_imports => {}
+            _ => return Err(VerifyError::LengthMismatch { func: i as u32 }),
+        }
+    }
+    Ok(v.stats)
 }
 
 #[cfg(test)]
@@ -1690,7 +1722,6 @@ mod tests {
                 | R::BrMoves { .. }
                 | R::BrIfMoves { .. }
                 | R::CmpBr { .. }
-                | R::CmpBrLtSZ { .. }
                 | R::IncBrLtS { .. }
         )
     }
@@ -1740,7 +1771,6 @@ mod tests {
             | R::BrMoves { target, .. }
             | R::BrIfMoves { target, .. }
             | R::CmpBr { target, .. }
-            | R::CmpBrLtSZ { target, .. }
             | R::IncBrLtS { target, .. } => Some(target),
             _ => None,
         }
