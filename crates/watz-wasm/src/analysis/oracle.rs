@@ -336,7 +336,13 @@ pub(crate) fn reg_proofs(f: &RegFunc, min_mem: u64) -> Vec<Option<Proof>> {
                 let v = vals.fresh();
                 sset!(dst, v);
             }
-            RegOp::AddStoreF64 { addr, offset, .. } => access!(s!(addr), *offset, 8),
+            RegOp::AddStoreF64 {
+                addr, offset, dst, ..
+            } => {
+                access!(s!(addr), *offset, 8);
+                let v = vals.fresh();
+                sset!(dst, v);
+            }
         }
     }
     proofs

@@ -354,6 +354,10 @@ pub trait Profiler {
 
     /// Records a taken loop back edge.
     fn backedge(&mut self);
+
+    /// Retires the guest instructions of an op the dispatch jumped past
+    /// (a loop's promoted load), with no host dispatch.
+    fn retire_skipped(&mut self, op: &ProfOp);
 }
 
 /// The disabled profiler: a ZST whose hooks are dead code.
@@ -371,6 +375,9 @@ impl Profiler for NoProfile {
 
     #[inline(always)]
     fn backedge(&mut self) {}
+
+    #[inline(always)]
+    fn retire_skipped(&mut self, _op: &ProfOp) {}
 }
 
 impl Profiler for ExecProfile {
@@ -395,6 +402,12 @@ impl Profiler for ExecProfile {
     #[inline]
     fn backedge(&mut self) {
         self.backedges += 1;
+    }
+
+    #[inline]
+    fn retire_skipped(&mut self, op: &ProfOp) {
+        self.retire(op);
+        self.host_ops -= 1;
     }
 }
 

@@ -28,7 +28,7 @@
 //! the fall-through flush. Statically unreachable code — the rest of a
 //! frame after `br`, `br_table`, `return` or `unreachable` — emits nothing.
 //!
-//! Five further rewrites fall out of the simulation:
+//! Seven further rewrites fall out of the simulation:
 //!
 //! * **Copy forwarding** — a `local.get` emits *no code at all*: the
 //!   abstract stack records that this operand lives in the local's slot,
@@ -91,8 +91,42 @@
 //!   slots sit below the operand slots, which a callee's frame starts
 //!   at, so a loop that calls keeps them. Code motion runs only with
 //!   [`EngineConfig::fuse`], so the unfused code is the differential
-//!   suites' unmoved reference; a body whose frame cannot hold its cache
-//!   slots is lowered again without it.
+//!   suites' unmoved reference (value numbering and promotion run with it,
+//!   so the unfused code is also unnumbered and unpromoted); a body whose
+//!   frame cannot hold its cache slots is lowered again without it.
+//! * **Value numbering** — inside a loop, within one straight run of its
+//!   body (no branch lands between two ops of a run: a loop head, an
+//!   `else` or a block end a branch reaches starts a new one), an op that
+//!   pushes its result and reads only forwarded operands (locals, cache
+//!   slots, numbered values; never an operand-stack temporary) writes a
+//!   slot of its own, numbered down from the top of the slot space like a
+//!   moved op's cache. A later op of the run with the same operator and
+//!   operand slots, with no write to those slots between (and, for a
+//!   load, no store, call, `memory.grow` or bulk-memory op), emits
+//!   nothing and reads that slot: its weight stays pending, as a moved
+//!   op's does, so instret and traps stay exact (the first op ran on
+//!   every path to the second, so a load or `div` that shares cannot
+//!   trap). A numbered value that a flush, a call or a branch needs in its
+//!   operand slot is put there by its op, not copied, so numbering costs
+//!   no op where it shares none; a run's slots are free again at its end.
+//!   heat-3d's inner loop loads `a[(i*n+j)*n+k]` four times and multiplies
+//!   it by 2.0 three times; each is computed once.
+//! * **Promotion** — register promotion of a memory value (Lo et al.,
+//!   PLDI 1998; scalar replacement, Carr and Kennedy, TOPLAS 1994) for a
+//!   latched loop whose first op after its head test is a 64-bit load
+//!   into a numbered slot from operands no op in the loop writes, when
+//!   the loop, nested loops included, writes memory only by one
+//!   `AddStoreF64` to the same address and offset that adds to the loaded
+//!   value, no other op reads or writes that slot, and the loop makes no
+//!   call, `memory.grow` or bulk-memory op. The load stays where it is
+//!   (iteration 1 runs as before, and a zero-trip loop never reaches
+//!   it), the store also writes its sum to the loaded slot, and each
+//!   latch jumps past the load. Every store is kept, so memory is the
+//!   same at every step and any other load of the cell reads it; no alias
+//!   question arises. The counting loop retires the skipped load's
+//!   instructions when a latch jumps past it (its target follows no head
+//!   test), so instret and loads stay exact. doitgen's, 2mm's, 3mm's and
+//!   trmm's `sum[p] = sum[p] + …` loops run 5 ops an iteration, not 6.
 //! * **Fusion** — with [`EngineConfig::fuse`] on, an op looks ahead over
 //!   the instructions that follow it and emits one superinstruction for
 //!   the group, under one rule per shape. Each rule is one row of
@@ -238,12 +272,18 @@ pub struct RegStats {
     /// Loop-invariant ops moved out of the loops they sat in (see *Code
     /// motion* in the module docs); identical ones share one moved op.
     pub hoisted: u64,
+    /// Ops inside a loop that read an earlier op's result instead of
+    /// computing it again (see *Value numbering* in the module docs).
+    pub numbered: u64,
+    /// Loops whose accumulator cell stays in a slot across iterations (see
+    /// *Promotion* in the module docs).
+    pub promoted: u64,
 }
 
 impl RegStats {
     /// Per-counter `(name, count)` pairs, for coverage assertions and logs.
     #[must_use]
-    pub fn counts(&self) -> [(&'static str, u64); 6] {
+    pub fn counts(&self) -> [(&'static str, u64); 8] {
         [
             ("funcs", self.funcs),
             ("frame_slots", self.frame_slots),
@@ -251,6 +291,8 @@ impl RegStats {
             ("moves_inserted", self.moves_inserted),
             ("stack_ops_eliminated", self.stack_ops_eliminated),
             ("hoisted", self.hoisted),
+            ("numbered", self.numbered),
+            ("promoted", self.promoted),
         ]
     }
 
@@ -262,6 +304,8 @@ impl RegStats {
         self.moves_inserted += other.moves_inserted;
         self.stack_ops_eliminated += other.stack_ops_eliminated;
         self.hoisted += other.hoisted;
+        self.numbered += other.numbered;
+        self.promoted += other.promoted;
     }
 }
 
@@ -575,13 +619,18 @@ pub(crate) enum RegOp {
         offset: u32,
         dst: u16,
     },
-    /// `mem[frame[addr] + offset] = frame[a] + frame[b]` (f64, full-width
-    /// store) — the `C[x] = C[x] + …` accumulation sink.
+    /// `frame[dst] = frame[a] + frame[b]`, then `mem[frame[addr] + offset]
+    /// = frame[dst]` (f64, full-width store) — the `C[x] = C[x] + …`
+    /// accumulation sink. `dst` is the operand slot the sum held in the Wasm,
+    /// free after the store, or, in a loop whose accumulator cell is
+    /// promoted (see the module docs), the slot the cell was loaded into,
+    /// which then follows the cell from iteration to iteration.
     AddStoreF64 {
         a: u16,
         b: u16,
         addr: u16,
         offset: u32,
+        dst: u16,
     },
 
     /// Jumps when `op(frame[a], frame[b])`'s truthiness equals `jump_if`.
@@ -721,7 +770,6 @@ impl RegOp {
                 dst: c,
                 ..
             }
-            | R::AddStoreF64 { a, b, addr: c, .. }
             | R::ScaleAdd {
                 base: a,
                 idx: b,
@@ -733,6 +781,13 @@ impl RegOp {
                 f(c);
             }
             R::Select { cond, a, b, dst }
+            | R::AddStoreF64 {
+                a,
+                b,
+                addr: cond,
+                dst,
+                ..
+            }
             | R::MulAddI32 {
                 y: cond,
                 n: a,
@@ -1231,14 +1286,45 @@ struct Motion {
     /// Per hoist list, one per loop the walk opened, in that order: the
     /// index in the code of its loop's head.
     heads: Vec<u32>,
-    /// The moved ops with their lists, in the order they were moved; the
-    /// `n`-th writes the cache slot the walk numbers `u16::MAX - n`.
+    /// The moved ops with their lists, in the order they were moved.
     moved: Vec<(u32, RegOp)>,
     /// The cache slot of each moved op (its `dst` zeroed) in its list.
     slots: HashMap<(u32, RegOp), u16>,
     /// Jumps to a loop's head: `(op index, br_table arm, hoist list)`.
     head_jumps: Vec<(u32, u32, u32)>,
+    /// How many slots the walk has numbered down from `u16::MAX` (the
+    /// `n`-th is `u16::MAX - n`): moved ops' caches and numbered values'
+    /// slots, which the splice places below the operand slots.
+    top: usize,
+    /// The current straight run's numbered values, in the order they were
+    /// emitted.
+    run: Vec<Numbered>,
+    /// Numbered values' slots free for the next run: no value outlives
+    /// the run that computed it.
+    free: Vec<u16>,
+    /// The latches emitted so far: `(hoist list of the loop, op index)`.
+    latches: Vec<(u32, u32)>,
 }
+
+/// A value computed in the current straight run of a loop body, in a slot
+/// of its own (see *Value numbering* in the module docs).
+struct Numbered {
+    /// The op that computed it, its `dst` zeroed.
+    key: RegOp,
+    slot: u16,
+    /// The op's index in the code.
+    at: u32,
+    /// Whether a later op still may read the slot instead of computing
+    /// `key` again: no write to the key's operands (or, for a load, to
+    /// memory) came between.
+    valid: bool,
+    /// Whether a later op did.
+    shared: bool,
+}
+
+/// The most values one straight run numbers: the table is searched
+/// linearly, so a long run costs the walk no more than this per op.
+const RUN_VALUES: usize = 32;
 
 impl Motion {
     fn restart(&mut self, on: bool) {
@@ -1248,7 +1334,133 @@ impl Motion {
         self.moved.clear();
         self.slots.clear();
         self.head_jumps.clear();
+        self.top = 0;
+        self.run.clear();
+        self.free.clear();
+        self.latches.clear();
     }
+
+    /// A slot numbered down from the top of the slot space, clear of every
+    /// slot the walk hands out below `floor`, until the splice places it
+    /// below the operand slots. A frame that cannot hold them all is
+    /// lowered again without code motion.
+    fn top_slot(&mut self, floor: usize, func: u32) -> Result<u16, Trap> {
+        let slot = u16::try_from(self.top)
+            .ok()
+            .and_then(|n| u16::MAX.checked_sub(n))
+            .filter(|&s| usize::from(s) >= floor)
+            .ok_or_else(|| frame_limit(func))?;
+        self.top += 1;
+        Ok(slot)
+    }
+
+    /// Ends the straight run: its values' slots are free again.
+    fn end_run(&mut self) {
+        self.free.extend(self.run.drain(..).map(|v| v.slot));
+    }
+}
+
+/// Whether `op` writes linear memory or may (a call, a `memory.grow`).
+fn writes_memory(op: &RegOp) -> bool {
+    use RegOp as R;
+    matches!(
+        op,
+        R::Store { .. }
+            | R::StoreI32R { .. }
+            | R::StoreF64R { .. }
+            | R::AddStoreF64 { .. }
+            | R::MemoryGrow { .. }
+            | R::MemoryCopy { .. }
+            | R::MemoryFill { .. }
+            | R::CallLocal { .. }
+            | R::CallImport { .. }
+            | R::CallIndirect { .. }
+    )
+}
+
+/// Whether `op` reads linear memory.
+fn reads_memory(op: &RegOp) -> bool {
+    matches!(
+        op,
+        RegOp::Load { .. }
+            | RegOp::ScaleAddLoadI32 { .. }
+            | RegOp::ScaleAddLoadF64 { .. }
+            | RegOp::IdxLAddLoadF64 { .. }
+    )
+}
+
+/// Whether `op` is a full-width 64-bit load (`i64` or `f64`).
+fn loads_64(op: &RegOp) -> bool {
+    matches!(
+        op,
+        RegOp::ScaleAddLoadF64 { .. }
+            | RegOp::IdxLAddLoadF64 { .. }
+            | RegOp::Load {
+                kind: LoadKind::I64 | LoadKind::F64,
+                ..
+            }
+    )
+}
+
+/// Whether a store to `addr + offset` writes the cell `load` reads: the
+/// same address slot and offset, or a slot that a moved op of `moved`
+/// computes the load's address into (code motion keeps it equal to the
+/// address the load computes wherever the slot is read).
+fn same_cell(load: &RegOp, addr: u16, offset: u32, moved: &[(u32, RegOp)]) -> bool {
+    use RegOp as R;
+    let def = moved
+        .iter()
+        .map(|(_, op)| op)
+        .find(|op| crate::verify::slot_operands(op).2 == Some(addr));
+    match (load, def) {
+        (
+            &R::Load {
+                addr: a, offset: o, ..
+            },
+            _,
+        ) => (a, o) == (addr, offset),
+        (
+            &R::ScaleAddLoadF64 {
+                base,
+                idx,
+                k,
+                offset: o,
+                ..
+            },
+            Some(&R::ScaleAdd {
+                base: b2,
+                idx: i2,
+                k: k2,
+                ..
+            }),
+        ) => (base, idx, k, o) == (b2, i2, k2, offset),
+        (
+            &R::IdxLAddLoadF64 {
+                base,
+                y,
+                n,
+                z,
+                k,
+                offset: o,
+                ..
+            },
+            Some(&R::IdxLAdd {
+                base: b2,
+                y: y2,
+                n: n2,
+                z: z2,
+                k: k2,
+                ..
+            }),
+        ) => (base, y, n, z, k, o) == (b2, y2, n2, z2, k2, offset),
+        _ => false,
+    }
+}
+
+/// Whether `op` reads `slot` as one of its single-slot operands.
+fn reads_slot(op: &RegOp, slot: u16) -> bool {
+    let (reads, n, _) = crate::verify::slot_operands(op);
+    reads[..n].contains(&slot)
 }
 
 /// How many global cache slots function `func` (function-space index) of
@@ -1278,6 +1490,9 @@ struct Lowerer<'a> {
     /// The outermost open loop (its index in [`Motion::loops`]) in which
     /// every operand popped since this instruction began is invariant.
     inv: u32,
+    /// Whether every operand popped since this instruction began was
+    /// forwarded, so its slot holds it until a write the walk sees.
+    stable: bool,
     /// The function-space index, for the frame-limit refusal.
     func: u32,
     n_locals: usize,
@@ -1350,7 +1565,10 @@ impl Lowerer<'_> {
         let s = self.slot_of(pos)?;
         let from = match self.vstack.pop() {
             Some(Src::Fwd(_, from)) => from,
-            _ => VARIANT,
+            _ => {
+                self.stable = false;
+                VARIANT
+            }
         };
         self.inv = self.inv.max(from);
         self.stats.stack_ops_eliminated += 1;
@@ -1375,7 +1593,9 @@ impl Lowerer<'_> {
     /// slot `from` into its canonical slot, which the frame must then hold.
     fn spill(&mut self, pos: usize, from: u16) -> Result<(), Trap> {
         let dst = self.canon(pos)?;
-        self.emit_move(from, dst);
+        if !self.coalesce(from, dst) {
+            self.emit_move(from, dst);
+        }
         self.vstack[pos] = Src::Canon;
         self.max_height = self.max_height.max(pos + 1);
         Ok(())
@@ -1459,23 +1679,13 @@ impl Lowerer<'_> {
         let m = &mut *self.motion;
         let from = self.inv.max(floor);
         if !movable || from as usize >= m.loops.len() {
-            let dst = self.push()?;
-            self.out.push(op(dst));
-            return Ok(());
+            return self.emit_numbered(op);
         }
         let list = m.loops[from as usize].list;
         let slot = match m.slots.get(&(list, op(0))) {
             Some(&slot) => slot,
             None => {
-                // Numbered down from the top of the slot space, clear of
-                // every slot the walk hands out, until the splice places
-                // them below the operand slots. A frame that cannot hold
-                // them all is lowered again without code motion.
-                let slot = u16::try_from(m.moved.len())
-                    .ok()
-                    .and_then(|n| u16::MAX.checked_sub(n))
-                    .filter(|&s| usize::from(s) >= self.base + self.max_height)
-                    .ok_or_else(|| frame_limit(self.func))?;
+                let slot = m.top_slot(self.base + self.max_height, self.func)?;
                 m.slots.insert((list, op(0)), slot);
                 m.moved.push((list, op(slot)));
                 slot
@@ -1485,6 +1695,89 @@ impl Lowerer<'_> {
         self.stats.stack_ops_eliminated += 1;
         self.stats.hoisted += 1;
         Ok(())
+    }
+
+    /// Emits `op(dst)`, an op that pushes its result and reads no slot but
+    /// its operands, popped before, and memory if it is a load. Inside a
+    /// loop, when every operand was forwarded (a local, a cache slot or a
+    /// numbered value), the result is numbered: an earlier op of the same
+    /// straight run with the same key whose slot is still valid gives its
+    /// slot, and no op is emitted (its instructions' weight stays pending
+    /// for the next op, as a forwarded `local.get`'s does); otherwise the
+    /// op writes a slot of its own, which a later one may share.
+    fn emit_numbered(&mut self, op: impl Fn(u16) -> RegOp) -> Result<(), Trap> {
+        let m = &mut *self.motion;
+        if !self.stable || m.loops.is_empty() || m.run.len() >= RUN_VALUES {
+            let dst = self.push()?;
+            self.out.push(op(dst));
+            return Ok(());
+        }
+        let key = op(0);
+        let slot = match m.run.iter_mut().find(|v| v.valid && v.key == key) {
+            Some(v) => {
+                v.shared = true;
+                self.stats.numbered += 1;
+                v.slot
+            }
+            None => {
+                let slot = match m.free.pop() {
+                    Some(slot) => slot,
+                    None => m.top_slot(self.base + self.max_height, self.func)?,
+                };
+                m.run.push(Numbered {
+                    key,
+                    slot,
+                    at: self.out.len() as u32,
+                    valid: true,
+                    shared: false,
+                });
+                self.out.push(op(slot));
+                slot
+            }
+        };
+        self.vstack.push(Src::Fwd(slot, VARIANT));
+        self.stats.stack_ops_eliminated += 1;
+        Ok(())
+    }
+
+    /// After the ops from `code[from]` on were emitted: a numbered value
+    /// whose key reads a slot one of them wrote, or, for a load, after one
+    /// that may write memory, can no longer be shared.
+    fn invalidate(&mut self, from: usize) {
+        let run = &mut self.motion.run;
+        if run.is_empty() {
+            return;
+        }
+        for op in self.out.get(from..).unwrap_or_default() {
+            let memory = writes_memory(op);
+            let (_, _, write) = crate::verify::slot_operands(op);
+            for v in run.iter_mut().filter(|v| v.valid) {
+                let stale = memory && reads_memory(&v.key);
+                v.valid = !stale && !write.is_some_and(|w| reads_slot(&v.key, w));
+            }
+        }
+    }
+
+    /// Puts the value in numbered slot `slot`, forwarded at the stack
+    /// position whose slot is `dst`, in `dst` when no other op shares it:
+    /// its op writes `dst` instead, the `local.tee`s that copied it read
+    /// it there, and the slot is free. Nothing else touched `dst` while
+    /// the value sat at that position. False when `slot` is no such value.
+    fn coalesce(&mut self, slot: u16, dst: u16) -> bool {
+        let m = &mut *self.motion;
+        let Some(i) = m.run.iter().position(|v| v.slot == slot && !v.shared) else {
+            return false;
+        };
+        let v = m.run.swap_remove(i);
+        for op in &mut self.out[v.at as usize..] {
+            op.slots_mut(|s| {
+                if *s == slot {
+                    *s = dst;
+                }
+            });
+        }
+        m.free.push(slot);
+        true
     }
 
     /// Gives the pending retirement weight to the first op emitted since
@@ -1499,6 +1792,7 @@ impl Lowerer<'_> {
     /// again after a terminator: only branches arrive there, and every
     /// branch flushes first.
     fn reseed(&mut self, height: usize) {
+        self.motion.end_run();
         self.vstack.clear();
         self.vstack.resize(height, Src::Canon);
         self.max_height = self.max_height.max(height);
@@ -1509,6 +1803,7 @@ impl Lowerer<'_> {
     /// predecessor agrees on the state.
     fn enter_target(&mut self) -> Result<(), Trap> {
         self.flush_all()?;
+        self.motion.end_run();
         self.sync();
         if self.pending != ProfOp::zero() {
             // Emit-less ops left retirement weight pending and no flush
@@ -1729,6 +2024,10 @@ impl Lowerer<'_> {
         };
         let head_weight = self.prof[head as usize];
         self.pending.merge(&head_weight);
+        if self.motion.on {
+            let at = self.out.len() as u32;
+            self.motion.latches.push((self.ctrl[idx].list, at));
+        }
         self.out.push(latch);
         let exit = self.frame_target(exit, 0);
         self.out.push(RegOp::Jump { target: exit });
@@ -1770,8 +2069,9 @@ impl Lowerer<'_> {
     /// it here; the body's own `end` returns.
     fn close(&mut self) -> Result<(), Trap> {
         let frame = self.ctrl.pop().ok_or_else(|| bad("unbalanced end"))?;
-        if frame.is_loop {
+        if frame.is_loop && self.motion.on {
             self.motion.loops.pop();
+            self.promote(frame.head, frame.list);
         }
         while let Some(&(g, _)) = self.hoist.live.last().filter(|l| l.1 >= self.ctrl.len()) {
             self.hoist.globals[g as usize].live = false;
@@ -1800,6 +2100,58 @@ impl Lowerer<'_> {
             self.ret(frame.results)?;
         }
         Ok(())
+    }
+
+    /// At the `end` of the loop whose head is `code[head]` and whose hoist
+    /// list is `list`: promotes its accumulator cell (see *Promotion* in
+    /// the module docs) when the loop has latches, its first op after the
+    /// head test is a 64-bit load into a numbered slot `d` from operands no
+    /// op in the loop writes, and the rest of the loop writes memory only
+    /// by one `AddStoreF64` to the same address that adds to `d`, which no
+    /// other op reads or writes. The store then writes `d` too, and each
+    /// latch jumps past the load.
+    fn promote(&mut self, head: u32, list: u32) {
+        let m = &mut *self.motion;
+        let n = m.latches.iter().rev().take_while(|l| l.0 == list).count();
+        let latches = m.latches.split_off(m.latches.len() - n);
+        let cell = head as usize + 1;
+        let Some(load) = self
+            .out
+            .get(cell)
+            .filter(|op| !latches.is_empty() && loads_64(op))
+        else {
+            return;
+        };
+        let (reads, n_reads, Some(d)) = crate::verify::slot_operands(load) else {
+            return;
+        };
+        if usize::from(u16::MAX - d) >= m.top {
+            return;
+        }
+        let mut store = None;
+        for (at, op) in self.out.iter().enumerate().skip(cell + 1) {
+            let (_, _, write) = crate::verify::slot_operands(op);
+            let sum = matches!(*op, RegOp::AddStoreF64 { a, b, addr, offset, .. }
+                if store.is_none() && (a == d || b == d) && same_cell(load, addr, offset, &m.moved));
+            if sum {
+                store = Some(at);
+            } else if writes_memory(op)
+                || reads_slot(op, d)
+                || write.is_some_and(|w| w == d || reads[..n_reads].contains(&w))
+            {
+                return;
+            }
+        }
+        let Some(RegOp::AddStoreF64 { dst, .. }) = store.map(|at| &mut self.out[at]) else {
+            return;
+        };
+        *dst = d;
+        for (_, at) in latches {
+            if let Some(target) = self.out[at as usize].target_mut(0) {
+                *target = head + 2;
+            }
+        }
+        self.stats.promoted += 1;
     }
 
     /// Copies the top `n_results` values to the frame base and returns.
@@ -2096,6 +2448,7 @@ fn lower_body(
         motion: moves,
         pos: 0,
         inv: 0,
+        stable: true,
         func,
         n_locals,
         base,
@@ -2138,6 +2491,8 @@ fn lower_body(
         }
         lo.pos = i as u32;
         lo.inv = 0;
+        lo.stable = true;
+        let emitted = lo.out.len();
         // Instructions this iteration lowers: `code[i]` plus what a fusion
         // rule joins to it.
         let mut used = 1;
@@ -2374,9 +2729,9 @@ fn lower_body(
                         let base = lo.pop()?;
                         if let Some((w, offset)) = load {
                             fusion.record(Rule::IdxLoad);
-                            let dst = lo.push()?;
-                            lo.out
-                                .push(sel_scale_add_load(base, idx, k, w, offset, dst));
+                            lo.emit_numbered(|dst| {
+                                sel_scale_add_load(base, idx, k, w, offset, dst)
+                            })?;
                         } else {
                             fusion.record(Rule::IdxAddr);
                             lo.emit_value(true, |dst| RegOp::ScaleAdd { base, idx, k, dst })?;
@@ -2428,11 +2783,16 @@ fn lower_body(
                         }
                         Follow::Store(offset) => {
                             fusion.record(Rule::BinopStore);
+                            let addr = lo.pop()?;
+                            // The sum's own operand slot, free after the store.
+                            let h = lo.vstack.len() + 1;
+                            lo.max_height = lo.max_height.max(h + 1);
                             Some(RegOp::AddStoreF64 {
                                 a,
                                 b,
-                                addr: lo.pop()?,
+                                addr,
                                 offset,
+                                dst: lo.canon(h)?,
                             })
                         }
                         Follow::Br(jump_if) => {
@@ -2451,22 +2811,24 @@ fn lower_body(
                         }
                         Follow::Load(w, offset) => {
                             fusion.record(Rule::AddLoad);
-                            Some(sel_scale_add_load(a, b, 1, w, offset, lo.push()?))
+                            lo.emit_numbered(|dst| sel_scale_add_load(a, b, 1, w, offset, dst))?;
+                            None
                         }
                         Follow::Addr { z, k, load } => {
                             let (y, n, z) = (a, b, lo.read_local(z)?);
                             let base = lo.pop()?;
                             if let Some(offset) = load {
                                 fusion.record(Rule::IdxLoad);
-                                Some(RegOp::IdxLAddLoadF64 {
+                                lo.emit_numbered(|dst| RegOp::IdxLAddLoadF64 {
                                     base,
                                     y,
                                     n,
                                     z,
                                     k,
                                     offset,
-                                    dst: lo.push()?,
-                                })
+                                    dst,
+                                })?;
+                                None
                             } else {
                                 fusion.record(Rule::IdxAddr);
                                 lo.emit_value(true, |dst| RegOp::IdxLAdd {
@@ -2533,13 +2895,12 @@ fn lower_body(
                 }
                 Simple::Load { kind, offset } => {
                     let addr = lo.pop()?;
-                    let dst = lo.push()?;
-                    lo.out.push(RegOp::Load {
+                    lo.emit_numbered(|dst| RegOp::Load {
                         kind,
                         addr,
                         offset,
                         dst,
-                    });
+                    })?;
                 }
                 Simple::Store { kind, offset } => {
                     let val = lo.pop()?;
@@ -2550,6 +2911,7 @@ fn lower_body(
         }
         // Everything lowered here retires at the first op emitted for it,
         // except a deferred set.
+        lo.invalidate(emitted);
         let retired = i + used - usize::from(deferred_set);
         for instr in &code[i..retired] {
             lo.pending.merge(&ProfOp::of_instr(instr));
@@ -2569,9 +2931,9 @@ fn lower_body(
         return Err(bad("lowering produced skewed code/prof arrays"));
     }
 
-    let frame_size = base + lo.motion.moved.len() + lo.max_height;
+    let frame_size = base + lo.motion.top + lo.max_height;
     slot16(lo.func, frame_size)?; // the whole frame must stay u16-addressable
-    let (code, prof) = if lo.motion.moved.is_empty() {
+    let (code, prof) = if lo.motion.top == 0 {
         (lo.out, lo.prof)
     } else {
         splice(lo.out, lo.prof, lo.motion, base)?
@@ -2605,13 +2967,13 @@ fn splice(
     m: &mut Motion,
     base: usize,
 ) -> Result<(Vec<RegOp>, Vec<ProfOp>), Trap> {
-    let moved = m.moved.len();
+    let (top, moved) = (m.top, m.moved.len());
     let cache = |s: &mut u16| {
         let n = usize::from(u16::MAX - *s);
-        if n < moved {
+        if n < top {
             *s = (base + n) as u16;
         } else if usize::from(*s) >= base {
-            *s += moved as u16;
+            *s += top as u16;
         }
     };
     // Each list in the order its ops were moved; the lists are in the
@@ -2882,6 +3244,19 @@ fn run_loop<P: Profiler>(
             }
         };
     }
+    // A latch that jumps to `target` and finds no head test in front of
+    // it jumps past its loop's promoted load: it retires the load's
+    // instructions, which the guest runs on every iteration.
+    macro_rules! past_load {
+        ($target:expr) => {
+            if P::ENABLED {
+                let load = $target as usize - 1;
+                if !matches!(cur.code[load], RegOp::CmpBr { .. }) {
+                    prof.retire_skipped(&cur.prof[load]);
+                }
+            }
+        };
+    }
 
     loop {
         let op = &cur.code[pc];
@@ -3116,10 +3491,17 @@ fn run_loop<P: Profiler>(
                 let bytes: [u8; 8] = crate::exec::mem_load(mem, addr, *offset)?;
                 r!(*dst) = u64::from_le_bytes(bytes);
             }
-            RegOp::AddStoreF64 { a, b, addr, offset } => {
-                let v = as_f64(r!(*a)) + as_f64(r!(*b));
+            RegOp::AddStoreF64 {
+                a,
+                b,
+                addr,
+                offset,
+                dst,
+            } => {
+                let v = from_f64(as_f64(r!(*a)) + as_f64(r!(*b)));
                 let a = as_i32(r!(*addr));
-                crate::exec::mem_store(mem, a, *offset, &v.to_bits().to_le_bytes())?;
+                crate::exec::mem_store(mem, a, *offset, &v.to_le_bytes())?;
+                r!(*dst) = v;
             }
             RegOp::CmpBr {
                 op,
@@ -3134,7 +3516,9 @@ fn run_loop<P: Profiler>(
                 }
                 let v = apply_binop(*op, r!(*a), r!(*b))?;
                 if (as_u32(v) != 0) == *jump_if {
-                    if !*latch {
+                    if *latch {
+                        past_load!(*target);
+                    } else {
                         backedge!(*target);
                     }
                     pc = *target as usize;
@@ -3147,6 +3531,7 @@ fn run_loop<P: Profiler>(
                 let v = as_i32(r!(*i)).wrapping_add(*k as i32);
                 r!(*i) = from_i32(v);
                 if v < as_i32(r!(*n)) {
+                    past_load!(*target);
                     pc = *target as usize;
                 }
             }
@@ -3191,12 +3576,13 @@ pub(crate) mod tests {
     use crate::profile::ProfileMode;
     use crate::types::BlockType;
 
-    /// The register-engine A/B matrix: fused/unfused × counting off/on;
-    /// every one passes the IR verifier before it runs.
+    /// The register-engine A/B matrix: fused/unfused × counting on/off;
+    /// every one passes the IR verifier before it runs. Counting runs first,
+    /// under the step budget, so a run that never ends fails there.
     pub(crate) fn engine_matrix() -> Vec<(String, EngineConfig)> {
         let mut out = Vec::new();
         for fuse in [true, false] {
-            for profile in [ProfileMode::Off, ProfileMode::Count] {
+            for profile in [ProfileMode::Count, ProfileMode::Off] {
                 let cfg = EngineConfig { fuse, profile };
                 out.push((format!("{cfg:?}"), cfg));
             }
@@ -3231,6 +3617,7 @@ pub(crate) mod tests {
                 inst.reg_stats().is_some(),
                 "{label}: fell back to the interpreter"
             );
+            super::ledger::budget(STEPS);
             let outcome = inst.invoke(&mut NoHost, name, args);
             if let Some(p) = inst.profile() {
                 assert_eq!(
@@ -3243,6 +3630,9 @@ pub(crate) mod tests {
         }
         out
     }
+
+    /// The dispatches one counting run of [`run_matrix`] may make.
+    const STEPS: u64 = 20_000_000;
 
     /// [`run_matrix`] with the parity assertion; returns the outcome every
     /// configuration agreed on.
@@ -4103,7 +4493,13 @@ pub(crate) mod tests {
                 (*name, fused, hex)
             })
             .collect();
-        // Re-pinned, every suite, for code motion: loop-invariant ops
+        // Re-pinned, every suite, for value numbering and promotion: an op
+        // inside a loop over forwarded operands writes a slot of its own
+        // below the operand slots, a repeated one in the same straight run
+        // reads it, and an `AddStoreF64` names the slot it leaves its sum
+        // in (doitgen's, 2mm's, 3mm's and trmm's accumulator loops keep
+        // the cell in the loaded slot). The unfused code did not move.
+        // Before that, re-pinned, every suite, for code motion: loop-invariant ops
         // moved in front of their loops (into cache slots below the
         // operand slots, which moved up), `CmpBrLtSZ` went for `CmpBr`,
         // and an `i32.sub` of a constant became an `AddI32K`. The unfused
@@ -4118,17 +4514,17 @@ pub(crate) mod tests {
             (
                 "polybench",
                 1607 + 252,
-                "dd5d5bd3a6a13329396e86929890db35ea44ae03b18994c1d64e7b6d1d141809",
+                "3f2fae9f489b300e51853bb3990294a3552566dd0117c7f28b8d2db1f085cacf",
             ),
             (
                 "minisql",
                 463 + 30,
-                "92dbe30571fc4a554b8003c4579ba7ee5d9f3c53437161afb9567ecbb979ce2f",
+                "204f0f494332c86dd329bf1cbb1106c0a0f567c0d0c04471d69a6966e78bcac1",
             ),
             (
                 "genann",
                 196 + 2,
-                "e6c4429e4254d79cb4db39109b822fa55d10e17d98f6d743f8ece9c46192773a",
+                "fc3d72976fd83118e827d783c950878ecd8a817a039ec04e02d49a2065da236f",
             ),
         ];
         assert_eq!(

@@ -289,7 +289,7 @@ fn bit_meet(dst: &mut [u64], src: &[u64]) -> bool {
 /// past the verifier unclassified; one that branches, calls or moves a
 /// span also needs its arm in both passes of [`verify_reg_func`].
 #[inline(always)]
-fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
+pub(crate) fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
     use RegOp as R;
     let ((r, n), write) = match *op {
         R::Unreachable
@@ -343,7 +343,9 @@ fn slot_operands(op: &RegOp) -> ([u16; 4], usize, Option<u16>) {
         } => (([a, b, 0, 0], 2), Some(dst)),
         R::Select { cond, a, b, dst } => (([cond, a, b, 0], 3), Some(dst)),
         R::MulAddI32 { y, n, z, dst } => (([y, n, z, 0], 3), Some(dst)),
-        R::AddStoreF64 { a, b, addr, .. } => (([a, b, addr, 0], 3), None),
+        R::AddStoreF64 {
+            a, b, addr, dst, ..
+        } => (([a, b, addr, 0], 3), Some(dst)),
         R::IdxLAdd {
             base, y, n, z, dst, ..
         }

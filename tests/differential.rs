@@ -334,6 +334,8 @@ fn gen_fusable_kernel(rng: &mut XorShift) -> String {
     src.push_str("double* D = (double*)alloc(n * 8);\n");
     src.push_str("for (i = 0; i < n; i = i + 1) { D[i] = (double)(i & 7); }\n");
     src.push_str("for (i = 0; i < n; i = i + 1) { D[i] = D[i] + D[(i + 1) & (n - 1)]; }\n");
+    // Promotion: one cell accumulates every element, itself included.
+    src.push_str("for (i = 0; i < n; i = i + 1) { D[v3 & (n - 1)] = D[v3 & (n - 1)] + D[i]; }\n");
     src.push_str("v2 = v2 + (int)D[v3 & (n - 1)];\n");
     // idx_load (1-D tail), cmp_br (loop exits), stack-left operands.
     src.push_str(&format!(
