@@ -5616,4 +5616,120 @@ pub(crate) mod tests {
             }
         }
     }
+
+    /// `for (i = 0; i < n; i++) { mem[cell] += (f64)i; extra }`, then the
+    /// cell plus what `extra` summed into local `acc`: params `n`, `cell`.
+    fn accumulator(extra: &[I]) -> Vec<u8> {
+        use crate::instr::MemArg;
+        let m = MemArg::new(3, 0);
+        let mut b = ModuleBuilder::new();
+        b.add_memory(1, None);
+        let nop_ty = b.add_type(&[], &[]);
+        let nop = b.add_func(nop_ty, &[], vec![I::End]);
+        assert_eq!(nop, 0, "the call extra calls function 0");
+        let ty = b.add_type(&[ValType::I32, ValType::I32], &[ValType::F64]);
+        let mut code = vec![I::Block(BlockType::Empty), I::Loop(BlockType::Empty)];
+        code.extend([
+            I::LocalGet(2),
+            I::LocalGet(0),
+            I::I32LtS,
+            I::I32Eqz,
+            I::BrIf(1),
+        ]);
+        code.extend([I::LocalGet(1), I::LocalGet(1), I::F64Load(m)]);
+        code.extend([I::LocalGet(2), I::F64ConvertI32S, I::F64Add, I::F64Store(m)]);
+        code.extend(extra.iter().cloned());
+        code.extend([I::LocalGet(2), I::I32Const(1), I::I32Add, I::LocalSet(2)]);
+        code.extend([I::Br(0), I::End, I::End]);
+        code.extend([
+            I::LocalGet(1),
+            I::F64Load(m),
+            I::LocalGet(3),
+            I::F64Add,
+            I::End,
+        ]);
+        let f = b.add_func(ty, &[ValType::I32, ValType::F64], code);
+        b.export_func("f", f);
+        b.build()
+    }
+
+    /// Runs [`accumulator`] on every engine with `(n, cell)`, and checks
+    /// whether the fused compile promoted its loop.
+    fn assert_accumulator(
+        extra: &[I],
+        promoted: bool,
+        args: (i32, i32),
+    ) -> Result<Vec<Value>, Trap> {
+        let bytes = accumulator(extra);
+        assert_eq!(
+            compiled(&bytes, true).stats.promoted,
+            u64::from(promoted),
+            "{extra:?}"
+        );
+        assert_eq!(compiled(&bytes, false).stats.promoted, 0);
+        agreed_outcome(
+            &bytes,
+            "f",
+            &[Value::I32(args.0), Value::I32(args.1)],
+            &format!("{extra:?}"),
+        )
+    }
+
+    #[test]
+    fn an_accumulator_cell_is_promoted_only_when_its_store_is_the_loop_s_only_write() {
+        use crate::instr::MemArg;
+        let sum = Ok(vec![Value::F64(10.0)]); // 0 + 1 + 2 + 3 + 4
+        assert_eq!(assert_accumulator(&[], true, (5, 24)), sum);
+        // A second store, to another address, and a narrow store into the
+        // cell: the loop writes memory other than by its one sum.
+        let other = [
+            I::I32Const(64),
+            I::F64Const(1.0),
+            I::F64Store(MemArg::new(3, 0)),
+        ];
+        assert_eq!(assert_accumulator(&other, false, (5, 24)), sum);
+        let narrow = [
+            I::LocalGet(1),
+            I::I32Const(0x40),
+            I::I32Store8(MemArg::new(0, 7)),
+        ];
+        assert!(assert_accumulator(&narrow, false, (5, 24)).is_ok());
+        // A call may write any memory.
+        assert_eq!(assert_accumulator(&[I::Call(0)], false, (5, 24)), sum);
+        // A load that overlaps the cell reads the stores, which are kept.
+        let alias = [
+            I::LocalGet(1),
+            I::F64Load(MemArg::new(3, 4)),
+            I::LocalGet(3),
+            I::F64Add,
+            I::LocalSet(3),
+        ];
+        assert!(assert_accumulator(&alias, true, (5, 24)).is_ok());
+        // A `br` back to the head on odd `i` is a second latch: both jump
+        // past the load.
+        let skip = [
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32And,
+            I::If(BlockType::Empty),
+            I::LocalGet(2),
+            I::I32Const(1),
+            I::I32Add,
+            I::LocalSet(2),
+            I::Br(1),
+            I::End,
+        ];
+        assert_eq!(assert_accumulator(&skip, true, (5, 24)), sum);
+        // A loop that runs zero times never reaches its out-of-bounds cell
+        // (the read after the loop traps); one that runs traps at the load
+        // of iteration 1. Both at the oracle's instret.
+        assert_eq!(
+            assert_accumulator(&[], true, (0, 70_000)),
+            Err(Trap::MemoryOutOfBounds)
+        );
+        assert_eq!(
+            assert_accumulator(&[], true, (3, 70_000)),
+            Err(Trap::MemoryOutOfBounds)
+        );
+    }
 }
