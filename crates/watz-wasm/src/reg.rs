@@ -3500,8 +3500,8 @@ fn run_loop<P: Profiler>(
             } => {
                 let v = from_f64(as_f64(r!(*a)) + as_f64(r!(*b)));
                 let a = as_i32(r!(*addr));
-                crate::exec::mem_store(mem, a, *offset, &v.to_le_bytes())?;
                 r!(*dst) = v;
+                crate::exec::mem_store(mem, a, *offset, &v.to_le_bytes())?;
             }
             RegOp::CmpBr {
                 op,

@@ -15,9 +15,7 @@
 //!   window sit in operand slots) and its edge constants (0, 1, -1,
 //!   `i32::MIN` and a small `k`). [`extra`] adds what no rule joins but a
 //!   rule must not break: the trapping `div_s`/`rem_s`, `i32.eqz`, two
-//!   `local.set`s, a full-width load and a store. [`looped`] adds two
-//!   letters only the loop contexts take: `mem[CELL] += d`, which value
-//!   numbering and promotion act on, and a load of a cell overlapping it.
+//!   `local.set`s, a full-width load and a store.
 //! * **Windows.** Every word over the alphabet up to length `L` that
 //!   validates from an empty operand stack and leaves at most one value,
 //!   the function's result (a deeper stack is the prefix of the words that
@@ -40,10 +38,9 @@
 //!   context, its inputs, each outcome and the fused register code.
 //!
 //! Tier 1 runs `L = 4` and a seeded 1-in-16 sample of `L = 5`, and asserts
-//! that code motion moves ops out of both loop contexts' loops, that value
-//! numbering shares values in both and that promotion fires in the counted
-//! one (the other has no latch); each run is held to a step budget, so a
-//! loop that never ends fails the checker; the ignored
+//! that code motion moves ops out of both loop contexts' loops; each call
+//! runs under a step budget, so a loop that never ends fails the checker;
+//! the ignored
 //! `every_window_up_to_six_agrees` runs `L = 6` in release (CI runs it).
 //! The latch's own letters are the loops' step and `br`, so the `latch`
 //! row adds contexts, not letters.
@@ -113,26 +110,6 @@ fn extra() -> Vec<Vec<I>> {
     ]
 }
 
-/// The `f64` cell the accumulator letters name: `x = 5` (the first
-/// argument set) reads it through `local.get 0; f64.load` too.
-const CELL: i32 = 5;
-
-/// Letters only the loop contexts take: `mem[CELL] += d`, which value
-/// numbering and promotion act on, and a load of a cell that overlaps it.
-fn looped() -> Vec<Vec<I>> {
-    vec![
-        vec![
-            I::I32Const(CELL),
-            I::I32Const(CELL),
-            I::F64Load(m8()),
-            I::LocalGet(2),
-            I::F64Add,
-            I::F64Store(m8()),
-        ],
-        vec![I::I32Const(CELL + 4), I::F64Load(m8())],
-    ]
-}
-
 /// The letters `rule` contributes: its instructions, its operand sources
 /// and its edge constants.
 fn letters(rule: Rule) -> Vec<Vec<I>> {
@@ -182,8 +159,6 @@ struct Letter {
     pushes: Vec<ValType>,
     br_if: bool,
     stores: bool,
-    /// Taken only in the loop contexts.
-    looped: bool,
 }
 
 /// What `instr` pops and pushes (the alphabet's instructions only).
@@ -203,7 +178,7 @@ fn effect(instr: &I) -> (&'static [ValType], &'static [ValType]) {
 }
 
 impl Letter {
-    fn new(code: Vec<I>, looped: bool) -> Letter {
+    fn new(code: Vec<I>) -> Letter {
         let (mut pops, mut pushes) = (Vec::new(), Vec::new());
         if let I::If(_) = code[0] {
             // `if (result i32) … else … end`: a condition in, a value out.
@@ -230,13 +205,12 @@ impl Letter {
             pushes,
             br_if,
             stores,
-            looped,
         }
     }
 }
 
 /// The checker's alphabet: every rule's letters in [`RULES`] order, then
-/// [`extra`], each letter once, then [`looped`].
+/// [`extra`], each letter once.
 fn alphabet() -> Vec<Letter> {
     let mut out: Vec<Vec<I>> = Vec::new();
     let all = RULES.iter().flat_map(|row| letters(row.0)).chain(extra());
@@ -245,9 +219,7 @@ fn alphabet() -> Vec<Letter> {
             out.push(code);
         }
     }
-    let mut alpha: Vec<Letter> = out.into_iter().map(|c| Letter::new(c, false)).collect();
-    alpha.extend(looped().into_iter().map(|c| Letter::new(c, true)));
-    alpha
+    out.into_iter().map(Letter::new).collect()
 }
 
 /// Where a window runs.
@@ -498,10 +470,6 @@ struct Tally {
     /// Ops code motion moved out of the loop contexts' loops.
     moved_in_loop: u64,
     moved_in_counted: u64,
-    /// Ops that shared a numbered value, and loops promoted, there.
-    numbered_in_loop: u64,
-    numbered_in_counted: u64,
-    promoted_in_counted: u64,
 }
 
 impl Tally {
@@ -513,9 +481,6 @@ impl Tally {
         self.fusion.merge(&other.fusion);
         self.moved_in_loop += other.moved_in_loop;
         self.moved_in_counted += other.moved_in_counted;
-        self.numbered_in_loop += other.numbered_in_loop;
-        self.numbered_in_counted += other.numbered_in_counted;
-        self.promoted_in_counted += other.promoted_in_counted;
     }
 }
 
@@ -562,18 +527,13 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
     }
     let fused = artifacts[1].compiled().expect("register code");
     tally.fusion.merge(&fused.fusion);
-    // Each window's own counts of moved, shared and promoted, from a
-    // fused compile of its function alone.
+    // Each window's own count of moved ops, from a fused compile of its
+    // function alone.
     let mut scratch = RegScratch::default();
-    let mut lowered = |i: usize| {
-        let before = scratch.stats;
+    let mut moved = |i: usize| {
+        let before = scratch.stats.hoisted;
         lower_func(module, i as u32, &module.funcs[i], &mut scratch, true).expect("lowers");
-        let after = scratch.stats;
-        (
-            after.hoisted - before.hoisted,
-            after.numbered - before.numbered,
-            after.promoted - before.promoted,
-        )
+        scratch.stats.hoisted - before
     };
     let mut insts: Vec<Instance> = artifacts
         .iter()
@@ -616,17 +576,12 @@ fn run_batch(alpha: &[Letter], windows: &[Window], tally: &mut Tally) -> Result<
         match w.ctx {
             Context::Straight => tally.straight += 1,
             Context::Loop => {
-                let (moved, numbered, _) = lowered(i);
                 tally.in_loop += 1;
-                tally.moved_in_loop += moved;
-                tally.numbered_in_loop += numbered;
+                tally.moved_in_loop += moved(i);
             }
             Context::Counted(_) => {
-                let (moved, numbered, promoted) = lowered(i);
                 tally.counted += 1;
-                tally.moved_in_counted += moved;
-                tally.numbered_in_counted += numbered;
-                tally.promoted_in_counted += promoted;
+                tally.moved_in_counted += moved(i);
             }
             Context::Target(_) => tally.target += 1,
         }
@@ -750,12 +705,8 @@ impl Walk<'_> {
         let contexts = [Context::Straight, Context::Loop, Context::Counted(shape)]
             .into_iter()
             .chain((1..n).map(Context::Target));
-        let looped = w.word.iter().any(|&l| self.alpha[l].looped);
         for ctx in contexts {
             w.ctx = ctx;
-            if looped && !matches!(ctx, Context::Loop | Context::Counted(_)) {
-                continue;
-            }
             // A `br_if` in a loop would be a `continue` that never ends.
             let valid = match ctx {
                 Context::Loop | Context::Counted(_) => !w.word.iter().any(|&l| self.alpha[l].br_if),
@@ -795,18 +746,11 @@ fn every_window_up_to_four_and_a_sample_of_five_agrees() {
     for (name, count) in tally.fusion.counts() {
         assert!(count > 0, "no window fires {name}: {tally:?}");
     }
-    // Code motion moves ops out of both loop contexts' loops, and value
-    // numbering shares values in both. Promotion needs a latch, which only
-    // the counted loop has.
+    // Code motion moves ops out of both loop contexts' loops.
     assert!(
         tally.moved_in_loop > 0 && tally.moved_in_counted > 0,
         "{tally:?}"
     );
-    assert!(
-        tally.numbered_in_loop > 0 && tally.numbered_in_counted > 0,
-        "{tally:?}"
-    );
-    assert!(tally.promoted_in_counted > 0, "{tally:?}");
 }
 
 #[test]
